@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint specvet race race-short experiments-quick fuzz-short chaos-short chaos crash-short serve-short bench-baseline bench-trajectory ci clean
+.PHONY: all help build test vet lint specvet race race-short experiments-quick fuzz-short chaos-short chaos crash-short serve-short bench-baseline ci clean
 
 all: build
 
@@ -20,9 +20,8 @@ help:
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
 	@echo "  serve-short       service-layer tests (admission, quotas, drain, HTTP)"
-	@echo "  bench-baseline    regenerate BENCH_*.json and fail on byte drift"
-	@echo "  bench-trajectory  regenerate BENCH_*.json and fail if any series regresses past MDFSTAT_THRESHOLD (mdfstat)"
-	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short experiments-quick serve-short bench-trajectory bench-baseline"
+	@echo "  bench-baseline    regenerate BENCH_*.json once; mdfstat names any series past MDFSTAT_THRESHOLD, then fail on byte drift"
+	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short experiments-quick serve-short bench-baseline"
 
 build:
 	$(GO) build ./...
@@ -123,33 +122,25 @@ serve-short:
 	$(GO) test ./internal/service -count=1
 
 # bench-baseline regenerates every committed BENCH_<exp>.json baseline in
-# quick mode and fails if any bytes drift: a performance- or
+# quick mode, once, and checks the result twice. First mdfstat diffs each
+# artifact against the committed baseline and fails when a series
+# regresses past the threshold (default 5%), naming the series that moved
+# — so a drift shows *what* regressed, not just *that* bytes changed.
+# Then every file must compare byte-for-byte: a performance- or
 # determinism-affecting change must regenerate the baselines in the same
 # commit. Part of ci.
+MDFSTAT_THRESHOLD ?= 5
 bench-baseline: build
 	rm -rf .bench-prev && mkdir .bench-prev && cp BENCH_*.json .bench-prev/
 	$(GO) run ./cmd/mdfbench -exp all -quick -seeds 1 -json
+	@for f in BENCH_*.json; do \
+		$(GO) run ./cmd/mdfstat -threshold $(MDFSTAT_THRESHOLD) .bench-prev/$$f $$f || exit 1; \
+	done
 	@for f in BENCH_*.json; do cmp $$f .bench-prev/$$f || exit 1; done
 	@rm -rf .bench-prev
 
-# bench-trajectory is the performance-trajectory gate: regenerate every
-# experiment in quick mode and diff each artifact against the committed
-# baseline with mdfstat, failing when any series regresses past the
-# threshold (default 5%). Unlike bench-baseline's byte compare this gate
-# names the series that moved and tolerates improvements, so it stays
-# useful while baselines are being re-rolled: run it before bench-baseline
-# to see *what* regressed, not just *that* bytes changed. Part of ci.
-MDFSTAT_THRESHOLD ?= 5
-bench-trajectory: build
-	rm -rf .bench-traj && mkdir .bench-traj && cp BENCH_*.json .bench-traj/
-	$(GO) run ./cmd/mdfbench -exp all -quick -seeds 1 -json
-	@for f in BENCH_*.json; do \
-		$(GO) run ./cmd/mdfstat -threshold $(MDFSTAT_THRESHOLD) .bench-traj/$$f $$f || exit 1; \
-	done
-	@rm -rf .bench-traj
-
 # ci is the gate a change must pass before merging.
-ci: vet lint specvet build race race-short chaos-short crash-short experiments-quick serve-short bench-trajectory bench-baseline
+ci: vet lint specvet build race race-short chaos-short crash-short experiments-quick serve-short bench-baseline
 
 clean:
 	$(GO) clean ./...

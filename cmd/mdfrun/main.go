@@ -239,11 +239,11 @@ func run(ctx context.Context, job, specPath, sched, policy string, incremental b
 		var rec *obs.Recorder
 		opts := engine.Options{
 			Cluster: cl, Policy: pol, Scheduler: newSched(),
-			Incremental: incremental, Trace: trace,
+			Incremental: incremental,
 			Speculative: speculative, Faults: fplan,
 			Context: ctx,
 		}
-		if telemetry {
+		if telemetry || trace {
 			rec = obs.NewRecorder()
 			opts.Probe = rec
 		}
@@ -279,10 +279,10 @@ func run(ctx context.Context, job, specPath, sched, policy string, incremental b
 		}
 		if trace {
 			fmt.Println("\ntimeline (virtual seconds):")
-			if err := engine.WriteText(os.Stdout, res.Timeline); err != nil {
+			if err := rec.WriteTimeline(os.Stdout); err != nil {
 				return err
 			}
-			fmt.Println(engine.SummarizeTimeline(res.Timeline))
+			fmt.Println()
 		}
 		if traceJSON != "" {
 			f, err := os.Create(traceJSON)

@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"metadataflow/internal/service"
 	"metadataflow/internal/sim"
@@ -51,6 +52,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request line and headers. Without it a client that never finishes its
+// request holds a goroutine and a connection for as long as it likes.
+// Bodies and responses stay unbounded: ?follow=1 watchers stream for the
+// life of their jobs.
+const readHeaderTimeout = 10 * time.Second
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 func run(addr string, workers int, memMB, quotaMB int64, queueCap, maxActive int, deadlineSec float64, drainBudget int, drainMetrics string, noVet bool, stateDir string, noSync bool) error {
@@ -82,7 +94,7 @@ func run(addr string, workers int, memMB, quotaMB int64, queueCap, maxActive int
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Printf("mdfserve listening on %s\n", ln.Addr())

@@ -2,7 +2,7 @@
 // tables, mdf.metrics/v1 run snapshots, or mdf.watch/v1 event-stream
 // captures — and renders a per-series delta table (or, for watch logs, a
 // crash-recovery completeness report). It is the trajectory gate behind
-// `make bench-trajectory`: when a watched series regresses past the
+// `make bench-baseline`: when a watched series regresses past the
 // threshold (the current value is worse than the baseline by more than
 // -threshold percent), mdfstat prints the offending rows and exits 1, so
 // CI catches a performance regression even when the artifact bytes

@@ -92,7 +92,6 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 		r.now = end
 	}
 
-	r.trace(EventChooseEval, fmt.Sprintf("%s[b%d]", chooseSt, branch), ready, end)
 	r.spanNodes(obs.KindEval, fmt.Sprintf("%s[b%d]", chooseSt, branch), ready, nodeT)
 	if serr != nil {
 		// The evaluator kept panicking: the branch result cannot be
@@ -184,7 +183,6 @@ func (r *Run) skipStage(st *graph.Stage, t sim.VTime) {
 	r.skipped[st.ID] = true
 	r.stageEnd[st.ID] = t
 	r.metrics.StagesPruned++
-	r.trace(EventPruned, st.String(), t, t)
 	r.span(obs.NodeMaster, obs.KindPruned, st.String(), t, t)
 	r.observeStageDone(st, t, t, false)
 	delete(r.ready, st.ID)
@@ -264,7 +262,6 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		r.registerOutput(st, copied)
 	}
 	r.markExecuted(st, ready, end)
-	r.trace(EventChoose, st.String(), ready, end)
 	r.span(obs.NodeMaster, obs.KindChoose, st.String(), ready, end)
 	if r.probe != nil {
 		// Audit the selection with every scored branch (Alg. 1's candidate

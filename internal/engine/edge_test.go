@@ -8,6 +8,7 @@ import (
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
+	"metadataflow/internal/obs"
 	"metadataflow/internal/scheduler"
 	"metadataflow/internal/sim"
 )
@@ -271,16 +272,28 @@ func TestSpeculativeMitigatesStraggler(t *testing.T) {
 	}
 }
 
+// TestEventKindStrings pins the span-kind names the engine emits: they are
+// the track labels of the Chrome trace, the kind column of `mdfrun -trace`
+// and the lat.<kind> series names. A fault-free pruning choose emits
+// exactly these four.
 func TestEventKindStrings(t *testing.T) {
-	for k, want := range map[engine.EventKind]string{
-		engine.EventStage:      "stage",
-		engine.EventChooseEval: "eval",
-		engine.EventChoose:     "choose",
-		engine.EventPruned:     "pruned",
-	} {
-		if k.String() != want {
-			t.Errorf("EventKind %d = %q, want %q", int(k), k.String(), want)
+	rec := obs.NewRecorder()
+	runMDF(t, buildFilterMDF(t, mdf.KThreshold(1, 50, false), mdf.SizeEvaluator()), engine.Options{
+		Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
+		Scheduler: scheduler.BAS(nil), Incremental: true, Probe: rec,
+	})
+	got := map[string]bool{}
+	for _, row := range rec.TimelineRows() {
+		got[string(row.Kind)] = true
+	}
+	want := []string{"stage", "eval", "choose", "pruned"}
+	for _, k := range want {
+		if !got[k] {
+			t.Errorf("no %q row in the timeline (kinds: %v)", k, got)
 		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("timeline kinds = %v, want exactly %v", got, want)
 	}
 }
 

@@ -47,8 +47,6 @@ type Options struct {
 	// PinReused pins datasets consumed by more than one stage, modelling
 	// Spark's explicit cache() designation of reused intermediates (§6.1).
 	PinReused bool
-	// Trace records a per-stage execution timeline in the result.
-	Trace bool
 	// Speculative enables straggler mitigation (§5: "can leverage existing
 	// mechanisms"): the compute shares of a stage are rebalanced by node
 	// speed, modelling speculative re-execution of a slow worker's tasks on
@@ -90,11 +88,6 @@ type Options struct {
 	// to abandon a run at a deterministic scheduling boundary; the partial
 	// result and Snapshot stay readable afterwards.
 	Context context.Context
-	// FailAfterStage and FailNode are deprecated: use Faults. When Faults
-	// is nil and FailAfterStage > 0, they are mapped onto a single-crash
-	// plan for node FailNode.
-	FailAfterStage int
-	FailNode       int
 }
 
 func (o *Options) withDefaults() Options {
@@ -104,9 +97,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.MemPerWorker == 0 && out.Cluster != nil {
 		out.MemPerWorker = out.Cluster.Config.MemPerWorker
-	}
-	if out.Faults == nil {
-		out.Faults = faults.FromLegacy(o.FailAfterStage, o.FailNode)
 	}
 	if out.Faults != nil {
 		out.Checkpoint = true
@@ -160,47 +150,6 @@ type Metrics struct {
 	RederivedBytes sim.Bytes
 }
 
-// EventKind classifies a timeline event.
-type EventKind int
-
-const (
-	// EventStage is a regular stage execution.
-	EventStage EventKind = iota
-	// EventChooseEval is a worker-side evaluator invocation for a branch.
-	EventChooseEval
-	// EventChoose is the master-side selection of a choose stage.
-	EventChoose
-	// EventPruned marks a stage skipped as superfluous.
-	EventPruned
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventStage:
-		return "stage"
-	case EventChooseEval:
-		return "eval"
-	case EventChoose:
-		return "choose"
-	case EventPruned:
-		return "pruned"
-	}
-	return fmt.Sprintf("event%d", int(k))
-}
-
-// StageEvent is one entry of the execution timeline (recorded when
-// Options.Trace is set).
-type StageEvent struct {
-	// Kind classifies the event.
-	Kind EventKind
-	// Stage is the stage's display label.
-	Stage string
-	// Start and End are the event's virtual time span (equal for pruning
-	// decisions).
-	Start, End sim.VTime
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	// Start and End are the virtual start and completion times; End-Start
@@ -210,8 +159,6 @@ type Result struct {
 	Output *dataset.Dataset
 	// Metrics holds run statistics.
 	Metrics Metrics
-	// Timeline is the per-stage execution trace (nil unless Options.Trace).
-	Timeline []StageEvent
 	// Quarantined records the branches discarded because of persistently
 	// failing operators, with the reason.
 	Quarantined []QuarantineRecord
@@ -269,19 +216,10 @@ type Run struct {
 	branchIv map[graph.BranchRef]obs.SpanID
 
 	metrics     Metrics
-	timeline    []StageEvent
 	quarantined []QuarantineRecord
 	output      *dataset.Dataset
 	err         error
 	done        bool
-}
-
-// trace appends a timeline event when tracing is enabled.
-func (r *Run) trace(kind EventKind, label string, start, end sim.VTime) {
-	if !r.opts.Trace {
-		return
-	}
-	r.timeline = append(r.timeline, StageEvent{Kind: kind, Stage: label, Start: start, End: end})
 }
 
 // span records one closed telemetry span; the immediate SpanBegin/SpanEnd
@@ -477,7 +415,7 @@ func (r *Run) CheckpointLive() int {
 func (r *Run) Result() *Result {
 	res := &Result{
 		Start: r.start, End: r.now, Output: r.output,
-		Metrics: r.metrics, Timeline: r.timeline, Quarantined: r.quarantined,
+		Metrics: r.metrics, Quarantined: r.quarantined,
 	}
 	if r.injector != nil {
 		res.Metrics.FaultsInjected = r.injector.Injected()

@@ -6,6 +6,7 @@ import (
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/engine"
+	"metadataflow/internal/faults"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
@@ -177,8 +178,11 @@ func TestFailureRecoveryPreservesOutput(t *testing.T) {
 	failed := runMDF(t, buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator()), engine.Options{
 		Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
 		Scheduler: scheduler.BAS(nil), Incremental: true,
-		FailAfterStage: 3, FailNode: 1,
+		Faults: &faults.Plan{Crashes: []faults.Crash{{Node: 1, AfterStages: 3}}},
 	})
+	if failed.Metrics.NodeCrashes != 1 {
+		t.Errorf("node crashes = %d, want 1", failed.Metrics.NodeCrashes)
+	}
 	if clean.Output.NumRows() != failed.Output.NumRows() {
 		t.Errorf("failure changed output: %d vs %d rows",
 			clean.Output.NumRows(), failed.Output.NumRows())
@@ -222,5 +226,56 @@ func TestModeSelectorNotIncremental(t *testing.T) {
 	}
 	if res.Metrics.BranchesPruned != 0 {
 		t.Errorf("mode must not prune branches, pruned %d", res.Metrics.BranchesPruned)
+	}
+}
+
+// TestWideDependencyChargesShuffle: a wide dependency moves (W-1)/W of the
+// data over the network, so the same pipeline with a wide boundary takes
+// longer than with a narrow one.
+func TestWideDependencyChargesShuffle(t *testing.T) {
+	build := func(wide bool) *graph.Graph {
+		b := mdf.NewBuilder()
+		src := b.Source("src", mdf.SourceFunc(func() *dataset.Dataset {
+			d := dataset.FromRows("in", intRows(1000), 4, 1<<20)
+			d.SetVirtualBytes(4 << 30)
+			return d
+		}), 0.001)
+		var next *mdf.Node
+		if wide {
+			next = src.ThenWide("groupby", mdf.Identity("g"), 0.001)
+		} else {
+			next = src.Then("map", mdf.Identity("g"), 0.001)
+		}
+		next.Then("sink", mdf.Identity("out"), 0.001)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	opts := func() engine.Options {
+		return engine.Options{
+			Cluster: testCluster(16 << 30), Policy: memorymgr.LRU,
+			Scheduler: scheduler.BFS(),
+		}
+	}
+	narrow, err := engine.Execute(build(false), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := engine.Execute(build(true), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.CompletionTime() <= narrow.CompletionTime() {
+		t.Errorf("wide dependency (%0.2fs) should cost more than narrow (%0.2fs)",
+			wide.CompletionTime(), narrow.CompletionTime())
+	}
+	// Expected shuffle time: 3/4 of each worker's 1 GB share at 1 Gbps.
+	cfg := testCluster(1).Config
+	expected := cfg.NetSec(sim.Bytes(float64(1<<30) * 0.75))
+	gap := wide.CompletionTime() - narrow.CompletionTime()
+	if gap < expected*0.5 || gap > expected*2 {
+		t.Errorf("shuffle gap = %0.2fs, expected around %0.2fs", gap, expected)
 	}
 }

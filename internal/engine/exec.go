@@ -33,7 +33,6 @@ func (r *Run) execStage(st *graph.Stage) error {
 		r.registerOutput(st, d)
 		r.consumeForward(d)
 		r.markExecuted(st, ready, ready)
-		r.trace(EventStage, st.String(), ready, ready)
 		r.span(obs.NodeMaster, obs.KindStage, st.String(), ready, ready)
 		return nil
 	}
@@ -120,7 +119,6 @@ func (r *Run) execStage(st *graph.Stage) error {
 	}
 	r.registerOutput(st, out)
 	r.markExecuted(st, ready, end)
-	r.trace(EventStage, st.String(), ready, end)
 	r.spanNodes(obs.KindStage, st.String(), ready, nodeT)
 
 	// Incremental choose evaluation (§3.1): if this stage completes a

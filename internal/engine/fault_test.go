@@ -209,19 +209,3 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 		t.Errorf("fault metrics differ: %+v vs %+v", a.Metrics, b.Metrics)
 	}
 }
-
-// TestLegacyKnobsRouteThroughFaultPlan keeps the deprecated FailAfterStage /
-// FailNode options working via the conversion shim.
-func TestLegacyKnobsRouteThroughFaultPlan(t *testing.T) {
-	res := runMDF(t, buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator()), engine.Options{
-		Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
-		Scheduler: scheduler.BAS(nil), Incremental: true,
-		FailAfterStage: 3, FailNode: 1,
-	})
-	if res.Metrics.NodeCrashes != 1 {
-		t.Errorf("node crashes = %d, want 1 via legacy knobs", res.Metrics.NodeCrashes)
-	}
-	if got := res.Output.NumRows(); got != 900 {
-		t.Errorf("output rows = %d, want 900", got)
-	}
-}

@@ -6,75 +6,64 @@ import (
 	"strings"
 	"testing"
 
-	"metadataflow/internal/dataset"
 	"metadataflow/internal/engine"
-	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
+	"metadataflow/internal/obs"
 	"metadataflow/internal/scheduler"
-	"metadataflow/internal/sim"
 )
 
-func executeTraced(t *testing.T, g *graph.Graph, opts engine.Options) *engine.Result {
-	t.Helper()
-	plan, err := graph.BuildPlan(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := engine.NewRun(plan, opts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := run.RunToCompletion()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
+// The timeline is the recorder's task spans folded to one row per
+// (kind, name) — what `mdfrun -trace` prints.
 
 func TestTimelineRecorded(t *testing.T) {
-	g := buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator())
-	res := executeTraced(t, g, engine.Options{
+	rec, _ := recordedRun(t, engine.Options{
 		Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
-		Scheduler: scheduler.BAS(nil), Incremental: true, Trace: true,
+		Scheduler: scheduler.BAS(nil), Incremental: true,
 	})
-	if len(res.Timeline) == 0 {
-		t.Fatal("no timeline recorded with Trace on")
+	rows := rec.TimelineRows()
+	if len(rows) == 0 {
+		t.Fatal("no timeline recorded with a probe attached")
 	}
-	kinds := map[engine.EventKind]int{}
-	for _, ev := range res.Timeline {
-		kinds[ev.Kind]++
-		if ev.End < ev.Start {
-			t.Errorf("event %s ends before it starts: %v < %v", ev.Stage, ev.End, ev.Start)
+	kinds := map[obs.Kind]int{}
+	for _, row := range rows {
+		kinds[row.Kind]++
+		if row.End < row.Start {
+			t.Errorf("row %s ends before it starts: %v < %v", row.Name, row.End, row.Start)
 		}
 	}
-	if kinds[engine.EventStage] == 0 || kinds[engine.EventChooseEval] != 3 || kinds[engine.EventChoose] != 1 {
+	if kinds[obs.KindStage] == 0 || kinds[obs.KindEval] != 3 || kinds[obs.KindChoose] != 1 {
 		t.Errorf("unexpected event mix: %v", kinds)
 	}
 }
 
+// TestTimelineOffByDefault: Options carry no probe unless the caller
+// attaches one, and a run without one completes exactly like the run a
+// recorder watched — the probe observes, it never steers.
 func TestTimelineOffByDefault(t *testing.T) {
-	g := buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator())
-	res := executeTraced(t, g, engine.Options{
-		Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
-		Scheduler: scheduler.BAS(nil),
-	})
-	if res.Timeline != nil {
-		t.Fatal("timeline recorded without Trace")
+	opts := engine.Options{Policy: memorymgr.AMM, Scheduler: scheduler.BAS(nil)}
+	opts.Cluster = testCluster(1 << 30)
+	plain := runMDF(t, buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator()), opts)
+	opts.Cluster = testCluster(1 << 30)
+	_, run := recordedRun(t, opts)
+	traced := run.Result()
+	if plain.CompletionTime() != traced.CompletionTime() || plain.Metrics != traced.Metrics {
+		t.Errorf("attaching a probe changed the run:\nplain  %v %+v\ntraced %v %+v",
+			plain.CompletionTime(), plain.Metrics, traced.CompletionTime(), traced.Metrics)
 	}
 }
 
 func TestTimelineRecordsPruning(t *testing.T) {
-	g := buildFilterMDF(t, mdf.KThreshold(1, 50, false), mdf.SizeEvaluator())
-	res := executeTraced(t, g, engine.Options{
+	rec := obs.NewRecorder()
+	runMDF(t, buildFilterMDF(t, mdf.KThreshold(1, 50, false), mdf.SizeEvaluator()), engine.Options{
 		Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
-		Scheduler: scheduler.BAS(nil), Incremental: true, Trace: true,
+		Scheduler: scheduler.BAS(nil), Incremental: true, Probe: rec,
 	})
 	pruned := 0
-	for _, ev := range res.Timeline {
-		if ev.Kind == engine.EventPruned {
+	for _, row := range rec.TimelineRows() {
+		if row.Kind == obs.KindPruned {
 			pruned++
-			if ev.Start != ev.End {
+			if row.Start != row.End {
 				t.Error("pruning events must be instantaneous")
 			}
 		}
@@ -84,79 +73,27 @@ func TestTimelineRecordsPruning(t *testing.T) {
 	}
 }
 
-// TestWideDependencyChargesShuffle: a wide dependency moves (W-1)/W of the
-// data over the network, so the same pipeline with a wide boundary takes
-// longer than with a narrow one.
-func TestWideDependencyChargesShuffle(t *testing.T) {
-	build := func(wide bool) *graph.Graph {
-		b := mdf.NewBuilder()
-		src := b.Source("src", mdf.SourceFunc(func() *dataset.Dataset {
-			d := dataset.FromRows("in", intRows(1000), 4, 1<<20)
-			d.SetVirtualBytes(4 << 30)
-			return d
-		}), 0.001)
-		var next *mdf.Node
-		if wide {
-			next = src.ThenWide("groupby", mdf.Identity("g"), 0.001)
-		} else {
-			next = src.Then("map", mdf.Identity("g"), 0.001)
-		}
-		next.Then("sink", mdf.Identity("out"), 0.001)
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	opts := func() engine.Options {
-		return engine.Options{
-			Cluster: testCluster(16 << 30), Policy: memorymgr.LRU,
-			Scheduler: scheduler.BFS(),
-		}
-	}
-	narrow, err := engine.Execute(build(false), opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := engine.Execute(build(true), opts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.CompletionTime() <= narrow.CompletionTime() {
-		t.Errorf("wide dependency (%0.2fs) should cost more than narrow (%0.2fs)",
-			wide.CompletionTime(), narrow.CompletionTime())
-	}
-	// Expected shuffle time: 3/4 of each worker's 1 GB share at 1 Gbps.
-	cfg := testCluster(1).Config
-	expected := cfg.NetSec(sim.Bytes(float64(1<<30) * 0.75))
-	gap := wide.CompletionTime() - narrow.CompletionTime()
-	if gap < expected*0.5 || gap > expected*2 {
-		t.Errorf("shuffle gap = %0.2fs, expected around %0.2fs", gap, expected)
-	}
-}
-
 func TestTraceFormatters(t *testing.T) {
-	g := buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator())
-	res := executeTraced(t, g, engine.Options{
+	rec, _ := recordedRun(t, engine.Options{
 		Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
-		Scheduler: scheduler.BAS(nil), Incremental: true, Trace: true,
+		Scheduler: scheduler.BAS(nil), Incremental: true,
 	})
 	var text strings.Builder
-	if err := engine.WriteText(&text, res.Timeline); err != nil {
+	if err := rec.WriteTimeline(&text); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text.String(), "stage") || !strings.Contains(text.String(), "eval") {
-		t.Errorf("text timeline missing content:\n%s", text.String())
+	for _, want := range []string{"stage", "eval", "events"} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("text timeline missing %q:\n%s", want, text.String())
+		}
 	}
 	var buf bytes.Buffer
-	if err := engine.WriteChromeTrace(&buf, res.Timeline); err != nil {
+	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []struct {
-			Name  string  `json:"name"`
-			Phase string  `json:"ph"`
-			Ts    float64 `json:"ts"`
+			Phase string `json:"ph"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
@@ -164,23 +101,11 @@ func TestTraceFormatters(t *testing.T) {
 	}
 	data := 0
 	for _, ev := range doc.TraceEvents {
-		if ev.Phase != "M" {
+		if ev.Phase == "X" || ev.Phase == "i" {
 			data++
 		}
 	}
-	if data != len(res.Timeline) {
-		t.Errorf("chrome data events = %d, want %d", data, len(res.Timeline))
-	}
-	summary := engine.SummarizeTimeline(res.Timeline)
-	if !strings.Contains(summary, "stage") {
-		t.Errorf("summary missing stage line:\n%s", summary)
-	}
-	// Empty timeline renders a placeholder, not an error.
-	var empty strings.Builder
-	if err := engine.WriteText(&empty, nil); err != nil {
-		t.Fatal(err)
-	}
-	if empty.Len() == 0 {
-		t.Error("empty timeline should render a note")
+	if data != len(rec.Spans()) {
+		t.Errorf("chrome span events = %d, want %d", data, len(rec.Spans()))
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"metadataflow/internal/faults"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/memorymgr"
+	"metadataflow/internal/obs"
 	"metadataflow/internal/scheduler"
 	"metadataflow/internal/workload/synthetic"
 )
@@ -58,9 +59,10 @@ func TestTracedFaultRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rec := obs.NewRecorder()
 		r, err := engine.NewRun(plan, engine.Options{
 			Cluster: cl, Policy: memorymgr.AMM,
-			Scheduler: scheduler.BAS(nil), Incremental: true, Trace: true,
+			Scheduler: scheduler.BAS(nil), Incremental: true, Probe: rec,
 			Faults: &faults.Plan{Crashes: []faults.Crash{{Node: 1, AfterStages: 3}}},
 		}, 0)
 		if err != nil {
@@ -71,10 +73,9 @@ func TestTracedFaultRunDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := engine.WriteText(&b, res.Timeline); err != nil {
+		if err := rec.WriteTimeline(&b); err != nil {
 			t.Fatal(err)
 		}
-		b.WriteString(engine.SummarizeTimeline(res.Timeline))
 		// %+v over the whole structs: every field participates, including
 		// ones added after this test was written.
 		fmt.Fprintf(&b, "completion=%v\nmetrics=%+v\nquarantined=%+v\n",

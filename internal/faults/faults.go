@@ -65,8 +65,7 @@ func (p RetryPolicy) Backoff(attempt int) float64 {
 // Crash schedules a node failure. It fires at the first scheduling boundary
 // where at least AfterStages stages have executed AND virtual time has
 // reached At; both default to zero, so {node: 0} crashes node 0 before the
-// first stage — the "fail node 0 after stage 0" case the legacy knobs could
-// not express. A non-permanent crash models a process restart: the node
+// first stage. A non-permanent crash models a process restart: the node
 // loses its memory-resident partitions but keeps serving; partitions with a
 // durable checkpoint are re-read, the rest are re-derived by lineage. A
 // permanent crash removes the node from the live set; its partitions are
@@ -239,17 +238,6 @@ func (p *Plan) ValidateFor(workers int) error {
 		}
 	}
 	return nil
-}
-
-// FromLegacy maps the deprecated engine.Options fields (FailAfterStage,
-// FailNode) onto an equivalent single-crash plan, or nil when the legacy
-// values encode "no failure" (FailAfterStage <= 0, the only sentinel the
-// old fields could express).
-func FromLegacy(failAfterStage, failNode int) *Plan {
-	if failAfterStage <= 0 || failNode < 0 {
-		return nil
-	}
-	return &Plan{Crashes: []Crash{{Node: failNode, AfterStages: failAfterStage}}}
 }
 
 // ConfigError reports a nonsensical GenConfig field. Generate returns it

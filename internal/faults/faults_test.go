@@ -64,19 +64,6 @@ func TestRetryDefaultsAndBackoff(t *testing.T) {
 	}
 }
 
-func TestFromLegacy(t *testing.T) {
-	if FromLegacy(0, 0) != nil || FromLegacy(-1, 2) != nil {
-		t.Fatal("no-failure sentinels must map to nil")
-	}
-	p := FromLegacy(3, 1)
-	if p == nil || len(p.Crashes) != 1 {
-		t.Fatalf("legacy mapping = %+v, want one crash", p)
-	}
-	if c := p.Crashes[0]; c.Node != 1 || c.AfterStages != 3 || c.Permanent {
-		t.Fatalf("legacy crash = %+v", c)
-	}
-}
-
 func TestGenerateDeterministicAndBounded(t *testing.T) {
 	cfg := GenConfig{Seed: 7, Workers: 4, Crashes: 5, Permanent: 2, EvalPanics: 1, MaxStage: 10}
 	a, b := MustGenerate(cfg), MustGenerate(cfg)
@@ -261,8 +248,7 @@ func TestInjectorCrashFiresOnce(t *testing.T) {
 }
 
 func TestInjectorImmediateCrash(t *testing.T) {
-	// {node: 0} with zero triggers fires before the first stage — the case
-	// the legacy FailAfterStage sentinel could not express.
+	// {node: 0} with zero triggers fires before the first stage.
 	in := NewInjector(&Plan{Crashes: []Crash{{Node: 0}}})
 	if due := in.DueCrashes(0, 0); len(due) != 1 {
 		t.Fatalf("due = %v, want immediate crash", due)

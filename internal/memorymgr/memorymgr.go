@@ -301,22 +301,6 @@ func (a *Allocator) Discard(key dataset.PartKey) {
 	delete(a.entries, key)
 }
 
-// FailNode models a node failure under checkpoint-based fault tolerance
-// (§5): all resident partitions drop out of memory and must be re-read from
-// their checkpoints on disk.
-//
-// Deprecated: FailNode assumes every partition has a checkpoint. Crash
-// distinguishes checkpointed from lost partitions; use it with a
-// faults.Plan instead.
-func (a *Allocator) FailNode() {
-	for _, e := range a.entries {
-		if e.inMemory {
-			e.inMemory = false
-			a.used -= e.bytes
-		}
-	}
-}
-
 // SetCheckpointing switches the allocator into durable-copy-aware mode: see
 // the checkpointing field. The engine enables it for fault-injected runs.
 func (a *Allocator) SetCheckpointing(on bool) { a.checkpointing = on }

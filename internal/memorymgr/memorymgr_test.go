@@ -247,9 +247,14 @@ func TestDiscardFreesMemory(t *testing.T) {
 
 func TestFailNodeDropsResidency(t *testing.T) {
 	a, _ := newAlloc(1<<20, AMM, accMap{})
+	a.SetCheckpointing(true)
 	a.Put(key(1), 1000, 0)
 	a.Put(key(2), 2000, 1)
-	a.FailNode()
+	a.Checkpoint(key(1), 2)
+	a.Checkpoint(key(2), 2)
+	if lost := a.Crash(); len(lost) != 0 {
+		t.Fatalf("lost = %v, want none: both partitions are checkpointed", lost)
+	}
 	if a.Resident(key(1)) || a.Resident(key(2)) {
 		t.Fatal("failure must drop all resident partitions")
 	}

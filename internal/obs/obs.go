@@ -67,7 +67,7 @@ type SpanID int
 // Implementations must tolerate events arriving in virtual-time order with
 // equal timestamps (ordering ties are broken by call order, which the
 // deterministic engine fixes). The zero-cost disabled state is a nil Probe
-// at the call site, not a Nop value: components guard with `if p != nil`.
+// at the call site: components guard with `if p != nil`.
 type Probe interface {
 	// SpanBegin opens a task span on a node track and returns its ID.
 	SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID
@@ -104,46 +104,6 @@ type Probe interface {
 	// IntervalEnd closes an interval begun earlier.
 	IntervalEnd(id SpanID, end sim.VTime)
 }
-
-// Nop is a Probe that discards everything. It exists for call sites that
-// need a non-nil Probe; instrumented components prefer a nil Probe, which
-// skips even the interface call.
-type Nop struct{}
-
-// SpanBegin implements Probe.
-func (Nop) SpanBegin(int, Kind, string, sim.VTime) SpanID { return 0 }
-
-// SpanEnd implements Probe.
-func (Nop) SpanEnd(SpanID, sim.VTime) {}
-
-// Counter implements Probe.
-func (Nop) Counter(int, string, sim.VTime, float64) {}
-
-// Decision implements Probe.
-func (Nop) Decision(Decision) {}
-
-// RegisterDataset implements Probe.
-func (Nop) RegisterDataset(int64, string) {}
-
-// Label implements Probe.
-func (Nop) Label(int64, int) string { return "" }
-
-// SeriesAdd implements Probe.
-func (Nop) SeriesAdd(int, string, sim.VTime, float64) {}
-
-// SeriesSet implements Probe.
-func (Nop) SeriesSet(int, string, sim.VTime, float64) {}
-
-// SeriesObserve implements Probe.
-func (Nop) SeriesObserve(int, string, sim.VTime, float64) {}
-
-// IntervalBegin implements Probe.
-func (Nop) IntervalBegin(int, string, sim.VTime) SpanID { return 0 }
-
-// IntervalEnd implements Probe.
-func (Nop) IntervalEnd(SpanID, sim.VTime) {}
-
-var _ Probe = Nop{}
 
 // Span is one closed task span on a node track.
 type Span struct {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"metadataflow/internal/sim"
 )
 
 func TestRecorderSpansAndAliases(t *testing.T) {
@@ -239,14 +241,95 @@ func TestWriteDecisions(t *testing.T) {
 	}
 }
 
-func TestNopProbe(t *testing.T) {
-	var p Probe = Nop{}
-	id := p.SpanBegin(0, KindStage, "x", 0)
-	p.SpanEnd(id, 1)
-	p.Counter(0, "c", 0, 1)
-	p.Decision(Decision{})
-	p.RegisterDataset(1, "d")
-	if got := p.Label(1, 0); got != "" {
-		t.Errorf("Nop.Label = %q", got)
+// timelineRecorder holds every ranked task kind plus one the renderer has
+// never heard of, a stage split over two nodes, and resource spans.
+func timelineRecorder() *Recorder {
+	r := NewRecorder()
+	add := func(node int, kind Kind, name string, start, end sim.VTime) {
+		r.SpanEnd(r.SpanBegin(node, kind, name, start), end)
+	}
+	add(1, KindStage, "s0 load", 2, 10)
+	add(0, KindStage, "s0 load", 0, 8)
+	add(0, KindEval, "s1 choose[b0]", 10, 14.5)
+	add(1, KindEval, "s1 choose[b1]", 10, 12)
+	add(NodeMaster, KindPruned, "s2 agg", 14.5, 14.5)
+	add(NodeMaster, KindChoose, "s1 choose", 14.5, 15)
+	add(NodeMaster, Kind("mystery"), "a very long stage label indeed", 15, 16)
+	r.ResourceBusy(0, "cpu", 0, 8)
+	return r
+}
+
+func TestTimelineMergesPerNodeSpans(t *testing.T) {
+	rows := timelineRecorder().TimelineRows()
+	if len(rows) != 6 {
+		t.Fatalf("got %d rows, want 6 (two load spans merged, cpu span dropped): %+v", len(rows), rows)
+	}
+	if r := rows[0]; r.Name != "s0 load" || r.Start != 0 || r.End != 10 {
+		t.Errorf("merged row = %+v, want s0 load over [0, 10] in first-seen position", r)
+	}
+	if NewRecorder().TimelineRows() != nil {
+		t.Error("empty recorder must yield no rows")
+	}
+}
+
+func TestWriteTimelineCoversUnknownKinds(t *testing.T) {
+	var buf bytes.Buffer
+	if err := timelineRecorder().WriteTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	// Header, six rows, then one total per kind: ranked kinds in track
+	// order, the unknown kind last.
+	if len(lines) != 1+6+5 {
+		t.Fatalf("got %d lines, want 12:\n%s", len(lines), out)
+	}
+	for i, want := range []string{"stage", "eval", "choose", "pruned", "mystery"} {
+		if !strings.HasPrefix(lines[7+i], want) {
+			t.Errorf("total line %d = %q, want kind %q", i, lines[7+i], want)
+		}
+	}
+	if !strings.Contains(lines[8], "2 events") || !strings.Contains(lines[8], "6.50 virtual seconds") {
+		t.Errorf("eval total = %q, want 2 events over 6.50 virtual seconds", lines[8])
+	}
+	if strings.Contains(out, "cpu") {
+		t.Errorf("resource spans leaked into the timeline:\n%s", out)
+	}
+}
+
+func TestWriteTimelineEdgeCases(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewRecorder().WriteTimeline(&buf); err != nil {
+		t.Fatalf("WriteTimeline(empty): %v", err)
+	}
+	if !strings.Contains(buf.String(), "empty timeline") {
+		t.Errorf("empty timeline message missing: %q", buf.String())
+	}
+
+	buf.Reset()
+	if err := timelineRecorder().WriteTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	// The stage column widens to the longest label, so every row is as
+	// long as the header.
+	for _, line := range lines[1:7] {
+		if len(line) != len(lines[0]) {
+			t.Errorf("row %q not aligned with header %q", line, lines[0])
+		}
+	}
+}
+
+func TestWriteChromeTraceEmpty(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewRecorder().WriteChromeTrace(&buf); err != nil {
+		t.Fatalf("WriteChromeTrace(empty): %v", err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("empty trace is not valid JSON: %v", err)
+	}
+	if _, ok := doc["traceEvents"]; !ok {
+		t.Error("empty trace missing traceEvents array")
 	}
 }

@@ -1,21 +1,24 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
+
+	"metadataflow/internal/sim"
 )
 
-// This file renders a Recorder's spans and counter samples in the Chrome
-// Trace Event Format (the JSON consumed by chrome://tracing and
-// https://ui.perfetto.dev). Unlike the engine's legacy single-process
-// writer, the layout here is multi-track: one trace process (pid) per
-// simulated node plus one for the master, one named thread (tid) per span
-// kind present on that node, and "C" counter tracks for the per-node
-// counter samples. Track numbering is derived from the kinds actually
-// present, in a fixed rank order, so adding a new Kind never silently
-// collapses onto an existing track.
+// This file renders a Recorder's spans two ways. WriteChromeTrace emits
+// spans and counter samples in the Chrome Trace Event Format (the JSON
+// consumed by chrome://tracing and https://ui.perfetto.dev), multi-track:
+// one trace process (pid) per simulated node plus one for the master, one
+// named thread (tid) per span kind present on that node, and "C" counter
+// tracks for the per-node counter samples. Track numbering is derived from
+// the kinds actually present, in a fixed rank order, so adding a new Kind
+// never silently collapses onto an existing track. WriteTimeline is the
+// terminal view: one text row per task, then per-kind totals.
 
 // usPerVirtualSecond maps one virtual second to one millisecond of trace
 // time, keeping thousand-second jobs navigable in the viewer.
@@ -32,6 +35,27 @@ var kindRank = map[Kind]int{
 	KindCPU:      5,
 	KindDisk:     6,
 	KindNet:      7,
+}
+
+// rankedKinds returns the map's kinds in kindRank order, unranked kinds
+// after them alphabetically.
+func rankedKinds[V any](present map[Kind]V) []Kind {
+	kinds := make([]Kind, 0, len(present))
+	for k := range present {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool {
+		ri, iok := kindRank[kinds[i]]
+		rj, jok := kindRank[kinds[j]]
+		if iok != jok {
+			return iok // ranked kinds before unranked
+		}
+		if iok && ri != rj {
+			return ri < rj
+		}
+		return kinds[i] < kinds[j]
+	})
+	return kinds
 }
 
 // chromeEvent is one entry of the Chrome Trace Event Format. Args carries
@@ -124,21 +148,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Name: "process_name", Phase: "M", Pid: pid, Tid: 0,
 			Args: &eventArgs{Name: processLabel(n)},
 		})
-		kinds := make([]Kind, 0, len(kindsByNode[n]))
-		for k := range kindsByNode[n] {
-			kinds = append(kinds, k)
-		}
-		sort.Slice(kinds, func(i, j int) bool {
-			ri, iok := kindRank[kinds[i]]
-			rj, jok := kindRank[kinds[j]]
-			if iok != jok {
-				return iok // ranked kinds before unranked
-			}
-			if iok && ri != rj {
-				return ri < rj
-			}
-			return kinds[i] < kinds[j]
-		})
+		kinds := rankedKinds(kindsByNode[n])
 		names := make([]string, 0, len(countersByNode[n]))
 		for name := range countersByNode[n] {
 			names = append(names, name)
@@ -213,4 +223,62 @@ type traceFile struct {
 
 type otherData struct {
 	Note string `json:"note"`
+}
+
+// TimelineRows folds the recorded task spans into one row per (kind,
+// name), in first-seen order: the per-node spans of one stage or evaluator
+// call collapse to [earliest start, latest end]. Resource-occupancy spans
+// (cpu, disk, net) describe a node, not a task, and are left to the Chrome
+// trace.
+func (r *Recorder) TimelineRows() []Span {
+	type rowKey struct {
+		kind Kind
+		name string
+	}
+	var rows []Span
+	index := map[rowKey]int{}
+	for _, s := range r.Spans() {
+		if s.Kind == KindCPU || s.Kind == KindDisk || s.Kind == KindNet {
+			continue
+		}
+		k := rowKey{s.Kind, s.Name}
+		i, ok := index[k]
+		if !ok {
+			index[k] = len(rows)
+			rows = append(rows, s)
+			continue
+		}
+		rows[i].Start = min(rows[i].Start, s.Start)
+		rows[i].End = max(rows[i].End, s.End)
+	}
+	return rows
+}
+
+// WriteTimeline renders TimelineRows as an aligned text table followed by
+// per-kind totals, a quick profile of where virtual time went. Every kind
+// present is reported, in the Chrome trace's track order.
+func (r *Recorder) WriteTimeline(w io.Writer) error {
+	rows := r.TimelineRows()
+	if len(rows) == 0 {
+		_, err := fmt.Fprintln(w, "(empty timeline; nothing was recorded)")
+		return err
+	}
+	width := len("stage")
+	counts := map[Kind]int{}
+	totals := map[Kind]sim.VTime{}
+	for _, s := range rows {
+		width = max(width, len(s.Name))
+		counts[s.Kind]++
+		totals[s.Kind] += s.End - s.Start
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%10s  %10s  %-8s %-*s\n", "start", "end", "kind", width, "stage")
+	for _, s := range rows {
+		fmt.Fprintf(&b, "%10.2f  %10.2f  %-8s %-*s\n", s.Start.Seconds(), s.End.Seconds(), s.Kind, width, s.Name)
+	}
+	for _, k := range rankedKinds(counts) {
+		fmt.Fprintf(&b, "%-8s %4d events  %10.2f virtual seconds (busy, overlapping)\n", k, counts[k], totals[k].Seconds())
+	}
+	_, err := w.Write(b.Bytes())
+	return err
 }

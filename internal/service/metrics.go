@@ -20,24 +20,42 @@ func (s *Server) Metrics() *obs.Snapshot {
 
 func (s *Server) metricsLocked() *obs.Snapshot {
 	var snaps []*obs.Snapshot
+	retried := make(map[string]int64)
 	for _, id := range s.order {
-		if j := s.jobs[id]; j.snapshot != nil {
+		j := s.jobs[id]
+		if j.snapshot != nil {
 			snaps = append(snaps, j.snapshot)
 		}
+		retried[j.tenant] += int64(j.retries)
 	}
 	m := obs.MergeSnapshots(snaps)
 
-	m.AddCounter("service.jobs_submitted", s.ctr.submitted)
-	m.AddCounter("service.jobs_shed", s.ctr.shed)
-	m.AddCounter("service.jobs_quota_rejected", s.ctr.quotaRejected)
+	// Per-tenant lifecycle breakdown: every tenant that ever touched the
+	// admission path gets the full counter set (zeros included), emitted in
+	// sorted tenant order. The service line of each event is the sum of
+	// its tenant lines (plus, for sheds, the retries shed at requeue, which
+	// fail a job rather than refuse a submission).
+	tenants := make([]string, 0, len(s.tctr))
+	for t := range s.tctr {
+		tenants = append(tenants, t)
+	}
+	sort.Strings(tenants)
+	total := map[event]int64{evShed: s.ctr.retrySheds}
+	for _, t := range tenants {
+		p := "service.tenant." + t + ".jobs_"
+		for _, ev := range tenantEvents {
+			m.AddCounter(p+string(ev), s.tctr[t][ev])
+			total[ev] += s.tctr[t][ev]
+		}
+		m.AddCounter(p+string(evRetried), retried[t])
+		total[evRetried] += retried[t]
+	}
+	for _, ev := range tenantEvents {
+		m.AddCounter("service.jobs_"+string(ev), total[ev])
+	}
+	m.AddCounter("service.jobs_retried", total[evRetried])
 	m.AddCounter("service.jobs_vet_rejected", s.ctr.vetRejected)
-	m.AddCounter("service.jobs_quarantine_rejected", s.ctr.quarantineRejected)
 	m.AddCounter("service.jobs_drain_rejected", s.ctr.drainRejected)
-	m.AddCounter("service.jobs_done", s.ctr.done)
-	m.AddCounter("service.jobs_failed", s.ctr.failed)
-	m.AddCounter("service.jobs_canceled", s.ctr.canceled)
-	m.AddCounter("service.jobs_checkpointed", s.ctr.checkpointed)
-	m.AddCounter("service.jobs_retried", s.ctr.retried)
 	m.AddCounter("service.jobs_deadline_exceeded", s.ctr.deadlineExceeded)
 	m.AddCounter("service.tenants_quarantined", s.ctr.quarantines)
 	m.AddCounter("service.queue_depth", int64(s.queue.Len()))
@@ -62,28 +80,6 @@ func (s *Server) metricsLocked() *obs.Snapshot {
 	for _, tenant := range s.quotas.Tenants() {
 		m.AddGauge("service.tenant_peak_reserved_bytes."+tenant, float64(s.quotas.Peak(tenant)))
 		m.AddGauge("service.tenant_reserved_bytes."+tenant, float64(s.quotas.Reserved(tenant)))
-	}
-
-	// Per-tenant lifecycle breakdown: every tenant that ever touched the
-	// admission path gets the full counter set (zeros included), emitted in
-	// sorted tenant order so the document bytes stay canonical.
-	tenants := make([]string, 0, len(s.tctr))
-	for t := range s.tctr {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		tc := s.tctr[t]
-		p := "service.tenant." + t + "."
-		m.AddCounter(p+"jobs_submitted", tc.submitted)
-		m.AddCounter(p+"jobs_done", tc.done)
-		m.AddCounter(p+"jobs_failed", tc.failed)
-		m.AddCounter(p+"jobs_canceled", tc.canceled)
-		m.AddCounter(p+"jobs_checkpointed", tc.checkpointed)
-		m.AddCounter(p+"jobs_retried", tc.retried)
-		m.AddCounter(p+"jobs_shed", tc.shed)
-		m.AddCounter(p+"jobs_quota_rejected", tc.quotaRejected)
-		m.AddCounter(p+"jobs_quarantine_rejected", tc.quarantineRejected)
 	}
 
 	m.Normalize()

@@ -91,77 +91,14 @@ func (s *Server) Series() *obs.SeriesDoc {
 	return s.rec.Series(sim.VTime(s.cfg.WatchBucketSec))
 }
 
-// tenantCounters is the per-tenant slice of the service lifecycle
-// counters surfaced on /metrics.
-type tenantCounters struct {
-	submitted, done, failed, canceled, checkpointed, retried int64
-	shed, quotaRejected, quarantineRejected                  int64
-}
-
-// tenantLocked lazily creates the tenant's counter record.
-func (s *Server) tenantLocked(tenant string) *tenantCounters {
-	tc, ok := s.tctr[tenant]
-	if !ok {
-		tc = &tenantCounters{}
-		s.tctr[tenant] = tc
-	}
-	return tc
-}
-
-// tenantRetireLocked counts a job's terminal transition against its
-// tenant's lifecycle counters and the service series. Called from both
-// retire paths after j.state is final.
-func (s *Server) tenantRetireLocked(j *job) {
-	tc := s.tenantLocked(j.tenant)
-	switch j.state {
-	case StateDone:
-		tc.done++
-		s.eventLocked("done", j.tenant)
-	case StateFailed:
-		tc.failed++
-		s.eventLocked("failed", j.tenant)
-	case StateCanceled:
-		tc.canceled++
-		s.eventLocked("canceled", j.tenant)
-	case StateCheckpointed:
-		tc.checkpointed++
-		s.eventLocked("checkpointed", j.tenant)
-	}
-}
-
-// eventLocked records one service-level admission/lifecycle event on the
-// shared logical clock: a per-tenant rate counter tick plus a queue-depth
-// gauge sample. Callers hold s.mu.
-func (s *Server) eventLocked(name, tenant string) {
-	s.eventSeq++
-	t := sim.VTime(s.eventSeq)
-	s.rec.SeriesAdd(obs.NodeMaster, "service."+name+"."+tenant, t, 1)
-	s.rec.SeriesSet(obs.NodeMaster, "service.queue_depth", t, float64(s.queue.Len()))
-}
-
-// watchLifecycleLocked appends a lifecycle event for the job's current
-// state and wakes follow-mode watchers. tSec is the job's virtual time at
-// the transition (0 before the job ever ran).
-func (s *Server) watchLifecycleLocked(j *job, tSec float64) {
-	s.watchSeq++
-	s.watch = append(s.watch, WatchEvent{
-		Seq: s.watchSeq, Kind: "lifecycle",
-		Job: j.id, Tenant: j.tenant, State: j.state, TSec: tSec,
-	})
-	s.cond.Broadcast()
-}
-
 // watchBucketsLocked replays a retired job's master-node gauge series into
 // bucket events, one event per populated bucket, in ascending bucket
-// order. The job's series document is already fully sorted, so the event
-// bytes are canonical.
-func (s *Server) watchBucketsLocked(j *job) {
-	if j.series == nil {
-		return
-	}
+// order. The series document is already fully sorted, so the event bytes
+// are canonical.
+func (s *Server) watchBucketsLocked(j *job, series *obs.SeriesDoc) {
 	byBucket := make(map[int]map[string]float64)
 	var buckets []int
-	for _, sr := range j.series.Series {
+	for _, sr := range series.Series {
 		if sr.Node != obs.NodeMaster || sr.Kind != obs.SeriesGauge {
 			continue
 		}

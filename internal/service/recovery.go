@@ -20,7 +20,9 @@ import (
 // replays the journal's valid prefix and rebuilds admission state:
 //
 //   - terminal jobs are restored verbatim — final state, counters,
-//     metrics snapshot, audit surface — and their quota stays released;
+//     metrics snapshot, audit surface — and their quota stays released:
+//     replay makes the same lifecycle.go transitions the live server made
+//     before writing each record, so nothing is booked a second way;
 //   - incomplete jobs re-reserve their tenant quota and requeue at
 //     attempt zero in admitted order: deterministic re-execution from the
 //     journaled spec and fault plan IS the recovery mechanism, and the
@@ -92,10 +94,10 @@ func (s *Server) openState() error {
 	return nil
 }
 
-// replay applies journal records in order, reconstructing jobs, counters,
-// quota reservations and the watch log, then requeues every incomplete
-// job. Replay mirrors the live transition code paths record by record so
-// a restarted server is indistinguishable from one that never died.
+// replay decodes journal records in order and makes the transition each
+// one stands for — the same functions (lifecycle.go) the live server
+// called before it wrote the record — then returns every incomplete job
+// to the queue.
 func (s *Server) replay(recs []journal.Record) error {
 	s.rctr.journalRecords = int64(len(recs))
 	for _, rec := range recs {
@@ -111,14 +113,9 @@ func (s *Server) replay(recs []journal.Record) error {
 		}
 		switch rec.Kind {
 		case journal.KindStarted:
-			j.attempts = rec.Attempt
-			j.state = StateRunning
-			s.watchLifecycleLocked(j, rec.TSec.Seconds())
+			s.startedLocked(j, rec.Attempt, rec.TSec)
 		case journal.KindRetried:
-			j.state = StateQueued
-			j.backoff = rec.BackoffSec.Seconds()
-			s.eventLocked("retried", j.tenant)
-			s.watchLifecycleLocked(j, 0)
+			s.retriedLocked(j, rec.BackoffSec.Seconds())
 		case journal.KindCheckpointed:
 			j.checkpointed = rec.Parts
 		case journal.KindTerminal:
@@ -131,33 +128,24 @@ func (s *Server) replay(recs []journal.Record) error {
 	}
 	// Requeue incomplete jobs in admitted order at attempt zero. Their
 	// journaled spec and fault plan replay deterministically, so
-	// re-execution reproduces the lost outcome; jobs that were running at
-	// the crash transition back to queued in the watch log.
+	// re-execution reproduces the lost outcome.
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.terminal() {
 			continue
 		}
-		wasRunning := j.state == StateRunning
-		j.state = StateQueued
-		j.attempts, j.backoff, j.err = 0, 0, nil
-		j.checkpointed = 0
-		j.retries, j.sheds, j.strikes, j.deadlineHit = 0, 0, 0, false
 		if !s.queue.Push(j.id, j.tenant, j.priority) {
 			return fmt.Errorf("service: recovery: queue full requeuing %s", j.id)
 		}
-		if wasRunning {
-			s.watchLifecycleLocked(j, 0)
-		}
+		s.recoveredLocked(j)
 		s.rctr.requeued++
 	}
 	s.rctr.jobsRecovered = int64(len(s.jobs))
 	return nil
 }
 
-// replayAdmitted rebuilds one admission from its journal record: the job,
-// its quota reservation, the submission counters and watch event, and the
-// dedup index entry.
+// replayAdmitted decodes an admitted record into the job it admitted,
+// re-reserves its quota and indexes it for resubmission dedup.
 func (s *Server) replayAdmitted(rec journal.Record) error {
 	sp, err := spec.Parse(rec.Spec)
 	if err != nil {
@@ -188,40 +176,27 @@ func (s *Server) replayAdmitted(rec journal.Record) error {
 	if err := s.quotas.Reserve(j.tenant, j.reserve); err != nil {
 		return fmt.Errorf("service: recovery: re-reserving quota for %s: %w", j.id, err)
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
 	var n int
 	if _, err := fmt.Sscanf(j.id, "job-%d", &n); err == nil && n > s.seq {
 		s.seq = n
 	}
 	key := j.tenant + "\x1f" + j.specHash
 	s.recovered[key] = append(s.recovered[key], j.id)
-	s.ctr.submitted++
-	s.tenantLocked(j.tenant).submitted++
-	s.eventLocked("submitted", j.tenant)
-	s.watchLifecycleLocked(j, 0)
+	s.admittedLocked(j)
 	return nil
 }
 
-// replayTerminal restores a retired job verbatim from its terminal
-// record: final state, audit surface, metrics snapshot, and the counter
-// deltas the job contributed in its first life.
+// replayTerminal decodes a terminal record onto its job — the outcome, the
+// audit surface, the metrics snapshot and what the job had been charged —
+// and retires it. The record stands for the job's strikes as well as its
+// retirement, so the strikes are made first.
 func (s *Server) replayTerminal(j *job, rec journal.Record) error {
-	switch rec.State {
-	case StateDone:
-		s.ctr.done++
-	case StateFailed:
-		s.ctr.failed++
-	case StateCanceled:
-		s.ctr.canceled++
-	case StateCheckpointed:
-		s.ctr.checkpointed++
-	default:
+	if !terminalState(rec.State) {
 		return fmt.Errorf("service: recovery: job %s unknown terminal state %q", j.id, rec.State)
 	}
-	j.state = rec.State
+	var jobErr error
 	if rec.Error != "" {
-		j.err = errors.New(rec.Error)
+		jobErr = errors.New(rec.Error)
 	}
 	j.end = rec.CompletionSec
 	j.checkpointed = rec.Parts
@@ -235,19 +210,11 @@ func (s *Server) replayTerminal(j *job, rec journal.Record) error {
 		}
 		j.snapshot = snap
 	}
-	s.ctr.retried += int64(rec.Retries)
-	s.tenantLocked(j.tenant).retried += int64(rec.Retries)
-	s.ctr.shed += int64(rec.Sheds)
-	if rec.DeadlineExceeded {
-		s.ctr.deadlineExceeded++
+	j.retries, j.sheds, j.deadlineHit = rec.Retries, rec.Sheds, rec.DeadlineExceeded
+	for j.strikes < rec.Strikes {
+		s.strikeLocked(j)
 	}
-	for i := 0; i < rec.Strikes; i++ {
-		s.strikeLocked(j.tenant)
-	}
-	s.quotas.Release(j.tenant, j.reserve)
-	s.tenantRetireLocked(j)
-	s.watchLifecycleLocked(j, rec.CompletionSec.Seconds())
-	s.completionLocked()
+	s.terminalLocked(j, rec.State, jobErr)
 	s.rctr.terminalReplayed++
 	return nil
 }

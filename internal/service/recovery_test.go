@@ -23,13 +23,18 @@ const otherSpec = `{
 
 // metricsSansRecovery renders a server's metrics with the path-dependent
 // service.recovery.* counters stripped — the equivalence surface for
-// comparing a restarted server against one that never died.
-func metricsSansRecovery(t *testing.T, s *Server) []byte {
+// comparing a restarted server against one that never died. Counters
+// ending in one of alsoDrop are stripped too.
+func metricsSansRecovery(t *testing.T, s *Server, alsoDrop ...string) []byte {
 	t.Helper()
 	m := s.Metrics()
 	kept := m.Counters[:0]
 	for _, c := range m.Counters {
-		if !strings.HasPrefix(c.Name, "service.recovery.") {
+		drop := strings.HasPrefix(c.Name, "service.recovery.")
+		for _, suffix := range alsoDrop {
+			drop = drop || strings.HasSuffix(c.Name, suffix)
+		}
+		if !drop {
 			kept = append(kept, c)
 		}
 	}

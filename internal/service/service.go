@@ -239,13 +239,13 @@ type job struct {
 	backoff  float64 // accumulated virtual retry backoff, seconds
 	err      error
 
-	// Durability state, populated only on servers with a StateDir.
+	// chains and specHash are populated only on servers with a StateDir:
 	// chains maps compiled-operator IDs to spec chain-prefix hashes (the
 	// checkpoint-store keys); specHash is the spec's content hash, the
-	// restart dedup key. retries, sheds, strikes and deadlineHit
-	// accumulate the per-job counter deltas the terminal journal record
-	// carries, so a replayed terminal job reconstructs the service
-	// counters exactly.
+	// restart dedup key. retries, sheds, strikes and deadlineHit are what
+	// the job has been charged so far; the terminal journal record carries
+	// them, so a replayed terminal job books exactly what the live one
+	// did. retries is also where /metrics reads jobs_retried from.
 	chains      []spec.Hash
 	specHash    string
 	retries     int
@@ -268,7 +268,6 @@ type job struct {
 
 	// Terminal state.
 	end          sim.VTime
-	series       *obs.SeriesDoc
 	snapshot     *obs.Snapshot
 	checkpointed int
 	auditLineage []string
@@ -276,8 +275,10 @@ type job struct {
 	selections   map[string][]int
 }
 
-func (j *job) terminal() bool {
-	switch j.state {
+func (j *job) terminal() bool { return terminalState(j.state) }
+
+func terminalState(state string) bool {
+	switch state {
 	case StateDone, StateFailed, StateCanceled, StateCheckpointed:
 		return true
 	}
@@ -303,14 +304,6 @@ type JobStatus struct {
 	// end-of-run lineage/accounting self-audit (empty = books close).
 	Selections map[string][]int `json:"selections,omitempty"`
 	Audit      []string         `json:"audit,omitempty"`
-}
-
-// counters aggregates service-level events for /metrics.
-type counters struct {
-	submitted, shed, quotaRejected, quarantineRejected, drainRejected int64
-	vetRejected                                                       int64
-	done, failed, canceled, checkpointed, retried, deadlineExceeded   int64
-	quarantines                                                       int64
 }
 
 // Server is the MDF job service. All state is guarded by mu; the step loop
@@ -339,12 +332,13 @@ type Server struct {
 	stopped     bool
 	ctr         counters
 
-	// Telemetry: rec is the service-level recorder (quota series via
-	// SetProbe, admission-event series on the shared logical clock), tctr
-	// the per-tenant lifecycle counters surfaced on /metrics, watch the
-	// append-only event log behind GET /watch.
+	// Telemetry, written only by the transition functions in
+	// lifecycle.go: rec is the service-level recorder (quota series via
+	// SetProbe, lifecycle-event series on the shared logical clock), ctr
+	// and tctr the service-wide and per-tenant event counters surfaced on
+	// /metrics, watch the append-only event log behind GET /watch.
 	rec      *obs.Recorder
-	tctr     map[string]*tenantCounters
+	tctr     map[string]map[event]int64
 	watch    []WatchEvent
 	watchSeq int
 	eventSeq int64
@@ -382,7 +376,7 @@ func newServer(cfg Config) *Server {
 		strikes:     make(map[string]int),
 		quarantined: make(map[string]int),
 		rec:         obs.NewRecorder(),
-		tctr:        make(map[string]*tenantCounters),
+		tctr:        make(map[string]map[event]int64),
 		recovered:   make(map[string][]string),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -422,7 +416,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		}
 		if len(res.Findings) > 0 {
 			s.mu.Lock()
-			s.ctr.vetRejected++
+			s.rejectedLocked(evVetRejected, req.Tenant)
 			s.mu.Unlock()
 			return JobStatus{}, &VetError{Findings: res.Findings}
 		}
@@ -445,7 +439,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.stopped {
-		s.ctr.drainRejected++
+		s.rejectedLocked(evDrainRejected, req.Tenant)
 		return JobStatus{}, ErrDraining
 	}
 	if hr != nil {
@@ -462,16 +456,12 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		}
 	}
 	if left, ok := s.quarantined[req.Tenant]; ok {
-		s.ctr.quarantineRejected++
-		s.tenantLocked(req.Tenant).quarantineRejected++
-		s.eventLocked("quarantine_rejected", req.Tenant)
+		s.rejectedLocked(evQuarantineRejected, req.Tenant)
 		return JobStatus{}, &QuarantineError{Tenant: req.Tenant, CooldownJobs: left}
 	}
 	reserve := sim.Bytes(s.cfg.Workers) * s.cfg.MemPerWorker
 	if err := s.quotas.Reserve(req.Tenant, reserve); err != nil {
-		s.ctr.quotaRejected++
-		s.tenantLocked(req.Tenant).quotaRejected++
-		s.eventLocked("quota_rejected", req.Tenant)
+		s.rejectedLocked(evQuotaRejected, req.Tenant)
 		return JobStatus{}, err
 	}
 	deadline := sim.VTime(s.cfg.DeadlineSec)
@@ -498,17 +488,10 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	}
 	if !s.queue.Push(j.id, j.tenant, j.priority) {
 		s.quotas.Release(j.tenant, reserve)
-		s.ctr.shed++
-		s.tenantLocked(j.tenant).shed++
-		s.eventLocked("shed", j.tenant)
+		s.rejectedLocked(evShed, j.tenant)
 		return JobStatus{}, ErrQueueFull
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.ctr.submitted++
-	s.tenantLocked(j.tenant).submitted++
-	s.eventLocked("submitted", j.tenant)
-	s.watchLifecycleLocked(j, 0)
+	s.admittedLocked(j)
 	// The admitted record carries everything needed to re-admit the job
 	// verbatim on restart: the raw spec and fault-plan bytes, the quota
 	// reservation, and the dedup hash.
@@ -737,14 +720,12 @@ func (s *Server) startLocked(j *job) error {
 	j.run = run
 	j.rec = rec
 	j.cancel = cancel
-	j.attempts++
 	j.drainSteps = 0
-	j.state = StateRunning
 	j.progress = run.Progress()
 	s.admitSeq++
 	j.admitSeq = s.admitSeq
 	s.active = append(s.active, j)
-	s.watchLifecycleLocked(j, run.Now().Seconds())
+	s.startedLocked(j, j.attempts+1, run.Now())
 	s.journalLocked(journal.Record{
 		Kind: journal.KindStarted, Job: j.id, Tenant: j.tenant,
 		Attempt: j.attempts, TSec: run.Now(),
@@ -792,48 +773,36 @@ func (s *Server) removeActiveLocked(j *job) {
 	}
 }
 
-// finalizeRunLocked classifies a stopped run and either retires the job or
-// requeues it for a retry.
+// finalizeRunLocked classifies a stopped run and either requeues the job
+// for a retry or retires it.
 func (s *Server) finalizeRunLocked(j *job) {
 	err := j.run.Err()
 	j.cancel(nil)
+	state := StateFailed
 	switch {
 	case err == nil:
-		s.retireLocked(j, StateDone, nil)
-		s.ctr.done++
+		state = StateDone
 	case errors.Is(err, errDrainCancel):
+		state = StateCheckpointed
 		j.checkpointed = j.run.CheckpointLive()
 		s.journalLocked(journal.Record{
 			Kind: journal.KindCheckpointed, Job: j.id, Tenant: j.tenant,
 			Parts: j.checkpointed, TSec: j.run.Now(),
 		})
-		s.retireLocked(j, StateCheckpointed, err)
-		s.ctr.checkpointed++
 	case errors.Is(err, errClientCancel):
-		s.retireLocked(j, StateCanceled, err)
-		s.ctr.canceled++
+		state = StateCanceled
 	case errors.Is(err, errDeadline):
 		j.deadlineHit = true
-		s.retireLocked(j, StateFailed, err)
-		s.ctr.deadlineExceeded++
-		s.ctr.failed++
 	case engine.IsPanic(err):
-		s.strikeLocked(j.tenant)
-		j.strikes++
+		s.strikeLocked(j)
 		if j.attempts < s.cfg.Retry.MaxAttempts && !s.draining {
 			// Transient failure with attempts left: requeue with the
 			// policy's exponential backoff charged in virtual seconds.
 			j.backoff += s.cfg.Retry.Backoff(j.attempts)
-			j.progress = j.run.Progress()
-			j.run, j.rec, j.cancel = nil, nil, nil
 			if s.queue.Push(j.id, j.tenant, j.priority) {
-				j.state = StateQueued
-				j.err = nil
-				j.retries++
-				s.ctr.retried++
-				s.tenantLocked(j.tenant).retried++
-				s.eventLocked("retried", j.tenant)
-				s.watchLifecycleLocked(j, 0)
+				j.progress = j.run.Progress()
+				j.run, j.rec, j.cancel = nil, nil, nil
+				s.retriedLocked(j, j.backoff)
 				s.journalLocked(journal.Record{
 					Kind: journal.KindRetried, Job: j.id, Tenant: j.tenant,
 					Attempt: j.attempts, BackoffSec: sim.VTime(j.backoff),
@@ -842,81 +811,34 @@ func (s *Server) finalizeRunLocked(j *job) {
 			}
 			// No room to retry: shed the retry, fail the job.
 			j.sheds++
-			s.retireLocked(j, StateFailed, fmt.Errorf("%w (retry shed: %v)", ErrQueueFull, err))
-			s.ctr.shed++
-			s.ctr.failed++
-			return
+			err = fmt.Errorf("%w (retry shed: %v)", ErrQueueFull, err)
 		}
-		s.retireLocked(j, StateFailed, err)
-		s.ctr.failed++
-	default:
-		s.retireLocked(j, StateFailed, err)
-		s.ctr.failed++
 	}
+	s.retireLocked(j, state, err)
 }
 
-// retireLocked moves a job that holds a run into a terminal state,
-// capturing its snapshot and audit surface and releasing its quota.
+// retireLocked retires a job that holds a run, capturing the run's
+// snapshot and audit surface first. The job's series document lives only
+// long enough to be replayed into /watch bucket events.
 func (s *Server) retireLocked(j *job, state string, err error) {
-	j.state = state
-	j.err = err
 	j.end = j.run.Now()
 	j.progress = j.run.Progress()
 	j.snapshot = j.run.Snapshot()
-	j.series = j.rec.Series(sim.VTime(s.cfg.WatchBucketSec))
+	series := j.rec.Series(sim.VTime(s.cfg.WatchBucketSec))
 	j.selections = j.run.ChooseSelections()
 	j.auditLineage = j.run.AuditLineage()
 	j.auditBooks = j.run.AuditAccounting()
 	j.run, j.rec, j.cancel = nil, nil, nil
-	s.quotas.Release(j.tenant, j.reserve)
-	s.tenantRetireLocked(j)
-	s.watchLifecycleLocked(j, j.end.Seconds())
-	s.watchBucketsLocked(j)
+	s.terminalLocked(j, state, err)
+	s.watchBucketsLocked(j, series)
 	s.journalTerminalLocked(j)
-	s.completionLocked()
 }
 
 // finalizeQueuedLocked retires a job that never got a run (withdrawn,
 // quarantined at pop, or failed to start).
 func (s *Server) finalizeQueuedLocked(j *job, state string, err error) {
-	j.state = state
-	j.err = err
-	if state == StateCanceled {
-		s.ctr.canceled++
-	} else if state == StateFailed {
-		s.ctr.failed++
-	}
-	s.quotas.Release(j.tenant, j.reserve)
-	s.tenantRetireLocked(j)
-	s.watchLifecycleLocked(j, 0)
+	s.terminalLocked(j, state, err)
 	s.journalTerminalLocked(j)
-	s.completionLocked()
-}
-
-// strikeLocked charges one panic-failed attempt to the tenant and trips
-// the quarantine circuit breaker at the configured threshold.
-func (s *Server) strikeLocked(tenant string) {
-	s.strikes[tenant]++
-	if s.strikes[tenant] >= s.cfg.QuarantineStrikes {
-		if _, already := s.quarantined[tenant]; !already {
-			s.quarantined[tenant] = s.cfg.QuarantineCooldownJobs
-			s.ctr.quarantines++
-		}
-	}
-}
-
-// completionLocked counts one job completion against every active
-// quarantine cooldown, lifting quarantines that reach zero.
-func (s *Server) completionLocked() {
-	for tenant, left := range s.quarantined {
-		left--
-		if left <= 0 {
-			delete(s.quarantined, tenant)
-			s.strikes[tenant] = 0
-		} else {
-			s.quarantined[tenant] = left
-		}
-	}
 }
 
 func (s *Server) statusLocked(j *job) JobStatus {
