@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint specvet race race-short experiments-quick fuzz-short chaos-short chaos crash-short serve-short bench-baseline ci clean
+.PHONY: all help build test vet lint specvet race race-short fuzz-short chaos-short chaos crash-short bench-baseline ci clean
 
 all: build
 
@@ -14,14 +14,12 @@ help:
 	@echo "  specvet           mdfplan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
 	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler)"
-	@echo "  experiments-quick regenerate the resilience experiment CSVs in quick mode"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
-	@echo "  serve-short       service-layer tests (admission, quotas, drain, HTTP)"
 	@echo "  bench-baseline    regenerate BENCH_*.json once; mdfstat names any series past MDFSTAT_THRESHOLD, then fail on byte drift"
-	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short experiments-quick serve-short bench-baseline"
+	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-baseline"
 
 build:
 	$(GO) build ./...
@@ -59,13 +57,6 @@ race:
 # cache so the race detector actually runs on every invocation. Part of ci.
 race-short:
 	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler
-
-# Quick-mode regeneration of the resilience experiments: stragglers,
-# recovery, and the fault-rate reliability sweep.
-experiments-quick: build
-	$(GO) run ./cmd/mdfbench -exp stragglers -quick -seeds 1 -csv
-	$(GO) run ./cmd/mdfbench -exp recovery -quick -seeds 1 -csv
-	$(GO) run ./cmd/mdfbench -exp reliability -quick -seeds 1 -csv
 
 # fuzz-short runs the JSON-parser fuzz targets briefly on top of their
 # checked-in corpora (testdata/fuzz); longer runs use -fuzztime directly.
@@ -115,12 +106,6 @@ crash-short: build
 	@tail -n 1 .crash-short-a.log
 	@rm -rf .crash-a .crash-b .crash-short-a.log .crash-short-b.log
 
-# serve-short exercises the mdfserve service layer: admission control,
-# quotas, deadlines, quarantine, drain/checkpoint and the HTTP surface
-# (see ARCHITECTURE.md "Service layer"). Part of ci.
-serve-short:
-	$(GO) test ./internal/service -count=1
-
 # bench-baseline regenerates every committed BENCH_<exp>.json baseline in
 # quick mode, once, and checks the result twice. First mdfstat diffs each
 # artifact against the committed baseline and fails when a series
@@ -140,7 +125,7 @@ bench-baseline: build
 	@rm -rf .bench-prev
 
 # ci is the gate a change must pass before merging.
-ci: vet lint specvet build race race-short chaos-short crash-short experiments-quick serve-short bench-baseline
+ci: vet lint specvet build race race-short chaos-short crash-short bench-baseline
 
 clean:
 	$(GO) clean ./...

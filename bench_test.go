@@ -1,8 +1,9 @@
 package metadataflow
 
-// This file holds one benchmark per table and figure of the paper's
-// evaluation (§6). Each benchmark regenerates the figure's data series on
-// the simulated cluster and logs the reproduced table. Run with
+// This file holds one sub-benchmark per table and figure of the paper's
+// evaluation (§6), under BenchmarkExperiment. Each regenerates the figure's
+// data series on the simulated cluster and logs the reproduced table. Run
+// with
 //
 //	go test -bench=. -benchmem            # full-scale sweeps (3 seeds)
 //	go test -bench=. -benchmem -short     # reduced sweeps for a fast pass
@@ -26,51 +27,28 @@ import (
 	"metadataflow/internal/workload/synthetic"
 )
 
-func benchmarkExperiment(b *testing.B, id string) {
-	exp, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkExperiment regenerates every registered experiment as a
+// sub-benchmark named after its id: -bench 'BenchmarkExperiment/fig9$'
+// runs one of them.
+func BenchmarkExperiment(b *testing.B) {
 	opts := experiments.DefaultOptions()
 	if testing.Short() {
 		opts = experiments.Options{Seeds: 1, Quick: true}
 	}
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab, err = exp.Run(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, exp := range experiments.Registry() {
+		b.Run(exp.ID, func(b *testing.B) {
+			var tab *experiments.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tab, err = exp.Run(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.Log("\n" + tab.Format())
+		})
 	}
-	b.StopTimer()
-	b.Log("\n" + tab.Format())
 }
-
-func BenchmarkTable1(b *testing.B) { benchmarkExperiment(b, "table1") }
-func BenchmarkFig5(b *testing.B)   { benchmarkExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { benchmarkExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { benchmarkExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { benchmarkExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { benchmarkExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { benchmarkExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)  { benchmarkExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)  { benchmarkExperiment(b, "fig12") }
-func BenchmarkFig13(b *testing.B)  { benchmarkExperiment(b, "fig13") }
-func BenchmarkFig14(b *testing.B)  { benchmarkExperiment(b, "fig14") }
-func BenchmarkFig15(b *testing.B)  { benchmarkExperiment(b, "fig15") }
-func BenchmarkFig16(b *testing.B)  { benchmarkExperiment(b, "fig16") }
-func BenchmarkFig17(b *testing.B)  { benchmarkExperiment(b, "fig17") }
-func BenchmarkFig18(b *testing.B)  { benchmarkExperiment(b, "fig18") }
-
-// BenchmarkAblation isolates BAS, AMM and incremental evaluation (the
-// design-choice ablations DESIGN.md calls out).
-func BenchmarkAblation(b *testing.B) { benchmarkExperiment(b, "ablation") }
-
-// BenchmarkStragglers measures the impact of one straggling worker (§5).
-func BenchmarkStragglers(b *testing.B) { benchmarkExperiment(b, "stragglers") }
-
-// BenchmarkRecovery measures checkpoint-based failure recovery (§5).
-func BenchmarkRecovery(b *testing.B) { benchmarkExperiment(b, "recovery") }
 
 // BenchmarkChooseThroughput measures master-side selection throughput,
 // the §5 claim that a low-end master sustains ~2M choose invocations per

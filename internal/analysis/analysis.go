@@ -266,7 +266,7 @@ func DefaultConfig() Config {
 			// process signals: drain grants each in-flight job a step
 			// budget before cancelling, which a signal-parented context
 			// would cut short. See ARCHITECTURE.md, "Concurrency rules".
-			"internal/service.withDefaults",
+			"internal/service.startLocked",
 		},
 	}
 }

@@ -308,46 +308,3 @@ func TestMDFEquivalentToBestExpandedJob(t *testing.T) {
 		}
 	}
 }
-
-func TestPhasedRunsPhasesInOrder(t *testing.T) {
-	g1 := buildFlatMDF(t, []int{100, 200})
-	g2 := buildFlatMDF(t, []int{50, 150, 250})
-	jobs1, err := baseline.ExpandJobs(g1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs2, err := baseline.ExpandJobs(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := baseline.Phased([][]*graph.Graph{jobs1, jobs2}, 2,
-		baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs) != 5 {
-		t.Fatalf("jobs = %d, want 5", len(res.Jobs))
-	}
-	// The phased total must cover at least each phase's own span.
-	if res.CompletionTime <= 0 {
-		t.Fatal("no completion time")
-	}
-	seq, err := baseline.Phased([][]*graph.Graph{jobs1, jobs2}, 1,
-		baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CompletionTime > seq.CompletionTime {
-		t.Errorf("parallel phases (%v) should not exceed sequential phases (%v)",
-			res.CompletionTime, seq.CompletionTime)
-	}
-}
-
-func TestPhasedRejectsEmpty(t *testing.T) {
-	if _, err := baseline.Phased(nil, 1, baseline.Config{Cluster: testCluster()}); err == nil {
-		t.Fatal("no phases accepted")
-	}
-	if _, err := baseline.Phased([][]*graph.Graph{{}}, 1, baseline.Config{Cluster: testCluster()}); err == nil {
-		t.Fatal("empty phase accepted")
-	}
-}

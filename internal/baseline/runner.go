@@ -176,40 +176,6 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 	return out, nil
 }
 
-// Phased executes groups of jobs in phases: all jobs of a phase run (k at a
-// time) before the next phase starts, modelling a user who manually
-// orchestrates an early-choose workflow — run the first explorable's jobs,
-// inspect the results, then launch the follow-up jobs (§6.1's early-choose
-// baselines).
-func Phased(phases [][]*graph.Graph, k int, cfg Config) (*MultiResult, error) {
-	if len(phases) == 0 {
-		return nil, fmt.Errorf("baseline: no phases")
-	}
-	out := &MultiResult{}
-	for i, jobs := range phases {
-		if len(jobs) == 0 {
-			return nil, fmt.Errorf("baseline: phase %d is empty", i)
-		}
-		var res *MultiResult
-		var err error
-		if k <= 1 {
-			res, err = Sequential(jobs, cfg)
-		} else {
-			res, err = Parallel(jobs, k, cfg)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("baseline: phase %d: %w", i, err)
-		}
-		// Later phases queue behind the previous phase's work on the shared
-		// cluster resources (the user inspects results before submitting
-		// follow-ups), and completion accumulates.
-		for _, jr := range res.Jobs {
-			out.add(jr)
-		}
-	}
-	return out, nil
-}
-
 // SingleJob executes one (typically MDF) graph with the configured
 // scheduler, policy and memory budget; used for the Spark (cache),
 // SEEP (BFS) and SEEP (MDF) configurations of Fig. 9.

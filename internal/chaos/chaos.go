@@ -184,30 +184,43 @@ type Outcome struct {
 	// SpanOpens and SpanCloses count probe span begin/end calls (zero
 	// without a probe); an imbalance is a telemetry leak.
 	SpanOpens, SpanCloses int
-	// NegativeSpans counts probe spans ending before they start.
+	// NegativeSpans counts probe spans the engine reported as ending
+	// before they start.
 	NegativeSpans int
 	// Quarantined is the number of branches quarantined by persistent
 	// operator failures; equivalence is only checked when it is zero.
 	Quarantined int
 }
 
-// countingProbe wraps a Recorder and counts span begin/end calls, because
-// the Recorder itself only retains merged spans. The wrapper is how the
-// harness checks the span-balance invariant from outside the obs package.
+// countingProbe wraps a Recorder and checks the span calls as the engine
+// makes them, because the Recorder only retains the repaired result: it
+// counts begin/end calls (the span-balance invariant) and the ends reported
+// before their span's start, which the Recorder clamps to the start and so
+// can never show in Spans().
 type countingProbe struct {
 	*obs.Recorder
 	opens, closes int
+	starts        map[obs.SpanID]sim.VTime
+	reversed      int
 }
 
 // SpanBegin implements obs.Probe.
 func (p *countingProbe) SpanBegin(node int, kind obs.Kind, name string, start sim.VTime) obs.SpanID {
 	p.opens++
-	return p.Recorder.SpanBegin(node, kind, name, start)
+	id := p.Recorder.SpanBegin(node, kind, name, start)
+	if p.starts == nil {
+		p.starts = make(map[obs.SpanID]sim.VTime)
+	}
+	p.starts[id] = start
+	return id
 }
 
 // SpanEnd implements obs.Probe.
 func (p *countingProbe) SpanEnd(id obs.SpanID, end sim.VTime) {
 	p.closes++
+	if start, ok := p.starts[id]; ok && end < start {
+		p.reversed++
+	}
 	p.Recorder.SpanEnd(id, end)
 }
 
@@ -306,11 +319,7 @@ func runOnce(spec *TrialSpec, plan *faults.Plan, probed bool) *Outcome {
 					c.Node, c.Value, capacity, c.T.Seconds()))
 			}
 		}
-		for _, s := range probe.Spans() {
-			if s.End < s.Start {
-				out.NegativeSpans++
-			}
-		}
+		out.NegativeSpans = probe.reversed
 	}
 	return out
 }

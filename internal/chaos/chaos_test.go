@@ -177,6 +177,29 @@ func TestLineageAndVTimeOracles(t *testing.T) {
 	}
 }
 
+// A span the engine reports as ending before it starts must reach the
+// virtual-time oracle: the Recorder clamps such an end to the start, so the
+// probe has to count it from the calls themselves.
+func TestReversedSpanReachesVTimeOracle(t *testing.T) {
+	probe := &countingProbe{Recorder: obs.NewRecorder()}
+	probe.SpanEnd(probe.SpanBegin(0, obs.KindStage, "healthy", 1), 2)
+	probe.SpanEnd(probe.SpanBegin(0, obs.KindStage, "reversed", 5), 3)
+	for _, s := range probe.Spans() {
+		if s.End < s.Start {
+			t.Fatalf("recorder retained a reversed span %+v; the probe-side count is redundant", s)
+		}
+	}
+	if probe.opens != 2 || probe.closes != 2 || probe.reversed != 1 {
+		t.Fatalf("opens, closes, reversed = %d, %d, %d; want 2, 2, 1", probe.opens, probe.closes, probe.reversed)
+	}
+	faulted := passingOutcome(11)
+	faulted.NegativeSpans = probe.reversed
+	vs := CheckOracles(testSpec(), passingOutcome(10), faulted, OracleVTime)
+	if len(vs) != 1 || vs[0].Oracle != OracleVTime {
+		t.Fatalf("reversed span not flagged: %v", vs)
+	}
+}
+
 func TestOverheadOracleBounds(t *testing.T) {
 	// The lower bound applies to crash-free plans (windows and panics only
 	// ever add time).

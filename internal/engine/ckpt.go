@@ -75,11 +75,43 @@ func (r *Run) stageOfDataset(id dataset.ID) *graph.Stage {
 	return nil
 }
 
+// verifyCkpt loads and checksums the checkpoint-store entry backing the
+// durable copy of partition key, and returns the entry's store key. A
+// non-nil error is a miss: the entry is absent, torn or bit-flipped. A copy
+// no entry can be named for (no producing stage, no chain mapping) is
+// trusted. Checkpoint bit-flip faults (faults.CkptFlip) fire here, counted
+// by load ordinal.
+func (r *Run) verifyCkpt(key dataset.PartKey) (ckptstore.Key, error) {
+	st := r.stageOfDataset(key.Dataset)
+	if st == nil {
+		return ckptstore.Key{}, nil
+	}
+	chain, ok := r.chainOf(st)
+	if !ok {
+		return ckptstore.Key{}, nil
+	}
+	sk := ckptstore.Key{Chain: chain, Part: key.Index}
+	if r.injector != nil {
+		if bit, flip := r.injector.NextCkptLoad(); flip {
+			_ = r.opts.Ckpts.CorruptEntry(sk, bit) //lint:allow droppederr -- injected corruption; a missing entry is just a miss
+		}
+	}
+	_, err := r.opts.Ckpts.Get(sk)
+	return sk, err
+}
+
+// ckptMiss logs the decision to distrust the durable copy behind sk.
+func (r *Run) ckptMiss(sk ckptstore.Key, err error) {
+	r.decide(obs.Decision{
+		T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
+		Subject: sk.String(), Detail: err.Error(),
+	})
+}
+
 // distrustCorrupt verifies the checkpoint-store entries backing the
 // allocator's surviving durable copies after a crash of node. Copies
 // whose entries are missing or fail their checksum are demoted and
-// returned as lost, joining the lineage re-derivation pass. Checkpoint
-// bit-flip faults (faults.CkptFlip) fire here, counted by load ordinal.
+// returned as lost, joining the lineage re-derivation pass.
 func (r *Run) distrustCorrupt(alloc *memorymgr.Allocator) []memorymgr.Lost {
 	if r.opts.Ckpts == nil {
 		return nil
@@ -89,27 +121,10 @@ func (r *Run) distrustCorrupt(alloc *memorymgr.Allocator) []memorymgr.Lost {
 		if !alloc.Checkpointed(key) {
 			continue
 		}
-		st := r.stageOfDataset(key.Dataset)
-		if st == nil {
-			continue
-		}
-		chain, ok := r.chainOf(st)
-		if !ok {
-			continue
-		}
-		sk := ckptstore.Key{Chain: chain, Part: key.Index}
-		if r.injector != nil {
-			if bit, flip := r.injector.NextCkptLoad(); flip {
-				_ = r.opts.Ckpts.CorruptEntry(sk, bit) //lint:allow droppederr -- injected corruption; a missing entry is just a miss
-			}
-		}
-		if _, err := r.opts.Ckpts.Get(sk); err != nil {
+		if sk, err := r.verifyCkpt(key); err != nil {
 			if l, ok := alloc.DropDurable(key); ok {
 				lost = append(lost, l)
-				r.decide(obs.Decision{
-					T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
-					Subject: sk.String(), Detail: err.Error(),
-				})
+				r.ckptMiss(sk, err)
 			}
 		}
 	}
@@ -125,31 +140,12 @@ func (r *Run) verifyEvacuated(checkpointed []memorymgr.Lost) (ok, corrupt []memo
 		return checkpointed, nil
 	}
 	for _, l := range checkpointed {
-		st := r.stageOfDataset(l.Key.Dataset)
-		var chain spec.Hash
-		mapped := false
-		if st != nil {
-			chain, mapped = r.chainOf(st)
-		}
-		if !mapped {
-			ok = append(ok, l)
-			continue
-		}
-		sk := ckptstore.Key{Chain: chain, Part: l.Key.Index}
-		if r.injector != nil {
-			if bit, flip := r.injector.NextCkptLoad(); flip {
-				_ = r.opts.Ckpts.CorruptEntry(sk, bit) //lint:allow droppederr -- injected corruption; a missing entry is just a miss
-			}
-		}
-		if _, err := r.opts.Ckpts.Get(sk); err != nil {
+		if sk, err := r.verifyCkpt(l.Key); err != nil {
 			corrupt = append(corrupt, l)
-			r.decide(obs.Decision{
-				T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
-				Subject: sk.String(), Detail: err.Error(),
-			})
-			continue
+			r.ckptMiss(sk, err)
+		} else {
+			ok = append(ok, l)
 		}
-		ok = append(ok, l)
 	}
 	return ok, corrupt
 }

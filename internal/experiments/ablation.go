@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"metadataflow/internal/memorymgr"
-	"metadataflow/internal/scheduler"
 	"metadataflow/internal/workload/synthetic"
 )
 
@@ -14,62 +11,33 @@ import (
 // DESIGN.md calls out, measured independently rather than only in the
 // paper's {LRU, AMM} × {incremental} grid.
 func Ablation(o Options) (*Table, error) {
+	configs := []jobConfig{
+		{name: "BFS+LRU", newSched: bfs, policy: memorymgr.LRU},
+		{name: "BAS+LRU", newSched: bas, policy: memorymgr.LRU},
+		{name: "BFS+AMM", newSched: bfs, policy: memorymgr.AMM},
+		{name: "BAS+AMM", newSched: bas, policy: memorymgr.AMM},
+		{name: "BAS+AMM+incremental", newSched: bas, policy: memorymgr.AMM, incremental: true},
+	}
 	t := &Table{
-		ID:     "ablation",
-		Title:  "Mechanism ablation on the synthetic job",
-		XLabel: "branches (|B1|=|B2|)",
-		Unit:   "virtual seconds",
-		Columns: []string{
-			"BFS+LRU", "BAS+LRU", "BFS+AMM", "BAS+AMM", "BAS+AMM+incremental",
-		},
-	}
-	type config struct {
-		sched       func() scheduler.Policy
-		policy      memorymgr.PolicyKind
-		incremental bool
-	}
-	configs := []config{
-		{func() scheduler.Policy { return scheduler.BFS() }, memorymgr.LRU, false},
-		{func() scheduler.Policy { return scheduler.BAS(nil) }, memorymgr.LRU, false},
-		{func() scheduler.Policy { return scheduler.BFS() }, memorymgr.AMM, false},
-		{func() scheduler.Policy { return scheduler.BAS(nil) }, memorymgr.AMM, false},
-		{func() scheduler.Policy { return scheduler.BAS(nil) }, memorymgr.AMM, true},
+		ID:      "ablation",
+		Title:   "Mechanism ablation on the synthetic job",
+		XLabel:  "branches (|B1|=|B2|)",
+		Unit:    "virtual seconds",
+		Columns: columnNames(configs),
 	}
 	factors := []int{5, 8, 10}
 	if o.Quick {
 		factors = []int{5}
 	}
-	seeds := o.seeds()
-	for _, b := range factors {
-		b := b
-		row := Row{X: fmt.Sprintf("%d (%d)", b, b*b)}
-		for _, cfg := range configs {
-			cfg := cfg
-			sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-				p := synthetic.Defaults()
-				p.Seed = seed
-				p.OuterBranches, p.InnerBranches = b, b
-				p.Rows = 1200
-				p.VirtualBytes = 8 * gb
-				if o.Quick {
-					p.Rows = 500
-				}
-				g, err := synthetic.BuildMDF(p)
-				if err != nil {
-					return 0, err
-				}
-				res, err := configuredRun(g, clusterConfig(8, 6*gb), cfg.policy, cfg.sched, cfg.incremental, false)
-				if err != nil {
-					return 0, err
-				}
-				return res.CompletionTime().Seconds(), nil
-			})
+	return sweep(o, t, factors, squareLabel, func(b int, seed int64) ([]float64, error) {
+		return eachColumn(configs, func(cfg jobConfig) (float64, error) {
+			p := syntheticJob(o, seed, 1200, 500, 8*gb)
+			p.OuterBranches, p.InnerBranches = b, b
+			g, err := synthetic.BuildMDF(p)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			row.Cells = append(row.Cells, sum)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+			return seconds(cfg.run(g, clusterConfig(8, 6*gb)))
+		})
+	})
 }

@@ -21,6 +21,7 @@ import (
 	"metadataflow/internal/scheduler"
 	"metadataflow/internal/sim"
 	"metadataflow/internal/stats"
+	"metadataflow/internal/workload/synthetic"
 )
 
 // Options tunes experiment scale.
@@ -30,9 +31,9 @@ type Options struct {
 	Seeds int
 	// Quick shrinks workloads and sweeps for fast test runs.
 	Quick bool
-	// Ctx, when non-nil, cancels a sweep between seeded runs: summarize
-	// returns an error wrapping ErrInterrupted at the next data point after
-	// the context is done. mdfbench threads its SIGINT/SIGTERM context
+	// Ctx, when non-nil, cancels a sweep between seeded runs: the sweep
+	// driver returns an error wrapping ErrInterrupted at the next data point
+	// after the context is done. mdfbench threads its SIGINT/SIGTERM context
 	// through here so a half-finished sweep exits promptly without leaving
 	// partially written artifacts.
 	Ctx context.Context
@@ -308,7 +309,69 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(ids, ", "))
 }
 
-// --- shared execution helpers -------------------------------------------
+// --- the sweep driver and shared execution helpers -----------------------
+
+// sweep is the one loop every experiment runs through. For each x-value and
+// each seed it calls row, which executes that data point once and returns
+// one value per column; sweep summarises every column over the seeds (min,
+// avg, max), labels the row and appends it to t. Between seeded runs it
+// honours Options.Ctx. Runs share no state, so visiting the seeds of a row
+// before its columns produces the same table as any other order, and lets
+// the columns of a row share work, such as the LRU run behind a relative
+// metric.
+func sweep[X any](o Options, t *Table, xs []X, label func(X) string,
+	row func(x X, seed int64) ([]float64, error)) (*Table, error) {
+	seeds := o.seeds()
+	for _, x := range xs {
+		var vals [][]float64 // per column, one value per seed
+		for _, seed := range seeds {
+			if o.Ctx != nil && o.Ctx.Err() != nil {
+				return nil, fmt.Errorf("%w: %v", ErrInterrupted, context.Cause(o.Ctx))
+			}
+			r, err := row(x, seed)
+			if err != nil {
+				return nil, err
+			}
+			if vals == nil {
+				vals = make([][]float64, len(r))
+			}
+			for c, v := range r {
+				vals[c] = append(vals[c], v)
+			}
+		}
+		cells := make([]stats.Summary, len(vals))
+		for c, v := range vals {
+			cells[c] = stats.Summarize(v)
+		}
+		t.Rows = append(t.Rows, Row{X: label(x), Cells: cells})
+	}
+	return t, nil
+}
+
+// eachColumn builds one row out of independent columns: cell runs once per
+// configuration, in column order.
+func eachColumn[C any](configs []C, cell func(C) (float64, error)) ([]float64, error) {
+	out := make([]float64, len(configs))
+	for i, cfg := range configs {
+		v, err := cell(cfg)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// seconds turns a finished run into the cell most figures report, its
+// completion time in virtual seconds: seconds(fullMDF.run(g, ccfg)).
+func seconds(res *engine.Result, err error) (float64, error) {
+	if err != nil {
+		return 0, err
+	}
+	return res.CompletionTime().Seconds(), nil
+}
+
+const gb = int64(1) << 30
 
 // clusterConfig returns the testbed configuration with the given worker
 // count and per-worker memory.
@@ -319,75 +382,124 @@ func clusterConfig(workers int, mem int64) cluster.Config {
 	return cfg
 }
 
-// mdfRun executes the MDF with the full machinery (BAS + AMM + incremental).
-func mdfRun(g *graph.Graph, ccfg cluster.Config) (*engine.Result, error) {
-	return configuredRun(g, ccfg, memorymgr.AMM, func() scheduler.Policy { return scheduler.BAS(nil) }, true, false)
+// syntheticJob returns the synthetic workload's defaults at the given
+// scale: rows real rows (quickRows in quick mode) standing for bytes of
+// virtual input.
+func syntheticJob(o Options, seed int64, rows, quickRows int, bytes int64) synthetic.Params {
+	p := synthetic.Defaults()
+	p.Seed = seed
+	p.Rows = rows
+	if o.Quick {
+		p.Rows = quickRows
+	}
+	p.VirtualBytes = bytes
+	return p
 }
 
-// configuredRun executes one job with explicit policy knobs.
-func configuredRun(g *graph.Graph, ccfg cluster.Config, pol memorymgr.PolicyKind,
-	newSched func() scheduler.Policy, incremental, pinReused bool) (*engine.Result, error) {
+func bfs() scheduler.Policy { return scheduler.BFS() }
+func bas() scheduler.Policy { return scheduler.BAS(nil) }
+
+// jobConfig is one way of executing an MDF as a single job: the column of
+// an ablation.
+type jobConfig struct {
+	name        string
+	policy      memorymgr.PolicyKind
+	newSched    func() scheduler.Policy
+	incremental bool
+	pinReused   bool
+}
+
+// columnNames returns the configurations' names, the columns of their table.
+func columnNames(configs []jobConfig) []string {
+	names := make([]string, len(configs))
+	for i, c := range configs {
+		names[i] = c.name
+	}
+	return names
+}
+
+// fullMDF is the full machinery: BAS + AMM + incremental choose.
+var fullMDF = jobConfig{name: "SEEP (MDF)", policy: memorymgr.AMM, newSched: bas, incremental: true}
+
+// options are the engine options c stands for on cluster cl.
+func (c jobConfig) options(cl *cluster.Cluster) engine.Options {
+	return engine.Options{
+		Cluster:     cl,
+		Policy:      c.policy,
+		Scheduler:   c.newSched(),
+		Incremental: c.incremental,
+		PinReused:   c.pinReused,
+	}
+}
+
+// run executes g under c on a fresh cluster.
+func (c jobConfig) run(g *graph.Graph, ccfg cluster.Config) (*engine.Result, error) {
 	cl, err := cluster.New(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	return baseline.SingleJob(g, baseline.Config{
-		Cluster:      cl,
-		Policy:       pol,
-		NewScheduler: newSched,
-		Incremental:  incremental,
-		PinReused:    pinReused,
+	return engine.Execute(g, c.options(cl))
+}
+
+// familyRun executes the expanded job family of g the way existing systems
+// would: sequentially (k = 1) or k jobs at a time, under LRU.
+func familyRun(g *graph.Graph, k int, ccfg cluster.Config) (float64, error) {
+	jobs, err := baseline.ExpandJobs(g)
+	if err != nil {
+		return 0, err
+	}
+	cl, err := cluster.New(ccfg)
+	if err != nil {
+		return 0, err
+	}
+	cfg := baseline.Config{Cluster: cl, Policy: memorymgr.LRU}
+	var res *baseline.MultiResult
+	if k == 1 {
+		res, err = baseline.Sequential(jobs, cfg)
+	} else {
+		res, err = baseline.Parallel(jobs, k, cfg)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return res.CompletionTime.Seconds(), nil
+}
+
+// strategyColumns are the columns of Figs. 5–7: the expanded job family run
+// sequentially and 4 and 8 at a time, against the single MDF job.
+var strategyColumns = []string{"sequential", "4-parallel", "8-parallel", "MDF"}
+
+// strategyRow fills strategyColumns for one data point: build(p) is the
+// MDF. The baselines normally expand the MDF itself; phases, when given,
+// replace it with the jobs a user would orchestrate by hand, one phase after
+// the other on a fresh cluster, times summed.
+func strategyRow[P any](ccfg cluster.Config, p P, build func(P) (*graph.Graph, error),
+	phases ...func(P) (*graph.Graph, error)) ([]float64, error) {
+	if len(phases) == 0 {
+		phases = append(phases, build)
+	}
+	row, err := eachColumn([]int{1, 4, 8}, func(k int) (float64, error) {
+		var total float64
+		for _, phase := range phases {
+			g, err := phase(p)
+			if err != nil {
+				return 0, err
+			}
+			ct, err := familyRun(g, k, ccfg)
+			if err != nil {
+				return 0, err
+			}
+			total += ct
+		}
+		return total, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	g, err := build(p)
+	if err != nil {
+		return nil, err
+	}
+	v, err := seconds(fullMDF.run(g, ccfg))
+	return append(row, v), err
 }
-
-// seqRun executes the expanded family sequentially.
-func seqRun(g *graph.Graph, ccfg cluster.Config) (float64, error) {
-	jobs, err := baseline.ExpandJobs(g)
-	if err != nil {
-		return 0, err
-	}
-	cl, err := cluster.New(ccfg)
-	if err != nil {
-		return 0, err
-	}
-	res, err := baseline.Sequential(jobs, baseline.Config{Cluster: cl, Policy: memorymgr.LRU})
-	if err != nil {
-		return 0, err
-	}
-	return res.CompletionTime.Seconds(), nil
-}
-
-// parRun executes the expanded family k jobs at a time.
-func parRun(g *graph.Graph, k int, ccfg cluster.Config) (float64, error) {
-	jobs, err := baseline.ExpandJobs(g)
-	if err != nil {
-		return 0, err
-	}
-	cl, err := cluster.New(ccfg)
-	if err != nil {
-		return 0, err
-	}
-	res, err := baseline.Parallel(jobs, k, baseline.Config{Cluster: cl, Policy: memorymgr.LRU})
-	if err != nil {
-		return 0, err
-	}
-	return res.CompletionTime.Seconds(), nil
-}
-
-// summarize runs fn once per seed and summarises the returned values.
-func summarize(o Options, seeds []int64, fn func(seed int64) (float64, error)) (stats.Summary, error) {
-	vals := make([]float64, 0, len(seeds))
-	for _, s := range seeds {
-		if o.Ctx != nil && o.Ctx.Err() != nil {
-			return stats.Summary{}, fmt.Errorf("%w: %v", ErrInterrupted, context.Cause(o.Ctx))
-		}
-		v, err := fn(s)
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		vals = append(vals, v)
-	}
-	return stats.Summarize(vals), nil
-}
-
-const gb = int64(1) << 30

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -496,5 +500,45 @@ func TestCheckFaultSnapshot(t *testing.T) {
 	inconsistent.AddCounter("faults.partitions_rederived", 3)
 	if err := checkFaultSnapshot(inconsistent, plan); err == nil {
 		t.Error("snapshot with re-derived partitions but zero bytes accepted")
+	}
+}
+
+func TestSweepSummarisesEachColumnOverSeeds(t *testing.T) {
+	tab, err := sweep(Options{Seeds: 3}, &Table{Columns: []string{"sum", "product"}}, []int{10, 20}, strconv.Itoa,
+		func(x int, seed int64) ([]float64, error) {
+			return []float64{float64(x) + float64(seed), float64(x) * float64(seed)}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Row{
+		{X: "10", Cells: []stats.Summary{{Min: 11, Avg: 12, Max: 13}, {Min: 10, Avg: 20, Max: 30}}},
+		{X: "20", Cells: []stats.Summary{{Min: 21, Avg: 22, Max: 23}, {Min: 20, Avg: 40, Max: 60}}},
+	}
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Errorf("rows = %+v, want %+v", tab.Rows, want)
+	}
+}
+
+func TestSweepStopsBetweenSeededRuns(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	_, err := sweep(Options{Seeds: 3, Ctx: ctx}, &Table{}, []int{1, 2}, strconv.Itoa,
+		func(int, int64) ([]float64, error) {
+			calls++
+			cancel() // interrupted during the first run
+			return []float64{0}, nil
+		})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	if calls != 1 {
+		t.Errorf("row ran %d times after the interrupt, want 1 run in total", calls)
+	}
+
+	boom := errors.New("boom")
+	if _, err := sweep(Options{Seeds: 1}, &Table{}, []int{1}, strconv.Itoa,
+		func(int, int64) ([]float64, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the row's error", err)
 	}
 }

@@ -22,81 +22,30 @@ func fig5Params(o Options, seed int64) dnn.Params {
 // exhaustive cross product, early choose) under sequential, 4-parallel,
 // 8-parallel and MDF execution.
 func Fig5(o Options) (*Table, error) {
-	t := &Table{
-		ID:      "fig5",
-		Title:   "Deep learning job completion time",
-		XLabel:  "explorables",
-		Unit:    "virtual seconds",
-		Columns: []string{"sequential", "4-parallel", "8-parallel", "MDF"},
-	}
-	ccfg := clusterConfig(8, 10*gb)
-	seeds := o.seeds()
-
-	type builder func(dnn.Params) (*graph.Graph, error)
-	configs := []struct {
+	type builder = func(dnn.Params) (*graph.Graph, error)
+	type config struct {
 		name  string
 		build builder
 		// earlyPhases, when set, models the user's two-phase orchestration
 		// for the baselines (weights first, then hyper-parameters).
 		earlyPhases []builder
-	}{
+	}
+	configs := []config{
 		{name: "W", build: dnn.BuildWeightsOnlyMDF},
 		{name: "RxM", build: dnn.BuildHyperOnlyMDF},
 		{name: "WxRxM (exhaustive)", build: dnn.BuildExhaustiveMDF},
 		{name: "W->RxM (early choose)", build: dnn.BuildEarlyChooseMDF,
 			earlyPhases: []builder{dnn.BuildWeightsOnlyMDF, dnn.BuildHyperOnlyMDF}},
 	}
-	for _, cfg := range configs {
-		row := Row{X: cfg.name}
-		baselineBuilders := []builder{cfg.build}
-		if cfg.earlyPhases != nil {
-			baselineBuilders = cfg.earlyPhases
-		}
-		// Sequential and parallel baselines.
-		for _, k := range []int{1, 4, 8} {
-			k := k
-			sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-				var total float64
-				for _, build := range baselineBuilders {
-					g, err := build(fig5Params(o, seed))
-					if err != nil {
-						return 0, err
-					}
-					var ct float64
-					if k == 1 {
-						ct, err = seqRun(g, ccfg)
-					} else {
-						ct, err = parRun(g, k, ccfg)
-					}
-					if err != nil {
-						return 0, err
-					}
-					total += ct
-				}
-				return total, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, sum)
-		}
-		// MDF execution of the single integrated job.
-		sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-			g, err := cfg.build(fig5Params(o, seed))
-			if err != nil {
-				return 0, err
-			}
-			res, err := mdfRun(g, ccfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.CompletionTime().Seconds(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, sum)
-		t.Rows = append(t.Rows, row)
+	t := &Table{
+		ID:      "fig5",
+		Title:   "Deep learning job completion time",
+		XLabel:  "explorables",
+		Unit:    "virtual seconds",
+		Columns: strategyColumns,
 	}
-	return t, nil
+	return sweep(o, t, configs, func(c config) string { return c.name },
+		func(c config, seed int64) ([]float64, error) {
+			return strategyRow(clusterConfig(8, 10*gb), fig5Params(o, seed), c.build, c.earlyPhases...)
+		})
 }

@@ -29,10 +29,8 @@ func Fig6(o Options) (*Table, error) {
 		Title:   "Data profiling (KDE) job completion time",
 		XLabel:  "input size",
 		Unit:    "virtual seconds",
-		Columns: []string{"sequential", "4-parallel", "8-parallel", "MDF"},
+		Columns: strategyColumns,
 	}
-	ccfg := clusterConfig(8, 10*gb)
-	seeds := o.seeds()
 	// Sized so even an eighth of worker memory holds a job's input share
 	// (the paper's 100 M-value dataset is small relative to its 16 GB
 	// nodes); what grows with size is the repeated pre-processing scan.
@@ -40,43 +38,8 @@ func Fig6(o Options) (*Table, error) {
 	if o.Quick {
 		sizes = []int64{1 * gb, 4 * gb}
 	}
-	for _, size := range sizes {
-		row := Row{X: fmt.Sprintf("%dGB", size/gb)}
-		for _, k := range []int{1, 4, 8} {
-			k := k
-			size := size
-			sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-				g, err := kde.BuildMDF(fig6Params(o, seed, size))
-				if err != nil {
-					return 0, err
-				}
-				if k == 1 {
-					return seqRun(g, ccfg)
-				}
-				return parRun(g, k, ccfg)
-			})
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, sum)
-		}
-		size := size
-		sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-			g, err := kde.BuildMDF(fig6Params(o, seed, size))
-			if err != nil {
-				return 0, err
-			}
-			res, err := mdfRun(g, ccfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.CompletionTime().Seconds(), nil
+	return sweep(o, t, sizes, func(size int64) string { return fmt.Sprintf("%dGB", size/gb) },
+		func(size, seed int64) ([]float64, error) {
+			return strategyRow(clusterConfig(8, 10*gb), fig6Params(o, seed, size), kde.BuildMDF)
 		})
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, sum)
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
 }

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
+	"slices"
+	"strconv"
 
 	"metadataflow/internal/mdf"
-	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
 	"metadataflow/internal/workload/timeseries"
 )
@@ -91,52 +91,13 @@ func Fig7(o Options) (*Table, error) {
 		Title:   "Time series job completion time",
 		XLabel:  "branches",
 		Unit:    "virtual seconds",
-		Columns: []string{"sequential", "4-parallel", "8-parallel", "MDF"},
+		Columns: strategyColumns,
 	}
-	ccfg := clusterConfig(8, 10*gb)
-	seeds := o.seeds()
-	for _, cfg := range fig7Configs(o) {
-		cfg := cfg
-		row := Row{X: fmt.Sprintf("%d", cfg.Branches())}
-		for _, k := range []int{1, 4, 8} {
-			k := k
-			sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-				p := cfg
-				p.Seed = seed
-				g, err := timeseries.BuildMDF(p)
-				if err != nil {
-					return 0, err
-				}
-				if k == 1 {
-					return seqRun(g, ccfg)
-				}
-				return parRun(g, k, ccfg)
-			})
-			if err != nil {
-				return nil, err
-			}
-			row.Cells = append(row.Cells, sum)
-		}
-		sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-			p := cfg
+	return sweep(o, t, fig7Configs(o), func(p timeseries.Params) string { return strconv.Itoa(p.Branches()) },
+		func(p timeseries.Params, seed int64) ([]float64, error) {
 			p.Seed = seed
-			g, err := timeseries.BuildMDF(p)
-			if err != nil {
-				return 0, err
-			}
-			res, err := mdfRun(g, ccfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.CompletionTime().Seconds(), nil
+			return strategyRow(clusterConfig(8, 10*gb), p, timeseries.BuildMDF)
 		})
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, sum)
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
 }
 
 // fig8Params builds the flat masking-only configurations for the
@@ -195,82 +156,50 @@ func Fig8(o Options) (*Table, error) {
 			"MDF (first-4, random)", "MDF (first-4, sorted)",
 		},
 	}
-	ccfg := clusterConfig(8, 2*gb)
-	seeds := o.seeds()
 	branchCounts := []int{16, 64, 256}
 	if o.Quick {
 		branchCounts = []int{16}
 	}
 	const passRatio = 0.5 // threshold calibrated so about half the branches qualify
-
-	for _, branches := range branchCounts {
-		row := Row{X: fmt.Sprintf("%d", branches)}
-
-		run := func(seed int64, selKind string, sched scheduler.Policy, monotone bool) (float64, error) {
-			p := fig8Params(o, branches, seed)
-			sel := selectorFor(selKind, passRatio, branches)
-			g, err := timeseries.BuildFlatMDF(p, sel, monotone)
-			if err != nil {
-				return 0, err
-			}
-			res, err := configuredRun(g, ccfg, memorymgr.AMM,
-				func() scheduler.Policy { return sched }, true, false)
-			if err != nil {
-				return 0, err
-			}
-			return res.CompletionTime().Seconds(), nil
-		}
-
-		// MDF: threshold over all branches (explores everything).
-		sum, err := summarize(o, seeds, func(seed int64) (float64, error) {
-			return run(seed, "all", scheduler.BAS(nil), false)
-		})
+	type variant struct {
+		selKind  string
+		hint     scheduler.Hint
+		monotone bool
+	}
+	run := func(branches int, seed int64, v variant) (float64, error) {
+		g, err := timeseries.BuildFlatMDF(fig8Params(o, branches, seed),
+			selectorFor(v.selKind, passRatio, branches), v.monotone)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		row.Cells = append(row.Cells, sum)
-
-		// MDF (top-4): incremental discard only.
-		sum, err = summarize(o, seeds, func(seed int64) (float64, error) {
-			return run(seed, "top4", scheduler.BAS(nil), false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, sum)
-
-		// MDF (first-4): non-exhaustive threshold, definition order.
-		sum, err = summarize(o, seeds, func(seed int64) (float64, error) {
-			return run(seed, "first4", scheduler.BAS(nil), false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, sum)
-
-		// MDF (first-4, random): 12 random orders, min-avg-max.
-		randSeeds := make([]int64, 12)
-		for i := range randSeeds {
-			randSeeds[i] = int64(i + 1)
-		}
-		sum, err = summarize(o, randSeeds, func(seed int64) (float64, error) {
-			return run(1, "first4", scheduler.BAS(scheduler.RandomHint(seed)), false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, sum)
-
-		// MDF (first-4, sorted): monotone evaluator + sorted hint.
-		sum, err = summarize(o, seeds, func(seed int64) (float64, error) {
-			return run(seed, "first4", scheduler.BAS(scheduler.SortedHint(false)), true)
-		})
-		if err != nil {
-			return nil, err
-		}
-		row.Cells = append(row.Cells, sum)
-
-		t.Rows = append(t.Rows, row)
+		cfg := fullMDF
+		cfg.newSched = func() scheduler.Policy { return scheduler.BAS(v.hint) }
+		return seconds(cfg.run(g, clusterConfig(8, 2*gb)))
+	}
+	variants := []variant{
+		{selKind: "all"},    // MDF: threshold over all branches (explores everything)
+		{selKind: "top4"},   // incremental discard only
+		{selKind: "first4"}, // non-exhaustive threshold, definition order
+		{selKind: "first4", hint: scheduler.SortedHint(false), monotone: true},
+	}
+	if _, err := sweep(o, t, branchCounts, strconv.Itoa, func(branches int, seed int64) ([]float64, error) {
+		return eachColumn(variants, func(v variant) (float64, error) { return run(branches, seed, v) })
+	}); err != nil {
+		return nil, err
+	}
+	// MDF (first-4, random): the seed-1 input under 12 random branch
+	// orders, min-avg-max, whatever o.Seeds says; spliced in as the fourth
+	// column.
+	orders := &Table{}
+	if _, err := sweep(Options{Seeds: 12, Ctx: o.Ctx}, orders, branchCounts, strconv.Itoa,
+		func(branches int, order int64) ([]float64, error) {
+			v, err := run(branches, 1, variant{selKind: "first4", hint: scheduler.RandomHint(order)})
+			return []float64{v}, err
+		}); err != nil {
+		return nil, err
+	}
+	for i := range t.Rows {
+		t.Rows[i].Cells = slices.Insert(t.Rows[i].Cells, 3, orders.Rows[i].Cells[0])
 	}
 	return t, nil
 }

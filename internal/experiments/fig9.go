@@ -3,152 +3,71 @@ package experiments
 import (
 	"fmt"
 
-	"metadataflow/internal/cluster"
-	"metadataflow/internal/engine"
 	"metadataflow/internal/memorymgr"
-	"metadataflow/internal/scheduler"
 	"metadataflow/internal/workload/synthetic"
 )
 
 func fig9Params(o Options, b int, seed int64) synthetic.Params {
-	p := synthetic.Defaults()
-	p.Seed = seed
-	p.OuterBranches = b
-	p.InnerBranches = b
-	p.Rows = 2000
 	// Sized so each job's working set fits its memory share even under
 	// 8-way parallelism (500 MB/worker per dataset vs a 10/8 GB share),
 	// while the single-job BFS/cache configurations overflow worker memory
 	// once the B + B^2 branch datasets are live at once, which is the
 	// memory-pressure effect Fig. 9 measures.
-	p.VirtualBytes = 4 * gb
+	p := syntheticJob(o, seed, 2000, 600, 4*gb)
+	p.OuterBranches = b
+	p.InnerBranches = b
 	// Inner operators aggregate: their outputs are a quarter of the input,
 	// so a parallel job's working set fits its memory share while the
 	// single-job configurations still contend for memory across branches.
 	p.InnerSizeScale = 0.25
-	if o.Quick {
-		p.Rows = 600
-	}
 	return p
 }
+
+// squareLabel labels a |B1| = |B2| = b point with its total branch count.
+func squareLabel(b int) string { return fmt.Sprintf("%d (%d)", b, b*b) }
 
 // Fig9 regenerates the system comparison on the synthetic job: Spark-style
 // sequential jobs, Spark-on-YARN parallel jobs, a single Spark job with
 // explicit cache() designations under LRU, SEEP with breadth-first
 // scheduling, and SEEP with the full MDF machinery (BAS + AMM).
 func Fig9(o Options) (*Table, error) {
+	// A system runs the expanded family k jobs at a time (k > 0), or the
+	// MDF as one job.
+	type system struct {
+		jobConfig
+		k int
+	}
+	systems := []system{
+		{jobConfig{name: "Spark (sequential)"}, 1}, // separate jobs, no reuse
+		{jobConfig{name: "Spark (YARN)"}, 8},
+		{jobConfig{name: "Spark (cache)", policy: memorymgr.LRU, newSched: bfs, pinReused: true}, 0},
+		{jobConfig{name: "SEEP (BFS)", policy: memorymgr.LRU, newSched: bfs}, 0},
+		{fullMDF, 0},
+	}
 	t := &Table{
 		ID:     "fig9",
 		Title:  "Synthetic job completion time by system configuration",
 		XLabel: "branches (|B1|=|B2|)",
 		Unit:   "virtual seconds",
-		Columns: []string{
-			"Spark (sequential)", "Spark (YARN)", "Spark (cache)",
-			"SEEP (BFS)", "SEEP (MDF)",
-		},
 	}
-	ccfg := clusterConfig(8, 10*gb)
-	seeds := o.seeds()
+	for _, s := range systems {
+		t.Columns = append(t.Columns, s.name)
+	}
 	factors := []int{2, 3, 5, 7, 10}
 	if o.Quick {
 		factors = []int{2, 5}
 	}
-	for _, b := range factors {
-		b := b
-		row := Row{X: fmt.Sprintf("%d (%d)", b, b*b)}
-
-		cells := []func(seed int64) (float64, error){
-			// Spark (sequential): separate jobs, no reuse.
-			func(seed int64) (float64, error) {
-				g, err := synthetic.BuildMDF(fig9Params(o, b, seed))
-				if err != nil {
-					return 0, err
-				}
-				return seqRun(g, ccfg)
-			},
-			// Spark (YARN): eight parallel jobs.
-			func(seed int64) (float64, error) {
-				g, err := synthetic.BuildMDF(fig9Params(o, b, seed))
-				if err != nil {
-					return 0, err
-				}
-				return parRun(g, 8, ccfg)
-			},
-			// Spark (cache): one job, BFS, LRU, reused datasets pinned.
-			func(seed int64) (float64, error) {
-				g, err := synthetic.BuildMDF(fig9Params(o, b, seed))
-				if err != nil {
-					return 0, err
-				}
-				res, err := configuredRun(g, ccfg, memorymgr.LRU,
-					func() scheduler.Policy { return scheduler.BFS() }, false, true)
-				if err != nil {
-					return 0, err
-				}
-				return res.CompletionTime().Seconds(), nil
-			},
-			// SEEP (BFS): one job, BFS, LRU, no pinning, no incremental.
-			func(seed int64) (float64, error) {
-				g, err := synthetic.BuildMDF(fig9Params(o, b, seed))
-				if err != nil {
-					return 0, err
-				}
-				res, err := configuredRun(g, ccfg, memorymgr.LRU,
-					func() scheduler.Policy { return scheduler.BFS() }, false, false)
-				if err != nil {
-					return 0, err
-				}
-				return res.CompletionTime().Seconds(), nil
-			},
-			// SEEP (MDF): BAS + AMM + incremental choose.
-			func(seed int64) (float64, error) {
-				g, err := synthetic.BuildMDF(fig9Params(o, b, seed))
-				if err != nil {
-					return 0, err
-				}
-				res, err := mdfRun(g, ccfg)
-				if err != nil {
-					return 0, err
-				}
-				return res.CompletionTime().Seconds(), nil
-			},
-		}
-		for _, fn := range cells {
-			sum, err := summarize(o, seeds, fn)
+	ccfg := clusterConfig(8, 10*gb)
+	return sweep(o, t, factors, squareLabel, func(b int, seed int64) ([]float64, error) {
+		return eachColumn(systems, func(s system) (float64, error) {
+			g, err := synthetic.BuildMDF(fig9Params(o, b, seed))
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			row.Cells = append(row.Cells, sum)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// policyVariant identifies one of the four MDF ablations used by
-// Figs. 10–18: {LRU, AMM} × {incremental on, off}.
-type policyVariant struct {
-	name        string
-	policy      memorymgr.PolicyKind
-	incremental bool
-}
-
-func policyVariants() []policyVariant {
-	return []policyVariant{
-		{"LRU", memorymgr.LRU, false},
-		{"AMM", memorymgr.AMM, false},
-		{"LRU+incremental", memorymgr.LRU, true},
-		{"AMM+incremental", memorymgr.AMM, true},
-	}
-}
-
-// runVariant executes the synthetic MDF under one ablation and returns the
-// full result.
-func runVariant(p synthetic.Params, ccfg cluster.Config, v policyVariant) (*engine.Result, error) {
-	g, err := synthetic.BuildMDF(p)
-	if err != nil {
-		return nil, err
-	}
-	return configuredRun(g, ccfg, v.policy,
-		func() scheduler.Policy { return scheduler.BAS(nil) }, v.incremental, false)
+			if s.k > 0 {
+				return familyRun(g, s.k, ccfg)
+			}
+			return seconds(s.run(g, ccfg))
+		})
+	})
 }

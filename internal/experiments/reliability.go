@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/engine"
@@ -9,10 +10,36 @@ import (
 	"metadataflow/internal/graph"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/obs"
-	"metadataflow/internal/scheduler"
 	"metadataflow/internal/stats"
 	"metadataflow/internal/workload/synthetic"
 )
+
+// resilienceRun executes the synthetic job p as one job under cfg on the
+// 8 × 10 GB testbed of the §5 experiments and returns the finished run with
+// its completion time in virtual seconds. adjust may set further engine
+// options, or prepare the fresh cluster, before the run starts.
+func resilienceRun(p synthetic.Params, cfg jobConfig, adjust func(*engine.Options)) (*engine.Run, float64, error) {
+	g, err := synthetic.BuildMDF(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	cl, err := cluster.New(clusterConfig(8, 10*gb))
+	if err != nil {
+		return nil, 0, err
+	}
+	plan, err := graph.BuildPlan(g)
+	if err != nil {
+		return nil, 0, err
+	}
+	opts := cfg.options(cl)
+	adjust(&opts)
+	r, err := engine.NewRun(plan, opts, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	v, err := seconds(r.RunToCompletion())
+	return r, v, err
+}
 
 // Stragglers quantifies the §5 discussion of straggling workers: without
 // mitigation a straggler gates every stage it participates in, slowing the
@@ -27,73 +54,32 @@ func Stragglers(o Options) (*Table, error) {
 		Unit:    "virtual seconds",
 		Columns: []string{"SEEP (MDF)", "relative", "MDF + speculation", "relative (spec.)"},
 	}
+	// Factor 1 comes first: the healthy cluster's unmitigated average is
+	// the denominator of both relative columns.
 	factors := []float64{1, 1.5, 2, 4, 8}
 	if o.Quick {
 		factors = []float64{1, 4}
 	}
-	seeds := o.seeds()
-	params := func(seed int64) synthetic.Params {
-		p := synthetic.Defaults()
-		p.Seed = seed
-		p.Rows = 1200
-		p.VirtualBytes = 8 * gb
-		if o.Quick {
-			p.Rows = 500
-		}
-		return p
-	}
-	run := func(seed int64, slow float64, speculative bool) (float64, error) {
-		g, err := synthetic.BuildMDF(params(seed))
-		if err != nil {
-			return 0, err
-		}
-		cl, err := cluster.New(clusterConfig(8, 10*gb))
-		if err != nil {
-			return 0, err
-		}
-		cl.Nodes[0].SlowFactor = slow
-		plan, err := graph.BuildPlan(g)
-		if err != nil {
-			return 0, err
-		}
-		r, err := engine.NewRun(plan, engine.Options{
-			Cluster: cl, Policy: memorymgr.AMM,
-			Scheduler: scheduler.BAS(nil), Incremental: true,
-			Speculative: speculative,
-		}, 0)
-		if err != nil {
-			return 0, err
-		}
-		res, err := r.RunToCompletion()
-		if err != nil {
-			return 0, err
-		}
-		return res.CompletionTime().Seconds(), nil
-	}
-	base, err := summarize(o, seeds, func(seed int64) (float64, error) { return run(seed, 1, false) })
+	_, err := sweep(o, t, factors, func(f float64) string { return fmt.Sprintf("%gx", f) },
+		func(slow float64, seed int64) ([]float64, error) {
+			return eachColumn([]bool{false, true}, func(speculative bool) (float64, error) {
+				_, v, err := resilienceRun(syntheticJob(o, seed, 1200, 500, 8*gb), fullMDF, func(opts *engine.Options) {
+					opts.Cluster.Nodes[0].SlowFactor = slow
+					opts.Speculative = speculative
+				})
+				return v, err
+			})
+		})
 	if err != nil {
 		return nil, err
 	}
-	for _, f := range factors {
-		f := f
-		plain, err := summarize(o, seeds, func(seed int64) (float64, error) { return run(seed, f, false) })
-		if err != nil {
-			return nil, err
-		}
-		spec, err := summarize(o, seeds, func(seed int64) (float64, error) { return run(seed, f, true) })
-		if err != nil {
-			return nil, err
-		}
-		relOf := func(s stats.Summary) stats.Summary {
-			s.Min /= base.Avg
-			s.Avg /= base.Avg
-			s.Max /= base.Avg
-			return s
-		}
-		t.Rows = append(t.Rows, Row{
-			X:     fmt.Sprintf("%gx", f),
-			Cells: []stats.Summary{plain, relOf(plain), spec, relOf(spec)},
-		})
+	base := t.Rows[0].Cells[0].Avg
+	relOf := func(s stats.Summary) stats.Summary {
+		return stats.Summary{Min: s.Min / base, Avg: s.Avg / base, Max: s.Max / base}
+	}
+	for i, r := range t.Rows {
+		plain, spec := r.Cells[0], r.Cells[1]
+		t.Rows[i].Cells = []stats.Summary{plain, relOf(plain), spec, relOf(spec)}
 	}
 	return t, nil
 }
@@ -112,69 +98,30 @@ func Recovery(o Options) (*Table, error) {
 		Unit:    "virtual seconds",
 		Columns: []string{"clean run", "with failure", "overhead"},
 	}
-	seeds := o.seeds()
-	params := func(seed int64) synthetic.Params {
-		p := synthetic.Defaults()
-		p.Seed = seed
-		p.Rows = 1200
-		p.VirtualBytes = 8 * gb
-		if o.Quick {
-			p.Rows = 500
-		}
-		return p
-	}
-	run := func(seed int64, failAfter int) (float64, error) {
-		g, err := synthetic.BuildMDF(params(seed))
-		if err != nil {
-			return 0, err
-		}
-		cl, err := cluster.New(clusterConfig(8, 10*gb))
-		if err != nil {
-			return 0, err
-		}
-		plan, err := graph.BuildPlan(g)
-		if err != nil {
-			return 0, err
-		}
-		opts := engine.Options{
-			Cluster: cl, Policy: memorymgr.AMM,
-			Scheduler: scheduler.BAS(nil), Incremental: true,
-			Checkpoint: true,
-		}
-		if failAfter > 0 {
-			opts.Faults = &faults.Plan{Crashes: []faults.Crash{{Node: 0, AfterStages: failAfter}}}
-		}
-		r, err := engine.NewRun(plan, opts, 0)
-		if err != nil {
-			return 0, err
-		}
-		res, err := r.RunToCompletion()
-		if err != nil {
-			return 0, err
-		}
-		return res.CompletionTime().Seconds(), nil
-	}
 	points := []int{5, 15, 25}
 	if o.Quick {
 		points = []int{5}
 	}
-	clean, err := summarize(o, seeds, func(seed int64) (float64, error) { return run(seed, 0) })
+	_, err := sweep(o, t, points, strconv.Itoa, func(failAfter int, seed int64) ([]float64, error) {
+		// Column 0 is the clean run (no crash), column 1 loses node 0 once
+		// failAfter stages have executed.
+		return eachColumn([]int{0, failAfter}, func(crashAt int) (float64, error) {
+			_, v, err := resilienceRun(syntheticJob(o, seed, 1200, 500, 8*gb), fullMDF, func(opts *engine.Options) {
+				opts.Checkpoint = true
+				if crashAt > 0 {
+					opts.Faults = &faults.Plan{Crashes: []faults.Crash{{Node: 0, AfterStages: crashAt}}}
+				}
+			})
+			return v, err
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, fp := range points {
-		fp := fp
-		failed, err := summarize(o, seeds, func(seed int64) (float64, error) { return run(seed, fp) })
-		if err != nil {
-			return nil, err
-		}
-		overhead := failed
-		overhead.Min = failed.Min - clean.Avg
-		overhead.Avg = failed.Avg - clean.Avg
-		overhead.Max = failed.Max - clean.Avg
-		t.Rows = append(t.Rows, Row{
-			X:     fmt.Sprintf("%d", fp),
-			Cells: []stats.Summary{clean, failed, overhead},
+	for i, r := range t.Rows {
+		clean, failed := r.Cells[0], r.Cells[1]
+		t.Rows[i].Cells = append(r.Cells, stats.Summary{
+			Min: failed.Min - clean.Avg, Avg: failed.Avg - clean.Avg, Max: failed.Max - clean.Avg,
 		})
 	}
 	return t, nil
@@ -222,64 +169,33 @@ func checkFaultSnapshot(s *obs.Snapshot, plan *faults.Plan) error {
 // re-derive the lost partitions by re-executing their producing stages,
 // which makes its recovery strictly more expensive at every fault rate.
 func Reliability(o Options) (*Table, error) {
+	configs := []jobConfig{
+		{name: "LRU+BFS", policy: memorymgr.LRU, newSched: bfs, incremental: true},
+		{name: "AMM+BFS", policy: memorymgr.AMM, newSched: bfs, incremental: true},
+		{name: "LRU+BAS", policy: memorymgr.LRU, newSched: bas, incremental: true},
+		{name: "AMM+BAS", policy: memorymgr.AMM, newSched: bas, incremental: true},
+	}
 	t := &Table{
 		ID:      "reliability",
 		Title:   "Recovery overhead under repeated node crashes + evaluator panics",
 		XLabel:  "node crashes",
 		Unit:    "virtual seconds of overhead",
-		Columns: []string{"LRU+BFS", "AMM+BFS", "LRU+BAS", "AMM+BAS"},
+		Columns: columnNames(configs),
 	}
 	rates := []int{1, 2, 3}
 	if o.Quick {
 		rates = []int{1, 2}
 	}
-	seeds := o.seeds()
-	params := func(seed int64) synthetic.Params {
-		p := synthetic.Defaults()
-		p.Seed = seed
-		p.Rows = 1200
-		p.VirtualBytes = 8 * gb
+	run := func(seed int64, cfg jobConfig, plan *faults.Plan) (float64, error) {
+		p := syntheticJob(o, seed, 1200, 500, 8*gb)
 		// Compute-dominant stages (§5): re-executing a producing stage must
 		// cost more than re-reading its checkpoint from disk, which is what
 		// makes anticipatory checkpoints pay off.
 		p.OpsPerItem = 16
-		if o.Quick {
-			p.Rows = 500
-		}
-		return p
-	}
-	type config struct {
-		policy   memorymgr.PolicyKind
-		newSched func() scheduler.Policy
-	}
-	configs := []config{
-		{memorymgr.LRU, func() scheduler.Policy { return scheduler.BFS() }},
-		{memorymgr.AMM, func() scheduler.Policy { return scheduler.BFS() }},
-		{memorymgr.LRU, func() scheduler.Policy { return scheduler.BAS(nil) }},
-		{memorymgr.AMM, func() scheduler.Policy { return scheduler.BAS(nil) }},
-	}
-	run := func(seed int64, cfg config, plan *faults.Plan) (float64, error) {
-		g, err := synthetic.BuildMDF(params(seed))
-		if err != nil {
-			return 0, err
-		}
-		cl, err := cluster.New(clusterConfig(8, 10*gb))
-		if err != nil {
-			return 0, err
-		}
-		gp, err := graph.BuildPlan(g)
-		if err != nil {
-			return 0, err
-		}
-		r, err := engine.NewRun(gp, engine.Options{
-			Cluster: cl, Policy: cfg.policy,
-			Scheduler: cfg.newSched(), Incremental: true,
-			Checkpoint: true, Faults: plan,
-		}, 0)
-		if err != nil {
-			return 0, err
-		}
-		res, err := r.RunToCompletion()
+		r, v, err := resilienceRun(p, cfg, func(opts *engine.Options) {
+			opts.Checkpoint = true
+			opts.Faults = plan
+		})
 		if err != nil {
 			return 0, err
 		}
@@ -293,36 +209,25 @@ func Reliability(o Options) (*Table, error) {
 				return 0, fmt.Errorf("reliability: seed %d: %w", seed, err)
 			}
 		}
-		return res.CompletionTime().Seconds(), nil
+		return v, nil
 	}
-	for _, rate := range rates {
-		rate := rate
-		var cells []stats.Summary
-		for _, cfg := range configs {
-			cfg := cfg
-			overhead, err := summarize(o, seeds, func(seed int64) (float64, error) {
-				clean, err := run(seed, cfg, nil)
-				if err != nil {
-					return 0, err
-				}
-				plan, err := faults.Generate(faults.GenConfig{
-					Seed: seed, Workers: 8, Crashes: rate, EvalPanics: 1, MaxStage: 4,
-				})
-				if err != nil {
-					return 0, err
-				}
-				faulty, err := run(seed, cfg, plan)
-				if err != nil {
-					return 0, err
-				}
-				return faulty - clean, nil
+	return sweep(o, t, rates, strconv.Itoa, func(rate int, seed int64) ([]float64, error) {
+		return eachColumn(configs, func(cfg jobConfig) (float64, error) {
+			clean, err := run(seed, cfg, nil)
+			if err != nil {
+				return 0, err
+			}
+			plan, err := faults.Generate(faults.GenConfig{
+				Seed: seed, Workers: 8, Crashes: rate, EvalPanics: 1, MaxStage: 4,
 			})
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			cells = append(cells, overhead)
-		}
-		t.Rows = append(t.Rows, Row{X: fmt.Sprintf("%d", rate), Cells: cells})
-	}
-	return t, nil
+			faulty, err := run(seed, cfg, plan)
+			if err != nil {
+				return 0, err
+			}
+			return faulty - clean, nil
+		})
+	})
 }

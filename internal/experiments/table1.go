@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
-	"metadataflow/internal/engine"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
-	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
-	"metadataflow/internal/stats"
 )
 
 // Table1 verifies the optimisation matrix of Tab. 1 by construction: for
@@ -29,74 +25,63 @@ func Table1(o Options) (*Table, error) {
 	}
 
 	const branches = 8
-	rows := []struct {
+	type config struct {
 		name string
 		eval mdf.Evaluator
 		sel  mdf.Selector
-	}{
+		// shape selects how table1MDF lets branch scores vary with the hint.
+		shape int
+	}
+	rows := []config{
 		{
 			name: "monotone / associative (top-1, sorted)",
 			eval: mdf.Evaluator{Name: "rows", Monotone: true,
 				Fn: func(d *dataset.Dataset) float64 { return float64(d.NumRows()) }},
-			sel: mdf.TopK(1),
+			sel: mdf.TopK(1), shape: 0,
 		},
 		{
 			name: "convex / associative (min, sorted)",
 			eval: mdf.Evaluator{Name: "dist", Convex: true,
 				Fn: func(d *dataset.Dataset) float64 { return float64(d.NumRows()) }},
-			sel: mdf.Min(),
+			sel: mdf.Min(), shape: 1,
 		},
 		{
 			name: "none / associative & non-exhaustive (k-threshold)",
 			eval: mdf.SizeEvaluator(),
-			sel:  mdf.KThreshold(2, 100, false),
+			sel:  mdf.KThreshold(2, 100, false), shape: 2,
 		},
 		{
 			name: "none / associative (top-k)",
 			eval: mdf.SizeEvaluator(),
-			sel:  mdf.TopK(2),
+			sel:  mdf.TopK(2), shape: 2,
 		},
 		{
 			name: "none / none (mode)",
 			eval: mdf.SizeEvaluator(),
-			sel:  mdf.Mode(),
+			sel:  mdf.Mode(), shape: 2,
 		},
 	}
-	for i, rc := range rows {
-		g, err := table1MDF(rc.eval, rc.sel, branches, i)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.New(clusterConfig(4, gb))
-		if err != nil {
-			return nil, err
-		}
-		res, err := engine.Execute(g, engine.Options{
-			Cluster:     cl,
-			Policy:      memorymgr.AMM,
-			Scheduler:   scheduler.BAS(scheduler.SortedHint(false)),
-			Incremental: true,
+	// The construction is unseeded: one run per row, whatever o.Seeds says.
+	return sweep(Options{Seeds: 1, Ctx: o.Ctx}, t, rows, func(rc config) string { return rc.name },
+		func(rc config, _ int64) ([]float64, error) {
+			g, err := table1MDF(rc.eval, rc.sel, branches, rc.shape)
+			if err != nil {
+				return nil, err
+			}
+			cfg := fullMDF
+			cfg.newSched = func() scheduler.Policy { return scheduler.BAS(scheduler.SortedHint(false)) }
+			res, err := cfg.run(g, clusterConfig(4, gb))
+			if err != nil {
+				return nil, fmt.Errorf("table1 row %q: %w", rc.name, err)
+			}
+			observed := func(n int) float64 {
+				if n > 0 {
+					return 1
+				}
+				return 0
+			}
+			return []float64{observed(res.Metrics.BranchesDiscarded), observed(res.Metrics.BranchesPruned)}, nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("table1 row %q: %w", rc.name, err)
-		}
-		discard := 0.0
-		if res.Metrics.BranchesDiscarded > 0 {
-			discard = 1
-		}
-		prune := 0.0
-		if res.Metrics.BranchesPruned > 0 {
-			prune = 1
-		}
-		t.Rows = append(t.Rows, Row{
-			X: rc.name,
-			Cells: []stats.Summary{
-				{Min: discard, Avg: discard, Max: discard},
-				{Min: prune, Avg: prune, Max: prune},
-			},
-		})
-	}
-	return t, nil
 }
 
 // table1MDF builds a controlled MDF whose branch scores vary with the

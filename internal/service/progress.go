@@ -8,7 +8,6 @@ import (
 
 	"metadataflow/internal/engine"
 	"metadataflow/internal/obs"
-	"metadataflow/internal/sim"
 )
 
 // This file is the service's live-telemetry surface:
@@ -88,7 +87,7 @@ func (s *Server) Progress(id string) (ProgressStatus, error) {
 // quota reservation/headroom gauges and admission-event series on the
 // shared logical clock.
 func (s *Server) Series() *obs.SeriesDoc {
-	return s.rec.Series(sim.VTime(s.cfg.WatchBucketSec))
+	return s.rec.Series(watchBucketSec)
 }
 
 // watchBucketsLocked replays a retired job's master-node gauge series into
@@ -161,7 +160,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	s.mu.Lock()
-	hdr := watchHeader{Schema: WatchSchema, BucketSec: s.cfg.WatchBucketSec}
+	hdr := watchHeader{Schema: WatchSchema, BucketSec: watchBucketSec}
 	s.mu.Unlock()
 	if err := enc.Encode(hdr); err != nil {
 		return

@@ -51,9 +51,6 @@ type Config struct {
 	QueueCap int
 	// MaxActive bounds concurrently running jobs.
 	MaxActive int
-	// AgeEvery is the cross-job priority-aging period in pop decisions
-	// (scheduler.CrossJobQueue).
-	AgeEvery int
 	// DeadlineSec is the default per-job virtual deadline in simulated
 	// seconds; 0 means no deadline. A request may override it.
 	DeadlineSec float64
@@ -70,9 +67,6 @@ type Config struct {
 	// DrainStepBudget is how many more engine steps each active job may
 	// take once draining starts before it is canceled and checkpointed.
 	DrainStepBudget int
-	// WatchBucketSec is the virtual-time bucket width of the telemetry
-	// series behind /watch and /series; 0 takes obs.DefaultBucketSec.
-	WatchBucketSec float64
 	// DisableVet turns off plan vetting at admission. By default every
 	// submitted spec runs the internal/plan rule battery — against this
 	// config's cluster shape and tenant quota — and findings reject the
@@ -91,15 +85,16 @@ type Config struct {
 	// from replayed records, not real process kills; production keeps the
 	// default (sync every record).
 	JournalNoSync bool
-	// BaseContext is the root from which per-job contexts are derived;
-	// nil defaults to context.Background(). Job lifetimes are deliberately
-	// NOT parented on the process signal context: drain grants each active
-	// job DrainStepBudget more steps before cancelling, and a signal-
-	// parented root would cancel every job instantly at shutdown and break
-	// that budget. withDefaults is the single sanctioned context root in
-	// library code (see the ctxflow allowlist and ARCHITECTURE.md).
-	BaseContext context.Context
 }
+
+const (
+	// ageEvery is the cross-job priority-aging period in pop decisions
+	// (scheduler.CrossJobQueue).
+	ageEvery = 4
+	// watchBucketSec is the virtual-time bucket width of the telemetry
+	// series behind /watch and /series.
+	watchBucketSec = obs.DefaultBucketSec
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -117,9 +112,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxActive <= 0 {
 		c.MaxActive = 2
 	}
-	if c.AgeEvery == 0 {
-		c.AgeEvery = 4
-	}
 	c.Retry = c.Retry.WithDefaults()
 	if c.QuarantineStrikes <= 0 {
 		c.QuarantineStrikes = 3
@@ -129,12 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainStepBudget <= 0 {
 		c.DrainStepBudget = 4
-	}
-	if c.WatchBucketSec <= 0 {
-		c.WatchBucketSec = obs.DefaultBucketSec
-	}
-	if c.BaseContext == nil {
-		c.BaseContext = context.Background()
 	}
 	return c
 }
@@ -370,7 +356,7 @@ func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		done:        make(chan struct{}),
-		queue:       scheduler.NewCrossJobQueue(cfg.QueueCap, cfg.AgeEvery),
+		queue:       scheduler.NewCrossJobQueue(cfg.QueueCap, ageEvery),
 		quotas:      memorymgr.NewTenantQuotas(cfg.TenantQuota),
 		jobs:        make(map[string]*job),
 		strikes:     make(map[string]int),
@@ -695,7 +681,13 @@ func (s *Server) startLocked(j *job) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithCancelCause(s.cfg.BaseContext)
+	// Job lifetimes are deliberately NOT parented on the process signal
+	// context: drain grants each active job DrainStepBudget more steps
+	// before cancelling, and a signal-parented root would cancel every job
+	// instantly at shutdown and break that budget. This is the single
+	// sanctioned context root in library code (see the ctxflow allowlist
+	// and ARCHITECTURE.md "Concurrency rules").
+	ctx, cancel := context.WithCancelCause(context.Background())
 	// A fresh recorder per attempt: a retry replays the fault plan from
 	// scratch, so its telemetry must not accumulate onto the failed
 	// attempt's series.
@@ -824,7 +816,7 @@ func (s *Server) retireLocked(j *job, state string, err error) {
 	j.end = j.run.Now()
 	j.progress = j.run.Progress()
 	j.snapshot = j.run.Snapshot()
-	series := j.rec.Series(sim.VTime(s.cfg.WatchBucketSec))
+	series := j.rec.Series(watchBucketSec)
 	j.selections = j.run.ChooseSelections()
 	j.auditLineage = j.run.AuditLineage()
 	j.auditBooks = j.run.AuditAccounting()
