@@ -37,7 +37,7 @@ func main() {
 	// Evaluator: negative validation RMSE of the branch's fitted model
 	// (higher is better, so Max selects the best fold split).
 	rmse := mdf.FuncEvaluator("neg-rmse", func(d *mdf.Dataset) float64 {
-		f := d.Parts[0].Rows[0].(fit)
+		f := d.Rows()[0].(fit)
 		var sum float64
 		n := 0
 		for i, r := range data {
@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res.Output.Parts[0].Rows[0].(fit)
+	m := res.Output.Rows()[0].(fit)
 	fmt.Printf("%d-fold cross validation in one MDF job\n", folds)
 	fmt.Printf("best fold: %d, model y = %.3f*x + %.3f (true: 3x + 2)\n", m.fold, m.slope, m.intercept)
 	fmt.Printf("completion time: %.2f virtual seconds\n", res.CompletionTime())
@@ -84,18 +84,14 @@ func main() {
 func trainFold(fold int) mdf.TransformFunc {
 	return mdf.WholeDataset("train", func(in *mdf.Dataset) (*mdf.Dataset, error) {
 		var sx, sy, sxx, sxy, n float64
-		i := 0
-		for _, p := range in.Parts {
-			for _, r := range p.Rows {
-				if i%folds != fold {
-					s := r.(sample)
-					sx += s.x
-					sy += s.y
-					sxx += s.x * s.x
-					sxy += s.x * s.y
-					n++
-				}
-				i++
+		for i, r := range in.Rows() {
+			if i%folds != fold {
+				s := r.(sample)
+				sx += s.x
+				sy += s.y
+				sxx += s.x * s.x
+				sxy += s.x * s.y
+				n++
 			}
 		}
 		slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)

@@ -34,7 +34,7 @@ func main() {
 	input.SetVirtualBytes(1 << 28)
 
 	accuracy := mdf.FuncEvaluator("val-accuracy", func(d *mdf.Dataset) float64 {
-		m := d.Parts[0].Rows[0].(*model)
+		m := d.Rows()[0].(*model)
 		return evaluate(m, val)
 	})
 
@@ -79,7 +79,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res.Output.Parts[0].Rows[0].(*model)
+	m := res.Output.Rows()[0].(*model)
 	fmt.Printf("explored %d + %d configurations (instead of %d exhaustive)\n",
 		len(rates), len(regs), len(rates)*len(regs))
 	fmt.Printf("best model: lr=%g, validation accuracy %.1f%%\n", m.lr, 100*evaluate(m, val))
@@ -102,7 +102,7 @@ func genData(rng *rand.Rand, n int) []example {
 // trainOp fits a logistic model from scratch at the given rate.
 func trainOp(lr, l2 float64) mdf.TransformFunc {
 	return mdf.WholeDataset("train", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		train := in.Parts[0].Rows[0].([]example)
+		train := in.Rows()[0].([]example)
 		m := &model{w: make([]float64, 3), lr: lr}
 		fit(m, train, lr, l2, 5)
 		out := mdf.FromRows("model", []mdf.Row{m}, 1, 0)
@@ -114,7 +114,7 @@ func trainOp(lr, l2 float64) mdf.TransformFunc {
 // retrainOp continues from a chosen model with regularisation.
 func retrainOp(train []example, l2 float64) mdf.TransformFunc {
 	return mdf.WholeDataset("retrain", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		base := in.Parts[0].Rows[0].(*model)
+		base := in.Rows()[0].(*model)
 		m := &model{w: append([]float64(nil), base.w...), lr: base.lr}
 		fit(m, train, base.lr, l2, 5)
 		out := mdf.FromRows("model", []mdf.Row{m}, 1, 0)

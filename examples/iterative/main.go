@@ -49,7 +49,7 @@ func main() {
 		if mdf.Terminated(d) {
 			return math.Inf(-1)
 		}
-		return -d.Parts[0].Rows[0].(state).loss
+		return -d.Rows()[0].(state).loss
 	})
 
 	b := mdf.NewMDF()
@@ -62,14 +62,14 @@ func main() {
 				Rounds:    rounds,
 				CostPerMB: 0.02,
 				Step: func(round int, d *mdf.Dataset) (*mdf.Dataset, error) {
-					s := d.Parts[0].Rows[0].(state)
+					s := d.Rows()[0].(state)
 					next := sgdRound(s, lr)
 					out := mdf.FromRows("state", []mdf.Row{next}, 1, 0)
 					out.SetVirtualBytes(d.VirtualBytes())
 					return out, nil
 				},
 				Diverged: func(round int, d *mdf.Dataset) bool {
-					s := d.Parts[0].Rows[0].(state)
+					s := d.Rows()[0].(state)
 					return math.IsNaN(s.loss) || s.loss > 1e6
 				},
 			})
@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res.Output.Parts[0].Rows[0].(state)
+	m := res.Output.Rows()[0].(state)
 	fmt.Printf("explored %d step sizes over %d unrolled rounds\n", len(steps), rounds)
 	fmt.Printf("best model: y = %.3f*x + %.3f, loss %.4f (true: 2.5x - 1)\n", m.w, m.b, m.loss)
 	fmt.Printf("completion time: %.2f virtual seconds\n", res.CompletionTime())

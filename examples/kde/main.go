@@ -81,15 +81,13 @@ func main() {
 	eval := mdf.FuncEvaluator("holdout-loglik", func(d *mdf.Dataset) float64 {
 		ll := 0.0
 		n := 0
-		for _, p := range d.Parts {
-			for _, r := range p.Rows {
-				v := r.(float64)
-				if v < 1e-12 {
-					v = 1e-12
-				}
-				ll += math.Log(v)
-				n++
+		for _, r := range d.Rows() {
+			v := r.(float64)
+			if v < 1e-12 {
+				v = 1e-12
 			}
+			ll += math.Log(v)
+			n++
 		}
 		return ll / float64(n)
 	})
@@ -102,10 +100,8 @@ func main() {
 			return start.Then("estimate("+spec.Label+")",
 				mdf.WholeDataset("kde", func(in *mdf.Dataset) (*mdf.Dataset, error) {
 					sample := make([]float64, 0, in.NumRows())
-					for _, p := range in.Parts {
-						for _, r := range p.Rows {
-							sample = append(sample, r.(float64))
-						}
+					for _, r := range in.Rows() {
+						sample = append(sample, r.(float64))
 					}
 					// Predicted densities at the hold-out points.
 					out := make([]mdf.Row, len(holdout))

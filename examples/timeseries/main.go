@@ -86,15 +86,18 @@ func main() {
 	fmt.Printf("branch datasets discarded: %d\n", res.Metrics.BranchesDiscarded)
 }
 
+func points(d *mdf.Dataset) []point {
+	pts := make([]point, 0, d.NumRows())
+	for _, r := range d.Rows() {
+		pts = append(pts, r.(point))
+	}
+	return pts
+}
+
 // maskOp keeps points whose sliding window max/min ratio exceeds t.
 func maskOp(w int, t float64) mdf.TransformFunc {
 	return mdf.WholeDataset("mask", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		pts := make([]point, 0, in.NumRows())
-		for _, p := range in.Parts {
-			for _, r := range p.Rows {
-				pts = append(pts, r.(point))
-			}
-		}
+		pts := points(in)
 		var kept []mdf.Row
 		for i := range pts {
 			lo, hi := pts[i].v, pts[i].v
@@ -114,12 +117,7 @@ func maskOp(w int, t float64) mdf.TransformFunc {
 // markOp emits one row per drastic change relative to the trailing mean.
 func markOp(l int, magDiff float64) mdf.TransformFunc {
 	return mdf.WholeDataset("mark", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		pts := make([]point, 0, in.NumRows())
-		for _, p := range in.Parts {
-			for _, r := range p.Rows {
-				pts = append(pts, r.(point))
-			}
-		}
+		pts := points(in)
 		var events []mdf.Row
 		for i := l; i < len(pts); i++ {
 			var sum float64

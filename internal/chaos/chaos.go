@@ -232,7 +232,7 @@ func checksumOutput(d *dataset.Dataset) []uint64 {
 	out := make([]uint64, len(d.Parts))
 	for i, p := range d.Parts {
 		h := fnv.New64a()
-		for _, r := range p.Rows {
+		for _, r := range p.BoxedRows() {
 			fmt.Fprintf(h, "%v\x1f", r)
 		}
 		out[i] = h.Sum64()

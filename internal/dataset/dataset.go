@@ -2,12 +2,20 @@
 // (App. A): finite datasets of an opaque domain that can be partitioned
 // across cluster nodes and concatenated with ⊕.
 //
-// A dataset carries two notions of size. The in-process payload (Rows) is
-// real data that operator functions transform, so that downstream decisions
-// such as choose scores are computed from genuine results. The virtual size
+// A dataset carries two notions of size. The in-process payload is real data
+// that operator functions transform, so that downstream decisions such as
+// choose scores are computed from genuine results. The virtual size
 // (VirtualBytes) is the number of bytes the simulated cluster accounts for
 // when charging I/O time and memory occupancy; it lets benchmarks process
 // "gigabytes" per worker without holding gigabytes in RAM.
+//
+// The payload of a partition is either columnar or boxed. A columnar
+// partition holds a typed Column (Col[T], or a workload's own
+// struct-of-arrays type) and operators read and write it without an
+// interface value per row; its Rows stay nil until (*Dataset).Box fills them
+// once, at the job output. A boxed partition has no Column and Rows is its
+// payload: the form FromRows and the mdf *Rows operators produce, and the
+// one a job's result is read in.
 package dataset
 
 import (
@@ -28,16 +36,99 @@ var nextID atomic.Int64
 // NewID returns a fresh process-unique dataset ID.
 func NewID() ID { return ID(nextID.Add(1)) }
 
+// Column is the typed payload of a columnar partition. Columns are
+// immutable once a partition holds them: datasets derived from one another
+// (Alias, a choose concatenation) share them.
+type Column interface {
+	// Len returns the number of rows.
+	Len() int
+	// AppendRows appends the column's values to dst, one boxed Row each.
+	AppendRows(dst []Row) []Row
+	// Slice returns rows [lo, hi) as a column sharing the storage, with its
+	// capacity clipped: an append to one partition's values must not write
+	// into the next partition's.
+	Slice(lo, hi int) Column
+}
+
+// Col is the Column of a plain slice of T.
+type Col[T any] []T
+
+// Len implements Column.
+func (c Col[T]) Len() int { return len(c) }
+
+// AppendRows implements Column.
+func (c Col[T]) AppendRows(dst []Row) []Row {
+	for _, v := range c {
+		dst = append(dst, v)
+	}
+	return dst
+}
+
+// Slice implements Column.
+func (c Col[T]) Slice(lo, hi int) Column { return c[lo:hi:hi] }
+
 // Partition is a horizontal fragment of a dataset, resident on one node.
 type Partition struct {
-	// Rows is the real payload the operators compute over.
+	// Col is the typed payload of a columnar partition, nil in a boxed one.
+	Col Column
+	// Rows is the payload of a boxed partition. In a columnar partition it
+	// is the boxed view of Col, nil until (*Dataset).Box fills it; nothing
+	// else may write it.
 	Rows []Row
 	// VirtualBytes is the size the cluster simulator accounts for.
 	VirtualBytes int64
 }
 
+// NewPartition wraps a column as a partition accounted at virtualBytes: boxed
+// when the column is a Col[Row], columnar otherwise.
+func NewPartition(c Column, virtualBytes int64) *Partition {
+	if rows, ok := c.(Col[Row]); ok {
+		return &Partition{Rows: rows, VirtualBytes: virtualBytes}
+	}
+	return &Partition{Col: c, VirtualBytes: virtualBytes}
+}
+
 // NumRows returns the number of rows in the partition.
-func (p *Partition) NumRows() int { return len(p.Rows) }
+func (p *Partition) NumRows() int {
+	if p.Col != nil {
+		return p.Col.Len()
+	}
+	return len(p.Rows)
+}
+
+// BoxedRows returns the partition's rows boxed, for consumers to which rows
+// are opaque (checkpoint encoding, checksums). The caller must not modify
+// the result: it is Rows itself where that is filled, and a fresh slice,
+// stored nowhere, for a columnar partition that is not.
+func (p *Partition) BoxedRows() []Row {
+	if p.unboxed() {
+		return p.Col.AppendRows(make([]Row, 0, p.Col.Len()))
+	}
+	return p.Rows
+}
+
+// unboxed reports whether the partition is columnar with its boxed view
+// still to be filled.
+func (p *Partition) unboxed() bool { return p.Col != nil && p.Rows == nil }
+
+// Values returns the partition's rows as a []T the caller must not modify:
+// the column itself for a Col[T] partition, otherwise the boxed rows
+// asserted to T one by one (Rows itself when T is Row). It panics, as a
+// failed type assertion on a Row does, when the rows are not of type T.
+func Values[T any](p *Partition) []T {
+	if c, ok := p.Col.(Col[T]); ok {
+		return c
+	}
+	rows := p.BoxedRows()
+	if vals, ok := any(rows).([]T); ok {
+		return vals
+	}
+	vals := make([]T, len(rows))
+	for i, r := range rows {
+		vals[i] = r.(T)
+	}
+	return vals
+}
 
 // Dataset is a named, partitioned collection of rows.
 type Dataset struct {
@@ -51,25 +142,33 @@ func New(name string) *Dataset {
 	return &Dataset{ID: NewID(), Name: name}
 }
 
-// FromRows builds a dataset by splitting rows into parts partitions of
-// near-equal length. The virtual size is bytesPerRow × row count, spread
-// proportionally over the partitions. parts must be >= 1.
-func FromRows(name string, rows []Row, parts int, bytesPerRow int64) *Dataset {
+// FromColumn builds a dataset by splitting the column, without copying it,
+// into parts partitions of near-equal length. The virtual size is
+// bytesPerRow × row count, spread proportionally over the partitions. parts
+// must be >= 1.
+func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
 	if parts < 1 {
 		panic("dataset: parts must be >= 1")
 	}
 	d := New(name)
-	n := len(rows)
-	for i := 0; i < parts; i++ {
+	d.Parts = make([]*Partition, parts)
+	n := c.Len()
+	for i := range d.Parts {
 		lo := i * n / parts
 		hi := (i + 1) * n / parts
-		pr := rows[lo:hi]
-		d.Parts = append(d.Parts, &Partition{
-			Rows:         pr,
-			VirtualBytes: int64(len(pr)) * bytesPerRow,
-		})
+		d.Parts[i] = NewPartition(c.Slice(lo, hi), int64(hi-lo)*bytesPerRow)
 	}
 	return d
+}
+
+// FromSlice is FromColumn over a plain slice.
+func FromSlice[T any](name string, vals []T, parts int, bytesPerRow int64) *Dataset {
+	return FromColumn(name, Col[T](vals), parts, bytesPerRow)
+}
+
+// FromRows is FromSlice over boxed rows.
+func FromRows(name string, rows []Row, parts int, bytesPerRow int64) *Dataset {
+	return FromSlice(name, rows, parts, bytesPerRow)
 }
 
 // NumPartitions returns the number of partitions.
@@ -79,7 +178,7 @@ func (d *Dataset) NumPartitions() int { return len(d.Parts) }
 func (d *Dataset) NumRows() int {
 	n := 0
 	for _, p := range d.Parts {
-		n += len(p.Rows)
+		n += p.NumRows()
 	}
 	return n
 }
@@ -93,12 +192,52 @@ func (d *Dataset) VirtualBytes() int64 {
 	return b
 }
 
-// Rows returns all rows of the dataset in partition order. The returned
-// slice is freshly allocated.
+// Rows returns all rows of the dataset, boxed, in partition order. The
+// returned slice is freshly allocated.
 func (d *Dataset) Rows() []Row {
 	out := make([]Row, 0, d.NumRows())
 	for _, p := range d.Parts {
-		out = append(out, p.Rows...)
+		if p.unboxed() {
+			out = p.Col.AppendRows(out)
+		} else {
+			out = append(out, p.Rows...)
+		}
+	}
+	return out
+}
+
+// Flatten returns the rows of all partitions in order as a freshly
+// allocated []T; see Values for the row types it accepts.
+func Flatten[T any](d *Dataset) []T {
+	out := make([]T, 0, d.NumRows())
+	for _, p := range d.Parts {
+		out = append(out, Values[T](p)...)
+	}
+	return out
+}
+
+// Box fills the boxed view (Rows) of every columnar partition, so that a
+// consumer that knows nothing of the column types can read the result. It is
+// idempotent. Box writes the partitions, so only their owner may call it:
+// the engine does, once, on the output of a finished job, whose partitions
+// no other job can reach (sources emit fresh partitions, see Alias).
+func (d *Dataset) Box() {
+	for _, p := range d.Parts {
+		if p.unboxed() {
+			p.Rows = p.BoxedRows()
+		}
+	}
+}
+
+// Alias returns a dataset with a fresh ID and fresh partitions that share
+// d's payload. What the holder of one does to its partitions (accounted
+// sizes, Box) does not reach the other.
+func (d *Dataset) Alias(name string) *Dataset {
+	out := New(name)
+	out.Parts = make([]*Partition, len(d.Parts))
+	for i, p := range d.Parts {
+		cp := *p
+		out.Parts[i] = &cp
 	}
 	return out
 }
@@ -140,22 +279,11 @@ func Concat(name string, ds ...*Dataset) *Dataset {
 	return out
 }
 
-// Repartition redistributes all rows into parts near-equal partitions,
-// preserving the total virtual size.
+// Repartition redistributes all rows, boxed, into parts near-equal
+// partitions, preserving the total virtual size.
 func (d *Dataset) Repartition(parts int) *Dataset {
-	if parts < 1 {
-		panic("dataset: parts must be >= 1")
-	}
-	total := d.VirtualBytes()
-	rows := d.Rows()
-	out := New(d.Name)
-	n := len(rows)
-	for i := 0; i < parts; i++ {
-		lo := i * n / parts
-		hi := (i + 1) * n / parts
-		out.Parts = append(out.Parts, &Partition{Rows: rows[lo:hi]})
-	}
-	out.SetVirtualBytes(total)
+	out := FromRows(d.Name, d.Rows(), parts, 0)
+	out.SetVirtualBytes(d.VirtualBytes())
 	return out
 }
 

@@ -169,3 +169,96 @@ func TestSetVirtualBytesEmptyDataset(t *testing.T) {
 		t.Error("empty dataset cannot hold bytes")
 	}
 }
+
+// Neighbouring partitions share one backing array; their capacity is clipped
+// so that growing one cannot overwrite the first row of the next.
+func TestAppendToPartitionLeavesNeighbourIntact(t *testing.T) {
+	boxed := FromRows("t", intRows(10), 2, 1)
+	_ = append(boxed.Parts[0].Rows, Row(-1))
+	if got := boxed.Parts[1].Rows[0].(int); got != 5 {
+		t.Errorf("FromRows: append to partition 0 overwrote partition 1's first row with %d", got)
+	}
+
+	re := boxed.Repartition(5)
+	_ = append(re.Parts[0].Rows, Row(-1))
+	if got := re.Parts[1].Rows[0].(int); got != 2 {
+		t.Errorf("Repartition: append to partition 0 overwrote partition 1's first row with %d", got)
+	}
+
+	typed := FromSlice("t", []float64{0, 1, 2, 3}, 2, 8)
+	_ = append(Values[float64](typed.Parts[0]), -1)
+	if got := Values[float64](typed.Parts[1])[0]; got != 2 {
+		t.Errorf("FromSlice: append to partition 0 overwrote partition 1's first row with %g", got)
+	}
+}
+
+func TestColumnarPartitionsStayUnboxedUntilBox(t *testing.T) {
+	d := FromSlice("t", []float64{0.5, 1.5, 2.5, 3.5, 4.5}, 3, 8)
+	if d.NumRows() != 5 || d.VirtualBytes() != 40 {
+		t.Fatalf("rows = %d, bytes = %d, want 5 and 40", d.NumRows(), d.VirtualBytes())
+	}
+	for i, p := range d.Parts {
+		if p.Col == nil || p.Rows != nil {
+			t.Fatalf("partition %d: a typed dataset must be columnar with no boxed view", i)
+		}
+	}
+	// Reading boxed rows must not fill the view.
+	if rows := d.Rows(); len(rows) != 5 || rows[4].(float64) != 4.5 {
+		t.Fatalf("Rows() = %v", rows)
+	}
+	if rows := d.Parts[2].BoxedRows(); len(rows) != 2 || rows[0].(float64) != 3.5 {
+		t.Fatalf("BoxedRows() = %v", rows)
+	}
+	if d.Parts[2].Rows != nil {
+		t.Fatal("a read filled the boxed view")
+	}
+
+	// Box fills the view of an alias only, and once.
+	a := d.Alias("a")
+	a.Box()
+	first := a.Parts[0].Rows
+	if len(first) != 1 || first[0].(float64) != 0.5 {
+		t.Fatalf("boxed view of partition 0 = %v", first)
+	}
+	a.Box()
+	if &a.Parts[0].Rows[0] != &first[0] {
+		t.Error("a second Box re-boxed the partition")
+	}
+	for i, p := range d.Parts {
+		if p.Rows != nil {
+			t.Errorf("boxing an alias wrote partition %d of its origin", i)
+		}
+	}
+	if a.ID == d.ID || a.VirtualBytes() != d.VirtualBytes() {
+		t.Error("an alias has a fresh ID and its origin's accounted size")
+	}
+	a.ScaleVirtualBytes(0.5)
+	if d.VirtualBytes() != 40 {
+		t.Error("resizing an alias resized its origin")
+	}
+}
+
+// Values and Flatten read boxed and columnar partitions alike.
+func TestValuesAcrossLayouts(t *testing.T) {
+	boxed := FromRows("b", []Row{1.0, 2.0, 3.0}, 2, 8)
+	typed := FromSlice("t", []float64{1, 2, 3}, 2, 8)
+	for _, d := range []*Dataset{boxed, typed} {
+		got := Flatten[float64](d)
+		if len(got) != 3 || got[0] != 1 || got[2] != 3 {
+			t.Errorf("%s: Flatten[float64] = %v", d.Name, got)
+		}
+		rows := Flatten[Row](d)
+		if len(rows) != 3 || rows[1].(float64) != 2 {
+			t.Errorf("%s: Flatten[Row] = %v", d.Name, rows)
+		}
+	}
+	if vals := Values[float64](typed.Parts[1]); &vals[0] != &typed.Parts[1].Col.(Col[float64])[0] {
+		t.Error("Values of a Col[T] partition must be the column, not a copy")
+	}
+	if rows := Values[Row](boxed.Parts[1]); &rows[0] != &boxed.Parts[1].Rows[0] {
+		t.Error("Values[Row] of a boxed partition must be Rows, not a copy")
+	}
+	if got := Flatten[float64](New("empty")); len(got) != 0 {
+		t.Errorf("Flatten of an empty dataset = %v", got)
+	}
+}

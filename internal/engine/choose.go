@@ -249,11 +249,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		// originals (possibly from disk), copy their partitions into fresh
 		// storage, then release the originals.
 		nodeT := r.loadInputs(parts, end)
-		out := dataset.Concat(st.Ops[0].Name, parts...)
-		copied := dataset.New(out.Name)
-		for _, p := range out.Parts {
-			copied.Parts = append(copied.Parts, &dataset.Partition{Rows: p.Rows, VirtualBytes: p.VirtualBytes})
-		}
+		copied := dataset.Concat(st.Ops[0].Name, parts...).Alias(st.Ops[0].Name)
 		if r.probe != nil {
 			r.probe.RegisterDataset(int64(copied.ID), copied.Name)
 		}

@@ -43,7 +43,7 @@ func (r *Run) chainOf(st *graph.Stage) (spec.Hash, bool) {
 // the same property the chaos harness's output checksums rely on.
 func encodePartition(p *dataset.Partition) []byte {
 	var b strings.Builder
-	for _, row := range p.Rows {
+	for _, row := range p.BoxedRows() {
 		fmt.Fprintf(&b, "%v\x1f", row)
 	}
 	return []byte(b.String())

@@ -558,11 +558,17 @@ func (r *Run) finish() {
 	}
 	switch len(outs) {
 	case 0:
+		return
 	case 1:
 		r.output = outs[0]
 	default:
 		r.output = dataset.Concat("output", outs...)
 	}
+	// The one place rows are boxed: callers read the result through Rows
+	// and know nothing of the operators' column types. The output's
+	// partitions are the run's own: operators build theirs and sources
+	// emit fresh ones (dataset.Alias), so no other run sees this write.
+	r.output.Box()
 }
 
 func (r *Run) readySlice() []*graph.Stage {

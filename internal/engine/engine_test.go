@@ -279,3 +279,67 @@ func TestWideDependencyChargesShuffle(t *testing.T) {
 		t.Errorf("shuffle gap = %0.2fs, expected around %0.2fs", gap, expected)
 	}
 }
+
+// The engine boxes a job's output once, on partitions the run owns: a
+// columnar input shared by several jobs through SourceFromDataset never has
+// its boxed view written, even when its payload reaches the output
+// untouched, forwarded by an Identity branch, the choose and the sink.
+func TestOutputBoxedSourceLeftColumnar(t *testing.T) {
+	vals := make([]float64, 100)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	input := dataset.FromSlice("in", vals, 4, 1<<16)
+	b := mdf.NewBuilder()
+	src := b.Source("src", mdf.SourceFromDataset(input), 0.001)
+	out := src.Explore("scale", []mdf.BranchSpec{{Label: "1", Hint: 1}, {Label: "2", Hint: 2}},
+		mdf.NewChooser(mdf.FuncEvaluator("sum", func(d *dataset.Dataset) float64 {
+			var s float64
+			for _, v := range dataset.Flatten[float64](d) {
+				s += v
+			}
+			return s
+		}), mdf.Min()),
+		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
+			if spec.Hint == 1 {
+				return start.Then("forward", mdf.Identity("same"), 0.001)
+			}
+			return start.Then("double", mdf.Map("doubled", 1.0, func(v float64) float64 { return 2 * v }), 0.001)
+		})
+	out.Then("sink", mdf.Identity("out"), 0.001)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job := 0; job < 2; job++ {
+		res := runMDF(t, g, engine.Options{
+			Cluster: testCluster(1 << 30), Policy: memorymgr.AMM,
+			Scheduler: scheduler.BAS(nil), Incremental: true,
+		})
+		n := 0
+		for i, p := range res.Output.Parts {
+			if p.Rows == nil {
+				t.Fatalf("job %d: output partition %d was not boxed", job, i)
+			}
+			for _, r := range p.Rows {
+				if r.(float64) != float64(n) {
+					t.Fatalf("job %d: output row %d = %v", job, n, r)
+				}
+				n++
+			}
+		}
+		if n != len(vals) {
+			t.Fatalf("job %d: %d output rows, want %d", job, n, len(vals))
+		}
+		first := &res.Output.Parts[0].Rows[0]
+		res.Output.Box()
+		if &res.Output.Parts[0].Rows[0] != first {
+			t.Errorf("job %d: boxing a boxed output re-boxed it", job)
+		}
+		for i, p := range input.Parts {
+			if p.Rows != nil {
+				t.Fatalf("job %d boxed partition %d of the shared source", job, i)
+			}
+		}
+	}
+}

@@ -72,15 +72,11 @@ func (n *Node) CrossValidate(spec CrossValidationSpec) *Node {
 // FoldRows partitions the rows of a dataset round-robin into the training
 // and validation subsets of the given fold; a convenience for trainers.
 func FoldRows(d *dataset.Dataset, fold, folds int) (train, validate []dataset.Row) {
-	i := 0
-	for _, p := range d.Parts {
-		for _, r := range p.Rows {
-			if i%folds == fold {
-				validate = append(validate, r)
-			} else {
-				train = append(train, r)
-			}
-			i++
+	for i, r := range d.Rows() {
+		if i%folds == fold {
+			validate = append(validate, r)
+		} else {
+			train = append(train, r)
 		}
 	}
 	return train, validate

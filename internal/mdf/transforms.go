@@ -13,16 +13,15 @@ import (
 // the input's virtual sizes so the cluster simulator charges realistic I/O.
 
 // SourceFromDataset returns a source function that emits a fixed dataset.
-// Each invocation re-emits the same payload with a fresh dataset identity so
-// that independent jobs account their inputs separately.
+// Each invocation re-emits the same payload under a fresh dataset identity
+// and in fresh partitions, so that independent jobs account their inputs
+// separately and none can resize or box another's.
 func SourceFromDataset(d *dataset.Dataset) graph.TransformFunc {
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		if len(ins) != 0 {
 			return nil, fmt.Errorf("mdf: source received %d inputs", len(ins))
 		}
-		out := dataset.New(d.Name)
-		out.Parts = append(out.Parts, d.Parts...)
-		return out, nil
+		return d.Alias(d.Name), nil
 	}
 }
 
@@ -36,54 +35,64 @@ func SourceFunc(gen func() *dataset.Dataset) graph.TransformFunc {
 	}
 }
 
-// MapRows returns a transform applying f to every row, preserving
-// partitioning and scaling each partition's accounted size by sizeScale
-// (1.0 keeps the input size).
-func MapRows(name string, sizeScale float64, f func(dataset.Row) dataset.Row) graph.TransformFunc {
-	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
-		if len(ins) != 1 {
-			return nil, fmt.Errorf("mdf: %s expects one input, got %d", name, len(ins))
-		}
-		in := ins[0]
+// PerPartition returns a transform that builds its output partition by
+// partition: f receives an input partition, which it must not modify, and
+// returns the payload and the accounted size of the output partition at the
+// same index.
+func PerPartition(name string, f func(p *dataset.Partition) (dataset.Column, int64)) graph.TransformFunc {
+	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
 		out := dataset.New(name)
-		for _, p := range in.Parts {
-			rows := make([]dataset.Row, len(p.Rows))
-			for i, r := range p.Rows {
-				rows[i] = f(r)
-			}
-			out.Parts = append(out.Parts, &dataset.Partition{
-				Rows:         rows,
-				VirtualBytes: int64(float64(p.VirtualBytes) * sizeScale),
-			})
+		out.Parts = make([]*dataset.Partition, len(in.Parts))
+		for i, p := range in.Parts {
+			out.Parts[i] = dataset.NewPartition(f(p))
 		}
 		return out, nil
-	}
+	})
 }
 
-// FilterRows returns a transform keeping the rows for which pred holds,
-// scaling each partition's accounted size by the fraction of rows kept.
+// Map returns a transform applying f to every row, preserving partitioning
+// and scaling each partition's accounted size by sizeScale (1.0 keeps the
+// input size). The input rows must be of type T (dataset.Values); the output
+// is columnar unless U is dataset.Row.
+func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformFunc {
+	return PerPartition(name, func(p *dataset.Partition) (dataset.Column, int64) {
+		vals := dataset.Values[T](p)
+		mapped := make(dataset.Col[U], len(vals))
+		for i, v := range vals {
+			mapped[i] = f(v)
+		}
+		return mapped, int64(float64(p.VirtualBytes) * sizeScale)
+	})
+}
+
+// Filter returns a transform keeping the rows for which pred holds, scaling
+// each partition's accounted size by the fraction of rows kept. Row types
+// are as for Map.
+func Filter[T any](name string, pred func(T) bool) graph.TransformFunc {
+	return PerPartition(name, func(p *dataset.Partition) (dataset.Column, int64) {
+		vals := dataset.Values[T](p)
+		kept := make(dataset.Col[T], 0, len(vals))
+		for _, v := range vals {
+			if pred(v) {
+				kept = append(kept, v)
+			}
+		}
+		vb := int64(0)
+		if len(vals) > 0 {
+			vb = int64(float64(p.VirtualBytes) * float64(len(kept)) / float64(len(vals)))
+		}
+		return kept, vb
+	})
+}
+
+// MapRows is Map over boxed rows.
+func MapRows(name string, sizeScale float64, f func(dataset.Row) dataset.Row) graph.TransformFunc {
+	return Map(name, sizeScale, f)
+}
+
+// FilterRows is Filter over boxed rows.
 func FilterRows(name string, pred func(dataset.Row) bool) graph.TransformFunc {
-	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
-		if len(ins) != 1 {
-			return nil, fmt.Errorf("mdf: %s expects one input, got %d", name, len(ins))
-		}
-		in := ins[0]
-		out := dataset.New(name)
-		for _, p := range in.Parts {
-			var rows []dataset.Row
-			for _, r := range p.Rows {
-				if pred(r) {
-					rows = append(rows, r)
-				}
-			}
-			vb := int64(0)
-			if len(p.Rows) > 0 {
-				vb = int64(float64(p.VirtualBytes) * float64(len(rows)) / float64(len(p.Rows)))
-			}
-			out.Parts = append(out.Parts, &dataset.Partition{Rows: rows, VirtualBytes: vb})
-		}
-		return out, nil
-	}
+	return Filter(name, pred)
 }
 
 // WholeDataset returns a transform applying f to the single input dataset
@@ -97,8 +106,10 @@ func WholeDataset(name string, f func(in *dataset.Dataset) (*dataset.Dataset, er
 	}
 }
 
-// Identity returns a transform forwarding its input unchanged under a new
-// dataset identity.
+// Identity returns a transform forwarding its input's payload, uncopied,
+// under a new dataset identity.
 func Identity(name string) graph.TransformFunc {
-	return MapRows(name, 1.0, func(r dataset.Row) dataset.Row { return r })
+	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+		return in.Alias(name), nil
+	})
 }

@@ -29,10 +29,11 @@ const okSpec = `{
 
 // longSpec chains wide operators: every standardize is a stage boundary
 // (narrow chains fuse into one stage), so the plan has enough stages that a
-// drain's step budget cannot finish it.
+// drain's step budget cannot finish it, and enough rows that a step takes
+// long enough on the host for a test to observe the job running.
 const longSpec = `{
   "name": "long",
-  "source": {"rows": 400, "partitions": 4, "virtualBytes": 1048576, "seed": 7},
+  "source": {"rows": 20000, "partitions": 4, "virtualBytes": 1048576, "seed": 7},
   "pipeline": [
     {"op": {"name": "w1", "fn": "standardize"}},
     {"op": {"name": "w2", "fn": "standardize"}},

@@ -334,7 +334,7 @@ func compileSteps(node *mdf.Node, steps []Step, sourceRows int, params map[strin
 					if it.DivergeAboveMeanAbs <= 0 {
 						return false
 					}
-					xs := floats(d)
+					xs := dataset.Flatten[float64](d)
 					if len(xs) == 0 {
 						return false
 					}
@@ -405,14 +405,14 @@ func sourceFunc(src Source) graph.TransformFunc {
 			if err != nil {
 				return nil, err
 			}
-			d := dataset.FromRows("src", rows, parts, 8)
+			d := dataset.FromSlice("src", rows, parts, 8)
 			d.SetVirtualBytes(vbytes)
 			return d, nil
 		}
 	}
 	return mdf.SourceFunc(func() *dataset.Dataset {
 		rng := stats.NewRNG(src.Seed)
-		rows := make([]dataset.Row, src.Rows)
+		rows := make([]float64, src.Rows)
 		for i := range rows {
 			switch src.Distribution {
 			case "uniform":
@@ -427,7 +427,7 @@ func sourceFunc(src Source) graph.TransformFunc {
 				rows[i] = rng.Normal(0, 1)
 			}
 		}
-		d := dataset.FromRows("src", rows, parts, 8)
+		d := dataset.FromSlice("src", rows, parts, 8)
 		d.SetVirtualBytes(vbytes)
 		return d
 	})
@@ -448,29 +448,26 @@ func opFunc(op OpStep, params map[string]float64) (graph.TransformFunc, error) {
 	case "identity", "":
 		return mdf.Identity(op.Name), nil
 	case "affine":
-		return mdf.MapRows(op.Name, 1.0, func(r dataset.Row) dataset.Row {
-			return pv(op.A)*r.(float64) + op.B
+		return mdf.Map(op.Name, 1.0, func(v float64) float64 {
+			return pv(op.A)*v + op.B
 		}), nil
 	case "square":
-		return mdf.MapRows(op.Name, 1.0, func(r dataset.Row) dataset.Row {
-			v := r.(float64)
+		return mdf.Map(op.Name, 1.0, func(v float64) float64 {
 			return v * v
 		}), nil
 	case "abs":
-		return mdf.MapRows(op.Name, 1.0, func(r dataset.Row) dataset.Row {
-			return math.Abs(r.(float64))
-		}), nil
+		return mdf.Map(op.Name, 1.0, math.Abs), nil
 	case "filter-less":
-		return mdf.FilterRows(op.Name, func(r dataset.Row) bool {
-			return r.(float64) < pv(op.Limit)
+		return mdf.Filter(op.Name, func(v float64) bool {
+			return v < pv(op.Limit)
 		}), nil
 	case "filter-greater":
-		return mdf.FilterRows(op.Name, func(r dataset.Row) bool {
-			return r.(float64) > pv(op.Limit)
+		return mdf.Filter(op.Name, func(v float64) bool {
+			return v > pv(op.Limit)
 		}), nil
 	case "filter-absless":
-		return mdf.FilterRows(op.Name, func(r dataset.Row) bool {
-			return math.Abs(r.(float64)) < pv(op.Limit)
+		return mdf.Filter(op.Name, func(v float64) bool {
+			return math.Abs(v) < pv(op.Limit)
 		}), nil
 	case "normalize":
 		return normalizeFn(op.Name), nil
@@ -482,7 +479,7 @@ func opFunc(op OpStep, params map[string]float64) (graph.TransformFunc, error) {
 
 func normalizeFn(name string) graph.TransformFunc {
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		xs := floats(in)
+		xs := dataset.Flatten[float64](in)
 		if len(xs) == 0 {
 			return in, nil
 		}
@@ -491,15 +488,15 @@ func normalizeFn(name string) graph.TransformFunc {
 		if span == 0 {
 			span = 1
 		}
-		return mdf.MapRows(name, 1.0, func(r dataset.Row) dataset.Row {
-			return (r.(float64) - lo) / span
+		return mdf.Map(name, 1.0, func(v float64) float64 {
+			return (v - lo) / span
 		})([]*dataset.Dataset{in})
 	})
 }
 
 func standardizeFn(name string) graph.TransformFunc {
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		xs := floats(in)
+		xs := dataset.Flatten[float64](in)
 		if len(xs) == 0 {
 			return in, nil
 		}
@@ -507,20 +504,20 @@ func standardizeFn(name string) graph.TransformFunc {
 		if std == 0 {
 			std = 1
 		}
-		return mdf.MapRows(name, 1.0, func(r dataset.Row) dataset.Row {
-			return (r.(float64) - mean) / std
+		return mdf.Map(name, 1.0, func(v float64) float64 {
+			return (v - mean) / std
 		})([]*dataset.Dataset{in})
 	})
 }
 
 // readFloatFile loads newline-separated float64 values; cap limits the row
 // count when positive.
-func readFloatFile(path string, cap int) ([]dataset.Row, error) {
+func readFloatFile(path string, cap int) ([]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
-	var rows []dataset.Row
+	var rows []float64
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -541,16 +538,6 @@ func readFloatFile(path string, cap int) ([]dataset.Row, error) {
 	return rows, nil
 }
 
-func floats(d *dataset.Dataset) []float64 {
-	out := make([]float64, 0, d.NumRows())
-	for _, p := range d.Parts {
-		for _, r := range p.Rows {
-			out = append(out, r.(float64))
-		}
-	}
-	return out
-}
-
 func evaluator(c Choose, sourceRows int) (mdf.Evaluator, error) {
 	var ev mdf.Evaluator
 	switch c.Evaluator {
@@ -560,7 +547,7 @@ func evaluator(c Choose, sourceRows int) (mdf.Evaluator, error) {
 		ev = mdf.RatioEvaluator(sourceRows)
 	case "mean":
 		ev = mdf.FuncEvaluator("mean", func(d *dataset.Dataset) float64 {
-			xs := floats(d)
+			xs := dataset.Flatten[float64](d)
 			if len(xs) == 0 {
 				return math.Inf(-1) // empty results (e.g. terminated iterations) rank last
 			}
@@ -568,7 +555,7 @@ func evaluator(c Choose, sourceRows int) (mdf.Evaluator, error) {
 		})
 	case "neg-mean-abs":
 		ev = mdf.FuncEvaluator("neg-mean-abs", func(d *dataset.Dataset) float64 {
-			xs := floats(d)
+			xs := dataset.Flatten[float64](d)
 			if len(xs) == 0 {
 				return math.Inf(-1)
 			}
@@ -580,7 +567,7 @@ func evaluator(c Choose, sourceRows int) (mdf.Evaluator, error) {
 		})
 	case "stddev":
 		ev = mdf.FuncEvaluator("stddev", func(d *dataset.Dataset) float64 {
-			xs := floats(d)
+			xs := dataset.Flatten[float64](d)
 			if len(xs) == 0 {
 				return math.Inf(-1)
 			}

@@ -282,3 +282,25 @@ func TestIterativeParamsValidation(t *testing.T) {
 		t.Error("divergence factor 1 accepted")
 	}
 }
+
+// BenchmarkJob builds and runs one early-choose deep learning MDF at Defaults() on the
+// paper's cluster with the full MDF machinery (BAS, AMM, incremental
+// choose): the host-time cost of this job kind, graph construction and input
+// generation included.
+func BenchmarkJob(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := dnn.BuildEarlyChooseMDF(dnn.Defaults())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.Execute(g, engine.Options{
+			Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+			Policy:      memorymgr.AMM,
+			Scheduler:   scheduler.BAS(nil),
+			Incremental: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -71,16 +71,7 @@ type trainState struct {
 // partitions; terminated branches forward an empty marker with zero
 // accounted bytes, so their remaining rounds are effectively free.
 func stateDataset(p IterativeParams, st trainState) *dataset.Dataset {
-	d := dataset.New("state")
-	for i := 0; i < p.Partitions; i++ {
-		part := &dataset.Partition{}
-		if i == 0 {
-			part.Rows = []dataset.Row{st}
-		}
-		d.Parts = append(d.Parts, part)
-	}
-	d.SetVirtualBytes(p.VirtualBytes)
-	return d
+	return singleRow("state", st, p.Partitions, p.VirtualBytes)
 }
 
 // epochCostPerMB converts the per-epoch training cost into a per-MB rate
@@ -131,7 +122,7 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 			if mdf.Terminated(d) {
 				return math.Inf(-1) // diverged branches rank last
 			}
-			return statePayload(d).model.Accuracy(val)
+			return firstRow[trainState](d).model.Accuracy(val)
 		},
 		CostPerMB: 0.0005,
 	}
@@ -146,7 +137,7 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 			// Round 0 initialises the model from the preprocessed data.
 			init := start.Then("init("+spec.Label+")",
 				mdf.WholeDataset("init", func(in *dataset.Dataset) (*dataset.Dataset, error) {
-					examples := payload(in).examples
+					examples := firstRow[dataRow](in).examples
 					m := NewModel(p.Dims, p.Hidden, p.Classes, c.init, seed)
 					loss := m.TrainEpoch(examples[:p.Train], c.lr, c.mom)
 					return stateDataset(p, trainState{model: m, firstLoss: loss, prevLoss: loss, lastLoss: loss}), nil
@@ -156,7 +147,7 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 				Rounds:    p.Epochs - 1,
 				CostPerMB: p.epochCostPerMB(),
 				Step: func(round int, d *dataset.Dataset) (*dataset.Dataset, error) {
-					st := statePayload(d)
+					st := firstRow[trainState](d)
 					loss := st.model.TrainEpoch(examples[:p.Train], c.lr, c.mom)
 					return stateDataset(p, trainState{
 						model: st.model, firstLoss: st.firstLoss,
@@ -164,7 +155,7 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 					}), nil
 				},
 				Diverged: func(round int, d *dataset.Dataset) bool {
-					st := statePayload(d)
+					st := firstRow[trainState](d)
 					if math.IsNaN(st.lastLoss) || math.IsInf(st.lastLoss, 0) ||
 						st.lastLoss > st.firstLoss*p.DivergenceFactor {
 						return true
@@ -175,14 +166,4 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 		})
 	out.Then("sink", mdf.Identity("model"), 0.0001)
 	return b.Build()
-}
-
-// statePayload extracts the training state from a partitioned state dataset.
-func statePayload(d *dataset.Dataset) trainState {
-	for _, p := range d.Parts {
-		if len(p.Rows) > 0 {
-			return p.Rows[0].(trainState)
-		}
-	}
-	panic("dnn: state dataset has no payload")
 }

@@ -84,28 +84,36 @@ type dataRow struct {
 	examples []Example
 }
 
-// exampleDataset wraps an example set as a dataset partitioned across
-// p.Partitions workers: the logical payload rides in partition 0 while the
-// accounted bytes spread evenly, modelling a training set partitioned over
-// the cluster.
-func exampleDataset(name string, p Params, examples []Example, bytes int64) *dataset.Dataset {
+// singleRow wraps v as the only row of a dataset partitioned across parts
+// workers: the logical payload rides in partition 0 while the accounted
+// bytes spread evenly, modelling a training set (or the state of a training
+// run over it) partitioned over the cluster.
+func singleRow[T any](name string, v T, parts int, bytes int64) *dataset.Dataset {
 	d := dataset.New(name)
-	for i := 0; i < p.Partitions; i++ {
-		part := &dataset.Partition{}
-		if i == 0 {
-			part.Rows = []dataset.Row{dataRow{examples: examples}}
-		}
-		d.Parts = append(d.Parts, part)
+	d.Parts = make([]*dataset.Partition, parts)
+	for i := range d.Parts {
+		d.Parts[i] = &dataset.Partition{}
 	}
+	d.Parts[0].Col = dataset.Col[T]{v}
 	d.SetVirtualBytes(bytes)
 	return d
+}
+
+// firstRow returns the payload of a singleRow dataset.
+func firstRow[T any](d *dataset.Dataset) T {
+	for _, p := range d.Parts {
+		if p.NumRows() > 0 {
+			return dataset.Values[T](p)[0]
+		}
+	}
+	panic("dnn: dataset has no payload row")
 }
 
 // sourceFunc emits the raw example set.
 func sourceFunc(p Params) graph.TransformFunc {
 	examples := GenerateExamples(p.Train+p.Val, p.Dims, p.Classes, p.Noise, p.Seed)
 	return mdf.SourceFunc(func() *dataset.Dataset {
-		return exampleDataset("cifar-syn", p, examples, p.VirtualBytes)
+		return singleRow("cifar-syn", dataRow{examples: examples}, p.Partitions, p.VirtualBytes)
 	})
 }
 
@@ -113,7 +121,7 @@ func sourceFunc(p Params) graph.TransformFunc {
 // pre-processing stage whose reuse drives Fig. 5's MDF advantage.
 func preprocessOp(p Params) graph.TransformFunc {
 	return mdf.WholeDataset("preprocess", func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		raw := payload(in).examples
+		raw := firstRow[dataRow](in).examples
 		lo := make([]float64, p.Dims)
 		hi := make([]float64, p.Dims)
 		for j := 0; j < p.Dims; j++ {
@@ -141,8 +149,7 @@ func preprocessOp(p Params) graph.TransformFunc {
 			}
 			scaled[i] = Example{X: x, Y: ex.Y}
 		}
-		out := exampleDataset("preprocessed", p, scaled, in.VirtualBytes())
-		return out, nil
+		return singleRow("preprocessed", dataRow{examples: scaled}, p.Partitions, in.VirtualBytes()), nil
 	})
 }
 
@@ -150,12 +157,11 @@ func preprocessOp(p Params) graph.TransformFunc {
 func trainOp(p Params, init Init, lr, momentum float64, seed int64) graph.TransformFunc {
 	name := fmt.Sprintf("train(%s,r=%g,m=%g)", init.Name(), lr, momentum)
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		examples := payload(in).examples
+		examples := firstRow[dataRow](in).examples
 		m := NewModel(p.Dims, p.Hidden, p.Classes, init, seed)
 		m.TrainEpoch(examples[:p.Train], lr, momentum)
-		out := dataset.FromRows("model", []dataset.Row{modelRow{model: m}}, 1, 0)
-		out.SetVirtualBytes(int64(8 * (len(m.W1) + len(m.W2) + len(m.B1) + len(m.B2))))
-		return out, nil
+		return singleRow("model", modelRow{model: m}, 1,
+			int64(8*(len(m.W1)+len(m.W2)+len(m.B1)+len(m.B2)))), nil
 	})
 }
 
@@ -165,15 +171,13 @@ func trainOp(p Params, init Init, lr, momentum float64, seed int64) graph.Transf
 func continueTrainOp(p Params, lr, momentum float64) graph.TransformFunc {
 	name := fmt.Sprintf("train(r=%g,m=%g)", lr, momentum)
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		base := in.Parts[0].Rows[0].(modelRow).model
+		base := firstRow[modelRow](in).model
 		m := base.Clone()
 		// The continued round retrains on the cached preprocessed set,
 		// which the evaluator closure carries.
 		examples := trainSetOf(p)
 		m.TrainEpoch(examples[:p.Train], lr, momentum)
-		out := dataset.FromRows("model", []dataset.Row{modelRow{model: m}}, 1, 0)
-		out.SetVirtualBytes(in.VirtualBytes())
-		return out, nil
+		return singleRow("model", modelRow{model: m}, 1, in.VirtualBytes()), nil
 	})
 }
 
@@ -209,8 +213,7 @@ func AccuracyEvaluator(p Params) mdf.Evaluator {
 			if d.NumRows() == 0 {
 				return 0
 			}
-			m := d.Parts[0].Rows[0].(modelRow).model
-			return m.Accuracy(val)
+			return firstRow[modelRow](d).model.Accuracy(val)
 		},
 		CostPerMB: 0.02,
 	}
@@ -385,14 +388,4 @@ func BuildHyperOnlyMDF(p Params) (*graph.Graph, error) {
 		})
 	out.Then("sink", mdf.Identity("model"), 0.0001)
 	return b.Build()
-}
-
-// payload extracts the example-set row of a partitioned example dataset.
-func payload(d *dataset.Dataset) dataRow {
-	for _, p := range d.Parts {
-		if len(p.Rows) > 0 {
-			return p.Rows[0].(dataRow)
-		}
-	}
-	panic("dnn: dataset has no payload row")
 }

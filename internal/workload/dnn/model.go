@@ -116,9 +116,11 @@ func (m *Model) Clone() *Model {
 
 // forward computes hidden activations and class probabilities.
 func (m *Model) forward(x []float64, hidden, probs []float64) {
+	// The weight rows are sliced once per neuron to the length of the
+	// vector they multiply, so the inner loops carry no bounds check.
 	for h := 0; h < m.Hidden; h++ {
 		sum := m.B1[h]
-		row := m.W1[h*m.In : (h+1)*m.In]
+		row := m.W1[h*m.In : (h+1)*m.In][:len(x)]
 		for i, xi := range x {
 			sum += row[i] * xi
 		}
@@ -127,7 +129,7 @@ func (m *Model) forward(x []float64, hidden, probs []float64) {
 	maxLogit := math.Inf(-1)
 	for c := 0; c < m.Classes; c++ {
 		sum := m.B2[c]
-		row := m.W2[c*m.Hidden : (c+1)*m.Hidden]
+		row := m.W2[c*m.Hidden : (c+1)*m.Hidden][:len(hidden)]
 		for h, hv := range hidden {
 			sum += row[h] * hv
 		}
@@ -170,26 +172,34 @@ func (m *Model) TrainEpoch(examples []Example, lr, momentum float64) float64 {
 			if c == ex.Y {
 				g -= 1
 			}
-			row := m.W2[c*m.Hidden : (c+1)*m.Hidden]
+			// Weight and velocity rows are sliced once per neuron (see
+			// forward). lr*g is hoisted: lr*g*hv is (lr*g)*hv, so every
+			// floating-point operation and its order are unchanged.
+			lrg := lr * g
+			row := m.W2[c*m.Hidden : (c+1)*m.Hidden][:len(hidden)]
+			vel := m.vW2[c*m.Hidden : (c+1)*m.Hidden][:len(hidden)]
+			dh := dHidden[:len(hidden)]
 			for h, hv := range hidden {
-				dHidden[h] += g * row[h]
-				idx := c*m.Hidden + h
-				m.vW2[idx] = momentum*m.vW2[idx] - lr*g*hv
-				row[h] += m.vW2[idx]
+				dh[h] += g * row[h]
+				v := momentum*vel[h] - lrg*hv
+				vel[h] = v
+				row[h] += v
 			}
-			m.vB2[c] = momentum*m.vB2[c] - lr*g
+			m.vB2[c] = momentum*m.vB2[c] - lrg
 			m.B2[c] += m.vB2[c]
 		}
 		// Hidden-layer gradient through tanh.
 		for h := 0; h < m.Hidden; h++ {
 			g := dHidden[h] * (1 - hidden[h]*hidden[h])
-			row := m.W1[h*m.In : (h+1)*m.In]
+			lrg := lr * g
+			row := m.W1[h*m.In : (h+1)*m.In][:len(ex.X)]
+			vel := m.vW1[h*m.In : (h+1)*m.In][:len(ex.X)]
 			for i, xi := range ex.X {
-				idx := h*m.In + i
-				m.vW1[idx] = momentum*m.vW1[idx] - lr*g*xi
-				row[i] += m.vW1[idx]
+				v := momentum*vel[i] - lrg*xi
+				vel[i] = v
+				row[i] += v
 			}
-			m.vB1[h] = momentum*m.vB1[h] - lr*g
+			m.vB1[h] = momentum*m.vB1[h] - lrg
 			m.B1[h] += m.vB1[h]
 		}
 	}

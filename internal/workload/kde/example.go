@@ -80,19 +80,16 @@ func MISEEvaluator(ref func(float64) float64) mdf.Evaluator {
 	return mdf.Evaluator{
 		Name: "mise",
 		Fn: func(d *dataset.Dataset) float64 {
-			rows := d.Rows()
-			if len(rows) < 2 {
+			grid := dataset.Flatten[gridPoint](d)
+			if len(grid) < 2 {
 				return math.Inf(1)
 			}
 			var sum float64
-			for _, r := range rows {
-				gp := r.(gridPoint)
+			for _, gp := range grid {
 				diff := gp.Density - ref(gp.X)
 				sum += diff * diff
 			}
-			first := rows[0].(gridPoint).X
-			last := rows[len(rows)-1].(gridPoint).X
-			step := (last - first) / float64(len(rows)-1)
+			step := (grid[len(grid)-1].X - grid[0].X) / float64(len(grid)-1)
 			return sum * step
 		},
 		CostPerMB: 0.0005,
@@ -117,7 +114,7 @@ func profileOp(p ExampleParams, k Kernel) graph.TransformFunc {
 	const lo, hi = -4.0, 6.0
 	return mdf.WholeDataset(fmt.Sprintf("kde(%s,h=%g)", k.Name, p.Bandwidth),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			xs := values(in)
+			xs := dataset.Flatten[float64](in)
 			if len(xs) > p.FitSample {
 				stride := len(xs) / p.FitSample
 				sampled := make([]float64, 0, p.FitSample)
@@ -127,7 +124,7 @@ func profileOp(p ExampleParams, k Kernel) graph.TransformFunc {
 				xs = sampled
 			}
 			est := NewEstimator(k, p.Bandwidth, xs)
-			rows := make([]dataset.Row, p.GridPoints)
+			rows := make([]gridPoint, p.GridPoints)
 			step := (hi - lo) / float64(p.GridPoints-1)
 			for i := range rows {
 				x := lo + float64(i)*step
@@ -137,7 +134,7 @@ func profileOp(p ExampleParams, k Kernel) graph.TransformFunc {
 			if parts < 1 {
 				parts = 1
 			}
-			out := dataset.FromRows("profile", rows, parts, 16)
+			out := dataset.FromSlice("profile", rows, parts, 16)
 			out.SetVirtualBytes(in.VirtualBytes() / 100)
 			return out, nil
 		})
@@ -156,7 +153,7 @@ func BuildExampleMDF(p ExampleParams) (*graph.Graph, error) {
 	base.VirtualBytes = p.VirtualBytes
 	base.Seed = p.Seed
 	input := Generate(base)
-	xs := values(input)
+	xs := dataset.Flatten[float64](input)
 	mean, std := stats.Mean(xs), stats.StdDev(xs)
 
 	type combo struct {
@@ -188,8 +185,8 @@ func BuildExampleMDF(p ExampleParams) (*graph.Graph, error) {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			c := combos[int(spec.Hint)]
 			filtered := start.Then("outlier(o="+spec.Label+")",
-				mdf.FilterRows("inliers", func(r dataset.Row) bool {
-					return math.Abs(r.(float64)-mean) <= c.o*std
+				mdf.Filter("inliers", func(x float64) bool {
+					return math.Abs(x-mean) <= c.o*std
 				}), 0.002)
 			return filtered.Then("estimate("+spec.Label+")", profileOp(p, c.k), 0.006)
 		})

@@ -89,7 +89,7 @@ func (p Params) kernels() ([]Kernel, error) {
 // hold-out likelihood.
 func Generate(p Params) *dataset.Dataset {
 	rng := stats.NewRNG(p.Seed)
-	rows := make([]dataset.Row, p.Rows)
+	rows := make([]float64, p.Rows)
 	for i := range rows {
 		if rng.Float64() < 0.7 {
 			rows[i] = rng.Normal(0, 1)
@@ -97,24 +97,14 @@ func Generate(p Params) *dataset.Dataset {
 			rows[i] = rng.Normal(3.5, 0.5)
 		}
 	}
-	d := dataset.FromRows("sensor", rows, p.Partitions, 8)
+	d := dataset.FromSlice("sensor", rows, p.Partitions, 8)
 	d.SetVirtualBytes(p.VirtualBytes)
 	return d
 }
 
-func values(d *dataset.Dataset) []float64 {
-	out := make([]float64, 0, d.NumRows())
-	for _, part := range d.Parts {
-		for _, r := range part.Rows {
-			out = append(out, r.(float64))
-		}
-	}
-	return out
-}
-
 // normalize rescales values to [0, 1] (min-max normalisation).
 func normalize(ins []*dataset.Dataset) (*dataset.Dataset, error) {
-	xs := values(ins[0])
+	xs := dataset.Flatten[float64](ins[0])
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("kde: empty input")
 	}
@@ -123,14 +113,14 @@ func normalize(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 	if span == 0 {
 		span = 1
 	}
-	return mdf.MapRows("normalized", 1.0, func(r dataset.Row) dataset.Row {
-		return (r.(float64) - lo) / span
+	return mdf.Map("normalized", 1.0, func(x float64) float64 {
+		return (x - lo) / span
 	})(ins)
 }
 
 // standardize rescales values to zero mean and unit variance.
 func standardize(ins []*dataset.Dataset) (*dataset.Dataset, error) {
-	xs := values(ins[0])
+	xs := dataset.Flatten[float64](ins[0])
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("kde: empty input")
 	}
@@ -139,8 +129,8 @@ func standardize(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 	if std == 0 {
 		std = 1
 	}
-	return mdf.MapRows("standardized", 1.0, func(r dataset.Row) dataset.Row {
-		return (r.(float64) - mean) / std
+	return mdf.Map("standardized", 1.0, func(x float64) float64 {
+		return (x - mean) / std
 	})(ins)
 }
 
@@ -150,7 +140,7 @@ func standardize(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 func estimateOp(p Params, k Kernel, h float64) graph.TransformFunc {
 	return mdf.WholeDataset(fmt.Sprintf("kde(%s,h=%g)", k.Name, h),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			xs := values(in)
+			xs := dataset.Flatten[float64](in)
 			nHold := int(float64(len(xs)) * p.HoldoutFraction)
 			if nHold < 1 {
 				nHold = 1
@@ -165,7 +155,7 @@ func estimateOp(p Params, k Kernel, h float64) graph.TransformFunc {
 				train = sampled
 			}
 			est := NewEstimator(k, h, train)
-			rows := make([]dataset.Row, len(holdout))
+			rows := make([]float64, len(holdout))
 			for i, x := range holdout {
 				rows[i] = est.Density(x)
 			}
@@ -173,7 +163,7 @@ func estimateOp(p Params, k Kernel, h float64) graph.TransformFunc {
 			if parts < 1 {
 				parts = 1
 			}
-			out := dataset.FromRows("densities", rows, parts, 8)
+			out := dataset.FromSlice("densities", rows, parts, 8)
 			out.SetVirtualBytes(in.VirtualBytes() / 50)
 			return out, nil
 		})
@@ -190,8 +180,7 @@ func LogLikelihoodEvaluator() mdf.Evaluator {
 			var ll float64
 			n := 0
 			for _, part := range d.Parts {
-				for _, r := range part.Rows {
-					v := r.(float64)
+				for _, v := range dataset.Values[float64](part) {
 					if v < floor {
 						v = floor
 					}
@@ -301,8 +290,8 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 		return nil, err
 	}
 	input := Generate(p.Params)
-	mean := stats.Mean(values(input))
-	std := stats.StdDev(values(input))
+	xs := dataset.Flatten[float64](input)
+	mean, std := stats.Mean(xs), stats.StdDev(xs)
 
 	var outlierSpecs []mdf.BranchSpec
 	for _, o := range p.OutlierThresholds {
@@ -343,8 +332,8 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			o := spec.Hint
 			return start.Then("outlier<"+spec.Label,
-				mdf.FilterRows("inliers", func(r dataset.Row) bool {
-					return math.Abs(r.(float64)-mean) <= o*std
+				mdf.Filter("inliers", func(x float64) bool {
+					return math.Abs(x-mean) <= o*std
 				}), 0.002)
 		})
 	// Scope 2: kernel/bandwidth exploration over the surviving dataset.

@@ -79,33 +79,78 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// pairs is the struct-of-arrays column of the job's datasets. The operators
+// only ever change values, so every derived dataset shares the generator's
+// keys and owns one pointer-free []int64: nothing in it for the garbage
+// collector to scan, and no Pair is built until the output is boxed.
+type pairs struct {
+	keys []string
+	vals []int64
+}
+
+// Len implements dataset.Column.
+func (c pairs) Len() int { return len(c.vals) }
+
+// AppendRows implements dataset.Column.
+func (c pairs) AppendRows(dst []dataset.Row) []dataset.Row {
+	for i, v := range c.vals {
+		dst = append(dst, Pair{Key: c.keys[i], Val: v})
+	}
+	return dst
+}
+
+// Slice implements dataset.Column.
+func (c pairs) Slice(lo, hi int) dataset.Column {
+	return pairs{keys: c.keys[lo:hi:hi], vals: c.vals[lo:hi:hi]}
+}
+
+// keyLen is the length of a generated key: 'k' and eight hex digits.
+const keyLen = 9
+
 // Generate produces the input dataset of random string/integer pairs.
 func Generate(p Params) *dataset.Dataset {
 	rng := stats.NewRNG(p.Seed)
-	rows := make([]dataset.Row, p.Rows)
-	for i := range rows {
-		rows[i] = Pair{
-			Key: fmt.Sprintf("k%08x", rng.Intn(1<<30)),
-			Val: int64(rng.Intn(1 << 20)),
+	// The keys ("k%08x" of a 30-bit draw) are cut from one string, which
+	// costs one allocation where a Sprintf per row costs two per row.
+	const hex = "0123456789abcdef"
+	text := make([]byte, keyLen*p.Rows)
+	vals := make([]int64, p.Rows)
+	for i := range vals {
+		key := text[keyLen*i : keyLen*(i+1)]
+		key[0] = 'k'
+		k := rng.Intn(1 << 30)
+		for j := keyLen - 1; j > 0; j-- {
+			key[j] = hex[k&15]
+			k >>= 4
 		}
+		vals[i] = int64(rng.Intn(1 << 20))
 	}
-	d := dataset.FromRows("pairs", rows, p.Partitions, 1)
+	all := string(text)
+	keys := make([]string, p.Rows)
+	for i := range keys {
+		keys[i] = all[keyLen*i : keyLen*(i+1)]
+	}
+	d := dataset.FromColumn("pairs", pairs{keys: keys, vals: vals}, p.Partitions, 1)
 	d.SetVirtualBytes(p.VirtualBytes)
 	return d
 }
 
-// mathOp applies the branch's algebraic operation OpsPerItem times: an
-// affine update modulo a large prime, parameterised by the explorable w.
-func mathOp(w int64, opsPerItem int) func(dataset.Row) dataset.Row {
+// mathOp applies the branch's algebraic operation OpsPerItem times to every
+// value: an affine update modulo a large prime, parameterised by the
+// explorable w. Accounted sizes scale by sizeScale.
+func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.TransformFunc {
 	const mod = 1_000_000_007
-	return func(r dataset.Row) dataset.Row {
-		p := r.(Pair)
-		v := p.Val
-		for i := 0; i < opsPerItem; i++ {
-			v = (v*w + int64(i) + 1) % mod
+	return mdf.PerPartition(name, func(part *dataset.Partition) (dataset.Column, int64) {
+		in := part.Col.(pairs)
+		vals := make([]int64, len(in.vals))
+		for i, v := range in.vals {
+			for k := 0; k < opsPerItem; k++ {
+				v = (v*w + int64(k) + 1) % mod
+			}
+			vals[i] = v
 		}
-		return Pair{Key: p.Key, Val: v}
-	}
+		return pairs{keys: in.keys, vals: vals}, int64(float64(part.VirtualBytes) * sizeScale)
+	})
 }
 
 // sumEvaluator implements int_value from Fig. 23: the mean tuple value of a
@@ -117,8 +162,8 @@ func sumEvaluator() mdf.Evaluator {
 			var sum float64
 			n := 0
 			for _, part := range d.Parts {
-				for _, r := range part.Rows {
-					sum += float64(r.(Pair).Val)
+				for _, v := range part.Col.(pairs).vals {
+					sum += float64(v)
 					n++
 				}
 			}
@@ -165,13 +210,13 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w1 := int64(spec.Hint)
 			first := start.Then("op("+spec.Label+")",
-				mdf.MapRows("first_op", 1.0, mathOp(w1, p.OpsPerItem)), cost)
+				mathOp("first_op", 1.0, w1, p.OpsPerItem), cost)
 			return first.Explore("B2", branchValues(p.InnerBranches),
 				mdf.NewChooser(sumEvaluator(), mdf.Max()),
 				func(inner *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					w2 := int64(ispec.Hint)
 					return inner.Then("op2("+ispec.Label+")",
-						mdf.MapRows("second_op", p.InnerSizeScale, mathOp(w2, p.OpsPerItem)), cost)
+						mathOp("second_op", p.InnerSizeScale, w2, p.OpsPerItem), cost)
 				})
 		})
 	outer.Then("sink", mdf.Identity("results"), 0.0001)

@@ -1,6 +1,7 @@
 package synthetic_test
 
 import (
+	"fmt"
 	"testing"
 
 	"metadataflow/internal/baseline"
@@ -8,6 +9,7 @@ import (
 	"metadataflow/internal/engine"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
+	"metadataflow/internal/stats"
 	"metadataflow/internal/workload/synthetic"
 )
 
@@ -70,6 +72,56 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if a.VirtualBytes() != smallParams().VirtualBytes {
 		t.Errorf("virtual bytes = %d, want %d", a.VirtualBytes(), smallParams().VirtualBytes)
+	}
+}
+
+// The generator cuts its keys from one string; boxed, its rows are the pairs
+// a Sprintf per row drew from the same stream.
+func TestGenerateMatchesRowwiseGenerator(t *testing.T) {
+	p := smallParams()
+	rng := stats.NewRNG(p.Seed)
+	rows := synthetic.Generate(p).Rows()
+	if len(rows) != p.Rows {
+		t.Fatalf("rows = %d, want %d", len(rows), p.Rows)
+	}
+	for i, r := range rows {
+		want := synthetic.Pair{
+			Key: fmt.Sprintf("k%08x", rng.Intn(1<<30)),
+			Val: int64(rng.Intn(1 << 20)),
+		}
+		if r.(synthetic.Pair) != want {
+			t.Fatalf("row %d = %+v, want %+v", i, r, want)
+		}
+	}
+}
+
+// A job allocates at most two objects per input row — the generator's keys
+// and the one boxing of the output — whatever the number of branches that
+// transform every row: the struct-of-arrays operators allocate per
+// partition. The per-row share is read off two input sizes, so that the
+// engine's own allocations, which do not depend on the rows, cancel.
+func TestJobAllocationsPerRow(t *testing.T) {
+	allocs := func(rows int) float64 {
+		p := smallParams()
+		p.Rows = rows
+		return testing.AllocsPerRun(3, func() {
+			g, err := synthetic.BuildMDF(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := engine.Execute(g, engine.Options{
+				Cluster: testCluster(), Policy: memorymgr.AMM,
+				Scheduler: scheduler.BAS(nil), Incremental: true,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const small, large = 1000, 9000
+	atSmall, atLarge := allocs(small), allocs(large)
+	t.Logf("allocations: %.0f at %d rows, %.0f at %d rows", atSmall, small, atLarge, large)
+	if perRow := (atLarge - atSmall) / (large - small); perRow > 2 {
+		t.Errorf("a synthetic job allocates %.2f objects per input row, want <= 2", perRow)
 	}
 }
 
@@ -172,5 +224,27 @@ func TestParallelFasterThanSequential(t *testing.T) {
 	if par.CompletionTime >= seq.CompletionTime {
 		t.Errorf("4-parallel (%0.1fs) should beat sequential (%0.1fs)",
 			par.CompletionTime, seq.CompletionTime)
+	}
+}
+
+// BenchmarkJob builds and runs one synthetic MDF at Defaults() on the
+// paper's cluster with the full MDF machinery (BAS, AMM, incremental
+// choose): the host-time cost of this job kind, graph construction and input
+// generation included.
+func BenchmarkJob(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := synthetic.BuildMDF(synthetic.Defaults())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.Execute(g, engine.Options{
+			Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+			Policy:      memorymgr.AMM,
+			Scheduler:   scheduler.BAS(nil),
+			Incremental: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

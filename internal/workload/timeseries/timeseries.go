@@ -103,7 +103,7 @@ func (p Params) Branches() int {
 // component + noise whose variance shifts by regime, with injected spikes.
 func Generate(p Params) *dataset.Dataset {
 	rng := stats.NewRNG(p.Seed)
-	rows := make([]dataset.Row, p.Rows)
+	rows := make([]Point, p.Rows)
 	level := 100.0
 	noise := 0.3
 	for i := range rows {
@@ -120,7 +120,7 @@ func Generate(p Params) *dataset.Dataset {
 		}
 		rows[i] = Point{T: int64(i), V: v}
 	}
-	d := dataset.FromRows("well-sensor", rows, p.Partitions, 16)
+	d := dataset.FromSlice("well-sensor", rows, p.Partitions, 16)
 	d.SetVirtualBytes(p.VirtualBytes)
 	return d
 }
@@ -134,16 +134,6 @@ func outParts(in *dataset.Dataset) int {
 	return 1
 }
 
-func points(d *dataset.Dataset) []Point {
-	out := make([]Point, 0, d.NumRows())
-	for _, part := range d.Parts {
-		for _, r := range part.Rows {
-			out = append(out, r.(Point))
-		}
-	}
-	return out
-}
-
 // maskOp keeps points whose sliding window of length w has a max/min ratio
 // above the threshold t: points in "interesting" ranges survive (§6:
 // "masking data points in the series based on the value ranges within a
@@ -151,8 +141,8 @@ func points(d *dataset.Dataset) []Point {
 func maskOp(p Params, w int, t float64) graph.TransformFunc {
 	return mdf.WholeDataset(fmt.Sprintf("mask(w=%d,t=%g)", w, t),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			pts := points(in)
-			var kept []dataset.Row
+			pts := dataset.Flatten[Point](in)
+			var kept []Point
 			for i := range pts {
 				lo, hi := pts[i].V, pts[i].V
 				for j := i - w + 1; j <= i; j++ {
@@ -169,7 +159,7 @@ func maskOp(p Params, w int, t float64) graph.TransformFunc {
 					kept = append(kept, pts[i])
 				}
 			}
-			out := dataset.FromRows("masked", kept, outParts(in), 16)
+			out := dataset.FromSlice("masked", kept, outParts(in), 16)
 			if in.NumRows() > 0 {
 				out.SetVirtualBytes(in.VirtualBytes() * int64(len(kept)) / int64(in.NumRows()))
 			}
@@ -182,8 +172,8 @@ func maskOp(p Params, w int, t float64) graph.TransformFunc {
 func markOp(l int, magDiff float64) graph.TransformFunc {
 	return mdf.WholeDataset(fmt.Sprintf("mark(l=%d,m=%g)", l, magDiff),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			pts := points(in)
-			var events []dataset.Row
+			pts := dataset.Flatten[Point](in)
+			var events []Event
 			for i := range pts {
 				if i < l {
 					continue
@@ -197,7 +187,7 @@ func markOp(l int, magDiff float64) graph.TransformFunc {
 					events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - ref})
 				}
 			}
-			out := dataset.FromRows("events", events, outParts(in), 24)
+			out := dataset.FromSlice("events", events, outParts(in), 24)
 			out.SetVirtualBytes(in.VirtualBytes() / 20)
 			return out, nil
 		})
@@ -208,15 +198,9 @@ func markOp(l int, magDiff float64) graph.TransformFunc {
 func detectOp(d int) graph.TransformFunc {
 	return mdf.WholeDataset(fmt.Sprintf("detect(d=%d)", d),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			var evs []Event
-			for _, part := range in.Parts {
-				for _, r := range part.Rows {
-					evs = append(evs, r.(Event))
-				}
-			}
-			var seqs []dataset.Row
+			var seqs []Event
 			var cur *Event
-			for _, e := range evs {
+			for _, e := range dataset.Flatten[Event](in) {
 				if cur != nil && e.Start-cur.End <= int64(d) {
 					cur.End = e.End
 					if math.Abs(e.Magnitude) > math.Abs(cur.Magnitude) {
@@ -233,7 +217,7 @@ func detectOp(d int) graph.TransformFunc {
 			if cur != nil {
 				seqs = append(seqs, *cur)
 			}
-			out := dataset.FromRows("sequences", seqs, outParts(in), 24)
+			out := dataset.FromSlice("sequences", seqs, outParts(in), 24)
 			out.SetVirtualBytes(in.VirtualBytes() / 4)
 			return out, nil
 		})

@@ -164,3 +164,25 @@ func TestExpansionCount(t *testing.T) {
 		t.Errorf("expanded jobs = %d, want %d", len(jobs), want)
 	}
 }
+
+// BenchmarkJob builds and runs one time series MDF at Defaults() on the
+// paper's cluster with the full MDF machinery (BAS, AMM, incremental
+// choose): the host-time cost of this job kind, graph construction and input
+// generation included.
+func BenchmarkJob(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := timeseries.BuildMDF(timeseries.Defaults())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := engine.Execute(g, engine.Options{
+			Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+			Policy:      memorymgr.AMM,
+			Scheduler:   scheduler.BAS(nil),
+			Incremental: true,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
