@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint specvet race race-short fuzz-short chaos-short chaos crash-short bench-baseline hostbench-check ci clean
+.PHONY: all help build test vet lint specvet race race-short fuzz-short chaos-short chaos crash-short bench-baseline bench-smoke hostbench-check ci clean
 
 all: build
 
@@ -13,14 +13,15 @@ help:
 	@echo "  lint              mdflint: determinism, unit and concurrency rules (exits nonzero on findings)"
 	@echo "  specvet           mdfplan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
-	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler)"
+	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, workload/dnn)"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
 	@echo "  bench-baseline    regenerate BENCH_*.json once; mdfstat names any series past MDFSTAT_THRESHOLD, then fail on byte drift"
+	@echo "  bench-smoke       compile every Benchmark* under internal/ and run each for one iteration"
 	@echo "  hostbench-check   vet and test the host-time benchmark module (benchmarks/), which ./... does not reach"
-	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-baseline hostbench-check"
+	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-baseline bench-smoke hostbench-check"
 
 build:
 	$(GO) build ./...
@@ -54,10 +55,12 @@ race:
 
 # race-short is the focused race gate on the packages with real
 # concurrency: the service (step loop vs HTTP surface), the engine
-# (context cancellation) and the scheduler. -count=1 defeats the test
-# cache so the race detector actually runs on every invocation. Part of ci.
+# (context cancellation), the scheduler, and the dnn workload, whose
+# package-level example-set cache is shared by every job a process builds
+# or runs. -count=1 defeats the test cache so the race detector actually
+# runs on every invocation. Part of ci.
 race-short:
-	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler
+	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler ./internal/workload/dnn
 
 # fuzz-short runs the JSON-parser fuzz targets briefly on top of their
 # checked-in corpora (testdata/fuzz); longer runs use -fuzztime directly.
@@ -125,6 +128,13 @@ bench-baseline: build
 	@for f in BENCH_*.json; do cmp $$f .bench-prev/$$f || exit 1; done
 	@rm -rf .bench-prev
 
+# bench-smoke compiles the layer benchmarks that live next to the code and
+# runs each for a single iteration: no other gate builds a Benchmark*, so
+# without it one that no longer compiles, or fails on its first iteration,
+# would go unnoticed until someone needs its number. Part of ci.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
 # hostbench-check vets and tests benchmarks/, a module of its own that the
 # root ./... patterns never descend into: it calls the data layer's boxed
 # API (dataset.FromRows, mdf.MapRows, Partition.Rows) and compares every
@@ -136,7 +146,7 @@ hostbench-check:
 	$(GO) test -C benchmarks ./...
 
 # ci is the gate a change must pass before merging.
-ci: vet lint specvet build race race-short chaos-short crash-short bench-baseline hostbench-check
+ci: vet lint specvet build race race-short chaos-short crash-short bench-baseline bench-smoke hostbench-check
 
 clean:
 	$(GO) clean ./...

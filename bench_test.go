@@ -18,7 +18,6 @@ import (
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/engine"
 	"metadataflow/internal/experiments"
-	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/obs"
@@ -59,23 +58,6 @@ func BenchmarkChooseThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		session.Offer(i, float64(i%97))
-	}
-}
-
-// BenchmarkStagePlanning measures plan derivation for a 120-branch MDF.
-func BenchmarkStagePlanning(b *testing.B) {
-	p := synthetic.Defaults()
-	p.Rows = 64
-	p.OuterBranches, p.InnerBranches = 10, 12
-	g, err := synthetic.BuildMDF(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := graph.BuildPlan(g); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -25,8 +25,8 @@ func (r *Run) ChooseSelections() map[string][]int {
 		if !st.IsChoose() {
 			continue
 		}
-		cs, ok := r.sessions[st.ID]
-		if !ok {
+		cs := r.sessions[st.ID]
+		if cs == nil {
 			continue
 		}
 		sel := append([]int(nil), cs.session.Selected()...)

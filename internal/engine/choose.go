@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -14,8 +15,7 @@ import (
 // choose stage. Scores are retained at the master, which is also the
 // checkpoint the fault-tolerance mechanism recovers from (§5).
 func (r *Run) chooseStateFor(st *graph.Stage) *chooseState {
-	cs, ok := r.sessions[st.ID]
-	if ok {
+	if cs := r.sessions[st.ID]; cs != nil {
 		return cs
 	}
 	chooser := st.Ops[0].Chooser
@@ -24,37 +24,27 @@ func (r *Run) chooseStateFor(st *graph.Stage) *chooseState {
 	if oa, ok := session.(orderAware); ok {
 		oa.SetSortedOrder(r.opts.Scheduler.SortedBranches())
 	}
-	cs = &chooseState{
+	cs := &chooseState{
 		session:     session,
-		offered:     make(map[int]bool),
-		scores:      make(map[int]float64),
-		released:    make(map[int]bool),
-		quarantined: make(map[int]bool),
+		offered:     make([]bool, total),
+		scores:      make([]float64, total),
+		released:    make([]bool, total),
+		quarantined: make([]bool, total),
 	}
 	r.sessions[st.ID] = cs
 	return cs
 }
 
-// branchIndexOf returns the input index of branchFinal among the choose
-// stage's predecessors; branch i of the scope is the choose's i-th input
-// (Def. 3.3).
-func (r *Run) branchIndexOf(chooseSt, branchFinal *graph.Stage) (int, error) {
-	for i, pre := range r.plan.Pre(chooseSt) {
-		if pre.ID == branchFinal.ID {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("engine: stage %s is not a branch of %s", branchFinal, chooseSt)
+// branchLabel names branch b of a choose stage in telemetry.
+func branchLabel(chooseSt *graph.Stage, b int) string {
+	return chooseSt.String() + "[b" + strconv.Itoa(b) + "]"
 }
 
 // evalBranchOf scores the branch that just completed with branchFinal, as
-// soon as it completes (incremental choose evaluation, §3.1).
+// soon as it completes (incremental choose evaluation, §3.1). Branch i of
+// the scope is the choose's i-th input (Def. 3.3).
 func (r *Run) evalBranchOf(chooseSt, branchFinal *graph.Stage) error {
-	branch, err := r.branchIndexOf(chooseSt, branchFinal)
-	if err != nil {
-		return err
-	}
-	return r.evalBranch(chooseSt, branch, r.stageEnd[branchFinal.ID])
+	return r.evalBranch(chooseSt, r.plan.ChooseInput(branchFinal), r.stageEnd[branchFinal.ID])
 }
 
 // evalBranch runs the evaluator function of the choose on workers for one
@@ -92,7 +82,9 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 		r.now = end
 	}
 
-	r.spanNodes(obs.KindEval, fmt.Sprintf("%s[b%d]", chooseSt, branch), ready, nodeT)
+	if r.probe != nil {
+		r.spanNodes(obs.KindEval, branchLabel(chooseSt, branch), ready, nodeT)
+	}
 	if serr != nil {
 		// The evaluator kept panicking: the branch result cannot be
 		// scored, so the branch is quarantined and the choose proceeds
@@ -102,6 +94,7 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 	}
 	r.metrics.ChooseEvals++
 	cs.offered[branch] = true
+	cs.nOffered++
 	cs.scores[branch] = score
 	r.observeScore(chooseSt, branch, end, score)
 
@@ -117,7 +110,7 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 	discards, done := cs.session.Offer(branch, score)
 	// A discard counts as incremental (Tab. 1) only while branches remain
 	// unscored; the final offer's discards coincide with the choose itself.
-	incremental := len(cs.offered) < len(r.plan.Pre(chooseSt))
+	incremental := cs.nOffered < len(r.plan.Pre(chooseSt))
 	for _, db := range discards {
 		r.discardBranchDataset(chooseSt, cs, db, incremental)
 	}
@@ -185,7 +178,8 @@ func (r *Run) skipStage(st *graph.Stage, t sim.VTime) {
 	r.metrics.StagesPruned++
 	r.span(obs.NodeMaster, obs.KindPruned, st.String(), t, t)
 	r.observeStageDone(st, t, t, false)
-	delete(r.ready, st.ID)
+	r.unready(st)
+	r.settled(st)
 	for _, pre := range r.plan.Pre(st) {
 		if r.executed[pre.ID] {
 			if d := r.stageOut[pre.ID]; d != nil {
@@ -226,21 +220,19 @@ func (r *Run) execChoose(st *graph.Stage) error {
 	switch len(selected) {
 	case 0:
 		out := dataset.New(st.Ops[0].Name)
-		r.finalizeChooseInputs(st, cs, nil)
+		r.finalizeChooseInputs(st, cs, -1)
 		r.registerOutput(st, out)
 	case 1:
 		d := r.stageOut[pres[selected[0]].ID]
 		if d == nil {
 			return fmt.Errorf("engine: choose %s selected missing branch %d", st, selected[0])
 		}
-		r.finalizeChooseInputs(st, cs, map[int]bool{selected[0]: true})
+		r.finalizeChooseInputs(st, cs, selected[0])
 		r.registerOutput(st, d)
 		r.consumeForward(d)
 	default:
-		keep := make(map[int]bool, len(selected))
 		var parts []*dataset.Dataset
 		for _, b := range selected {
-			keep[b] = true
 			if d := r.stageOut[pres[b].ID]; d != nil {
 				parts = append(parts, d)
 			}
@@ -254,7 +246,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 			r.probe.RegisterDataset(int64(copied.ID), copied.Name)
 		}
 		end = r.storeOutput(copied, nodeT)
-		r.finalizeChooseInputs(st, cs, nil) // release all originals
+		r.finalizeChooseInputs(st, cs, -1) // release all originals
 		r.registerOutput(st, copied)
 	}
 	r.markExecuted(st, ready, end)
@@ -263,7 +255,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		// Audit the selection with every scored branch (Alg. 1's candidate
 		// scores); quarantined and pruned branches carry no score and are
 		// absent.
-		sel := make(map[int]bool, len(selected))
+		sel := make([]bool, len(pres))
 		for _, b := range selected {
 			sel[b] = true
 		}
@@ -277,7 +269,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 				continue
 			}
 			d.Candidates = append(d.Candidates, obs.Candidate{
-				Label: fmt.Sprintf("%s[b%d]", st, b), Score: cs.scores[b], Chosen: sel[b],
+				Label: branchLabel(st, b), Score: cs.scores[b], Chosen: sel[b],
 			})
 		}
 		r.probe.Decision(d)
@@ -285,11 +277,11 @@ func (r *Run) execChoose(st *graph.Stage) error {
 	return nil
 }
 
-// finalizeChooseInputs consumes every offered branch dataset except those in
-// keep (which are forwarded as the choose's output).
-func (r *Run) finalizeChooseInputs(st *graph.Stage, cs *chooseState, keep map[int]bool) {
+// finalizeChooseInputs consumes every offered branch dataset except that of
+// branch keep (which is forwarded as the choose's output; -1 keeps none).
+func (r *Run) finalizeChooseInputs(st *graph.Stage, cs *chooseState, keep int) {
 	for b, pre := range r.plan.Pre(st) {
-		if !cs.offered[b] || keep[b] || cs.released[b] {
+		if !cs.offered[b] || b == keep || cs.released[b] {
 			continue
 		}
 		cs.released[b] = true

@@ -102,10 +102,12 @@ func (r *Run) verifyCkpt(key dataset.PartKey) (ckptstore.Key, error) {
 
 // ckptMiss logs the decision to distrust the durable copy behind sk.
 func (r *Run) ckptMiss(sk ckptstore.Key, err error) {
-	r.decide(obs.Decision{
-		T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
-		Subject: sk.String(), Detail: err.Error(),
-	})
+	if r.probe != nil {
+		r.probe.Decision(obs.Decision{
+			T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "ckptmiss",
+			Subject: sk.String(), Detail: err.Error(),
+		})
+	}
 }
 
 // distrustCorrupt verifies the checkpoint-store entries backing the

@@ -13,6 +13,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"metadataflow/internal/ckptstore"
 	"metadataflow/internal/cluster"
@@ -175,14 +176,27 @@ type Run struct {
 
 	allocs []*memorymgr.Allocator
 
-	start    sim.VTime
-	now      sim.VTime
-	last     *graph.Stage
-	ready    map[int]*graph.Stage
-	executed map[int]bool
-	skipped  map[int]bool
-	stageEnd map[int]sim.VTime
-	stageOut map[int]*dataset.Dataset
+	start sim.VTime
+	now   sim.VTime
+	last  *graph.Stage
+
+	// Per-stage state, indexed by stage ID. A stage is settled once it is
+	// executed or skipped; stageEnd, stageOut and stageDur are zero until
+	// then.
+	executed []bool
+	skipped  []bool
+	stageEnd []sim.VTime
+	stageOut []*dataset.Dataset
+
+	// The ready set (Alg. 1's T_cand), kept by counting: unsettled[id] is
+	// the number of predecessors of the stage that have not settled, and a
+	// stage whose count reaches zero is released. Released stages wait, in
+	// ascending ID, for the next refresh point (refreshReady), which moves
+	// them onto ready. ready is sorted by stage ID and is the slice handed
+	// to the scheduling policy.
+	unsettled []int32
+	released  []int
+	ready     []*graph.Stage
 
 	// consumersLeft tracks remaining consumer stages per dataset (D^c_s).
 	consumersLeft map[dataset.ID]int
@@ -190,7 +204,7 @@ type Run struct {
 	protectedIDs  map[dataset.ID]bool // sink outputs, never discarded
 	liveCount     int
 
-	sessions map[int]*chooseState // choose stage ID -> state
+	sessions []*chooseState // by choose stage ID; nil until the choose is first touched
 
 	// Fault-injection and recovery state.
 	injector   *faults.Injector   // nil on fault-free runs
@@ -202,7 +216,7 @@ type Run struct {
 	producerOf map[dataset.ID]int
 	// stageDur records each executed stage's virtual duration, the cost
 	// charged when the stage is re-executed to re-derive lost partitions.
-	stageDur map[int]sim.VTime
+	stageDur []sim.VTime
 	// placement overrides the default partition-to-node mapping (index mod
 	// workers) for partitions rebalanced or re-derived after failures.
 	placement map[dataset.PartKey]int
@@ -245,13 +259,6 @@ func (r *Run) spanNodes(kind obs.Kind, name string, start sim.VTime, nodeT []sim
 	}
 }
 
-// decide appends one entry to the decision audit log.
-func (r *Run) decide(d obs.Decision) {
-	if r.probe != nil {
-		r.probe.Decision(d)
-	}
-}
-
 // observePick converts a scheduling pick into an audit-log decision with
 // the Alg. 1 candidate ranking (hint values, best first).
 func (r *Run) observePick(rec scheduler.PickRecord) {
@@ -271,14 +278,18 @@ func (r *Run) observePick(rec scheduler.PickRecord) {
 	r.observeRank(rec)
 }
 
+// chooseState is the master-side state of one choose; its slices are indexed
+// by branch (the choose's input position).
 type chooseState struct {
-	session     graph.ChooseSession
-	offered     map[int]bool // branch index -> scored
-	scores      map[int]float64
-	released    map[int]bool // branch dataset already consumed
-	quarantined map[int]bool // branch discarded after persistent op panics
-	done        bool         // remaining branches superfluous
-	evalEnd     sim.VTime
+	session      graph.ChooseSession
+	offered      []bool // branch scored
+	scores       []float64
+	released     []bool // branch dataset already consumed
+	quarantined  []bool // branch discarded after persistent op panics
+	nOffered     int
+	nQuarantined int
+	done         bool // remaining branches superfluous
+	evalEnd      sim.VTime
 }
 
 // NewRun prepares a run of the plan with the given options. start is the
@@ -300,22 +311,23 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		}
 	}
 	o.Scheduler.Init(plan)
+	n := len(plan.Stages)
 	r := &Run{
 		plan:          plan,
 		opts:          o,
 		start:         start,
 		now:           start,
-		ready:         make(map[int]*graph.Stage),
-		executed:      make(map[int]bool),
-		skipped:       make(map[int]bool),
-		stageEnd:      make(map[int]sim.VTime),
-		stageOut:      make(map[int]*dataset.Dataset),
+		executed:      make([]bool, n),
+		skipped:       make([]bool, n),
+		stageEnd:      make([]sim.VTime, n),
+		stageOut:      make([]*dataset.Dataset, n),
+		unsettled:     make([]int32, n),
 		consumersLeft: make(map[dataset.ID]int),
 		datasets:      make(map[dataset.ID]*dataset.Dataset),
 		protectedIDs:  make(map[dataset.ID]bool),
-		sessions:      make(map[int]*chooseState),
+		sessions:      make([]*chooseState, n),
 		producerOf:    make(map[dataset.ID]int),
-		stageDur:      make(map[int]sim.VTime),
+		stageDur:      make([]sim.VTime, n),
 		placement:     make(map[dataset.PartKey]int),
 		branchIv:      make(map[graph.BranchRef]obs.SpanID),
 		retry:         faults.DefaultRetry(),
@@ -342,8 +354,11 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 			o.Cluster.SetObserver(co)
 		}
 	}
-	for _, st := range plan.SourceStages() {
-		r.ready[st.ID] = st
+	for _, st := range plan.Stages {
+		r.unsettled[st.ID] = int32(len(plan.Pre(st)))
+		if r.unsettled[st.ID] == 0 {
+			r.ready = append(r.ready, st)
+		}
 	}
 	return r, nil
 }
@@ -448,16 +463,15 @@ func (r *Run) Step() bool {
 		r.done = true
 		return false
 	}
-	ready := r.readySlice()
-	if len(ready) == 0 {
+	if len(r.ready) == 0 {
 		r.finish()
 		return false
 	}
 	if r.probe != nil {
-		r.probe.Counter(obs.NodeMaster, "sched.queue_depth", r.now, float64(len(ready)))
+		r.probe.Counter(obs.NodeMaster, "sched.queue_depth", r.now, float64(len(r.ready)))
 	}
-	next := r.opts.Scheduler.Pick(ready, r.last)
-	delete(r.ready, next.ID)
+	next := r.opts.Scheduler.Pick(r.ready, r.last)
+	r.unready(next)
 
 	if err := r.execGuarded(next); err != nil {
 		r.err = err
@@ -571,28 +585,40 @@ func (r *Run) finish() {
 	r.output.Box()
 }
 
-func (r *Run) readySlice() []*graph.Stage {
-	out := make([]*graph.Stage, 0, len(r.ready))
-	for _, st := range r.plan.Stages {
-		if _, ok := r.ready[st.ID]; ok {
-			out = append(out, st)
+// settled releases the successors of a stage that has just been executed
+// or skipped: each loses one unsettled predecessor, and those left with none
+// join the released list, which is kept in ascending ID.
+func (r *Run) settled(st *graph.Stage) {
+	for _, post := range r.plan.Post(st) {
+		r.unsettled[post.ID]--
+		if r.unsettled[post.ID] == 0 {
+			i, _ := slices.BinarySearch(r.released, post.ID)
+			r.released = slices.Insert(r.released, i, post.ID)
 		}
 	}
-	return out
 }
 
-// refreshReady moves stages whose predecessors are all settled into the
-// ready set (Alg. 1, lines 13–15, maintained incrementally).
+// unready takes a stage off the ready list, if it is on it.
+func (r *Run) unready(st *graph.Stage) {
+	if i, ok := slices.BinarySearchFunc(r.ready, st, graph.CompareStageID); ok {
+		r.ready = slices.Delete(r.ready, i, i+1)
+	}
+}
+
+// refreshReady moves the stages released since the last refresh onto the
+// ready list (Alg. 1, lines 13–15, maintained incrementally). It runs at the
+// scheduling boundaries only — the end of a Step, and after a choose
+// decision has pruned or quarantined branches — never from the settling
+// itself, because of the one rule it applies beyond counting: a choose whose
+// branches were all pruned is skipped here, at the run's current time, and
+// when a stage settles mid-step the run has not reached the time the step
+// will end at. Stages are taken in ascending ID; a skipped choose releases
+// only later IDs, which are inserted ahead in the same walk.
 func (r *Run) refreshReady() {
-	for _, st := range r.plan.Stages {
+	for i := 0; i < len(r.released); i++ {
+		st := r.plan.Stages[r.released[i]]
 		if r.executed[st.ID] || r.skipped[st.ID] {
-			continue
-		}
-		if _, already := r.ready[st.ID]; already {
-			continue
-		}
-		if !r.predsSettled(st) {
-			continue
+			continue // pruned or quarantined after its predecessors settled
 		}
 		if st.IsChoose() && r.allPredsSkipped(st) && !r.hasQuarantined(st) {
 			// A choose whose branches were all pruned cannot execute. With
@@ -601,17 +627,12 @@ func (r *Run) refreshReady() {
 			r.skipStage(st, r.now)
 			continue
 		}
-		r.ready[st.ID] = st
+		// Usually an append: the successors of the stage just executed tend
+		// to lie above everything that is ready.
+		j, _ := slices.BinarySearchFunc(r.ready, st, graph.CompareStageID)
+		r.ready = slices.Insert(r.ready, j, st)
 	}
-}
-
-func (r *Run) predsSettled(st *graph.Stage) bool {
-	for _, pre := range r.plan.Pre(st) {
-		if !r.executed[pre.ID] && !r.skipped[pre.ID] {
-			return false
-		}
-	}
-	return true
+	r.released = r.released[:0]
 }
 
 func (r *Run) allPredsSkipped(st *graph.Stage) bool {
@@ -626,15 +647,15 @@ func (r *Run) allPredsSkipped(st *graph.Stage) bool {
 // hasQuarantined reports whether any branch of the choose stage was
 // quarantined rather than pruned.
 func (r *Run) hasQuarantined(st *graph.Stage) bool {
-	cs, ok := r.sessions[st.ID]
-	return ok && len(cs.quarantined) > 0
+	cs := r.sessions[st.ID]
+	return cs != nil && cs.nQuarantined > 0
 }
 
 // readyTime returns the virtual time at which the stage may start.
 func (r *Run) readyTime(st *graph.Stage) sim.VTime {
 	t := r.start
 	for _, pre := range r.plan.Pre(st) {
-		if e, ok := r.stageEnd[pre.ID]; ok && e > t {
+		if e := r.stageEnd[pre.ID]; e > t {
 			t = e
 		}
 	}

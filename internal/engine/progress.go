@@ -67,7 +67,7 @@ type Progress struct {
 
 // Progress returns the run's live exploration state. It must only be called
 // from the goroutine that owns the run (the step loop); it reads the same
-// maps Step mutates.
+// state Step mutates.
 func (r *Run) Progress() Progress {
 	p := Progress{
 		NowSec:         r.now,
@@ -106,7 +106,7 @@ func (r *Run) Progress() Progress {
 }
 
 func (r *Run) branchState(chooseSt *graph.Stage, b int, bp BranchProgress) string {
-	if cs, ok := r.sessions[chooseSt.ID]; ok {
+	if cs := r.sessions[chooseSt.ID]; cs != nil {
 		if cs.quarantined[b] {
 			return BranchQuarantined
 		}

@@ -89,11 +89,13 @@ func (r *Run) runTransform(op *graph.Operator, in []*dataset.Dataset) (out *data
 		}
 		r.metrics.Retries++
 		penalty += sim.VTime(r.retry.Backoff(attempt))
-		r.decide(obs.Decision{
-			T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "retry",
-			Subject: op.Name,
-			Detail:  fmt.Sprintf("transform attempt %d of %d, backoff %gs", attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
-		})
+		if r.probe != nil {
+			r.probe.Decision(obs.Decision{
+				T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "retry",
+				Subject: op.Name,
+				Detail:  fmt.Sprintf("transform attempt %d of %d, backoff %gs", attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
+			})
+		}
 	}
 }
 
@@ -111,11 +113,13 @@ func (r *Run) runScore(op *graph.Operator, d *dataset.Dataset) (score float64, p
 		}
 		r.metrics.Retries++
 		penalty += sim.VTime(r.retry.Backoff(attempt))
-		r.decide(obs.Decision{
-			T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "retry",
-			Subject: op.Name,
-			Detail:  fmt.Sprintf("evaluator attempt %d of %d, backoff %gs", attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
-		})
+		if r.probe != nil {
+			r.probe.Decision(obs.Decision{
+				T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "retry",
+				Subject: op.Name,
+				Detail:  fmt.Sprintf("evaluator attempt %d of %d, backoff %gs", attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
+			})
+		}
 	}
 }
 
@@ -170,10 +174,12 @@ func (r *Run) onCrash(c faults.Crash) error {
 	if c.Permanent {
 		detail = "permanent (machine loss)"
 	}
-	r.decide(obs.Decision{
-		T: r.now, Node: c.Node, Component: "faults", Kind: "crash",
-		Subject: fmt.Sprintf("node %d", c.Node), Detail: detail,
-	})
+	if r.probe != nil {
+		r.probe.Decision(obs.Decision{
+			T: r.now, Node: c.Node, Component: "faults", Kind: "crash",
+			Subject: fmt.Sprintf("node %d", c.Node), Detail: detail,
+		})
+	}
 	alloc := r.allocs[c.Node]
 	if !c.Permanent {
 		lost := alloc.Crash()
@@ -208,8 +214,8 @@ func (r *Run) onCrash(c faults.Crash) error {
 		}
 		r.metrics.PartitionsRebalanced++
 	}
-	if len(checkpointed) > 0 {
-		r.decide(obs.Decision{
+	if len(checkpointed) > 0 && r.probe != nil {
+		r.probe.Decision(obs.Decision{
 			T: start, Node: c.Node, Component: "faults", Kind: "rebalance",
 			Subject: fmt.Sprintf("node %d", c.Node),
 			Detail:  fmt.Sprintf("%d checkpointed partitions adopted by survivors", len(checkpointed)),
@@ -292,14 +298,17 @@ func (r *Run) quarantine(chooseSt *graph.Stage, branch int, reason string) {
 		return
 	}
 	cs.quarantined[branch] = true
+	cs.nQuarantined++
 	r.metrics.BranchesQuarantined++
 	r.quarantined = append(r.quarantined, QuarantineRecord{
 		Choose: chooseSt.String(), Branch: branch, Reason: reason,
 	})
-	r.decide(obs.Decision{
-		T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "quarantine",
-		Subject: fmt.Sprintf("%s[b%d]", chooseSt, branch), Detail: reason,
-	})
+	if r.probe != nil {
+		r.probe.Decision(obs.Decision{
+			T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "quarantine",
+			Subject: branchLabel(chooseSt, branch), Detail: reason,
+		})
+	}
 	if scope := r.plan.ScopeOfChoose(chooseSt); scope != nil {
 		for _, st := range r.plan.BranchStages(scope, branch) {
 			r.skipStage(st, r.now)

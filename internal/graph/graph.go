@@ -125,25 +125,24 @@ type Operator struct {
 
 // Graph is a connected, acyclic dataflow graph.
 type Graph struct {
-	ops  []*Operator
-	ins  map[int][]int
-	outs map[int][]int
+	ops []*Operator
+	// ins and outs hold •v and v• per operator ID, in edge-insertion order.
+	ins  [][]int
+	outs [][]int
 	deps map[[2]int]DepKind
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		ins:  make(map[int][]int),
-		outs: make(map[int][]int),
-		deps: make(map[[2]int]DepKind),
-	}
+	return &Graph{deps: make(map[[2]int]DepKind)}
 }
 
 // Add inserts op into the graph, assigning its ID.
 func (g *Graph) Add(op *Operator) *Operator {
 	op.ID = len(g.ops)
 	g.ops = append(g.ops, op)
+	g.ins = append(g.ins, nil)
+	g.outs = append(g.outs, nil)
 	return op
 }
 
@@ -255,40 +254,71 @@ func (g *Graph) resolve(ids []int) []*Operator {
 
 // TopoSort returns the operators in a topological order, or an error if the
 // graph has a cycle. The order is deterministic: among ready operators the
-// lowest ID goes first.
+// lowest ID goes first. Stage IDs, and with them every label and artifact,
+// follow from this order.
 func (g *Graph) TopoSort() ([]*Operator, error) {
 	indeg := make([]int, len(g.ops))
+	ready := make(idHeap, 0, len(g.ops))
 	for id := range g.ops {
 		indeg[id] = len(g.ins[id])
-	}
-	// Deterministic Kahn's algorithm using an index-ordered scan.
-	var order []*Operator
-	ready := make([]bool, len(g.ops))
-	for id := range g.ops {
 		if indeg[id] == 0 {
-			ready[id] = true
+			ready = append(ready, id) // ascending, so already a heap
 		}
 	}
-	for len(order) < len(g.ops) {
-		picked := -1
-		for id := range g.ops {
-			if ready[id] {
-				picked = id
-				break
-			}
-		}
-		if picked == -1 {
-			return nil, fmt.Errorf("graph: cycle detected")
-		}
-		ready[picked] = false
-		indeg[picked] = -1
+	order := make([]*Operator, 0, len(g.ops))
+	for len(ready) > 0 {
+		picked := ready.pop()
 		order = append(order, g.ops[picked])
 		for _, next := range g.outs[picked] {
 			indeg[next]--
 			if indeg[next] == 0 {
-				ready[next] = true
+				ready.push(next)
 			}
 		}
 	}
+	if len(order) < len(g.ops) {
+		return nil, fmt.Errorf("graph: cycle detected")
+	}
 	return order, nil
+}
+
+// idHeap is a binary min-heap of operator IDs: Kahn's ready set, from which
+// TopoSort takes the lowest ID.
+type idHeap []int
+
+func (h *idHeap) push(id int) {
+	*h = append(*h, id)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (h *idHeap) pop() int {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < last && s[l] < s[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < last && s[r] < s[least] {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
 }

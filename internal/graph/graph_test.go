@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"metadataflow/internal/dataset"
+	"metadataflow/internal/stats"
 )
 
 func passThrough(ins []*dataset.Dataset) (*dataset.Dataset, error) {
@@ -105,6 +107,88 @@ func TestCycleDetected(t *testing.T) {
 	g.MustConnect(b, a, Narrow)
 	if _, err := g.TopoSort(); err == nil {
 		t.Fatal("expected cycle error")
+	}
+}
+
+// scanTopoSort is the reference for TopoSort: Kahn's algorithm that finds
+// the lowest ready ID by scanning from 0 for every vertex. Quadratic, and
+// obviously lowest-ID-first.
+func scanTopoSort(g *Graph) ([]int, bool) {
+	indeg := make([]int, g.NumOps())
+	for id := range indeg {
+		indeg[id] = g.InDegree(g.Op(id))
+	}
+	var order []int
+	for len(order) < g.NumOps() {
+		picked := -1
+		for id, d := range indeg {
+			if d == 0 {
+				picked = id
+				break
+			}
+		}
+		if picked == -1 {
+			return nil, false
+		}
+		indeg[picked] = -1
+		order = append(order, picked)
+		for _, next := range g.Post(g.Op(picked)) {
+			indeg[next.ID]--
+		}
+	}
+	return order, true
+}
+
+// TestTopoSortMatchesScanReference: on random DAGs whose IDs are not in
+// topological order the heap-based TopoSort returns exactly the order of
+// the quadratic scan, and on the same graphs closed into a cycle both
+// refuse.
+func TestTopoSortMatchesScanReference(t *testing.T) {
+	for seed := int64(1); seed <= 500; seed++ {
+		rng := stats.NewRNG(seed)
+		n := 2 + rng.Intn(60)
+		g := New()
+		for i := 0; i < n; i++ {
+			g.Add(&Operator{Name: fmt.Sprintf("v%d", i), Kind: KindTransform})
+		}
+		// Edges run along a hidden random rank, so IDs carry no order.
+		rank := rng.Perm(n)
+		edges := rng.Intn(3 * n)
+		var last [2]*Operator
+		for e := 0; e < edges; e++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if rank[a] == rank[b] {
+				continue
+			}
+			if rank[a] > rank[b] {
+				a, b = b, a
+			}
+			if g.Connect(g.Op(a), g.Op(b), Narrow) == nil { // duplicates are refused
+				last = [2]*Operator{g.Op(a), g.Op(b)}
+			}
+		}
+		want, _ := scanTopoSort(g)
+		order, err := g.TopoSort()
+		if err != nil {
+			t.Fatalf("seed %d: TopoSort on a DAG: %v", seed, err)
+		}
+		got := make([]int, len(order))
+		for i, op := range order {
+			got[i] = op.ID
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: TopoSort = %v, scan reference = %v", seed, got, want)
+		}
+		if last[0] == nil {
+			continue
+		}
+		g.MustConnect(last[1], last[0], Narrow)
+		if _, ok := scanTopoSort(g); ok {
+			t.Fatalf("seed %d: reference missed the cycle", seed)
+		}
+		if _, err := g.TopoSort(); err == nil {
+			t.Fatalf("seed %d: TopoSort missed the cycle", seed)
+		}
 	}
 }
 

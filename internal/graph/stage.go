@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 )
 
 // Stage groups operators whose execution can be pipelined (App. A): a
@@ -14,6 +14,10 @@ type Stage struct {
 	ID int
 	// Ops is the pipelined operator chain in execution order.
 	Ops []*Operator
+
+	// label is String(), formatted once by BuildPlan: telemetry names every
+	// span and decision after its stage.
+	label string
 }
 
 // First returns the first operator of the chain.
@@ -29,29 +33,49 @@ func (s *Stage) IsChoose() bool { return len(s.Ops) == 1 && s.Ops[0].Kind == Kin
 // IsExplore reports whether the stage is a singleton explore stage.
 func (s *Stage) IsExplore() bool { return len(s.Ops) == 1 && s.Ops[0].Kind == KindExplore }
 
+// CompareStageID orders stages by ascending ID, for the slices package.
+func CompareStageID(a, b *Stage) int { return a.ID - b.ID }
+
 // String implements fmt.Stringer.
 func (s *Stage) String() string {
-	if len(s.Ops) == 1 {
-		return fmt.Sprintf("T%d[%s]", s.ID, s.Ops[0].Name)
+	if s.label != "" {
+		return s.label
 	}
-	return fmt.Sprintf("T%d[%s..%s]", s.ID, s.Ops[0].Name, s.Ops[len(s.Ops)-1].Name)
+	id := strconv.Itoa(s.ID)
+	if len(s.Ops) == 1 {
+		return "T" + id + "[" + s.Ops[0].Name + "]"
+	}
+	return "T" + id + "[" + s.Ops[0].Name + ".." + s.Ops[len(s.Ops)-1].Name + "]"
 }
 
 // Plan is the stage decomposition of a graph, with stage-level dependency
 // sets and the branch structure needed by branch-aware scheduling and
-// anticipatory memory management.
+// anticipatory memory management. Everything the engine and the schedulers
+// look up per step is precomputed here and indexed by operator or stage ID;
+// a plan is immutable once built, and the slices its accessors return are
+// the plan's own and must not be modified.
 type Plan struct {
 	Graph  *Graph
 	Stages []*Stage
 	// Scopes are the explore/choose scopes of the MDF, outermost first.
 	Scopes []*Scope
 
-	stageOf map[int]*Stage // opID -> stage
-	pre     map[int][]*Stage
-	post    map[int][]*Stage
-	// branchOf maps a stage ID to its innermost (scope index, branch index),
-	// or nil when the stage is outside all scopes.
-	branchOf map[int]*BranchRef
+	stageOf []*Stage   // by operator ID
+	pre     [][]*Stage // by stage ID
+	post    [][]*Stage // by stage ID
+	// branchOf holds, by stage ID, the stage's innermost (scope index,
+	// branch index), or nil when the stage is outside all scopes.
+	branchOf []*BranchRef
+	// scopeOf holds, by stage ID, the scope an explore stage opens or a
+	// choose stage closes; nil for every other stage.
+	scopeOf []*Scope
+	// branchStages holds the stages of every branch, by scope index and
+	// branch index, in ascending stage ID.
+	branchStages [][][]*Stage
+	// inputOf holds, by stage ID, the stage's position among the inputs of
+	// the choose stage it feeds, or -1. A stage feeds at most one choose:
+	// two would both close the scope the stage executes in.
+	inputOf []int
 }
 
 // BranchRef locates a stage within the scope structure.
@@ -64,27 +88,17 @@ type BranchRef struct {
 
 // BuildPlan validates g and derives its stages.
 func BuildPlan(g *Graph) (*Plan, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	scopes, err := g.MatchScopes()
+	order, scopes, err := g.validate()
 	if err != nil {
 		return nil, err
 	}
 	p := &Plan{
-		Graph:    g,
-		Scopes:   scopes,
-		stageOf:  make(map[int]*Stage),
-		pre:      make(map[int][]*Stage),
-		post:     make(map[int][]*Stage),
-		branchOf: make(map[int]*BranchRef),
-	}
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
+		Graph:   g,
+		Scopes:  scopes,
+		stageOf: make([]*Stage, len(g.ops)),
 	}
 	for _, op := range order {
-		if _, staged := p.stageOf[op.ID]; staged {
+		if p.stageOf[op.ID] != nil {
 			continue
 		}
 		st := &Stage{ID: len(p.Stages)}
@@ -92,20 +106,18 @@ func BuildPlan(g *Graph) (*Plan, error) {
 		cur := op
 		st.Ops = append(st.Ops, cur)
 		p.stageOf[cur.ID] = st
-		if cur.Kind == KindExplore || cur.Kind == KindChoose {
-			continue // singleton stage
-		}
-		// Extend the chain while it stays pipelineable.
-		for {
-			outs := g.Post(cur)
+		// Explore and choose are singleton stages; any other chain extends
+		// while it stays pipelineable.
+		for cur.Kind != KindExplore && cur.Kind != KindChoose {
+			outs := g.outs[cur.ID]
 			if len(outs) != 1 {
 				break
 			}
-			next := outs[0]
+			next := g.ops[outs[0]]
 			if next.Kind == KindExplore || next.Kind == KindChoose {
 				break
 			}
-			if g.InDegree(next) != 1 {
+			if len(g.ins[next.ID]) != 1 {
 				break
 			}
 			if dep, _ := g.Dep(cur, next); dep != Narrow {
@@ -116,64 +128,96 @@ func BuildPlan(g *Graph) (*Plan, error) {
 			cur = next
 		}
 	}
+	for _, st := range p.Stages {
+		st.label = st.String()
+	}
 	p.buildStageEdges()
 	p.buildBranchRefs()
 	return p, nil
 }
 
+// buildStageEdges derives •T and T•. Only the first operator of a chain has
+// predecessors outside it and only the last has successors outside it, and
+// distinct operators across such an edge lie in distinct stages, so the
+// stage edges are the operator edges of those two, with no duplicates.
+// Stage IDs are topologically ordered; walking the stages in ID order and
+// appending to the far side of each edge leaves both lists sorted by ID.
 func (p *Plan) buildStageEdges() {
-	seen := make(map[[2]int]bool)
-	for e := range p.Graph.deps {
-		a := p.stageOf[e[0]]
-		b := p.stageOf[e[1]]
-		if a == b {
-			continue
+	g := p.Graph
+	n := len(p.Stages)
+	p.pre = make([][]*Stage, n)
+	p.post = make([][]*Stage, n)
+	p.inputOf = make([]int, n)
+	edges := 0
+	for _, st := range p.Stages {
+		edges += len(g.ins[st.First().ID])
+	}
+	preBuf := make([]*Stage, edges)
+	postBuf := make([]*Stage, edges)
+	for _, st := range p.Stages {
+		nin, nout := len(g.ins[st.First().ID]), len(g.outs[st.Last().ID])
+		p.pre[st.ID], preBuf = preBuf[:0:nin], preBuf[nin:]
+		p.post[st.ID], postBuf = postBuf[:0:nout], postBuf[nout:]
+		p.inputOf[st.ID] = -1
+	}
+	for _, st := range p.Stages {
+		for _, to := range g.outs[st.Last().ID] {
+			b := p.stageOf[to]
+			p.pre[b.ID] = append(p.pre[b.ID], st)
 		}
-		key := [2]int{a.ID, b.ID}
-		if seen[key] {
-			continue
+		for _, from := range g.ins[st.First().ID] {
+			a := p.stageOf[from]
+			p.post[a.ID] = append(p.post[a.ID], st)
 		}
-		seen[key] = true
-		p.post[a.ID] = append(p.post[a.ID], b)
-		p.pre[b.ID] = append(p.pre[b.ID], a)
 	}
-	for id := range p.pre {
-		sort.Slice(p.pre[id], func(i, j int) bool { return p.pre[id][i].ID < p.pre[id][j].ID })
-	}
-	for id := range p.post {
-		sort.Slice(p.post[id], func(i, j int) bool { return p.post[id][i].ID < p.post[id][j].ID })
-	}
-	// Preserve the choose's input-edge order for its pre-set, since branch
-	// index corresponds to input position (Def. 3.3).
+	// A choose's pre-set keeps the choose's input-edge order instead, since
+	// branch index corresponds to input position (Def. 3.3).
 	for _, st := range p.Stages {
 		if !st.IsChoose() {
 			continue
 		}
-		choose := st.Ops[0]
-		ordered := make([]*Stage, 0, len(p.Graph.ins[choose.ID]))
-		for _, predOp := range p.Graph.ins[choose.ID] {
-			ordered = append(ordered, p.stageOf[predOp])
+		for i, from := range g.ins[st.Ops[0].ID] {
+			a := p.stageOf[from]
+			p.pre[st.ID][i] = a
+			p.inputOf[a.ID] = i
 		}
-		p.pre[st.ID] = ordered
 	}
 }
 
+// buildBranchRefs derives the per-stage branch reference, the scope of
+// every explore and choose stage, and the stages of every branch.
 func (p *Plan) buildBranchRefs() {
-	// Innermost scope wins: iterate outermost→innermost so deeper scopes
-	// overwrite. Scopes from MatchScopes are ordered by explore ID, which is
-	// not necessarily by depth, so sort an index list by depth.
-	idx := make([]int, len(p.Scopes))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return p.Scopes[idx[i]].Depth < p.Scopes[idx[j]].Depth })
-	for _, si := range idx {
-		sc := p.Scopes[si]
+	n := len(p.Stages)
+	p.scopeOf = make([]*Scope, n)
+	p.branchStages = make([][][]*Stage, len(p.Scopes))
+	// Innermost scope wins: a stage takes the reference of the deepest scope
+	// that lists it. Scopes come in topological order of their explores,
+	// which is not necessarily by depth.
+	refs := make([]BranchRef, n)
+	depth := make([]int, n)
+	p.branchOf = make([]*BranchRef, n)
+	for si, sc := range p.Scopes {
+		p.scopeOf[p.stageOf[sc.Explore.ID].ID] = sc
+		p.scopeOf[p.stageOf[sc.Choose.ID].ID] = sc
+		p.branchStages[si] = make([][]*Stage, len(sc.Branches))
 		for bi, members := range sc.Branches {
+			// Members ascend by operator ID; their stages need not, so
+			// collect each stage once and sort.
+			var stages []*Stage
 			for _, opID := range members {
 				st := p.stageOf[opID]
-				p.branchOf[st.ID] = &BranchRef{Scope: si, Branch: bi}
+				if st.Ops[0].ID != opID {
+					continue // a later operator of a chain already collected
+				}
+				stages = append(stages, st)
+				if sc.Depth >= depth[st.ID] {
+					depth[st.ID] = sc.Depth
+					refs[st.ID] = BranchRef{Scope: si, Branch: bi}
+					p.branchOf[st.ID] = &refs[st.ID]
+				}
 			}
+			slices.SortFunc(stages, CompareStageID)
+			p.branchStages[si][bi] = stages
 		}
 	}
 }
@@ -181,11 +225,13 @@ func (p *Plan) buildBranchRefs() {
 // StageOf returns the stage containing op.
 func (p *Plan) StageOf(op *Operator) *Stage { return p.stageOf[op.ID] }
 
-// Pre returns •T: the stages whose outputs the given stage consumes. For
-// choose stages the order matches the choose operator's input-edge order.
+// Pre returns •T: the stages whose outputs the given stage consumes, in
+// ascending stage ID. For choose stages the order matches the choose
+// operator's input-edge order instead.
 func (p *Plan) Pre(st *Stage) []*Stage { return p.pre[st.ID] }
 
-// Post returns T•: the stages that consume the given stage's output.
+// Post returns T•: the stages that consume the given stage's output, in
+// ascending stage ID.
 func (p *Plan) Post(st *Stage) []*Stage { return p.post[st.ID] }
 
 // Branch returns the innermost scope/branch reference of a stage, or nil if
@@ -211,12 +257,7 @@ func (p *Plan) ScopeOfChoose(st *Stage) *Scope {
 	if !st.IsChoose() {
 		return nil
 	}
-	for _, sc := range p.Scopes {
-		if sc.Choose.ID == st.Ops[0].ID {
-			return sc
-		}
-	}
-	return nil
+	return p.scopeOf[st.ID]
 }
 
 // ScopeOfExplore returns the scope opened by the given explore stage, or nil.
@@ -224,26 +265,16 @@ func (p *Plan) ScopeOfExplore(st *Stage) *Scope {
 	if !st.IsExplore() {
 		return nil
 	}
-	for _, sc := range p.Scopes {
-		if sc.Explore.ID == st.Ops[0].ID {
-			return sc
-		}
-	}
-	return nil
+	return p.scopeOf[st.ID]
 }
 
 // BranchStages returns the stages of branch b of scope sc in topological
-// order.
+// order (ascending stage ID).
 func (p *Plan) BranchStages(sc *Scope, b int) []*Stage {
-	var out []*Stage
-	seen := map[int]bool{}
-	for _, opID := range sc.Branches[b] {
-		st := p.stageOf[opID]
-		if !seen[st.ID] {
-			seen[st.ID] = true
-			out = append(out, st)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return p.branchStages[sc.index][b]
 }
+
+// ChooseInput returns the position of st among the inputs of the choose
+// stage it feeds — the index of the branch st completes (Def. 3.3) — or -1
+// when st feeds no choose.
+func (p *Plan) ChooseInput(st *Stage) int { return p.inputOf[st.ID] }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Validate checks that the graph is a well-formed MDF per Def. 3.1 and
 // App. A: non-empty, weakly connected, acyclic, with degree constraints on
@@ -8,24 +11,34 @@ import "fmt"
 // executable payloads on every operator, and properly nested explore/choose
 // scopes so that every explore has a matching choose.
 func (g *Graph) Validate() error {
+	_, _, err := g.validate()
+	return err
+}
+
+// validate is the one pass behind Validate and BuildPlan: it runs every
+// check in the order Validate documents and hands back what the checks had
+// to compute anyway, the topological order and the scopes.
+func (g *Graph) validate() ([]*Operator, []*Scope, error) {
 	if len(g.ops) == 0 {
-		return fmt.Errorf("graph: empty")
+		return nil, nil, fmt.Errorf("graph: empty")
 	}
-	if _, err := g.TopoSort(); err != nil {
-		return err
+	order, err := g.TopoSort()
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := g.checkConnected(); err != nil {
-		return err
+		return nil, nil, err
 	}
 	for _, op := range g.ops {
 		if err := g.checkOp(op); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
-	if _, err := g.MatchScopes(); err != nil {
-		return err
+	scopes, err := g.matchScopes(order)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
+	return order, scopes, nil
 }
 
 func (g *Graph) checkConnected() error {
@@ -34,18 +47,19 @@ func (g *Graph) checkConnected() error {
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	for e := range g.deps {
-		a, b := find(e[0]), find(e[1])
-		if a != b {
-			parent[a] = b
+	for from, outs := range g.outs {
+		for _, to := range outs {
+			a, b := find(from), find(to)
+			if a != b {
+				parent[a] = b
+			}
 		}
 	}
 	root := find(0)
@@ -104,64 +118,76 @@ type Scope struct {
 	Explore *Operator
 	Choose  *Operator
 	// Branches holds, per branch, the operator IDs belonging to the branch
-	// in topological order (excluding the explore and choose themselves).
+	// in ascending order (excluding the explore and choose themselves).
 	Branches [][]int
 	// Depth is the nesting depth (outermost scope has depth 1).
 	Depth int
+
+	// index is the scope's position in the list MatchScopes returned, which
+	// is Plan.Scopes.
+	index int
 }
 
 // MatchScopes pairs every explore with its matching choose by balanced
-// traversal and returns the scopes in order of increasing explore ID.
+// traversal and returns the scopes in topological order of their explores.
 // It errors on unbalanced or interleaved scopes.
 func (g *Graph) MatchScopes() ([]*Scope, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-	// nesting[v] = exploration depth at which v executes (stack of open
-	// explores). Computed by propagating a scope stack along edges; all
-	// predecessors of a vertex must agree.
-	stacks := make(map[int][]int) // opID -> stack of open explore IDs
+	return g.matchScopes(order)
+}
+
+// matchScopes is MatchScopes over an already computed topological order.
+func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
+	// The stack of explores open at an operator is named by its top alone:
+	// below the top sits the stack the top explore itself executes under, so
+	// two stacks are equal exactly when their tops are. open[v] is that top
+	// (-1 outside every scope), propagated along edges; all predecessors of
+	// a vertex must agree.
+	const none = -1
+	open := make([]int, len(g.ops))
 	for _, op := range order {
-		var stack []int
-		preds := g.Pre(op)
-		if len(preds) == 0 {
-			stack = nil
-		} else {
-			for i, p := range preds {
-				ps := stacks[p.ID]
-				// Leaving a choose pops its explore; entering computed below.
-				eff := ps
-				if p.Kind == KindExplore {
-					eff = append(append([]int{}, ps...), p.ID)
+		top := none
+		for i, pid := range g.ins[op.ID] {
+			p := g.ops[pid]
+			eff := open[pid]
+			switch p.Kind {
+			case KindExplore:
+				eff = pid // entering the scope p opens
+			case KindChoose:
+				if eff == none {
+					return nil, fmt.Errorf("graph: choose %q closes no open explore", p.Name)
 				}
-				if p.Kind == KindChoose {
-					if len(ps) == 0 {
-						return nil, fmt.Errorf("graph: choose %q closes no open explore", p.Name)
-					}
-					eff = ps[:len(ps)-1]
-				}
-				if i == 0 {
-					stack = append([]int{}, eff...)
-				} else if !equalInts(stack, eff) {
-					return nil, fmt.Errorf("graph: operator %q has predecessors in different scopes", op.Name)
-				}
+				eff = open[eff] // leaving a choose pops its explore
+			}
+			if i == 0 {
+				top = eff
+			} else if top != eff {
+				return nil, fmt.Errorf("graph: operator %q has predecessors in different scopes", op.Name)
 			}
 		}
-		stacks[op.ID] = stack
+		open[op.ID] = top
 	}
 	// A choose's matching explore is the top of its own stack.
-	scopes := make(map[int]*Scope) // exploreID -> scope
+	scopeOf := make([]*Scope, len(g.ops)) // by explore ID
+	var out []*Scope
 	for _, op := range order {
 		switch op.Kind {
 		case KindExplore:
-			scopes[op.ID] = &Scope{Explore: op, Depth: len(stacks[op.ID]) + 1}
+			depth := 1
+			if outer := open[op.ID]; outer != none {
+				depth = scopeOf[outer].Depth + 1
+			}
+			sc := &Scope{Explore: op, Depth: depth, index: len(out)}
+			scopeOf[op.ID] = sc
+			out = append(out, sc)
 		case KindChoose:
-			st := stacks[op.ID]
-			if len(st) == 0 {
+			if open[op.ID] == none {
 				return nil, fmt.Errorf("graph: choose %q has no matching explore", op.Name)
 			}
-			sc := scopes[st[len(st)-1]]
+			sc := scopeOf[open[op.ID]]
 			if sc.Choose != nil {
 				return nil, fmt.Errorf("graph: explore %q matched by two chooses (%q, %q)",
 					sc.Explore.Name, sc.Choose.Name, op.Name)
@@ -169,60 +195,34 @@ func (g *Graph) MatchScopes() ([]*Scope, error) {
 			sc.Choose = op
 		}
 	}
-	var out []*Scope
-	for _, op := range order {
-		if op.Kind != KindExplore {
-			continue
-		}
-		sc := scopes[op.ID]
+	// stamp[v] names the last branch walk that reached v; one array serves
+	// every branch of every scope.
+	stamp := make([]int, len(g.ops))
+	walk := 0
+	var stack []int
+	for _, sc := range out {
 		if sc.Choose == nil {
-			return nil, fmt.Errorf("graph: explore %q has no matching choose", op.Name)
+			return nil, fmt.Errorf("graph: explore %q has no matching choose", sc.Explore.Name)
 		}
-		sc.Branches = g.branchMembers(sc)
-		out = append(out, sc)
+		heads := g.outs[sc.Explore.ID]
+		sc.Branches = make([][]int, len(heads))
+		for i, head := range heads {
+			walk++
+			var members []int
+			stack = append(stack[:0], head)
+			for len(stack) > 0 {
+				id := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if stamp[id] == walk || id == sc.Choose.ID {
+					continue
+				}
+				stamp[id] = walk
+				members = append(members, id)
+				stack = append(stack, g.outs[id]...)
+			}
+			slices.Sort(members)
+			sc.Branches[i] = members
+		}
 	}
 	return out, nil
-}
-
-// branchMembers computes, per successor of the scope's explore, the operator
-// IDs reachable without passing through the scope's choose.
-func (g *Graph) branchMembers(sc *Scope) [][]int {
-	heads := g.outs[sc.Explore.ID]
-	branches := make([][]int, len(heads))
-	for i, head := range heads {
-		seen := map[int]bool{}
-		var stack []int
-		stack = append(stack, head)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[id] || id == sc.Choose.ID {
-				continue
-			}
-			seen[id] = true
-			for _, nxt := range g.outs[id] {
-				stack = append(stack, nxt)
-			}
-		}
-		members := make([]int, 0, len(seen))
-		for _, op := range g.ops { // deterministic order
-			if seen[op.ID] {
-				members = append(members, op.ID)
-			}
-		}
-		branches[i] = members
-	}
-	return branches
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

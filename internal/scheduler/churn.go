@@ -15,13 +15,11 @@ func RankChurn(prev, cur []*graph.Stage) int {
 		// The first ranking has nothing to churn against.
 		return 0
 	}
-	pos := make(map[int]int, len(prev))
-	for i, st := range prev {
-		pos[st.ID] = i
-	}
+	// A ranking lists a stage once, so a stage of cur kept its position
+	// exactly when prev holds the same stage there.
 	churn := 0
 	for i, st := range cur {
-		if j, ok := pos[st.ID]; !ok || j != i {
+		if i >= len(prev) || prev[i].ID != st.ID {
 			churn++
 		}
 	}

@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"metadataflow/internal/graph"
@@ -49,12 +51,11 @@ func (m *modelHint) ObserveScore(_ *graph.Operator, hint, score float64) {
 
 // Order implements Hint.
 func (m *modelHint) Order(cands []*graph.Stage) []*graph.Stage {
-	out := append([]*graph.Stage(nil), cands...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := byID(cands)
 	if len(m.scores) < 3 {
 		// Probe phase: lowest hint, highest hint, then middle-out.
-		sort.SliceStable(out, func(i, j int) bool {
-			return probeRank(out[i].First().Hint, out) < probeRank(out[j].First().Hint, out)
+		slices.SortStableFunc(out, func(a, b *graph.Stage) int {
+			return cmp.Compare(probeRank(a.First().Hint, out), probeRank(b.First().Hint, out))
 		})
 		return out
 	}
@@ -63,12 +64,12 @@ func (m *modelHint) Order(cands []*graph.Stage) []*graph.Stage {
 		return out
 	}
 	pred := func(h float64) float64 { return a*h*h + b*h + c }
-	sort.SliceStable(out, func(i, j int) bool {
-		pi, pj := pred(out[i].First().Hint), pred(out[j].First().Hint)
+	slices.SortStableFunc(out, func(x, y *graph.Stage) int {
+		px, py := pred(x.First().Hint), pred(y.First().Hint)
 		if m.maximize {
-			return pi > pj
+			return cmp.Compare(py, px)
 		}
-		return pi < pj
+		return cmp.Compare(px, py)
 	})
 	return out
 }
@@ -170,8 +171,8 @@ func (h *binarySearchHint) ObserveScore(_ *graph.Operator, hint, score float64) 
 
 // Order implements Hint.
 func (h *binarySearchHint) Order(cands []*graph.Stage) []*graph.Stage {
-	out := append([]*graph.Stage(nil), cands...)
-	sort.Slice(out, func(i, j int) bool { return out[i].First().Hint < out[j].First().Hint })
+	out := slices.Clone(cands)
+	slices.SortStableFunc(out, func(a, b *graph.Stage) int { return cmp.Compare(a.First().Hint, b.First().Hint) })
 	switch len(h.scores) {
 	case 0:
 		// First probe: the lowest extreme.
@@ -182,14 +183,14 @@ func (h *binarySearchHint) Order(cands []*graph.Stage) []*graph.Stage {
 		for v := range h.scores {
 			explored = v
 		}
-		sort.SliceStable(out, func(i, j int) bool {
-			return math.Abs(out[i].First().Hint-explored) > math.Abs(out[j].First().Hint-explored)
+		slices.SortStableFunc(out, func(a, b *graph.Stage) int {
+			return cmp.Compare(math.Abs(b.First().Hint-explored), math.Abs(a.First().Hint-explored))
 		})
 		return out
 	}
 	target := h.bracketMid(out)
-	sort.SliceStable(out, func(i, j int) bool {
-		return math.Abs(out[i].First().Hint-target) < math.Abs(out[j].First().Hint-target)
+	slices.SortStableFunc(out, func(a, b *graph.Stage) int {
+		return cmp.Compare(math.Abs(a.First().Hint-target), math.Abs(b.First().Hint-target))
 	})
 	return out
 }

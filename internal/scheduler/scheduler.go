@@ -10,7 +10,8 @@
 package scheduler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"metadataflow/internal/graph"
 	"metadataflow/internal/stats"
@@ -23,9 +24,11 @@ type Policy interface {
 	// Init prepares the policy for a plan; called once per run.
 	Init(p *graph.Plan)
 	// Pick selects the stage to execute next. ready is the non-empty set
-	// of stages whose predecessors have all executed or been pruned,
-	// sorted by stage ID; last is the stage executed most recently (nil at
-	// the start).
+	// of stages whose predecessors have all executed or been pruned; last
+	// is the stage executed most recently (nil at the start).
+	// Implementations may rely on ready being sorted by stage ID. The
+	// slice is the engine's own ready list, handed over without a copy:
+	// Pick must not modify it or keep it past the call.
 	Pick(ready []*graph.Stage, last *graph.Stage) *graph.Stage
 	// SortedBranches reports whether the policy executes the branches of
 	// an explore in the explorable's sorted order, enabling the
@@ -70,11 +73,18 @@ func DefaultHint() Hint { return defaultHint{} }
 
 type defaultHint struct{}
 
-func (defaultHint) Name() string { return "default" }
-func (defaultHint) Sorted() bool { return false }
-func (defaultHint) Order(cands []*graph.Stage) []*graph.Stage {
-	out := append([]*graph.Stage(nil), cands...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+func (defaultHint) Name() string                              { return "default" }
+func (defaultHint) Sorted() bool                              { return false }
+func (defaultHint) Order(cands []*graph.Stage) []*graph.Stage { return byID(cands) }
+
+// byID returns a copy of cands in ascending stage ID. The engine's ready
+// list and BAS's successor list arrive in that order already, so the copy
+// is usually all there is to do.
+func byID(cands []*graph.Stage) []*graph.Stage {
+	out := slices.Clone(cands)
+	if !slices.IsSortedFunc(out, graph.CompareStageID) {
+		slices.SortFunc(out, graph.CompareStageID)
+	}
 	return out
 }
 
@@ -88,16 +98,16 @@ type sortedHint struct{ desc bool }
 func (sortedHint) Name() string { return "sorted" }
 func (sortedHint) Sorted() bool { return true }
 func (h sortedHint) Order(cands []*graph.Stage) []*graph.Stage {
-	out := append([]*graph.Stage(nil), cands...)
-	sort.SliceStable(out, func(i, j int) bool {
-		hi, hj := out[i].First().Hint, out[j].First().Hint
-		if hi == hj {
-			return out[i].ID < out[j].ID
+	out := slices.Clone(cands)
+	slices.SortStableFunc(out, func(a, b *graph.Stage) int {
+		ha, hb := a.First().Hint, b.First().Hint
+		switch {
+		case ha == hb:
+			return graph.CompareStageID(a, b)
+		case (ha < hb) != h.desc:
+			return -1
 		}
-		if h.desc {
-			return hi > hj
-		}
-		return hi < hj
+		return 1
 	})
 	return out
 }
@@ -111,8 +121,7 @@ type randomHint struct{ rng *stats.RNG }
 func (*randomHint) Name() string { return "random" }
 func (*randomHint) Sorted() bool { return false }
 func (h *randomHint) Order(cands []*graph.Stage) []*graph.Stage {
-	out := append([]*graph.Stage(nil), cands...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := byID(cands)
 	perm := h.rng.Perm(len(out))
 	shuffled := make([]*graph.Stage, len(out))
 	for i, p := range perm {
@@ -136,13 +145,17 @@ type priorityHint struct {
 func (h priorityHint) Name() string { return h.name }
 func (h priorityHint) Sorted() bool { return h.sorted }
 func (h priorityHint) Order(cands []*graph.Stage) []*graph.Stage {
-	out := append([]*graph.Stage(nil), cands...)
-	sort.SliceStable(out, h.sortLess(out))
+	out := slices.Clone(cands)
+	slices.SortStableFunc(out, func(a, b *graph.Stage) int {
+		switch {
+		case h.less(a, b):
+			return -1
+		case h.less(b, a):
+			return 1
+		}
+		return 0
+	})
 	return out
-}
-
-func (h priorityHint) sortLess(out []*graph.Stage) func(i, j int) bool {
-	return func(i, j int) bool { return h.less(out[i], out[j]) }
 }
 
 // BFS is the baseline breadth-first stage scheduler (§4.2): all stages of a
@@ -150,7 +163,7 @@ func (h priorityHint) sortLess(out []*graph.Stage) func(i, j int) bool {
 func BFS() Policy { return &bfs{} }
 
 type bfs struct {
-	level   map[int]int
+	level   []int // by stage ID
 	observe func(PickRecord)
 }
 
@@ -161,7 +174,7 @@ func (*bfs) SortedBranches() bool { return false }
 func (b *bfs) SetPickObserver(f func(PickRecord)) { b.observe = f }
 func (b *bfs) Init(p *graph.Plan) {
 	// Level = longest path from a source stage.
-	b.level = make(map[int]int, len(p.Stages))
+	b.level = make([]int, len(p.Stages))
 	for _, st := range p.Stages { // stage IDs are topologically ordered
 		lvl := 0
 		for _, pre := range p.Pre(st) {
@@ -182,13 +195,12 @@ func (b *bfs) Pick(ready []*graph.Stage, last *graph.Stage) *graph.Stage {
 		}
 	}
 	if b.observe != nil {
-		ranked := append([]*graph.Stage(nil), ready...)
-		sort.Slice(ranked, func(i, j int) bool {
-			li, lj := b.level[ranked[i].ID], b.level[ranked[j].ID]
-			if li != lj {
-				return li < lj
+		ranked := slices.Clone(ready)
+		slices.SortFunc(ranked, func(x, y *graph.Stage) int {
+			if c := cmp.Compare(b.level[x.ID], b.level[y.ID]); c != 0 {
+				return c
 			}
-			return ranked[i].ID < ranked[j].ID
+			return graph.CompareStageID(x, y)
 		})
 		b.observe(PickRecord{Chosen: best, Candidates: ranked})
 	}
@@ -208,6 +220,7 @@ type bas struct {
 	hint    Hint
 	plan    *graph.Plan
 	observe func(PickRecord)
+	succ    []*graph.Stage // scratch: the ready successors of the last stage
 }
 
 func (b *bas) Name() string         { return "BAS" }
@@ -232,15 +245,15 @@ func (b *bas) ObserveScore(chooseOp *graph.Operator, hint, score float64) {
 // which happens at branch heads — the hint decides.
 func (b *bas) Pick(ready []*graph.Stage, last *graph.Stage) *graph.Stage {
 	if last != nil {
-		var succ []*graph.Stage
-		for _, st := range ready {
-			for _, pre := range b.plan.Pre(st) {
-				if pre.ID == last.ID {
-					succ = append(succ, st)
-					break
-				}
+		// T• of the last stage, narrowed to what is ready; both lists are
+		// sorted by ID, and so is the result.
+		succ := b.succ[:0]
+		for _, st := range b.plan.Post(last) {
+			if _, ok := slices.BinarySearchFunc(ready, st, graph.CompareStageID); ok {
+				succ = append(succ, st)
 			}
 		}
+		b.succ = succ
 		if len(succ) > 0 {
 			ranked := b.hint.Order(succ)
 			if b.observe != nil {

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"strconv"
 	"testing"
 
 	"metadataflow/internal/dataset"
@@ -28,9 +29,9 @@ type stubSession struct{}
 func (stubSession) Offer(int, float64) ([]int, bool) { return nil, false }
 func (stubSession) Selected() []int                  { return nil }
 
-// buildPlan constructs src -> explore -> {3 branches of 2 chained ops} ->
-// choose -> sink and returns the plan plus the branch-head stages.
-func buildPlan(t *testing.T, hints []float64) (*graph.Plan, []*graph.Stage) {
+// buildPlan constructs src -> explore -> {one branch of 2 chained ops per
+// hint} -> choose -> sink and returns the plan plus the branch-head stages.
+func buildPlan(t testing.TB, hints []float64) (*graph.Plan, []*graph.Stage) {
 	t.Helper()
 	g := graph.New()
 	src := g.Add(&graph.Operator{Name: "src", Kind: graph.KindSource, Transform: passThrough})
@@ -39,8 +40,8 @@ func buildPlan(t *testing.T, hints []float64) (*graph.Plan, []*graph.Stage) {
 	cho := g.Add(&graph.Operator{Name: "choose", Kind: graph.KindChoose, Chooser: stubChooser{}})
 	var heads []*graph.Operator
 	for i, h := range hints {
-		a := g.Add(&graph.Operator{Name: "a" + string(rune('0'+i)), Kind: graph.KindTransform, Transform: passThrough, Hint: h})
-		b := g.Add(&graph.Operator{Name: "b" + string(rune('0'+i)), Kind: graph.KindTransform, Transform: passThrough, Hint: h})
+		a := g.Add(&graph.Operator{Name: "a" + strconv.Itoa(i), Kind: graph.KindTransform, Transform: passThrough, Hint: h})
+		b := g.Add(&graph.Operator{Name: "b" + strconv.Itoa(i), Kind: graph.KindTransform, Transform: passThrough, Hint: h})
 		g.MustConnect(exp, a, graph.Narrow)
 		// Wide dependency splits each branch into two stages.
 		g.MustConnect(a, b, graph.Wide)

@@ -1,6 +1,7 @@
 package dnn_test
 
 import (
+	"sync"
 	"testing"
 
 	"metadataflow/internal/baseline"
@@ -303,4 +304,40 @@ func BenchmarkJob(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestConcurrentJobs builds and runs dnn jobs with different seeds from
+// several goroutines at once, as callers of the library may: graph builders
+// (AccuracyEvaluator) and operator functions (continued training) of all of
+// them go through the package's shared example-set cache. Under -race this
+// fails on an unguarded cache.
+func TestConcurrentJobs(t *testing.T) {
+	var wg sync.WaitGroup
+	for seed := int64(101); seed <= 104; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := smallParams()
+			p.Seed = seed
+			g, err := dnn.BuildEarlyChooseMDF(p)
+			if err != nil {
+				t.Errorf("seed %d: BuildEarlyChooseMDF: %v", seed, err)
+				return
+			}
+			res, err := engine.Execute(g, engine.Options{
+				Cluster:     testCluster(),
+				Policy:      memorymgr.AMM,
+				Scheduler:   scheduler.BAS(nil),
+				Incremental: true,
+			})
+			if err != nil {
+				t.Errorf("seed %d: Execute: %v", seed, err)
+				return
+			}
+			if res.Output == nil || res.Output.NumRows() != 1 {
+				t.Errorf("seed %d: want a single selected model, got %v", seed, res.Output)
+			}
+		}()
+	}
+	wg.Wait()
 }

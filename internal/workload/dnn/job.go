@@ -2,6 +2,7 @@ package dnn
 
 import (
 	"fmt"
+	"sync"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -190,11 +191,18 @@ type trainSetKey struct {
 }
 
 // trainSetCache memoises the example set per parameterisation so
-// continued-training branches and evaluators reuse it.
-var trainSetCache = map[trainSetKey][]Example{}
+// continued-training branches and evaluators reuse it. Graph builders and
+// operator functions of any number of concurrent jobs go through it, hence
+// the lock; the sets themselves are only ever read.
+var (
+	trainSetMu    sync.Mutex
+	trainSetCache = map[trainSetKey][]Example{}
+)
 
 func trainSetOf(p Params) []Example {
 	key := trainSetKey{p.Seed, p.Train, p.Val, p.Dims, p.Classes, p.Noise}
+	trainSetMu.Lock()
+	defer trainSetMu.Unlock()
 	if ex, ok := trainSetCache[key]; ok {
 		return ex
 	}
