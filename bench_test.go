@@ -16,14 +16,10 @@ import (
 
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
-	"metadataflow/internal/engine"
 	"metadataflow/internal/experiments"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
-	"metadataflow/internal/obs"
-	"metadataflow/internal/scheduler"
 	"metadataflow/internal/sim"
-	"metadataflow/internal/workload/synthetic"
 )
 
 // BenchmarkExperiment regenerates every registered experiment as a
@@ -58,60 +54,6 @@ func BenchmarkChooseThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		session.Offer(i, float64(i%97))
-	}
-}
-
-// BenchmarkEngineRun measures one full MDF execution (25 branches) on the
-// simulated cluster, the end-to-end fixed overhead of the execution layer.
-func BenchmarkEngineRun(b *testing.B) {
-	p := synthetic.Defaults()
-	p.Rows = 400
-	p.OuterBranches, p.InnerBranches = 5, 5
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := synthetic.BuildMDF(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cl := cluster.MustNew(cluster.DefaultConfig())
-		_, err = engine.Execute(g, engine.Options{
-			Cluster:     cl,
-			Policy:      memorymgr.AMM,
-			Scheduler:   scheduler.BAS(nil),
-			Incremental: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineRunRecorded is BenchmarkEngineRun with a telemetry
-// recorder attached: the gap between the two is the full cost of tracing
-// every span, counter and decision. BenchmarkEngineRun itself doubles as
-// the probe-disabled baseline — Options.Probe nil must add no measurable
-// overhead over the pre-telemetry engine.
-func BenchmarkEngineRunRecorded(b *testing.B) {
-	p := synthetic.Defaults()
-	p.Rows = 400
-	p.OuterBranches, p.InnerBranches = 5, 5
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := synthetic.BuildMDF(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cl := cluster.MustNew(cluster.DefaultConfig())
-		_, err = engine.Execute(g, engine.Options{
-			Cluster:     cl,
-			Policy:      memorymgr.AMM,
-			Scheduler:   scheduler.BAS(nil),
-			Incremental: true,
-			Probe:       obs.NewRecorder(),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

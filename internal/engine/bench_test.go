@@ -12,6 +12,7 @@ import (
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/obs"
 	"metadataflow/internal/scheduler"
+	"metadataflow/internal/workload/synthetic"
 )
 
 // BenchmarkStep measures the engine's own cost per job on a flat 256-branch
@@ -19,7 +20,8 @@ import (
 // top-4 choose, BAS with the default hint. One iteration is NewRun plus
 // every Step of the job (516 stages); what it times is the step loop, the
 // ready set, the picks, the choose session and the memory manager. The
-// recorded variant attaches an obs.Recorder, the way the service runs jobs.
+// recorded variant attaches an obs.Recorder, the way the service runs jobs,
+// and reports its time as a multiple of the nil variant's when both ran.
 func BenchmarkStep(b *testing.B) {
 	src := dataset.FromRows("in", intRows(64), 4, 1<<20)
 	bld := mdf.NewBuilder()
@@ -42,30 +44,137 @@ func BenchmarkStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range []struct {
-		name  string
-		probe func() obs.Probe
-	}{
-		{"nil-probe", func() obs.Probe { return nil }},
-		{"recorder", func() obs.Probe { return obs.NewRecorder() }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				run, err := engine.NewRun(plan, engine.Options{
-					Cluster:     cluster.MustNew(cluster.DefaultConfig()),
-					Policy:      memorymgr.AMM,
-					Scheduler:   scheduler.BAS(nil),
-					Incremental: true,
-					Probe:       c.probe(),
-				}, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := run.RunToCompletion(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var nilNsPerOp float64
+	b.Run("nil-probe", func(b *testing.B) {
+		benchSteps(b, plan, nil)
+		nilNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
+	b.Run("recorder", func(b *testing.B) {
+		benchSteps(b, plan, func() obs.Probe { return obs.NewRecorder() })
+		if nilNsPerOp > 0 {
+			// What being observed multiplies a job's engine time by, on a
+			// plan whose every pick weighs some 250 candidates.
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nilNsPerOp, "x-nil-probe")
+		}
+	})
+}
+
+// benchSteps times NewRun plus every Step of one job per iteration, under
+// BAS, AMM and incremental evaluation, with a fresh probe per job (nil for
+// none) — the way the service attaches a recorder.
+func benchSteps(b *testing.B, plan *graph.Plan, probe func() obs.Probe) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opts := engine.Options{
+			Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+			Policy:      memorymgr.AMM,
+			Scheduler:   scheduler.BAS(nil),
+			Incremental: true,
+		}
+		if probe != nil {
+			opts.Probe = probe()
+		}
+		run, err := engine.NewRun(plan, opts, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := run.RunToCompletion(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// nestedPlan is the plan of the synthetic MDF with the given branch counts
+// over minimal rows: outer×inner innermost branches, every stage in two
+// nested scopes.
+func nestedPlan(tb testing.TB, outer, inner int) *graph.Plan {
+	tb.Helper()
+	p := synthetic.Defaults()
+	p.Rows, p.OuterBranches, p.InnerBranches = 64, outer, inner
+	g, err := synthetic.BuildMDF(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := graph.BuildPlan(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// BenchmarkProgressInto refreshes one progress buffer from a nested 10×12
+// run (130 branches) stopped halfway: what the service's step loop pays
+// after every step of every job.
+func BenchmarkProgressInto(b *testing.B) {
+	plan := nestedPlan(b, 10, 12)
+	run, err := engine.NewRun(plan, engine.Options{
+		Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+		Policy:      memorymgr.AMM,
+		Incremental: true,
+	}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < len(plan.Stages)/2 && run.Step(); i++ {
+	}
+	var p engine.Progress
+	run.ProgressInto(&p)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run.ProgressInto(&p)
+	}
+}
+
+// probeOverheadRatioBound caps how much slower a fully recorded run may be
+// than a probe-less one on the nested 5×5 plan, the shape of an mdfserve
+// job: spans, counters, decisions with their candidates, and the series
+// layer (per-stage latency, branch progress, scores, rank churn, branch
+// lifetimes). See TestProbeOverheadBounded for how the ratio is read and
+// what the bound leaves above it.
+const probeOverheadRatioBound = 2.4
+
+// TestProbeOverheadBounded asserts what BenchmarkStep's two variants
+// measure, on the nested plan: telemetry stays a bounded constant factor on
+// a job's engine time, and a nil probe is the zero-cost baseline. The
+// sandbox this runs in is disturbed in bursts that only ever slow a
+// benchmark down, by up to a third, so each variant runs three times,
+// alternating, and the fastest run of each is compared. Read that way the
+// ratio is 1.7 to 2.0 on two cores (2.8 before the recorder's write path
+// stopped formatting and growing per event); the bound leaves 0.4 above the
+// highest reading, which a probe call that formats or allocates per event,
+// or an emission that re-walks the plan per stage, still crosses. Skipped
+// under -short (it runs six real benchmarks) and under the race detector.
+func TestProbeOverheadBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed bound; skipped in short mode")
+	}
+	if raceDetector {
+		// Every recorder call takes a mutex, which the detector instruments:
+		// under it the ratio (about 3) measures the detector.
+		t.Skip("the race detector's own cost dominates the ratio")
+	}
+	plan := nestedPlan(t, 5, 5)
+	fastest := func(best *int64, r testing.BenchmarkResult) {
+		if ns := r.NsPerOp(); r.N > 0 && (*best == 0 || ns < *best) {
+			*best = ns
+		}
+	}
+	var plain, recorded int64
+	for i := 0; i < 3; i++ {
+		fastest(&plain, testing.Benchmark(func(b *testing.B) { benchSteps(b, plan, nil) }))
+		fastest(&recorded, testing.Benchmark(func(b *testing.B) {
+			benchSteps(b, plan, func() obs.Probe { return obs.NewRecorder() })
+		}))
+	}
+	if plain <= 0 {
+		t.Skipf("degenerate baseline measurement: %v ns/op", plain)
+	}
+	ratio := float64(recorded) / float64(plain)
+	t.Logf("plain %v ns/op, recorded %v ns/op, ratio %.2f (bound %.1f)",
+		plain, recorded, ratio, probeOverheadRatioBound)
+	if ratio > probeOverheadRatioBound {
+		t.Errorf("recorded run is %.2f× the probe-less run, bound %.1f×: telemetry overhead regressed",
+			ratio, probeOverheadRatioBound)
 	}
 }

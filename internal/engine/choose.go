@@ -174,6 +174,7 @@ func (r *Run) skipStage(st *graph.Stage, t sim.VTime) {
 		return
 	}
 	r.skipped[st.ID] = true
+	r.countSettled(st, false)
 	r.stageEnd[st.ID] = t
 	r.metrics.StagesPruned++
 	r.span(obs.NodeMaster, obs.KindPruned, st.String(), t, t)

@@ -224,16 +224,36 @@ type Run struct {
 	// probe is the telemetry sink (Options.Probe); nil disables telemetry.
 	probe obs.Probe
 	// lastRank retains the previous pick's candidate ranking for the
-	// sched.rank_churn series; branchIv tracks the open branch-lifetime
-	// intervals. Both are only touched when probe is non-nil.
-	lastRank []*graph.Stage
-	branchIv map[graph.BranchRef]obs.SpanID
+	// sched.rank_churn series; pickCands is the scratch list observePick
+	// hands to the probe, pickDetail and pickDetailDF the details of a plain
+	// and a depth-first pick decision. All are only touched when probe is
+	// non-nil.
+	lastRank     []*graph.Stage
+	pickCands    []obs.Candidate
+	pickDetail   string
+	pickDetailDF string
+
+	// Per-branch bookkeeping (progress.go): branches is flat in (scope,
+	// branch) order, branchBase[si] is the index of scope si's first branch,
+	// and memberOf[memberOff[id]:memberOff[id+1]] are the branches that
+	// contain stage id.
+	branches   []branchRun
+	branchBase []int
+	memberOff  []int32
+	memberOf   []int32
 
 	metrics     Metrics
 	quarantined []QuarantineRecord
 	output      *dataset.Dataset
 	err         error
 	done        bool
+}
+
+// reserver is implemented by probes that can size themselves for a run
+// before it starts (obs.Recorder): the plan's stage count and the cluster's
+// node count bound what the run will report.
+type reserver interface {
+	Reserve(stages, nodes int)
 }
 
 // span records one closed telemetry span; the immediate SpanBegin/SpanEnd
@@ -262,19 +282,22 @@ func (r *Run) spanNodes(kind obs.Kind, name string, start sim.VTime, nodeT []sim
 // observePick converts a scheduling pick into an audit-log decision with
 // the Alg. 1 candidate ranking (hint values, best first).
 func (r *Run) observePick(rec scheduler.PickRecord) {
-	d := obs.Decision{
-		T: r.now, Node: obs.NodeMaster, Component: "scheduler", Kind: "pick",
-		Subject: rec.Chosen.String(), Detail: "policy=" + r.opts.Scheduler.Name(),
-	}
+	detail := r.pickDetail
 	if rec.DepthFirst {
-		d.Detail += " depth-first"
+		detail = r.pickDetailDF
 	}
+	// The probe copies the candidates, so every pick lists them in the same
+	// scratch slice.
+	r.pickCands = r.pickCands[:0]
 	for _, st := range rec.Candidates {
-		d.Candidates = append(d.Candidates, obs.Candidate{
+		r.pickCands = append(r.pickCands, obs.Candidate{
 			Label: st.String(), Score: st.First().Hint, Chosen: st == rec.Chosen,
 		})
 	}
-	r.probe.Decision(d)
+	r.probe.Decision(obs.Decision{
+		T: r.now, Node: obs.NodeMaster, Component: "scheduler", Kind: "pick",
+		Subject: rec.Chosen.String(), Detail: detail, Candidates: r.pickCands,
+	})
 	r.observeRank(rec)
 }
 
@@ -329,7 +352,6 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		producerOf:    make(map[dataset.ID]int),
 		stageDur:      make([]sim.VTime, n),
 		placement:     make(map[dataset.PartKey]int),
-		branchIv:      make(map[graph.BranchRef]obs.SpanID),
 		retry:         faults.DefaultRetry(),
 		checkpoint:    o.Checkpoint,
 	}
@@ -338,6 +360,7 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		r.retry = r.injector.Retry()
 	}
 	r.probe = o.Probe
+	r.indexBranches()
 	for _, n := range o.Cluster.Nodes {
 		a := memorymgr.NewAllocator(n, o.Cluster.Config, o.MemPerWorker, o.Policy, r)
 		a.SetCheckpointing(r.checkpoint)
@@ -345,7 +368,12 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		r.allocs = append(r.allocs, a)
 	}
 	if r.probe != nil {
+		if rs, ok := r.probe.(reserver); ok {
+			rs.Reserve(n, len(o.Cluster.Nodes))
+		}
 		if po, ok := o.Scheduler.(scheduler.PickObservable); ok {
+			r.pickDetail = "policy=" + o.Scheduler.Name()
+			r.pickDetailDF = r.pickDetail + " depth-first"
 			po.SetPickObserver(r.observePick)
 		}
 		if co, ok := r.probe.(cluster.Observer); ok {

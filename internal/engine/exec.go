@@ -290,6 +290,7 @@ func (r *Run) storeOutput(out *dataset.Dataset, nodeT []sim.VTime) sim.VTime {
 
 func (r *Run) markExecuted(st *graph.Stage, ready, end sim.VTime) {
 	r.executed[st.ID] = true
+	r.countSettled(st, true)
 	r.settled(st)
 	r.stageEnd[st.ID] = end
 	if d := end - ready; d > 0 {

@@ -317,8 +317,8 @@ func (r *Run) quarantine(chooseSt *graph.Stage, branch int, reason string) {
 	if pres := r.plan.Pre(chooseSt); branch < len(pres) {
 		// A branch quarantined after all its stages ran never gets a score,
 		// so close its lifetime interval here.
-		if ref := r.plan.Branch(pres[branch]); ref != nil {
-			r.endBranchInterval(*ref, r.now)
+		if br := r.branchOf(pres[branch]); br != nil {
+			r.endBranchInterval(br, r.now)
 		}
 	}
 	r.discardBranchDataset(chooseSt, cs, branch, false)

@@ -27,7 +27,8 @@
 package obs
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 
 	"metadataflow/internal/sim"
@@ -77,7 +78,8 @@ type Probe interface {
 	SpanEnd(id SpanID, end sim.VTime)
 	// Counter records one sample of a per-node counter track.
 	Counter(node int, name string, t sim.VTime, value float64)
-	// Decision appends one entry to the decision audit log.
+	// Decision appends one entry to the decision audit log. A probe that
+	// retains the entry copies d.Candidates: the slice stays the caller's.
 	Decision(d Decision)
 	// RegisterDataset associates a dataset's process-global ID with its
 	// display name, so later Label calls can render a run-stable alias.
@@ -167,6 +169,12 @@ type Decision struct {
 // sample and decision in call order. A mutex makes concurrent reporters
 // safe (parallel baseline jobs may share one recorder); within one engine
 // run all calls arrive from a single goroutine in deterministic order.
+//
+// The per-event methods are the engine's step loop's cost of being observed,
+// so each is one locked append and nothing else: no formatting, no map
+// write, no allocation once Reserve has sized the slices. Everything
+// derived — aliases' text, the series document, trace tracks — is computed
+// by the reader that asks for it.
 type Recorder struct {
 	mu        sync.Mutex
 	spans     []Span
@@ -175,49 +183,106 @@ type Recorder struct {
 	series    []seriesSample
 	intervals []Interval
 
-	aliasOf map[int64]string
-	aliases int
+	// candidates is the arena the decisions' candidate lists are copied
+	// into: one allocation per chunk instead of one per decision. A full
+	// chunk is left to the decisions that point into it and a new one
+	// started; nothing is ever moved.
+	candidates []Candidate
+
+	// aliasOf maps a registered dataset ID to its position in aliases,
+	// which is registration order; the alias text is "name#<position+1>".
+	aliasOf map[int64]int32
+	aliases []datasetAlias
+}
+
+// datasetAlias is one registered dataset. text is the alias, formatted the
+// first time a Label asks for it: most datasets are never evicted,
+// checkpointed or lost, and so never named.
+type datasetAlias struct {
+	name string
+	text string
 }
 
 // NewRecorder returns an empty Recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{aliasOf: make(map[int64]string)}
+	return &Recorder{aliasOf: make(map[int64]int32)}
 }
 
 var _ Probe = (*Recorder)(nil)
 
+// What a run reports grows with its plan: per stage and node about five spans
+// (a task span, two or three resource occupations under it, a share of the
+// evaluator's) and one or two counter samples; per stage three or four
+// series samples and one or two decisions of one or two candidates, more
+// under memory pressure. Reserve sizes the slices by these; a run that
+// reports more grows them as any append does.
+const (
+	spansPerStageNode    = 6
+	countersPerStageNode = 2
+	seriesPerStage       = 4
+	decisionsPerStage    = 2
+	candidatesPerStage   = 2
+)
+
+// Reserve sizes the recorder for one run of a plan of the given number of
+// stages on the given number of nodes, so that the run's reports append into
+// room that is already there. The engine calls it from NewRun; it never
+// shrinks and loses nothing already recorded.
+func (r *Recorder) Reserve(stages, nodes int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.spans = slices.Grow(r.spans, spansPerStageNode*stages*nodes)
+	r.counters = slices.Grow(r.counters, countersPerStageNode*stages*nodes)
+	r.series = slices.Grow(r.series, seriesPerStage*stages)
+	r.decisions = slices.Grow(r.decisions, decisionsPerStage*stages)
+	r.candidates = slices.Grow(r.candidates, candidatesPerStage*stages)
+	r.aliases = slices.Grow(r.aliases, stages)
+}
+
 // SpanBegin implements Probe.
 func (r *Recorder) SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	id := SpanID(len(r.spans))
 	r.spans = append(r.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start})
-	return SpanID(len(r.spans) - 1)
+	r.mu.Unlock()
+	return id
 }
 
 // SpanEnd implements Probe.
 func (r *Recorder) SpanEnd(id SpanID, end sim.VTime) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(id) < 0 || int(id) >= len(r.spans) {
-		return
-	}
-	if end > r.spans[id].End {
+	if int(id) >= 0 && int(id) < len(r.spans) && end > r.spans[id].End {
 		r.spans[id].End = end
 	}
+	r.mu.Unlock()
 }
 
 // Counter implements Probe.
 func (r *Recorder) Counter(node int, name string, t sim.VTime, value float64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.counters = append(r.counters, CounterSample{Node: node, Name: name, T: t, Value: value})
+	r.mu.Unlock()
 }
 
-// Decision implements Probe.
+// minCandidateChunk is the smallest candidate arena chunk.
+const minCandidateChunk = 64
+
+// Decision implements Probe. The candidate list is copied, so the caller may
+// build the next decision's in the same slice.
 func (r *Recorder) Decision(d Decision) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	if n := len(d.Candidates); n > 0 {
+		if cap(r.candidates)-len(r.candidates) < n {
+			r.candidates = make([]Candidate, 0, max(n, 2*cap(r.candidates), minCandidateChunk))
+		}
+		at := len(r.candidates)
+		r.candidates = append(r.candidates, d.Candidates...)
+		// The full slice expression keeps a reader's append off the next
+		// decision's candidates.
+		d.Candidates = r.candidates[at : at+n : at+n]
+	}
 	r.decisions = append(r.decisions, d)
+	r.mu.Unlock()
 }
 
 // RegisterDataset implements Probe: the first registration of an ID assigns
@@ -226,65 +291,67 @@ func (r *Recorder) Decision(d Decision) {
 // though raw dataset IDs are not.
 func (r *Recorder) RegisterDataset(id int64, name string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.aliasOf[id]; ok {
-		return
+	if _, ok := r.aliasOf[id]; !ok {
+		r.aliasOf[id] = int32(len(r.aliases))
+		r.aliases = append(r.aliases, datasetAlias{name: name})
 	}
-	r.aliases++
-	r.aliasOf[id] = fmt.Sprintf("%s#%d", name, r.aliases)
+	r.mu.Unlock()
 }
 
 // Label implements Probe: "alias/p<part>", or a fixed placeholder for
 // unregistered datasets (never the raw ID, which is not run-stable).
 func (r *Recorder) Label(id int64, part int) string {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	alias, ok := r.aliasOf[id]
-	if !ok {
-		alias = "unregistered"
+	alias := "unregistered"
+	if i, ok := r.aliasOf[id]; ok {
+		a := &r.aliases[i]
+		if a.text == "" {
+			a.text = a.name + "#" + strconv.Itoa(int(i)+1)
+		}
+		alias = a.text
 	}
-	return fmt.Sprintf("%s/p%d", alias, part)
+	r.mu.Unlock()
+	return alias + "/p" + strconv.Itoa(part)
+}
+
+// sample appends one explicit series report.
+func (r *Recorder) sample(node int, name string, op seriesOp, t sim.VTime, v float64) {
+	r.mu.Lock()
+	r.series = append(r.series, seriesSample{node: node, name: name, op: op, t: t, v: v})
+	r.mu.Unlock()
 }
 
 // SeriesAdd implements Probe.
 func (r *Recorder) SeriesAdd(node int, name string, t sim.VTime, delta float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.series = append(r.series, seriesSample{node: node, name: name, op: opAdd, t: t, v: delta})
+	r.sample(node, name, opAdd, t, delta)
 }
 
 // SeriesSet implements Probe.
 func (r *Recorder) SeriesSet(node int, name string, t sim.VTime, value float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.series = append(r.series, seriesSample{node: node, name: name, op: opSet, t: t, v: value})
+	r.sample(node, name, opSet, t, value)
 }
 
 // SeriesObserve implements Probe.
 func (r *Recorder) SeriesObserve(node int, name string, t sim.VTime, value float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.series = append(r.series, seriesSample{node: node, name: name, op: opObserve, t: t, v: value})
+	r.sample(node, name, opObserve, t, value)
 }
 
 // IntervalBegin implements Probe.
 func (r *Recorder) IntervalBegin(node int, name string, start sim.VTime) SpanID {
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	id := SpanID(len(r.intervals))
 	r.intervals = append(r.intervals, Interval{Node: node, Name: name, Start: start, End: start})
-	return SpanID(len(r.intervals) - 1)
+	r.mu.Unlock()
+	return id
 }
 
 // IntervalEnd implements Probe.
 func (r *Recorder) IntervalEnd(id SpanID, end sim.VTime) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(id) < 0 || int(id) >= len(r.intervals) {
-		return
-	}
-	if end > r.intervals[id].End {
+	if int(id) >= 0 && int(id) < len(r.intervals) && end > r.intervals[id].End {
 		r.intervals[id].End = end
 	}
+	r.mu.Unlock()
 }
 
 // Intervals returns a copy of the recorded intervals in begin order.
@@ -296,10 +363,15 @@ func (r *Recorder) Intervals() []Interval {
 
 // ResourceBusy implements the cluster's resource Observer: each occupation
 // of a node's CPU, disk or network timeline becomes a span on that node's
-// matching resource track.
+// matching resource track — a span begun and ended in one append.
 func (r *Recorder) ResourceBusy(node int, resource string, start, end sim.VTime) {
-	id := r.SpanBegin(node, Kind(resource), resource, start)
-	r.SpanEnd(id, end)
+	sp := Span{Node: node, Kind: Kind(resource), Name: resource, Start: start, End: start}
+	if end > start {
+		sp.End = end
+	}
+	r.mu.Lock()
+	r.spans = append(r.spans, sp)
+	r.mu.Unlock()
 }
 
 // Spans returns a copy of the recorded spans in call order.

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"metadataflow/internal/sim"
 )
@@ -157,45 +160,67 @@ type Interval struct {
 	Start, End sim.VTime
 }
 
-// seriesKey identifies one series while building the document.
+// seriesKey identifies one series while building the document. kind is the
+// position of the kind string in seriesKinds, which is also its sort order.
 type seriesKey struct {
 	name string
 	node int
-	kind string
+	kind uint8
 }
 
-// seriesBuilder accumulates bucketed values for one document.
+const (
+	kindCounter uint8 = iota
+	kindGauge
+	kindHistogram
+)
+
+// seriesKinds spells the kinds of seriesKey, in ascending string order.
+var seriesKinds = [...]string{SeriesCounter, SeriesGauge, SeriesHistogram}
+
+// seriesBuilder accumulates bucketed values for one document. A sample's
+// key is interned once, to an index into accums; everything else — its
+// bucket, its running sum, its log bucket — is found in small slices kept
+// sorted by bucket, which samples arriving in roughly ascending virtual
+// time mostly append to.
 type seriesBuilder struct {
 	bucketSec float64
-	points    map[seriesKey]map[int]float64 // counter/gauge buckets
-	hists     map[seriesKey]map[int]*histAccum
+	index     map[seriesKey]int32
+	accums    []seriesAccum
 	maxBucket int
 }
 
-type histAccum struct {
-	count int64
-	sum   float64
-	log   map[int]int64
+// seriesAccum holds the buckets of one series, ascending: points for a
+// counter or a gauge, hists for a histogram.
+type seriesAccum struct {
+	key    seriesKey
+	points []SeriesPoint
+	hists  []HistPoint
 }
 
 func newSeriesBuilder(bucketSec float64) *seriesBuilder {
-	if bucketSec <= 0 {
-		bucketSec = DefaultBucketSec
-	}
 	return &seriesBuilder{
-		bucketSec: bucketSec,
-		points:    make(map[seriesKey]map[int]float64),
-		hists:     make(map[seriesKey]map[int]*histAccum),
+		bucketSec: bucketWidth(bucketSec),
+		index:     make(map[seriesKey]int32),
 	}
 }
 
-// bucketOf maps a virtual time onto its bucket index.
-func (b *seriesBuilder) bucketOf(t sim.VTime) int {
+// bucketWidth resolves a requested bucket width: <= 0 means the default.
+func bucketWidth(bucketSec float64) float64 {
+	if bucketSec <= 0 {
+		return DefaultBucketSec
+	}
+	return bucketSec
+}
+
+// bucketIndex maps a virtual time onto its bucket index.
+func bucketIndex(t sim.VTime, bucketSec float64) int {
 	if t <= 0 {
 		return 0
 	}
-	return int(t.Seconds() / b.bucketSec)
+	return int(t.Seconds() / bucketSec)
 }
+
+func (b *seriesBuilder) bucketOf(t sim.VTime) int { return bucketIndex(t, b.bucketSec) }
 
 func (b *seriesBuilder) note(bucket int) {
 	if bucket > b.maxBucket {
@@ -203,67 +228,83 @@ func (b *seriesBuilder) note(bucket int) {
 	}
 }
 
-func (b *seriesBuilder) add(node int, name string, t sim.VTime, delta float64) {
-	key := seriesKey{name: name, node: node, kind: SeriesCounter}
-	bucket := b.bucketOf(t)
-	m := b.points[key]
-	if m == nil {
-		m = make(map[int]float64)
-		b.points[key] = m
+// series interns a key and returns its accumulator. The pointer is good
+// until the next call.
+func (b *seriesBuilder) series(node int, name string, kind uint8) *seriesAccum {
+	key := seriesKey{name: name, node: node, kind: kind}
+	i, ok := b.index[key]
+	if !ok {
+		i = int32(len(b.accums))
+		b.index[key] = i
+		b.accums = append(b.accums, seriesAccum{key: key})
 	}
-	m[bucket] += delta
+	return &b.accums[i]
+}
+
+// bucketPos finds bucket in a slice sorted by the bucket that of reads,
+// trying the end before searching: it returns the position and whether the
+// bucket is already there.
+func bucketPos[T any](s []T, bucket int, of func(*T) int) (int, bool) {
+	if n := len(s); n == 0 || of(&s[n-1]) < bucket {
+		return n, false
+	}
+	return sort.Find(len(s), func(i int) int { return bucket - of(&s[i]) })
+}
+
+// point returns the bucket's entry of a counter or gauge series, inserting a
+// zero one if the bucket is new.
+func (a *seriesAccum) point(bucket int) *SeriesPoint {
+	i, ok := bucketPos(a.points, bucket, func(p *SeriesPoint) int { return p.Bucket })
+	if !ok {
+		a.points = slices.Insert(a.points, i, SeriesPoint{Bucket: bucket})
+	}
+	return &a.points[i]
+}
+
+func (b *seriesBuilder) add(node int, name string, t sim.VTime, delta float64) {
+	bucket := b.bucketOf(t)
+	b.series(node, name, kindCounter).point(bucket).Value += delta
 	b.note(bucket)
 }
 
 func (b *seriesBuilder) set(node int, name string, t sim.VTime, value float64) {
-	key := seriesKey{name: name, node: node, kind: SeriesGauge}
 	bucket := b.bucketOf(t)
-	m := b.points[key]
-	if m == nil {
-		m = make(map[int]float64)
-		b.points[key] = m
-	}
 	// Samples arrive in call order, which the deterministic engine fixes;
 	// the last write of a bucket wins.
-	m[bucket] = value
+	b.series(node, name, kindGauge).point(bucket).Value = value
 	b.note(bucket)
 }
 
 func (b *seriesBuilder) observe(node int, name string, t sim.VTime, value float64) {
-	key := seriesKey{name: name, node: node, kind: SeriesHistogram}
 	bucket := b.bucketOf(t)
-	m := b.hists[key]
-	if m == nil {
-		m = make(map[int]*histAccum)
-		b.hists[key] = m
+	a := b.series(node, name, kindHistogram)
+	i, ok := bucketPos(a.hists, bucket, func(h *HistPoint) int { return h.Bucket })
+	if !ok {
+		a.hists = slices.Insert(a.hists, i, HistPoint{Bucket: bucket})
 	}
-	h := m[bucket]
-	if h == nil {
-		h = &histAccum{log: make(map[int]int64)}
-		m[bucket] = h
+	h := &a.hists[i]
+	h.Count++
+	h.Sum += value
+	// Log stays ascending by exponent; a bucket sees a handful of them.
+	exp := logExp(value)
+	j := 0
+	for j < len(h.Log) && h.Log[j].Exp < exp {
+		j++
 	}
-	h.count++
-	h.sum += value
-	h.log[logExp(value)]++
+	if j == len(h.Log) || h.Log[j].Exp != exp {
+		h.Log = slices.Insert(h.Log, j, LogBucket{Exp: exp})
+	}
+	h.Log[j].Count++
 	b.note(bucket)
 }
 
-// utilization spreads a busy interval over the buckets it overlaps, adding
-// the busy fraction of each bucket to a gauge series.
-func (b *seriesBuilder) utilization(node int, name string, start, end sim.VTime) {
-	if end < start {
-		return
-	}
-	key := seriesKey{name: name, node: node, kind: SeriesGauge}
-	m := b.points[key]
-	if m == nil {
-		m = make(map[int]float64)
-		b.points[key] = m
-	}
-	first, last := b.bucketOf(start), b.bucketOf(end)
+// spreadBusy calls add with the busy fraction of every bucket the interval
+// [start, end] overlaps.
+func spreadBusy(start, end sim.VTime, bucketSec float64, add func(bucket int, frac float64)) {
+	first, last := bucketIndex(start, bucketSec), bucketIndex(end, bucketSec)
 	for bi := first; bi <= last; bi++ {
-		lo := float64(bi) * b.bucketSec
-		hi := lo + b.bucketSec
+		lo := float64(bi) * bucketSec
+		hi := lo + bucketSec
 		s, e := start.Seconds(), end.Seconds()
 		if s < lo {
 			s = lo
@@ -272,70 +313,73 @@ func (b *seriesBuilder) utilization(node int, name string, start, end sim.VTime)
 			e = hi
 		}
 		if e > s {
-			m[bi] += (e - s) / b.bucketSec
+			add(bi, (e-s)/bucketSec)
 		}
 	}
-	b.note(last)
 }
 
-// doc renders the accumulated buckets into the sorted document.
+// utilization spreads a busy interval over the buckets it overlaps, adding
+// the busy fraction of each bucket to a gauge series.
+func (b *seriesBuilder) utilization(node int, name string, start, end sim.VTime) {
+	if end < start {
+		return
+	}
+	a := b.series(node, name, kindGauge)
+	spreadBusy(start, end, b.bucketSec, func(bucket int, frac float64) {
+		a.point(bucket).Value += frac
+	})
+	b.note(b.bucketOf(end))
+}
+
+// doc renders the accumulated buckets into the document, series sorted by
+// name, then node, then kind.
 func (b *seriesBuilder) doc() *SeriesDoc {
+	slices.SortFunc(b.accums, func(x, y seriesAccum) int {
+		return cmp.Or(
+			strings.Compare(x.key.name, y.key.name),
+			cmp.Compare(x.key.node, y.key.node),
+			cmp.Compare(x.key.kind, y.key.kind),
+		)
+	})
 	doc := &SeriesDoc{
 		Schema:    SeriesSchema,
 		BucketSec: sim.VTime(b.bucketSec),
 		Buckets:   b.maxBucket + 1,
-		Series:    []Series{},
+		Series:    make([]Series, len(b.accums)),
 	}
-	keys := make([]seriesKey, 0, len(b.points)+len(b.hists))
-	for k := range b.points {
-		keys = append(keys, k)
-	}
-	for k := range b.hists {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
+	for i, a := range b.accums {
+		doc.Series[i] = Series{
+			Name: a.key.name, Node: a.key.node, Kind: seriesKinds[a.key.kind],
+			Points: a.points, Hist: a.hists,
 		}
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].kind < keys[j].kind
-	})
-	for _, k := range keys {
-		s := Series{Name: k.name, Node: k.node, Kind: k.kind}
-		if k.kind == SeriesHistogram {
-			buckets := make([]int, 0, len(b.hists[k]))
-			for bi := range b.hists[k] {
-				buckets = append(buckets, bi)
-			}
-			sort.Ints(buckets)
-			for _, bi := range buckets {
-				h := b.hists[k][bi]
-				hp := HistPoint{Bucket: bi, Count: h.count, Sum: h.sum}
-				exps := make([]int, 0, len(h.log))
-				for e := range h.log {
-					exps = append(exps, e)
-				}
-				sort.Ints(exps)
-				for _, e := range exps {
-					hp.Log = append(hp.Log, LogBucket{Exp: e, Count: h.log[e]})
-				}
-				s.Hist = append(s.Hist, hp)
-			}
-		} else {
-			buckets := make([]int, 0, len(b.points[k]))
-			for bi := range b.points[k] {
-				buckets = append(buckets, bi)
-			}
-			sort.Ints(buckets)
-			for _, bi := range buckets {
-				s.Points = append(s.Points, SeriesPoint{Bucket: bi, Value: b.points[k][bi]})
-			}
-		}
-		doc.Series = append(doc.Series, s)
 	}
 	return doc
+}
+
+// spanSeries names the series a span kind feeds: the util.<kind> gauge of a
+// resource kind, the lat.<kind> histogram of any other. The kinds the
+// runtime emits are spelled out so that building a document formats no name
+// per span.
+func spanSeries(k Kind) (name string, resource bool) {
+	switch k {
+	case KindCPU:
+		return "util.cpu", true
+	case KindDisk:
+		return "util.disk", true
+	case KindNet:
+		return "util.net", true
+	case KindStage:
+		return "lat.stage", false
+	case KindEval:
+		return "lat.eval", false
+	case KindChoose:
+		return "lat.choose", false
+	case KindPruned:
+		return "lat.pruned", false
+	case KindRecovery:
+		return "lat.recovery", false
+	}
+	return "lat." + string(k), false
 }
 
 // Series materialises the recorded telemetry into the mdf.series/v1
@@ -363,11 +407,10 @@ func (r *Recorder) Series(bucketSec sim.VTime) *SeriesDoc {
 		b.set(c.Node, c.Name, c.T, c.Value)
 	}
 	for _, sp := range r.spans {
-		switch sp.Kind {
-		case KindCPU, KindDisk, KindNet:
-			b.utilization(sp.Node, "util."+string(sp.Kind), sp.Start, sp.End)
-		default:
-			b.observe(sp.Node, "lat."+string(sp.Kind), sp.End, (sp.End - sp.Start).Seconds())
+		if name, resource := spanSeries(sp.Kind); resource {
+			b.utilization(sp.Node, name, sp.Start, sp.End)
+		} else {
+			b.observe(sp.Node, name, sp.End, (sp.End - sp.Start).Seconds())
 		}
 	}
 	for _, iv := range r.intervals {
@@ -375,4 +418,54 @@ func (r *Recorder) Series(bucketSec sim.VTime) *SeriesDoc {
 		b.observe(iv.Node, iv.Name+".duration", iv.End, (iv.End - iv.Start).Seconds())
 	}
 	return b.doc()
+}
+
+// GaugeBucket is one populated virtual-time bucket of a node's gauge series.
+type GaugeBucket struct {
+	// Bucket is the bucket index, as in SeriesPoint.
+	Bucket int
+	// Values maps each gauge series with a point in the bucket to its value.
+	Values map[string]float64
+}
+
+// NodeGauges returns the gauge series of one node bucket by bucket, in
+// ascending bucket order: exactly the SeriesGauge points Series(bucketSec)
+// holds for that node, without building the document. It replays the
+// samples in the builder's order — SeriesSet samples, then counter tracks,
+// the last write of a bucket winning, then the node's resource spans spread
+// into util.<kind> — and touches nothing that belongs to another node or
+// another kind of series.
+func (r *Recorder) NodeGauges(node int, bucketSec sim.VTime) []GaugeBucket {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	width := bucketWidth(float64(bucketSec))
+	var out []GaugeBucket
+	values := func(bucket int) map[string]float64 {
+		i, ok := bucketPos(out, bucket, func(g *GaugeBucket) int { return g.Bucket })
+		if !ok {
+			out = slices.Insert(out, i, GaugeBucket{Bucket: bucket, Values: make(map[string]float64)})
+		}
+		return out[i].Values
+	}
+	for _, s := range r.series {
+		if s.node == node && s.op == opSet {
+			values(bucketIndex(s.t, width))[s.name] = s.v
+		}
+	}
+	for _, c := range r.counters {
+		if c.Node == node {
+			values(bucketIndex(c.T, width))[c.Name] = c.Value
+		}
+	}
+	for _, sp := range r.spans {
+		if sp.Node != node || sp.End < sp.Start {
+			continue
+		}
+		if name, resource := spanSeries(sp.Kind); resource {
+			spreadBusy(sp.Start, sp.End, width, func(bucket int, frac float64) {
+				values(bucket)[name] += frac
+			})
+		}
+	}
+	return out
 }

@@ -3,7 +3,7 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 
 	"metadataflow/internal/engine"
@@ -71,8 +71,9 @@ type ProgressStatus struct {
 }
 
 // Progress returns the live exploration progress of one job. The stored
-// progress is refreshed by the step loop after every engine step, so
-// handlers never touch the run itself.
+// progress is refreshed in place by the step loop after every engine step,
+// so what is returned is a copy, branches included: the caller's to keep,
+// and unchanged by the job's later steps.
 func (s *Server) Progress(id string) (ProgressStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,7 +81,9 @@ func (s *Server) Progress(id string) (ProgressStatus, error) {
 	if !ok {
 		return ProgressStatus{}, ErrNotFound
 	}
-	return ProgressStatus{ID: j.id, Tenant: j.tenant, State: j.state, Progress: j.progress}, nil
+	p := j.progress
+	p.Branches = slices.Clone(p.Branches)
+	return ProgressStatus{ID: j.id, Tenant: j.tenant, State: j.state, Progress: p}, nil
 }
 
 // Series returns the service-level mdf.series/v1 document: per-tenant
@@ -90,48 +93,32 @@ func (s *Server) Series() *obs.SeriesDoc {
 	return s.rec.Series(watchBucketSec)
 }
 
-// watchBucketsLocked replays a retired job's master-node gauge series into
-// bucket events, one event per populated bucket, in ascending bucket
-// order. The series document is already fully sorted, so the event bytes
-// are canonical.
-func (s *Server) watchBucketsLocked(j *job, series *obs.SeriesDoc) {
-	byBucket := make(map[int]map[string]float64)
-	var buckets []int
-	for _, sr := range series.Series {
-		if sr.Node != obs.NodeMaster || sr.Kind != obs.SeriesGauge {
-			continue
-		}
-		for _, pt := range sr.Points {
-			m := byBucket[pt.Bucket]
-			if m == nil {
-				m = make(map[string]float64)
-				byBucket[pt.Bucket] = m
-				buckets = append(buckets, pt.Bucket)
-			}
-			m[sr.Name] = pt.Value
-		}
-	}
-	sort.Ints(buckets)
-	for _, b := range buckets {
+// watchBucketsLocked appends a retired job's master-node gauges to the watch
+// log as bucket events, one per populated bucket, in the ascending bucket
+// order the recorder returns them in. The value maps become the events'
+// own; encoding/json sorts their keys, so the event bytes are canonical.
+func (s *Server) watchBucketsLocked(j *job, gauges []obs.GaugeBucket) {
+	for _, g := range gauges {
 		s.watchSeq++
 		s.watch = append(s.watch, WatchEvent{
 			Seq: s.watchSeq, Kind: "bucket",
-			Job: j.id, Tenant: j.tenant, Bucket: b, Values: byBucket[b],
+			Job: j.id, Tenant: j.tenant, Bucket: g.Bucket, Values: g.Values,
 		})
 	}
 	s.cond.Broadcast()
 }
 
-// WatchEvents returns a copy of the watch log from seq (exclusive).
+// WatchEvents returns a copy of the watch log after seq afterSeq. Seq is
+// dense from 1, so event seq sits at index seq-1 and a resume costs what it
+// returns, not the history before it.
 func (s *Server) WatchEvents(afterSeq int) []WatchEvent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, ev := range s.watch {
-		if ev.Seq > afterSeq {
-			return append([]WatchEvent(nil), s.watch[i:]...)
-		}
+	afterSeq = max(afterSeq, 0)
+	if afterSeq >= len(s.watch) {
+		return nil
 	}
-	return nil
+	return slices.Clone(s.watch[afterSeq:])
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
@@ -159,10 +146,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	follow := r.URL.Query().Get("follow") != ""
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	s.mu.Lock()
-	hdr := watchHeader{Schema: WatchSchema, BucketSec: watchBucketSec}
-	s.mu.Unlock()
-	if err := enc.Encode(hdr); err != nil {
+	if err := enc.Encode(watchHeader{Schema: WatchSchema, BucketSec: watchBucketSec}); err != nil {
 		return
 	}
 	next := 0

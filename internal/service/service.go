@@ -247,9 +247,11 @@ type job struct {
 	admitSeq   int
 	drainSteps int
 
-	// progress is the job's last engine.Progress view. Only the step loop
-	// writes it (under s.mu, after each step and at retirement), so status
-	// handlers read it without ever touching the run.
+	// progress is the job's last engine.Progress view, one buffer for the
+	// job's life. Only the step loop writes it — in place, under s.mu, when
+	// a run starts, after each step and at retirement — so a reader holds
+	// s.mu and copies (Server.Progress); it never hands the buffer out and
+	// never touches the run.
 	progress engine.Progress
 
 	// Terminal state.
@@ -615,32 +617,40 @@ func (s *Server) hasWorkLocked() bool {
 // window introduces no races.
 func (s *Server) loop() {
 	defer close(s.done)
+	for s.turn() {
+	}
+}
+
+// turn is one turn of the step loop: wait for work, admit what fits, then
+// advance the active run that is earliest in virtual time by one engine
+// step, with s.mu released while the step runs. It returns false once the
+// server is stopped.
+func (s *Server) turn() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		for !s.stopped && !s.hasWorkLocked() {
-			s.cond.Wait()
-		}
-		if s.stopped {
-			return
-		}
-		s.admitLocked()
-		if j := s.nextStepLocked(); j != nil {
-			run := j.run
-			s.mu.Unlock()
-			alive := run.Step()
-			s.mu.Lock()
-			if !alive {
-				s.removeActiveLocked(j)
-				s.finalizeRunLocked(j)
-			} else {
-				// Refresh the job's progress view at the step boundary;
-				// handlers read this stored copy, never the run.
-				j.progress = run.Progress()
-			}
-		}
-		s.cond.Broadcast()
+	for !s.stopped && !s.hasWorkLocked() {
+		s.cond.Wait()
 	}
+	if s.stopped {
+		return false
+	}
+	s.admitLocked()
+	if j := s.nextStepLocked(); j != nil {
+		run := j.run
+		s.mu.Unlock()
+		alive := run.Step()
+		s.mu.Lock()
+		if !alive {
+			s.removeActiveLocked(j)
+			s.finalizeRunLocked(j)
+		} else {
+			// Refresh the job's progress view in place at the step
+			// boundary; handlers copy this buffer, never touch the run.
+			run.ProgressInto(&j.progress)
+		}
+	}
+	s.cond.Broadcast()
+	return true
 }
 
 // admitLocked starts queued jobs while runner slots are free.
@@ -713,7 +723,7 @@ func (s *Server) startLocked(j *job) error {
 	j.rec = rec
 	j.cancel = cancel
 	j.drainSteps = 0
-	j.progress = run.Progress()
+	run.ProgressInto(&j.progress)
 	s.admitSeq++
 	j.admitSeq = s.admitSeq
 	s.active = append(s.active, j)
@@ -792,7 +802,7 @@ func (s *Server) finalizeRunLocked(j *job) {
 			// policy's exponential backoff charged in virtual seconds.
 			j.backoff += s.cfg.Retry.Backoff(j.attempts)
 			if s.queue.Push(j.id, j.tenant, j.priority) {
-				j.progress = j.run.Progress()
+				j.run.ProgressInto(&j.progress)
 				j.run, j.rec, j.cancel = nil, nil, nil
 				s.retriedLocked(j, j.backoff)
 				s.journalLocked(journal.Record{
@@ -810,19 +820,20 @@ func (s *Server) finalizeRunLocked(j *job) {
 }
 
 // retireLocked retires a job that holds a run, capturing the run's
-// snapshot and audit surface first. The job's series document lives only
-// long enough to be replayed into /watch bucket events.
+// snapshot and audit surface first. Of the job's recorder the service reads
+// one thing, once, here: the master node's gauges bucket by bucket, which
+// /watch replays. The recorder is dropped with the run.
 func (s *Server) retireLocked(j *job, state string, err error) {
 	j.end = j.run.Now()
-	j.progress = j.run.Progress()
+	j.run.ProgressInto(&j.progress)
 	j.snapshot = j.run.Snapshot()
-	series := j.rec.Series(watchBucketSec)
+	gauges := j.rec.NodeGauges(obs.NodeMaster, watchBucketSec)
 	j.selections = j.run.ChooseSelections()
 	j.auditLineage = j.run.AuditLineage()
 	j.auditBooks = j.run.AuditAccounting()
 	j.run, j.rec, j.cancel = nil, nil, nil
 	s.terminalLocked(j, state, err)
-	s.watchBucketsLocked(j, series)
+	s.watchBucketsLocked(j, gauges)
 	s.journalTerminalLocked(j)
 }
 
