@@ -38,7 +38,7 @@ func NewID() ID { return ID(nextID.Add(1)) }
 
 // Column is the typed payload of a columnar partition. Columns are
 // immutable once a partition holds them: datasets derived from one another
-// (Alias, a choose concatenation) share them.
+// (Alias, a choose concatenation) share them, and Flatten hands them out.
 type Column interface {
 	// Len returns the number of rows.
 	Len() int
@@ -135,6 +135,11 @@ type Dataset struct {
 	ID    ID
 	Name  string
 	Parts []*Partition
+	// col is the column the partitions were cut from (FromColumn, Cut,
+	// carried through Alias), nil for a dataset assembled any other way.
+	// Parts is exported and may have changed since, so Flatten checks it
+	// against col before returning col as a view.
+	col Column
 }
 
 // New creates an empty dataset with a fresh ID.
@@ -151,12 +156,31 @@ func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
 		panic("dataset: parts must be >= 1")
 	}
 	d := New(name)
+	d.col = c
 	d.Parts = make([]*Partition, parts)
 	n := c.Len()
 	for i := range d.Parts {
 		lo := i * n / parts
 		hi := (i + 1) * n / parts
 		d.Parts[i] = NewPartition(c.Slice(lo, hi), int64(hi-lo)*bytesPerRow)
+	}
+	return d
+}
+
+// Cut builds a dataset by splitting the column, without copying it, at the
+// given row offsets: partition i holds rows [ends[i-1], ends[i]), the first
+// one starting at row 0 and the last one ending at the column's length. The
+// partitions account zero bytes until the caller sizes them. It is
+// FromColumn for an operator whose output partitioning follows its input's
+// rather than an even split.
+func Cut(name string, c Column, ends []int) *Dataset {
+	d := New(name)
+	d.col = c
+	d.Parts = make([]*Partition, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		d.Parts[i] = NewPartition(c.Slice(lo, hi), 0)
+		lo = hi
 	}
 	return d
 }
@@ -206,14 +230,37 @@ func (d *Dataset) Rows() []Row {
 	return out
 }
 
-// Flatten returns the rows of all partitions in order as a freshly
-// allocated []T; see Values for the row types it accepts.
+// Flatten returns the rows of all partitions in order as a []T the caller
+// must not modify; see Values for the row types it accepts. The result is a
+// view, with its capacity clipped, of the column the dataset was cut from
+// when that is a Col[T] and the partitions still are its consecutive slices:
+// what FromColumn, FromSlice, Cut, Alias and the mdf Map and Filter make.
+// Otherwise — boxed partitions, a Concat, a replaced partition, a column of
+// another type — it is a fresh slice.
 func Flatten[T any](d *Dataset) []T {
+	if c, ok := d.col.(Col[T]); ok && cutFrom(d.Parts, c) {
+		return c[:len(c):len(c)]
+	}
 	out := make([]T, 0, d.NumRows())
 	for _, p := range d.Parts {
 		out = append(out, Values[T](p)...)
 	}
 	return out
+}
+
+// cutFrom reports whether the partitions are, in order, consecutive slices
+// of c that cover it: each must start at the element of c the previous one
+// ended before, which the address of its first value tells.
+func cutFrom[T any](parts []*Partition, c Col[T]) bool {
+	off := 0
+	for _, p := range parts {
+		pc, ok := p.Col.(Col[T])
+		if !ok || len(pc) > len(c)-off || (len(pc) > 0 && &pc[0] != &c[off]) {
+			return false
+		}
+		off += len(pc)
+	}
+	return off == len(c)
 }
 
 // Box fills the boxed view (Rows) of every columnar partition, so that a
@@ -234,6 +281,7 @@ func (d *Dataset) Box() {
 // sizes, Box) does not reach the other.
 func (d *Dataset) Alias(name string) *Dataset {
 	out := New(name)
+	out.col = d.col
 	out.Parts = make([]*Partition, len(d.Parts))
 	for i, p := range d.Parts {
 		cp := *p

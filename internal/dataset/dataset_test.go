@@ -262,3 +262,179 @@ func TestValuesAcrossLayouts(t *testing.T) {
 		t.Errorf("Flatten of an empty dataset = %v", got)
 	}
 }
+
+// flattenOld is Flatten as it was before it returned views: always a copy.
+// It is what a view must read as.
+func flattenOld[T any](d *Dataset) []T {
+	out := make([]T, 0, d.NumRows())
+	for _, p := range d.Parts {
+		out = append(out, Values[T](p)...)
+	}
+	return out
+}
+
+// isView reports whether got is vals itself rather than a copy of it.
+func isView(got, vals []float64) bool {
+	return len(got) > 0 && len(got) == len(vals) && &got[0] == &vals[0]
+}
+
+// Flatten returns the column a dataset was cut from while its partitions
+// still are that column's consecutive slices, and a copy in every other
+// case; either way it reads as the copy did, never longer or shorter than
+// NumRows, and a view cannot be appended into its column's spare capacity.
+func TestFlattenViewsAndCopies(t *testing.T) {
+	vals := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	fresh := func(parts int) *Dataset { return FromSlice("t", vals, parts, 8) }
+	replaced := func(c Column) *Dataset {
+		d := fresh(3)
+		d.Parts[1] = NewPartition(c, 24)
+		return d
+	}
+	other := []float64{3, 4, 5}
+	cut := Cut("cut", Col[float64](vals), []int{0, 4, 4, 10})
+	short := Cut("short", Col[float64](vals), []int{2, 5}) // ends before the column does
+	cases := []struct {
+		name string
+		d    *Dataset
+		view bool
+	}{
+		{"FromSlice", fresh(3), true},
+		{"FromSlice with more partitions than rows", fresh(16), true},
+		{"Alias", fresh(3).Alias("a"), true},
+		{"Alias of an Alias, resized and boxed", func() *Dataset {
+			a := fresh(4).Alias("a").Alias("b")
+			a.SetVirtualBytes(1 << 20)
+			a.Box()
+			return a
+		}(), true},
+		{"Cut with empty partitions", cut, true},
+		{"a partition replaced by the same slice of the column", replaced(Col[float64](vals[3:6])), true},
+		{"Cut that stops short of the column", short, false},
+		{"Concat", Concat("c", fresh(2), fresh(2)), false},
+		{"Concat of one dataset", Concat("c", fresh(3)), false},
+		{"the choose concatenation (Concat then Alias)", Concat("c", fresh(2), fresh(3)).Alias("out"), false},
+		{"a replaced partition", replaced(Col[float64](other)), false},
+		{"a partition replaced by a boxed one", replaced(Col[Row]{3.0, 4.0, 5.0}), false},
+		{"a dropped partition", func() *Dataset { d := fresh(3); d.Parts = d.Parts[:2]; return d }(), false},
+		{"swapped partitions", func() *Dataset { d := fresh(2); d.Parts[0], d.Parts[1] = d.Parts[1], d.Parts[0]; return d }(), false},
+		{"an added partition", func() *Dataset {
+			d := fresh(2)
+			d.Parts = append(d.Parts, NewPartition(Col[float64]{10}, 8))
+			return d
+		}(), false},
+		{"boxed partitions", FromRows("b", []Row{0.0, 1.0, 2.0}, 2, 8), false},
+		{"Repartition", fresh(3).Repartition(2), false},
+		{"hand-assembled partitions", &Dataset{Parts: []*Partition{NewPartition(Col[float64](vals), 80)}}, false},
+	}
+	for _, tc := range cases {
+		got, want := Flatten[float64](tc.d), flattenOld[float64](tc.d)
+		if len(got) != tc.d.NumRows() || len(got) != len(want) {
+			t.Errorf("%s: Flatten has %d rows, the dataset %d", tc.name, len(got), tc.d.NumRows())
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: Flatten = %v, want %v", tc.name, got, want)
+				break
+			}
+		}
+		if v := isView(got, vals); v != tc.view {
+			t.Errorf("%s: Flatten returned a view = %v, want %v", tc.name, v, tc.view)
+		}
+		if tc.view {
+			if allocs := testing.AllocsPerRun(10, func() { Flatten[float64](tc.d) }); allocs != 0 {
+				t.Errorf("%s: a view cost %.0f allocations", tc.name, allocs)
+			}
+		}
+	}
+
+	// A column of another type is read through Values, row by row.
+	if got := Flatten[Row](fresh(3)); len(got) != len(vals) || got[9].(float64) != 9 {
+		t.Errorf("Flatten[Row] of a float64 column = %v", got)
+	}
+	ints := FromSlice("i", []int{1, 2, 3}, 2, 8)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Flatten[float64] of an int column did not panic as Values does")
+			}
+		}()
+		Flatten[float64](ints)
+	}()
+
+	// A view of a column with spare capacity is clipped: appending to it
+	// must not write into the column's backing array.
+	backing := make([]float64, 4, 8)
+	view := Flatten[float64](FromSlice("spare", backing, 2, 8))
+	if !isView(view, backing) || cap(view) != len(view) {
+		t.Fatalf("view of a column with spare capacity: len %d cap %d", len(view), cap(view))
+	}
+	_ = append(view, 42)
+	if backing[:5][4] == 42 {
+		t.Error("append to a view wrote into its column")
+	}
+
+	// No rows: nothing to view, nothing to copy.
+	for _, d := range []*Dataset{FromSlice("none", []float64(nil), 4, 8), New("empty"), Cut("nocut", Col[float64](nil), nil)} {
+		if got := Flatten[float64](d); len(got) != 0 {
+			t.Errorf("%s: Flatten of no rows = %v", d.Name, got)
+		}
+	}
+}
+
+// A random walk of the operations that keep or break the cut: the result
+// always reads as the copying Flatten did.
+func TestFlattenMatchesCopyOnRandomDatasets(t *testing.T) {
+	f := func(lens []uint8, parts uint8, mutate uint8) bool {
+		vals := make([]float64, 0, 64)
+		for i, l := range lens {
+			for j := 0; j < int(l%7); j++ {
+				vals = append(vals, float64(i*10+j))
+			}
+		}
+		d := FromSlice("r", vals, int(parts%9)+1, 8)
+		switch mutate % 5 {
+		case 1:
+			d = d.Alias("a")
+		case 2:
+			d = Concat("c", d, d.Alias("twice"))
+		case 3:
+			d.Parts[0] = NewPartition(Col[float64]{-1}, 8)
+		case 4:
+			d.Parts = d.Parts[1:]
+		}
+		got, want := Flatten[float64](d), flattenOld[float64](d)
+		if len(got) != d.NumRows() || len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkFlatten reads a 64 Ki-row dataset whole: as the column it was cut
+// from (view) and, after a Concat has broken the cut, row by row (copy).
+func BenchmarkFlatten(b *testing.B) {
+	d := FromSlice("in", make([]float64, 1<<16), 8, 8)
+	for _, bc := range []struct {
+		name string
+		d    *Dataset
+	}{{"view", d}, {"copy", Concat("c", d)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(8 << 16)
+			for i := 0; i < b.N; i++ {
+				if got := Flatten[float64](bc.d); len(got) != 1<<16 {
+					b.Fatal(len(got))
+				}
+			}
+		})
+	}
+}

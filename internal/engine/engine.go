@@ -182,7 +182,7 @@ type Run struct {
 
 	// Per-stage state, indexed by stage ID. A stage is settled once it is
 	// executed or skipped; stageEnd, stageOut and stageDur are zero until
-	// then.
+	// then, and stageOut is nil again once its dataset is discarded.
 	executed []bool
 	skipped  []bool
 	stageEnd []sim.VTime
@@ -766,6 +766,10 @@ func (r *Run) unpinDataset(d *dataset.Dataset) {
 	}
 }
 
+// discardDataset drops a dataset no consumer is left for (R3): from the
+// allocators' simulated memory and, by clearing every stageOut slot that
+// holds it, from the Go heap. Nothing reads the payload of a discarded
+// dataset again; recovery re-derives lost partitions in virtual time only.
 func (r *Run) discardDataset(d *dataset.Dataset) {
 	if _, live := r.datasets[d.ID]; !live {
 		return
@@ -778,5 +782,19 @@ func (r *Run) discardDataset(d *dataset.Dataset) {
 		key := d.Key(i)
 		r.allocs[r.nodeOf(key, i)].Discard(key)
 		delete(r.placement, key)
+	}
+	r.dropPayload(r.plan.Stages[r.producerOf[d.ID]], d)
+}
+
+// dropPayload clears the stageOut slot of st and of every stage that
+// forwarded the dataset from it. A forwarding stage (an explore, a choose
+// that selected one branch) takes its output from a direct predecessor, so
+// the holders of a dataset are connected to its producer along stage edges.
+func (r *Run) dropPayload(st *graph.Stage, d *dataset.Dataset) {
+	r.stageOut[st.ID] = nil
+	for _, post := range r.plan.Post(st) {
+		if r.stageOut[post.ID] == d {
+			r.dropPayload(post, d)
+		}
 	}
 }

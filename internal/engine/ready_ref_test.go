@@ -20,7 +20,7 @@ import (
 	"metadataflow/internal/stats"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/picks.golden from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from the current engine")
 
 // refMDF generates a random nested MDF that exercises every way a stage can
 // settle: 1-3 consecutive scopes of 2-6 branches with 1-3 chained filters,
@@ -184,25 +184,27 @@ func digest(parts ...any) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestReadySetMatchesReferenceAndGolden runs random nested MDFs under every
-// scheduler, hint and incremental setting, with and without a fault plan
-// that quarantines branches, and checks two things. After every Step the
-// counted ready list equals the from-scratch recomputation (refReady). And
-// the whole scheduling trace — the ready list handed to every Pick, the
-// stage picked, each stage's settle time, the run's counters — equals
-// testdata/picks.golden, which was captured from the scan-and-maps engine
-// this one replaced, with its double execution of choose stages (see below)
-// fixed by one line; 46 of the 128 traces are also what the unfixed engine
-// produced, the other 82 ran at least one choose twice there.
-func TestReadySetMatchesReferenceAndGolden(t *testing.T) {
-	var out strings.Builder
+// refCase is one run of the reference sweep: a random nested MDF under one
+// scheduler, hint and incremental setting, with or without a fault plan.
+type refCase struct {
+	name        string
+	g           *graph.Graph
+	sched       func() scheduler.Policy
+	incremental bool
+	faults      *faults.Plan
+}
+
+// refCases lists the sweep: eight random MDFs (refMDF), each under BFS and
+// BAS with no, a sorted and a random hint, with and without incremental
+// evaluation, with and without a fault plan in which one branch operator and
+// one evaluator fail past the retry budget (quarantine), one branch operator
+// recovers within it, and a node restarts mid-run.
+func refCases(t *testing.T) []refCase {
+	var cases []refCase
 	for seed := int64(1); seed <= 8; seed++ {
 		g, branchOps := refMDF(t, stats.NewRNG(seed*31))
 		frng := stats.NewRNG(seed * 977)
 		plan := &faults.Plan{
-			// One branch operator and one evaluator fail past the retry
-			// budget (quarantine), one branch operator recovers within it,
-			// and a node restarts mid-run.
 			Panics: []faults.PanicSpec{
 				{Op: branchOps[frng.Intn(len(branchOps))], Target: faults.TargetTransform, Times: 99},
 				{Op: branchOps[frng.Intn(len(branchOps))], Target: faults.TargetTransform, Times: 1},
@@ -222,70 +224,106 @@ func TestReadySetMatchesReferenceAndGolden(t *testing.T) {
 		for _, sc := range scheds {
 			for _, incremental := range []bool{false, true} {
 				for _, fp := range []*faults.Plan{nil, plan} {
-					name := fmt.Sprintf("seed=%d %s incremental=%v faults=%v", seed, sc.name, incremental, fp != nil)
-					p, err := graph.BuildPlan(g)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					cfg := cluster.DefaultConfig()
-					cfg.Workers = 4
-					cfg.MemPerWorker = 1 << 30
-					rec := &recordingPolicy{Policy: sc.make(), t: t}
-					r, err := NewRun(p, Options{
-						Cluster: cluster.MustNew(cfg), Policy: memorymgr.AMM,
-						Scheduler: rec, Incremental: incremental, Faults: fp,
-					}, 0)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					steps := 0
-					for alive := true; alive; steps++ {
-						alive = r.Step()
-						want, err := refReady(r)
-						if err != nil {
-							t.Fatalf("%s: after step %d: %v", name, steps, err)
-						}
-						if got := readyIDs(r); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("%s: after step %d (picked T%d): ready list %v, from-scratch reference %v",
-								name, steps, rec.picks[len(rec.picks)-1], got, want)
-						}
-					}
-					if r.Err() != nil {
-						t.Fatalf("%s: %v", name, r.Err())
-					}
-					// Every stage settles exactly once. The scan-and-maps engine
-					// put a choose back on its ready map when the choose pruned
-					// or quarantined branches while it executed (non-incremental
-					// first-k selections, evaluator panics) and so ran it twice.
-					seen := make(map[int]bool, len(rec.picks))
-					for _, id := range rec.picks {
-						if seen[id] {
-							t.Errorf("%s: stage T%d was picked twice", name, id)
-						}
-						seen[id] = true
-					}
-					if m := r.Result().Metrics; m.StagesExecuted+m.StagesPruned != len(p.Stages) {
-						t.Errorf("%s: %d stages executed + %d pruned, plan has %d",
-							name, m.StagesExecuted, m.StagesPruned, len(p.Stages))
-					}
-					ends := make([]string, len(p.Stages))
-					for i, st := range p.Stages {
-						ends[i] = fmt.Sprintf("%v/%v/%v", r.executed[st.ID], r.skipped[st.ID], r.stageEnd[st.ID])
-					}
-					m := r.Result().Metrics
-					fmt.Fprintf(&out, "%s: steps=%d exec=%d pruned=%d branches_pruned=%d quarantined=%d end=%v ready=%s settle=%s picks=%v\n",
-						name, steps, m.StagesExecuted, m.StagesPruned, m.BranchesPruned, m.BranchesQuarantined,
-						r.Now(), digest(rec.ready), digest(ends), rec.picks)
+					cases = append(cases, refCase{
+						name: fmt.Sprintf("seed=%d %s incremental=%v faults=%v", seed, sc.name, incremental, fp != nil),
+						g:    g, sched: sc.make, incremental: incremental, faults: fp,
+					})
 				}
 			}
 		}
 	}
-	path := filepath.Join("testdata", "picks.golden")
+	return cases
+}
+
+// start plans the case's MDF and prepares its run on four workers under AMM,
+// with a policy that records every pick.
+func (c refCase) start(t *testing.T) (*Run, *recordingPolicy, *graph.Plan) {
+	t.Helper()
+	p, err := graph.BuildPlan(c.g)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	cfg := cluster.DefaultConfig()
+	cfg.Workers = 4
+	cfg.MemPerWorker = 1 << 30
+	rec := &recordingPolicy{Policy: c.sched(), t: t}
+	r, err := NewRun(p, Options{
+		Cluster: cluster.MustNew(cfg), Policy: memorymgr.AMM,
+		Scheduler: rec, Incremental: c.incremental, Faults: c.faults,
+	}, 0)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return r, rec, p
+}
+
+// TestReadySetMatchesReferenceAndGolden runs random nested MDFs under every
+// scheduler, hint and incremental setting, with and without a fault plan
+// that quarantines branches, and checks two things. After every Step the
+// counted ready list equals the from-scratch recomputation (refReady). And
+// the whole scheduling trace — the ready list handed to every Pick, the
+// stage picked, each stage's settle time, the run's counters — equals
+// testdata/picks.golden, which was captured from the scan-and-maps engine
+// this one replaced, with its double execution of choose stages (see below)
+// fixed by one line; 46 of the 128 traces are also what the unfixed engine
+// produced, the other 82 ran at least one choose twice there.
+func TestReadySetMatchesReferenceAndGolden(t *testing.T) {
+	var out strings.Builder
+	for _, c := range refCases(t) {
+		name := c.name
+		r, rec, p := c.start(t)
+		steps := 0
+		for alive := true; alive; steps++ {
+			alive = r.Step()
+			want, err := refReady(r)
+			if err != nil {
+				t.Fatalf("%s: after step %d: %v", name, steps, err)
+			}
+			if got := readyIDs(r); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: after step %d (picked T%d): ready list %v, from-scratch reference %v",
+					name, steps, rec.picks[len(rec.picks)-1], got, want)
+			}
+		}
+		if r.Err() != nil {
+			t.Fatalf("%s: %v", name, r.Err())
+		}
+		// Every stage settles exactly once. The scan-and-maps engine
+		// put a choose back on its ready map when the choose pruned
+		// or quarantined branches while it executed (non-incremental
+		// first-k selections, evaluator panics) and so ran it twice.
+		seen := make(map[int]bool, len(rec.picks))
+		for _, id := range rec.picks {
+			if seen[id] {
+				t.Errorf("%s: stage T%d was picked twice", name, id)
+			}
+			seen[id] = true
+		}
+		if m := r.Result().Metrics; m.StagesExecuted+m.StagesPruned != len(p.Stages) {
+			t.Errorf("%s: %d stages executed + %d pruned, plan has %d",
+				name, m.StagesExecuted, m.StagesPruned, len(p.Stages))
+		}
+		ends := make([]string, len(p.Stages))
+		for i, st := range p.Stages {
+			ends[i] = fmt.Sprintf("%v/%v/%v", r.executed[st.ID], r.skipped[st.ID], r.stageEnd[st.ID])
+		}
+		m := r.Result().Metrics
+		fmt.Fprintf(&out, "%s: steps=%d exec=%d pruned=%d branches_pruned=%d quarantined=%d end=%v ready=%s settle=%s picks=%v\n",
+			name, steps, m.StagesExecuted, m.StagesPruned, m.BranchesPruned, m.BranchesQuarantined,
+			r.Now(), digest(rec.ready), digest(ends), rec.picks)
+	}
+	checkGoldenLines(t, "picks.golden", "scheduling trace", out.String())
+}
+
+// checkGoldenLines compares got, line by line, with testdata/<file>, or
+// rewrites the file under -update.
+func checkGoldenLines(t *testing.T, file, what, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -294,13 +332,13 @@ func TestReadySetMatchesReferenceAndGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gl, wl := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gl) != len(wl) {
-		t.Errorf("%d trace lines, golden has %d", len(gl), len(wl))
+		t.Errorf("%s: %d lines, testdata/%s has %d", what, len(gl), file, len(wl))
 	}
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if gl[i] != wl[i] {
-			t.Fatalf("scheduling trace differs from testdata/picks.golden:\n got  %s\n want %s", gl[i], wl[i])
+			t.Fatalf("%s differs from testdata/%s:\n got  %s\n want %s", what, file, gl[i], wl[i])
 		}
 	}
 }

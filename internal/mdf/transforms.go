@@ -53,35 +53,55 @@ func PerPartition(name string, f func(p *dataset.Partition) (dataset.Column, int
 // Map returns a transform applying f to every row, preserving partitioning
 // and scaling each partition's accounted size by sizeScale (1.0 keeps the
 // input size). The input rows must be of type T (dataset.Values); the output
-// is columnar unless U is dataset.Row.
+// is columnar unless U is dataset.Row. The output partitions are cut from
+// one column, so a whole-dataset consumer reads it without copying
+// (dataset.Flatten).
 func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformFunc {
-	return PerPartition(name, func(p *dataset.Partition) (dataset.Column, int64) {
-		vals := dataset.Values[T](p)
-		mapped := make(dataset.Col[U], len(vals))
-		for i, v := range vals {
-			mapped[i] = f(v)
+	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+		mapped := make(dataset.Col[U], in.NumRows())
+		ends := make([]int, len(in.Parts))
+		n := 0
+		for i, p := range in.Parts {
+			vals := dataset.Values[T](p)
+			dst := mapped[n : n+len(vals)]
+			for j, v := range vals {
+				dst[j] = f(v)
+			}
+			n += len(vals)
+			ends[i] = n
 		}
-		return mapped, int64(float64(p.VirtualBytes) * sizeScale)
+		out := dataset.Cut(name, mapped, ends)
+		for i, p := range in.Parts {
+			out.Parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * sizeScale)
+		}
+		return out, nil
 	})
 }
 
 // Filter returns a transform keeping the rows for which pred holds, scaling
 // each partition's accounted size by the fraction of rows kept. Row types
-// are as for Map.
+// are as for Map, and so is the single output column.
 func Filter[T any](name string, pred func(T) bool) graph.TransformFunc {
-	return PerPartition(name, func(p *dataset.Partition) (dataset.Column, int64) {
-		vals := dataset.Values[T](p)
-		kept := make(dataset.Col[T], 0, len(vals))
-		for _, v := range vals {
-			if pred(v) {
-				kept = append(kept, v)
+	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+		kept := make(dataset.Col[T], 0, in.NumRows())
+		ends := make([]int, len(in.Parts))
+		for i, p := range in.Parts {
+			for _, v := range dataset.Values[T](p) {
+				if pred(v) {
+					kept = append(kept, v)
+				}
 			}
+			ends[i] = len(kept)
 		}
-		vb := int64(0)
-		if len(vals) > 0 {
-			vb = int64(float64(p.VirtualBytes) * float64(len(kept)) / float64(len(vals)))
+		out := dataset.Cut(name, kept, ends)
+		lo := 0
+		for i, p := range in.Parts {
+			if n := p.NumRows(); n > 0 {
+				out.Parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * float64(ends[i]-lo) / float64(n))
+			}
+			lo = ends[i]
 		}
-		return kept, vb
+		return out, nil
 	})
 }
 

@@ -101,9 +101,9 @@ func TestTypedOperatorsMatchBoxed(t *testing.T) {
 	}
 }
 
-// Map and Filter allocate per partition — the dataset, its partition table,
-// and per partition the struct, the values and the column header — and
-// nothing per row.
+// Map and Filter allocate one column per dataset — the values and their
+// header, with the dataset, its partition table and the partition ends —
+// and per partition the struct and the column header: nothing per row.
 func TestTypedOperatorsAllocatePerPartition(t *testing.T) {
 	const parts = 8
 	ops := map[string]func([]*dataset.Dataset) (*dataset.Dataset, error){
@@ -118,8 +118,56 @@ func TestTypedOperatorsAllocatePerPartition(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if ceiling := float64(2 + 3*parts); allocs > ceiling {
+			if ceiling := float64(5 + 2*parts); allocs > ceiling {
 				t.Errorf("%s over %d rows in %d partitions: %.0f allocations, want <= %.0f", name, rows, parts, allocs, ceiling)
+			}
+		}
+	}
+}
+
+// What Map and Filter emit is cut from one column, whatever the layout of
+// their input, so that a whole-dataset consumer views it (dataset.Flatten
+// allocates nothing) and a chain of them never copies; the partitions keep
+// their clipped capacity.
+func TestTypedOperatorsEmitOneColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	double := Map("m", 1.0, func(v float64) float64 { return 2 * v })
+	positive := Filter("f", func(v float64) bool { return v > 0 })
+	for trial := 0; trial < 50; trial++ {
+		typed, boxed := randomInputs(rng)
+		concat := dataset.Concat("c", typed, typed.Alias("again"))
+		for _, in := range []*dataset.Dataset{typed, boxed, concat} {
+			for name, op := range map[string]func([]*dataset.Dataset) (*dataset.Dataset, error){"map": double, "filter": positive} {
+				out, err := op([]*dataset.Dataset{in})
+				if err != nil {
+					t.Fatal(err)
+				}
+				next, err := double([]*dataset.Dataset{out.Alias("fwd")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range []*dataset.Dataset{out, next} {
+					var flat []float64
+					if allocs := testing.AllocsPerRun(5, func() { flat = dataset.Flatten[float64](d) }); allocs != 0 {
+						t.Fatalf("%s of %s: Flatten of the output allocated %.0f times", name, in.Name, allocs)
+					}
+					if len(flat) != d.NumRows() {
+						t.Fatalf("%s of %s: view has %d rows, dataset %d", name, in.Name, len(flat), d.NumRows())
+					}
+					off := 0
+					for i, p := range d.Parts {
+						vals := dataset.Values[float64](p)
+						if cap(vals) != len(vals) {
+							t.Fatalf("%s of %s: partition %d has spare capacity %d", name, in.Name, i, cap(vals)-len(vals))
+						}
+						for j, v := range vals {
+							if math.Float64bits(flat[off+j]) != math.Float64bits(v) {
+								t.Fatalf("%s of %s: view row %d differs from partition %d row %d", name, in.Name, off+j, i, j)
+							}
+						}
+						off += len(vals)
+					}
+				}
 			}
 		}
 	}

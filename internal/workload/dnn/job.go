@@ -110,9 +110,10 @@ func firstRow[T any](d *dataset.Dataset) T {
 	panic("dnn: dataset has no payload row")
 }
 
-// sourceFunc emits the raw example set.
+// sourceFunc emits the raw example set: the cached one, which nothing
+// downstream writes (preprocessOp scales into copies).
 func sourceFunc(p Params) graph.TransformFunc {
-	examples := GenerateExamples(p.Train+p.Val, p.Dims, p.Classes, p.Noise, p.Seed)
+	examples := trainSetOf(p)
 	return mdf.SourceFunc(func() *dataset.Dataset {
 		return singleRow("cifar-syn", dataRow{examples: examples}, p.Partitions, p.VirtualBytes)
 	})
@@ -174,8 +175,10 @@ func continueTrainOp(p Params, lr, momentum float64) graph.TransformFunc {
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
 		base := firstRow[modelRow](in).model
 		m := base.Clone()
-		// The continued round retrains on the cached preprocessed set,
-		// which the evaluator closure carries.
+		// The continued round trains on the raw generator output (the
+		// cached set the source emits), not on preprocessOp's scaled copy
+		// the first round saw. A known deviation, see ARCHITECTURE.md
+		// "Workloads": BENCH_fig5.json and the benchmark goldens pin it.
 		examples := trainSetOf(p)
 		m.TrainEpoch(examples[:p.Train], lr, momentum)
 		return singleRow("model", modelRow{model: m}, 1, in.VirtualBytes()), nil
@@ -190,7 +193,7 @@ type trainSetKey struct {
 	noise            float64
 }
 
-// trainSetCache memoises the example set per parameterisation so
+// trainSetCache memoises the example set per parameterisation so sources,
 // continued-training branches and evaluators reuse it. Graph builders and
 // operator functions of any number of concurrent jobs go through it, hence
 // the lock; the sets themselves are only ever read.

@@ -118,7 +118,28 @@ func (m *Model) Clone() *Model {
 func (m *Model) forward(x []float64, hidden, probs []float64) {
 	// The weight rows are sliced once per neuron to the length of the
 	// vector they multiply, so the inner loops carry no bounds check.
-	for h := 0; h < m.Hidden; h++ {
+	//
+	// Four hidden neurons share one pass over x. A neuron's sum is one chain
+	// of dependent additions, each waiting for the one before it; four
+	// chains in flight overlap those waits. Every sum still adds the same
+	// products in the same order.
+	h := 0
+	for ; h+4 <= m.Hidden; h += 4 {
+		s0, s1, s2, s3 := m.B1[h], m.B1[h+1], m.B1[h+2], m.B1[h+3]
+		r0 := m.W1[h*m.In : (h+1)*m.In][:len(x)]
+		r1 := m.W1[(h+1)*m.In : (h+2)*m.In][:len(x)]
+		r2 := m.W1[(h+2)*m.In : (h+3)*m.In][:len(x)]
+		r3 := m.W1[(h+3)*m.In : (h+4)*m.In][:len(x)]
+		for i, xi := range x {
+			s0 += r0[i] * xi
+			s1 += r1[i] * xi
+			s2 += r2[i] * xi
+			s3 += r3[i] * xi
+		}
+		hidden[h], hidden[h+1] = math.Tanh(s0), math.Tanh(s1)
+		hidden[h+2], hidden[h+3] = math.Tanh(s2), math.Tanh(s3)
+	}
+	for ; h < m.Hidden; h++ {
 		sum := m.B1[h]
 		row := m.W1[h*m.In : (h+1)*m.In][:len(x)]
 		for i, xi := range x {

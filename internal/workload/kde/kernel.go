@@ -16,31 +16,89 @@ import (
 type Kernel struct {
 	// Name identifies the kernel (the explorable's label).
 	Name string
-	// Fn evaluates K(u).
+	// Fn evaluates K(u). To estimate with a function of one's own, build a
+	// Kernel around it; overwriting the Fn of a kernel that Kernels returned
+	// leaves builtin naming the old one.
 	Fn func(u float64) float64
+	// builtin says which of the functions below Fn is, so that Density can
+	// call it directly; zero in a kernel built elsewhere.
+	builtin int
+}
+
+// The built-in kernels, in the order of Kernels.
+const (
+	kGaussian = iota + 1
+	kTopHat
+	kLinear
+	kCosine
+	kEpanechnikov
+	kBiweight
+	kTriweight
+)
+
+// outside reports whether u lies outside the support [-1, 1] of the bounded
+// kernels. A NaN is not outside.
+func outside(u float64) bool { return u < -1 || u > 1 }
+
+func gaussian(u float64) float64 {
+	return math.Exp(-0.5*u*u) / math.Sqrt(2*math.Pi)
+}
+
+func topHat(u float64) float64 {
+	if outside(u) {
+		return 0
+	}
+	return 0.5
+}
+
+func linear(u float64) float64 {
+	if outside(u) {
+		return 0
+	}
+	return 1 - math.Abs(u)
+}
+
+func cosine(u float64) float64 {
+	if outside(u) {
+		return 0
+	}
+	return math.Pi / 4 * math.Cos(math.Pi/2*u)
+}
+
+func epanechnikov(u float64) float64 {
+	if outside(u) {
+		return 0
+	}
+	return 0.75 * (1 - u*u)
+}
+
+func biweight(u float64) float64 {
+	if outside(u) {
+		return 0
+	}
+	t := 1 - u*u
+	return 15.0 / 16.0 * t * t
+}
+
+func triweight(u float64) float64 {
+	if outside(u) {
+		return 0
+	}
+	t := 1 - u*u
+	return 35.0 / 32.0 * t * t * t
 }
 
 // Kernels returns the kernel set explored by the data profiling job:
 // gaussian, top-hat, linear, cosine, epanechnikov, biweight, triweight.
 func Kernels() []Kernel {
 	return []Kernel{
-		{Name: "gaussian", Fn: func(u float64) float64 {
-			return math.Exp(-0.5*u*u) / math.Sqrt(2*math.Pi)
-		}},
-		{Name: "top-hat", Fn: boxed(func(u float64) float64 { return 0.5 })},
-		{Name: "linear", Fn: boxed(func(u float64) float64 { return 1 - math.Abs(u) })},
-		{Name: "cosine", Fn: boxed(func(u float64) float64 {
-			return math.Pi / 4 * math.Cos(math.Pi/2*u)
-		})},
-		{Name: "epanechnikov", Fn: boxed(func(u float64) float64 { return 0.75 * (1 - u*u) })},
-		{Name: "biweight", Fn: boxed(func(u float64) float64 {
-			t := 1 - u*u
-			return 15.0 / 16.0 * t * t
-		})},
-		{Name: "triweight", Fn: boxed(func(u float64) float64 {
-			t := 1 - u*u
-			return 35.0 / 32.0 * t * t * t
-		})},
+		{Name: "gaussian", Fn: gaussian, builtin: kGaussian},
+		{Name: "top-hat", Fn: topHat, builtin: kTopHat},
+		{Name: "linear", Fn: linear, builtin: kLinear},
+		{Name: "cosine", Fn: cosine, builtin: kCosine},
+		{Name: "epanechnikov", Fn: epanechnikov, builtin: kEpanechnikov},
+		{Name: "biweight", Fn: biweight, builtin: kBiweight},
+		{Name: "triweight", Fn: triweight, builtin: kTriweight},
 	}
 }
 
@@ -52,15 +110,6 @@ func KernelByName(name string) (Kernel, error) {
 		}
 	}
 	return Kernel{}, fmt.Errorf("kde: unknown kernel %q", name)
-}
-
-func boxed(f func(float64) float64) func(float64) float64 {
-	return func(u float64) float64 {
-		if u < -1 || u > 1 {
-			return 0
-		}
-		return f(u)
-	}
 }
 
 // Estimator is a fitted kernel density estimator
@@ -85,11 +134,38 @@ func (e *Estimator) Density(x float64) float64 {
 	if len(e.Samples) == 0 {
 		return 0
 	}
+	// One call of kernelSum per built-in kernel: inlined here with the kernel
+	// a constant, its loop calls no function value. The sum is the same
+	// Σ Fn((x-xᵢ)/h), in the same order.
 	var sum float64
-	for _, xi := range e.Samples {
-		sum += e.Kernel.Fn((x - xi) / e.Bandwidth)
+	switch e.Kernel.builtin {
+	case kGaussian:
+		sum = kernelSum(gaussian, x, e.Bandwidth, e.Samples)
+	case kTopHat:
+		sum = kernelSum(topHat, x, e.Bandwidth, e.Samples)
+	case kLinear:
+		sum = kernelSum(linear, x, e.Bandwidth, e.Samples)
+	case kCosine:
+		sum = kernelSum(cosine, x, e.Bandwidth, e.Samples)
+	case kEpanechnikov:
+		sum = kernelSum(epanechnikov, x, e.Bandwidth, e.Samples)
+	case kBiweight:
+		sum = kernelSum(biweight, x, e.Bandwidth, e.Samples)
+	case kTriweight:
+		sum = kernelSum(triweight, x, e.Bandwidth, e.Samples)
+	default:
+		sum = kernelSum(e.Kernel.Fn, x, e.Bandwidth, e.Samples)
 	}
 	return sum / (float64(len(e.Samples)) * e.Bandwidth)
+}
+
+// kernelSum returns Σ k((x-xᵢ)/h) over the samples.
+func kernelSum(k func(float64) float64, x, h float64, samples []float64) float64 {
+	var sum float64
+	for _, xi := range samples {
+		sum += k((x - xi) / h)
+	}
+	return sum
 }
 
 // LogLikelihood returns the mean log density over the hold-out points, the

@@ -142,20 +142,48 @@ func maskOp(p Params, w int, t float64) graph.TransformFunc {
 	return mdf.WholeDataset(fmt.Sprintf("mask(w=%d,t=%g)", w, t),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			pts := dataset.Flatten[Point](in)
-			var kept []Point
+			// Decide first, then copy the kept points into a slice of their
+			// exact number.
+			keep := make([]bool, len(pts))
+			n := 0
+			lastNaN := -1
 			for i := range pts {
-				lo, hi := pts[i].V, pts[i].V
-				for j := i - w + 1; j <= i; j++ {
-					if j < 0 {
-						continue
+				v := pts[i].V
+				if v != v {
+					lastNaN = i
+				}
+				first := min(max(i-w+1, 0), i) // w < 1: the window is the point itself
+				// Comparisons find the extremes math.Min and math.Max do, up
+				// to the sign of a zero (lo <= 0 and hi/lo > t read ±0
+				// alike), in a window without a NaN. What a NaN does to the
+				// extremes (it yields to an infinity) is left to those two.
+				lo, hi := v, v
+				if lastNaN < first {
+					for _, q := range pts[first:i] {
+						if q.V < lo {
+							lo = q.V
+						}
+						if q.V > hi {
+							hi = q.V
+						}
 					}
-					lo = math.Min(lo, pts[j].V)
-					hi = math.Max(hi, pts[j].V)
+				} else {
+					for _, q := range pts[first:i] {
+						lo = math.Min(lo, q.V)
+						hi = math.Max(hi, q.V)
+					}
 				}
 				if lo <= 0 {
 					lo = 1e-9
 				}
 				if hi/lo > t {
+					keep[i] = true
+					n++
+				}
+			}
+			kept := make([]Point, 0, n)
+			for i, k := range keep {
+				if k {
 					kept = append(kept, pts[i])
 				}
 			}
@@ -167,24 +195,36 @@ func maskOp(p Params, w int, t float64) graph.TransformFunc {
 		})
 }
 
+// windowMean is the mean of the l values before point i.
+func windowMean(pts []Point, i, l int) float64 {
+	var sum float64
+	for j := i - l; j < i; j++ {
+		sum += pts[j].V
+	}
+	return sum / float64(l)
+}
+
 // markOp marks discrete events: points where the value changes by more than
 // magDiff relative to the median of the preceding window of length l.
 func markOp(l int, magDiff float64) graph.TransformFunc {
 	return mdf.WholeDataset(fmt.Sprintf("mark(l=%d,m=%g)", l, magDiff),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			pts := dataset.Flatten[Point](in)
-			var events []Event
-			for i := range pts {
-				if i < l {
-					continue
+			// Events are few: decide first, then build them in a slice of
+			// their exact number, taking the window mean a second time for
+			// the points that became one.
+			isEvent := make([]bool, len(pts))
+			n := 0
+			for i := max(l, 0); i < len(pts); i++ {
+				if math.Abs(pts[i].V-windowMean(pts, i, l)) > magDiff {
+					isEvent[i] = true
+					n++
 				}
-				var sum float64
-				for j := i - l; j < i; j++ {
-					sum += pts[j].V
-				}
-				ref := sum / float64(l)
-				if diff := math.Abs(pts[i].V - ref); diff > magDiff {
-					events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - ref})
+			}
+			events := make([]Event, 0, n)
+			for i, is := range isEvent {
+				if is {
+					events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - windowMean(pts, i, l)})
 				}
 			}
 			out := dataset.FromSlice("events", events, outParts(in), 24)
@@ -346,17 +386,21 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 		w int
 		t float64
 	}
-	var wts []wt
+	// The branch body finds its setting by label: Hint is taken by the sort
+	// key. A label spells out (w, t), so a repeated one names the same
+	// setting.
+	byLabel := make(map[string]wt, len(p.WindowLengths)*len(p.Thresholds))
 	for _, w := range p.WindowLengths {
 		for _, t := range p.Thresholds {
+			label := fmt.Sprintf("w=%d,t=%g", w, t)
 			maskSpecs = append(maskSpecs, mdf.BranchSpec{
-				Label: fmt.Sprintf("w=%d,t=%g", w, t),
+				Label: label,
 				// The masking kept-ratio falls monotonically in the
 				// threshold; hint-sorting by (t, w) enables sorted-order
 				// scheduling (Fig. 8 "first-4, sorted").
 				Hint: t*1000 + float64(w),
 			})
-			wts = append(wts, wt{w, t})
+			byLabel[label] = wt{w, t}
 		}
 	}
 	if len(maskSpecs) < 2 {
@@ -371,13 +415,7 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	masked := src.Explore("masking", maskSpecs, mdf.NewChooser(eval, sel),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
-			cfg := wts[0]
-			for i, s := range maskSpecs {
-				if s.Label == spec.Label {
-					cfg = wts[i]
-					break
-				}
-			}
+			cfg := byLabel[spec.Label]
 			return start.Then("mask("+spec.Label+")", maskOp(p, cfg.w, cfg.t), 0.004)
 		})
 	marked := masked.Then("mark", markOp(l, m), 0.003)
