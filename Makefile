@@ -13,7 +13,7 @@ help:
 	@echo "  lint              mdflint: determinism, unit and concurrency rules (exits nonzero on findings)"
 	@echo "  specvet           mdfplan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
-	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, workload/dnn)"
+	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos, and mdf, spec, workload/..., whose functions run on the engine's pool goroutines)"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
@@ -54,13 +54,20 @@ race:
 	$(GO) test -race ./...
 
 # race-short is the focused race gate on the packages with real
-# concurrency: the service (step loop vs HTTP surface), the engine
-# (context cancellation), the scheduler, and the dnn workload, whose
-# package-level example-set cache is shared by every job a process builds
-# or runs. -count=1 defeats the test cache so the race detector actually
-# runs on every invocation. Part of ci.
+# concurrency: the service (step loop vs HTTP surface), the engine (context
+# cancellation, and the goroutines that compute ready branches ahead of
+# their pick), the scheduler, the chaos harness, and every package whose
+# functions the engine calls on those goroutines — the operator and
+# evaluator constructors of mdf and spec and the four workloads (dnn's
+# package-level example-set cache is shared by every job a process builds or
+# runs). The engine's and the chaos harness's serial-equals-pooled tests set
+# GOMAXPROCS(4) themselves and size their inputs above the engine's gate, so
+# the pool is reached on a single-CPU runner too; the engine's run the
+# functions of the other packages there. -count=1 defeats the test cache so
+# the race detector actually runs on every invocation. Part of ci.
 race-short:
-	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler ./internal/workload/dnn
+	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler ./internal/chaos \
+		./internal/mdf ./internal/spec ./internal/workload/...
 
 # fuzz-short runs the JSON-parser fuzz targets briefly on top of their
 # checked-in corpora (testdata/fuzz); longer runs use -fuzztime directly.

@@ -18,6 +18,17 @@
 // which makes runs reproducible and lets benchmarks model terabyte-scale
 // inputs.
 //
+// An operator function (TransformFunc) may be called on another goroutine,
+// concurrently with the functions of other branches of the same job, before
+// its stage's turn, and for a branch that is then pruned: the engine computes
+// ready branches ahead on spare processors (GOMAXPROCS) and adopts the
+// results in the order the virtual clock fixes, so a run's result, times and
+// telemetry do not depend on it. An evaluator function (Evaluator.Fn) is
+// called at its choose's turn, while operator functions of other branches may
+// be running. A function must not write its inputs, must synchronise any
+// state it shares with other functions or other calls of itself, and leaves
+// dataset IDs to the engine.
+//
 // A minimal MDF:
 //
 //	b := metadataflow.NewMDF()

@@ -12,6 +12,8 @@ import (
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/obs"
 	"metadataflow/internal/scheduler"
+	"metadataflow/internal/workload/dnn"
+	"metadataflow/internal/workload/kde"
 	"metadataflow/internal/workload/synthetic"
 )
 
@@ -81,6 +83,43 @@ func benchSteps(b *testing.B, plan *graph.Plan, probe func() obs.Probe) {
 		if _, err := run.RunToCompletion(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBranchParallel runs the two kernel-bound jobs of the paper at
+// default scale, graph build to result, as the lib-kernel workload of
+// benchmarks/ does: the dnn early-choose job (8 + 16 training branches of one
+// stage each, FixedCost) and the kde job (2 x 21 estimates over 20 000 rows).
+// Run it with -cpu 1,2: on one processor no stage is computed ahead of its
+// pick and the reading is the serial engine's; the ratio of the two is what
+// computing the branches ahead on other goroutines gains, below the
+// benchmark harness.
+func BenchmarkBranchParallel(b *testing.B) {
+	jobs := []struct {
+		name  string
+		build func() (*graph.Graph, error)
+	}{
+		{"dnn", func() (*graph.Graph, error) { return dnn.BuildEarlyChooseMDF(dnn.Defaults()) }},
+		{"kde", func() (*graph.Graph, error) { return kde.BuildMDF(kde.Defaults()) }},
+	}
+	for _, j := range jobs {
+		b.Run(j.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := j.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := engine.Execute(g, engine.Options{
+					Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+					Policy:      memorymgr.AMM,
+					Scheduler:   scheduler.BAS(nil),
+					Incremental: true,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -64,7 +64,10 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 	op := chooseSt.Ops[0]
 
 	// Workers read the branch result and compute the evaluator score.
-	nodeT := r.loadInputs([]*dataset.Dataset{d}, ready)
+	nodeT, err := r.loadInputs([]*dataset.Dataset{d}, ready)
+	if err != nil {
+		return fmt.Errorf("engine: choose %s branch %d: %w", chooseSt, branch, err)
+	}
 	scan := sim.VTime(op.CostPerMB * sim.Bytes(d.VirtualBytes()).MB())
 	r.chargeCompute([]*dataset.Dataset{d}, sim.VTime(op.FixedCost), scan, nodeT)
 	end := ready
@@ -180,6 +183,7 @@ func (r *Run) skipStage(st *graph.Stage, t sim.VTime) {
 	r.span(obs.NodeMaster, obs.KindPruned, st.String(), t, t)
 	r.observeStageDone(st, t, t, false)
 	r.unready(st)
+	r.dropAhead(st)
 	r.settled(st)
 	for _, pre := range r.plan.Pre(st) {
 		if r.executed[pre.ID] {
@@ -241,7 +245,10 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		// Concatenation materialises a new dataset: read the selected
 		// originals (possibly from disk), copy their partitions into fresh
 		// storage, then release the originals.
-		nodeT := r.loadInputs(parts, end)
+		nodeT, err := r.loadInputs(parts, end)
+		if err != nil {
+			return fmt.Errorf("engine: choose %s: %w", st, err)
+		}
 		copied := dataset.Concat(st.Ops[0].Name, parts...).Alias(st.Ops[0].Name)
 		if r.probe != nil {
 			r.probe.RegisterDataset(int64(copied.ID), copied.Name)

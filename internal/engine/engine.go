@@ -13,6 +13,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"metadataflow/internal/ckptstore"
@@ -242,6 +243,18 @@ type Run struct {
 	memberOff  []int32
 	memberOf   []int32
 
+	// Computing ahead (ahead.go). look is the policy's Lookahead, nil when it
+	// has none, cannot tell, or the run started on a single processor: then
+	// nothing below is touched and every stage is computed where it is
+	// picked. ahead holds what other goroutines compute; inline is the result
+	// of a stage nobody claimed, reused from stage to stage; adoptedAhead
+	// counts the stages executed from a result computed ahead of their pick
+	// (the tests ask whether the pool was reached at all).
+	look         scheduler.Lookahead
+	ahead        *aheadRun
+	inline       chainResult
+	adoptedAhead int
+
 	metrics     Metrics
 	quarantined []QuarantineRecord
 	output      *dataset.Dataset
@@ -388,6 +401,9 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 			r.ready = append(r.ready, st)
 		}
 	}
+	if look, ok := o.Scheduler.(scheduler.Lookahead); ok && runtime.GOMAXPROCS(0) > 1 && look.Lookahead(r.ready) != nil {
+		r.look = look
+	}
 	return r, nil
 }
 
@@ -480,16 +496,12 @@ func (r *Run) Step() bool {
 	}
 	if ctx := r.opts.Context; ctx != nil {
 		if ctx.Err() != nil {
-			r.err = fmt.Errorf("engine: run canceled after %d stages: %w",
-				r.metrics.StagesExecuted, context.Cause(ctx))
-			r.done = true
-			return false
+			return r.fail(fmt.Errorf("engine: run canceled after %d stages: %w",
+				r.metrics.StagesExecuted, context.Cause(ctx)))
 		}
 	}
 	if err := r.applyFaults(); err != nil {
-		r.err = err
-		r.done = true
-		return false
+		return r.fail(err)
 	}
 	if len(r.ready) == 0 {
 		r.finish()
@@ -500,11 +512,10 @@ func (r *Run) Step() bool {
 	}
 	next := r.opts.Scheduler.Pick(r.ready, r.last)
 	r.unready(next)
+	r.dispatchAhead()
 
 	if err := r.execGuarded(next); err != nil {
-		r.err = err
-		r.done = true
-		return false
+		return r.fail(err)
 	}
 	r.last = next
 	if r.executed[next.ID] {
@@ -513,9 +524,7 @@ func (r *Run) Step() bool {
 		r.metrics.StagesExecuted++
 	}
 	if err := r.applyFaults(); err != nil {
-		r.err = err
-		r.done = true
-		return false
+		return r.fail(err)
 	}
 	r.refreshReady()
 	if len(r.ready) == 0 {
@@ -523,6 +532,14 @@ func (r *Run) Step() bool {
 		return false
 	}
 	return true
+}
+
+// fail ends the run with err; Step returns its false.
+func (r *Run) fail(err error) bool {
+	r.err = err
+	r.done = true
+	r.joinAhead()
+	return false
 }
 
 // execGuarded dispatches the stage to its executor under recover(): a panic
@@ -588,6 +605,7 @@ func Execute(g *graph.Graph, opts Options) (*Result, error) {
 
 func (r *Run) finish() {
 	r.done = true
+	r.joinAhead()
 	// The output is the dataset of the sink stage(s); with several sinks,
 	// their outputs are concatenated.
 	var outs []*dataset.Dataset
@@ -659,6 +677,7 @@ func (r *Run) refreshReady() {
 		// to lie above everything that is ready.
 		j, _ := slices.BinarySearchFunc(r.ready, st, graph.CompareStageID)
 		r.ready = slices.Insert(r.ready, j, st)
+		r.offerAhead(st)
 	}
 	r.released = r.released[:0]
 }

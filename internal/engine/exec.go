@@ -44,22 +44,31 @@ func (r *Run) execStage(st *graph.Stage) error {
 		}
 	}
 
-	nodeT := r.loadInputs(ins, ready)
+	// The host work of the chain: what was computed ahead of the pick, or an
+	// empty result the first operator's call fills.
+	res := r.resultFor(st)
+	defer res.release()
+
+	nodeT, err := r.loadInputs(ins, ready)
+	if err != nil {
+		return fmt.Errorf("engine: stage %s: %w", st, err)
+	}
 	r.chargeShuffle(st, ins, nodeT)
 
 	// Apply the operator chain for real, accumulating virtual compute cost.
 	// Fixed costs model inherently data-parallel work (e.g. a training
 	// epoch) and spread evenly across workers; per-MB costs follow the
 	// placement of the input bytes.
-	cur := ins
+	var out *dataset.Dataset
 	var cpuFixed, cpuScan, retryPenalty sim.VTime
 	var externalBytes sim.Bytes
-	for _, op := range st.Ops {
-		inBytes := sim.Bytes(0)
-		for _, d := range cur {
-			inBytes += sim.Bytes(d.VirtualBytes())
-		}
-		out, penalty, err := r.runTransform(op, cur)
+	inBytes := sim.Bytes(0) // what the operator at hand reads
+	for _, d := range ins {
+		inBytes += sim.Bytes(d.VirtualBytes())
+	}
+	for i, op := range st.Ops {
+		var penalty sim.VTime
+		out, penalty, err = r.runTransform(st, i, ins, res)
 		retryPenalty += penalty
 		if err != nil {
 			var pe *opPanicError
@@ -86,9 +95,16 @@ func (r *Run) execStage(st *graph.Stage) error {
 		}
 		cpuFixed += sim.VTime(op.FixedCost)
 		cpuScan += sim.VTime(op.CostPerMB * inBytes.MB())
-		cur = []*dataset.Dataset{out}
+		inBytes = sim.Bytes(out.VirtualBytes())
 	}
-	out := cur[0]
+	if res.ahead {
+		// Dataset IDs break ties in the memory manager and order lost
+		// partitions, and within a run they rise in production order. A
+		// dataset made ahead of the pick took its ID whenever its goroutine got
+		// to it; it is numbered again here, in adoption order.
+		out.ID = dataset.NewID()
+		r.adoptedAhead++
+	}
 	if retryPenalty > 0 {
 		// Backoff between panic retries stalls the whole stage.
 		for n := range nodeT {
@@ -147,8 +163,10 @@ func (r *Run) inputs(st *graph.Stage) []*dataset.Dataset {
 }
 
 // loadInputs charges the access cost of every input partition and returns
-// the per-node time cursors.
-func (r *Run) loadInputs(ins []*dataset.Dataset, ready sim.VTime) []sim.VTime {
+// the per-node time cursors. An input the run holds live has every partition
+// in its node's allocator; one that is not there was lost by the run's own
+// bookkeeping, and reading on would leave the read uncharged.
+func (r *Run) loadInputs(ins []*dataset.Dataset, ready sim.VTime) ([]sim.VTime, error) {
 	nodeT := make([]sim.VTime, len(r.allocs))
 	for i := range nodeT {
 		nodeT[i] = ready
@@ -160,12 +178,18 @@ func (r *Run) loadInputs(ins []*dataset.Dataset, ready sim.VTime) []sim.VTime {
 		for i := range d.Parts {
 			n := r.nodeOf(d.Key(i), i)
 			end, _, err := r.allocs[n].Access(d.Key(i), nodeT[n])
-			if err == nil && end > nodeT[n] {
+			if err != nil {
+				if _, live := r.datasets[d.ID]; live {
+					return nil, fmt.Errorf("reading live dataset %q: %w", d.Name, err)
+				}
+				continue
+			}
+			if end > nodeT[n] {
 				nodeT[n] = end
 			}
 		}
 	}
-	return nodeT
+	return nodeT, nil
 }
 
 // chargeShuffle charges the network cost of wide input dependencies: each

@@ -31,11 +31,21 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // (first-k above a size threshold, which prunes). It also returns the names
 // of the operators that sit on a branch, for fault plans to aim at.
 func refMDF(t *testing.T, rng *stats.RNG) (*graph.Graph, []string) {
+	return refMDFScaled(t, rng, 1, false)
+}
+
+// refMDFScaled is refMDF with the input repeated scale times over, so that
+// every dataset holds scale times the rows, the size thresholds of the
+// first-k choosers scaled with it; with fixed set, about half the branch
+// operators also carry a FixedCost. At scale 8 some stages' inputs hold more
+// rows than the compute-ahead gate asks for and some fewer. The draws from
+// rng do not depend on either.
+func refMDFScaled(t *testing.T, rng *stats.RNG, scale int, fixed bool) (*graph.Graph, []string) {
 	t.Helper()
 	b := mdf.NewBuilder()
-	rows := make([]dataset.Row, 512)
+	rows := make([]dataset.Row, 512*scale)
 	for i := range rows {
-		rows[i] = i
+		rows[i] = i % 512
 	}
 	node := b.Source("src", mdf.SourceFunc(func() *dataset.Dataset {
 		return dataset.FromRows("in", rows, 4, 1<<18)
@@ -72,7 +82,7 @@ func refMDF(t *testing.T, rng *stats.RNG) (*graph.Graph, []string) {
 		case 3:
 			sel = mdf.Mode()
 		default:
-			sel = mdf.KThreshold(rng.Intn(2)+1, float64(80+rng.Intn(150)), false)
+			sel = mdf.KThreshold(rng.Intn(2)+1, float64((80+rng.Intn(150))*scale), false)
 		}
 		bi := -1
 		return n.Explore("explore-"+id, specs, mdf.NewChooser(mdf.SizeEvaluator(), sel),
@@ -91,6 +101,9 @@ func refMDF(t *testing.T, rng *stats.RNG) (*graph.Graph, []string) {
 					cur = step(name, mdf.FilterRows("f", func(r dataset.Row) bool {
 						return r.(int) < keep
 					}), 0.001)
+					if fixed && (bi+c+depth)%2 == 0 {
+						cur.Op().FixedCost = 0.5
+					}
 				}
 				if nested[bi] {
 					cur = addScope(cur, depth+1, fmt.Sprintf("%sn%d", id, bi))

@@ -43,19 +43,22 @@ func IsPanic(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// callTransform invokes one operator function under recover(), converting
-// panics — injected or genuine — into opPanicError.
-func (r *Run) callTransform(op *graph.Operator, in []*dataset.Dataset) (out *dataset.Dataset, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &opPanicError{op: op.Name, val: v}
-		}
-	}()
+// callTransform produces the output of operator i of the stage's chain. The
+// fault injector is consulted first, as before every invocation, so an
+// injected panic fires at the call it always fired at whether or not the
+// output exists already; then the output is taken from res, which is first
+// filled from operator i on if it does not hold it (nobody computed the
+// stage ahead, or this is the retry of an operator that failed).
+func (r *Run) callTransform(st *graph.Stage, i int, ins []*dataset.Dataset, res *chainResult) (*dataset.Dataset, error) {
+	op := st.Ops[i]
 	if r.injector != nil && r.injector.TakePanic(op.Name, faults.TargetTransform) {
 		r.metrics.PanicsInjected++
-		panic("injected transform fault")
+		return nil, &opPanicError{op: op.Name, val: "injected transform fault"}
 	}
-	return op.Transform(in)
+	if !res.holds(i) {
+		computeChain(st, ins, res)
+	}
+	return res.take(i)
 }
 
 // callScore invokes a choose evaluator under recover().
@@ -72,14 +75,15 @@ func (r *Run) callScore(op *graph.Operator, d *dataset.Dataset) (score float64, 
 	return op.Chooser.Score(d), nil
 }
 
-// runTransform executes an operator function with bounded retry and
-// exponential virtual-time backoff. penalty is the backoff time accrued by
-// failed attempts, to be charged to the stage regardless of the outcome. A
+// runTransform executes operator i of the stage's chain with bounded retry
+// and exponential virtual-time backoff. penalty is the backoff time accrued
+// by failed attempts, to be charged to the stage regardless of the outcome. A
 // non-panic error propagates immediately; a panic persisting past the retry
 // budget is returned as *opPanicError.
-func (r *Run) runTransform(op *graph.Operator, in []*dataset.Dataset) (out *dataset.Dataset, penalty sim.VTime, err error) {
+func (r *Run) runTransform(st *graph.Stage, i int, ins []*dataset.Dataset, res *chainResult) (out *dataset.Dataset, penalty sim.VTime, err error) {
+	op := st.Ops[i]
 	for attempt := 1; ; attempt++ {
-		out, err = r.callTransform(op, in)
+		out, err = r.callTransform(st, i, ins, res)
 		if err == nil {
 			return out, penalty, nil
 		}

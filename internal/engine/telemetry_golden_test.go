@@ -26,7 +26,18 @@ import (
 // operator and an evaluator that panic past the retry budget (quarantine),
 // one that recovers within it (retry) and a node restart. Regenerate with
 // -update only for an intended change of a telemetry format.
+//
+// The run is made twice, on one processor and on four: whether the engine may
+// compute ready branches ahead on other goroutines or not, the bytes are the
+// same (none of this run's stages passes the gate; TestSerialEqualsPooled
+// compares the same artifacts over runs whose stages do).
 func TestTelemetryGoldenAcrossCommits(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		withProcs(procs, func() { telemetryGolden(t) })
+	}
+}
+
+func telemetryGolden(t *testing.T) {
 	g, branchOps := refMDF(t, stats.NewRNG(6*31))
 	plan, err := graph.BuildPlan(g)
 	if err != nil {

@@ -60,6 +60,21 @@ const (
 // datasets of the operator's predecessors in edge order (empty for sources)
 // and produces the operator's single output dataset. Implementations must
 // set the VirtualBytes of the partitions they produce.
+//
+// The engine may call the function on another goroutine than the one that
+// steps the run, concurrently with the functions of other branches of the
+// same job, before the operator's stage is picked, and for a branch that is
+// then pruned and whose result is dropped: branches are independent
+// (Def. 3.2), so ready ones are computed ahead of their turn while the
+// virtual clock keeps their order. A function must therefore not write its
+// inputs (datasets, partitions, columns: other branches are reading them),
+// must synchronise any state it shares with another function or another
+// call of itself (a cache, a counter in a closure), and should be
+// deterministic in its inputs: which goroutine runs it, and when, is not. It
+// returns a dataset of its own making or one of its inputs as it is; the
+// engine gives the latter an identity of its own (Alias). The output's ID
+// is the engine's: it is assigned anew when a result computed ahead is
+// adopted, so a function neither reads nor keeps dataset IDs.
 type TransformFunc func(ins []*dataset.Dataset) (*dataset.Dataset, error)
 
 // Chooser carries the executable semantics of a choose operator: an
@@ -67,7 +82,11 @@ type TransformFunc func(ins []*dataset.Dataset) (*dataset.Dataset, error)
 // exposed as an incremental session. Implementations live in internal/mdf;
 // the interface is defined here to keep the dependency graph acyclic.
 type Chooser interface {
-	// Score is the evaluator function φ_v, run on workers.
+	// Score is the evaluator function φ_v, run on workers. It is called by
+	// the goroutine that steps the run, when the choose gets to the branch,
+	// while operator functions of other branches may be running on other
+	// goroutines (see TransformFunc): it reads d without writing it and
+	// synchronises any state it shares with them.
 	Score(d *dataset.Dataset) float64
 	// NewSession starts an incremental selection over total branches.
 	NewSession(total int) ChooseSession

@@ -15,7 +15,11 @@ import "metadataflow/internal/dataset"
 type Evaluator struct {
 	// Name labels the evaluator in logs and DOT output.
 	Name string
-	// Fn computes the score of a branch result; run on worker nodes.
+	// Fn computes the score of a branch result; run on worker nodes. It is
+	// called when the choose gets to the branch, while operator functions
+	// (graph.TransformFunc) of other branches of the same job may be running
+	// on other goroutines: it must not write d, and must synchronise any
+	// state it shares with them.
 	Fn func(d *dataset.Dataset) float64
 	// Monotone declares the evaluator monotone over the explorable's
 	// ordered choices.

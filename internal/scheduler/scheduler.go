@@ -42,7 +42,9 @@ type Policy interface {
 type PickRecord struct {
 	// Chosen is the picked stage.
 	Chosen *graph.Stage
-	// Candidates are the stages the policy ranked, best first.
+	// Candidates are the stages the policy ranked, best first. The slice is
+	// valid during the observer's call only and must not be modified or
+	// kept: it may be the engine's own ready list (see Hint.Order).
 	Candidates []*graph.Stage
 	// DepthFirst reports that BAS narrowed the pick to successors of the
 	// last executed stage (Alg. 1's depth-first preference).
@@ -56,12 +58,33 @@ type PickObservable interface {
 	SetPickObserver(func(PickRecord))
 }
 
+// Lookahead is implemented by policies that can tell, without changing
+// their state, in which order they would pick from a ready list. The engine
+// computes the operator functions of ready stages ahead of their pick, on
+// other goroutines, in that order; it cannot rank the list itself, because
+// ranking may be what changes a policy (a random hint draws from its RNG, so
+// one speculative ranking would move every later pick). A policy without the
+// interface is never run ahead of.
+type Lookahead interface {
+	// Lookahead returns the stages of ready in the order in which Pick would
+	// take them if no further stage became ready, or nil when the policy
+	// cannot tell without changing its state. Any number of calls between
+	// two Picks must leave every later Pick as it was. ready is as Pick
+	// receives it; the result may be ready itself, or scratch the next call
+	// overwrites, and must not be modified or kept.
+	Lookahead(ready []*graph.Stage) []*graph.Stage
+}
+
 // Hint orders the candidate branches of an explore (§4.2: scheduling hints
 // derived from choose properties, domain knowledge, or learned models).
 type Hint interface {
 	// Name labels the hint.
 	Name() string
-	// Order returns the candidates in preferred execution order.
+	// Order returns the candidates in preferred execution order. cands is
+	// the caller's own list (the engine's ready list, BAS's successor
+	// scratch), valid during the call only: Order must not modify or keep
+	// it. It may return cands itself, so the same holds for the caller and
+	// the result.
 	Order(cands []*graph.Stage) []*graph.Stage
 	// Sorted reports whether the order follows the explorable's sorted
 	// parameter order (the condition for property-based pruning).
@@ -73,13 +96,23 @@ func DefaultHint() Hint { return defaultHint{} }
 
 type defaultHint struct{}
 
-func (defaultHint) Name() string                              { return "default" }
-func (defaultHint) Sorted() bool                              { return false }
-func (defaultHint) Order(cands []*graph.Stage) []*graph.Stage { return byID(cands) }
+func (defaultHint) Name() string { return "default" }
+func (defaultHint) Sorted() bool { return false }
 
-// byID returns a copy of cands in ascending stage ID. The engine's ready
-// list and BAS's successor list arrive in that order already, so the copy
-// is usually all there is to do.
+// Order returns cands itself when it is in ascending stage ID already, as
+// the engine's ready list and BAS's successor list always are: a copy per
+// branch head was 256 copies of up to 256 pointers a job on a flat
+// 256-branch explore.
+func (defaultHint) Order(cands []*graph.Stage) []*graph.Stage {
+	if slices.IsSortedFunc(cands, graph.CompareStageID) {
+		return cands
+	}
+	return byID(cands)
+}
+
+// byID returns a copy of cands in ascending stage ID. It copies even when
+// cands arrives in that order (the engine's ready list and BAS's successor
+// list do): the stateful hints sort what it returns in place.
 func byID(cands []*graph.Stage) []*graph.Stage {
 	out := slices.Clone(cands)
 	if !slices.IsSortedFunc(out, graph.CompareStageID) {
@@ -165,6 +198,7 @@ func BFS() Policy { return &bfs{} }
 type bfs struct {
 	level   []int // by stage ID
 	observe func(PickRecord)
+	ahead   []*graph.Stage // scratch: the ranking Lookahead returns
 }
 
 func (*bfs) Name() string         { return "BFS" }
@@ -196,15 +230,25 @@ func (b *bfs) Pick(ready []*graph.Stage, last *graph.Stage) *graph.Stage {
 	}
 	if b.observe != nil {
 		ranked := slices.Clone(ready)
-		slices.SortFunc(ranked, func(x, y *graph.Stage) int {
-			if c := cmp.Compare(b.level[x.ID], b.level[y.ID]); c != 0 {
-				return c
-			}
-			return graph.CompareStageID(x, y)
-		})
+		slices.SortFunc(ranked, b.compare)
 		b.observe(PickRecord{Chosen: best, Candidates: ranked})
 	}
 	return best
+}
+
+// compare ranks stages as Pick does: shallowest level first, then lowest ID.
+func (b *bfs) compare(x, y *graph.Stage) int {
+	if c := cmp.Compare(b.level[x.ID], b.level[y.ID]); c != 0 {
+		return c
+	}
+	return graph.CompareStageID(x, y)
+}
+
+// Lookahead implements Lookahead: the levels are fixed by the plan.
+func (b *bfs) Lookahead(ready []*graph.Stage) []*graph.Stage {
+	b.ahead = append(b.ahead[:0], ready...)
+	slices.SortFunc(b.ahead, b.compare)
+	return b.ahead
 }
 
 // BAS is branch-aware scheduling (Alg. 1): depth-first within explore
@@ -236,6 +280,20 @@ func (b *bas) ObserveScore(chooseOp *graph.Operator, hint, score float64) {
 	if sa, ok := b.hint.(ScoreAware); ok {
 		sa.ObserveScore(chooseOp, hint, score)
 	}
+}
+
+// Lookahead implements Lookahead. A stage that is ready now is picked when
+// no successor of the last executed stage is, by the hint's order over the
+// ready list; that is the order reported, for the hints whose Order reads
+// their state without writing it. Under any other hint — the random one
+// draws from its RNG, a caller's own or a PriorityHint's comparison may do
+// anything — BAS cannot tell.
+func (b *bas) Lookahead(ready []*graph.Stage) []*graph.Stage {
+	switch b.hint.(type) {
+	case defaultHint, sortedHint, *modelHint, *binarySearchHint:
+		return b.hint.Order(ready)
+	}
+	return nil
 }
 
 // Pick implements hinted_scheduling (Alg. 1, line 5). The engine's

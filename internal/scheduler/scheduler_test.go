@@ -1,11 +1,13 @@
 package scheduler
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
+	"metadataflow/internal/stats"
 )
 
 func passThrough(ins []*dataset.Dataset) (*dataset.Dataset, error) {
@@ -164,5 +166,131 @@ func TestDefaultHintDefinitionOrder(t *testing.T) {
 	ordered := DefaultHint().Order([]*graph.Stage{heads[2], heads[0], heads[1]})
 	if ordered[0] != heads[0] || ordered[2] != heads[2] {
 		t.Fatal("default hint must order by stage ID (definition order)")
+	}
+}
+
+// simulatePicks drives a policy over the plan as the engine would with no
+// pruning — the ready list in stage-ID order, every stage settling as it is
+// picked, a score reported whenever a branch's last stage ran — and returns
+// the pick sequence. Before each Pick it calls peek(ready), which may call
+// the policy's Lookahead as often as it likes and returns the stage it
+// expects to be picked (nil for none): the expectation is checked whenever no
+// successor of the last stage is ready, which is when the ready list's order
+// decides.
+func simulatePicks(t *testing.T, p *graph.Plan, pol Policy, peek func(ready []*graph.Stage) *graph.Stage) []int {
+	t.Helper()
+	pol.Init(p)
+	unsettled := make([]int, len(p.Stages))
+	var ready []*graph.Stage
+	for _, st := range p.Stages {
+		unsettled[st.ID] = len(p.Pre(st))
+		if unsettled[st.ID] == 0 {
+			ready = append(ready, st)
+		}
+	}
+	var picks []int
+	var last *graph.Stage
+	for len(ready) > 0 {
+		expect := peek(ready)
+		if last != nil && pol.Name() == "BAS" {
+			for _, post := range p.Post(last) {
+				if slices.Contains(ready, post) {
+					expect = nil // depth-first: the successor goes first
+				}
+			}
+		}
+		next := pol.Pick(ready, last)
+		if expect != nil && next != expect {
+			t.Errorf("%s picked T%d, Lookahead had T%d first", pol.Name(), next.ID, expect.ID)
+		}
+		picks = append(picks, next.ID)
+		i, ok := slices.BinarySearchFunc(ready, next, graph.CompareStageID)
+		if !ok {
+			t.Fatalf("%s picked T%d, which is not ready", pol.Name(), next.ID)
+		}
+		ready = slices.Delete(ready, i, i+1)
+		for _, post := range p.Post(next) {
+			if unsettled[post.ID]--; unsettled[post.ID] == 0 {
+				j, _ := slices.BinarySearchFunc(ready, post, graph.CompareStageID)
+				ready = slices.Insert(ready, j, post)
+			}
+			if sa, ok := pol.(ScoreAware); ok && post.IsChoose() {
+				h := next.First().Hint
+				sa.ObserveScore(post.Ops[0], h, (h-3)*(h-3))
+			}
+		}
+		last = next
+	}
+	return picks
+}
+
+// TestLookaheadLeavesPicksAlone is the property the engine's compute-ahead
+// rests on: a policy that implements Lookahead picks the same sequence
+// however often it is asked in between, what it answers is the ready list
+// reordered, and when no successor of the last stage is ready its first
+// answer is the next pick. A policy that cannot tell — ranking draws from an
+// RNG or runs a caller's comparison — says nil, every time.
+func TestLookaheadLeavesPicksAlone(t *testing.T) {
+	policies := []struct {
+		name    string
+		make    func() Policy
+		cantSay bool // Lookahead answers nil: ranking runs code that may keep state
+	}{
+		{name: "bfs", make: BFS},
+		{name: "bas", make: func() Policy { return BAS(nil) }},
+		{name: "bas-sorted-asc", make: func() Policy { return BAS(SortedHint(false)) }},
+		{name: "bas-sorted-desc", make: func() Policy { return BAS(SortedHint(true)) }},
+		{name: "bas-model-min", make: func() Policy { return BAS(ModelHint(false)) }},
+		{name: "bas-model-max", make: func() Policy { return BAS(ModelHint(true)) }},
+		{name: "bas-binary-search", make: func() Policy { return BAS(BinarySearchHint(false)) }},
+		{name: "bas-random", make: func() Policy { return BAS(RandomHint(7)) }, cantSay: true},
+		// The comparison is the caller's code, and this one keeps state: it
+		// flips its preference every 16 calls, so a speculative ranking would
+		// move later picks.
+		{name: "bas-priority", make: func() Policy {
+			calls := 0
+			return BAS(PriorityHint("flipping", func(a, b *graph.Stage) bool {
+				calls++
+				return (a.ID%2 > b.ID%2) == (calls/16%2 == 0)
+			}, false))
+		}, cantSay: true},
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := stats.NewRNG(seed)
+		hints := make([]float64, 2+rng.Intn(9))
+		for i := range hints {
+			hints[i] = float64(rng.Intn(8))
+		}
+		p, _ := buildPlan(t, hints)
+		for _, pc := range policies {
+			want := simulatePicks(t, p, pc.make(), func([]*graph.Stage) *graph.Stage { return nil })
+			pol := pc.make()
+			look, ok := pol.(Lookahead)
+			if !ok {
+				t.Fatalf("%s does not implement Lookahead", pc.name)
+			}
+			got := simulatePicks(t, p, pol, func(ready []*graph.Stage) *graph.Stage {
+				var first *graph.Stage
+				for n := rng.Intn(4); n > 0; n-- {
+					order := look.Lookahead(ready)
+					if pc.cantSay {
+						if order != nil {
+							t.Fatalf("seed %d: %s answered Lookahead", seed, pc.name)
+						}
+						continue
+					}
+					sorted := slices.Clone(order)
+					slices.SortFunc(sorted, graph.CompareStageID)
+					if !slices.Equal(sorted, ready) {
+						t.Fatalf("seed %d %s: Lookahead did not return the ready list reordered", seed, pc.name)
+					}
+					first = order[0]
+				}
+				return first
+			})
+			if !slices.Equal(got, want) {
+				t.Errorf("seed %d %s: picks with Lookahead calls in between %v, without %v", seed, pc.name, got, want)
+			}
+		}
 	}
 }

@@ -373,31 +373,30 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 // TestEngineContextCancellation pins the engine-level contract the service
 // builds on: a canceled context stops the run at the next scheduling
 // boundary with the cause wrapped in the error, and the partial snapshot
-// stays readable.
+// stays readable. The step loop is driven turn by turn, so that the job is
+// running with stages left when it is canceled whatever the host's speed
+// (with a loop goroutine the job could finish between the observation of
+// "running" and the Cancel).
 func TestEngineContextCancellation(t *testing.T) {
 	s := newServer(Config{})
 	st := submitOK(t, s, "t", longSpec, "")
-	go s.loop()
-	// Cancel as soon as the job is observed running; the loop keeps
-	// stepping until the cancellation is observed at a boundary.
-	for {
-		got, err := s.Job(st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.State == StateRunning {
-			if err := s.Cancel(st.ID); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		if got.State != StateQueued {
-			// Too fast to catch running; nothing to verify here.
-			t.Skipf("job reached %q before cancel", got.State)
-		}
+	// The first turn admits the job and takes one engine step of it.
+	if !turn(s) {
+		t.Fatal("no work after a submission")
 	}
-	s.WaitIdle()
 	got, err := s.Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateRunning {
+		t.Fatalf("state = %q after one turn, want running", got.State)
+	}
+	if err := s.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	for turn(s) {
+	}
+	got, err = s.Job(st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +406,13 @@ func TestEngineContextCancellation(t *testing.T) {
 	if !strings.Contains(got.Error, "canceled by client") {
 		t.Fatalf("error %q does not carry the cancellation cause", got.Error)
 	}
-	s.Close()
+	p, err := s.Progress(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.StagesExecuted == 0 || p.StagesExecuted >= p.StagesTotal {
+		t.Fatalf("partial snapshot reads %d of %d stages executed, want some but not all", p.StagesExecuted, p.StagesTotal)
+	}
 }
 
 // TestEngineIsPanicClassification pins the error classification the retry

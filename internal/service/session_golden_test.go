@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -77,7 +78,20 @@ func turn(s *Server) bool {
 // explore, a nested one, a nested one that loses a branch to quarantine and
 // retries another, a job that panics through every service-level attempt, a
 // chain of wide operators and a job that overruns its virtual deadline.
+//
+// The session runs twice, on one processor and on four: with the engine
+// computing ready branches ahead on other goroutines wherever it may, and
+// with it computing every stage where it is picked, the bytes are the same.
 func TestSessionGoldenAcrossCommits(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			sessionGolden(t)
+		}()
+	}
+}
+
+func sessionGolden(t *testing.T) {
 	s := newServer(Config{})
 	h := s.Handler()
 	var progress bytes.Buffer

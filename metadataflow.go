@@ -22,7 +22,8 @@ type (
 	// BranchSpec labels one explorable setting and carries its scheduling
 	// hint.
 	BranchSpec = mdf.BranchSpec
-	// Evaluator is the choose operator's scoring function φ.
+	// Evaluator is the choose operator's scoring function φ; its Fn may run
+	// while operator functions of other branches do (see TransformFunc).
 	Evaluator = mdf.Evaluator
 	// Selector is the choose operator's selection function ρ.
 	Selector = mdf.Selector
@@ -32,7 +33,12 @@ type (
 	Graph = graph.Graph
 	// Operator is a dataflow vertex.
 	Operator = graph.Operator
-	// TransformFunc is an operator function over datasets.
+	// TransformFunc is an operator function over datasets. It may be called
+	// on another goroutine, concurrently with the functions of other branches
+	// of the same job, ahead of its stage's turn and for a branch that is
+	// then pruned; it must not write its inputs, must synchronise any state
+	// it shares, and leaves the output's ID to the engine (see
+	// graph.TransformFunc).
 	TransformFunc = graph.TransformFunc
 	// Dataset is a partitioned collection of rows.
 	Dataset = dataset.Dataset
@@ -217,7 +223,9 @@ func (c RunConfig) clusterOrDefault() ClusterConfig {
 }
 
 // Run executes the MDF on a fresh simulated cluster and returns its result.
-// Completion times are virtual seconds.
+// Completion times are virtual seconds. With more than one processor
+// (GOMAXPROCS) the operator functions of independent branches run on several
+// goroutines at once; the result does not depend on it.
 func Run(g *Graph, cfg RunConfig) (*Result, error) {
 	pol, err := cfg.policy()
 	if err != nil {
