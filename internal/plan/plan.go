@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strings"
 
+	"metadataflow/internal/graph"
 	"metadataflow/internal/sim"
 	"metadataflow/internal/spec"
 )
@@ -110,11 +111,23 @@ type Result struct {
 	Findings []Finding `json:"findings"`
 	// StaleAllows lists allow entries that suppressed nothing.
 	StaleAllows []StaleAllow `json:"staleAllows,omitempty"`
+
+	// Graph and Hashes are what the battery built on its way, handed over so
+	// that a caller who goes on to run the spec builds neither again: the
+	// graph the compile rule compiled (nil when the rule is off or the spec
+	// does not compile) and the hash report the dupbranch rule read (nil
+	// when the rule is off). Neither is part of the serialized result.
+	Graph  *graph.Graph     `json:"-"`
+	Hashes *spec.HashReport `json:"-"`
 }
 
 // Verify runs the configured rule battery over a parsed spec. The spec's
 // "allow" list suppresses findings per rule; suppression is recorded so
 // unused entries surface in Result.StaleAllows.
+//
+// Each thing is done once: one normalisation, shared with the content hash;
+// one compilation; one interval walk of the pipeline, feeding deadchoose,
+// degeniterate and emptyfilter together.
 func Verify(s *spec.Spec, cfg Config) (*Result, error) {
 	enabled, err := enabledRules(cfg.Rules)
 	if err != nil {
@@ -125,38 +138,51 @@ func Verify(s *spec.Spec, cfg Config) (*Result, error) {
 	}
 
 	n := s.Normalized()
-	var all []Finding
-	for _, rule := range Rules() {
-		if !enabled[rule] {
-			continue
+	res := &Result{}
+	found := make(map[string][]Finding, len(enabled))
+	if enabled["compile"] {
+		g, err := s.Compile()
+		if err != nil {
+			// Parse already validates structure, so a failure here is a
+			// graph-level defect (and everything the later rules assume about
+			// the plan holds once this passes).
+			found["compile"] = []Finding{{Path: "spec", Rule: "compile", Msg: err.Error()}}
 		}
-		switch rule {
-		case "compile":
-			all = append(all, checkCompile(s)...)
-		case "dupbranch":
-			all = append(all, checkDupBranch(s)...)
-		case "deadchoose":
-			all = append(all, checkDeadChoose(n)...)
-		case "degeniterate":
-			all = append(all, checkDegenIterate(n, cfg)...)
-		case "emptyfilter":
-			all = append(all, checkEmptyFilter(n)...)
-		case "memfeasible":
-			all = append(all, checkMemFeasible(n, cfg)...)
-		}
+		res.Graph = g
+	}
+	if enabled["dupbranch"] {
+		res.Hashes = spec.HashNormalized(n)
+		found["dupbranch"] = checkDupBranch(res.Hashes)
+	}
+	if dead, degen, empty := enabled["deadchoose"], enabled["degeniterate"], enabled["emptyfilter"]; dead || degen || empty {
+		var deads, degens, empties []Finding
+		walkPipeline(n, func(e stepEvent) {
+			switch {
+			case e.Step.Explore != nil && dead:
+				deads = append(deads, checkDeadChoose(e)...)
+			case e.Step.Iterate != nil && degen:
+				degens = append(degens, checkDegenIterate(e, cfg)...)
+			}
+			if e.ProvedEmpty && empty {
+				empties = append(empties, checkEmptyFilter(e))
+			}
+		})
+		found["deadchoose"], found["degeniterate"], found["emptyfilter"] = deads, degens, empties
+	}
+	if enabled["memfeasible"] {
+		found["memfeasible"] = checkMemFeasible(n, cfg)
 	}
 
 	allowed := make(map[string]bool, len(s.Allow))
 	for _, a := range s.Allow {
 		allowed[a] = false // false = not yet used
 	}
-	res := &Result{}
-	for _, f := range all {
-		if _, ok := allowed[f.Rule]; ok {
-			allowed[f.Rule] = true
+	for _, rule := range Rules() {
+		if _, ok := allowed[rule]; ok && len(found[rule]) > 0 {
+			allowed[rule] = true
 			continue
 		}
-		res.Findings = append(res.Findings, f)
+		res.Findings = append(res.Findings, found[rule]...)
 	}
 	stale := make([]string, 0, len(allowed))
 	for rule, used := range allowed {

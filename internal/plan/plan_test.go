@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -235,5 +238,114 @@ func TestOpTransfers(t *testing.T) {
 	}
 	if !math.IsInf(top().hi, 1) {
 		t.Error("top is not unbounded")
+	}
+}
+
+// randomSpec draws a spec with defects of every walk rule seeded in at
+// random: uniform sources (bounded intervals, so filters can be proved
+// empty), single-round and idempotent iterates, divergence thresholds out
+// of reach, selectors that keep everything, duplicate branches and nested
+// explores.
+func randomSpec(rng *rand.Rand) *spec.Spec {
+	fns := []string{"identity", "affine", "square", "abs", "normalize", "filter-less", "filter-greater", "filter-absless"}
+	op := func(name string) spec.OpStep {
+		return spec.OpStep{
+			Name: name, Fn: fns[rng.Intn(len(fns))],
+			A: float64(rng.Intn(3)), B: float64(rng.Intn(2)), Limit: float64(rng.Intn(7)-3) / 2,
+			ParamKey: []string{"", "p"}[rng.Intn(2)],
+		}
+	}
+	var steps func(depth int, prefix string) []spec.Step
+	steps = func(depth int, prefix string) []spec.Step {
+		out := make([]spec.Step, 1+rng.Intn(3))
+		for i := range out {
+			name := fmt.Sprintf("%s%d", prefix, i)
+			switch k := rng.Intn(4); {
+			case k == 0:
+				out[i].Iterate = &spec.IterateStep{
+					Name: name, Rounds: 1 + rng.Intn(3), Op: op(name),
+					DivergeAboveMeanAbs: float64(rng.Intn(3)),
+				}
+			case k == 1 && depth < 2:
+				branches := make([]spec.Branch, 2+rng.Intn(2))
+				for b := range branches {
+					branches[b] = spec.Branch{
+						Label:  fmt.Sprintf("%s.b%d", name, b),
+						Params: map[string]float64{"p": float64(rng.Intn(3)) / 2},
+					}
+				}
+				out[i].Explore = &spec.ExploreStep{
+					Name: name, Branches: branches, Body: steps(depth+1, name+"."),
+					Choose: spec.Choose{
+						Evaluator: []string{"size", "ratio", "mean", "neg-mean-abs"}[rng.Intn(4)],
+						Selector: []spec.Selector{
+							{Kind: "max"}, {Kind: "topk", K: 1 + rng.Intn(3)},
+							{Kind: "threshold", Bound: float64(rng.Intn(5) - 2), AtMost: rng.Intn(2) == 0},
+							{Kind: "interval", Lo: float64(rng.Intn(4) - 2), Hi: float64(rng.Intn(4) - 2)},
+						}[rng.Intn(4)],
+					},
+				}
+			default:
+				o := op(name)
+				out[i].Op = &o
+			}
+		}
+		return out
+	}
+	return &spec.Spec{
+		Source: spec.Source{
+			Rows: 10, Partitions: 1 + rng.Intn(4), VirtualBytes: int64(1+rng.Intn(64)) << 30,
+			Distribution: []string{"uniform", "normal"}[rng.Intn(2)],
+		},
+		Pipeline: steps(0, "s"),
+	}
+}
+
+// TestVerifySharesItsWalk is the oracle for Verify doing each thing once.
+// The walk rules now share one interval interpretation of the pipeline: for
+// random defective specs the full battery must report exactly what one run
+// per rule reports — each of those walks alone — concatenated in rule order.
+// The by-products it hands over must be what a caller would have built: the
+// spec's own hash report, and a compiled graph exactly when the spec
+// compiles.
+func TestVerifySharesItsWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	cfg := Config{MaxIterateRounds: 2, Workers: 8, MemPerWorker: 4 << 30, TenantQuota: 16 << 30}
+	fired := make(map[string]int)
+	for i := 0; i < 400; i++ {
+		s := randomSpec(rng)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		full, err := Verify(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Finding
+		for _, rule := range Rules() {
+			one := cfg
+			one.Rules = []string{rule}
+			res, err := Verify(s, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, res.Findings...)
+			fired[rule] += len(res.Findings)
+		}
+		if !reflect.DeepEqual(full.Findings, want) {
+			t.Fatalf("spec %d: full battery\n%v\nper-rule runs\n%v", i, full.Findings, want)
+		}
+		if !reflect.DeepEqual(full.Hashes, s.HashReport()) {
+			t.Fatalf("spec %d: handed-over hash report differs from HashReport()", i)
+		}
+		g, err := s.Compile()
+		if (err == nil) != (full.Graph != nil) || (g != nil && full.Graph.NumOps() != g.NumOps()) {
+			t.Fatalf("spec %d: handed-over graph %v, Compile gives %v, %v", i, full.Graph, g, err)
+		}
+	}
+	for _, rule := range []string{"dupbranch", "deadchoose", "degeniterate", "emptyfilter", "memfeasible"} {
+		if fired[rule] == 0 {
+			t.Errorf("no random spec trips %s: the oracle does not reach it", rule)
+		}
 	}
 }

@@ -8,25 +8,13 @@ import (
 	"metadataflow/internal/spec"
 )
 
-// checkCompile proves the spec compiles to a valid executable graph. Parse
-// already validates structure, so a failure here is a graph-level defect
-// (and everything the later rules assume about the plan holds once this
-// passes).
-func checkCompile(s *spec.Spec) []Finding {
-	if _, err := s.Compile(); err != nil {
-		return []Finding{{Path: "spec", Rule: "compile", Msg: err.Error()}}
-	}
-	return nil
-}
-
 // checkDupBranch flags explore branches whose resolved sub-graph hashes
 // collide: both branches compute the same intermediate result from the same
 // input, so running both is pure waste (and the choose between them is a
 // coin flip). The hash already resolves ParamKey indirection and ignores
 // labels, so differently-spelled duplicates collide too.
-func checkDupBranch(s *spec.Spec) []Finding {
+func checkDupBranch(report *spec.HashReport) []Finding {
 	var out []Finding
-	report := s.HashReport()
 	type firstSeen struct {
 		branch int
 		label  string
@@ -91,61 +79,57 @@ func rowCountMayChange(body []spec.Step) bool {
 	return false
 }
 
-// checkDeadChoose flags choose scopes that cannot do their job: selectors
-// that keep every branch, evaluators that score every branch identically,
-// and selector ranges disjoint from the evaluator's provable score range
-// (which would discard every branch and kill the job at runtime).
-func checkDeadChoose(n *spec.Spec) []Finding {
+// checkDeadChoose flags a choose scope (e is an explore step's event) that
+// cannot do its job: a selector that keeps every branch, an evaluator that
+// scores every branch identically, and a selector range disjoint from the
+// evaluator's provable score range (which would discard every branch and
+// kill the job at runtime).
+func checkDeadChoose(e stepEvent) []Finding {
 	var out []Finding
-	walkPipeline(n, func(e stepEvent) {
-		if e.Step.Explore == nil {
-			return
-		}
-		ex := e.Step.Explore
-		path := e.Path + ".explore"
-		sel := ex.Choose.Selector
-		nb := len(ex.Branches)
+	ex := e.Step.Explore
+	path := e.Path + ".explore"
+	sel := ex.Choose.Selector
+	nb := len(ex.Branches)
 
+	switch sel.Kind {
+	case "topk", "bottomk":
+		if sel.K >= nb {
+			out = append(out, Finding{Path: path, Rule: "deadchoose",
+				Msg: fmt.Sprintf("selector %s keeps all %d branches (k=%d): the choose never discards anything", sel.Kind, nb, sel.K)})
+		}
+	case "interval", "kinterval":
+		if sel.Lo > sel.Hi {
+			out = append(out, Finding{Path: path, Rule: "deadchoose",
+				Msg: fmt.Sprintf("selector %s has an empty range [%g, %g]: no branch can ever be selected", sel.Kind, sel.Lo, sel.Hi)})
+		}
+	}
+
+	if (ex.Choose.Evaluator == "size" || ex.Choose.Evaluator == "ratio") && !rowCountMayChange(ex.Body) {
+		out = append(out, Finding{Path: path, Rule: "deadchoose",
+			Msg: fmt.Sprintf("evaluator %q scores every branch identically: no step in the body changes the row count", ex.Choose.Evaluator)})
+	}
+
+	if lo, hi, ok := evaluatorRange(ex.Choose.Evaluator); ok {
+		impossible := ""
 		switch sel.Kind {
-		case "topk", "bottomk":
-			if sel.K >= nb {
-				out = append(out, Finding{Path: path, Rule: "deadchoose",
-					Msg: fmt.Sprintf("selector %s keeps all %d branches (k=%d): the choose never discards anything", sel.Kind, nb, sel.K)})
+		case "threshold", "kthreshold":
+			if !sel.AtMost && sel.Bound > hi {
+				impossible = fmt.Sprintf("requires a score >= %g", sel.Bound)
+			}
+			if sel.AtMost && sel.Bound < lo {
+				impossible = fmt.Sprintf("requires a score <= %g", sel.Bound)
 			}
 		case "interval", "kinterval":
-			if sel.Lo > sel.Hi {
-				out = append(out, Finding{Path: path, Rule: "deadchoose",
-					Msg: fmt.Sprintf("selector %s has an empty range [%g, %g]: no branch can ever be selected", sel.Kind, sel.Lo, sel.Hi)})
+			if sel.Lo <= sel.Hi && (sel.Hi < lo || sel.Lo > hi) {
+				impossible = fmt.Sprintf("requires a score in [%g, %g]", sel.Lo, sel.Hi)
 			}
 		}
-
-		if (ex.Choose.Evaluator == "size" || ex.Choose.Evaluator == "ratio") && !rowCountMayChange(ex.Body) {
+		if impossible != "" {
 			out = append(out, Finding{Path: path, Rule: "deadchoose",
-				Msg: fmt.Sprintf("evaluator %q scores every branch identically: no step in the body changes the row count", ex.Choose.Evaluator)})
+				Msg: fmt.Sprintf("selector %s %s but evaluator %q scores lie in [%g, %g]: no branch can ever be selected",
+					sel.Kind, impossible, ex.Choose.Evaluator, lo, hi)})
 		}
-
-		if lo, hi, ok := evaluatorRange(ex.Choose.Evaluator); ok {
-			impossible := ""
-			switch sel.Kind {
-			case "threshold", "kthreshold":
-				if !sel.AtMost && sel.Bound > hi {
-					impossible = fmt.Sprintf("requires a score >= %g", sel.Bound)
-				}
-				if sel.AtMost && sel.Bound < lo {
-					impossible = fmt.Sprintf("requires a score <= %g", sel.Bound)
-				}
-			case "interval", "kinterval":
-				if sel.Lo <= sel.Hi && (sel.Hi < lo || sel.Lo > hi) {
-					impossible = fmt.Sprintf("requires a score in [%g, %g]", sel.Lo, sel.Hi)
-				}
-			}
-			if impossible != "" {
-				out = append(out, Finding{Path: path, Rule: "deadchoose",
-					Msg: fmt.Sprintf("selector %s %s but evaluator %q scores lie in [%g, %g]: no branch can ever be selected",
-						sel.Kind, impossible, ex.Choose.Evaluator, lo, hi)})
-			}
-		}
-	})
+	}
 	return out
 }
 
@@ -160,74 +144,58 @@ func idempotentFn(fn string) bool {
 	return false
 }
 
-// checkDegenIterate flags iterations that cannot do useful work: a single
-// round (a plain op), rounds beyond the configured maximum, an idempotent
-// operator iterated more than once, and divergence thresholds the value
-// ranges prove unreachable (the early-termination check would be evaluated
-// every round and never fire).
-func checkDegenIterate(n *spec.Spec, cfg Config) []Finding {
+// checkDegenIterate flags an iteration (e is an iterate step's event) that
+// cannot do useful work: a single round (a plain op), rounds beyond the
+// configured maximum, an idempotent operator iterated more than once, and a
+// divergence threshold the value ranges prove unreachable (the
+// early-termination check would be evaluated every round and never fire).
+func checkDegenIterate(e stepEvent, cfg Config) []Finding {
 	var out []Finding
-	walkPipeline(n, func(e stepEvent) {
-		if e.Step.Iterate == nil {
-			return
-		}
-		it := e.Step.Iterate
-		path := e.Path + ".iterate"
-		if it.Rounds == 1 {
+	it := e.Step.Iterate
+	path := e.Path + ".iterate"
+	if it.Rounds == 1 {
+		out = append(out, Finding{Path: path, Rule: "degeniterate",
+			Msg: fmt.Sprintf("iterate %q runs a single round: use a plain op step", it.Name)})
+	}
+	if it.Rounds > cfg.MaxIterateRounds {
+		out = append(out, Finding{Path: path, Rule: "degeniterate",
+			Msg: fmt.Sprintf("iterate %q unrolls %d rounds, above the configured maximum %d", it.Name, it.Rounds, cfg.MaxIterateRounds)})
+	}
+	if it.Rounds > 1 {
+		a, b, _ := resolvedOpParams(it.Op, e.Params)
+		switch {
+		case idempotentFn(it.Op.Fn):
 			out = append(out, Finding{Path: path, Rule: "degeniterate",
-				Msg: fmt.Sprintf("iterate %q runs a single round: use a plain op step", it.Name)})
-		}
-		if it.Rounds > cfg.MaxIterateRounds {
+				Msg: fmt.Sprintf("iterating idempotent op %q for %d rounds computes the same result as one round", it.Op.Fn, it.Rounds)})
+		case it.Op.Fn == "affine" && a == 1 && b == 0:
 			out = append(out, Finding{Path: path, Rule: "degeniterate",
-				Msg: fmt.Sprintf("iterate %q unrolls %d rounds, above the configured maximum %d", it.Name, it.Rounds, cfg.MaxIterateRounds)})
+				Msg: fmt.Sprintf("iterating affine(1·x+0) for %d rounds is the identity", it.Rounds)})
 		}
-		if it.Rounds > 1 {
-			a, b, _ := resolvedOpParams(it.Op, e.Params)
-			switch {
-			case idempotentFn(it.Op.Fn):
-				out = append(out, Finding{Path: path, Rule: "degeniterate",
-					Msg: fmt.Sprintf("iterating idempotent op %q for %d rounds computes the same result as one round", it.Op.Fn, it.Rounds)})
-			case it.Op.Fn == "affine" && a == 1 && b == 0:
-				out = append(out, Finding{Path: path, Rule: "degeniterate",
-					Msg: fmt.Sprintf("iterating affine(1·x+0) for %d rounds is the identity", it.Rounds)})
-			}
+	}
+	if it.DivergeAboveMeanAbs > 0 && e.IterStable && !e.Out.empty && !e.In.empty {
+		if _, absHi := e.Out.abs(); absHi <= it.DivergeAboveMeanAbs {
+			out = append(out, Finding{Path: path, Rule: "degeniterate",
+				Msg: fmt.Sprintf("divergence threshold %g can never fire: iterated values stay within %s (mean |x| <= %g)",
+					it.DivergeAboveMeanAbs, e.Out, absHi)})
 		}
-		if it.DivergeAboveMeanAbs > 0 && e.IterStable && !e.Out.empty && !e.In.empty {
-			if _, absHi := e.Out.abs(); absHi <= it.DivergeAboveMeanAbs {
-				out = append(out, Finding{Path: path, Rule: "degeniterate",
-					Msg: fmt.Sprintf("divergence threshold %g can never fire: iterated values stay within %s (mean |x| <= %g)",
-						it.DivergeAboveMeanAbs, e.Out, absHi)})
-			}
-		}
-	})
+	}
 	return out
 }
 
-// checkEmptyFilter flags the first filter along each chain that provably
-// drops every row, using the interval abstract interpretation: everything
-// downstream of it computes on nothing.
-func checkEmptyFilter(n *spec.Spec) []Finding {
-	var out []Finding
-	walkPipeline(n, func(e stepEvent) {
-		if !e.ProvedEmpty {
-			return
-		}
-		var op spec.OpStep
-		path := e.Path
-		if e.Step.Op != nil {
-			op = *e.Step.Op
-		} else if e.Step.Iterate != nil {
-			op = e.Step.Iterate.Op
-			path += ".iterate"
-		} else {
-			return
-		}
-		_, _, limit := resolvedOpParams(op, e.Params)
-		out = append(out, Finding{Path: path, Rule: "emptyfilter",
-			Msg: fmt.Sprintf("filter %q (%s %g) statically drops every row: input values lie in %s",
-				op.Name, op.Fn, limit, e.In)})
-	})
-	return out
+// checkEmptyFilter reports the filter whose event e carries ProvedEmpty —
+// the first along its chain that provably drops every row, by the interval
+// abstract interpretation: everything downstream of it computes on nothing.
+func checkEmptyFilter(e stepEvent) Finding {
+	path := e.Path
+	op := e.Step.Op
+	if it := e.Step.Iterate; it != nil {
+		op = &it.Op
+		path += ".iterate"
+	}
+	_, _, limit := resolvedOpParams(*op, e.Params)
+	return Finding{Path: path, Rule: "emptyfilter",
+		Msg: fmt.Sprintf("filter %q (%s %g) statically drops every row: input values lie in %s",
+			op.Name, op.Fn, limit, e.In)}
 }
 
 // checkMemFeasible proves the plan inadmissible or memory-defeating from

@@ -142,10 +142,12 @@ func (s *Server) retriedLocked(j *job, backoff float64) {
 // terminalLocked retires a job: final state, the retry shed and deadline
 // hit that ended it (set on the job by the caller), quota release, the
 // tenant's terminal counter, the watch event at the job's end time, and
-// one completion against every quarantine cooldown.
+// one completion against every quarantine cooldown. The job lets go of what
+// only another attempt would have read, its plan and checkpoint chains.
 func (s *Server) terminalLocked(j *job, state string, err error) {
 	j.state = state
 	j.err = err
+	j.plan, j.chains = nil, nil
 	s.ctr.retrySheds += int64(j.sheds)
 	if j.deadlineHit {
 		s.ctr.deadlineExceeded++

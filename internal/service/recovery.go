@@ -10,7 +10,6 @@ import (
 	"metadataflow/internal/faults"
 	"metadataflow/internal/journal"
 	"metadataflow/internal/obs"
-	"metadataflow/internal/spec"
 )
 
 // This file is the service's crash-recovery path. A durable server
@@ -100,11 +99,15 @@ func (s *Server) openState() error {
 // to the queue.
 func (s *Server) replay(recs []journal.Record) error {
 	s.rctr.journalRecords = int64(len(recs))
+	// docs holds the journaled spec document of every job replayed so far
+	// that is not terminal: what the requeue below plans from.
+	docs := make(map[string]json.RawMessage)
 	for _, rec := range recs {
 		if rec.Kind == journal.KindAdmitted {
 			if err := s.replayAdmitted(rec); err != nil {
 				return err
 			}
+			docs[rec.Job] = rec.Spec
 			continue
 		}
 		j, ok := s.jobs[rec.Job]
@@ -122,18 +125,29 @@ func (s *Server) replay(recs []journal.Record) error {
 			if err := s.replayTerminal(j, rec); err != nil {
 				return err
 			}
+			delete(docs, rec.Job)
 		default:
 			return fmt.Errorf("service: recovery: unknown record kind %q (seq %d)", rec.Kind, rec.Seq)
 		}
 	}
 	// Requeue incomplete jobs in admitted order at attempt zero. Their
 	// journaled spec and fault plan replay deterministically, so
-	// re-execution reproduces the lost outcome.
+	// re-execution reproduces the lost outcome. Each gets its plan here, from
+	// the pipeline a live submission goes through (admission.go) — the
+	// verdict aside: the job was admitted, and stays so.
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.terminal() {
 			continue
 		}
+		v, g, err := s.vet(docs[id])
+		if err == nil {
+			j.plan, err = v.buildPlan(g)
+		}
+		if err != nil {
+			return fmt.Errorf("service: recovery: job %s spec: %w", id, err)
+		}
+		j.chains = v.chains
 		if !s.queue.Push(j.id, j.tenant, j.priority) {
 			return fmt.Errorf("service: recovery: queue full requeuing %s", j.id)
 		}
@@ -145,14 +159,13 @@ func (s *Server) replay(recs []journal.Record) error {
 }
 
 // replayAdmitted decodes an admitted record into the job it admitted,
-// re-reserves its quota and indexes it for resubmission dedup.
+// re-reserves its quota and indexes it for resubmission dedup. The spec
+// document is not read here: only a job still incomplete when replay ends
+// needs it again.
 func (s *Server) replayAdmitted(rec journal.Record) error {
-	sp, err := spec.Parse(rec.Spec)
-	if err != nil {
-		return fmt.Errorf("service: recovery: job %s spec: %w", rec.Job, err)
-	}
 	var fplan *faults.Plan
 	if len(rec.Faults) > 0 {
+		var err error
 		fplan, err = faults.Parse(rec.Faults)
 		if err != nil {
 			return fmt.Errorf("service: recovery: job %s faults: %w", rec.Job, err)
@@ -166,11 +179,9 @@ func (s *Server) replayAdmitted(rec journal.Record) error {
 		tenant:   rec.Tenant,
 		priority: rec.Priority,
 		deadline: rec.DeadlineSec,
-		spec:     sp,
 		fplan:    fplan,
 		reserve:  rec.ReserveBytes,
 		state:    StateQueued,
-		chains:   sp.HashReport().OpChains,
 		specHash: rec.SpecHash,
 	}
 	if err := s.quotas.Reserve(j.tenant, j.reserve); err != nil {

@@ -180,7 +180,8 @@ func (e *QuarantineError) Error() string {
 // with the findings as structured diagnostics). The job was never admitted
 // and no quota was reserved.
 type VetError struct {
-	// Findings are the surviving plan-verifier diagnostics.
+	// Findings are the surviving plan-verifier diagnostics. Read-only: every
+	// rejection of the same document shares them.
 	Findings []plan.Finding
 }
 
@@ -216,9 +217,12 @@ type job struct {
 	tenant   string
 	priority int
 	deadline sim.VTime // 0 = none
-	spec     *spec.Spec
-	fplan    *faults.Plan
-	reserve  sim.Bytes
+	// plan is the job's immutable execution plan, built at admission (or at
+	// requeue after a restart) and shared by every attempt; dropped, with
+	// chains, when the job retires.
+	plan    *graph.Plan
+	fplan   *faults.Plan
+	reserve sim.Bytes
 
 	state    string
 	attempts int
@@ -340,6 +344,9 @@ type Server struct {
 	ckpts     *ckptstore.Store
 	recovered map[string][]string
 	rctr      recoveryCounters
+
+	// memo is the admission memo; it has its own lock (admission.go).
+	memo vetMemo
 }
 
 // New starts a memory-only server and its step loop. Config.StateDir is
@@ -374,10 +381,10 @@ func newServer(cfg Config) *Server {
 	return s
 }
 
-// Submit validates and admits one job request. The spec and fault plan are
-// compiled up front so malformed submissions fail fast with a
-// *RequestError; admission rejections return ErrQueueFull, ErrDraining,
-// *memorymgr.QuotaError or *QuarantineError.
+// Submit validates and admits one job request. The spec is vetted, compiled
+// and planned and the fault plan parsed up front, so malformed submissions
+// fail fast with a *RequestError; admission rejections return ErrQueueFull,
+// ErrDraining, *memorymgr.QuotaError or *QuarantineError.
 func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	if req.Tenant == "" {
 		return JobStatus{}, &RequestError{Err: errors.New("service: tenant is required")}
@@ -385,29 +392,20 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	if len(req.Spec) == 0 {
 		return JobStatus{}, &RequestError{Err: errors.New("service: spec is required")}
 	}
-	sp, err := spec.Parse(req.Spec)
+	// Everything a document costs is paid here, on the submitter's goroutine
+	// and before the lock (admission.go): a spec the verifier condemns
+	// (degenerate, dead, or infeasible under this configuration) is rejected
+	// up front with structured diagnostics, before anything is reserved, and
+	// an admitted job reaches the step loop with its plan built.
+	v, g, err := s.vet(req.Spec)
 	if err != nil {
 		return JobStatus{}, &RequestError{Err: err}
 	}
-	// Vet the plan against this service's cluster shape and quota before
-	// taking the lock or reserving anything: a spec the verifier condemns
-	// (degenerate, dead, or infeasible under this configuration) is rejected
-	// up front with structured diagnostics, costing the service nothing.
-	if !s.cfg.DisableVet {
-		res, verr := plan.Verify(sp, plan.Config{
-			Workers:      s.cfg.Workers,
-			MemPerWorker: s.cfg.MemPerWorker,
-			TenantQuota:  s.cfg.TenantQuota,
-		})
-		if verr != nil {
-			return JobStatus{}, &RequestError{Err: verr}
-		}
-		if len(res.Findings) > 0 {
-			s.mu.Lock()
-			s.rejectedLocked(evVetRejected, req.Tenant)
-			s.mu.Unlock()
-			return JobStatus{}, &VetError{Findings: res.Findings}
-		}
+	if len(v.findings) > 0 {
+		s.mu.Lock()
+		s.rejectedLocked(evVetRejected, req.Tenant)
+		s.mu.Unlock()
+		return JobStatus{}, &VetError{Findings: v.findings}
 	}
 	var fplan *faults.Plan
 	if len(req.Faults) > 0 {
@@ -416,12 +414,9 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 			return JobStatus{}, &RequestError{Err: err}
 		}
 	}
-	// The spec content hash is the durability identity: the journal dedup
-	// key and, through OpChains, the checkpoint-store key space. Memory-only
-	// servers skip the hash entirely.
-	var hr *spec.HashReport
-	if s.cfg.StateDir != "" {
-		hr = sp.HashReport()
+	p, err := v.buildPlan(g)
+	if err != nil {
+		return JobStatus{}, &RequestError{Err: err}
 	}
 
 	s.mu.Lock()
@@ -430,11 +425,14 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		s.rejectedLocked(evDrainRejected, req.Tenant)
 		return JobStatus{}, ErrDraining
 	}
-	if hr != nil {
+	if v.specHash != "" {
 		// Idempotent re-admission after a restart: a submission matching a
 		// journal-recovered job (same tenant, same spec content) is the
-		// same job, not a new one — return its current status.
-		if j := s.takeRecoveredLocked(req.Tenant, hr.Spec.String()); j != nil {
+		// same job, not a new one — return its current status. The content
+		// hash is the durability identity, the dedup key here and, through
+		// the chains, the checkpoint-store key space; a memory-only server
+		// has neither.
+		if j := s.takeRecoveredLocked(req.Tenant, v.specHash); j != nil {
 			return s.statusLocked(j), nil
 		}
 	}
@@ -465,14 +463,12 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		tenant:   req.Tenant,
 		priority: req.Priority,
 		deadline: deadline,
-		spec:     sp,
+		plan:     p,
 		fplan:    fplan,
 		reserve:  reserve,
 		state:    StateQueued,
-	}
-	if hr != nil {
-		j.chains = hr.OpChains
-		j.specHash = hr.Spec.String()
+		chains:   v.chains,
+		specHash: v.specHash,
 	}
 	if !s.queue.Push(j.id, j.tenant, j.priority) {
 		s.quotas.Release(j.tenant, reserve)
@@ -535,13 +531,17 @@ type Health struct {
 	Active  int    `json:"active"`
 	Jobs    int    `json:"jobs"`
 	Drained bool   `json:"drained"`
+	// VetMemo says what the admission memo (admission.go) holds and how
+	// often a submission found its document there.
+	VetMemo VetMemoHealth `json:"vetMemo"`
 }
 
 // Healthz reports liveness and load.
 func (s *Server) Healthz() Health {
+	memo := s.memo.health()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := Health{State: "ok", Queued: s.queue.Len(), Active: len(s.active), Jobs: len(s.jobs)}
+	h := Health{State: "ok", Queued: s.queue.Len(), Active: len(s.active), Jobs: len(s.jobs), VetMemo: memo}
 	if s.draining || s.stopped {
 		h.State = "draining"
 		h.Drained = !s.hasWorkLocked()
@@ -672,18 +672,10 @@ func (s *Server) admitLocked() {
 	}
 }
 
-// startLocked builds a fresh per-job cluster and run for the job. Retries
-// rebuild from the spec, so a deterministic fault plan replays identically
-// on every attempt.
+// startLocked builds a fresh per-job cluster and run for the job on the
+// plan admission built. Every attempt starts from that plan and a fresh
+// cluster, so a deterministic fault plan replays identically on each.
 func (s *Server) startLocked(j *job) error {
-	g, err := j.spec.Compile()
-	if err != nil {
-		return err
-	}
-	plan, err := graph.BuildPlan(g)
-	if err != nil {
-		return err
-	}
 	clCfg := cluster.DefaultConfig()
 	clCfg.Workers = s.cfg.Workers
 	clCfg.MemPerWorker = s.cfg.MemPerWorker
@@ -702,7 +694,7 @@ func (s *Server) startLocked(j *job) error {
 	// scratch, so its telemetry must not accumulate onto the failed
 	// attempt's series.
 	rec := obs.NewRecorder()
-	run, err := engine.NewRun(plan, engine.Options{
+	run, err := engine.NewRun(j.plan, engine.Options{
 		Cluster: cl,
 		Policy:  memorymgr.AMM,
 		Faults:  j.fplan,

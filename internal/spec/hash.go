@@ -109,7 +109,13 @@ func (s *Spec) Hash() Hash {
 // HashReport computes the whole-graph hash plus every chain-prefix and
 // branch sub-graph hash.
 func (s *Spec) HashReport() *HashReport {
-	n := s.normalized()
+	return HashNormalized(s.normalized())
+}
+
+// HashNormalized is HashReport for a caller that already holds
+// n = s.Normalized() — the plan verifier reads the same structure — and so
+// normalises once instead of twice. n must be the output of Normalized.
+func HashNormalized(n *Spec) *HashReport {
 	r := &HashReport{}
 	w := newHasher(0)
 	hashSource(w, n.Source)
