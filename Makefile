@@ -13,7 +13,7 @@ help:
 	@echo "  lint              mdflint: determinism, unit and concurrency rules (exits nonzero on findings)"
 	@echo "  specvet           mdfplan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
-	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos, and mdf, spec, workload/..., whose functions run on the engine's pool goroutines)"
+	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
@@ -63,11 +63,16 @@ race:
 # runs). The engine's and the chaos harness's serial-equals-pooled tests set
 # GOMAXPROCS(4) themselves and size their inputs above the engine's gate, so
 # the pool is reached on a single-CPU runner too; the engine's run the
-# functions of the other packages there. -count=1 defeats the test cache so
-# the race detector actually runs on every invocation. Part of ci.
+# functions of the other packages there. dataset, graph and memorymgr are in
+# for what those goroutines read of them (partition blocks, Stage.String's
+# lazy label) and for their reference models (the Alg. 2 transcription, the
+# edge map; the sort-based top-k is mdf's), none of which -short skips.
+# -count=1 defeats the test cache so the race detector actually runs on every
+# invocation. Part of ci.
 race-short:
 	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler ./internal/chaos \
-		./internal/mdf ./internal/spec ./internal/workload/...
+		./internal/mdf ./internal/spec ./internal/workload/... \
+		./internal/dataset ./internal/graph ./internal/memorymgr
 
 # fuzz-short runs the JSON-parser fuzz targets briefly on top of their
 # checked-in corpora (testdata/fuzz); longer runs use -fuzztime directly.

@@ -14,12 +14,7 @@ package metadataflow
 import (
 	"testing"
 
-	"metadataflow/internal/cluster"
-	"metadataflow/internal/dataset"
 	"metadataflow/internal/experiments"
-	"metadataflow/internal/mdf"
-	"metadataflow/internal/memorymgr"
-	"metadataflow/internal/sim"
 )
 
 // BenchmarkExperiment regenerates every registered experiment as a
@@ -44,36 +39,3 @@ func BenchmarkExperiment(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkChooseThroughput measures master-side selection throughput,
-// the §5 claim that a low-end master sustains ~2M choose invocations per
-// second when collecting results.
-func BenchmarkChooseThroughput(b *testing.B) {
-	chooser := mdf.NewChooser(mdf.SizeEvaluator(), mdf.TopK(4))
-	session := chooser.NewSession(b.N + 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		session.Offer(i, float64(i%97))
-	}
-}
-
-// BenchmarkAMMEviction measures a single eviction decision over a populated
-// allocator (Alg. 2's argmin scan).
-func BenchmarkAMMEviction(b *testing.B) {
-	cfg := cluster.DefaultConfig()
-	node := &cluster.Node{}
-	counter := fixedAccesses(3)
-	alloc := memorymgr.NewAllocator(node, cfg, 1<<30, memorymgr.AMM, counter)
-	for i := 0; i < 256; i++ {
-		alloc.Put(dataset.PartKey{Dataset: dataset.ID(i), Index: 0}, 1<<22, 0)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Each Put of a 4 MB partition forces one eviction decision.
-		alloc.Put(dataset.PartKey{Dataset: dataset.ID(1000 + i), Index: 0}, 1<<22, sim.VTime(i))
-	}
-}
-
-type fixedAccesses int
-
-func (f fixedAccesses) FutureAccesses(dataset.PartKey) int { return int(f) }

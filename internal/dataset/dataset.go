@@ -79,13 +79,19 @@ type Partition struct {
 	VirtualBytes int64
 }
 
-// NewPartition wraps a column as a partition accounted at virtualBytes: boxed
+// MakePartition wraps a column as a partition accounted at virtualBytes: boxed
 // when the column is a Col[Row], columnar otherwise.
-func NewPartition(c Column, virtualBytes int64) *Partition {
+func MakePartition(c Column, virtualBytes int64) Partition {
 	if rows, ok := c.(Col[Row]); ok {
-		return &Partition{Rows: rows, VirtualBytes: virtualBytes}
+		return Partition{Rows: rows, VirtualBytes: virtualBytes}
 	}
-	return &Partition{Col: c, VirtualBytes: virtualBytes}
+	return Partition{Col: c, VirtualBytes: virtualBytes}
+}
+
+// NewPartition is MakePartition for a partition allocated on its own.
+func NewPartition(c Column, virtualBytes int64) *Partition {
+	p := MakePartition(c, virtualBytes)
+	return &p
 }
 
 // NumRows returns the number of rows in the partition.
@@ -147,6 +153,20 @@ func New(name string) *Dataset {
 	return &Dataset{ID: NewID(), Name: name}
 }
 
+// FromPartitions creates a dataset with a fresh ID over the partitions the
+// caller made, in order. The dataset takes the slice over: Parts points into
+// it, one block for all the partitions of the dataset, which therefore stays
+// reachable — the payloads of every partition with it — for as long as any
+// one of them is.
+func FromPartitions(name string, parts []Partition) *Dataset {
+	d := New(name)
+	d.Parts = make([]*Partition, len(parts))
+	for i := range parts {
+		d.Parts[i] = &parts[i]
+	}
+	return d
+}
+
 // FromColumn builds a dataset by splitting the column, without copying it,
 // into parts partitions of near-equal length. The virtual size is
 // bytesPerRow × row count, spread proportionally over the partitions. parts
@@ -155,15 +175,15 @@ func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
 	if parts < 1 {
 		panic("dataset: parts must be >= 1")
 	}
-	d := New(name)
-	d.col = c
-	d.Parts = make([]*Partition, parts)
+	block := make([]Partition, parts)
 	n := c.Len()
-	for i := range d.Parts {
+	for i := range block {
 		lo := i * n / parts
 		hi := (i + 1) * n / parts
-		d.Parts[i] = NewPartition(c.Slice(lo, hi), int64(hi-lo)*bytesPerRow)
+		block[i] = MakePartition(c.Slice(lo, hi), int64(hi-lo)*bytesPerRow)
 	}
+	d := FromPartitions(name, block)
+	d.col = c
 	return d
 }
 
@@ -174,14 +194,14 @@ func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
 // FromColumn for an operator whose output partitioning follows its input's
 // rather than an even split.
 func Cut(name string, c Column, ends []int) *Dataset {
-	d := New(name)
-	d.col = c
-	d.Parts = make([]*Partition, len(ends))
+	block := make([]Partition, len(ends))
 	lo := 0
 	for i, hi := range ends {
-		d.Parts[i] = NewPartition(c.Slice(lo, hi), 0)
+		block[i] = MakePartition(c.Slice(lo, hi), 0)
 		lo = hi
 	}
+	d := FromPartitions(name, block)
+	d.col = c
 	return d
 }
 
@@ -280,13 +300,12 @@ func (d *Dataset) Box() {
 // d's payload. What the holder of one does to its partitions (accounted
 // sizes, Box) does not reach the other.
 func (d *Dataset) Alias(name string) *Dataset {
-	out := New(name)
-	out.col = d.col
-	out.Parts = make([]*Partition, len(d.Parts))
+	block := make([]Partition, len(d.Parts))
 	for i, p := range d.Parts {
-		cp := *p
-		out.Parts[i] = &cp
+		block[i] = *p
 	}
+	out := FromPartitions(name, block)
+	out.col = d.col
 	return out
 }
 

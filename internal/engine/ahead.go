@@ -61,6 +61,7 @@ type chainResult struct {
 	outs []*dataset.Dataset
 	err  error
 	buf  [2]*dataset.Dataset // backing of outs for the usual short chain
+	one  [1]*dataset.Dataset // the input list of every operator after the first
 
 	// ahead marks a result computed before its stage was picked.
 	ahead bool
@@ -79,7 +80,8 @@ func computeChain(st *graph.Stage, ins []*dataset.Dataset, res *chainResult) {
 	for i := len(res.outs); i < len(st.Ops); i++ {
 		in := ins
 		if i > 0 {
-			in = []*dataset.Dataset{res.outs[i-1]}
+			res.one[0] = res.outs[i-1]
+			in = res.one[:]
 		}
 		out, err := applyTransform(st.Ops[i], in)
 		if err != nil {
@@ -131,7 +133,7 @@ func (c *chainResult) take(i int) (*dataset.Dataset, error) {
 // release drops the datasets the result holds.
 func (c *chainResult) release() {
 	clear(c.buf[:])
-	c.outs, c.err = nil, nil
+	c.outs, c.err, c.one[0] = nil, nil, nil
 }
 
 // aheadSlot is the state of one stage that passed the gate.
@@ -214,7 +216,7 @@ func (r *Run) offerAhead(st *graph.Stage) {
 		a.cond.L = &a.mu
 		r.ahead = a
 	}
-	ins := r.inputs(st)
+	ins := r.inputs(make([]*dataset.Dataset, 0, len(pres)), st) // the claimant's to keep: not scratch
 	a.mu.Lock()
 	if s := &a.slots[st.ID]; s.state == aheadNone {
 		s.state, s.ins = aheadIdle, ins

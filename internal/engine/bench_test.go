@@ -26,26 +26,7 @@ import (
 // and reports its time as a multiple of the nil variant's when both ran.
 func BenchmarkStep(b *testing.B) {
 	src := dataset.FromRows("in", intRows(64), 4, 1<<20)
-	bld := mdf.NewBuilder()
-	specs := make([]mdf.BranchSpec, 256)
-	for i := range specs {
-		specs[i] = mdf.BranchSpec{Label: fmt.Sprintf("b%d", i), Hint: float64(i)}
-	}
-	bld.Source("src", mdf.SourceFromDataset(src), 0.001).
-		Explore("explore", specs, mdf.NewChooser(mdf.SizeEvaluator(), mdf.TopK(4)),
-			func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
-				return start.Then(spec.Label+"-head", mdf.Identity("head"), 0.001).
-					ThenWide(spec.Label+"-tail", mdf.Identity("tail"), 0.001)
-			}).
-		Then("sink", mdf.Identity("out"), 0.001)
-	g, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := graph.BuildPlan(g)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := flat256Plan(b, mdf.SourceFromDataset(src), mdf.Identity)
 	var nilNsPerOp float64
 	b.Run("nil-probe", func(b *testing.B) {
 		benchSteps(b, plan, nil)
@@ -59,6 +40,35 @@ func BenchmarkStep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nilNsPerOp, "x-nil-probe")
 		}
 	})
+}
+
+// flat256Plan is the plan of a flat 256-branch explore, two stages a branch
+// (the second behind a wide dependency), closed by an incremental top-4
+// choose; op is called once per operator, with the name of its output, for
+// the operator's function.
+func flat256Plan(tb testing.TB, source graph.TransformFunc, op func(output string) graph.TransformFunc) *graph.Plan {
+	tb.Helper()
+	bld := mdf.NewBuilder()
+	specs := make([]mdf.BranchSpec, 256)
+	for i := range specs {
+		specs[i] = mdf.BranchSpec{Label: fmt.Sprintf("b%d", i), Hint: float64(i)}
+	}
+	bld.Source("src", source, 0.001).
+		Explore("explore", specs, mdf.NewChooser(mdf.SizeEvaluator(), mdf.TopK(4)),
+			func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
+				return start.Then(spec.Label+"-head", op("head"), 0.001).
+					ThenWide(spec.Label+"-tail", op("tail"), 0.001)
+			}).
+		Then("sink", op("out"), 0.001)
+	g, err := bld.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := graph.BuildPlan(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
 }
 
 // benchSteps times NewRun plus every Step of one job per iteration, under

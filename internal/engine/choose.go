@@ -64,12 +64,14 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 	op := chooseSt.Ops[0]
 
 	// Workers read the branch result and compute the evaluator score.
-	nodeT, err := r.loadInputs([]*dataset.Dataset{d}, ready)
+	sc := &r.eval
+	in := sc.only(d)
+	nodeT, err := r.loadInputs(sc, in, ready)
 	if err != nil {
 		return fmt.Errorf("engine: choose %s branch %d: %w", chooseSt, branch, err)
 	}
 	scan := sim.VTime(op.CostPerMB * sim.Bytes(d.VirtualBytes()).MB())
-	r.chargeCompute([]*dataset.Dataset{d}, sim.VTime(op.FixedCost), scan, nodeT)
+	r.chargeCompute(sc, in, sim.VTime(op.FixedCost), scan, nodeT)
 	end := ready
 	for _, t := range nodeT {
 		if t > end {
@@ -180,7 +182,7 @@ func (r *Run) skipStage(st *graph.Stage, t sim.VTime) {
 	r.countSettled(st, false)
 	r.stageEnd[st.ID] = t
 	r.metrics.StagesPruned++
-	r.span(obs.NodeMaster, obs.KindPruned, st.String(), t, t)
+	r.stageSpan(obs.KindPruned, st, t, t)
 	r.observeStageDone(st, t, t, false)
 	r.unready(st)
 	r.dropAhead(st)
@@ -236,16 +238,18 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		r.registerOutput(st, d)
 		r.consumeForward(d)
 	default:
-		var parts []*dataset.Dataset
+		sc := &r.stage
+		parts := sc.ins[:0]
 		for _, b := range selected {
 			if d := r.stageOut[pres[b].ID]; d != nil {
 				parts = append(parts, d)
 			}
 		}
+		sc.ins = parts
 		// Concatenation materialises a new dataset: read the selected
 		// originals (possibly from disk), copy their partitions into fresh
 		// storage, then release the originals.
-		nodeT, err := r.loadInputs(parts, end)
+		nodeT, err := r.loadInputs(sc, parts, end)
 		if err != nil {
 			return fmt.Errorf("engine: choose %s: %w", st, err)
 		}
@@ -258,7 +262,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		r.registerOutput(st, copied)
 	}
 	r.markExecuted(st, ready, end)
-	r.span(obs.NodeMaster, obs.KindChoose, st.String(), ready, end)
+	r.stageSpan(obs.KindChoose, st, ready, end)
 	if r.probe != nil {
 		// Audit the selection with every scored branch (Alg. 1's candidate
 		// scores); quarantined and pruned branches carry no score and are

@@ -255,6 +255,10 @@ type Run struct {
 	inline       chainResult
 	adoptedAhead int
 
+	// Scratch of the stage Step is executing and of the evalBranch it may
+	// call (exec.go). Touched by the step goroutine only.
+	stage, eval stageScratch
+
 	metrics     Metrics
 	quarantined []QuarantineRecord
 	output      *dataset.Dataset
@@ -277,6 +281,15 @@ func (r *Run) span(node int, kind obs.Kind, name string, start, end sim.VTime) {
 	}
 	id := r.probe.SpanBegin(node, kind, name, start)
 	r.probe.SpanEnd(id, end)
+}
+
+// stageSpan records a master-side span named after a stage. The label is
+// formatted for a probe only: Stage.String is lazy, and a run without a probe
+// names no stage.
+func (r *Run) stageSpan(kind obs.Kind, st *graph.Stage, start, end sim.VTime) {
+	if r.probe != nil {
+		r.span(obs.NodeMaster, kind, st.String(), start, end)
+	}
 }
 
 // spanNodes records one span per worker whose time cursor advanced past
@@ -373,6 +386,7 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		r.retry = r.injector.Retry()
 	}
 	r.probe = o.Probe
+	r.stage, r.eval = newStageScratch(len(o.Cluster.Nodes)), newStageScratch(len(o.Cluster.Nodes))
 	r.indexBranches()
 	for _, n := range o.Cluster.Nodes {
 		a := memorymgr.NewAllocator(n, o.Cluster.Config, o.MemPerWorker, o.Policy, r)
@@ -554,6 +568,8 @@ func (r *Run) execGuarded(next *graph.Stage) (err error) {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("engine: stage %s: unrecovered panic: %v", next, v)
 		}
+		r.stage.release()
+		r.eval.release()
 	}()
 	if next.IsChoose() {
 		return r.execChoose(next)

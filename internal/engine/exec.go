@@ -16,16 +16,60 @@ type orderAware interface {
 	SetSortedOrder(sorted bool)
 }
 
+// stageScratch holds the buffers one stage execution fills and is done with
+// by the time it returns: the input list, the one-element list a lone dataset
+// is passed in, the per-node time cursors, the live nodes, and the per-node
+// sums of chargeCompute and chargeShuffle. A Run has two, stage for the stage
+// Step executes and eval for the evalBranch that stage may call while its own
+// buffers are in use. Only the goroutine that steps the run touches them: what
+// is handed to a goroutine that computes ahead (offerAhead's inputs) is
+// allocated, and computeChain takes its one-element lists from the
+// chainResult it fills.
+type stageScratch struct {
+	ins     []*dataset.Dataset
+	one     [1]*dataset.Dataset
+	nodeT   []sim.VTime
+	live    []int
+	shares  []float64
+	caps    []float64
+	perNode []sim.Bytes
+}
+
+func newStageScratch(nodes int) stageScratch {
+	return stageScratch{
+		nodeT:   make([]sim.VTime, nodes),
+		live:    make([]int, 0, nodes),
+		shares:  make([]float64, nodes),
+		caps:    make([]float64, nodes),
+		perNode: make([]sim.Bytes, nodes),
+	}
+}
+
+// release drops the datasets the scratch lists, so that it keeps no
+// discarded payload reachable between stages.
+func (sc *stageScratch) release() {
+	clear(sc.ins)
+	sc.ins, sc.one[0] = sc.ins[:0], nil
+}
+
+// only returns d as a one-element list.
+func (sc *stageScratch) only(d *dataset.Dataset) []*dataset.Dataset {
+	sc.one[0] = d
+	return sc.one[:]
+}
+
 // execStage executes a non-choose stage: it loads the inputs through the
 // memory allocators, applies the pipelined operator chain for real, charges
 // the virtual compute cost, and stores the output partitions.
 func (r *Run) execStage(st *graph.Stage) error {
 	ready := r.readyTime(st)
+	sc := &r.stage
+	sc.ins = r.inputs(sc.ins[:0], st)
+	ins := sc.ins
 
 	// Explore operators simply forward their input (Def. 3.2); they incur
 	// no computation or I/O.
 	if st.IsExplore() {
-		ins := r.inputs(st)
 		if len(ins) != 1 || ins[0] == nil {
 			return fmt.Errorf("engine: explore %s without input", st)
 		}
@@ -33,11 +77,10 @@ func (r *Run) execStage(st *graph.Stage) error {
 		r.registerOutput(st, d)
 		r.consumeForward(d)
 		r.markExecuted(st, ready, ready)
-		r.span(obs.NodeMaster, obs.KindStage, st.String(), ready, ready)
+		r.stageSpan(obs.KindStage, st, ready, ready)
 		return nil
 	}
 
-	ins := r.inputs(st)
 	for i, d := range ins {
 		if d == nil {
 			return fmt.Errorf("engine: stage %s input %d missing", st, i)
@@ -49,11 +92,11 @@ func (r *Run) execStage(st *graph.Stage) error {
 	res := r.resultFor(st)
 	defer res.release()
 
-	nodeT, err := r.loadInputs(ins, ready)
+	nodeT, err := r.loadInputs(sc, ins, ready)
 	if err != nil {
 		return fmt.Errorf("engine: stage %s: %w", st, err)
 	}
-	r.chargeShuffle(st, ins, nodeT)
+	r.chargeShuffle(sc, st, ins, nodeT)
 
 	// Apply the operator chain for real, accumulating virtual compute cost.
 	// Fixed costs model inherently data-parallel work (e.g. a training
@@ -113,7 +156,7 @@ func (r *Run) execStage(st *graph.Stage) error {
 	}
 
 	if externalBytes > 0 {
-		live := r.liveAllocs()
+		live := r.liveAllocs(sc)
 		per := externalBytes / sim.Bytes(len(live))
 		for _, n := range live {
 			end := r.opts.Cluster.Nodes[n].Disk(nodeT[n], r.opts.Cluster.Config.DiskReadSec(per))
@@ -121,7 +164,7 @@ func (r *Run) execStage(st *graph.Stage) error {
 		}
 	}
 
-	r.chargeCompute(ins, cpuFixed, cpuScan, nodeT)
+	r.chargeCompute(sc, ins, cpuFixed, cpuScan, nodeT)
 	if r.probe != nil {
 		// Register before storing: evictions triggered while the output's
 		// first partitions land may already name later partitions of this
@@ -135,7 +178,9 @@ func (r *Run) execStage(st *graph.Stage) error {
 	}
 	r.registerOutput(st, out)
 	r.markExecuted(st, ready, end)
-	r.spanNodes(obs.KindStage, st.String(), ready, nodeT)
+	if r.probe != nil {
+		r.spanNodes(obs.KindStage, st.String(), ready, nodeT)
+	}
 
 	// Incremental choose evaluation (§3.1): if this stage completes a
 	// branch of an associative choose, score it immediately.
@@ -151,23 +196,21 @@ func (r *Run) execStage(st *graph.Stage) error {
 	return nil
 }
 
-// inputs returns the datasets of the stage's predecessors in edge order
-// (nil entries for skipped predecessors).
-func (r *Run) inputs(st *graph.Stage) []*dataset.Dataset {
-	pres := r.plan.Pre(st)
-	out := make([]*dataset.Dataset, len(pres))
-	for i, pre := range pres {
-		out[i] = r.stageOut[pre.ID]
+// inputs appends to dst the datasets of the stage's predecessors in edge
+// order (nil entries for skipped predecessors).
+func (r *Run) inputs(dst []*dataset.Dataset, st *graph.Stage) []*dataset.Dataset {
+	for _, pre := range r.plan.Pre(st) {
+		dst = append(dst, r.stageOut[pre.ID])
 	}
-	return out
+	return dst
 }
 
 // loadInputs charges the access cost of every input partition and returns
 // the per-node time cursors. An input the run holds live has every partition
 // in its node's allocator; one that is not there was lost by the run's own
 // bookkeeping, and reading on would leave the read uncharged.
-func (r *Run) loadInputs(ins []*dataset.Dataset, ready sim.VTime) ([]sim.VTime, error) {
-	nodeT := make([]sim.VTime, len(r.allocs))
+func (r *Run) loadInputs(sc *stageScratch, ins []*dataset.Dataset, ready sim.VTime) ([]sim.VTime, error) {
+	nodeT := sc.nodeT
 	for i := range nodeT {
 		nodeT[i] = ready
 	}
@@ -195,7 +238,7 @@ func (r *Run) loadInputs(ins []*dataset.Dataset, ready sim.VTime) ([]sim.VTime, 
 // chargeShuffle charges the network cost of wide input dependencies: each
 // worker ships the (W-1)/W share of its partitions that other workers'
 // tasks consume (App. A wide dependencies; the testbed's 1 Gbps links).
-func (r *Run) chargeShuffle(st *graph.Stage, ins []*dataset.Dataset, nodeT []sim.VTime) {
+func (r *Run) chargeShuffle(sc *stageScratch, st *graph.Stage, ins []*dataset.Dataset, nodeT []sim.VTime) {
 	w := len(r.allocs)
 	if w <= 1 {
 		return
@@ -210,7 +253,8 @@ func (r *Run) chargeShuffle(st *graph.Stage, ins []*dataset.Dataset, nodeT []sim
 		if !ok || dep != graph.Wide {
 			continue
 		}
-		perNode := make([]sim.Bytes, w)
+		perNode := sc.perNode
+		clear(perNode)
 		for pi, p := range d.Parts {
 			perNode[r.nodeOf(d.Key(pi), pi)] += sim.Bytes(p.VirtualBytes)
 		}
@@ -230,7 +274,7 @@ func (r *Run) chargeShuffle(st *graph.Stage, ins []*dataset.Dataset, nodeT []sim
 // chargeCompute advances the node cursors by the stage's compute cost:
 // fixed cost spreads evenly over all workers (data-parallel work), scan cost
 // follows each node's share of the input bytes.
-func (r *Run) chargeCompute(ins []*dataset.Dataset, cpuFixed, cpuScan sim.VTime, nodeT []sim.VTime) {
+func (r *Run) chargeCompute(sc *stageScratch, ins []*dataset.Dataset, cpuFixed, cpuScan sim.VTime, nodeT []sim.VTime) {
 	if cpuFixed <= 0 && cpuScan <= 0 {
 		return
 	}
@@ -238,8 +282,9 @@ func (r *Run) chargeCompute(ins []*dataset.Dataset, cpuFixed, cpuScan sim.VTime,
 	cpuFixed = sim.VTime(float64(cpuFixed) * scale)
 	cpuScan = sim.VTime(float64(cpuScan) * scale)
 	r.metrics.ComputeSec += cpuFixed + cpuScan
-	live := r.liveAllocs()
-	shares := make([]float64, len(r.allocs))
+	live := r.liveAllocs(sc)
+	shares := sc.shares
+	clear(shares)
 	var total float64
 	for _, d := range ins {
 		if d == nil {
@@ -263,7 +308,7 @@ func (r *Run) chargeCompute(ins []*dataset.Dataset, cpuFixed, cpuScan sim.VTime,
 		// The effective factor includes transient fault-injected slowdowns
 		// and honours factors < 1 (faster-than-baseline nodes).
 		var capTotal float64
-		caps := make([]float64, len(r.allocs))
+		caps := sc.caps
 		for _, n := range live {
 			sf := r.opts.Cluster.Nodes[n].EffectiveSlowFactor()
 			if sf <= 0 {

@@ -153,15 +153,16 @@ func (r *Run) placeNew(key dataset.PartKey, i int) int {
 	return n
 }
 
-// liveAllocs returns the indices of allocators on live nodes.
-func (r *Run) liveAllocs() []int {
-	out := make([]int, 0, len(r.allocs))
+// liveAllocs returns the indices of allocators on live nodes, in the
+// scratch's list.
+func (r *Run) liveAllocs(sc *stageScratch) []int {
+	sc.live = sc.live[:0]
 	for i, n := range r.opts.Cluster.Nodes {
 		if n.Alive() {
-			out = append(out, i)
+			sc.live = append(sc.live, i)
 		}
 	}
-	return out
+	return sc.live
 }
 
 // onCrash recovers from one injected node failure at the current virtual

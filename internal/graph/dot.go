@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -24,22 +24,17 @@ func (g *Graph) DOT(name string) string {
 		}
 		fmt.Fprintf(&b, "  n%d [%s];\n", op.ID, attrs)
 	}
-	edges := make([][2]int, 0, len(g.deps))
-	for e := range g.deps {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
+	// Edges in (from, to) order.
+	for from, outs := range g.outs {
+		outs = slices.Clone(outs)
+		slices.SortFunc(outs, func(x, y link) int { return x.op - y.op })
+		for _, l := range outs {
+			style := ""
+			if l.dep == Wide {
+				style = " [style=dashed]"
+			}
+			fmt.Fprintf(&b, "  n%d -> n%d%s;\n", from, l.op, style)
 		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
-		style := ""
-		if g.deps[e] == Wide {
-			style = " [style=dashed]"
-		}
-		fmt.Fprintf(&b, "  n%d -> n%d%s;\n", e[0], e[1], style)
 	}
 	b.WriteString("}\n")
 	return b.String()

@@ -110,7 +110,8 @@ type ChooseSession interface {
 	// Offer records the score of branch (by input index). It returns the
 	// set of already-offered branch indexes that are now certainly
 	// discarded, and done=true when the remaining (unoffered) branches are
-	// superfluous and need not execute at all.
+	// superfluous and need not execute at all. The list may be the session's
+	// own and is read before its next Offer.
 	Offer(branch int, score float64) (discard []int, done bool)
 	// Selected returns the branch indexes selected so far, in input order.
 	// After all branches have been offered (or done was reported) this is
@@ -146,15 +147,29 @@ type Operator struct {
 type Graph struct {
 	ops []*Operator
 	// ins and outs hold •v and v• per operator ID, in edge-insertion order.
-	ins  [][]int
-	outs [][]int
-	deps map[[2]int]DepKind
+	// An edge is listed at both its ends, each time with its kind beside it,
+	// so whichever list is read tells the kind.
+	ins  [][]link
+	outs [][]link
+	// firsts is the chunk the first link of a list is cut from, its capacity
+	// clipped to one: most operators have one predecessor and one successor,
+	// and their lists cost no allocation of their own. A second link moves
+	// the list into storage of its own.
+	firsts []link
 }
 
-// New returns an empty graph.
-func New() *Graph {
-	return &Graph{deps: make(map[[2]int]DepKind)}
+// link is one end of an edge: the operator at the other end and the kind of
+// the dependency.
+type link struct {
+	op  int
+	dep DepKind
 }
+
+// linkChunk is the number of first links allocated at a time.
+const linkChunk = 128
+
+// New returns an empty graph.
+func New() *Graph { return &Graph{} }
 
 // Add inserts op into the graph, assigning its ID.
 func (g *Graph) Add(op *Operator) *Operator {
@@ -177,14 +192,24 @@ func (g *Graph) Connect(from, to *Operator, kind DepKind) error {
 	if to.ID >= len(g.ops) || g.ops[to.ID] != to {
 		return fmt.Errorf("graph: operator %q not in graph", to.Name)
 	}
-	key := [2]int{from.ID, to.ID}
-	if _, dup := g.deps[key]; dup {
+	if _, dup := g.Dep(from, to); dup {
 		return fmt.Errorf("graph: duplicate edge %q -> %q", from.Name, to.Name)
 	}
-	g.deps[key] = kind
-	g.outs[from.ID] = append(g.outs[from.ID], to.ID)
-	g.ins[to.ID] = append(g.ins[to.ID], from.ID)
+	g.outs[from.ID] = g.appendLink(g.outs[from.ID], link{to.ID, kind})
+	g.ins[to.ID] = g.appendLink(g.ins[to.ID], link{from.ID, kind})
 	return nil
+}
+
+func (g *Graph) appendLink(list []link, l link) []link {
+	if list != nil {
+		return append(list, l)
+	}
+	if len(g.firsts) == cap(g.firsts) {
+		g.firsts = make([]link, 0, linkChunk)
+	}
+	g.firsts = append(g.firsts, l)
+	n := len(g.firsts)
+	return g.firsts[n-1 : n : n]
 }
 
 // MustConnect is Connect that panics on error; for use in builders and tests.
@@ -216,10 +241,20 @@ func (g *Graph) InDegree(op *Operator) int { return len(g.ins[op.ID]) }
 // OutDegree returns |v•|.
 func (g *Graph) OutDegree(op *Operator) int { return len(g.outs[op.ID]) }
 
-// Dep returns the dependency kind of the edge from → to.
+// Dep returns the dependency kind of the edge from → to. It scans the
+// shorter of from's successors and to's predecessors: one link for an edge
+// out of an explore or into a choose, however many branches there are.
 func (g *Graph) Dep(from, to *Operator) (DepKind, bool) {
-	k, ok := g.deps[[2]int{from.ID, to.ID}]
-	return k, ok
+	list, other := g.outs[from.ID], to.ID
+	if ins := g.ins[to.ID]; len(ins) < len(list) {
+		list, other = ins, from.ID
+	}
+	for _, l := range list {
+		if l.op == other {
+			return l.dep, true
+		}
+	}
+	return Narrow, false
 }
 
 // Sources returns the operators with no predecessors.
@@ -260,13 +295,13 @@ func (g *Graph) byKind(k Kind) []*Operator {
 	return out
 }
 
-func (g *Graph) resolve(ids []int) []*Operator {
-	if len(ids) == 0 {
+func (g *Graph) resolve(links []link) []*Operator {
+	if len(links) == 0 {
 		return nil
 	}
-	out := make([]*Operator, len(ids))
-	for i, id := range ids {
-		out[i] = g.ops[id]
+	out := make([]*Operator, len(links))
+	for i, l := range links {
+		out[i] = g.ops[l.op]
 	}
 	return out
 }
@@ -289,9 +324,9 @@ func (g *Graph) TopoSort() ([]*Operator, error) {
 		picked := ready.pop()
 		order = append(order, g.ops[picked])
 		for _, next := range g.outs[picked] {
-			indeg[next]--
-			if indeg[next] == 0 {
-				ready.push(next)
+			indeg[next.op]--
+			if indeg[next.op] == 0 {
+				ready.push(next.op)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"slices"
 	"strconv"
+	"sync/atomic"
 )
 
 // Stage groups operators whose execution can be pipelined (App. A): a
@@ -15,9 +16,11 @@ type Stage struct {
 	// Ops is the pipelined operator chain in execution order.
 	Ops []*Operator
 
-	// label is String(), formatted once by BuildPlan: telemetry names every
-	// span and decision after its stage.
-	label string
+	// label is String(), formatted by the first call that asks: telemetry
+	// names every span and decision after its stage, a run without a probe
+	// names none. Callers on different goroutines may both format it; they
+	// store equal strings, and a reader sees none or a whole one.
+	label atomic.Pointer[string]
 }
 
 // First returns the first operator of the chain.
@@ -38,14 +41,17 @@ func CompareStageID(a, b *Stage) int { return a.ID - b.ID }
 
 // String implements fmt.Stringer.
 func (s *Stage) String() string {
-	if s.label != "" {
-		return s.label
+	if l := s.label.Load(); l != nil {
+		return *l
 	}
-	id := strconv.Itoa(s.ID)
-	if len(s.Ops) == 1 {
-		return "T" + id + "[" + s.Ops[0].Name + "]"
+	var l string
+	if id := strconv.Itoa(s.ID); len(s.Ops) == 1 {
+		l = "T" + id + "[" + s.Ops[0].Name + "]"
+	} else {
+		l = "T" + id + "[" + s.Ops[0].Name + ".." + s.Ops[len(s.Ops)-1].Name + "]"
 	}
-	return "T" + id + "[" + s.Ops[0].Name + ".." + s.Ops[len(s.Ops)-1].Name + "]"
+	s.label.Store(&l)
+	return l
 }
 
 // Plan is the stage decomposition of a graph, with stage-level dependency
@@ -94,42 +100,45 @@ func BuildPlan(g *Graph) (*Plan, error) {
 	}
 	p := &Plan{
 		Graph:   g,
+		Stages:  make([]*Stage, 0, len(order)),
 		Scopes:  scopes,
 		stageOf: make([]*Stage, len(g.ops)),
 	}
+	// The stages and their chains are cut from two slabs the topological
+	// order sizes: no more stages than operators, and every operator in one
+	// chain.
+	stages := make([]Stage, 0, len(order))
+	chains := make([]*Operator, 0, len(order))
 	for _, op := range order {
 		if p.stageOf[op.ID] != nil {
 			continue
 		}
-		st := &Stage{ID: len(p.Stages)}
+		stages = append(stages, Stage{ID: len(stages)})
+		st := &stages[len(stages)-1]
 		p.Stages = append(p.Stages, st)
+		lo := len(chains)
 		cur := op
-		st.Ops = append(st.Ops, cur)
+		chains = append(chains, cur)
 		p.stageOf[cur.ID] = st
 		// Explore and choose are singleton stages; any other chain extends
 		// while it stays pipelineable.
 		for cur.Kind != KindExplore && cur.Kind != KindChoose {
 			outs := g.outs[cur.ID]
-			if len(outs) != 1 {
+			if len(outs) != 1 || outs[0].dep != Narrow {
 				break
 			}
-			next := g.ops[outs[0]]
+			next := g.ops[outs[0].op]
 			if next.Kind == KindExplore || next.Kind == KindChoose {
 				break
 			}
 			if len(g.ins[next.ID]) != 1 {
 				break
 			}
-			if dep, _ := g.Dep(cur, next); dep != Narrow {
-				break
-			}
-			st.Ops = append(st.Ops, next)
+			chains = append(chains, next)
 			p.stageOf[next.ID] = st
 			cur = next
 		}
-	}
-	for _, st := range p.Stages {
-		st.label = st.String()
+		st.Ops = chains[lo:len(chains):len(chains)]
 	}
 	p.buildStageEdges()
 	p.buildBranchRefs()
@@ -162,11 +171,11 @@ func (p *Plan) buildStageEdges() {
 	}
 	for _, st := range p.Stages {
 		for _, to := range g.outs[st.Last().ID] {
-			b := p.stageOf[to]
+			b := p.stageOf[to.op]
 			p.pre[b.ID] = append(p.pre[b.ID], st)
 		}
 		for _, from := range g.ins[st.First().ID] {
-			a := p.stageOf[from]
+			a := p.stageOf[from.op]
 			p.post[a.ID] = append(p.post[a.ID], st)
 		}
 	}
@@ -177,7 +186,7 @@ func (p *Plan) buildStageEdges() {
 			continue
 		}
 		for i, from := range g.ins[st.Ops[0].ID] {
-			a := p.stageOf[from]
+			a := p.stageOf[from.op]
 			p.pre[st.ID][i] = a
 			p.inputOf[a.ID] = i
 		}
@@ -190,6 +199,17 @@ func (p *Plan) buildBranchRefs() {
 	n := len(p.Stages)
 	p.scopeOf = make([]*Scope, n)
 	p.branchStages = make([][][]*Stage, len(p.Scopes))
+	// One list of branches for all scopes and one buffer for their stages: a
+	// branch has no more stages than members.
+	branches, members := 0, 0
+	for _, sc := range p.Scopes {
+		branches += len(sc.Branches)
+		for _, m := range sc.Branches {
+			members += len(m)
+		}
+	}
+	lists := make([][]*Stage, branches)
+	buf := make([]*Stage, 0, members)
 	// Innermost scope wins: a stage takes the reference of the deepest scope
 	// that lists it. Scopes come in topological order of their explores,
 	// which is not necessarily by depth.
@@ -199,23 +219,24 @@ func (p *Plan) buildBranchRefs() {
 	for si, sc := range p.Scopes {
 		p.scopeOf[p.stageOf[sc.Explore.ID].ID] = sc
 		p.scopeOf[p.stageOf[sc.Choose.ID].ID] = sc
-		p.branchStages[si] = make([][]*Stage, len(sc.Branches))
+		p.branchStages[si], lists = lists[:len(sc.Branches):len(sc.Branches)], lists[len(sc.Branches):]
 		for bi, members := range sc.Branches {
 			// Members ascend by operator ID; their stages need not, so
 			// collect each stage once and sort.
-			var stages []*Stage
+			lo := len(buf)
 			for _, opID := range members {
 				st := p.stageOf[opID]
 				if st.Ops[0].ID != opID {
 					continue // a later operator of a chain already collected
 				}
-				stages = append(stages, st)
+				buf = append(buf, st)
 				if sc.Depth >= depth[st.ID] {
 					depth[st.ID] = sc.Depth
 					refs[st.ID] = BranchRef{Scope: si, Branch: bi}
 					p.branchOf[st.ID] = &refs[st.ID]
 				}
 			}
+			stages := buf[lo:len(buf):len(buf)]
 			slices.SortFunc(stages, CompareStageID)
 			p.branchStages[si][bi] = stages
 		}

@@ -56,7 +56,7 @@ func (g *Graph) checkConnected() error {
 	}
 	for from, outs := range g.outs {
 		for _, to := range outs {
-			a, b := find(from), find(to)
+			a, b := find(from), find(to.op)
 			if a != b {
 				parent[a] = b
 			}
@@ -150,7 +150,8 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 	open := make([]int, len(g.ops))
 	for _, op := range order {
 		top := none
-		for i, pid := range g.ins[op.ID] {
+		for i, in := range g.ins[op.ID] {
+			pid := in.op
 			p := g.ops[pid]
 			eff := open[pid]
 			switch p.Kind {
@@ -196,20 +197,34 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 		}
 	}
 	// stamp[v] names the last branch walk that reached v; one array serves
-	// every branch of every scope.
+	// every branch of every scope. So does one buffer for the members: an
+	// operator is a member of one branch of every scope it executes in, which
+	// bounds its size (a choose is counted for the scope it closes as well),
+	// and every branch is a slice of it.
 	stamp := make([]int, len(g.ops))
 	walk := 0
 	var stack []int
+	branches, members := 0, 0
 	for _, sc := range out {
 		if sc.Choose == nil {
 			return nil, fmt.Errorf("graph: explore %q has no matching choose", sc.Explore.Name)
 		}
+		branches += len(g.outs[sc.Explore.ID])
+	}
+	for _, top := range open {
+		if top != none {
+			members += scopeOf[top].Depth
+		}
+	}
+	buf := make([]int, 0, members)
+	lists := make([][]int, branches)
+	for _, sc := range out {
 		heads := g.outs[sc.Explore.ID]
-		sc.Branches = make([][]int, len(heads))
+		sc.Branches, lists = lists[:len(heads):len(heads)], lists[len(heads):]
 		for i, head := range heads {
 			walk++
-			var members []int
-			stack = append(stack[:0], head)
+			lo := len(buf)
+			stack = append(stack[:0], head.op)
 			for len(stack) > 0 {
 				id := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -217,11 +232,13 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 					continue
 				}
 				stamp[id] = walk
-				members = append(members, id)
-				stack = append(stack, g.outs[id]...)
+				buf = append(buf, id)
+				for _, next := range g.outs[id] {
+					stack = append(stack, next.op)
+				}
 			}
-			slices.Sort(members)
-			sc.Branches[i] = members
+			sc.Branches[i] = buf[lo:len(buf):len(buf)]
+			slices.Sort(sc.Branches[i])
 		}
 	}
 	return out, nil

@@ -107,11 +107,11 @@ func (n *Node) Explore(name string, specs []BranchSpec, chooser *Chooser, body f
 	}
 	ends := make([]*Node, 0, len(specs))
 	for i := range specs {
-		spec := specs[i]
-		start := &Node{b: b, op: exp, branchSpec: &spec}
-		end := body(start, spec)
+		// The head node reads its spec while body chains from it, and not after.
+		start := &Node{b: b, op: exp, branchSpec: &specs[i]}
+		end := body(start, specs[i])
 		if end == nil || end.op == exp {
-			b.fail("mdf: branch %q of explore %q is empty", spec.Label, name)
+			b.fail("mdf: branch %q of explore %q is empty", specs[i].Label, name)
 			return n
 		}
 		ends = append(ends, end)

@@ -89,7 +89,8 @@ type topKSession struct {
 	sel     sessionOrdering
 	total   int
 	offered int
-	kept    []scored
+	kept    []scored // best first; among equal scores, in the order offered
+	discard [1]int   // backing of the list Offer returns
 }
 
 // sessionOrdering is the subset of Selector a session needs.
@@ -99,14 +100,23 @@ type sessionOrdering interface {
 
 func (s *topKSession) k() int { return s.sel.(topK).k }
 
+// Offer inserts the score into kept, which is sorted, behind every score it
+// is not better than: the stable order. A NaN is better than nothing and
+// nothing is better than it, so it stays where it was offered and whatever
+// follows queues behind it. The list returned is the session's own, valid
+// until the next Offer.
 func (s *topKSession) Offer(branch int, score float64) (discard []int, done bool) {
 	s.offered++
 	s.kept = append(s.kept, scored{branch, score})
-	sort.SliceStable(s.kept, func(i, j int) bool { return s.sel.Better(s.kept[i].score, s.kept[j].score) })
+	i := len(s.kept) - 1
+	for ; i > 0 && s.sel.Better(score, s.kept[i-1].score); i-- {
+		s.kept[i] = s.kept[i-1]
+	}
+	s.kept[i] = scored{branch, score}
 	if len(s.kept) > s.k() {
-		evicted := s.kept[len(s.kept)-1]
+		s.discard[0] = s.kept[len(s.kept)-1].branch
 		s.kept = s.kept[:len(s.kept)-1]
-		discard = []int{evicted.branch}
+		discard = s.discard[:]
 	}
 	return discard, false
 }

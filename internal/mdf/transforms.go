@@ -41,12 +41,11 @@ func SourceFunc(gen func() *dataset.Dataset) graph.TransformFunc {
 // same index.
 func PerPartition(name string, f func(p *dataset.Partition) (dataset.Column, int64)) graph.TransformFunc {
 	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		out := dataset.New(name)
-		out.Parts = make([]*dataset.Partition, len(in.Parts))
+		parts := make([]dataset.Partition, len(in.Parts))
 		for i, p := range in.Parts {
-			out.Parts[i] = dataset.NewPartition(f(p))
+			parts[i] = dataset.MakePartition(f(p))
 		}
-		return out, nil
+		return dataset.FromPartitions(name, parts), nil
 	})
 }
 

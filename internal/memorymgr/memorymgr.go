@@ -7,9 +7,9 @@
 package memorymgr
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
@@ -90,12 +90,18 @@ func (m *Metrics) Merge(other *Metrics) {
 	}
 }
 
+// entry is the allocator's record of one partition. It belongs to the
+// allocator that cut it from its slab (newEntry) until release hands the slot
+// back for the next partition; no pointer to an entry outlives the call that
+// looked it up.
 type entry struct {
 	key        dataset.PartKey
 	bytes      sim.Bytes
 	lastAccess sim.VTime
-	inMemory   bool
-	pinned     bool
+	// slot is the entry's index in Allocator.resident while inMemory.
+	slot     int32
+	inMemory bool
+	pinned   bool
 	// onDisk records a durable copy on this node's disk, written either by a
 	// spill or by an anticipatory checkpoint. A crashed node re-reads onDisk
 	// partitions; the rest are lost and must be re-derived by lineage.
@@ -113,6 +119,15 @@ type Allocator struct {
 
 	used    sim.Bytes
 	entries map[dataset.PartKey]*entry
+	// resident lists the entries in memory, in no particular order (an entry
+	// leaving takes the last one's place): what a victim is chosen among,
+	// without a walk over the spilled ones.
+	resident []*entry
+	// slab is the chunk entries are being cut from, free the entries handed
+	// back since. Chunks are entryChunk entries and live as long as the
+	// allocator.
+	slab    []entry
+	free    []*entry
 	spilled map[dataset.PartKey]sim.Bytes
 	metrics Metrics
 	seq     sim.VTime // tie-breaking sequence for identical timestamps
@@ -141,6 +156,55 @@ func NewAllocator(node *cluster.Node, cfg cluster.Config, capacity sim.Bytes, po
 		entries:  make(map[dataset.PartKey]*entry),
 		spilled:  make(map[dataset.PartKey]sim.Bytes),
 	}
+}
+
+// entryChunk is the number of entries allocated at a time.
+const entryChunk = 32
+
+// newEntry tracks a partition under key, in a released slot if there is one.
+func (a *Allocator) newEntry(key dataset.PartKey, bytes sim.Bytes) *entry {
+	var e *entry
+	if n := len(a.free); n > 0 {
+		e, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		if len(a.slab) == cap(a.slab) {
+			a.slab = make([]entry, 0, entryChunk)
+		}
+		a.slab = a.slab[:len(a.slab)+1]
+		e = &a.slab[len(a.slab)-1]
+	}
+	*e = entry{key: key, bytes: bytes}
+	a.entries[key] = e
+	return e
+}
+
+// release stops tracking e and frees its slot.
+func (a *Allocator) release(e *entry) {
+	if e.inMemory {
+		a.vacate(e)
+	}
+	delete(a.entries, e.key)
+	a.free = append(a.free, e)
+}
+
+// admit makes e resident.
+func (a *Allocator) admit(e *entry) {
+	e.inMemory, e.slot = true, int32(len(a.resident))
+	a.resident = append(a.resident, e)
+	a.used += e.bytes
+	if a.used > a.metrics.PeakResidentBytes {
+		a.metrics.PeakResidentBytes = a.used
+	}
+}
+
+// vacate takes e out of memory.
+func (a *Allocator) vacate(e *entry) {
+	last := len(a.resident) - 1
+	moved := a.resident[last]
+	a.resident[e.slot], moved.slot = moved, e.slot
+	a.resident = a.resident[:last]
+	e.inMemory = false
+	a.used -= e.bytes
 }
 
 // Metrics returns the accumulated statistics.
@@ -223,12 +287,12 @@ func (a *Allocator) touch(e *entry, t sim.VTime) {
 
 // Put stores a freshly produced partition, evicting per policy if memory is
 // exhausted, and returns the virtual time at which the write completes. A
-// partition larger than the whole budget goes straight to disk.
+// partition larger than the whole budget goes straight to disk. A partition
+// the allocator already tracks is discarded first.
 func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) sim.VTime {
-	e := &entry{key: key, bytes: bytes}
-	a.entries[key] = e
+	a.Discard(key)
+	e := a.newEntry(key, bytes)
 	if bytes > a.capacity {
-		e.inMemory = false
 		e.onDisk = true
 		a.metrics.Evictions++
 		a.metrics.SpilledBytes += bytes
@@ -247,11 +311,7 @@ func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) sim.V
 		return end
 	}
 	t = a.makeRoom(bytes, t)
-	e.inMemory = true
-	a.used += bytes
-	if a.used > a.metrics.PeakResidentBytes {
-		a.metrics.PeakResidentBytes = a.used
-	}
+	a.admit(e)
 	a.touch(e, t)
 	end := a.node.CPU(t, a.cfg.MemWriteSec(bytes))
 	a.sampleResident(end)
@@ -277,11 +337,7 @@ func (a *Allocator) Access(key dataset.PartKey, t sim.VTime) (end sim.VTime, hit
 	end = a.node.Disk(t, a.cfg.DiskReadSec(e.bytes))
 	if e.bytes <= a.capacity {
 		end = a.makeRoom(e.bytes, end)
-		e.inMemory = true
-		a.used += e.bytes
-		if a.used > a.metrics.PeakResidentBytes {
-			a.metrics.PeakResidentBytes = a.used
-		}
+		a.admit(e)
 		a.sampleResident(end)
 	}
 	a.touch(e, end)
@@ -291,14 +347,9 @@ func (a *Allocator) Access(key dataset.PartKey, t sim.VTime) (end sim.VTime, hit
 // Discard drops a partition entirely (R3: datasets no longer needed are
 // discarded as soon as possible). Discarding is free.
 func (a *Allocator) Discard(key dataset.PartKey) {
-	e, ok := a.entries[key]
-	if !ok {
-		return
+	if e, ok := a.entries[key]; ok {
+		a.release(e)
 	}
-	if e.inMemory {
-		a.used -= e.bytes
-	}
-	delete(a.entries, key)
 }
 
 // SetCheckpointing switches the allocator into durable-copy-aware mode: see
@@ -349,15 +400,16 @@ type Lost struct {
 // on-disk copy survive and will be re-read on next access, the rest are
 // removed from the allocator and returned for lineage re-derivation.
 func (a *Allocator) Crash() []Lost {
+	for _, e := range a.resident {
+		e.inMemory = false
+	}
+	clear(a.resident)
+	a.resident, a.used = a.resident[:0], 0
 	var lost []Lost
 	for _, e := range a.entries {
-		if e.inMemory {
-			e.inMemory = false
-			a.used -= e.bytes
-		}
 		if !e.onDisk {
 			lost = append(lost, Lost{Key: e.key, Bytes: e.bytes})
-			delete(a.entries, e.key)
+			a.release(e)
 		}
 	}
 	sortLost(lost)
@@ -375,8 +427,9 @@ func (a *Allocator) DropDurable(key dataset.PartKey) (Lost, bool) {
 	if !ok || e.inMemory || !e.onDisk {
 		return Lost{}, false
 	}
-	delete(a.entries, key)
-	return Lost{Key: e.key, Bytes: e.bytes}, true
+	l := Lost{Key: e.key, Bytes: e.bytes}
+	a.release(e)
+	return l, true
 }
 
 // SortLost orders failure reports by key for deterministic recovery. The
@@ -397,8 +450,9 @@ func (a *Allocator) Evacuate() (checkpointed, lost []Lost) {
 			lost = append(lost, l)
 		}
 	}
-	a.entries = make(map[dataset.PartKey]*entry)
-	a.used = 0
+	// Nothing is tracked any more: the entries go with their chunks.
+	clear(a.entries)
+	a.resident, a.slab, a.free, a.used = nil, nil, nil, 0
 	sortLost(checkpointed)
 	sortLost(lost)
 	return checkpointed, lost
@@ -411,7 +465,7 @@ func (a *Allocator) AdoptSpilled(key dataset.PartKey, bytes sim.Bytes) {
 	if _, ok := a.entries[key]; ok {
 		return
 	}
-	a.entries[key] = &entry{key: key, bytes: bytes, onDisk: true}
+	a.newEntry(key, bytes).onDisk = true
 }
 
 // PinnedParts counts the partitions currently pinned at this node. At the
@@ -439,26 +493,33 @@ func (a *Allocator) Keys() []dataset.PartKey {
 	for k := range a.entries {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Dataset != keys[j].Dataset {
-			return keys[i].Dataset < keys[j].Dataset
-		}
-		return keys[i].Index < keys[j].Index
-	})
+	slices.SortFunc(keys, compareKeys)
 	return keys
 }
 
 // CheckAccounting verifies the allocator's internal bookkeeping: the used
-// counter must equal the sum of resident entry sizes, and resident bytes
-// must not exceed the capacity budget. Returns nil when the books balance.
+// counter must equal the sum of resident entry sizes, the resident list must
+// hold exactly the entries in memory, each at the slot it records, and
+// resident bytes must not exceed the capacity budget. Returns nil when the
+// books balance.
 // The chaos harness calls this after every run; it is the oracle that
 // catches incremental-accounting drift (a Discard or eviction forgetting to
 // release bytes) that the metrics counters alone cannot see.
 func (a *Allocator) CheckAccounting() error {
 	var resident sim.Bytes
+	inMemory := 0
 	for _, e := range a.entries {
 		if e.inMemory {
 			resident += e.bytes
+			inMemory++
+		}
+	}
+	if inMemory != len(a.resident) {
+		return fmt.Errorf("memorymgr: node %d lists %d resident entries but tracks %d in memory", a.node.ID, len(a.resident), inMemory)
+	}
+	for i, e := range a.resident {
+		if !e.inMemory || int(e.slot) != i || a.entries[e.key] != e {
+			return fmt.Errorf("memorymgr: node %d resident list slot %d holds %s (in memory %v, slot %d)", a.node.ID, i, e.key, e.inMemory, e.slot)
 		}
 	}
 	if resident != a.used {
@@ -472,27 +533,21 @@ func (a *Allocator) CheckAccounting() error {
 
 // sortLost orders failure reports by key for deterministic recovery.
 func sortLost(ls []Lost) {
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Key.Dataset != ls[j].Key.Dataset {
-			return ls[i].Key.Dataset < ls[j].Key.Dataset
-		}
-		return ls[i].Key.Index < ls[j].Key.Index
-	})
+	slices.SortFunc(ls, func(x, y Lost) int { return compareKeys(x.Key, y.Key) })
 }
 
 // makeRoom evicts partitions per policy until bytes fit, charging disk
 // writes for each spill, and returns the time at which room is available.
 func (a *Allocator) makeRoom(bytes sim.Bytes, t sim.VTime) sim.VTime {
 	for a.used+bytes > a.capacity {
-		victim, cands := a.pickVictim()
+		victim := a.pickVictim()
 		if victim == nil {
 			break // nothing evictable; allow transient over-commit
 		}
 		if a.probe != nil {
-			a.probe.Decision(a.evictDecision(victim, cands, t))
+			a.probe.Decision(a.evictDecision(victim, t))
 		}
-		victim.inMemory = false
-		a.used -= victim.bytes
+		a.vacate(victim)
 		a.metrics.Evictions++
 		if a.checkpointing && victim.onDisk {
 			// A durable copy already exists; dropping residency is free.
@@ -508,7 +563,7 @@ func (a *Allocator) makeRoom(bytes sim.Bytes, t sim.VTime) sim.VTime {
 }
 
 // preference computes the Alg. 2 valuation pre(d) = acc(d)·δ(n,d)·α of an
-// entry; under LRU the score reported instead is the last-access time.
+// entry.
 func (a *Allocator) preference(e *entry) float64 {
 	acc := 0
 	if a.acc != nil {
@@ -517,72 +572,75 @@ func (a *Allocator) preference(e *entry) float64 {
 	return float64(acc) * float64(e.bytes) * a.alpha
 }
 
+// compareKeys orders partition keys by dataset, then index.
+func compareKeys(x, y dataset.PartKey) int {
+	if c := cmp.Compare(x.Dataset, y.Dataset); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Index, y.Index)
+}
+
+// pickVictim chooses the partition to evict: the first resident one in the
+// order (pinned, pre(d), last access, key) — a pinned partition is spared
+// while an unpinned one is resident, AMM takes the lowest preference
+// acc(d)·δ(n,d)·α and breaks ties by LRU, LRU (every preference counting as
+// equal) takes the oldest access, and the key settles what is left. The
+// order is total, so one pass over the resident entries finds its minimum
+// whatever order they are listed in.
+func (a *Allocator) pickVictim() *entry {
+	var best *entry
+	var bestPref float64
+	for _, e := range a.resident {
+		var pref float64
+		if a.policy == AMM {
+			pref = a.preference(e)
+		}
+		if best == nil || evictedBefore(e, pref, best, bestPref) {
+			best, bestPref = e, pref
+		}
+	}
+	return best
+}
+
+// evictedBefore reports whether e, of preference pref, precedes best in the
+// eviction order.
+func evictedBefore(e *entry, pref float64, best *entry, bestPref float64) bool {
+	switch {
+	case e.pinned != best.pinned:
+		return best.pinned
+	case pref != bestPref:
+		return pref < bestPref
+	case e.lastAccess != best.lastAccess:
+		return e.lastAccess < best.lastAccess
+	}
+	return compareKeys(e.key, best.key) < 0
+}
+
 // evictDecision describes one eviction for the audit log: the victim and
-// every candidate weighed, scored by the active policy (AMM preference or
-// LRU last-access age).
-func (a *Allocator) evictDecision(victim *entry, cands []*entry, t sim.VTime) obs.Decision {
+// every candidate it was chosen among — the resident partitions as pinned as
+// the victim is — in key order, scored by the active policy (AMM preference
+// or LRU last-access age). The list is audit data about the choice
+// pickVictim made, built only for a probe; it takes no part in the choice.
+func (a *Allocator) evictDecision(victim *entry, t sim.VTime) obs.Decision {
 	d := obs.Decision{
 		T: t, Node: a.node.ID, Component: "memorymgr", Kind: "evict",
 		Subject: a.label(victim.key),
 		Detail:  fmt.Sprintf("policy=%s bytes=%d", a.policy, victim.bytes),
 	}
-	for _, e := range cands {
+	cands := make([]*entry, 0, len(a.resident))
+	for _, e := range a.resident {
+		if e.pinned == victim.pinned {
+			cands = append(cands, e)
+		}
+	}
+	slices.SortFunc(cands, func(x, y *entry) int { return compareKeys(x.key, y.key) })
+	d.Candidates = make([]obs.Candidate, len(cands))
+	for i, e := range cands {
 		score := e.lastAccess.Seconds()
 		if a.policy == AMM {
 			score = a.preference(e)
 		}
-		d.Candidates = append(d.Candidates, obs.Candidate{
-			Label: a.label(e.key), Score: score, Chosen: e == victim,
-		})
+		d.Candidates[i] = obs.Candidate{Label: a.label(e.key), Score: score, Chosen: e == victim}
 	}
 	return d
-}
-
-// pickVictim chooses the partition to evict, returning it with the sorted
-// candidate set it was chosen from (for decision auditing). Pinned
-// partitions are spared while any unpinned candidate exists. LRU picks the
-// oldest access; AMM the lowest preference acc(d)·δ(n,d)·α, breaking ties
-// by LRU then key order for determinism.
-func (a *Allocator) pickVictim() (*entry, []*entry) {
-	var cands []*entry
-	for _, e := range a.entries {
-		if e.inMemory && !e.pinned {
-			cands = append(cands, e)
-		}
-	}
-	if len(cands) == 0 {
-		for _, e := range a.entries {
-			if e.inMemory {
-				cands = append(cands, e)
-			}
-		}
-	}
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].key.Dataset != cands[j].key.Dataset {
-			return cands[i].key.Dataset < cands[j].key.Dataset
-		}
-		return cands[i].key.Index < cands[j].key.Index
-	})
-	switch a.policy {
-	case AMM:
-		best, bestPref, bestAge := cands[0], math.Inf(1), sim.VTime(math.Inf(1))
-		for _, e := range cands {
-			pref := a.preference(e)
-			if pref < bestPref || (pref == bestPref && e.lastAccess < bestAge) {
-				best, bestPref, bestAge = e, pref, e.lastAccess
-			}
-		}
-		return best, cands
-	default: // LRU
-		best := cands[0]
-		for _, e := range cands {
-			if e.lastAccess < best.lastAccess {
-				best = e
-			}
-		}
-		return best, cands
-	}
 }

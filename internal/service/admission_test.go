@@ -572,7 +572,7 @@ func TestAdmissionDoesEachThingOnce(t *testing.T) {
 	H := count(func() { sp.HashReport() })
 	C := count(func() { _, _ = sp.Compile() })
 	B := count(func() { _, _ = graph.BuildPlan(g) })
-	const slack = 40
+	const slack = 15
 	if least := min(P, H, C, B); least < 2*slack {
 		t.Fatalf("the cheapest step allocates %.0f times: the slack of %d would hide it", least, slack)
 	}

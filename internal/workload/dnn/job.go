@@ -90,11 +90,7 @@ type dataRow struct {
 // bytes spread evenly, modelling a training set (or the state of a training
 // run over it) partitioned over the cluster.
 func singleRow[T any](name string, v T, parts int, bytes int64) *dataset.Dataset {
-	d := dataset.New(name)
-	d.Parts = make([]*dataset.Partition, parts)
-	for i := range d.Parts {
-		d.Parts[i] = &dataset.Partition{}
-	}
+	d := dataset.FromPartitions(name, make([]dataset.Partition, parts))
 	d.Parts[0].Col = dataset.Col[T]{v}
 	d.SetVirtualBytes(bytes)
 	return d

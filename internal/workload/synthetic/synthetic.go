@@ -206,16 +206,17 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	b := mdf.NewBuilder()
 	cost := costPerMB(p.OpsPerItem)
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
+	inner := branchValues(p.InnerBranches) // the same labels under every outer branch
 	outer := src.Explore("B1", branchValues(p.OuterBranches), mdf.NewChooser(sumEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w1 := int64(spec.Hint)
 			first := start.Then("op("+spec.Label+")",
 				mathOp("first_op", 1.0, w1, p.OpsPerItem), cost)
-			return first.Explore("B2", branchValues(p.InnerBranches),
+			return first.Explore("B2", inner,
 				mdf.NewChooser(sumEvaluator(), mdf.Max()),
-				func(inner *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
+				func(start *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					w2 := int64(ispec.Hint)
-					return inner.Then("op2("+ispec.Label+")",
+					return start.Then("op2("+ispec.Label+")",
 						mathOp("second_op", p.InnerSizeScale, w2, p.OpsPerItem), cost)
 				})
 		})

@@ -139,7 +139,10 @@ func outParts(in *dataset.Dataset) int {
 // "masking data points in the series based on the value ranges within a
 // sliding window").
 func maskOp(p Params, w int, t float64) graph.TransformFunc {
-	return mdf.WholeDataset(fmt.Sprintf("mask(w=%d,t=%g)", w, t),
+	// The name is read by the arity error alone, and the engine reports that
+	// under the operator's own name, which spells the setting out: a plain
+	// one saves formatting it for every branch of every job.
+	return mdf.WholeDataset("mask",
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			pts := dataset.Flatten[Point](in)
 			// Decide first, then copy the kept points into a slice of their
@@ -207,7 +210,7 @@ func windowMean(pts []Point, i, l int) float64 {
 // markOp marks discrete events: points where the value changes by more than
 // magDiff relative to the median of the preceding window of length l.
 func markOp(l int, magDiff float64) graph.TransformFunc {
-	return mdf.WholeDataset(fmt.Sprintf("mark(l=%d,m=%g)", l, magDiff),
+	return mdf.WholeDataset("mark",
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			pts := dataset.Flatten[Point](in)
 			// Events are few: decide first, then build them in a slice of
@@ -236,7 +239,7 @@ func markOp(l int, magDiff float64) graph.TransformFunc {
 // detectOp groups marked events into sequences: consecutive events within
 // duration d of each other merge into one detected sequence.
 func detectOp(d int) graph.TransformFunc {
-	return mdf.WholeDataset(fmt.Sprintf("detect(d=%d)", d),
+	return mdf.WholeDataset("detect",
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			var seqs []Event
 			var cur *Event
@@ -351,9 +354,9 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		mdf.NewChooser(detectionEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := lmds[int(spec.Hint)]
-			marked := start.Then(fmt.Sprintf("mark(%s)", spec.Label),
+			marked := start.Then("mark("+spec.Label+")",
 				markOp(cfg.l, cfg.m), 0.003)
-			return marked.Then(fmt.Sprintf("detect(%s)", spec.Label),
+			return marked.Then("detect("+spec.Label+")",
 				detectOp(cfg.d), 0.002)
 		})
 	out.Then("sink", mdf.Identity("detected"), 0.0001)
