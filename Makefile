@@ -10,15 +10,15 @@ help:
 	@echo "  build             compile everything"
 	@echo "  test              go test ./..."
 	@echo "  vet               go vet ./..."
-	@echo "  lint              mdflint: determinism, unit and concurrency rules (exits nonzero on findings)"
-	@echo "  specvet           mdfplan: canonical-form + plan-verifier gate on every committed spec"
+	@echo "  lint              mdf lint: determinism, unit and concurrency rules (exits nonzero on findings)"
+	@echo "  specvet           mdf plan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
 	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
-	@echo "  bench-baseline    regenerate BENCH_*.json once; mdfstat names any series past MDFSTAT_THRESHOLD, then fail on byte drift"
+	@echo "  bench-baseline    regenerate BENCH_*.json once; mdf stat names any series past MDFSTAT_THRESHOLD, then fail on byte drift"
 	@echo "  bench-smoke       compile every Benchmark* under internal/ and run each for one iteration"
 	@echo "  hostbench-check   vet and test the host-time benchmark module (benchmarks/), which ./... does not reach"
 	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-baseline bench-smoke hostbench-check"
@@ -29,22 +29,22 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs mdflint, the repo's determinism, unit-discipline and
+# lint runs `mdf lint`, the repo's determinism, unit-discipline and
 # concurrency-safety static analyzer (see ARCHITECTURE.md "Determinism
 # rules", "Unit types and semantic rules" and "Concurrency rules"). It
 # exits nonzero on any finding; -stale-allows additionally audits
 # suppression comments.
 lint:
-	$(GO) run ./cmd/mdflint -stale-allows ./...
+	$(GO) run ./cmd/mdf lint -stale-allows ./...
 
-# specvet runs mdfplan, the plan-level verifier (see ARCHITECTURE.md "Spec
+# specvet runs `mdf plan`, the plan-level verifier (see ARCHITECTURE.md "Spec
 # canonical form and plan vetting"), over every committed spec document:
 # examples and the canonical golden fixtures must be in canonical form,
 # pass the full rule battery, and carry no stale allow entries. The seeded
 # defect fixtures under internal/plan/testdata are deliberately excluded —
 # they exist to be condemned.
 specvet: build
-	$(GO) run ./cmd/mdfplan -canonical -stale-allows \
+	$(GO) run ./cmd/mdf plan -canonical -stale-allows \
 		examples/specs/*.json internal/spec/testdata/canonical/*.json
 
 test:
@@ -88,8 +88,8 @@ fuzz-short:
 # byte-for-byte, proving both that all oracles pass and that the harness and
 # the engine under it are deterministic. Part of ci.
 chaos-short: build
-	$(GO) run ./cmd/mdfchaos -trials 50 -seed 1 -repro .chaos-repro.json > .chaos-short-a.log
-	$(GO) run ./cmd/mdfchaos -trials 50 -seed 1 -repro .chaos-repro.json > .chaos-short-b.log
+	$(GO) run ./cmd/mdf chaos -trials 50 -seed 1 -repro .chaos-repro.json > .chaos-short-a.log
+	$(GO) run ./cmd/mdf chaos -trials 50 -seed 1 -repro .chaos-repro.json > .chaos-short-b.log
 	cmp .chaos-short-a.log .chaos-short-b.log
 	@tail -n 1 .chaos-short-a.log
 	@rm -f .chaos-short-a.log .chaos-short-b.log
@@ -97,14 +97,14 @@ chaos-short: build
 # chaos is the long randomized sweep for nightly runs; vary the seed to
 # explore new fault schedules: CHAOS_SEED=$$RANDOM make chaos. A violation
 # leaves a shrunk chaos-repro.json behind for replay with
-# `mdfchaos -replay` or `mdfrun -faults`.
+# `mdf chaos -replay` or `mdf run -faults`.
 CHAOS_SEED ?= 1
 CHAOS_TRIALS ?= 1000
 chaos: build
-	$(GO) run ./cmd/mdfchaos -trials $(CHAOS_TRIALS) -seed $(CHAOS_SEED) -repro chaos-repro.json
+	$(GO) run ./cmd/mdf chaos -trials $(CHAOS_TRIALS) -seed $(CHAOS_SEED) -repro chaos-repro.json
 
 # crash-short is the crash-consistency gate: a fixed-seed sweep that kills
-# and restarts a durable mdfserve at every journal record boundary — with
+# and restarts a durable service at every journal record boundary — with
 # seeded torn tails, journal bit flips and checkpoint corruption — and
 # asserts each recovered run matches the uninterrupted golden run exactly
 # (see ARCHITECTURE.md "Durability and crash recovery"). The sweep runs
@@ -113,8 +113,8 @@ chaos: build
 # durable path itself is deterministic. Part of ci.
 crash-short: build
 	rm -rf .crash-a .crash-b
-	$(GO) run ./cmd/mdfchaos -crash -trials 50 -seed 1 -state-root .crash-a > .crash-short-a.log
-	$(GO) run ./cmd/mdfchaos -crash -trials 50 -seed 1 -state-root .crash-b > .crash-short-b.log
+	$(GO) run ./cmd/mdf chaos -crash -trials 50 -seed 1 -state-root .crash-a > .crash-short-a.log
+	$(GO) run ./cmd/mdf chaos -crash -trials 50 -seed 1 -state-root .crash-b > .crash-short-b.log
 	cmp .crash-short-a.log .crash-short-b.log
 	@for d in .crash-a/trial-*/golden/journal; do \
 		diff -r $$d .crash-b/$${d#.crash-a/} || exit 1; \
@@ -123,7 +123,7 @@ crash-short: build
 	@rm -rf .crash-a .crash-b .crash-short-a.log .crash-short-b.log
 
 # bench-baseline regenerates every committed BENCH_<exp>.json baseline in
-# quick mode, once, and checks the result twice. First mdfstat diffs each
+# quick mode, once, and checks the result twice. First `mdf stat` diffs each
 # artifact against the committed baseline and fails when a series
 # regresses past the threshold (default 5%), naming the series that moved
 # — so a drift shows *what* regressed, not just *that* bytes changed.
@@ -133,9 +133,9 @@ crash-short: build
 MDFSTAT_THRESHOLD ?= 5
 bench-baseline: build
 	rm -rf .bench-prev && mkdir .bench-prev && cp BENCH_*.json .bench-prev/
-	$(GO) run ./cmd/mdfbench -exp all -quick -seeds 1 -json
+	$(GO) run ./cmd/mdf bench -exp all -quick -seeds 1 -json
 	@for f in BENCH_*.json; do \
-		$(GO) run ./cmd/mdfstat -threshold $(MDFSTAT_THRESHOLD) .bench-prev/$$f $$f || exit 1; \
+		$(GO) run ./cmd/mdf stat -threshold $(MDFSTAT_THRESHOLD) .bench-prev/$$f $$f || exit 1; \
 	done
 	@for f in BENCH_*.json; do cmp $$f .bench-prev/$$f || exit 1; done
 	@rm -rf .bench-prev

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,15 +8,12 @@ import (
 	"testing"
 )
 
-// runPlan invokes realMain capturing both streams.
 func runPlan(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	var out, errOut bytes.Buffer
-	code = realMain(args, &out, &errOut)
-	return code, out.String(), errOut.String()
+	return mdf(t, append([]string{"plan"}, args...)...)
 }
 
-func TestListRules(t *testing.T) {
+func TestPlanListRules(t *testing.T) {
 	code, out, _ := runPlan(t, "-list")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestHTTPServerBoundsSlowClients: the server mdfserve listens with must
+// TestHTTPServerBoundsSlowClients: the server `mdf serve` listens with must
 // cut off a client that never finishes its request headers.
 func TestHTTPServerBoundsSlowClients(t *testing.T) {
 	srv := newHTTPServer(http.NotFoundHandler())

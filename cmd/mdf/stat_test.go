@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"regexp"
 	"testing"
 )
@@ -53,23 +51,10 @@ const metricsRegressed = `{
   "histograms": [], "nodes": [], "faults": []
 }`
 
-func writeFixture(t *testing.T, name, body string) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
 func runStat(t *testing.T, args ...string) int {
 	t.Helper()
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	return run(args, devnull, devnull)
+	code, _, _ := mdf(t, append([]string{"stat"}, args...)...)
+	return code
 }
 
 func TestStatIdenticalArtifactsPass(t *testing.T) {
@@ -165,20 +150,22 @@ func TestRegressedDirections(t *testing.T) {
 }
 
 func TestFlattenBenchNaming(t *testing.T) {
-	base := writeFixture(t, "base.json", benchBase)
-	a, err := load(base)
+	a, err := readArtifact(writeFixture(t, "base.json", benchBase))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, order := flatten(a)
-	if len(order) != 4 {
-		t.Fatalf("series count = %d, want 4", len(order))
+	got, err := flatten(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vals["4x/MDF + speculation"] != 180 {
-		t.Fatalf("cell lookup = %g, want 180", vals["4x/MDF + speculation"])
+	if len(got.order) != 4 {
+		t.Fatalf("series count = %d, want 4", len(got.order))
+	}
+	if got.vals["4x/MDF + speculation"] != 180 {
+		t.Fatalf("cell lookup = %g, want 180", got.vals["4x/MDF + speculation"])
 	}
 	re := regexp.MustCompile(`^(1x|4x)/`)
-	for _, name := range order {
+	for _, name := range got.order {
 		if !re.MatchString(name) {
 			t.Fatalf("unexpected series name %q", name)
 		}

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"os"
 	"strings"
 	"testing"
 )
@@ -69,24 +67,11 @@ func TestWatchDiffLostEventsFail(t *testing.T) {
 func TestWatchDiffPrintsMissing(t *testing.T) {
 	pre := writeFixture(t, "pre.watch", watchPre)
 	lossy := writeFixture(t, "lossy.watch", watchLossy)
-	out, err := os.CreateTemp(t.TempDir(), "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devnull.Close()
-	if code := run([]string{pre, lossy}, out, devnull); code != 1 {
+	code, got, _ := mdf(t, "stat", pre, lossy)
+	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	got, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(got, []byte("LOST alpha job-0001/lifecycle state=retried")) {
+	if !strings.Contains(got, "LOST alpha job-0001/lifecycle state=retried") {
 		t.Fatalf("output does not name the lost event:\n%s", got)
 	}
 }
@@ -118,8 +103,11 @@ func TestWatchDiffRejectsDamagedLogs(t *testing.T) {
 }
 
 func TestLoadWatchParsesEvents(t *testing.T) {
-	pre := writeFixture(t, "pre.watch", watchPre)
-	log, err := loadWatch(pre)
+	a, err := readArtifact(writeFixture(t, "pre.watch", watchPre))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := parseWatch(a)
 	if err != nil {
 		t.Fatal(err)
 	}

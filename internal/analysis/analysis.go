@@ -1,5 +1,5 @@
 // Package analysis implements mdfvet, the repo's determinism and
-// simulator-discipline static-analysis suite (driven by the mdflint CLI).
+// simulator-discipline static-analysis suite (driven by the mdf lint CLI).
 // Every result the repo reproduces depends on the discrete-event simulator
 // replaying bit-identically for a given seed, so the rules that keep it
 // deterministic — and the unit discipline that keeps its quantities honest —
@@ -25,12 +25,12 @@
 //     (the engine drives telemetry through the obs.Probe interface).
 //   - locksafety:  mutexes stay safe: no sync.Mutex/RWMutex held across a
 //     blocking operation (channel ops, select, WaitGroup.Wait, the engine's
-//     Step/Run entry points), lock/unlock balanced on every path with defer
-//     recognized, and no copied lock values (assignments or by-value
-//     receivers). sync.Cond.Wait is exempt — it releases its mutex.
-//   - goroutinecapture: a spawned closure may not capture a loop variable
-//     by reference, nor write a captured variable without a visible
-//     synchronization edge (mutex, channel send/close, WaitGroup.Done).
+//     Step/Run entry points) and lock/unlock balanced on every path with
+//     defer recognized. sync.Cond.Wait is exempt — it releases its mutex.
+//     (Copied lock values are go vet's copylocks.)
+//   - goroutinecapture: a spawned closure may not write a captured variable
+//     without a visible synchronization edge (mutex, channel send/close,
+//     WaitGroup.Done).
 //   - ctxflow:     functions holding a context.Context must thread it;
 //     context.Background()/TODO() are banned in library code outside main,
 //     tests and the documented allowlist of sanctioned roots.
@@ -65,7 +65,7 @@ import (
 )
 
 // Finding is one diagnostic produced by an analyzer. The JSON field names
-// are the stable machine-readable schema emitted by `mdflint -json`.
+// are the stable machine-readable schema emitted by `mdf lint -json`.
 type Finding struct {
 	// File is the file path relative to the module root, slash-separated.
 	File string `json:"file"`
@@ -107,9 +107,9 @@ func Rules() []string {
 
 // RuleScope says where one rule applies.
 type RuleScope struct {
-	// Dirs are slash-separated directory prefixes relative to the module
-	// root; a file is in scope when its path is under one of them. An empty
-	// list disables the rule.
+	// Dirs are slash-separated paths relative to the module root, each a
+	// directory prefix or one file; a file is in scope when its path is one
+	// of them or under one of them. An empty list disables the rule.
 	Dirs []string
 	// IncludeTests extends the rule to _test.go files.
 	IncludeTests bool
@@ -200,7 +200,8 @@ func DefaultConfig() Config {
 			"internal/plan",
 			"internal/journal",
 			"internal/ckptstore",
-			"cmd/mdfstat",
+			"cmd/mdf/stat.go",
+			"cmd/mdf/statwatch.go",
 		}},
 		SeededRand: RuleScope{Dirs: []string{"internal"}, IncludeTests: true},
 		MapOrder:   RuleScope{Dirs: []string{"internal"}},
@@ -217,7 +218,8 @@ func DefaultConfig() Config {
 			"internal/plan",
 			"internal/journal",
 			"internal/ckptstore",
-			"cmd/mdfstat",
+			"cmd/mdf/stat.go",
+			"cmd/mdf/statwatch.go",
 		}},
 		LeakCheck:        RuleScope{Dirs: []string{"internal"}},
 		LockSafety:       RuleScope{Dirs: []string{"internal", "cmd"}},
@@ -286,7 +288,7 @@ func (c Config) ruleEnabled(rule string) bool {
 // StaleAllow reports a //lint:allow directive that suppressed nothing in a
 // run: the violation it excused has been fixed or moved, so the directive
 // should be deleted before it silently hides a future regression. The JSON
-// field names are the stable schema emitted by `mdflint -json`.
+// field names are the stable schema emitted by `mdf lint -json`.
 type StaleAllow struct {
 	// File is the file path relative to the module root, slash-separated.
 	File string `json:"file"`

@@ -114,7 +114,7 @@ func TestFixtures(t *testing.T) {
 }
 
 // TestFixturesDetectViolations is the exit-code contract in miniature: a
-// tree with violations must produce findings (mdflint exits nonzero on
+// tree with violations must produce findings (mdf lint exits nonzero on
 // any), and per-rule runs must catch their own rule.
 func TestFixturesDetectViolations(t *testing.T) {
 	m, err := Load(filepath.Join("testdata", "src"))
@@ -203,7 +203,7 @@ func TestStaleAllowsRespectRuleSubset(t *testing.T) {
 	}
 }
 
-// TestStaleAllowJSON pins the machine-readable schema `mdflint -json
+// TestStaleAllowJSON pins the machine-readable schema `mdf lint -json
 // -stale-allows` emits for audit entries.
 func TestStaleAllowJSON(t *testing.T) {
 	s := StaleAllow{File: "internal/engine/exec.go", Line: 7, Rule: RuleLockSafety}
@@ -227,7 +227,7 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestFindingJSON pins the machine-readable schema `mdflint -json` emits:
+// TestFindingJSON pins the machine-readable schema `mdf lint -json` emits:
 // one object per finding with exactly these field names.
 func TestFindingJSON(t *testing.T) {
 	f := Finding{File: "internal/engine/exec.go", Line: 42, Rule: RuleUnitSafety, Msg: "boom"}

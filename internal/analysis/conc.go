@@ -111,43 +111,6 @@ func isMutex(t types.Type) bool {
 // isContextType reports the context.Context interface.
 func isContextType(t types.Type) bool { return isNamedType(t, "context", "Context") }
 
-// containsLock reports whether a value of type t embeds synchronization
-// state that must not be copied: sync.Mutex, sync.RWMutex, sync.Cond,
-// sync.WaitGroup, sync.Once, directly or through nested struct fields.
-// Pointers are fine — copying a pointer shares the lock.
-func containsLock(t types.Type) bool {
-	return containsLockDepth(t, 0)
-}
-
-func containsLockDepth(t types.Type, depth int) bool {
-	if t == nil || depth > 10 {
-		return false
-	}
-	for _, name := range []string{"Mutex", "RWMutex", "Cond", "WaitGroup", "Once"} {
-		if isNamedType(t, "sync", name) {
-			// A pointer to a lock is copyable; isNamedType derefs one level,
-			// so re-check that t itself is not a pointer.
-			if _, ptr := t.(*types.Pointer); !ptr {
-				return true
-			}
-		}
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		ft := st.Field(i).Type()
-		if _, ptr := ft.(*types.Pointer); ptr {
-			continue
-		}
-		if containsLockDepth(ft, depth+1) {
-			return true
-		}
-	}
-	return false
-}
-
 // isChanType reports a channel (possibly named).
 func isChanType(t types.Type) bool {
 	if t == nil {

@@ -3,123 +3,60 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // checkGoroutineCapture inspects every `go` statement that spawns a
-// function literal and reports two capture hazards:
+// function literal and reports unsynchronized captured writes: the closure
+// assigns to a variable declared outside it with no synchronization edge in
+// sight. A write is considered published when the closure locks a mutex,
+// sends on or closes a channel after doing its work, or signals a
+// sync.WaitGroup.Done — each establishes a happens-before edge to the
+// reader. Without one, the write races with any read outside the goroutine.
 //
-//   - Loop-variable capture: the closure references the induction variable
-//     of an enclosing for/range statement instead of taking it as an
-//     argument. Go ≥1.22 scopes these per iteration, but the module's
-//     analysis rules are written against the portable pre-1.22 semantics
-//     (one shared variable) and the explicit-argument form is required
-//     either way — it makes the data flowing into the goroutine visible.
-//   - Unsynchronized captured writes: the closure assigns to a variable
-//     declared outside it with no synchronization edge in sight. A write is
-//     considered published when the closure locks a mutex, sends on or
-//     closes a channel after doing its work, or signals a
-//     sync.WaitGroup.Done — each establishes a happens-before edge to the
-//     reader. Without one, the write races with any read outside the
-//     goroutine.
-//
-// `go f(x)` with a named function is safe by construction: arguments are
-// evaluated at spawn time in the parent goroutine.
+// A closure that reads an enclosing loop's variable is not reported: the
+// module's `go 1.22` line scopes loop variables per iteration, so the
+// shared-variable capture cannot occur. `go f(x)` with a named function is
+// safe by construction: arguments are evaluated at spawn time in the parent
+// goroutine.
 func checkGoroutineCapture(f *File, cfg Config) []Finding {
 	if f.Pkg == nil || f.Pkg.Info == nil {
 		return nil
 	}
 	var out []Finding
-	for _, d := range f.AST.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		out = append(out, walkCaptures(f, fd.Body, map[types.Object]bool{})...)
-	}
-	return out
-}
-
-// walkCaptures descends the statement tree tracking which loop-variable
-// objects are in scope, and analyzes every `go` statement it meets.
-func walkCaptures(f *File, n ast.Node, loopVars map[types.Object]bool) []Finding {
-	var out []Finding
-	ast.Inspect(n, func(node ast.Node) bool {
-		switch x := node.(type) {
-		case *ast.RangeStmt:
-			inner := cloneObjSet(loopVars)
-			for _, e := range []ast.Expr{x.Key, x.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-					if obj := f.Pkg.Info.Defs[id]; obj != nil {
-						inner[obj] = true
-					}
-				}
+	// A spawned closure's body is not descended into; the spawn's arguments
+	// are evaluated in the parent goroutine and may hold further spawns.
+	var walk func(n ast.Node)
+	walk = func(n ast.Node) {
+		ast.Inspect(n, func(node ast.Node) bool {
+			g, ok := node.(*ast.GoStmt)
+			if !ok {
+				return true
 			}
-			out = append(out, walkCaptures(f, x.Body, inner)...)
-			return false
-		case *ast.ForStmt:
-			inner := cloneObjSet(loopVars)
-			if as, ok := x.Init.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
-				for _, e := range as.Lhs {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := f.Pkg.Info.Defs[id]; obj != nil {
-							inner[obj] = true
-						}
-					}
-				}
+			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+				out = append(out, checkSpawnedClosure(f, lit)...)
 			}
-			out = append(out, walkCaptures(f, x.Body, inner)...)
-			return false
-		case *ast.GoStmt:
-			if lit, ok := ast.Unparen(x.Call.Fun).(*ast.FuncLit); ok {
-				out = append(out, checkSpawnedClosure(f, lit, loopVars)...)
-			}
-			// The arguments are evaluated in the parent goroutine; walk
-			// them normally (they may contain nested closures).
-			for _, a := range x.Call.Args {
-				out = append(out, walkCaptures(f, a, loopVars)...)
+			for _, a := range g.Call.Args {
+				walk(a)
 			}
 			return false
-		}
-		return true
-	})
-	return out
-}
-
-func cloneObjSet(s map[types.Object]bool) map[types.Object]bool {
-	c := make(map[types.Object]bool, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-// checkSpawnedClosure reports loop-variable captures and unsynchronized
-// captured writes inside one spawned closure.
-func checkSpawnedClosure(f *File, lit *ast.FuncLit, loopVars map[types.Object]bool) []Finding {
-	var out []Finding
-	reportedLoop := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := f.Pkg.Info.Uses[id]
-		if obj == nil || !loopVars[obj] || reportedLoop[obj] {
-			return true
-		}
-		reportedLoop[obj] = true
-		out = append(out, Finding{
-			File: f.Path, Line: f.line(id.Pos()), Rule: RuleGoroutineCapture,
-			Msg: fmt.Sprintf("goroutine closure captures loop variable %s by reference (shared under pre-Go1.22 semantics); pass it as an argument", obj.Name()),
 		})
-		return true
-	})
-
-	if closureHasSyncEdge(f, lit) {
-		return out
 	}
+	for _, d := range f.AST.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+			walk(fd.Body)
+		}
+	}
+	return out
+}
+
+// checkSpawnedClosure reports unsynchronized captured writes inside one
+// spawned closure.
+func checkSpawnedClosure(f *File, lit *ast.FuncLit) []Finding {
+	if closureHasSyncEdge(f, lit) {
+		return nil
+	}
+	var out []Finding
 	reportedWrite := map[types.Object]bool{}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		var targets []ast.Expr

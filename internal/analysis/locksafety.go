@@ -23,10 +23,9 @@ import (
 //     changes the lock state between iterations, and a re-Lock of a mutex
 //     already held (self-deadlock). `defer mu.Unlock()` and unlocks inside
 //     deferred closures are recognized.
-//   - Lock values must not be copied: assignments whose right-hand side
-//     copies a value transitively containing a sync.Mutex/RWMutex/Cond/
-//     WaitGroup/Once, and methods declared on a by-value receiver of such a
-//     type, are reported.
+//
+// Copied lock values are not this rule's business: `go vet`'s copylocks
+// reports them, and `make vet` runs in ci.
 //
 // The analysis is a structured walk over the typed AST — if/switch/select
 // split the lock state per path and merge it after, loops are checked for a
@@ -42,11 +41,7 @@ func checkLockSafety(f *File, cfg Config, blocks map[*types.Func]bool) []Finding
 	w := &lockWalker{f: f, blocking: blockingSet(cfg), blocks: blocks}
 	for _, d := range f.AST.Decls {
 		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		w.checkCopiedRecv(fd)
-		if fd.Body == nil {
+		if !ok || fd.Body == nil {
 			continue
 		}
 		st := newLockState()
@@ -54,7 +49,6 @@ func checkLockSafety(f *File, cfg Config, blocks map[*types.Func]bool) []Finding
 			w.checkExit(fd.Body.End(), st)
 		}
 	}
-	w.checkCopies()
 	return w.findings
 }
 
@@ -508,52 +502,4 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, st *lockState) bool {
 		w.blockingOp(call.Pos(), fmt.Sprintf("a call to %s, which may block", fn.Name()), st)
 	}
 	return false
-}
-
-// --- copied-lock checks -------------------------------------------------
-
-// checkCopiedRecv reports methods whose by-value receiver copies a
-// lock-containing type on every call.
-func (w *lockWalker) checkCopiedRecv(fd *ast.FuncDecl) {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return
-	}
-	rt := w.f.TypeOf(fd.Recv.List[0].Type)
-	if rt == nil {
-		return
-	}
-	if _, ptr := rt.(*types.Pointer); ptr {
-		return
-	}
-	if containsLock(rt) {
-		w.report(fd.Pos(), "method %s has a by-value receiver of type %s, which contains a lock; every call copies it — use a pointer receiver", fd.Name.Name, types.TypeString(rt, types.RelativeTo(w.f.Pkg.TypesPkg)))
-	}
-}
-
-// checkCopies reports assignments whose right-hand side copies an existing
-// lock-containing value (identifier, field, dereference or element —
-// composite literals and calls construct fresh values and are fine).
-func (w *lockWalker) checkCopies() {
-	ast.Inspect(w.f.AST, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != len(as.Rhs) {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			if lhs, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident); ok && lhs.Name == "_" {
-				continue // a blank assignment copies nothing observable
-			}
-			switch ast.Unparen(rhs).(type) {
-			case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-			default:
-				continue
-			}
-			t := w.f.TypeOf(rhs)
-			if t == nil || !containsLock(t) {
-				continue
-			}
-			w.report(rhs.Pos(), "assignment copies a value of type %s, which contains a lock; copy a pointer instead", types.TypeString(t, types.RelativeTo(w.f.Pkg.TypesPkg)))
-		}
-		return true
-	})
 }

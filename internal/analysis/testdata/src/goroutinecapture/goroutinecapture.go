@@ -1,36 +1,7 @@
 // Package goroutinecapture is the violating fixture for the
-// goroutinecapture rule: go-spawned closures capturing loop variables by
-// reference and writing captured variables without a synchronization edge.
+// goroutinecapture rule: go-spawned closures writing captured variables
+// without a synchronization edge.
 package goroutinecapture
-
-// LoopVarRange captures the range variable by reference: under pre-Go1.22
-// semantics every goroutine shares one v.
-func LoopVarRange(items []int, sink func(int)) {
-	for _, v := range items {
-		go func() {
-			sink(v) // want:goroutinecapture
-		}()
-	}
-}
-
-// LoopVarIndex captures the classic three-clause loop index.
-func LoopVarIndex(n int, sink func(int)) {
-	for i := 0; i < n; i++ {
-		go func() {
-			sink(i) // want:goroutinecapture
-		}()
-	}
-}
-
-// LoopVarNested reaches the outer loop variable from a nested closure.
-func LoopVarNested(items []string, sink func(string)) {
-	for _, s := range items {
-		go func() {
-			f := func() { sink(s) } // want:goroutinecapture
-			f()
-		}()
-	}
-}
 
 // UnsyncedWrite mutates a captured local with no sync edge in the closure:
 // a write the spawner may read concurrently.

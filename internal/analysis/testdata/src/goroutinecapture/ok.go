@@ -2,26 +2,6 @@ package goroutinecapture
 
 import "sync"
 
-// okArgPass passes the loop variable as an argument — each goroutine gets
-// its own copy.
-func okArgPass(items []int, sink func(int)) {
-	for _, v := range items {
-		go func(v int) {
-			sink(v)
-		}(v)
-	}
-}
-
-// okShadow rebinds the loop variable before the spawn.
-func okShadow(items []int, sink func(int)) {
-	for _, v := range items {
-		v := v
-		go func() {
-			sink(v)
-		}()
-	}
-}
-
 // okMutexWrite writes a captured variable under a lock: the closure has a
 // sync edge, so the write is coordinated.
 func okMutexWrite(n int) int {
@@ -63,11 +43,14 @@ func okWaitGroup(items []int) []int {
 	return res
 }
 
-// okNonLoopRead merely reads a captured non-loop variable — reads without
-// writes are not flagged.
-func okNonLoopRead(sink func(int)) {
+// okRead merely reads captured variables, a loop variable among them
+// (scoped per iteration under the module's go 1.22) — reads without writes
+// are not flagged.
+func okRead(items []int, sink func(int)) {
 	base := 7
-	go func() {
-		sink(base)
-	}()
+	for _, v := range items {
+		go func() {
+			sink(base + v)
+		}()
+	}
 }

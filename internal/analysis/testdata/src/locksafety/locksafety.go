@@ -1,6 +1,6 @@
 // Package locksafety is the violating fixture for the locksafety rule:
-// locks held across blocking operations, unbalanced paths, self-deadlocks
-// and copied lock values.
+// locks held across blocking operations, unbalanced paths and
+// self-deadlocks.
 package locksafety
 
 import (
@@ -116,20 +116,3 @@ func ExitHeld(s *S) {
 	s.mu.Lock()
 	s.n++
 } // want:locksafety
-
-// Box pairs a lock with the data it guards; copying it copies the lock.
-type Box struct {
-	mu sync.Mutex
-	n  int
-}
-
-// CopyAssign copies the whole lock-carrying struct.
-func CopyAssign(b *Box) int {
-	v := *b // want:locksafety
-	return v.n
-}
-
-// ByValue copies the receiver — and its mutex — on every call.
-func (b Box) ByValue() int { // want:locksafety
-	return b.n
-}

@@ -83,17 +83,6 @@ func okRead(s *S, b bool) int {
 	return -s.n
 }
 
-// okPointerCopy copies a *Box, not the Box — pointers don't copy locks.
-func okPointerCopy(b *Box) *Box {
-	p := b
-	return p
-}
-
-// okBlank discards a lock-carrying value without copying it anywhere.
-func okBlank(b *Box) {
-	_ = *b
-}
-
 // okSpawnNotBlocking: spawning a goroutine that blocks is not itself a
 // blocking op for the spawner.
 func okSpawnNotBlocking(s *S) {

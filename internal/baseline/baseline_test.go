@@ -1,6 +1,9 @@
 package baseline_test
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"metadataflow/internal/baseline"
@@ -159,7 +162,7 @@ func TestSequentialTimesAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := baseline.Sequential(jobs, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
+	res, err := baseline.Parallel(jobs, 1, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +187,7 @@ func TestParallelOverlapsJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := baseline.Sequential(jobs, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
+	seq, err := baseline.Parallel(jobs, 1, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +222,29 @@ func TestParallelRejectsBadK(t *testing.T) {
 }
 
 func TestEmptyJobListRejected(t *testing.T) {
-	if _, err := baseline.Sequential(nil, baseline.Config{Cluster: testCluster()}); err == nil {
+	if _, err := baseline.Parallel(nil, 1, baseline.Config{Cluster: testCluster()}); err == nil {
 		t.Fatal("empty job list accepted")
 	}
 	if _, err := baseline.Parallel(nil, 2, baseline.Config{Cluster: testCluster()}); err == nil {
 		t.Fatal("empty job list accepted")
+	}
+}
+
+// TestRunErrorNamesTheJob: a job that fails — here by cancellation — comes
+// back wrapped with its index at every parallelism, the cause still
+// matchable.
+func TestRunErrorNamesTheJob(t *testing.T) {
+	jobs, err := baseline.ExpandJobs(buildNestedMDF(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, k := range []int{1, 3} {
+		_, err := baseline.Parallel(jobs, k, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU, Context: ctx})
+		if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "baseline: job 0: ") {
+			t.Errorf("k=%d: err = %v, want context.Canceled wrapped as baseline: job 0", k, err)
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ type Config struct {
 	// Spark's explicit cache() designation (§6.1 Spark (cache)).
 	PinReused bool
 	// Context, when non-nil, cancels every job of the family at its next
-	// scheduling boundary (engine.Options.Context); mdfrun threads its
+	// scheduling boundary (engine.Options.Context); mdf run threads its
 	// SIGINT/SIGTERM context through here.
 	Context context.Context
 }
@@ -89,37 +89,12 @@ func (m *MultiResult) add(res *engine.Result) {
 	}
 }
 
-// Sequential executes the jobs one after another, each with the full
-// cluster (§6.1 "sequential").
-func Sequential(jobs []*graph.Graph, cfg Config) (*MultiResult, error) {
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("baseline: no jobs")
-	}
-	out := &MultiResult{}
-	t := sim.VTime(0)
-	for i, g := range jobs {
-		plan, err := graph.BuildPlan(g)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: job %d: %w", i, err)
-		}
-		run, err := engine.NewRun(plan, cfg.engineOptions(cfg.totalMem()), t)
-		if err != nil {
-			return nil, err
-		}
-		res, err := run.RunToCompletion()
-		if err != nil {
-			return nil, fmt.Errorf("baseline: job %d: %w", i, err)
-		}
-		out.add(res)
-		t = res.End
-	}
-	return out, nil
-}
-
 // Parallel executes the jobs k at a time, sharing worker memory equally
-// among concurrent jobs (§6.1 "4-parallel" and "8-parallel"). Job steps are
-// interleaved by virtual time, so I/O and computation of different jobs
-// overlap on the shared node resources.
+// among concurrent jobs (§6.1 "4-parallel" and "8-parallel"); k = 1 is the
+// paper's "sequential" strategy, each job with the full cluster and started
+// when its predecessor ends. Job steps are interleaved by virtual time, so
+// I/O and computation of different jobs overlap on the shared node
+// resources.
 func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("baseline: no jobs")
@@ -133,7 +108,11 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 	}
 	out := &MultiResult{}
 	next := 0
-	active := make([]*engine.Run, 0, k)
+	type activeJob struct {
+		id  int
+		run *engine.Run
+	}
+	active := make([]activeJob, 0, k)
 
 	admit := func(start sim.VTime) error {
 		for len(active) < k && next < len(jobs) {
@@ -145,7 +124,7 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 			if err != nil {
 				return err
 			}
-			active = append(active, run)
+			active = append(active, activeJob{next, run})
 			next++
 		}
 		return nil
@@ -156,19 +135,19 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 	for len(active) > 0 {
 		// Step the job that is earliest in virtual time.
 		idx := 0
-		for i, r := range active {
-			if r.Now() < active[idx].Now() {
+		for i, a := range active {
+			if a.run.Now() < active[idx].run.Now() {
 				idx = i
 			}
 		}
-		run := active[idx]
-		if !run.Step() {
-			if err := run.Err(); err != nil {
-				return nil, err
+		job := active[idx]
+		if !job.run.Step() {
+			if err := job.run.Err(); err != nil {
+				return nil, fmt.Errorf("baseline: job %d: %w", job.id, err)
 			}
-			out.add(run.Result())
+			out.add(job.run.Result())
 			active = append(active[:idx], active[idx+1:]...)
-			if err := admit(run.Now()); err != nil {
+			if err := admit(job.run.Now()); err != nil {
 				return nil, err
 			}
 		}
@@ -176,17 +155,8 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 	return out, nil
 }
 
-// SingleJob executes one (typically MDF) graph with the configured
-// scheduler, policy and memory budget; used for the Spark (cache),
-// SEEP (BFS) and SEEP (MDF) configurations of Fig. 9.
+// SingleJob executes one (typically MDF) graph alone from time 0 with the
+// configured scheduler, policy and full memory budget.
 func SingleJob(g *graph.Graph, cfg Config) (*engine.Result, error) {
-	plan, err := graph.BuildPlan(g)
-	if err != nil {
-		return nil, err
-	}
-	run, err := engine.NewRun(plan, cfg.engineOptions(cfg.totalMem()), 0)
-	if err != nil {
-		return nil, err
-	}
-	return run.RunToCompletion()
+	return engine.Execute(g, cfg.engineOptions(cfg.totalMem()))
 }

@@ -7,7 +7,7 @@
 // invariant oracles (oracles.go) over the pair. On a violation, a
 // delta-debugging shrinker (shrink.go) minimizes the fault plan while the
 // violation reproduces and writes a self-contained repro file (repro.go)
-// replayable via mdfrun -faults or mdfchaos -replay.
+// replayable via mdf run -faults or mdf chaos -replay.
 package chaos
 
 import (

@@ -12,8 +12,8 @@ import (
 const ReproSchema = "mdf.chaos-repro/v1"
 
 // Repro is a self-contained, replayable chaos failure: the violated oracle
-// and the complete (shrunken) trial spec, fault plan included. mdfchaos
-// -replay re-runs it and re-applies the oracle; mdfrun -faults accepts the
+// and the complete (shrunken) trial spec, fault plan included. mdf chaos
+// -replay re-runs it and re-applies the oracle; mdf run -faults accepts the
 // file too (it extracts the embedded plan and runs the oracle battery), so
 // a checked-in repro doubles as a regression test.
 type Repro struct {
@@ -48,7 +48,7 @@ func ParseRepro(data []byte) (*Repro, error) {
 }
 
 // IsRepro reports whether data looks like a chaos repro file (as opposed to
-// a bare fault plan), so mdfrun -faults can accept both formats.
+// a bare fault plan), so mdf run -faults can accept both formats.
 func IsRepro(data []byte) bool {
 	var probe struct {
 		Schema string `json:"schema"`

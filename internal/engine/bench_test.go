@@ -176,7 +176,7 @@ func BenchmarkProgressInto(b *testing.B) {
 }
 
 // probeOverheadRatioBound caps how much slower a fully recorded run may be
-// than a probe-less one on the nested 5×5 plan, the shape of an mdfserve
+// than a probe-less one on the nested 5×5 plan, the shape of an mdf serve
 // job: spans, counters, decisions with their candidates, and the series
 // layer (per-stage latency, branch progress, scores, rank churn, branch
 // lifetimes). See TestProbeOverheadBounded for how the ratio is read and

@@ -273,7 +273,7 @@ func TestSpeculativeMitigatesStraggler(t *testing.T) {
 }
 
 // TestEventKindStrings pins the span-kind names the engine emits: they are
-// the track labels of the Chrome trace, the kind column of `mdfrun -trace`
+// the track labels of the Chrome trace, the kind column of `mdf run -trace`
 // and the lat.<kind> series names. A fault-free pruning choose emits
 // exactly these four.
 func TestEventKindStrings(t *testing.T) {

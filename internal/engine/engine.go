@@ -86,7 +86,7 @@ type Options struct {
 	// Context, when non-nil, cancels the run between stages: the next Step
 	// after the context is done fails the run with an error wrapping the
 	// cancellation cause (context.Cause). Long-lived callers — the service
-	// layer's per-job deadlines and drain, mdfrun's SIGINT handling — use it
+	// layer's per-job deadlines and drain, mdf run's SIGINT handling — use it
 	// to abandon a run at a deterministic scheduling boundary; the partial
 	// result and Snapshot stay readable afterwards.
 	Context context.Context

@@ -8,7 +8,7 @@ import (
 // snapshot (obs.SnapshotSchema): engine counters, memory-manager totals,
 // fault statistics, a stage-duration histogram, per-node allocator state,
 // and the injected-fault history. It is valid at any point of the run; the
-// usual call site is after completion (mdfrun -metrics). Everything is
+// usual call site is after completion (mdf run -metrics). Everything is
 // emitted in deterministic order (Normalize sorts by name; stages iterate
 // in plan order; fault events keep injection order), so serializing the
 // snapshot of the same seed twice is byte-identical.

@@ -14,7 +14,7 @@ import (
 )
 
 // The timeline is the recorder's task spans folded to one row per
-// (kind, name) — what `mdfrun -trace` prints.
+// (kind, name) — what `mdf run -trace` prints.
 
 func TestTimelineRecorded(t *testing.T) {
 	rec, _ := recordedRun(t, engine.Options{

@@ -16,7 +16,7 @@ import (
 )
 
 // TestReliabilityDeterministic is the determinism regression test backing
-// the mdflint rules: the full reliability sweep (fault injection, recovery,
+// the mdf lint rules: the full reliability sweep (fault injection, recovery,
 // both schedulers) must replay bit-identically for a given seed. A diff
 // here means wall-clock time, unseeded randomness or map-iteration order
 // leaked into the simulator — exactly what the linter exists to keep out.

@@ -33,7 +33,7 @@ type Options struct {
 	Quick bool
 	// Ctx, when non-nil, cancels a sweep between seeded runs: the sweep
 	// driver returns an error wrapping ErrInterrupted at the next data point
-	// after the context is done. mdfbench threads its SIGINT/SIGTERM context
+	// after the context is done. mdf bench threads its SIGINT/SIGTERM context
 	// through here so a half-finished sweep exits promptly without leaving
 	// partially written artifacts.
 	Ctx context.Context
@@ -175,23 +175,23 @@ func (t *Table) CSV() string {
 // removing a field is a schema change and must bump this string.
 const BenchSchema = "mdf.bench/v1"
 
-// benchCell is one (x, column) summary in the JSON document.
-type benchCell struct {
+// BenchCell is one (x, column) summary in the JSON document.
+type BenchCell struct {
 	Min float64 `json:"min"`
 	Avg float64 `json:"avg"`
 	Max float64 `json:"max"`
 }
 
-// benchRow is one x-axis point in the JSON document.
-type benchRow struct {
+// BenchRow is one x-axis point in the JSON document.
+type BenchRow struct {
 	X     string      `json:"x"`
-	Cells []benchCell `json:"cells"`
+	Cells []BenchCell `json:"cells"`
 }
 
-// benchDoc is the machine-readable form of one regenerated experiment.
+// BenchDoc is the machine-readable form of one regenerated experiment.
 // Struct-typed fields keep JSON key order, and so the serialized bytes,
 // deterministic.
-type benchDoc struct {
+type BenchDoc struct {
 	Schema     string     `json:"schema"`
 	Experiment string     `json:"experiment"`
 	Title      string     `json:"title"`
@@ -199,7 +199,7 @@ type benchDoc struct {
 	Unit       string     `json:"unit"`
 	Seeds      []int64    `json:"seeds"`
 	Columns    []string   `json:"columns"`
-	Rows       []benchRow `json:"rows"`
+	Rows       []BenchRow `json:"rows"`
 }
 
 // JSON renders the table as an indented, schema-stable JSON document
@@ -207,7 +207,7 @@ type benchDoc struct {
 // per cell, and the seeds behind each data point. The same table serializes
 // to the same bytes.
 func (t *Table) JSON(seeds []int64) ([]byte, error) {
-	doc := benchDoc{
+	doc := BenchDoc{
 		Schema:     BenchSchema,
 		Experiment: t.ID,
 		Title:      t.Title,
@@ -215,7 +215,7 @@ func (t *Table) JSON(seeds []int64) ([]byte, error) {
 		Unit:       t.Unit,
 		Seeds:      seeds,
 		Columns:    t.Columns,
-		Rows:       make([]benchRow, 0, len(t.Rows)),
+		Rows:       make([]BenchRow, 0, len(t.Rows)),
 	}
 	if doc.Seeds == nil {
 		doc.Seeds = []int64{}
@@ -224,9 +224,9 @@ func (t *Table) JSON(seeds []int64) ([]byte, error) {
 		doc.Columns = []string{}
 	}
 	for _, r := range t.Rows {
-		row := benchRow{X: r.X, Cells: make([]benchCell, 0, len(r.Cells))}
+		row := BenchRow{X: r.X, Cells: make([]BenchCell, 0, len(r.Cells))}
 		for _, c := range r.Cells {
-			row.Cells = append(row.Cells, benchCell{Min: c.Min, Avg: c.Avg, Max: c.Max})
+			row.Cells = append(row.Cells, BenchCell{Min: c.Min, Avg: c.Avg, Max: c.Max})
 		}
 		doc.Rows = append(doc.Rows, row)
 	}
@@ -452,13 +452,7 @@ func familyRun(g *graph.Graph, k int, ccfg cluster.Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := baseline.Config{Cluster: cl, Policy: memorymgr.LRU}
-	var res *baseline.MultiResult
-	if k == 1 {
-		res, err = baseline.Sequential(jobs, cfg)
-	} else {
-		res, err = baseline.Parallel(jobs, k, cfg)
-	}
+	res, err := baseline.Parallel(jobs, k, baseline.Config{Cluster: cl, Policy: memorymgr.LRU})
 	if err != nil {
 		return 0, err
 	}

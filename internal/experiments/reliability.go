@@ -202,7 +202,7 @@ func Reliability(o Options) (*Table, error) {
 		if plan != nil {
 			// A fault plan that silently fails to fire would make the
 			// overhead column measure noise. The telemetry snapshot is the
-			// supported surface for this check — the same counters mdfrun
+			// supported surface for this check — the same counters mdf run
 			// -metrics emits — so validate through it rather than reaching
 			// into engine internals.
 			if err := checkFaultSnapshot(r.Snapshot(), plan); err != nil {

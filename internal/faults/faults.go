@@ -4,7 +4,7 @@
 // slowdown windows, disk-bandwidth degradation, and operator panics, plus
 // the retry/backoff policy applied to misbehaving user code.
 //
-// A Plan is pure data (JSON-serialisable for the mdfrun -faults flag); the
+// A Plan is pure data (JSON-serialisable for the mdf run -faults flag); the
 // engine consumes it through an Injector, which tracks which events have
 // already fired so that repeated and correlated failures are injected
 // exactly once each, at deterministic points of the run. All fault timing

@@ -115,7 +115,7 @@ func BenchmarkRecorderWrite(b *testing.B) {
 }
 
 // BenchmarkSeries builds the mdf.series/v1 document of one job, as /series
-// and mdfrun -series do.
+// and mdf run -series do.
 func BenchmarkSeries(b *testing.B) {
 	r := filledRecorder()
 	b.ReportAllocs()

@@ -5,7 +5,7 @@ import (
 	"io"
 )
 
-// This file renders the decision audit log as text (mdfrun -explain): one
+// This file renders the decision audit log as text (mdf run -explain): one
 // line per decision in virtual-time order, with the scored candidates the
 // decision weighed indented below it. The format is stable enough to diff
 // two runs of the same seed.

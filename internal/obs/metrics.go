@@ -10,7 +10,7 @@ import (
 
 // This file defines the metrics snapshot: a point-in-time aggregation of
 // counters, gauges, histograms and per-node memory-manager state, taken at
-// the end of a run and serialized as schema-stable JSON (mdfrun -metrics).
+// the end of a run and serialized as schema-stable JSON (mdf run -metrics).
 // The schema is pinned by tests: field names and ordering never change
 // within a schema version, and Normalize sorts every collection so the
 // serialized bytes are byte-identical across runs of the same seed.

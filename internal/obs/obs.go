@@ -73,7 +73,7 @@ type Probe interface {
 	// SpanBegin opens a task span on a node track and returns its ID.
 	SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID
 	// SpanEnd closes a span begun earlier. Every SpanBegin must be paired
-	// with a SpanEnd (the mdflint leakcheck rule enforces the balance per
+	// with a SpanEnd (the mdf lint leakcheck rule enforces the balance per
 	// package, like Pin/Unpin).
 	SpanEnd(id SpanID, end sim.VTime)
 	// Counter records one sample of a per-node counter track.
@@ -100,7 +100,7 @@ type Probe interface {
 	SeriesObserve(node int, name string, t sim.VTime, value float64)
 	// IntervalBegin opens a named interval (a branch lifetime, a recovery
 	// window) and returns its ID. Every IntervalBegin must be paired with an
-	// IntervalEnd (the mdflint leakcheck rule enforces the balance per
+	// IntervalEnd (the mdf lint leakcheck rule enforces the balance per
 	// package, like SpanBegin/SpanEnd).
 	IntervalBegin(node int, name string, start sim.VTime) SpanID
 	// IntervalEnd closes an interval begun earlier.

@@ -13,13 +13,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the fixture .want files from current verifier output")
 
 // fixtureConfig returns the verification config for one fixture. Quota
-// fixtures (name contains "quota") run with a 64 GB tenant quota — below
-// the default shape's 80 GB admission reservation, so the never-admitted
+// fixtures (name contains "quota") run with a 64 GiB tenant quota — below
+// the default shape's 80 GiB admission reservation, so the never-admitted
 // proof fires — since the quota checks are disabled by default.
 func fixtureConfig(name string) Config {
 	cfg := DefaultConfig()
 	if strings.Contains(name, "quota") {
-		cfg.TenantQuota = 64 * 1000 * 1000 * 1000
+		cfg.TenantQuota = 64 << 30
 	}
 	return cfg
 }

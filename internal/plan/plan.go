@@ -22,7 +22,7 @@
 //     quota — jobs that run with caching defeated or are never admitted.
 //
 // Findings are suppressed per-rule with the spec's top-level "allow" array
-// (the JSON analogue of mdflint's //lint:allow comments — JSON has no
+// (the JSON analogue of mdf lint's //lint:allow comments — JSON has no
 // comments, so the escape is a metadata field, excluded from the content
 // hash). An allow entry that suppresses nothing is reported as stale so it
 // is deleted before it hides a real defect.
@@ -30,7 +30,7 @@
 // The rules are deliberately sound-but-incomplete: a finding is a proof of
 // the defect (no false positives from the abstractions used), while a clean
 // pass proves nothing. That is the right polarity for an admission gate —
-// mdfserve rejects on findings before reserving quota, so a false positive
+// mdf serve rejects on findings before reserving quota, so a false positive
 // would block a legitimate job.
 package plan
 
@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strings"
 
+	"metadataflow/internal/cluster"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/sim"
 	"metadataflow/internal/spec"
@@ -55,7 +56,7 @@ type Finding struct {
 	Msg string `json:"msg"`
 }
 
-// String renders the finding in the `path: [rule] msg` shape mdflint uses
+// String renders the finding in the `path: [rule] msg` shape mdf lint uses
 // for `file:line: [rule] msg`.
 func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s", f.Path, f.Rule, f.Msg)
@@ -90,13 +91,15 @@ type Config struct {
 	TenantQuota sim.Bytes
 }
 
-// DefaultConfig mirrors the engine defaults (mdfrun: 8 workers, 10 GB per
-// worker) with quota checking off.
+// DefaultConfig is the engine's default cluster shape
+// (cluster.DefaultConfig: 8 workers, 10 GiB per worker) with quota checking
+// off.
 func DefaultConfig() Config {
+	cl := cluster.DefaultConfig()
 	return Config{
 		MaxIterateRounds: 10000,
-		Workers:          8,
-		MemPerWorker:     10 * 1000 * 1000 * 1000,
+		Workers:          cl.Workers,
+		MemPerWorker:     cl.MemPerWorker,
 	}
 }
 

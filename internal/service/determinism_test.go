@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// TestConcurrentSubmissionDeterminism is the mdfserve double-run gate: N
+// TestConcurrentSubmissionDeterminism is the mdf serve double-run gate: N
 // tenant goroutines submit jobs over the HTTP surface while status and
 // health polls race the step loop, and the final /metrics document must
 // come out byte-identical across two independent runs. Submission order is

@@ -32,8 +32,8 @@ import (
 // event in seq order.
 const WatchSchema = "mdf.watch/v1"
 
-// watchHeader is the first NDJSON line of a /watch stream.
-type watchHeader struct {
+// WatchHeader is the first NDJSON line of a /watch stream.
+type WatchHeader struct {
 	Schema    string  `json:"schema"`
 	BucketSec float64 `json:"bucketSec"`
 }
@@ -146,7 +146,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	follow := r.URL.Query().Get("follow") != ""
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(watchHeader{Schema: WatchSchema, BucketSec: watchBucketSec}); err != nil {
+	if err := enc.Encode(WatchHeader{Schema: WatchSchema, BucketSec: watchBucketSec}); err != nil {
 		return
 	}
 	next := 0

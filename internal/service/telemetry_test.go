@@ -78,7 +78,7 @@ func TestServiceWatchStream(t *testing.T) {
 		if !sc.Scan() {
 			t.Fatal("empty watch stream")
 		}
-		var hdr watchHeader
+		var hdr WatchHeader
 		if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestSubmitVetRejectsBeforeReservation(t *testing.T) {
 
 // TestSubmitVetMemoryInfeasible: the memfeasible rule runs against the
 // service's own cluster shape and quota, so a spec that could pass under
-// mdfplan defaults is still rejected by a smaller service.
+// mdf plan defaults is still rejected by a smaller service.
 func TestSubmitVetMemoryInfeasible(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()

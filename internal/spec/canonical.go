@@ -82,7 +82,7 @@ func (s *Spec) Canonicalize() ([]byte, error) {
 }
 
 // Canonical parses a document and returns its canonical form; it is the
-// one-call path used by mdfplan -canonical and -write.
+// one-call path used by mdf plan -canonical and -write.
 func Canonical(data []byte) ([]byte, error) {
 	s, err := Parse(data)
 	if err != nil {

@@ -150,7 +150,7 @@ func TestGoldenCanonicalFixtures(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, data) {
-			t.Errorf("%s is not in canonical form; run mdfplan -write over it.\nwant:\n%s", path, got)
+			t.Errorf("%s is not in canonical form; run mdf plan -write over it.\nwant:\n%s", path, got)
 		}
 		s, err := Parse(data)
 		if err != nil {

@@ -30,7 +30,7 @@ type Spec struct {
 	// Name labels the job. It is metadata: excluded from the content hash.
 	Name string `json:"name,omitempty"`
 	// Allow suppresses plan-verifier rules by name for the whole document
-	// (the JSON analogue of mdflint's //lint:allow escapes; see
+	// (the JSON analogue of mdf lint's //lint:allow escapes; see
 	// internal/plan). Metadata: excluded from the content hash.
 	Allow []string `json:"allow,omitempty"`
 	// Source describes the generated input dataset.

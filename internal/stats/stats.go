@@ -124,7 +124,7 @@ func Histogram[F ~float64](xs []F, lo, hi F, bins int) []int {
 // RNG exists so that every draw in the repository is replayable from a
 // seed threaded through options: the top-level math/rand functions (the
 // process-global source) are forbidden in internal/ by the seededrand rule
-// of mdflint (see internal/analysis).
+// of mdf lint (see internal/analysis).
 type RNG struct {
 	r *rand.Rand
 }

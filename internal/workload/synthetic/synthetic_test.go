@@ -183,7 +183,7 @@ func TestSequentialSlowerThanMDF(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExpandJobs: %v", err)
 	}
-	seq, err := baseline.Sequential(jobs, baseline.Config{
+	seq, err := baseline.Parallel(jobs, 1, baseline.Config{
 		Cluster: testCluster(), Policy: memorymgr.LRU,
 	})
 	if err != nil {
@@ -213,7 +213,7 @@ func TestParallelFasterThanSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExpandJobs: %v", err)
 	}
-	seq, err := baseline.Sequential(jobs, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
+	seq, err := baseline.Parallel(jobs, 1, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
 	if err != nil {
 		t.Fatalf("Sequential: %v", err)
 	}

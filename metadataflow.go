@@ -287,13 +287,7 @@ func runFamily(g *Graph, k int, cfg RunConfig) (*FamilyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	bcfg := baseline.Config{Cluster: cl, Policy: pol}
-	var res *baseline.MultiResult
-	if k <= 1 {
-		res, err = baseline.Sequential(jobs, bcfg)
-	} else {
-		res, err = baseline.Parallel(jobs, k, bcfg)
-	}
+	res, err := baseline.Parallel(jobs, k, baseline.Config{Cluster: cl, Policy: pol})
 	if err != nil {
 		return nil, err
 	}
