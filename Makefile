@@ -9,8 +9,8 @@ help:
 	@echo "mdf targets:"
 	@echo "  build             compile everything"
 	@echo "  test              go test ./..."
-	@echo "  vet               go vet ./..."
-	@echo "  lint              mdf lint: determinism, unit and concurrency rules (exits nonzero on findings)"
+	@echo "  vet               go vet ./..., and fail on any file gofmt -l lists"
+	@echo "  lint              mdf lint: the eight determinism, unit and concurrency rules (mdf lint -list; exits nonzero on findings)"
 	@echo "  specvet           mdf plan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
 	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
@@ -26,14 +26,17 @@ help:
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat a file (fixtures under testdata
+# included), naming the files.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # lint runs `mdf lint`, the repo's determinism, unit-discipline and
-# concurrency-safety static analyzer (see ARCHITECTURE.md "Determinism
-# rules", "Unit types and semantic rules" and "Concurrency rules"). It
-# exits nonzero on any finding; -stale-allows additionally audits
-# suppression comments.
+# concurrency-safety static analyzer: eight rules, one entry each in
+# internal/analysis's rules table (see ARCHITECTURE.md "Determinism rules",
+# "Unit types and semantic rules" and "Concurrency rules"). It exits nonzero
+# on any finding; -stale-allows additionally audits suppression comments.
 lint:
 	$(GO) run ./cmd/mdf lint -stale-allows ./...
 

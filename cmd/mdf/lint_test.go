@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,36 +10,40 @@ import (
 
 // TestUnknownRule pins the usage-error contract: an unknown -rules entry
 // exits 2 with a crisp message naming the bad rule, the valid rules, and
-// the usage line — without running any analysis.
+// the usage line — without running any analysis. The names of deleted
+// rules are unknown like any other.
 func TestUnknownRule(t *testing.T) {
-	code, out, msg := mdf(t, "lint", "-rules", "nosuchrule", "./...")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(msg, `unknown rule "nosuchrule"`) {
-		t.Errorf("stderr does not name the bad rule:\n%s", msg)
-	}
-	for _, r := range analysis.Rules() {
-		if !strings.Contains(msg, r) {
-			t.Errorf("stderr does not list valid rule %q:\n%s", r, msg)
+	for _, bad := range []string{"nosuchrule", "goroutinecapture", "ctxflow"} {
+		code, out, msg := mdf(t, "lint", "-rules", bad, "./...")
+		if code != 2 {
+			t.Fatalf("-rules %s: exit code = %d, want 2", bad, code)
 		}
-	}
-	if !strings.Contains(msg, "usage: mdf lint") {
-		t.Errorf("stderr does not include the usage line:\n%s", msg)
-	}
-	if out != "" {
-		t.Errorf("stdout should be empty on a usage error, got:\n%s", out)
+		if !strings.Contains(msg, fmt.Sprintf("unknown rule %q", bad)) {
+			t.Errorf("stderr does not name the bad rule %q:\n%s", bad, msg)
+		}
+		for _, r := range analysis.Rules() {
+			if !strings.Contains(msg, r) {
+				t.Errorf("-rules %s: stderr does not list valid rule %q:\n%s", bad, r, msg)
+			}
+		}
+		if !strings.Contains(msg, "usage: mdf lint") {
+			t.Errorf("-rules %s: stderr does not include the usage line:\n%s", bad, msg)
+		}
+		if out != "" {
+			t.Errorf("-rules %s: stdout should be empty on a usage error, got:\n%s", bad, out)
+		}
 	}
 }
 
-// TestLintListRules checks -list prints every rule, one per line, and exits 0.
+// TestLintListRules checks -list prints the eight rules, one per line, in
+// the order they are documented, and exits 0.
 func TestLintListRules(t *testing.T) {
 	code, out, errOut := mdf(t, "lint", "-list")
 	if code != 0 {
 		t.Fatalf("exit code = %d, want 0 (stderr: %s)", code, errOut)
 	}
 	got := strings.Split(strings.TrimSpace(out), "\n")
-	want := analysis.Rules()
+	want := []string{"wallclock", "seededrand", "maporder", "droppederr", "unitsafety", "leakcheck", "locksafety", "spawnbound"}
 	if len(got) != len(want) {
 		t.Fatalf("-list printed %d lines, want %d:\n%s", len(got), len(want), out)
 	}

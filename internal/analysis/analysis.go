@@ -29,15 +29,13 @@
 //     Step/Run entry points) and lock/unlock balanced on every path with
 //     defer recognized. sync.Cond.Wait is exempt — it releases its mutex.
 //     (Copied lock values are go vet's copylocks.)
-//   - goroutinecapture: a spawned closure may not write a captured variable
-//     without a visible synchronization edge (mutex, channel send/close,
-//     WaitGroup.Done).
-//   - ctxflow:     functions holding a context.Context must thread it;
-//     context.Background()/TODO() are banned in library code outside main,
-//     tests and the documented allowlist of sanctioned roots.
 //   - spawnbound:  every `go` statement is tied to a visible join — the
 //     goroutine signals completion (WaitGroup.Done, channel send/close)
-//     and the package consumes the signal (Wait, receive).
+//     and the package consumes the signal (Wait, receive). Data races
+//     inside a joined goroutine are the race detector's (make race-short).
+//
+// Each rule is one entry of the rules table: its name, its default scope
+// and its check.
 //
 // The suite is built on the standard library toolchain only: go/parser for
 // syntax and go/types for semantics. The concurrency rules walk the typed
@@ -60,7 +58,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -83,27 +80,70 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.File, f.Line, f.Rule, f.Msg)
 }
 
-// Rule names, in the order diagnostics are documented.
-const (
-	RuleWallclock        = "wallclock"
-	RuleSeededRand       = "seededrand"
-	RuleMapOrder         = "maporder"
-	RuleDroppedErr       = "droppederr"
-	RuleUnitSafety       = "unitsafety"
-	RuleLeakCheck        = "leakcheck"
-	RuleLockSafety       = "locksafety"
-	RuleGoroutineCapture = "goroutinecapture"
-	RuleCtxFlow          = "ctxflow"
-	RuleSpawnBound       = "spawnbound"
-)
+// rule is one analyzer: the name -rules and //lint:allow spell, where the
+// repository policy applies it, and its check. A rule checks file by file
+// or, when its verdict needs the whole package (a pairing, a join, a
+// may-block summary), once per package over the package's files in scope.
+// Checks leave Finding.Rule empty; rawFindings stamps the name.
+type rule struct {
+	name  string
+	scope RuleScope
+	file  func(f *File, cfg Config) []Finding
+	pkg   func(pkg *Package, files []*File) []Finding
+}
+
+// rules is the suite, in the order diagnostics are documented. Adding or
+// removing a rule is adding or removing its entry, its file and its fixture
+// package (named after the rule, or mapped in the tests' fixtureConfig).
+var rules = []rule{
+	{name: "wallclock", file: checkWallclock, scope: RuleScope{Dirs: []string{
+		"internal/engine",
+		"internal/cluster",
+		"internal/scheduler",
+		"internal/memorymgr",
+		"internal/baseline",
+		"internal/experiments",
+		"internal/faults",
+		"internal/chaos",
+		"internal/mdf",
+		"internal/obs",
+		"internal/spec",
+		"internal/plan",
+		"internal/journal",
+		"internal/ckptstore",
+		"cmd/mdf/stat.go",
+		"cmd/mdf/statwatch.go",
+	}}},
+	{name: "seededrand", file: checkSeededRand, scope: RuleScope{Dirs: []string{"internal"}, IncludeTests: true}},
+	{name: "maporder", file: checkMapOrder, scope: RuleScope{Dirs: []string{"internal"}}},
+	{name: "droppederr", file: checkDroppedErr, scope: RuleScope{Dirs: []string{"internal"}}},
+	{name: "unitsafety", file: checkUnitSafety, scope: RuleScope{Dirs: []string{
+		"internal/sim",
+		"internal/cluster",
+		"internal/engine",
+		"internal/memorymgr",
+		"internal/scheduler",
+		"internal/stats",
+		"internal/baseline",
+		"internal/obs",
+		"internal/plan",
+		"internal/journal",
+		"internal/ckptstore",
+		"cmd/mdf/stat.go",
+		"cmd/mdf/statwatch.go",
+	}}},
+	{name: "leakcheck", pkg: checkLeakCheck, scope: RuleScope{Dirs: []string{"internal"}}},
+	{name: "locksafety", pkg: checkLockSafety, scope: RuleScope{Dirs: []string{"internal", "cmd"}}},
+	{name: "spawnbound", pkg: checkSpawnBound, scope: RuleScope{Dirs: []string{"internal", "cmd"}}},
+}
 
 // Rules lists every rule the suite implements.
 func Rules() []string {
-	return []string{
-		RuleWallclock, RuleSeededRand, RuleMapOrder, RuleDroppedErr,
-		RuleUnitSafety, RuleLeakCheck,
-		RuleLockSafety, RuleGoroutineCapture, RuleCtxFlow, RuleSpawnBound,
+	names := make([]string, len(rules))
+	for i, r := range rules {
+		names[i] = r.name
 	}
+	return names
 }
 
 // RuleScope says where one rule applies.
@@ -117,10 +157,12 @@ type RuleScope struct {
 }
 
 func (s RuleScope) applies(relPath string, isTest bool) bool {
-	if isTest && !s.IncludeTests {
-		return false
-	}
-	for _, d := range s.Dirs {
+	return (!isTest || s.IncludeTests) && underAnyDir(relPath, s.Dirs)
+}
+
+// underAnyDir reports whether relPath is one of dirs or inside one of them.
+func underAnyDir(relPath string, dirs []string) bool {
+	for _, d := range dirs {
 		if relPath == d || strings.HasPrefix(relPath, d+"/") {
 			return true
 		}
@@ -128,150 +170,31 @@ func (s RuleScope) applies(relPath string, isTest bool) bool {
 	return false
 }
 
-// Config is the suite's policy: which rule runs where, and the small
-// vocabularies the heuristic analyzers use.
+// Config is the suite's policy: which rule runs where.
 type Config struct {
-	Wallclock        RuleScope
-	SeededRand       RuleScope
-	MapOrder         RuleScope
-	DroppedErr       RuleScope
-	UnitSafety       RuleScope
-	LeakCheck        RuleScope
-	LockSafety       RuleScope
-	GoroutineCapture RuleScope
-	CtxFlow          RuleScope
-	SpawnBound       RuleScope
-
+	// Scopes maps a rule name to where the rule applies; a rule with no
+	// entry runs nowhere.
+	Scopes map[string]RuleScope
 	// UnitExemptDirs are directories (same prefix semantics as RuleScope)
 	// where cross-unit arithmetic and conversions are sanctioned: the
 	// cluster cost model converts bytes into seconds by design. The naming
 	// sub-check of unitsafety still applies there.
 	UnitExemptDirs []string
-	// LeakPairs are the acquire/release method pairs that leakcheck keeps
-	// balanced per package.
-	LeakPairs []LeakPair
-
-	// WallclockFuncs are the forbidden package-level time functions.
-	WallclockFuncs []string
-	// SeededRandFuncs are the forbidden top-level math/rand functions (the
-	// ones backed by the unseeded global source). Constructors (New,
-	// NewSource, NewZipf) stay allowed.
-	SeededRandFuncs []string
-	// EmitNames are function or method names whose call inside a
-	// range-over-map loop counts as emitting externally visible output in
-	// iteration order (trace events, CSV rows, log lines).
-	EmitNames []string
-
-	// BlockingCalls names calls ("pkg.Type.Method" or "pkg.Func", package
-	// name not path) that locksafety treats as blocking operations: the
-	// engine's stage-execution entry points run real operator compute, and
-	// the service's drain/idle waits park on a condition variable.
-	// sync.WaitGroup.Wait is always blocking and need not be listed.
-	BlockingCalls []string
-	// CtxRootFuncs allowlists functions ("pkgdir.FuncName") sanctioned to
-	// mint context.Background()/TODO() roots in library code; each entry's
-	// justification lives in ARCHITECTURE.md, "Concurrency rules".
-	CtxRootFuncs []string
-	// SpawnJoinFuncs names spawn targets ("pkg.Type.Method" or "pkg.Func")
-	// whose join is owned by the named construct itself (bounded worker
-	// pools); spawnbound accepts `go` statements calling them.
-	SpawnJoinFuncs []string
-
 	// Rules restricts the run to a subset of rule names; empty means all.
 	Rules []string
 }
 
-// DefaultConfig returns the repository policy described in the package
-// comment: the virtual-clock packages for wallclock, all of internal/ for
-// the other three rules.
+// DefaultConfig returns the repository policy: every rule at its scope in
+// the rules table, and the cluster cost model as the one unit exemption.
 func DefaultConfig() Config {
-	return Config{
-		Wallclock: RuleScope{Dirs: []string{
-			"internal/engine",
-			"internal/cluster",
-			"internal/scheduler",
-			"internal/memorymgr",
-			"internal/baseline",
-			"internal/experiments",
-			"internal/faults",
-			"internal/chaos",
-			"internal/mdf",
-			"internal/obs",
-			"internal/spec",
-			"internal/plan",
-			"internal/journal",
-			"internal/ckptstore",
-			"cmd/mdf/stat.go",
-			"cmd/mdf/statwatch.go",
-		}},
-		SeededRand: RuleScope{Dirs: []string{"internal"}, IncludeTests: true},
-		MapOrder:   RuleScope{Dirs: []string{"internal"}},
-		DroppedErr: RuleScope{Dirs: []string{"internal"}},
-		UnitSafety: RuleScope{Dirs: []string{
-			"internal/sim",
-			"internal/cluster",
-			"internal/engine",
-			"internal/memorymgr",
-			"internal/scheduler",
-			"internal/stats",
-			"internal/baseline",
-			"internal/obs",
-			"internal/plan",
-			"internal/journal",
-			"internal/ckptstore",
-			"cmd/mdf/stat.go",
-			"cmd/mdf/statwatch.go",
-		}},
-		LeakCheck:        RuleScope{Dirs: []string{"internal"}},
-		LockSafety:       RuleScope{Dirs: []string{"internal", "cmd"}},
-		GoroutineCapture: RuleScope{Dirs: []string{"internal", "cmd"}},
-		CtxFlow:          RuleScope{Dirs: []string{"internal"}},
-		SpawnBound:       RuleScope{Dirs: []string{"internal", "cmd"}},
-
+	cfg := Config{
+		Scopes:         make(map[string]RuleScope, len(rules)),
 		UnitExemptDirs: []string{"internal/cluster"},
-		LeakPairs: []LeakPair{
-			{Acquire: "Put", Release: "Discard"},
-			{Acquire: "Pin", Release: "Unpin"},
-			{Acquire: "SpanBegin", Release: "SpanEnd"},
-			{Acquire: "IntervalBegin", Release: "IntervalEnd"},
-			// Durable state handles: whoever opens a journal or checkpoint
-			// store must close it somewhere in the same package.
-			{Acquire: "Open", Release: "Close"},
-		},
-
-		WallclockFuncs: []string{
-			"Now", "Since", "Until", "Sleep", "After", "AfterFunc",
-			"Tick", "NewTimer", "NewTicker",
-		},
-		SeededRandFuncs: []string{
-			"Int", "Intn", "Int31", "Int31n", "Int63", "Int63n",
-			"Uint32", "Uint64", "Float32", "Float64",
-			"NormFloat64", "ExpFloat64", "Perm", "Shuffle", "Seed", "Read",
-		},
-		EmitNames: []string{
-			"trace", "Emit", "Record", "Printf", "Println", "Print",
-			"Fprintf", "Fprintln", "Fprint", "WriteString",
-		},
-
-		BlockingCalls: []string{
-			// Stage execution runs real operator compute (KDE densities,
-			// NN training); holding a service lock across it starves the
-			// HTTP surface.
-			"engine.Run.Step",
-			"engine.Run.RunToCompletion",
-			// The service's lifecycle waits park on its condition variable.
-			"service.Server.Drain",
-			"service.Server.WaitIdle",
-			"service.Server.Close",
-		},
-		CtxRootFuncs: []string{
-			// The service mints per-job roots deliberately detached from
-			// process signals: drain grants each in-flight job a step
-			// budget before cancelling, which a signal-parented context
-			// would cut short. See ARCHITECTURE.md, "Concurrency rules".
-			"internal/service.startLocked",
-		},
 	}
+	for _, r := range rules {
+		cfg.Scopes[r.name] = r.scope
+	}
+	return cfg
 }
 
 func (c Config) ruleEnabled(rule string) bool {
@@ -388,46 +311,37 @@ func Analyze(m *Module, cfg Config) ([]Finding, []StaleAllow) {
 	return kept, stale
 }
 
-// rawFindings runs the enabled analyzers and returns their unsorted,
-// unsuppressed diagnostics.
+// rawFindings runs the enabled analyzers over the files in their scopes
+// and returns their unsorted, unsuppressed diagnostics.
 func rawFindings(m *Module, cfg Config) []Finding {
 	var all []Finding
-	for _, pkg := range m.Packages {
-		var blocks map[*types.Func]bool
-		if cfg.ruleEnabled(RuleLockSafety) && pkg.Info != nil {
-			blocks = blockSummary(pkg, cfg)
+	for _, r := range rules {
+		if !cfg.ruleEnabled(r.name) {
+			continue
 		}
-		for _, f := range pkg.Files {
-			if cfg.ruleEnabled(RuleWallclock) && cfg.Wallclock.applies(f.Path, f.IsTest) {
-				all = append(all, checkWallclock(f, cfg)...)
+		scope := cfg.Scopes[r.name]
+		for _, pkg := range m.Packages {
+			var files []*File
+			for _, f := range pkg.Files {
+				if scope.applies(f.Path, f.IsTest) {
+					files = append(files, f)
+				}
 			}
-			if cfg.ruleEnabled(RuleSeededRand) && cfg.SeededRand.applies(f.Path, f.IsTest) {
-				all = append(all, checkSeededRand(f, cfg)...)
+			if len(files) == 0 {
+				continue
 			}
-			if cfg.ruleEnabled(RuleMapOrder) && cfg.MapOrder.applies(f.Path, f.IsTest) {
-				all = append(all, checkMapOrder(m, f, cfg)...)
+			var found []Finding
+			if r.pkg != nil {
+				found = r.pkg(pkg, files)
+			} else {
+				for _, f := range files {
+					found = append(found, r.file(f, cfg)...)
+				}
 			}
-			if cfg.ruleEnabled(RuleDroppedErr) && cfg.DroppedErr.applies(f.Path, f.IsTest) {
-				all = append(all, checkDroppedErr(m, f)...)
+			for i := range found {
+				found[i].Rule = r.name
 			}
-			if cfg.ruleEnabled(RuleUnitSafety) && cfg.UnitSafety.applies(f.Path, f.IsTest) {
-				all = append(all, checkUnitSafety(f, cfg)...)
-			}
-			if cfg.ruleEnabled(RuleLockSafety) && cfg.LockSafety.applies(f.Path, f.IsTest) {
-				all = append(all, checkLockSafety(f, cfg, blocks)...)
-			}
-			if cfg.ruleEnabled(RuleGoroutineCapture) && cfg.GoroutineCapture.applies(f.Path, f.IsTest) {
-				all = append(all, checkGoroutineCapture(f, cfg)...)
-			}
-			if cfg.ruleEnabled(RuleCtxFlow) && cfg.CtxFlow.applies(f.Path, f.IsTest) {
-				all = append(all, checkCtxFlow(f, cfg)...)
-			}
-		}
-		if cfg.ruleEnabled(RuleLeakCheck) {
-			all = append(all, checkLeakCheck(pkg, cfg)...)
-		}
-		if cfg.ruleEnabled(RuleSpawnBound) {
-			all = append(all, checkSpawnBound(pkg, cfg)...)
+			all = append(all, found...)
 		}
 	}
 	return all

@@ -13,22 +13,16 @@ import (
 )
 
 // fixtureConfig maps the default policy onto the fixture tree: each rule
-// gets the fixture package exercising it.
+// gets the fixture package exercising it, the one named after the rule
+// unless listed here.
 func fixtureConfig() Config {
 	cfg := DefaultConfig()
-	cfg.Wallclock.Dirs = []string{"sim"}
-	cfg.SeededRand = RuleScope{Dirs: []string{"randuse"}, IncludeTests: true}
-	cfg.MapOrder = RuleScope{Dirs: []string{"maporder"}}
-	cfg.DroppedErr = RuleScope{Dirs: []string{"droppederr"}}
-	cfg.UnitSafety = RuleScope{Dirs: []string{"unitsafety"}}
+	for _, rule := range Rules() {
+		cfg.Scopes[rule] = RuleScope{Dirs: []string{rule}}
+	}
+	cfg.Scopes["wallclock"] = RuleScope{Dirs: []string{"sim"}}
+	cfg.Scopes["seededrand"] = RuleScope{Dirs: []string{"randuse"}, IncludeTests: true}
 	cfg.UnitExemptDirs = []string{"unitsafety/costmodel"}
-	cfg.LeakCheck = RuleScope{Dirs: []string{"leakcheck"}}
-	cfg.LockSafety = RuleScope{Dirs: []string{"locksafety"}}
-	cfg.GoroutineCapture = RuleScope{Dirs: []string{"goroutinecapture"}}
-	cfg.CtxFlow = RuleScope{Dirs: []string{"ctxflow"}}
-	cfg.SpawnBound = RuleScope{Dirs: []string{"spawnbound"}}
-	cfg.CtxRootFuncs = []string{"ctxflow.sanctionedRoot"}
-	cfg.SpawnJoinFuncs = []string{"nowait.Pool"}
 	return cfg
 }
 
@@ -189,7 +183,7 @@ func TestStaleAllowsRespectRuleSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fixtureConfig()
-	cfg.Rules = []string{RuleMapOrder}
+	cfg.Rules = []string{"maporder"}
 	_, stale := Analyze(m, cfg)
 	var got []string
 	for _, s := range stale {
@@ -206,7 +200,7 @@ func TestStaleAllowsRespectRuleSubset(t *testing.T) {
 // TestStaleAllowJSON pins the machine-readable schema `mdf lint -json
 // -stale-allows` emits for audit entries.
 func TestStaleAllowJSON(t *testing.T) {
-	s := StaleAllow{File: "internal/engine/exec.go", Line: 7, Rule: RuleLockSafety}
+	s := StaleAllow{File: "internal/engine/exec.go", Line: 7, Rule: "locksafety"}
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +214,7 @@ func TestStaleAllowJSON(t *testing.T) {
 // TestFindingString pins the diagnostic format the Makefile and editors
 // parse.
 func TestFindingString(t *testing.T) {
-	f := Finding{File: "internal/engine/exec.go", Line: 42, Rule: RuleMapOrder, Msg: "boom"}
+	f := Finding{File: "internal/engine/exec.go", Line: 42, Rule: "maporder", Msg: "boom"}
 	want := "internal/engine/exec.go:42: [maporder] boom"
 	if f.String() != want {
 		t.Fatalf("String() = %q, want %q", f.String(), want)
@@ -230,7 +224,7 @@ func TestFindingString(t *testing.T) {
 // TestFindingJSON pins the machine-readable schema `mdf lint -json` emits:
 // one object per finding with exactly these field names.
 func TestFindingJSON(t *testing.T) {
-	f := Finding{File: "internal/engine/exec.go", Line: 42, Rule: RuleUnitSafety, Msg: "boom"}
+	f := Finding{File: "internal/engine/exec.go", Line: 42, Rule: "unitsafety", Msg: "boom"}
 	data, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package analysis
 
 // This file is the shared plumbing for the concurrency rules (locksafety,
-// goroutinecapture, ctxflow, spawnbound). The module is deliberately
-// dependency-free, so instead of golang.org/x/tools/go/ssa the rules walk
-// the typed ASTs directly: a structured, path-splitting statement walk
-// (lockWalker in locksafety.go) stands in for a basic-block CFG, and the
+// spawnbound). The module is deliberately dependency-free, so instead of
+// golang.org/x/tools/go/ssa the rules walk the typed ASTs directly: a
+// structured, path-splitting statement walk (lockWalker in locksafety.go)
+// stands in for a basic-block CFG, and the
 // helpers here resolve the questions SSA would have answered — which
 // function does this call reach, which variable object does this receiver
 // expression denote, does this type transitively embed a lock. The walk is
@@ -108,9 +108,6 @@ func isMutex(t types.Type) bool {
 	return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
 }
 
-// isContextType reports the context.Context interface.
-func isContextType(t types.Type) bool { return isNamedType(t, "context", "Context") }
-
 // isChanType reports a channel (possibly named).
 func isChanType(t types.Type) bool {
 	if t == nil {
@@ -148,11 +145,11 @@ func funcDeclIndex(pkg *Package) map[*types.Func]*ast.FuncDecl {
 // directlyBlocks reports whether a function body contains a blocking
 // operation itself: a channel send/receive, a range over a channel, a
 // select without a default clause, sync.WaitGroup.Wait, or a call named in
-// cfg.BlockingCalls. sync.Cond.Wait is exempt — it releases the associated
+// blockingCalls. sync.Cond.Wait is exempt — it releases the associated
 // mutex while parked, which is the sanctioned step-loop idiom. Function
 // literals are skipped: a closure's blocking belongs to the goroutine that
 // runs it.
-func directlyBlocks(f *File, body *ast.BlockStmt, blocking map[string]bool) bool {
+func directlyBlocks(f *File, body *ast.BlockStmt) bool {
 	if body == nil {
 		return false
 	}
@@ -182,7 +179,7 @@ func directlyBlocks(f *File, body *ast.BlockStmt, blocking map[string]bool) bool
 				found = true
 			}
 		case *ast.CallExpr:
-			if kind, _ := classifyBlockingCall(f, x, blocking); kind != "" {
+			if kind, _ := classifyBlockingCall(f, x); kind != "" {
 				found = true
 			}
 		}
@@ -203,9 +200,9 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 }
 
 // classifyBlockingCall reports whether a call is a known blocking call:
-// "wait" for sync.WaitGroup.Wait, "call" for a cfg.BlockingCalls entry.
+// "wait" for sync.WaitGroup.Wait, "call" for a blockingCalls entry.
 // The returned key names the callee for diagnostics.
-func classifyBlockingCall(f *File, call *ast.CallExpr, blocking map[string]bool) (kind, key string) {
+func classifyBlockingCall(f *File, call *ast.CallExpr) (kind, key string) {
 	fn, _ := resolveCall(f, call)
 	if fn == nil {
 		return "", ""
@@ -214,7 +211,7 @@ func classifyBlockingCall(f *File, call *ast.CallExpr, blocking map[string]bool)
 	if k == "sync.WaitGroup.Wait" {
 		return "wait", k
 	}
-	if blocking[k] {
+	if blockingCalls[k] {
 		return "call", k
 	}
 	return "", ""
@@ -224,7 +221,7 @@ func classifyBlockingCall(f *File, call *ast.CallExpr, blocking map[string]bool)
 // may block when its body directly blocks or when it calls a same-package
 // function that may block. One level of indirection through function
 // values is not chased.
-func blockSummary(pkg *Package, cfg Config) map[*types.Func]bool {
+func blockSummary(pkg *Package) map[*types.Func]bool {
 	decls := funcDeclIndex(pkg)
 	blocks := map[*types.Func]bool{}
 	calls := map[*types.Func][]*types.Func{}
@@ -241,7 +238,7 @@ func blockSummary(pkg *Package, cfg Config) map[*types.Func]bool {
 			if !ok {
 				continue
 			}
-			if directlyBlocks(f, fd.Body, blockingSet(cfg)) {
+			if directlyBlocks(f, fd.Body) {
 				blocks[fn] = true
 			}
 			file := f
@@ -277,13 +274,4 @@ func blockSummary(pkg *Package, cfg Config) map[*types.Func]bool {
 		}
 	}
 	return blocks
-}
-
-// blockingSet turns cfg.BlockingCalls into a lookup set.
-func blockingSet(cfg Config) map[string]bool {
-	set := make(map[string]bool, len(cfg.BlockingCalls))
-	for _, k := range cfg.BlockingCalls {
-		set[k] = true
-	}
-	return set
 }

@@ -16,7 +16,7 @@ import (
 // calls and function values alike; calls without type information (test
 // files, unresolved packages) are skipped, so every finding points at a
 // value that really is an error.
-func checkDroppedErr(m *Module, f *File) []Finding {
+func checkDroppedErr(f *File, _ Config) []Finding {
 	var out []Finding
 	ast.Inspect(f.AST, func(n ast.Node) bool {
 		st, ok := n.(*ast.AssignStmt)
@@ -27,7 +27,6 @@ func checkDroppedErr(m *Module, f *File) []Finding {
 			out = append(out, Finding{
 				File: f.Path,
 				Line: f.line(st.Pos()),
-				Rule: RuleDroppedErr,
 				Msg:  fmt.Sprintf("error result of %s assigned to _; handle or return it", calleeLabel(f, call)),
 			})
 		}

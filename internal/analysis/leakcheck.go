@@ -7,11 +7,16 @@ import (
 	"sort"
 )
 
-// LeakPair names an acquire method and the release method that must balance
-// it somewhere in the same package.
-type LeakPair struct {
-	Acquire string
-	Release string
+// leakPairs are the acquire methods and the release methods that must
+// balance them somewhere in the same package.
+var leakPairs = []struct{ acquire, release string }{
+	{"Put", "Discard"},
+	{"Pin", "Unpin"},
+	{"SpanBegin", "SpanEnd"},
+	{"IntervalBegin", "IntervalEnd"},
+	// Durable state handles: whoever opens a journal or checkpoint store
+	// must close it somewhere in the same package.
+	{"Open", "Close"},
 }
 
 // checkLeakCheck enforces acquire/release balance for paired resource
@@ -31,7 +36,7 @@ type LeakPair struct {
 // obs.Probe, never a concrete recorder. The declaring package
 // itself is exempt (the allocator's own tests and helpers legitimately call
 // Put without Discard).
-func checkLeakCheck(pkg *Package, cfg Config) []Finding {
+func checkLeakCheck(pkg *Package, files []*File) []Finding {
 	if pkg.Info == nil || pkg.TypesPkg == nil {
 		return nil
 	}
@@ -41,10 +46,7 @@ func checkLeakCheck(pkg *Package, cfg Config) []Finding {
 	}
 	acquires := map[key][]Finding{}
 	released := map[key]bool{}
-	for _, f := range pkg.Files {
-		if !cfg.LeakCheck.applies(f.Path, f.IsTest) {
-			continue
-		}
+	for _, f := range files {
 		path := f.Path
 		lineOf := f.line
 		ast.Inspect(f.AST, func(n ast.Node) bool {
@@ -65,17 +67,17 @@ func checkLeakCheck(pkg *Package, cfg Config) []Finding {
 				return true
 			}
 			tname := named.Obj().Pkg().Name() + "." + named.Obj().Name()
-			for i, pair := range cfg.LeakPairs {
+			for i, pair := range leakPairs {
 				switch sel.Sel.Name {
-				case pair.Acquire:
-					if hasMethod(named, pair.Release) {
+				case pair.acquire:
+					if hasMethod(named, pair.release) {
 						k := key{i, tname}
 						acquires[k] = append(acquires[k], Finding{
-							File: path, Line: lineOf(call.Pos()), Rule: RuleLeakCheck,
-							Msg: fmt.Sprintf("%s.%s acquired here is never released: no %s call on %s anywhere in this package", tname, pair.Acquire, pair.Release, tname),
+							File: path, Line: lineOf(call.Pos()),
+							Msg: fmt.Sprintf("%s.%s acquired here is never released: no %s call on %s anywhere in this package", tname, pair.acquire, pair.release, tname),
 						})
 					}
-				case pair.Release:
+				case pair.release:
 					released[key{i, tname}] = true
 				}
 			}

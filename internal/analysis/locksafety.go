@@ -12,7 +12,7 @@ import (
 //
 //   - A sync.Mutex/RWMutex must not be held across a blocking operation:
 //     channel sends and receives, range over a channel, select without a
-//     default, sync.WaitGroup.Wait, a call named in cfg.BlockingCalls
+//     default, sync.WaitGroup.Wait, a call named in blockingCalls
 //     (engine.Run.Step and friends — real operator compute runs inside
 //     them), or a same-package call that reaches one of those
 //     (blockSummary). sync.Cond.Wait is exempt: it releases the associated
@@ -34,22 +34,39 @@ import (
 // helpers that unlock a caller-held mutex are deliberately not modelled
 // (naked Unlock is a state no-op, never a finding), so the convention-named
 // *Locked helpers stay clean.
-func checkLockSafety(f *File, cfg Config, blocks map[*types.Func]bool) []Finding {
-	if f.Pkg == nil || f.Pkg.Info == nil {
+func checkLockSafety(pkg *Package, files []*File) []Finding {
+	if pkg.Info == nil {
 		return nil
 	}
-	w := &lockWalker{f: f, blocking: blockingSet(cfg), blocks: blocks}
-	for _, d := range f.AST.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		st := newLockState()
-		if !w.walkStmts(fd.Body.List, st) {
-			w.checkExit(fd.Body.End(), st)
+	w := &lockWalker{blocks: blockSummary(pkg)}
+	for _, f := range files {
+		w.f = f
+		for _, d := range f.AST.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			st := newLockState()
+			if !w.walkStmts(fd.Body.List, st) {
+				w.checkExit(fd.Body.End(), st)
+			}
 		}
 	}
 	return w.findings
+}
+
+// blockingCalls names the calls ("pkg.Type.Method" or "pkg.Func", package
+// name not path) that locksafety treats as blocking operations besides
+// sync.WaitGroup.Wait.
+var blockingCalls = map[string]bool{
+	// Stage execution runs real operator compute (KDE densities, NN
+	// training); holding a service lock across it starves the HTTP surface.
+	"engine.Run.Step":            true,
+	"engine.Run.RunToCompletion": true,
+	// The service's lifecycle waits park on its condition variable.
+	"service.Server.Drain":    true,
+	"service.Server.WaitIdle": true,
+	"service.Server.Close":    true,
 }
 
 type lockMode int
@@ -112,14 +129,13 @@ func (s *lockState) heldNames() []string {
 
 type lockWalker struct {
 	f        *File
-	blocking map[string]bool
 	blocks   map[*types.Func]bool
 	findings []Finding
 }
 
 func (w *lockWalker) report(pos token.Pos, format string, args ...any) {
 	w.findings = append(w.findings, Finding{
-		File: w.f.Path, Line: w.f.line(pos), Rule: RuleLockSafety,
+		File: w.f.Path, Line: w.f.line(pos),
 		Msg: fmt.Sprintf(format, args...),
 	})
 }
@@ -490,7 +506,7 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, st *lockState) bool {
 	if key == "sync.Cond.Wait" {
 		return false // releases the associated mutex while parked
 	}
-	if kind, k := classifyBlockingCall(w.f, call, w.blocking); kind != "" {
+	if kind, k := classifyBlockingCall(w.f, call); kind != "" {
 		what := fmt.Sprintf("the blocking call %s", k)
 		if kind == "wait" {
 			what = "sync.WaitGroup.Wait"

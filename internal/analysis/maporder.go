@@ -7,6 +7,14 @@ import (
 	"strings"
 )
 
+// emitNames are function or method names whose call inside a range-over-map
+// loop emits externally visible output in iteration order (trace events, CSV
+// rows, log lines).
+var emitNames = map[string]bool{
+	"trace": true, "Emit": true, "Record": true, "Printf": true, "Println": true, "Print": true,
+	"Fprintf": true, "Fprintln": true, "Fprint": true, "WriteString": true,
+}
+
 // checkMapOrder flags order-dependent work inside `range` over a map. Go
 // randomises map-iteration order on purpose, so anything that observes the
 // order — appending to a slice, sending on a channel, emitting trace or CSV
@@ -18,11 +26,7 @@ import (
 // call whose name contains "sort" (sort.Slice, sort.Strings, a sortX
 // helper). Integer accumulation and map-to-map copies are commutative and
 // never flagged.
-func checkMapOrder(m *Module, f *File, cfg Config) []Finding {
-	emit := map[string]bool{}
-	for _, name := range cfg.EmitNames {
-		emit[name] = true
-	}
+func checkMapOrder(f *File, _ Config) []Finding {
 	var out []Finding
 	for _, decl := range f.AST.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -30,7 +34,7 @@ func checkMapOrder(m *Module, f *File, cfg Config) []Finding {
 			continue
 		}
 		walkStmts(fn.Body.List, nil, func(rs *ast.RangeStmt, following []ast.Stmt) {
-			out = append(out, checkOneRange(f, rs, following, emit)...)
+			out = append(out, checkOneRange(f, rs, following)...)
 		})
 	}
 	return out
@@ -107,7 +111,7 @@ func childStmtLists(stmt ast.Stmt) [][]ast.Stmt {
 // checkOneRange analyses a single range statement; following are the
 // statements after it in the same block, searched for the sort that
 // legitimises collected appends.
-func checkOneRange(f *File, rs *ast.RangeStmt, following []ast.Stmt, emit map[string]bool) []Finding {
+func checkOneRange(f *File, rs *ast.RangeStmt, following []ast.Stmt) []Finding {
 	if !isMapExpr(f, rs.X) {
 		return nil
 	}
@@ -120,7 +124,7 @@ func checkOneRange(f *File, rs *ast.RangeStmt, following []ast.Stmt, emit map[st
 	var appends []appendFinding
 	var out []Finding
 	add := func(pos token.Pos, msg string) {
-		out = append(out, Finding{File: f.Path, Line: f.line(pos), Rule: RuleMapOrder, Msg: msg})
+		out = append(out, Finding{File: f.Path, Line: f.line(pos), Msg: msg})
 	}
 
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
@@ -139,7 +143,7 @@ func checkOneRange(f *File, rs *ast.RangeStmt, following []ast.Stmt, emit map[st
 					appends = append(appends, appendFinding{
 						slice: name,
 						finding: Finding{
-							File: f.Path, Line: f.line(st.Pos()), Rule: RuleMapOrder,
+							File: f.Path, Line: f.line(st.Pos()),
 							Msg: fmt.Sprintf("appends to %q in map-iteration order; iterate over sorted keys or sort the result afterwards", name),
 						},
 					})
@@ -158,7 +162,7 @@ func checkOneRange(f *File, rs *ast.RangeStmt, following []ast.Stmt, emit map[st
 			if !ok {
 				return true
 			}
-			if name, ok := calleeName(call); ok && emit[name] {
+			if name, ok := calleeName(call); ok && emitNames[name] {
 				add(st.Pos(), fmt.Sprintf("%s emits output in map-iteration order; iterate over sorted keys", name))
 			}
 		}

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // checkSpawnBound requires every `go` statement to be tied to a visible
@@ -21,28 +20,19 @@ import (
 //   - it sends on or closes a channel object that the package receives
 //     from (<-ch, range ch, or a select case).
 //
-// Spawns of functions from other packages are opaque and reported unless
-// the callee is named in cfg.SpawnJoinFuncs (sanctioned bounded-worker
-// constructs whose join lives inside the construct).
-func checkSpawnBound(pkg *Package, cfg Config) []Finding {
+// Spawns of functions from other packages are opaque and reported.
+func checkSpawnBound(pkg *Package, files []*File) []Finding {
 	if pkg.Info == nil || pkg.TypesPkg == nil {
 		return nil
 	}
 	decls := funcDeclIndex(pkg)
-	sanctioned := map[string]bool{}
-	for _, k := range cfg.SpawnJoinFuncs {
-		sanctioned[k] = true
-	}
 
 	// Pass 1: collect the package's join sinks — received-from channel
 	// objects and waited-on WaitGroup objects.
 	recvObjs := map[types.Object]bool{}
 	waitObjs := map[types.Object]bool{}
 	anyWait := false
-	for _, f := range pkg.Files {
-		if !cfg.SpawnBound.applies(f.Path, f.IsTest) {
-			continue
-		}
+	for _, f := range files {
 		file := f
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -73,10 +63,7 @@ func checkSpawnBound(pkg *Package, cfg Config) []Finding {
 
 	// Pass 2: judge each go statement.
 	var out []Finding
-	for _, f := range pkg.Files {
-		if !cfg.SpawnBound.applies(f.Path, f.IsTest) {
-			continue
-		}
+	for _, f := range files {
 		file := f
 		ast.Inspect(f.AST, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
@@ -89,9 +76,6 @@ func checkSpawnBound(pkg *Package, cfg Config) []Finding {
 				body = lit.Body
 			} else if fn, _ := resolveCall(file, g.Call); fn != nil {
 				calleeName = callKey(fn)
-				if sanctioned[calleeName] {
-					return true
-				}
 				if d, samePkg := decls[fn]; samePkg {
 					body = d.Body
 				}
@@ -99,19 +83,13 @@ func checkSpawnBound(pkg *Package, cfg Config) []Finding {
 			if joined, why := spawnJoined(file, pkg, body, recvObjs, waitObjs, anyWait); !joined {
 				msg := "go statement has no visible join: " + why
 				if body == nil && calleeName != "" {
-					msg = "go statement spawns " + calleeName + " from another package; its join is not visible here — wrap it in a closure that signals a WaitGroup or channel, or sanction it in the analysis config"
+					msg = "go statement spawns " + calleeName + " from another package; its join is not visible here — wrap it in a closure that signals a WaitGroup or channel"
 				}
-				out = append(out, Finding{File: file.Path, Line: file.line(g.Pos()), Rule: RuleSpawnBound, Msg: msg})
+				out = append(out, Finding{File: file.Path, Line: file.line(g.Pos()), Msg: msg})
 			}
 			return true
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
 	return out
 }
 

@@ -31,9 +31,9 @@ func (s *Store) Flush() error { return nil }
 
 // Dropped discards errors in every form the rule covers.
 func Dropped(s *Store) int {
-	n, _ := parse("42") // want:droppederr
-	_ = validate(n)     // want:droppederr
-	_ = s.Flush()       // want:droppederr
+	n, _ := parse("42")                  // want:droppederr
+	_ = validate(n)                      // want:droppederr
+	_ = s.Flush()                        // want:droppederr
 	data, _ := os.ReadFile("state.json") // want:droppederr
 	return n + len(data)
 }

@@ -7,10 +7,10 @@ import (
 
 // Global draws from the process-global source — every call is forbidden.
 func Global() int {
-	mrand.Seed(42)        // want:seededrand
-	f := mrand.Float64()  // want:seededrand
+	mrand.Seed(42)                      // want:seededrand
+	f := mrand.Float64()                // want:seededrand
 	mrand.Shuffle(3, func(i, j int) {}) // want:seededrand
-	return mrand.Intn(10) + int(f) // want:seededrand
+	return mrand.Intn(10) + int(f)      // want:seededrand
 }
 
 // Seeded builds an explicitly seeded generator — the constructors and the

@@ -8,9 +8,9 @@ import (
 
 // Tick exercises the forbidden wall-clock calls.
 func Tick() float64 {
-	start := time.Now()            // want:wallclock
-	time.Sleep(time.Millisecond)   // want:wallclock
-	<-time.After(time.Millisecond) // want:wallclock
+	start := time.Now()                // want:wallclock
+	time.Sleep(time.Millisecond)       // want:wallclock
+	<-time.After(time.Millisecond)     // want:wallclock
 	return time.Since(start).Seconds() // want:wallclock
 }
 

@@ -1,6 +1,5 @@
-// Package nowait supplies out-of-package spawn targets for the spawnbound
-// fixture: Detached is opaque and unsanctioned, Pool is the sanctioned
-// bounded-worker construct named in cfg.SpawnJoinFuncs.
+// Package nowait supplies an out-of-package spawn target for the spawnbound
+// fixture: Detached is opaque, so its join is not visible to the spawner.
 package nowait
 
 // Detached runs forever with no completion signal.
@@ -8,7 +7,3 @@ func Detached() {
 	for {
 	}
 }
-
-// Pool is a bounded-worker entry point whose join lives inside the
-// construct; the fixture config sanctions it as "nowait.Pool".
-func Pool() {}

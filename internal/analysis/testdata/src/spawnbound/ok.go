@@ -1,10 +1,6 @@
 package spawnbound
 
-import (
-	"sync"
-
-	"fixture/spawnbound/nowait"
-)
+import "sync"
 
 // okWaitGroup joins through Done/Wait on the same WaitGroup object.
 func okWaitGroup(items []int, work func(int)) {
@@ -58,12 +54,6 @@ func (s *server) loop() {
 
 func (s *server) Close() {
 	<-s.done
-}
-
-// okSanctioned spawns the configured bounded-worker construct: its join
-// lives inside the construct, so the spawn is sanctioned by name.
-func okSanctioned() {
-	go nowait.Pool()
 }
 
 // okRangeJoin consumes results with range, which also counts as receiving.

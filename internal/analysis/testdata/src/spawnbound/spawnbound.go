@@ -35,7 +35,7 @@ func DoneWithoutWait(wg *sync.WaitGroup, work func()) {
 }
 
 // ExternalSpawn launches a function from another package: its join is not
-// visible here and the callee is not sanctioned.
+// visible here.
 func ExternalSpawn() {
 	go nowait.Detached() // want:spawnbound
 }

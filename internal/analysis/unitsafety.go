@@ -38,17 +38,6 @@ func checkUnitSafety(f *File, cfg Config) []Finding {
 	return out
 }
 
-// underAnyDir reports whether relPath is inside one of the directories,
-// with the same prefix semantics as RuleScope.
-func underAnyDir(relPath string, dirs []string) bool {
-	for _, d := range dirs {
-		if relPath == d || strings.HasPrefix(relPath, d+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // Identifier vocabulary of the naming sub-check. Matching is on the
 // lowercased name: exact names for the short conventional spellings,
 // suffixes for compounds (readySec, CheckpointedBytes).
@@ -103,7 +92,7 @@ func unitNameFindings(f *File) []Finding {
 				}
 				if want := unitWanted(name.Name, id.Name); want != "" {
 					out = append(out, Finding{
-						File: f.Path, Line: f.line(name.Pos()), Rule: RuleUnitSafety,
+						File: f.Path, Line: f.line(name.Pos()),
 						Msg: fmt.Sprintf("%s %q of %s is a plain %s; declare it %s so the unit travels with the value", kind, name.Name, owner, id.Name, want),
 					})
 				}
@@ -155,7 +144,7 @@ func unitFlowFindings(f *File) []Finding {
 			ux, uy := exprUnit(f, e.X), exprUnit(f, e.Y)
 			if ux != "" && uy != "" && ux != uy {
 				out = append(out, Finding{
-					File: f.Path, Line: f.line(e.OpPos), Rule: RuleUnitSafety,
+					File: f.Path, Line: f.line(e.OpPos),
 					Msg: fmt.Sprintf("expression mixes %s and %s operands; cross units only through the cluster cost model or Bytes.MB", ux, uy),
 				})
 			}
@@ -173,7 +162,7 @@ func unitFlowFindings(f *File) []Finding {
 			}
 			if containsUnit(f, e.Args[0], other) {
 				out = append(out, Finding{
-					File: f.Path, Line: f.line(e.Pos()), Rule: RuleUnitSafety,
+					File: f.Path, Line: f.line(e.Pos()),
 					Msg: fmt.Sprintf("conversion to %s wraps an expression carrying %s; only the cluster cost model may turn one unit into the other", target, other),
 				})
 			}

@@ -10,7 +10,6 @@ import (
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/obs"
 	"metadataflow/internal/scheduler"
-	"metadataflow/internal/sim"
 )
 
 // TestDiamondMergeExecution: a transform with two predecessors (built with
@@ -149,28 +148,6 @@ func TestOversizeWorkingSet(t *testing.T) {
 	}
 	if res.Metrics.Mem.HitRatio() >= 1 {
 		t.Error("oversize partitions must be disk accesses")
-	}
-}
-
-func TestTaskBreakdown(t *testing.T) {
-	d := dataset.FromRows("d", intRows(100), 6, 100)
-	tasks := engine.TaskBreakdown("T1", 4, []*dataset.Dataset{d, nil})
-	if len(tasks) != 4 {
-		t.Fatalf("tasks = %d, want 4", len(tasks))
-	}
-	// 6 partitions over 4 workers round-robin: nodes 0,1 get 2, nodes 2,3 get 1.
-	if tasks[0].Partitions != 2 || tasks[2].Partitions != 1 {
-		t.Errorf("partition spread wrong: %+v", tasks)
-	}
-	var total sim.Bytes
-	for _, tk := range tasks {
-		total += tk.InputBytes
-	}
-	if total.Int64() != d.VirtualBytes() {
-		t.Errorf("task bytes = %d, want %d", total, d.VirtualBytes())
-	}
-	if engine.TaskBreakdown("T1", 0, nil) != nil {
-		t.Error("zero workers should yield no tasks")
 	}
 }
 

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"metadataflow/internal/stats"
@@ -78,31 +77,6 @@ type Durability struct {
 	// CkptFileFlips corrupt durable checkpoint-store entries. Loads must
 	// miss and re-derive; no job may fail because of them.
 	CkptFileFlips []BitFlip `json:"ckptFileFlips,omitempty"`
-}
-
-// ParseDurability decodes and validates a JSON durability fault set.
-func ParseDurability(data []byte) (*Durability, error) {
-	var d Durability
-	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("faults: parse durability: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return &d, nil
-}
-
-// Validate reports structural errors of the durability fault set.
-func (d *Durability) Validate() error {
-	if d.TornTailBytes < 0 {
-		return fmt.Errorf("faults: negative torn tail %d", d.TornTailBytes)
-	}
-	for i, f := range append(append([]BitFlip(nil), d.JournalFlips...), d.CkptFileFlips...) {
-		if f.Index < 0 || f.Bit < 0 {
-			return fmt.Errorf("faults: durability flip %d: negative index %d or bit %d", i, f.Index, f.Bit)
-		}
-	}
-	return nil
 }
 
 // NumEvents returns the number of durability faults scheduled.

@@ -259,20 +259,6 @@ func (p *Plan) Post(st *Stage) []*Stage { return p.post[st.ID] }
 // the stage lies outside every exploration scope.
 func (p *Plan) Branch(st *Stage) *BranchRef { return p.branchOf[st.ID] }
 
-// SourceStages returns the stages with an empty pre-set.
-func (p *Plan) SourceStages() []*Stage {
-	var out []*Stage
-	for _, st := range p.Stages {
-		if len(p.pre[st.ID]) == 0 {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
-// Consumers returns the number of stages that consume the output of st.
-func (p *Plan) Consumers(st *Stage) int { return len(p.post[st.ID]) }
-
 // ScopeOfChoose returns the scope closed by the given choose stage, or nil.
 func (p *Plan) ScopeOfChoose(st *Stage) *Scope {
 	if !st.IsChoose() {

@@ -66,9 +66,6 @@ func NewCrossJobQueue(capacity, ageEvery int) *CrossJobQueue {
 // Len returns the number of queued jobs.
 func (q *CrossJobQueue) Len() int { return len(q.items) }
 
-// Cap returns the queue capacity.
-func (q *CrossJobQueue) Cap() int { return q.capacity }
-
 // Push admits a job; it reports false when the queue is full (the caller
 // sheds load with 429 + Retry-After).
 func (q *CrossJobQueue) Push(id, tenant string, priority int) bool {

@@ -687,9 +687,9 @@ func (s *Server) startLocked(j *job) error {
 	// Job lifetimes are deliberately NOT parented on the process signal
 	// context: drain grants each active job DrainStepBudget more steps
 	// before cancelling, and a signal-parented root would cancel every job
-	// instantly at shutdown and break that budget. This is the single
-	// sanctioned context root in library code (see the ctxflow allowlist
-	// and ARCHITECTURE.md "Concurrency rules").
+	// instantly at shutdown and break that budget. This is the one context
+	// root in library code: everything below it receives its context
+	// through engine.Options.
 	ctx, cancel := context.WithCancelCause(context.Background())
 	// A fresh probe per attempt: a retry replays the fault plan from
 	// scratch, so its telemetry must not accumulate onto the failed

@@ -426,9 +426,3 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	detected.Then("sink", mdf.Identity("detected"), 0.0001)
 	return b.Build()
 }
-
-// MaskForTest applies the masking operator directly to a dataset; exposed
-// for calibration tests and tooling.
-func MaskForTest(p Params, w int, t float64, in *dataset.Dataset) (*dataset.Dataset, error) {
-	return maskOp(p, w, t)([]*dataset.Dataset{in})
-}
