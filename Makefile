@@ -19,7 +19,7 @@ help:
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
 	@echo "  bench-baseline    regenerate BENCH_*.json once; mdf stat names any series past MDFSTAT_THRESHOLD, then fail on byte drift"
-	@echo "  bench-smoke       compile every Benchmark* under internal/ and run each for one iteration"
+	@echo "  bench-smoke       compile every Benchmark* under internal/ and run each for one iteration, with its allocations"
 	@echo "  hostbench-check   vet and test the host-time benchmark module (benchmarks/), which ./... does not reach"
 	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-baseline bench-smoke hostbench-check"
 
@@ -67,9 +67,10 @@ race:
 # GOMAXPROCS(4) themselves and size their inputs above the engine's gate, so
 # the pool is reached on a single-CPU runner too; the engine's run the
 # functions of the other packages there. dataset, graph and memorymgr are in
-# for what those goroutines read of them (partition blocks, Stage.String's
-# lazy label) and for their reference models (the Alg. 2 transcription, the
-# edge map; the sort-based top-k is mdf's), none of which -short skips.
+# for what those goroutines read of them (partition blocks and the one
+# column their windows share, Stage.String's lazy label) and for their
+# reference models (the Alg. 2 transcription, the edge map; the sort-based
+# top-k is mdf's), none of which -short skips.
 # -count=1 defeats the test cache so the race detector actually runs on every
 # invocation. Part of ci.
 race-short:
@@ -146,9 +147,11 @@ bench-baseline: build
 # bench-smoke compiles the layer benchmarks that live next to the code and
 # runs each for a single iteration: no other gate builds a Benchmark*, so
 # without it one that no longer compiles, or fails on its first iteration,
-# would go unnoticed until someone needs its number. Part of ci.
+# would go unnoticed until someone needs its number. -benchmem puts every
+# benchmark's allocations per operation in the log (BenchmarkMap and
+# BenchmarkFilter read them at 1, 8 and 64 partitions). Part of ci.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 
 # hostbench-check vets and tests benchmarks/, a module of its own that the
 # root ./... patterns never descend into: it calls the data layer's boxed

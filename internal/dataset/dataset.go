@@ -10,12 +10,12 @@
 // "gigabytes" per worker without holding gigabytes in RAM.
 //
 // The payload of a partition is either columnar or boxed. A columnar
-// partition holds a typed Column (Col[T], or a workload's own
-// struct-of-arrays type) and operators read and write it without an
-// interface value per row; its Rows stay nil until (*Dataset).Box fills them
-// once, at the job output. A boxed partition has no Column and Rows is its
-// payload: the form FromRows and the mdf *Rows operators produce, and the
-// one a job's result is read in.
+// partition is a window [Lo, Hi) on a typed Column (Col[T], or a workload's
+// own struct-of-arrays type) that all partitions of its dataset share, and
+// operators read and write it without an interface value per row; its Rows
+// stay nil until (*Dataset).Box fills them once, at the job output. A boxed
+// partition has no Column and Rows is its payload: the form FromRows and the
+// mdf *Rows operators produce, and the one a job's result is read in.
 package dataset
 
 import (
@@ -36,18 +36,16 @@ var nextID atomic.Int64
 // NewID returns a fresh process-unique dataset ID.
 func NewID() ID { return ID(nextID.Add(1)) }
 
-// Column is the typed payload of a columnar partition. Columns are
-// immutable once a partition holds them: datasets derived from one another
-// (Alias, a choose concatenation) share them, and Flatten hands them out.
+// Column is the typed payload of a columnar dataset: one per dataset, of
+// which each partition is a window. Columns are immutable once a partition
+// holds them: datasets derived from one another (Alias, a choose
+// concatenation) share them, and Values and Flatten hand them out.
 type Column interface {
 	// Len returns the number of rows.
 	Len() int
-	// AppendRows appends the column's values to dst, one boxed Row each.
-	AppendRows(dst []Row) []Row
-	// Slice returns rows [lo, hi) as a column sharing the storage, with its
-	// capacity clipped: an append to one partition's values must not write
-	// into the next partition's.
-	Slice(lo, hi int) Column
+	// AppendRows appends rows [lo, hi) of the column to dst, one boxed Row
+	// each.
+	AppendRows(dst []Row, lo, hi int) []Row
 }
 
 // Col is the Column of a plain slice of T.
@@ -57,47 +55,42 @@ type Col[T any] []T
 func (c Col[T]) Len() int { return len(c) }
 
 // AppendRows implements Column.
-func (c Col[T]) AppendRows(dst []Row) []Row {
-	for _, v := range c {
+func (c Col[T]) AppendRows(dst []Row, lo, hi int) []Row {
+	for _, v := range c[lo:hi] {
 		dst = append(dst, v)
 	}
 	return dst
 }
 
-// Slice implements Column.
-func (c Col[T]) Slice(lo, hi int) Column { return c[lo:hi:hi] }
-
 // Partition is a horizontal fragment of a dataset, resident on one node.
 type Partition struct {
-	// Col is the typed payload of a columnar partition, nil in a boxed one.
-	Col Column
+	// Col is the column of a columnar partition, nil in a boxed one: the
+	// whole column of the dataset, of which the partition holds rows
+	// [Lo, Hi).
+	Col    Column
+	Lo, Hi int
 	// Rows is the payload of a boxed partition. In a columnar partition it
-	// is the boxed view of Col, nil until (*Dataset).Box fills it; nothing
-	// else may write it.
+	// is the boxed view of its window, nil until (*Dataset).Box fills it;
+	// nothing else may write it.
 	Rows []Row
 	// VirtualBytes is the size the cluster simulator accounts for.
 	VirtualBytes int64
 }
 
-// MakePartition wraps a column as a partition accounted at virtualBytes: boxed
-// when the column is a Col[Row], columnar otherwise.
-func MakePartition(c Column, virtualBytes int64) Partition {
+// window returns rows [lo, hi) of c as a partition accounted at
+// virtualBytes: boxed, with its capacity clipped, when c is a Col[Row], and
+// a window on c otherwise.
+func window(c Column, lo, hi int, virtualBytes int64) Partition {
 	if rows, ok := c.(Col[Row]); ok {
-		return Partition{Rows: rows, VirtualBytes: virtualBytes}
+		return Partition{Rows: rows[lo:hi:hi], VirtualBytes: virtualBytes}
 	}
-	return Partition{Col: c, VirtualBytes: virtualBytes}
-}
-
-// NewPartition is MakePartition for a partition allocated on its own.
-func NewPartition(c Column, virtualBytes int64) *Partition {
-	p := MakePartition(c, virtualBytes)
-	return &p
+	return Partition{Col: c, Lo: lo, Hi: hi, VirtualBytes: virtualBytes}
 }
 
 // NumRows returns the number of rows in the partition.
 func (p *Partition) NumRows() int {
 	if p.Col != nil {
-		return p.Col.Len()
+		return p.Hi - p.Lo
 	}
 	return len(p.Rows)
 }
@@ -108,7 +101,7 @@ func (p *Partition) NumRows() int {
 // stored nowhere, for a columnar partition that is not.
 func (p *Partition) BoxedRows() []Row {
 	if p.unboxed() {
-		return p.Col.AppendRows(make([]Row, 0, p.Col.Len()))
+		return p.Col.AppendRows(make([]Row, 0, p.NumRows()), p.Lo, p.Hi)
 	}
 	return p.Rows
 }
@@ -118,12 +111,13 @@ func (p *Partition) BoxedRows() []Row {
 func (p *Partition) unboxed() bool { return p.Col != nil && p.Rows == nil }
 
 // Values returns the partition's rows as a []T the caller must not modify:
-// the column itself for a Col[T] partition, otherwise the boxed rows
-// asserted to T one by one (Rows itself when T is Row). It panics, as a
-// failed type assertion on a Row does, when the rows are not of type T.
+// the window of the column, its capacity clipped, for a Col[T] partition,
+// otherwise the boxed rows asserted to T one by one (Rows itself when T is
+// Row). It panics, as a failed type assertion on a Row does, when the rows
+// are not of type T.
 func Values[T any](p *Partition) []T {
 	if c, ok := p.Col.(Col[T]); ok {
-		return c
+		return c[p.Lo:p.Hi:p.Hi]
 	}
 	rows := p.BoxedRows()
 	if vals, ok := any(rows).([]T); ok {
@@ -141,11 +135,6 @@ type Dataset struct {
 	ID    ID
 	Name  string
 	Parts []*Partition
-	// col is the column the partitions were cut from (FromColumn, Cut,
-	// carried through Alias), nil for a dataset assembled any other way.
-	// Parts is exported and may have changed since, so Flatten checks it
-	// against col before returning col as a view.
-	col Column
 }
 
 // New creates an empty dataset with a fresh ID.
@@ -168,9 +157,8 @@ func FromPartitions(name string, parts []Partition) *Dataset {
 }
 
 // FromColumn builds a dataset by splitting the column, without copying it,
-// into parts partitions of near-equal length. The virtual size is
-// bytesPerRow × row count, spread proportionally over the partitions. parts
-// must be >= 1.
+// into parts windows of near-equal length. The virtual size is bytesPerRow ×
+// row count, spread proportionally over the partitions. parts must be >= 1.
 func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
 	if parts < 1 {
 		panic("dataset: parts must be >= 1")
@@ -180,11 +168,9 @@ func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
 	for i := range block {
 		lo := i * n / parts
 		hi := (i + 1) * n / parts
-		block[i] = MakePartition(c.Slice(lo, hi), int64(hi-lo)*bytesPerRow)
+		block[i] = window(c, lo, hi, int64(hi-lo)*bytesPerRow)
 	}
-	d := FromPartitions(name, block)
-	d.col = c
-	return d
+	return FromPartitions(name, block)
 }
 
 // Cut builds a dataset by splitting the column, without copying it, at the
@@ -197,12 +183,10 @@ func Cut(name string, c Column, ends []int) *Dataset {
 	block := make([]Partition, len(ends))
 	lo := 0
 	for i, hi := range ends {
-		block[i] = MakePartition(c.Slice(lo, hi), 0)
+		block[i] = window(c, lo, hi, 0)
 		lo = hi
 	}
-	d := FromPartitions(name, block)
-	d.col = c
-	return d
+	return FromPartitions(name, block)
 }
 
 // FromSlice is FromColumn over a plain slice.
@@ -242,7 +226,7 @@ func (d *Dataset) Rows() []Row {
 	out := make([]Row, 0, d.NumRows())
 	for _, p := range d.Parts {
 		if p.unboxed() {
-			out = p.Col.AppendRows(out)
+			out = p.Col.AppendRows(out, p.Lo, p.Hi)
 		} else {
 			out = append(out, p.Rows...)
 		}
@@ -252,13 +236,13 @@ func (d *Dataset) Rows() []Row {
 
 // Flatten returns the rows of all partitions in order as a []T the caller
 // must not modify; see Values for the row types it accepts. The result is a
-// view, with its capacity clipped, of the column the dataset was cut from
-// when that is a Col[T] and the partitions still are its consecutive slices:
-// what FromColumn, FromSlice, Cut, Alias and the mdf Map and Filter make.
-// Otherwise — boxed partitions, a Concat, a replaced partition, a column of
-// another type — it is a fresh slice.
+// view, with its capacity clipped, of the partitions' column when that is a
+// Col[T] and the partitions are its consecutive windows from its first row
+// to its last: what FromColumn, FromSlice, Cut, Alias and the mdf Map and
+// Filter make. Otherwise — boxed partitions, a Concat of several datasets, a
+// replaced partition, a column of another type — it is a fresh slice.
 func Flatten[T any](d *Dataset) []T {
-	if c, ok := d.col.(Col[T]); ok && cutFrom(d.Parts, c) {
+	if c, ok := cutFrom[T](d.Parts); ok {
 		return c[:len(c):len(c)]
 	}
 	out := make([]T, 0, d.NumRows())
@@ -268,19 +252,24 @@ func Flatten[T any](d *Dataset) []T {
 	return out
 }
 
-// cutFrom reports whether the partitions are, in order, consecutive slices
-// of c that cover it: each must start at the element of c the previous one
-// ended before, which the address of its first value tells.
-func cutFrom[T any](parts []*Partition, c Col[T]) bool {
+// cutFrom returns the Col[T] the partitions are, in order, consecutive
+// windows of that cover it, and whether there is one: every partition must
+// hold the first one's column, which its length and the address of its
+// first value tell, and start where the previous one ended.
+func cutFrom[T any](parts []*Partition) (Col[T], bool) {
+	if len(parts) == 0 {
+		return nil, false
+	}
+	c, _ := parts[0].Col.(Col[T])
 	off := 0
 	for _, p := range parts {
 		pc, ok := p.Col.(Col[T])
-		if !ok || len(pc) > len(c)-off || (len(pc) > 0 && &pc[0] != &c[off]) {
-			return false
+		if !ok || len(pc) != len(c) || (len(c) > 0 && &pc[0] != &c[0]) || p.Lo != off || p.Hi < off {
+			return nil, false
 		}
-		off += len(pc)
+		off = p.Hi
 	}
-	return off == len(c)
+	return c, off == len(c)
 }
 
 // Box fills the boxed view (Rows) of every columnar partition, so that a
@@ -304,9 +293,7 @@ func (d *Dataset) Alias(name string) *Dataset {
 	for i, p := range d.Parts {
 		block[i] = *p
 	}
-	out := FromPartitions(name, block)
-	out.col = d.col
-	return out
+	return FromPartitions(name, block)
 }
 
 // SetVirtualBytes overrides the accounted size of the dataset, spreading
@@ -326,13 +313,6 @@ func (d *Dataset) SetVirtualBytes(total int64) {
 	}
 }
 
-// ScaleVirtualBytes multiplies every partition's accounted size by f.
-func (d *Dataset) ScaleVirtualBytes(f float64) {
-	for _, p := range d.Parts {
-		p.VirtualBytes = int64(float64(p.VirtualBytes) * f)
-	}
-}
-
 // Concat implements ⊕: it concatenates the datasets into a new dataset,
 // preserving partitioning. Nil inputs are skipped. The result has a fresh ID.
 func Concat(name string, ds ...*Dataset) *Dataset {
@@ -343,14 +323,6 @@ func Concat(name string, ds ...*Dataset) *Dataset {
 		}
 		out.Parts = append(out.Parts, d.Parts...)
 	}
-	return out
-}
-
-// Repartition redistributes all rows, boxed, into parts near-equal
-// partitions, preserving the total virtual size.
-func (d *Dataset) Repartition(parts int) *Dataset {
-	out := FromRows(d.Name, d.Rows(), parts, 0)
-	out.SetVirtualBytes(d.VirtualBytes())
 	return out
 }
 

@@ -78,25 +78,6 @@ func TestSetVirtualBytesSpreadsExactly(t *testing.T) {
 	}
 }
 
-func TestScaleVirtualBytes(t *testing.T) {
-	d := FromRows("t", intRows(8), 2, 100)
-	d.ScaleVirtualBytes(0.5)
-	if got := d.VirtualBytes(); got != 400 {
-		t.Fatalf("scaled total = %d, want 400", got)
-	}
-}
-
-func TestRepartitionPreservesRowsAndBytes(t *testing.T) {
-	d := FromRows("t", intRows(10), 2, 7)
-	r := d.Repartition(5)
-	if r.NumPartitions() != 5 {
-		t.Fatalf("partitions = %d, want 5", r.NumPartitions())
-	}
-	if r.NumRows() != 10 || r.VirtualBytes() != d.VirtualBytes() {
-		t.Fatal("repartition must preserve rows and bytes")
-	}
-}
-
 func TestPartKeyIdentity(t *testing.T) {
 	d := FromRows("t", intRows(4), 2, 1)
 	if d.Key(0) == d.Key(1) {
@@ -170,8 +151,9 @@ func TestSetVirtualBytesEmptyDataset(t *testing.T) {
 	}
 }
 
-// Neighbouring partitions share one backing array; their capacity is clipped
-// so that growing one cannot overwrite the first row of the next.
+// Neighbouring partitions are windows on one backing array; what Values
+// returns has its capacity clipped, so that growing partition i cannot
+// overwrite the first row of partition i+1.
 func TestAppendToPartitionLeavesNeighbourIntact(t *testing.T) {
 	boxed := FromRows("t", intRows(10), 2, 1)
 	_ = append(boxed.Parts[0].Rows, Row(-1))
@@ -179,16 +161,24 @@ func TestAppendToPartitionLeavesNeighbourIntact(t *testing.T) {
 		t.Errorf("FromRows: append to partition 0 overwrote partition 1's first row with %d", got)
 	}
 
-	re := boxed.Repartition(5)
-	_ = append(re.Parts[0].Rows, Row(-1))
-	if got := re.Parts[1].Rows[0].(int); got != 2 {
-		t.Errorf("Repartition: append to partition 0 overwrote partition 1's first row with %d", got)
-	}
-
-	typed := FromSlice("t", []float64{0, 1, 2, 3}, 2, 8)
-	_ = append(Values[float64](typed.Parts[0]), -1)
-	if got := Values[float64](typed.Parts[1])[0]; got != 2 {
-		t.Errorf("FromSlice: append to partition 0 overwrote partition 1's first row with %g", got)
+	vals := func() []float64 { return []float64{0, 1, 2, 3, 4, 5, 6, 7} }
+	for _, d := range []*Dataset{
+		FromSlice("FromSlice", vals(), 4, 8),
+		FromColumn("FromColumn", Col[float64](vals()), 3, 8),
+		Cut("Cut", Col[float64](vals()), []int{1, 1, 5, 8}),
+		Cut("Cut", Col[float64](vals()), []int{3, 8}).Alias("Alias of a Cut"),
+	} {
+		for i := 0; i+1 < len(d.Parts); i++ {
+			next := d.Parts[i+1]
+			if next.NumRows() == 0 {
+				continue
+			}
+			want := Values[float64](next)[0]
+			_ = append(Values[float64](d.Parts[i]), -1)
+			if got := Values[float64](next)[0]; got != want {
+				t.Errorf("%s: append to partition %d overwrote partition %d's first row %g with %g", d.Name, i, i+1, want, got)
+			}
+		}
 	}
 }
 
@@ -214,7 +204,7 @@ func TestColumnarPartitionsStayUnboxedUntilBox(t *testing.T) {
 	}
 
 	// Box fills the view of an alias only, and once.
-	a := d.Alias("a")
+	a, b := d.Alias("a"), d.Alias("b")
 	a.Box()
 	first := a.Parts[0].Rows
 	if len(first) != 1 || first[0].(float64) != 0.5 {
@@ -224,17 +214,19 @@ func TestColumnarPartitionsStayUnboxedUntilBox(t *testing.T) {
 	if &a.Parts[0].Rows[0] != &first[0] {
 		t.Error("a second Box re-boxed the partition")
 	}
-	for i, p := range d.Parts {
-		if p.Rows != nil {
-			t.Errorf("boxing an alias wrote partition %d of its origin", i)
+	for _, o := range []*Dataset{d, b} {
+		for i, p := range o.Parts {
+			if p.Rows != nil {
+				t.Errorf("boxing an alias wrote partition %d of %s", i, o.Name)
+			}
 		}
 	}
 	if a.ID == d.ID || a.VirtualBytes() != d.VirtualBytes() {
 		t.Error("an alias has a fresh ID and its origin's accounted size")
 	}
-	a.ScaleVirtualBytes(0.5)
-	if d.VirtualBytes() != 40 {
-		t.Error("resizing an alias resized its origin")
+	a.SetVirtualBytes(20)
+	if d.VirtualBytes() != 40 || b.VirtualBytes() != 40 {
+		t.Error("resizing an alias resized its origin or its sibling")
 	}
 }
 
@@ -252,8 +244,10 @@ func TestValuesAcrossLayouts(t *testing.T) {
 			t.Errorf("%s: Flatten[Row] = %v", d.Name, rows)
 		}
 	}
-	if vals := Values[float64](typed.Parts[1]); &vals[0] != &typed.Parts[1].Col.(Col[float64])[0] {
-		t.Error("Values of a Col[T] partition must be the column, not a copy")
+	p := typed.Parts[1]
+	col := p.Col.(Col[float64])
+	if vals := Values[float64](p); len(vals) != p.NumRows() || cap(vals) != len(vals) || &vals[0] != &col[p.Lo] {
+		t.Error("Values of a Col[T] partition must be its window on the column, clipped, not a copy")
 	}
 	if rows := Values[Row](boxed.Parts[1]); &rows[0] != &boxed.Parts[1].Rows[0] {
 		t.Error("Values[Row] of a boxed partition must be Rows, not a copy")
@@ -278,16 +272,24 @@ func isView(got, vals []float64) bool {
 	return len(got) > 0 && len(got) == len(vals) && &got[0] == &vals[0]
 }
 
-// Flatten returns the column a dataset was cut from while its partitions
-// still are that column's consecutive slices, and a copy in every other
-// case; either way it reads as the copy did, never longer or shorter than
-// NumRows, and a view cannot be appended into its column's spare capacity.
+// Flatten returns the partitions' column while they are its consecutive
+// windows from its first row to its last, and a copy in every other case;
+// either way it reads as the copy did, never longer or shorter than NumRows,
+// and a view cannot be appended into its column's spare capacity.
 func TestFlattenViewsAndCopies(t *testing.T) {
 	vals := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	fresh := func(parts int) *Dataset { return FromSlice("t", vals, parts, 8) }
-	replaced := func(c Column) *Dataset {
+	win := func(c Column, lo, hi int) *Partition { return &Partition{Col: c, Lo: lo, Hi: hi, VirtualBytes: 24} }
+	replaced := func(p *Partition) *Dataset {
 		d := fresh(3)
-		d.Parts[1] = NewPartition(c, 24)
+		d.Parts[1] = p
+		return d
+	}
+	windows := func(bounds ...[2]int) *Dataset {
+		d := New("windows")
+		for _, b := range bounds {
+			d.Parts = append(d.Parts, win(Col[float64](vals), b[0], b[1]))
+		}
 		return d
 	}
 	other := []float64{3, 4, 5}
@@ -308,23 +310,27 @@ func TestFlattenViewsAndCopies(t *testing.T) {
 			return a
 		}(), true},
 		{"Cut with empty partitions", cut, true},
-		{"a partition replaced by the same slice of the column", replaced(Col[float64](vals[3:6])), true},
+		{"Alias of a Cut", cut.Alias("a"), true},
+		{"Concat of one dataset", Concat("c", fresh(3)), true},
+		{"a partition replaced by the same window of the column", replaced(win(Col[float64](vals), 3, 6)), true},
+		{"hand-assembled windows that cover the column", windows([2]int{0, 7}, [2]int{7, 10}), true},
 		{"Cut that stops short of the column", short, false},
+		{"shifted windows", windows([2]int{1, 4}, [2]int{4, 10}), false},
+		{"overlapping windows", windows([2]int{0, 6}, [2]int{4, 10}), false},
+		{"a partition replaced by a slice of the column", replaced(win(Col[float64](vals[3:6]), 0, 3)), false},
 		{"Concat", Concat("c", fresh(2), fresh(2)), false},
-		{"Concat of one dataset", Concat("c", fresh(3)), false},
+
 		{"the choose concatenation (Concat then Alias)", Concat("c", fresh(2), fresh(3)).Alias("out"), false},
-		{"a replaced partition", replaced(Col[float64](other)), false},
-		{"a partition replaced by a boxed one", replaced(Col[Row]{3.0, 4.0, 5.0}), false},
+		{"a replaced partition", replaced(win(Col[float64](other), 0, 3)), false},
+		{"a partition replaced by a boxed one", replaced(&Partition{Rows: []Row{3.0, 4.0, 5.0}, VirtualBytes: 24}), false},
 		{"a dropped partition", func() *Dataset { d := fresh(3); d.Parts = d.Parts[:2]; return d }(), false},
 		{"swapped partitions", func() *Dataset { d := fresh(2); d.Parts[0], d.Parts[1] = d.Parts[1], d.Parts[0]; return d }(), false},
 		{"an added partition", func() *Dataset {
 			d := fresh(2)
-			d.Parts = append(d.Parts, NewPartition(Col[float64]{10}, 8))
+			d.Parts = append(d.Parts, win(Col[float64]{10}, 0, 1))
 			return d
 		}(), false},
 		{"boxed partitions", FromRows("b", []Row{0.0, 1.0, 2.0}, 2, 8), false},
-		{"Repartition", fresh(3).Repartition(2), false},
-		{"hand-assembled partitions", &Dataset{Parts: []*Partition{NewPartition(Col[float64](vals), 80)}}, false},
 	}
 	for _, tc := range cases {
 		got, want := Flatten[float64](tc.d), flattenOld[float64](tc.d)
@@ -399,7 +405,7 @@ func TestFlattenMatchesCopyOnRandomDatasets(t *testing.T) {
 		case 2:
 			d = Concat("c", d, d.Alias("twice"))
 		case 3:
-			d.Parts[0] = NewPartition(Col[float64]{-1}, 8)
+			d.Parts[0] = &Partition{Col: Col[float64]{-1}, Hi: 1, VirtualBytes: 8}
 		case 4:
 			d.Parts = d.Parts[1:]
 		}

@@ -35,24 +35,10 @@ func SourceFunc(gen func() *dataset.Dataset) graph.TransformFunc {
 	}
 }
 
-// PerPartition returns a transform that builds its output partition by
-// partition: f receives an input partition, which it must not modify, and
-// returns the payload and the accounted size of the output partition at the
-// same index.
-func PerPartition(name string, f func(p *dataset.Partition) (dataset.Column, int64)) graph.TransformFunc {
-	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		parts := make([]dataset.Partition, len(in.Parts))
-		for i, p := range in.Parts {
-			parts[i] = dataset.MakePartition(f(p))
-		}
-		return dataset.FromPartitions(name, parts), nil
-	})
-}
-
 // Map returns a transform applying f to every row, preserving partitioning
 // and scaling each partition's accounted size by sizeScale (1.0 keeps the
 // input size). The input rows must be of type T (dataset.Values); the output
-// is columnar unless U is dataset.Row. The output partitions are cut from
+// is columnar unless U is dataset.Row. The output partitions are windows on
 // one column, so a whole-dataset consumer reads it without copying
 // (dataset.Flatten).
 func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformFunc {

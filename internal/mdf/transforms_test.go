@@ -1,6 +1,7 @@
 package mdf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // boxed dataset, over the same random partitioning (empty partitions
 // included) with the same random accounted sizes.
 func randomInputs(rng *rand.Rand) (typed, boxed *dataset.Dataset) {
-	typed, boxed = dataset.New("typed"), dataset.New("boxed")
+	var typedParts, boxedParts []dataset.Partition
 	for p := rng.Intn(5); p > 0; p-- {
 		vals := make([]float64, rng.Intn(4)*rng.Intn(20))
 		rows := make([]dataset.Row, len(vals))
@@ -21,10 +22,10 @@ func randomInputs(rng *rand.Rand) (typed, boxed *dataset.Dataset) {
 			rows[i] = vals[i]
 		}
 		vb := rng.Int63n(1 << 40)
-		typed.Parts = append(typed.Parts, dataset.NewPartition(dataset.Col[float64](vals), vb))
-		boxed.Parts = append(boxed.Parts, dataset.NewPartition(dataset.Col[dataset.Row](rows), vb))
+		typedParts = append(typedParts, dataset.Partition{Col: dataset.Col[float64](vals), Hi: len(vals), VirtualBytes: vb})
+		boxedParts = append(boxedParts, dataset.Partition{Rows: rows, VirtualBytes: vb})
 	}
-	return typed, boxed
+	return dataset.FromPartitions("typed", typedParts), dataset.FromPartitions("boxed", boxedParts)
 }
 
 // sameResult reports how the boxed view of got differs from want, partition
@@ -101,34 +102,46 @@ func TestTypedOperatorsMatchBoxed(t *testing.T) {
 	}
 }
 
-// Map and Filter allocate one column per dataset — the values and their
-// header, with the dataset, its partition table and the partition ends —
-// and per partition the struct and the column header: nothing per row.
-func TestTypedOperatorsAllocatePerPartition(t *testing.T) {
-	const parts = 8
-	ops := map[string]func([]*dataset.Dataset) (*dataset.Dataset, error){
-		"map":    Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 }),
-		"filter": Filter("f", func(v float64) bool { return v < 0.5 }),
-	}
-	for name, op := range ops {
-		for _, rows := range []int{parts, 1 << 10, 1 << 16} {
-			in := floatInput(rows, parts)
-			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := op(in); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if ceiling := float64(5 + 2*parts); allocs > ceiling {
-				t.Errorf("%s over %d rows in %d partitions: %.0f allocations, want <= %.0f", name, rows, parts, allocs, ceiling)
+// An operator's output, and any dataset built over one column, costs the
+// same allocations at every partition count: its partitions are windows
+// written into one block. Map and Filter allocate the values, the partition
+// ends, the column's interface box, the block, the dataset and its
+// partition table; FromSlice, FromColumn and Cut the box and the last three;
+// Alias the last three.
+func TestAllocationsFlatInPartitions(t *testing.T) {
+	const rows = 1 << 10
+	for _, parts := range []int{1, 4, 8, 64} {
+		in := floatInput(rows, parts)
+		ends := make([]int, parts)
+		for i := range ends {
+			ends[i] = (i + 1) * rows / parts
+		}
+		vals := dataset.Flatten[float64](in[0])
+		gates := []struct {
+			name    string
+			ceiling float64
+			f       func()
+		}{
+			{"Map", 6, func() { _, _ = Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 })(in) }},
+			{"Filter", 6, func() { _, _ = Filter("f", func(v float64) bool { return v < 0.5 })(in) }},
+			{"FromSlice", 4, func() { dataset.FromSlice("s", vals, parts, 8) }},
+			{"FromColumn", 4, func() { dataset.FromColumn("c", dataset.Col[float64](vals), parts, 8) }},
+			{"Cut", 4, func() { dataset.Cut("cut", dataset.Col[float64](vals), ends) }},
+			{"Alias", 3, func() { in[0].Alias("a") }},
+		}
+		for _, g := range gates {
+			if allocs := testing.AllocsPerRun(10, g.f); allocs > g.ceiling {
+				t.Errorf("%s over %d partitions: %.0f allocations, want <= %.0f", g.name, parts, allocs, g.ceiling)
 			}
 		}
 	}
 }
 
-// What Map and Filter emit is cut from one column, whatever the layout of
+// What Map and Filter emit is windows on one column, whatever the layout of
 // their input, so that a whole-dataset consumer views it (dataset.Flatten
-// allocates nothing) and a chain of them never copies; the partitions keep
-// their clipped capacity.
+// allocates nothing) and a chain of them never copies; what Values returns
+// of a partition has its capacity clipped, so that appending to it leaves
+// the next partition intact.
 func TestTypedOperatorsEmitOneColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	double := Map("m", 1.0, func(v float64) float64 { return 2 * v })
@@ -160,6 +173,14 @@ func TestTypedOperatorsEmitOneColumn(t *testing.T) {
 						if cap(vals) != len(vals) {
 							t.Fatalf("%s of %s: partition %d has spare capacity %d", name, in.Name, i, cap(vals)-len(vals))
 						}
+						if i+1 < len(d.Parts) && d.Parts[i+1].NumRows() > 0 {
+							next := dataset.Values[float64](d.Parts[i+1])
+							want := math.Float64bits(next[0])
+							_ = append(vals, math.NaN())
+							if math.Float64bits(next[0]) != want {
+								t.Fatalf("%s of %s: appending to partition %d overwrote partition %d", name, in.Name, i, i+1)
+							}
+						}
 						for j, v := range vals {
 							if math.Float64bits(flat[off+j]) != math.Float64bits(v) {
 								t.Fatalf("%s of %s: view row %d differs from partition %d row %d", name, in.Name, off+j, i, j)
@@ -183,7 +204,7 @@ func TestSourceFromDatasetEmissionsAreIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first.ScaleVirtualBytes(0.5)
+	first.SetVirtualBytes(200)
 	first.Box()
 	second, err := src(nil)
 	if err != nil {
@@ -213,26 +234,27 @@ func floatInput(rows, parts int) []*dataset.Dataset {
 	return []*dataset.Dataset{dataset.FromSlice("in", vals, parts, 8)}
 }
 
-func BenchmarkMap(b *testing.B) {
-	in := floatInput(1<<16, 8)
-	op := Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 })
-	b.ReportAllocs()
-	b.SetBytes(8 << 16)
-	for i := 0; i < b.N; i++ {
-		if _, err := op(in); err != nil {
-			b.Fatal(err)
-		}
+// benchOperator runs op over 64 Ki rows in 1, 8 and 64 partitions: the
+// allocations per operation read the same in all three.
+func benchOperator(b *testing.B, op func([]*dataset.Dataset) (*dataset.Dataset, error)) {
+	for _, parts := range []int{1, 8, 64} {
+		in := floatInput(1<<16, parts)
+		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(8 << 16)
+			for i := 0; i < b.N; i++ {
+				if _, err := op(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+func BenchmarkMap(b *testing.B) {
+	benchOperator(b, Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 }))
+}
+
 func BenchmarkFilter(b *testing.B) {
-	in := floatInput(1<<16, 8)
-	op := Filter("f", func(v float64) bool { return v < 0.5 })
-	b.ReportAllocs()
-	b.SetBytes(8 << 16)
-	for i := 0; i < b.N; i++ {
-		if _, err := op(in); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOperator(b, Filter("f", func(v float64) bool { return v < 0.5 }))
 }

@@ -91,7 +91,7 @@ type dataRow struct {
 // run over it) partitioned over the cluster.
 func singleRow[T any](name string, v T, parts int, bytes int64) *dataset.Dataset {
 	d := dataset.FromPartitions(name, make([]dataset.Partition, parts))
-	d.Parts[0].Col = dataset.Col[T]{v}
+	d.Parts[0].Col, d.Parts[0].Hi = dataset.Col[T]{v}, 1
 	d.SetVirtualBytes(bytes)
 	return d
 }

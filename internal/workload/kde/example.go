@@ -117,7 +117,7 @@ func profileOp(p ExampleParams, k Kernel) graph.TransformFunc {
 			xs := dataset.Flatten[float64](in)
 			if len(xs) > p.FitSample {
 				stride := len(xs) / p.FitSample
-				sampled := make([]float64, 0, p.FitSample)
+				sampled := make([]float64, 0, (len(xs)+stride-1)/stride)
 				for i := 0; i < len(xs); i += stride {
 					sampled = append(sampled, xs[i])
 				}

@@ -148,7 +148,7 @@ func estimateOp(p Params, k Kernel, h float64) graph.TransformFunc {
 			holdout, train := xs[:nHold], xs[nHold:]
 			if len(train) > p.FitSample {
 				stride := len(train) / p.FitSample
-				sampled := make([]float64, 0, p.FitSample)
+				sampled := make([]float64, 0, (len(train)+stride-1)/stride)
 				for i := 0; i < len(train); i += stride {
 					sampled = append(sampled, train[i])
 				}

@@ -92,16 +92,37 @@ type pairs struct {
 func (c pairs) Len() int { return len(c.vals) }
 
 // AppendRows implements dataset.Column.
-func (c pairs) AppendRows(dst []dataset.Row) []dataset.Row {
-	for i, v := range c.vals {
-		dst = append(dst, Pair{Key: c.keys[i], Val: v})
+func (c pairs) AppendRows(dst []dataset.Row, lo, hi int) []dataset.Row {
+	for i := lo; i < hi; i++ {
+		dst = append(dst, Pair{Key: c.keys[i], Val: c.vals[i]})
 	}
 	return dst
 }
 
-// Slice implements dataset.Column.
-func (c pairs) Slice(lo, hi int) dataset.Column {
-	return pairs{keys: c.keys[lo:hi:hi], vals: c.vals[lo:hi:hi]}
+// window returns the rows of a partition of a pairs dataset, with their
+// capacity clipped.
+func window(p *dataset.Partition) pairs {
+	c := p.Col.(pairs)
+	return pairs{keys: c.keys[p.Lo:p.Hi:p.Hi], vals: c.vals[p.Lo:p.Hi:p.Hi]}
+}
+
+// sharedKeys returns the keys of a dataset whose partitions are consecutive
+// windows of one pairs column, and whether they are: then the keys of every
+// row are one slice of that column's, which an operator's output can share.
+func sharedKeys(d *dataset.Dataset) ([]string, bool) {
+	var keys []string
+	lo, hi := 0, 0
+	for i, p := range d.Parts {
+		c := p.Col.(pairs)
+		if i == 0 {
+			keys, lo, hi = c.keys, p.Lo, p.Lo
+		}
+		if p.Lo != hi || len(c.keys) != len(keys) || (len(keys) > 0 && &c.keys[0] != &keys[0]) {
+			return nil, false
+		}
+		hi = p.Hi
+	}
+	return keys[lo:hi:hi], true
 }
 
 // keyLen is the length of a generated key: 'k' and eight hex digits.
@@ -137,19 +158,37 @@ func Generate(p Params) *dataset.Dataset {
 
 // mathOp applies the branch's algebraic operation OpsPerItem times to every
 // value: an affine update modulo a large prime, parameterised by the
-// explorable w. Accounted sizes scale by sizeScale.
+// explorable w. The output is one column cut at the input's partition ends,
+// its keys the input's own where they are one slice (sharedKeys) and
+// gathered otherwise. Accounted sizes scale by sizeScale.
 func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.TransformFunc {
 	const mod = 1_000_000_007
-	return mdf.PerPartition(name, func(part *dataset.Partition) (dataset.Column, int64) {
-		in := part.Col.(pairs)
-		vals := make([]int64, len(in.vals))
-		for i, v := range in.vals {
-			for k := 0; k < opsPerItem; k++ {
-				v = (v*w + int64(k) + 1) % mod
-			}
-			vals[i] = v
+	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+		n := in.NumRows()
+		keys, shared := sharedKeys(in)
+		if !shared {
+			keys = make([]string, 0, n)
 		}
-		return pairs{keys: in.keys, vals: vals}, int64(float64(part.VirtualBytes) * sizeScale)
+		vals := make([]int64, 0, n)
+		ends := make([]int, len(in.Parts))
+		for i, part := range in.Parts {
+			win := window(part)
+			for _, v := range win.vals {
+				for k := 0; k < opsPerItem; k++ {
+					v = (v*w + int64(k) + 1) % mod
+				}
+				vals = append(vals, v)
+			}
+			if !shared {
+				keys = append(keys, win.keys...)
+			}
+			ends[i] = len(vals)
+		}
+		out := dataset.Cut(name, pairs{keys: keys, vals: vals}, ends)
+		for i, part := range in.Parts {
+			out.Parts[i].VirtualBytes = int64(float64(part.VirtualBytes) * sizeScale)
+		}
+		return out, nil
 	})
 }
 
@@ -162,7 +201,7 @@ func sumEvaluator() mdf.Evaluator {
 			var sum float64
 			n := 0
 			for _, part := range d.Parts {
-				for _, v := range part.Col.(pairs).vals {
+				for _, v := range window(part).vals {
 					sum += float64(v)
 					n++
 				}

@@ -1,0 +1,97 @@
+package synthetic
+
+import (
+	"testing"
+
+	"metadataflow/internal/dataset"
+)
+
+// refOp is mathOp's operation on one value, written out row by row.
+func refOp(v, w int64, opsPerItem int) int64 {
+	for k := 0; k < opsPerItem; k++ {
+		v = (v*w + int64(k) + 1) % 1_000_000_007
+	}
+	return v
+}
+
+// mathOp reads every partition as its window, wherever the windows come
+// from: over one generated column it shares that column's keys, and over a
+// Concat of two branches — whose key slices differ, or whose windows restart
+// on one column — it gathers them; either way its rows are the per-row
+// reference's, partition by partition.
+func TestMathOpMatchesPerRowReference(t *testing.T) {
+	const w, ops, scale = 1000, 3, 0.5
+	small := func(seed int64, rows, parts int) *dataset.Dataset {
+		p := Defaults()
+		p.Rows, p.Partitions, p.Seed = rows, parts, seed
+		return Generate(p)
+	}
+	a, b := small(1, 101, 4), small(2, 101, 3)
+	// c is rows [101, 202) of another column: its window starts where a's
+	// last one ends, so only the keys tell the two columns apart.
+	c := dataset.New("c")
+	c.Parts = small(3, 202, 2).Parts[1:]
+	cases := []struct {
+		name   string
+		in     *dataset.Dataset
+		shared bool
+	}{
+		{"one column", a, true},
+		{"an alias of one column", a.Alias("a"), true},
+		{"a Concat of two branches with different keys", dataset.Concat("c", a, b), false},
+		{"a Concat of one column twice", dataset.Concat("c", a, a.Alias("again")), false},
+		{"a Concat of two branches whose windows continue", dataset.Concat("c", a, c), false},
+	}
+	for _, tc := range cases {
+		out, err := mathOp("op", scale, w, ops)([]*dataset.Dataset{tc.in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Parts) != len(tc.in.Parts) {
+			t.Fatalf("%s: %d partitions, want %d", tc.name, len(out.Parts), len(tc.in.Parts))
+		}
+		for i, p := range tc.in.Parts {
+			got, want := out.Parts[i].BoxedRows(), p.BoxedRows()
+			if len(got) != len(want) {
+				t.Fatalf("%s: partition %d has %d rows, want %d", tc.name, i, len(got), len(want))
+			}
+			for j, r := range want {
+				in := r.(Pair)
+				if ref := (Pair{Key: in.Key, Val: refOp(in.Val, w, ops)}); got[j].(Pair) != ref {
+					t.Fatalf("%s: partition %d row %d = %+v, want %+v", tc.name, i, j, got[j], ref)
+				}
+			}
+			if vb := int64(float64(p.VirtualBytes) * scale); out.Parts[i].VirtualBytes != vb {
+				t.Errorf("%s: partition %d accounts %d bytes, want %d", tc.name, i, out.Parts[i].VirtualBytes, vb)
+			}
+		}
+		inKeys, outKeys := tc.in.Parts[0].Col.(pairs).keys, out.Parts[0].Col.(pairs).keys
+		if shared := &inKeys[0] == &outKeys[0]; shared != tc.shared {
+			t.Errorf("%s: output shares its input's keys = %v, want %v", tc.name, shared, tc.shared)
+		}
+	}
+}
+
+// What window returns of a partition has its capacity clipped: appending to
+// its keys or values leaves the next partition intact.
+func TestWindowLeavesNeighbourIntact(t *testing.T) {
+	p := Defaults()
+	p.Rows, p.Partitions = 50, 4
+	in := Generate(p)
+	out, err := mathOp("op", 1, 10, 2)([]*dataset.Dataset{in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*dataset.Dataset{in, out} {
+		for i := 0; i+1 < len(d.Parts); i++ {
+			next := window(d.Parts[i+1])
+			key, val := next.keys[0], next.vals[0]
+			cur := window(d.Parts[i])
+			_ = append(cur.keys, "overwritten")
+			_ = append(cur.vals, -1)
+			if next.keys[0] != key || next.vals[0] != val {
+				t.Errorf("%s: appending to partition %d overwrote partition %d's first row", d.Name, i, i+1)
+			}
+		}
+	}
+}
