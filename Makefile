@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint specvet race race-short fuzz-short chaos-short chaos crash-short bench-baseline bench-smoke hostbench-check ci clean
+.PHONY: all help build test vet lint specvet race race-short fuzz-short chaos-short chaos crash-short bench-smoke hostbench-check ci clean
 
 all: build
 
@@ -18,10 +18,9 @@ help:
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
-	@echo "  bench-baseline    regenerate BENCH_*.json once; mdf stat names any series past MDFSTAT_THRESHOLD, then fail on byte drift"
 	@echo "  bench-smoke       compile every Benchmark* under internal/ and run each for one iteration, with its allocations"
 	@echo "  hostbench-check   vet and test the host-time benchmark module (benchmarks/), which ./... does not reach"
-	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-baseline bench-smoke hostbench-check"
+	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-smoke hostbench-check"
 
 build:
 	$(GO) build ./...
@@ -126,24 +125,6 @@ crash-short: build
 	@tail -n 1 .crash-short-a.log
 	@rm -rf .crash-a .crash-b .crash-short-a.log .crash-short-b.log
 
-# bench-baseline regenerates every committed BENCH_<exp>.json baseline in
-# quick mode, once, and checks the result twice. First `mdf stat` diffs each
-# artifact against the committed baseline and fails when a series
-# regresses past the threshold (default 5%), naming the series that moved
-# — so a drift shows *what* regressed, not just *that* bytes changed.
-# Then every file must compare byte-for-byte: a performance- or
-# determinism-affecting change must regenerate the baselines in the same
-# commit. Part of ci.
-MDFSTAT_THRESHOLD ?= 5
-bench-baseline: build
-	rm -rf .bench-prev && mkdir .bench-prev && cp BENCH_*.json .bench-prev/
-	$(GO) run ./cmd/mdf bench -exp all -quick -seeds 1 -json
-	@for f in BENCH_*.json; do \
-		$(GO) run ./cmd/mdf stat -threshold $(MDFSTAT_THRESHOLD) .bench-prev/$$f $$f || exit 1; \
-	done
-	@for f in BENCH_*.json; do cmp $$f .bench-prev/$$f || exit 1; done
-	@rm -rf .bench-prev
-
 # bench-smoke compiles the layer benchmarks that live next to the code and
 # runs each for a single iteration: no other gate builds a Benchmark*, so
 # without it one that no longer compiles, or fails on its first iteration,
@@ -154,7 +135,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 
 # hostbench-check vets and tests benchmarks/, a module of its own that the
-# root ./... patterns never descend into: it calls the data layer's boxed
+# root ./... patterns never descend into: it calls the data layer's T = Row
 # API (dataset.FromRows, mdf.MapRows, Partition.Rows) and compares every
 # job's choose selections, output checksums and virtual time at seed 1 with
 # its committed goldens, so a change that breaks either shows here and not
@@ -164,7 +145,7 @@ hostbench-check:
 	$(GO) test -C benchmarks ./...
 
 # ci is the gate a change must pass before merging.
-ci: vet lint specvet build race race-short chaos-short crash-short bench-baseline bench-smoke hostbench-check
+ci: vet lint specvet build race race-short chaos-short crash-short bench-smoke hostbench-check
 
 clean:
 	$(GO) clean ./...

@@ -95,6 +95,20 @@ func TestDispatch(t *testing.T) {
 	}
 }
 
+// TestRunPolicyNames pins what `mdf run` says about a policy name it does not
+// know: the names it accepts, on stderr, with exit 2.
+func TestRunPolicyNames(t *testing.T) {
+	for flags, want := range map[string]string{
+		"-policy fifo":    `invalid usage: unknown policy "fifo" (want amm or lru)` + "\n",
+		"-scheduler warp": `invalid usage: unknown scheduler "warp" (want bas, bas-sorted, bas-random, or bfs)` + "\n",
+	} {
+		code, out, errOut := mdf(t, append([]string{"run"}, strings.Fields(flags)...)...)
+		if code != 2 || out != "" || errOut != want {
+			t.Errorf("mdf run %s: exit = %d, stdout = %q, stderr = %q, want 2 and %q", flags, code, out, errOut, want)
+		}
+	}
+}
+
 // TestReplayIsOneCommand: `chaos -replay` and `run -faults` replay the same
 // repro through the same code — same lines, same exit code — and reject a
 // damaged one alike.

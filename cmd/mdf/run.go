@@ -127,21 +127,6 @@ func (o *runFlags) vetSpec(s *spec.Spec, stderr io.Writer) error {
 	return nil
 }
 
-// scheduler returns the -scheduler policy.
-func (o *runFlags) scheduler() (scheduler.Policy, error) {
-	switch o.sched {
-	case "bas":
-		return scheduler.BAS(nil), nil
-	case "bas-sorted":
-		return scheduler.BAS(scheduler.SortedHint(false)), nil
-	case "bas-random":
-		return scheduler.BAS(scheduler.RandomHint(o.seed)), nil
-	case "bfs":
-		return scheduler.BFS(), nil
-	}
-	return nil, usageErrorf("unknown scheduler %q (want bas, bas-sorted, bas-random, or bfs)", o.sched)
-}
-
 func (o *runFlags) run(ctx context.Context, fplan *faults.Plan, stdout, stderr io.Writer) error {
 	var vet func(*spec.Spec) error
 	if o.vet {
@@ -160,13 +145,13 @@ func (o *runFlags) run(ctx context.Context, fplan *faults.Plan, stdout, stderr i
 	if err != nil {
 		return err
 	}
-	pol, ok := map[string]memorymgr.PolicyKind{"amm": memorymgr.AMM, "lru": memorymgr.LRU}[o.policy]
-	if !ok {
-		return usageErrorf("unknown policy %q (want amm or lru)", o.policy)
-	}
-	sched, err := o.scheduler()
+	pol, err := memorymgr.ParsePolicy(o.policy)
 	if err != nil {
-		return err
+		return usageErrorf("%v", err)
+	}
+	sched, err := scheduler.Parse(o.sched, o.seed)
+	if err != nil {
+		return usageErrorf("%v", err)
 	}
 	telemetry := o.traceJSON != "" || o.metricsOut != "" || o.seriesOut != "" || o.explain
 	if o.mode != "mdf" {

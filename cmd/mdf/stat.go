@@ -17,11 +17,11 @@ import (
 // statMain diffs two MDF telemetry artifacts — mdf.bench/v1 benchmark
 // tables, mdf.metrics/v1 run snapshots, or mdf.watch/v1 event-stream
 // captures — and renders a per-series delta table (or, for watch logs, a
-// crash-recovery completeness report). It is the trajectory gate behind
-// `make bench-baseline`: when a watched series regresses past the threshold
-// (the current value is worse than the baseline by more than -threshold
-// percent) it prints the offending rows and exits 1, so CI catches a
-// performance regression even when the artifact bytes legitimately changed.
+// crash-recovery completeness report). It is a trajectory gate: when a
+// watched series regresses past the threshold (the current value is worse
+// than the baseline by more than -threshold percent) it prints the offending
+// rows and exits 1, so it names a performance regression even when the
+// artifact bytes legitimately changed.
 //
 //	mdf stat [-threshold pct] [-watch regex] [-higher-better] baseline.json current.json
 //	mdf stat pre-crash.watch post-recovery.watch

@@ -10,11 +10,11 @@ import (
 // ExampleRun builds a minimal MDF — explore three filter limits, keep the
 // largest result — and executes it on the simulated cluster.
 func ExampleRun() {
-	rows := make([]mdf.Row, 1000)
+	rows := make([]int, 1000)
 	for i := range rows {
 		rows[i] = i
 	}
-	input := mdf.FromRows("numbers", rows, 8, 64)
+	input := mdf.FromSlice("numbers", rows, 8, 64)
 
 	b := mdf.NewMDF()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.001)
@@ -27,7 +27,7 @@ func ExampleRun() {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			limit := int(spec.Hint)
 			return start.Then("filter<"+spec.Label,
-				mdf.FilterRows("kept", func(r mdf.Row) bool { return r.(int) < limit }), 0.002)
+				mdf.Filter("kept", func(v int) bool { return v < limit }), 0.002)
 		})
 	out.Then("sink", mdf.Identity("result"), 0)
 
@@ -49,11 +49,11 @@ func ExampleRun() {
 // ExampleKThreshold shows superfluous-branch pruning: the first branch
 // passing the threshold ends the exploration, so later branches never run.
 func ExampleKThreshold() {
-	rows := make([]mdf.Row, 1000)
+	rows := make([]int, 1000)
 	for i := range rows {
 		rows[i] = i
 	}
-	input := mdf.FromRows("numbers", rows, 8, 64)
+	input := mdf.FromSlice("numbers", rows, 8, 64)
 
 	b := mdf.NewMDF()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.001)
@@ -68,7 +68,7 @@ func ExampleKThreshold() {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			limit := int(spec.Hint)
 			return start.Then("filter<"+spec.Label,
-				mdf.FilterRows("kept", func(r mdf.Row) bool { return r.(int) < limit }), 0.002)
+				mdf.Filter("kept", func(v int) bool { return v < limit }), 0.002)
 		})
 	out.Then("sink", mdf.Identity("result"), 0)
 
@@ -90,11 +90,11 @@ func ExampleKThreshold() {
 // ExampleExpandJobs shows the family of concrete jobs an MDF stands for —
 // what a user without MDF support would have to submit separately.
 func ExampleExpandJobs() {
-	rows := make([]mdf.Row, 100)
+	rows := make([]int, 100)
 	for i := range rows {
 		rows[i] = i
 	}
-	input := mdf.FromRows("numbers", rows, 4, 8)
+	input := mdf.FromSlice("numbers", rows, 4, 8)
 
 	b := mdf.NewMDF()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.001)

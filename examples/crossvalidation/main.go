@@ -26,25 +26,24 @@ const folds = 5
 
 func main() {
 	rng := rand.New(rand.NewSource(3))
-	data := make([]mdf.Row, 2000)
+	data := make([]sample, 2000)
 	for i := range data {
 		x := rng.Float64() * 10
 		data[i] = sample{x: x, y: 3*x + 2 + rng.NormFloat64()}
 	}
-	input := mdf.FromRows("observations", data, 8, 16)
+	input := mdf.FromSlice("observations", data, 8, 16)
 	input.SetVirtualBytes(1 << 28)
 
 	// Evaluator: negative validation RMSE of the branch's fitted model
 	// (higher is better, so Max selects the best fold split).
 	rmse := mdf.FuncEvaluator("neg-rmse", func(d *mdf.Dataset) float64 {
-		f := d.Rows()[0].(fit)
+		f := mdf.Flatten[fit](d)[0]
 		var sum float64
 		n := 0
-		for i, r := range data {
+		for i, s := range data {
 			if i%folds != f.fold {
 				continue
 			}
-			s := r.(sample)
 			e := s.y - (f.slope*s.x + f.intercept)
 			sum += e * e
 			n++
@@ -73,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res.Output.Rows()[0].(fit)
+	m := mdf.Flatten[fit](res.Output)[0]
 	fmt.Printf("%d-fold cross validation in one MDF job\n", folds)
 	fmt.Printf("best fold: %d, model y = %.3f*x + %.3f (true: 3x + 2)\n", m.fold, m.slope, m.intercept)
 	fmt.Printf("completion time: %.2f virtual seconds\n", res.CompletionTime())
@@ -83,20 +82,18 @@ func main() {
 // trainFold fits least squares on all samples outside the validation fold.
 func trainFold(fold int) mdf.TransformFunc {
 	return mdf.WholeDataset("train", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		var sx, sy, sxx, sxy, n float64
-		for i, r := range in.Rows() {
-			if i%folds != fold {
-				s := r.(sample)
-				sx += s.x
-				sy += s.y
-				sxx += s.x * s.x
-				sxy += s.x * s.y
-				n++
-			}
+		train, _ := mdf.Fold[sample](in, fold, folds)
+		var sx, sy, sxx, sxy float64
+		for _, s := range train {
+			sx += s.x
+			sy += s.y
+			sxx += s.x * s.x
+			sxy += s.x * s.y
 		}
+		n := float64(len(train))
 		slope := (n*sxy - sx*sy) / (n*sxx - sx*sx)
 		intercept := (sy - slope*sx) / n
-		out := mdf.FromRows("model", []mdf.Row{fit{slope: slope, intercept: intercept, fold: fold}}, 1, 0)
+		out := mdf.FromSlice("model", []fit{{slope: slope, intercept: intercept, fold: fold}}, 1, 0)
 		out.SetVirtualBytes(1 << 12)
 		return out, nil
 	})

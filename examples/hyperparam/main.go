@@ -29,13 +29,11 @@ func main() {
 	train := genData(rng, 600)
 	val := genData(rng, 200)
 
-	dataRows := []mdf.Row{train}
-	input := mdf.FromRows("train", dataRows, 1, 0)
+	input := mdf.FromSlice("train", [][]example{train}, 1, 0)
 	input.SetVirtualBytes(1 << 28)
 
 	accuracy := mdf.FuncEvaluator("val-accuracy", func(d *mdf.Dataset) float64 {
-		m := d.Rows()[0].(*model)
-		return evaluate(m, val)
+		return evaluate(mdf.Flatten[*model](d)[0], val)
 	})
 
 	rates := []mdf.BranchSpec{
@@ -79,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res.Output.Rows()[0].(*model)
+	m := mdf.Flatten[*model](res.Output)[0]
 	fmt.Printf("explored %d + %d configurations (instead of %d exhaustive)\n",
 		len(rates), len(regs), len(rates)*len(regs))
 	fmt.Printf("best model: lr=%g, validation accuracy %.1f%%\n", m.lr, 100*evaluate(m, val))
@@ -102,10 +100,10 @@ func genData(rng *rand.Rand, n int) []example {
 // trainOp fits a logistic model from scratch at the given rate.
 func trainOp(lr, l2 float64) mdf.TransformFunc {
 	return mdf.WholeDataset("train", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		train := in.Rows()[0].([]example)
+		train := mdf.Flatten[[]example](in)[0]
 		m := &model{w: make([]float64, 3), lr: lr}
 		fit(m, train, lr, l2, 5)
-		out := mdf.FromRows("model", []mdf.Row{m}, 1, 0)
+		out := mdf.FromSlice("model", []*model{m}, 1, 0)
 		out.SetVirtualBytes(1 << 16)
 		return out, nil
 	})
@@ -114,10 +112,10 @@ func trainOp(lr, l2 float64) mdf.TransformFunc {
 // retrainOp continues from a chosen model with regularisation.
 func retrainOp(train []example, l2 float64) mdf.TransformFunc {
 	return mdf.WholeDataset("retrain", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		base := in.Rows()[0].(*model)
+		base := mdf.Flatten[*model](in)[0]
 		m := &model{w: append([]float64(nil), base.w...), lr: base.lr}
 		fit(m, train, base.lr, l2, 5)
-		out := mdf.FromRows("model", []mdf.Row{m}, 1, 0)
+		out := mdf.FromSlice("model", []*model{m}, 1, 0)
 		out.SetVirtualBytes(1 << 16)
 		return out, nil
 	})

@@ -33,7 +33,7 @@ func main() {
 		samples[i] = point{x: x, y: 2.5*x - 1 + 0.2*rng.NormFloat64()}
 	}
 	init := state{samples: samples, loss: math.Inf(1)}
-	input := mdf.FromRows("state", []mdf.Row{init}, 1, 0)
+	input := mdf.FromSlice("state", []state{init}, 1, 0)
 	input.SetVirtualBytes(1 << 28)
 
 	steps := []mdf.BranchSpec{
@@ -49,7 +49,7 @@ func main() {
 		if mdf.Terminated(d) {
 			return math.Inf(-1)
 		}
-		return -d.Rows()[0].(state).loss
+		return -mdf.Flatten[state](d)[0].loss
 	})
 
 	b := mdf.NewMDF()
@@ -62,14 +62,13 @@ func main() {
 				Rounds:    rounds,
 				CostPerMB: 0.02,
 				Step: func(round int, d *mdf.Dataset) (*mdf.Dataset, error) {
-					s := d.Rows()[0].(state)
-					next := sgdRound(s, lr)
-					out := mdf.FromRows("state", []mdf.Row{next}, 1, 0)
+					next := sgdRound(mdf.Flatten[state](d)[0], lr)
+					out := mdf.FromSlice("state", []state{next}, 1, 0)
 					out.SetVirtualBytes(d.VirtualBytes())
 					return out, nil
 				},
 				Diverged: func(round int, d *mdf.Dataset) bool {
-					s := d.Rows()[0].(state)
+					s := mdf.Flatten[state](d)[0]
 					return math.IsNaN(s.loss) || s.loss > 1e6
 				},
 			})
@@ -84,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := res.Output.Rows()[0].(state)
+	m := mdf.Flatten[state](res.Output)[0]
 	fmt.Printf("explored %d step sizes over %d unrolled rounds\n", len(steps), rounds)
 	fmt.Printf("best model: y = %.3f*x + %.3f, loss %.4f (true: 2.5x - 1)\n", m.w, m.b, m.loss)
 	fmt.Printf("completion time: %.2f virtual seconds\n", res.CompletionTime())

@@ -40,7 +40,7 @@ var bandwidths = []float64{0.1, 0.3, 0.8}
 func main() {
 	// A bimodal sample: kernel and bandwidth choices genuinely matter.
 	rng := rand.New(rand.NewSource(42))
-	rows := make([]mdf.Row, 5000)
+	rows := make([]float64, 5000)
 	for i := range rows {
 		if rng.Float64() < 0.6 {
 			rows[i] = rng.NormFloat64()
@@ -48,7 +48,7 @@ func main() {
 			rows[i] = 4 + 0.5*rng.NormFloat64()
 		}
 	}
-	input := mdf.FromRows("sample", rows, 8, 8)
+	input := mdf.FromSlice("sample", rows, 8, 8)
 	// Account the input as an 8 GB dataset on the simulated cluster.
 	input.SetVirtualBytes(8 << 30)
 	holdout := make([]float64, 200)
@@ -81,8 +81,7 @@ func main() {
 	eval := mdf.FuncEvaluator("holdout-loglik", func(d *mdf.Dataset) float64 {
 		ll := 0.0
 		n := 0
-		for _, r := range d.Rows() {
-			v := r.(float64)
+		for _, v := range mdf.Flatten[float64](d) {
 			if v < 1e-12 {
 				v = 1e-12
 			}
@@ -99,16 +98,13 @@ func main() {
 			c := cfgs[int(spec.Hint)]
 			return start.Then("estimate("+spec.Label+")",
 				mdf.WholeDataset("kde", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-					sample := make([]float64, 0, in.NumRows())
-					for _, r := range in.Rows() {
-						sample = append(sample, r.(float64))
-					}
+					sample := mdf.Flatten[float64](in)
 					// Predicted densities at the hold-out points.
-					out := make([]mdf.Row, len(holdout))
+					out := make([]float64, len(holdout))
 					for i, x := range holdout {
 						out[i] = density(c.k, c.h, sample[:500], x)
 					}
-					return mdf.FromRows("densities", out, in.NumPartitions(), 8), nil
+					return mdf.FromSlice("densities", out, in.NumPartitions(), 8), nil
 				}), 0.01)
 		})
 	best.Then("sink", mdf.Identity("profile"), 0)

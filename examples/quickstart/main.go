@@ -16,7 +16,7 @@ import (
 
 func main() {
 	// Input: 10,000 noisy measurements around 100, with a few outliers.
-	rows := make([]mdf.Row, 10000)
+	rows := make([]float64, 10000)
 	for i := range rows {
 		v := 100 + 5*math.Sin(float64(i)/10) + float64(i%7)
 		if i%500 == 0 {
@@ -24,7 +24,7 @@ func main() {
 		}
 		rows[i] = v
 	}
-	input := mdf.FromRows("sensor", rows, 8, 64)
+	input := mdf.FromSlice("sensor", rows, 8, 64)
 	// Account the input as a 4 GB dataset on the simulated cluster.
 	input.SetVirtualBytes(4 << 30)
 
@@ -49,8 +49,8 @@ func main() {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			k := spec.Hint
 			return start.Then("filter("+spec.Label+")",
-				mdf.FilterRows("inliers", func(r mdf.Row) bool {
-					return math.Abs(r.(float64)-mean) <= k*std
+				mdf.Filter("inliers", func(v float64) bool {
+					return math.Abs(v-mean) <= k*std
 				}), 0.002)
 		})
 	filtered.Then("sink", mdf.Identity("result"), 0)
@@ -70,13 +70,13 @@ func main() {
 	fmt.Printf("choose evaluations: %d of %d branches\n", res.Metrics.ChooseEvals, len(thresholds))
 }
 
-func summarize(rows []mdf.Row) (mean, std float64) {
-	for _, r := range rows {
-		mean += r.(float64)
+func summarize(rows []float64) (mean, std float64) {
+	for _, v := range rows {
+		mean += v
 	}
 	mean /= float64(len(rows))
-	for _, r := range rows {
-		d := r.(float64) - mean
+	for _, v := range rows {
+		d := v - mean
 		std += d * d
 	}
 	std = math.Sqrt(std / float64(len(rows)))

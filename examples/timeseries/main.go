@@ -23,7 +23,7 @@ type point struct {
 func main() {
 	// Synthetic well-pressure series: drift + periodic + noise + spikes.
 	rng := rand.New(rand.NewSource(7))
-	rows := make([]mdf.Row, 20000)
+	rows := make([]point, 20000)
 	for i := range rows {
 		v := 100 + 0.001*float64(i) + 2*math.Sin(float64(i)/300) + 0.3*rng.NormFloat64()
 		if rng.Float64() < 0.002 {
@@ -31,7 +31,7 @@ func main() {
 		}
 		rows[i] = point{t: int64(i), v: v}
 	}
-	input := mdf.FromRows("well-sensor", rows, 8, 16)
+	input := mdf.FromSlice("well-sensor", rows, 8, 16)
 	// Account the input as a 4 GB dataset on the simulated cluster.
 	input.SetVirtualBytes(4 << 30)
 
@@ -86,19 +86,11 @@ func main() {
 	fmt.Printf("branch datasets discarded: %d\n", res.Metrics.BranchesDiscarded)
 }
 
-func points(d *mdf.Dataset) []point {
-	pts := make([]point, 0, d.NumRows())
-	for _, r := range d.Rows() {
-		pts = append(pts, r.(point))
-	}
-	return pts
-}
-
 // maskOp keeps points whose sliding window max/min ratio exceeds t.
 func maskOp(w int, t float64) mdf.TransformFunc {
 	return mdf.WholeDataset("mask", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		pts := points(in)
-		var kept []mdf.Row
+		pts := mdf.Flatten[point](in)
+		var kept []point
 		for i := range pts {
 			lo, hi := pts[i].v, pts[i].v
 			for j := max(0, i-w+1); j <= i; j++ {
@@ -109,16 +101,15 @@ func maskOp(w int, t float64) mdf.TransformFunc {
 				kept = append(kept, pts[i])
 			}
 		}
-		out := mdf.FromRows("masked", kept, in.NumPartitions(), 16)
-		return out, nil
+		return mdf.FromSlice("masked", kept, in.NumPartitions(), 16), nil
 	})
 }
 
 // markOp emits one row per drastic change relative to the trailing mean.
 func markOp(l int, magDiff float64) mdf.TransformFunc {
 	return mdf.WholeDataset("mark", func(in *mdf.Dataset) (*mdf.Dataset, error) {
-		pts := points(in)
-		var events []mdf.Row
+		pts := mdf.Flatten[point](in)
+		var events []point
 		for i := l; i < len(pts); i++ {
 			var sum float64
 			for j := i - l; j < i; j++ {
@@ -128,6 +119,6 @@ func markOp(l int, magDiff float64) mdf.TransformFunc {
 				events = append(events, pts[i])
 			}
 		}
-		return mdf.FromRows("events", events, in.NumPartitions(), 16), nil
+		return mdf.FromSlice("events", events, in.NumPartitions(), 16), nil
 	})
 }

@@ -131,6 +131,43 @@ func TestBuildConcreteRemovesMetaOperators(t *testing.T) {
 	}
 }
 
+// The score operator that replaces a choose in a concrete job forwards its
+// input as graph.TransformFunc asks: under a fresh identity, in partitions of
+// its own over the same payload, so that the engine sizing or boxing the
+// output never writes the input's partitions.
+func TestScoreOperatorAliasesItsInput(t *testing.T) {
+	jobs, err := baseline.ExpandJobs(buildNestedMDF(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scored := 0
+	for _, op := range jobs[0].Ops() {
+		if !strings.HasSuffix(op.Name, "/score") {
+			continue
+		}
+		scored++
+		in := dataset.FromRows("in", intRows(10), 3, 8)
+		out, err := op.Transform([]*dataset.Dataset{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out == in || out.ID == in.ID || out.NumPartitions() != in.NumPartitions() {
+			t.Fatalf("%s: output %v is not a fresh dataset over %v", op.Name, out, in)
+		}
+		for i, p := range out.Parts {
+			if p == in.Parts[i] {
+				t.Errorf("%s: output partition %d is the input's", op.Name, i)
+			}
+			if p.Col == nil || p.Col.Len() != 10 || p.Lo != in.Parts[i].Lo || p.Hi != in.Parts[i].Hi {
+				t.Errorf("%s: output partition %d is not the input's window", op.Name, i)
+			}
+		}
+	}
+	if scored == 0 {
+		t.Fatal("no score operator in the concrete job")
+	}
+}
+
 func TestConcreteJobsProduceSameResults(t *testing.T) {
 	// Each concrete job must produce the same rows its branch would in the
 	// MDF: job (A=0, inner y=1) keeps rows < 30+10*1+5*0 = 40.

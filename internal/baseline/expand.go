@@ -205,17 +205,14 @@ func BuildConcrete(g *graph.Graph, choice Choice) (*graph.Graph, error) {
 
 // scoreTransform wraps a chooser's evaluator as a forwarding transform: the
 // separate-job user computes the quality metric at the end of each job and
-// compares results offline.
+// compares results offline. It forwards an alias of its input.
 func scoreTransform(name string, chooser graph.Chooser) graph.TransformFunc {
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		if len(ins) != 1 {
 			return nil, fmt.Errorf("baseline: %s/score expects one input, got %d", name, len(ins))
 		}
 		_ = chooser.Score(ins[0])
-		d := ins[0]
-		outd := dataset.New(d.Name)
-		outd.Parts = append(outd.Parts, d.Parts...)
-		return outd, nil
+		return ins[0].Alias(ins[0].Name), nil
 	}
 }
 

@@ -41,9 +41,11 @@ type TrialSpec struct {
 	// draw it near the workload's per-worker data share to exercise
 	// near-OOM eviction behaviour.
 	MemPerWorkerMB int64 `json:"memPerWorkerMB"`
-	// Policy is the eviction policy: "LRU" or "AMM".
+	// Policy is the eviction policy, as memorymgr.ParsePolicy reads it:
+	// "LRU" or "AMM".
 	Policy string `json:"policy"`
-	// Scheduler is the scheduling policy: "bas" or "bfs".
+	// Scheduler is the scheduling policy, as scheduler.Parse reads it:
+	// "bas" or "bfs" in generated trials.
 	Scheduler string `json:"scheduler"`
 	// Incremental, PinReused and Speculative mirror engine.Options.
 	Incremental bool `json:"incremental"`
@@ -66,15 +68,11 @@ func (s *TrialSpec) Validate() error {
 	if s.MemPerWorkerMB < 1 {
 		return fmt.Errorf("chaos: trial needs a positive memory budget, have %d MiB", s.MemPerWorkerMB)
 	}
-	switch s.Policy {
-	case "LRU", "AMM":
-	default:
-		return fmt.Errorf("chaos: unknown policy %q", s.Policy)
+	if _, err := memorymgr.ParsePolicy(s.Policy); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
-	switch s.Scheduler {
-	case "bas", "bfs":
-	default:
-		return fmt.Errorf("chaos: unknown scheduler %q", s.Scheduler)
+	if _, err := scheduler.Parse(s.Scheduler, s.Seed); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	if err := s.Workload.Validate(); err != nil {
 		return err
@@ -264,15 +262,15 @@ func runOnce(spec *TrialSpec, plan *faults.Plan, probed bool) *Outcome {
 		out.Err = err
 		return out
 	}
-	policy := memorymgr.LRU
-	if spec.Policy == "AMM" {
-		policy = memorymgr.AMM
+	policy, err := memorymgr.ParsePolicy(spec.Policy)
+	if err != nil {
+		out.Err = err
+		return out
 	}
-	var sched scheduler.Policy
-	if spec.Scheduler == "bfs" {
-		sched = scheduler.BFS()
-	} else {
-		sched = scheduler.BAS(nil)
+	sched, err := scheduler.Parse(spec.Scheduler, spec.Seed)
+	if err != nil {
+		out.Err = err
+		return out
 	}
 	var probe *countingProbe
 	opts := engine.Options{

@@ -205,9 +205,8 @@ func (s *Store) CorruptEntry(k Key, bit int) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// CorruptNth flips one bit inside the payload of the idx-th entry in
-// Keys() order — the bit-flip fault injector for the crash-restart
-// oracle. bit is taken modulo the payload's bit width.
+// CorruptNth is CorruptEntry on the idx-th entry in Keys() order — the
+// bit-flip fault injector for the crash-restart oracle.
 func (s *Store) CorruptNth(idx, bit int) error {
 	keys, err := s.Keys()
 	if err != nil {
@@ -216,18 +215,5 @@ func (s *Store) CorruptNth(idx, bit int) error {
 	if idx < 0 || idx >= len(keys) {
 		return fmt.Errorf("ckptstore: CorruptNth %d of %d entries", idx, len(keys))
 	}
-	if bit < 0 {
-		return fmt.Errorf("ckptstore: CorruptNth bit %d", bit)
-	}
-	path := filepath.Join(s.dir, keys[idx].filename())
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(b) <= checksumLen {
-		return fmt.Errorf("ckptstore: entry %s too short to corrupt", keys[idx])
-	}
-	k := checksumLen*8 + bit%((len(b)-checksumLen)*8)
-	b[k/8] ^= 1 << (k % 8)
-	return os.WriteFile(path, b, 0o644)
+	return s.CorruptEntry(keys[idx], bit)
 }

@@ -9,13 +9,12 @@
 // when charging I/O time and memory occupancy; it lets benchmarks process
 // "gigabytes" per worker without holding gigabytes in RAM.
 //
-// The payload of a partition is either columnar or boxed. A columnar
-// partition is a window [Lo, Hi) on a typed Column (Col[T], or a workload's
-// own struct-of-arrays type) that all partitions of its dataset share, and
-// operators read and write it without an interface value per row; its Rows
-// stay nil until (*Dataset).Box fills them once, at the job output. A boxed
-// partition has no Column and Rows is its payload: the form FromRows and the
-// mdf *Rows operators produce, and the one a job's result is read in.
+// The payload of a partition is a window [Lo, Hi) on a typed Column (Col[T],
+// or a workload's own struct-of-arrays type) that all partitions of its
+// dataset share, so operators read and write it without an interface value
+// per row. Boxed rows are one more column type, Col[Row]. A partition's Rows
+// stay nil until (*Dataset).Box fills them once, at the job output, for
+// consumers that know nothing of the column types.
 package dataset
 
 import (
@@ -36,8 +35,8 @@ var nextID atomic.Int64
 // NewID returns a fresh process-unique dataset ID.
 func NewID() ID { return ID(nextID.Add(1)) }
 
-// Column is the typed payload of a columnar dataset: one per dataset, of
-// which each partition is a window. Columns are immutable once a partition
+// Column is the typed payload of a dataset: one per dataset, of which each
+// partition is a window. Columns are immutable once a partition
 // holds them: datasets derived from one another (Alias, a choose
 // concatenation) share them, and Values and Flatten hand them out.
 type Column interface {
@@ -64,57 +63,39 @@ func (c Col[T]) AppendRows(dst []Row, lo, hi int) []Row {
 
 // Partition is a horizontal fragment of a dataset, resident on one node.
 type Partition struct {
-	// Col is the column of a columnar partition, nil in a boxed one: the
-	// whole column of the dataset, of which the partition holds rows
-	// [Lo, Hi).
+	// Col is the whole column of the dataset, of which the partition holds
+	// rows [Lo, Hi); nil only in a partition without rows.
 	Col    Column
 	Lo, Hi int
-	// Rows is the payload of a boxed partition. In a columnar partition it
-	// is the boxed view of its window, nil until (*Dataset).Box fills it;
-	// nothing else may write it.
+	// Rows is the boxed view of the window, nil until (*Dataset).Box fills
+	// it; nothing else may write it.
 	Rows []Row
 	// VirtualBytes is the size the cluster simulator accounts for.
 	VirtualBytes int64
 }
 
-// window returns rows [lo, hi) of c as a partition accounted at
-// virtualBytes: boxed, with its capacity clipped, when c is a Col[Row], and
-// a window on c otherwise.
-func window(c Column, lo, hi int, virtualBytes int64) Partition {
-	if rows, ok := c.(Col[Row]); ok {
-		return Partition{Rows: rows[lo:hi:hi], VirtualBytes: virtualBytes}
-	}
-	return Partition{Col: c, Lo: lo, Hi: hi, VirtualBytes: virtualBytes}
-}
-
 // NumRows returns the number of rows in the partition.
-func (p *Partition) NumRows() int {
-	if p.Col != nil {
-		return p.Hi - p.Lo
-	}
-	return len(p.Rows)
-}
+func (p *Partition) NumRows() int { return p.Hi - p.Lo }
 
 // BoxedRows returns the partition's rows boxed, for consumers to which rows
 // are opaque (checkpoint encoding, checksums). The caller must not modify
-// the result: it is Rows itself where that is filled, and a fresh slice,
-// stored nowhere, for a columnar partition that is not.
+// the result: it is the window itself on a Col[Row], Rows where Box filled
+// them, and otherwise a fresh slice, stored nowhere.
 func (p *Partition) BoxedRows() []Row {
-	if p.unboxed() {
-		return p.Col.AppendRows(make([]Row, 0, p.NumRows()), p.Lo, p.Hi)
+	if rows, ok := p.Col.(Col[Row]); ok {
+		return rows[p.Lo:p.Hi:p.Hi]
 	}
-	return p.Rows
+	if p.Rows != nil || p.Col == nil {
+		return p.Rows
+	}
+	return p.Col.AppendRows(make([]Row, 0, p.NumRows()), p.Lo, p.Hi)
 }
-
-// unboxed reports whether the partition is columnar with its boxed view
-// still to be filled.
-func (p *Partition) unboxed() bool { return p.Col != nil && p.Rows == nil }
 
 // Values returns the partition's rows as a []T the caller must not modify:
 // the window of the column, its capacity clipped, for a Col[T] partition,
-// otherwise the boxed rows asserted to T one by one (Rows itself when T is
-// Row). It panics, as a failed type assertion on a Row does, when the rows
-// are not of type T.
+// otherwise the boxed rows asserted to T one by one (BoxedRows itself when T
+// is Row). It panics, as a failed type assertion on a Row does, when the
+// rows are not of type T.
 func Values[T any](p *Partition) []T {
 	if c, ok := p.Col.(Col[T]); ok {
 		return c[p.Lo:p.Hi:p.Hi]
@@ -168,7 +149,7 @@ func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
 	for i := range block {
 		lo := i * n / parts
 		hi := (i + 1) * n / parts
-		block[i] = window(c, lo, hi, int64(hi-lo)*bytesPerRow)
+		block[i] = Partition{Col: c, Lo: lo, Hi: hi, VirtualBytes: int64(hi-lo) * bytesPerRow}
 	}
 	return FromPartitions(name, block)
 }
@@ -183,7 +164,7 @@ func Cut(name string, c Column, ends []int) *Dataset {
 	block := make([]Partition, len(ends))
 	lo := 0
 	for i, hi := range ends {
-		block[i] = window(c, lo, hi, 0)
+		block[i] = Partition{Col: c, Lo: lo, Hi: hi}
 		lo = hi
 	}
 	return FromPartitions(name, block)
@@ -194,7 +175,7 @@ func FromSlice[T any](name string, vals []T, parts int, bytesPerRow int64) *Data
 	return FromColumn(name, Col[T](vals), parts, bytesPerRow)
 }
 
-// FromRows is FromSlice over boxed rows.
+// FromRows is FromSlice at T = Row.
 func FromRows(name string, rows []Row, parts int, bytesPerRow int64) *Dataset {
 	return FromSlice(name, rows, parts, bytesPerRow)
 }
@@ -225,10 +206,8 @@ func (d *Dataset) VirtualBytes() int64 {
 func (d *Dataset) Rows() []Row {
 	out := make([]Row, 0, d.NumRows())
 	for _, p := range d.Parts {
-		if p.unboxed() {
+		if p.Col != nil {
 			out = p.Col.AppendRows(out, p.Lo, p.Hi)
-		} else {
-			out = append(out, p.Rows...)
 		}
 	}
 	return out
@@ -239,8 +218,8 @@ func (d *Dataset) Rows() []Row {
 // view, with its capacity clipped, of the partitions' column when that is a
 // Col[T] and the partitions are its consecutive windows from its first row
 // to its last: what FromColumn, FromSlice, Cut, Alias and the mdf Map and
-// Filter make. Otherwise — boxed partitions, a Concat of several datasets, a
-// replaced partition, a column of another type — it is a fresh slice.
+// Filter make. Otherwise — a Concat of several datasets, a replaced
+// partition, a column of another type — it is a fresh slice.
 func Flatten[T any](d *Dataset) []T {
 	if c, ok := cutFrom[T](d.Parts); ok {
 		return c[:len(c):len(c)]
@@ -272,16 +251,15 @@ func cutFrom[T any](parts []*Partition) (Col[T], bool) {
 	return c, off == len(c)
 }
 
-// Box fills the boxed view (Rows) of every columnar partition, so that a
-// consumer that knows nothing of the column types can read the result. It is
-// idempotent. Box writes the partitions, so only their owner may call it:
-// the engine does, once, on the output of a finished job, whose partitions
-// no other job can reach (sources emit fresh partitions, see Alias).
+// Box fills the boxed view (Rows) of every partition, so that a consumer
+// that knows nothing of the column types can read the result; a window on a
+// Col[Row] is its own view. It is idempotent. Box writes the partitions, so
+// only their owner may call it: the engine does, once, on the output of a
+// finished job, whose partitions no other job can reach (sources emit fresh
+// partitions, see Alias).
 func (d *Dataset) Box() {
 	for _, p := range d.Parts {
-		if p.unboxed() {
-			p.Rows = p.BoxedRows()
-		}
+		p.Rows = p.BoxedRows()
 	}
 }
 

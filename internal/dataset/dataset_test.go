@@ -24,6 +24,11 @@ func TestFromRowsPartitioning(t *testing.T) {
 	if d.VirtualBytes() != 80 {
 		t.Fatalf("virtual bytes = %d, want 80", d.VirtualBytes())
 	}
+	for i, p := range d.Parts {
+		if _, ok := p.Col.(Col[Row]); !ok || p.Rows != nil {
+			t.Fatalf("partition %d: FromRows must cut windows on a Col[Row] with no boxed view", i)
+		}
+	}
 }
 
 func TestFromRowsPanicsOnZeroParts(t *testing.T) {
@@ -156,8 +161,10 @@ func TestSetVirtualBytesEmptyDataset(t *testing.T) {
 // overwrite the first row of partition i+1.
 func TestAppendToPartitionLeavesNeighbourIntact(t *testing.T) {
 	boxed := FromRows("t", intRows(10), 2, 1)
-	_ = append(boxed.Parts[0].Rows, Row(-1))
-	if got := boxed.Parts[1].Rows[0].(int); got != 5 {
+	_ = append(Values[Row](boxed.Parts[0]), Row(-1))
+	boxed.Box()
+	_ = append(boxed.Parts[0].Rows, Row(-2))
+	if got := Values[Row](boxed.Parts[1])[0].(int); got != 5 {
 		t.Errorf("FromRows: append to partition 0 overwrote partition 1's first row with %d", got)
 	}
 
@@ -230,7 +237,7 @@ func TestColumnarPartitionsStayUnboxedUntilBox(t *testing.T) {
 	}
 }
 
-// Values and Flatten read boxed and columnar partitions alike.
+// Values and Flatten read windows on boxed and on typed columns alike.
 func TestValuesAcrossLayouts(t *testing.T) {
 	boxed := FromRows("b", []Row{1.0, 2.0, 3.0}, 2, 8)
 	typed := FromSlice("t", []float64{1, 2, 3}, 2, 8)
@@ -249,8 +256,16 @@ func TestValuesAcrossLayouts(t *testing.T) {
 	if vals := Values[float64](p); len(vals) != p.NumRows() || cap(vals) != len(vals) || &vals[0] != &col[p.Lo] {
 		t.Error("Values of a Col[T] partition must be its window on the column, clipped, not a copy")
 	}
-	if rows := Values[Row](boxed.Parts[1]); &rows[0] != &boxed.Parts[1].Rows[0] {
-		t.Error("Values[Row] of a boxed partition must be Rows, not a copy")
+	bp := boxed.Parts[1]
+	if rows := Values[Row](bp); &rows[0] != &bp.Col.(Col[Row])[bp.Lo] || cap(rows) != len(rows) {
+		t.Error("Values[Row] of a Col[Row] partition must be its window on the column, clipped, not a copy")
+	}
+	if rows := Flatten[Row](boxed); &rows[0] != &bp.Col.(Col[Row])[0] {
+		t.Error("Flatten[Row] of FromRows must view its column, not copy it")
+	}
+	boxed.Box()
+	if rows := Values[Row](bp); &bp.Rows[0] != &rows[0] {
+		t.Error("Box must make a Col[Row] window its own view, not a copy")
 	}
 	if got := Flatten[float64](New("empty")); len(got) != 0 {
 		t.Errorf("Flatten of an empty dataset = %v", got)
@@ -322,7 +337,7 @@ func TestFlattenViewsAndCopies(t *testing.T) {
 
 		{"the choose concatenation (Concat then Alias)", Concat("c", fresh(2), fresh(3)).Alias("out"), false},
 		{"a replaced partition", replaced(win(Col[float64](other), 0, 3)), false},
-		{"a partition replaced by a boxed one", replaced(&Partition{Rows: []Row{3.0, 4.0, 5.0}, VirtualBytes: 24}), false},
+		{"a partition replaced by one on boxed rows", replaced(win(Col[Row]{3.0, 4.0, 5.0}, 0, 3)), false},
 		{"a dropped partition", func() *Dataset { d := fresh(3); d.Parts = d.Parts[:2]; return d }(), false},
 		{"swapped partitions", func() *Dataset { d := fresh(2); d.Parts[0], d.Parts[1] = d.Parts[1], d.Parts[0]; return d }(), false},
 		{"an added partition", func() *Dataset {
@@ -330,7 +345,7 @@ func TestFlattenViewsAndCopies(t *testing.T) {
 			d.Parts = append(d.Parts, win(Col[float64]{10}, 0, 1))
 			return d
 		}(), false},
-		{"boxed partitions", FromRows("b", []Row{0.0, 1.0, 2.0}, 2, 8), false},
+		{"windows on boxed rows", FromRows("b", []Row{0.0, 1.0, 2.0}, 2, 8), false},
 	}
 	for _, tc := range cases {
 		got, want := Flatten[float64](tc.d), flattenOld[float64](tc.d)

@@ -62,7 +62,7 @@ const pooledSpec = `{
 }`
 
 // crossValidationJob is a five-fold cross validation over 40 000 boxed rows,
-// through mdf.CrossValidate and mdf.FoldRows.
+// through mdf.CrossValidate and mdf.Fold.
 func crossValidationJob() (*graph.Graph, error) {
 	rows := make([]dataset.Row, 40000)
 	for i := range rows {
@@ -77,7 +77,7 @@ func crossValidationJob() (*graph.Graph, error) {
 		Folds: 5,
 		Train: func(fold, folds int) graph.TransformFunc {
 			return mdf.WholeDataset("train", func(in *dataset.Dataset) (*dataset.Dataset, error) {
-				train, validate := mdf.FoldRows(in, fold, folds)
+				train, validate := mdf.Fold[dataset.Row](in, fold, folds)
 				var mean float64
 				for _, r := range train {
 					mean += r.(float64) / float64(len(train))

@@ -26,12 +26,7 @@ func TestDiamondMergeExecution(t *testing.T) {
 		return r.(int) >= 90
 	}), 0.001)
 	merged := left.Merge("union", func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
-		out := dataset.Concat("union", ins...)
-		fresh := dataset.New("union")
-		for _, p := range out.Parts {
-			fresh.Parts = append(fresh.Parts, &dataset.Partition{Rows: p.Rows, VirtualBytes: p.VirtualBytes})
-		}
-		return fresh, nil
+		return dataset.Concat("union", ins...).Alias("union"), nil
 	}, 0.002, right)
 	merged.Then("sink", mdf.Identity("out"), 0.001)
 	g, err := b.Build()

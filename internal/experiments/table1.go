@@ -88,11 +88,11 @@ func Table1(o Options) (*Table, error) {
 // explorable hint. For the monotone row, scores fall with the hint; for the
 // convex row, scores fall then rise; otherwise scores alternate.
 func table1MDF(eval mdf.Evaluator, sel mdf.Selector, branches, shape int) (*graph.Graph, error) {
-	rows := make([]dataset.Row, 256)
+	rows := make([]int, 256)
 	for i := range rows {
 		rows[i] = i
 	}
-	input := dataset.FromRows("input", rows, 4, 1<<16)
+	input := dataset.FromSlice("input", rows, 4, 1<<16)
 	specs := make([]mdf.BranchSpec, branches)
 	for i := range specs {
 		specs[i] = mdf.BranchSpec{Label: fmt.Sprintf("b%d", i), Hint: float64(i)}
@@ -115,8 +115,8 @@ func table1MDF(eval mdf.Evaluator, sel mdf.Selector, branches, shape int) (*grap
 	out := src.Explore("explore", specs, mdf.NewChooser(eval, sel),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			keep := keepCount(int(spec.Hint))
-			return start.Then("take"+spec.Label, mdf.FilterRows("taken", func(r dataset.Row) bool {
-				return r.(int) < keep
+			return start.Then("take"+spec.Label, mdf.Filter("taken", func(v int) bool {
+				return v < keep
 			}), 0.002)
 		})
 	out.Then("sink", mdf.Identity("result"), 0.0001)

@@ -69,14 +69,15 @@ func (n *Node) CrossValidate(spec CrossValidationSpec) *Node {
 		})
 }
 
-// FoldRows partitions the rows of a dataset round-robin into the training
-// and validation subsets of the given fold; a convenience for trainers.
-func FoldRows(d *dataset.Dataset, fold, folds int) (train, validate []dataset.Row) {
-	for i, r := range d.Rows() {
+// Fold splits the rows of a dataset, which must be of type T
+// (dataset.Values), round-robin into the training and validation subsets of
+// the given fold; a convenience for trainers.
+func Fold[T any](d *dataset.Dataset, fold, folds int) (train, validate []T) {
+	for i, v := range dataset.Flatten[T](d) {
 		if i%folds == fold {
-			validate = append(validate, r)
+			validate = append(validate, v)
 		} else {
-			train = append(train, r)
+			train = append(train, v)
 		}
 	}
 	return train, validate

@@ -15,13 +15,13 @@ func TestCrossValidateStructure(t *testing.T) {
 		Folds: 5,
 		Train: func(fold, folds int) graph.TransformFunc {
 			return WholeDataset("train", func(in *dataset.Dataset) (*dataset.Dataset, error) {
-				train, val := FoldRows(in, fold, folds)
+				train, val := Fold[dataset.Row](in, fold, folds)
 				// "Model" = (train size, val size) as a single row.
-				return dataset.FromRows("model", []dataset.Row{[2]int{len(train), len(val)}}, 1, 8), nil
+				return dataset.FromSlice("model", [][2]int{{len(train), len(val)}}, 1, 8), nil
 			})
 		},
 		Evaluate: FuncEvaluator("valsize", func(d *dataset.Dataset) float64 {
-			return float64(d.Rows()[0].([2]int)[1])
+			return float64(dataset.Flatten[[2]int](d)[0][1])
 		}),
 	})
 	out.Then("sink", Identity("out"), 0.001)
@@ -52,27 +52,27 @@ func TestCrossValidateSpecValidation(t *testing.T) {
 	}
 }
 
-func TestFoldRowsPartition(t *testing.T) {
-	rows := make([]dataset.Row, 10)
+func TestFoldPartition(t *testing.T) {
+	rows := make([]int, 10)
 	for i := range rows {
 		rows[i] = i
 	}
-	d := dataset.FromRows("d", rows, 3, 1)
-	train, val := FoldRows(d, 1, 5)
+	d := dataset.FromSlice("d", rows, 3, 1)
+	train, val := Fold[int](d, 1, 5)
 	if len(val) != 2 || len(train) != 8 {
 		t.Fatalf("fold sizes = %d/%d, want 8/2", len(train), len(val))
 	}
 	// Fold 1 of 5 validates rows 1 and 6.
-	if val[0].(int) != 1 || val[1].(int) != 6 {
+	if val[0] != 1 || val[1] != 6 {
 		t.Fatalf("validation rows = %v", val)
 	}
 	// Folds are disjoint and cover everything.
 	seen := map[int]bool{}
 	for _, r := range append(train, val...) {
-		if seen[r.(int)] {
+		if seen[r] {
 			t.Fatal("row in both subsets")
 		}
-		seen[r.(int)] = true
+		seen[r] = true
 	}
 	if len(seen) != 10 {
 		t.Fatal("rows lost by folding")

@@ -37,10 +37,9 @@ func SourceFunc(gen func() *dataset.Dataset) graph.TransformFunc {
 
 // Map returns a transform applying f to every row, preserving partitioning
 // and scaling each partition's accounted size by sizeScale (1.0 keeps the
-// input size). The input rows must be of type T (dataset.Values); the output
-// is columnar unless U is dataset.Row. The output partitions are windows on
-// one column, so a whole-dataset consumer reads it without copying
-// (dataset.Flatten).
+// input size). The input rows must be of type T (dataset.Values). The output
+// partitions are windows on one Col[U], so a whole-dataset consumer reads it
+// without copying (dataset.Flatten).
 func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformFunc {
 	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
 		mapped := make(dataset.Col[U], in.NumRows())
@@ -90,12 +89,12 @@ func Filter[T any](name string, pred func(T) bool) graph.TransformFunc {
 	})
 }
 
-// MapRows is Map over boxed rows.
+// MapRows is Map at T = U = dataset.Row.
 func MapRows(name string, sizeScale float64, f func(dataset.Row) dataset.Row) graph.TransformFunc {
 	return Map(name, sizeScale, f)
 }
 
-// FilterRows is Filter over boxed rows.
+// FilterRows is Filter at T = dataset.Row.
 func FilterRows(name string, pred func(dataset.Row) bool) graph.TransformFunc {
 	return Filter(name, pred)
 }

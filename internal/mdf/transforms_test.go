@@ -9,9 +9,10 @@ import (
 	"metadataflow/internal/dataset"
 )
 
-// randomInputs builds the same random values twice, as a columnar and as a
-// boxed dataset, over the same random partitioning (empty partitions
-// included) with the same random accounted sizes.
+// randomInputs builds the same random values twice, as windows on a
+// Col[float64] and on a Col[dataset.Row] (boxed), over the same random
+// partitioning (empty partitions included) with the same random accounted
+// sizes.
 func randomInputs(rng *rand.Rand) (typed, boxed *dataset.Dataset) {
 	var typedParts, boxedParts []dataset.Partition
 	for p := rng.Intn(5); p > 0; p-- {
@@ -23,7 +24,7 @@ func randomInputs(rng *rand.Rand) (typed, boxed *dataset.Dataset) {
 		}
 		vb := rng.Int63n(1 << 40)
 		typedParts = append(typedParts, dataset.Partition{Col: dataset.Col[float64](vals), Hi: len(vals), VirtualBytes: vb})
-		boxedParts = append(boxedParts, dataset.Partition{Rows: rows, VirtualBytes: vb})
+		boxedParts = append(boxedParts, dataset.Partition{Col: dataset.Col[dataset.Row](rows), Hi: len(rows), VirtualBytes: vb})
 	}
 	return dataset.FromPartitions("typed", typedParts), dataset.FromPartitions("boxed", boxedParts)
 }
@@ -41,12 +42,13 @@ func sameResult(t *testing.T, op string, got, want *dataset.Dataset) {
 		if g.VirtualBytes != w.VirtualBytes {
 			t.Fatalf("%s: partition %d accounts %d bytes, want %d", op, i, g.VirtualBytes, w.VirtualBytes)
 		}
-		if len(g.Rows) != len(w.Rows) {
-			t.Fatalf("%s: partition %d has %d rows, want %d", op, i, len(g.Rows), len(w.Rows))
+		wr := w.BoxedRows()
+		if len(g.Rows) != len(wr) {
+			t.Fatalf("%s: partition %d has %d rows, want %d", op, i, len(g.Rows), len(wr))
 		}
-		for j := range w.Rows {
-			if math.Float64bits(g.Rows[j].(float64)) != math.Float64bits(w.Rows[j].(float64)) {
-				t.Fatalf("%s: partition %d row %d = %v, want %v", op, i, j, g.Rows[j], w.Rows[j])
+		for j := range wr {
+			if math.Float64bits(g.Rows[j].(float64)) != math.Float64bits(wr[j].(float64)) {
+				t.Fatalf("%s: partition %d row %d = %v, want %v", op, i, j, g.Rows[j], wr[j])
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
@@ -38,6 +39,17 @@ func (p PolicyKind) String() string {
 		return "AMM"
 	}
 	return fmt.Sprintf("policy(%d)", int(p))
+}
+
+// ParsePolicy returns the policy whose String is name, in any letter case:
+// "amm" and "AMM" alike.
+func ParsePolicy(name string) (PolicyKind, error) {
+	for _, p := range []PolicyKind{LRU, AMM} {
+		if strings.EqualFold(name, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want amm or lru)", name)
 }
 
 // AccessCounter reports acc(d): how many times the dataset owning a

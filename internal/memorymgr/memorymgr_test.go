@@ -475,3 +475,16 @@ func TestDropDurableDemotesOnlyDiskOnlyCopies(t *testing.T) {
 		t.Fatalf("CheckAccounting: %v", err)
 	}
 }
+
+// ParsePolicy reads a policy's String in any letter case, so that the CLI's
+// "amm" and a chaos repro's "AMM" name the same policy.
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]PolicyKind{"amm": AMM, "AMM": AMM, "lru": LRU, "LRU": LRU, "Lru": LRU} {
+		if got, err := ParsePolicy(name); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParsePolicy("fifo"); err == nil || err.Error() != `unknown policy "fifo" (want amm or lru)` {
+		t.Errorf("ParsePolicy(fifo) error = %v", err)
+	}
+}

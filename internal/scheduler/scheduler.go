@@ -11,6 +11,7 @@ package scheduler
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"metadataflow/internal/graph"
@@ -258,6 +259,23 @@ func BAS(hint Hint) Policy {
 		hint = DefaultHint()
 	}
 	return &bas{hint: hint}
+}
+
+// Parse returns the policy named name: "bas" (definition order),
+// "bas-sorted" (ascending hint), "bas-random" (an order seeded with seed) or
+// "bfs".
+func Parse(name string, seed int64) (Policy, error) {
+	switch name {
+	case "bas":
+		return BAS(nil), nil
+	case "bas-sorted":
+		return BAS(SortedHint(false)), nil
+	case "bas-random":
+		return BAS(RandomHint(seed)), nil
+	case "bfs":
+		return BFS(), nil
+	}
+	return nil, fmt.Errorf("unknown scheduler %q (want bas, bas-sorted, bas-random, or bfs)", name)
 }
 
 type bas struct {

@@ -294,3 +294,19 @@ func TestLookaheadLeavesPicksAlone(t *testing.T) {
 		}
 	}
 }
+
+// Parse names every policy the CLI, the facade and the chaos harness offer.
+func TestParse(t *testing.T) {
+	for name, want := range map[string]struct {
+		policy string
+		sorted bool
+	}{"bas": {"BAS", false}, "bas-sorted": {"BAS", true}, "bas-random": {"BAS", false}, "bfs": {"BFS", false}} {
+		p, err := Parse(name, 1)
+		if err != nil || p.Name() != want.policy || p.SortedBranches() != want.sorted {
+			t.Errorf("Parse(%q) = %v, %v, want %s sorted=%v", name, p, err, want.policy, want.sorted)
+		}
+	}
+	if _, err := Parse("dfs", 1); err == nil {
+		t.Error("Parse accepted dfs")
+	}
+}

@@ -1,8 +1,6 @@
 package metadataflow
 
 import (
-	"fmt"
-
 	"metadataflow/internal/baseline"
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
@@ -44,8 +42,6 @@ type (
 	Dataset = dataset.Dataset
 	// Partition is one horizontal fragment of a dataset.
 	Partition = dataset.Partition
-	// Row is a single opaque data item.
-	Row = dataset.Row
 	// Result reports a run's completion time, output and metrics.
 	Result = engine.Result
 	// Metrics aggregates run statistics (hit ratio, pruning counts, ...).
@@ -59,12 +55,6 @@ type (
 	// (§3.2).
 	CrossValidationSpec = mdf.CrossValidationSpec
 )
-
-// FoldRows splits a dataset's rows round-robin into the training and
-// validation subsets of the given fold.
-func FoldRows(d *Dataset, fold, folds int) (train, validate []Row) {
-	return mdf.FoldRows(d, fold, folds)
-}
 
 // Terminated reports whether a branch result marks an iteration that was
 // terminated early for not converging.
@@ -118,19 +108,37 @@ var (
 	SourceFromDataset = mdf.SourceFromDataset
 	// SourceFunc emits the dataset produced by a generator.
 	SourceFunc = mdf.SourceFunc
-	// MapRows applies a function to every row.
-	MapRows = mdf.MapRows
-	// FilterRows keeps rows matching a predicate.
-	FilterRows = mdf.FilterRows
 	// WholeDataset applies a function to the dataset as a whole.
 	WholeDataset = mdf.WholeDataset
 	// Identity forwards the input under a new identity.
 	Identity = mdf.Identity
 )
 
-// FromRows builds a partitioned dataset from rows.
-func FromRows(name string, rows []Row, parts int, bytesPerRow int64) *Dataset {
-	return dataset.FromRows(name, rows, parts, bytesPerRow)
+// Map returns a transform applying f to every row, scaling each
+// partition's accounted size by sizeScale.
+func Map[T, U any](name string, sizeScale float64, f func(T) U) TransformFunc {
+	return mdf.Map(name, sizeScale, f)
+}
+
+// Filter returns a transform keeping the rows for which pred holds.
+func Filter[T any](name string, pred func(T) bool) TransformFunc {
+	return mdf.Filter(name, pred)
+}
+
+// FromSlice builds a dataset of parts partitions over vals, uncopied,
+// accounting bytesPerRow per row.
+func FromSlice[T any](name string, vals []T, parts int, bytesPerRow int64) *Dataset {
+	return dataset.FromSlice(name, vals, parts, bytesPerRow)
+}
+
+// Flatten returns the rows of a dataset of T in partition order, as a slice
+// the caller must not modify.
+func Flatten[T any](d *Dataset) []T { return dataset.Flatten[T](d) }
+
+// Fold splits a dataset's rows round-robin into the training and validation
+// subsets of the given fold.
+func Fold[T any](d *Dataset, fold, folds int) (train, validate []T) {
+	return mdf.Fold[T](d, fold, folds)
 }
 
 // MemoryPolicy selects the eviction policy of worker memory allocators.
@@ -192,27 +200,17 @@ func DefaultRunConfig() RunConfig {
 }
 
 func (c RunConfig) policy() (memorymgr.PolicyKind, error) {
-	switch c.Memory {
-	case "", PolicyAMM:
-		return memorymgr.AMM, nil
-	case PolicyLRU:
-		return memorymgr.LRU, nil
+	if c.Memory == "" {
+		c.Memory = PolicyAMM
 	}
-	return 0, fmt.Errorf("metadataflow: unknown memory policy %q", c.Memory)
+	return memorymgr.ParsePolicy(string(c.Memory))
 }
 
 func (c RunConfig) newScheduler() (scheduler.Policy, error) {
-	switch c.Scheduler {
-	case "", SchedulerBAS:
-		return scheduler.BAS(nil), nil
-	case SchedulerBASSorted:
-		return scheduler.BAS(scheduler.SortedHint(false)), nil
-	case SchedulerBASRandom:
-		return scheduler.BAS(scheduler.RandomHint(c.Seed)), nil
-	case SchedulerBFS:
-		return scheduler.BFS(), nil
+	if c.Scheduler == "" {
+		c.Scheduler = SchedulerBAS
 	}
-	return nil, fmt.Errorf("metadataflow: unknown scheduler %q", c.Scheduler)
+	return scheduler.Parse(string(c.Scheduler), c.Seed)
 }
 
 func (c RunConfig) clusterOrDefault() ClusterConfig {

@@ -7,8 +7,8 @@ import (
 	mdf "metadataflow"
 )
 
-func intRows(n int) []mdf.Row {
-	rows := make([]mdf.Row, n)
+func ints(n int) []int {
+	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
 	}
@@ -20,7 +20,7 @@ func intRows(n int) []mdf.Row {
 func buildPublicMDF(t *testing.T) *mdf.Graph {
 	t.Helper()
 	b := mdf.NewMDF()
-	src := b.Source("src", mdf.SourceFromDataset(mdf.FromRows("in", intRows(1000), 8, 1<<20)), 0.001)
+	src := b.Source("src", mdf.SourceFromDataset(mdf.FromSlice("in", ints(1000), 8, 1<<20)), 0.001)
 	specs := []mdf.BranchSpec{
 		{Label: "k200", Hint: 200},
 		{Label: "k600", Hint: 600},
@@ -29,8 +29,8 @@ func buildPublicMDF(t *testing.T) *mdf.Graph {
 	out := src.Explore("limits", specs, mdf.NewChooser(mdf.SizeEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			limit := int(spec.Hint)
-			return start.Then("f"+spec.Label, mdf.FilterRows("f", func(r mdf.Row) bool {
-				return r.(int) < limit
+			return start.Then("f"+spec.Label, mdf.Filter("f", func(v int) bool {
+				return v < limit
 			}), 0.002)
 		})
 	out.Then("sink", mdf.Identity("result"), 0)
