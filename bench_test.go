@@ -21,7 +21,7 @@ import (
 // sub-benchmark named after its id: -bench 'BenchmarkExperiment/fig9$'
 // runs one of them.
 func BenchmarkExperiment(b *testing.B) {
-	opts := experiments.DefaultOptions()
+	opts := experiments.Options{Seeds: 3} // the paper's three-run protocol
 	if testing.Short() {
 		opts = experiments.Options{Seeds: 1, Quick: true}
 	}

@@ -227,15 +227,10 @@ func (s StaleAllow) String() string {
 	return fmt.Sprintf("%s:%d: stale //lint:allow %s: suppresses no finding", s.File, s.Line, s.Rule)
 }
 
-// Run executes every enabled analyzer over the module and returns the
-// surviving findings sorted by file, line and rule.
-func Run(m *Module, cfg Config) []Finding {
-	findings, _ := Analyze(m, cfg)
-	return findings
-}
-
-// Analyze is Run plus the suppression audit: the second result lists every
-// //lint:allow entry that suppressed nothing. An entry is only judged when
+// Analyze executes every enabled analyzer over the module and returns the
+// surviving findings sorted by file, line and rule, plus the suppression
+// audit: the second result lists every //lint:allow entry that suppressed
+// nothing. An entry is only judged when
 // its verdict is meaningful — a known rule must be enabled in this run
 // (otherwise its findings were never produced and the directive may well be
 // load-bearing), while an unknown rule name can never suppress anything and

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -77,7 +78,7 @@ func TestFixtures(t *testing.T) {
 	if m.Path != "fixture" {
 		t.Fatalf("module path = %q, want fixture", m.Path)
 	}
-	findings := Run(m, fixtureConfig())
+	findings, _ := Analyze(m, fixtureConfig())
 
 	got := map[string]bool{}
 	for _, f := range findings {
@@ -118,7 +119,7 @@ func TestFixturesDetectViolations(t *testing.T) {
 	for _, rule := range Rules() {
 		cfg := fixtureConfig()
 		cfg.Rules = []string{rule}
-		findings := Run(m, cfg)
+		findings, _ := Analyze(m, cfg)
 		if len(findings) == 0 {
 			t.Errorf("rule %s found nothing in its fixture", rule)
 		}
@@ -147,6 +148,51 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, s := range stale {
 		t.Errorf("%s", s)
+	}
+}
+
+// TestInternalExportsHaveCallers keeps internal/ free of code that exists
+// only for its own tests. Go's internal rule means only this tree can call an
+// exported name under internal/, so one that no non-test file uses — in the
+// module, examples/, cmd/ or benchmarks/ (which Load also walks) — is dead
+// weight. Methods are left out: an interface can call them without naming
+// them.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	allowed := map[string]string{
+		"internal/cluster.MustNew":           "test helper shared across packages",
+		"internal/faults.MustGenerate":       "test helper shared across packages",
+		"internal/graph.DFSMaintained":       "App. B closed form; collapsed_test.go checks it",
+		"internal/graph.BFSMaintained":       "App. B closed form; collapsed_test.go checks it",
+		"internal/graph.BFSChooseMaintained": "App. B closed form; collapsed_test.go checks it",
+		"internal/graph.SimulateCollapsed":   "App. B simulation the closed forms are checked against",
+		"internal/graph.PeakMaintained":      "App. B simulation the closed forms are checked against",
+	}
+	m, err := Load(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[types.Object]bool{}
+	for _, pkg := range m.Packages {
+		if pkg.Info == nil {
+			continue
+		}
+		for _, obj := range pkg.Info.Uses {
+			used[obj] = true
+		}
+	}
+	for _, pkg := range m.Packages {
+		if !strings.HasPrefix(pkg.Dir, "internal/") || pkg.TypesPkg == nil {
+			continue
+		}
+		scope := pkg.TypesPkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			key := pkg.Dir + "." + name
+			if !obj.Exported() || used[obj] || allowed[key] != "" {
+				continue
+			}
+			t.Errorf("%s: exported but no non-test file uses it", key)
+		}
 	}
 }
 
@@ -242,7 +288,7 @@ func TestFindingsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := Run(m, fixtureConfig())
+	findings, _ := Analyze(m, fixtureConfig())
 	sorted := sort.SliceIsSorted(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {

@@ -9,6 +9,7 @@ import (
 	"metadataflow/internal/baseline"
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
+	"metadataflow/internal/engine"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
@@ -20,6 +21,17 @@ func testCluster() *cluster.Cluster {
 	cfg.Workers = 4
 	cfg.MemPerWorker = 1 << 30
 	return cluster.MustNew(cfg)
+}
+
+// runAlone executes one graph alone from time 0 with the full memory budget:
+// Parallel over one job.
+func runAlone(t *testing.T, g *graph.Graph, cfg baseline.Config) *engine.Result {
+	t.Helper()
+	res, err := baseline.Parallel([]*graph.Graph{g}, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Jobs[0]
 }
 
 func intRows(n int) []dataset.Row {
@@ -178,15 +190,7 @@ func TestConcreteJobsProduceSameResults(t *testing.T) {
 	}
 	wants := []int{30, 40, 35, 45} // (A,x) (A,y) (B,x) (B,y)
 	for i, job := range jobs {
-		plan, err := graph.BuildPlan(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = plan
-		res, err := baseline.SingleJob(job, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
+		res := runAlone(t, job, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
 		if got := res.Output.NumRows(); got != wants[i] {
 			t.Errorf("job %d output rows = %d, want %d", i, got, wants[i])
 		}
@@ -287,14 +291,11 @@ func TestRunErrorNamesTheJob(t *testing.T) {
 
 func TestSingleJobUsesConfiguredScheduler(t *testing.T) {
 	g := buildNestedMDF(t)
-	res, err := baseline.SingleJob(g, baseline.Config{
+	res := runAlone(t, g, baseline.Config{
 		Cluster: testCluster(), Policy: memorymgr.AMM,
 		NewScheduler: func() scheduler.Policy { return scheduler.BAS(nil) },
 		Incremental:  true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Max over sizes selects (B, y): 45 rows.
 	if got := res.Output.NumRows(); got != 45 {
 		t.Errorf("output rows = %d, want 45", got)
@@ -338,24 +339,18 @@ func TestMDFEquivalentToBestExpandedJob(t *testing.T) {
 		{321, 123},
 	} {
 		g := buildFlatMDF(t, keeps)
-		mdfRes, err := baseline.SingleJob(g, baseline.Config{
+		mdfRes := runAlone(t, g, baseline.Config{
 			Cluster: testCluster(), Policy: memorymgr.AMM,
 			NewScheduler: func() scheduler.Policy { return scheduler.BAS(nil) },
 			Incremental:  true,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		jobs, err := baseline.ExpandJobs(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		best := 0
 		for _, job := range jobs {
-			res, err := baseline.SingleJob(job, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runAlone(t, job, baseline.Config{Cluster: testCluster(), Policy: memorymgr.LRU})
 			if res.Output.NumRows() > best {
 				best = res.Output.NumRows()
 			}

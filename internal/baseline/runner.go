@@ -154,9 +154,3 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 	}
 	return out, nil
 }
-
-// SingleJob executes one (typically MDF) graph alone from time 0 with the
-// configured scheduler, policy and full memory budget.
-func SingleJob(g *graph.Graph, cfg Config) (*engine.Result, error) {
-	return engine.Execute(g, cfg.engineOptions(cfg.totalMem()))
-}

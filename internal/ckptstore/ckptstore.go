@@ -2,9 +2,12 @@
 // Entries are keyed by the spec chain-prefix hash of the operator that
 // produced the partition (internal/spec) plus the partition index, so
 // the same intermediate result — across retries, restarts, branches, or
-// separate jobs — lands at the same key. That is the on-disk substrate
-// the restart path resumes from and the cross-run memo table (ROADMAP
-// item 3) will sit on.
+// separate jobs — lands at the same key. The engine mirrors every
+// checkpointed partition here and reads an entry back only when a node
+// crash inside a run leans on a durable copy (engine.verifyCkpt): an entry
+// that does not verify demotes the copy to lineage re-derivation. A job
+// requeued after a service restart does not read the store; it re-executes
+// from its journaled spec.
 //
 // Every entry is checksummed: the file is an 8-byte big-endian FNV-1a
 // digest of the payload followed by the payload. Loads verify the
@@ -17,7 +20,6 @@ package ckptstore
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -50,12 +52,6 @@ func (e *MissError) Error() string {
 	return fmt.Sprintf("ckptstore: miss %s: %s", e.Key, e.Reason)
 }
 
-// IsMiss reports whether err is a load miss (absent or corrupt entry).
-func IsMiss(err error) bool {
-	var m *MissError
-	return errors.As(err, &m)
-}
-
 // checksumLen prefixes every entry file.
 const checksumLen = 8
 
@@ -76,9 +72,6 @@ type Store struct {
 
 // New prepares a store rooted at dir. No I/O happens until Open.
 func New(dir string) *Store { return &Store{dir: dir} }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Open creates the store directory if needed.
 func (s *Store) Open() error {
@@ -134,12 +127,6 @@ func (s *Store) Get(k Key) ([]byte, error) {
 		return nil, &MissError{Key: k, Reason: fmt.Sprintf("checksum mismatch: %016x, want %016x", got, want)}
 	}
 	return payload, nil
-}
-
-// Has reports whether a verified entry exists at k.
-func (s *Store) Has(k Key) bool {
-	_, err := s.Get(k)
-	return err == nil
 }
 
 // Keys lists every entry key in sorted order (chain hash, then

@@ -2,6 +2,7 @@ package ckptstore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,15 +34,12 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, want %q", got, payload)
 	}
-	if !s.Has(k) {
-		t.Fatal("Has = false")
-	}
 }
 
 func TestGetAbsentIsMiss(t *testing.T) {
 	s := openStore(t, filepath.Join(t.TempDir(), "ckpt"))
 	_, err := s.Get(Key{Chain: 1, Part: 0})
-	if !IsMiss(err) {
+	if !errors.As(err, new(*MissError)) {
 		t.Fatalf("absent Get error %v, want miss", err)
 	}
 }
@@ -56,7 +54,7 @@ func TestCorruptionIsMissAndPutHeals(t *testing.T) {
 	if err := s.CorruptNth(0, 13); err != nil {
 		t.Fatalf("CorruptNth: %v", err)
 	}
-	if _, err := s.Get(k); !IsMiss(err) {
+	if _, err := s.Get(k); !errors.As(err, new(*MissError)) {
 		t.Fatalf("corrupt Get error %v, want miss", err)
 	}
 	// A re-derived partition overwrites the damaged entry.
@@ -80,7 +78,7 @@ func TestTruncatedEntryIsMiss(t *testing.T) {
 	if err := os.WriteFile(path, []byte{1, 2, 3}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(k); !IsMiss(err) {
+	if _, err := s.Get(k); !errors.As(err, new(*MissError)) {
 		t.Fatalf("truncated Get error %v, want miss", err)
 	}
 }

@@ -175,28 +175,6 @@ func (n *Node) SetFaultFactors(slow, disk float64) {
 	}
 }
 
-// FaultState exposes the node's fault-injected state: the transient
-// slowdown and disk multipliers (1 when none) and whether the node is
-// permanently dead.
-func (n *Node) FaultState() (slow, disk float64, dead bool) {
-	slow, disk = 1, 1
-	if n.faultSlow > 0 {
-		slow = n.faultSlow
-	}
-	if n.faultDisk > 0 {
-		disk = n.faultDisk
-	}
-	return slow, disk, n.dead
-}
-
-// ClearFaults removes all fault-injected state: transient factors and the
-// dead mark. The user-set SlowFactor is configuration, not a fault, and is
-// preserved.
-func (n *Node) ClearFaults() {
-	n.faultSlow, n.faultDisk = 0, 0
-	n.dead = false
-}
-
 // Alive reports whether the node has not been permanently failed.
 func (n *Node) Alive() bool { return !n.dead }
 
@@ -270,22 +248,10 @@ func MustNew(cfg Config) *Cluster {
 }
 
 // SetObserver installs (or, with nil, removes) the resource observer on
-// every node. Reset preserves it: the observer is telemetry plumbing, not
-// per-run state.
+// every node.
 func (c *Cluster) SetObserver(o Observer) {
 	for _, n := range c.Nodes {
 		n.observer = o
-	}
-}
-
-// Reset clears all resource timelines and every fault-injected per-node
-// state (transient factors, dead marks), returning the cluster to time zero
-// so experiments can reuse it across seeds without leaking injected
-// failures. User-set SlowFactor configuration is preserved.
-func (c *Cluster) Reset() {
-	for _, n := range c.Nodes {
-		n.cpuFree, n.diskFree, n.netFree = 0, 0, 0
-		n.ClearFaults()
 	}
 }
 
@@ -339,16 +305,6 @@ func (c *Cluster) LiveIndices() []int {
 		}
 	}
 	return out
-}
-
-// Now returns the maximum resource-free time across the cluster: the virtual
-// time at which everything submitted so far has finished.
-func (c *Cluster) Now() sim.VTime {
-	var t sim.VTime
-	for _, n := range c.Nodes {
-		t = max(t, n.cpuFree, n.diskFree, n.netFree)
-	}
-	return t
 }
 
 // NodeFor maps a partition index to a worker round-robin over the live set:

@@ -90,19 +90,10 @@ func TestStragglerScaling(t *testing.T) {
 	}
 }
 
-func TestClusterNewAndReset(t *testing.T) {
+func TestClusterNew(t *testing.T) {
 	c := MustNew(DefaultConfig())
 	if len(c.Nodes) != DefaultConfig().Workers {
 		t.Fatalf("nodes = %d, want %d", len(c.Nodes), DefaultConfig().Workers)
-	}
-	c.Nodes[0].CPU(0, 5)
-	c.Nodes[1].Disk(0, 7)
-	if c.Now() != 7 {
-		t.Fatalf("Now = %v, want 7", c.Now())
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("after Reset Now = %v, want 0", c.Now())
 	}
 }
 
@@ -218,13 +209,9 @@ func TestFaultFactorsComposeAndClear(t *testing.T) {
 	if end := n.Disk(0, 1); end != 24 {
 		t.Fatalf("disk with degradation = %v, want 24 (2·3·4)", end)
 	}
-	slow, disk, dead := n.FaultState()
-	if slow != 3 || disk != 4 || dead {
-		t.Fatalf("FaultState = (%v, %v, %v), want (3, 4, false)", slow, disk, dead)
-	}
-	n.ClearFaults()
+	n.SetFaultFactors(1, 1)
 	if end := n.CPU(24, 1); end != 26 {
-		t.Fatalf("CPU after ClearFaults = %v, want 26 (only SlowFactor 2)", end)
+		t.Fatalf("CPU after clearing the fault factors = %v, want 26 (only SlowFactor 2)", end)
 	}
 }
 
@@ -251,27 +238,5 @@ func TestKillAndLiveAwareNodeFor(t *testing.T) {
 	}
 	if err := c.Kill(2); err == nil {
 		t.Fatal("killing the last live node must be refused")
-	}
-}
-
-func TestResetClearsFaultState(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 2
-	c := MustNew(cfg)
-	c.Nodes[0].SlowFactor = 4 // user configuration, not a fault
-	c.Nodes[0].SetFaultFactors(2, 3)
-	if err := c.Kill(1); err != nil {
-		t.Fatalf("Kill: %v", err)
-	}
-	c.Reset()
-	if c.NumLive() != 2 {
-		t.Fatal("Reset must revive permanently failed nodes")
-	}
-	slow, disk, dead := c.Nodes[0].FaultState()
-	if slow != 1 || disk != 1 || dead {
-		t.Fatalf("fault state leaked across Reset: (%v, %v, %v)", slow, disk, dead)
-	}
-	if c.Nodes[0].SlowFactor != 4 {
-		t.Fatal("Reset must preserve the user-set SlowFactor")
 	}
 }

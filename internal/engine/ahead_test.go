@@ -164,7 +164,6 @@ func TestSerialEqualsPooled(t *testing.T) {
 			{"bfs", scheduler.BFS, true},
 			{"bas", func() scheduler.Policy { return scheduler.BAS(nil) }, true},
 			{"bas-sorted", func() scheduler.Policy { return scheduler.BAS(scheduler.SortedHint(false)) }, true},
-			{"bas-model", func() scheduler.Policy { return scheduler.BAS(scheduler.ModelHint(true)) }, true},
 			{"bas-random", func() scheduler.Policy { return scheduler.BAS(scheduler.RandomHint(seed)) }, false},
 		}
 		for _, sc := range scheds {

@@ -7,7 +7,6 @@ import (
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/obs"
-	"metadataflow/internal/scheduler"
 	"metadataflow/internal/sim"
 )
 
@@ -78,7 +77,11 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 			end = t
 		}
 	}
-	score, penalty, serr := r.runScore(op, d)
+	var score float64
+	penalty, serr := r.retried(op, "evaluator", func() (err error) {
+		score, err = r.callScore(op, d)
+		return err
+	})
 	end += penalty // backoff between evaluator retries
 	if end > cs.evalEnd {
 		cs.evalEnd = end
@@ -102,14 +105,6 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 	cs.nOffered++
 	cs.scores[branch] = score
 	r.observeScore(chooseSt, branch, end, score)
-
-	// Feed stateful scheduling hints (§4.2(iii)) with the observed score.
-	if sa, ok := r.opts.Scheduler.(scheduler.ScoreAware); ok {
-		if scope := r.plan.ScopeOfChoose(chooseSt); scope != nil && len(scope.Branches[branch]) > 0 {
-			head := r.plan.Graph.Op(scope.Branches[branch][0])
-			sa.ObserveScore(op, head.Hint, score)
-		}
-	}
 
 	// The selection function executes at the master (negligible cost).
 	discards, done := cs.session.Offer(branch, score)

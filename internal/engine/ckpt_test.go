@@ -94,8 +94,8 @@ func TestMirrorWritesContentAddressedEntries(t *testing.T) {
 		t.Fatal("no checkpoint entries mirrored")
 	}
 	for _, k := range keys {
-		if !store.Has(k) {
-			t.Fatalf("entry %s does not verify", k)
+		if _, err := store.Get(k); err != nil {
+			t.Fatalf("entry %s does not verify: %v", k, err)
 		}
 	}
 	// A second run of the same spec must re-key the exact same entries.

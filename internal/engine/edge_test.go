@@ -344,9 +344,6 @@ func TestRunAccessors(t *testing.T) {
 	if run.Now() < 0 {
 		t.Fatal("negative virtual time")
 	}
-	if run.LiveDatasets() < 1 {
-		t.Fatal("no live datasets after first stage")
-	}
 	if run.Allocator(0) == nil {
 		t.Fatal("nil allocator")
 	}

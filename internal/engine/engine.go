@@ -453,9 +453,6 @@ func (r *Run) Err() error { return r.err }
 // Allocator exposes the allocator of node n (for tests and tooling).
 func (r *Run) Allocator(n int) *memorymgr.Allocator { return r.allocs[n] }
 
-// LiveDatasets returns |D^c_s|: datasets still needed to complete execution.
-func (r *Run) LiveDatasets() int { return r.liveCount }
-
 // CheckpointLive writes a durable on-disk copy of every live dataset
 // partition that does not have one yet and returns the number of partitions
 // newly checkpointed. It is the drain hook of the service layer: a run

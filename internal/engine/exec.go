@@ -111,7 +111,10 @@ func (r *Run) execStage(st *graph.Stage) error {
 	}
 	for i, op := range st.Ops {
 		var penalty sim.VTime
-		out, penalty, err = r.runTransform(st, i, ins, res)
+		penalty, err = r.retried(op, "transform", func() (err error) {
+			out, err = r.callTransform(st, i, ins, res)
+			return err
+		})
 		retryPenalty += penalty
 		if err != nil {
 			var pe *opPanicError

@@ -185,12 +185,6 @@ func (p *recordingPolicy) Pick(ready []*graph.Stage, last *graph.Stage) *graph.S
 	return st
 }
 
-func (p *recordingPolicy) ObserveScore(chooseOp *graph.Operator, hint, score float64) {
-	if sa, ok := p.Policy.(scheduler.ScoreAware); ok {
-		sa.ObserveScore(chooseOp, hint, score)
-	}
-}
-
 func digest(parts ...any) string {
 	h := fnv.New64a()
 	fmt.Fprint(h, parts...)

@@ -75,21 +75,20 @@ func (r *Run) callScore(op *graph.Operator, d *dataset.Dataset) (score float64, 
 	return op.Chooser.Score(d), nil
 }
 
-// runTransform executes operator i of the stage's chain with bounded retry
-// and exponential virtual-time backoff. penalty is the backoff time accrued
-// by failed attempts, to be charged to the stage regardless of the outcome. A
+// retried runs call — a callTransform or callScore of op — with bounded
+// retry and exponential virtual-time backoff. penalty is the backoff time
+// accrued by failed attempts, to be charged regardless of the outcome. A
 // non-panic error propagates immediately; a panic persisting past the retry
-// budget is returned as *opPanicError.
-func (r *Run) runTransform(st *graph.Stage, i int, ins []*dataset.Dataset, res *chainResult) (out *dataset.Dataset, penalty sim.VTime, err error) {
-	op := st.Ops[i]
+// budget is returned as *opPanicError. what ("transform", "evaluator") names
+// the call in the retry decisions.
+func (r *Run) retried(op *graph.Operator, what string, call func() error) (penalty sim.VTime, err error) {
 	for attempt := 1; ; attempt++ {
-		out, err = r.callTransform(st, i, ins, res)
-		if err == nil {
-			return out, penalty, nil
+		if err = call(); err == nil {
+			return penalty, nil
 		}
 		var pe *opPanicError
 		if !errors.As(err, &pe) || attempt >= r.retry.MaxAttempts {
-			return nil, penalty, err
+			return penalty, err
 		}
 		r.metrics.Retries++
 		penalty += sim.VTime(r.retry.Backoff(attempt))
@@ -97,31 +96,7 @@ func (r *Run) runTransform(st *graph.Stage, i int, ins []*dataset.Dataset, res *
 			r.audit.Decision(obs.Decision{
 				T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "retry",
 				Subject: op.Name,
-				Detail:  fmt.Sprintf("transform attempt %d of %d, backoff %gs", attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
-			})
-		}
-	}
-}
-
-// runScore executes a choose evaluator with the same retry/backoff regime as
-// runTransform. Evaluators have no error path, so any returned error is a
-// persistent panic.
-func (r *Run) runScore(op *graph.Operator, d *dataset.Dataset) (score float64, penalty sim.VTime, err error) {
-	for attempt := 1; ; attempt++ {
-		score, err = r.callScore(op, d)
-		if err == nil {
-			return score, penalty, nil
-		}
-		if attempt >= r.retry.MaxAttempts {
-			return 0, penalty, err
-		}
-		r.metrics.Retries++
-		penalty += sim.VTime(r.retry.Backoff(attempt))
-		if r.audit != nil {
-			r.audit.Decision(obs.Decision{
-				T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "retry",
-				Subject: op.Name,
-				Detail:  fmt.Sprintf("evaluator attempt %d of %d, backoff %gs", attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
+				Detail:  fmt.Sprintf("%s attempt %d of %d, backoff %gs", what, attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
 			})
 		}
 	}

@@ -42,9 +42,6 @@ type Options struct {
 // ErrInterrupted marks a sweep canceled through Options.Ctx.
 var ErrInterrupted = errors.New("experiments: interrupted")
 
-// DefaultOptions mirrors the paper's three-run protocol.
-func DefaultOptions() Options { return Options{Seeds: 3} }
-
 // SeedList returns the seeds each data point is averaged over, for
 // embedding in machine-readable output.
 func (o Options) SeedList() []int64 { return o.seeds() }
@@ -235,30 +232,6 @@ func (t *Table) JSON(seeds []int64) ([]byte, error) {
 		return nil, err
 	}
 	return append(out, '\n'), nil
-}
-
-// Column returns the index of the named column, or -1.
-func (t *Table) Column(name string) int {
-	for i, c := range t.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// Cell returns the summary at (row x, column name); ok is false when absent.
-func (t *Table) Cell(x, column string) (stats.Summary, bool) {
-	ci := t.Column(column)
-	if ci < 0 {
-		return stats.Summary{}, false
-	}
-	for _, r := range t.Rows {
-		if r.X == x && ci < len(r.Cells) {
-			return r.Cells[ci], true
-		}
-	}
-	return stats.Summary{}, false
 }
 
 // Experiment is a regenerator for one figure or table.

@@ -79,15 +79,6 @@ type Durability struct {
 	CkptFileFlips []BitFlip `json:"ckptFileFlips,omitempty"`
 }
 
-// NumEvents returns the number of durability faults scheduled.
-func (d *Durability) NumEvents() int {
-	n := len(d.JournalFlips) + len(d.CkptFileFlips)
-	if d.TornTailBytes > 0 {
-		n++
-	}
-	return n
-}
-
 // GenDurability derives a concrete durability fault set from the seed:
 // a torn tail of 1..maxTorn bytes, one journal bit-flip, and one
 // checkpoint bit-flip, with indexes drawn below the given object counts.

@@ -46,8 +46,10 @@ func dumpPlan(p *graph.Plan) string {
 		if sc := p.ScopeOfChoose(st); sc != nil {
 			fmt.Fprintf(&b, " closes=s%d", scopeIdx[sc])
 		}
-		if sc := p.ScopeOfExplore(st); sc != nil {
-			fmt.Fprintf(&b, " opens=s%d", scopeIdx[sc])
+		for i, sc := range p.Scopes {
+			if p.StageOf(sc.Explore) == st {
+				fmt.Fprintf(&b, " opens=s%d", i)
+			}
 		}
 		for _, op := range st.Ops {
 			if p.StageOf(op) != st {

@@ -72,8 +72,8 @@ type Plan struct {
 	// branchOf holds, by stage ID, the stage's innermost (scope index,
 	// branch index), or nil when the stage is outside all scopes.
 	branchOf []*BranchRef
-	// scopeOf holds, by stage ID, the scope an explore stage opens or a
-	// choose stage closes; nil for every other stage.
+	// scopeOf holds, by stage ID, the scope a choose stage closes; nil for
+	// every other stage.
 	scopeOf []*Scope
 	// branchStages holds the stages of every branch, by scope index and
 	// branch index, in ascending stage ID.
@@ -194,7 +194,7 @@ func (p *Plan) buildStageEdges() {
 }
 
 // buildBranchRefs derives the per-stage branch reference, the scope of
-// every explore and choose stage, and the stages of every branch.
+// every choose stage, and the stages of every branch.
 func (p *Plan) buildBranchRefs() {
 	n := len(p.Stages)
 	p.scopeOf = make([]*Scope, n)
@@ -217,7 +217,6 @@ func (p *Plan) buildBranchRefs() {
 	depth := make([]int, n)
 	p.branchOf = make([]*BranchRef, n)
 	for si, sc := range p.Scopes {
-		p.scopeOf[p.stageOf[sc.Explore.ID].ID] = sc
 		p.scopeOf[p.stageOf[sc.Choose.ID].ID] = sc
 		p.branchStages[si], lists = lists[:len(sc.Branches):len(sc.Branches)], lists[len(sc.Branches):]
 		for bi, members := range sc.Branches {
@@ -260,20 +259,7 @@ func (p *Plan) Post(st *Stage) []*Stage { return p.post[st.ID] }
 func (p *Plan) Branch(st *Stage) *BranchRef { return p.branchOf[st.ID] }
 
 // ScopeOfChoose returns the scope closed by the given choose stage, or nil.
-func (p *Plan) ScopeOfChoose(st *Stage) *Scope {
-	if !st.IsChoose() {
-		return nil
-	}
-	return p.scopeOf[st.ID]
-}
-
-// ScopeOfExplore returns the scope opened by the given explore stage, or nil.
-func (p *Plan) ScopeOfExplore(st *Stage) *Scope {
-	if !st.IsExplore() {
-		return nil
-	}
-	return p.scopeOf[st.ID]
-}
+func (p *Plan) ScopeOfChoose(st *Stage) *Scope { return p.scopeOf[st.ID] }
 
 // BranchStages returns the stages of branch b of scope sc in topological
 // order (ascending stage ID).

@@ -132,9 +132,6 @@ func New(dir string, opts Options) *Journal {
 	return &Journal{dir: dir, opts: opts}
 }
 
-// Dir returns the journal's segment directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // segmentName formats the nth segment's filename (1-based).
 func segmentName(n int) string { return fmt.Sprintf("seg-%06d.wal", n) }
 

@@ -68,13 +68,6 @@ type neverSelecter interface {
 	NeverSelect(score float64) bool
 }
 
-// OrderAware is implemented by sessions whose pruning requires branches to
-// be offered in the explorable's sorted order; the engine calls
-// SetSortedOrder(true) when scheduling with a sorted hint.
-type OrderAware interface {
-	SetSortedOrder(sorted bool)
-}
-
 // propSession exploits monotone/convex evaluator shapes (Tab. 1): under
 // sorted execution order, a monotone evaluator yields monotone observed
 // scores, so two consecutive unselectable, worsening scores imply every
@@ -96,7 +89,9 @@ type propSession struct {
 	improved  bool // convex: an improvement has been observed (valley found)
 }
 
-// SetSortedOrder implements OrderAware.
+// SetSortedOrder tells the session whether branches are offered in the
+// explorable's sorted order, which its pruning requires; the engine calls it
+// with true when scheduling with a sorted hint.
 func (s *propSession) SetSortedOrder(sorted bool) { s.sorted = sorted }
 
 // Offer implements graph.ChooseSession.

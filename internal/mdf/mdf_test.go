@@ -8,6 +8,10 @@ import (
 	"metadataflow/internal/dataset"
 )
 
+// orderAware is the engine's hook for sessions whose pruning needs sorted
+// branch order.
+type orderAware interface{ SetSortedOrder(sorted bool) }
+
 func offerAll(t *testing.T, sel Selector, scores []float64) (selected []int, discards []int, doneAt int) {
 	t.Helper()
 	s := sel.NewSession(len(scores))
@@ -194,7 +198,7 @@ func TestMonotonePruning(t *testing.T) {
 	eval := Evaluator{Name: "m", Monotone: true, Fn: func(*dataset.Dataset) float64 { return 0 }}
 	c := NewChooser(eval, TopK(1))
 	s := c.NewSession(6)
-	s.(OrderAware).SetSortedOrder(true)
+	s.(orderAware).SetSortedOrder(true)
 	scores := []float64{10, 8, 6, 4, 2, 1} // monotone decreasing
 	doneAt := -1
 	for i, sc := range scores {
@@ -230,7 +234,7 @@ func TestConvexPruning(t *testing.T) {
 	eval := Evaluator{Name: "c", Convex: true, Fn: func(*dataset.Dataset) float64 { return 0 }}
 	c := NewChooser(eval, Min())
 	s := c.NewSession(7)
-	s.(OrderAware).SetSortedOrder(true)
+	s.(orderAware).SetSortedOrder(true)
 	scores := []float64{9, 5, 2, 4, 7, 9, 11} // valley at index 2
 	doneAt := -1
 	for i, sc := range scores {
@@ -253,7 +257,7 @@ func TestNonAssociativeNeverWrapped(t *testing.T) {
 	eval := Evaluator{Name: "m", Monotone: true, Fn: func(*dataset.Dataset) float64 { return 0 }}
 	c := NewChooser(eval, Mode())
 	s := c.NewSession(4)
-	if _, ok := s.(OrderAware); ok {
+	if _, ok := s.(orderAware); ok {
 		t.Fatal("mode session must not be order-aware")
 	}
 }

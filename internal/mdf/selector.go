@@ -274,16 +274,18 @@ func (mode) NewSession(total int) graph.ChooseSession {
 }
 
 type modeSession struct {
-	total   int
-	offered []scored
+	total    int
+	offered  []scored
+	selected []int // the mode's branches, set by the final offer
 }
 
+// Offer computes the mode once, at the final offer, and discards every
+// other branch.
 func (s *modeSession) Offer(branch int, score float64) (discard []int, done bool) {
 	s.offered = append(s.offered, scored{branch, score})
 	if len(s.offered) < s.total {
 		return nil, false
 	}
-	// Final offer: compute the mode and discard everything else.
 	counts := map[float64]int{}
 	for _, sc := range s.offered {
 		counts[sc.score]++
@@ -294,36 +296,21 @@ func (s *modeSession) Offer(branch int, score float64) (discard []int, done bool
 			best, bestN = sc.score, counts[sc.score]
 		}
 	}
-	for _, sc := range s.offered {
-		if sc.score != best {
-			discard = append(discard, sc.branch)
-		}
-	}
-	return discard, true
-}
-
-func (s *modeSession) Selected() []int {
-	if len(s.offered) < s.total {
-		return nil
-	}
-	counts := map[float64]int{}
-	for _, sc := range s.offered {
-		counts[sc.score]++
-	}
-	best, bestN := 0.0, -1
-	for _, sc := range s.offered {
-		if counts[sc.score] > bestN {
-			best, bestN = sc.score, counts[sc.score]
-		}
-	}
 	var kept []scored
 	for _, sc := range s.offered {
 		if sc.score == best {
 			kept = append(kept, sc)
+		} else {
+			discard = append(discard, sc.branch)
 		}
 	}
-	return branchesOf(kept)
+	s.selected = branchesOf(kept)
+	return discard, true
 }
+
+// Selected returns the mode's branches once every branch is scored, nil
+// before.
+func (s *modeSession) Selected() []int { return s.selected }
 
 func branchesOf(kept []scored) []int {
 	out := make([]int, len(kept))

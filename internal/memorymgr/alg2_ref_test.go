@@ -340,7 +340,7 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		}
 		resident := map[dataset.PartKey]bool{}
 		for _, k := range real.Keys() {
-			resident[k] = real.Resident(k)
+			resident[k] = inMemory(real, k)
 		}
 		what := ""
 		switch k := rng.Intn(20); {
@@ -422,7 +422,7 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		// memory without choosing).
 		if what != "Crash" {
 			for _, k := range real.Keys() {
-				if resident[k] && !real.Resident(k) {
+				if resident[k] && !inMemory(real, k) {
 					tr.victims = append(tr.victims, k)
 				}
 			}
@@ -433,9 +433,9 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		}
 		for _, k := range keys {
 			e := ref.find(k)
-			if real.Resident(k) != e.inMemory || real.Checkpointed(k) != e.onDisk {
+			if inMemory(real, k) != e.inMemory || real.Checkpointed(k) != e.onDisk {
 				t.Fatalf("seed %d op %d %s: %s resident=%v durable=%v, reference resident=%v durable=%v",
-					tr.seed, op, what, k, real.Resident(k), real.Checkpointed(k), e.inMemory, e.onDisk)
+					tr.seed, op, what, k, inMemory(real, k), real.Checkpointed(k), e.inMemory, e.onDisk)
 			}
 		}
 		pinned := 0

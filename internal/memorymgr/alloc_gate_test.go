@@ -21,7 +21,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		next := 256
 		evict := func() {
 			a.Put(key(next), 1<<22, sim.VTime(next))
-			if a.Resident(key(next - 256)) {
+			if inMemory(a, key(next-256)) {
 				t.Fatalf("%s: storing partition %d did not evict the oldest", policy, next)
 			}
 			a.Discard(key(next - 256))

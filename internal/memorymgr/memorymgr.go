@@ -266,12 +266,6 @@ func (a *Allocator) Capacity() sim.Bytes { return a.capacity }
 // Used returns the bytes currently resident in memory.
 func (a *Allocator) Used() sim.Bytes { return a.used }
 
-// Resident reports whether the partition is currently in memory.
-func (a *Allocator) Resident(key dataset.PartKey) bool {
-	e, ok := a.entries[key]
-	return ok && e.inMemory
-}
-
 // Known reports whether the allocator tracks the partition at all
 // (in memory or on disk).
 func (a *Allocator) Known(key dataset.PartKey) bool {

@@ -15,6 +15,12 @@ func (m accMap) FutureAccesses(k dataset.PartKey) int { return m[k] }
 
 func key(i int) dataset.PartKey { return dataset.PartKey{Dataset: dataset.ID(i), Index: 0} }
 
+// inMemory reports whether the allocator holds the partition in memory.
+func inMemory(a *Allocator, k dataset.PartKey) bool {
+	e, ok := a.entries[k]
+	return ok && e.inMemory
+}
+
 func newAlloc(capacity sim.Bytes, policy PolicyKind, acc AccessCounter) (*Allocator, *cluster.Node) {
 	node := &cluster.Node{}
 	return NewAllocator(node, cluster.DefaultConfig(), capacity, policy, acc), node
@@ -109,10 +115,10 @@ func TestEvictionOnOverflowLRU(t *testing.T) {
 	a.Put(key(1), 1000, 0)
 	a.Put(key(2), 1000, 1)
 	a.Put(key(3), 1000, 2) // must evict key(1), the least recently used
-	if a.Resident(key(1)) {
+	if inMemory(a, key(1)) {
 		t.Fatal("LRU should have evicted the oldest partition")
 	}
-	if !a.Resident(key(2)) || !a.Resident(key(3)) {
+	if !inMemory(a, key(2)) || !inMemory(a, key(3)) {
 		t.Fatal("younger partitions should stay resident")
 	}
 	if a.Metrics().Evictions != 1 {
@@ -126,7 +132,7 @@ func TestEvictionOnOverflowLRU(t *testing.T) {
 	if hit {
 		t.Fatal("spilled partition must miss")
 	}
-	if !a.Resident(key(1)) {
+	if !inMemory(a, key(1)) {
 		t.Fatal("miss must reload the partition into memory")
 	}
 }
@@ -137,10 +143,10 @@ func TestLRUTouchOnAccess(t *testing.T) {
 	a.Put(key(2), 1000, 1)
 	a.Access(key(1), 2) // key(1) is now more recent than key(2)
 	a.Put(key(3), 1000, 3)
-	if a.Resident(key(2)) {
+	if inMemory(a, key(2)) {
 		t.Fatal("key(2) should have been evicted (least recently used)")
 	}
-	if !a.Resident(key(1)) {
+	if !inMemory(a, key(1)) {
 		t.Fatal("recently touched key(1) should stay")
 	}
 }
@@ -153,10 +159,10 @@ func TestAMMEvictsLowestPreference(t *testing.T) {
 	a.Put(key(1), 1000, 0) // oldest, but 5 future accesses
 	a.Put(key(2), 1000, 1) // no future accesses -> evict first
 	a.Put(key(3), 1000, 2)
-	if a.Resident(key(2)) {
+	if inMemory(a, key(2)) {
 		t.Fatal("AMM should evict the partition with no future accesses")
 	}
-	if !a.Resident(key(1)) {
+	if !inMemory(a, key(1)) {
 		t.Fatal("frequently needed partition must stay despite being oldest")
 	}
 }
@@ -169,10 +175,10 @@ func TestAMMWeighsSize(t *testing.T) {
 	a.Put(key(1), 2000, 0)
 	a.Put(key(2), 500, 1)
 	a.Put(key(3), 1500, 2)
-	if a.Resident(key(2)) {
+	if inMemory(a, key(2)) {
 		t.Fatal("AMM should evict the cheaper-to-reload partition")
 	}
-	if !a.Resident(key(1)) {
+	if !inMemory(a, key(1)) {
 		t.Fatal("expensive partition should stay")
 	}
 }
@@ -180,7 +186,7 @@ func TestAMMWeighsSize(t *testing.T) {
 func TestOversizePartitionGoesToDisk(t *testing.T) {
 	a, _ := newAlloc(1000, LRU, nil)
 	a.Put(key(1), 5000, 0)
-	if a.Resident(key(1)) {
+	if inMemory(a, key(1)) {
 		t.Fatal("partition larger than capacity must go to disk")
 	}
 	if !a.Known(key(1)) {
@@ -201,10 +207,10 @@ func TestPinnedSparedWhileUnpinnedExists(t *testing.T) {
 	a.Pin(key(1))
 	a.Put(key(2), 1000, 1)
 	a.Put(key(3), 1000, 2)
-	if !a.Resident(key(1)) {
+	if !inMemory(a, key(1)) {
 		t.Fatal("pinned partition must be spared")
 	}
-	if a.Resident(key(2)) {
+	if inMemory(a, key(2)) {
 		t.Fatal("unpinned partition should have been evicted instead")
 	}
 }
@@ -217,17 +223,17 @@ func TestUnpinReturnsBytesToEvictable(t *testing.T) {
 	// Capacity forces an eviction: the pinned partition is spared, so the
 	// newer one is the only candidate.
 	a.Put(key(3), 1000, 2)
-	if !a.Resident(key(1)) {
+	if !inMemory(a, key(1)) {
 		t.Fatal("pinned partition must be spared while pinned")
 	}
 	a.Unpin(key(1))
 	// After Unpin the 1000 pinned bytes are evictable again: the next Put
 	// picks key(1) as the LRU victim (oldest access).
 	a.Put(key(4), 1000, 3)
-	if a.Resident(key(1)) {
+	if inMemory(a, key(1)) {
 		t.Fatal("unpinned partition must return to the evictable pool")
 	}
-	if !a.Resident(key(4)) {
+	if !inMemory(a, key(4)) {
 		t.Fatal("new partition should occupy the reclaimed bytes")
 	}
 }
@@ -255,7 +261,7 @@ func TestFailNodeDropsResidency(t *testing.T) {
 	if lost := a.Crash(); len(lost) != 0 {
 		t.Fatalf("lost = %v, want none: both partitions are checkpointed", lost)
 	}
-	if a.Resident(key(1)) || a.Resident(key(2)) {
+	if inMemory(a, key(1)) || inMemory(a, key(2)) {
 		t.Fatal("failure must drop all resident partitions")
 	}
 	if a.Used() != 0 {
@@ -287,14 +293,14 @@ func TestCrashSplitsCheckpointedFromLost(t *testing.T) {
 	if a.Checkpoint(key(1), end) != end {
 		t.Fatal("re-checkpointing a durable partition must be free")
 	}
-	if !a.Resident(key(1)) {
+	if !inMemory(a, key(1)) {
 		t.Fatal("checkpointing must not evict")
 	}
 	lost := a.Crash()
 	if len(lost) != 1 || lost[0].Key != key(2) {
 		t.Fatalf("lost = %v, want only un-checkpointed key(2)", lost)
 	}
-	if !a.Known(key(1)) || a.Resident(key(1)) {
+	if !a.Known(key(1)) || inMemory(a, key(1)) {
 		t.Fatal("checkpointed partition must survive on disk, non-resident")
 	}
 	if a.Known(key(2)) {
@@ -328,7 +334,7 @@ func TestEvacuateAndAdoptSpilled(t *testing.T) {
 
 	survivor, _ := newAlloc(1<<20, AMM, accMap{})
 	survivor.AdoptSpilled(ckpt[0].Key, ckpt[0].Bytes)
-	if !survivor.Known(key(2)) || survivor.Resident(key(2)) {
+	if !survivor.Known(key(2)) || inMemory(survivor, key(2)) {
 		t.Fatal("adopted partition must be known on-disk, non-resident")
 	}
 	_, hit, err := survivor.Access(key(2), 3)
@@ -349,7 +355,7 @@ func TestCheckpointedVictimSpillsForFree(t *testing.T) {
 	spilled := a.Metrics().SpilledBytes
 	a.Put(key(2), 1000, 2)
 	a.Put(key(3), 1000, 3) // evicts key(1), which is already durable
-	if a.Resident(key(1)) {
+	if inMemory(a, key(1)) {
 		t.Fatal("key(1) should have been evicted")
 	}
 	if _, diskAfter, _ := n.FreeAt(); diskAfter != diskBefore {

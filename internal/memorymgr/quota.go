@@ -63,11 +63,6 @@ func NewTenantQuotas(perTenant sim.Bytes) *TenantQuotas {
 	}
 }
 
-// Quota returns the per-tenant quota.
-func (q *TenantQuotas) Quota() sim.Bytes {
-	return q.quota
-}
-
 // SetProbe attaches a telemetry probe: every successful Reserve and every
 // Release emits the tenant's reserved bytes and remaining headroom as
 // gauge series (quota.reserved_bytes.<tenant>, quota.headroom_bytes.<tenant>).
@@ -92,46 +87,17 @@ func (q *TenantQuotas) emitLocked(tenant string) {
 	q.probe.SeriesSet(obs.NodeMaster, "quota.headroom_bytes."+tenant, t, float64(q.quota-q.reserved[tenant]))
 }
 
-// probeLocked reports whether a reservation of bytes would currently fit
-// the tenant's quota, without claiming it. Callers hold q.mu.
-func (q *TenantQuotas) probeLocked(tenant string, bytes sim.Bytes) error {
-	if bytes < 0 {
-		return fmt.Errorf("memorymgr: negative reservation %d for tenant %q", bytes, tenant)
-	}
-	if q.reserved[tenant]+bytes > q.quota {
-		return &QuotaError{Tenant: tenant, Want: bytes, Reserved: q.reserved[tenant], Quota: q.quota}
-	}
-	return nil
-}
-
-// Probe reports whether a reservation of bytes could be admitted for the
-// tenant right now, without reserving anything: nil means a matching
-// Reserve would have succeeded at this instant, a *QuotaError carries the
-// same diagnosis Reserve would have returned. Admission-time feasibility
-// checks (the plan verifier, dry-run clients) use it to diagnose quota
-// rejections without mutating the books; by the time a real Reserve runs
-// the answer may of course have changed.
-func (q *TenantQuotas) Probe(tenant string, bytes sim.Bytes) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.probeLocked(tenant, bytes)
-}
-
-// Headroom returns how many bytes the tenant could still reserve.
-func (q *TenantQuotas) Headroom(tenant string) sim.Bytes {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.quota - q.reserved[tenant]
-}
-
 // Reserve claims bytes against the tenant's quota, returning a *QuotaError
 // when the claim would exceed it. A successful Reserve must be paired with
 // exactly one Release when the job completes, fails or is canceled.
 func (q *TenantQuotas) Reserve(tenant string, bytes sim.Bytes) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.probeLocked(tenant, bytes); err != nil {
-		return err
+	if bytes < 0 {
+		return fmt.Errorf("memorymgr: negative reservation %d for tenant %q", bytes, tenant)
+	}
+	if q.reserved[tenant]+bytes > q.quota {
+		return &QuotaError{Tenant: tenant, Want: bytes, Reserved: q.reserved[tenant], Quota: q.quota}
 	}
 	q.reserved[tenant] += bytes
 	if q.reserved[tenant] > q.peak[tenant] {

@@ -26,6 +26,9 @@ func TestTenantQuotasReserveRelease(t *testing.T) {
 	if qe.Tenant != "a" || qe.Want != 1 || qe.Reserved != 100 || qe.Quota != 100 {
 		t.Fatalf("quota error fields: %+v", qe)
 	}
+	if err := q.Reserve("b", -1); err == nil {
+		t.Fatal("negative reserve succeeded")
+	}
 	// Tenants are isolated: b has its own full quota.
 	if err := q.Reserve("b", 100); err != nil {
 		t.Fatalf("tenant b reserve: %v", err)
@@ -85,43 +88,4 @@ func TestTenantQuotasRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	NewTenantQuotas(0)
-}
-
-func TestTenantQuotasProbeAndHeadroom(t *testing.T) {
-	q := NewTenantQuotas(100)
-	if got := q.Headroom("a"); got != 100 {
-		t.Fatalf("fresh headroom = %d, want 100", got)
-	}
-	// Probe never mutates: a fitting probe changes nothing.
-	if err := q.Probe("a", 100); err != nil {
-		t.Fatalf("probe within quota: %v", err)
-	}
-	if got := q.Headroom("a"); got != 100 {
-		t.Errorf("probe consumed headroom: %d", got)
-	}
-	if err := q.Probe("a", 101); err == nil {
-		t.Error("over-quota probe passed")
-	}
-	if err := q.Probe("a", -1); err == nil {
-		t.Error("negative probe passed")
-	}
-
-	if err := q.Reserve("a", 60); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Headroom("a"); got != 40 {
-		t.Errorf("headroom after reserve = %d, want 40", got)
-	}
-	// Probe agrees with what Reserve would do at this instant.
-	if err := q.Probe("a", 40); err != nil {
-		t.Errorf("probe at exact headroom: %v", err)
-	}
-	var qe *QuotaError
-	if err := q.Probe("a", 41); !errors.As(err, &qe) || qe.Reserved != 60 {
-		t.Errorf("probe past headroom: %v", err)
-	}
-	// Other tenants are unaffected.
-	if got := q.Headroom("b"); got != 100 {
-		t.Errorf("tenant b headroom = %d, want 100", got)
-	}
 }

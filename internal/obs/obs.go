@@ -370,13 +370,6 @@ func (r *Recorder) IntervalEnd(id SpanID, end sim.VTime) {
 	r.mu.Unlock()
 }
 
-// Intervals returns a copy of the recorded intervals in begin order.
-func (r *Recorder) Intervals() []Interval {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Interval(nil), r.intervals...)
-}
-
 // ResourceBusy implements the cluster's resource Observer: each occupation
 // of a node's CPU, disk or network timeline becomes a span on that node's
 // matching resource track — a span begun and ended in one append.

@@ -132,13 +132,3 @@ func (q *CrossJobQueue) Remove(id string) bool {
 	}
 	return false
 }
-
-// Tenant returns the tenant of a queued job and whether it is queued.
-func (q *CrossJobQueue) Tenant(id string) (string, bool) {
-	for _, t := range q.items {
-		if t.ID == id {
-			return t.Tenant, true
-		}
-	}
-	return "", false
-}

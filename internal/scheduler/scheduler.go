@@ -76,11 +76,19 @@ type Lookahead interface {
 	Lookahead(ready []*graph.Stage) []*graph.Stage
 }
 
+// ScoreAware is the hook of a stateful hint that learns from evaluator
+// scores (§4.2(iii)). No policy in this module implements it and the engine
+// does not call it; it stays only because the host-time benchmark's policy
+// wrapper (benchmarks/trace.go, a module of its own) forwards it.
+type ScoreAware interface {
+	// ObserveScore reports that the branch whose head operator carries the
+	// given hint value scored score at the named choose operator.
+	ObserveScore(chooseOp *graph.Operator, hint, score float64)
+}
+
 // Hint orders the candidate branches of an explore (§4.2: scheduling hints
-// derived from choose properties, domain knowledge, or learned models).
+// derived from choose properties or domain knowledge).
 type Hint interface {
-	// Name labels the hint.
-	Name() string
 	// Order returns the candidates in preferred execution order. cands is
 	// the caller's own list (the engine's ready list, BAS's successor
 	// scratch), valid during the call only: Order must not modify or keep
@@ -97,28 +105,19 @@ func DefaultHint() Hint { return defaultHint{} }
 
 type defaultHint struct{}
 
-func (defaultHint) Name() string { return "default" }
-func (defaultHint) Sorted() bool { return false }
+func (defaultHint) Sorted() bool                              { return false }
+func (defaultHint) Order(cands []*graph.Stage) []*graph.Stage { return byID(cands) }
 
-// Order returns cands itself when it is in ascending stage ID already, as
-// the engine's ready list and BAS's successor list always are: a copy per
-// branch head was 256 copies of up to 256 pointers a job on a flat
-// 256-branch explore.
-func (defaultHint) Order(cands []*graph.Stage) []*graph.Stage {
+// byID returns cands in ascending stage ID: cands itself when it is in that
+// order already, as the engine's ready list and BAS's successor list always
+// are (a copy per branch head was 256 copies of up to 256 pointers a job on
+// a flat 256-branch explore), a sorted copy otherwise.
+func byID(cands []*graph.Stage) []*graph.Stage {
 	if slices.IsSortedFunc(cands, graph.CompareStageID) {
 		return cands
 	}
-	return byID(cands)
-}
-
-// byID returns a copy of cands in ascending stage ID. It copies even when
-// cands arrives in that order (the engine's ready list and BAS's successor
-// list do): the stateful hints sort what it returns in place.
-func byID(cands []*graph.Stage) []*graph.Stage {
 	out := slices.Clone(cands)
-	if !slices.IsSortedFunc(out, graph.CompareStageID) {
-		slices.SortFunc(out, graph.CompareStageID)
-	}
+	slices.SortFunc(out, graph.CompareStageID)
 	return out
 }
 
@@ -129,7 +128,6 @@ func SortedHint(descending bool) Hint { return sortedHint{desc: descending} }
 
 type sortedHint struct{ desc bool }
 
-func (sortedHint) Name() string { return "sorted" }
 func (sortedHint) Sorted() bool { return true }
 func (h sortedHint) Order(cands []*graph.Stage) []*graph.Stage {
 	out := slices.Clone(cands)
@@ -152,7 +150,6 @@ func RandomHint(seed int64) Hint { return &randomHint{rng: stats.NewRNG(seed)} }
 
 type randomHint struct{ rng *stats.RNG }
 
-func (*randomHint) Name() string { return "random" }
 func (*randomHint) Sorted() bool { return false }
 func (h *randomHint) Order(cands []*graph.Stage) []*graph.Stage {
 	out := byID(cands)
@@ -162,34 +159,6 @@ func (h *randomHint) Order(cands []*graph.Stage) []*graph.Stage {
 		shuffled[i] = out[p]
 	}
 	return shuffled
-}
-
-// PriorityHint orders branches by a user-supplied comparison; supports
-// stateful, model-based prioritisation (§4.2(iii)).
-func PriorityHint(name string, less func(a, b *graph.Stage) bool, sorted bool) Hint {
-	return priorityHint{name: name, less: less, sorted: sorted}
-}
-
-type priorityHint struct {
-	name   string
-	less   func(a, b *graph.Stage) bool
-	sorted bool
-}
-
-func (h priorityHint) Name() string { return h.name }
-func (h priorityHint) Sorted() bool { return h.sorted }
-func (h priorityHint) Order(cands []*graph.Stage) []*graph.Stage {
-	out := slices.Clone(cands)
-	slices.SortStableFunc(out, func(a, b *graph.Stage) int {
-		switch {
-		case h.less(a, b):
-			return -1
-		case h.less(b, a):
-			return 1
-		}
-		return 0
-	})
-	return out
 }
 
 // BFS is the baseline breadth-first stage scheduler (§4.2): all stages of a
@@ -292,23 +261,14 @@ func (b *bas) Init(p *graph.Plan)   { b.plan = p }
 // SetPickObserver implements PickObservable.
 func (b *bas) SetPickObserver(f func(PickRecord)) { b.observe = f }
 
-// ObserveScore implements ScoreAware by forwarding evaluator scores to a
-// stateful hint.
-func (b *bas) ObserveScore(chooseOp *graph.Operator, hint, score float64) {
-	if sa, ok := b.hint.(ScoreAware); ok {
-		sa.ObserveScore(chooseOp, hint, score)
-	}
-}
-
 // Lookahead implements Lookahead. A stage that is ready now is picked when
 // no successor of the last executed stage is, by the hint's order over the
-// ready list; that is the order reported, for the hints whose Order reads
-// their state without writing it. Under any other hint — the random one
-// draws from its RNG, a caller's own or a PriorityHint's comparison may do
-// anything — BAS cannot tell.
+// ready list; that is the order reported, for the hints whose Order keeps no
+// state. Under any other hint — the random one draws from its RNG, a
+// caller's own may do anything — BAS cannot tell.
 func (b *bas) Lookahead(ready []*graph.Stage) []*graph.Stage {
 	switch b.hint.(type) {
-	case defaultHint, sortedHint, *modelHint, *binarySearchHint:
+	case defaultHint, sortedHint:
 		return b.hint.Order(ready)
 	}
 	return nil

@@ -148,19 +148,6 @@ func TestRandomHintCoversAllOrders(t *testing.T) {
 	}
 }
 
-func TestPriorityHint(t *testing.T) {
-	p, heads := buildPlan(t, []float64{1, 2, 3})
-	// Prioritise the highest hint (a learned model might do this).
-	h := PriorityHint("model", func(a, b *graph.Stage) bool {
-		return a.First().Hint > b.First().Hint
-	}, false)
-	pol := BAS(h)
-	pol.Init(p)
-	if got := pol.Pick(heads, nil); got != heads[2] {
-		t.Fatalf("priority hint picked %v, want hint=3", got.First().Hint)
-	}
-}
-
 func TestDefaultHintDefinitionOrder(t *testing.T) {
 	_, heads := buildPlan(t, []float64{9, 5, 7})
 	ordered := DefaultHint().Order([]*graph.Stage{heads[2], heads[0], heads[1]})
@@ -171,8 +158,7 @@ func TestDefaultHintDefinitionOrder(t *testing.T) {
 
 // simulatePicks drives a policy over the plan as the engine would with no
 // pruning — the ready list in stage-ID order, every stage settling as it is
-// picked, a score reported whenever a branch's last stage ran — and returns
-// the pick sequence. Before each Pick it calls peek(ready), which may call
+// picked — and returns the pick sequence. Before each Pick it calls peek(ready), which may call
 // the policy's Lookahead as often as it likes and returns the stage it
 // expects to be picked (nil for none): the expectation is checked whenever no
 // successor of the last stage is ready, which is when the ready list's order
@@ -214,14 +200,24 @@ func simulatePicks(t *testing.T, p *graph.Plan, pol Policy, peek func(ready []*g
 				j, _ := slices.BinarySearchFunc(ready, post, graph.CompareStageID)
 				ready = slices.Insert(ready, j, post)
 			}
-			if sa, ok := pol.(ScoreAware); ok && post.IsChoose() {
-				h := next.First().Hint
-				sa.ObserveScore(post.Ops[0], h, (h-3)*(h-3))
-			}
 		}
 		last = next
 	}
 	return picks
+}
+
+// flippingHint is a caller's own hint that keeps state: it reverses its
+// order on every other call, so a speculative ranking would move later picks.
+type flippingHint struct{ calls int }
+
+func (*flippingHint) Sorted() bool { return false }
+func (h *flippingHint) Order(cands []*graph.Stage) []*graph.Stage {
+	h.calls++
+	out := slices.Clone(cands)
+	if h.calls%2 == 0 {
+		slices.Reverse(out)
+	}
+	return out
 }
 
 // TestLookaheadLeavesPicksAlone is the property the engine's compute-ahead
@@ -229,7 +225,7 @@ func simulatePicks(t *testing.T, p *graph.Plan, pol Policy, peek func(ready []*g
 // however often it is asked in between, what it answers is the ready list
 // reordered, and when no successor of the last stage is ready its first
 // answer is the next pick. A policy that cannot tell — ranking draws from an
-// RNG or runs a caller's comparison — says nil, every time.
+// RNG or runs a caller's own hint — says nil, every time.
 func TestLookaheadLeavesPicksAlone(t *testing.T) {
 	policies := []struct {
 		name    string
@@ -240,20 +236,8 @@ func TestLookaheadLeavesPicksAlone(t *testing.T) {
 		{name: "bas", make: func() Policy { return BAS(nil) }},
 		{name: "bas-sorted-asc", make: func() Policy { return BAS(SortedHint(false)) }},
 		{name: "bas-sorted-desc", make: func() Policy { return BAS(SortedHint(true)) }},
-		{name: "bas-model-min", make: func() Policy { return BAS(ModelHint(false)) }},
-		{name: "bas-model-max", make: func() Policy { return BAS(ModelHint(true)) }},
-		{name: "bas-binary-search", make: func() Policy { return BAS(BinarySearchHint(false)) }},
 		{name: "bas-random", make: func() Policy { return BAS(RandomHint(7)) }, cantSay: true},
-		// The comparison is the caller's code, and this one keeps state: it
-		// flips its preference every 16 calls, so a speculative ranking would
-		// move later picks.
-		{name: "bas-priority", make: func() Policy {
-			calls := 0
-			return BAS(PriorityHint("flipping", func(a, b *graph.Stage) bool {
-				calls++
-				return (a.ID%2 > b.ID%2) == (calls/16%2 == 0)
-			}, false))
-		}, cantSay: true},
+		{name: "bas-flipping", make: func() Policy { return BAS(&flippingHint{}) }, cantSay: true},
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := stats.NewRNG(seed)

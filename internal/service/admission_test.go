@@ -210,7 +210,7 @@ func answerOf(t *testing.T, s *Server, req JobRequest) answer {
 	return answer{State: st.State, JobErr: st.Error, Selections: st.Selections, Completion: st.CompletionSec}
 }
 
-// TestMetadataIsNotIdentity: Spec.Hash identifies the computation and leaves
+// TestMetadataIsNotIdentity: the content hash identifies the computation and leaves
 // out every name, label and the allow list, so it cannot key anything a
 // client observes. Three pairs of documents with equal content hashes — one
 // differing in its operator names, one in a branch label, one in its allow
@@ -283,7 +283,7 @@ func mustHash(t *testing.T, doc string) spec.Hash {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp.Hash()
+	return sp.HashReport().Spec
 }
 
 // TestConcurrentSubmitOfOneDocument races two submitters on one document,
@@ -293,7 +293,7 @@ func mustHash(t *testing.T, doc string) spec.Hash {
 // by side. All four jobs come to the same end. It is in the race gate (make
 // race-short) and so does not skip under -short.
 func TestConcurrentSubmitOfOneDocument(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	const rounds = 16
 	bytesWant := 0
@@ -684,7 +684,7 @@ func TestRepeatAllocatesLess(t *testing.T) {
 		t.Errorf("admission of a repeated document allocates %.0f times, of a new one %.0f: more than 0.75", repeat, cold)
 	}
 
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	cold, repeat = measure(s, func(JobStatus) { s.WaitIdle() })
 	t.Logf("Submit + WaitIdle: new document %.0f allocations, repeated %.0f (%.2f)", cold, repeat, repeat/cold)
@@ -696,7 +696,7 @@ func TestRepeatAllocatesLess(t *testing.T) {
 // TestHealthzReportsVetMemo: /healthz says what the memo holds and how it is
 // doing; /metrics, a deterministic document, does not mention it.
 func TestHealthzReportsVetMemo(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	h := s.Handler()
 	for i := 0; i < 3; i++ {

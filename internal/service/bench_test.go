@@ -25,7 +25,7 @@ func BenchmarkServiceJob(b *testing.B) {
 		{"repeat", func(int) json.RawMessage { return json.RawMessage(doc) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := New(Config{})
+			s := open(b, Config{})
 			defer s.Close()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -20,7 +20,7 @@ import (
 // the determinism claim has to survive. Runs under `make race-short`.
 func TestConcurrentSubmissionDeterminism(t *testing.T) {
 	run := func() []byte {
-		s := New(Config{MaxActive: 2})
+		s := open(t, Config{MaxActive: 2})
 		defer s.Close()
 		h := s.Handler()
 

@@ -20,7 +20,7 @@ import (
 // or is rejected with the draining status (503), never lost, and that
 // every follower's stream terminates with well-formed NDJSON.
 func TestDrainRacesSubmissionsAndWatchers(t *testing.T) {
-	s := New(Config{Workers: 2, MemPerWorker: 4 << 20, TenantQuota: 1 << 40,
+	s := open(t, Config{Workers: 2, MemPerWorker: 4 << 20, TenantQuota: 1 << 40,
 		QueueCap: 256, MaxActive: 4, DrainStepBudget: 1 << 20})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -27,7 +27,7 @@ func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 func TestHTTPSubmitAndStatus(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	h := s.Handler()
 
@@ -103,7 +103,7 @@ func TestHTTPOverloadStatusCodes(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	h := s.Handler()
 
@@ -165,7 +165,7 @@ func TestHTTPCancel(t *testing.T) {
 }
 
 func TestHTTPMetricsAndHealthz(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	h := s.Handler()
 	postJob(t, h, `{"tenant": "a", "spec": `+okSpec+`}`)
 	s.WaitIdle()
@@ -215,7 +215,7 @@ func TestHTTPMetricsAndHealthz(t *testing.T) {
 // quiescence returns identical bytes (the endpoint is a pure function of
 // service state).
 func TestHTTPMetricsBytesStableAcrossReads(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	h := s.Handler()
 	postJob(t, h, `{"tenant": "a", "spec": `+okSpec+`}`)

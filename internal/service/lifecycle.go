@@ -122,7 +122,7 @@ func (s *Server) strikeLocked(j *job) {
 	s.strikes[j.tenant]++
 	if s.strikes[j.tenant] >= s.cfg.QuarantineStrikes {
 		if _, already := s.quarantined[j.tenant]; !already {
-			s.quarantined[j.tenant] = s.cfg.QuarantineCooldownJobs
+			s.quarantined[j.tenant] = quarantineCooldownJobs
 			s.ctr.quarantines++
 		}
 	}

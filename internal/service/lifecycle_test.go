@@ -119,7 +119,9 @@ func watchLifecycle(t *testing.T, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	for _, ev := range s.WatchEvents(0) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ev := range s.watch {
 		if ev.Kind != "lifecycle" {
 			continue
 		}

@@ -109,19 +109,6 @@ func (s *Server) watchBucketsLocked(j *job, gauges []obs.GaugeBucket) {
 	s.cond.Broadcast()
 }
 
-// WatchEvents returns a copy of the watch log after seq afterSeq. Seq is
-// dense from 1, so event seq sits at index seq-1 and a resume costs what it
-// returns, not the history before it.
-func (s *Server) WatchEvents(afterSeq int) []WatchEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	afterSeq = max(afterSeq, 0)
-	if afterSeq >= len(s.watch) {
-		return nil
-	}
-	return slices.Clone(s.watch[afterSeq:])
-}
-
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Progress(strings.TrimSpace(r.PathValue("id")))
 	if err != nil {

@@ -67,46 +67,21 @@ func TestProgressReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestWatchEventsResume reads the watch log from every resume point: seq is
-// dense from 1, so resuming after seq n returns the events from index n on,
-// a copy the caller may keep.
-func TestWatchEventsResume(t *testing.T) {
+// TestWatchSeqDense pins what a resume point rests on: the watch log's seq is
+// dense from 1, so the event with seq n sits at index n-1.
+func TestWatchSeqDense(t *testing.T) {
 	s := newServer(Config{})
-	if got := s.WatchEvents(0); got != nil {
-		t.Fatalf("empty log: WatchEvents(0) = %v, want nil", got)
-	}
 	for _, tenant := range []string{"a", "b"} {
 		submitOK(t, s, tenant, okSpec, "")
 	}
 	for turn(s) {
 	}
-	all := s.WatchEvents(0)
-	if len(all) < 8 {
-		t.Fatalf("log has %d events, want the lifecycle and bucket events of two jobs", len(all))
+	if len(s.watch) < 8 {
+		t.Fatalf("log has %d events, want the lifecycle and bucket events of two jobs", len(s.watch))
 	}
-	for i, ev := range all {
+	for i, ev := range s.watch {
 		if ev.Seq != i+1 {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
 		}
-	}
-	for _, c := range []struct {
-		name  string
-		after int
-		want  []WatchEvent
-	}{
-		{"before the first seq", -3, all},
-		{"mid-log", 3, all[3:]},
-		{"one before the end", len(all) - 1, all[len(all)-1:]},
-		{"at the end", len(all), nil},
-		{"past the end", len(all) + 7, nil},
-	} {
-		if got := s.WatchEvents(c.after); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: WatchEvents(%d) = %v, want %v", c.name, c.after, got, c.want)
-		}
-	}
-	tail := s.WatchEvents(3)
-	tail[0].Job = "scribbled"
-	if again := s.WatchEvents(3); again[0].Job == "scribbled" {
-		t.Error("WatchEvents handed out the log itself, not a copy")
 	}
 }

@@ -24,8 +24,9 @@ import (
 //     before writing each record, so nothing is booked a second way;
 //   - incomplete jobs re-reserve their tenant quota and requeue at
 //     attempt zero in admitted order: deterministic re-execution from the
-//     journaled spec and fault plan IS the recovery mechanism, and the
-//     engine resumes from whichever checkpoint-store entries verify;
+//     journaled spec and fault plan IS the recovery mechanism. The
+//     checkpoint store is not read for it; the engine reads an entry only
+//     when a node crash inside a run leans on a durable copy;
 //   - a dedup index maps (tenant, spec content hash) to recovered job
 //     IDs, so clients that blindly re-submit their jobs after a crash get
 //     the recovered job back instead of a duplicate admission.
@@ -47,10 +48,10 @@ type recoveryCounters struct {
 	appendErrors     int64
 }
 
-// Open starts a server like New but with crash-consistent state rooted at
-// cfg.StateDir: the job journal is replayed before the step loop starts,
-// so recovered queued jobs begin executing immediately. An empty StateDir
-// yields a memory-only server identical to New's.
+// Open starts a server and its step loop. With a StateDir its state is
+// crash-consistent and rooted there: the job journal is replayed before the
+// step loop starts, so recovered queued jobs begin executing immediately.
+// An empty StateDir yields a memory-only server.
 func Open(cfg Config) (*Server, error) {
 	s := newServer(cfg)
 	if s.cfg.StateDir != "" {

@@ -280,13 +280,13 @@ func TestRecoveryHealsCorruptJournal(t *testing.T) {
 }
 
 // TestMemoryOnlyServerUnchanged pins the compatibility contract: a server
-// built with New never journals, never emits recovery counters, and its
-// metrics bytes are identical to a pre-durability server's.
+// opened without a StateDir never journals, never emits recovery counters,
+// and its metrics bytes are identical to a pre-durability server's.
 func TestMemoryOnlyServerUnchanged(t *testing.T) {
-	s := New(Config{StateDir: "should-be-ignored"})
+	s := open(t, Config{})
 	defer s.Close()
 	if s.jnl != nil || s.ckpts != nil {
-		t.Fatal("New built durable state")
+		t.Fatal("a server without a StateDir built durable state")
 	}
 	submitOK(t, s, "alpha", okSpec, "")
 	s.WaitIdle()

@@ -54,16 +54,9 @@ type Config struct {
 	// DeadlineSec is the default per-job virtual deadline in simulated
 	// seconds; 0 means no deadline. A request may override it.
 	DeadlineSec float64
-	// Retry bounds service-level re-admission of jobs that failed with an
-	// operator panic; zero fields take faults defaults.
-	Retry faults.RetryPolicy
 	// QuarantineStrikes is the number of panic-failed attempts after which
 	// a tenant is quarantined (circuit broken).
 	QuarantineStrikes int
-	// QuarantineCooldownJobs is how many further job completions (any
-	// tenant) a quarantine lasts; measured in completions, not seconds, so
-	// it is deterministic.
-	QuarantineCooldownJobs int
 	// DrainStepBudget is how many more engine steps each active job may
 	// take once draining starts before it is canceled and checkpointed.
 	DrainStepBudget int
@@ -77,8 +70,7 @@ type Config struct {
 	// and a content-addressed durable checkpoint store under
 	// StateDir/ckpt. Open replays the journal on boot — re-reserving
 	// tenant quotas, restoring terminal jobs verbatim, and re-admitting
-	// incomplete jobs idempotently (recovery.go). New ignores this field;
-	// use Open.
+	// incomplete jobs idempotently (recovery.go).
 	StateDir string
 	// JournalNoSync skips the fsync after each journal append. The
 	// crash-restart harness sets it because its crashes are materialised
@@ -91,6 +83,10 @@ const (
 	// ageEvery is the cross-job priority-aging period in pop decisions
 	// (scheduler.CrossJobQueue).
 	ageEvery = 4
+	// quarantineCooldownJobs is how many further job completions (any
+	// tenant) a quarantine lasts; measured in completions, not seconds, so
+	// it is deterministic.
+	quarantineCooldownJobs = 8
 	// watchBucketSec is the virtual-time bucket width of the telemetry
 	// series behind /watch and /series.
 	watchBucketSec = obs.DefaultBucketSec
@@ -112,12 +108,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxActive <= 0 {
 		c.MaxActive = 2
 	}
-	c.Retry = c.Retry.WithDefaults()
 	if c.QuarantineStrikes <= 0 {
 		c.QuarantineStrikes = 3
-	}
-	if c.QuarantineCooldownJobs <= 0 {
-		c.QuarantineCooldownJobs = 8
 	}
 	if c.DrainStepBudget <= 0 {
 		c.DrainStepBudget = 4
@@ -348,15 +340,6 @@ type Server struct {
 
 	// memo is the admission memo; it has its own lock (admission.go).
 	memo vetMemo
-}
-
-// New starts a memory-only server and its step loop. Config.StateDir is
-// ignored; crash-consistent servers are built with Open.
-func New(cfg Config) *Server {
-	cfg.StateDir = ""
-	s := newServer(cfg)
-	go s.loop()
-	return s
 }
 
 // newServer builds a server without starting the step loop; tests use it to
@@ -702,8 +685,8 @@ func (s *Server) startLocked(j *job) error {
 		Context: ctx,
 		Probe:   gauges,
 		// Durable servers mirror every checkpoint into the shared store,
-		// keyed by spec chain hashes, so restarts and same-spec jobs
-		// resume from verified on-disk copies.
+		// keyed by spec chain hashes; a node crash inside the run
+		// verifies a durable copy against it before trusting it.
 		Checkpoint: s.ckpts != nil,
 		Ckpts:      s.ckpts,
 		CkptChains: j.chains,
@@ -790,10 +773,10 @@ func (s *Server) finalizeRunLocked(j *job) {
 		j.deadlineHit = true
 	case engine.IsPanic(err):
 		s.strikeLocked(j)
-		if j.attempts < s.cfg.Retry.MaxAttempts && !s.draining {
+		if retry := faults.DefaultRetry(); j.attempts < retry.MaxAttempts && !s.draining {
 			// Transient failure with attempts left: requeue with the
 			// policy's exponential backoff charged in virtual seconds.
-			j.backoff += s.cfg.Retry.Backoff(j.attempts)
+			j.backoff += retry.Backoff(j.attempts)
 			if s.queue.Push(j.id, j.tenant, j.priority) {
 				j.run.ProgressInto(&j.progress)
 				j.run, j.gauges, j.cancel = nil, nil, nil

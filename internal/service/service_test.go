@@ -60,6 +60,16 @@ const boomSpec = `{
 
 const boomFaults = `{"panics": [{"op": "boom", "target": "transform", "times": 1000}]}`
 
+// open starts a server with its step loop, failing the test if it cannot.
+func open(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func submitOK(t *testing.T, s *Server, tenant, specJSON, faultsJSON string) JobStatus {
 	t.Helper()
 	req := JobRequest{Tenant: tenant, Spec: json.RawMessage(specJSON)}
@@ -74,7 +84,7 @@ func submitOK(t *testing.T, s *Server, tenant, specJSON, faultsJSON string) JobS
 }
 
 func TestServiceRunsJobsToCompletion(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	var ids []string
 	for i := 0; i < 3; i++ {
@@ -144,8 +154,8 @@ func TestServiceOverloadShedsAndQuotaHolds(t *testing.T) {
 	go s.loop()
 	s.WaitIdle()
 	for _, tenant := range []string{"a", "b", "c"} {
-		if peak := s.quotas.Peak(tenant); peak > s.quotas.Quota() {
-			t.Fatalf("tenant %s peak reservation %d exceeded quota %d", tenant, peak, s.quotas.Quota())
+		if peak := s.quotas.Peak(tenant); peak > s.cfg.TenantQuota {
+			t.Fatalf("tenant %s peak reservation %d exceeded quota %d", tenant, peak, s.cfg.TenantQuota)
 		}
 		if left := s.quotas.Reserved(tenant); left != 0 {
 			t.Fatalf("tenant %s still holds %d bytes after idle", tenant, left)
@@ -162,7 +172,7 @@ func TestServiceOverloadShedsAndQuotaHolds(t *testing.T) {
 }
 
 func TestServiceDeadlineCancelsRun(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	st, err := s.Submit(JobRequest{
 		Tenant:      "t",
@@ -193,7 +203,7 @@ func TestServiceDeadlineCancelsRun(t *testing.T) {
 // panics on every attempt burns its retries, trips the tenant's circuit
 // breaker, and leaves other tenants' jobs unaffected.
 func TestServiceQuarantineIsolatesTenant(t *testing.T) {
-	s := New(Config{QuarantineStrikes: 3, QuarantineCooldownJobs: 4})
+	s := open(t, Config{QuarantineStrikes: 3})
 	defer s.Close()
 	bad := submitOK(t, s, "noisy", boomSpec, boomFaults)
 	good := submitOK(t, s, "quiet", okSpec, "")
@@ -352,7 +362,7 @@ func TestServiceCancelQueuedAndRunning(t *testing.T) {
 }
 
 func TestServiceRejectsBadRequests(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	cases := map[string]JobRequest{
 		"no tenant":   {Spec: json.RawMessage(okSpec)},

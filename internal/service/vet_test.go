@@ -36,7 +36,7 @@ const hugeSpec = `{
 // a *VetError carrying the findings, and no quota is ever reserved for the
 // tenant — vetting runs strictly before admission accounting.
 func TestSubmitVetRejectsBeforeReservation(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 
 	_, err := s.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(dupSpec)})
@@ -70,7 +70,7 @@ func TestSubmitVetRejectsBeforeReservation(t *testing.T) {
 // service's own cluster shape and quota, so a spec that could pass under
 // mdf plan defaults is still rejected by a smaller service.
 func TestSubmitVetMemoryInfeasible(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 
 	_, err := s.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(hugeSpec)})
@@ -94,13 +94,13 @@ func TestSubmitVetMemoryInfeasible(t *testing.T) {
 // TestSubmitVetEscapes: DisableVet admits condemned specs wholesale, and a
 // spec-level allow escapes a single rule with the vet otherwise on.
 func TestSubmitVetEscapes(t *testing.T) {
-	s := New(Config{DisableVet: true})
+	s := open(t, Config{DisableVet: true})
 	if _, err := s.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(dupSpec)}); err != nil {
 		t.Fatalf("DisableVet still rejected: %v", err)
 	}
 	s.Close()
 
-	s2 := New(Config{})
+	s2 := open(t, Config{})
 	defer s2.Close()
 	allowed := strings.Replace(dupSpec, `"name": "dup",`, `"name": "dup", "allow": ["dupbranch"],`, 1)
 	if _, err := s2.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(allowed)}); err != nil {
@@ -111,7 +111,7 @@ func TestSubmitVetEscapes(t *testing.T) {
 // TestHTTPVetRejection pins the wire shape: 400 with the error line plus
 // one structured finding object per diagnostic.
 func TestHTTPVetRejection(t *testing.T) {
-	s := New(Config{})
+	s := open(t, Config{})
 	defer s.Close()
 	h := s.Handler()
 

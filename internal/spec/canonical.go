@@ -81,16 +81,6 @@ func (s *Spec) Canonicalize() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// Canonical parses a document and returns its canonical form; it is the
-// one-call path used by mdf plan -canonical and -write.
-func Canonical(data []byte) ([]byte, error) {
-	s, err := Parse(data)
-	if err != nil {
-		return nil, err
-	}
-	return s.Canonicalize()
-}
-
 // Normalized returns a deep copy with every default materialised and every
 // dead field zeroed — the structure Canonicalize renders and the content
 // hash consumes. Static analyses (internal/plan) operate on it so they see

@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// canonical parses a document and returns its canonical form.
+func canonical(data []byte) ([]byte, error) {
+	s, err := Parse(data)
+	if err != nil {
+		return nil, err
+	}
+	return s.Canonicalize()
+}
+
 // TestCanonicalizeFixpoint: Parse → Canonicalize → Parse → Canonicalize is
 // byte-identical, on the sample spec and on a minimal one.
 func TestCanonicalizeFixpoint(t *testing.T) {
@@ -16,11 +25,11 @@ func TestCanonicalizeFixpoint(t *testing.T) {
 		"minimal": `{"source":{"rows":5},"pipeline":[{"op":{"name":"x"}}]}`,
 		"iterate": `{"source":{"rows":5},"pipeline":[{"iterate":{"name":"i","rounds":3,"op":{"fn":"square","name":"sq"}}}]}`,
 	} {
-		c1, err := Canonical([]byte(doc))
+		c1, err := canonical([]byte(doc))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		c2, err := Canonical(c1)
+		c2, err := canonical(c1)
 		if err != nil {
 			t.Fatalf("%s: reparse canonical: %v", name, err)
 		}
@@ -49,7 +58,7 @@ func TestCanonicalizeNormalizes(t *testing.T) {
 	    }}
 	  ]
 	}`
-	out, err := Canonical([]byte(doc))
+	out, err := canonical([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +100,7 @@ func TestCanonicalizeNormalizes(t *testing.T) {
 // and seed are dead and leave the canonical form.
 func TestCanonicalizeFileSourceDropsGenerator(t *testing.T) {
 	doc := `{"source":{"file":"/tmp/x","rows":0,"distribution":"uniform","seed":9},"pipeline":[{"op":{"name":"x"}}]}`
-	out, err := Canonical([]byte(doc))
+	out, err := canonical([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ func TestSchemaVersion(t *testing.T) {
 		}
 	}
 	// Missing version is fine and canonicalizes to the current one.
-	out, err := Canonical([]byte(`{"source":{"rows":5},"pipeline":[{"op":{"name":"x"}}]}`))
+	out, err := canonical([]byte(`{"source":{"rows":5},"pipeline":[{"op":{"name":"x"}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +153,7 @@ func TestGoldenCanonicalFixtures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Canonical(data)
+		got, err := canonical(data)
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue

@@ -15,7 +15,7 @@ import (
 //
 // Three granularities are exposed:
 //
-//   - Spec.Hash(): the whole-graph hash. Branch order, hints, costs,
+//   - HashReport().Spec: the whole-graph hash. Branch order, hints, costs,
 //     selector and evaluator configuration are all included: two specs
 //     with equal hashes schedule and compute identically.
 //   - chain prefixes: one hash per (source, operator-prefix) pair, for
@@ -99,11 +99,6 @@ type HashReport struct {
 	// report: it is an engine-side index, not part of the canonical hash
 	// surface.
 	OpChains []Hash `json:"-"`
-}
-
-// Hash returns the spec's whole-graph semantic content hash.
-func (s *Spec) Hash() Hash {
-	return s.HashReport().Spec
 }
 
 // HashReport computes the whole-graph hash plus every chain-prefix and

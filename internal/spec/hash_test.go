@@ -11,7 +11,7 @@ func mustHash(t *testing.T, doc string) Hash {
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, doc)
 	}
-	return s.Hash()
+	return s.HashReport().Spec
 }
 
 // baseDoc is the sensitivity-table baseline: a trunk op, an explore with

@@ -84,13 +84,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestPathsCount(t *testing.T) {
-	p := smallParams()
-	if got, want := p.Paths(), 4*2*2; got != want {
-		t.Errorf("Paths() = %d, want %d", got, want)
-	}
-}
-
 func TestExhaustiveMDFRuns(t *testing.T) {
 	p := smallParams()
 	g, err := dnn.BuildExhaustiveMDF(p)
@@ -106,8 +99,8 @@ func TestExhaustiveMDFRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if res.Metrics.ChooseEvals != p.Paths() {
-		t.Errorf("choose evals = %d, want %d", res.Metrics.ChooseEvals, p.Paths())
+	if paths := len(p.Inits) * len(p.LearningRates) * len(p.Momenta); res.Metrics.ChooseEvals != paths {
+		t.Errorf("choose evals = %d, want %d, one per W × R × M path", res.Metrics.ChooseEvals, paths)
 	}
 	if res.Output == nil || res.Output.NumRows() != 1 {
 		t.Fatalf("want a single selected model, got %v", res.Output)
@@ -175,8 +168,8 @@ func TestExpandExhaustiveFamily(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExpandJobs: %v", err)
 	}
-	if len(jobs) != p.Paths() {
-		t.Errorf("expanded jobs = %d, want %d", len(jobs), p.Paths())
+	if paths := len(p.Inits) * len(p.LearningRates) * len(p.Momenta); len(jobs) != paths {
+		t.Errorf("expanded jobs = %d, want %d, one per W × R × M path", len(jobs), paths)
 	}
 }
 

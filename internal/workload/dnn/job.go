@@ -71,9 +71,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Paths returns |W × R × M|, the exhaustive exploration size.
-func (p Params) Paths() int { return len(p.Inits) * len(p.LearningRates) * len(p.Momenta) }
-
 // modelRow wraps a trained model as the single row of a branch's output
 // dataset.
 type modelRow struct {

@@ -67,36 +67,6 @@ func TestEstimatorDensityPositiveNearData(t *testing.T) {
 	}
 }
 
-func TestLogLikelihoodPrefersMatchingBandwidth(t *testing.T) {
-	// A spread sample should prefer a moderate bandwidth over a tiny one.
-	k, _ := kde.KernelByName("gaussian")
-	samples := make([]float64, 200)
-	hold := make([]float64, 50)
-	rngVals := func(seed float64, n int, out []float64) {
-		v := seed
-		for i := 0; i < n; i++ {
-			v = math.Mod(v*997+0.1234, 1)
-			out[i] = 4 * (v - 0.5)
-		}
-	}
-	rngVals(0.37, 200, samples)
-	rngVals(0.81, 50, hold)
-	tiny := kde.NewEstimator(k, 0.001, samples).LogLikelihood(hold)
-	good := kde.NewEstimator(k, 0.5, samples).LogLikelihood(hold)
-	if good <= tiny {
-		t.Errorf("bandwidth 0.5 loglik %f should beat 0.001 loglik %f", good, tiny)
-	}
-}
-
-func TestMISEOfPerfectReferenceIsZeroish(t *testing.T) {
-	k, _ := kde.KernelByName("gaussian")
-	est := kde.NewEstimator(k, 0.3, []float64{0, 1, -1, 0.5, -0.5})
-	mise := est.MISE(est.Density, -3, 3, 100)
-	if mise != 0 {
-		t.Errorf("MISE against itself = %f, want 0", mise)
-	}
-}
-
 func TestBuildMDFRuns(t *testing.T) {
 	g, err := kde.BuildMDF(smallParams())
 	if err != nil {
@@ -245,36 +215,6 @@ func TestExampleParamsValidation(t *testing.T) {
 	p.Bandwidth = 0
 	if _, err := kde.BuildExampleMDF(p); err == nil {
 		t.Error("zero bandwidth should be rejected")
-	}
-}
-
-func TestSilvermanBandwidth(t *testing.T) {
-	// Standard normal sample of size n: Silverman gives ~1.06 n^(-1/5).
-	rngVals := func(n int) []float64 {
-		out := make([]float64, n)
-		v := 0.5
-		for i := range out {
-			// Sum of 12 uniforms - 6 approximates a standard normal.
-			var s float64
-			for j := 0; j < 12; j++ {
-				v = math.Mod(v*9301+0.49297, 1)
-				s += v
-			}
-			out[i] = s - 6
-		}
-		return out
-	}
-	xs := rngVals(1000)
-	h := kde.SilvermanBandwidth(xs)
-	want := 1.06 * math.Pow(1000, -0.2)
-	if h < want*0.5 || h > want*1.5 {
-		t.Errorf("Silverman bandwidth = %v, want around %v", h, want)
-	}
-	if kde.SilvermanBandwidth([]float64{1}) != 1 {
-		t.Error("degenerate input should return 1")
-	}
-	if kde.SilvermanBandwidth([]float64{2, 2, 2, 2}) <= 0 {
-		t.Error("constant input must still give a positive bandwidth")
 	}
 }
 

@@ -8,7 +8,6 @@ package kde
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Kernel is a symmetric probability kernel K(u) with support on [-1, 1]
@@ -166,72 +165,4 @@ func kernelSum(k func(float64) float64, x, h float64, samples []float64) float64
 		sum += k((x - xi) / h)
 	}
 	return sum
-}
-
-// LogLikelihood returns the mean log density over the hold-out points, the
-// score the profiling job maximises (§6). Zero densities are floored to
-// avoid -Inf.
-func (e *Estimator) LogLikelihood(holdout []float64) float64 {
-	if len(holdout) == 0 {
-		return 0
-	}
-	const floor = 1e-12
-	var ll float64
-	for _, x := range holdout {
-		d := e.Density(x)
-		if d < floor {
-			d = floor
-		}
-		ll += math.Log(d)
-	}
-	return ll / float64(len(holdout))
-}
-
-// MISE approximates the mean integrated squared error between the estimator
-// and a reference density over [lo, hi] with the given number of grid
-// points (Ex. 3.4's evaluator; lower is better).
-func (e *Estimator) MISE(ref func(float64) float64, lo, hi float64, points int) float64 {
-	if points < 2 {
-		panic("kde: MISE needs at least two grid points")
-	}
-	step := (hi - lo) / float64(points-1)
-	var sum float64
-	for i := 0; i < points; i++ {
-		x := lo + float64(i)*step
-		d := e.Density(x) - ref(x)
-		sum += d * d
-	}
-	return sum * step
-}
-
-// SilvermanBandwidth returns Silverman's rule-of-thumb bandwidth for the
-// samples: 1.06 · min(σ, IQR/1.34) · n^(-1/5). A principled starting point
-// for the bandwidth explorable of the profiling job.
-func SilvermanBandwidth(samples []float64) float64 {
-	n := len(samples)
-	if n < 2 {
-		return 1
-	}
-	var mean float64
-	for _, x := range samples {
-		mean += x
-	}
-	mean /= float64(n)
-	var variance float64
-	for _, x := range samples {
-		d := x - mean
-		variance += d * d
-	}
-	sigma := math.Sqrt(variance / float64(n))
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	iqr := sorted[(3*n)/4] - sorted[n/4]
-	spread := sigma
-	if alt := iqr / 1.34; alt > 0 && alt < spread {
-		spread = alt
-	}
-	if spread <= 0 {
-		spread = 1
-	}
-	return 1.06 * spread * math.Pow(float64(n), -0.2)
 }

@@ -7,6 +7,7 @@ import (
 	"metadataflow/internal/baseline"
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/engine"
+	"metadataflow/internal/graph"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
 	"metadataflow/internal/stats"
@@ -189,17 +190,17 @@ func TestSequentialSlowerThanMDF(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sequential: %v", err)
 	}
-	mdfRes, err := baseline.SingleJob(g, baseline.Config{
+	mdfRes, err := baseline.Parallel([]*graph.Graph{g}, 1, baseline.Config{
 		Cluster: testCluster(), Policy: memorymgr.AMM,
 		NewScheduler: func() scheduler.Policy { return scheduler.BAS(nil) },
 		Incremental:  true,
 	})
 	if err != nil {
-		t.Fatalf("SingleJob: %v", err)
+		t.Fatalf("MDF: %v", err)
 	}
-	if mdfRes.CompletionTime() >= seq.CompletionTime {
+	if mdfRes.CompletionTime >= seq.CompletionTime {
 		t.Errorf("MDF (%0.1fs) should beat sequential (%0.1fs)",
-			mdfRes.CompletionTime(), seq.CompletionTime)
+			mdfRes.CompletionTime, seq.CompletionTime)
 	}
 }
 

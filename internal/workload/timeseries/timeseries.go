@@ -363,10 +363,6 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	return b.Build()
 }
 
-// MaskSelector exposes the masking choose selector used by Fig. 8's
-// variants; callers can substitute top-k, first-k-threshold, etc.
-type MaskSelector func(p Params) mdf.Selector
-
 // BuildFlatMDF constructs the single-scope variant matching Fig. 22
 // literally: one explore over (W, T) masking settings with a configurable
 // selector, followed by fixed marking and detection. Used by the Fig. 8
