@@ -206,17 +206,26 @@ const probeOverheadRatioBound = 2.4
 // time: TestStepAllocationsBounded is the gate that catches them.
 const gaugeProbeRatioBound = 1.6
 
+// probeOverheadAttempts is how many plain-and-probed pairs
+// TestProbeOverheadBounded measures per variant before it fails: each one
+// must exceed the bound.
+const probeOverheadAttempts = 3
+
 // TestProbeOverheadBounded asserts what BenchmarkStep's variants measure, on
 // the nested plan: telemetry stays a bounded constant factor on a job's
-// engine time, and a nil probe is the zero-cost baseline. The sandbox this
-// runs in is disturbed in bursts that only ever slow a benchmark down, by up
-// to a third, so each variant runs three times, alternating, and the fastest
-// run of each is compared. Read that way the recorder's ratio is 1.7 to 2.0
-// on two cores (2.8 before the recorder's write path stopped formatting and
-// growing per event); the bound leaves 0.4 above the highest reading, which a
-// probe call that formats or allocates per event, or an emission that
-// re-walks the plan per stage, still crosses. Skipped under -short (it runs
-// nine real benchmarks) and under the race detector.
+// engine time, and a nil probe is the zero-cost baseline. The machine this
+// runs on is disturbed in bursts that only ever slow a benchmark down — by up
+// to a third, and more while go test ./... keeps every core busy with other
+// packages — so a ratio is read from a pair of runs back to back, the plain
+// and the probed one, whose order alternates from pair to pair. A variant
+// passes on its first pair within the bound and fails only when
+// probeOverheadAttempts pairs all exceed it; the best ratio is logged. Read
+// that way the recorder's ratio is 1.7 to 2.2 on two cores (2.8 before the
+// recorder's write path stopped formatting and growing per event); the bound
+// leaves 0.2 above the highest reading, which a probe call that formats or
+// allocates per event, or an emission that re-walks the plan per stage, still
+// crosses on every pair. Skipped under -short (it runs real benchmarks) and
+// under the race detector.
 func TestProbeOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed bound; skipped in short mode")
@@ -227,29 +236,34 @@ func TestProbeOverheadBounded(t *testing.T) {
 		t.Skip("the race detector's own cost dominates the ratio")
 	}
 	plan := nestedPlan(t, 5, 5)
-	fastest := func(best *int64, r testing.BenchmarkResult) {
-		if ns := r.NsPerOp(); r.N > 0 && (*best == 0 || ns < *best) {
-			*best = ns
+	measure := func(probe func() obs.Probe) int64 {
+		return testing.Benchmark(func(b *testing.B) { benchSteps(b, plan, probe) }).NsPerOp()
+	}
+	for _, v := range probeVariants {
+		best := 0.0
+		for attempt := 0; attempt < probeOverheadAttempts; attempt++ {
+			var plain, probed int64
+			if attempt%2 == 0 {
+				plain, probed = measure(nil), measure(v.probe)
+			} else {
+				probed, plain = measure(v.probe), measure(nil)
+			}
+			if plain <= 0 || probed <= 0 {
+				t.Skipf("degenerate measurement: plain %v ns/op, probed %v ns/op", plain, probed)
+			}
+			ratio := float64(probed) / float64(plain)
+			t.Logf("%s, pair %d: plain %v ns/op, probed %v ns/op, ratio %.2f (bound %.1f)",
+				v.name, attempt+1, plain, probed, ratio, v.bound)
+			if best == 0 || ratio < best {
+				best = ratio
+			}
+			if best <= v.bound {
+				break
+			}
 		}
-	}
-	var plain int64
-	probed := make([]int64, len(probeVariants))
-	for i := 0; i < 3; i++ {
-		fastest(&plain, testing.Benchmark(func(b *testing.B) { benchSteps(b, plan, nil) }))
-		for k, v := range probeVariants {
-			fastest(&probed[k], testing.Benchmark(func(b *testing.B) { benchSteps(b, plan, v.probe) }))
-		}
-	}
-	if plain <= 0 {
-		t.Skipf("degenerate baseline measurement: %v ns/op", plain)
-	}
-	for k, v := range probeVariants {
-		ratio := float64(probed[k]) / float64(plain)
-		t.Logf("%s: plain %v ns/op, probed %v ns/op, ratio %.2f (bound %.1f)",
-			v.name, plain, probed[k], ratio, v.bound)
-		if ratio > v.bound {
-			t.Errorf("a run with the %s is %.2f× the probe-less run, bound %.1f×: telemetry overhead regressed",
-				v.name, ratio, v.bound)
+		if best > v.bound {
+			t.Errorf("a run with the %s is at best %.2f× the probe-less run over %d pairs, bound %.1f×: telemetry overhead regressed",
+				v.name, best, probeOverheadAttempts, v.bound)
 		}
 	}
 }

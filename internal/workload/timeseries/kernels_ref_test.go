@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"metadataflow/internal/dataset"
@@ -102,6 +103,19 @@ func bits(row any) string {
 	panic(fmt.Sprintf("unexpected row %T", row))
 }
 
+// sameBits is bits(a) == bits(b) without formatting either.
+func sameBits(a, b any) bool {
+	switch a := a.(type) {
+	case Point:
+		b, ok := b.(Point)
+		return ok && a.T == b.T && math.Float64bits(a.V) == math.Float64bits(b.V)
+	case Event:
+		b, ok := b.(Event)
+		return ok && a.Start == b.Start && a.End == b.End && math.Float64bits(a.Magnitude) == math.Float64bits(b.Magnitude)
+	}
+	return bits(a) == bits(b)
+}
+
 // sameDataset compares two operator outputs partition by partition: rows,
 // bit for bit, and accounted sizes.
 func sameDataset(t *testing.T, what string, got, want *dataset.Dataset) {
@@ -119,7 +133,7 @@ func sameDataset(t *testing.T, what string, got, want *dataset.Dataset) {
 			t.Fatalf("%s: partition %d has %d rows, want %d", what, i, len(gr), len(wr))
 		}
 		for j := range wr {
-			if bits(gr[j]) != bits(wr[j]) {
+			if !sameBits(gr[j], wr[j]) {
 				t.Fatalf("%s: partition %d row %d = %s, want %s", what, i, j, bits(gr[j]), bits(wr[j]))
 			}
 		}
@@ -186,32 +200,130 @@ func apply(t *testing.T, op func([]*dataset.Dataset) (*dataset.Dataset, error), 
 // TestKernelsMatchReference compares mask, mark and detect with the loops
 // they replaced on random awkward series, among them series shorter than the
 // window, empty ones, and the windows Validate does not forbid (0, negative).
+// Everything a trial runs shares one memo, as the branches of one graph do:
+// every threshold of two window lengths, every magDiff of two mark windows,
+// each layout of the series, and then a second series of the same length,
+// whose values must not be read from the first's entries.
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	windows := []int{1, 2, 3, 5, 16, 300, 0, -2}
 	thresholds := []float64{1.001, 1.1, 1, 0.5, 0, -1, math.Inf(1), math.NaN()}
 	magDiffs := []float64{0.5, 2, 0, -1, math.NaN()}
 	durations := []int{0, 1, 50, 1000, -5}
+	two := func() []int {
+		i := rng.Intn(len(windows))
+		return []int{windows[i], windows[(i+1+rng.Intn(len(windows)-1))%len(windows)]}
+	}
 	for trial := 0; trial < 300; trial++ {
 		n := []int{0, 1, 2, 4, 7, 40, 250}[trial%7]
-		pts := awkwardSeries(rng, n)
-		before := fmt.Sprint(pts)
-		w, th := windows[rng.Intn(len(windows))], thresholds[rng.Intn(len(thresholds))]
-		l, m := windows[rng.Intn(len(windows))], magDiffs[rng.Intn(len(magDiffs))]
+		ws, ls := two(), two()
+		// mark and detect read the output of this one mask as well as the
+		// input.
+		mth := thresholds[rng.Intn(len(thresholds))]
 		d := durations[rng.Intn(len(durations))]
-		for _, in := range inputs(rng, pts) {
-			what := fmt.Sprintf("trial %d, %s of %d points", trial, in.Name, n)
-			masked := apply(t, maskOp(Params{}, w, th), in)
-			sameDataset(t, fmt.Sprintf("%s: mask(w=%d,t=%g)", what, w, th), masked, refMask(in, w, th))
-			for _, from := range []*dataset.Dataset{in, masked} {
-				marked := apply(t, markOp(l, m), from)
-				sameDataset(t, fmt.Sprintf("%s: mark(l=%d,m=%g) of %s", what, l, m, from.Name), marked, refMark(from, l, m))
-				detected := apply(t, detectOp(d), marked)
-				sameDataset(t, fmt.Sprintf("%s: detect(d=%d)", what, d), detected, refDetect(marked, d))
+		memo := new(windowMemo)
+		for series := 0; series < 2; series++ {
+			pts := awkwardSeries(rng, n)
+			before := fmt.Sprint(pts)
+			for _, in := range inputs(rng, pts) {
+				what := fmt.Sprintf("trial %d, series %d, %s of %d points", trial, series, in.Name, n)
+				var masked *dataset.Dataset
+				for _, w := range ws {
+					for _, th := range thresholds {
+						out := apply(t, maskOp(memo, w, th), in)
+						sameDataset(t, fmt.Sprintf("%s: mask(w=%d,t=%g)", what, w, th), out, refMask(in, w, th))
+						if w == ws[0] && math.Float64bits(th) == math.Float64bits(mth) {
+							masked = out
+						}
+					}
+				}
+				for _, from := range []*dataset.Dataset{in, masked} {
+					for _, l := range ls {
+						for _, m := range magDiffs {
+							marked := apply(t, markOp(memo, l, m), from)
+							sameDataset(t, fmt.Sprintf("%s: mark(l=%d,m=%g) of %s", what, l, m, from.Name), marked, refMark(from, l, m))
+							detected := apply(t, detectOp(d), marked)
+							sameDataset(t, fmt.Sprintf("%s: detect(d=%d)", what, d), detected, refDetect(marked, d))
+						}
+					}
+				}
+			}
+			if fmt.Sprint(pts) != before {
+				t.Fatalf("trial %d: an operator wrote its input", trial)
 			}
 		}
-		if fmt.Sprint(pts) != before {
-			t.Fatalf("trial %d: an operator wrote its input", trial)
+	}
+}
+
+// TestSiblingMasksShareOneMemo runs the 16 mask branches of two window
+// lengths on goroutines over one memo, as the engine's pool runs sibling
+// branches: each must equal the reference, and the memo must end holding one
+// entry per window length.
+func TestSiblingMasksShareOneMemo(t *testing.T) {
+	in := dataset.FromSlice("in", awkwardSeries(rand.New(rand.NewSource(30)), 2000), 4, 16)
+	in.SetVirtualBytes(1 << 30)
+	windows := []int{2, 5}
+	thresholds := []float64{1.0001, 1.001, 1.01, 1.1, 1, 0.5, 2, math.Inf(1)}
+	memo := new(windowMemo)
+	outs := make([]*dataset.Dataset, len(windows)*len(thresholds))
+	errs := make([]error, len(outs))
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op := maskOp(memo, windows[i/len(thresholds)], thresholds[i%len(thresholds)])
+			outs[i], errs[i] = op([]*dataset.Dataset{in})
+		}()
+	}
+	wg.Wait()
+	for i, out := range outs {
+		w, th := windows[i/len(thresholds)], thresholds[i%len(thresholds)]
+		if errs[i] != nil {
+			t.Fatalf("mask(w=%d,t=%g): %v", w, th, errs[i])
+		}
+		sameDataset(t, fmt.Sprintf("mask(w=%d,t=%g)", w, th), out, refMask(in, w, th))
+	}
+	if len(memo.entries) != len(windows) {
+		t.Errorf("the memo holds %d entries, want one per window length (%d)", len(memo.entries), len(windows))
+	}
+}
+
+// TestPanickingWindowPassLeavesNoEntry: a window pass that panics part-way
+// (an injected fault, a bug) leaves the memo without an entry and unlocked,
+// so the next branch computes the values itself.
+func TestPanickingWindowPassLeavesNoEntry(t *testing.T) {
+	memo := new(windowMemo)
+	pts := awkwardSeries(rand.New(rand.NewSource(7)), 40)
+	func() {
+		defer func() { _ = recover() }()
+		memo.values(windowKey{w: 3}, pts, func([]Point, int) []float64 { panic("part-way") })
+	}()
+	if len(memo.entries) != 0 {
+		t.Fatalf("the memo holds %d entries after a panicking pass, want none", len(memo.entries))
+	}
+	got, want := memo.values(windowKey{w: 3}, pts, windowRatios), windowRatios(pts, 3)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("ratio %d = %v after a panicking pass, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLabelsSpellLikeSprintf holds the branch labels to the fmt verbs they
+// replaced, on the values where %g is easiest to get wrong.
+func TestLabelsSpellLikeSprintf(t *testing.T) {
+	floats := []float64{1.001, 1.0005, 0.5, 2, 0, math.Copysign(0, -1), -1, 1e-7, 1e21, 123456789, 1e5, 1e6,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64}
+	ints := []int{0, 1, -2, 16, 300, math.MaxInt64, math.MinInt64}
+	for _, f := range floats {
+		for _, i := range ints {
+			if got, want := maskLabel(i, f), fmt.Sprintf("w=%d,t=%g", i, f); got != want {
+				t.Errorf("maskLabel(%d, %g) = %q, want %q", i, f, got, want)
+			}
+			if got, want := markLabel(i, f, -i), fmt.Sprintf("l=%d,m=%g,d=%d", i, f, -i); got != want {
+				t.Errorf("markLabel(%d, %g, %d) = %q, want %q", i, f, -i, got, want)
+			}
 		}
 	}
 }
@@ -220,13 +332,14 @@ func TestKernelsMatchReference(t *testing.T) {
 // benchmarks run over.
 func defaultSeries() *dataset.Dataset { return Generate(Defaults()) }
 
+// BenchmarkMask and BenchmarkMark are one branch with a memo of its own: the
+// window pass included.
 func BenchmarkMask(b *testing.B) {
 	in := []*dataset.Dataset{defaultSeries()}
-	op := maskOp(Params{}, 5, 1.001)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := op(in); err != nil {
+		if _, err := maskOp(new(windowMemo), 5, 1.001)(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -234,12 +347,28 @@ func BenchmarkMask(b *testing.B) {
 
 func BenchmarkMark(b *testing.B) {
 	in := []*dataset.Dataset{defaultSeries()}
-	op := markOp(6, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := op(in); err != nil {
+		if _, err := markOp(new(windowMemo), 6, 0.5)(in); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMaskSiblings is the 16 thresholds of one window length over one
+// memo, as 16 sibling branches run them: one window pass, 16 selections.
+// Compare with 16 × BenchmarkMask.
+func BenchmarkMaskSiblings(b *testing.B) {
+	in := []*dataset.Dataset{defaultSeries()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		memo := new(windowMemo)
+		for k := 0; k < 16; k++ {
+			if _, err := maskOp(memo, 5, 1+0.0005*float64(k+1))(in); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

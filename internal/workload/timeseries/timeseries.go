@@ -10,6 +10,8 @@ package timeseries
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"sync"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -134,59 +136,115 @@ func outParts(in *dataset.Dataset) int {
 	return 1
 }
 
+// windowMemo is what the mask and mark branches of one graph share: per
+// window length, one value per point that depends on nothing but the input
+// and that length — mask's window ratio, mark's window mean. Sibling branches
+// with a length in common compute it once. An entry answers only for the
+// input it was computed from, told by the first element's address and the
+// length of the flattened slice; the entry holds that slice, so the address
+// cannot be reused. Any other input recomputes and replaces it. Branches run
+// on the engine's pool goroutines, hence the mutex; an entry is stored only
+// once computed, so a computation that panics leaves none.
+type windowMemo struct {
+	mu      sync.Mutex
+	entries map[windowKey]windowed
+}
+
+// windowKey names one shared computation: mark's means (mean) or mask's
+// ratios, over windows of length w.
+type windowKey struct {
+	mean bool
+	w    int
+}
+
+// windowed is one memo entry: the values computed from in. Neither is ever
+// written once stored.
+type windowed struct {
+	in   []Point
+	vals []float64
+}
+
+// values returns compute(pts, k.w), computed at most once per input and key.
+func (m *windowMemo) values(k windowKey, pts []Point, compute func([]Point, int) []float64) []float64 {
+	if len(pts) == 0 {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries[k]; ok && len(e.in) == len(pts) && &e.in[0] == &pts[0] {
+		return e.vals
+	}
+	vals := compute(pts, k.w)
+	if m.entries == nil {
+		m.entries = make(map[windowKey]windowed)
+	}
+	m.entries[k] = windowed{in: pts, vals: vals}
+	return vals
+}
+
+// windowRatios returns, for every point, the max/min ratio of the window of
+// length w ending at it, with a minimum that is not positive read as 1e-9.
+func windowRatios(pts []Point, w int) []float64 {
+	ratio := make([]float64, len(pts))
+	lastNaN := -1
+	for i := range pts {
+		v := pts[i].V
+		if v != v {
+			lastNaN = i
+		}
+		first := min(max(i-w+1, 0), i) // w < 1: the window is the point itself
+		// Comparisons find the extremes math.Min and math.Max do, up to the
+		// sign of a zero (lo <= 0 and hi/lo > t read ±0 alike), in a window
+		// without a NaN. What a NaN does to the extremes (it yields to an
+		// infinity) is left to those two.
+		lo, hi := v, v
+		if lastNaN < first {
+			for _, q := range pts[first:i] {
+				if q.V < lo {
+					lo = q.V
+				}
+				if q.V > hi {
+					hi = q.V
+				}
+			}
+		} else {
+			for _, q := range pts[first:i] {
+				lo = math.Min(lo, q.V)
+				hi = math.Max(hi, q.V)
+			}
+		}
+		if lo <= 0 {
+			lo = 1e-9
+		}
+		ratio[i] = hi / lo
+	}
+	return ratio
+}
+
 // maskOp keeps points whose sliding window of length w has a max/min ratio
 // above the threshold t: points in "interesting" ranges survive (§6:
 // "masking data points in the series based on the value ranges within a
-// sliding window").
-func maskOp(p Params, w int, t float64) graph.TransformFunc {
+// sliding window"). The ratios come from memo, shared by every threshold of
+// w.
+func maskOp(memo *windowMemo, w int, t float64) graph.TransformFunc {
 	// The name is read by the arity error alone, and the engine reports that
 	// under the operator's own name, which spells the setting out: a plain
 	// one saves formatting it for every branch of every job.
 	return mdf.WholeDataset("mask",
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			pts := dataset.Flatten[Point](in)
-			// Decide first, then copy the kept points into a slice of their
+			ratio := memo.values(windowKey{w: w}, pts, windowRatios)
+			// Count first, then copy the kept points into a slice of their
 			// exact number.
-			keep := make([]bool, len(pts))
 			n := 0
-			lastNaN := -1
-			for i := range pts {
-				v := pts[i].V
-				if v != v {
-					lastNaN = i
-				}
-				first := min(max(i-w+1, 0), i) // w < 1: the window is the point itself
-				// Comparisons find the extremes math.Min and math.Max do, up
-				// to the sign of a zero (lo <= 0 and hi/lo > t read ±0
-				// alike), in a window without a NaN. What a NaN does to the
-				// extremes (it yields to an infinity) is left to those two.
-				lo, hi := v, v
-				if lastNaN < first {
-					for _, q := range pts[first:i] {
-						if q.V < lo {
-							lo = q.V
-						}
-						if q.V > hi {
-							hi = q.V
-						}
-					}
-				} else {
-					for _, q := range pts[first:i] {
-						lo = math.Min(lo, q.V)
-						hi = math.Max(hi, q.V)
-					}
-				}
-				if lo <= 0 {
-					lo = 1e-9
-				}
-				if hi/lo > t {
-					keep[i] = true
+			for _, r := range ratio {
+				if r > t {
 					n++
 				}
 			}
 			kept := make([]Point, 0, n)
-			for i, k := range keep {
-				if k {
+			for i, r := range ratio {
+				if r > t {
 					kept = append(kept, pts[i])
 				}
 			}
@@ -198,6 +256,16 @@ func maskOp(p Params, w int, t float64) graph.TransformFunc {
 		})
 }
 
+// windowMeans returns, for every point i from l on, the mean of the l values
+// before it (windowMean); the points before l are left 0.
+func windowMeans(pts []Point, l int) []float64 {
+	mean := make([]float64, len(pts))
+	for i := max(l, 0); i < len(pts); i++ {
+		mean[i] = windowMean(pts, i, l)
+	}
+	return mean
+}
+
 // windowMean is the mean of the l values before point i.
 func windowMean(pts []Point, i, l int) float64 {
 	var sum float64
@@ -207,27 +275,26 @@ func windowMean(pts []Point, i, l int) float64 {
 	return sum / float64(l)
 }
 
-// markOp marks discrete events: points where the value changes by more than
-// magDiff relative to the median of the preceding window of length l.
-func markOp(l int, magDiff float64) graph.TransformFunc {
+// markOp marks discrete events: points where the value differs by more than
+// magDiff from the mean of the l values before it. The means come from memo,
+// shared by every magDiff of l.
+func markOp(memo *windowMemo, l int, magDiff float64) graph.TransformFunc {
 	return mdf.WholeDataset("mark",
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			pts := dataset.Flatten[Point](in)
-			// Events are few: decide first, then build them in a slice of
-			// their exact number, taking the window mean a second time for
-			// the points that became one.
-			isEvent := make([]bool, len(pts))
+			mean := memo.values(windowKey{mean: true, w: l}, pts, windowMeans)
+			// Events are few: count first, then build them in a slice of
+			// their exact number.
 			n := 0
 			for i := max(l, 0); i < len(pts); i++ {
-				if math.Abs(pts[i].V-windowMean(pts, i, l)) > magDiff {
-					isEvent[i] = true
+				if math.Abs(pts[i].V-mean[i]) > magDiff {
 					n++
 				}
 			}
 			events := make([]Event, 0, n)
-			for i, is := range isEvent {
-				if is {
-					events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - windowMean(pts, i, l)})
+			for i := max(l, 0); i < len(pts); i++ {
+				if math.Abs(pts[i].V-mean[i]) > magDiff {
+					events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - mean[i]})
 				}
 			}
 			out := dataset.FromSlice("events", events, outParts(in), 24)
@@ -287,6 +354,23 @@ func (p Params) maskSelector() mdf.Selector {
 	return mdf.Threshold(p.MaskKeepRatio, false)
 }
 
+// maskLabel and markLabel spell a branch's setting out as "w=%d,t=%g" and
+// "l=%d,m=%g,d=%d" would (strconv's shortest 'g' form is what %g prints),
+// with one allocation each: the labels name the branch's stages in plans,
+// picks and telemetry.
+func maskLabel(w int, t float64) string {
+	var buf [40]byte
+	b := strconv.AppendInt(append(buf[:0], "w="...), int64(w), 10)
+	return string(strconv.AppendFloat(append(b, ",t="...), t, 'g', -1, 64))
+}
+
+func markLabel(l int, m float64, d int) string {
+	var buf [56]byte
+	b := strconv.AppendInt(append(buf[:0], "l="...), int64(l), 10)
+	b = strconv.AppendFloat(append(b, ",m="...), m, 'g', -1, 64)
+	return string(strconv.AppendInt(append(b, ",d="...), int64(d), 10))
+}
+
 // BuildMDF constructs the time series MDF as two sequential exploration
 // scopes (Fig. 22 with the early scope close of Ex. 3.5): first an explore
 // over the (W, T) masking settings, closed immediately by the
@@ -310,7 +394,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	for wi, w := range p.WindowLengths {
 		for ti, t := range p.Thresholds {
 			maskSpecs = append(maskSpecs, mdf.BranchSpec{
-				Label: fmt.Sprintf("w=%d,t=%g", w, t),
+				Label: maskLabel(w, t),
 				Hint:  float64(wi*len(p.Thresholds) + ti),
 			})
 			wts = append(wts, wt{w, t})
@@ -328,7 +412,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		for _, m := range p.MagDiffs {
 			for _, d := range p.Durations {
 				outSpecs = append(outSpecs, mdf.BranchSpec{
-					Label: fmt.Sprintf("l=%d,m=%g,d=%d", l, m, d),
+					Label: markLabel(l, m, d),
 					Hint:  float64(i),
 				})
 				lmds = append(lmds, lmd{l, m, d})
@@ -339,6 +423,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 
 	maskEval := mdf.RatioEvaluator(p.Rows)
 	maskEval.CostPerMB = 0.0002
+	memo := new(windowMemo)
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Scope 1: masking exploration, closed early (Ex. 3.5).
@@ -347,7 +432,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := wts[int(spec.Hint)]
 			return start.Then("mask("+spec.Label+")",
-				maskOp(p, cfg.w, cfg.t), 0.004)
+				maskOp(memo, cfg.w, cfg.t), 0.004)
 		})
 	// Scope 2: marking and detection exploration over the selected data.
 	out := masked.Explore("analysis", outSpecs,
@@ -355,7 +440,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := lmds[int(spec.Hint)]
 			marked := start.Then("mark("+spec.Label+")",
-				markOp(cfg.l, cfg.m), 0.003)
+				markOp(memo, cfg.l, cfg.m), 0.003)
 			return marked.Then("detect("+spec.Label+")",
 				detectOp(cfg.d), 0.002)
 		})
@@ -391,7 +476,7 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	byLabel := make(map[string]wt, len(p.WindowLengths)*len(p.Thresholds))
 	for _, w := range p.WindowLengths {
 		for _, t := range p.Thresholds {
-			label := fmt.Sprintf("w=%d,t=%g", w, t)
+			label := maskLabel(w, t)
 			maskSpecs = append(maskSpecs, mdf.BranchSpec{
 				Label: label,
 				// The masking kept-ratio falls monotonically in the
@@ -410,14 +495,15 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	eval.Monotone = monotoneEval
 	l, m, d := p.MarkWindows[0], p.MagDiffs[0], p.Durations[0]
 
+	memo := new(windowMemo)
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	masked := src.Explore("masking", maskSpecs, mdf.NewChooser(eval, sel),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := byLabel[spec.Label]
-			return start.Then("mask("+spec.Label+")", maskOp(p, cfg.w, cfg.t), 0.004)
+			return start.Then("mask("+spec.Label+")", maskOp(memo, cfg.w, cfg.t), 0.004)
 		})
-	marked := masked.Then("mark", markOp(l, m), 0.003)
+	marked := masked.Then("mark", markOp(memo, l, m), 0.003)
 	detected := marked.Then("detect", detectOp(d), 0.002)
 	detected.Then("sink", mdf.Identity("detected"), 0.0001)
 	return b.Build()
