@@ -49,8 +49,7 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&cfg.DeadlineSec, "deadline-sec", 0, "default per-job virtual deadline in simulated seconds (0 = none)")
 	fs.IntVar(&cfg.DrainStepBudget, "drain-steps", 4, "engine steps granted to each in-flight job during drain before checkpointing")
 	drainMetrics := fs.String("drain-metrics", "", "write the final aggregated metrics snapshot to this file on shutdown")
-	fs.BoolVar(&cfg.DisableVet, "no-vet", false, "skip plan vetting at admission (by default specs the verifier condemns are rejected with 400 before any quota is reserved)")
-	fs.StringVar(&cfg.StateDir, "state-dir", "", "crash-consistent state directory (job journal + durable checkpoint store); on start the journal is replayed and interrupted jobs resume")
+	fs.StringVar(&cfg.StateDir, "state-dir", "", "crash-consistent state directory (job journal + durable checkpoint store); on start the journal is replayed and interrupted jobs re-execute from their journaled specs")
 	fs.BoolVar(&cfg.JournalNoSync, "journal-no-sync", false, "skip the per-record journal fsync (faster, may lose the last records on a crash)")
 	if fs.Parse(args) != nil {
 		return exitUsage

@@ -289,19 +289,6 @@ func TestRunErrorNamesTheJob(t *testing.T) {
 	}
 }
 
-func TestSingleJobUsesConfiguredScheduler(t *testing.T) {
-	g := buildNestedMDF(t)
-	res := runAlone(t, g, baseline.Config{
-		Cluster: testCluster(), Policy: memorymgr.AMM,
-		NewScheduler: func() scheduler.Policy { return scheduler.BAS(nil) },
-		Incremental:  true,
-	})
-	// Max over sizes selects (B, y): 45 rows.
-	if got := res.Output.NumRows(); got != 45 {
-		t.Errorf("output rows = %d, want 45", got)
-	}
-}
-
 // buildFlatMDF builds a single-scope MDF with n filter branches keeping
 // different row counts, choosing the max size.
 func buildFlatMDF(t *testing.T, keeps []int) *graph.Graph {
@@ -339,11 +326,13 @@ func TestMDFEquivalentToBestExpandedJob(t *testing.T) {
 		{321, 123},
 	} {
 		g := buildFlatMDF(t, keeps)
-		mdfRes := runAlone(t, g, baseline.Config{
+		mdfRes, err := engine.Execute(g, engine.Options{
 			Cluster: testCluster(), Policy: memorymgr.AMM,
-			NewScheduler: func() scheduler.Policy { return scheduler.BAS(nil) },
-			Incremental:  true,
+			Scheduler: scheduler.BAS(nil), Incremental: true,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		jobs, err := baseline.ExpandJobs(g)
 		if err != nil {
 			t.Fatal(err)

@@ -12,52 +12,18 @@ import (
 	"metadataflow/internal/sim"
 )
 
-// Config describes how a family of jobs is executed.
+// Config describes how a family of jobs is executed. Every job is a
+// concrete dataflow scheduled breadth-first, the behaviour of existing
+// systems (§4.2), on the cluster's memory budget.
 type Config struct {
 	// Cluster is the shared simulated cluster.
 	Cluster *cluster.Cluster
-	// MemPerWorker is the total per-worker memory budget; parallel
-	// execution splits it equally among concurrent jobs (§6.1). 0 uses the
-	// cluster's configured budget.
-	MemPerWorker sim.Bytes
 	// Policy is the eviction policy used by every job.
 	Policy memorymgr.PolicyKind
-	// NewScheduler builds a fresh scheduling policy per job; nil defaults
-	// to BFS (the behaviour of existing systems, §4.2).
-	NewScheduler func() scheduler.Policy
-	// Incremental enables incremental choose evaluation in the jobs
-	// (only meaningful for MDF jobs).
-	Incremental bool
-	// PinReused pins datasets with multiple consumers in memory, modelling
-	// Spark's explicit cache() designation (§6.1 Spark (cache)).
-	PinReused bool
 	// Context, when non-nil, cancels every job of the family at its next
 	// scheduling boundary (engine.Options.Context); mdf run threads its
 	// SIGINT/SIGTERM context through here.
 	Context context.Context
-}
-
-func (c Config) engineOptions(memShare sim.Bytes) engine.Options {
-	sched := scheduler.BFS()
-	if c.NewScheduler != nil {
-		sched = c.NewScheduler()
-	}
-	return engine.Options{
-		Cluster:      c.Cluster,
-		MemPerWorker: memShare,
-		Policy:       c.Policy,
-		Scheduler:    sched,
-		Incremental:  c.Incremental,
-		PinReused:    c.PinReused,
-		Context:      c.Context,
-	}
-}
-
-func (c Config) totalMem() sim.Bytes {
-	if c.MemPerWorker > 0 {
-		return c.MemPerWorker
-	}
-	return c.Cluster.Config.MemPerWorker
 }
 
 // MultiResult aggregates the execution of a family of jobs.
@@ -102,7 +68,7 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("baseline: parallelism must be >= 1, got %d", k)
 	}
-	memShare := cfg.totalMem() / sim.Bytes(k)
+	memShare := cfg.Cluster.Config.MemPerWorker / sim.Bytes(k)
 	if memShare < 1 {
 		memShare = 1
 	}
@@ -120,7 +86,13 @@ func Parallel(jobs []*graph.Graph, k int, cfg Config) (*MultiResult, error) {
 			if err != nil {
 				return fmt.Errorf("baseline: job %d: %w", next, err)
 			}
-			run, err := engine.NewRun(plan, cfg.engineOptions(memShare), start)
+			run, err := engine.NewRun(plan, engine.Options{
+				Cluster:      cfg.Cluster,
+				MemPerWorker: memShare,
+				Policy:       cfg.Policy,
+				Scheduler:    scheduler.BFS(),
+				Context:      cfg.Context,
+			}, start)
 			if err != nil {
 				return err
 			}

@@ -64,7 +64,6 @@ func crashServiceConfig(stateDir string) service.Config {
 		Workers: 4, MemPerWorker: 64 << 20, TenantQuota: 1 << 40,
 		QueueCap: 64, MaxActive: 2,
 		QuarantineStrikes: 1 << 20,
-		DisableVet:        true,
 		StateDir:          stateDir,
 		JournalNoSync:     true,
 	}

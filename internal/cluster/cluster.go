@@ -14,41 +14,31 @@ import (
 	"metadataflow/internal/sim"
 )
 
-// Config describes the simulated hardware.
+// Config describes the simulated cluster: how many workers, and how much
+// dataset memory each has. Everything else about the hardware is the paper's
+// testbed, fixed below.
 type Config struct {
 	// Workers is the number of worker nodes (the paper uses up to 12).
 	Workers int
 	// MemPerWorker is each worker's dataset memory budget.
 	MemPerWorker sim.Bytes
-	// DiskReadBW and DiskWriteBW are disk bandwidths in bytes/second.
-	DiskReadBW  float64
-	DiskWriteBW float64
-	// MemReadBW and MemWriteBW are memory bandwidths in bytes/second.
-	MemReadBW  float64
-	MemWriteBW float64
-	// NetBW is the per-node network bandwidth in bytes/second; wide
-	// dependencies shuffle data across it (the paper's testbed has 1 Gbps
-	// Ethernet).
-	NetBW float64
-	// ComputeScale multiplies every operator compute cost; 1.0 models the
-	// paper's quad-core Xeon workers.
-	ComputeScale float64
 }
 
-// DefaultConfig mirrors the paper's testbed: 8 active workers (of 12),
-// 10 GB of dataset memory per worker (§6.2), commodity disk and DRAM
-// bandwidths.
+// The cost model's bandwidths, in bytes/second: the commodity disks and DRAM
+// of the paper's testbed, whose workers share 1 Gbps Ethernet (§6.1). Wide
+// dependencies shuffle data across the network link.
+const (
+	diskReadBW  = 150e6
+	diskWriteBW = 100e6
+	memReadBW   = 5e9
+	memWriteBW  = 3e9
+	netBW       = 125e6 // 1 Gbps
+)
+
+// DefaultConfig mirrors the paper's testbed: 8 active workers (of 12) with
+// 10 GB of dataset memory each (§6.2).
 func DefaultConfig() Config {
-	return Config{
-		Workers:      8,
-		MemPerWorker: 10 << 30,
-		DiskReadBW:   150e6,
-		DiskWriteBW:  100e6,
-		MemReadBW:    5e9,
-		MemWriteBW:   3e9,
-		NetBW:        125e6, // 1 Gbps
-		ComputeScale: 1.0,
-	}
+	return Config{Workers: 8, MemPerWorker: 10 << 30}
 }
 
 // Validate reports configuration errors.
@@ -59,25 +49,19 @@ func (c Config) Validate() error {
 	if c.MemPerWorker <= 0 {
 		return fmt.Errorf("cluster: non-positive memory per worker")
 	}
-	for _, bw := range []float64{c.DiskReadBW, c.DiskWriteBW, c.MemReadBW, c.MemWriteBW, c.NetBW} {
-		if bw <= 0 {
-			return fmt.Errorf("cluster: non-positive bandwidth")
-		}
-	}
-	if c.ComputeScale <= 0 {
-		return fmt.Errorf("cluster: non-positive compute scale")
-	}
 	return nil
 }
 
 // Alpha is the hardware ratio used by anticipatory memory management
 // (§4.3): α = (w_d · r_m) / (w_m · r_d), where w/r are the times to write or
-// read a fixed amount of data to/from disk (d) or memory (m).
+// read a fixed amount of data to/from disk (d) or memory (m). The four times
+// are float64 variables: folded into one constant expression, the ratio
+// would round differently.
 func (c Config) Alpha() float64 {
-	wd := 1 / c.DiskWriteBW
-	rm := 1 / c.MemReadBW
-	wm := 1 / c.MemWriteBW
-	rd := 1 / c.DiskReadBW
+	wd := 1 / diskWriteBW
+	rm := 1 / memReadBW
+	wm := 1 / memWriteBW
+	rd := 1 / diskReadBW
 	return (wd * rm) / (wm * rd)
 }
 
@@ -88,27 +72,27 @@ func (c Config) Alpha() float64 {
 
 // DiskReadSec returns the virtual time to read bytes from disk.
 func (c Config) DiskReadSec(bytes sim.Bytes) sim.VTime {
-	return sim.VTime(float64(bytes) / c.DiskReadBW)
+	return sim.VTime(float64(bytes) / diskReadBW)
 }
 
 // DiskWriteSec returns the virtual time to write bytes to disk.
 func (c Config) DiskWriteSec(bytes sim.Bytes) sim.VTime {
-	return sim.VTime(float64(bytes) / c.DiskWriteBW)
+	return sim.VTime(float64(bytes) / diskWriteBW)
 }
 
 // MemReadSec returns the virtual time to read bytes from memory.
 func (c Config) MemReadSec(bytes sim.Bytes) sim.VTime {
-	return sim.VTime(float64(bytes) / c.MemReadBW)
+	return sim.VTime(float64(bytes) / memReadBW)
 }
 
 // MemWriteSec returns the virtual time to write bytes to memory.
 func (c Config) MemWriteSec(bytes sim.Bytes) sim.VTime {
-	return sim.VTime(float64(bytes) / c.MemWriteBW)
+	return sim.VTime(float64(bytes) / memWriteBW)
 }
 
 // NetSec returns the virtual time to move bytes over one node's link.
 func (c Config) NetSec(bytes sim.Bytes) sim.VTime {
-	return sim.VTime(float64(bytes) / c.NetBW)
+	return sim.VTime(float64(bytes) / netBW)
 }
 
 // Observer receives resource-occupancy reports from node timelines: every
@@ -131,10 +115,11 @@ type Node struct {
 	SlowFactor float64
 
 	// faultSlow and faultDisk are transient fault-injected multipliers
-	// (0 = none); they compose with SlowFactor and are cleared by Reset.
+	// (0 = none); they compose with SlowFactor, and SetFaultFactors replaces
+	// them as fault windows open and close.
 	faultSlow float64
 	faultDisk float64
-	// dead marks a permanently failed node; cleared by Reset.
+	// dead marks a permanently failed node (Kill); a node never revives.
 	dead bool
 
 	cpuFree  sim.VTime
@@ -215,10 +200,6 @@ func (n *Node) Net(ready, dur sim.VTime) sim.VTime {
 	}
 	return n.netFree
 }
-
-// FreeAt returns the times at which the node's CPU, disk and network link
-// become free.
-func (n *Node) FreeAt() (cpu, disk, net sim.VTime) { return n.cpuFree, n.diskFree, n.netFree }
 
 // Cluster is a set of simulated worker nodes sharing a configuration.
 type Cluster struct {

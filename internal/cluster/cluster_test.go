@@ -17,11 +17,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	cases := []func(*Config){
 		func(c *Config) { c.Workers = 0 },
 		func(c *Config) { c.MemPerWorker = 0 },
-		func(c *Config) { c.DiskReadBW = 0 },
-		func(c *Config) { c.DiskWriteBW = -1 },
-		func(c *Config) { c.MemReadBW = 0 },
-		func(c *Config) { c.MemWriteBW = 0 },
-		func(c *Config) { c.ComputeScale = 0 },
+		func(c *Config) { c.MemPerWorker = -1 },
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()
@@ -35,23 +31,41 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 func TestAlphaDefinition(t *testing.T) {
 	cfg := DefaultConfig()
 	// α = (w_d · r_m) / (w_m · r_d) with w/r as times per byte.
-	want := ((1 / cfg.DiskWriteBW) * (1 / cfg.MemReadBW)) /
-		((1 / cfg.MemWriteBW) * (1 / cfg.DiskReadBW))
-	if got := cfg.Alpha(); math.Abs(got-want) > 1e-12 {
+	var wd, rm, wm, rd float64 = 1 / diskWriteBW, 1 / memReadBW, 1 / memWriteBW, 1 / diskReadBW
+	want := (wd * rm) / (wm * rd)
+	if got := cfg.Alpha(); got != want {
 		t.Fatalf("alpha = %v, want %v", got, want)
 	}
-	if cfg.Alpha() <= 0 {
-		t.Fatal("alpha must be positive")
+	// Every AMM eviction decision compares against α: pin its bits.
+	if got := math.Float64bits(cfg.Alpha()); got != 0x3feccccccccccccd {
+		t.Fatalf("alpha bits = %#x, want 0x3feccccccccccccd (0.9)", got)
 	}
 }
 
 func TestCostHelpers(t *testing.T) {
 	cfg := DefaultConfig()
-	if got := cfg.DiskReadSec(sim.Bytes(cfg.DiskReadBW)); math.Abs(got.Seconds()-1) > 1e-9 {
+	if got := cfg.DiskReadSec(sim.Bytes(diskReadBW)); math.Abs(got.Seconds()-1) > 1e-9 {
 		t.Errorf("DiskReadSec(one second of bytes) = %v, want 1", got)
 	}
 	if cfg.MemReadSec(1<<20) >= cfg.DiskReadSec(1<<20) {
 		t.Error("memory reads must be faster than disk reads")
+	}
+}
+
+// Zero-byte transfers must cost exactly zero virtual time.
+func TestZeroByteTransfersCostZero(t *testing.T) {
+	cfg := DefaultConfig()
+	costs := map[string]sim.VTime{
+		"DiskReadSec":  cfg.DiskReadSec(0),
+		"DiskWriteSec": cfg.DiskWriteSec(0),
+		"MemReadSec":   cfg.MemReadSec(0),
+		"MemWriteSec":  cfg.MemWriteSec(0),
+		"NetSec":       cfg.NetSec(0),
+	}
+	for name, got := range costs {
+		if got != 0 {
+			t.Errorf("%s(0) = %v, want exactly 0", name, got)
+		}
 	}
 }
 
@@ -155,7 +169,7 @@ func TestNetResourceIndependent(t *testing.T) {
 
 func TestNetSec(t *testing.T) {
 	cfg := DefaultConfig()
-	if got := cfg.NetSec(sim.Bytes(cfg.NetBW)); math.Abs(got.Seconds()-1) > 1e-9 {
+	if got := cfg.NetSec(sim.Bytes(netBW)); math.Abs(got.Seconds()-1) > 1e-9 {
 		t.Fatalf("NetSec(one second of bytes) = %v, want 1", got)
 	}
 }
@@ -172,9 +186,8 @@ func TestWriteCostsAndFreeAt(t *testing.T) {
 	n.CPU(0, 3)
 	n.Disk(0, 5)
 	n.Net(0, 7)
-	cpu, disk, net := n.FreeAt()
-	if cpu != 3 || disk != 5 || net != 7 {
-		t.Fatalf("FreeAt = (%v, %v, %v), want (3, 5, 7)", cpu, disk, net)
+	if n.cpuFree != 3 || n.diskFree != 5 || n.netFree != 7 {
+		t.Fatalf("free at (%v, %v, %v), want (3, 5, 7)", n.cpuFree, n.diskFree, n.netFree)
 	}
 }
 

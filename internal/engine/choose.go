@@ -231,7 +231,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		}
 		r.finalizeChooseInputs(st, cs, selected[0])
 		r.registerOutput(st, d)
-		r.consumeForward(d)
+		r.consumeInput(d)
 	default:
 		sc := &r.stage
 		parts := sc.ins[:0]

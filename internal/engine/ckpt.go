@@ -16,11 +16,12 @@ import (
 // content-addressed checkpoint store (internal/ckptstore). The simulation
 // keeps modelling checkpoint I/O costs through the allocators; the store
 // adds the bytes themselves, keyed by the spec chain-prefix hash of the
-// producing operator, so checkpoints survive a service restart and are
-// shared across retries and jobs computing the same intermediate.
+// producing operator.
 //
-// Verification happens at crash recovery: before trusting a partition's
-// durable copy, the engine loads and checksums its store entry. A miss —
+// The store is read at one point only: when a node crashes inside a run,
+// before trusting a partition's durable copy, the engine loads and checksums
+// its store entry. A restarted service does not read it: a job interrupted by
+// the restart re-executes from its journaled spec. A miss —
 // absent, torn, or bit-flipped — demotes the copy and the partition is
 // re-derived by lineage, which is the paper's recovery path for
 // un-checkpointed state. Corruption therefore costs recovery time, never

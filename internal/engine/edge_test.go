@@ -335,7 +335,7 @@ func TestRunAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Done() {
+	if progress(run).Done {
 		t.Fatal("fresh run claims done")
 	}
 	if !run.Step() {
@@ -344,13 +344,10 @@ func TestRunAccessors(t *testing.T) {
 	if run.Now() < 0 {
 		t.Fatal("negative virtual time")
 	}
-	if run.Allocator(0) == nil {
-		t.Fatal("nil allocator")
-	}
 	// Drive to completion and verify terminal state.
 	for run.Step() {
 	}
-	if !run.Done() || run.Err() != nil {
+	if !progress(run).Done || run.Err() != nil {
 		t.Fatalf("run not cleanly done: %v", run.Err())
 	}
 	// The AMM access counter reports zero for unknown partitions.

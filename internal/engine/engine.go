@@ -444,14 +444,8 @@ func (r *Run) FutureAccesses(key dataset.PartKey) int {
 // Now returns the job's current virtual time.
 func (r *Run) Now() sim.VTime { return r.now }
 
-// Done reports whether the run has finished (successfully or not).
-func (r *Run) Done() bool { return r.done }
-
 // Err returns the first execution error.
 func (r *Run) Err() error { return r.err }
-
-// Allocator exposes the allocator of node n (for tests and tooling).
-func (r *Run) Allocator(n int) *memorymgr.Allocator { return r.allocs[n] }
 
 // CheckpointLive writes a durable on-disk copy of every live dataset
 // partition that does not have one yet and returns the number of partitions
@@ -782,7 +776,9 @@ func (r *Run) registerOutput(st *graph.Stage, d *dataset.Dataset) {
 func (r *Run) protected(id dataset.ID) bool { return r.protectedIDs[id] }
 
 // consumeInput decrements a dataset's remaining consumers, discarding it
-// when no consumer remains (R3).
+// when no consumer remains (R3). A stage that forwards its input unchanged
+// (explore, single-selection choose) consumes it the same way: registerOutput
+// has already counted the forwarded dataset's new consumers.
 func (r *Run) consumeInput(d *dataset.Dataset) {
 	if _, live := r.datasets[d.ID]; !live {
 		return

@@ -75,7 +75,7 @@ func (r *Run) execStage(st *graph.Stage) error {
 		}
 		d := ins[0]
 		r.registerOutput(st, d)
-		r.consumeForward(d)
+		r.consumeInput(d)
 		r.markExecuted(st, ready, ready)
 		r.stageSpan(obs.KindStage, st, ready, ready)
 		return nil
@@ -281,9 +281,6 @@ func (r *Run) chargeCompute(sc *stageScratch, ins []*dataset.Dataset, cpuFixed, 
 	if cpuFixed <= 0 && cpuScan <= 0 {
 		return
 	}
-	scale := r.opts.Cluster.Config.ComputeScale
-	cpuFixed = sim.VTime(float64(cpuFixed) * scale)
-	cpuScan = sim.VTime(float64(cpuScan) * scale)
 	r.metrics.ComputeSec += cpuFixed + cpuScan
 	live := r.liveAllocs(sc)
 	shares := sc.shares
@@ -373,17 +370,4 @@ func (r *Run) markExecuted(st *graph.Stage, ready, end sim.VTime) {
 		r.now = end
 	}
 	r.observeStageDone(st, ready, end, true)
-}
-
-// consumeForward adjusts consumer accounting when a stage forwards its input
-// dataset unchanged (explore, single-selection choose): the forwarding read
-// is replaced by the new consumers registered by registerOutput.
-func (r *Run) consumeForward(d *dataset.Dataset) {
-	if _, live := r.datasets[d.ID]; !live {
-		return
-	}
-	r.consumersLeft[d.ID]--
-	if r.consumersLeft[d.ID] <= 0 && !r.protected(d.ID) {
-		r.discardDataset(d)
-	}
 }

@@ -176,19 +176,11 @@ func (r *Run) branchOf(st *graph.Stage) *branchRun {
 	return &r.branches[r.branchBase[ref.Scope]+ref.Branch]
 }
 
-// Progress returns the run's live exploration state as a fresh document. It
-// must only be called from the goroutine that owns the run (the step loop);
-// it reads the same state Step mutates.
-func (r *Run) Progress() Progress {
-	var p Progress
-	r.ProgressInto(&p)
-	return p
-}
-
 // ProgressInto overwrites p with the run's live exploration state, reusing
 // p.Branches: a caller that polls after every step keeps one buffer and pays
-// O(branches) and no allocation per call. Like Progress it belongs to the
-// goroutine that owns the run.
+// O(branches) and no allocation per call. It must only be called from the
+// goroutine that owns the run (the step loop); it reads the same state Step
+// mutates.
 func (r *Run) ProgressInto(p *Progress) {
 	p.NowSec = r.now
 	p.Done = r.done

@@ -109,8 +109,9 @@ func TestProgressMatchesReference(t *testing.T) {
 							alive = r.Step()
 						}
 						want := refProgress(r)
-						if got := r.Progress(); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: step %d: Progress\n got  %+v\n want %+v", name, step, got, want)
+						var fresh Progress
+						if r.ProgressInto(&fresh); !reflect.DeepEqual(fresh, want) {
+							t.Fatalf("%s: step %d: fresh buffer\n got  %+v\n want %+v", name, step, fresh, want)
 						}
 						r.ProgressInto(&reused)
 						if !reflect.DeepEqual(reused, want) {

@@ -12,6 +12,13 @@ import (
 	"metadataflow/internal/scheduler"
 )
 
+// progress returns the run's progress in a fresh document.
+func progress(run *engine.Run) engine.Progress {
+	var p engine.Progress
+	run.ProgressInto(&p)
+	return p
+}
+
 func TestProgressTracksBranches(t *testing.T) {
 	g := buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator())
 	plan, err := graph.BuildPlan(g)
@@ -28,7 +35,7 @@ func TestProgressTracksBranches(t *testing.T) {
 		t.Fatalf("NewRun: %v", err)
 	}
 
-	p := run.Progress()
+	p := progress(run)
 	if p.Done || p.StagesExecuted != 0 {
 		t.Fatalf("fresh run progress: %+v", p)
 	}
@@ -44,7 +51,7 @@ func TestProgressTracksBranches(t *testing.T) {
 	// Step until at least one branch has been scored mid-run.
 	sawPartial := false
 	for run.Step() {
-		mid := run.Progress()
+		mid := progress(run)
 		if mid.StagesExecuted > 0 && !mid.Done {
 			sawPartial = true
 		}
@@ -53,7 +60,7 @@ func TestProgressTracksBranches(t *testing.T) {
 		t.Fatal("never observed a mid-run progress state")
 	}
 
-	final := run.Progress()
+	final := progress(run)
 	if !final.Done {
 		t.Fatal("final progress not done")
 	}

@@ -88,11 +88,6 @@ type Record struct {
 
 // Options configures a journal writer.
 type Options struct {
-	// SegmentBytes rotates to a new segment once appending the next frame
-	// would push the current segment past this size. Zero means 256 KiB.
-	// A segment always holds at least one frame, so oversized records
-	// still land whole.
-	SegmentBytes int64 //lint:allow unitsafety -- real on-disk segment size, not simulated bytes
 	// NoSync skips the fsync after each append and rotation. Replay
 	// tolerates torn tails either way; NoSync trades the durability of
 	// the last few records for throughput (used by tests and the
@@ -100,7 +95,11 @@ type Options struct {
 	NoSync bool
 }
 
-const defaultSegmentBytes = 256 << 10
+// segmentBytes is the on-disk segment size: the writer rotates to a new
+// segment once appending the next frame would push the current one past it.
+// A segment always holds at least one frame, so oversized records still land
+// whole.
+const segmentBytes = 256 << 10
 
 // frameHeaderLen is the length+CRC prefix preceding every payload.
 const frameHeaderLen = 8
@@ -126,9 +125,6 @@ type Journal struct {
 
 // New prepares a journal writer rooted at dir. No I/O happens until Open.
 func New(dir string, opts Options) *Journal {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
 	return &Journal{dir: dir, opts: opts}
 }
 
@@ -231,7 +227,7 @@ func (j *Journal) Append(rec Record) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if j.segSize > 0 && j.segSize+int64(len(frame)) > j.opts.SegmentBytes {
+	if j.segSize > 0 && j.segSize+int64(len(frame)) > segmentBytes {
 		if err := j.rotate(); err != nil {
 			return 0, err
 		}
@@ -308,9 +304,6 @@ func EncodeFrame(rec Record) ([]byte, error) {
 // crash-restart harness uses this to materialise the journal as of any
 // record boundary. dir must not already contain segments.
 func WriteAll(dir string, recs []Record, opts Options) error {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
 	segs, err := segments(dir)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"metadataflow/internal/sim"
@@ -23,6 +24,17 @@ func sampleRecords(n int) []Record {
 			TSec:   sim.VTime(i) * 0.5,
 			Spec:   json.RawMessage(`{"name":"t"}`),
 		}
+	}
+	return recs
+}
+
+// largeRecords is sampleRecords with specs of about 40 KiB each, so a
+// handful of them fill a segment and appending them rotates.
+func largeRecords(n int) []Record {
+	recs := sampleRecords(n)
+	spec := json.RawMessage(`{"name":"t","pad":"` + strings.Repeat("x", 40<<10) + `"}`)
+	for i := range recs {
+		recs[i].Spec = spec
 	}
 	return recs
 }
@@ -85,12 +97,11 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 }
 
 func TestDeterministicBytes(t *testing.T) {
-	recs := sampleRecords(20)
-	opts := Options{SegmentBytes: 256} // force several rotations
+	recs := largeRecords(20)
 	dirA := filepath.Join(t.TempDir(), "a")
 	dirB := filepath.Join(t.TempDir(), "b")
-	appendAll(t, dirA, recs, opts)
-	appendAll(t, dirB, recs, opts)
+	appendAll(t, dirA, recs, Options{})
+	appendAll(t, dirB, recs, Options{})
 	a, b := readDir(t, dirA), readDir(t, dirB)
 	if len(a) < 2 {
 		t.Fatalf("expected rotation to produce multiple segments, got %d", len(a))
@@ -106,17 +117,16 @@ func TestDeterministicBytes(t *testing.T) {
 }
 
 func TestWriteAllReproducesPrefix(t *testing.T) {
-	recs := sampleRecords(15)
-	opts := Options{SegmentBytes: 256}
+	recs := largeRecords(15)
 	full := filepath.Join(t.TempDir(), "full")
-	appendAll(t, full, recs, opts)
+	appendAll(t, full, recs, Options{})
 	replayed, err := Replay(full)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	for _, k := range []int{0, 1, 7, len(replayed)} {
 		dir := filepath.Join(t.TempDir(), "prefix")
-		if err := WriteAll(dir, replayed[:k], opts); err != nil {
+		if err := WriteAll(dir, replayed[:k], Options{}); err != nil {
 			t.Fatalf("WriteAll k=%d: %v", k, err)
 		}
 		got, err := Replay(dir)

@@ -76,8 +76,8 @@ func (s topK) Better(a, b float64) bool {
 	}
 	return a > b
 }
-func (s topK) NewSession(total int) graph.ChooseSession {
-	return &topKSession{sel: s, total: total}
+func (s topK) NewSession(int) graph.ChooseSession {
+	return &topKSession{sel: s}
 }
 
 type scored struct {
@@ -86,19 +86,10 @@ type scored struct {
 }
 
 type topKSession struct {
-	sel     sessionOrdering
-	total   int
-	offered int
+	sel     topK
 	kept    []scored // best first; among equal scores, in the order offered
 	discard [1]int   // backing of the list Offer returns
 }
-
-// sessionOrdering is the subset of Selector a session needs.
-type sessionOrdering interface {
-	Better(a, b float64) bool
-}
-
-func (s *topKSession) k() int { return s.sel.(topK).k }
 
 // Offer inserts the score into kept, which is sorted, behind every score it
 // is not better than: the stable order. A NaN is better than nothing and
@@ -106,14 +97,13 @@ func (s *topKSession) k() int { return s.sel.(topK).k }
 // follows queues behind it. The list returned is the session's own, valid
 // until the next Offer.
 func (s *topKSession) Offer(branch int, score float64) (discard []int, done bool) {
-	s.offered++
 	s.kept = append(s.kept, scored{branch, score})
 	i := len(s.kept) - 1
 	for ; i > 0 && s.sel.Better(score, s.kept[i-1].score); i-- {
 		s.kept[i] = s.kept[i-1]
 	}
 	s.kept[i] = scored{branch, score}
-	if len(s.kept) > s.k() {
+	if len(s.kept) > s.sel.k {
 		s.discard[0] = s.kept[len(s.kept)-1].branch
 		s.kept = s.kept[:len(s.kept)-1]
 		discard = s.discard[:]
@@ -126,7 +116,7 @@ func (s *topKSession) Selected() []int { return branchesOf(s.kept) }
 // NeverSelect reports whether a branch scoring sc — or anything worse — can
 // no longer enter the selection.
 func (s *topKSession) NeverSelect(sc float64) bool {
-	if len(s.kept) < s.k() {
+	if len(s.kept) < s.sel.k {
 		return false
 	}
 	worstKept := s.kept[len(s.kept)-1].score
@@ -164,8 +154,8 @@ func (s threshold) pass(score float64) bool {
 	}
 	return score >= s.bound
 }
-func (s threshold) NewSession(total int) graph.ChooseSession {
-	return &predSession{pred: s.pass, better: s.Better, total: total, k: -1}
+func (s threshold) NewSession(int) graph.ChooseSession {
+	return &predSession{pred: s.pass, k: -1}
 }
 
 // Interval selects every branch whose score falls within [lo, hi].
@@ -182,8 +172,8 @@ func (s interval) Better(a, b float64) bool {
 	return da < db
 }
 func (s interval) pass(score float64) bool { return score >= s.lo && score <= s.hi }
-func (s interval) NewSession(total int) graph.ChooseSession {
-	return &predSession{pred: s.pass, better: s.Better, total: total, k: -1}
+func (s interval) NewSession(int) graph.ChooseSession {
+	return &predSession{pred: s.pass, k: -1}
 }
 
 // KThreshold selects the first k branches (in execution order) whose scores
@@ -218,25 +208,21 @@ func (s kPred) Name() string             { return fmt.Sprintf("first-%d %s", s.k
 func (s kPred) Associative() bool        { return true }
 func (s kPred) NonExhaustive() bool      { return true }
 func (s kPred) Better(a, b float64) bool { return s.base.Better(a, b) }
-func (s kPred) NewSession(total int) graph.ChooseSession {
-	return &predSession{pred: s.base.pass, better: s.base.Better, total: total, k: s.k}
+func (s kPred) NewSession(int) graph.ChooseSession {
+	return &predSession{pred: s.base.pass, k: s.k}
 }
 
 // predSession selects branches passing a predicate; with k >= 0 it stops
 // after k passing branches (the first-k semantics of k-threshold and
 // k-interval).
 type predSession struct {
-	pred    func(float64) bool
-	better  func(a, b float64) bool
-	total   int
-	k       int // -1: unbounded
-	offered int
-	kept    []scored
-	done    bool
+	pred func(float64) bool
+	k    int // -1: unbounded
+	kept []scored
+	done bool
 }
 
 func (s *predSession) Offer(branch int, score float64) (discard []int, done bool) {
-	s.offered++
 	if s.done {
 		return []int{branch}, true
 	}

@@ -26,6 +26,10 @@ func newAlloc(capacity sim.Bytes, policy PolicyKind, acc AccessCounter) (*Alloca
 	return NewAllocator(node, cluster.DefaultConfig(), capacity, policy, acc), node
 }
 
+// diskFree returns when the node's disk becomes free: a zero-length request
+// waits for it and occupies nothing.
+func diskFree(n *cluster.Node) sim.VTime { return n.Disk(0, 0) }
+
 func TestCheckAccountingBalancedAndAuditHelpers(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
 	a.Put(key(1), 1000, 0)
@@ -282,12 +286,12 @@ func TestCrashSplitsCheckpointedFromLost(t *testing.T) {
 	a.SetCheckpointing(true)
 	a.Put(key(1), 1000, 0)
 	a.Put(key(2), 2000, 1)
-	_, disk0, _ := n.FreeAt()
+	disk0 := diskFree(n)
 	end := a.Checkpoint(key(1), 2)
 	if end <= 2 {
 		t.Fatal("checkpoint must charge a disk write")
 	}
-	if _, disk1, _ := n.FreeAt(); disk1 <= disk0 {
+	if diskFree(n) <= disk0 {
 		t.Fatal("checkpoint must occupy the disk timeline")
 	}
 	if a.Checkpoint(key(1), end) != end {
@@ -351,14 +355,14 @@ func TestCheckpointedVictimSpillsForFree(t *testing.T) {
 	a.SetCheckpointing(true)
 	a.Put(key(1), 1000, 0)
 	a.Checkpoint(key(1), 1)
-	_, diskBefore, _ := n.FreeAt()
+	diskBefore := diskFree(n)
 	spilled := a.Metrics().SpilledBytes
 	a.Put(key(2), 1000, 2)
 	a.Put(key(3), 1000, 3) // evicts key(1), which is already durable
 	if inMemory(a, key(1)) {
 		t.Fatal("key(1) should have been evicted")
 	}
-	if _, diskAfter, _ := n.FreeAt(); diskAfter != diskBefore {
+	if diskFree(n) != diskBefore {
 		t.Fatal("evicting a checkpointed partition must not re-write it")
 	}
 	if a.Metrics().SpilledBytes != spilled {
@@ -373,9 +377,9 @@ func TestSpillWithoutCheckpointingUnchanged(t *testing.T) {
 	a, n := newAlloc(2500, LRU, nil)
 	a.Put(key(1), 1000, 0)
 	a.Put(key(2), 1000, 1)
-	_, diskBefore, _ := n.FreeAt()
+	diskBefore := diskFree(n)
 	a.Put(key(3), 1000, 2)
-	if _, diskAfter, _ := n.FreeAt(); diskAfter <= diskBefore {
+	if diskFree(n) <= diskBefore {
 		t.Fatal("without checkpointing mode every spill charges a disk write")
 	}
 }

@@ -79,8 +79,6 @@ func (s StaleAllow) String() string {
 type Config struct {
 	// Rules selects a subset of Rules(); empty means all.
 	Rules []string
-	// MaxIterateRounds bounds IterateStep.Rounds (degeniterate).
-	MaxIterateRounds int
 	// Workers and MemPerWorker describe the cluster the job would occupy:
 	// Workers × MemPerWorker is the admission reservation, MemPerWorker the
 	// AMM budget a stage's working set must fit (memfeasible).
@@ -96,12 +94,11 @@ type Config struct {
 // off.
 func DefaultConfig() Config {
 	cl := cluster.DefaultConfig()
-	return Config{
-		MaxIterateRounds: 10000,
-		Workers:          cl.Workers,
-		MemPerWorker:     cl.MemPerWorker,
-	}
+	return Config{Workers: cl.Workers, MemPerWorker: cl.MemPerWorker}
 }
+
+// maxIterateRounds bounds IterateStep.Rounds (degeniterate).
+const maxIterateRounds = 10000
 
 // Rules lists the battery in execution order.
 func Rules() []string {
@@ -136,10 +133,6 @@ func Verify(s *spec.Spec, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxIterateRounds <= 0 {
-		cfg.MaxIterateRounds = DefaultConfig().MaxIterateRounds
-	}
-
 	n := s.Normalized()
 	res := &Result{}
 	found := make(map[string][]Finding, len(enabled))
@@ -164,7 +157,7 @@ func Verify(s *spec.Spec, cfg Config) (*Result, error) {
 			case e.Step.Explore != nil && dead:
 				deads = append(deads, checkDeadChoose(e)...)
 			case e.Step.Iterate != nil && degen:
-				degens = append(degens, checkDegenIterate(e, cfg)...)
+				degens = append(degens, checkDegenIterate(e)...)
 			}
 			if e.ProvedEmpty && empty {
 				empties = append(empties, checkEmptyFilter(e))

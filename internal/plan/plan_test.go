@@ -241,6 +241,30 @@ func TestOpTransfers(t *testing.T) {
 	}
 }
 
+// TestDegenIterateRoundCap: degeniterate condemns an iterate that unrolls
+// more than maxIterateRounds rounds, and only such an iterate.
+func TestDegenIterateRoundCap(t *testing.T) {
+	for _, rounds := range []int{maxIterateRounds, maxIterateRounds + 1} {
+		s := &spec.Spec{
+			Source: spec.Source{Rows: 10, Distribution: "normal"},
+			Pipeline: []spec.Step{{Iterate: &spec.IterateStep{
+				Name: "long", Rounds: rounds, Op: spec.OpStep{Name: "a", Fn: "affine", A: 2},
+			}}},
+		}
+		res, err := Verify(s, Config{Rules: []string{"degeniterate"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if rounds > maxIterateRounds {
+			want = 1
+		}
+		if len(res.Findings) != want {
+			t.Errorf("rounds %d: findings %v, want %d", rounds, res.Findings, want)
+		}
+	}
+}
+
 // randomSpec draws a spec with defects of every walk rule seeded in at
 // random: uniform sources (bounded intervals, so filters can be proved
 // empty), single-round and idempotent iterates, divergence thresholds out
@@ -310,7 +334,7 @@ func randomSpec(rng *rand.Rand) *spec.Spec {
 // compiles.
 func TestVerifySharesItsWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	cfg := Config{MaxIterateRounds: 2, Workers: 8, MemPerWorker: 4 << 30, TenantQuota: 16 << 30}
+	cfg := Config{Workers: 8, MemPerWorker: 4 << 30, TenantQuota: 16 << 30}
 	fired := make(map[string]int)
 	for i := 0; i < 400; i++ {
 		s := randomSpec(rng)

@@ -146,10 +146,10 @@ func idempotentFn(fn string) bool {
 
 // checkDegenIterate flags an iteration (e is an iterate step's event) that
 // cannot do useful work: a single round (a plain op), rounds beyond the
-// configured maximum, an idempotent operator iterated more than once, and a
+// maximum, an idempotent operator iterated more than once, and a
 // divergence threshold the value ranges prove unreachable (the
 // early-termination check would be evaluated every round and never fire).
-func checkDegenIterate(e stepEvent, cfg Config) []Finding {
+func checkDegenIterate(e stepEvent) []Finding {
 	var out []Finding
 	it := e.Step.Iterate
 	path := e.Path + ".iterate"
@@ -157,9 +157,9 @@ func checkDegenIterate(e stepEvent, cfg Config) []Finding {
 		out = append(out, Finding{Path: path, Rule: "degeniterate",
 			Msg: fmt.Sprintf("iterate %q runs a single round: use a plain op step", it.Name)})
 	}
-	if it.Rounds > cfg.MaxIterateRounds {
+	if it.Rounds > maxIterateRounds {
 		out = append(out, Finding{Path: path, Rule: "degeniterate",
-			Msg: fmt.Sprintf("iterate %q unrolls %d rounds, above the configured maximum %d", it.Name, it.Rounds, cfg.MaxIterateRounds)})
+			Msg: fmt.Sprintf("iterate %q unrolls %d rounds, above the maximum %d", it.Name, it.Rounds, maxIterateRounds)})
 	}
 	if it.Rounds > 1 {
 		a, b, _ := resolvedOpParams(it.Op, e.Params)

@@ -49,28 +49,20 @@ func (s *Server) vet(doc []byte) (*vetted, *graph.Graph, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	v := &vetted{spec: sp}
-	var g *graph.Graph
-	var hr *spec.HashReport
-	if !s.cfg.DisableVet {
-		res, err := plan.Verify(sp, plan.Config{
-			Workers:      s.cfg.Workers,
-			MemPerWorker: s.cfg.MemPerWorker,
-			TenantQuota:  s.cfg.TenantQuota,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		v.findings, hr, g = res.Findings, res.Hashes, res.Graph
+	res, err := plan.Verify(sp, plan.Config{
+		Workers:      s.cfg.Workers,
+		MemPerWorker: s.cfg.MemPerWorker,
+		TenantQuota:  s.cfg.TenantQuota,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	v := &vetted{spec: sp, findings: res.Findings}
 	if s.cfg.StateDir != "" {
-		if hr == nil {
-			hr = sp.HashReport()
-		}
-		v.specHash, v.chains = hr.Spec.String(), hr.OpChains
+		v.specHash, v.chains = res.Hashes.Spec.String(), res.Hashes.OpChains
 	}
 	s.memo.put(doc, v)
-	return v, g, nil
+	return v, res.Graph, nil
 }
 
 // buildPlan builds the execution plan of a vetted spec, compiling it first unless

@@ -547,8 +547,8 @@ func TestRecoveredJobIsPlannedAtRequeue(t *testing.T) {
 // by what it allocates, against the same machine's count for each step alone
 // (P parse, V vet — which compiles and hashes — H hash, C compile, B plan):
 // a new document costs P + V + B and not one step more, on a durable server
-// too, where the hash is the one vetting computed; with vetting off it costs
-// P + C + B, plus H on a durable server; a document seen before costs C + B —
+// too, where the hash is the one vetting computed; a document seen before
+// costs C + B —
 // no parse, no hash, no vet. The slack is well under the cheapest step, so a
 // second call of any of them shows.
 //
@@ -593,8 +593,6 @@ func TestAdmissionDoesEachThingOnce(t *testing.T) {
 	}{
 		{"memory", Config{}, P + V + B, C + B},
 		{"durable", Config{StateDir: t.TempDir()}, P + V + B, C + B},
-		{"memory, vet off", Config{DisableVet: true}, P + C + B, C + B},
-		{"durable, vet off", Config{DisableVet: true, StateDir: t.TempDir()}, P + H + C + B, C + B},
 	} {
 		s := newServer(tc.cfg) // the pipeline reads the configuration only
 		i := 0

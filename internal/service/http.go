@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 
@@ -77,11 +78,8 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	var req JobRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), &req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, err)
@@ -114,6 +112,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// decodeRequest decodes the one request object of a submission body, strictly:
+// an unknown field fails, and so does anything but whitespace after the
+// object, as trailing data after a spec document does (spec.Parse).
+func decodeRequest(body io.Reader, req *JobRequest) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	}
+	return errors.New("service: trailing data after the request object")
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

@@ -107,11 +107,17 @@ func TestHTTPBadRequests(t *testing.T) {
 	defer s.Close()
 	h := s.Handler()
 
+	job := `{"tenant": "a", "spec": ` + okSpec + `}`
 	cases := map[string]string{
 		"not json":      `{`,
 		"unknown field": `{"tenant": "a", "sepc": {}}`,
 		"no tenant":     `{"spec": ` + okSpec + `}`,
 		"bad spec":      `{"tenant": "a", "spec": {"source": {"rows": 0}, "pipeline": []}}`,
+		// A body is one request object: nothing but whitespace may follow.
+		"second object": job + job + "trailing-garbage",
+		"stray brace":   job + "}",
+		"stray bracket": job + " ]",
+		"garbage":       job + "\nx",
 	}
 	for name, body := range cases {
 		if rec := postJob(t, h, body); rec.Code != http.StatusBadRequest {
@@ -123,6 +129,12 @@ func TestHTTPBadRequests(t *testing.T) {
 	huge := `{"tenant": "a", "pad": "` + strings.Repeat("x", MaxBodyBytes+1) + `"}`
 	if rec := postJob(t, h, huge); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body = %d, want 413", rec.Code)
+	}
+	if rec := postJob(t, h, job+strings.Repeat(" ", MaxBodyBytes)); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("object with an oversized tail = %d, want 413", rec.Code)
+	}
+	if rec := postJob(t, h, job+"\n"); rec.Code != http.StatusCreated {
+		t.Fatalf("object and a newline = %d, want 201: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -60,11 +60,6 @@ type Config struct {
 	// DrainStepBudget is how many more engine steps each active job may
 	// take once draining starts before it is canceled and checkpointed.
 	DrainStepBudget int
-	// DisableVet turns off plan vetting at admission. By default every
-	// submitted spec runs the internal/plan rule battery — against this
-	// config's cluster shape and tenant quota — and findings reject the
-	// submission with a *VetError (HTTP 400) before any quota is reserved.
-	DisableVet bool
 	// StateDir, when non-empty, makes the service crash-consistent: a
 	// write-ahead journal of job lifecycle records under StateDir/journal
 	// and a content-addressed durable checkpoint store under

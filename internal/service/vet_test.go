@@ -91,20 +91,34 @@ func TestSubmitVetMemoryInfeasible(t *testing.T) {
 	}
 }
 
-// TestSubmitVetEscapes: DisableVet admits condemned specs wholesale, and a
-// spec-level allow escapes a single rule with the vet otherwise on.
+// TestSubmitVetEscapes: a spec's own allow list is the one escape from
+// vetting. A document condemned by two rules is admitted once it names both,
+// and runs to done.
 func TestSubmitVetEscapes(t *testing.T) {
-	s := open(t, Config{DisableVet: true})
-	if _, err := s.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(dupSpec)}); err != nil {
-		t.Fatalf("DisableVet still rejected: %v", err)
+	s := open(t, Config{})
+	defer s.Close()
+	huge := strings.Replace(dupSpec, `"virtualBytes": 1048576`, `"virtualBytes": 8589934592`, 1)
+	_, err := s.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(huge)})
+	var vet *VetError
+	if !errors.As(err, &vet) {
+		t.Fatalf("submit returned %v, want *VetError", err)
 	}
-	s.Close()
+	var fired []string
+	for _, f := range vet.Findings {
+		fired = append(fired, f.Rule)
+	}
+	if strings.Join(fired, ",") != "dupbranch,memfeasible" {
+		t.Fatalf("fired rules %v, want dupbranch and memfeasible", fired)
+	}
 
-	s2 := open(t, Config{})
-	defer s2.Close()
-	allowed := strings.Replace(dupSpec, `"name": "dup",`, `"name": "dup", "allow": ["dupbranch"],`, 1)
-	if _, err := s2.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(allowed)}); err != nil {
+	allowed := strings.Replace(huge, `"name": "dup",`, `"name": "dup", "allow": ["dupbranch", "memfeasible"],`, 1)
+	st, err := s.Submit(JobRequest{Tenant: "a", Spec: json.RawMessage(allowed)})
+	if err != nil {
 		t.Fatalf("allow escape still rejected: %v", err)
+	}
+	s.WaitIdle()
+	if st, err = s.Job(st.ID); err != nil || st.State != StateDone {
+		t.Fatalf("allowed job: %+v, %v; want done", st, err)
 	}
 }
 

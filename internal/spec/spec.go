@@ -168,10 +168,10 @@ func Parse(data []byte) (*Spec, error) {
 		line, col := lineCol(data, decodeOffset(err, dec))
 		return nil, fmt.Errorf("spec: line %d, column %d: %w", line, col, err)
 	}
-	// A second document after the first is a malformed spec, not trailing
-	// input to ignore.
-	if dec.More() {
-		line, col := lineCol(data, dec.InputOffset())
+	// Anything but whitespace after the document — a second one, a stray
+	// bracket — makes a malformed spec, not trailing input to ignore.
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		line, col := lineCol(data, int64(len(data)-len(rest)))
 		return nil, fmt.Errorf("spec: line %d, column %d: trailing data after document", line, col)
 	}
 	if err := s.Validate(); err != nil {

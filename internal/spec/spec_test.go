@@ -356,6 +356,8 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 			"body": [{"op": {"name": "y"}}],
 			"choose": {"selector": {"kind": "topk", "kk": 2}}}}]}`,
 		"trailing document": `{"source": {"rows": 10}, "pipeline": [{"op": {"name": "x"}}]} {"extra": 1}`,
+		"trailing brace":    `{"source": {"rows": 10}, "pipeline": [{"op": {"name": "x"}}]}}`,
+		"trailing bracket":  `{"source": {"rows": 10}, "pipeline": [{"op": {"name": "x"}}]} ]`,
 	}
 	for name, doc := range cases {
 		if _, err := spec.Parse([]byte(doc)); err == nil {

@@ -7,7 +7,6 @@ import (
 	"metadataflow/internal/baseline"
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/engine"
-	"metadataflow/internal/graph"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
 	"metadataflow/internal/stats"
@@ -190,17 +189,16 @@ func TestSequentialSlowerThanMDF(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sequential: %v", err)
 	}
-	mdfRes, err := baseline.Parallel([]*graph.Graph{g}, 1, baseline.Config{
+	mdfRes, err := engine.Execute(g, engine.Options{
 		Cluster: testCluster(), Policy: memorymgr.AMM,
-		NewScheduler: func() scheduler.Policy { return scheduler.BAS(nil) },
-		Incremental:  true,
+		Scheduler: scheduler.BAS(nil), Incremental: true,
 	})
 	if err != nil {
 		t.Fatalf("MDF: %v", err)
 	}
-	if mdfRes.CompletionTime >= seq.CompletionTime {
+	if mdfRes.CompletionTime() >= seq.CompletionTime {
 		t.Errorf("MDF (%0.1fs) should beat sequential (%0.1fs)",
-			mdfRes.CompletionTime, seq.CompletionTime)
+			mdfRes.CompletionTime(), seq.CompletionTime)
 	}
 }
 

@@ -46,7 +46,8 @@ type (
 	Result = engine.Result
 	// Metrics aggregates run statistics (hit ratio, pruning counts, ...).
 	Metrics = engine.Metrics
-	// ClusterConfig describes the simulated cluster hardware.
+	// ClusterConfig sizes the simulated cluster: its worker count and each
+	// worker's memory. The cost model is the paper's testbed.
 	ClusterConfig = cluster.Config
 	// IterationSpec configures an unrolled fixpoint computation with
 	// in-loop early termination (§3.2).
