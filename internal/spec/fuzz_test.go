@@ -1,14 +1,16 @@
-package spec
+package spec_test
 
 import (
 	"bytes"
 	"testing"
+
+	"metadataflow/internal/spec"
 )
 
 // FuzzParse ensures the parser never panics on arbitrary input and that any
 // document it accepts also compiles to a valid graph.
 func FuzzParse(f *testing.F) {
-	f.Add([]byte(SampleSpec))
+	f.Add([]byte(spec.SampleSpec))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"source":{"rows":5},"pipeline":[{"op":{"name":"x"}}]}`))
 	f.Add([]byte(`{"source":{"rows":5},"pipeline":[{"explore":{"name":"e",
@@ -16,7 +18,7 @@ func FuzzParse(f *testing.F) {
 	  "body":[{"op":{"name":"y"}}],
 	  "choose":{"selector":{"kind":"max"}}}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Parse(data)
+		s, err := spec.Parse(data)
 		if err != nil {
 			return
 		}
@@ -34,11 +36,12 @@ func FuzzParse(f *testing.F) {
 
 // FuzzCanonical drives the canonical-form contract on arbitrary input:
 // Parse → Canonicalize → Parse must be a fixpoint (a second canonicalization
-// is byte-identical) and the semantic hash must survive canonicalization
+// is byte-identical), the semantic hash must survive canonicalization
 // unchanged — otherwise canonical files and hash-keyed memo tables would
-// disagree about spec identity.
+// disagree about spec identity — and the canonical form must compile to the
+// same graph, which runs alike (TestCompileReadsNormalized's check).
 func FuzzCanonical(f *testing.F) {
-	f.Add([]byte(SampleSpec))
+	f.Add([]byte(spec.SampleSpec))
 	f.Add([]byte(`{"source":{"rows":5},"pipeline":[{"op":{"name":"x"}}]}`))
 	f.Add([]byte(`{"source":{"file":"/tmp/x","distribution":"uniform","seed":9},"pipeline":[{"op":{"name":"x","a":4,"paramKey":"zz"}}]}`))
 	f.Add([]byte(`{"schema_version":"1.2.3","source":{"rows":7,"partitions":2},"pipeline":[
@@ -49,7 +52,7 @@ func FuzzCanonical(f *testing.F) {
 	    "choose":{"evaluator":"ratio","monotone":true,"selector":{"kind":"topk","k":1}}}}]}`))
 	f.Add([]byte(`{"allow":["dupbranch"],"source":{"rows":5},"pipeline":[{"op":{"name":"x"}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Parse(data)
+		s, err := spec.Parse(data)
 		if err != nil {
 			return
 		}
@@ -59,7 +62,7 @@ func FuzzCanonical(f *testing.F) {
 			// Parse succeeded, so the spec is valid and must canonicalize.
 			t.Fatalf("valid spec failed to canonicalize: %v", err)
 		}
-		s2, err := Parse(c1)
+		s2, err := spec.Parse(c1)
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\n%s", err, c1)
 		}
@@ -73,5 +76,6 @@ func FuzzCanonical(f *testing.F) {
 		if h2 := s2.HashReport().Spec; h2 != h {
 			t.Fatalf("hash moved across canonicalization: %s -> %s\n%s", h, h2, c1)
 		}
+		compileMatchesCanonical(t, "input", data, false)
 	})
 }

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,66 +35,150 @@ const baseDoc = `{
   ]
 }`
 
-// TestHashSensitivityTable drives the acceptance table: hash-invariant
-// edits (reordering, whitespace, metadata) against hash-changing edits
-// (every semantic knob).
-func TestHashSensitivityTable(t *testing.T) {
-	base := mustHash(t, baseDoc)
+// edit returns baseDoc with its first old replaced by new.
+func edit(t *testing.T, old, new string) string {
+	t.Helper()
+	if !strings.Contains(baseDoc, old) {
+		t.Fatalf("baseline does not contain %q", old)
+	}
+	return strings.Replace(baseDoc, old, new, 1)
+}
 
-	edit := func(old, new string) string {
-		if !strings.Contains(baseDoc, old) {
-			t.Fatalf("baseline does not contain %q", old)
+// hashDecision is the recorded answer to "does the content hash read this
+// field?", with two documents that differ in that field alone.
+type hashDecision struct {
+	hashed bool
+	a, b   string
+}
+
+// hashDecisions records the decision for every field of every struct a Spec
+// is built from, keyed "Type.Field". The types that only hold others — Step,
+// the pipeline and body slices, Choose.Selector — are walked into, not
+// decided.
+func hashDecisions(t *testing.T) map[string]hashDecision {
+	in := func(a, b string) hashDecision { return hashDecision{true, a, b} }
+	out := func(a, b string) hashDecision { return hashDecision{false, a, b} }
+	ed := func(old, new string) string { return edit(t, old, new) }
+	const std = `{"name": "std", "fn": "standardize"}`
+	const choose = `"choose": {"evaluator": "size", "selector": {"kind": "max"}}`
+	sel := func(s string) string { return ed(`"selector": {"kind": "max"}`, `"selector": `+s) }
+	return map[string]hashDecision{
+		"Spec.SchemaVersion":              out(baseDoc, ed(`"name": "base"`, `"schema_version": "1.0.0", "name": "base"`)),
+		"Spec.Name":                       out(baseDoc, ed(`"name": "base"`, `"name": "renamed"`)),
+		"Spec.Allow":                      out(baseDoc, ed(`"name": "base"`, `"name": "base", "allow": ["dupbranch"]`)),
+		"Source.File":                     in(baseDoc, ed(`"rows": 100`, `"rows": 100, "file": "/nonexistent"`)),
+		"Source.Rows":                     in(baseDoc, ed(`"rows": 100`, `"rows": 200`)),
+		"Source.Partitions":               in(baseDoc, ed(`"partitions": 4`, `"partitions": 5`)),
+		"Source.VirtualBytes":             in(baseDoc, ed(`"virtualBytes": 1048576`, `"virtualBytes": 2097152`)),
+		"Source.Distribution":             in(baseDoc, ed(`"distribution": "normal"`, `"distribution": "uniform"`)),
+		"Source.Seed":                     in(baseDoc, ed(`"seed": 7`, `"seed": 8`)),
+		"OpStep.Name":                     out(baseDoc, ed(`"name": "std"`, `"name": "zzz"`)),
+		"OpStep.Fn":                       in(baseDoc, ed(`"fn": "standardize"`, `"fn": "normalize"`)),
+		"OpStep.A":                        in(ed(std, `{"name": "std", "fn": "affine", "a": 2}`), ed(std, `{"name": "std", "fn": "affine", "a": 3}`)),
+		"OpStep.B":                        in(ed(std, `{"name": "std", "fn": "affine", "b": 2}`), ed(std, `{"name": "std", "fn": "affine", "b": 3}`)),
+		"OpStep.Limit":                    in(ed(std, `{"name": "std", "fn": "filter-less", "limit": 2}`), ed(std, `{"name": "std", "fn": "filter-less", "limit": 3}`)),
+		"OpStep.ParamKey":                 in(baseDoc, ed(`"paramKey": "limit"`, `"paramKey": "other"`)),
+		"OpStep.CostPerMB":                in(baseDoc, ed(`"fn": "standardize"`, `"fn": "standardize", "costPerMB": 0.5`)),
+		"OpStep.FixedCost":                in(baseDoc, ed(`"fn": "standardize"`, `"fn": "standardize", "fixedCost": 2`)),
+		"IterateStep.Name":                out(baseDoc, ed(`"name": "it"`, `"name": "loop"`)),
+		"IterateStep.Rounds":              in(baseDoc, ed(`"rounds": 3`, `"rounds": 4`)),
+		"IterateStep.DivergeAboveMeanAbs": in(baseDoc, ed(`"rounds": 3`, `"rounds": 3, "divergeAboveMeanAbs": 10`)),
+		"ExploreStep.Name":                out(baseDoc, ed(`"name": "e"`, `"name": "other"`)),
+		"Branch.Label":                    out(baseDoc, ed(`"label": "lo"`, `"label": "low"`)),
+		"Branch.Hint":                     in(baseDoc, ed(`"label": "lo"`, `"label": "lo", "hint": 9`)),
+		"Branch.Params":                   in(baseDoc, ed(`"limit": 0.5`, `"limit": 0.6`)),
+		"Choose.Evaluator":                in(baseDoc, ed(`"evaluator": "size"`, `"evaluator": "ratio"`)),
+		"Choose.Monotone":                 in(baseDoc, ed(choose, `"choose": {"evaluator": "size", "monotone": true, "selector": {"kind": "max"}}`)),
+		"Choose.Convex":                   in(baseDoc, ed(choose, `"choose": {"evaluator": "size", "convex": true, "selector": {"kind": "max"}}`)),
+		"Choose.CostPerMB":                in(baseDoc, ed(choose, `"choose": {"evaluator": "size", "costPerMB": 0.5, "selector": {"kind": "max"}}`)),
+		"Selector.Kind":                   in(baseDoc, sel(`{"kind": "min"}`)),
+		"Selector.K":                      in(sel(`{"kind": "topk", "k": 1}`), sel(`{"kind": "topk", "k": 2}`)),
+		"Selector.Bound":                  in(sel(`{"kind": "threshold", "bound": 1}`), sel(`{"kind": "threshold", "bound": 2}`)),
+		"Selector.AtMost":                 in(sel(`{"kind": "threshold", "bound": 1}`), sel(`{"kind": "threshold", "bound": 1, "atMost": true}`)),
+		"Selector.Lo":                     in(sel(`{"kind": "interval", "lo": 1, "hi": 5}`), sel(`{"kind": "interval", "lo": 2, "hi": 5}`)),
+		"Selector.Hi":                     in(sel(`{"kind": "interval", "lo": 1, "hi": 5}`), sel(`{"kind": "interval", "lo": 1, "hi": 6}`)),
+	}
+}
+
+// specFields walks a Spec's type and returns every field it decides, as
+// "Type.Field": structs, pointers to them and slices of them are walked
+// into; every other field is a leaf.
+func specFields() map[string]bool {
+	fields := make(map[string]bool)
+	seen := make(map[reflect.Type]bool)
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
 		}
-		return strings.Replace(baseDoc, old, new, 1)
+		if typ.Kind() != reflect.Struct || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			elem := f.Type
+			for elem.Kind() == reflect.Pointer || elem.Kind() == reflect.Slice {
+				elem = elem.Elem()
+			}
+			if elem.Kind() == reflect.Struct {
+				walk(elem)
+				continue
+			}
+			fields[typ.Name()+"."+f.Name] = true
+		}
+	}
+	walk(reflect.TypeOf(Spec{}))
+	return fields
+}
+
+// TestHashSensitivityTable makes the hash-inclusion decision total: every
+// field a spec document can set has a recorded decision, and each decision
+// holds — an excluded field's two documents hash alike, an included field's
+// differently. A new field without a decision fails here. Spellings that are
+// not fields — whitespace, key order, branch order, defaults written out,
+// dead values — are pinned after.
+func TestHashSensitivityTable(t *testing.T) {
+	decisions := hashDecisions(t)
+	fields := specFields()
+	for f := range fields {
+		if _, ok := decisions[f]; !ok {
+			t.Errorf("%s: no recorded decision whether the content hash reads it", f)
+		}
+	}
+	for f, d := range decisions {
+		if !fields[f] {
+			t.Errorf("%s: a decision for a field a spec does not have", f)
+			continue
+		}
+		if d.a == d.b {
+			t.Errorf("%s: the two documents are the same", f)
+		}
+		if moved := mustHash(t, d.a) != mustHash(t, d.b); moved != d.hashed {
+			t.Errorf("%s: hashed=%v, but editing it moved the hash: %v", f, d.hashed, moved)
+		}
 	}
 
+	base := mustHash(t, baseDoc)
 	same := map[string]string{
 		"whitespace collapsed": strings.Join(strings.Fields(baseDoc), " "),
-		"job renamed":          edit(`"name": "base"`, `"name": "renamed"`),
-		"op renamed":           edit(`"name": "std"`, `"name": "zzz"`),
-		"explore renamed":      edit(`"name": "e"`, `"name": "other"`),
-		"branch relabeled":     edit(`"label": "lo"`, `"label": "low"`),
-		"schema version added": strings.Replace(baseDoc, `"name": "base"`, `"schema_version": "1.0.0", "name": "base"`, 1),
-		"allow metadata added": strings.Replace(baseDoc, `"name": "base"`, `"name": "base", "allow": ["dupbranch"]`, 1),
 		"key order swapped": strings.Replace(baseDoc,
 			`"rows": 100, "partitions": 4`, `"partitions": 4, "rows": 100`, 1),
-		"default materialised": edit(`"fn": "filter-absless", "paramKey": "limit"`,
+		"default materialised": edit(t, `"fn": "filter-absless", "paramKey": "limit"`,
 			`"fn": "filter-absless", "paramKey": "limit", "costPerMB": 0.001`),
-		"dead param added": edit(`"params": {"limit": 0.5}`, `"params": {"limit": 0.5, "unused": 9}`),
-		"paramkey inlined": edit(`"body": [{"op": {"name": "f", "fn": "filter-absless", "paramKey": "limit"}}],
-      "choose": {"evaluator": "size", "selector": {"kind": "max"}}`,
-			`"body": [{"op": {"name": "f", "fn": "filter-absless", "paramKey": "limit"}}],
-      "choose": {"evaluator": "size", "selector": {"kind": "max", "k": 3}}`),
+		"dead param added": edit(t, `"params": {"limit": 0.5}`, `"params": {"limit": 0.5, "unused": 9}`),
+		"dead k added":     edit(t, `"selector": {"kind": "max"}`, `"selector": {"kind": "max", "k": 3}`),
 	}
-	// A "max" selector ignores k, so materialising it must not move the
-	// hash either — covered by "paramkey inlined" above (k is dead for max).
 	for name, doc := range same {
 		if got := mustHash(t, doc); got != base {
-			t.Errorf("%s: hash moved %s -> %s; metadata edits must not change the hash", name, base, got)
+			t.Errorf("%s: hash moved %s -> %s; spelling edits must not change the hash", name, base, got)
 		}
 	}
-
-	changed := map[string]string{
-		"source rows":         edit(`"rows": 100`, `"rows": 200`),
-		"source seed":         edit(`"seed": 7`, `"seed": 8`),
-		"source distribution": edit(`"distribution": "normal"`, `"distribution": "uniform"`),
-		"source bytes":        edit(`"virtualBytes": 1048576`, `"virtualBytes": 2097152`),
-		"trunk operator":      edit(`"fn": "standardize"`, `"fn": "normalize"`),
-		"branch param value":  edit(`"limit": 0.5`, `"limit": 0.6`),
-		"branch order": edit(`{"label": "lo", "params": {"limit": 0.5}},
+	reordered := edit(t, `{"label": "lo", "params": {"limit": 0.5}},
         {"label": "hi", "params": {"limit": 1.5}}`, `{"label": "hi", "params": {"limit": 1.5}},
-        {"label": "lo", "params": {"limit": 0.5}}`),
-		"evaluator":      edit(`"evaluator": "size"`, `"evaluator": "ratio"`),
-		"selector kind":  edit(`"kind": "max"`, `"kind": "min"`),
-		"iterate rounds": edit(`"rounds": 3`, `"rounds": 4`),
-		"iterate op":     edit(`"fn": "square"`, `"fn": "abs"`),
-		"op cost":        edit(`"fn": "standardize"`, `"fn": "standardize", "costPerMB": 0.5`),
-		"branch hint":    edit(`"label": "lo"`, `"label": "lo", "hint": 9`),
-	}
-	for name, doc := range changed {
-		if got := mustHash(t, doc); got == base {
-			t.Errorf("%s: hash did not move; semantic edits must change the hash", name)
-		}
+        {"label": "lo", "params": {"limit": 0.5}}`)
+	if mustHash(t, reordered) == base {
+		t.Error("branch order: hash did not move; the order branches run in is semantic")
 	}
 }
 
