@@ -138,6 +138,26 @@ func TestReplayIsOneCommand(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMisspelledFaults: a fault plan with a field plans do not
+// have — a misspelling, or the retry policy plans no longer set — or with
+// data after it is a usage error, inline and from a file alike, not a run
+// with fewer faults than the author wrote.
+func TestRunRejectsMisspelledFaults(t *testing.T) {
+	for _, plan := range []string{
+		`{"crashs": [{"node": 0}]}`,
+		`{"panics": [{"taget": "transform", "times": 1}]}`,
+		`{"retry": {"maxAttempts": 5}}`,
+		`{"crashes": [{"node": 0}]} {}`,
+	} {
+		for _, arg := range []string{plan, writeFixture(t, "plan.json", plan)} {
+			code, out, errOut := mdf(t, "run", "-job", "synthetic", "-faults", arg)
+			if code != 2 || out != "" || !strings.Contains(errOut, "bad -faults value") {
+				t.Errorf("run -faults %s: exit = %d, stdout = %q, stderr = %q, want 2 and a bad -faults value", arg, code, out, errOut)
+			}
+		}
+	}
+}
+
 // TestPlanAndRunVetAgreeOnMemory: `plan -mem-gb M` and `run -vet -mem M`
 // mean the same M. The spec's one partition is 1.05·10⁹ bytes — over a
 // decimal gigabyte, under a binary one — so the two verdicts differ exactly

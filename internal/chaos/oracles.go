@@ -266,7 +266,7 @@ func checkOverhead(spec *TrialSpec, golden, faulted *Outcome, report func(string
 
 // backoffBudget is the total virtual backoff the plan's panics can charge.
 func backoffBudget(plan *faults.Plan) float64 {
-	retry := plan.Retry.WithDefaults()
+	retry := faults.DefaultRetry()
 	var total sim.VTime
 	for _, p := range plan.Panics {
 		times := p.Times

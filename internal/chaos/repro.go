@@ -38,6 +38,9 @@ func ParseRepro(data []byte) (*Repro, error) {
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("chaos: bad repro file: %w", err)
 	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("chaos: bad repro file: trailing data after the repro")
+	}
 	if r.Schema != ReproSchema {
 		return nil, fmt.Errorf("chaos: repro schema %q, want %q", r.Schema, ReproSchema)
 	}

@@ -130,7 +130,7 @@ func ShrinkPlan(p *faults.Plan, workers int, maxRuns int, check func(*faults.Pla
 
 // clonePlan deep-copies a fault plan so shrink candidates never alias.
 func clonePlan(p *faults.Plan) *faults.Plan {
-	out := &faults.Plan{Seed: p.Seed, Retry: p.Retry}
+	out := &faults.Plan{Seed: p.Seed}
 	out.Crashes = append([]faults.Crash(nil), p.Crashes...)
 	out.Slowdowns = append([]faults.Window(nil), p.Slowdowns...)
 	out.DiskFaults = append([]faults.Window(nil), p.DiskFaults...)

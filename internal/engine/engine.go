@@ -210,9 +210,8 @@ type Run struct {
 	sessions []*chooseState // by choose stage ID; nil until the choose is first touched
 
 	// Fault-injection and recovery state.
-	injector   *faults.Injector   // nil on fault-free runs
-	retry      faults.RetryPolicy // panic retry/backoff policy
-	checkpoint bool               // durable-copy awareness enabled
+	injector   *faults.Injector // nil on fault-free runs
+	checkpoint bool             // durable-copy awareness enabled
 	// producerOf maps a dataset to the stage that first produced it, for
 	// lineage re-derivation; forwarding stages (explore, choose) keep the
 	// original producer.
@@ -384,12 +383,10 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		producerOf:    make(map[dataset.ID]int),
 		stageDur:      make([]sim.VTime, n),
 		placement:     make(map[dataset.PartKey]int),
-		retry:         faults.DefaultRetry(),
 		checkpoint:    o.Checkpoint,
 	}
 	if o.Faults != nil {
 		r.injector = faults.NewInjector(o.Faults)
-		r.retry = r.injector.Retry()
 	}
 	r.probe = o.Probe
 	r.audit, _ = o.Probe.(obs.Auditor)
@@ -450,8 +447,10 @@ func (r *Run) Err() error { return r.err }
 // CheckpointLive writes a durable on-disk copy of every live dataset
 // partition that does not have one yet and returns the number of partitions
 // newly checkpointed. It is the drain hook of the service layer: a run
-// abandoned mid-flight (graceful shutdown, deadline) first persists its
-// intermediate state so a later resubmission re-reads instead of recomputing.
+// drained mid-flight checkpoints its live intermediate state — mirrored to
+// the durable store when the run has one — and pays for the writes in
+// virtual time; the service journals the count. Nothing reads these copies
+// afterwards: a resubmitted or restarted job recomputes from its spec.
 // The disk writes are charged on the nodes' timelines at the run's current
 // virtual time; iteration follows plan order, so the charge sequence is
 // deterministic. Valid on finished, failed and canceled runs alike.

@@ -76,27 +76,28 @@ func (r *Run) callScore(op *graph.Operator, d *dataset.Dataset) (score float64, 
 }
 
 // retried runs call — a callTransform or callScore of op — with bounded
-// retry and exponential virtual-time backoff. penalty is the backoff time
-// accrued by failed attempts, to be charged regardless of the outcome. A
-// non-panic error propagates immediately; a panic persisting past the retry
-// budget is returned as *opPanicError. what ("transform", "evaluator") names
-// the call in the retry decisions.
+// retry and exponential virtual-time backoff (faults.DefaultRetry). penalty
+// is the backoff time accrued by failed attempts, to be charged regardless
+// of the outcome. A non-panic error propagates immediately; a panic
+// persisting past the retry budget is returned as *opPanicError. what
+// ("transform", "evaluator") names the call in the retry decisions.
 func (r *Run) retried(op *graph.Operator, what string, call func() error) (penalty sim.VTime, err error) {
+	retry := faults.DefaultRetry()
 	for attempt := 1; ; attempt++ {
 		if err = call(); err == nil {
 			return penalty, nil
 		}
 		var pe *opPanicError
-		if !errors.As(err, &pe) || attempt >= r.retry.MaxAttempts {
+		if !errors.As(err, &pe) || attempt >= retry.MaxAttempts {
 			return penalty, err
 		}
 		r.metrics.Retries++
-		penalty += sim.VTime(r.retry.Backoff(attempt))
+		penalty += sim.VTime(retry.Backoff(attempt))
 		if r.audit != nil {
 			r.audit.Decision(obs.Decision{
 				T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "retry",
 				Subject: op.Name,
-				Detail:  fmt.Sprintf("%s attempt %d of %d, backoff %gs", what, attempt, r.retry.MaxAttempts, r.retry.Backoff(attempt)),
+				Detail:  fmt.Sprintf("%s attempt %d of %d, backoff %gs", what, attempt, retry.MaxAttempts, retry.Backoff(attempt)),
 			})
 		}
 	}

@@ -68,13 +68,12 @@ func TestSoleCopyCrashMidChoose(t *testing.T) {
 }
 
 // TestBackToBackSameNodeCrashesWithinRetryWindow crashes the same node at
-// two consecutive stage boundaries while a panicking evaluator's retry
-// backoff (stretched to dwarf the gap between the crashes) is still open:
-// the second crash lands inside the recovery/retry window of the first.
+// two consecutive stage boundaries, the second inside the recovery window of
+// the first, on a run whose evaluator panics twice and is retried with the
+// default backoff.
 func TestBackToBackSameNodeCrashesWithinRetryWindow(t *testing.T) {
 	clean := runMDF(t, buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator()), faultOpts(nil))
 	plan := &faults.Plan{
-		Retry: faults.RetryPolicy{MaxAttempts: 3, BackoffSec: 30},
 		Crashes: []faults.Crash{
 			{Node: 1, AfterStages: 2},
 			{Node: 1, AfterStages: 3},

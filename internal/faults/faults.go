@@ -2,7 +2,7 @@
 // execution layer: a seed-driven fault plan describing node crashes
 // (transient process restarts and permanent machine losses), transient
 // slowdown windows, disk-bandwidth degradation, and operator panics, plus
-// the retry/backoff policy applied to misbehaving user code.
+// the one retry/backoff policy applied to misbehaving user code.
 //
 // A Plan is pure data (JSON-serialisable for the mdf run -faults flag); the
 // engine consumes it through an Injector, which tracks which events have
@@ -13,6 +13,7 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -23,34 +24,17 @@ import (
 // invocation is retried up to MaxAttempts times, with an exponential
 // virtual-time backoff of BackoffSec·2^(attempt-1) charged between attempts.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of invocation attempts (>= 1);
-	// 0 selects the default of 3.
-	MaxAttempts int `json:"maxAttempts,omitempty"`
-	// BackoffSec is the base backoff in virtual seconds; 0 selects the
-	// default of 1.
-	BackoffSec float64 `json:"backoffSec,omitempty"`
+	// MaxAttempts is the total number of invocation attempts (>= 1).
+	MaxAttempts int
+	// BackoffSec is the base backoff in virtual seconds.
+	BackoffSec float64
 }
 
-// DefaultRetry is the retry policy applied when a plan does not set one
-// (and to fault-free runs, which still isolate genuine operator panics).
+// DefaultRetry is the retry policy of every run, faulty or not (a fault-free
+// run still isolates genuine operator panics), and of the service's job
+// retries. A fault plan does not set it: a plan chooses where faults land,
+// not how hard the engine works to survive them.
 func DefaultRetry() RetryPolicy { return RetryPolicy{MaxAttempts: 3, BackoffSec: 1} }
-
-// WithDefaults returns the policy with zero fields filled from the default:
-// the effective policy an injector will apply. The chaos harness uses it to
-// compute retry backoff budgets for its bounded-overhead oracle.
-func (p RetryPolicy) WithDefaults() RetryPolicy { return p.withDefaults() }
-
-// withDefaults fills zero fields with the default policy.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetry()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.BackoffSec <= 0 {
-		p.BackoffSec = d.BackoffSec
-	}
-	return p
-}
 
 // Backoff returns the virtual-time penalty charged after the given failed
 // attempt (1-based): BackoffSec·2^(attempt-1).
@@ -130,8 +114,6 @@ type Plan struct {
 	// Seed labels generated plans; it does not affect replay (a plan is
 	// already concrete) but records how it was derived.
 	Seed int64 `json:"seed,omitempty"`
-	// Retry bounds panic recovery; zero fields take defaults.
-	Retry RetryPolicy `json:"retry,omitempty"`
 	// Crashes are the node failures to inject, in any order.
 	Crashes []Crash `json:"crashes,omitempty"`
 	// Slowdowns scale all durations of a node within a window.
@@ -148,11 +130,19 @@ type Plan struct {
 	CkptFlips []CkptFlip `json:"ckptFlips,omitempty"`
 }
 
-// Parse decodes a JSON plan and validates it.
+// Parse decodes a JSON plan and validates it. Decoding is strict, as
+// spec.Parse's is: a field the plan does not define, or anything after the
+// plan, is an error — a misspelled "crashs" fails instead of running a plan
+// with no crash in it.
 func Parse(data []byte) (*Plan, error) {
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("faults: parse plan: %w", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("faults: parse plan: trailing data after the plan")
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -162,9 +152,6 @@ func Parse(data []byte) (*Plan, error) {
 
 // Validate reports structural errors of the plan.
 func (p *Plan) Validate() error {
-	if p.Retry.MaxAttempts < 0 || p.Retry.BackoffSec < 0 {
-		return fmt.Errorf("faults: negative retry policy")
-	}
 	for i, c := range p.Crashes {
 		if c.Node < 0 {
 			return fmt.Errorf("faults: crash %d: negative node %d", i, c.Node)
@@ -476,7 +463,6 @@ type Event struct {
 // panics each spec has left, so every fault is delivered exactly once.
 type Injector struct {
 	plan       *Plan
-	retry      RetryPolicy
 	crashFired []bool
 	slowSeen   []bool
 	diskSeen   []bool
@@ -491,7 +477,6 @@ type Injector struct {
 func NewInjector(p *Plan) *Injector {
 	in := &Injector{
 		plan:       p,
-		retry:      p.Retry.withDefaults(),
 		crashFired: make([]bool, len(p.Crashes)),
 		slowSeen:   make([]bool, len(p.Slowdowns)),
 		diskSeen:   make([]bool, len(p.DiskFaults)),
@@ -503,9 +488,6 @@ func NewInjector(p *Plan) *Injector {
 	}
 	return in
 }
-
-// Retry returns the plan's retry policy with defaults applied.
-func (in *Injector) Retry() RetryPolicy { return in.retry }
 
 // Injected returns the number of fault events delivered so far: crashes
 // fired, windows activated, and panics injected.

@@ -7,7 +7,6 @@ import (
 
 func TestParseAndValidate(t *testing.T) {
 	p, err := Parse([]byte(`{
-		"retry": {"maxAttempts": 2, "backoffSec": 0.5},
 		"crashes": [{"node": 1, "afterStages": 3}, {"node": 2, "at": 10.5, "permanent": true}],
 		"slowdowns": [{"node": 0, "from": 1, "to": 5, "factor": 4}],
 		"diskFaults": [{"node": 3, "factor": 2}],
@@ -35,6 +34,13 @@ func TestParseRejectsBadPlans(t *testing.T) {
 		`{"panics": [{"times": 0}]}`,
 		`{"panics": [{"times": 1, "target": "nonsense"}]}`,
 		`not json`,
+		// Strict decoding: a misspelled field, a field plans no longer have,
+		// and anything after the plan are errors, not silently dropped.
+		`{"crashs": [{"node": 0}]}`,
+		`{"panics": [{"taget": "transform", "times": 1}]}`,
+		`{"retry": {"maxAttempts": 2000000000}}`,
+		`{"crashes": [{"node": 0}]} {"crashes": [{"node": 1}]}`,
+		`{"crashes": [{"node": 0}]}}`,
 	}
 	for i, c := range cases {
 		if _, err := Parse([]byte(c)); err == nil {
@@ -54,7 +60,7 @@ func TestValidateForRejectsTotalLoss(t *testing.T) {
 }
 
 func TestRetryDefaultsAndBackoff(t *testing.T) {
-	p := RetryPolicy{}.withDefaults()
+	p := DefaultRetry()
 	if p.MaxAttempts != 3 || p.BackoffSec != 1 {
 		t.Fatalf("defaults = %+v, want {3, 1}", p)
 	}
@@ -306,88 +312,12 @@ func TestInjectorTakePanic(t *testing.T) {
 	}
 }
 
-// TestRetryPolicyTable pins the effective policy produced by WithDefaults
-// and the exact exponential backoff schedule for each configuration. The
-// service layer's retry/quarantine logic depends on these values: a spec
-// that panics on every attempt is retried MaxAttempts-1 times, accruing
-// the cumulative backoff, before its tenant accrues a quarantine strike.
-func TestRetryPolicyTable(t *testing.T) {
-	cases := []struct {
-		name     string
-		in       RetryPolicy
-		want     RetryPolicy
-		schedule []float64 // Backoff(1..n)
-		total    float64   // cumulative backoff across all failed attempts
-	}{
-		{
-			name:     "zero value fills both defaults",
-			in:       RetryPolicy{},
-			want:     RetryPolicy{MaxAttempts: 3, BackoffSec: 1},
-			schedule: []float64{1, 2, 4},
-			total:    7,
-		},
-		{
-			name:     "negative fields treated as unset",
-			in:       RetryPolicy{MaxAttempts: -2, BackoffSec: -0.5},
-			want:     RetryPolicy{MaxAttempts: 3, BackoffSec: 1},
-			schedule: []float64{1, 2, 4},
-			total:    7,
-		},
-		{
-			name:     "attempts kept, backoff filled",
-			in:       RetryPolicy{MaxAttempts: 5},
-			want:     RetryPolicy{MaxAttempts: 5, BackoffSec: 1},
-			schedule: []float64{1, 2, 4, 8, 16},
-			total:    31,
-		},
-		{
-			name:     "backoff kept, attempts filled",
-			in:       RetryPolicy{BackoffSec: 0.25},
-			want:     RetryPolicy{MaxAttempts: 3, BackoffSec: 0.25},
-			schedule: []float64{0.25, 0.5, 1},
-			total:    1.75,
-		},
-		{
-			name:     "fully specified passes through",
-			in:       RetryPolicy{MaxAttempts: 2, BackoffSec: 3},
-			want:     RetryPolicy{MaxAttempts: 2, BackoffSec: 3},
-			schedule: []float64{3, 6},
-			total:    9,
-		},
-		{
-			name:     "single attempt never backs off",
-			in:       RetryPolicy{MaxAttempts: 1, BackoffSec: 10},
-			want:     RetryPolicy{MaxAttempts: 1, BackoffSec: 10},
-			schedule: []float64{10},
-			total:    10,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.in.WithDefaults()
-			if got != tc.want {
-				t.Fatalf("WithDefaults() = %+v, want %+v", got, tc.want)
-			}
-			var total float64
-			for i, want := range tc.schedule {
-				if b := got.Backoff(i + 1); b != want {
-					t.Errorf("Backoff(%d) = %v, want %v", i+1, b, want)
-				}
-				total += got.Backoff(i + 1)
-			}
-			if total != tc.total {
-				t.Errorf("cumulative backoff = %v, want %v", total, tc.total)
-			}
-		})
-	}
-}
-
 // TestRetryPolicyServiceBudget pins the numbers the service quarantine test
 // observes: the default policy grants 3 attempts, so a spec that always
 // panics is retried twice and accrues 1+2 = 3 virtual seconds of backoff
 // before the job fails and the tenant takes a strike.
 func TestRetryPolicyServiceBudget(t *testing.T) {
-	p := RetryPolicy{}.WithDefaults()
+	p := DefaultRetry()
 	retries := p.MaxAttempts - 1
 	if retries != 2 {
 		t.Fatalf("default retries = %d, want 2", retries)

@@ -11,7 +11,7 @@ import (
 // so fault schedules can be stored and replayed byte-for-byte.
 func FuzzParse(f *testing.F) {
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"seed":7,"retry":{"maxAttempts":3,"backoffSec":0.5}}`))
+	f.Add([]byte(`{"seed":7,"ckptFlips":[{"load":1,"bit":3}]}`))
 	f.Add([]byte(`{"crashes":[{"node":1,"afterStages":2,"permanent":true}],` +
 		`"slowdowns":[{"node":0,"factor":2,"from":1,"to":4}]}`))
 	f.Add([]byte(`{"panics":[{"op":"eval","target":"transform","times":2}],` +

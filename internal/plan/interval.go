@@ -62,10 +62,10 @@ func hullAll(rs []valRange) valRange {
 }
 
 // sourceRange is the abstract value of the source dataset. Only the uniform
-// generator has bounded support; normal and bimodal tails are unbounded and
-// file contents are unknown, so both widen to top.
+// generator has bounded support; normal and bimodal tails are unbounded, so
+// both widen to top.
 func sourceRange(src spec.Source) valRange {
-	if src.File == "" && src.Distribution == "uniform" {
+	if src.Distribution == "uniform" {
 		return valRange{lo: -1, hi: 1}
 	}
 	return top()
@@ -120,30 +120,18 @@ func walkSteps(prefix string, steps []spec.Step, params map[string]float64, in v
 	return in
 }
 
-// resolvedOpParams applies ParamKey indirection the way opFunc does,
-// returning the effective affine/filter parameters.
-func resolvedOpParams(op spec.OpStep, params map[string]float64) (a, b, limit float64) {
-	a, b, limit = op.A, op.B, op.Limit
-	if op.ParamKey != "" {
-		if v, ok := params[op.ParamKey]; ok {
-			switch op.Fn {
-			case "affine":
-				a = v
-			case "filter-less", "filter-greater", "filter-absless":
-				limit = v
-			}
-		}
-	}
-	return a, b, limit
-}
-
 // opTransfer is the per-operator abstract transfer. provedEmpty is set only
-// when a non-empty input is proven to produce an empty output.
+// when a non-empty input is proven to produce an empty output. An operator
+// its row marks unbounded, and one it has no case for, widens to top.
 func opTransfer(op spec.OpStep, params map[string]float64, in valRange) (out valRange, provedEmpty bool) {
 	if in.empty {
 		return in, false
 	}
-	a, b, limit := resolvedOpParams(op, params)
+	if spec.Ops[op.Fn].Unbounded {
+		return top(), false
+	}
+	op = spec.Resolve(op, params)
+	a, b, limit := op.A, op.B, op.Limit
 	switch op.Fn {
 	case "identity":
 		return in, false
@@ -164,8 +152,6 @@ func opTransfer(op spec.OpStep, params map[string]float64, in valRange) (out val
 		return valRange{lo: alo, hi: ahi}, false
 	case "normalize":
 		return valRange{lo: 0, hi: 1}, false
-	case "standardize":
-		return top(), false
 	case "filter-less":
 		// Keeps x < limit: empty when every input value is >= limit.
 		if limit <= in.lo {

@@ -112,32 +112,39 @@ type Result struct {
 	// StaleAllows lists allow entries that suppressed nothing.
 	StaleAllows []StaleAllow `json:"staleAllows,omitempty"`
 
-	// Graph and Hashes are what the battery built on its way, handed over so
-	// that a caller who goes on to run the spec builds neither again: the
-	// graph the compile rule compiled (nil when the rule is off or the spec
-	// does not compile) and the hash report the dupbranch rule read (nil
-	// when the rule is off). Neither is part of the serialized result.
-	Graph  *graph.Graph     `json:"-"`
-	Hashes *spec.HashReport `json:"-"`
+	// Normalized, Graph and Hashes are what the battery built on its way,
+	// handed over so that a caller who goes on to run the spec builds none of
+	// them again: the normalised spec every rule read, the graph the compile
+	// rule compiled from it (nil when the rule is off or the spec does not
+	// compile) and the hash report the dupbranch rule read (nil when the rule
+	// is off). None is part of the serialized result.
+	Normalized *spec.Spec       `json:"-"`
+	Graph      *graph.Graph     `json:"-"`
+	Hashes     *spec.HashReport `json:"-"`
 }
 
 // Verify runs the configured rule battery over a parsed spec. The spec's
 // "allow" list suppresses findings per rule; suppression is recorded so
 // unused entries surface in Result.StaleAllows.
 //
-// Each thing is done once: one normalisation, shared with the content hash;
-// one compilation; one interval walk of the pipeline, feeding deadchoose,
-// degeniterate and emptyfilter together.
+// Each thing is done once: one normalisation, which the compilation, the
+// content hash and the interval walk all read; one compilation; one
+// interval walk of the pipeline, feeding deadchoose, degeniterate and
+// emptyfilter together.
 func Verify(s *spec.Spec, cfg Config) (*Result, error) {
 	enabled, err := enabledRules(cfg.Rules)
 	if err != nil {
 		return nil, err
 	}
 	n := s.Normalized()
-	res := &Result{}
+	res := &Result{Normalized: n}
 	found := make(map[string][]Finding, len(enabled))
 	if enabled["compile"] {
-		g, err := s.Compile()
+		err := s.Validate()
+		var g *graph.Graph
+		if err == nil {
+			g, err = spec.CompileNormalized(n)
+		}
 		if err != nil {
 			// Parse already validates structure, so a failure here is a
 			// graph-level defect (and everything the later rules assume about

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"math"
 
 	"metadataflow/internal/sim"
 	"metadataflow/internal/spec"
@@ -40,37 +39,17 @@ func checkDupBranch(report *spec.HashReport) []Finding {
 	return out
 }
 
-// evaluatorRange returns the provable score range of an evaluator, if it
-// has one: size counts rows, ratio divides by the source row count (no
-// operator adds rows, so it stays within [0, 1]), and neg-mean-abs negates
-// a magnitude. Empty results score 0 (size, ratio) or -Inf (neg-mean-abs),
-// both inside the stated ranges. Mean and stddev are unbounded.
-func evaluatorRange(evaluator string) (lo, hi float64, ok bool) {
-	switch evaluator {
-	case "size":
-		return 0, math.Inf(1), true
-	case "ratio":
-		return 0, 1, true
-	case "neg-mean-abs":
-		return math.Inf(-1), 0, true
-	}
-	return 0, 0, false
-}
-
 // rowCountMayChange reports whether any step in a (normalized) explore body
 // can change the row count: a filter (standalone or iterated), an iterate
 // that can terminate early with an empty result, or a nested explore (whose
 // branches may disagree). When nothing can, every branch produces the same
 // number of rows and a row-counting evaluator cannot tell them apart.
 func rowCountMayChange(body []spec.Step) bool {
-	isFilter := func(fn string) bool {
-		return fn == "filter-less" || fn == "filter-greater" || fn == "filter-absless"
-	}
 	for _, st := range body {
 		switch {
-		case st.Op != nil && isFilter(st.Op.Fn):
+		case st.Op != nil && spec.Ops[st.Op.Fn].Filter:
 			return true
-		case st.Iterate != nil && (isFilter(st.Iterate.Op.Fn) || st.Iterate.DivergeAboveMeanAbs > 0):
+		case st.Iterate != nil && (spec.Ops[st.Iterate.Op.Fn].Filter || st.Iterate.DivergeAboveMeanAbs > 0):
 			return true
 		case st.Explore != nil:
 			return true
@@ -83,43 +62,44 @@ func rowCountMayChange(body []spec.Step) bool {
 // cannot do its job: a selector that keeps every branch, an evaluator that
 // scores every branch identically, and a selector range disjoint from the
 // evaluator's provable score range (which would discard every branch and
-// kill the job at runtime).
+// kill the job at runtime). The selector's row says which parameters it
+// reads: one that reads k alone keeps the k best (topk, bottomk), and one
+// that reads a bound or a range keeps only scores past or inside it.
 func checkDeadChoose(e stepEvent) []Finding {
 	var out []Finding
 	ex := e.Step.Explore
 	path := e.Path + ".explore"
 	sel := ex.Choose.Selector
+	reads := spec.Selectors[sel.Kind].Reads
 	nb := len(ex.Branches)
 
-	switch sel.Kind {
-	case "topk", "bottomk":
-		if sel.K >= nb {
-			out = append(out, Finding{Path: path, Rule: "deadchoose",
-				Msg: fmt.Sprintf("selector %s keeps all %d branches (k=%d): the choose never discards anything", sel.Kind, nb, sel.K)})
-		}
-	case "interval", "kinterval":
-		if sel.Lo > sel.Hi {
-			out = append(out, Finding{Path: path, Rule: "deadchoose",
-				Msg: fmt.Sprintf("selector %s has an empty range [%g, %g]: no branch can ever be selected", sel.Kind, sel.Lo, sel.Hi)})
-		}
+	if reads == spec.SelectK && sel.K >= nb {
+		out = append(out, Finding{Path: path, Rule: "deadchoose",
+			Msg: fmt.Sprintf("selector %s keeps all %d branches (k=%d): the choose never discards anything", sel.Kind, nb, sel.K)})
+	}
+	if reads&spec.SelectRange != 0 && sel.Lo > sel.Hi {
+		out = append(out, Finding{Path: path, Rule: "deadchoose",
+			Msg: fmt.Sprintf("selector %s has an empty range [%g, %g]: no branch can ever be selected", sel.Kind, sel.Lo, sel.Hi)})
 	}
 
-	if (ex.Choose.Evaluator == "size" || ex.Choose.Evaluator == "ratio") && !rowCountMayChange(ex.Body) {
+	ev := spec.Evaluators[ex.Choose.Evaluator]
+	if ev.RowCount && !rowCountMayChange(ex.Body) {
 		out = append(out, Finding{Path: path, Rule: "deadchoose",
 			Msg: fmt.Sprintf("evaluator %q scores every branch identically: no step in the body changes the row count", ex.Choose.Evaluator)})
 	}
 
-	if lo, hi, ok := evaluatorRange(ex.Choose.Evaluator); ok {
+	if !ev.Unbounded {
+		lo, hi := ev.Lo, ev.Hi
 		impossible := ""
-		switch sel.Kind {
-		case "threshold", "kthreshold":
+		switch {
+		case reads&spec.SelectBound != 0:
 			if !sel.AtMost && sel.Bound > hi {
 				impossible = fmt.Sprintf("requires a score >= %g", sel.Bound)
 			}
 			if sel.AtMost && sel.Bound < lo {
 				impossible = fmt.Sprintf("requires a score <= %g", sel.Bound)
 			}
-		case "interval", "kinterval":
+		case reads&spec.SelectRange != 0:
 			if sel.Lo <= sel.Hi && (sel.Hi < lo || sel.Lo > hi) {
 				impossible = fmt.Sprintf("requires a score in [%g, %g]", sel.Lo, sel.Hi)
 			}
@@ -133,20 +113,10 @@ func checkDeadChoose(e stepEvent) []Finding {
 	return out
 }
 
-// idempotentFn reports operator functions f with f(f(x)) = f(x): iterating
-// them computes the same result as a single application.
-func idempotentFn(fn string) bool {
-	switch fn {
-	case "identity", "abs", "normalize", "standardize",
-		"filter-less", "filter-greater", "filter-absless":
-		return true
-	}
-	return false
-}
-
 // checkDegenIterate flags an iteration (e is an iterate step's event) that
 // cannot do useful work: a single round (a plain op), rounds beyond the
-// maximum, an idempotent operator iterated more than once, and a
+// maximum, an idempotent operator (f(f(x)) = f(x)) iterated more than once —
+// the rounds after the first compute nothing new — and a
 // divergence threshold the value ranges prove unreachable (the
 // early-termination check would be evaluated every round and never fire).
 func checkDegenIterate(e stepEvent) []Finding {
@@ -162,12 +132,12 @@ func checkDegenIterate(e stepEvent) []Finding {
 			Msg: fmt.Sprintf("iterate %q unrolls %d rounds, above the maximum %d", it.Name, it.Rounds, maxIterateRounds)})
 	}
 	if it.Rounds > 1 {
-		a, b, _ := resolvedOpParams(it.Op, e.Params)
+		op := spec.Resolve(it.Op, e.Params)
 		switch {
-		case idempotentFn(it.Op.Fn):
+		case spec.Ops[op.Fn].Idempotent:
 			out = append(out, Finding{Path: path, Rule: "degeniterate",
-				Msg: fmt.Sprintf("iterating idempotent op %q for %d rounds computes the same result as one round", it.Op.Fn, it.Rounds)})
-		case it.Op.Fn == "affine" && a == 1 && b == 0:
+				Msg: fmt.Sprintf("iterating idempotent op %q for %d rounds computes the same result as one round", op.Fn, it.Rounds)})
+		case op.Fn == "affine" && op.A == 1 && op.B == 0:
 			out = append(out, Finding{Path: path, Rule: "degeniterate",
 				Msg: fmt.Sprintf("iterating affine(1·x+0) for %d rounds is the identity", it.Rounds)})
 		}
@@ -192,10 +162,9 @@ func checkEmptyFilter(e stepEvent) Finding {
 		op = &it.Op
 		path += ".iterate"
 	}
-	_, _, limit := resolvedOpParams(*op, e.Params)
 	return Finding{Path: path, Rule: "emptyfilter",
 		Msg: fmt.Sprintf("filter %q (%s %g) statically drops every row: input values lie in %s",
-			op.Name, op.Fn, limit, e.In)}
+			op.Name, op.Fn, spec.Resolve(*op, e.Params).Limit, e.In)}
 }
 
 // checkMemFeasible proves the plan inadmissible or memory-defeating from

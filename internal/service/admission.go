@@ -17,15 +17,18 @@ import (
 //	buildPlan: compile → plan  (every time; see vetMemo)
 //
 // and the step loop receives a ready *graph.Plan. plan.Verify hands over the
-// graph its compile rule built and the hash report its dupbranch rule read,
-// so a new document is parsed, normalised, hashed, compiled and planned once
-// each. A job recovered from the journal goes through the same two functions
+// normalised spec every rule read, the graph its compile rule built from it
+// and the hash report its dupbranch rule read, so a new document is parsed,
+// normalised, hashed, compiled and planned once each, and a repeated one is
+// compiled from the normalised spec the memo keeps. A job recovered from the journal goes through the same two functions
 // when it is requeued (recovery.go).
 
 // vetted is everything admission learns from a spec document that does not
 // depend on who submitted it or when. It is immutable once built and shared
 // by every submission of the same bytes.
 type vetted struct {
+	// spec is the document's normalised spec (spec.Normalized), the form
+	// spec.CompileNormalized reads.
 	spec *spec.Spec
 	// findings are the plan verifier's surviving diagnostics; non-empty
 	// means the document is rejected, every time.
@@ -57,7 +60,7 @@ func (s *Server) vet(doc []byte) (*vetted, *graph.Graph, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	v := &vetted{spec: sp, findings: res.Findings}
+	v := &vetted{spec: res.Normalized, findings: res.Findings}
 	if s.cfg.StateDir != "" {
 		v.specHash, v.chains = res.Hashes.Spec.String(), res.Hashes.OpChains
 	}
@@ -71,7 +74,7 @@ func (s *Server) vet(doc []byte) (*vetted, *graph.Graph, error) {
 func (v *vetted) buildPlan(g *graph.Graph) (*graph.Plan, error) {
 	if g == nil {
 		var err error
-		if g, err = v.spec.Compile(); err != nil {
+		if g, err = spec.CompileNormalized(v.spec); err != nil {
 			return nil, err
 		}
 	}
@@ -80,7 +83,7 @@ func (v *vetted) buildPlan(g *graph.Graph) (*graph.Plan, error) {
 
 const (
 	// vetMemoBytes bounds the vet memo by the summed length of the documents
-	// it holds. What an entry retains — its key, the parsed spec, on a
+	// it holds. What an entry retains — its key, the normalised spec, on a
 	// durable server the chain hashes — is a small multiple of the document's
 	// length (3× to 4× over nested explores like the serve benchmark's), so
 	// the bound caps the memo's heap at a few times this constant whatever
@@ -104,9 +107,9 @@ const (
 // depend on them.
 //
 // The compiled graph and its plan are deliberately not remembered — they
-// retain an order of magnitude more than the parsed spec (operator closures,
-// adjacency slices, the edge map, stage tables) — so every submission
-// compiles and plans.
+// retain an order of magnitude more than the normalised spec (operator
+// closures, adjacency slices, the edge map, stage tables) — so every
+// submission compiles and plans.
 //
 // The memo has its own mutex, held only around the map and the list: never
 // across parsing, vetting or compiling, and never together with s.mu.

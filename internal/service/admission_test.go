@@ -289,7 +289,7 @@ func mustHash(t *testing.T, doc string) spec.Hash {
 // TestConcurrentSubmitOfOneDocument races two submitters on one document,
 // round after round: first on one the server has not seen — both may miss and
 // vet it, one entry is kept — then on the same one again, which both find in
-// the memo, so that two jobs are compiled from one parsed spec and run side
+// the memo, so that two jobs are compiled from one normalised spec and run side
 // by side. All four jobs come to the same end. It is in the race gate (make
 // race-short) and so does not skip under -short.
 func TestConcurrentSubmitOfOneDocument(t *testing.T) {
@@ -545,12 +545,12 @@ func TestRecoveredJobIsPlannedAtRequeue(t *testing.T) {
 
 // TestAdmissionDoesEachThingOnce counts the work of the admission pipeline
 // by what it allocates, against the same machine's count for each step alone
-// (P parse, V vet — which compiles and hashes — H hash, C compile, B plan):
-// a new document costs P + V + B and not one step more, on a durable server
-// too, where the hash is the one vetting computed; a document seen before
-// costs C + B —
-// no parse, no hash, no vet. The slack is well under the cheapest step, so a
-// second call of any of them shows.
+// (P parse, V vet — which normalises, compiles and hashes — H hash, C
+// compile of the normalised spec, B plan): a new document costs P + V + B and
+// not one step more, on a durable server too, where the hash is the one
+// vetting computed; a document seen before costs C + B — no parse, no
+// normalisation, no hash, no vet. The slack is well under the cheapest step,
+// so a second call of any of them shows.
 //
 // Then, in the source: the step loop's startLocked calls neither Compile nor
 // BuildPlan, and a job holds no spec.
@@ -570,7 +570,8 @@ func TestAdmissionDoesEachThingOnce(t *testing.T) {
 	P := count(func() { _, _ = spec.Parse(doc) })
 	V := count(func() { _, _ = plan.Verify(sp, vetCfg) })
 	H := count(func() { sp.HashReport() })
-	C := count(func() { _, _ = sp.Compile() })
+	n := sp.Normalized()
+	C := count(func() { _, _ = spec.CompileNormalized(n) })
 	B := count(func() { _, _ = graph.BuildPlan(g) })
 	const slack = 15
 	if least := min(P, H, C, B); least < 2*slack {

@@ -118,6 +118,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		"stray brace":   job + "}",
 		"stray bracket": job + " ]",
 		"garbage":       job + "\nx",
+		// A fault plan decodes as strictly as the request around it.
+		"misspelled fault plan": `{"tenant": "a", "spec": ` + okSpec + `, "faults": {"crashs": [{"node": 0}]}}`,
+		"fault plan retry":      `{"tenant": "a", "spec": ` + okSpec + `, "faults": {"retry": {"maxAttempts": 2000000000}}}`,
 	}
 	for name, body := range cases {
 		if rec := postJob(t, h, body); rec.Code != http.StatusBadRequest {

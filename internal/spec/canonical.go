@@ -14,19 +14,20 @@ import (
 // form is the fixpoint of Parse → Canonicalize → Parse:
 //
 //   - schema_version is always present and set to the current version;
-//   - every defaultable field is materialised to the value Compile would
-//     use (partitions, virtualBytes, distribution, op fn, costPerMB,
-//     evaluator, selector kind, branch hints);
-//   - dead fields — ones Compile never reads for the operator or selector
-//     variant in use — are zeroed so they disappear under omitempty (an
-//     affine "limit", a file source's distribution and seed, a branch
-//     param no body op consumes, a max-selector's k);
+//   - every defaultable field is materialised (partitions, virtualBytes,
+//     distribution, op fn, costPerMB, evaluator, selector kind, branch
+//     hints); this is the one place the defaults are stated;
+//   - dead fields — ones the operator or selector in use never reads, by its
+//     row in the vocabulary (vocab.go) — are zeroed so they disappear under
+//     omitempty (an affine "limit", a branch param no body op consumes, a
+//     max-selector's k);
 //   - object keys are sorted lexicographically and the document is
 //     rendered with a fixed two-space indent and a trailing newline.
 //
 // Two specs that differ only in key order, whitespace, or dead fields
-// therefore canonicalize to byte-identical documents, and the semantic
-// content hash (hash.go) is computed from the same normalized structure.
+// therefore canonicalize to byte-identical documents. The normalized
+// structure is what everything downstream reads: the semantic content hash
+// (hash.go), Compile (CompileNormalized) and the plan verifier.
 
 // CurrentSchemaVersion is the spec schema version written by Canonicalize
 // and the only major version Parse accepts.
@@ -34,21 +35,22 @@ const CurrentSchemaVersion = "1.0.0"
 
 // checkSchemaVersion validates an optional schema_version value: empty
 // means current; otherwise it must be MAJOR.MINOR.PATCH with the current
-// major version (minor/patch differences are backward compatible).
+// major version (minor/patch differences are backward compatible). It
+// allocates only for an error.
 func checkSchemaVersion(v string) error {
 	if v == "" {
 		return nil
 	}
-	parts := strings.Split(v, ".")
-	if len(parts) != 3 {
-		return fmt.Errorf("spec: malformed schema_version %q (want MAJOR.MINOR.PATCH)", v)
-	}
-	for _, p := range parts {
-		if n, err := strconv.Atoi(p); err != nil || n < 0 || (len(p) > 1 && p[0] == '0') {
+	rest := v
+	for i := 0; i < 3; i++ {
+		p, tail, found := strings.Cut(rest, ".")
+		if n, err := strconv.Atoi(p); err != nil || n < 0 || (len(p) > 1 && p[0] == '0') || found != (i < 2) {
 			return fmt.Errorf("spec: malformed schema_version %q (want MAJOR.MINOR.PATCH)", v)
 		}
+		rest = tail
 	}
-	if major := parts[0]; major != strings.SplitN(CurrentSchemaVersion, ".", 2)[0] {
+	major, _, _ := strings.Cut(v, ".")
+	if current, _, _ := strings.Cut(CurrentSchemaVersion, "."); major != current {
 		return fmt.Errorf("spec: unsupported schema_version %q (this build speaks %s)", v, CurrentSchemaVersion)
 	}
 	return nil
@@ -61,7 +63,7 @@ func (s *Spec) Canonicalize() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	raw, err := json.Marshal(s.normalized())
+	raw, err := json.Marshal(s.Normalized())
 	if err != nil {
 		return nil, fmt.Errorf("spec: canonicalize: %w", err)
 	}
@@ -82,25 +84,18 @@ func (s *Spec) Canonicalize() ([]byte, error) {
 }
 
 // Normalized returns a deep copy with every default materialised and every
-// dead field zeroed — the structure Canonicalize renders and the content
-// hash consumes. Static analyses (internal/plan) operate on it so they see
-// the values Compile will actually use, not the document's spelling.
+// dead field zeroed: the structure Canonicalize renders, the content hash
+// consumes, CompileNormalized builds from and the plan verifier reads, so
+// all of them see the same values, not the document's spelling. It is
+// idempotent.
 func (s *Spec) Normalized() *Spec {
-	return s.normalized()
-}
-
-// normalized returns a deep copy with every default materialised and every
-// dead field zeroed. It is idempotent; both Canonicalize and the content
-// hash operate on its output.
-func (s *Spec) normalized() *Spec {
-	n := &Spec{
+	return &Spec{
 		SchemaVersion: CurrentSchemaVersion,
 		Name:          s.Name,
 		Allow:         normalizeAllow(s.Allow),
 		Source:        normalizeSource(s.Source),
 		Pipeline:      normalizeSteps(s.Pipeline, true),
 	}
-	return n
 }
 
 func normalizeAllow(allow []string) []string {
@@ -129,16 +124,11 @@ func normalizeSource(src Source) Source {
 	if src.VirtualBytes <= 0 {
 		src.VirtualBytes = 1 << 30
 	}
-	if src.File != "" {
-		// A file source never consults the generator knobs.
-		src.Distribution, src.Seed = "", 0
-	} else {
-		switch src.Distribution {
-		case "uniform", "bimodal":
-		default:
-			// Compile treats every other value as the normal default.
-			src.Distribution = "normal"
-		}
+	switch src.Distribution {
+	case "uniform", "bimodal":
+	default:
+		// The generator treats every other value as the normal default.
+		src.Distribution = "normal"
 	}
 	return src
 }
@@ -171,7 +161,7 @@ func normalizeSteps(steps []Step, trunk bool) []Step {
 			for j, br := range st.Explore.Branches {
 				b := br
 				if b.Hint == nil {
-					// Compile defaults a missing hint to the branch index.
+					// A missing hint defaults to the branch index.
 					h := float64(j)
 					b.Hint = &h
 				} else {
@@ -201,17 +191,20 @@ func normalizeOp(op OpStep, trunk bool) OpStep {
 	if op.FixedCost <= 0 {
 		op.FixedCost = 0
 	}
-	// Zero the parameters the operator function never reads.
-	switch op.Fn {
-	case "affine":
-		op.Limit = 0
-	case "filter-less", "filter-greater", "filter-absless":
-		op.A, op.B = 0, 0
-	default:
-		op.A, op.B, op.Limit, op.ParamKey = 0, 0, 0, ""
+	// Zero the parameters the operator function never reads, and ParamKey
+	// where it overrides nothing — on the trunk there are no branch params
+	// for it to read.
+	row := Ops[op.Fn]
+	if row.Reads&ParamA == 0 {
+		op.A = 0
 	}
-	// On the trunk there are no branch params for ParamKey to read.
-	if trunk {
+	if row.Reads&ParamB == 0 {
+		op.B = 0
+	}
+	if row.Reads&ParamLimit == 0 {
+		op.Limit = 0
+	}
+	if row.Keyed == 0 || trunk {
 		op.ParamKey = ""
 	}
 	return op
@@ -259,24 +252,19 @@ func normalizeSelector(sel Selector) Selector {
 	if sel.Kind == "" {
 		sel.Kind = "max"
 	}
-	// Zero the parameters the selector variant never reads, and clamp K the
-	// way the selector constructors do (max(1, K)).
-	switch sel.Kind {
-	case "topk", "bottomk":
+	// Zero the parameters the selector never reads, and clamp a K it does
+	// read to at least one branch.
+	reads := Selectors[sel.Kind].Reads
+	if reads&SelectK != 0 {
 		sel.K = max(1, sel.K)
-		sel.Bound, sel.AtMost, sel.Lo, sel.Hi = 0, false, 0, 0
-	case "threshold":
-		sel.K, sel.Lo, sel.Hi = 0, 0, 0
-	case "kthreshold":
-		sel.K = max(1, sel.K)
-		sel.Lo, sel.Hi = 0, 0
-	case "interval":
-		sel.K, sel.Bound, sel.AtMost = 0, 0, false
-	case "kinterval":
-		sel.K = max(1, sel.K)
+	} else {
+		sel.K = 0
+	}
+	if reads&SelectBound == 0 {
 		sel.Bound, sel.AtMost = 0, false
-	default: // min, max, mode
-		sel.K, sel.Bound, sel.AtMost, sel.Lo, sel.Hi = 0, 0, false, 0, 0
+	}
+	if reads&SelectRange == 0 {
+		sel.Lo, sel.Hi = 0, 0
 	}
 	return sel
 }

@@ -96,19 +96,6 @@ func TestCanonicalizeNormalizes(t *testing.T) {
 	}
 }
 
-// TestCanonicalizeFileSourceDropsGenerator: a file source's distribution
-// and seed are dead and leave the canonical form.
-func TestCanonicalizeFileSourceDropsGenerator(t *testing.T) {
-	doc := `{"source":{"file":"/tmp/x","rows":0,"distribution":"uniform","seed":9},"pipeline":[{"op":{"name":"x"}}]}`
-	out, err := canonical([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(out), "distribution") || strings.Contains(string(out), "seed") {
-		t.Errorf("file source kept generator fields:\n%s", out)
-	}
-}
-
 // TestSchemaVersion pins accept/reject behaviour for schema_version.
 func TestSchemaVersion(t *testing.T) {
 	mk := func(v string) string {

@@ -104,7 +104,7 @@ type HashReport struct {
 // HashReport computes the whole-graph hash plus every chain-prefix and
 // branch sub-graph hash.
 func (s *Spec) HashReport() *HashReport {
-	return HashNormalized(s.normalized())
+	return HashNormalized(s.Normalized())
 }
 
 // HashNormalized is HashReport for a caller that already holds
@@ -181,14 +181,11 @@ func (w *hasher) boolean(v bool) { w.u64(map[bool]uint64{false: 0, true: 1}[v]) 
 
 func hashSource(w *hasher, src Source) {
 	w.str("source")
-	if src.File != "" {
-		w.str("file")
-		w.str(src.File)
-	} else {
-		w.str("synthetic")
-		w.str(src.Distribution)
-		w.i64(src.Seed)
-	}
+	// The tag is left over from a second kind of source, since removed;
+	// writing it keeps every hash stable.
+	w.str("synthetic")
+	w.str(src.Distribution)
+	w.i64(src.Seed)
 	w.i64(int64(src.Rows))
 	w.i64(int64(src.Partitions))
 	w.i64(src.VirtualBytes)
@@ -240,7 +237,7 @@ func hashSteps(w *hasher, steps []Step, params map[string]float64, path string, 
 					ExplorePath: explorePath, Branch: j, Label: br.Label, Hash: bh,
 				})
 				w.u64(uint64(bh))
-				if br.Hint != nil { // normalized() always fills it
+				if br.Hint != nil { // Normalized always fills it
 					w.f64(*br.Hint)
 				}
 			}
@@ -253,24 +250,20 @@ func hashSteps(w *hasher, steps []Step, params map[string]float64, path string, 
 }
 
 // hashOp folds one operator, with ParamKey indirection resolved so only
-// effective parameter values reach the hash.
+// effective values of the parameters its row reads reach the hash.
 func hashOp(w *hasher, op OpStep, params map[string]float64) {
 	w.str("op")
 	w.str(op.Fn)
-	resolve := func(def float64) float64 {
-		if op.ParamKey != "" {
-			if v, ok := params[op.ParamKey]; ok {
-				return v
-			}
-		}
-		return def
+	op = Resolve(op, params)
+	reads := Ops[op.Fn].Reads
+	if reads&ParamA != 0 {
+		w.f64(op.A)
 	}
-	switch op.Fn {
-	case "affine":
-		w.f64(resolve(op.A))
+	if reads&ParamB != 0 {
 		w.f64(op.B)
-	case "filter-less", "filter-greater", "filter-absless":
-		w.f64(resolve(op.Limit))
+	}
+	if reads&ParamLimit != 0 {
+		w.f64(op.Limit)
 	}
 	w.f64(op.CostPerMB)
 	w.f64(op.FixedCost)

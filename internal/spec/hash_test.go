@@ -66,7 +66,6 @@ func hashDecisions(t *testing.T) map[string]hashDecision {
 		"Spec.SchemaVersion":              out(baseDoc, ed(`"name": "base"`, `"schema_version": "1.0.0", "name": "base"`)),
 		"Spec.Name":                       out(baseDoc, ed(`"name": "base"`, `"name": "renamed"`)),
 		"Spec.Allow":                      out(baseDoc, ed(`"name": "base"`, `"name": "base", "allow": ["dupbranch"]`)),
-		"Source.File":                     in(baseDoc, ed(`"rows": 100`, `"rows": 100, "file": "/nonexistent"`)),
 		"Source.Rows":                     in(baseDoc, ed(`"rows": 100`, `"rows": 200`)),
 		"Source.Partitions":               in(baseDoc, ed(`"partitions": 4`, `"partitions": 5`)),
 		"Source.VirtualBytes":             in(baseDoc, ed(`"virtualBytes": 1048576`, `"virtualBytes": 2097152`)),

@@ -11,9 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"strconv"
-	"strings"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -39,17 +36,13 @@ type Spec struct {
 	Pipeline []Step `json:"pipeline"`
 }
 
-// Source configures the input dataset: either a synthetic generator (Rows
-// plus Distribution) or a local file of newline-separated float64 values
-// (File), in which case Rows caps how many values are read (0 = all).
+// Source configures the generated input dataset.
 type Source struct {
-	// File, when set, reads newline-separated float64 values from disk.
-	File string `json:"file,omitempty"`
-	// Rows is the number of rows to generate (or a cap when File is set).
+	// Rows is the number of rows to generate.
 	Rows int `json:"rows"`
-	// Partitions is the dataset partition count (default 8).
-	Partitions int `json:"partitions"`
-	// VirtualBytes is the accounted size (default 1 GiB).
+	// Partitions is the dataset partition count, and VirtualBytes its
+	// accounted size; unset, each takes its default (normalizeSource).
+	Partitions   int   `json:"partitions"`
 	VirtualBytes int64 `json:"virtualBytes"`
 	// Distribution is "normal" (default), "uniform" or "bimodal".
 	Distribution string `json:"distribution,omitempty"`
@@ -84,18 +77,19 @@ type IterateStep struct {
 type OpStep struct {
 	// Name labels the operator.
 	Name string `json:"name"`
-	// Fn selects the operator function: "identity", "affine" (a·x+b),
-	// "square", "abs", "filter-less", "filter-greater", "filter-absless",
-	// "normalize" (wide), "standardize" (wide).
+	// Fn selects the operator function, one row of Ops (vocab.go); unset
+	// means identity.
 	Fn string `json:"fn"`
-	// A and B parameterise affine; Limit parameterises the filters. When
-	// ParamKey is set inside an explore body, the branch's parameter with
-	// that key overrides Limit/A.
+	// A, B and Limit parameterise the functions that read them (affine a·x+b,
+	// the filters' limit). When ParamKey is set inside an explore body, the
+	// branch's parameter with that key overrides the one the row names
+	// (Resolve).
 	A        float64 `json:"a,omitempty"`
 	B        float64 `json:"b,omitempty"`
 	Limit    float64 `json:"limit,omitempty"`
 	ParamKey string  `json:"paramKey,omitempty"`
-	// CostPerMB is the virtual compute cost (default 0.001).
+	// CostPerMB is the virtual compute cost; unset, it takes the default
+	// (normalizeOp).
 	CostPerMB float64 `json:"costPerMB,omitempty"`
 	// FixedCost is an optional fixed virtual cost in seconds.
 	FixedCost float64 `json:"fixedCost,omitempty"`
@@ -117,8 +111,8 @@ type ExploreStep struct {
 type Branch struct {
 	// Label names the setting.
 	Label string `json:"label"`
-	// Hint orders branches for sorted scheduling; defaults to the value of
-	// Params[the first body op's ParamKey] or the branch index.
+	// Hint orders branches for sorted scheduling; unset means the branch's
+	// index.
 	Hint *float64 `json:"hint,omitempty"`
 	// Params carries named parameter values consumed via OpStep.ParamKey.
 	Params map[string]float64 `json:"params,omitempty"`
@@ -126,8 +120,7 @@ type Branch struct {
 
 // Choose configures the scope's choose operator.
 type Choose struct {
-	// Evaluator is "size", "ratio" (rows / source rows), "mean",
-	// "neg-mean-abs" or "stddev".
+	// Evaluator names a row of Evaluators (vocab.go); unset means size.
 	Evaluator string `json:"evaluator"`
 	// Monotone and Convex declare the evaluator's shape over the ordered
 	// branches (Tab. 1).
@@ -141,8 +134,7 @@ type Choose struct {
 
 // Selector configures a selection function.
 type Selector struct {
-	// Kind is "topk", "bottomk", "min", "max", "threshold", "interval",
-	// "kthreshold", "kinterval" or "mode".
+	// Kind names a row of Selectors (vocab.go); unset means max.
 	Kind string `json:"kind"`
 	// K parameterises the k-variants.
 	K int `json:"k,omitempty"`
@@ -217,13 +209,14 @@ func lineCol(data []byte, offset int64) (line, col int) {
 	return line, col
 }
 
-// Validate reports structural errors.
+// Validate reports structural errors. It allocates nothing on a valid spec:
+// admission runs it on every new document.
 func (s *Spec) Validate() error {
 	if err := checkSchemaVersion(s.SchemaVersion); err != nil {
 		return err
 	}
-	if s.Source.Rows < 1 && s.Source.File == "" {
-		return fmt.Errorf("spec: source needs rows >= 1 or a file")
+	if s.Source.Rows < 1 {
+		return fmt.Errorf("spec: source needs rows >= 1")
 	}
 	if len(s.Pipeline) == 0 {
 		return fmt.Errorf("spec: empty pipeline")
@@ -244,14 +237,14 @@ func validateSteps(steps []Step) error {
 		}
 		switch {
 		case st.Op != nil:
-			if _, err := opFunc(*st.Op, nil); err != nil {
+			if err := validateOp(*st.Op); err != nil {
 				return err
 			}
 		case st.Iterate != nil:
 			if st.Iterate.Rounds < 1 {
 				return fmt.Errorf("spec: iterate %q needs >= 1 round", st.Iterate.Name)
 			}
-			if _, err := opFunc(st.Iterate.Op, nil); err != nil {
+			if err := validateOp(st.Iterate.Op); err != nil {
 				return err
 			}
 		case st.Explore != nil:
@@ -262,11 +255,11 @@ func validateSteps(steps []Step) error {
 			if len(e.Body) == 0 {
 				return fmt.Errorf("spec: explore %q has an empty body", e.Name)
 			}
-			if _, err := selector(e.Choose.Selector); err != nil {
-				return err
+			if _, ok := Selectors[e.Choose.Selector.Kind]; !ok && e.Choose.Selector.Kind != "" {
+				return fmt.Errorf("spec: unknown selector %q", e.Choose.Selector.Kind)
 			}
-			if _, err := evaluator(e.Choose, 1); err != nil {
-				return err
+			if _, ok := Evaluators[e.Choose.Evaluator]; !ok && e.Choose.Evaluator != "" {
+				return fmt.Errorf("spec: unknown evaluator %q", e.Choose.Evaluator)
 			}
 			if err := validateSteps(e.Body); err != nil {
 				return err
@@ -276,57 +269,55 @@ func validateSteps(steps []Step) error {
 	return nil
 }
 
-// Compile builds the executable MDF graph.
+func validateOp(op OpStep) error {
+	if _, ok := Ops[op.Fn]; !ok && op.Fn != "" {
+		return fmt.Errorf("spec: unknown op fn %q", op.Fn)
+	}
+	return nil
+}
+
+// Compile builds the executable MDF graph: it validates the spec, normalises
+// it, and compiles the normalised form.
 func (s *Spec) Compile() (*graph.Graph, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return CompileNormalized(s.Normalized())
+}
+
+// CompileNormalized is Compile for a caller that already holds
+// n = s.Normalized() of a valid s — the plan verifier and the service's
+// admission memo do — and so normalises once. Every default is materialised
+// and every name has a row in the vocabulary (vocab.go), so the graph is
+// built from n's values as they stand.
+func CompileNormalized(n *Spec) (*graph.Graph, error) {
 	b := mdf.NewBuilder()
-	node := b.Source("src", sourceFunc(s.Source), 0.0005)
-	node, err := compileSteps(node, s.Pipeline, s.Source.Rows, nil)
-	if err != nil {
-		return nil, err
-	}
-	_ = node
+	compileSteps(b.Source("src", sourceFunc(n.Source), 0.0005), n.Pipeline, n.Source.Rows, nil)
 	return b.Build()
 }
 
-func compileSteps(node *mdf.Node, steps []Step, sourceRows int, params map[string]float64) (*mdf.Node, error) {
+func compileSteps(node *mdf.Node, steps []Step, sourceRows int, params map[string]float64) *mdf.Node {
 	for _, st := range steps {
 		switch {
 		case st.Op != nil:
-			fn, err := opFunc(*st.Op, params)
-			if err != nil {
-				return nil, err
+			op := Resolve(*st.Op, params)
+			row := Ops[op.Fn]
+			then := node.Then
+			if row.Wide {
+				then = node.ThenWide
 			}
-			cost := st.Op.CostPerMB
-			if cost == 0 {
-				cost = 0.001
-			}
-			var dep func(string, graph.TransformFunc, float64) *mdf.Node
-			if st.Op.Fn == "normalize" || st.Op.Fn == "standardize" {
-				dep = node.ThenWide
-			} else {
-				dep = node.Then
-			}
-			node = dep(st.Op.Name, fn, cost)
-			if st.Op.FixedCost > 0 {
-				node.Op().FixedCost = st.Op.FixedCost
+			node = then(op.Name, row.build(op), op.CostPerMB)
+			if op.FixedCost > 0 {
+				node.Op().FixedCost = op.FixedCost
 			}
 		case st.Iterate != nil:
 			it := st.Iterate
-			fn, err := opFunc(it.Op, params)
-			if err != nil {
-				return nil, err
-			}
-			cost := it.Op.CostPerMB
-			if cost == 0 {
-				cost = 0.001
-			}
+			op := Resolve(it.Op, params)
+			fn := Ops[op.Fn].build(op)
 			node = node.Iterate(mdf.IterationSpec{
 				Name:      it.Name,
 				Rounds:    it.Rounds,
-				CostPerMB: cost,
+				CostPerMB: op.CostPerMB,
 				Step: func(round int, d *dataset.Dataset) (*dataset.Dataset, error) {
 					return fn([]*dataset.Dataset{d})
 				},
@@ -347,69 +338,29 @@ func compileSteps(node *mdf.Node, steps []Step, sourceRows int, params map[strin
 			})
 		case st.Explore != nil:
 			e := st.Explore
-			ev, err := evaluator(e.Choose, sourceRows)
-			if err != nil {
-				return nil, err
-			}
-			sel, err := selector(e.Choose.Selector)
-			if err != nil {
-				return nil, err
-			}
+			c := e.Choose
+			ev := Evaluators[c.Evaluator].build(sourceRows)
+			ev.Monotone, ev.Convex, ev.CostPerMB = c.Monotone, c.Convex, c.CostPerMB
+			sel := Selectors[c.Selector.Kind].build(c.Selector)
 			specs := make([]mdf.BranchSpec, len(e.Branches))
 			for i, br := range e.Branches {
-				hint := float64(i)
-				if br.Hint != nil {
-					hint = *br.Hint
-				}
-				specs[i] = mdf.BranchSpec{Label: br.Label, Hint: hint}
+				specs[i] = mdf.BranchSpec{Label: br.Label, Hint: *br.Hint}
 			}
-			var compileErr error
+			// The builder builds the branches in order, so the j-th call
+			// builds branch j, under that branch's own params.
+			j := 0
 			node = node.Explore(e.Name, specs, mdf.NewChooser(ev, sel),
-				func(start *mdf.Node, bs mdf.BranchSpec) *mdf.Node {
-					var brParams map[string]float64
-					for i, br := range e.Branches {
-						if br.Label == bs.Label && specs[i].Hint == bs.Hint {
-							brParams = br.Params
-							break
-						}
-					}
-					end, err := compileSteps(start, e.Body, sourceRows, brParams)
-					if err != nil && compileErr == nil {
-						compileErr = err
-					}
-					return end
+				func(start *mdf.Node, _ mdf.BranchSpec) *mdf.Node {
+					params := e.Branches[j].Params
+					j++
+					return compileSteps(start, e.Body, sourceRows, params)
 				})
-			if compileErr != nil {
-				return nil, compileErr
-			}
 		}
 	}
-	return node, nil
+	return node
 }
 
 func sourceFunc(src Source) graph.TransformFunc {
-	parts := src.Partitions
-	if parts < 1 {
-		parts = 8
-	}
-	vbytes := src.VirtualBytes
-	if vbytes <= 0 {
-		vbytes = 1 << 30
-	}
-	if src.File != "" {
-		return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
-			if len(ins) != 0 {
-				return nil, fmt.Errorf("spec: source received %d inputs", len(ins))
-			}
-			rows, err := readFloatFile(src.File, src.Rows)
-			if err != nil {
-				return nil, err
-			}
-			d := dataset.FromSlice("src", rows, parts, 8)
-			d.SetVirtualBytes(vbytes)
-			return d, nil
-		}
-	}
 	return mdf.SourceFunc(func() *dataset.Dataset {
 		rng := stats.NewRNG(src.Seed)
 		rows := make([]float64, src.Rows)
@@ -427,181 +378,8 @@ func sourceFunc(src Source) graph.TransformFunc {
 				rows[i] = rng.Normal(0, 1)
 			}
 		}
-		d := dataset.FromSlice("src", rows, parts, 8)
-		d.SetVirtualBytes(vbytes)
+		d := dataset.FromSlice("src", rows, src.Partitions, 8)
+		d.SetVirtualBytes(src.VirtualBytes)
 		return d
 	})
-}
-
-// opFunc resolves an operator step to a transform; params override Limit/A
-// via ParamKey.
-func opFunc(op OpStep, params map[string]float64) (graph.TransformFunc, error) {
-	pv := func(def float64) float64 {
-		if op.ParamKey != "" {
-			if v, ok := params[op.ParamKey]; ok {
-				return v
-			}
-		}
-		return def
-	}
-	switch op.Fn {
-	case "identity", "":
-		return mdf.Identity(op.Name), nil
-	case "affine":
-		return mdf.Map(op.Name, 1.0, func(v float64) float64 {
-			return pv(op.A)*v + op.B
-		}), nil
-	case "square":
-		return mdf.Map(op.Name, 1.0, func(v float64) float64 {
-			return v * v
-		}), nil
-	case "abs":
-		return mdf.Map(op.Name, 1.0, math.Abs), nil
-	case "filter-less":
-		return mdf.Filter(op.Name, func(v float64) bool {
-			return v < pv(op.Limit)
-		}), nil
-	case "filter-greater":
-		return mdf.Filter(op.Name, func(v float64) bool {
-			return v > pv(op.Limit)
-		}), nil
-	case "filter-absless":
-		return mdf.Filter(op.Name, func(v float64) bool {
-			return math.Abs(v) < pv(op.Limit)
-		}), nil
-	case "normalize":
-		return normalizeFn(op.Name), nil
-	case "standardize":
-		return standardizeFn(op.Name), nil
-	}
-	return nil, fmt.Errorf("spec: unknown op fn %q", op.Fn)
-}
-
-func normalizeFn(name string) graph.TransformFunc {
-	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		xs := dataset.Flatten[float64](in)
-		if len(xs) == 0 {
-			return in, nil
-		}
-		lo, hi := stats.MinMax(xs)
-		span := hi - lo
-		if span == 0 {
-			span = 1
-		}
-		return mdf.Map(name, 1.0, func(v float64) float64 {
-			return (v - lo) / span
-		})([]*dataset.Dataset{in})
-	})
-}
-
-func standardizeFn(name string) graph.TransformFunc {
-	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-		xs := dataset.Flatten[float64](in)
-		if len(xs) == 0 {
-			return in, nil
-		}
-		mean, std := stats.Mean(xs), stats.StdDev(xs)
-		if std == 0 {
-			std = 1
-		}
-		return mdf.Map(name, 1.0, func(v float64) float64 {
-			return (v - mean) / std
-		})([]*dataset.Dataset{in})
-	})
-}
-
-// readFloatFile loads newline-separated float64 values; cap limits the row
-// count when positive.
-func readFloatFile(path string, cap int) ([]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	var rows []float64
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			return nil, fmt.Errorf("spec: %s: %w", path, err)
-		}
-		rows = append(rows, v)
-		if cap > 0 && len(rows) >= cap {
-			break
-		}
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("spec: %s contains no values", path)
-	}
-	return rows, nil
-}
-
-func evaluator(c Choose, sourceRows int) (mdf.Evaluator, error) {
-	var ev mdf.Evaluator
-	switch c.Evaluator {
-	case "size", "":
-		ev = mdf.SizeEvaluator()
-	case "ratio":
-		ev = mdf.RatioEvaluator(sourceRows)
-	case "mean":
-		ev = mdf.FuncEvaluator("mean", func(d *dataset.Dataset) float64 {
-			xs := dataset.Flatten[float64](d)
-			if len(xs) == 0 {
-				return math.Inf(-1) // empty results (e.g. terminated iterations) rank last
-			}
-			return stats.Mean(xs)
-		})
-	case "neg-mean-abs":
-		ev = mdf.FuncEvaluator("neg-mean-abs", func(d *dataset.Dataset) float64 {
-			xs := dataset.Flatten[float64](d)
-			if len(xs) == 0 {
-				return math.Inf(-1)
-			}
-			var s float64
-			for _, x := range xs {
-				s += math.Abs(x)
-			}
-			return -s / float64(len(xs))
-		})
-	case "stddev":
-		ev = mdf.FuncEvaluator("stddev", func(d *dataset.Dataset) float64 {
-			xs := dataset.Flatten[float64](d)
-			if len(xs) == 0 {
-				return math.Inf(-1)
-			}
-			return stats.StdDev(xs)
-		})
-	default:
-		return ev, fmt.Errorf("spec: unknown evaluator %q", c.Evaluator)
-	}
-	ev.Monotone = c.Monotone
-	ev.Convex = c.Convex
-	ev.CostPerMB = c.CostPerMB
-	return ev, nil
-}
-
-func selector(s Selector) (mdf.Selector, error) {
-	switch s.Kind {
-	case "topk":
-		return mdf.TopK(max(1, s.K)), nil
-	case "bottomk":
-		return mdf.BottomK(max(1, s.K)), nil
-	case "min":
-		return mdf.Min(), nil
-	case "max", "":
-		return mdf.Max(), nil
-	case "threshold":
-		return mdf.Threshold(s.Bound, s.AtMost), nil
-	case "interval":
-		return mdf.Interval(s.Lo, s.Hi), nil
-	case "kthreshold":
-		return mdf.KThreshold(max(1, s.K), s.Bound, s.AtMost), nil
-	case "kinterval":
-		return mdf.KInterval(max(1, s.K), s.Lo, s.Hi), nil
-	case "mode":
-		return mdf.Mode(), nil
-	}
-	return nil, fmt.Errorf("spec: unknown selector %q", s.Kind)
 }

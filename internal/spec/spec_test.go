@@ -1,7 +1,6 @@
 package spec_test
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -265,77 +264,14 @@ func TestIterateStepValidation(t *testing.T) {
 	}
 }
 
+// TestFileSource: a source reads no file. The input is always generated, so
+// a document naming a path — which a daemon would read from its own disk on
+// any client's behalf — is rejected as an unknown field, not run.
 func TestFileSource(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/values.txt"
-	if err := os.WriteFile(path, []byte("# comment\n1.5\n2.5\n\n3.5\n4.5\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	doc := `{"source": {"file": ` + fmt.Sprintf("%q", path) + `, "partitions": 2},
-	  "pipeline": [{"op": {"name": "keep", "fn": "filter-greater", "limit": 2.0}}]}`
-	s, err := spec.Parse([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cluster.DefaultConfig()
-	cfg.Workers = 2
-	res, err := engine.Execute(g, engine.Options{
-		Cluster: cluster.MustNew(cfg), Policy: memorymgr.LRU,
-		Scheduler: scheduler.BFS(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output.NumRows() != 3 {
-		t.Errorf("rows = %d, want 3 (values > 2.0)", res.Output.NumRows())
-	}
-}
-
-func TestFileSourceCapAndErrors(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/values.txt"
-	os.WriteFile(path, []byte("1\n2\n3\n4\n5\n"), 0o644)
-	doc := `{"source": {"file": ` + fmt.Sprintf("%q", path) + `, "rows": 2},
+	doc := `{"source": {"file": "/dev/zero", "rows": 2},
 	  "pipeline": [{"op": {"name": "id"}}]}`
-	s, err := spec.Parse([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := s.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cluster.DefaultConfig()
-	cfg.Workers = 2
-	res, err := engine.Execute(g, engine.Options{
-		Cluster: cluster.MustNew(cfg), Policy: memorymgr.LRU, Scheduler: scheduler.BFS(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output.NumRows() != 2 {
-		t.Errorf("rows = %d, want 2 (capped)", res.Output.NumRows())
-	}
-	// Missing file and malformed values fail at execution time.
-	for _, body := range []string{"not-a-number\n", ""} {
-		os.WriteFile(path, []byte(body), 0o644)
-		s, err := spec.Parse([]byte(doc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := s.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := engine.Execute(g, engine.Options{
-			Cluster: cluster.MustNew(cfg), Policy: memorymgr.LRU, Scheduler: scheduler.BFS(),
-		}); err == nil {
-			t.Errorf("body %q: expected execution error", body)
-		}
+	if _, err := spec.Parse([]byte(doc)); err == nil || !strings.Contains(err.Error(), `unknown field "file"`) {
+		t.Errorf("a source naming a file: Parse gave %v, want an unknown-field error", err)
 	}
 }
 
@@ -409,5 +345,60 @@ func TestParseErrorPositions(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not carry position %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestBranchesCompileTheirOwnParams: branch j runs under branch j's params,
+// even when two branches share a label and a hint. The larger limit keeps
+// more rows, so a size-maximising choose must keep the second branch: its
+// output is what the same filter alone keeps.
+func TestBranchesCompileTheirOwnParams(t *testing.T) {
+	run := func(doc string) int {
+		t.Helper()
+		s, err := spec.Parse([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := cluster.DefaultConfig()
+		cfg.Workers = 2
+		res, err := engine.Execute(g, engine.Options{
+			Cluster: cluster.MustNew(cfg), Policy: memorymgr.LRU, Scheduler: scheduler.BFS(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output.NumRows()
+	}
+	explored := run(`{"source": {"rows": 400, "partitions": 2, "seed": 5}, "pipeline": [
+	  {"explore": {"name": "e",
+	    "branches": [{"label": "x", "hint": 0, "params": {"limit": 0.2}},
+	                 {"label": "x", "hint": 0, "params": {"limit": 3}}],
+	    "body": [{"op": {"name": "f", "fn": "filter-absless", "paramKey": "limit"}}],
+	    "choose": {"evaluator": "size", "selector": {"kind": "max"}}}}]}`)
+	alone := run(`{"source": {"rows": 400, "partitions": 2, "seed": 5}, "pipeline": [
+	  {"op": {"name": "f", "fn": "filter-absless", "limit": 3}}]}`)
+	if explored != alone {
+		t.Errorf("the explore kept %d rows, the second branch's filter alone keeps %d", explored, alone)
+	}
+}
+
+// TestValidateAllocatesNothing: admission validates every new document, and
+// a name lookup in the vocabulary costs no allocation — Validate builds no
+// operator, evaluator or selector to check a name.
+func TestValidateAllocatesNothing(t *testing.T) {
+	data, err := os.ReadFile("../../examples/specs/outlier.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := spec.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = s.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times, want 0", n)
 	}
 }
