@@ -94,44 +94,7 @@ func TestSessionGoldenAcrossCommits(t *testing.T) {
 func sessionGolden(t *testing.T) {
 	s := newServer(Config{})
 	h := s.Handler()
-	var progress bytes.Buffer
-	submit := func(req JobRequest) {
-		t.Helper()
-		if _, err := s.Submit(req); err != nil {
-			t.Fatalf("submit %d: %v", s.seq+1, err)
-		}
-	}
-	idle := func() {
-		for turn(s) {
-		}
-	}
-	raw := func(doc string) json.RawMessage { return json.RawMessage(doc) }
-
-	submit(JobRequest{Tenant: "a", Spec: raw(okSpec)})
-	idle()
-	submit(JobRequest{Tenant: "b", Priority: 1, Spec: raw(nestedSpec)})
-	for i := 0; i < 17; i++ {
-		turn(s)
-	}
-	mid := get(t, h, "/jobs/job-0002/progress").Body.Bytes()
-	var ps ProgressStatus
-	if err := json.Unmarshal(mid, &ps); err != nil {
-		t.Fatal(err)
-	}
-	if ps.State != StateRunning || ps.StagesExecuted == 0 || ps.Done {
-		t.Fatalf("job-0002 after 17 turns is not mid-run: %s", mid)
-	}
-	progress.Write(mid)
-	idle()
-	submit(JobRequest{Tenant: "a", Spec: raw(nestedSpec), Faults: raw(keepFaults)})
-	idle()
-	submit(JobRequest{Tenant: "c", Spec: raw(boomSpec), Faults: raw(boomFaults)})
-	idle()
-	submit(JobRequest{Tenant: "b", Spec: raw(longSpec)})
-	idle()
-	submit(JobRequest{Tenant: "a", DeadlineSec: 12, Spec: raw(nestedSpec)})
-	idle()
-
+	progress := bytes.NewBuffer(runSession(t, s))
 	var jobs bytes.Buffer
 	for _, id := range s.order {
 		progress.Write(get(t, h, "/jobs/"+id+"/progress").Body.Bytes())
@@ -176,4 +139,49 @@ func sessionGolden(t *testing.T) {
 			t.Errorf("%s differs from the golden:\n got  %.600s\n want %.600s", a.file, a.got, want)
 		}
 	}
+}
+
+// runSession submits the session's six jobs one at a time to a server whose
+// loop goroutine was never started, taking turns until the server is idle
+// after each, and returns job-0002's /jobs/{id}/progress read after its
+// 17th turn.
+func runSession(t *testing.T, s *Server) []byte {
+	t.Helper()
+	h := s.Handler()
+	submit := func(req JobRequest) {
+		t.Helper()
+		if _, err := s.Submit(req); err != nil {
+			t.Fatalf("submit %d: %v", s.seq+1, err)
+		}
+	}
+	idle := func() {
+		for turn(s) {
+		}
+	}
+	raw := func(doc string) json.RawMessage { return json.RawMessage(doc) }
+
+	submit(JobRequest{Tenant: "a", Spec: raw(okSpec)})
+	idle()
+	submit(JobRequest{Tenant: "b", Priority: 1, Spec: raw(nestedSpec)})
+	for i := 0; i < 17; i++ {
+		turn(s)
+	}
+	mid := get(t, h, "/jobs/job-0002/progress").Body.Bytes()
+	var ps ProgressStatus
+	if err := json.Unmarshal(mid, &ps); err != nil {
+		t.Fatal(err)
+	}
+	if ps.State != StateRunning || ps.StagesExecuted == 0 || ps.Done {
+		t.Fatalf("job-0002 after 17 turns is not mid-run: %s", mid)
+	}
+	idle()
+	submit(JobRequest{Tenant: "a", Spec: raw(nestedSpec), Faults: raw(keepFaults)})
+	idle()
+	submit(JobRequest{Tenant: "c", Spec: raw(boomSpec), Faults: raw(boomFaults)})
+	idle()
+	submit(JobRequest{Tenant: "b", Spec: raw(longSpec)})
+	idle()
+	submit(JobRequest{Tenant: "a", DeadlineSec: 12, Spec: raw(nestedSpec)})
+	idle()
+	return mid
 }
