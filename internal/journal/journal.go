@@ -132,7 +132,9 @@ func New(dir string, opts Options) *Journal {
 func segmentName(n int) string { return fmt.Sprintf("seg-%06d.wal", n) }
 
 // segments lists dir's segment files in ascending order. A missing
-// directory is an empty journal.
+// directory is an empty journal. Only a name segmentName formats is a
+// segment: a stray that merely starts like one (seg-000001.wal.bak) is not
+// replayed, truncated or appended to.
 func segments(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -147,7 +149,7 @@ func segments(dir string) ([]string, error) {
 			continue
 		}
 		var n int
-		if _, err := fmt.Sscanf(e.Name(), "seg-%06d.wal", &n); err == nil {
+		if _, err := fmt.Sscanf(e.Name(), "seg-%06d.wal", &n); err == nil && segmentName(n) == e.Name() {
 			segs = append(segs, e.Name())
 		}
 	}

@@ -284,3 +284,41 @@ func TestCorruptionErrorNamesOffset(t *testing.T) {
 		t.Fatalf("corruption at %s+%d, want seg-000001.wal+%d", ce.Segment, ce.Offset, want)
 	}
 }
+
+// TestOnlyExactSegmentNamesAreSegments: a file beside an intact journal whose
+// name only starts like a segment's — a byte copy seg-000001.wal.bak — is not
+// part of the journal. Replay does not read it, and Open neither truncates it
+// nor appends to it.
+func TestOnlyExactSegmentNamesAreSegments(t *testing.T) {
+	dir := t.TempDir()
+	recs := sampleRecords(4)
+	appendAll(t, dir, recs[:3], Options{NoSync: true})
+	seg := filepath.Join(dir, segmentName(1))
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bak := seg + ".bak"
+	if err := os.WriteFile(bak, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Replay(dir); err != nil || len(got) != 3 {
+		t.Fatalf("replay beside a backup: %d records, err %v; want 3, nil", len(got), err)
+	}
+	j := New(dir, Options{NoSync: true})
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append(recs[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.ReadFile(bak); err != nil || !bytes.Equal(after, b) {
+		t.Errorf("the backup changed: %d bytes, was %d (err %v)", len(after), len(b), err)
+	}
+	if got, err := Replay(dir); err != nil || len(got) != 4 {
+		t.Errorf("replay after the append: %d records, err %v; want 4, nil", len(got), err)
+	}
+}
