@@ -69,7 +69,8 @@ func lifecycleCounts(log *watchLog) map[string]int {
 
 // watchDiff compares a pre-crash /watch capture against a post-recovery
 // one. Every lifecycle transition the clients saw before the crash must
-// reappear after recovery (as a multiset — duplicates from retries count);
+// reappear after recovery (as a multiset: a transition seen twice must
+// reappear twice);
 // anything missing means the restart silently lost job history. Extra
 // events in the current log are fine: recovery re-executes incomplete
 // jobs, which emits new transitions.

@@ -8,16 +8,15 @@ import (
 const watchHeaderLine = `{"schema":"mdf.watch/v1","bucketSec":10}`
 
 // watchPre is a capture taken before a crash: two jobs admitted, one
-// finished (with a retry along the way), one still running, plus a bucket
-// event from the finished job's gauge replay.
+// finished, one still running, plus a bucket event from the finished job's
+// gauge replay.
 const watchPre = watchHeaderLine + `
 {"seq":1,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"queued","tSec":0}
 {"seq":2,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"running","tSec":0}
 {"seq":3,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"queued","tSec":0}
-{"seq":4,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"retried","tSec":4.5}
-{"seq":5,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"done","tSec":9.25}
-{"seq":6,"kind":"bucket","job":"job-0001","tenant":"alpha","tSec":0,"values":{"sched.queue_depth":1}}
-{"seq":7,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"running","tSec":0}
+{"seq":4,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"done","tSec":9.25}
+{"seq":5,"kind":"bucket","job":"job-0001","tenant":"alpha","tSec":0,"values":{"sched.queue_depth":1}}
+{"seq":6,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"running","tSec":0}
 `
 
 // watchPost is the capture after restart and recovery: everything the
@@ -27,20 +26,18 @@ const watchPost = watchHeaderLine + `
 {"seq":1,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"queued","tSec":0}
 {"seq":2,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"queued","tSec":0}
 {"seq":3,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"running","tSec":0}
-{"seq":4,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"retried","tSec":4.5}
-{"seq":5,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"done","tSec":9.25}
-{"seq":6,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"running","tSec":0}
-{"seq":7,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"done","tSec":12}
-{"seq":8,"kind":"bucket","job":"job-0002","tenant":"beta","tSec":0,"values":{"sched.queue_depth":1}}
+{"seq":4,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"done","tSec":9.25}
+{"seq":5,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"running","tSec":0}
+{"seq":6,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"done","tSec":12}
+{"seq":7,"kind":"bucket","job":"job-0002","tenant":"beta","tSec":0,"values":{"sched.queue_depth":1}}
 `
 
-// watchLossy drops job-0001's retried transition: recovery lost history.
+// watchLossy drops job-0001's done transition: recovery lost history.
 const watchLossy = watchHeaderLine + `
 {"seq":1,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"queued","tSec":0}
 {"seq":2,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"queued","tSec":0}
 {"seq":3,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"running","tSec":0}
-{"seq":4,"kind":"lifecycle","job":"job-0001","tenant":"alpha","state":"done","tSec":9.25}
-{"seq":5,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"running","tSec":0}
+{"seq":4,"kind":"lifecycle","job":"job-0002","tenant":"beta","state":"running","tSec":0}
 `
 
 func TestWatchDiffRecoveryComplete(t *testing.T) {
@@ -71,7 +68,7 @@ func TestWatchDiffPrintsMissing(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(got, "LOST alpha job-0001/lifecycle state=retried") {
+	if !strings.Contains(got, "LOST alpha job-0001/lifecycle state=done") {
 		t.Fatalf("output does not name the lost event:\n%s", got)
 	}
 }
@@ -79,7 +76,7 @@ func TestWatchDiffPrintsMissing(t *testing.T) {
 func TestWatchDiffRejectsDamagedLogs(t *testing.T) {
 	pre := writeFixture(t, "pre.watch", watchPre)
 	cases := map[string]string{
-		"gap.watch":    strings.Replace(watchPre, `"seq":7`, `"seq":9`, 1),
+		"gap.watch":    strings.Replace(watchPre, `"seq":6`, `"seq":9`, 1),
 		"garble.watch": watchHeaderLine + "\n{not json}\n",
 		"empty.watch":  "",
 	}
@@ -114,11 +111,11 @@ func TestLoadWatchParsesEvents(t *testing.T) {
 	if log.bucketSec != 10 {
 		t.Fatalf("bucketSec = %g, want 10", log.bucketSec)
 	}
-	if len(log.events) != 7 {
-		t.Fatalf("events = %d, want 7", len(log.events))
+	if len(log.events) != 6 {
+		t.Fatalf("events = %d, want 6", len(log.events))
 	}
 	counts := lifecycleCounts(log)
-	if len(counts) != 6 {
-		t.Fatalf("lifecycle multiset size = %d, want 6 (bucket events must be excluded)", len(counts))
+	if len(counts) != 5 {
+		t.Fatalf("lifecycle multiset size = %d, want 5 (bucket events must be excluded)", len(counts))
 	}
 }

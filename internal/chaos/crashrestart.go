@@ -114,9 +114,9 @@ func GenCrashTrialSpec(sweepSeed int64, trial int) (CrashTrialSpec, error) {
 			})
 		}
 		if rng.Intn(4) == 0 {
-			// A persistent panic: the service retries the job with backoff
-			// and eventually retires it failed, so the journal gains
-			// retried records and a failed terminal record to replay.
+			// A persistent panic: the engine's operator retries run out, the
+			// service retires the job failed after its one run, and the
+			// journal gains a failed terminal record to replay.
 			plan.Panics = append(plan.Panics, faults.PanicSpec{
 				Op: "std", Target: faults.TargetTransform, Times: 1 << 20,
 			})

@@ -1,7 +1,7 @@
 // Package ckptstore is a content-addressed durable checkpoint store.
 // Entries are keyed by the spec chain-prefix hash of the operator that
 // produced the partition (internal/spec) plus the partition index, so
-// the same intermediate result — across retries, restarts, branches, or
+// the same intermediate result — across restarts, branches, or
 // separate jobs — lands at the same key. The engine mirrors every
 // checkpointed partition here and reads an entry back only when a node
 // crash inside a run leans on a durable copy (engine.verifyCkpt): an entry

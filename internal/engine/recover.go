@@ -35,9 +35,9 @@ type opPanicError struct {
 func (e *opPanicError) Error() string { return fmt.Sprintf("operator %q panicked: %v", e.op, e.val) }
 
 // IsPanic reports whether a run error originated in an operator panic that
-// persisted past the retry budget. The service layer treats such failures as
-// transient (the job is retried with backoff, and repeated offenders trip
-// the tenant's quarantine) while every other run error is permanent.
+// persisted past the retry budget. The service layer charges such a failure
+// to the job's tenant as a quarantine strike; the job is not run again, since
+// its run is deterministic and would fail the same way.
 func IsPanic(err error) bool {
 	var pe *opPanicError
 	return errors.As(err, &pe)

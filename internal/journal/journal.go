@@ -1,6 +1,6 @@
 // Package journal is an append-only write-ahead log of job lifecycle
 // records. The service appends one record per lifecycle transition
-// (admitted, started, checkpointed, retried, terminal) and replays the
+// (admitted, started, checkpointed, terminal) and replays the
 // log on restart to rebuild admission state.
 //
 // On-disk format: a journal is a directory of segment files named
@@ -41,7 +41,6 @@ const (
 	KindAdmitted     = "admitted"
 	KindStarted      = "started"
 	KindCheckpointed = "checkpointed"
-	KindRetried      = "retried"
 	KindTerminal     = "terminal"
 )
 
@@ -67,17 +66,11 @@ type Record struct {
 	Spec         json.RawMessage `json:"spec,omitempty"`
 	Faults       json.RawMessage `json:"faults,omitempty"`
 
-	// Started / retried payload.
-	Attempt    int       `json:"attempt,omitempty"`
-	BackoffSec sim.VTime `json:"backoffSec,omitempty"`
-
 	// Checkpointed / terminal payload.
 	Parts            int              `json:"parts,omitempty"`
 	State            string           `json:"state,omitempty"`
 	Error            string           `json:"error,omitempty"`
 	CompletionSec    sim.VTime        `json:"completionSec,omitempty"`
-	Retries          int              `json:"retries,omitempty"`
-	Sheds            int              `json:"sheds,omitempty"`
 	Strikes          int              `json:"strikes,omitempty"`
 	DeadlineExceeded bool             `json:"deadlineExceeded,omitempty"`
 	Selections       map[string][]int `json:"selections,omitempty"`

@@ -14,7 +14,7 @@ import (
 
 // sampleRecords builds a small deterministic lifecycle sequence.
 func sampleRecords(n int) []Record {
-	kinds := []string{KindAdmitted, KindStarted, KindRetried, KindCheckpointed, KindTerminal}
+	kinds := []string{KindAdmitted, KindStarted, KindCheckpointed, KindTerminal}
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{

@@ -69,8 +69,7 @@ func (s *Server) vet(doc []byte) (*vetted, *graph.Graph, error) {
 }
 
 // buildPlan builds the execution plan of a vetted spec, compiling it first unless
-// vetting just did (g). The plan is immutable: the job's every attempt runs
-// on it.
+// vetting just did (g). The plan is immutable: the job's run is on it.
 func (v *vetted) buildPlan(g *graph.Graph) (*graph.Plan, error) {
 	if g == nil {
 		var err error

@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the one place a job lifecycle event is booked. Every
-// transition — rejected, admitted, started, struck, retried, terminal,
-// recovered — has exactly one function here, which makes all of the
-// event's entries: job state, tenant counter, service series, /watch log.
+// transition — rejected, admitted, started, struck, terminal, recovered —
+// has exactly one function here, which makes all of the event's entries:
+// job state, tenant counter, service series, /watch log.
 // Submit and the step loop call the transition and then append its journal
 // record; journal replay (recovery.go) decodes a record and calls the same
 // transition. /metrics, /series and /watch are read off what these
@@ -29,7 +29,6 @@ var tenantEvents = []event{
 
 const (
 	evSubmitted          event = "submitted"
-	evRetried            event = "retried" // ticked on the series; counted from job.retries
 	evShed               event = "shed"
 	evQuotaRejected      event = "quota_rejected"
 	evQuarantineRejected event = "quarantine_rejected"
@@ -40,14 +39,11 @@ const (
 )
 
 // counters holds the service-wide events no tenant line carries. Every
-// other service counter on /metrics is a sum over the tenant counters;
-// jobs_retried is summed from job.retries, which a restart resets with
-// the job.
+// other service counter on /metrics is a sum over the tenant counters.
 type counters struct {
 	vetRejected, drainRejected int64
 	deadlineExceeded           int64
 	quarantines                int64
-	retrySheds                 int64
 }
 
 // eventLocked ticks one event on the service series: a per-tenant rate
@@ -104,15 +100,13 @@ func (s *Server) admittedLocked(j *job) {
 	s.watchLifecycleLocked(j, 0)
 }
 
-// startedLocked moves a job to running on its attempt-th attempt, at the
-// run's virtual start time t.
-func (s *Server) startedLocked(j *job, attempt int, t sim.VTime) {
-	j.attempts = attempt
+// startedLocked moves a job to running at the run's virtual start time t.
+func (s *Server) startedLocked(j *job, t sim.VTime) {
 	j.state = StateRunning
 	s.watchLifecycleLocked(j, t.Seconds())
 }
 
-// strikeLocked charges one panic-failed attempt to the job and its tenant
+// strikeLocked charges one panic-failed run to the job and its tenant
 // and trips the quarantine circuit breaker at the configured threshold.
 // Strikes have no journal record of their own: the terminal record carries
 // the job's count, so replay strikes when it decodes that record and an
@@ -128,27 +122,15 @@ func (s *Server) strikeLocked(j *job) {
 	}
 }
 
-// retriedLocked returns a panic-failed job to the queue with backoff, its
-// accumulated virtual retry backoff in seconds.
-func (s *Server) retriedLocked(j *job, backoff float64) {
-	j.state = StateQueued
-	j.err = nil
-	j.backoff = backoff
-	j.retries++
-	s.eventLocked(evRetried, j.tenant)
-	s.watchLifecycleLocked(j, 0)
-}
-
-// terminalLocked retires a job: final state, the retry shed and deadline
-// hit that ended it (set on the job by the caller), quota release, the
-// tenant's terminal counter, the watch event at the job's end time, and
-// one completion against every quarantine cooldown. The job lets go of what
-// only another attempt would have read, its plan and checkpoint chains.
+// terminalLocked retires a job: final state, the deadline hit that ended
+// it (set on the job by the caller), quota release, the tenant's terminal
+// counter, the watch event at the job's end time, and one completion
+// against every quarantine cooldown. The job lets go of what only its run
+// read, its plan and checkpoint chains.
 func (s *Server) terminalLocked(j *job, state string, err error) {
 	j.state = state
 	j.err = err
 	j.plan, j.chains = nil, nil
-	s.ctr.retrySheds += int64(j.sheds)
 	if j.deadlineHit {
 		s.ctr.deadlineExceeded++
 	}
@@ -165,15 +147,14 @@ func (s *Server) terminalLocked(j *job, state string, err error) {
 	}
 }
 
-// recoveredLocked returns an incomplete job to queued at attempt zero
-// after a restart lost its run: re-execution from the journaled spec and
-// fault plan re-earns whatever the lost attempts had been charged. Only
-// replay makes this transition, and it writes no journal record.
+// recoveredLocked returns an incomplete job to queued after a restart lost
+// its run: re-execution from the journaled spec and fault plan re-earns
+// whatever the lost run had been charged. Only replay makes this
+// transition, and it writes no journal record.
 func (s *Server) recoveredLocked(j *job) {
 	wasRunning := j.state == StateRunning
 	j.state = StateQueued
-	j.attempts, j.backoff, j.err, j.checkpointed = 0, 0, nil, 0
-	j.retries, j.sheds, j.strikes, j.deadlineHit = 0, 0, 0, false
+	j.checkpointed = 0
 	if wasRunning {
 		s.watchLifecycleLocked(j, 0)
 	}

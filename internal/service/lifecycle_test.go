@@ -14,15 +14,14 @@ import (
 // sum of their per-tenant lines.
 var summedCounters = []string{
 	"submitted", "done", "failed", "canceled", "checkpointed",
-	"retried", "quota_rejected", "quarantine_rejected",
+	"quota_rejected", "quarantine_rejected",
 }
 
 // runMixedSequence stages one of every lifecycle outcome on a server whose
 // step loop has not started, then runs it to idle: a job canceled while
 // running, one canceled while queued, a quota refusal, a queue shed, a
-// deadline failure, a job that panics through its retry budget (tripping
-// its tenant's quarantine) and a clean completion, then a quarantine
-// refusal. Staging before the loop makes every outcome deterministic.
+// deadline failure, a job that fails with a panic (tripping its tenant's
+// quarantine) and a clean completion, then a quarantine refusal. Staging before the loop makes every outcome deterministic.
 func runMixedSequence(t *testing.T, s *Server) {
 	t.Helper()
 	running := submitOK(t, s, "f", longSpec, "")
@@ -58,10 +57,11 @@ func runMixedSequence(t *testing.T, s *Server) {
 	}
 }
 
-// mixedConfig leaves each tenant quota room for one job and the queue
-// room for the three jobs the sequence keeps waiting.
+// mixedConfig leaves each tenant quota room for one job, the queue room for
+// the three jobs the sequence keeps waiting, and quarantines a tenant at its
+// first panic-failed job.
 func mixedConfig() Config {
-	return Config{Workers: 2, MemPerWorker: 1 << 20, TenantQuota: 2 << 20, QueueCap: 3, MaxActive: 1}
+	return Config{Workers: 2, MemPerWorker: 1 << 20, TenantQuota: 2 << 20, QueueCap: 3, MaxActive: 1, QuarantineStrikes: 1}
 }
 
 // TestServiceCountersAreTenantSums pins the single booking path from
@@ -89,13 +89,12 @@ func TestServiceCountersAreTenantSums(t *testing.T) {
 		"service.jobs_done":                1,
 		"service.jobs_canceled":            2,
 		"service.jobs_failed":              2,
-		"service.jobs_retried":             2,
 		"service.jobs_quota_rejected":      1,
 		"service.jobs_quarantine_rejected": 1,
 		"service.jobs_shed":                1,
 		"service.jobs_deadline_exceeded":   1,
 		"service.tenants_quarantined":      1,
-		"service.tenant.c.jobs_retried":    2,
+		"service.tenant.c.jobs_failed":     1,
 		"service.tenant.d.jobs_shed":       1,
 	} {
 		if got, _ := m.CounterValue(name); got != want {
@@ -163,40 +162,5 @@ func TestReplayBooksLikeLive(t *testing.T) {
 	}
 	if n, _ := r.Metrics().CounterValue("service.recovery.jobs_requeued"); n != 0 {
 		t.Errorf("restart requeued %d jobs, want 0: every job was terminal", n)
-	}
-}
-
-// TestRetryShedFailsJob: a panic-failed job whose requeue finds the
-// admission queue full is failed with the shed recorded on the service
-// line only — it is a job outcome, not a refused submission.
-func TestRetryShedFailsJob(t *testing.T) {
-	s := newServer(Config{QueueCap: 1, MaxActive: 1})
-	defer s.Close()
-	boom := submitOK(t, s, "noisy", boomSpec, boomFaults)
-	s.mu.Lock()
-	s.admitLocked()
-	s.mu.Unlock()
-	submitOK(t, s, "quiet", okSpec, "") // fills the queue while boom runs
-	go s.loop()
-	s.WaitIdle()
-
-	st, err := s.Job(boom.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateFailed || st.Attempts != 1 || !strings.Contains(st.Error, "retry shed") {
-		t.Fatalf("status = %+v, want failed after one attempt with a retry-shed error", st)
-	}
-	m := s.Metrics()
-	for name, want := range map[string]int64{
-		"service.jobs_shed":              1,
-		"service.tenant.noisy.jobs_shed": 0,
-		"service.jobs_retried":           0,
-		"service.jobs_failed":            1,
-		"service.jobs_done":              1,
-	} {
-		if got, _ := m.CounterValue(name); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
 	}
 }

@@ -20,40 +20,33 @@ func (s *Server) Metrics() *obs.Snapshot {
 
 func (s *Server) metricsLocked() *obs.Snapshot {
 	var snaps []*obs.Snapshot
-	retried := make(map[string]int64)
 	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.snapshot != nil {
+		if j := s.jobs[id]; j.snapshot != nil {
 			snaps = append(snaps, j.snapshot)
 		}
-		retried[j.tenant] += int64(j.retries)
 	}
 	m := obs.MergeSnapshots(snaps)
 
 	// Per-tenant lifecycle breakdown: every tenant that ever touched the
 	// admission path gets the full counter set (zeros included), emitted in
 	// sorted tenant order. The service line of each event is the sum of
-	// its tenant lines (plus, for sheds, the retries shed at requeue, which
-	// fail a job rather than refuse a submission).
+	// its tenant lines.
 	tenants := make([]string, 0, len(s.tctr))
 	for t := range s.tctr {
 		tenants = append(tenants, t)
 	}
 	sort.Strings(tenants)
-	total := map[event]int64{evShed: s.ctr.retrySheds}
+	total := make(map[event]int64, len(tenantEvents))
 	for _, t := range tenants {
 		p := "service.tenant." + t + ".jobs_"
 		for _, ev := range tenantEvents {
 			m.AddCounter(p+string(ev), s.tctr[t][ev])
 			total[ev] += s.tctr[t][ev]
 		}
-		m.AddCounter(p+string(evRetried), retried[t])
-		total[evRetried] += retried[t]
 	}
 	for _, ev := range tenantEvents {
 		m.AddCounter("service.jobs_"+string(ev), total[ev])
 	}
-	m.AddCounter("service.jobs_retried", total[evRetried])
 	m.AddCounter("service.jobs_vet_rejected", s.ctr.vetRejected)
 	m.AddCounter("service.jobs_drain_rejected", s.ctr.drainRejected)
 	m.AddCounter("service.jobs_deadline_exceeded", s.ctr.deadlineExceeded)

@@ -21,7 +21,7 @@ import (
 // events; submission-side events (queued, shed, quota/quarantine
 // rejections) are appended by the submitting goroutine under s.mu in
 // submission order. Service-level series (admission queue depth,
-// per-tenant shed/retry/quarantine rates, quota reservations) span jobs
+// per-tenant shed/quarantine rates, quota reservations) span jobs
 // and therefore have no single virtual clock; they are stamped with a
 // logical event-sequence time — one virtual second per service event —
 // exactly like the quota pool's reservation clock it shares a recorder

@@ -22,9 +22,9 @@ import (
 //     metrics snapshot, audit surface — and their quota stays released:
 //     replay makes the same lifecycle.go transitions the live server made
 //     before writing each record, so nothing is booked a second way;
-//   - incomplete jobs re-reserve their tenant quota and requeue at
-//     attempt zero in admitted order: deterministic re-execution from the
-//     journaled spec and fault plan IS the recovery mechanism. The
+//   - incomplete jobs re-reserve their tenant quota and requeue in
+//     admitted order: deterministic re-execution from the journaled spec
+//     and fault plan IS the recovery mechanism. The
 //     checkpoint store is not read for it; the engine reads an entry only
 //     when a node crash inside a run leans on a durable copy;
 //   - a dedup index maps (tenant, spec content hash) to recovered job
@@ -117,9 +117,7 @@ func (s *Server) replay(recs []journal.Record) error {
 		}
 		switch rec.Kind {
 		case journal.KindStarted:
-			s.startedLocked(j, rec.Attempt, rec.TSec)
-		case journal.KindRetried:
-			s.retriedLocked(j, rec.BackoffSec.Seconds())
+			s.startedLocked(j, rec.TSec)
 		case journal.KindCheckpointed:
 			j.checkpointed = rec.Parts
 		case journal.KindTerminal:
@@ -131,11 +129,11 @@ func (s *Server) replay(recs []journal.Record) error {
 			return fmt.Errorf("service: recovery: unknown record kind %q (seq %d)", rec.Kind, rec.Seq)
 		}
 	}
-	// Requeue incomplete jobs in admitted order at attempt zero. Their
-	// journaled spec and fault plan replay deterministically, so
-	// re-execution reproduces the lost outcome. Each gets its plan here, from
-	// the pipeline a live submission goes through (admission.go) — the
-	// verdict aside: the job was admitted, and stays so.
+	// Requeue incomplete jobs in admitted order. Their journaled spec and
+	// fault plan replay deterministically, so re-execution reproduces the
+	// lost outcome. Each gets its plan here, from the pipeline a live
+	// submission goes through (admission.go) — the verdict aside: the job
+	// was admitted, and stays so.
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.terminal() {
@@ -222,7 +220,7 @@ func (s *Server) replayTerminal(j *job, rec journal.Record) error {
 		}
 		j.snapshot = snap
 	}
-	j.retries, j.sheds, j.deadlineHit = rec.Retries, rec.Sheds, rec.DeadlineExceeded
+	j.deadlineHit = rec.DeadlineExceeded
 	for j.strikes < rec.Strikes {
 		s.strikeLocked(j)
 	}
@@ -278,8 +276,6 @@ func (s *Server) journalTerminalLocked(j *job) {
 		State:            j.state,
 		CompletionSec:    j.end,
 		Parts:            j.checkpointed,
-		Retries:          j.retries,
-		Sheds:            j.sheds,
 		Strikes:          j.strikes,
 		DeadlineExceeded: j.deadlineHit,
 		Selections:       j.selections,

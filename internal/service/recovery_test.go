@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,7 +62,7 @@ func statusJSON(t *testing.T, s *Server, id string) []byte {
 
 // TestDurableRestartRestoresTerminalJobs is the tentpole round trip: a
 // durable server runs jobs to terminal states (including a failing one,
-// which exercises retried/strikes replay), dies, and a reopened server
+// which exercises strikes replay), dies, and a reopened server
 // answers identically — same job statuses, same metrics bytes modulo the
 // recovery counters — and deduplicates blind resubmissions onto the
 // recovered jobs.
@@ -134,7 +135,7 @@ func TestRecoveryRequeuesIncompleteJobs(t *testing.T) {
 			ReserveBytes: reserve, Spec: json.RawMessage(okSpec)},
 		{Seq: 2, Kind: journal.KindAdmitted, Job: "job-0002", Tenant: "alpha",
 			ReserveBytes: reserve, Spec: json.RawMessage(otherSpec)},
-		{Seq: 3, Kind: journal.KindStarted, Job: "job-0001", Tenant: "alpha", Attempt: 1},
+		{Seq: 3, Kind: journal.KindStarted, Job: "job-0001", Tenant: "alpha"},
 	}
 	if err := journal.WriteAll(cfg.StateDir+"/journal", recs, journal.Options{NoSync: true}); err != nil {
 		t.Fatal(err)
@@ -279,6 +280,30 @@ func TestRecoveryHealsCorruptJournal(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesRetriedRecord: the service no longer retries a job, so
+// a journal that holds a "retried" record, which only a server that did
+// could write, is refused by name rather than replayed a second way.
+func TestRecoveryRefusesRetriedRecord(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir(), JournalNoSync: true}
+	recs := []journal.Record{
+		{Seq: 1, Kind: journal.KindAdmitted, Job: "job-0001", Tenant: "alpha",
+			ReserveBytes: 1 << 20, Spec: json.RawMessage(okSpec)},
+		{Seq: 2, Kind: journal.KindStarted, Job: "job-0001", Tenant: "alpha"},
+		{Seq: 3, Kind: "retried", Job: "job-0001", Tenant: "alpha"},
+	}
+	if err := journal.WriteAll(cfg.StateDir+"/journal", recs, journal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(cfg)
+	if err == nil {
+		s.Close()
+		t.Fatal("a journal with a retried record opened")
+	}
+	if want := `unknown record kind "retried"`; !strings.Contains(err.Error(), want) {
+		t.Errorf("open error %q does not say %s", err, want)
+	}
+}
+
 // TestMemoryOnlyServerUnchanged pins the compatibility contract: a server
 // opened without a StateDir never journals, never emits recovery counters,
 // and its metrics bytes are identical to a pre-durability server's.
@@ -302,5 +327,67 @@ func TestMemoryOnlyServerUnchanged(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("service.jobs_done")) {
 		t.Fatal("metrics missing service counters")
+	}
+}
+
+// TestJournalRecordFieldsAreWritten: every field of journal.Record is
+// written by some lifecycle transition, since a field nothing writes is dead
+// weight in every frame. The mixed sequence on a durable server, then a job
+// drained in mid-run by a restart of it, fill each field in at least one
+// record.
+func TestJournalRecordFieldsAreWritten(t *testing.T) {
+	cfg := mixedConfig()
+	cfg.StateDir, cfg.JournalNoSync = t.TempDir(), true
+	s := newServer(cfg)
+	if err := s.openState(); err != nil {
+		t.Fatal(err)
+	}
+	runMixedSequence(t, s)
+	s.Close()
+
+	// Draining is staged before the loop starts, so the job is checkpointed
+	// after its step budget whatever the host's speed. The restart has the
+	// default cluster, whose memory holds partitions a drain must write.
+	r := newServer(Config{StateDir: cfg.StateDir, JournalNoSync: true})
+	if err := r.openState(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Submit(JobRequest{Tenant: "e", Priority: 1, Spec: json.RawMessage(longSpec)}); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	r.draining = true
+	r.mu.Unlock()
+	go r.loop()
+	r.Close()
+
+	recs, err := journal.Replay(cfg.StateDir + "/journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := make(map[string]bool)
+	for _, rec := range recs {
+		v := reflect.ValueOf(rec)
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).IsZero() {
+				written[v.Type().Field(i).Name] = true
+			}
+		}
+	}
+	// The fields these inputs leave zero, each for a reason no input can
+	// change: the audit fields carry what a run's end-of-run self-audit
+	// found, and no correct run gives it anything to find; Parts counts the
+	// partitions a drain checkpoints, and on a durable server, whose runs
+	// checkpoint every consumed intermediate as it is made (AMM anticipatory
+	// checkpointing), a drain finds none left to write.
+	unwritten := map[string]bool{"AuditLineage": true, "AuditBooks": true, "Parts": true}
+	rt := reflect.TypeOf(journal.Record{})
+	for i := 0; i < rt.NumField(); i++ {
+		if name := rt.Field(i).Name; written[name] == unwritten[name] {
+			t.Errorf("Record.%s: written %v in %d records, expected %v", name, written[name], len(recs), !unwritten[name])
+		}
+	}
+	if last := recs[len(recs)-1]; last.State != StateCheckpointed || recs[len(recs)-2].Kind != journal.KindCheckpointed {
+		t.Errorf("the journal ends %s/%s, want the drained job's checkpointed and terminal records", recs[len(recs)-2].Kind, last.Kind)
 	}
 }

@@ -8,9 +8,10 @@
 // by the deterministic cross-job scheduler, deadlines are virtual-time
 // budgets checked at scheduling boundaries, priority aging is counted in
 // pop decisions and quarantine cooldown in job completions — so a fixed
-// submission sequence always produces the same admissions, the same retry
-// and quarantine decisions, and byte-identical aggregated metrics, which is
-// what the service tests pin.
+// submission sequence always produces the same admissions, the same
+// quarantine decisions, and byte-identical aggregated metrics, which is what
+// the service tests pin. A job is one deterministic run: a failed run is not
+// retried, since running it again would fail the same way.
 package service
 
 import (
@@ -54,8 +55,8 @@ type Config struct {
 	// DeadlineSec is the default per-job virtual deadline in simulated
 	// seconds; 0 means no deadline. A request may override it.
 	DeadlineSec float64
-	// QuarantineStrikes is the number of panic-failed attempts after which
-	// a tenant is quarantined (circuit broken).
+	// QuarantineStrikes is the number of panic-failed jobs after which a
+	// tenant is quarantined (circuit broken).
 	QuarantineStrikes int
 	// DrainStepBudget is how many more engine steps each active job may
 	// take once draining starts before it is canceled and checkpointed.
@@ -205,34 +206,27 @@ type job struct {
 	priority int
 	deadline sim.VTime // 0 = none
 	// plan is the job's immutable execution plan, built at admission (or at
-	// requeue after a restart) and shared by every attempt; dropped, with
-	// chains, when the job retires.
+	// requeue after a restart); dropped, with chains, when the job retires.
 	plan    *graph.Plan
 	fplan   *faults.Plan
 	reserve sim.Bytes
 
-	state    string
-	attempts int
-	backoff  float64 // accumulated virtual retry backoff, seconds
-	err      error
+	state string
+	err   error
 
 	// chains and specHash are populated only on servers with a StateDir:
 	// chains maps compiled-operator IDs to spec chain-prefix hashes (the
 	// checkpoint-store keys); specHash is the spec's content hash, the
-	// restart dedup key. retries, sheds, strikes and deadlineHit are what
-	// the job has been charged so far; the terminal journal record carries
-	// them, so a replayed terminal job books exactly what the live one
-	// did. retries is also where /metrics reads jobs_retried from.
+	// restart dedup key. strikes and deadlineHit are what the job has been
+	// charged; the terminal journal record carries them, so a replayed
+	// terminal job books exactly what the live one did.
 	chains      []spec.Hash
 	specHash    string
-	retries     int
-	sheds       int
 	strikes     int
 	deadlineHit bool
 
 	// Running state, owned by the step loop. gauges is the job's private
-	// probe, installed on every attempt: it keeps the master node's gauges
-	// and nothing else.
+	// probe: it keeps the master node's gauges and nothing else.
 	run        *engine.Run
 	gauges     *obs.GaugeProbe
 	cancel     context.CancelCauseFunc
@@ -271,11 +265,8 @@ type JobStatus struct {
 	Tenant      string  `json:"tenant"`
 	State       string  `json:"state"`
 	Priority    int     `json:"priority"`
-	Attempts    int     `json:"attempts"`
 	DeadlineSec float64 `json:"deadlineSec,omitempty"`
-	// BackoffSec is the summed virtual retry backoff charged to the job.
-	BackoffSec float64 `json:"backoffSec,omitempty"`
-	Error      string  `json:"error,omitempty"`
+	Error       string  `json:"error,omitempty"`
 	// CompletionSec is the job's virtual makespan once terminal.
 	CompletionSec float64 `json:"completionSec,omitempty"`
 	// CheckpointedParts counts partitions checkpointed by a drain.
@@ -651,9 +642,8 @@ func (s *Server) admitLocked() {
 	}
 }
 
-// startLocked builds a fresh per-job cluster and run for the job on the
-// plan admission built. Every attempt starts from that plan and a fresh
-// cluster, so a deterministic fault plan replays identically on each.
+// startLocked builds a fresh per-job cluster and the job's one run on the
+// plan admission built.
 func (s *Server) startLocked(j *job) error {
 	clCfg := cluster.DefaultConfig()
 	clCfg.Workers = s.cfg.Workers
@@ -669,9 +659,6 @@ func (s *Server) startLocked(j *job) error {
 	// root in library code: everything below it receives its context
 	// through engine.Options.
 	ctx, cancel := context.WithCancelCause(context.Background())
-	// A fresh probe per attempt: a retry replays the fault plan from
-	// scratch, so its telemetry must not accumulate onto the failed
-	// attempt's gauges.
 	gauges := obs.NewGaugeProbe(watchBucketSec)
 	run, err := engine.NewRun(j.plan, engine.Options{
 		Cluster: cl,
@@ -698,10 +685,9 @@ func (s *Server) startLocked(j *job) error {
 	s.admitSeq++
 	j.admitSeq = s.admitSeq
 	s.active = append(s.active, j)
-	s.startedLocked(j, j.attempts+1, run.Now())
+	s.startedLocked(j, run.Now())
 	s.journalLocked(journal.Record{
-		Kind: journal.KindStarted, Job: j.id, Tenant: j.tenant,
-		Attempt: j.attempts, TSec: run.Now(),
+		Kind: journal.KindStarted, Job: j.id, Tenant: j.tenant, TSec: run.Now(),
 	})
 	return nil
 }
@@ -746,8 +732,8 @@ func (s *Server) removeActiveLocked(j *job) {
 	}
 }
 
-// finalizeRunLocked classifies a stopped run and either requeues the job
-// for a retry or retires it.
+// finalizeRunLocked classifies a stopped run and retires its job; a run
+// that failed with an operator panic also strikes the job's tenant.
 func (s *Server) finalizeRunLocked(j *job) {
 	err := j.run.Err()
 	j.cancel(nil)
@@ -768,24 +754,6 @@ func (s *Server) finalizeRunLocked(j *job) {
 		j.deadlineHit = true
 	case engine.IsPanic(err):
 		s.strikeLocked(j)
-		if retry := faults.DefaultRetry(); j.attempts < retry.MaxAttempts && !s.draining {
-			// Transient failure with attempts left: requeue with the
-			// policy's exponential backoff charged in virtual seconds.
-			j.backoff += retry.Backoff(j.attempts)
-			if s.queue.Push(j.id, j.tenant, j.priority) {
-				j.run.ProgressInto(&j.progress)
-				j.run, j.gauges, j.cancel = nil, nil, nil
-				s.retriedLocked(j, j.backoff)
-				s.journalLocked(journal.Record{
-					Kind: journal.KindRetried, Job: j.id, Tenant: j.tenant,
-					Attempt: j.attempts, BackoffSec: sim.VTime(j.backoff),
-				})
-				return
-			}
-			// No room to retry: shed the retry, fail the job.
-			j.sheds++
-			err = fmt.Errorf("%w (retry shed: %v)", ErrQueueFull, err)
-		}
 	}
 	s.retireLocked(j, state, err)
 }
@@ -821,9 +789,7 @@ func (s *Server) statusLocked(j *job) JobStatus {
 		Tenant:            j.tenant,
 		State:             j.state,
 		Priority:          j.priority,
-		Attempts:          j.attempts,
 		DeadlineSec:       float64(j.deadline),
-		BackoffSec:        j.backoff,
 		CheckpointedParts: j.checkpointed,
 		Selections:        j.selections,
 	}

@@ -51,7 +51,7 @@ const longSpec = `{
 }`
 
 // boomSpec's trunk operator panics on every invocation of the fault plan
-// below, so every service-level attempt fails with a panic error.
+// below, so its run fails with a panic error.
 const boomSpec = `{
   "name": "boom",
   "source": {"rows": 100, "partitions": 2, "virtualBytes": 1048576, "seed": 7},
@@ -200,28 +200,30 @@ func TestServiceDeadlineCancelsRun(t *testing.T) {
 }
 
 // TestServiceQuarantineIsolatesTenant is acceptance test (c): a spec that
-// panics on every attempt burns its retries, trips the tenant's circuit
-// breaker, and leaves other tenants' jobs unaffected.
+// panics fails its job after one run and strikes its tenant; under the
+// default QuarantineStrikes two such jobs leave the tenant admitted, the
+// third trips its circuit breaker, and other tenants' jobs are unaffected.
 func TestServiceQuarantineIsolatesTenant(t *testing.T) {
-	s := open(t, Config{QuarantineStrikes: 3})
+	s := open(t, Config{})
 	defer s.Close()
-	bad := submitOK(t, s, "noisy", boomSpec, boomFaults)
 	good := submitOK(t, s, "quiet", okSpec, "")
-	s.WaitIdle()
-
-	badSt, err := s.Job(bad.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if badSt.State != StateFailed {
-		t.Fatalf("panicking job state = %q, want failed", badSt.State)
-	}
-	if badSt.Attempts != 3 {
-		t.Fatalf("panicking job attempts = %d, want 3 (retry budget)", badSt.Attempts)
-	}
-	// Backoff(1) + Backoff(2) = 1 + 2 virtual seconds across the retries.
-	if badSt.BackoffSec != 3 {
-		t.Fatalf("accumulated backoff = %v, want 3", badSt.BackoffSec)
+	for strike := int64(1); strike <= 3; strike++ {
+		bad := submitOK(t, s, "noisy", boomSpec, boomFaults)
+		s.WaitIdle()
+		badSt, err := s.Job(bad.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if badSt.State != StateFailed || !strings.Contains(badSt.Error, "panicked") {
+			t.Fatalf("panicking job ended %q (err %q), want failed with the panic", badSt.State, badSt.Error)
+		}
+		m := s.Metrics()
+		if v, _ := m.CounterValue("service.tenant.noisy.jobs_failed"); v != strike {
+			t.Fatalf("after %d panicking jobs noisy has %d failed, want one per job", strike, v)
+		}
+		if v, _ := m.CounterValue("service.tenants_quarantined"); (v == 1) != (strike == 3) {
+			t.Fatalf("after %d panicking jobs service.tenants_quarantined = %d", strike, v)
+		}
 	}
 
 	goodSt, err := s.Job(good.ID)
@@ -232,7 +234,7 @@ func TestServiceQuarantineIsolatesTenant(t *testing.T) {
 		t.Fatalf("other tenant's job state = %q (err %q), want done", goodSt.State, goodSt.Error)
 	}
 
-	// Three panic-failed attempts = three strikes: the tenant is now
+	// Three panic-failed jobs = three strikes: the tenant is now
 	// quarantined and new submissions are rejected.
 	_, err = s.Submit(JobRequest{Tenant: "noisy", Spec: json.RawMessage(okSpec)})
 	var quarantine *QuarantineError
@@ -244,14 +246,6 @@ func TestServiceQuarantineIsolatesTenant(t *testing.T) {
 	s.WaitIdle()
 	if st, _ := s.Job(after.ID); st.State != StateDone {
 		t.Fatalf("post-quarantine job for healthy tenant = %q, want done", st.State)
-	}
-
-	m := s.Metrics()
-	if v, _ := m.CounterValue("service.tenants_quarantined"); v != 1 {
-		t.Fatalf("service.tenants_quarantined = %d, want 1", v)
-	}
-	if v, _ := m.CounterValue("service.jobs_retried"); v != 2 {
-		t.Fatalf("service.jobs_retried = %d, want 2", v)
 	}
 }
 
@@ -425,8 +419,8 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineIsPanicClassification pins the error classification the retry
-// path depends on.
+// TestEngineIsPanicClassification pins the error classification the
+// quarantine strikes depend on.
 func TestEngineIsPanicClassification(t *testing.T) {
 	if engine.IsPanic(errors.New("plain")) {
 		t.Fatal("plain error classified as panic")

@@ -76,8 +76,8 @@ func turn(s *Server) bool {
 // drives the loop's own turn function from the test goroutine, so "the
 // middle of its run" is the same step every time. Its six jobs are a flat
 // explore, a nested one, a nested one that loses a branch to quarantine and
-// retries another, a job that panics through every service-level attempt, a
-// chain of wide operators and a job that overruns its virtual deadline.
+// retries another, a job that fails with a panic, a chain of wide operators
+// and a job that overruns its virtual deadline.
 //
 // The session runs twice, on one processor and on four: with the engine
 // computing ready branches ahead on other goroutines wherever it may, and
@@ -105,7 +105,7 @@ func sessionGolden(t *testing.T) {
 			t.Errorf("no branch of the session ends %s", want)
 		}
 	}
-	for _, want := range []string{`"state": "done"`, `"state": "failed"`, `"attempts": 3`, "virtual deadline exceeded"} {
+	for _, want := range []string{`"state": "done"`, `"state": "failed"`, "panicked", "virtual deadline exceeded"} {
 		if !bytes.Contains(jobs.Bytes(), []byte(want)) {
 			t.Errorf("no job of the session shows %s", want)
 		}

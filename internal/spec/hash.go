@@ -20,7 +20,7 @@ import (
 //     with equal hashes schedule and compute identically.
 //   - chain prefixes: one hash per (source, operator-prefix) pair, for
 //     every position along the trunk and along each branch body. Two equal
-//     chain hashes — across branches, retries, or separate jobs — name the
+//     chain hashes — across branches, restarts, or separate jobs — name the
 //     same intermediate result, which is what a cross-run memo table keys
 //     on (ROADMAP item 3).
 //   - branch sub-graphs: each explore branch's body hashed with its
