@@ -130,7 +130,8 @@ crash-short: build
 # without it one that no longer compiles, or fails on its first iteration,
 # would go unnoticed until someone needs its number. -benchmem puts every
 # benchmark's allocations per operation in the log (BenchmarkMap and
-# BenchmarkFilter read them at 1, 8 and 64 partitions). Part of ci.
+# BenchmarkFilter read them at 1, 8 and 64 partitions, BenchmarkBuild on each
+# path that builds a graph). Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

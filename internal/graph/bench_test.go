@@ -3,10 +3,9 @@ package graph_test
 import (
 	"testing"
 
-	"metadataflow/internal/cluster"
-	"metadataflow/internal/engine"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
+	"metadataflow/internal/spec"
 	"metadataflow/internal/workload/synthetic"
 	"metadataflow/internal/workload/timeseries"
 )
@@ -23,40 +22,54 @@ func flat256() timeseries.Params {
 	return flat
 }
 
-// BenchmarkBuildFlat256 measures what a wide job costs before its first
-// stage runs: the workload's graph builder, BuildPlan and engine.NewRun.
-func BenchmarkBuildFlat256(b *testing.B) {
-	flat := flat256()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g, err := timeseries.BuildFlatMDF(flat, mdf.TopK(4), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := graph.BuildPlan(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := engine.NewRun(plan, engine.Options{Cluster: cluster.MustNew(cluster.DefaultConfig())}, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBuildPlan measures validation plus stage derivation on the two
-// shapes whose planning cost a wide job pays: a flat 256-branch explore and
-// a 10×12 nested one (120 leaf branches, 11 scopes).
-func BenchmarkBuildPlan(b *testing.B) {
-	flat := flat256()
+// nested10x12 is the synthetic job of Figs. 9–18 at |B1| × |B2| = 10 × 12
+// over 64 rows: 120 leaf branches in 11 scopes.
+func nested10x12() synthetic.Params {
 	nested := synthetic.Defaults()
 	nested.Rows, nested.OuterBranches, nested.InnerBranches = 64, 10, 12
-	for _, c := range []struct {
+	return nested
+}
+
+// builders are the three paths that build a graph: the flat 256-branch
+// masking explore, the 10×12 nested synthetic job and the compilation of a
+// three-level nested spec document (nestedSpec, which the plan golden pins).
+func builders() []struct {
+	name  string
+	build func() (*graph.Graph, error)
+} {
+	flat, nested := flat256(), nested10x12()
+	normalized := nestedSpec(3).Normalized()
+	return []struct {
 		name  string
 		build func() (*graph.Graph, error)
 	}{
 		{"flat-256", func() (*graph.Graph, error) { return timeseries.BuildFlatMDF(flat, mdf.TopK(4), false) }},
 		{"nested-10x12", func() (*graph.Graph, error) { return synthetic.BuildMDF(nested) }},
-	} {
+		{"spec-nested", func() (*graph.Graph, error) { return spec.CompileNormalized(normalized) }},
+	}
+}
+
+// BenchmarkBuild measures what a job costs before it is planned: the graph
+// builder alone, validation included, on each path that builds a graph.
+// BenchmarkBuildPlan takes it from there.
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range builders() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildPlan measures stage derivation on the two shapes whose
+// planning cost a wide job pays: a flat 256-branch explore and a 10×12 nested
+// one. Their builders validated them, so BuildPlan does not again.
+func BenchmarkBuildPlan(b *testing.B) {
+	for _, c := range builders()[:2] {
 		b.Run(c.name, func(b *testing.B) {
 			g, err := c.build()
 			if err != nil {

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"metadataflow/internal/dataset"
 )
@@ -151,11 +152,17 @@ type Graph struct {
 	// so whichever list is read tells the kind.
 	ins  [][]link
 	outs [][]link
-	// firsts is the chunk the first link of a list is cut from, its capacity
-	// clipped to one: most operators have one predecessor and one successor,
-	// and their lists cost no allocation of their own. A second link moves
-	// the list into storage of its own.
-	firsts []link
+	// chunk is what a list is cut from while its length is known: at its
+	// first link, with room for that one, and when Reserve says how many are
+	// coming, with room for exactly those. Most operators have one
+	// predecessor and one successor, and a branch-heavy explore's and its
+	// choose's lists are reserved, so neither costs an allocation of its own.
+	// A link past the room moves the list into storage of its own.
+	chunk []link
+	// order and scopes are what the last Validate computed, kept until the
+	// next Add or Connect: BuildPlan reads them rather than validate again.
+	order  []*Operator
+	scopes []*Scope
 }
 
 // link is one end of an edge: the operator at the other end and the kind of
@@ -165,7 +172,9 @@ type link struct {
 	dep DepKind
 }
 
-// linkChunk is the number of first links allocated at a time.
+// linkChunk is the number of links allocated at a time for lists cut from
+// the chunk; a reserved list of more than a quarter of that gets storage of
+// its own.
 const linkChunk = 128
 
 // New returns an empty graph.
@@ -173,6 +182,7 @@ func New() *Graph { return &Graph{} }
 
 // Add inserts op into the graph, assigning its ID.
 func (g *Graph) Add(op *Operator) *Operator {
+	g.order, g.scopes = nil, nil
 	op.ID = len(g.ops)
 	g.ops = append(g.ops, op)
 	g.ins = append(g.ins, nil)
@@ -195,21 +205,47 @@ func (g *Graph) Connect(from, to *Operator, kind DepKind) error {
 	if _, dup := g.Dep(from, to); dup {
 		return fmt.Errorf("graph: duplicate edge %q -> %q", from.Name, to.Name)
 	}
+	g.order, g.scopes = nil, nil
 	g.outs[from.ID] = g.appendLink(g.outs[from.ID], link{to.ID, kind})
 	g.ins[to.ID] = g.appendLink(g.ins[to.ID], link{from.ID, kind})
 	return nil
 }
 
 func (g *Graph) appendLink(list []link, l link) []link {
-	if list != nil {
-		return append(list, l)
+	if list == nil {
+		list = g.cut(1)
 	}
-	if len(g.firsts) == cap(g.firsts) {
-		g.firsts = make([]link, 0, linkChunk)
+	return append(list, l)
+}
+
+// Reserve makes room for ins more predecessors and outs more successors of
+// op, so that connecting them allocates nothing more: a builder knows how
+// many branches an explore opens and its choose closes.
+func (g *Graph) Reserve(op *Operator, ins, outs int) {
+	g.ins[op.ID] = g.reserve(g.ins[op.ID], ins)
+	g.outs[op.ID] = g.reserve(g.outs[op.ID], outs)
+}
+
+// reserve returns list with room for n more links.
+func (g *Graph) reserve(list []link, n int) []link {
+	if list == nil && n > 0 {
+		return g.cut(n)
 	}
-	g.firsts = append(g.firsts, l)
-	n := len(g.firsts)
-	return g.firsts[n-1 : n : n]
+	return slices.Grow(list, n)
+}
+
+// cut returns an empty list with room for n links, cut from the chunk when n
+// is small.
+func (g *Graph) cut(n int) []link {
+	if n > linkChunk/4 {
+		return make([]link, 0, n)
+	}
+	if cap(g.chunk)-len(g.chunk) < n {
+		g.chunk = make([]link, 0, linkChunk)
+	}
+	lo := len(g.chunk)
+	g.chunk = g.chunk[:lo+n]
+	return g.chunk[lo : lo : lo+n]
 }
 
 // MustConnect is Connect that panics on error; for use in builders and tests.

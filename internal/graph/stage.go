@@ -92,12 +92,24 @@ type BranchRef struct {
 	Branch int
 }
 
-// BuildPlan validates g and derives its stages.
+// BuildPlan validates g and derives its stages. A graph that passed Validate
+// and has not changed since is not validated again: its stages are derived
+// from what Validate kept. BuildPlan writes nothing of g, so plans of one
+// graph may be built concurrently.
 func BuildPlan(g *Graph) (*Plan, error) {
-	order, scopes, err := g.validate()
-	if err != nil {
-		return nil, err
+	order, scopes := g.order, g.scopes
+	if order == nil {
+		var err error
+		if order, scopes, err = g.validate(); err != nil {
+			return nil, err
+		}
 	}
+	return g.plan(order, scopes), nil
+}
+
+// plan derives the stages of a valid g from its topological order and its
+// scopes.
+func (g *Graph) plan(order []*Operator, scopes []*Scope) *Plan {
 	p := &Plan{
 		Graph:   g,
 		Stages:  make([]*Stage, 0, len(order)),
@@ -142,7 +154,7 @@ func BuildPlan(g *Graph) (*Plan, error) {
 	}
 	p.buildStageEdges()
 	p.buildBranchRefs()
-	return p, nil
+	return p
 }
 
 // buildStageEdges derives •T and T•. Only the first operator of a chain has

@@ -10,9 +10,18 @@ import (
 // explore (|•v| = 1, |v•| > 1) and choose (|•v| > 1, |v•| = 1) operators,
 // executable payloads on every operator, and properly nested explore/choose
 // scopes so that every explore has a matching choose.
+//
+// A graph that passes keeps the topological order and the scopes the checks
+// computed, until the next Add or Connect, and BuildPlan derives its stages
+// from them without validating again. Validate therefore writes the graph, as
+// Add and Connect do; BuildPlan only reads it.
 func (g *Graph) Validate() error {
-	_, _, err := g.validate()
-	return err
+	order, scopes, err := g.validate()
+	if err != nil {
+		return err
+	}
+	g.order, g.scopes = order, scopes
+	return nil
 }
 
 // validate is the one pass behind Validate and BuildPlan: it runs every
@@ -171,9 +180,20 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 		}
 		open[op.ID] = top
 	}
-	// A choose's matching explore is the top of its own stack.
+	// A choose's matching explore is the top of its own stack. The scopes
+	// are cut from one slab, one per explore.
 	scopeOf := make([]*Scope, len(g.ops)) // by explore ID
+	explores := 0
+	for _, op := range g.ops {
+		if op.Kind == KindExplore {
+			explores++
+		}
+	}
+	var slab []Scope
 	var out []*Scope
+	if explores > 0 {
+		slab, out = make([]Scope, explores), make([]*Scope, 0, explores)
+	}
 	for _, op := range order {
 		switch op.Kind {
 		case KindExplore:
@@ -181,7 +201,8 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 			if outer := open[op.ID]; outer != none {
 				depth = scopeOf[outer].Depth + 1
 			}
-			sc := &Scope{Explore: op, Depth: depth, index: len(out)}
+			sc := &slab[len(out)]
+			*sc = Scope{Explore: op, Depth: depth, index: len(out)}
 			scopeOf[op.ID] = sc
 			out = append(out, sc)
 		case KindChoose:

@@ -2,6 +2,8 @@ package mdf
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"metadataflow/internal/graph"
 )
@@ -9,10 +11,30 @@ import (
 // Builder constructs MDF graphs fluently, mirroring the EXPLORE/CHOOSE
 // syntax of the paper's Scala listings (Figs. 3b, 21–23). Errors are
 // deferred and reported by Build.
+//
+// The operators and the handles it hands out are cut from chunks of its own,
+// so that a branch costs the builder no allocation of its own: what a wide
+// job pays before its first stage runs grows with its branches.
 type Builder struct {
 	g   *graph.Graph
 	err error
+	// ops and nodes are the chunks the next operator and the next handle are
+	// cut from; a full one is left to what points into it and a new one of
+	// slabChunk entries takes its place.
+	ops   []graph.Operator
+	nodes []Node
+	// ends is the stack of the last operators of the branches of the explores
+	// being built, innermost last.
+	ends []*graph.Operator
+	// chooses holds the name of every choose built so far, one per explore
+	// name: sibling scopes of one explore share it.
+	chooses []string
 }
+
+// slabChunk is the number of operators, and of handles, allocated at a time:
+// a fixed few dozen, so that a small graph keeps little room unused and a
+// large one no chunk of doubled size.
+const slabChunk = 32
 
 // NewBuilder returns an empty MDF builder.
 func NewBuilder() *Builder { return &Builder{g: graph.New()} }
@@ -31,6 +53,11 @@ type BranchSpec struct {
 	Hint  float64
 }
 
+// Setting returns what name spells out between its first '(' and its last
+// byte, a ')': the label of the branch that an operator so named heads, as a
+// substring of the name, which costs no allocation of its own.
+func Setting(name string) string { return name[strings.IndexByte(name, '(')+1 : len(name)-1] }
+
 // Branches builds a BranchSpec slice from labels with hints 0..n-1.
 func Branches(labels ...string) []BranchSpec {
 	out := make([]BranchSpec, len(labels))
@@ -38,6 +65,25 @@ func Branches(labels ...string) []BranchSpec {
 		out[i] = BranchSpec{Label: l, Hint: float64(i)}
 	}
 	return out
+}
+
+// add inserts op into the graph, cut from the builder's operator chunk.
+func (b *Builder) add(op graph.Operator) *graph.Operator {
+	if len(b.ops) == cap(b.ops) {
+		b.ops = make([]graph.Operator, 0, slabChunk)
+	}
+	b.ops = append(b.ops, op)
+	return b.g.Add(&b.ops[len(b.ops)-1])
+}
+
+// node returns a handle to op, cut from the builder's handle chunk; spec is
+// set on the head of an explore's branch.
+func (b *Builder) node(op *graph.Operator, spec *BranchSpec) *Node {
+	if len(b.nodes) == cap(b.nodes) {
+		b.nodes = make([]Node, 0, slabChunk)
+	}
+	b.nodes = append(b.nodes, Node{b: b, op: op, branchSpec: spec})
+	return &b.nodes[len(b.nodes)-1]
 }
 
 // fail records the first error.
@@ -49,8 +95,7 @@ func (b *Builder) fail(format string, args ...any) {
 
 // Source adds a source operator (|•v| = 0) producing the job's input.
 func (b *Builder) Source(name string, fn graph.TransformFunc, costPerMB float64) *Node {
-	op := b.g.Add(&graph.Operator{Name: name, Kind: graph.KindSource, Transform: fn, CostPerMB: costPerMB})
-	return &Node{b: b, op: op}
+	return b.node(b.add(graph.Operator{Name: name, Kind: graph.KindSource, Transform: fn, CostPerMB: costPerMB}), nil)
 }
 
 // Then appends a transform connected by a narrow dependency.
@@ -68,15 +113,21 @@ func (n *Node) then(name string, fn graph.TransformFunc, costPerMB float64, dep 
 	if n == nil || n.b == nil {
 		return n
 	}
-	op := n.b.g.Add(&graph.Operator{Name: name, Kind: graph.KindTransform, Transform: fn, CostPerMB: costPerMB})
+	op := n.b.add(n.branched(graph.Operator{Name: name, Kind: graph.KindTransform, Transform: fn, CostPerMB: costPerMB}))
+	if err := n.b.g.Connect(n.op, op, dep); err != nil {
+		n.b.fail("mdf: %v", err)
+	}
+	return n.b.node(op, nil)
+}
+
+// branched returns op labelled as the head of n's branch, when n is the start
+// of one.
+func (n *Node) branched(op graph.Operator) graph.Operator {
 	if n.branchSpec != nil {
 		op.BranchLabel = n.branchSpec.Label
 		op.Hint = n.branchSpec.Hint
 	}
-	if err := n.b.g.Connect(n.op, op, dep); err != nil {
-		n.b.fail("mdf: %v", err)
-	}
-	return &Node{b: n.b, op: op}
+	return op
 }
 
 // Explore opens an exploration scope with one branch per spec (Def. 3.2)
@@ -97,37 +148,51 @@ func (n *Node) Explore(name string, specs []BranchSpec, chooser *Chooser, body f
 		b.fail("mdf: explore %q has nil chooser", name)
 		return n
 	}
-	exp := b.g.Add(&graph.Operator{Name: name, Kind: graph.KindExplore})
-	if n.branchSpec != nil {
-		exp.BranchLabel = n.branchSpec.Label
-		exp.Hint = n.branchSpec.Hint
-	}
+	exp := b.add(n.branched(graph.Operator{Name: name, Kind: graph.KindExplore}))
 	if err := b.g.Connect(n.op, exp, graph.Narrow); err != nil {
 		b.fail("mdf: %v", err)
 	}
-	ends := make([]*Node, 0, len(specs))
+	b.g.Reserve(exp, 0, len(specs))
+	lo := len(b.ends)
+	b.ends = slices.Grow(b.ends, len(specs))
+	defer func() { b.ends = b.ends[:lo] }()
 	for i := range specs {
 		// The head node reads its spec while body chains from it, and not after.
-		start := &Node{b: b, op: exp, branchSpec: &specs[i]}
+		start := b.node(exp, &specs[i])
 		end := body(start, specs[i])
 		if end == nil || end.op == exp {
 			b.fail("mdf: branch %q of explore %q is empty", specs[i].Label, name)
 			return n
 		}
-		ends = append(ends, end)
+		b.ends = append(b.ends, end.op)
 	}
-	choose := b.g.Add(&graph.Operator{
-		Name:      name + "/choose",
+	choose := b.add(graph.Operator{
+		Name:      b.chooseName(name),
 		Kind:      graph.KindChoose,
 		Chooser:   chooser,
 		CostPerMB: chooser.Eval.CostPerMB,
 	})
-	for _, end := range ends {
-		if err := b.g.Connect(end.op, choose, graph.Wide); err != nil {
+	b.g.Reserve(choose, len(specs), 0)
+	for _, end := range b.ends[lo:] {
+		if err := b.g.Connect(end, choose, graph.Wide); err != nil {
 			b.fail("mdf: %v", err)
 		}
 	}
-	return &Node{b: b, op: choose}
+	return b.node(choose, nil)
+}
+
+// chooseName returns the name of the choose of an explore called name:
+// name+"/choose", built once per name.
+func (b *Builder) chooseName(name string) string {
+	const suffix = "/choose"
+	for _, c := range b.chooses {
+		if len(c) == len(name)+len(suffix) && c[:len(name)] == name {
+			return c
+		}
+	}
+	c := name + suffix
+	b.chooses = append(b.chooses, c)
+	return c
 }
 
 // Merge appends a transform consuming this node's output together with the
@@ -140,30 +205,27 @@ func (n *Node) Merge(name string, fn graph.TransformFunc, costPerMB float64, oth
 		return n
 	}
 	b := n.b
-	op := b.g.Add(&graph.Operator{Name: name, Kind: graph.KindTransform, Transform: fn, CostPerMB: costPerMB})
-	if n.branchSpec != nil {
-		op.BranchLabel = n.branchSpec.Label
-		op.Hint = n.branchSpec.Hint
-	}
+	op := b.add(n.branched(graph.Operator{Name: name, Kind: graph.KindTransform, Transform: fn, CostPerMB: costPerMB}))
 	if err := b.g.Connect(n.op, op, graph.Wide); err != nil {
 		b.fail("mdf: %v", err)
 	}
 	for _, o := range others {
 		if o == nil {
 			b.fail("mdf: merge %q with nil input", name)
-			return &Node{b: b, op: op}
+			return b.node(op, nil)
 		}
 		if err := b.g.Connect(o.op, op, graph.Wide); err != nil {
 			b.fail("mdf: %v", err)
 		}
 	}
-	return &Node{b: b, op: op}
+	return b.node(op, nil)
 }
 
 // Op exposes the underlying operator (for tests and tooling).
 func (n *Node) Op() *graph.Operator { return n.op }
 
-// Build validates and returns the constructed graph.
+// Build validates and returns the constructed graph. The graph keeps what
+// validation computed, so graph.BuildPlan does not validate it again.
 func (b *Builder) Build() (*graph.Graph, error) {
 	if b.err != nil {
 		return nil, b.err

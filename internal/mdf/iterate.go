@@ -2,8 +2,10 @@ package mdf
 
 import (
 	"fmt"
+	"strconv"
 
 	"metadataflow/internal/dataset"
+	"metadataflow/internal/graph"
 )
 
 // This file implements the iterative-computation pattern of §3.2: dataflow
@@ -55,24 +57,32 @@ func (n *Node) Iterate(spec IterationSpec) *Node {
 	}
 	cur := n
 	for r := 1; r <= spec.Rounds; r++ {
-		round := r
-		cur = cur.Then(fmt.Sprintf("%s/round%d", spec.Name, round),
-			WholeDataset(spec.Name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
-				if in.NumRows() == 0 {
-					// Terminated earlier: forward the empty marker.
-					return emptyMarker(spec.Name), nil
-				}
-				out, err := spec.Step(round, in)
-				if err != nil {
-					return nil, err
-				}
-				if spec.Diverged != nil && spec.Diverged(round, out) {
-					return emptyMarker(spec.Name), nil
-				}
-				return out, nil
-			}), spec.CostPerMB)
+		cur = cur.Then(spec.Name+"/round"+strconv.Itoa(r), roundOp(spec.Name, r, spec.Step, spec.Diverged), spec.CostPerMB)
 	}
 	return cur
+}
+
+// roundOp is the operator of one round of the iteration called name.
+func roundOp(name string, round int, step func(int, *dataset.Dataset) (*dataset.Dataset, error),
+	diverged func(int, *dataset.Dataset) bool) graph.TransformFunc {
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := OneInput(name, ins)
+		if err != nil {
+			return nil, err
+		}
+		if in.NumRows() == 0 {
+			// Terminated earlier: forward the empty marker.
+			return emptyMarker(name), nil
+		}
+		out, err := step(round, in)
+		if err != nil {
+			return nil, err
+		}
+		if diverged != nil && diverged(round, out) {
+			return emptyMarker(name), nil
+		}
+		return out, nil
+	}
 }
 
 // emptyMarker is the zero-cost dataset a terminated iteration forwards.

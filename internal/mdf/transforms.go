@@ -41,7 +41,11 @@ func SourceFunc(gen func() *dataset.Dataset) graph.TransformFunc {
 // partitions are windows on one Col[U], so a whole-dataset consumer reads it
 // without copying (dataset.Flatten).
 func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformFunc {
-	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := OneInput(name, ins)
+		if err != nil {
+			return nil, err
+		}
 		mapped := make(dataset.Col[U], in.NumRows())
 		ends := make([]int, len(in.Parts))
 		n := 0
@@ -59,14 +63,18 @@ func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformF
 			out.Parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * sizeScale)
 		}
 		return out, nil
-	})
+	}
 }
 
 // Filter returns a transform keeping the rows for which pred holds, scaling
 // each partition's accounted size by the fraction of rows kept. Row types
 // are as for Map, and so is the single output column.
 func Filter[T any](name string, pred func(T) bool) graph.TransformFunc {
-	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := OneInput(name, ins)
+		if err != nil {
+			return nil, err
+		}
 		kept := make(dataset.Col[T], 0, in.NumRows())
 		ends := make([]int, len(in.Parts))
 		for i, p := range in.Parts {
@@ -86,7 +94,7 @@ func Filter[T any](name string, pred func(T) bool) graph.TransformFunc {
 			lo = ends[i]
 		}
 		return out, nil
-	})
+	}
 }
 
 // MapRows is Map at T = U = dataset.Row.
@@ -100,20 +108,36 @@ func FilterRows(name string, pred func(dataset.Row) bool) graph.TransformFunc {
 }
 
 // WholeDataset returns a transform applying f to the single input dataset
-// as a whole (for aggregations and model training).
+// as a whole (for aggregations and model training). It costs two closures,
+// its own and f: an operator built once per branch is one closure that calls
+// OneInput itself, as Map, Filter and Identity are.
 func WholeDataset(name string, f func(in *dataset.Dataset) (*dataset.Dataset, error)) graph.TransformFunc {
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
-		if len(ins) != 1 {
-			return nil, fmt.Errorf("mdf: %s expects one input, got %d", name, len(ins))
+		in, err := OneInput(name, ins)
+		if err != nil {
+			return nil, err
 		}
-		return f(ins[0])
+		return f(in)
 	}
+}
+
+// OneInput returns the input of an operator that takes exactly one, or the
+// error the operator called name fails with when given another number.
+func OneInput(name string, ins []*dataset.Dataset) (*dataset.Dataset, error) {
+	if len(ins) != 1 {
+		return nil, fmt.Errorf("mdf: %s expects one input, got %d", name, len(ins))
+	}
+	return ins[0], nil
 }
 
 // Identity returns a transform forwarding its input's payload, uncopied,
 // under a new dataset identity.
 func Identity(name string) graph.TransformFunc {
-	return WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := OneInput(name, ins)
+		if err != nil {
+			return nil, err
+		}
 		return in.Alias(name), nil
-	})
+	}
 }

@@ -99,13 +99,17 @@ var Ops = map[string]OpRow{
 // wholeMap is an operator that maps every row through a function fitted to
 // the whole input; an empty input passes through.
 func wholeMap(name string, fit func(xs []float64) func(float64) float64) graph.TransformFunc {
-	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := mdf.OneInput(name, ins)
+		if err != nil {
+			return nil, err
+		}
 		xs := dataset.Flatten[float64](in)
 		if len(xs) == 0 {
 			return in, nil
 		}
-		return mdf.Map(name, 1.0, fit(xs))([]*dataset.Dataset{in})
-	})
+		return mdf.Map(name, 1.0, fit(xs))(ins)
+	}
 }
 
 // Resolve returns op as it computes under a branch's params: the parameter

@@ -105,7 +105,7 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 		for _, r := range p.LearningRates {
 			for _, m := range p.Momenta {
 				specs = append(specs, mdf.BranchSpec{
-					Label: fmt.Sprintf("%s,r=%g,m=%g", w.Name(), r, m),
+					Label: mdf.Setting(trainName(w.Name(), r, m)),
 					Hint:  float64(i),
 				})
 				combos = append(combos, combo{w, r, m})

@@ -148,9 +148,25 @@ func preprocessOp(p Params) graph.TransformFunc {
 	})
 }
 
-// trainOp trains a model from the given initialisation for one epoch.
-func trainOp(p Params, init Init, lr, momentum float64, seed int64) graph.TransformFunc {
-	name := fmt.Sprintf("train(%s,r=%g,m=%g)", init.Name(), lr, momentum)
+// trainName names a training operator after its setting, as
+// "train(%s,r=%g,m=%g)" of an initialisation's name, a learning rate and a
+// momentum would, or "train(r=%g,m=%g)" when init is empty, in one
+// allocation. A branch's label is the setting between the parentheses
+// (mdf.Setting), a substring of the name.
+func trainName(init string, lr, momentum float64) string {
+	var buf [96]byte
+	b := append(buf[:0], "train("...)
+	if init != "" {
+		b = append(append(b, init...), ',')
+	}
+	b = appendG(append(b, "r="...), lr)
+	b = appendG(append(b, ",m="...), momentum)
+	return string(append(b, ')'))
+}
+
+// trainOp trains a model from the given initialisation for one epoch. name
+// is trainName(init.Name(), lr, momentum).
+func trainOp(p Params, name string, init Init, lr, momentum float64, seed int64) graph.TransformFunc {
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
 		examples := firstRow[dataRow](in).examples
 		m := NewModel(p.Dims, p.Hidden, p.Classes, init, seed)
@@ -163,8 +179,8 @@ func trainOp(p Params, init Init, lr, momentum float64, seed int64) graph.Transf
 // continueTrainOp continues training a chosen model with new
 // hyper-parameters (the early-choose MDF of Fig. 5: "choose the best result
 // as the starting point for the exploration of the hyper-parameters").
-func continueTrainOp(p Params, lr, momentum float64) graph.TransformFunc {
-	name := fmt.Sprintf("train(r=%g,m=%g)", lr, momentum)
+// name is trainName("", lr, momentum).
+func continueTrainOp(p Params, name string, lr, momentum float64) graph.TransformFunc {
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
 		base := firstRow[modelRow](in).model
 		m := base.Clone()
@@ -236,6 +252,7 @@ func BuildExhaustiveMDF(p Params) (*graph.Graph, error) {
 		init Init
 		lr   float64
 		mom  float64
+		name string
 	}
 	var specs []mdf.BranchSpec
 	var combos []combo
@@ -243,11 +260,12 @@ func BuildExhaustiveMDF(p Params) (*graph.Graph, error) {
 	for _, w := range p.Inits {
 		for _, r := range p.LearningRates {
 			for _, m := range p.Momenta {
+				name := trainName(w.Name(), r, m)
 				specs = append(specs, mdf.BranchSpec{
-					Label: fmt.Sprintf("%s,r=%g,m=%g", w.Name(), r, m),
+					Label: mdf.Setting(name),
 					Hint:  float64(i),
 				})
-				combos = append(combos, combo{w, r, m})
+				combos = append(combos, combo{w, r, m, name})
 				i++
 			}
 		}
@@ -259,8 +277,7 @@ func BuildExhaustiveMDF(p Params) (*graph.Graph, error) {
 		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			c := combos[int(spec.Hint)]
-			n := start.Then("train("+spec.Label+")",
-				trainOp(p, c.init, c.lr, c.mom, p.Seed+int64(spec.Hint)), 0)
+			n := start.Then(c.name, trainOp(p, c.name, c.init, c.lr, c.mom, p.Seed+int64(spec.Hint)), 0)
 			n.Op().FixedCost = p.trainCost()
 			return n
 		})
@@ -282,17 +299,19 @@ func BuildEarlyChooseMDF(p Params) (*graph.Graph, error) {
 	}
 	type rm struct {
 		lr, mom float64
+		name    string
 	}
 	var rmSpecs []mdf.BranchSpec
 	var rms []rm
 	i := 0
 	for _, r := range p.LearningRates {
 		for _, m := range p.Momenta {
+			name := trainName("", r, m)
 			rmSpecs = append(rmSpecs, mdf.BranchSpec{
-				Label: fmt.Sprintf("r=%g,m=%g", r, m),
+				Label: mdf.Setting(name),
 				Hint:  float64(i),
 			})
-			rms = append(rms, rm{r, m})
+			rms = append(rms, rm{r, m, name})
 			i++
 		}
 	}
@@ -307,7 +326,7 @@ func BuildEarlyChooseMDF(p Params) (*graph.Graph, error) {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w := p.Inits[int(spec.Hint)]
 			n := start.Then("train("+spec.Label+")",
-				trainOp(p, w, defaultLR, defaultMom, p.Seed+int64(spec.Hint)), 0)
+				trainOp(p, trainName(w.Name(), defaultLR, defaultMom), w, defaultLR, defaultMom, p.Seed+int64(spec.Hint)), 0)
 			n.Op().FixedCost = p.trainCost()
 			return n
 		})
@@ -315,8 +334,7 @@ func BuildEarlyChooseMDF(p Params) (*graph.Graph, error) {
 		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			c := rms[int(spec.Hint)]
-			n := start.Then("train("+spec.Label+")",
-				continueTrainOp(p, c.lr, c.mom), 0)
+			n := start.Then(c.name, continueTrainOp(p, c.name, c.lr, c.mom), 0)
 			n.Op().FixedCost = p.trainCost()
 			return n
 		})
@@ -344,7 +362,7 @@ func BuildWeightsOnlyMDF(p Params) (*graph.Graph, error) {
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w := p.Inits[int(spec.Hint)]
 			n := start.Then("train("+spec.Label+")",
-				trainOp(p, w, defaultLR, defaultMom, p.Seed+int64(spec.Hint)), 0)
+				trainOp(p, trainName(w.Name(), defaultLR, defaultMom), w, defaultLR, defaultMom, p.Seed+int64(spec.Hint)), 0)
 			n.Op().FixedCost = p.trainCost()
 			return n
 		})
@@ -360,17 +378,19 @@ func BuildHyperOnlyMDF(p Params) (*graph.Graph, error) {
 	}
 	type rm struct {
 		lr, mom float64
+		name    string
 	}
 	var specs []mdf.BranchSpec
 	var rms []rm
 	i := 0
 	for _, r := range p.LearningRates {
 		for _, m := range p.Momenta {
+			name := trainName("", r, m)
 			specs = append(specs, mdf.BranchSpec{
-				Label: fmt.Sprintf("r=%g,m=%g", r, m),
+				Label: mdf.Setting(name),
 				Hint:  float64(i),
 			})
-			rms = append(rms, rm{r, m})
+			rms = append(rms, rm{r, m, name})
 			i++
 		}
 	}
@@ -385,8 +405,7 @@ func BuildHyperOnlyMDF(p Params) (*graph.Graph, error) {
 		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			c := rms[int(spec.Hint)]
-			n := start.Then("train("+spec.Label+")",
-				trainOp(p, init, c.lr, c.mom, p.Seed), 0)
+			n := start.Then(c.name, trainOp(p, trainName(init.Name(), c.lr, c.mom), init, c.lr, c.mom, p.Seed), 0)
 			n.Op().FixedCost = p.trainCost()
 			return n
 		})

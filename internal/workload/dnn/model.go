@@ -7,8 +7,8 @@
 package dnn
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"metadataflow/internal/stats"
 )
@@ -33,13 +33,21 @@ type Init struct {
 	Mean float64
 }
 
-// Name returns the strategy label.
+// Name returns the strategy label, "Gaussian(%g,%g)" of the mean and the std
+// or "Uniform(-%g,%g)" of the bound, in one allocation.
 func (w Init) Name() string {
+	var buf [64]byte
+	b := buf[:0]
 	if w.Kind == InitGaussian {
-		return fmt.Sprintf("Gaussian(%g,%g)", w.Mean, w.A)
+		b = appendG(append(b, "Gaussian("...), w.Mean)
+	} else {
+		b = appendG(append(b, "Uniform(-"...), w.A)
 	}
-	return fmt.Sprintf("Uniform(-%g,%g)", w.A, w.A)
+	return string(append(appendG(append(b, ','), w.A), ')'))
 }
+
+// appendG appends x as %g prints it: strconv's shortest 'g' form.
+func appendG(b []byte, x float64) []byte { return strconv.AppendFloat(b, x, 'g', -1, 64) }
 
 // Inits returns the paper's eight initialisation strategies.
 func Inits() []Init {

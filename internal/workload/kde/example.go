@@ -112,7 +112,7 @@ func MixtureDensity() func(float64) float64 {
 // profile over a fixed grid.
 func profileOp(p ExampleParams, k Kernel) graph.TransformFunc {
 	const lo, hi = -4.0, 6.0
-	return mdf.WholeDataset(fmt.Sprintf("kde(%s,h=%g)", k.Name, p.Bandwidth),
+	return mdf.WholeDataset(kdeName(k.Name, p.Bandwidth),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			xs := dataset.Flatten[float64](in)
 			if len(xs) > p.FitSample {
@@ -170,7 +170,7 @@ func BuildExampleMDF(p ExampleParams) (*graph.Graph, error) {
 				return nil, err
 			}
 			specs = append(specs, mdf.BranchSpec{
-				Label: fmt.Sprintf("o=%g,%s", o, name),
+				Label: outlierLabel(o, name),
 				Hint:  float64(i),
 			})
 			combos = append(combos, combo{o, k})

@@ -3,6 +3,7 @@ package kde
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -134,11 +135,33 @@ func standardize(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 	})(ins)
 }
 
+// kdeName names an estimator after its kernel and bandwidth, as
+// "kde(%s,h=%g)" would (strconv's shortest 'g' form is what %g prints), in
+// one allocation. A branch's label is the setting between the parentheses
+// (mdf.Setting), a substring of the name.
+func kdeName(kernel string, h float64) string {
+	var buf [48]byte
+	b := append(append(append(buf[:0], "kde("...), kernel...), ",h="...)
+	return string(append(strconv.AppendFloat(b, h, 'g', -1, 64), ')'))
+}
+
+// outlierLabel labels an outlier threshold o, "o=%g", followed by ",kernel"
+// when kernel is not empty.
+func outlierLabel(o float64, kernel string) string {
+	var buf [40]byte
+	b := strconv.AppendFloat(append(buf[:0], "o="...), o, 'g', -1, 64)
+	if kernel != "" {
+		b = append(append(b, ','), kernel...)
+	}
+	return string(b)
+}
+
 // estimateOp fits the estimator on a subsample and outputs the predicted
 // densities at the hold-out points (one row per hold-out point). The output
-// is small relative to the input, as a density profile is.
-func estimateOp(p Params, k Kernel, h float64) graph.TransformFunc {
-	return mdf.WholeDataset(fmt.Sprintf("kde(%s,h=%g)", k.Name, h),
+// is small relative to the input, as a density profile is. name is
+// kdeName(k.Name, h).
+func estimateOp(p Params, k Kernel, h float64, name string) graph.TransformFunc {
+	return mdf.WholeDataset(name,
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			xs := dataset.Flatten[float64](in)
 			nHold := int(float64(len(xs)) * p.HoldoutFraction)
@@ -197,6 +220,30 @@ func LogLikelihoodEvaluator() mdf.Evaluator {
 	}
 }
 
+// kernelBranch is one branch of a kernel × bandwidth scope: its setting and
+// the name of its estimator.
+type kernelBranch struct {
+	k    Kernel
+	h    float64
+	name string
+}
+
+// kernelBranches returns the branches of a kernel × bandwidth scope, hinted
+// by position, each labelled with the setting its estimator's name spells
+// out.
+func kernelBranches(kernels []Kernel, bandwidths []float64) ([]mdf.BranchSpec, []kernelBranch) {
+	specs := make([]mdf.BranchSpec, 0, len(kernels)*len(bandwidths))
+	kbs := make([]kernelBranch, 0, len(kernels)*len(bandwidths))
+	for ki, k := range kernels {
+		for bi, h := range bandwidths {
+			name := kdeName(k.Name, h)
+			specs = append(specs, mdf.BranchSpec{Label: mdf.Setting(name), Hint: float64(ki*len(bandwidths) + bi)})
+			kbs = append(kbs, kernelBranch{k, h, name})
+		}
+	}
+	return specs, kbs
+}
+
 // BuildMDF constructs the data profiling MDF of §6: an outer explore over
 // the pre-processing method N = {normalise, standardise}, a nested explore
 // over kernel × bandwidth, and hold-out log-likelihood maximisation.
@@ -210,21 +257,9 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	}
 	input := Generate(p)
 
-	var kbSpecs []mdf.BranchSpec
-	type kb struct {
-		k Kernel
-		h float64
-	}
-	var kbs []kb
-	for ki, k := range kernels {
-		for bi, h := range p.Bandwidths {
-			kbSpecs = append(kbSpecs, mdf.BranchSpec{
-				Label: fmt.Sprintf("%s,h=%g", k.Name, h),
-				Hint:  float64(ki*len(p.Bandwidths) + bi),
-			})
-			kbs = append(kbs, kb{k, h})
-		}
-	}
+	// The kernel scope's names and labels, built once for both
+	// pre-processing branches.
+	kbSpecs, kbs := kernelBranches(kernels, p.Bandwidths)
 
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
@@ -246,8 +281,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 				mdf.NewChooser(LogLikelihoodEvaluator(), mdf.Max()),
 				func(inner *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					cfg := kbs[int(ispec.Hint)]
-					return inner.Then("kde("+ispec.Label+")",
-						estimateOp(p, cfg.k, cfg.h), 0.006)
+					return inner.Then(cfg.name, estimateOp(p, cfg.k, cfg.h, cfg.name), 0.006)
 				})
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
@@ -296,24 +330,10 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 	var outlierSpecs []mdf.BranchSpec
 	for _, o := range p.OutlierThresholds {
 		outlierSpecs = append(outlierSpecs, mdf.BranchSpec{
-			Label: fmt.Sprintf("o=%g", o), Hint: o,
+			Label: outlierLabel(o, ""), Hint: o,
 		})
 	}
-	var kbSpecs []mdf.BranchSpec
-	type kb struct {
-		k Kernel
-		h float64
-	}
-	var kbs []kb
-	for ki, k := range kernels {
-		for bi, h := range p.Bandwidths {
-			kbSpecs = append(kbSpecs, mdf.BranchSpec{
-				Label: fmt.Sprintf("%s,h=%g", k.Name, h),
-				Hint:  float64(ki*len(p.Bandwidths) + bi),
-			})
-			kbs = append(kbs, kb{k, h})
-		}
-	}
+	kbSpecs, kbs := kernelBranches(kernels, p.Bandwidths)
 
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
@@ -341,8 +361,7 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 		mdf.NewChooser(LogLikelihoodEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := kbs[int(spec.Hint)]
-			return start.Then("kde("+spec.Label+")",
-				estimateOp(p.Params, cfg.k, cfg.h), 0.006)
+			return start.Then(cfg.name, estimateOp(p.Params, cfg.k, cfg.h, cfg.name), 0.006)
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
 	return b.Build()

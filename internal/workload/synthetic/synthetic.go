@@ -8,6 +8,7 @@ package synthetic
 
 import (
 	"fmt"
+	"strconv"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -160,10 +161,15 @@ func Generate(p Params) *dataset.Dataset {
 // value: an affine update modulo a large prime, parameterised by the
 // explorable w. The output is one column cut at the input's partition ends,
 // its keys the input's own where they are one slice (sharedKeys) and
-// gathered otherwise. Accounted sizes scale by sizeScale.
+// gathered otherwise. Accounted sizes scale by sizeScale. It is one closure:
+// a job builds one per branch.
 func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.TransformFunc {
 	const mod = 1_000_000_007
-	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := mdf.OneInput(name, ins)
+		if err != nil {
+			return nil, err
+		}
 		n := in.NumRows()
 		keys, shared := sharedKeys(in)
 		if !shared {
@@ -189,7 +195,7 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.Trans
 			out.Parts[i].VirtualBytes = int64(float64(part.VirtualBytes) * sizeScale)
 		}
 		return out, nil
-	})
+	}
 }
 
 // sumEvaluator implements int_value from Fig. 23: the mean tuple value of a
@@ -216,19 +222,25 @@ func sumEvaluator() mdf.Evaluator {
 }
 
 // branchValues returns the explorable values for n branches, following the
-// paper's w = 10, 100, 1000, ... progression extended as needed.
-func branchValues(n int) []mdf.BranchSpec {
+// paper's w = 10, 100, 1000, ... progression extended as needed, and the
+// names of the operators op applies them with, "op(w=%d)". Each label is the
+// setting its name spells out (mdf.Setting): one allocation per branch.
+func branchValues(n int, op string) ([]mdf.BranchSpec, []string) {
 	specs := make([]mdf.BranchSpec, n)
+	names := make([]string, n)
+	var buf [32]byte
 	w := int64(10)
 	for i := range specs {
-		specs[i] = mdf.BranchSpec{Label: fmt.Sprintf("w=%d", w), Hint: float64(w)}
+		b := append(append(buf[:0], op...), "(w="...)
+		names[i] = string(append(strconv.AppendInt(b, w, 10), ')'))
+		specs[i] = mdf.BranchSpec{Label: mdf.Setting(names[i]), Hint: float64(w)}
 		if w < 1_000_000_000 {
 			w *= 10
 		} else {
 			w += 7
 		}
 	}
-	return specs
+	return specs, names
 }
 
 // costPerMB converts the per-item op count into the virtual compute cost of
@@ -245,18 +257,25 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	b := mdf.NewBuilder()
 	cost := costPerMB(p.OpsPerItem)
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
-	inner := branchValues(p.InnerBranches) // the same labels under every outer branch
-	outer := src.Explore("B1", branchValues(p.OuterBranches), mdf.NewChooser(sumEvaluator(), mdf.Max()),
+	outerSpecs, outerNames := branchValues(p.OuterBranches, "op")
+	// The same labels and names under every outer branch, built once.
+	innerSpecs, innerNames := branchValues(p.InnerBranches, "op2")
+	// The builder builds the branches of an explore in order, so the i-th
+	// call of a body builds branch i.
+	i := 0
+	outer := src.Explore("B1", outerSpecs, mdf.NewChooser(sumEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w1 := int64(spec.Hint)
-			first := start.Then("op("+spec.Label+")",
-				mathOp("first_op", 1.0, w1, p.OpsPerItem), cost)
-			return first.Explore("B2", inner,
+			first := start.Then(outerNames[i], mathOp("first_op", 1.0, w1, p.OpsPerItem), cost)
+			i++
+			j := 0
+			return first.Explore("B2", innerSpecs,
 				mdf.NewChooser(sumEvaluator(), mdf.Max()),
 				func(start *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					w2 := int64(ispec.Hint)
-					return start.Then("op2("+ispec.Label+")",
-						mathOp("second_op", p.InnerSizeScale, w2, p.OpsPerItem), cost)
+					op := start.Then(innerNames[j], mathOp("second_op", p.InnerSizeScale, w2, p.OpsPerItem), cost)
+					j++
+					return op
 				})
 		})
 	outer.Then("sink", mdf.Identity("results"), 0.0001)

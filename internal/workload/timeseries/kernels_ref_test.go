@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"metadataflow/internal/dataset"
+	"metadataflow/internal/mdf"
 )
 
 // The three operators as they were before mask and mark decided into a
@@ -310,19 +311,27 @@ func TestPanickingWindowPassLeavesNoEntry(t *testing.T) {
 	}
 }
 
-// TestLabelsSpellLikeSprintf holds the branch labels to the fmt verbs they
-// replaced, on the values where %g is easiest to get wrong.
+// TestLabelsSpellLikeSprintf holds the branch names and labels to the fmt
+// verbs they replaced, on the values where %g is easiest to get wrong.
 func TestLabelsSpellLikeSprintf(t *testing.T) {
-	floats := []float64{1.001, 1.0005, 0.5, 2, 0, math.Copysign(0, -1), -1, 1e-7, 1e21, 123456789, 1e5, 1e6,
+	floats := []float64{1.001, 1.0005, 0.5, 2, 0, math.Copysign(0, -1), -1, 1e-4, 1e-5, 1e-7, 1e21, 123456789, 1e5, 1e6,
 		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64}
 	ints := []int{0, 1, -2, 16, 300, math.MaxInt64, math.MinInt64}
 	for _, f := range floats {
 		for _, i := range ints {
-			if got, want := maskLabel(i, f), fmt.Sprintf("w=%d,t=%g", i, f); got != want {
-				t.Errorf("maskLabel(%d, %g) = %q, want %q", i, f, got, want)
+			name := maskName(i, f)
+			if want := fmt.Sprintf("mask(w=%d,t=%g)", i, f); name != want {
+				t.Errorf("maskName(%d, %g) = %q, want %q", i, f, name, want)
 			}
-			if got, want := markLabel(i, f, -i), fmt.Sprintf("l=%d,m=%g,d=%d", i, f, -i); got != want {
-				t.Errorf("markLabel(%d, %g, %d) = %q, want %q", i, f, -i, got, want)
+			if got, want := mdf.Setting(name), fmt.Sprintf("w=%d,t=%g", i, f); got != want {
+				t.Errorf("Setting(%q) = %q, want %q", name, got, want)
+			}
+			name = markName(i, f, -i)
+			if want := fmt.Sprintf("mark(l=%d,m=%g,d=%d)", i, f, -i); name != want {
+				t.Errorf("markName(%d, %g, %d) = %q, want %q", i, f, -i, name, want)
+			}
+			if got, want := mdf.Setting(name), fmt.Sprintf("l=%d,m=%g,d=%d", i, f, -i); got != want {
+				t.Errorf("Setting(%q) = %q, want %q", name, got, want)
 			}
 		}
 	}

@@ -225,35 +225,38 @@ func windowRatios(pts []Point, w int) []float64 {
 // above the threshold t: points in "interesting" ranges survive (§6:
 // "masking data points in the series based on the value ranges within a
 // sliding window"). The ratios come from memo, shared by every threshold of
-// w.
+// w. It is one closure: a flat job builds one per branch.
 func maskOp(memo *windowMemo, w int, t float64) graph.TransformFunc {
 	// The name is read by the arity error alone, and the engine reports that
 	// under the operator's own name, which spells the setting out: a plain
 	// one saves formatting it for every branch of every job.
-	return mdf.WholeDataset("mask",
-		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			pts := dataset.Flatten[Point](in)
-			ratio := memo.values(windowKey{w: w}, pts, windowRatios)
-			// Count first, then copy the kept points into a slice of their
-			// exact number.
-			n := 0
-			for _, r := range ratio {
-				if r > t {
-					n++
-				}
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := mdf.OneInput("mask", ins)
+		if err != nil {
+			return nil, err
+		}
+		pts := dataset.Flatten[Point](in)
+		ratio := memo.values(windowKey{w: w}, pts, windowRatios)
+		// Count first, then copy the kept points into a slice of their
+		// exact number.
+		n := 0
+		for _, r := range ratio {
+			if r > t {
+				n++
 			}
-			kept := make([]Point, 0, n)
-			for i, r := range ratio {
-				if r > t {
-					kept = append(kept, pts[i])
-				}
+		}
+		kept := make([]Point, 0, n)
+		for i, r := range ratio {
+			if r > t {
+				kept = append(kept, pts[i])
 			}
-			out := dataset.FromSlice("masked", kept, outParts(in), 16)
-			if in.NumRows() > 0 {
-				out.SetVirtualBytes(in.VirtualBytes() * int64(len(kept)) / int64(in.NumRows()))
-			}
-			return out, nil
-		})
+		}
+		out := dataset.FromSlice("masked", kept, outParts(in), 16)
+		if in.NumRows() > 0 {
+			out.SetVirtualBytes(in.VirtualBytes() * int64(len(kept)) / int64(in.NumRows()))
+		}
+		return out, nil
+	}
 }
 
 // windowMeans returns, for every point i from l on, the mean of the l values
@@ -277,30 +280,33 @@ func windowMean(pts []Point, i, l int) float64 {
 
 // markOp marks discrete events: points where the value differs by more than
 // magDiff from the mean of the l values before it. The means come from memo,
-// shared by every magDiff of l.
+// shared by every magDiff of l. It is one closure, as maskOp is.
 func markOp(memo *windowMemo, l int, magDiff float64) graph.TransformFunc {
-	return mdf.WholeDataset("mark",
-		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			pts := dataset.Flatten[Point](in)
-			mean := memo.values(windowKey{mean: true, w: l}, pts, windowMeans)
-			// Events are few: count first, then build them in a slice of
-			// their exact number.
-			n := 0
-			for i := max(l, 0); i < len(pts); i++ {
-				if math.Abs(pts[i].V-mean[i]) > magDiff {
-					n++
-				}
+	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
+		in, err := mdf.OneInput("mark", ins)
+		if err != nil {
+			return nil, err
+		}
+		pts := dataset.Flatten[Point](in)
+		mean := memo.values(windowKey{mean: true, w: l}, pts, windowMeans)
+		// Events are few: count first, then build them in a slice of
+		// their exact number.
+		n := 0
+		for i := max(l, 0); i < len(pts); i++ {
+			if math.Abs(pts[i].V-mean[i]) > magDiff {
+				n++
 			}
-			events := make([]Event, 0, n)
-			for i := max(l, 0); i < len(pts); i++ {
-				if math.Abs(pts[i].V-mean[i]) > magDiff {
-					events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - mean[i]})
-				}
+		}
+		events := make([]Event, 0, n)
+		for i := max(l, 0); i < len(pts); i++ {
+			if math.Abs(pts[i].V-mean[i]) > magDiff {
+				events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - mean[i]})
 			}
-			out := dataset.FromSlice("events", events, outParts(in), 24)
-			out.SetVirtualBytes(in.VirtualBytes() / 20)
-			return out, nil
-		})
+		}
+		out := dataset.FromSlice("events", events, outParts(in), 24)
+		out.SetVirtualBytes(in.VirtualBytes() / 20)
+		return out, nil
+	}
 }
 
 // detectOp groups marked events into sequences: consecutive events within
@@ -354,21 +360,25 @@ func (p Params) maskSelector() mdf.Selector {
 	return mdf.Threshold(p.MaskKeepRatio, false)
 }
 
-// maskLabel and markLabel spell a branch's setting out as "w=%d,t=%g" and
-// "l=%d,m=%g,d=%d" would (strconv's shortest 'g' form is what %g prints),
-// with one allocation each: the labels name the branch's stages in plans,
-// picks and telemetry.
-func maskLabel(w int, t float64) string {
-	var buf [40]byte
-	b := strconv.AppendInt(append(buf[:0], "w="...), int64(w), 10)
-	return string(strconv.AppendFloat(append(b, ",t="...), t, 'g', -1, 64))
+// maskName and markName name the first operator of a branch after its
+// setting, as "mask(w=%d,t=%g)" and "mark(l=%d,m=%g,d=%d)" would (strconv's
+// shortest 'g' form is what %g prints), with one allocation each. The
+// branch's label is the setting between the parentheses (mdf.Setting), a
+// substring of the name: the labels name the branch's stages in plans, picks
+// and telemetry.
+func maskName(w int, t float64) string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], "mask(w="...), int64(w), 10)
+	b = strconv.AppendFloat(append(b, ",t="...), t, 'g', -1, 64)
+	return string(append(b, ')'))
 }
 
-func markLabel(l int, m float64, d int) string {
-	var buf [56]byte
-	b := strconv.AppendInt(append(buf[:0], "l="...), int64(l), 10)
+func markName(l int, m float64, d int) string {
+	var buf [64]byte
+	b := strconv.AppendInt(append(buf[:0], "mark(l="...), int64(l), 10)
 	b = strconv.AppendFloat(append(b, ",m="...), m, 'g', -1, 64)
-	return string(strconv.AppendInt(append(b, ",d="...), int64(d), 10))
+	b = strconv.AppendInt(append(b, ",d="...), int64(d), 10)
+	return string(append(b, ')'))
 }
 
 // BuildMDF constructs the time series MDF as two sequential exploration
@@ -387,35 +397,39 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 
 	var maskSpecs []mdf.BranchSpec
 	type wt struct {
-		w int
-		t float64
+		w    int
+		t    float64
+		name string
 	}
 	var wts []wt
 	for wi, w := range p.WindowLengths {
 		for ti, t := range p.Thresholds {
+			name := maskName(w, t)
 			maskSpecs = append(maskSpecs, mdf.BranchSpec{
-				Label: maskLabel(w, t),
+				Label: mdf.Setting(name),
 				Hint:  float64(wi*len(p.Thresholds) + ti),
 			})
-			wts = append(wts, wt{w, t})
+			wts = append(wts, wt{w, t, name})
 		}
 	}
 	var outSpecs []mdf.BranchSpec
 	type lmd struct {
-		l int
-		m float64
-		d int
+		l    int
+		m    float64
+		d    int
+		name string
 	}
 	var lmds []lmd
 	i := 0
 	for _, l := range p.MarkWindows {
 		for _, m := range p.MagDiffs {
 			for _, d := range p.Durations {
+				name := markName(l, m, d)
 				outSpecs = append(outSpecs, mdf.BranchSpec{
-					Label: markLabel(l, m, d),
+					Label: mdf.Setting(name),
 					Hint:  float64(i),
 				})
-				lmds = append(lmds, lmd{l, m, d})
+				lmds = append(lmds, lmd{l, m, d, name})
 				i++
 			}
 		}
@@ -431,16 +445,14 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		mdf.NewChooser(maskEval, p.maskSelector()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := wts[int(spec.Hint)]
-			return start.Then("mask("+spec.Label+")",
-				maskOp(memo, cfg.w, cfg.t), 0.004)
+			return start.Then(cfg.name, maskOp(memo, cfg.w, cfg.t), 0.004)
 		})
 	// Scope 2: marking and detection exploration over the selected data.
 	out := masked.Explore("analysis", outSpecs,
 		mdf.NewChooser(detectionEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := lmds[int(spec.Hint)]
-			marked := start.Then("mark("+spec.Label+")",
-				markOp(memo, cfg.l, cfg.m), 0.003)
+			marked := start.Then(cfg.name, markOp(memo, cfg.l, cfg.m), 0.003)
 			return marked.Then("detect("+spec.Label+")",
 				detectOp(cfg.d), 0.002)
 		})
@@ -465,26 +477,25 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 		return nil, fmt.Errorf("timeseries: flat MDF needs fixed marking parameters")
 	}
 	input := Generate(p)
-	var maskSpecs []mdf.BranchSpec
+	n := len(p.WindowLengths) * len(p.Thresholds)
+	maskSpecs := make([]mdf.BranchSpec, 0, n)
 	type wt struct {
-		w int
-		t float64
+		w    int
+		t    float64
+		name string
 	}
-	// The branch body finds its setting by label: Hint is taken by the sort
-	// key. A label spells out (w, t), so a repeated one names the same
-	// setting.
-	byLabel := make(map[string]wt, len(p.WindowLengths)*len(p.Thresholds))
+	wts := make([]wt, 0, n)
 	for _, w := range p.WindowLengths {
 		for _, t := range p.Thresholds {
-			label := maskLabel(w, t)
+			name := maskName(w, t)
 			maskSpecs = append(maskSpecs, mdf.BranchSpec{
-				Label: label,
+				Label: mdf.Setting(name),
 				// The masking kept-ratio falls monotonically in the
 				// threshold; hint-sorting by (t, w) enables sorted-order
 				// scheduling (Fig. 8 "first-4, sorted").
 				Hint: t*1000 + float64(w),
 			})
-			byLabel[label] = wt{w, t}
+			wts = append(wts, wt{w, t, name})
 		}
 	}
 	if len(maskSpecs) < 2 {
@@ -498,10 +509,14 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	memo := new(windowMemo)
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
+	// Hint is taken by the sort key, so the body finds its setting by
+	// position: the builder builds the branches in order.
+	j := 0
 	masked := src.Explore("masking", maskSpecs, mdf.NewChooser(eval, sel),
-		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
-			cfg := byLabel[spec.Label]
-			return start.Then("mask("+spec.Label+")", maskOp(memo, cfg.w, cfg.t), 0.004)
+		func(start *mdf.Node, _ mdf.BranchSpec) *mdf.Node {
+			cfg := wts[j]
+			j++
+			return start.Then(cfg.name, maskOp(memo, cfg.w, cfg.t), 0.004)
 		})
 	marked := masked.Then("mark", markOp(memo, l, m), 0.003)
 	detected := marked.Then("detect", detectOp(d), 0.002)
