@@ -17,11 +17,11 @@ import (
 // closure, its label a substring of its name, and names shared by sibling
 // scopes are built once; what is left of a branch of the flat 256-branch
 // masking explore is its closure and its name. When this was written the
-// flat build allocated 608 times (the builder it replaced 1 897, 7.4 per
-// branch), the 10×12 nested synthetic job 260 (1 064) and the compilation of
-// the three-level nested spec 349 for its 167 operators, 2.09 each (1 034,
+// flat build allocated 607 times (the builder it replaced 1 897, 7.4 per
+// branch), the 10×12 nested synthetic job 267 (1 064) and the compilation of
+// the three-level nested spec 389 for its 167 operators, 2.33 each (1 034,
 // 6.2 each). The first two bounds leave a fifth above the reading. The third
-// leaves a sixth: a second closure per Map operator, which a fifth would let
+// leaves an eighth: a second closure per Map operator, which a fifth would let
 // through on this spec, adds 66.
 func TestBuildAllocationsBounded(t *testing.T) {
 	if raceDetector {
@@ -37,9 +37,9 @@ func TestBuildAllocationsBounded(t *testing.T) {
 		case "flat-256":
 			bound = 2*256 + 216
 		case "nested-10x12":
-			bound = 312
+			bound = 320
 		case "spec-nested":
-			bound = 2.45 * float64(g.NumOps())
+			bound = 2.6 * float64(g.NumOps())
 		}
 		got := testing.AllocsPerRun(10, func() {
 			if _, err := c.build(); err != nil {

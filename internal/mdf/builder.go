@@ -26,9 +26,6 @@ type Builder struct {
 	// ends is the stack of the last operators of the branches of the explores
 	// being built, innermost last.
 	ends []*graph.Operator
-	// chooses holds the name of every choose built so far, one per explore
-	// name: sibling scopes of one explore share it.
-	chooses []string
 }
 
 // slabChunk is the number of operators, and of handles, allocated at a time:
@@ -167,7 +164,7 @@ func (n *Node) Explore(name string, specs []BranchSpec, chooser *Chooser, body f
 		b.ends = append(b.ends, end.op)
 	}
 	choose := b.add(graph.Operator{
-		Name:      b.chooseName(name),
+		Name:      name + "/choose",
 		Kind:      graph.KindChoose,
 		Chooser:   chooser,
 		CostPerMB: chooser.Eval.CostPerMB,
@@ -179,20 +176,6 @@ func (n *Node) Explore(name string, specs []BranchSpec, chooser *Chooser, body f
 		}
 	}
 	return b.node(choose, nil)
-}
-
-// chooseName returns the name of the choose of an explore called name:
-// name+"/choose", built once per name.
-func (b *Builder) chooseName(name string) string {
-	const suffix = "/choose"
-	for _, c := range b.chooses {
-		if len(c) == len(name)+len(suffix) && c[:len(name)] == name {
-			return c
-		}
-	}
-	c := name + suffix
-	b.chooses = append(b.chooses, c)
-	return c
 }
 
 // Merge appends a transform consuming this node's output together with the

@@ -292,62 +292,12 @@ func (s *Spec) Compile() (*graph.Graph, error) {
 // built from n's values as they stand.
 func CompileNormalized(n *Spec) (*graph.Graph, error) {
 	b := mdf.NewBuilder()
-	src := b.Source("src", sourceFunc(n.Source), 0.0005)
-	compileSteps(src, n.Pipeline, prepare(n.Pipeline, n.Source.Rows), nil)
+	compileSteps(b.Source("src", sourceFunc(n.Source), 0.0005), n.Pipeline, n.Source.Rows, nil)
 	return b.Build()
 }
 
-// explore is an explore step prepared for compiling. The step compiles once
-// per branch of every scope around it; what it compiles to apart from the
-// bodies of its branches — their specs, the chooser, and the function the
-// builder builds a branch with — is the same every time and is built once.
-type explore struct {
-	specs   []mdf.BranchSpec
-	chooser *mdf.Chooser
-	// next is the branch the builder builds next: it builds the branches of
-	// an instance of the step in order, and all of them before the next
-	// instance begins.
-	next   int
-	branch func(start *mdf.Node, _ mdf.BranchSpec) *mdf.Node
-}
-
-// prepare returns the prepared explore of every explore step of steps, by
-// position, nil beside the other steps; nil when there are none.
-func prepare(steps []Step, sourceRows int) []*explore {
-	var xs []*explore
-	for i, st := range steps {
-		e := st.Explore
-		if e == nil {
-			continue
-		}
-		if xs == nil {
-			xs = make([]*explore, len(steps))
-		}
-		c := e.Choose
-		ev := Evaluators[c.Evaluator].build(sourceRows)
-		ev.Monotone, ev.Convex, ev.CostPerMB = c.Monotone, c.Convex, c.CostPerMB
-		x := &explore{
-			specs:   make([]mdf.BranchSpec, len(e.Branches)),
-			chooser: mdf.NewChooser(ev, Selectors[c.Selector.Kind].build(c.Selector)),
-		}
-		for j, br := range e.Branches {
-			x.specs[j] = mdf.BranchSpec{Label: br.Label, Hint: *br.Hint}
-		}
-		body := prepare(e.Body, sourceRows)
-		x.branch = func(start *mdf.Node, _ mdf.BranchSpec) *mdf.Node {
-			params := e.Branches[x.next].Params
-			x.next++
-			return compileSteps(start, e.Body, body, params)
-		}
-		xs[i] = x
-	}
-	return xs
-}
-
-// compileSteps appends steps to node under a branch's params; xs is
-// prepare(steps).
-func compileSteps(node *mdf.Node, steps []Step, xs []*explore, params map[string]float64) *mdf.Node {
-	for i, st := range steps {
+func compileSteps(node *mdf.Node, steps []Step, sourceRows int, params map[string]float64) *mdf.Node {
+	for _, st := range steps {
 		switch {
 		case st.Op != nil:
 			op := Resolve(*st.Op, params)
@@ -374,9 +324,24 @@ func compileSteps(node *mdf.Node, steps []Step, xs []*explore, params map[string
 				Diverged: diverged(it.DivergeAboveMeanAbs),
 			})
 		case st.Explore != nil:
-			x := xs[i]
-			x.next = 0
-			node = node.Explore(st.Explore.Name, x.specs, x.chooser, x.branch)
+			e := st.Explore
+			c := e.Choose
+			ev := Evaluators[c.Evaluator].build(sourceRows)
+			ev.Monotone, ev.Convex, ev.CostPerMB = c.Monotone, c.Convex, c.CostPerMB
+			sel := Selectors[c.Selector.Kind].build(c.Selector)
+			specs := make([]mdf.BranchSpec, len(e.Branches))
+			for i, br := range e.Branches {
+				specs[i] = mdf.BranchSpec{Label: br.Label, Hint: *br.Hint}
+			}
+			// The builder builds the branches in order, so the j-th call
+			// builds branch j, under that branch's own params.
+			j := 0
+			node = node.Explore(e.Name, specs, mdf.NewChooser(ev, sel),
+				func(start *mdf.Node, _ mdf.BranchSpec) *mdf.Node {
+					params := e.Branches[j].Params
+					j++
+					return compileSteps(start, e.Body, sourceRows, params)
+				})
 		}
 	}
 	return node
