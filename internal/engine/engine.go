@@ -485,7 +485,24 @@ func (r *Run) CheckpointLive() int {
 }
 
 // Result finalises and returns the run's result. It is valid once Done.
+// The output's partitions carry their boxed rows (Partition.Rows) from the
+// first call on: Result is the one place rows are boxed, because only its
+// callers read the output through Rows, knowing nothing of the operators'
+// column types. The output's partitions are the run's own (operators build
+// theirs and sources emit fresh ones, dataset.Alias) and a done run has
+// joined every goroutine computing ahead, so no other run or goroutine sees
+// the write. Boxing is idempotent: a second call changes nothing.
 func (r *Run) Result() *Result {
+	res := r.result()
+	if r.done && r.output != nil {
+		r.output.Box()
+	}
+	return res
+}
+
+// result is Result without boxing the output, for the readers inside the
+// engine (Snapshot), which never read its rows.
+func (r *Run) result() *Result {
 	res := &Result{
 		Start: r.start, End: r.now, Output: r.output,
 		Metrics: r.metrics, Quarantined: r.quarantined,
@@ -640,11 +657,8 @@ func (r *Run) finish() {
 	default:
 		r.output = dataset.Concat("output", outs...)
 	}
-	// The one place rows are boxed: callers read the result through Rows
-	// and know nothing of the operators' column types. The output's
-	// partitions are the run's own: operators build theirs and sources
-	// emit fresh ones (dataset.Alias), so no other run sees this write.
-	r.output.Box()
+	// The rows stay unboxed: Result boxes them for the callers that read
+	// them, and a service job never does.
 }
 
 // settled releases the successors of a stage that has just been executed

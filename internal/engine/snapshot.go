@@ -13,7 +13,7 @@ import (
 // in plan order; fault events keep injection order), so serializing the
 // snapshot of the same seed twice is byte-identical.
 func (r *Run) Snapshot() *obs.Snapshot {
-	res := r.Result()
+	res := r.result()
 	m := res.Metrics
 
 	s := obs.NewSnapshot()
