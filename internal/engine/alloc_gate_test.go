@@ -44,9 +44,12 @@ func mallocs(f func()) uint64 {
 // a service job the run may allocate that and the probe's bucket maps, which
 // grow to the progress and score of all 256 branches in each of five buckets
 // (79 allocations more when written): a report built for a probe that keeps
-// no audit, one per pick or per branch, crosses it. At GOMAXPROCS 4 the run
-// takes the compute-ahead path (every stage is offered and stays under the
-// gate), at 1 the serial one.
+// no audit, one per pick or per branch, crosses it. NewRun with the gauge
+// probe may allocate what it does without one and a few more: the probe, the
+// branches' telemetry and their series names, two strings for all 256
+// branches (4 more when written, where names concatenated per branch cost
+// 1 182). At GOMAXPROCS 4 the run takes the compute-ahead path (every stage
+// is offered and stays under the gate), at 1 the serial one.
 func TestStepAllocationsBounded(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")
@@ -72,7 +75,8 @@ func TestStepAllocationsBounded(t *testing.T) {
 		}
 		return run
 	}
-	const bound, bucketMaps = 160, 100
+	const bound, bucketMaps, gaugedSetup = 160, 100, 16
+	plainSetup := make(map[int]uint64)
 	for _, gauged := range []bool{false, true} {
 		bound := uint64(bound)
 		if gauged {
@@ -93,6 +97,12 @@ func TestStepAllocationsBounded(t *testing.T) {
 				stepping := whole - setup
 				t.Logf("gauge probe %v, GOMAXPROCS %d: NewRun allocates %d times, stepping %d stages %d times (bound %d)",
 					gauged, procs, setup, stages, stepping, bound)
+				if !gauged {
+					plainSetup[procs] = setup
+				} else if setup > plainSetup[procs]+gaugedSetup {
+					t.Errorf("GOMAXPROCS %d: NewRun allocates %d times with the gauge probe, %d without, more than %d apart: something allocates per branch again",
+						procs, setup, plainSetup[procs], gaugedSetup)
+				}
 				if stages != len(plan.Stages) {
 					t.Errorf("gauge probe %v, GOMAXPROCS %d: %d of %d stages executed", gauged, procs, stages, len(plan.Stages))
 				}

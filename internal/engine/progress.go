@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"strconv"
+	"strings"
 
 	"metadataflow/internal/graph"
 	"metadataflow/internal/obs"
@@ -83,13 +84,22 @@ type branchRun struct {
 }
 
 // branchTelemetry is what a probed run keeps per branch: the names of its
-// four series ("<series>.s<scope>.b<branch>"), built once per run, and its
-// lifetime interval once ivOpen.
+// four series ("<series>.s<scope>.b<branch>"), cut from the run's two name
+// blocks (nameBranchSeries), and its lifetime interval once ivOpen.
 type branchTelemetry struct {
 	latency, progress, score, active string
 	iv                               obs.SpanID
 	ivOpen                           bool
 }
+
+// The series a probed run keeps per branch, each name followed by the
+// branch's suffix ".s<scope>.b<branch>".
+const (
+	seriesLatency  = "engine.stage_latency"
+	seriesProgress = "engine.branch_progress"
+	seriesScore    = "engine.branch_score"
+	seriesActive   = "engine.branch_active"
+)
 
 // indexBranches lays the plan's branches out flat, in (scope, branch) order,
 // and records for every stage the branches that contain it: its innermost
@@ -122,19 +132,15 @@ func (r *Run) indexBranches() {
 				stages: int32(len(stages)),
 			}
 			if tele != nil {
-				suffix := ".s" + strconv.Itoa(si) + ".b" + strconv.Itoa(b)
-				tele[bi] = branchTelemetry{
-					latency:  "engine.stage_latency" + suffix,
-					progress: "engine.branch_progress" + suffix,
-					score:    "engine.branch_score" + suffix,
-					active:   "engine.branch_active" + suffix,
-				}
 				r.branches[bi].tele = &tele[bi]
 			}
 			for _, st := range stages {
 				off[st.ID+1]++
 			}
 		}
+	}
+	if tele != nil {
+		r.nameBranchSeries(tele)
 	}
 	for i := 1; i < len(off); i++ {
 		off[i] += off[i-1]
@@ -149,6 +155,72 @@ func (r *Run) indexBranches() {
 			next[st.ID]++
 		}
 	}
+}
+
+// nameBranchSeries names the four series of every branch in two strings,
+// each sized before it is filled: one holds the progress and score names,
+// the two a gauge probe keeps, the other the latency and active names, which
+// it drops. Every name is a substring of its block, so a probe that keeps
+// the names of one block keeps no more bytes than the names themselves.
+func (r *Run) nameBranchSeries(tele []branchTelemetry) {
+	suffixes := 0
+	for i := range r.branches {
+		suffixes += suffixLen(&r.branches[i])
+	}
+	kept := blockCutter{s: r.seriesBlock(seriesProgress, seriesScore, suffixes)}
+	dropped := blockCutter{s: r.seriesBlock(seriesLatency, seriesActive, suffixes)}
+	for i := range tele {
+		n := suffixLen(&r.branches[i])
+		tele[i].progress = kept.cut(len(seriesProgress) + n)
+		tele[i].score = kept.cut(len(seriesScore) + n)
+		tele[i].latency = dropped.cut(len(seriesLatency) + n)
+		tele[i].active = dropped.cut(len(seriesActive) + n)
+	}
+}
+
+// seriesBlock writes the names of two series of every branch, branch by
+// branch, into one string of len(branches)·(len(first)+len(second)) +
+// 2·suffixes bytes, suffixes being the summed suffix lengths.
+func (r *Run) seriesBlock(first, second string, suffixes int) string {
+	var b strings.Builder
+	b.Grow(len(r.branches)*(len(first)+len(second)) + 2*suffixes)
+	var num [10]byte
+	for i := range r.branches {
+		br := &r.branches[i]
+		for _, series := range [2]string{first, second} {
+			b.WriteString(series)
+			b.WriteString(".s")
+			b.Write(strconv.AppendInt(num[:0], int64(br.scope), 10))
+			b.WriteString(".b")
+			b.Write(strconv.AppendInt(num[:0], int64(br.branch), 10))
+		}
+	}
+	return b.String()
+}
+
+// suffixLen is the length of a branch's series suffix ".s<scope>.b<branch>".
+func suffixLen(br *branchRun) int {
+	return len(".s.b") + decimalLen(br.scope) + decimalLen(br.branch)
+}
+
+// decimalLen is the number of decimal digits of v >= 0.
+func decimalLen(v int32) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// blockCutter hands out consecutive substrings of s.
+type blockCutter struct {
+	s   string
+	off int
+}
+
+func (c *blockCutter) cut(n int) string {
+	c.off += n
+	return c.s[c.off-n : c.off]
 }
 
 // countSettled books a stage that has just been executed or skipped on every
