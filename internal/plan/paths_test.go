@@ -114,7 +114,7 @@ func committedSpecs(t *testing.T) map[string]*spec.Spec {
 
 // corpusInput decodes a one-argument fuzz corpus file ("go test fuzz v1"
 // and one []byte or string literal).
-func corpusInput(t *testing.T, name string, data []byte) []byte {
+func corpusInput(t testing.TB, name string, data []byte) []byte {
 	t.Helper()
 	lines := strings.SplitN(strings.TrimSpace(string(data)), "\n", 2)
 	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
