@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"metadataflow/internal/spec"
 )
@@ -45,20 +46,15 @@ func (r valRange) contains(o valRange) bool {
 	return o.empty || (!r.empty && r.lo <= o.lo && o.hi <= r.hi)
 }
 
-func hullAll(rs []valRange) valRange {
-	out := emptyRange()
-	for _, r := range rs {
-		if r.empty {
-			continue
-		}
-		if out.empty {
-			out = r
-			continue
-		}
-		out.lo = math.Min(out.lo, r.lo)
-		out.hi = math.Max(out.hi, r.hi)
+// hull is the least interval holding a and b.
+func hull(a, b valRange) valRange {
+	switch {
+	case b.empty:
+		return a
+	case a.empty:
+		return b
 	}
-	return out
+	return valRange{lo: math.Min(a.lo, b.lo), hi: math.Max(a.hi, b.hi)}
 }
 
 // sourceRange is the abstract value of the source dataset. Only the uniform
@@ -71,10 +67,39 @@ func sourceRange(src spec.Source) valRange {
 	return top()
 }
 
+// stepPath locates a step of a normalised spec without formatting it: step
+// index of the pipeline when explore is nil, otherwise step index of branch
+// branch's body of the explore step at explore. The walk makes one per
+// explore step on the heap and none per step; a rule formats the path only
+// when it builds a finding.
+type stepPath struct {
+	explore       *stepPath
+	branch, index int
+}
+
+// format renders the path, followed by suffix, in the syntax of the hash
+// report: "pipeline[1]", "pipeline[1].explore.branch[2].body[0]".
+func (p stepPath) format(suffix string) string {
+	return string(append(p.appendTo(nil), suffix...))
+}
+
+func (p stepPath) String() string { return p.format("") }
+
+func (p stepPath) appendTo(b []byte) []byte {
+	if p.explore == nil {
+		b = append(b, "pipeline"...)
+	} else {
+		b = append(p.explore.appendTo(b), ".explore.branch["...)
+		b = append(strconv.AppendInt(b, int64(p.branch), 10), "].body"...)
+	}
+	b = append(strconv.AppendInt(append(b, '['), int64(p.index), 10), ']')
+	return b
+}
+
 // stepEvent is one visited step: its path, the abstract value entering and
 // leaving it, and what the transfer proved.
 type stepEvent struct {
-	Path   string
+	Path   stepPath
 	Step   spec.Step
 	Params map[string]float64
 	In     valRange
@@ -91,13 +116,14 @@ type stepEvent struct {
 // before the explore's own event), propagating intervals, and calls visit
 // for every step.
 func walkPipeline(n *spec.Spec, visit func(stepEvent)) {
-	walkSteps("pipeline", n.Pipeline, nil, sourceRange(n.Source), visit)
+	walkSteps(nil, 0, n.Pipeline, nil, sourceRange(n.Source), visit)
 }
 
-func walkSteps(prefix string, steps []spec.Step, params map[string]float64, in valRange, visit func(stepEvent)) valRange {
+// walkSteps walks the steps of branch branch's body of the explore step at
+// explore, or of the pipeline when explore is nil.
+func walkSteps(explore *stepPath, branch int, steps []spec.Step, params map[string]float64, in valRange, visit func(stepEvent)) valRange {
 	for i, st := range steps {
-		path := fmt.Sprintf("%s[%d]", prefix, i)
-		e := stepEvent{Path: path, Step: st, Params: params, In: in}
+		e := stepEvent{Path: stepPath{explore: explore, branch: branch, index: i}, Step: st, Params: params, In: in}
 		switch {
 		case st.Op != nil:
 			e.Out, e.ProvedEmpty = opTransfer(*st.Op, params, in)
@@ -105,14 +131,13 @@ func walkSteps(prefix string, steps []spec.Step, params map[string]float64, in v
 			e.Out, e.IterStable, e.ProvedEmpty = iterateTransfer(*st.Iterate, params, in)
 		case st.Explore != nil:
 			ex := st.Explore
-			outs := make([]valRange, len(ex.Branches))
-			for j, br := range ex.Branches {
-				outs[j] = walkSteps(fmt.Sprintf("%s.explore.branch[%d].body", path, j),
-					ex.Body, br.Params, in, visit)
-			}
+			at := e.Path
 			// The choose keeps some subset of the branch results, so the
 			// explore's output lies within the hull of the branch outputs.
-			e.Out = hullAll(outs)
+			e.Out = emptyRange()
+			for j, br := range ex.Branches {
+				e.Out = hull(e.Out, walkSteps(&at, j, ex.Body, br.Params, in, visit))
+			}
 		}
 		visit(e)
 		in = e.Out

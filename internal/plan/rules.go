@@ -68,23 +68,22 @@ func rowCountMayChange(body []spec.Step) bool {
 func checkDeadChoose(e stepEvent) []Finding {
 	var out []Finding
 	ex := e.Step.Explore
-	path := e.Path + ".explore"
 	sel := ex.Choose.Selector
 	reads := spec.Selectors[sel.Kind].Reads
 	nb := len(ex.Branches)
 
 	if reads == spec.SelectK && sel.K >= nb {
-		out = append(out, Finding{Path: path, Rule: "deadchoose",
+		out = append(out, Finding{Rule: "deadchoose",
 			Msg: fmt.Sprintf("selector %s keeps all %d branches (k=%d): the choose never discards anything", sel.Kind, nb, sel.K)})
 	}
 	if reads&spec.SelectRange != 0 && sel.Lo > sel.Hi {
-		out = append(out, Finding{Path: path, Rule: "deadchoose",
+		out = append(out, Finding{Rule: "deadchoose",
 			Msg: fmt.Sprintf("selector %s has an empty range [%g, %g]: no branch can ever be selected", sel.Kind, sel.Lo, sel.Hi)})
 	}
 
 	ev := spec.Evaluators[ex.Choose.Evaluator]
 	if ev.RowCount && !rowCountMayChange(ex.Body) {
-		out = append(out, Finding{Path: path, Rule: "deadchoose",
+		out = append(out, Finding{Rule: "deadchoose",
 			Msg: fmt.Sprintf("evaluator %q scores every branch identically: no step in the body changes the row count", ex.Choose.Evaluator)})
 	}
 
@@ -105,10 +104,23 @@ func checkDeadChoose(e stepEvent) []Finding {
 			}
 		}
 		if impossible != "" {
-			out = append(out, Finding{Path: path, Rule: "deadchoose",
+			out = append(out, Finding{Rule: "deadchoose",
 				Msg: fmt.Sprintf("selector %s %s but evaluator %q scores lie in [%g, %g]: no branch can ever be selected",
 					sel.Kind, impossible, ex.Choose.Evaluator, lo, hi)})
 		}
+	}
+	return atPath(out, e.Path, ".explore")
+}
+
+// atPath anchors the findings a rule built for one step at the step's path
+// followed by suffix, formatted once and only when there is a finding.
+func atPath(out []Finding, p stepPath, suffix string) []Finding {
+	if len(out) == 0 {
+		return out
+	}
+	path := p.format(suffix)
+	for i := range out {
+		out[i].Path = path
 	}
 	return out
 }
@@ -122,47 +134,44 @@ func checkDeadChoose(e stepEvent) []Finding {
 func checkDegenIterate(e stepEvent) []Finding {
 	var out []Finding
 	it := e.Step.Iterate
-	path := e.Path + ".iterate"
 	if it.Rounds == 1 {
-		out = append(out, Finding{Path: path, Rule: "degeniterate",
+		out = append(out, Finding{Rule: "degeniterate",
 			Msg: fmt.Sprintf("iterate %q runs a single round: use a plain op step", it.Name)})
 	}
 	if it.Rounds > maxIterateRounds {
-		out = append(out, Finding{Path: path, Rule: "degeniterate",
+		out = append(out, Finding{Rule: "degeniterate",
 			Msg: fmt.Sprintf("iterate %q unrolls %d rounds, above the maximum %d", it.Name, it.Rounds, maxIterateRounds)})
 	}
 	if it.Rounds > 1 {
 		op := spec.Resolve(it.Op, e.Params)
 		switch {
 		case spec.Ops[op.Fn].Idempotent:
-			out = append(out, Finding{Path: path, Rule: "degeniterate",
+			out = append(out, Finding{Rule: "degeniterate",
 				Msg: fmt.Sprintf("iterating idempotent op %q for %d rounds computes the same result as one round", op.Fn, it.Rounds)})
 		case op.Fn == "affine" && op.A == 1 && op.B == 0:
-			out = append(out, Finding{Path: path, Rule: "degeniterate",
+			out = append(out, Finding{Rule: "degeniterate",
 				Msg: fmt.Sprintf("iterating affine(1·x+0) for %d rounds is the identity", it.Rounds)})
 		}
 	}
 	if it.DivergeAboveMeanAbs > 0 && e.IterStable && !e.Out.empty && !e.In.empty {
 		if _, absHi := e.Out.abs(); absHi <= it.DivergeAboveMeanAbs {
-			out = append(out, Finding{Path: path, Rule: "degeniterate",
+			out = append(out, Finding{Rule: "degeniterate",
 				Msg: fmt.Sprintf("divergence threshold %g can never fire: iterated values stay within %s (mean |x| <= %g)",
 					it.DivergeAboveMeanAbs, e.Out, absHi)})
 		}
 	}
-	return out
+	return atPath(out, e.Path, ".iterate")
 }
 
 // checkEmptyFilter reports the filter whose event e carries ProvedEmpty —
 // the first along its chain that provably drops every row, by the interval
 // abstract interpretation: everything downstream of it computes on nothing.
 func checkEmptyFilter(e stepEvent) Finding {
-	path := e.Path
-	op := e.Step.Op
+	op, suffix := e.Step.Op, ""
 	if it := e.Step.Iterate; it != nil {
-		op = &it.Op
-		path += ".iterate"
+		op, suffix = &it.Op, ".iterate"
 	}
-	return Finding{Path: path, Rule: "emptyfilter",
+	return Finding{Path: e.Path.format(suffix), Rule: "emptyfilter",
 		Msg: fmt.Sprintf("filter %q (%s %g) statically drops every row: input values lie in %s",
 			op.Name, op.Fn, spec.Resolve(*op, e.Params).Limit, e.In)}
 }
