@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // This file computes stable FNV-1a content hashes over a spec's semantic
@@ -110,16 +111,98 @@ func (s *Spec) HashReport() *HashReport {
 // HashNormalized is HashReport for a caller that already holds
 // n = s.Normalized() — the plan verifier reads the same structure — and so
 // normalises once instead of twice. n must be the output of Normalized.
+//
+// The report is allocated at its final size: its three slices, and one
+// string holding every path, of which each ChainHash.Path and
+// BranchHash.ExplorePath is a substring.
 func HashNormalized(n *Spec) *HashReport {
-	r := &HashReport{}
+	var size reportSize
+	size.add(n.Pipeline, len("pipeline"), -1)
+	r := &HashReport{
+		Chains:   make([]ChainHash, 0, 1+size.chains),
+		OpChains: make([]Hash, 0, 1+size.opChains),
+	}
+	if size.branches > 0 {
+		r.Branches = make([]BranchHash, 0, size.branches)
+	}
+	paths := &pathWriter{}
+	paths.b.Grow(size.pathBytes)
 	w := newHasher(0)
-	hashSource(w, n.Source)
+	hashSource(&w, n.Source)
 	src := w.sum()
 	r.Chains = append(r.Chains, ChainHash{Path: "source", Hash: src})
 	r.OpChains = append(r.OpChains, src)
-	hashSteps(w, n.Pipeline, nil, "pipeline", r)
-	r.Spec = w.sum()
+	r.Spec = hashSteps(w, n.Pipeline, nil, paths, "pipeline", -1, r)
 	return r
+}
+
+// reportSize counts what a hash report holds, walking the steps as
+// hashSteps does: its chains after "source", its branches, its operator
+// chains after the source's, and the bytes of all its paths.
+type reportSize struct {
+	chains, branches, opChains, pathBytes int
+}
+
+// add counts the steps at head (see pathWriter.step), head being headLen
+// bytes long.
+func (z *reportSize) add(steps []Step, headLen, branch int) {
+	for i, st := range steps {
+		n := headLen + len("[]") + decimalLen(i)
+		if branch >= 0 {
+			n += len(".branch[].body") + decimalLen(branch)
+		}
+		z.chains++
+		switch {
+		case st.Op != nil:
+			z.opChains++
+		case st.Iterate != nil:
+			z.opChains += max(st.Iterate.Rounds, 0)
+		case st.Explore != nil:
+			n += len(".explore")
+			z.opChains += 2
+			for j := range st.Explore.Branches {
+				z.branches++
+				z.add(st.Explore.Body, n, j)
+			}
+		}
+		z.pathBytes += n
+	}
+}
+
+// decimalLen is the number of decimal digits of v >= 0.
+func decimalLen(v int) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// pathWriter writes the paths of one hash report into one string, sized by
+// reportSize before it is filled, and hands out each path as a substring.
+type pathWriter struct {
+	b   strings.Builder
+	num [20]byte
+}
+
+// step writes the path of step i at head followed by suffix: head[i] in the
+// pipeline (branch < 0, head "pipeline"), head.branch[branch].body[i] in the
+// body of an explore (head its explore path, "pipeline[1].explore").
+func (p *pathWriter) step(head string, branch, i int, suffix string) string {
+	start := p.b.Len()
+	p.b.WriteString(head)
+	if branch >= 0 {
+		p.b.WriteString(".branch[")
+		p.b.Write(strconv.AppendInt(p.num[:0], int64(branch), 10))
+		p.b.WriteString("].body")
+	}
+	p.b.WriteByte('[')
+	p.b.Write(strconv.AppendInt(p.num[:0], int64(i), 10))
+	p.b.WriteByte(']')
+	p.b.WriteString(suffix)
+	// What the builder holds is never written again, so the substring stays
+	// as it is while later paths are appended.
+	return p.b.String()[start:]
 }
 
 // fnv64 is an inline FNV-1a state. Unlike hash/fnv's hash.Hash64 it is a
@@ -149,8 +232,8 @@ type hasher struct {
 	sum64 fnv64
 }
 
-func newHasher(seed Hash) *hasher {
-	w := &hasher{sum64: fnvOffset64}
+func newHasher(seed Hash) hasher {
+	w := hasher{sum64: fnvOffset64}
 	if seed != 0 {
 		w.u64(uint64(seed))
 	}
@@ -192,14 +275,22 @@ func hashSource(w *hasher, src Source) {
 }
 
 // hashSteps folds a normalized step sequence into w, resolving operator
-// parameters against params, and records every chain prefix and branch
-// sub-graph hash into r.
-func hashSteps(w *hasher, steps []Step, params map[string]float64, path string, r *HashReport) {
+// parameters against params, records every chain prefix and branch
+// sub-graph hash into r and returns the sum. The steps are at head, branch
+// as for pathWriter.step. w is a copy, so that the hasher of every branch
+// stays on the stack.
+func hashSteps(w hasher, steps []Step, params map[string]float64, paths *pathWriter, head string, branch int, r *HashReport) Hash {
 	for i, st := range steps {
-		stepPath := fmt.Sprintf("%s[%d]", path, i)
+		var stepPath, explorePath string
+		if st.Explore != nil {
+			explorePath = paths.step(head, branch, i, ".explore")
+			stepPath = explorePath[:len(explorePath)-len(".explore")]
+		} else {
+			stepPath = paths.step(head, branch, i, "")
+		}
 		switch {
 		case st.Op != nil:
-			hashOp(w, *st.Op, params)
+			hashOp(&w, *st.Op, params)
 			r.OpChains = append(r.OpChains, w.sum())
 		case st.Iterate != nil:
 			it := st.Iterate
@@ -219,7 +310,7 @@ func hashSteps(w *hasher, steps []Step, params map[string]float64, path string, 
 			w.str("iterate")
 			w.i64(int64(it.Rounds))
 			w.f64(it.DivergeAboveMeanAbs)
-			hashOp(w, it.Op, params)
+			hashOp(&w, it.Op, params)
 		case st.Explore != nil:
 			e := st.Explore
 			prefix := w.sum()
@@ -228,11 +319,8 @@ func hashSteps(w *hasher, steps []Step, params map[string]float64, path string, 
 			r.OpChains = append(r.OpChains, prefix)
 			w.str("explore")
 			w.i64(int64(len(e.Branches)))
-			explorePath := stepPath + ".explore"
 			for j, br := range e.Branches {
-				bw := newHasher(prefix)
-				hashSteps(bw, e.Body, br.Params, fmt.Sprintf("%s.branch[%d].body", explorePath, j), r)
-				bh := bw.sum()
+				bh := hashSteps(newHasher(prefix), e.Body, br.Params, paths, explorePath, j, r)
 				r.Branches = append(r.Branches, BranchHash{
 					ExplorePath: explorePath, Branch: j, Label: br.Label, Hash: bh,
 				})
@@ -241,12 +329,13 @@ func hashSteps(w *hasher, steps []Step, params map[string]float64, path string, 
 					w.f64(*br.Hint)
 				}
 			}
-			hashChoose(w, e.Choose)
+			hashChoose(&w, e.Choose)
 			// The choose operator's output is the step's result.
 			r.OpChains = append(r.OpChains, w.sum())
 		}
 		r.Chains = append(r.Chains, ChainHash{Path: stepPath, Hash: w.sum()})
 	}
+	return w.sum()
 }
 
 // hashOp folds one operator, with ParamKey indirection resolved so only
