@@ -258,9 +258,15 @@ func (w *hasher) str(s string) {
 	w.sum64.write([]byte(s))
 }
 
-func (w *hasher) f64(v float64)  { w.u64(math.Float64bits(v)) }
-func (w *hasher) i64(v int64)    { w.u64(uint64(v)) }
-func (w *hasher) boolean(v bool) { w.u64(map[bool]uint64{false: 0, true: 1}[v]) }
+func (w *hasher) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (w *hasher) i64(v int64)   { w.u64(uint64(v)) }
+func (w *hasher) boolean(v bool) {
+	if v {
+		w.u64(1)
+	} else {
+		w.u64(0)
+	}
+}
 
 func hashSource(w *hasher, src Source) {
 	w.str("source")
