@@ -46,24 +46,31 @@ func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformF
 		if err != nil {
 			return nil, err
 		}
-		mapped := make(dataset.Col[U], in.NumRows())
-		ends := make([]int, len(in.Parts))
-		n := 0
-		for i, p := range in.Parts {
-			vals := dataset.Values[T](p)
-			dst := mapped[n : n+len(vals)]
-			for j, v := range vals {
-				dst[j] = f(v)
-			}
-			n += len(vals)
-			ends[i] = n
-		}
-		out := dataset.Cut(name, mapped, ends)
-		for i, p := range in.Parts {
-			out.Parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * sizeScale)
-		}
-		return out, nil
+		return MapDataset(name, in, sizeScale, f), nil
 	}
+}
+
+// MapDataset is Map's kernel, for an operator that maps its input through a
+// function it only knows once it has read the input: it returns the dataset
+// Map(name, sizeScale, f) would return for in.
+func MapDataset[T, U any](name string, in *dataset.Dataset, sizeScale float64, f func(T) U) *dataset.Dataset {
+	mapped := make(dataset.Col[U], in.NumRows())
+	ends := make([]int, len(in.Parts))
+	n := 0
+	for i, p := range in.Parts {
+		vals := dataset.Values[T](p)
+		dst := mapped[n : n+len(vals)]
+		for j, v := range vals {
+			dst[j] = f(v)
+		}
+		n += len(vals)
+		ends[i] = n
+	}
+	out := dataset.Cut(name, mapped, ends)
+	for i, p := range in.Parts {
+		out.Parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * sizeScale)
+	}
+	return out
 }
 
 // Filter returns a transform keeping the rows for which pred holds, scaling

@@ -108,7 +108,7 @@ func wholeMap(name string, fit func(xs []float64) func(float64) float64) graph.T
 		if len(xs) == 0 {
 			return in, nil
 		}
-		return mdf.Map(name, 1.0, fit(xs))(ins)
+		return mdf.MapDataset(name, in, 1.0, fit(xs)), nil
 	}
 }
 
