@@ -13,19 +13,22 @@ import (
 // coin flip). The hash already resolves ParamKey indirection and ignores
 // labels, so differently-spelled duplicates collide too.
 func checkDupBranch(report *spec.HashReport) []Finding {
+	if len(report.Branches) == 0 {
+		return nil
+	}
 	var out []Finding
+	type sub struct {
+		explore string
+		hash    spec.Hash
+	}
 	type firstSeen struct {
 		branch int
 		label  string
 	}
-	perExplore := make(map[string]map[spec.Hash]firstSeen)
+	seen := make(map[sub]firstSeen, len(report.Branches))
 	for _, bh := range report.Branches { // document order
-		seen := perExplore[bh.ExplorePath]
-		if seen == nil {
-			seen = make(map[spec.Hash]firstSeen)
-			perExplore[bh.ExplorePath] = seen
-		}
-		if prev, dup := seen[bh.Hash]; dup {
+		key := sub{bh.ExplorePath, bh.Hash}
+		if prev, dup := seen[key]; dup {
 			out = append(out, Finding{
 				Path: fmt.Sprintf("%s.branch[%d]", bh.ExplorePath, bh.Branch),
 				Rule: "dupbranch",
@@ -34,7 +37,7 @@ func checkDupBranch(report *spec.HashReport) []Finding {
 			})
 			continue
 		}
-		seen[bh.Hash] = firstSeen{branch: bh.Branch, label: bh.Label}
+		seen[key] = firstSeen{branch: bh.Branch, label: bh.Label}
 	}
 	return out
 }
