@@ -13,8 +13,9 @@
 // or a workload's own struct-of-arrays type) that all partitions of its
 // dataset share, so operators read and write it without an interface value
 // per row. Boxed rows are one more column type, Col[Row]. A partition's Rows
-// stay nil until (*Dataset).Box fills them once, at the job output, for
-// consumers that know nothing of the column types.
+// stay nil until (*Dataset).Box fills them, at a job's output and only when
+// its caller asks for the result, for consumers that know nothing of the
+// column types.
 package dataset
 
 import (
@@ -254,9 +255,9 @@ func cutFrom[T any](parts []*Partition) (Col[T], bool) {
 // Box fills the boxed view (Rows) of every partition, so that a consumer
 // that knows nothing of the column types can read the result; a window on a
 // Col[Row] is its own view. It is idempotent. Box writes the partitions, so
-// only their owner may call it: the engine does, once, on the output of a
-// finished job, whose partitions no other job can reach (sources emit fresh
-// partitions, see Alias).
+// only their owner may call it: the engine's Run.Result does, on the output
+// of a finished job, whose partitions no other job can reach (sources emit
+// fresh partitions, see Alias) and no goroutine of the run still computes.
 func (d *Dataset) Box() {
 	for _, p := range d.Parts {
 		p.Rows = p.BoxedRows()

@@ -636,6 +636,8 @@ func Execute(g *graph.Graph, opts Options) (*Result, error) {
 	return run.RunToCompletion()
 }
 
+// finish ends a run whose stages have all settled: it joins the goroutines
+// computing ahead and takes the output from the sink stages, unboxed.
 func (r *Run) finish() {
 	r.done = true
 	r.joinAhead()
@@ -658,7 +660,7 @@ func (r *Run) finish() {
 		r.output = dataset.Concat("output", outs...)
 	}
 	// The rows stay unboxed: Result boxes them for the callers that read
-	// them, and a service job never does.
+	// them, and a service job never calls it.
 }
 
 // settled releases the successors of a stage that has just been executed

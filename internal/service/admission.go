@@ -20,8 +20,11 @@ import (
 // normalised spec every rule read, the graph its compile rule built from it
 // and the hash report its dupbranch rule read, so a new document is parsed,
 // normalised, hashed, compiled and planned once each, and a repeated one is
-// compiled from the normalised spec the memo keeps. A job recovered from the journal goes through the same two functions
-// when it is requeued (recovery.go).
+// compiled from the normalised spec the memo keeps. The vet formats the
+// paths of the hash report into one string per report and a step path of
+// its own walk only for a finding it reports. A job recovered from the
+// journal goes through the same two functions when it is requeued
+// (recovery.go).
 
 // vetted is everything admission learns from a spec document that does not
 // depend on who submitted it or when. It is immutable once built and shared
