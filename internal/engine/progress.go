@@ -84,8 +84,8 @@ type branchRun struct {
 }
 
 // branchTelemetry is what a probed run keeps per branch: the names of its
-// four series ("<series>.s<scope>.b<branch>"), cut from the run's two name
-// blocks (nameBranchSeries), and its lifetime interval once ivOpen.
+// four series ("<series>.s<scope>.b<branch>"), substrings of the run's two
+// name blocks (nameBranchSeries), and its lifetime interval once ivOpen.
 type branchTelemetry struct {
 	latency, progress, score, active string
 	iv                               obs.SpanID
@@ -163,64 +163,36 @@ func (r *Run) indexBranches() {
 // it drops. Every name is a substring of its block, so a probe that keeps
 // the names of one block keeps no more bytes than the names themselves.
 func (r *Run) nameBranchSeries(tele []branchTelemetry) {
-	suffixes := 0
-	for i := range r.branches {
-		suffixes += suffixLen(&r.branches[i])
-	}
-	kept := blockCutter{s: r.seriesBlock(seriesProgress, seriesScore, suffixes)}
-	dropped := blockCutter{s: r.seriesBlock(seriesLatency, seriesActive, suffixes)}
-	for i := range tele {
-		n := suffixLen(&r.branches[i])
-		tele[i].progress = kept.cut(len(seriesProgress) + n)
-		tele[i].score = kept.cut(len(seriesScore) + n)
-		tele[i].latency = dropped.cut(len(seriesLatency) + n)
-		tele[i].active = dropped.cut(len(seriesActive) + n)
-	}
-}
-
-// seriesBlock writes the names of two series of every branch, branch by
-// branch, into one string of len(branches)·(len(first)+len(second)) +
-// 2·suffixes bytes, suffixes being the summed suffix lengths.
-func (r *Run) seriesBlock(first, second string, suffixes int) string {
-	var b strings.Builder
-	b.Grow(len(r.branches)*(len(first)+len(second)) + 2*suffixes)
 	var num [10]byte
+	suffixes := 0 // the summed lengths of ".s<scope>.b<branch>"
 	for i := range r.branches {
 		br := &r.branches[i]
-		for _, series := range [2]string{first, second} {
-			b.WriteString(series)
-			b.WriteString(".s")
-			b.Write(strconv.AppendInt(num[:0], int64(br.scope), 10))
-			b.WriteString(".b")
-			b.Write(strconv.AppendInt(num[:0], int64(br.branch), 10))
-		}
+		suffixes += len(".s.b") + len(strconv.AppendInt(num[:0], int64(br.scope), 10)) +
+			len(strconv.AppendInt(num[:0], int64(br.branch), 10))
 	}
-	return b.String()
-}
-
-// suffixLen is the length of a branch's series suffix ".s<scope>.b<branch>".
-func suffixLen(br *branchRun) int {
-	return len(".s.b") + decimalLen(br.scope) + decimalLen(br.branch)
-}
-
-// decimalLen is the number of decimal digits of v >= 0.
-func decimalLen(v int32) int {
-	n := 1
-	for ; v >= 10; v /= 10 {
-		n++
+	var kept, dropped strings.Builder
+	kept.Grow(len(tele)*(len(seriesProgress)+len(seriesScore)) + 2*suffixes)
+	dropped.Grow(len(tele)*(len(seriesLatency)+len(seriesActive)) + 2*suffixes)
+	for i := range tele {
+		br := &r.branches[i]
+		tele[i].progress = seriesName(&kept, seriesProgress, br)
+		tele[i].score = seriesName(&kept, seriesScore, br)
+		tele[i].latency = seriesName(&dropped, seriesLatency, br)
+		tele[i].active = seriesName(&dropped, seriesActive, br)
 	}
-	return n
 }
 
-// blockCutter hands out consecutive substrings of s.
-type blockCutter struct {
-	s   string
-	off int
-}
-
-func (c *blockCutter) cut(n int) string {
-	c.off += n
-	return c.s[c.off-n : c.off]
+// seriesName writes the branch's name of series to b and returns it as a
+// substring of b's string, which stays as it is: b is only appended to.
+func seriesName(b *strings.Builder, series string, br *branchRun) string {
+	start := b.Len()
+	var num [10]byte
+	b.WriteString(series)
+	b.WriteString(".s")
+	b.Write(strconv.AppendInt(num[:0], int64(br.scope), 10))
+	b.WriteString(".b")
+	b.Write(strconv.AppendInt(num[:0], int64(br.branch), 10))
+	return b.String()[start:]
 }
 
 // countSettled books a stage that has just been executed or skipped on every
