@@ -83,8 +83,6 @@ func (p stepPath) format(suffix string) string {
 	return string(append(p.appendTo(nil), suffix...))
 }
 
-func (p stepPath) String() string { return p.format("") }
-
 func (p stepPath) appendTo(b []byte) []byte {
 	if p.explore == nil {
 		b = append(b, "pipeline"...)

@@ -170,7 +170,7 @@ func TestStepPathsMatchFormat(t *testing.T) {
 		}
 
 		var walked []string
-		walkPipeline(n, func(e stepEvent) { walked = append(walked, e.Path.String()) })
+		walkPipeline(n, func(e stepEvent) { walked = append(walked, e.Path.format("")) })
 		if !reflect.DeepEqual(walked, ref.steps) && (len(walked) != 0 || len(ref.steps) != 0) {
 			t.Errorf("%s: walk paths\n%q\nwant\n%q", name, walked, ref.steps)
 		}

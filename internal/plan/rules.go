@@ -13,9 +13,6 @@ import (
 // coin flip). The hash already resolves ParamKey indirection and ignores
 // labels, so differently-spelled duplicates collide too.
 func checkDupBranch(report *spec.HashReport) []Finding {
-	if len(report.Branches) == 0 {
-		return nil
-	}
 	var out []Finding
 	type sub struct {
 		explore string
