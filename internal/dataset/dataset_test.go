@@ -459,3 +459,64 @@ func BenchmarkFlatten(b *testing.B) {
 		})
 	}
 }
+
+// partState is what the holder of a dataset can change of one partition.
+type partState struct {
+	lo, hi int
+	vb     int64
+	boxed  bool
+}
+
+func partStates(d *Dataset) []partState {
+	out := make([]partState, len(d.Parts))
+	for i := range d.Parts {
+		p := d.Parts[i]
+		out[i] = partState{lo: p.Lo, hi: p.Hi, vb: p.VirtualBytes, boxed: p.Rows != nil}
+	}
+	return out
+}
+
+// Every dataset owns its partitions: what its holder does to them — sizing
+// them, boxing them — reaches no other dataset, though the datasets share
+// their payload.
+func TestPartitionsAreOwned(t *testing.T) {
+	vals := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	fresh := func() *Dataset { return FromSlice("d", vals, 3, 8) }
+	cases := []struct {
+		name string
+		pair func() (mine, other *Dataset)
+	}{
+		{"Alias", func() (*Dataset, *Dataset) { d := fresh(); return d.Alias("a"), d }},
+		{"the origin of an Alias", func() (*Dataset, *Dataset) { d := fresh(); return d, d.Alias("a") }},
+		{"a sibling Alias", func() (*Dataset, *Dataset) { d := fresh(); return d.Alias("a"), d.Alias("b") }},
+		{"FromSlice over the slice of another", func() (*Dataset, *Dataset) { return fresh(), fresh() }},
+	}
+	for _, tc := range cases {
+		mine, other := tc.pair()
+		before := partStates(other)
+		flat := append([]float64(nil), Flatten[float64](other)...)
+		wasView := isView(Flatten[float64](other), vals)
+		mine.SetVirtualBytes(12345)
+		mine.Box()
+		if mine.VirtualBytes() != 12345 {
+			t.Fatalf("%s: SetVirtualBytes did not size the dataset it was called on", tc.name)
+		}
+		after := partStates(other)
+		for i := range before {
+			if after[i] != before[i] {
+				t.Errorf("%s: partition %d of the other dataset went from %+v to %+v", tc.name, i, before[i], after[i])
+			}
+		}
+		got := Flatten[float64](other)
+		if len(got) != len(flat) || isView(got, vals) != wasView {
+			t.Errorf("%s: the other dataset's Flatten changed shape", tc.name)
+			continue
+		}
+		for i := range flat {
+			if got[i] != flat[i] {
+				t.Errorf("%s: the other dataset's Flatten = %v, want %v", tc.name, got, flat)
+				break
+			}
+		}
+	}
+}
