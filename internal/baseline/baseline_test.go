@@ -166,8 +166,9 @@ func TestScoreOperatorAliasesItsInput(t *testing.T) {
 		if out == in || out.ID == in.ID || out.NumPartitions() != in.NumPartitions() {
 			t.Fatalf("%s: output %v is not a fresh dataset over %v", op.Name, out, in)
 		}
-		for i, p := range out.Parts {
-			if p == in.Parts[i] {
+		for i := range out.Parts {
+			p := &out.Parts[i]
+			if p == &in.Parts[i] {
 				t.Errorf("%s: output partition %d is the input's", op.Name, i)
 			}
 			if p.Col == nil || p.Col.Len() != 10 || p.Lo != in.Parts[i].Lo || p.Hi != in.Parts[i].Hi {

@@ -228,9 +228,9 @@ func checksumOutput(d *dataset.Dataset) []uint64 {
 		return nil
 	}
 	out := make([]uint64, len(d.Parts))
-	for i, p := range d.Parts {
+	for i := range d.Parts {
 		h := fnv.New64a()
-		for _, r := range p.BoxedRows() {
+		for _, r := range d.Parts[i].BoxedRows() {
 			fmt.Fprintf(h, "%v\x1f", r)
 		}
 		out[i] = h.Sum64()

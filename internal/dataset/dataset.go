@@ -9,17 +9,21 @@
 // when charging I/O time and memory occupancy; it lets benchmarks process
 // "gigabytes" per worker without holding gigabytes in RAM.
 //
-// The payload of a partition is a window [Lo, Hi) on a typed Column (Col[T],
-// or a workload's own struct-of-arrays type) that all partitions of its
-// dataset share, so operators read and write it without an interface value
-// per row. Boxed rows are one more column type, Col[Row]. A partition's Rows
-// stay nil until (*Dataset).Box fills them, at a job's output and only when
-// its caller asks for the result, for consumers that know nothing of the
-// column types.
+// The payload of a partition is a window [Lo, Hi) on a typed Column (a
+// *Col[T], or a workload's own struct-of-arrays type) that all partitions of
+// its dataset share, so operators read and write it without an interface
+// value per row. Boxed rows are one more column type, Col[Row]. Partitions
+// are values in one block per dataset, which the dataset owns: no other
+// dataset reaches them. Over allocates a dataset together with its column's
+// header, so a dataset over one column costs two allocations besides its
+// payload: that and its partition block. A partition's Rows stay nil until
+// (*Dataset).Box fills them, at a job's output and only when its caller asks
+// for the result, for consumers that know nothing of the column types.
 package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -38,8 +42,8 @@ func NewID() ID { return ID(nextID.Add(1)) }
 
 // Column is the typed payload of a dataset: one per dataset, of which each
 // partition is a window. Columns are immutable once a partition
-// holds them: datasets derived from one another (Alias, a choose
-// concatenation) share them, and Values and Flatten hand them out.
+// holds them: datasets derived from one another (Alias, Concat) share them,
+// and Values and Flatten hand them out.
 type Column interface {
 	// Len returns the number of rows.
 	Len() int
@@ -48,15 +52,16 @@ type Column interface {
 	AppendRows(dst []Row, lo, hi int) []Row
 }
 
-// Col is the Column of a plain slice of T.
+// Col is a plain slice of T; *Col[T] is its Column, which Over points at
+// the header it allocates with the dataset.
 type Col[T any] []T
 
 // Len implements Column.
-func (c Col[T]) Len() int { return len(c) }
+func (c *Col[T]) Len() int { return len(*c) }
 
 // AppendRows implements Column.
-func (c Col[T]) AppendRows(dst []Row, lo, hi int) []Row {
-	for _, v := range c[lo:hi] {
+func (c *Col[T]) AppendRows(dst []Row, lo, hi int) []Row {
+	for _, v := range (*c)[lo:hi] {
 		dst = append(dst, v)
 	}
 	return dst
@@ -83,8 +88,8 @@ func (p *Partition) NumRows() int { return p.Hi - p.Lo }
 // the result: it is the window itself on a Col[Row], Rows where Box filled
 // them, and otherwise a fresh slice, stored nowhere.
 func (p *Partition) BoxedRows() []Row {
-	if rows, ok := p.Col.(Col[Row]); ok {
-		return rows[p.Lo:p.Hi:p.Hi]
+	if rows, ok := p.Col.(*Col[Row]); ok {
+		return (*rows)[p.Lo:p.Hi:p.Hi]
 	}
 	if p.Rows != nil || p.Col == nil {
 		return p.Rows
@@ -98,8 +103,8 @@ func (p *Partition) BoxedRows() []Row {
 // is Row). It panics, as a failed type assertion on a Row does, when the
 // rows are not of type T.
 func Values[T any](p *Partition) []T {
-	if c, ok := p.Col.(Col[T]); ok {
-		return c[p.Lo:p.Hi:p.Hi]
+	if c, ok := p.Col.(*Col[T]); ok {
+		return (*c)[p.Lo:p.Hi:p.Hi]
 	}
 	rows := p.BoxedRows()
 	if vals, ok := any(rows).([]T); ok {
@@ -112,11 +117,12 @@ func Values[T any](p *Partition) []T {
 	return vals
 }
 
-// Dataset is a named, partitioned collection of rows.
+// Dataset is a named, partitioned collection of rows. Its partitions are
+// its own: range over them by index (p := &d.Parts[i]) to write one.
 type Dataset struct {
 	ID    ID
 	Name  string
-	Parts []*Partition
+	Parts []Partition
 }
 
 // New creates an empty dataset with a fresh ID.
@@ -125,55 +131,52 @@ func New(name string) *Dataset {
 }
 
 // FromPartitions creates a dataset with a fresh ID over the partitions the
-// caller made, in order. The dataset takes the slice over: Parts points into
-// it, one block for all the partitions of the dataset, which therefore stays
-// reachable — the payloads of every partition with it — for as long as any
-// one of them is.
+// caller made, in order. The dataset takes the slice over as its one block
+// of partitions, which allocates nothing but the dataset.
 func FromPartitions(name string, parts []Partition) *Dataset {
-	d := New(name)
-	d.Parts = make([]*Partition, len(parts))
-	for i := range parts {
-		d.Parts[i] = &parts[i]
-	}
-	return d
+	return &Dataset{ID: NewID(), Name: name, Parts: parts}
 }
 
-// FromColumn builds a dataset by splitting the column, without copying it,
-// into parts windows of near-equal length. The virtual size is bytesPerRow ×
-// row count, spread proportionally over the partitions. parts must be >= 1.
-func FromColumn(name string, c Column, parts int, bytesPerRow int64) *Dataset {
+// Over is FromPartitions for partitions that are windows on one column: it
+// points every partition's Col at col, which it allocates together with the
+// dataset, so that the column's header costs neither an allocation of its
+// own nor an interface box. col's type C is a Col[T] or a workload's column
+// struct, whose pointer is the Column. The header keeps the dataset, and its
+// partition block, reachable for as long as any window on it is.
+func Over[C any, P interface {
+	*C
+	Column
+}](name string, col C, parts []Partition) *Dataset {
+	h := &struct {
+		Dataset
+		col C
+	}{Dataset{ID: NewID(), Name: name, Parts: parts}, col}
+	for i := range parts {
+		parts[i].Col = P(&h.col)
+	}
+	return &h.Dataset
+}
+
+// Windows returns the partitions, for Over, of n rows split into parts
+// windows of near-equal length. Each accounts bytesPerRow per row. parts
+// must be >= 1.
+func Windows(n, parts int, bytesPerRow int64) []Partition {
 	if parts < 1 {
 		panic("dataset: parts must be >= 1")
 	}
 	block := make([]Partition, parts)
-	n := c.Len()
 	for i := range block {
 		lo := i * n / parts
 		hi := (i + 1) * n / parts
-		block[i] = Partition{Col: c, Lo: lo, Hi: hi, VirtualBytes: int64(hi-lo) * bytesPerRow}
+		block[i] = Partition{Lo: lo, Hi: hi, VirtualBytes: int64(hi-lo) * bytesPerRow}
 	}
-	return FromPartitions(name, block)
+	return block
 }
 
-// Cut builds a dataset by splitting the column, without copying it, at the
-// given row offsets: partition i holds rows [ends[i-1], ends[i]), the first
-// one starting at row 0 and the last one ending at the column's length. The
-// partitions account zero bytes until the caller sizes them. It is
-// FromColumn for an operator whose output partitioning follows its input's
-// rather than an even split.
-func Cut(name string, c Column, ends []int) *Dataset {
-	block := make([]Partition, len(ends))
-	lo := 0
-	for i, hi := range ends {
-		block[i] = Partition{Col: c, Lo: lo, Hi: hi}
-		lo = hi
-	}
-	return FromPartitions(name, block)
-}
-
-// FromSlice is FromColumn over a plain slice.
+// FromSlice builds a dataset over the slice, without copying it, in parts
+// windows of near-equal length (Windows). parts must be >= 1.
 func FromSlice[T any](name string, vals []T, parts int, bytesPerRow int64) *Dataset {
-	return FromColumn(name, Col[T](vals), parts, bytesPerRow)
+	return Over(name, Col[T](vals), Windows(len(vals), parts, bytesPerRow))
 }
 
 // FromRows is FromSlice at T = Row.
@@ -187,8 +190,8 @@ func (d *Dataset) NumPartitions() int { return len(d.Parts) }
 // NumRows returns the total number of rows across partitions.
 func (d *Dataset) NumRows() int {
 	n := 0
-	for _, p := range d.Parts {
-		n += p.NumRows()
+	for i := range d.Parts {
+		n += d.Parts[i].NumRows()
 	}
 	return n
 }
@@ -196,8 +199,8 @@ func (d *Dataset) NumRows() int {
 // VirtualBytes returns the total accounted size of the dataset.
 func (d *Dataset) VirtualBytes() int64 {
 	var b int64
-	for _, p := range d.Parts {
-		b += p.VirtualBytes
+	for i := range d.Parts {
+		b += d.Parts[i].VirtualBytes
 	}
 	return b
 }
@@ -206,8 +209,8 @@ func (d *Dataset) VirtualBytes() int64 {
 // returned slice is freshly allocated.
 func (d *Dataset) Rows() []Row {
 	out := make([]Row, 0, d.NumRows())
-	for _, p := range d.Parts {
-		if p.Col != nil {
+	for i := range d.Parts {
+		if p := &d.Parts[i]; p.Col != nil {
 			out = p.Col.AppendRows(out, p.Lo, p.Hi)
 		}
 	}
@@ -218,16 +221,16 @@ func (d *Dataset) Rows() []Row {
 // must not modify; see Values for the row types it accepts. The result is a
 // view, with its capacity clipped, of the partitions' column when that is a
 // Col[T] and the partitions are its consecutive windows from its first row
-// to its last: what FromColumn, FromSlice, Cut, Alias and the mdf Map and
-// Filter make. Otherwise — a Concat of several datasets, a replaced
-// partition, a column of another type — it is a fresh slice.
+// to its last: what FromSlice, Over with consecutive windows, Alias and the
+// mdf Map and Filter make. Otherwise — a Concat of several datasets, a
+// replaced partition, a column of another type — it is a fresh slice.
 func Flatten[T any](d *Dataset) []T {
 	if c, ok := cutFrom[T](d.Parts); ok {
 		return c[:len(c):len(c)]
 	}
 	out := make([]T, 0, d.NumRows())
-	for _, p := range d.Parts {
-		out = append(out, Values[T](p)...)
+	for i := range d.Parts {
+		out = append(out, Values[T](&d.Parts[i])...)
 	}
 	return out
 }
@@ -236,15 +239,20 @@ func Flatten[T any](d *Dataset) []T {
 // windows of that cover it, and whether there is one: every partition must
 // hold the first one's column, which its length and the address of its
 // first value tell, and start where the previous one ended.
-func cutFrom[T any](parts []*Partition) (Col[T], bool) {
+func cutFrom[T any](parts []Partition) (Col[T], bool) {
 	if len(parts) == 0 {
 		return nil, false
 	}
-	c, _ := parts[0].Col.(Col[T])
+	first, ok := parts[0].Col.(*Col[T])
+	if !ok {
+		return nil, false
+	}
+	c := *first
 	off := 0
-	for _, p := range parts {
-		pc, ok := p.Col.(Col[T])
-		if !ok || len(pc) != len(c) || (len(c) > 0 && &pc[0] != &c[0]) || p.Lo != off || p.Hi < off {
+	for i := range parts {
+		p := &parts[i]
+		pc, ok := p.Col.(*Col[T])
+		if !ok || len(*pc) != len(c) || (len(c) > 0 && &(*pc)[0] != &c[0]) || p.Lo != off || p.Hi < off {
 			return nil, false
 		}
 		off = p.Hi
@@ -254,25 +262,22 @@ func cutFrom[T any](parts []*Partition) (Col[T], bool) {
 
 // Box fills the boxed view (Rows) of every partition, so that a consumer
 // that knows nothing of the column types can read the result; a window on a
-// Col[Row] is its own view. It is idempotent. Box writes the partitions, so
-// only their owner may call it: the engine's Run.Result does, on the output
-// of a finished job, whose partitions no other job can reach (sources emit
-// fresh partitions, see Alias) and no goroutine of the run still computes.
+// Col[Row] is its own view. It is idempotent. Box writes the dataset's own
+// partitions, which no other dataset reaches, so only the dataset's holder
+// may call it: the engine's Run.Result does, on the output of a finished
+// job, which no goroutine of the run still computes.
 func (d *Dataset) Box() {
-	for _, p := range d.Parts {
+	for i := range d.Parts {
+		p := &d.Parts[i]
 		p.Rows = p.BoxedRows()
 	}
 }
 
-// Alias returns a dataset with a fresh ID and fresh partitions that share
-// d's payload. What the holder of one does to its partitions (accounted
-// sizes, Box) does not reach the other.
+// Alias returns a dataset with a fresh ID and a copy of d's partitions,
+// which share d's payload: two allocations. What the holder of one does to
+// its partitions (accounted sizes, Box) does not reach the other.
 func (d *Dataset) Alias(name string) *Dataset {
-	block := make([]Partition, len(d.Parts))
-	for i, p := range d.Parts {
-		block[i] = *p
-	}
-	return FromPartitions(name, block)
+	return FromPartitions(name, slices.Clone(d.Parts))
 }
 
 // SetVirtualBytes overrides the accounted size of the dataset, spreading
@@ -284,7 +289,8 @@ func (d *Dataset) SetVirtualBytes(total int64) {
 	}
 	per := total / int64(len(d.Parts))
 	rem := total - per*int64(len(d.Parts))
-	for i, p := range d.Parts {
+	for i := range d.Parts {
+		p := &d.Parts[i]
 		p.VirtualBytes = per
 		if int64(i) < rem {
 			p.VirtualBytes++
@@ -293,16 +299,24 @@ func (d *Dataset) SetVirtualBytes(total int64) {
 }
 
 // Concat implements ⊕: it concatenates the datasets into a new dataset,
-// preserving partitioning. Nil inputs are skipped. The result has a fresh ID.
+// preserving partitioning. Nil inputs are skipped. The result has a fresh ID
+// and a copy of its inputs' partitions, which share their payload: two
+// allocations, and what the holder of the result does to its partitions
+// reaches no input.
 func Concat(name string, ds ...*Dataset) *Dataset {
-	out := New(name)
+	n := 0
 	for _, d := range ds {
-		if d == nil {
-			continue
+		if d != nil {
+			n += len(d.Parts)
 		}
-		out.Parts = append(out.Parts, d.Parts...)
 	}
-	return out
+	parts := make([]Partition, 0, n)
+	for _, d := range ds {
+		if d != nil {
+			parts = append(parts, d.Parts...)
+		}
+	}
+	return FromPartitions(name, parts)
 }
 
 // String implements fmt.Stringer.

@@ -13,6 +13,24 @@ func intRows(n int) []Row {
 	return rows
 }
 
+// cut builds a dataset over vals cut at the given row offsets: partition i
+// holds rows [ends[i-1], ends[i]), the first one starting at row 0.
+func cut[T any](name string, vals []T, ends ...int) *Dataset {
+	parts := make([]Partition, len(ends))
+	lo := 0
+	for i, hi := range ends {
+		parts[i] = Partition{Lo: lo, Hi: hi}
+		lo = hi
+	}
+	return Over(name, Col[T](vals), parts)
+}
+
+// col returns the Column of vals, a header of its own.
+func col[T any](vals []T) Column {
+	c := Col[T](vals)
+	return &c
+}
+
 func TestFromRowsPartitioning(t *testing.T) {
 	d := FromRows("t", intRows(10), 3, 8)
 	if d.NumPartitions() != 3 {
@@ -24,8 +42,9 @@ func TestFromRowsPartitioning(t *testing.T) {
 	if d.VirtualBytes() != 80 {
 		t.Fatalf("virtual bytes = %d, want 80", d.VirtualBytes())
 	}
-	for i, p := range d.Parts {
-		if _, ok := p.Col.(Col[Row]); !ok || p.Rows != nil {
+	for i := range d.Parts {
+		p := &d.Parts[i]
+		if _, ok := p.Col.(*Col[Row]); !ok || p.Rows != nil {
 			t.Fatalf("partition %d: FromRows must cut windows on a Col[Row] with no boxed view", i)
 		}
 	}
@@ -161,27 +180,27 @@ func TestSetVirtualBytesEmptyDataset(t *testing.T) {
 // overwrite the first row of partition i+1.
 func TestAppendToPartitionLeavesNeighbourIntact(t *testing.T) {
 	boxed := FromRows("t", intRows(10), 2, 1)
-	_ = append(Values[Row](boxed.Parts[0]), Row(-1))
+	_ = append(Values[Row](&boxed.Parts[0]), Row(-1))
 	boxed.Box()
 	_ = append(boxed.Parts[0].Rows, Row(-2))
-	if got := Values[Row](boxed.Parts[1])[0].(int); got != 5 {
+	if got := Values[Row](&boxed.Parts[1])[0].(int); got != 5 {
 		t.Errorf("FromRows: append to partition 0 overwrote partition 1's first row with %d", got)
 	}
 
 	vals := func() []float64 { return []float64{0, 1, 2, 3, 4, 5, 6, 7} }
 	for _, d := range []*Dataset{
 		FromSlice("FromSlice", vals(), 4, 8),
-		FromColumn("FromColumn", Col[float64](vals()), 3, 8),
-		Cut("Cut", Col[float64](vals()), []int{1, 1, 5, 8}),
-		Cut("Cut", Col[float64](vals()), []int{3, 8}).Alias("Alias of a Cut"),
+		Over("Over", Col[float64](vals()), Windows(8, 3, 8)),
+		cut("cut", vals(), 1, 1, 5, 8),
+		cut("cut", vals(), 3, 8).Alias("Alias of a cut"),
 	} {
 		for i := 0; i+1 < len(d.Parts); i++ {
-			next := d.Parts[i+1]
+			next := &d.Parts[i+1]
 			if next.NumRows() == 0 {
 				continue
 			}
 			want := Values[float64](next)[0]
-			_ = append(Values[float64](d.Parts[i]), -1)
+			_ = append(Values[float64](&d.Parts[i]), -1)
 			if got := Values[float64](next)[0]; got != want {
 				t.Errorf("%s: append to partition %d overwrote partition %d's first row %g with %g", d.Name, i, i+1, want, got)
 			}
@@ -194,7 +213,8 @@ func TestColumnarPartitionsStayUnboxedUntilBox(t *testing.T) {
 	if d.NumRows() != 5 || d.VirtualBytes() != 40 {
 		t.Fatalf("rows = %d, bytes = %d, want 5 and 40", d.NumRows(), d.VirtualBytes())
 	}
-	for i, p := range d.Parts {
+	for i := range d.Parts {
+		p := &d.Parts[i]
 		if p.Col == nil || p.Rows != nil {
 			t.Fatalf("partition %d: a typed dataset must be columnar with no boxed view", i)
 		}
@@ -222,7 +242,8 @@ func TestColumnarPartitionsStayUnboxedUntilBox(t *testing.T) {
 		t.Error("a second Box re-boxed the partition")
 	}
 	for _, o := range []*Dataset{d, b} {
-		for i, p := range o.Parts {
+		for i := range o.Parts {
+			p := &o.Parts[i]
 			if p.Rows != nil {
 				t.Errorf("boxing an alias wrote partition %d of %s", i, o.Name)
 			}
@@ -251,16 +272,16 @@ func TestValuesAcrossLayouts(t *testing.T) {
 			t.Errorf("%s: Flatten[Row] = %v", d.Name, rows)
 		}
 	}
-	p := typed.Parts[1]
-	col := p.Col.(Col[float64])
-	if vals := Values[float64](p); len(vals) != p.NumRows() || cap(vals) != len(vals) || &vals[0] != &col[p.Lo] {
+	p := &typed.Parts[1]
+	c := *p.Col.(*Col[float64])
+	if vals := Values[float64](p); len(vals) != p.NumRows() || cap(vals) != len(vals) || &vals[0] != &c[p.Lo] {
 		t.Error("Values of a Col[T] partition must be its window on the column, clipped, not a copy")
 	}
-	bp := boxed.Parts[1]
-	if rows := Values[Row](bp); &rows[0] != &bp.Col.(Col[Row])[bp.Lo] || cap(rows) != len(rows) {
+	bp := &boxed.Parts[1]
+	if rows := Values[Row](bp); &rows[0] != &(*bp.Col.(*Col[Row]))[bp.Lo] || cap(rows) != len(rows) {
 		t.Error("Values[Row] of a Col[Row] partition must be its window on the column, clipped, not a copy")
 	}
-	if rows := Flatten[Row](boxed); &rows[0] != &bp.Col.(Col[Row])[0] {
+	if rows := Flatten[Row](boxed); &rows[0] != &(*bp.Col.(*Col[Row]))[0] {
 		t.Error("Flatten[Row] of FromRows must view its column, not copy it")
 	}
 	boxed.Box()
@@ -276,8 +297,8 @@ func TestValuesAcrossLayouts(t *testing.T) {
 // It is what a view must read as.
 func flattenOld[T any](d *Dataset) []T {
 	out := make([]T, 0, d.NumRows())
-	for _, p := range d.Parts {
-		out = append(out, Values[T](p)...)
+	for i := range d.Parts {
+		out = append(out, Values[T](&d.Parts[i])...)
 	}
 	return out
 }
@@ -294,8 +315,8 @@ func isView(got, vals []float64) bool {
 func TestFlattenViewsAndCopies(t *testing.T) {
 	vals := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	fresh := func(parts int) *Dataset { return FromSlice("t", vals, parts, 8) }
-	win := func(c Column, lo, hi int) *Partition { return &Partition{Col: c, Lo: lo, Hi: hi, VirtualBytes: 24} }
-	replaced := func(p *Partition) *Dataset {
+	win := func(c Column, lo, hi int) Partition { return Partition{Col: c, Lo: lo, Hi: hi, VirtualBytes: 24} }
+	replaced := func(p Partition) *Dataset {
 		d := fresh(3)
 		d.Parts[1] = p
 		return d
@@ -303,13 +324,13 @@ func TestFlattenViewsAndCopies(t *testing.T) {
 	windows := func(bounds ...[2]int) *Dataset {
 		d := New("windows")
 		for _, b := range bounds {
-			d.Parts = append(d.Parts, win(Col[float64](vals), b[0], b[1]))
+			d.Parts = append(d.Parts, win(col(vals), b[0], b[1]))
 		}
 		return d
 	}
 	other := []float64{3, 4, 5}
-	cut := Cut("cut", Col[float64](vals), []int{0, 4, 4, 10})
-	short := Cut("short", Col[float64](vals), []int{2, 5}) // ends before the column does
+	cutd := cut("cut", vals, 0, 4, 4, 10)
+	short := cut("short", vals, 2, 5) // ends before the column does
 	cases := []struct {
 		name string
 		d    *Dataset
@@ -324,25 +345,24 @@ func TestFlattenViewsAndCopies(t *testing.T) {
 			a.Box()
 			return a
 		}(), true},
-		{"Cut with empty partitions", cut, true},
-		{"Alias of a Cut", cut.Alias("a"), true},
+		{"a cut with empty partitions", cutd, true},
+		{"Alias of a cut", cutd.Alias("a"), true},
 		{"Concat of one dataset", Concat("c", fresh(3)), true},
-		{"a partition replaced by the same window of the column", replaced(win(Col[float64](vals), 3, 6)), true},
+		{"a partition replaced by the same window of the column", replaced(win(col(vals), 3, 6)), true},
 		{"hand-assembled windows that cover the column", windows([2]int{0, 7}, [2]int{7, 10}), true},
-		{"Cut that stops short of the column", short, false},
+		{"a cut that stops short of the column", short, false},
 		{"shifted windows", windows([2]int{1, 4}, [2]int{4, 10}), false},
 		{"overlapping windows", windows([2]int{0, 6}, [2]int{4, 10}), false},
-		{"a partition replaced by a slice of the column", replaced(win(Col[float64](vals[3:6]), 0, 3)), false},
+		{"a partition replaced by a slice of the column", replaced(win(col(vals[3:6]), 0, 3)), false},
 		{"Concat", Concat("c", fresh(2), fresh(2)), false},
 
-		{"the choose concatenation (Concat then Alias)", Concat("c", fresh(2), fresh(3)).Alias("out"), false},
-		{"a replaced partition", replaced(win(Col[float64](other), 0, 3)), false},
-		{"a partition replaced by one on boxed rows", replaced(win(Col[Row]{3.0, 4.0, 5.0}, 0, 3)), false},
+		{"a replaced partition", replaced(win(col(other), 0, 3)), false},
+		{"a partition replaced by one on boxed rows", replaced(win(col([]Row{3.0, 4.0, 5.0}), 0, 3)), false},
 		{"a dropped partition", func() *Dataset { d := fresh(3); d.Parts = d.Parts[:2]; return d }(), false},
 		{"swapped partitions", func() *Dataset { d := fresh(2); d.Parts[0], d.Parts[1] = d.Parts[1], d.Parts[0]; return d }(), false},
 		{"an added partition", func() *Dataset {
 			d := fresh(2)
-			d.Parts = append(d.Parts, win(Col[float64]{10}, 0, 1))
+			d.Parts = append(d.Parts, win(col([]float64{10}), 0, 1))
 			return d
 		}(), false},
 		{"windows on boxed rows", FromRows("b", []Row{0.0, 1.0, 2.0}, 2, 8), false},
@@ -396,7 +416,7 @@ func TestFlattenViewsAndCopies(t *testing.T) {
 	}
 
 	// No rows: nothing to view, nothing to copy.
-	for _, d := range []*Dataset{FromSlice("none", []float64(nil), 4, 8), New("empty"), Cut("nocut", Col[float64](nil), nil)} {
+	for _, d := range []*Dataset{FromSlice("none", []float64(nil), 4, 8), New("empty"), cut[float64]("nocut", nil)} {
 		if got := Flatten[float64](d); len(got) != 0 {
 			t.Errorf("%s: Flatten of no rows = %v", d.Name, got)
 		}
@@ -420,7 +440,7 @@ func TestFlattenMatchesCopyOnRandomDatasets(t *testing.T) {
 		case 2:
 			d = Concat("c", d, d.Alias("twice"))
 		case 3:
-			d.Parts[0] = &Partition{Col: Col[float64]{-1}, Hi: 1, VirtualBytes: 8}
+			d.Parts[0] = Partition{Col: col([]float64{-1}), Hi: 1, VirtualBytes: 8}
 		case 4:
 			d.Parts = d.Parts[1:]
 		}
@@ -470,7 +490,7 @@ type partState struct {
 func partStates(d *Dataset) []partState {
 	out := make([]partState, len(d.Parts))
 	for i := range d.Parts {
-		p := d.Parts[i]
+		p := &d.Parts[i]
 		out[i] = partState{lo: p.Lo, hi: p.Hi, vb: p.VirtualBytes, boxed: p.Rows != nil}
 	}
 	return out
@@ -490,6 +510,14 @@ func TestPartitionsAreOwned(t *testing.T) {
 		{"the origin of an Alias", func() (*Dataset, *Dataset) { d := fresh(); return d, d.Alias("a") }},
 		{"a sibling Alias", func() (*Dataset, *Dataset) { d := fresh(); return d.Alias("a"), d.Alias("b") }},
 		{"FromSlice over the slice of another", func() (*Dataset, *Dataset) { return fresh(), fresh() }},
+		{"Concat", func() (*Dataset, *Dataset) { d := fresh(); return Concat("c", d, fresh()), d }},
+		{"an input of a Concat", func() (*Dataset, *Dataset) { d := fresh(); return d, Concat("c", d) }},
+		// The engine's choose concatenation: the selected branches'
+		// outputs, one of them an Alias of another, into one dataset.
+		{"the choose concatenation", func() (*Dataset, *Dataset) {
+			d := fresh()
+			return Concat("out", d, nil, d.Alias("fwd")), d
+		}},
 	}
 	for _, tc := range cases {
 		mine, other := tc.pair()

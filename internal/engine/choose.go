@@ -248,7 +248,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		if err != nil {
 			return fmt.Errorf("engine: choose %s: %w", st, err)
 		}
-		copied := dataset.Concat(st.Ops[0].Name, parts...).Alias(st.Ops[0].Name)
+		copied := dataset.Concat(st.Ops[0].Name, parts...)
 		if r.audit != nil {
 			r.audit.RegisterDataset(int64(copied.ID), copied.Name)
 		}

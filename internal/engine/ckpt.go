@@ -62,7 +62,7 @@ func (r *Run) mirrorCheckpoint(st *graph.Stage, d *dataset.Dataset, i int) {
 	if !ok {
 		return
 	}
-	_ = r.opts.Ckpts.Put(ckptstore.Key{Chain: chain, Part: i}, encodePartition(d.Parts[i])) //lint:allow droppederr -- mirror is best-effort; a failed write surfaces as a miss on load
+	_ = r.opts.Ckpts.Put(ckptstore.Key{Chain: chain, Part: i}, encodePartition(&d.Parts[i])) //lint:allow droppederr -- mirror is best-effort; a failed write surfaces as a miss on load
 }
 
 // stageOfDataset finds the plan stage whose output is the dataset, in

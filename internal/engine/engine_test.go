@@ -317,7 +317,8 @@ func TestOutputBoxedSourceLeftColumnar(t *testing.T) {
 			Scheduler: scheduler.BAS(nil), Incremental: true,
 		})
 		n := 0
-		for i, p := range res.Output.Parts {
+		for i := range res.Output.Parts {
+			p := &res.Output.Parts[i]
 			if p.Rows == nil {
 				t.Fatalf("job %d: output partition %d was not boxed", job, i)
 			}
@@ -336,7 +337,8 @@ func TestOutputBoxedSourceLeftColumnar(t *testing.T) {
 		if &res.Output.Parts[0].Rows[0] != first {
 			t.Errorf("job %d: boxing a boxed output re-boxed it", job)
 		}
-		for i, p := range input.Parts {
+		for i := range input.Parts {
+			p := &input.Parts[i]
 			if p.Rows != nil {
 				t.Fatalf("job %d boxed partition %d of the shared source", job, i)
 			}

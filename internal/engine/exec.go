@@ -258,8 +258,8 @@ func (r *Run) chargeShuffle(sc *stageScratch, st *graph.Stage, ins []*dataset.Da
 		}
 		perNode := sc.perNode
 		clear(perNode)
-		for pi, p := range d.Parts {
-			perNode[r.nodeOf(d.Key(pi), pi)] += sim.Bytes(p.VirtualBytes)
+		for pi := range d.Parts {
+			perNode[r.nodeOf(d.Key(pi), pi)] += sim.Bytes(d.Parts[pi].VirtualBytes)
 		}
 		for n, bytes := range perNode {
 			if bytes == 0 {
@@ -290,9 +290,10 @@ func (r *Run) chargeCompute(sc *stageScratch, ins []*dataset.Dataset, cpuFixed, 
 		if d == nil {
 			continue
 		}
-		for i, p := range d.Parts {
-			shares[r.nodeOf(d.Key(i), i)] += float64(p.VirtualBytes)
-			total += float64(p.VirtualBytes)
+		for i := range d.Parts {
+			vb := float64(d.Parts[i].VirtualBytes)
+			shares[r.nodeOf(d.Key(i), i)] += vb
+			total += vb
 		}
 	}
 	if total == 0 {
@@ -341,9 +342,9 @@ func (r *Run) chargeCompute(sc *stageScratch, ins []*dataset.Dataset, cpuFixed, 
 // storeOutput writes the output partitions to their nodes and returns the
 // stage completion time.
 func (r *Run) storeOutput(out *dataset.Dataset, nodeT []sim.VTime) sim.VTime {
-	for i, p := range out.Parts {
+	for i := range out.Parts {
 		n := r.placeNew(out.Key(i), i)
-		end := r.allocs[n].Put(out.Key(i), sim.Bytes(p.VirtualBytes), nodeT[n])
+		end := r.allocs[n].Put(out.Key(i), sim.Bytes(out.Parts[i].VirtualBytes), nodeT[n])
 		if end > nodeT[n] {
 			nodeT[n] = end
 		}

@@ -63,7 +63,8 @@ func TestResultBoxesOutput(t *testing.T) {
 		t.Fatal("the run has no output rows to box")
 	}
 	want := make([][]dataset.Row, len(out.Parts))
-	for i, p := range out.Parts {
+	for i := range out.Parts {
+		p := &out.Parts[i]
 		if p.Rows != nil {
 			t.Fatalf("partition %d is boxed before Result", i)
 		}
@@ -75,7 +76,8 @@ func TestResultBoxesOutput(t *testing.T) {
 		t.Fatal("Result does not return the run's output")
 	}
 	got := make([][]dataset.Row, len(out.Parts))
-	for i, p := range out.Parts {
+	for i := range out.Parts {
+		p := &out.Parts[i]
 		if p.NumRows() > 0 && p.Rows == nil {
 			t.Fatalf("partition %d is not boxed after Result", i)
 		}
@@ -86,7 +88,8 @@ func TestResultBoxesOutput(t *testing.T) {
 	}
 
 	run.Result()
-	for i, p := range out.Parts {
+	for i := range out.Parts {
+		p := &out.Parts[i]
 		if len(p.Rows) != len(got[i]) || (len(got[i]) > 0 && &p.Rows[0] != &got[i][0]) {
 			t.Fatalf("a second Result boxed partition %d again", i)
 		}

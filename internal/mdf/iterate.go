@@ -87,9 +87,7 @@ func roundOp(name string, round int, step func(int, *dataset.Dataset) (*dataset.
 
 // emptyMarker is the zero-cost dataset a terminated iteration forwards.
 func emptyMarker(name string) *dataset.Dataset {
-	d := dataset.New(name + "/terminated")
-	d.Parts = append(d.Parts, &dataset.Partition{})
-	return d
+	return dataset.FromPartitions(name+"/terminated", make([]dataset.Partition, 1))
 }
 
 // Terminated reports whether a branch result is the marker of an iteration

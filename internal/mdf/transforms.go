@@ -55,22 +55,19 @@ func Map[T, U any](name string, sizeScale float64, f func(T) U) graph.TransformF
 // Map(name, sizeScale, f) would return for in.
 func MapDataset[T, U any](name string, in *dataset.Dataset, sizeScale float64, f func(T) U) *dataset.Dataset {
 	mapped := make(dataset.Col[U], in.NumRows())
-	ends := make([]int, len(in.Parts))
+	parts := make([]dataset.Partition, len(in.Parts))
 	n := 0
-	for i, p := range in.Parts {
+	for i := range in.Parts {
+		p := &in.Parts[i]
 		vals := dataset.Values[T](p)
 		dst := mapped[n : n+len(vals)]
 		for j, v := range vals {
 			dst[j] = f(v)
 		}
+		parts[i] = dataset.Partition{Lo: n, Hi: n + len(vals), VirtualBytes: int64(float64(p.VirtualBytes) * sizeScale)}
 		n += len(vals)
-		ends[i] = n
 	}
-	out := dataset.Cut(name, mapped, ends)
-	for i, p := range in.Parts {
-		out.Parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * sizeScale)
-	}
-	return out
+	return dataset.Over(name, mapped, parts)
 }
 
 // Filter returns a transform keeping the rows for which pred holds, scaling
@@ -83,24 +80,21 @@ func Filter[T any](name string, pred func(T) bool) graph.TransformFunc {
 			return nil, err
 		}
 		kept := make(dataset.Col[T], 0, in.NumRows())
-		ends := make([]int, len(in.Parts))
-		for i, p := range in.Parts {
+		parts := make([]dataset.Partition, len(in.Parts))
+		for i := range in.Parts {
+			p := &in.Parts[i]
+			lo := len(kept)
 			for _, v := range dataset.Values[T](p) {
 				if pred(v) {
 					kept = append(kept, v)
 				}
 			}
-			ends[i] = len(kept)
-		}
-		out := dataset.Cut(name, kept, ends)
-		lo := 0
-		for i, p := range in.Parts {
+			parts[i] = dataset.Partition{Lo: lo, Hi: len(kept)}
 			if n := p.NumRows(); n > 0 {
-				out.Parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * float64(ends[i]-lo) / float64(n))
+				parts[i].VirtualBytes = int64(float64(p.VirtualBytes) * float64(len(kept)-lo) / float64(n))
 			}
-			lo = ends[i]
 		}
-		return out, nil
+		return dataset.Over(name, kept, parts), nil
 	}
 }
 

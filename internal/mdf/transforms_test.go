@@ -23,8 +23,9 @@ func randomInputs(rng *rand.Rand) (typed, boxed *dataset.Dataset) {
 			rows[i] = vals[i]
 		}
 		vb := rng.Int63n(1 << 40)
-		typedParts = append(typedParts, dataset.Partition{Col: dataset.Col[float64](vals), Hi: len(vals), VirtualBytes: vb})
-		boxedParts = append(boxedParts, dataset.Partition{Col: dataset.Col[dataset.Row](rows), Hi: len(rows), VirtualBytes: vb})
+		typedCol, boxedCol := dataset.Col[float64](vals), dataset.Col[dataset.Row](rows)
+		typedParts = append(typedParts, dataset.Partition{Col: &typedCol, Hi: len(vals), VirtualBytes: vb})
+		boxedParts = append(boxedParts, dataset.Partition{Col: &boxedCol, Hi: len(rows), VirtualBytes: vb})
 	}
 	return dataset.FromPartitions("typed", typedParts), dataset.FromPartitions("boxed", boxedParts)
 }
@@ -37,8 +38,8 @@ func sameResult(t *testing.T, op string, got, want *dataset.Dataset) {
 	if len(got.Parts) != len(want.Parts) {
 		t.Fatalf("%s: %d partitions, want %d", op, len(got.Parts), len(want.Parts))
 	}
-	for i, w := range want.Parts {
-		g := got.Parts[i]
+	for i := range want.Parts {
+		g, w := &got.Parts[i], &want.Parts[i]
 		if g.VirtualBytes != w.VirtualBytes {
 			t.Fatalf("%s: partition %d accounts %d bytes, want %d", op, i, g.VirtualBytes, w.VirtualBytes)
 		}
@@ -105,31 +106,25 @@ func TestTypedOperatorsMatchBoxed(t *testing.T) {
 }
 
 // An operator's output, and any dataset built over one column, costs the
-// same allocations at every partition count: its partitions are windows
-// written into one block. Map and Filter allocate the values, the partition
-// ends, the column's interface box, the block, the dataset and its
-// partition table; FromSlice, FromColumn and Cut the box and the last three;
-// Alias the last three.
+// same allocations at every partition count: its partitions are values in
+// one block. Map and Filter allocate the values, the block and the dataset
+// together with its column's header; FromSlice the last two; Alias and
+// Concat a block and a dataset.
 func TestAllocationsFlatInPartitions(t *testing.T) {
 	const rows = 1 << 10
 	for _, parts := range []int{1, 4, 8, 64} {
 		in := floatInput(rows, parts)
-		ends := make([]int, parts)
-		for i := range ends {
-			ends[i] = (i + 1) * rows / parts
-		}
 		vals := dataset.Flatten[float64](in[0])
 		gates := []struct {
 			name    string
 			ceiling float64
 			f       func()
 		}{
-			{"Map", 6, func() { _, _ = Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 })(in) }},
-			{"Filter", 6, func() { _, _ = Filter("f", func(v float64) bool { return v < 0.5 })(in) }},
-			{"FromSlice", 4, func() { dataset.FromSlice("s", vals, parts, 8) }},
-			{"FromColumn", 4, func() { dataset.FromColumn("c", dataset.Col[float64](vals), parts, 8) }},
-			{"Cut", 4, func() { dataset.Cut("cut", dataset.Col[float64](vals), ends) }},
-			{"Alias", 3, func() { in[0].Alias("a") }},
+			{"Map", 3, func() { _, _ = Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 })(in) }},
+			{"Filter", 3, func() { _, _ = Filter("f", func(v float64) bool { return v < 0.5 })(in) }},
+			{"FromSlice", 2, func() { dataset.FromSlice("s", vals, parts, 8) }},
+			{"Alias", 2, func() { in[0].Alias("a") }},
+			{"Concat", 2, func() { dataset.Concat("c", in[0], in[0]) }},
 		}
 		for _, g := range gates {
 			if allocs := testing.AllocsPerRun(10, g.f); allocs > g.ceiling {
@@ -170,13 +165,13 @@ func TestTypedOperatorsEmitOneColumn(t *testing.T) {
 						t.Fatalf("%s of %s: view has %d rows, dataset %d", name, in.Name, len(flat), d.NumRows())
 					}
 					off := 0
-					for i, p := range d.Parts {
-						vals := dataset.Values[float64](p)
+					for i := range d.Parts {
+						vals := dataset.Values[float64](&d.Parts[i])
 						if cap(vals) != len(vals) {
 							t.Fatalf("%s of %s: partition %d has spare capacity %d", name, in.Name, i, cap(vals)-len(vals))
 						}
 						if i+1 < len(d.Parts) && d.Parts[i+1].NumRows() > 0 {
-							next := dataset.Values[float64](d.Parts[i+1])
+							next := dataset.Values[float64](&d.Parts[i+1])
 							want := math.Float64bits(next[0])
 							_ = append(vals, math.NaN())
 							if math.Float64bits(next[0]) != want {
@@ -216,7 +211,8 @@ func TestSourceFromDatasetEmissionsAreIndependent(t *testing.T) {
 		if d.VirtualBytes() != 400 {
 			t.Errorf("%s: scaling one emission left %d accounted bytes, want 400", d.Name, d.VirtualBytes())
 		}
-		for i, p := range d.Parts {
+		for i := range d.Parts {
+			p := &d.Parts[i]
 			if p.Rows != nil {
 				t.Errorf("%s: boxing one emission filled the view of partition %d", d.Name, i)
 			}

@@ -87,16 +87,17 @@ type dataRow struct {
 // bytes spread evenly, modelling a training set (or the state of a training
 // run over it) partitioned over the cluster.
 func singleRow[T any](name string, v T, parts int, bytes int64) *dataset.Dataset {
-	d := dataset.FromPartitions(name, make([]dataset.Partition, parts))
-	d.Parts[0].Col, d.Parts[0].Hi = dataset.Col[T]{v}, 1
+	block := make([]dataset.Partition, parts)
+	block[0].Hi = 1
+	d := dataset.Over(name, dataset.Col[T]{v}, block)
 	d.SetVirtualBytes(bytes)
 	return d
 }
 
 // firstRow returns the payload of a singleRow dataset.
 func firstRow[T any](d *dataset.Dataset) T {
-	for _, p := range d.Parts {
-		if p.NumRows() > 0 {
+	for i := range d.Parts {
+		if p := &d.Parts[i]; p.NumRows() > 0 {
 			return dataset.Values[T](p)[0]
 		}
 	}

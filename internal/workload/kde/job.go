@@ -202,8 +202,8 @@ func LogLikelihoodEvaluator() mdf.Evaluator {
 			const floor = 1e-12
 			var ll float64
 			n := 0
-			for _, part := range d.Parts {
-				for _, v := range dataset.Values[float64](part) {
+			for i := range d.Parts {
+				for _, v := range dataset.Values[float64](&d.Parts[i]) {
 					if v < floor {
 						v = floor
 					}

@@ -90,10 +90,10 @@ type pairs struct {
 }
 
 // Len implements dataset.Column.
-func (c pairs) Len() int { return len(c.vals) }
+func (c *pairs) Len() int { return len(c.vals) }
 
 // AppendRows implements dataset.Column.
-func (c pairs) AppendRows(dst []dataset.Row, lo, hi int) []dataset.Row {
+func (c *pairs) AppendRows(dst []dataset.Row, lo, hi int) []dataset.Row {
 	for i := lo; i < hi; i++ {
 		dst = append(dst, Pair{Key: c.keys[i], Val: c.vals[i]})
 	}
@@ -103,7 +103,7 @@ func (c pairs) AppendRows(dst []dataset.Row, lo, hi int) []dataset.Row {
 // window returns the rows of a partition of a pairs dataset, with their
 // capacity clipped.
 func window(p *dataset.Partition) pairs {
-	c := p.Col.(pairs)
+	c := p.Col.(*pairs)
 	return pairs{keys: c.keys[p.Lo:p.Hi:p.Hi], vals: c.vals[p.Lo:p.Hi:p.Hi]}
 }
 
@@ -113,8 +113,9 @@ func window(p *dataset.Partition) pairs {
 func sharedKeys(d *dataset.Dataset) ([]string, bool) {
 	var keys []string
 	lo, hi := 0, 0
-	for i, p := range d.Parts {
-		c := p.Col.(pairs)
+	for i := range d.Parts {
+		p := &d.Parts[i]
+		c := p.Col.(*pairs)
 		if i == 0 {
 			keys, lo, hi = c.keys, p.Lo, p.Lo
 		}
@@ -152,7 +153,7 @@ func Generate(p Params) *dataset.Dataset {
 	for i := range keys {
 		keys[i] = all[keyLen*i : keyLen*(i+1)]
 	}
-	d := dataset.FromColumn("pairs", pairs{keys: keys, vals: vals}, p.Partitions, 1)
+	d := dataset.Over("pairs", pairs{keys: keys, vals: vals}, dataset.Windows(p.Rows, p.Partitions, 1))
 	d.SetVirtualBytes(p.VirtualBytes)
 	return d
 }
@@ -176,9 +177,11 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.Trans
 			keys = make([]string, 0, n)
 		}
 		vals := make([]int64, 0, n)
-		ends := make([]int, len(in.Parts))
-		for i, part := range in.Parts {
+		parts := make([]dataset.Partition, len(in.Parts))
+		for i := range in.Parts {
+			part := &in.Parts[i]
 			win := window(part)
+			lo := len(vals)
 			for _, v := range win.vals {
 				for k := 0; k < opsPerItem; k++ {
 					v = (v*w + int64(k) + 1) % mod
@@ -188,13 +191,9 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.Trans
 			if !shared {
 				keys = append(keys, win.keys...)
 			}
-			ends[i] = len(vals)
+			parts[i] = dataset.Partition{Lo: lo, Hi: len(vals), VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
 		}
-		out := dataset.Cut(name, pairs{keys: keys, vals: vals}, ends)
-		for i, part := range in.Parts {
-			out.Parts[i].VirtualBytes = int64(float64(part.VirtualBytes) * sizeScale)
-		}
-		return out, nil
+		return dataset.Over(name, pairs{keys: keys, vals: vals}, parts), nil
 	}
 }
 
@@ -206,8 +205,8 @@ func sumEvaluator() mdf.Evaluator {
 		Fn: func(d *dataset.Dataset) float64 {
 			var sum float64
 			n := 0
-			for _, part := range d.Parts {
-				for _, v := range window(part).vals {
+			for i := range d.Parts {
+				for _, v := range window(&d.Parts[i]).vals {
 					sum += float64(v)
 					n++
 				}

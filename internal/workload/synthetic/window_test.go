@@ -50,7 +50,8 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 		if len(out.Parts) != len(tc.in.Parts) {
 			t.Fatalf("%s: %d partitions, want %d", tc.name, len(out.Parts), len(tc.in.Parts))
 		}
-		for i, p := range tc.in.Parts {
+		for i := range tc.in.Parts {
+			p := &tc.in.Parts[i]
 			got, want := out.Parts[i].BoxedRows(), p.BoxedRows()
 			if len(got) != len(want) {
 				t.Fatalf("%s: partition %d has %d rows, want %d", tc.name, i, len(got), len(want))
@@ -65,7 +66,7 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 				t.Errorf("%s: partition %d accounts %d bytes, want %d", tc.name, i, out.Parts[i].VirtualBytes, vb)
 			}
 		}
-		inKeys, outKeys := tc.in.Parts[0].Col.(pairs).keys, out.Parts[0].Col.(pairs).keys
+		inKeys, outKeys := tc.in.Parts[0].Col.(*pairs).keys, out.Parts[0].Col.(*pairs).keys
 		if shared := &inKeys[0] == &outKeys[0]; shared != tc.shared {
 			t.Errorf("%s: output shares its input's keys = %v, want %v", tc.name, shared, tc.shared)
 		}
@@ -84,9 +85,9 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 	}
 	for _, d := range []*dataset.Dataset{in, out} {
 		for i := 0; i+1 < len(d.Parts); i++ {
-			next := window(d.Parts[i+1])
+			next := window(&d.Parts[i+1])
 			key, val := next.keys[0], next.vals[0]
-			cur := window(d.Parts[i])
+			cur := window(&d.Parts[i])
 			_ = append(cur.keys, "overwritten")
 			_ = append(cur.vals, -1)
 			if next.keys[0] != key || next.vals[0] != val {

@@ -124,8 +124,9 @@ func sameDataset(t *testing.T, what string, got, want *dataset.Dataset) {
 	if len(got.Parts) != len(want.Parts) {
 		t.Fatalf("%s: %d partitions, want %d", what, len(got.Parts), len(want.Parts))
 	}
-	for i, w := range want.Parts {
-		g := got.Parts[i]
+	for i := range want.Parts {
+		w := &want.Parts[i]
+		g := &got.Parts[i]
 		if g.VirtualBytes != w.VirtualBytes {
 			t.Fatalf("%s: partition %d accounts %d bytes, want %d", what, i, g.VirtualBytes, w.VirtualBytes)
 		}
