@@ -214,3 +214,29 @@ func TestStaleAllows(t *testing.T) {
 		t.Errorf("stale allow not reported: %q", out)
 	}
 }
+
+// A source too large to generate is a parse finding that names the field.
+func TestPlanRefusesOversizedSources(t *testing.T) {
+	doc, err := os.ReadFile("../../examples/specs/outlier.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct{ old, new, field string }{
+		{`"partitions": 32`, `"partitions": 200000000`, "source.partitions"},
+		{`"rows": 20000`, `"rows": 2000000000`, "source.rows"},
+	} {
+		path := filepath.Join(dir, "oversized.json")
+		if err := os.WriteFile(path, []byte(strings.Replace(string(doc), tc.old, tc.new, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out, _ := runPlan(t, "-json", path)
+		var f fileFinding
+		if err := json.Unmarshal([]byte(strings.TrimSpace(out)), &f); err != nil {
+			t.Fatalf("%s: bad JSON line %q: %v", tc.field, out, err)
+		}
+		if code != 1 || f.Rule != "parse" || !strings.Contains(f.Msg, tc.field) {
+			t.Errorf("%s: exit %d, finding %+v; want 1 and a parse finding naming the field", tc.field, code, f)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -239,5 +241,36 @@ func TestHTTPMetricsBytesStableAcrossReads(t *testing.T) {
 	b := get(t, h, "/metrics").Body.Bytes()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("metrics changed between reads at quiescence:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// A spec whose source is too large to generate is a 400 that names the
+// field, refused for the cost of reading it. The server's step loop is not
+// started, so a document that got through is not run.
+func TestHTTPRefusesOversizedSources(t *testing.T) {
+	doc, err := os.ReadFile("../../examples/specs/outlier.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(Config{})
+	h := s.Handler()
+	for _, tc := range []struct{ old, new, field string }{
+		{`"partitions": 32`, `"partitions": 200000000`, "source.partitions"},
+		{`"rows": 20000`, `"rows": 2000000000`, "source.rows"},
+	} {
+		body := `{"tenant": "a", "spec": ` + strings.Replace(string(doc), tc.old, tc.new, 1) + `}`
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := postJob(t, h, body)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.field) {
+			t.Fatalf("%s: %d %s, want a 400 naming the field", tc.field, rec.Code, rec.Body)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+			t.Errorf("%s: refusing the submission allocated %d bytes", tc.field, b)
+		}
+	}
+	if len(s.jobs) != 0 {
+		t.Errorf("%d refused submissions were admitted", len(s.jobs))
 	}
 }

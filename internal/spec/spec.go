@@ -209,6 +209,34 @@ func lineCol(data []byte, offset int64) (line, col int) {
 	return line, col
 }
 
+// The bounds of the source's sizes. A source is generated in full by every
+// job that runs it, into one column of Rows float64 values cut into one
+// block of Partitions partitions, so an unbounded value is a document of a
+// few hundred bytes that exhausts the memory of the process running it. The
+// largest committed values, over the examples, the canonical and plan
+// fixtures, both fuzz corpora and the host-time benchmark's service mix, are
+// 20 000 rows (examples/specs/outlier.json) and 1 024 partitions
+// (internal/plan/testdata/infeasible-quota.json); each bound leaves room
+// above them while keeping a source under 8 MiB of values and 256 KiB of
+// partitions.
+const (
+	maxSourceRows       = 1 << 20
+	maxSourcePartitions = 1 << 12
+)
+
+// LimitError refuses a source size above its bound.
+type LimitError struct {
+	// Field is the JSON path of the size, "source.rows" or
+	// "source.partitions".
+	Field      string
+	Value, Max int
+}
+
+// Error implements the error interface.
+func (e *LimitError) Error() string {
+	return fmt.Sprintf("spec: %s = %d is above the limit of %d", e.Field, e.Value, e.Max)
+}
+
 // Validate reports structural errors. It allocates nothing on a valid spec:
 // admission runs it on every new document.
 func (s *Spec) Validate() error {
@@ -217,6 +245,12 @@ func (s *Spec) Validate() error {
 	}
 	if s.Source.Rows < 1 {
 		return fmt.Errorf("spec: source needs rows >= 1")
+	}
+	if s.Source.Rows > maxSourceRows {
+		return &LimitError{Field: "source.rows", Value: s.Source.Rows, Max: maxSourceRows}
+	}
+	if s.Source.Partitions > maxSourcePartitions {
+		return &LimitError{Field: "source.partitions", Value: s.Source.Partitions, Max: maxSourcePartitions}
 	}
 	if len(s.Pipeline) == 0 {
 		return fmt.Errorf("spec: empty pipeline")
