@@ -460,19 +460,42 @@ func TestFlattenMatchesCopyOnRandomDatasets(t *testing.T) {
 	}
 }
 
-// BenchmarkFlatten reads a 64 Ki-row dataset whole: as the column it was cut
-// from (view) and, after a Concat has broken the cut, row by row (copy).
-func BenchmarkFlatten(b *testing.B) {
-	d := FromSlice("in", make([]float64, 1<<16), 8, 8)
+// BenchmarkDataset is the dataset layer's costs over a 64 Ki-row column in
+// 8 partitions: building a dataset over it (fromslice), a copy of one
+// dataset's partitions (alias) and of two (concat), and reading it whole
+// (flatten): as the column it was cut from (view) and, as a Concat of its
+// two halves, row by row (copy).
+func BenchmarkDataset(b *testing.B) {
+	const n = 1 << 16
+	vals := make([]float64, n)
+	d := FromSlice("in", vals, 8, 8)
+	halves := Concat("c", FromSlice("lo", vals[:n/2], 4, 8), FromSlice("hi", vals[n/2:], 4, 8))
+	for _, bc := range []struct {
+		name string
+		f    func() *Dataset
+	}{
+		{"fromslice", func() *Dataset { return FromSlice("in", vals, 8, 8) }},
+		{"alias", func() *Dataset { return d.Alias("a") }},
+		{"concat", func() *Dataset { return Concat("c", d, d) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := bc.f(); got.NumPartitions() == 0 {
+					b.Fatal(got)
+				}
+			}
+		})
+	}
 	for _, bc := range []struct {
 		name string
 		d    *Dataset
-	}{{"view", d}, {"copy", Concat("c", d)}} {
-		b.Run(bc.name, func(b *testing.B) {
+	}{{"view", d}, {"copy", halves}} {
+		b.Run("flatten/"+bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(8 << 16)
+			b.SetBytes(8 * n)
 			for i := 0; i < b.N; i++ {
-				if got := Flatten[float64](bc.d); len(got) != 1<<16 {
+				if got := Flatten[float64](bc.d); len(got) != n {
 					b.Fatal(len(got))
 				}
 			}

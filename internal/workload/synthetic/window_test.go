@@ -96,3 +96,35 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 		}
 	}
 }
+
+// What Generate and mathOp emit costs its payload and two allocations, the
+// partition block and the dataset together with its column's header, at
+// every partition count.
+func TestOutputsCostPayloadPlusTwo(t *testing.T) {
+	for _, parts := range []int{1, 4, 64} {
+		p := Defaults()
+		p.Rows, p.Partitions = 1<<10, parts
+		in := Generate(p)
+		op := mathOp("op", 1, 10, 2)
+		one := []*dataset.Dataset{in}
+		two := []*dataset.Dataset{dataset.Concat("c", in, in.Alias("a"))}
+		gates := []struct {
+			name    string
+			payload float64
+			f       func()
+		}{
+			// The generator (3), the key bytes, the key string, the keys
+			// and the values.
+			{"Generate", 7, func() { Generate(p) }},
+			// The values; the keys are the input's.
+			{"mathOp over one column", 1, func() { _, _ = op(one) }},
+			// The values and the gathered keys.
+			{"mathOp over a Concat", 2, func() { _, _ = op(two) }},
+		}
+		for _, g := range gates {
+			if allocs := testing.AllocsPerRun(10, g.f); allocs > g.payload+2 {
+				t.Errorf("%s over %d partitions: %.0f allocations, want <= %.0f (payload) + 2", g.name, parts, allocs, g.payload)
+			}
+		}
+	}
+}
