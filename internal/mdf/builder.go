@@ -55,6 +55,30 @@ type BranchSpec struct {
 // substring of the name, which costs no allocation of its own.
 func Setting(name string) string { return name[strings.IndexByte(name, '(')+1 : len(name)-1] }
 
+// BranchNames returns the n names that name(dst, i) appends to dst, i in
+// [0, n), as substrings of one string of their summed length: an explore's
+// operator names cost one allocation, not one each. name must append the
+// same bytes on each of the two calls it gets per i, one to size the string
+// and one to fill it.
+func BranchNames(n int, name func(dst []byte, i int) []byte) []string {
+	var buf [64]byte
+	size := 0
+	for i := 0; i < n; i++ {
+		size += len(name(buf[:0], i))
+	}
+	var b strings.Builder
+	b.Grow(size)
+	names := make([]string, n)
+	for i := range names {
+		start := b.Len()
+		b.Write(name(buf[:0], i))
+		// What the builder holds is never written again, so the substring
+		// stays as it is while later names are appended.
+		names[i] = b.String()[start:]
+	}
+	return names
+}
+
 // Branches builds a BranchSpec slice from labels with hints 0..n-1.
 func Branches(labels ...string) []BranchSpec {
 	out := make([]BranchSpec, len(labels))

@@ -222,22 +222,26 @@ func sumEvaluator() mdf.Evaluator {
 
 // branchValues returns the explorable values for n branches, following the
 // paper's w = 10, 100, 1000, ... progression extended as needed, and the
-// names of the operators op applies them with, "op(w=%d)". Each label is the
-// setting its name spells out (mdf.Setting): one allocation per branch.
+// names of the operators op applies them with, "op(w=%d)". The names are
+// substrings of one string (mdf.BranchNames), and each label is the setting
+// its name spells out (mdf.Setting).
 func branchValues(n int, op string) ([]mdf.BranchSpec, []string) {
 	specs := make([]mdf.BranchSpec, n)
-	names := make([]string, n)
-	var buf [32]byte
 	w := int64(10)
 	for i := range specs {
-		b := append(append(buf[:0], op...), "(w="...)
-		names[i] = string(append(strconv.AppendInt(b, w, 10), ')'))
-		specs[i] = mdf.BranchSpec{Label: mdf.Setting(names[i]), Hint: float64(w)}
+		specs[i].Hint = float64(w)
 		if w < 1_000_000_000 {
 			w *= 10
 		} else {
 			w += 7
 		}
+	}
+	names := mdf.BranchNames(n, func(dst []byte, i int) []byte {
+		dst = append(append(dst, op...), "(w="...)
+		return append(strconv.AppendInt(dst, int64(specs[i].Hint), 10), ')')
+	})
+	for i := range specs {
+		specs[i].Label = mdf.Setting(names[i])
 	}
 	return specs, names
 }

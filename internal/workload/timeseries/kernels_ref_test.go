@@ -318,21 +318,39 @@ func TestLabelsSpellLikeSprintf(t *testing.T) {
 	floats := []float64{1.001, 1.0005, 0.5, 2, 0, math.Copysign(0, -1), -1, 1e-4, 1e-5, 1e-7, 1e21, 123456789, 1e5, 1e6,
 		math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64}
 	ints := []int{0, 1, -2, 16, 300, math.MaxInt64, math.MinInt64}
-	for _, f := range floats {
-		for _, i := range ints {
-			name := maskName(i, f)
-			if want := fmt.Sprintf("mask(w=%d,t=%g)", i, f); name != want {
-				t.Errorf("maskName(%d, %g) = %q, want %q", i, f, name, want)
+	negs := make([]int, len(ints))
+	for i, v := range ints {
+		negs[i] = -v
+	}
+	masks, marks := maskNames(ints, floats), markNames(ints, floats, negs)
+	if len(masks) != len(ints)*len(floats) || len(marks) != len(ints)*len(floats)*len(negs) {
+		t.Fatalf("%d mask and %d mark names", len(masks), len(marks))
+	}
+	n := 0
+	for _, w := range ints {
+		for _, f := range floats {
+			name := masks[n]
+			n++
+			if want := fmt.Sprintf("mask(w=%d,t=%g)", w, f); name != want {
+				t.Errorf("mask name = %q, want %q", name, want)
 			}
-			if got, want := mdf.Setting(name), fmt.Sprintf("w=%d,t=%g", i, f); got != want {
+			if got, want := mdf.Setting(name), fmt.Sprintf("w=%d,t=%g", w, f); got != want {
 				t.Errorf("Setting(%q) = %q, want %q", name, got, want)
 			}
-			name = markName(i, f, -i)
-			if want := fmt.Sprintf("mark(l=%d,m=%g,d=%d)", i, f, -i); name != want {
-				t.Errorf("markName(%d, %g, %d) = %q, want %q", i, f, -i, name, want)
-			}
-			if got, want := mdf.Setting(name), fmt.Sprintf("l=%d,m=%g,d=%d", i, f, -i); got != want {
-				t.Errorf("Setting(%q) = %q, want %q", name, got, want)
+		}
+	}
+	n = 0
+	for _, l := range ints {
+		for _, f := range floats {
+			for _, d := range negs {
+				name := marks[n]
+				n++
+				if want := fmt.Sprintf("mark(l=%d,m=%g,d=%d)", l, f, d); name != want {
+					t.Errorf("mark name = %q, want %q", name, want)
+				}
+				if got, want := mdf.Setting(name), fmt.Sprintf("l=%d,m=%g,d=%d", l, f, d); got != want {
+					t.Errorf("Setting(%q) = %q, want %q", name, got, want)
+				}
 			}
 		}
 	}

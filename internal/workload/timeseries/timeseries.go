@@ -360,25 +360,31 @@ func (p Params) maskSelector() mdf.Selector {
 	return mdf.Threshold(p.MaskKeepRatio, false)
 }
 
-// maskName and markName name the first operator of a branch after its
-// setting, as "mask(w=%d,t=%g)" and "mark(l=%d,m=%g,d=%d)" would (strconv's
-// shortest 'g' form is what %g prints), with one allocation each. The
-// branch's label is the setting between the parentheses (mdf.Setting), a
-// substring of the name: the labels name the branch's stages in plans, picks
-// and telemetry.
-func maskName(w int, t float64) string {
-	var buf [48]byte
-	b := strconv.AppendInt(append(buf[:0], "mask(w="...), int64(w), 10)
-	b = strconv.AppendFloat(append(b, ",t="...), t, 'g', -1, 64)
-	return string(append(b, ')'))
+// maskNames and markNames name the first operator of every branch of an
+// explore after its setting, as "mask(w=%d,t=%g)" and "mark(l=%d,m=%g,d=%d)"
+// would (strconv's shortest 'g' form is what %g prints), in one string per
+// explore (mdf.BranchNames). maskNames runs over every window length and,
+// within it, every threshold; markNames over every l, m within it and d
+// within that. A branch's label is the setting between the parentheses
+// (mdf.Setting), a substring of its name: the labels name the branch's
+// stages in plans, picks and telemetry.
+func maskNames(ws []int, ts []float64) []string {
+	return mdf.BranchNames(len(ws)*len(ts), func(b []byte, i int) []byte {
+		w, t := ws[i/len(ts)], ts[i%len(ts)]
+		b = strconv.AppendInt(append(b, "mask(w="...), int64(w), 10)
+		b = strconv.AppendFloat(append(b, ",t="...), t, 'g', -1, 64)
+		return append(b, ')')
+	})
 }
 
-func markName(l int, m float64, d int) string {
-	var buf [64]byte
-	b := strconv.AppendInt(append(buf[:0], "mark(l="...), int64(l), 10)
-	b = strconv.AppendFloat(append(b, ",m="...), m, 'g', -1, 64)
-	b = strconv.AppendInt(append(b, ",d="...), int64(d), 10)
-	return string(append(b, ')'))
+func markNames(ls []int, ms []float64, ds []int) []string {
+	return mdf.BranchNames(len(ls)*len(ms)*len(ds), func(b []byte, i int) []byte {
+		l, m, d := ls[i/(len(ms)*len(ds))], ms[i/len(ds)%len(ms)], ds[i%len(ds)]
+		b = strconv.AppendInt(append(b, "mark(l="...), int64(l), 10)
+		b = strconv.AppendFloat(append(b, ",m="...), m, 'g', -1, 64)
+		b = strconv.AppendInt(append(b, ",d="...), int64(d), 10)
+		return append(b, ')')
+	})
 }
 
 // BuildMDF constructs the time series MDF as two sequential exploration
@@ -402,9 +408,10 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		name string
 	}
 	var wts []wt
+	masks := maskNames(p.WindowLengths, p.Thresholds)
 	for wi, w := range p.WindowLengths {
 		for ti, t := range p.Thresholds {
-			name := maskName(w, t)
+			name := masks[len(wts)]
 			maskSpecs = append(maskSpecs, mdf.BranchSpec{
 				Label: mdf.Setting(name),
 				Hint:  float64(wi*len(p.Thresholds) + ti),
@@ -420,11 +427,12 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		name string
 	}
 	var lmds []lmd
+	marks := markNames(p.MarkWindows, p.MagDiffs, p.Durations)
 	i := 0
 	for _, l := range p.MarkWindows {
 		for _, m := range p.MagDiffs {
 			for _, d := range p.Durations {
-				name := markName(l, m, d)
+				name := marks[i]
 				outSpecs = append(outSpecs, mdf.BranchSpec{
 					Label: mdf.Setting(name),
 					Hint:  float64(i),
@@ -485,9 +493,10 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 		name string
 	}
 	wts := make([]wt, 0, n)
+	names := maskNames(p.WindowLengths, p.Thresholds)
 	for _, w := range p.WindowLengths {
 		for _, t := range p.Thresholds {
-			name := maskName(w, t)
+			name := names[len(wts)]
 			maskSpecs = append(maskSpecs, mdf.BranchSpec{
 				Label: mdf.Setting(name),
 				// The masking kept-ratio falls monotonically in the
