@@ -12,11 +12,9 @@
 // The payload of a partition is a window [Lo, Hi) on a typed Column (a
 // *Col[T], or a workload's own struct-of-arrays type) that all partitions of
 // its dataset share, so operators read and write it without an interface
-// value per row. Boxed rows are one more column type, Col[Row]. Partitions
-// are values in one block per dataset, which the dataset owns: no other
-// dataset reaches them. Over allocates a dataset together with its column's
-// header, so a dataset over one column costs two allocations besides its
-// payload: that and its partition block. A partition's Rows stay nil until
+// value per row. Boxed rows are one more column type, Col[Row]. A dataset
+// owns its partitions, values in one block; over one column it costs two
+// allocations besides its payload (Over). A partition's Rows stay nil until
 // (*Dataset).Box fills them, at a job's output and only when its caller asks
 // for the result, for consumers that know nothing of the column types.
 package dataset
@@ -137,12 +135,10 @@ func FromPartitions(name string, parts []Partition) *Dataset {
 	return &Dataset{ID: NewID(), Name: name, Parts: parts}
 }
 
-// Over is FromPartitions for partitions that are windows on one column: it
-// points every partition's Col at col, which it allocates together with the
-// dataset, so that the column's header costs neither an allocation of its
-// own nor an interface box. col's type C is a Col[T] or a workload's column
-// struct, whose pointer is the Column. The header keeps the dataset, and its
-// partition block, reachable for as long as any window on it is.
+// Over is FromPartitions for windows on one column: it allocates col with the
+// dataset and points every partition's Col at it, so the column's header
+// costs no allocation or interface box of its own; *C is the Column. The
+// header keeps the dataset and its block reachable while any window on it is.
 func Over[C any, P interface {
 	*C
 	Column
@@ -157,9 +153,8 @@ func Over[C any, P interface {
 	return &h.Dataset
 }
 
-// Windows returns the partitions, for Over, of n rows split into parts
-// windows of near-equal length. Each accounts bytesPerRow per row. parts
-// must be >= 1.
+// Windows returns n rows in parts windows of near-equal length, for Over,
+// each accounting bytesPerRow per row. parts must be >= 1.
 func Windows(n, parts int, bytesPerRow int64) []Partition {
 	if parts < 1 {
 		panic("dataset: parts must be >= 1")
@@ -173,8 +168,7 @@ func Windows(n, parts int, bytesPerRow int64) []Partition {
 	return block
 }
 
-// FromSlice builds a dataset over the slice, without copying it, in parts
-// windows of near-equal length (Windows). parts must be >= 1.
+// FromSlice is Over the slice, without copying it, in Windows.
 func FromSlice[T any](name string, vals []T, parts int, bytesPerRow int64) *Dataset {
 	return Over(name, Col[T](vals), Windows(len(vals), parts, bytesPerRow))
 }

@@ -291,9 +291,8 @@ func (r *Run) chargeCompute(sc *stageScratch, ins []*dataset.Dataset, cpuFixed, 
 			continue
 		}
 		for i := range d.Parts {
-			vb := float64(d.Parts[i].VirtualBytes)
-			shares[r.nodeOf(d.Key(i), i)] += vb
-			total += vb
+			shares[r.nodeOf(d.Key(i), i)] += float64(d.Parts[i].VirtualBytes)
+			total += float64(d.Parts[i].VirtualBytes)
 		}
 	}
 	if total == 0 {
