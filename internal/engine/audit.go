@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"metadataflow/internal/dataset"
@@ -44,19 +45,20 @@ func (r *Run) ChooseSelections() map[string][]int {
 // violation, in deterministic order; nil means the books close.
 func (r *Run) AuditLineage() []string {
 	var out []string
-	ids := make([]dataset.ID, 0, len(r.datasets))
-	for id := range r.datasets {
+	ids := make([]dataset.ID, 0, len(r.rowOf))
+	for id := range r.rowOf {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	expected := make(map[dataset.PartKey]int)
 	for _, id := range ids {
-		d := r.datasets[id]
-		for i := range d.Parts {
+		row := &r.rows[r.rowOf[id]]
+		d := row.d
+		for i, ref := range row.refs {
 			key := d.Key(i)
 			home := r.nodeOf(key, i)
 			expected[key] = home
-			if !r.allocs[home].Known(key) {
+			if !r.allocs[home].Known(ref) {
 				out = append(out, fmt.Sprintf("lost: partition %d of live dataset %q missing at its home node %d", i, d.Name, home))
 			}
 		}

@@ -252,7 +252,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 		if r.audit != nil {
 			r.audit.RegisterDataset(int64(copied.ID), copied.Name)
 		}
-		end = r.storeOutput(copied, nodeT)
+		end = r.storeOutput(st, copied, nodeT)
 		r.finalizeChooseInputs(st, cs, -1) // release all originals
 		r.registerOutput(st, copied)
 	}

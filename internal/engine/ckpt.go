@@ -70,8 +70,8 @@ func (r *Run) mirrorCheckpoint(st *graph.Stage, d *dataset.Dataset, i int) {
 // construction of the chain hashes — its chain, so any match keys the
 // same store entry.
 func (r *Run) stageOfDataset(id dataset.ID) *graph.Stage {
-	if prod, ok := r.producerOf[id]; ok && prod >= 0 && prod < len(r.plan.Stages) {
-		return r.plan.Stages[prod]
+	if ri, live := r.rowOf[id]; live {
+		return r.plan.Stages[r.rows[ri].producer]
 	}
 	return nil
 }
@@ -121,11 +121,12 @@ func (r *Run) distrustCorrupt(alloc *memorymgr.Allocator) []memorymgr.Lost {
 	}
 	var lost []memorymgr.Lost
 	for _, key := range alloc.Keys() {
-		if !alloc.Checkpointed(key) {
+		ref := r.refOf(key)
+		if !alloc.Checkpointed(ref) {
 			continue
 		}
 		if sk, err := r.verifyCkpt(key); err != nil {
-			if l, ok := alloc.DropDurable(key); ok {
+			if l, ok := alloc.DropDurable(ref); ok {
 				lost = append(lost, l)
 				r.ckptMiss(sk, err)
 			}

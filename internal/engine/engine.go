@@ -201,26 +201,24 @@ type Run struct {
 	released  []int
 	ready     []*graph.Stage
 
-	// consumersLeft tracks remaining consumer stages per dataset (D^c_s).
-	consumersLeft map[dataset.ID]int
-	datasets      map[dataset.ID]*dataset.Dataset
-	protectedIDs  map[dataset.ID]bool // sink outputs, never discarded
-	liveCount     int
+	// The live datasets (D^c_s), one row each (dataRow). rowOf finds a
+	// dataset's row, once per dataset event; freeRows lists the slots of
+	// discarded datasets, which the next ones take, handle lists and all.
+	rows     []dataRow
+	rowOf    map[dataset.ID]int32
+	freeRows []int32
 
 	sessions []*chooseState // by choose stage ID; nil until the choose is first touched
 
 	// Fault-injection and recovery state.
 	injector   *faults.Injector // nil on fault-free runs
 	checkpoint bool             // durable-copy awareness enabled
-	// producerOf maps a dataset to the stage that first produced it, for
-	// lineage re-derivation; forwarding stages (explore, choose) keep the
-	// original producer.
-	producerOf map[dataset.ID]int
 	// stageDur records each executed stage's virtual duration, the cost
 	// charged when the stage is re-executed to re-derive lost partitions.
 	stageDur []sim.VTime
 	// placement overrides the default partition-to-node mapping (index mod
-	// workers) for partitions rebalanced or re-derived after failures.
+	// workers) for partitions rebalanced or re-derived after failures. It is
+	// empty on a fault-free run, and consulted only when it is not.
 	placement map[dataset.PartKey]int
 
 	// probe is the telemetry sink (Options.Probe); nil disables telemetry.
@@ -367,23 +365,20 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 	o.Scheduler.Init(plan)
 	n := len(plan.Stages)
 	r := &Run{
-		plan:          plan,
-		opts:          o,
-		start:         start,
-		now:           start,
-		executed:      make([]bool, n),
-		skipped:       make([]bool, n),
-		stageEnd:      make([]sim.VTime, n),
-		stageOut:      make([]*dataset.Dataset, n),
-		unsettled:     make([]int32, n),
-		consumersLeft: make(map[dataset.ID]int),
-		datasets:      make(map[dataset.ID]*dataset.Dataset),
-		protectedIDs:  make(map[dataset.ID]bool),
-		sessions:      make([]*chooseState, n),
-		producerOf:    make(map[dataset.ID]int),
-		stageDur:      make([]sim.VTime, n),
-		placement:     make(map[dataset.PartKey]int),
-		checkpoint:    o.Checkpoint,
+		plan:       plan,
+		opts:       o,
+		start:      start,
+		now:        start,
+		executed:   make([]bool, n),
+		skipped:    make([]bool, n),
+		stageEnd:   make([]sim.VTime, n),
+		stageOut:   make([]*dataset.Dataset, n),
+		unsettled:  make([]int32, n),
+		rowOf:      make(map[dataset.ID]int32),
+		sessions:   make([]*chooseState, n),
+		stageDur:   make([]sim.VTime, n),
+		placement:  make(map[dataset.PartKey]int),
+		checkpoint: o.Checkpoint,
 	}
 	if o.Faults != nil {
 		r.injector = faults.NewInjector(o.Faults)
@@ -431,11 +426,11 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 // FutureAccesses implements memorymgr.AccessCounter for AMM (Alg. 2): the
 // number of consumer stages that will still read the dataset.
 func (r *Run) FutureAccesses(key dataset.PartKey) int {
-	n := r.consumersLeft[key.Dataset]
-	if n < 0 {
+	ri, live := r.rowOf[key.Dataset]
+	if !live {
 		return 0
 	}
-	return n
+	return max(r.rows[ri].consumers, 0)
 }
 
 // Now returns the job's current virtual time.
@@ -464,16 +459,16 @@ func (r *Run) CheckpointLive() int {
 			continue
 		}
 		seen[d.ID] = true
-		if _, live := r.datasets[d.ID]; !live {
+		ri, live := r.rowOf[d.ID]
+		if !live {
 			continue
 		}
-		for i := range d.Parts {
-			key := d.Key(i)
-			a := r.allocs[r.nodeOf(key, i)]
-			if !a.Known(key) || a.Checkpointed(key) {
+		for i, ref := range r.rows[ri].refs {
+			a := r.allocs[r.nodeOf(d.Key(i), i)]
+			if !a.Known(ref) || a.Checkpointed(ref) {
 				continue
 			}
-			if t := a.Checkpoint(key, r.now); t > end {
+			if t := a.Checkpoint(ref, r.now); t > end {
 				end = t
 			}
 			r.mirrorCheckpoint(st, d, i)
@@ -741,6 +736,61 @@ func (r *Run) readyTime(st *graph.Stage) sim.VTime {
 	return t
 }
 
+// dataRow is the run's record of one live dataset: the consumer stages
+// still to read it (D^c_s; AMM's acc(d)), the stage that first produced it
+// (forwarding stages, explore and choose, keep the original producer; lineage
+// re-derivation re-executes it), whether it is a sink output (never
+// discarded), and the handle of each of its partitions at the allocator of
+// the node holding it (refs[i] for partition i, at nodeOf). A dataset
+// registered without being stored — a forwarded one, or the empty output of a
+// choose that selected nothing — has zero handles, which every allocator
+// refuses.
+type dataRow struct {
+	d         *dataset.Dataset
+	consumers int
+	producer  int
+	protected bool
+	refs      []memorymgr.Ref
+}
+
+// newRow makes d live with the producing stage st, in a discarded dataset's
+// slot if there is one.
+func (r *Run) newRow(st *graph.Stage, d *dataset.Dataset) int32 {
+	var ri int32
+	if n := len(r.freeRows); n > 0 {
+		ri, r.freeRows = r.freeRows[n-1], r.freeRows[:n-1]
+	} else {
+		ri = int32(len(r.rows))
+		r.rows = append(r.rows, dataRow{})
+	}
+	row := &r.rows[ri]
+	refs := row.refs[:0]
+	for range d.Parts {
+		refs = append(refs, memorymgr.Ref{})
+	}
+	*row = dataRow{d: d, producer: st.ID, refs: refs}
+	r.rowOf[d.ID] = ri
+	return ri
+}
+
+// rowFor returns the row of d, made live with the producing stage st if it
+// is not yet.
+func (r *Run) rowFor(st *graph.Stage, d *dataset.Dataset) int32 {
+	if ri, live := r.rowOf[d.ID]; live {
+		return ri
+	}
+	return r.newRow(st, d)
+}
+
+// refOf returns the handle of a live dataset's partition, or the zero handle
+// when the dataset is not live.
+func (r *Run) refOf(key dataset.PartKey) memorymgr.Ref {
+	if ri, live := r.rowOf[key.Dataset]; live {
+		return r.rows[ri].refs[key.Index]
+	}
+	return memorymgr.Ref{}
+}
+
 // registerOutput records a produced dataset and its consumer count.
 func (r *Run) registerOutput(st *graph.Stage, d *dataset.Dataset) {
 	if r.audit != nil {
@@ -756,51 +806,47 @@ func (r *Run) registerOutput(st *graph.Stage, d *dataset.Dataset) {
 			consumers++
 		}
 	}
-	if _, known := r.datasets[d.ID]; !known {
-		r.datasets[d.ID] = d
-		r.liveCount++
-		r.producerOf[d.ID] = st.ID
-	}
+	ri := r.rowFor(st, d)
+	row := &r.rows[ri]
 	if len(r.plan.Post(st)) == 0 {
 		// Sink outputs stay live until the end of the job.
-		r.protectedIDs[d.ID] = true
+		row.protected = true
 	}
-	r.consumersLeft[d.ID] += consumers
-	if r.opts.PinReused && r.consumersLeft[d.ID] > 1 {
-		for i := range d.Parts {
-			r.allocs[r.nodeOf(d.Key(i), i)].Pin(d.Key(i))
+	row.consumers += consumers
+	if r.opts.PinReused && row.consumers > 1 {
+		for i, ref := range row.refs {
+			r.allocs[r.nodeOf(d.Key(i), i)].Pin(ref)
 		}
 	}
-	if r.checkpoint && r.opts.Policy == memorymgr.AMM && (consumers > 0 || r.protected(d.ID)) {
+	if r.checkpoint && r.opts.Policy == memorymgr.AMM && (consumers > 0 || row.protected) {
 		// Anticipatory checkpointing (AMM under the fault model): every
 		// intermediate that will be consumed — and every sink output — gets
 		// a durable on-disk copy, written in the background on its node's
 		// disk timeline, so a later crash re-reads it instead of re-deriving
 		// it by lineage.
-		for i := range d.Parts {
-			key := d.Key(i)
-			r.allocs[r.nodeOf(key, i)].Checkpoint(key, r.now)
+		for i, ref := range row.refs {
+			r.allocs[r.nodeOf(d.Key(i), i)].Checkpoint(ref, r.now)
 			r.mirrorCheckpoint(st, d, i)
 		}
 	}
-	if r.liveCount > r.metrics.PeakLiveDatasets {
-		r.metrics.PeakLiveDatasets = r.liveCount
+	if live := len(r.rowOf); live > r.metrics.PeakLiveDatasets {
+		r.metrics.PeakLiveDatasets = live
 	}
 }
-
-func (r *Run) protected(id dataset.ID) bool { return r.protectedIDs[id] }
 
 // consumeInput decrements a dataset's remaining consumers, discarding it
 // when no consumer remains (R3). A stage that forwards its input unchanged
 // (explore, single-selection choose) consumes it the same way: registerOutput
 // has already counted the forwarded dataset's new consumers.
 func (r *Run) consumeInput(d *dataset.Dataset) {
-	if _, live := r.datasets[d.ID]; !live {
+	ri, live := r.rowOf[d.ID]
+	if !live {
 		return
 	}
-	r.consumersLeft[d.ID]--
-	if r.consumersLeft[d.ID] <= 0 && !r.protected(d.ID) {
-		r.discardDataset(d)
+	row := &r.rows[ri]
+	row.consumers--
+	if row.consumers <= 0 && !row.protected {
+		r.discardRow(ri)
 	}
 }
 
@@ -813,30 +859,36 @@ func (r *Run) unpinDataset(d *dataset.Dataset) {
 	if !r.opts.PinReused {
 		return
 	}
-	for i := range d.Parts {
-		key := d.Key(i)
-		r.allocs[r.nodeOf(key, i)].Unpin(key)
+	ri, live := r.rowOf[d.ID]
+	if !live {
+		return
+	}
+	for i, ref := range r.rows[ri].refs {
+		r.allocs[r.nodeOf(d.Key(i), i)].Unpin(ref)
 	}
 }
 
-// discardDataset drops a dataset no consumer is left for (R3): from the
+// discardRow drops a dataset no consumer is left for (R3): from the
 // allocators' simulated memory and, by clearing every stageOut slot that
 // holds it, from the Go heap. Nothing reads the payload of a discarded
 // dataset again; recovery re-derives lost partitions in virtual time only.
-func (r *Run) discardDataset(d *dataset.Dataset) {
-	if _, live := r.datasets[d.ID]; !live {
-		return
-	}
-	delete(r.datasets, d.ID)
-	delete(r.consumersLeft, d.ID)
-	r.liveCount--
+// The row's slot, handle list included, goes to the next dataset.
+func (r *Run) discardRow(ri int32) {
+	row := &r.rows[ri]
+	d := row.d
+	delete(r.rowOf, d.ID)
 	r.metrics.DatasetsDiscarded++
-	for i := range d.Parts {
+	for i, ref := range row.refs {
 		key := d.Key(i)
-		r.allocs[r.nodeOf(key, i)].Discard(key)
-		delete(r.placement, key)
+		r.allocs[r.nodeOf(key, i)].Discard(ref)
+		if len(r.placement) > 0 {
+			delete(r.placement, key)
+		}
 	}
-	r.dropPayload(r.plan.Stages[r.producerOf[d.ID]], d)
+	producer := row.producer
+	row.d = nil
+	r.freeRows = append(r.freeRows, ri)
+	r.dropPayload(r.plan.Stages[producer], d)
 }
 
 // dropPayload clears the stageOut slot of st and of every stage that

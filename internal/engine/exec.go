@@ -174,7 +174,7 @@ func (r *Run) execStage(st *graph.Stage) error {
 		// dataset in the audit log.
 		r.audit.RegisterDataset(int64(out.ID), out.Name)
 	}
-	end := r.storeOutput(out, nodeT)
+	end := r.storeOutput(st, out, nodeT)
 
 	for _, d := range ins {
 		r.consumeInput(d)
@@ -221,14 +221,15 @@ func (r *Run) loadInputs(sc *stageScratch, ins []*dataset.Dataset, ready sim.VTi
 		if d == nil {
 			continue
 		}
-		for i := range d.Parts {
+		ri, live := r.rowOf[d.ID]
+		if !live {
+			continue // discarded: no allocator holds its partitions
+		}
+		for i, ref := range r.rows[ri].refs {
 			n := r.nodeOf(d.Key(i), i)
-			end, _, err := r.allocs[n].Access(d.Key(i), nodeT[n])
+			end, _, err := r.allocs[n].Access(ref, nodeT[n])
 			if err != nil {
-				if _, live := r.datasets[d.ID]; live {
-					return nil, fmt.Errorf("reading live dataset %q: %w", d.Name, err)
-				}
-				continue
+				return nil, fmt.Errorf("reading live dataset %q: %w", d.Name, err)
 			}
 			if end > nodeT[n] {
 				nodeT[n] = end
@@ -338,12 +339,25 @@ func (r *Run) chargeCompute(sc *stageScratch, ins []*dataset.Dataset, cpuFixed, 
 	}
 }
 
-// storeOutput writes the output partitions to their nodes and returns the
-// stage completion time.
-func (r *Run) storeOutput(out *dataset.Dataset, nodeT []sim.VTime) sim.VTime {
+// storeOutput writes the output partitions of stage st to their nodes, makes
+// the output live with their handles, and returns the stage completion time.
+// An output that is live already (an operator returned a dataset an earlier
+// stage produced) replaces what its partitions held.
+func (r *Run) storeOutput(st *graph.Stage, out *dataset.Dataset, nodeT []sim.VTime) sim.VTime {
+	ri, live := r.rowOf[out.ID]
+	if live {
+		for i, ref := range r.rows[ri].refs {
+			r.allocs[r.nodeOf(out.Key(i), i)].Discard(ref)
+		}
+	} else {
+		ri = r.newRow(st, out)
+	}
+	refs := r.rows[ri].refs
 	for i := range out.Parts {
-		n := r.placeNew(out.Key(i), i)
-		end := r.allocs[n].Put(out.Key(i), sim.Bytes(out.Parts[i].VirtualBytes), nodeT[n])
+		key := out.Key(i)
+		n := r.placeNew(key, i)
+		var end sim.VTime
+		refs[i], end = r.allocs[n].Put(key, sim.Bytes(out.Parts[i].VirtualBytes), nodeT[n])
 		if end > nodeT[n] {
 			nodeT[n] = end
 		}

@@ -13,31 +13,44 @@ import (
 )
 
 // checkPayloads compares the stageOut table with what the lifetime rule (R3)
-// says it must hold. held remembers, per stage, the dataset the stage was
-// first seen holding; from then on the slot holds that dataset exactly as
-// long as it is live — no slot keeps a discarded payload reachable, and no
-// live dataset loses a slot, its producer's or a forwarder's.
-func checkPayloads(r *Run, held []*dataset.Dataset) error {
+// says it must hold, reading the live datasets from the run's rows. held
+// remembers, per stage, the dataset the stage was first seen holding; from
+// then on the slot holds that dataset exactly as long as it is live — no slot
+// keeps a discarded payload reachable, and no live dataset loses a slot, its
+// producer's or a forwarder's. protected remembers every dataset a row was
+// seen protecting: a sink output stays live to the end.
+func checkPayloads(r *Run, held []*dataset.Dataset, protected map[dataset.ID]bool) error {
+	live := func(d *dataset.Dataset) bool {
+		ri, ok := r.rowOf[d.ID]
+		return ok && r.rows[ri].d == d
+	}
 	for _, st := range r.plan.Stages {
 		d := r.stageOut[st.ID]
 		if held[st.ID] == nil {
 			held[st.ID] = d
 		}
 		want := held[st.ID]
-		if want != nil && r.datasets[want.ID] != want {
+		if want != nil && !live(want) {
 			want = nil // discarded
 		}
 		if d != want {
 			return fmt.Errorf("stage %s holds %v, the lifetime rule says %v", st, d, want)
 		}
 	}
-	for id, d := range r.datasets {
-		if prod := r.producerOf[id]; r.stageOut[prod] != d {
-			return fmt.Errorf("live dataset %v is not in the slot of its producer T%d", d, prod)
+	for id, ri := range r.rowOf {
+		row := &r.rows[ri]
+		if row.d == nil || row.d.ID != id {
+			return fmt.Errorf("dataset %d is indexed at row %d, which holds %v", id, ri, row.d)
+		}
+		if r.stageOut[row.producer] != row.d {
+			return fmt.Errorf("live dataset %v is not in the slot of its producer T%d", row.d, row.producer)
+		}
+		if row.protected {
+			protected[id] = true
 		}
 	}
-	for id := range r.protectedIDs {
-		if _, live := r.datasets[id]; !live {
+	for id := range protected {
+		if _, ok := r.rowOf[id]; !ok {
 			return fmt.Errorf("protected dataset %d was discarded", id)
 		}
 	}
@@ -53,9 +66,10 @@ func TestPayloadsFollowLifetimeRule(t *testing.T) {
 	for _, c := range refCases(t) {
 		r, _, p := c.start(t)
 		held := make([]*dataset.Dataset, len(p.Stages))
+		protected := map[dataset.ID]bool{}
 		for step, alive := 0, true; alive; step++ {
 			alive = r.Step()
-			if err := checkPayloads(r, held); err != nil {
+			if err := checkPayloads(r, held, protected); err != nil {
 				t.Fatalf("%s: after step %d: %v", c.name, step, err)
 			}
 		}

@@ -113,8 +113,10 @@ func (r *Run) homeOf(i int) int {
 // nodeOf resolves the node holding a partition, honouring rebalancing
 // overrides recorded by failure recovery.
 func (r *Run) nodeOf(key dataset.PartKey, i int) int {
-	if n, ok := r.placement[key]; ok {
-		return n
+	if len(r.placement) > 0 {
+		if n, ok := r.placement[key]; ok {
+			return n
+		}
 	}
 	return i % len(r.allocs)
 }
@@ -188,7 +190,7 @@ func (r *Run) onCrash(c faults.Crash) error {
 	for _, l := range checkpointed {
 		n := r.homeOf(l.Key.Index)
 		r.placement[l.Key] = n
-		r.allocs[n].AdoptSpilled(l.Key, l.Bytes)
+		r.setRef(l.Key, r.allocs[n].AdoptSpilled(l.Key, l.Bytes))
 		t := r.opts.Cluster.Nodes[n].Net(start, cfg.NetSec(l.Bytes))
 		if t > end {
 			end = t
@@ -211,6 +213,14 @@ func (r *Run) onCrash(c faults.Crash) error {
 	return nil
 }
 
+// setRef records the handle a live dataset's partition has at its new node
+// after recovery moved or restored it.
+func (r *Run) setRef(key dataset.PartKey, ref memorymgr.Ref) {
+	if ri, live := r.rowOf[key.Dataset]; live {
+		r.rows[ri].refs[key.Index] = ref
+	}
+}
+
 // rederive restores lost partitions by re-executing their producing stages:
 // each distinct producer is charged its recorded virtual duration once per
 // receiving node (the re-execution runs on the node that will hold the
@@ -228,7 +238,8 @@ func (r *Run) rederive(lost []memorymgr.Lost) {
 	for _, l := range lost {
 		node := r.homeOf(l.Key.Index)
 		t := start
-		if prod, ok := r.producerOf[l.Key.Dataset]; ok {
+		if ri, live := r.rowOf[l.Key.Dataset]; live {
+			prod := r.rows[ri].producer
 			pn := producerNode{prod, node}
 			if e, charged := reExecEnd[pn]; charged {
 				t = e
@@ -241,7 +252,9 @@ func (r *Run) rederive(lost []memorymgr.Lost) {
 				}
 			}
 		}
-		t = r.allocs[node].Put(l.Key, l.Bytes, t)
+		var ref memorymgr.Ref
+		ref, t = r.allocs[node].Put(l.Key, l.Bytes, t)
+		r.setRef(l.Key, ref)
 		r.placement[l.Key] = node
 		r.metrics.PartitionsRederived++
 		r.metrics.RederivedBytes += l.Bytes

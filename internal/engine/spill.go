@@ -20,8 +20,8 @@ type SpillEntry struct {
 func (r *Run) SpillReport(top int) []SpillEntry {
 	byDataset := map[dataset.ID]sim.Bytes{}
 	for _, a := range r.allocs {
-		for key, bytes := range a.SpilledByPartition() {
-			byDataset[key.Dataset] += bytes
+		for id, bytes := range a.SpilledByDataset() {
+			byDataset[id] += bytes
 		}
 	}
 	out := make([]SpillEntry, 0, len(byDataset))

@@ -332,6 +332,10 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 			universe = append(universe, dataset.PartKey{Dataset: dataset.ID(d), Index: p})
 		}
 	}
+	// The driver keeps the handle of every partition it stored; one it
+	// discarded, lost or evacuated stays in the map, stale, and the calls the
+	// sequence still makes through it must be refused.
+	refs := map[dataset.PartKey]Ref{}
 	now := tr.baseT
 	for op := 0; op < tr.ops; op++ {
 		key := universe[rng.Intn(len(universe))]
@@ -340,7 +344,7 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		}
 		resident := map[dataset.PartKey]bool{}
 		for _, k := range real.Keys() {
-			resident[k] = inMemory(real, k)
+			resident[k] = inMemory(real, refs[k])
 		}
 		what := ""
 		switch k := rng.Intn(20); {
@@ -351,12 +355,15 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 			}
 			acc[key] = rng.Intn(4)
 			what = fmt.Sprintf("Put(%s, %d)", key, bytes)
-			if got, want := real.Put(key, bytes, now), ref.Put(key, bytes, now); got != want {
+			real.Discard(refs[key]) // a partition stored again replaces what was tracked
+			var got sim.VTime
+			refs[key], got = real.Put(key, bytes, now)
+			if want := ref.Put(key, bytes, now); got != want {
 				t.Fatalf("seed %d op %d %s: end %v, reference %v", tr.seed, op, what, got, want)
 			}
 		case k < 12:
 			what = fmt.Sprintf("Access(%s)", key)
-			gotEnd, gotHit, gotErr := real.Access(key, now)
+			gotEnd, gotHit, gotErr := real.Access(refs[key], now)
 			wantEnd, wantHit, wantErr := ref.Access(key, now)
 			if gotEnd != wantEnd || gotHit != wantHit || (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("seed %d op %d %s: (%v, %v, %v), reference (%v, %v, %v)", tr.seed, op, what,
@@ -364,23 +371,23 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 			}
 		case k < 13:
 			what = fmt.Sprintf("Pin(%s)", key)
-			real.Pin(key)
+			real.Pin(refs[key])
 			if e := ref.find(key); e != nil {
 				e.pinned = true
 			}
 		case k < 14:
 			what = fmt.Sprintf("Unpin(%s)", key)
-			real.Unpin(key)
+			real.Unpin(refs[key])
 			if e := ref.find(key); e != nil {
 				e.pinned = false
 			}
 		case k < 16:
 			what = fmt.Sprintf("Discard(%s)", key)
-			real.Discard(key)
+			real.Discard(refs[key])
 			ref.remove(key)
 		case k < 17:
 			what = fmt.Sprintf("Checkpoint(%s)", key)
-			if got, want := real.Checkpoint(key, now), ref.Checkpoint(key, now); got != want {
+			if got, want := real.Checkpoint(refs[key], now), ref.Checkpoint(key, now); got != want {
 				t.Fatalf("seed %d op %d %s: end %v, reference %v", tr.seed, op, what, got, want)
 			}
 		case k < 18:
@@ -402,7 +409,7 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 				}
 			case 2, 3, 4:
 				what = fmt.Sprintf("DropDurable(%s)", key)
-				gotL, gotOK := real.DropDurable(key)
+				gotL, gotOK := real.DropDurable(refs[key])
 				wantL, wantOK := ref.DropDurable(key)
 				if gotL != wantL || gotOK != wantOK {
 					t.Fatalf("seed %d op %d %s: (%v, %v), reference (%v, %v)", tr.seed, op, what, gotL, gotOK, wantL, wantOK)
@@ -410,7 +417,9 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 			default:
 				bytes := sim.Bytes(300 + rng.Intn(4000))
 				what = fmt.Sprintf("AdoptSpilled(%s, %d)", key, bytes)
-				real.AdoptSpilled(key, bytes)
+				if !real.Known(refs[key]) {
+					refs[key] = real.AdoptSpilled(key, bytes)
+				}
 				if ref.find(key) == nil {
 					ref.entries = append(ref.entries, &refEntry{key: key, bytes: bytes, onDisk: true})
 				}
@@ -422,7 +431,7 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		// memory without choosing).
 		if what != "Crash" {
 			for _, k := range real.Keys() {
-				if resident[k] && !inMemory(real, k) {
+				if resident[k] && !inMemory(real, refs[k]) {
 					tr.victims = append(tr.victims, k)
 				}
 			}
@@ -433,9 +442,9 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		}
 		for _, k := range keys {
 			e := ref.find(k)
-			if inMemory(real, k) != e.inMemory || real.Checkpointed(k) != e.onDisk {
+			if r := refs[k]; inMemory(real, r) != e.inMemory || real.Checkpointed(r) != e.onDisk {
 				t.Fatalf("seed %d op %d %s: %s resident=%v durable=%v, reference resident=%v durable=%v",
-					tr.seed, op, what, k, inMemory(real, k), real.Checkpointed(k), e.inMemory, e.onDisk)
+					tr.seed, op, what, k, inMemory(real, r), real.Checkpointed(r), e.inMemory, e.onDisk)
 			}
 		}
 		pinned := 0
@@ -512,18 +521,30 @@ func TestAlg2Reference(t *testing.T) {
 }
 
 // TestPutAgainReleasesTheOldEntry pins the fix the reference's op mix found
-// wanting: storing a partition the allocator already tracks releases the old
-// entry's resident bytes first.
+// wanting: storing a partition again releases the old entry's resident bytes
+// and pin first. The caller discards the old handle before the second Put;
+// the handle is stale afterwards even though the new entry reuses its slot.
 func TestPutAgainReleasesTheOldEntry(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
-	a.Put(key(1), 1000, 0)
-	a.Pin(key(1))
-	a.Put(key(1), 700, 1)
+	old := put(a, key(1), 1000, 0)
+	a.Pin(old)
+	a.Discard(old)
+	fresh := put(a, key(1), 700, 1)
+	if fresh.slot != old.slot {
+		t.Fatalf("the second Put took slot %d, not the released slot %d", fresh.slot, old.slot)
+	}
+	// The old handle names the reused slot under a spent generation: it
+	// reaches nothing, the new entry least of all.
+	a.Pin(old)
+	a.Discard(old)
+	if _, _, err := a.Access(old, 2); err == nil {
+		t.Fatal("the discarded handle still reads a partition")
+	}
 	if err := a.CheckAccounting(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Used() != 700 || a.TrackedParts() != 1 || a.PinnedParts() != 0 {
-		t.Fatalf("used %d tracked %d pinned %d after the second Put, want 700, 1 and 0",
-			a.Used(), a.TrackedParts(), a.PinnedParts())
+	if a.Used() != 700 || a.TrackedParts() != 1 || a.PinnedParts() != 0 || !inMemory(a, fresh) {
+		t.Fatalf("used %d tracked %d pinned %d resident %v after the second Put, want 700, 1, 0 and true",
+			a.Used(), a.TrackedParts(), a.PinnedParts(), inMemory(a, fresh))
 	}
 }

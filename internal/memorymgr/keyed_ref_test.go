@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"metadataflow/internal/cluster"
@@ -304,38 +305,53 @@ func (a *keyedAlloc) before(e *keyedEntry, pref float64, best *keyedEntry, bestP
 
 // keyedTrial drives the real allocator and the keyed reference through one
 // seeded sequence over datasets×parts partitions. The real allocator is
-// reached through the calls below only.
+// reached through the calls below only, which keep the handle of every
+// partition stored. A handle whose partition was discarded, lost or
+// evacuated stays in the map, stale: the sequence keeps calling through it,
+// and the real allocator must refuse it as the reference refuses the key.
 type keyedTrial struct {
 	t         *testing.T
 	seed      int64
 	real      *Allocator
 	ref       *keyedAlloc
+	refs      map[dataset.PartKey]Ref
 	victims   int
 	adoptions int
 	losses    int
 }
 
 func (tr *keyedTrial) put(k dataset.PartKey, b sim.Bytes, t sim.VTime) sim.VTime {
-	return tr.real.Put(k, b, t)
+	tr.real.Discard(tr.refs[k]) // a partition stored again replaces its entry
+	var end sim.VTime
+	tr.refs[k], end = tr.real.Put(k, b, t)
+	return end
 }
 
 func (tr *keyedTrial) access(k dataset.PartKey, t sim.VTime) (sim.VTime, bool, error) {
-	return tr.real.Access(k, t)
+	return tr.real.Access(tr.refs[k], t)
 }
 
-func (tr *keyedTrial) discard(k dataset.PartKey) { tr.real.Discard(k) }
-func (tr *keyedTrial) pin(k dataset.PartKey)     { tr.real.Pin(k) }
-func (tr *keyedTrial) unpin(k dataset.PartKey)   { tr.real.Unpin(k) }
-func (tr *keyedTrial) known(k dataset.PartKey) bool {
-	return tr.real.Known(k)
-}
-func (tr *keyedTrial) checkpointed(k dataset.PartKey) bool { return tr.real.Checkpointed(k) }
+func (tr *keyedTrial) discard(k dataset.PartKey)           { tr.real.Discard(tr.refs[k]) }
+func (tr *keyedTrial) pin(k dataset.PartKey)               { tr.real.Pin(tr.refs[k]) }
+func (tr *keyedTrial) unpin(k dataset.PartKey)             { tr.real.Unpin(tr.refs[k]) }
+func (tr *keyedTrial) known(k dataset.PartKey) bool        { return tr.real.Known(tr.refs[k]) }
+func (tr *keyedTrial) checkpointed(k dataset.PartKey) bool { return tr.real.Checkpointed(tr.refs[k]) }
 func (tr *keyedTrial) checkpoint(k dataset.PartKey, t sim.VTime) sim.VTime {
-	return tr.real.Checkpoint(k, t)
+	return tr.real.Checkpoint(tr.refs[k], t)
 }
-func (tr *keyedTrial) dropDurable(k dataset.PartKey) (Lost, bool)  { return tr.real.DropDurable(k) }
-func (tr *keyedTrial) adoptSpilled(k dataset.PartKey, b sim.Bytes) { tr.real.AdoptSpilled(k, b) }
-func (tr *keyedTrial) resident(k dataset.PartKey) bool             { return inMemory(tr.real, k) }
+func (tr *keyedTrial) dropDurable(k dataset.PartKey) (Lost, bool) {
+	return tr.real.DropDurable(tr.refs[k])
+}
+
+// adoptSpilled adopts a partition the allocator does not track, as the
+// engine does (AdoptSpilled keeps a tracked partition's entry, in the
+// reference).
+func (tr *keyedTrial) adoptSpilled(k dataset.PartKey, b sim.Bytes) {
+	if !tr.known(k) {
+		tr.refs[k] = tr.real.AdoptSpilled(k, b)
+	}
+}
+func (tr *keyedTrial) resident(k dataset.PartKey) bool { return inMemory(tr.real, tr.refs[k]) }
 
 func (tr *keyedTrial) run(policy PolicyKind, ops int) {
 	t := tr.t
@@ -345,6 +361,7 @@ func (tr *keyedTrial) run(policy PolicyKind, ops int) {
 	acc := accMap{}
 	tr.real = NewAllocator(&cluster.Node{}, cfg, capacity, policy, acc)
 	tr.ref = newKeyedAlloc(&cluster.Node{}, cfg, capacity, policy, acc)
+	tr.refs = map[dataset.PartKey]Ref{}
 	checkpointing := rng.Intn(2) == 0
 	tr.real.SetCheckpointing(checkpointing)
 	tr.ref.checkpointing = checkpointing
@@ -379,7 +396,8 @@ func (tr *keyedTrial) run(policy PolicyKind, ops int) {
 			what = fmt.Sprintf("Access(%s)", k)
 			gotEnd, gotHit, gotErr := tr.access(k, now)
 			wantEnd, wantHit, wantErr := tr.ref.Access(k, now)
-			if gotEnd != wantEnd || gotHit != wantHit || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			if gotEnd != wantEnd || gotHit != wantHit || (gotErr == nil) != (wantErr == nil) ||
+				gotErr != nil && !strings.Contains(gotErr.Error(), "memorymgr: access to unknown partition") {
 				t.Fatalf("seed %d op %d %s: (%v, %v, %v), reference (%v, %v, %v)", tr.seed, op, what,
 					gotEnd, gotHit, gotErr, wantEnd, wantHit, wantErr)
 			}
@@ -478,7 +496,11 @@ func (tr *keyedTrial) compare(op int, what string, before []dataset.PartKey, was
 	if *tr.real.Metrics() != tr.ref.metrics {
 		t.Fatalf("seed %d op %d %s: metrics %+v, reference %+v", tr.seed, op, what, *tr.real.Metrics(), tr.ref.metrics)
 	}
-	if got, want := tr.real.SpilledByPartition(), tr.ref.spilled; !reflect.DeepEqual(got, want) {
+	want := map[dataset.ID]sim.Bytes{}
+	for k, b := range tr.ref.spilled {
+		want[k.Dataset] += b
+	}
+	if got := tr.real.SpilledByDataset(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d op %d %s: spills %v, reference %v", tr.seed, op, what, got, want)
 	}
 	if err := tr.real.CheckAccounting(); err != nil {

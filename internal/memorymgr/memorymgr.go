@@ -9,6 +9,7 @@ package memorymgr
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -102,16 +103,26 @@ func (m *Metrics) Merge(other *Metrics) {
 	}
 }
 
-// entry is the allocator's record of one partition. It belongs to the
-// allocator that cut it from its slab (newEntry) until release hands the slot
-// back for the next partition; no pointer to an entry outlives the call that
-// looked it up.
+// Ref is a handle to the entry the allocator keeps for a partition, as Put
+// and AdoptSpilled return it: the entry's slot and the slot's generation at
+// the time. Releasing the entry moves the generation on, so a handle kept past
+// a Discard, a crash that lost the partition or a DropDurable is stale: every
+// call refuses it as it would an unknown partition, even once the slot holds
+// another partition. The zero Ref is never valid.
+type Ref struct {
+	slot, gen uint32
+}
+
+// entry is the allocator's record of one partition, in Allocator.entries at
+// the slot its Ref names. gen is odd while the entry is live and even once it
+// is released and its slot waits on the free list.
 type entry struct {
 	key        dataset.PartKey
 	bytes      sim.Bytes
 	lastAccess sim.VTime
-	// slot is the entry's index in Allocator.resident while inMemory.
-	slot     int32
+	gen        uint32
+	// res is the entry's index in Allocator.resident while inMemory.
+	res      int32
 	inMemory bool
 	pinned   bool
 	// onDisk records a durable copy on this node's disk, written either by a
@@ -119,6 +130,8 @@ type entry struct {
 	// partitions; the rest are lost and must be re-derived by lineage.
 	onDisk bool
 }
+
+func (e *entry) live() bool { return e.gen&1 == 1 }
 
 // Allocator manages the dataset memory of one worker node for one job.
 type Allocator struct {
@@ -129,18 +142,21 @@ type Allocator struct {
 	acc      AccessCounter
 	alpha    float64
 
-	used    sim.Bytes
-	entries map[dataset.PartKey]*entry
-	// resident lists the entries in memory, in no particular order (an entry
-	// leaving takes the last one's place): what a victim is chosen among,
-	// without a walk over the spilled ones.
-	resident []*entry
-	// slab is the chunk entries are being cut from, free the entries handed
-	// back since. Chunks are entryChunk entries and live as long as the
-	// allocator.
-	slab    []entry
-	free    []*entry
-	spilled map[dataset.PartKey]sim.Bytes
+	used sim.Bytes
+	// entries holds every entry by slot, live or released; free lists the
+	// released slots, which the next partitions take, and tracked counts the
+	// live ones. The table grows to the most partitions the node ever tracks
+	// at once and lives as long as the allocator.
+	entries []entry
+	free    []uint32
+	tracked int
+	// resident lists the slots of the entries in memory, in no particular
+	// order (an entry leaving takes the last one's place): what a victim is
+	// chosen among, without a walk over the spilled ones.
+	resident []uint32
+	// spilled is the cumulative spill volume per dataset, for the spill
+	// report.
+	spilled map[dataset.ID]sim.Bytes
 	metrics Metrics
 	seq     sim.VTime // tie-breaking sequence for identical timestamps
 
@@ -167,44 +183,59 @@ func NewAllocator(node *cluster.Node, cfg cluster.Config, capacity sim.Bytes, po
 		policy:   policy,
 		acc:      acc,
 		alpha:    cfg.Alpha(),
-		entries:  make(map[dataset.PartKey]*entry),
-		spilled:  make(map[dataset.PartKey]sim.Bytes),
+		spilled:  make(map[dataset.ID]sim.Bytes),
 	}
 }
 
-// entryChunk is the number of entries allocated at a time.
+// entryChunk is the capacity the entry table starts at.
 const entryChunk = 32
 
-// newEntry tracks a partition under key, in a released slot if there is one.
-func (a *Allocator) newEntry(key dataset.PartKey, bytes sim.Bytes) *entry {
-	var e *entry
+// newEntry tracks a partition under key, in a released slot if there is one,
+// and returns its handle.
+func (a *Allocator) newEntry(key dataset.PartKey, bytes sim.Bytes) (Ref, *entry) {
+	var slot uint32
 	if n := len(a.free); n > 0 {
-		e, a.free = a.free[n-1], a.free[:n-1]
+		slot, a.free = a.free[n-1], a.free[:n-1]
 	} else {
-		if len(a.slab) == cap(a.slab) {
-			a.slab = make([]entry, 0, entryChunk)
+		if a.entries == nil {
+			a.entries = make([]entry, 0, entryChunk)
 		}
-		a.slab = a.slab[:len(a.slab)+1]
-		e = &a.slab[len(a.slab)-1]
+		slot = uint32(len(a.entries))
+		a.entries = append(a.entries, entry{})
 	}
-	*e = entry{key: key, bytes: bytes}
-	a.entries[key] = e
-	return e
+	e := &a.entries[slot]
+	*e = entry{key: key, bytes: bytes, gen: e.gen + 1}
+	a.tracked++
+	return Ref{slot: slot, gen: e.gen}, e
 }
 
-// release stops tracking e and frees its slot.
-func (a *Allocator) release(e *entry) {
+// lookup returns the live entry ref names, or nil when the handle is stale or
+// was never issued by this allocator.
+func (a *Allocator) lookup(ref Ref) *entry {
+	if int(ref.slot) >= len(a.entries) {
+		return nil
+	}
+	if e := &a.entries[ref.slot]; e.gen == ref.gen && e.live() {
+		return e
+	}
+	return nil
+}
+
+// release stops tracking the entry in slot and frees the slot.
+func (a *Allocator) release(slot uint32) {
+	e := &a.entries[slot]
 	if e.inMemory {
 		a.vacate(e)
 	}
-	delete(a.entries, e.key)
-	a.free = append(a.free, e)
+	e.gen++
+	a.tracked--
+	a.free = append(a.free, slot)
 }
 
-// admit makes e resident.
-func (a *Allocator) admit(e *entry) {
-	e.inMemory, e.slot = true, int32(len(a.resident))
-	a.resident = append(a.resident, e)
+// admit makes e, the entry in slot, resident.
+func (a *Allocator) admit(slot uint32, e *entry) {
+	e.inMemory, e.res = true, int32(len(a.resident))
+	a.resident = append(a.resident, slot)
 	a.used += e.bytes
 	if a.used > a.metrics.PeakResidentBytes {
 		a.metrics.PeakResidentBytes = a.used
@@ -215,7 +246,8 @@ func (a *Allocator) admit(e *entry) {
 func (a *Allocator) vacate(e *entry) {
 	last := len(a.resident) - 1
 	moved := a.resident[last]
-	a.resident[e.slot], moved.slot = moved, e.slot
+	a.resident[e.res] = moved
+	a.entries[moved].res = e.res
 	a.resident = a.resident[:last]
 	e.inMemory = false
 	a.used -= e.bytes
@@ -250,14 +282,10 @@ func (a *Allocator) label(key dataset.PartKey) string {
 	return a.audit.Label(int64(key.Dataset), key.Index)
 }
 
-// SpilledByPartition returns the cumulative bytes spilled per partition at
-// this node, for spill attribution reports.
-func (a *Allocator) SpilledByPartition() map[dataset.PartKey]sim.Bytes {
-	out := make(map[dataset.PartKey]sim.Bytes, len(a.spilled))
-	for k, v := range a.spilled {
-		out[k] = v
-	}
-	return out
+// SpilledByDataset returns the cumulative bytes spilled per dataset at this
+// node, for spill attribution reports.
+func (a *Allocator) SpilledByDataset() map[dataset.ID]sim.Bytes {
+	return maps.Clone(a.spilled)
 }
 
 // Capacity returns the allocator's memory budget.
@@ -266,17 +294,14 @@ func (a *Allocator) Capacity() sim.Bytes { return a.capacity }
 // Used returns the bytes currently resident in memory.
 func (a *Allocator) Used() sim.Bytes { return a.used }
 
-// Known reports whether the allocator tracks the partition at all
-// (in memory or on disk).
-func (a *Allocator) Known(key dataset.PartKey) bool {
-	_, ok := a.entries[key]
-	return ok
-}
+// Known reports whether ref names a partition the allocator tracks (in
+// memory or on disk).
+func (a *Allocator) Known(ref Ref) bool { return a.lookup(ref) != nil }
 
 // Pin marks a partition so that it is evicted only when no unpinned victim
 // exists; models Spark's explicit cache() designation (§6.1).
-func (a *Allocator) Pin(key dataset.PartKey) {
-	if e, ok := a.entries[key]; ok {
+func (a *Allocator) Pin(ref Ref) {
+	if e := a.lookup(ref); e != nil {
 		e.pinned = true
 	}
 }
@@ -286,8 +311,8 @@ func (a *Allocator) Pin(key dataset.PartKey) {
 // pinned reuse cannot leak memory-budget for the rest of the job; the
 // leakcheck rule in internal/analysis enforces that every package calling
 // Pin also calls Unpin.
-func (a *Allocator) Unpin(key dataset.PartKey) {
-	if e, ok := a.entries[key]; ok {
+func (a *Allocator) Unpin(ref Ref) {
+	if e := a.lookup(ref); e != nil {
 		e.pinned = false
 	}
 }
@@ -298,17 +323,18 @@ func (a *Allocator) touch(e *entry, t sim.VTime) {
 }
 
 // Put stores a freshly produced partition, evicting per policy if memory is
-// exhausted, and returns the virtual time at which the write completes. A
-// partition larger than the whole budget goes straight to disk. A partition
-// the allocator already tracks is discarded first.
-func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) sim.VTime {
-	a.Discard(key)
-	e := a.newEntry(key, bytes)
+// exhausted, and returns the handle every later call about the partition
+// takes and the virtual time at which the write completes. A partition larger
+// than the whole budget goes straight to disk. Put does not look for an entry
+// the key already has: a caller storing a partition again discards its old
+// handle first.
+func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) (Ref, sim.VTime) {
+	ref, e := a.newEntry(key, bytes)
 	if bytes > a.capacity {
 		e.onDisk = true
 		a.metrics.Evictions++
 		a.metrics.SpilledBytes += bytes
-		a.spilled[key] += bytes
+		a.spilled[key.Dataset] += bytes
 		if a.audit != nil {
 			// No policy choice here — the partition cannot fit at all — but
 			// the audit log must still explain where the spill came from.
@@ -320,23 +346,23 @@ func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) sim.V
 		}
 		end := a.node.Disk(t, a.cfg.DiskWriteSec(bytes))
 		a.sampleSpilled(end)
-		return end
+		return ref, end
 	}
 	t = a.makeRoom(bytes, t)
-	a.admit(e)
+	a.admit(ref.slot, e)
 	a.touch(e, t)
 	end := a.node.CPU(t, a.cfg.MemWriteSec(bytes))
 	a.sampleResident(end)
-	return end
+	return ref, end
 }
 
 // Access reads a partition as operator input, returning the completion time
 // and whether the access was a memory hit. Disk misses reload the partition
 // into memory (evicting per policy).
-func (a *Allocator) Access(key dataset.PartKey, t sim.VTime) (end sim.VTime, hit bool, err error) {
-	e, ok := a.entries[key]
-	if !ok {
-		return t, false, fmt.Errorf("memorymgr: access to unknown partition %s", key)
+func (a *Allocator) Access(ref Ref, t sim.VTime) (end sim.VTime, hit bool, err error) {
+	e := a.lookup(ref)
+	if e == nil {
+		return t, false, a.unknown(ref)
 	}
 	if e.inMemory {
 		a.metrics.Hits++
@@ -349,18 +375,26 @@ func (a *Allocator) Access(key dataset.PartKey, t sim.VTime) (end sim.VTime, hit
 	end = a.node.Disk(t, a.cfg.DiskReadSec(e.bytes))
 	if e.bytes <= a.capacity {
 		end = a.makeRoom(e.bytes, end)
-		a.admit(e)
+		a.admit(ref.slot, e)
 		a.sampleResident(end)
 	}
 	a.touch(e, end)
 	return end, false, nil
 }
 
+// unknown is the error of an access through a handle that names no live
+// entry. A stale handle's slot still holds the key it was issued for, or
+// the key of a later partition, so the message names the slot instead.
+func (a *Allocator) unknown(ref Ref) error {
+	return fmt.Errorf("memorymgr: access to unknown partition (slot %d, generation %d)", ref.slot, ref.gen)
+}
+
 // Discard drops a partition entirely (R3: datasets no longer needed are
-// discarded as soon as possible). Discarding is free.
-func (a *Allocator) Discard(key dataset.PartKey) {
-	if e, ok := a.entries[key]; ok {
-		a.release(e)
+// discarded as soon as possible). Discarding is free; a stale handle is
+// ignored.
+func (a *Allocator) Discard(ref Ref) {
+	if a.lookup(ref) != nil {
+		a.release(ref.slot)
 	}
 }
 
@@ -373,9 +407,9 @@ func (a *Allocator) SetCheckpointing(on bool) { a.checkpointing = on }
 // t, and returns the write-completion time. It is a no-op (returning t) when
 // the partition is unknown or already durable. The engine drives this for
 // AMM's anticipatory checkpointing of consumed intermediates.
-func (a *Allocator) Checkpoint(key dataset.PartKey, t sim.VTime) sim.VTime {
-	e, ok := a.entries[key]
-	if !ok || e.onDisk {
+func (a *Allocator) Checkpoint(ref Ref, t sim.VTime) sim.VTime {
+	e := a.lookup(ref)
+	if e == nil || e.onDisk {
 		return t
 	}
 	e.onDisk = true
@@ -385,7 +419,7 @@ func (a *Allocator) Checkpoint(key dataset.PartKey, t sim.VTime) sim.VTime {
 	if a.audit != nil {
 		a.audit.Decision(obs.Decision{
 			T: t, Node: a.node.ID, Component: "memorymgr", Kind: "checkpoint",
-			Subject: a.label(key),
+			Subject: a.label(e.key),
 			Detail:  fmt.Sprintf("bytes=%d pref=%g", e.bytes, a.preference(e)),
 		})
 	}
@@ -397,9 +431,9 @@ func (a *Allocator) Checkpoint(key dataset.PartKey, t sim.VTime) sim.VTime {
 
 // Checkpointed reports whether the partition has a durable on-disk copy at
 // this node.
-func (a *Allocator) Checkpointed(key dataset.PartKey) bool {
-	e, ok := a.entries[key]
-	return ok && e.onDisk
+func (a *Allocator) Checkpointed(ref Ref) bool {
+	e := a.lookup(ref)
+	return e != nil && e.onDisk
 }
 
 // Lost identifies a partition whose only copy disappeared in a failure; the
@@ -414,16 +448,15 @@ type Lost struct {
 // on-disk copy survive and will be re-read on next access, the rest are
 // removed from the allocator and returned for lineage re-derivation.
 func (a *Allocator) Crash() []Lost {
-	for _, e := range a.resident {
-		e.inMemory = false
+	for _, slot := range a.resident {
+		a.entries[slot].inMemory = false
 	}
-	clear(a.resident)
 	a.resident, a.used = a.resident[:0], 0
 	var lost []Lost
-	for _, e := range a.entries {
-		if !e.onDisk {
+	for slot := range a.entries {
+		if e := &a.entries[slot]; e.live() && !e.onDisk {
 			lost = append(lost, Lost{Key: e.key, Bytes: e.bytes})
-			a.release(e)
+			a.release(uint32(slot))
 		}
 	}
 	sortLost(lost)
@@ -436,13 +469,13 @@ func (a *Allocator) Crash() []Lost {
 // re-derives it by lineage. Reports false when the partition is
 // untracked, still memory-resident (the durable copy is not
 // load-bearing), or has no durable copy to distrust.
-func (a *Allocator) DropDurable(key dataset.PartKey) (Lost, bool) {
-	e, ok := a.entries[key]
-	if !ok || e.inMemory || !e.onDisk {
+func (a *Allocator) DropDurable(ref Ref) (Lost, bool) {
+	e := a.lookup(ref)
+	if e == nil || e.inMemory || !e.onDisk {
 		return Lost{}, false
 	}
 	l := Lost{Key: e.key, Bytes: e.bytes}
-	a.release(e)
+	a.release(ref.slot)
 	return l, true
 }
 
@@ -454,32 +487,35 @@ func SortLost(ls []Lost) { sortLost(ls) }
 // Evacuate empties the allocator for a permanent node loss, returning the
 // partitions that have durable copies (re-creatable from the distributed
 // file system on a surviving node via AdoptSpilled) separately from those
-// lost outright (requiring lineage re-derivation).
+// lost outright (requiring lineage re-derivation). Every handle the
+// allocator issued is stale afterwards.
 func (a *Allocator) Evacuate() (checkpointed, lost []Lost) {
-	for _, e := range a.entries {
+	for slot := range a.entries {
+		e := &a.entries[slot]
+		if !e.live() {
+			continue
+		}
 		l := Lost{Key: e.key, Bytes: e.bytes}
 		if e.onDisk {
 			checkpointed = append(checkpointed, l)
 		} else {
 			lost = append(lost, l)
 		}
+		a.release(uint32(slot))
 	}
-	// Nothing is tracked any more: the entries go with their chunks.
-	clear(a.entries)
-	a.resident, a.slab, a.free, a.used = nil, nil, nil, 0
 	sortLost(checkpointed)
 	sortLost(lost)
 	return checkpointed, lost
 }
 
 // AdoptSpilled registers a partition at this node as an on-disk copy without
-// charging any I/O; the engine charges the transfer that moved it. Used when
-// rebalancing a dead node's checkpointed partitions onto survivors.
-func (a *Allocator) AdoptSpilled(key dataset.PartKey, bytes sim.Bytes) {
-	if _, ok := a.entries[key]; ok {
-		return
-	}
-	a.newEntry(key, bytes).onDisk = true
+// charging any I/O, and returns its handle; the engine charges the transfer
+// that moved it. Used when rebalancing a dead node's checkpointed partitions
+// onto survivors, which do not track them yet.
+func (a *Allocator) AdoptSpilled(key dataset.PartKey, bytes sim.Bytes) Ref {
+	ref, e := a.newEntry(key, bytes)
+	e.onDisk = true
+	return ref
 }
 
 // PinnedParts counts the partitions currently pinned at this node. At the
@@ -487,8 +523,8 @@ func (a *Allocator) AdoptSpilled(key dataset.PartKey, bytes sim.Bytes) {
 // partition was discarded. The chaos harness audits this.
 func (a *Allocator) PinnedParts() int {
 	n := 0
-	for _, e := range a.entries {
-		if e.pinned {
+	for i := range a.entries {
+		if e := &a.entries[i]; e.live() && e.pinned {
 			n++
 		}
 	}
@@ -497,15 +533,17 @@ func (a *Allocator) PinnedParts() int {
 
 // TrackedParts counts the partitions the allocator tracks (resident or on
 // disk).
-func (a *Allocator) TrackedParts() int { return len(a.entries) }
+func (a *Allocator) TrackedParts() int { return a.tracked }
 
 // Keys returns the tracked partition keys in deterministic order, for
 // lineage audits that cross-check allocator contents against the engine's
 // placement map.
 func (a *Allocator) Keys() []dataset.PartKey {
-	keys := make([]dataset.PartKey, 0, len(a.entries))
-	for k := range a.entries {
-		keys = append(keys, k)
+	keys := make([]dataset.PartKey, 0, a.tracked)
+	for i := range a.entries {
+		if e := &a.entries[i]; e.live() {
+			keys = append(keys, e.key)
+		}
 	}
 	slices.SortFunc(keys, compareKeys)
 	return keys
@@ -513,27 +551,36 @@ func (a *Allocator) Keys() []dataset.PartKey {
 
 // CheckAccounting verifies the allocator's internal bookkeeping: the used
 // counter must equal the sum of resident entry sizes, the resident list must
-// hold exactly the entries in memory, each at the slot it records, and
-// resident bytes must not exceed the capacity budget. Returns nil when the
-// books balance.
+// hold exactly the live entries in memory, each at the index it records, the
+// live entries and the free slots must add up to the table, and resident
+// bytes must not exceed the capacity budget. Returns nil when the books
+// balance.
 // The chaos harness calls this after every run; it is the oracle that
 // catches incremental-accounting drift (a Discard or eviction forgetting to
 // release bytes) that the metrics counters alone cannot see.
 func (a *Allocator) CheckAccounting() error {
 	var resident sim.Bytes
-	inMemory := 0
-	for _, e := range a.entries {
+	inMemory, live := 0, 0
+	for i := range a.entries {
+		e := &a.entries[i]
+		if !e.live() {
+			continue
+		}
+		live++
 		if e.inMemory {
 			resident += e.bytes
 			inMemory++
 		}
 	}
+	if live != a.tracked || live+len(a.free) != len(a.entries) {
+		return fmt.Errorf("memorymgr: node %d counts %d tracked entries and %d free slots, but %d of its %d slots are live", a.node.ID, a.tracked, len(a.free), live, len(a.entries))
+	}
 	if inMemory != len(a.resident) {
 		return fmt.Errorf("memorymgr: node %d lists %d resident entries but tracks %d in memory", a.node.ID, len(a.resident), inMemory)
 	}
-	for i, e := range a.resident {
-		if !e.inMemory || int(e.slot) != i || a.entries[e.key] != e {
-			return fmt.Errorf("memorymgr: node %d resident list slot %d holds %s (in memory %v, slot %d)", a.node.ID, i, e.key, e.inMemory, e.slot)
+	for i, slot := range a.resident {
+		if e := &a.entries[slot]; !e.live() || !e.inMemory || int(e.res) != i {
+			return fmt.Errorf("memorymgr: node %d resident list slot %d holds %s (in memory %v, slot %d)", a.node.ID, i, e.key, e.inMemory, e.res)
 		}
 	}
 	if resident != a.used {
@@ -569,7 +616,7 @@ func (a *Allocator) makeRoom(bytes sim.Bytes, t sim.VTime) sim.VTime {
 		}
 		victim.onDisk = true
 		a.metrics.SpilledBytes += victim.bytes
-		a.spilled[victim.key] += victim.bytes
+		a.spilled[victim.key.Dataset] += victim.bytes
 		t = a.node.Disk(t, a.cfg.DiskWriteSec(victim.bytes))
 		a.sampleSpilled(t)
 	}
@@ -604,7 +651,8 @@ func compareKeys(x, y dataset.PartKey) int {
 func (a *Allocator) pickVictim() *entry {
 	var best *entry
 	var bestPref float64
-	for _, e := range a.resident {
+	for _, slot := range a.resident {
+		e := &a.entries[slot]
 		var pref float64
 		if a.policy == AMM {
 			pref = a.preference(e)
@@ -642,8 +690,8 @@ func (a *Allocator) evictDecision(victim *entry, t sim.VTime) obs.Decision {
 		Detail:  fmt.Sprintf("policy=%s bytes=%d", a.policy, victim.bytes),
 	}
 	cands := make([]*entry, 0, len(a.resident))
-	for _, e := range a.resident {
-		if e.pinned == victim.pinned {
+	for _, slot := range a.resident {
+		if e := &a.entries[slot]; e.pinned == victim.pinned {
 			cands = append(cands, e)
 		}
 	}

@@ -16,9 +16,15 @@ func (m accMap) FutureAccesses(k dataset.PartKey) int { return m[k] }
 func key(i int) dataset.PartKey { return dataset.PartKey{Dataset: dataset.ID(i), Index: 0} }
 
 // inMemory reports whether the allocator holds the partition in memory.
-func inMemory(a *Allocator, k dataset.PartKey) bool {
-	e, ok := a.entries[k]
-	return ok && e.inMemory
+func inMemory(a *Allocator, ref Ref) bool {
+	e := a.lookup(ref)
+	return e != nil && e.inMemory
+}
+
+// put stores a partition at time t and returns its handle.
+func put(a *Allocator, k dataset.PartKey, bytes sim.Bytes, t sim.VTime) Ref {
+	ref, _ := a.Put(k, bytes, t)
+	return ref
 }
 
 func newAlloc(capacity sim.Bytes, policy PolicyKind, acc AccessCounter) (*Allocator, *cluster.Node) {
@@ -33,9 +39,9 @@ func diskFree(n *cluster.Node) sim.VTime { return n.Disk(0, 0) }
 func TestCheckAccountingBalancedAndAuditHelpers(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
 	a.Put(key(1), 1000, 0)
-	a.Put(key(2), 1000, 1)
+	a2 := put(a, key(2), 1000, 1)
 	a.Put(key(3), 1000, 2) // evicts key(1)
-	a.Pin(key(2))
+	a.Pin(a2)
 	if err := a.CheckAccounting(); err != nil {
 		t.Fatalf("CheckAccounting on consistent state: %v", err)
 	}
@@ -54,8 +60,8 @@ func TestCheckAccountingBalancedAndAuditHelpers(t *testing.T) {
 			t.Fatalf("Keys not sorted: %v", keys)
 		}
 	}
-	a.Unpin(key(2))
-	a.Discard(key(2))
+	a.Unpin(a2)
+	a.Discard(a2)
 	if got := a.PinnedParts(); got != 0 {
 		t.Errorf("PinnedParts after unpin+discard = %d, want 0", got)
 	}
@@ -71,7 +77,7 @@ func TestCheckAccountingBalancedAndAuditHelpers(t *testing.T) {
 // exceeding the capacity budget.
 func TestCheckAccountingCatchesCorruption(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
-	a.Put(key(1), 1000, 0)
+	a1 := put(a, key(1), 1000, 0)
 
 	// Drift: a Discard that forgot to release its bytes.
 	a.used += 500
@@ -81,7 +87,7 @@ func TestCheckAccountingCatchesCorruption(t *testing.T) {
 	a.used -= 500
 
 	// Over-budget residency: an eviction that never happened.
-	a.entries[key(1)].bytes = 3000
+	a.entries[a1.slot].bytes = 3000
 	a.used = 3000
 	if err := a.CheckAccounting(); err == nil {
 		t.Fatal("over-budget residency not detected")
@@ -90,8 +96,8 @@ func TestCheckAccountingCatchesCorruption(t *testing.T) {
 
 func TestPutAndAccessHit(t *testing.T) {
 	a, _ := newAlloc(1<<20, LRU, nil)
-	a.Put(key(1), 1000, 0)
-	end, hit, err := a.Access(key(1), 1)
+	a1 := put(a, key(1), 1000, 0)
+	end, hit, err := a.Access(a1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,48 +115,48 @@ func TestPutAndAccessHit(t *testing.T) {
 
 func TestAccessUnknownErrors(t *testing.T) {
 	a, _ := newAlloc(1<<20, LRU, nil)
-	if _, _, err := a.Access(key(9), 0); err == nil {
+	if _, _, err := a.Access(Ref{}, 0); err == nil {
 		t.Fatal("unknown partition must error")
 	}
 }
 
 func TestEvictionOnOverflowLRU(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
-	a.Put(key(1), 1000, 0)
-	a.Put(key(2), 1000, 1)
-	a.Put(key(3), 1000, 2) // must evict key(1), the least recently used
-	if inMemory(a, key(1)) {
+	a1 := put(a, key(1), 1000, 0)
+	a2 := put(a, key(2), 1000, 1)
+	a3 := put(a, key(3), 1000, 2) // must evict key(1), the least recently used
+	if inMemory(a, a1) {
 		t.Fatal("LRU should have evicted the oldest partition")
 	}
-	if !inMemory(a, key(2)) || !inMemory(a, key(3)) {
+	if !inMemory(a, a2) || !inMemory(a, a3) {
 		t.Fatal("younger partitions should stay resident")
 	}
 	if a.Metrics().Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", a.Metrics().Evictions)
 	}
 	// Re-access of the spilled partition is a miss that reloads it.
-	_, hit, err := a.Access(key(1), 3)
+	_, hit, err := a.Access(a1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("spilled partition must miss")
 	}
-	if !inMemory(a, key(1)) {
+	if !inMemory(a, a1) {
 		t.Fatal("miss must reload the partition into memory")
 	}
 }
 
 func TestLRUTouchOnAccess(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
-	a.Put(key(1), 1000, 0)
-	a.Put(key(2), 1000, 1)
-	a.Access(key(1), 2) // key(1) is now more recent than key(2)
+	a1 := put(a, key(1), 1000, 0)
+	a2 := put(a, key(2), 1000, 1)
+	a.Access(a1, 2) // key(1) is now more recent than key(2)
 	a.Put(key(3), 1000, 3)
-	if inMemory(a, key(2)) {
+	if inMemory(a, a2) {
 		t.Fatal("key(2) should have been evicted (least recently used)")
 	}
-	if !inMemory(a, key(1)) {
+	if !inMemory(a, a1) {
 		t.Fatal("recently touched key(1) should stay")
 	}
 }
@@ -160,13 +166,13 @@ func TestAMMEvictsLowestPreference(t *testing.T) {
 	// remaining reads (weighted by size) goes first, regardless of recency.
 	acc := accMap{key(1): 5, key(2): 0, key(3): 2}
 	a, _ := newAlloc(2500, AMM, acc)
-	a.Put(key(1), 1000, 0) // oldest, but 5 future accesses
-	a.Put(key(2), 1000, 1) // no future accesses -> evict first
+	a1 := put(a, key(1), 1000, 0) // oldest, but 5 future accesses
+	a2 := put(a, key(2), 1000, 1) // no future accesses -> evict first
 	a.Put(key(3), 1000, 2)
-	if inMemory(a, key(2)) {
+	if inMemory(a, a2) {
 		t.Fatal("AMM should evict the partition with no future accesses")
 	}
-	if !inMemory(a, key(1)) {
+	if !inMemory(a, a1) {
 		t.Fatal("frequently needed partition must stay despite being oldest")
 	}
 }
@@ -176,27 +182,27 @@ func TestAMMWeighsSize(t *testing.T) {
 	// (costlier to reload), so the smaller one is evicted.
 	acc := accMap{key(1): 2, key(2): 2}
 	a, _ := newAlloc(3600, AMM, acc)
-	a.Put(key(1), 2000, 0)
-	a.Put(key(2), 500, 1)
+	a1 := put(a, key(1), 2000, 0)
+	a2 := put(a, key(2), 500, 1)
 	a.Put(key(3), 1500, 2)
-	if inMemory(a, key(2)) {
+	if inMemory(a, a2) {
 		t.Fatal("AMM should evict the cheaper-to-reload partition")
 	}
-	if !inMemory(a, key(1)) {
+	if !inMemory(a, a1) {
 		t.Fatal("expensive partition should stay")
 	}
 }
 
 func TestOversizePartitionGoesToDisk(t *testing.T) {
 	a, _ := newAlloc(1000, LRU, nil)
-	a.Put(key(1), 5000, 0)
-	if inMemory(a, key(1)) {
+	a1 := put(a, key(1), 5000, 0)
+	if inMemory(a, a1) {
 		t.Fatal("partition larger than capacity must go to disk")
 	}
-	if !a.Known(key(1)) {
+	if !a.Known(a1) {
 		t.Fatal("oversize partition must still be tracked")
 	}
-	_, hit, err := a.Access(key(1), 1)
+	_, hit, err := a.Access(a1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,45 +213,45 @@ func TestOversizePartitionGoesToDisk(t *testing.T) {
 
 func TestPinnedSparedWhileUnpinnedExists(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
-	a.Put(key(1), 1000, 0)
-	a.Pin(key(1))
-	a.Put(key(2), 1000, 1)
+	a1 := put(a, key(1), 1000, 0)
+	a.Pin(a1)
+	a2 := put(a, key(2), 1000, 1)
 	a.Put(key(3), 1000, 2)
-	if !inMemory(a, key(1)) {
+	if !inMemory(a, a1) {
 		t.Fatal("pinned partition must be spared")
 	}
-	if inMemory(a, key(2)) {
+	if inMemory(a, a2) {
 		t.Fatal("unpinned partition should have been evicted instead")
 	}
 }
 
 func TestUnpinReturnsBytesToEvictable(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
-	a.Put(key(1), 1000, 0)
-	a.Pin(key(1))
+	a1 := put(a, key(1), 1000, 0)
+	a.Pin(a1)
 	a.Put(key(2), 1000, 1)
 	// Capacity forces an eviction: the pinned partition is spared, so the
 	// newer one is the only candidate.
 	a.Put(key(3), 1000, 2)
-	if !inMemory(a, key(1)) {
+	if !inMemory(a, a1) {
 		t.Fatal("pinned partition must be spared while pinned")
 	}
-	a.Unpin(key(1))
+	a.Unpin(a1)
 	// After Unpin the 1000 pinned bytes are evictable again: the next Put
 	// picks key(1) as the LRU victim (oldest access).
-	a.Put(key(4), 1000, 3)
-	if inMemory(a, key(1)) {
+	a4 := put(a, key(4), 1000, 3)
+	if inMemory(a, a1) {
 		t.Fatal("unpinned partition must return to the evictable pool")
 	}
-	if !inMemory(a, key(4)) {
+	if !inMemory(a, a4) {
 		t.Fatal("new partition should occupy the reclaimed bytes")
 	}
 }
 
 func TestDiscardFreesMemory(t *testing.T) {
 	a, _ := newAlloc(2000, LRU, nil)
-	a.Put(key(1), 1500, 0)
-	a.Discard(key(1))
+	a1 := put(a, key(1), 1500, 0)
+	a.Discard(a1)
 	if a.Used() != 0 {
 		t.Fatalf("used = %d after discard, want 0", a.Used())
 	}
@@ -258,21 +264,21 @@ func TestDiscardFreesMemory(t *testing.T) {
 func TestFailNodeDropsResidency(t *testing.T) {
 	a, _ := newAlloc(1<<20, AMM, accMap{})
 	a.SetCheckpointing(true)
-	a.Put(key(1), 1000, 0)
-	a.Put(key(2), 2000, 1)
-	a.Checkpoint(key(1), 2)
-	a.Checkpoint(key(2), 2)
+	a1 := put(a, key(1), 1000, 0)
+	a2 := put(a, key(2), 2000, 1)
+	a.Checkpoint(a1, 2)
+	a.Checkpoint(a2, 2)
 	if lost := a.Crash(); len(lost) != 0 {
 		t.Fatalf("lost = %v, want none: both partitions are checkpointed", lost)
 	}
-	if inMemory(a, key(1)) || inMemory(a, key(2)) {
+	if inMemory(a, a1) || inMemory(a, a2) {
 		t.Fatal("failure must drop all resident partitions")
 	}
 	if a.Used() != 0 {
 		t.Fatalf("used = %d after failure, want 0", a.Used())
 	}
 	// Partitions are recoverable from their checkpoints.
-	_, hit, err := a.Access(key(1), 2)
+	_, hit, err := a.Access(a1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,30 +290,30 @@ func TestFailNodeDropsResidency(t *testing.T) {
 func TestCrashSplitsCheckpointedFromLost(t *testing.T) {
 	a, n := newAlloc(1<<20, AMM, accMap{})
 	a.SetCheckpointing(true)
-	a.Put(key(1), 1000, 0)
-	a.Put(key(2), 2000, 1)
+	a1 := put(a, key(1), 1000, 0)
+	a2 := put(a, key(2), 2000, 1)
 	disk0 := diskFree(n)
-	end := a.Checkpoint(key(1), 2)
+	end := a.Checkpoint(a1, 2)
 	if end <= 2 {
 		t.Fatal("checkpoint must charge a disk write")
 	}
 	if diskFree(n) <= disk0 {
 		t.Fatal("checkpoint must occupy the disk timeline")
 	}
-	if a.Checkpoint(key(1), end) != end {
+	if a.Checkpoint(a1, end) != end {
 		t.Fatal("re-checkpointing a durable partition must be free")
 	}
-	if !inMemory(a, key(1)) {
+	if !inMemory(a, a1) {
 		t.Fatal("checkpointing must not evict")
 	}
 	lost := a.Crash()
 	if len(lost) != 1 || lost[0].Key != key(2) {
 		t.Fatalf("lost = %v, want only un-checkpointed key(2)", lost)
 	}
-	if !a.Known(key(1)) || inMemory(a, key(1)) {
+	if !a.Known(a1) || inMemory(a, a1) {
 		t.Fatal("checkpointed partition must survive on disk, non-resident")
 	}
-	if a.Known(key(2)) {
+	if a.Known(a2) {
 		t.Fatal("lost partition must be forgotten")
 	}
 	if a.Used() != 0 {
@@ -322,9 +328,9 @@ func TestCrashSplitsCheckpointedFromLost(t *testing.T) {
 func TestEvacuateAndAdoptSpilled(t *testing.T) {
 	a, _ := newAlloc(1<<20, AMM, accMap{})
 	a.SetCheckpointing(true)
-	a.Put(key(1), 1000, 0)
-	a.Put(key(2), 2000, 1)
-	a.Checkpoint(key(2), 2)
+	a1 := put(a, key(1), 1000, 0)
+	a2 := put(a, key(2), 2000, 1)
+	a.Checkpoint(a2, 2)
 	ckpt, lost := a.Evacuate()
 	if len(ckpt) != 1 || ckpt[0].Key != key(2) {
 		t.Fatalf("checkpointed = %v, want key(2)", ckpt)
@@ -332,16 +338,16 @@ func TestEvacuateAndAdoptSpilled(t *testing.T) {
 	if len(lost) != 1 || lost[0].Key != key(1) {
 		t.Fatalf("lost = %v, want key(1)", lost)
 	}
-	if a.Known(key(1)) || a.Known(key(2)) || a.Used() != 0 {
+	if a.Known(a1) || a.Known(a2) || a.Used() != 0 {
 		t.Fatal("evacuated allocator must be empty")
 	}
 
 	survivor, _ := newAlloc(1<<20, AMM, accMap{})
-	survivor.AdoptSpilled(ckpt[0].Key, ckpt[0].Bytes)
-	if !survivor.Known(key(2)) || inMemory(survivor, key(2)) {
+	survivor2 := survivor.AdoptSpilled(ckpt[0].Key, ckpt[0].Bytes)
+	if !survivor.Known(survivor2) || inMemory(survivor, survivor2) {
 		t.Fatal("adopted partition must be known on-disk, non-resident")
 	}
-	_, hit, err := survivor.Access(key(2), 3)
+	_, hit, err := survivor.Access(survivor2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,13 +359,13 @@ func TestEvacuateAndAdoptSpilled(t *testing.T) {
 func TestCheckpointedVictimSpillsForFree(t *testing.T) {
 	a, n := newAlloc(2500, LRU, nil)
 	a.SetCheckpointing(true)
-	a.Put(key(1), 1000, 0)
-	a.Checkpoint(key(1), 1)
+	a1 := put(a, key(1), 1000, 0)
+	a.Checkpoint(a1, 1)
 	diskBefore := diskFree(n)
 	spilled := a.Metrics().SpilledBytes
 	a.Put(key(2), 1000, 2)
 	a.Put(key(3), 1000, 3) // evicts key(1), which is already durable
-	if inMemory(a, key(1)) {
+	if inMemory(a, a1) {
 		t.Fatal("key(1) should have been evicted")
 	}
 	if diskFree(n) != diskBefore {
@@ -429,15 +435,14 @@ func TestCapacityInvariantProperty(t *testing.T) {
 func TestAccessAccountingProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		a, _ := newAlloc(5000, AMM, accMap{})
-		puts := 0
+		var refs []Ref
 		var accesses int64
 		for i, op := range ops {
-			if op%3 == 0 || puts == 0 {
-				a.Put(key(puts), sim.Bytes(op)%2000+1, sim.VTime(i))
-				puts++
+			if op%3 == 0 || len(refs) == 0 {
+				refs = append(refs, put(a, key(len(refs)), sim.Bytes(op)%2000+1, sim.VTime(i)))
 				continue
 			}
-			target := key(int(op) % puts)
+			target := refs[int(op)%len(refs)]
 			if _, _, err := a.Access(target, sim.VTime(i)); err != nil {
 				return false
 			}
@@ -454,13 +459,13 @@ func TestAccessAccountingProperty(t *testing.T) {
 func TestDropDurableDemotesOnlyDiskOnlyCopies(t *testing.T) {
 	a, _ := newAlloc(2500, LRU, nil)
 	a.SetCheckpointing(true)
-	a.Put(key(1), 1000, 0)
-	a.Put(key(2), 1000, 1)
-	a.Checkpoint(key(1), 2)
-	a.Checkpoint(key(2), 3)
+	a1 := put(a, key(1), 1000, 0)
+	a2 := put(a, key(2), 1000, 1)
+	a.Checkpoint(a1, 2)
+	a.Checkpoint(a2, 3)
 	// Resident partitions keep their memory copy: the durable one is not
 	// load-bearing, so a corrupt checkpoint demotes nothing.
-	if _, ok := a.DropDurable(key(1)); ok {
+	if _, ok := a.DropDurable(a1); ok {
 		t.Fatal("DropDurable demoted a memory-resident partition")
 	}
 	// After a crash only durable copies survive; a corrupt one must come
@@ -468,17 +473,17 @@ func TestDropDurableDemotesOnlyDiskOnlyCopies(t *testing.T) {
 	if lost := a.Crash(); len(lost) != 0 {
 		t.Fatalf("Crash lost %v, want none (all checkpointed)", lost)
 	}
-	l, ok := a.DropDurable(key(1))
+	l, ok := a.DropDurable(a1)
 	if !ok || l.Key != key(1) || l.Bytes != 1000 {
 		t.Fatalf("DropDurable = %+v, %v", l, ok)
 	}
-	if a.Known(key(1)) {
+	if a.Known(a1) {
 		t.Fatal("demoted partition still tracked")
 	}
-	if _, ok := a.DropDurable(key(1)); ok {
+	if _, ok := a.DropDurable(a1); ok {
 		t.Fatal("DropDurable demoted an untracked partition")
 	}
-	if !a.Checkpointed(key(2)) {
+	if !a.Checkpointed(a2) {
 		t.Fatal("unrelated durable copy disturbed")
 	}
 	if err := a.CheckAccounting(); err != nil {
