@@ -34,9 +34,17 @@ func (r *Run) chooseStateFor(st *graph.Stage) *chooseState {
 	return cs
 }
 
-// branchLabel names branch b of a choose stage in telemetry.
-func branchLabel(chooseSt *graph.Stage, b int) string {
-	return chooseSt.String() + "[b" + strconv.Itoa(b) + "]"
+// branchLabel names branch b of the choose stage chooseSt in telemetry: its
+// evaluator span and its candidacy in the choose decision both name it, so
+// the label is built once, for an auditor only.
+func (cs *chooseState) branchLabel(chooseSt *graph.Stage, b int) string {
+	if cs.labels == nil {
+		cs.labels = make([]string, len(cs.offered))
+	}
+	if cs.labels[b] == "" {
+		cs.labels[b] = chooseSt.String() + "[b" + strconv.Itoa(b) + "]"
+	}
+	return cs.labels[b]
 }
 
 // evalBranchOf scores the branch that just completed with branchFinal, as
@@ -91,7 +99,7 @@ func (r *Run) evalBranch(chooseSt *graph.Stage, branch int, ready sim.VTime) err
 	}
 
 	if r.audit != nil {
-		r.spanNodes(obs.KindEval, branchLabel(chooseSt, branch), ready, nodeT)
+		r.spanNodes(obs.KindEval, cs.branchLabel(chooseSt, branch), ready, nodeT)
 	}
 	if serr != nil {
 		// The evaluator kept panicking: the branch result cannot be
@@ -276,7 +284,7 @@ func (r *Run) execChoose(st *graph.Stage) error {
 				continue
 			}
 			d.Candidates = append(d.Candidates, obs.Candidate{
-				Label: branchLabel(st, b), Score: cs.scores[b], Chosen: sel[b],
+				Label: cs.branchLabel(st, b), Score: cs.scores[b], Chosen: sel[b],
 			})
 		}
 		r.audit.Decision(d)

@@ -342,6 +342,7 @@ type chooseState struct {
 	nQuarantined int
 	done         bool // remaining branches superfluous
 	evalEnd      sim.VTime
+	labels       []string // telemetry labels by branch, built on first use
 }
 
 // NewRun prepares a run of the plan with the given options. start is the
@@ -773,15 +774,6 @@ func (r *Run) newRow(st *graph.Stage, d *dataset.Dataset) int32 {
 	return ri
 }
 
-// rowFor returns the row of d, made live with the producing stage st if it
-// is not yet.
-func (r *Run) rowFor(st *graph.Stage, d *dataset.Dataset) int32 {
-	if ri, live := r.rowOf[d.ID]; live {
-		return ri
-	}
-	return r.newRow(st, d)
-}
-
 // refOf returns the handle of a live dataset's partition, or the zero handle
 // when the dataset is not live.
 func (r *Run) refOf(key dataset.PartKey) memorymgr.Ref {
@@ -793,12 +785,6 @@ func (r *Run) refOf(key dataset.PartKey) memorymgr.Ref {
 
 // registerOutput records a produced dataset and its consumer count.
 func (r *Run) registerOutput(st *graph.Stage, d *dataset.Dataset) {
-	if r.audit != nil {
-		// Registration order is the deterministic production order, which
-		// gives the dataset its run-stable telemetry alias (raw IDs are
-		// process-global and differ between runs).
-		r.audit.RegisterDataset(int64(d.ID), d.Name)
-	}
 	r.stageOut[st.ID] = d
 	consumers := 0
 	for _, post := range r.plan.Post(st) {
@@ -806,7 +792,17 @@ func (r *Run) registerOutput(st *graph.Stage, d *dataset.Dataset) {
 			consumers++
 		}
 	}
-	ri := r.rowFor(st, d)
+	ri, live := r.rowOf[d.ID]
+	if !live {
+		if r.audit != nil {
+			// Registration order is the deterministic production order, which
+			// gives the dataset its run-stable telemetry alias (raw IDs are
+			// process-global and differ between runs). A stored dataset was
+			// registered before its partitions were (execStage, execChoose).
+			r.audit.RegisterDataset(int64(d.ID), d.Name)
+		}
+		ri = r.newRow(st, d)
+	}
 	row := &r.rows[ri]
 	if len(r.plan.Post(st)) == 0 {
 		// Sink outputs stay live until the end of the job.

@@ -300,7 +300,7 @@ func (r *Run) quarantine(chooseSt *graph.Stage, branch int, reason string) {
 	if r.audit != nil {
 		r.audit.Decision(obs.Decision{
 			T: r.now, Node: obs.NodeMaster, Component: "faults", Kind: "quarantine",
-			Subject: branchLabel(chooseSt, branch), Detail: reason,
+			Subject: cs.branchLabel(chooseSt, branch), Detail: reason,
 		})
 	}
 	if scope := r.plan.ScopeOfChoose(chooseSt); scope != nil {

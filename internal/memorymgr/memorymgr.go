@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strconv"
 	"strings"
 
 	"metadataflow/internal/cluster"
@@ -168,9 +169,25 @@ type Allocator struct {
 
 	// probe, when non-nil, receives residency counter samples; audit, the
 	// probe's audit half when it has one, evict/checkpoint decisions with
-	// their Alg. 2 valuations.
-	probe obs.Probe
-	audit obs.Auditor
+	// their Alg. 2 valuations. labels holds, by slot, the audit label of the
+	// entry there, built the first time a decision names it (an eviction
+	// lists every resident partition); cands is what pickVictim weighed, and
+	// cands and candList are the scratch an eviction decision is built in.
+	// All three stay empty without an auditor.
+	probe    obs.Probe
+	audit    obs.Auditor
+	labels   []string
+	cands    []evictCand
+	candList []obs.Candidate
+}
+
+// evictCand is a resident partition as pickVictim weighed it, for the audit
+// of the eviction.
+type evictCand struct {
+	key    dataset.PartKey
+	slot   uint32
+	pinned bool
+	pref   float64
 }
 
 // NewAllocator creates an allocator with the given memory capacity on node.
@@ -205,6 +222,9 @@ func (a *Allocator) newEntry(key dataset.PartKey, bytes sim.Bytes) (Ref, *entry)
 	}
 	e := &a.entries[slot]
 	*e = entry{key: key, bytes: bytes, gen: e.gen + 1}
+	if int(slot) < len(a.labels) {
+		a.labels[slot] = ""
+	}
 	a.tracked++
 	return Ref{slot: slot, gen: e.gen}, e
 }
@@ -277,9 +297,19 @@ func (a *Allocator) sampleSpilled(t sim.VTime) {
 	}
 }
 
-// label renders a run-stable partition label via the auditor.
-func (a *Allocator) label(key dataset.PartKey) string {
-	return a.audit.Label(int64(key.Dataset), key.Index)
+// label returns the run-stable label of the entry in slot, rendered by the
+// auditor the first time. The engine registers a dataset with the auditor
+// before it stores a partition of it, so the label does not change while the
+// entry lives.
+func (a *Allocator) label(slot uint32) string {
+	if n := cap(a.entries); len(a.labels) < n {
+		a.labels = slices.Grow(a.labels, n-len(a.labels))[:n]
+	}
+	if a.labels[slot] == "" {
+		key := a.entries[slot].key
+		a.labels[slot] = a.audit.Label(int64(key.Dataset), key.Index)
+	}
+	return a.labels[slot]
 }
 
 // SpilledByDataset returns the cumulative bytes spilled per dataset at this
@@ -340,7 +370,7 @@ func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) (Ref,
 			// the audit log must still explain where the spill came from.
 			a.audit.Decision(obs.Decision{
 				T: t, Node: a.node.ID, Component: "memorymgr", Kind: "evict",
-				Subject: a.label(key),
+				Subject: a.label(ref.slot),
 				Detail:  fmt.Sprintf("oversized: %d bytes exceed the %d-byte memory budget, written straight to disk", bytes, a.capacity),
 			})
 		}
@@ -419,7 +449,7 @@ func (a *Allocator) Checkpoint(ref Ref, t sim.VTime) sim.VTime {
 	if a.audit != nil {
 		a.audit.Decision(obs.Decision{
 			T: t, Node: a.node.ID, Component: "memorymgr", Kind: "checkpoint",
-			Subject: a.label(e.key),
+			Subject: a.label(ref.slot),
 			Detail:  fmt.Sprintf("bytes=%d pref=%g", e.bytes, a.preference(e)),
 		})
 	}
@@ -601,12 +631,13 @@ func sortLost(ls []Lost) {
 // writes for each spill, and returns the time at which room is available.
 func (a *Allocator) makeRoom(bytes sim.Bytes, t sim.VTime) sim.VTime {
 	for a.used+bytes > a.capacity {
-		victim := a.pickVictim()
-		if victim == nil {
+		slot, ok := a.pickVictim()
+		if !ok {
 			break // nothing evictable; allow transient over-commit
 		}
+		victim := &a.entries[slot]
 		if a.audit != nil {
-			a.audit.Decision(a.evictDecision(victim, t))
+			a.audit.Decision(a.evictDecision(slot, t))
 		}
 		a.vacate(victim)
 		a.metrics.Evictions++
@@ -648,20 +679,26 @@ func compareKeys(x, y dataset.PartKey) int {
 // equal) takes the oldest access, and the key settles what is left. The
 // order is total, so one pass over the resident entries finds its minimum
 // whatever order they are listed in.
-func (a *Allocator) pickVictim() *entry {
+func (a *Allocator) pickVictim() (victim uint32, ok bool) {
 	var best *entry
 	var bestPref float64
+	if a.audit != nil {
+		a.cands = slices.Grow(a.cands[:0], len(a.resident))
+	}
 	for _, slot := range a.resident {
 		e := &a.entries[slot]
 		var pref float64
 		if a.policy == AMM {
 			pref = a.preference(e)
 		}
+		if a.audit != nil {
+			a.cands = append(a.cands, evictCand{key: e.key, slot: slot, pinned: e.pinned, pref: pref})
+		}
 		if best == nil || evictedBefore(e, pref, best, bestPref) {
-			best, bestPref = e, pref
+			best, bestPref, victim = e, pref, slot
 		}
 	}
-	return best
+	return victim, best != nil
 }
 
 // evictedBefore reports whether e, of preference pref, precedes best in the
@@ -678,31 +715,35 @@ func evictedBefore(e *entry, pref float64, best *entry, bestPref float64) bool {
 	return compareKeys(e.key, best.key) < 0
 }
 
-// evictDecision describes one eviction for the audit log: the victim and
-// every candidate it was chosen among — the resident partitions as pinned as
-// the victim is — in key order, scored by the active policy (AMM preference
-// or LRU last-access age). The list is audit data about the choice
-// pickVictim made, built only for an auditor; it takes no part in the choice.
-func (a *Allocator) evictDecision(victim *entry, t sim.VTime) obs.Decision {
+// evictDecision describes the eviction of the entry in slot for the audit
+// log: the victim and every candidate it was chosen among — the resident
+// partitions as pinned as the victim is — in key order, scored by the active
+// policy (AMM preference, as pickVictim computed it, or LRU last-access age).
+// The list is audit data about the choice pickVictim made, built only for an
+// auditor; it takes no part in the choice. The auditor copies the candidates,
+// so every decision is built in the same scratch.
+func (a *Allocator) evictDecision(slot uint32, t sim.VTime) obs.Decision {
+	victim := &a.entries[slot]
 	d := obs.Decision{
 		T: t, Node: a.node.ID, Component: "memorymgr", Kind: "evict",
-		Subject: a.label(victim.key),
-		Detail:  fmt.Sprintf("policy=%s bytes=%d", a.policy, victim.bytes),
+		Subject: a.label(slot),
+		Detail:  "policy=" + a.policy.String() + " bytes=" + strconv.FormatInt(int64(victim.bytes), 10),
 	}
-	cands := make([]*entry, 0, len(a.resident))
-	for _, slot := range a.resident {
-		if e := &a.entries[slot]; e.pinned == victim.pinned {
-			cands = append(cands, e)
+	cands := a.cands[:0]
+	for _, c := range a.cands {
+		if c.pinned == victim.pinned {
+			cands = append(cands, c)
 		}
 	}
-	slices.SortFunc(cands, func(x, y *entry) int { return compareKeys(x.key, y.key) })
-	d.Candidates = make([]obs.Candidate, len(cands))
-	for i, e := range cands {
-		score := e.lastAccess.Seconds()
+	slices.SortFunc(cands, func(x, y evictCand) int { return compareKeys(x.key, y.key) })
+	a.candList = a.candList[:0]
+	for _, c := range cands {
+		score := a.entries[c.slot].lastAccess.Seconds()
 		if a.policy == AMM {
-			score = a.preference(e)
+			score = c.pref
 		}
-		d.Candidates[i] = obs.Candidate{Label: a.label(e.key), Score: score, Chosen: e == victim}
+		a.candList = append(a.candList, obs.Candidate{Label: a.label(c.slot), Score: score, Chosen: c.slot == slot})
 	}
+	d.Candidates = a.candList
 	return d
 }
