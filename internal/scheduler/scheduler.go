@@ -131,17 +131,24 @@ type sortedHint struct{ desc bool }
 func (sortedHint) Sorted() bool { return true }
 func (h sortedHint) Order(cands []*graph.Stage) []*graph.Stage {
 	out := slices.Clone(cands)
-	slices.SortStableFunc(out, func(a, b *graph.Stage) int {
-		ha, hb := a.First().Hint, b.First().Hint
-		switch {
-		case ha == hb:
-			return graph.CompareStageID(a, b)
-		case (ha < hb) != h.desc:
-			return -1
-		}
-		return 1
-	})
+	slices.SortFunc(out, h.compare)
 	return out
+}
+
+// compare orders stages by the hint of their head operator, ascending or
+// descending, then by stage ID. cmp.Compare makes it a total order with NaN
+// in it: a NaN hint comes first ascending and last descending, and two NaNs
+// fall to the ID like any two equal hints. Order and BAS's ranks (bas.Init)
+// both sort by it.
+func (h sortedHint) compare(a, b *graph.Stage) int {
+	c := cmp.Compare(a.First().Hint, b.First().Hint)
+	if h.desc {
+		c = -c
+	}
+	if c != 0 {
+		return c
+	}
+	return graph.CompareStageID(a, b)
 }
 
 // RandomHint executes branches in a seeded random order (Fig. 8 "first-4,
@@ -252,11 +259,27 @@ type bas struct {
 	plan    *graph.Plan
 	observe func(PickRecord)
 	succ    []*graph.Stage // scratch: the ready successors of the last stage
+	// rank is, under a sorted hint, every stage's position (by stage ID) in
+	// the hint's order of the whole plan; nil under any other hint.
+	rank []int32
 }
 
 func (b *bas) Name() string         { return "BAS" }
 func (b *bas) SortedBranches() bool { return b.hint.Sorted() }
-func (b *bas) Init(p *graph.Plan)   { b.plan = p }
+
+// Init ranks the plan's stages once when the hint is sorted: the order is a
+// total order over the stages, so the first of any candidate list in it is
+// the candidate of lowest rank, and Pick finds it by a scan instead of a
+// sort.
+func (b *bas) Init(p *graph.Plan) {
+	b.plan, b.rank = p, nil
+	if h, ok := b.hint.(sortedHint); ok {
+		b.rank = make([]int32, len(p.Stages))
+		for i, st := range h.Order(p.Stages) {
+			b.rank[st.ID] = int32(i)
+		}
+	}
+}
 
 // SetPickObserver implements PickObservable.
 func (b *bas) SetPickObserver(f func(PickRecord)) { b.observe = f }
@@ -291,16 +314,38 @@ func (b *bas) Pick(ready []*graph.Stage, last *graph.Stage) *graph.Stage {
 		}
 		b.succ = succ
 		if len(succ) > 0 {
-			ranked := b.hint.Order(succ)
-			if b.observe != nil {
-				b.observe(PickRecord{Chosen: ranked[0], Candidates: ranked, DepthFirst: true})
-			}
-			return ranked[0]
+			return b.pick(succ, true)
 		}
 	}
-	ranked := b.hint.Order(ready)
-	if b.observe != nil {
-		b.observe(PickRecord{Chosen: ranked[0], Candidates: ranked})
+	return b.pick(ready, false)
+}
+
+// pick takes the first of the candidates, which are sorted by stage ID, in
+// the hint's order. The definition order is the ID order, so the default
+// hint takes the first candidate, and a sorted hint the candidate of lowest
+// rank; both rank the list for an observer only. Any other hint orders it.
+func (b *bas) pick(cands []*graph.Stage, depthFirst bool) *graph.Stage {
+	var chosen *graph.Stage
+	ranked := cands
+	switch b.hint.(type) {
+	case defaultHint:
+		chosen = cands[0]
+	case sortedHint:
+		chosen = cands[0]
+		for _, st := range cands[1:] {
+			if b.rank[st.ID] < b.rank[chosen.ID] {
+				chosen = st
+			}
+		}
+		if b.observe != nil {
+			ranked = b.hint.Order(cands)
+		}
+	default:
+		ranked = b.hint.Order(cands)
+		chosen = ranked[0]
 	}
-	return ranked[0]
+	if b.observe != nil {
+		b.observe(PickRecord{Chosen: chosen, Candidates: ranked, DepthFirst: depthFirst})
+	}
+	return chosen
 }

@@ -83,10 +83,15 @@ func TestBASFollowsBranchDepthFirst(t *testing.T) {
 	p, heads := buildPlan(t, []float64{1, 2, 3})
 	pol := BAS(nil)
 	pol.Init(p)
-	// After executing head 0, its tail and the sibling heads are ready:
-	// BAS must continue depth-first into the tail.
-	tail := p.Post(heads[0])[0]
-	got := pol.Pick([]*graph.Stage{heads[1], heads[2], tail}, heads[0])
+	// After executing head 1, its tail and the sibling heads are ready, in
+	// ID order as the engine hands them over, head 0 first: BAS must continue
+	// depth-first into the tail.
+	tail := p.Post(heads[1])[0]
+	ready := []*graph.Stage{heads[0], tail, heads[2]}
+	if !slices.IsSortedFunc(ready, graph.CompareStageID) {
+		t.Fatalf("ready list %v is not in ID order", ready)
+	}
+	got := pol.Pick(ready, heads[1])
 	if got != tail {
 		t.Fatalf("BAS picked %v, want depth-first %v", got, tail)
 	}
