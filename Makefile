@@ -131,7 +131,9 @@ crash-short: build
 # would go unnoticed until someone needs its number. -benchmem puts every
 # benchmark's allocations per operation in the log (BenchmarkMap and
 # BenchmarkFilter read them at 1, 8 and 64 partitions, BenchmarkBuild on each
-# path that builds a graph). Part of ci.
+# path that builds a graph, BenchmarkPutAccessDiscard a partition's life in a
+# narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
+# hint). Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

@@ -224,9 +224,12 @@ type Run struct {
 	// probe is the telemetry sink (Options.Probe); nil disables telemetry.
 	// audit is the probe's audit half, nil unless the probe is an
 	// obs.Auditor: spans, decisions and dataset registrations are built for
-	// it alone.
+	// it alone. spans, when the probe is an obs.Recorder, collects the run's
+	// task spans and the cluster's resource spans for it, flushed at the end
+	// of every Step (and of CheckpointLive).
 	probe obs.Probe
 	audit obs.Auditor
+	spans *obs.SpanBatch
 	// lastRank retains the previous pick's candidate ranking for the
 	// sched.rank_churn series; pickCands is the scratch list observePick
 	// hands to the probe, pickDetail and pickDetailDF the details of a plain
@@ -280,6 +283,10 @@ type reserver interface {
 // pairing keeps the probe's acquire/release balance trivially intact.
 func (r *Run) span(node int, kind obs.Kind, name string, start, end sim.VTime) {
 	if r.audit == nil {
+		return
+	}
+	if r.spans != nil {
+		r.spans.Add(node, kind, name, start, end)
 		return
 	}
 	id := r.audit.SpanBegin(node, kind, name, start)
@@ -406,9 +413,14 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 			r.pickDetailDF = r.pickDetail + " depth-first"
 			po.SetPickObserver(r.observePick)
 		}
-		if co, ok := r.probe.(cluster.Observer); ok {
-			// Resource-occupancy spans: CPU/disk/net busy intervals become
-			// per-node resource tracks in the trace.
+		// Resource-occupancy spans: CPU/disk/net busy intervals become
+		// per-node resource tracks in the trace. A recorder takes them, with
+		// the task spans, in one batch per step; any other observing probe
+		// (a wrapper of a recorder, say) one by one.
+		if rec, ok := r.probe.(*obs.Recorder); ok {
+			r.spans = rec.NewSpanBatch()
+			o.Cluster.SetObserver(r.spans)
+		} else if co, ok := r.probe.(cluster.Observer); ok {
 			o.Cluster.SetObserver(co)
 		}
 	}
@@ -477,6 +489,9 @@ func (r *Run) CheckpointLive() int {
 		}
 	}
 	r.now = end
+	if r.spans != nil {
+		r.spans.Flush()
+	}
 	return n
 }
 
@@ -520,6 +535,9 @@ func (r *Run) result() *Result {
 func (r *Run) Step() bool {
 	if r.done {
 		return false
+	}
+	if r.spans != nil {
+		defer r.spans.Flush()
 	}
 	if ctx := r.opts.Context; ctx != nil {
 		if ctx.Err() != nil {

@@ -3,7 +3,11 @@
 // anticipatory memory management (AMM, Alg. 2). An allocator manages one
 // node's dataset memory for one job, tracks residency (in memory vs. spilled
 // to disk), charges virtual I/O time on the node's resource timelines, and
-// records the memory-hit-ratio statistics reported in §6.2.
+// records the memory-hit-ratio statistics reported in §6.2. Put returns a
+// handle (Ref) to the entry it makes for a partition, and every later call
+// about the partition takes the handle: an entry is an index into the
+// allocator's table, not a key to look up. Entries keep their partition key,
+// which orders eviction ties, Keys and Lost lists.
 package memorymgr
 
 import (
@@ -715,6 +719,13 @@ func evictedBefore(e *entry, pref float64, best *entry, bestPref float64) bool {
 	return compareKeys(e.key, best.key) < 0
 }
 
+// evictDetail renders "policy=<policy> bytes=<bytes>" in one allocation.
+func (a *Allocator) evictDetail(bytes sim.Bytes) string {
+	var buf [48]byte
+	b := append(append(append(buf[:0], "policy="...), a.policy.String()...), " bytes="...)
+	return string(strconv.AppendInt(b, int64(bytes), 10))
+}
+
 // evictDecision describes the eviction of the entry in slot for the audit
 // log: the victim and every candidate it was chosen among — the resident
 // partitions as pinned as the victim is — in key order, scored by the active
@@ -727,7 +738,7 @@ func (a *Allocator) evictDecision(slot uint32, t sim.VTime) obs.Decision {
 	d := obs.Decision{
 		T: t, Node: a.node.ID, Component: "memorymgr", Kind: "evict",
 		Subject: a.label(slot),
-		Detail:  "policy=" + a.policy.String() + " bytes=" + strconv.FormatInt(int64(victim.bytes), 10),
+		Detail:  a.evictDetail(victim.bytes),
 	}
 	cands := a.cands[:0]
 	for _, c := range a.cands {

@@ -383,6 +383,44 @@ func (r *Recorder) ResourceBusy(node int, resource string, start, end sim.VTime)
 	r.mu.Unlock()
 }
 
+// SpanBatch collects the spans of one engine run between two flushes — the
+// resource occupations the cluster reports to it and the run's task spans,
+// each closed when it is added — and appends them to its recorder in call
+// order, under one lock, when flushed. A run reports from one goroutine, so
+// the batch takes no lock of its own: a recorded run pays the recorder's lock
+// once per step instead of once per span. What the recorder holds after a
+// flush is exactly what the per-span calls would have left.
+type SpanBatch struct {
+	rec   *Recorder
+	spans []Span
+}
+
+// NewSpanBatch returns an empty batch that flushes into r.
+func (r *Recorder) NewSpanBatch() *SpanBatch { return &SpanBatch{rec: r} }
+
+// ResourceBusy implements the cluster's resource Observer, as
+// Recorder.ResourceBusy does.
+func (b *SpanBatch) ResourceBusy(node int, resource string, start, end sim.VTime) {
+	b.Add(node, Kind(resource), resource, start, end)
+}
+
+// Add collects a span begun at start and ended at end, or at start when end
+// is earlier: a SpanBegin followed by its SpanEnd.
+func (b *SpanBatch) Add(node int, kind Kind, name string, start, end sim.VTime) {
+	b.spans = append(b.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: max(start, end)})
+}
+
+// Flush appends the collected spans to the recorder and empties the batch.
+func (b *SpanBatch) Flush() {
+	if len(b.spans) == 0 {
+		return
+	}
+	b.rec.mu.Lock()
+	b.rec.spans = append(b.rec.spans, b.spans...)
+	b.rec.mu.Unlock()
+	b.spans = b.spans[:0]
+}
+
 // Spans returns a copy of the recorded spans in call order.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()

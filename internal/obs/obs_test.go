@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -331,5 +332,36 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 	if _, ok := doc["traceEvents"]; !ok {
 		t.Error("empty trace missing traceEvents array")
+	}
+}
+
+// TestSpanBatchRecordsAsSpanCalls checks that spans collected in a batch and
+// flushed land in the recorder exactly as the per-span calls would have put
+// them there: in call order, interleaved with spans recorded directly, an
+// end before its start clamped to the start.
+func TestSpanBatchRecordsAsSpanCalls(t *testing.T) {
+	direct, batched := NewRecorder(), NewRecorder()
+	b := batched.NewSpanBatch()
+	emit := func(add func(node int, kind Kind, name string, start, end sim.VTime), busy func(node int, res string, start, end sim.VTime)) {
+		busy(0, "cpu", 1, 2)
+		add(NodeMaster, KindStage, "T1", 2, 3)
+		busy(1, "disk", 3, 3)
+		add(1, KindEval, "T2[b0]", 4, 3.5)
+	}
+	emit(func(node int, kind Kind, name string, start, end sim.VTime) {
+		direct.SpanEnd(direct.SpanBegin(node, kind, name, start), end)
+	}, direct.ResourceBusy)
+	batched.ResourceBusy(2, "net", 0, 1)
+	direct.ResourceBusy(2, "net", 0, 1)
+	emit(b.Add, b.ResourceBusy)
+	if len(batched.Spans()) != 1 {
+		t.Fatalf("the batch reached the recorder before its flush: %v", batched.Spans())
+	}
+	b.Flush()
+	b.Flush()
+	want := direct.Spans()
+	want = append(want[len(want)-1:], want[:len(want)-1]...)
+	if got := batched.Spans(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("batched spans %v, per-call spans %v", got, want)
 	}
 }
