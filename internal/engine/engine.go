@@ -843,8 +843,8 @@ func (r *Run) registerOutput(st *graph.Stage, d *dataset.Dataset) {
 			r.mirrorCheckpoint(st, d, i)
 		}
 	}
-	if live := len(r.rowOf); live > r.metrics.PeakLiveDatasets {
-		r.metrics.PeakLiveDatasets = live
+	if n := len(r.rowOf); n > r.metrics.PeakLiveDatasets {
+		r.metrics.PeakLiveDatasets = n
 	}
 }
 
