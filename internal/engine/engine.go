@@ -224,12 +224,12 @@ type Run struct {
 	// probe is the telemetry sink (Options.Probe); nil disables telemetry.
 	// audit is the probe's audit half, nil unless the probe is an
 	// obs.Auditor: spans, decisions and dataset registrations are built for
-	// it alone. spans, when the probe is an obs.Recorder, collects the run's
-	// task spans and the cluster's resource spans for it, flushed at the end
-	// of every Step (and of CheckpointLive).
+	// it alone. When Options.Probe is an obs.Recorder, probe is the
+	// recorder's batch, flushed at the end of every Step (and of
+	// CheckpointLive).
 	probe obs.Probe
 	audit obs.Auditor
-	spans *obs.SpanBatch
+	batch *obs.Batch
 	// lastRank retains the previous pick's candidate ranking for the
 	// sched.rank_churn series; pickCands is the scratch list observePick
 	// hands to the probe, pickDetail and pickDetailDF the details of a plain
@@ -283,10 +283,6 @@ type reserver interface {
 // pairing keeps the probe's acquire/release balance trivially intact.
 func (r *Run) span(node int, kind obs.Kind, name string, start, end sim.VTime) {
 	if r.audit == nil {
-		return
-	}
-	if r.spans != nil {
-		r.spans.Add(node, kind, name, start, end)
 		return
 	}
 	id := r.audit.SpanBegin(node, kind, name, start)
@@ -392,7 +388,14 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		r.injector = faults.NewInjector(o.Faults)
 	}
 	r.probe = o.Probe
-	r.audit, _ = o.Probe.(obs.Auditor)
+	if rec, ok := o.Probe.(*obs.Recorder); ok {
+		// A recorder takes the run's reports a step at a time. Any other
+		// probe — a wrapper that embeds a recorder, as the chaos harness's
+		// span-counting probe does — takes them one by one.
+		r.batch = rec.NewBatch()
+		r.probe = r.batch
+	}
+	r.audit, _ = r.probe.(obs.Auditor)
 	r.stage, r.eval = newStageScratch(len(o.Cluster.Nodes)), newStageScratch(len(o.Cluster.Nodes))
 	r.indexBranches()
 	for _, n := range o.Cluster.Nodes {
@@ -402,7 +405,7 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		r.allocs = append(r.allocs, a)
 	}
 	if r.probe != nil {
-		if rs, ok := r.probe.(reserver); ok {
+		if rs, ok := o.Probe.(reserver); ok {
 			rs.Reserve(n, len(o.Cluster.Nodes))
 		}
 		// Every pick lists its candidates for the audit log; the rank-churn
@@ -413,14 +416,9 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 			r.pickDetailDF = r.pickDetail + " depth-first"
 			po.SetPickObserver(r.observePick)
 		}
-		// Resource-occupancy spans: CPU/disk/net busy intervals become
-		// per-node resource tracks in the trace. A recorder takes them, with
-		// the task spans, in one batch per step; any other observing probe
-		// (a wrapper of a recorder, say) one by one.
-		if rec, ok := r.probe.(*obs.Recorder); ok {
-			r.spans = rec.NewSpanBatch()
-			o.Cluster.SetObserver(r.spans)
-		} else if co, ok := r.probe.(cluster.Observer); ok {
+		if co, ok := r.probe.(cluster.Observer); ok {
+			// Resource-occupancy spans: CPU/disk/net busy intervals become
+			// per-node resource tracks in the trace.
 			o.Cluster.SetObserver(co)
 		}
 	}
@@ -489,8 +487,8 @@ func (r *Run) CheckpointLive() int {
 		}
 	}
 	r.now = end
-	if r.spans != nil {
-		r.spans.Flush()
+	if r.batch != nil {
+		r.batch.Flush()
 	}
 	return n
 }
@@ -536,8 +534,8 @@ func (r *Run) Step() bool {
 	if r.done {
 		return false
 	}
-	if r.spans != nil {
-		defer r.spans.Flush()
+	if r.batch != nil {
+		defer r.batch.Flush()
 	}
 	if ctx := r.opts.Context; ctx != nil {
 		if ctx.Err() != nil {

@@ -238,7 +238,8 @@ func (r *Run) rederive(lost []memorymgr.Lost) {
 	for _, l := range lost {
 		node := r.homeOf(l.Key.Index)
 		t := start
-		if ri, live := r.rowOf[l.Key.Dataset]; live {
+		ri, live := r.rowOf[l.Key.Dataset]
+		if live {
 			prod := r.rows[ri].producer
 			pn := producerNode{prod, node}
 			if e, charged := reExecEnd[pn]; charged {
@@ -254,7 +255,9 @@ func (r *Run) rederive(lost []memorymgr.Lost) {
 		}
 		var ref memorymgr.Ref
 		ref, t = r.allocs[node].Put(l.Key, l.Bytes, t)
-		r.setRef(l.Key, ref)
+		if live {
+			r.rows[ri].refs[l.Key.Index] = ref
+		}
 		r.placement[l.Key] = node
 		r.metrics.PartitionsRederived++
 		r.metrics.RederivedBytes += l.Bytes

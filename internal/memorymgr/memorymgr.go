@@ -149,12 +149,11 @@ type Allocator struct {
 
 	used sim.Bytes
 	// entries holds every entry by slot, live or released; free lists the
-	// released slots, which the next partitions take, and tracked counts the
-	// live ones. The table grows to the most partitions the node ever tracks
-	// at once and lives as long as the allocator.
+	// released slots, which the next partitions take. The table grows to the
+	// most partitions the node ever tracks at once and lives as long as the
+	// allocator.
 	entries []entry
 	free    []uint32
-	tracked int
 	// resident lists the slots of the entries in memory, in no particular
 	// order (an entry leaving takes the last one's place): what a victim is
 	// chosen among, without a walk over the spilled ones.
@@ -229,7 +228,6 @@ func (a *Allocator) newEntry(key dataset.PartKey, bytes sim.Bytes) (Ref, *entry)
 	if int(slot) < len(a.labels) {
 		a.labels[slot] = ""
 	}
-	a.tracked++
 	return Ref{slot: slot, gen: e.gen}, e
 }
 
@@ -252,7 +250,6 @@ func (a *Allocator) release(slot uint32) {
 		a.vacate(e)
 	}
 	e.gen++
-	a.tracked--
 	a.free = append(a.free, slot)
 }
 
@@ -567,13 +564,13 @@ func (a *Allocator) PinnedParts() int {
 
 // TrackedParts counts the partitions the allocator tracks (resident or on
 // disk).
-func (a *Allocator) TrackedParts() int { return a.tracked }
+func (a *Allocator) TrackedParts() int { return len(a.entries) - len(a.free) }
 
 // Keys returns the tracked partition keys in deterministic order, for
 // lineage audits that cross-check allocator contents against the engine's
 // placement map.
 func (a *Allocator) Keys() []dataset.PartKey {
-	keys := make([]dataset.PartKey, 0, a.tracked)
+	keys := make([]dataset.PartKey, 0, a.TrackedParts())
 	for i := range a.entries {
 		if e := &a.entries[i]; e.live() {
 			keys = append(keys, e.key)
@@ -606,8 +603,8 @@ func (a *Allocator) CheckAccounting() error {
 			inMemory++
 		}
 	}
-	if live != a.tracked || live+len(a.free) != len(a.entries) {
-		return fmt.Errorf("memorymgr: node %d counts %d tracked entries and %d free slots, but %d of its %d slots are live", a.node.ID, a.tracked, len(a.free), live, len(a.entries))
+	if live+len(a.free) != len(a.entries) {
+		return fmt.Errorf("memorymgr: node %d lists %d free slots, but %d of its %d slots are live", a.node.ID, len(a.free), live, len(a.entries))
 	}
 	if inMemory != len(a.resident) {
 		return fmt.Errorf("memorymgr: node %d lists %d resident entries but tracks %d in memory", a.node.ID, len(a.resident), inMemory)

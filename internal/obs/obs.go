@@ -287,6 +287,13 @@ const minCandidateChunk = 64
 // build the next decision's in the same slice.
 func (r *Recorder) Decision(d Decision) {
 	r.mu.Lock()
+	r.decision(d)
+	r.mu.Unlock()
+}
+
+// decision appends d, its candidates copied into the arena. Callers hold
+// r.mu.
+func (r *Recorder) decision(d Decision) {
 	if n := len(d.Candidates); n > 0 {
 		if cap(r.candidates)-len(r.candidates) < n {
 			r.candidates = make([]Candidate, 0, max(n, 2*cap(r.candidates), minCandidateChunk))
@@ -298,7 +305,6 @@ func (r *Recorder) Decision(d Decision) {
 		d.Candidates = r.candidates[at : at+n : at+n]
 	}
 	r.decisions = append(r.decisions, d)
-	r.mu.Unlock()
 }
 
 // RegisterDataset implements Auditor: the first registration of an ID assigns
@@ -383,42 +389,113 @@ func (r *Recorder) ResourceBusy(node int, resource string, start, end sim.VTime)
 	r.mu.Unlock()
 }
 
-// SpanBatch collects the spans of one engine run between two flushes — the
-// resource occupations the cluster reports to it and the run's task spans,
-// each closed when it is added — and appends them to its recorder in call
-// order, under one lock, when flushed. A run reports from one goroutine, so
-// the batch takes no lock of its own: a recorded run pays the recorder's lock
-// once per step instead of once per span. What the recorder holds after a
-// flush is exactly what the per-span calls would have left.
-type SpanBatch struct {
-	rec   *Recorder
-	spans []Span
+// Batch is a recorder's probe for one engine run. It collects the run's
+// spans (the cluster's resource occupations included: it is a cluster
+// observer), counter samples, series samples and decisions without taking the
+// recorder's lock, and Flush appends them to the recorder, kind by kind in
+// call order, under one lock: a recorded run pays the lock once per step
+// instead of once per report. Each kind has a list of its own in the
+// recorder, so what the recorder holds after a flush is exactly what the
+// per-report calls would have left. Intervals, which outlive a step, dataset
+// registrations and labels go to the recorder at once. A run reports from
+// one goroutine; a batch is not safe for concurrent use, and a span ID it
+// hands out is valid until the next Flush.
+type Batch struct {
+	rec       *Recorder
+	spans     []Span
+	counters  []CounterSample
+	series    []seriesSample
+	decisions []Decision
+	cands     []Candidate // the decisions' candidates, copied
 }
 
-// NewSpanBatch returns an empty batch that flushes into r.
-func (r *Recorder) NewSpanBatch() *SpanBatch { return &SpanBatch{rec: r} }
+// NewBatch returns an empty batch that flushes into r.
+func (r *Recorder) NewBatch() *Batch { return &Batch{rec: r} }
+
+var (
+	_ Probe   = (*Batch)(nil)
+	_ Auditor = (*Batch)(nil)
+)
+
+// Counter implements Probe.
+func (b *Batch) Counter(node int, name string, t sim.VTime, value float64) {
+	b.counters = append(b.counters, CounterSample{Node: node, Name: name, T: t, Value: value})
+}
+
+// SeriesAdd implements Probe.
+func (b *Batch) SeriesAdd(node int, name string, t sim.VTime, delta float64) {
+	b.series = append(b.series, seriesSample{node: node, name: name, op: opAdd, t: t, v: delta})
+}
+
+// SeriesSet implements Probe.
+func (b *Batch) SeriesSet(node int, name string, t sim.VTime, value float64) {
+	b.series = append(b.series, seriesSample{node: node, name: name, op: opSet, t: t, v: value})
+}
+
+// SeriesObserve implements Probe.
+func (b *Batch) SeriesObserve(node int, name string, t sim.VTime, value float64) {
+	b.series = append(b.series, seriesSample{node: node, name: name, op: opObserve, t: t, v: value})
+}
+
+// IntervalBegin implements Probe, on the recorder.
+func (b *Batch) IntervalBegin(node int, name string, start sim.VTime) SpanID {
+	return b.rec.IntervalBegin(node, name, start)
+}
+
+// IntervalEnd implements Probe, on the recorder.
+func (b *Batch) IntervalEnd(id SpanID, end sim.VTime) { b.rec.IntervalEnd(id, end) }
+
+// SpanBegin implements Auditor.
+func (b *Batch) SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID {
+	b.spans = append(b.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start})
+	return SpanID(len(b.spans) - 1)
+}
+
+// SpanEnd implements Auditor.
+func (b *Batch) SpanEnd(id SpanID, end sim.VTime) {
+	if int(id) >= 0 && int(id) < len(b.spans) && end > b.spans[id].End {
+		b.spans[id].End = end
+	}
+}
 
 // ResourceBusy implements the cluster's resource Observer, as
 // Recorder.ResourceBusy does.
-func (b *SpanBatch) ResourceBusy(node int, resource string, start, end sim.VTime) {
-	b.Add(node, Kind(resource), resource, start, end)
+func (b *Batch) ResourceBusy(node int, resource string, start, end sim.VTime) {
+	b.spans = append(b.spans, Span{Node: node, Kind: Kind(resource), Name: resource, Start: start, End: max(start, end)})
 }
 
-// Add collects a span begun at start and ended at end, or at start when end
-// is earlier: a SpanBegin followed by its SpanEnd.
-func (b *SpanBatch) Add(node int, kind Kind, name string, start, end sim.VTime) {
-	b.spans = append(b.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: max(start, end)})
-}
-
-// Flush appends the collected spans to the recorder and empties the batch.
-func (b *SpanBatch) Flush() {
-	if len(b.spans) == 0 {
-		return
+// Decision implements Auditor. The candidate list is copied, so the caller may
+// build the next decision's in the same slice.
+func (b *Batch) Decision(d Decision) {
+	if len(d.Candidates) > 0 {
+		at := len(b.cands)
+		b.cands = append(b.cands, d.Candidates...)
+		d.Candidates = b.cands[at:]
 	}
-	b.rec.mu.Lock()
-	b.rec.spans = append(b.rec.spans, b.spans...)
-	b.rec.mu.Unlock()
-	b.spans = b.spans[:0]
+	b.decisions = append(b.decisions, d)
+}
+
+// RegisterDataset implements Auditor, on the recorder.
+func (b *Batch) RegisterDataset(id int64, name string) { b.rec.RegisterDataset(id, name) }
+
+// Label implements Auditor, on the recorder.
+func (b *Batch) Label(id int64, part int) string { return b.rec.Label(id, part) }
+
+// Flush appends what the batch collected to the recorder and empties the
+// batch.
+func (b *Batch) Flush() {
+	r := b.rec
+	r.mu.Lock()
+	r.spans = append(r.spans, b.spans...)
+	r.counters = append(r.counters, b.counters...)
+	r.series = append(r.series, b.series...)
+	for _, d := range b.decisions {
+		r.decision(d)
+	}
+	r.mu.Unlock()
+	clear(b.decisions) // the recorder holds its own copy of the candidates
+	b.spans, b.counters, b.series = b.spans[:0], b.counters[:0], b.series[:0]
+	b.decisions, b.cands = b.decisions[:0], b.cands[:0]
 }
 
 // Spans returns a copy of the recorded spans in call order.

@@ -335,33 +335,57 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 }
 
-// TestSpanBatchRecordsAsSpanCalls checks that spans collected in a batch and
-// flushed land in the recorder exactly as the per-span calls would have put
-// them there: in call order, interleaved with spans recorded directly, an
-// end before its start clamped to the start.
-func TestSpanBatchRecordsAsSpanCalls(t *testing.T) {
+// TestBatchRecordsAsProbeCalls checks that reports collected in a batch and
+// flushed land in the recorder exactly as the per-report calls would have put
+// them there: every kind in call order, an end before its start clamped to
+// the start, decision candidates copied out of the caller's scratch, and the
+// reports made on the recorder itself between two flushes kept in place.
+func TestBatchRecordsAsProbeCalls(t *testing.T) {
+	emit := func(p Probe, step int) {
+		a := p.(Auditor)
+		res := p.(interface {
+			ResourceBusy(node int, resource string, start, end sim.VTime)
+		})
+		base := sim.VTime(step * 10)
+		a.RegisterDataset(int64(step), "d")
+		res.ResourceBusy(0, "cpu", base+1, base+2)
+		a.SpanEnd(a.SpanBegin(NodeMaster, KindStage, "T1", base+2), base+3)
+		p.Counter(1, "mem.resident_bytes", base+3, float64(step))
+		res.ResourceBusy(1, "disk", base+3, base+3)
+		a.SpanEnd(a.SpanBegin(1, KindEval, "T2[b0]", base+4), base+3.5)
+		p.SeriesAdd(NodeMaster, "sched.rank_churn", base+4, 1)
+		p.SeriesSet(NodeMaster, "progress", base+4, 0.5)
+		p.SeriesObserve(NodeMaster, "latency", base+4, 2)
+		iv := p.IntervalBegin(NodeMaster, "active", base+4)
+		p.IntervalEnd(iv, base+5)
+		cands := []Candidate{{Label: a.Label(int64(step), 0), Score: 1, Chosen: true}, {Label: "x", Score: 2}}
+		a.Decision(Decision{T: base + 5, Component: "memorymgr", Kind: "evict", Candidates: cands})
+		cands[0].Label = "overwritten"
+		a.Decision(Decision{T: base + 6, Component: "scheduler", Kind: "pick"})
+	}
 	direct, batched := NewRecorder(), NewRecorder()
-	b := batched.NewSpanBatch()
-	emit := func(add func(node int, kind Kind, name string, start, end sim.VTime), busy func(node int, res string, start, end sim.VTime)) {
-		busy(0, "cpu", 1, 2)
-		add(NodeMaster, KindStage, "T1", 2, 3)
-		busy(1, "disk", 3, 3)
-		add(1, KindEval, "T2[b0]", 4, 3.5)
-	}
-	emit(func(node int, kind Kind, name string, start, end sim.VTime) {
-		direct.SpanEnd(direct.SpanBegin(node, kind, name, start), end)
-	}, direct.ResourceBusy)
-	batched.ResourceBusy(2, "net", 0, 1)
-	direct.ResourceBusy(2, "net", 0, 1)
-	emit(b.Add, b.ResourceBusy)
-	if len(batched.Spans()) != 1 {
-		t.Fatalf("the batch reached the recorder before its flush: %v", batched.Spans())
+	b := batched.NewBatch()
+	for step := 0; step < 3; step++ {
+		emit(direct, step)
+		direct.ResourceBusy(2, "net", 0, 1)
+		emit(b, step)
+		if len(batched.CounterSamples()) != step {
+			t.Fatalf("step %d: the batch reached the recorder before its flush", step)
+		}
+		b.Flush()
+		batched.ResourceBusy(2, "net", 0, 1)
 	}
 	b.Flush()
-	b.Flush()
-	want := direct.Spans()
-	want = append(want[len(want)-1:], want[:len(want)-1]...)
-	if got := batched.Spans(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("batched spans %v, per-call spans %v", got, want)
+	if got, want := batched.Spans(), direct.Spans(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spans %v, per-call %v", got, want)
+	}
+	if got, want := batched.CounterSamples(), direct.CounterSamples(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters %v, per-call %v", got, want)
+	}
+	if got, want := batched.Decisions(), direct.Decisions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("decisions %v, per-call %v", got, want)
+	}
+	if got, want := batched.Series(1), direct.Series(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("series %+v, per-call %+v", got, want)
 	}
 }

@@ -291,7 +291,9 @@ func (b *bas) SetPickObserver(f func(PickRecord)) { b.observe = f }
 // caller's own may do anything — BAS cannot tell.
 func (b *bas) Lookahead(ready []*graph.Stage) []*graph.Stage {
 	switch b.hint.(type) {
-	case defaultHint, sortedHint:
+	case defaultHint:
+		return ready // in ID order, the definition order
+	case sortedHint:
 		return b.hint.Order(ready)
 	}
 	return nil
@@ -321,9 +323,10 @@ func (b *bas) Pick(ready []*graph.Stage, last *graph.Stage) *graph.Stage {
 }
 
 // pick takes the first of the candidates, which are sorted by stage ID, in
-// the hint's order. The definition order is the ID order, so the default
-// hint takes the first candidate, and a sorted hint the candidate of lowest
-// rank; both rank the list for an observer only. Any other hint orders it.
+// the hint's order. The definition order is the ID order, so under the
+// default hint the list is ranked already and the pick is its first
+// candidate; under a sorted hint the pick is the candidate of lowest rank,
+// and the list is ordered for an observer only. Any other hint orders it.
 func (b *bas) pick(cands []*graph.Stage, depthFirst bool) *graph.Stage {
 	var chosen *graph.Stage
 	ranked := cands
