@@ -409,8 +409,19 @@ type Batch struct {
 	cands     []Candidate // the decisions' candidates, copied
 }
 
-// NewBatch returns an empty batch that flushes into r.
-func (r *Recorder) NewBatch() *Batch { return &Batch{rec: r} }
+// NewBatch returns an empty batch that flushes into r, with room for what a
+// step usually reports: the lists only grow past it on a step that reports
+// more, so a run's batch allocates little beyond its first room.
+func (r *Recorder) NewBatch() *Batch {
+	return &Batch{
+		rec:       r,
+		spans:     make([]Span, 0, 128),
+		counters:  make([]CounterSample, 0, 32),
+		series:    make([]seriesSample, 0, 16),
+		decisions: make([]Decision, 0, 8),
+		cands:     make([]Candidate, 0, 32),
+	}
+}
 
 var (
 	_ Probe   = (*Batch)(nil)
