@@ -388,10 +388,14 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		r.injector = faults.NewInjector(o.Faults)
 	}
 	r.probe = o.Probe
+	if rs, ok := o.Probe.(reserver); ok {
+		rs.Reserve(n, len(o.Cluster.Nodes))
+	}
 	if rec, ok := o.Probe.(*obs.Recorder); ok {
-		// A recorder takes the run's reports a step at a time. Any other
-		// probe — a wrapper that embeds a recorder, as the chaos harness's
-		// span-counting probe does — takes them one by one.
+		// A recorder takes the run's reports a step at a time, in the room
+		// Reserve made. Any other probe — a wrapper that embeds a recorder,
+		// as the chaos harness's span-counting probe does — takes them one by
+		// one.
 		r.batch = rec.NewBatch()
 		r.probe = r.batch
 	}
@@ -405,9 +409,6 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 		r.allocs = append(r.allocs, a)
 	}
 	if r.probe != nil {
-		if rs, ok := o.Probe.(reserver); ok {
-			rs.Reserve(n, len(o.Cluster.Nodes))
-		}
 		// Every pick lists its candidates for the audit log; the rank-churn
 		// series rides on the same observer, so a probe that keeps no audit
 		// gets neither.

@@ -206,6 +206,12 @@ type Recorder struct {
 	// which is registration order; the alias text is "name#<position+1>".
 	aliasOf map[int64]int32
 	aliases []datasetAlias
+
+	// spanLease is the batch that collects its spans in the room after
+	// spans, in the same array (NewBatch): spans is capped at its length
+	// meanwhile, and a flush of that batch only extends it. A span appended
+	// here ends the lease.
+	spanLease *Batch
 }
 
 // datasetAlias is one registered dataset. text is the alias, formatted the
@@ -247,7 +253,7 @@ const (
 func (r *Recorder) Reserve(stages, nodes int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.spans = slices.Grow(r.spans, spansPerStageNode*stages*nodes)
+	r.spans, r.spanLease = slices.Grow(r.spans, spansPerStageNode*stages*nodes), nil
 	r.counters = slices.Grow(r.counters, countersPerStageNode*stages*nodes)
 	r.series = slices.Grow(r.series, seriesPerStage*stages)
 	r.decisions = slices.Grow(r.decisions, decisionsPerStage*stages)
@@ -259,7 +265,7 @@ func (r *Recorder) Reserve(stages, nodes int) {
 func (r *Recorder) SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID {
 	r.mu.Lock()
 	id := SpanID(len(r.spans))
-	r.spans = append(r.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start})
+	r.spans, r.spanLease = append(r.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start}), nil
 	r.mu.Unlock()
 	return id
 }
@@ -385,7 +391,7 @@ func (r *Recorder) ResourceBusy(node int, resource string, start, end sim.VTime)
 		sp.End = end
 	}
 	r.mu.Lock()
-	r.spans = append(r.spans, sp)
+	r.spans, r.spanLease = append(r.spans, sp), nil
 	r.mu.Unlock()
 }
 
@@ -401,8 +407,13 @@ func (r *Recorder) ResourceBusy(node int, resource string, start, end sim.VTime)
 // one goroutine; a batch is not safe for concurrent use, and a span ID it
 // hands out is valid until the next Flush.
 type Batch struct {
-	rec       *Recorder
+	rec *Recorder
+	// spans are collected, while the batch holds the recorder's span lease,
+	// in the room after the recorder's spans: full is the recorder's span
+	// list with its whole capacity, and a flush extends the recorder's list
+	// over what the batch wrote instead of copying it.
 	spans     []Span
+	full      []Span
 	counters  []CounterSample
 	series    []seriesSample
 	decisions []Decision
@@ -413,14 +424,19 @@ type Batch struct {
 // step usually reports: the lists only grow past it on a step that reports
 // more, so a run's batch allocates little beyond its first room.
 func (r *Recorder) NewBatch() *Batch {
-	return &Batch{
+	b := &Batch{
 		rec:       r,
-		spans:     make([]Span, 0, 128),
 		counters:  make([]CounterSample, 0, 32),
 		series:    make([]seriesSample, 0, 16),
 		decisions: make([]Decision, 0, 8),
 		cands:     make([]Candidate, 0, 32),
 	}
+	r.mu.Lock()
+	n := len(r.spans)
+	b.full = r.spans[:n:cap(r.spans)]
+	b.spans, r.spans, r.spanLease = b.full[n:n], b.full[:n:n], b
+	r.mu.Unlock()
+	return b
 }
 
 var (
@@ -497,7 +513,13 @@ func (b *Batch) Label(id int64, part int) string { return b.rec.Label(id, part) 
 func (b *Batch) Flush() {
 	r := b.rec
 	r.mu.Lock()
-	r.spans = append(r.spans, b.spans...)
+	if n := len(r.spans) + len(b.spans); r.spanLease == b && cap(b.spans) == cap(b.full)-len(r.spans) {
+		// The spans are in place after the recorder's: the batch neither
+		// outgrew the room nor lost the lease.
+		r.spans = b.full[:n:n]
+	} else {
+		r.spans, r.spanLease = append(r.spans, b.spans...), nil
+	}
 	r.counters = append(r.counters, b.counters...)
 	r.series = append(r.series, b.series...)
 	for _, d := range b.decisions {
@@ -505,7 +527,7 @@ func (b *Batch) Flush() {
 	}
 	r.mu.Unlock()
 	clear(b.decisions) // the recorder holds its own copy of the candidates
-	b.spans, b.counters, b.series = b.spans[:0], b.counters[:0], b.series[:0]
+	b.spans, b.counters, b.series = b.spans[len(b.spans):], b.counters[:0], b.series[:0]
 	b.decisions, b.cands = b.decisions[:0], b.cands[:0]
 }
 

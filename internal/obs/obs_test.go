@@ -363,29 +363,39 @@ func TestBatchRecordsAsProbeCalls(t *testing.T) {
 		cands[0].Label = "overwritten"
 		a.Decision(Decision{T: base + 6, Component: "scheduler", Kind: "pick"})
 	}
-	direct, batched := NewRecorder(), NewRecorder()
-	b := batched.NewBatch()
-	for step := 0; step < 3; step++ {
-		emit(direct, step)
-		direct.ResourceBusy(2, "net", 0, 1)
-		emit(b, step)
-		if len(batched.CounterSamples()) != step {
-			t.Fatalf("step %d: the batch reached the recorder before its flush", step)
+	// The batch writes its spans into the room Reserve made after the
+	// recorder's: none, too little for a step, enough for the run; a span
+	// reported on the recorder itself ends that arrangement from step 2 on.
+	for _, stages := range []int{0, 1, 10} {
+		direct, batched := NewRecorder(), NewRecorder()
+		batched.Reserve(stages, 1)
+		b := batched.NewBatch()
+		for step := 0; step < 4; step++ {
+			emit(direct, step)
+			if step >= 2 {
+				direct.ResourceBusy(2, "net", 0, 1)
+			}
+			emit(b, step)
+			if len(batched.CounterSamples()) != step {
+				t.Fatalf("reserve %d, step %d: the batch reached the recorder before its flush", stages, step)
+			}
+			b.Flush()
+			if step >= 2 {
+				batched.ResourceBusy(2, "net", 0, 1)
+			}
 		}
 		b.Flush()
-		batched.ResourceBusy(2, "net", 0, 1)
-	}
-	b.Flush()
-	if got, want := batched.Spans(), direct.Spans(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("spans %v, per-call %v", got, want)
-	}
-	if got, want := batched.CounterSamples(), direct.CounterSamples(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("counters %v, per-call %v", got, want)
-	}
-	if got, want := batched.Decisions(), direct.Decisions(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("decisions %v, per-call %v", got, want)
-	}
-	if got, want := batched.Series(1), direct.Series(1); !reflect.DeepEqual(got, want) {
-		t.Fatalf("series %+v, per-call %+v", got, want)
+		if got, want := batched.Spans(), direct.Spans(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reserve %d: spans %v, per-call %v", stages, got, want)
+		}
+		if got, want := batched.CounterSamples(), direct.CounterSamples(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reserve %d: counters %v, per-call %v", stages, got, want)
+		}
+		if got, want := batched.Decisions(), direct.Decisions(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reserve %d: decisions %v, per-call %v", stages, got, want)
+		}
+		if got, want := batched.Series(1), direct.Series(1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reserve %d: series %+v, per-call %+v", stages, got, want)
+		}
 	}
 }
