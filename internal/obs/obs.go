@@ -234,16 +234,19 @@ var (
 
 // What a run reports grows with its plan: per stage and node about five spans
 // (a task span, two or three resource occupations under it, a share of the
-// evaluator's) and one or two counter samples; per stage three or four
-// series samples and one or two decisions of one or two candidates, more
-// under memory pressure. Reserve sizes the slices by these; a run that
+// evaluator's) and about one counter sample; per stage three or four series
+// samples and one or two decisions of up to seven candidates in all (a
+// pick's ready heads, an eviction's resident partitions). On the nested
+// 5×5 synthetic plan on 8 nodes the run reports 5.1 spans and 1.0 counter
+// samples per stage and node, and 3.5 series samples, 1.7 decisions and 6.7
+// candidates per stage. Reserve sizes the slices by these; a run that
 // reports more grows them as any append does.
 const (
 	spansPerStageNode    = 6
-	countersPerStageNode = 2
+	countersPerStageNode = 1
 	seriesPerStage       = 4
 	decisionsPerStage    = 2
-	candidatesPerStage   = 2
+	candidatesPerStage   = 7
 )
 
 // Reserve sizes the recorder for one run of a plan of the given number of
