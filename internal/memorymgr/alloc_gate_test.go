@@ -7,7 +7,7 @@ import (
 )
 
 // TestSteadyStateAllocatesNothing is the gate on the allocator's hot path
-// without a probe: once its entry table, its free list, its resident list and
+// without a probe: once its entry chunks, its free list, its resident list and
 // its spill map have reached their size, a Put that evicts (the victim then
 // discarded through its handle, as in BenchmarkAMMEviction) and the
 // store-read-discard cycle of a partition that fits allocate nothing, under

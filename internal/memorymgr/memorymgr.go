@@ -118,14 +118,14 @@ type Ref struct {
 	slot, gen uint32
 }
 
-// entry is the allocator's record of one partition, in Allocator.entries at
-// the slot its Ref names. gen is odd while the entry is live and even once it
-// is released and its slot waits on the free list.
+// entry is the allocator's record of one partition, at the slot its Ref
+// names. gen is odd while the entry is live and even once it is released and
+// its slot waits on the free list.
 type entry struct {
 	key        dataset.PartKey
 	bytes      sim.Bytes
 	lastAccess sim.VTime
-	gen        uint32
+	slot, gen  uint32
 	// res is the entry's index in Allocator.resident while inMemory.
 	res      int32
 	inMemory bool
@@ -148,16 +148,19 @@ type Allocator struct {
 	alpha    float64
 
 	used sim.Bytes
-	// entries holds every entry by slot, live or released; free lists the
-	// released slots, which the next partitions take. The table grows to the
-	// most partitions the node ever tracks at once and lives as long as the
+	// chunks hold every entry, live or released, entryChunk to a chunk:
+	// slot s is entry s%entryChunk of chunk s/entryChunk, and slots counts
+	// the slots handed out. An entry never moves. free lists the released
+	// slots, which the next partitions take. The chunks grow to the most
+	// partitions the node ever tracks at once and live as long as the
 	// allocator.
-	entries []entry
-	free    []uint32
-	// resident lists the slots of the entries in memory, in no particular
-	// order (an entry leaving takes the last one's place): what a victim is
-	// chosen among, without a walk over the spilled ones.
-	resident []uint32
+	chunks []*[entryChunk]entry
+	slots  uint32
+	free   []uint32
+	// resident lists the entries in memory, in no particular order (an
+	// entry leaving takes the last one's place): what a victim is chosen
+	// among, without a walk over the spilled ones.
+	resident []*entry
 	// spilled is the cumulative spill volume per dataset, for the spill
 	// report.
 	spilled map[dataset.ID]sim.Bytes
@@ -174,23 +177,13 @@ type Allocator struct {
 	// probe's audit half when it has one, evict/checkpoint decisions with
 	// their Alg. 2 valuations. labels holds, by slot, the audit label of the
 	// entry there, built the first time a decision names it (an eviction
-	// lists every resident partition); cands is what pickVictim weighed, and
-	// cands and candList are the scratch an eviction decision is built in.
-	// All three stay empty without an auditor.
+	// lists every resident partition); cands and candList are the scratch an
+	// eviction decision is built in. All three stay empty without an auditor.
 	probe    obs.Probe
 	audit    obs.Auditor
 	labels   []string
-	cands    []evictCand
+	cands    []*entry
 	candList []obs.Candidate
-}
-
-// evictCand is a resident partition as pickVictim weighed it, for the audit
-// of the eviction.
-type evictCand struct {
-	key    dataset.PartKey
-	slot   uint32
-	pinned bool
-	pref   float64
 }
 
 // NewAllocator creates an allocator with the given memory capacity on node.
@@ -207,8 +200,13 @@ func NewAllocator(node *cluster.Node, cfg cluster.Config, capacity sim.Bytes, po
 	}
 }
 
-// entryChunk is the capacity the entry table starts at.
+// entryChunk is the number of entries allocated at a time.
 const entryChunk = 32
+
+// at returns the entry in a slot handed out.
+func (a *Allocator) at(slot uint32) *entry {
+	return &a.chunks[slot/entryChunk][slot%entryChunk]
+}
 
 // newEntry tracks a partition under key, in a released slot if there is one,
 // and returns its handle.
@@ -217,14 +215,14 @@ func (a *Allocator) newEntry(key dataset.PartKey, bytes sim.Bytes) (Ref, *entry)
 	if n := len(a.free); n > 0 {
 		slot, a.free = a.free[n-1], a.free[:n-1]
 	} else {
-		if a.entries == nil {
-			a.entries = make([]entry, 0, entryChunk)
+		if a.slots%entryChunk == 0 {
+			a.chunks = append(a.chunks, new([entryChunk]entry))
 		}
-		slot = uint32(len(a.entries))
-		a.entries = append(a.entries, entry{})
+		slot = a.slots
+		a.slots++
 	}
-	e := &a.entries[slot]
-	*e = entry{key: key, bytes: bytes, gen: e.gen + 1}
+	e := a.at(slot)
+	*e = entry{key: key, bytes: bytes, slot: slot, gen: e.gen + 1}
 	if int(slot) < len(a.labels) {
 		a.labels[slot] = ""
 	}
@@ -234,29 +232,28 @@ func (a *Allocator) newEntry(key dataset.PartKey, bytes sim.Bytes) (Ref, *entry)
 // lookup returns the live entry ref names, or nil when the handle is stale or
 // was never issued by this allocator.
 func (a *Allocator) lookup(ref Ref) *entry {
-	if int(ref.slot) >= len(a.entries) {
+	if ref.slot >= a.slots {
 		return nil
 	}
-	if e := &a.entries[ref.slot]; e.gen == ref.gen && e.live() {
+	if e := a.at(ref.slot); e.gen == ref.gen && e.live() {
 		return e
 	}
 	return nil
 }
 
-// release stops tracking the entry in slot and frees the slot.
-func (a *Allocator) release(slot uint32) {
-	e := &a.entries[slot]
+// release stops tracking e and frees its slot.
+func (a *Allocator) release(e *entry) {
 	if e.inMemory {
 		a.vacate(e)
 	}
 	e.gen++
-	a.free = append(a.free, slot)
+	a.free = append(a.free, e.slot)
 }
 
-// admit makes e, the entry in slot, resident.
-func (a *Allocator) admit(slot uint32, e *entry) {
+// admit makes e resident.
+func (a *Allocator) admit(e *entry) {
 	e.inMemory, e.res = true, int32(len(a.resident))
-	a.resident = append(a.resident, slot)
+	a.resident = append(a.resident, e)
 	a.used += e.bytes
 	if a.used > a.metrics.PeakResidentBytes {
 		a.metrics.PeakResidentBytes = a.used
@@ -267,8 +264,8 @@ func (a *Allocator) admit(slot uint32, e *entry) {
 func (a *Allocator) vacate(e *entry) {
 	last := len(a.resident) - 1
 	moved := a.resident[last]
-	a.resident[e.res] = moved
-	a.entries[moved].res = e.res
+	a.resident[e.res], moved.res = moved, e.res
+	a.resident[last] = nil
 	a.resident = a.resident[:last]
 	e.inMemory = false
 	a.used -= e.bytes
@@ -298,19 +295,18 @@ func (a *Allocator) sampleSpilled(t sim.VTime) {
 	}
 }
 
-// label returns the run-stable label of the entry in slot, rendered by the
-// auditor the first time. The engine registers a dataset with the auditor
-// before it stores a partition of it, so the label does not change while the
-// entry lives.
-func (a *Allocator) label(slot uint32) string {
-	if n := cap(a.entries); len(a.labels) < n {
+// label returns the run-stable label of e, rendered by the auditor the
+// first time. The engine registers a dataset with the auditor before it
+// stores a partition of it, so the label does not change while the entry
+// lives.
+func (a *Allocator) label(e *entry) string {
+	if n := len(a.chunks) * entryChunk; len(a.labels) < n {
 		a.labels = slices.Grow(a.labels, n-len(a.labels))[:n]
 	}
-	if a.labels[slot] == "" {
-		key := a.entries[slot].key
-		a.labels[slot] = a.audit.Label(int64(key.Dataset), key.Index)
+	if a.labels[e.slot] == "" {
+		a.labels[e.slot] = a.audit.Label(int64(e.key.Dataset), e.key.Index)
 	}
-	return a.labels[slot]
+	return a.labels[e.slot]
 }
 
 // SpilledByDataset returns the cumulative bytes spilled per dataset at this
@@ -371,7 +367,7 @@ func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) (Ref,
 			// the audit log must still explain where the spill came from.
 			a.audit.Decision(obs.Decision{
 				T: t, Node: a.node.ID, Component: "memorymgr", Kind: "evict",
-				Subject: a.label(ref.slot),
+				Subject: a.label(e),
 				Detail:  fmt.Sprintf("oversized: %d bytes exceed the %d-byte memory budget, written straight to disk", bytes, a.capacity),
 			})
 		}
@@ -380,7 +376,7 @@ func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) (Ref,
 		return ref, end
 	}
 	t = a.makeRoom(bytes, t)
-	a.admit(ref.slot, e)
+	a.admit(e)
 	a.touch(e, t)
 	end := a.node.CPU(t, a.cfg.MemWriteSec(bytes))
 	a.sampleResident(end)
@@ -406,7 +402,7 @@ func (a *Allocator) Access(ref Ref, t sim.VTime) (end sim.VTime, hit bool, err e
 	end = a.node.Disk(t, a.cfg.DiskReadSec(e.bytes))
 	if e.bytes <= a.capacity {
 		end = a.makeRoom(e.bytes, end)
-		a.admit(ref.slot, e)
+		a.admit(e)
 		a.sampleResident(end)
 	}
 	a.touch(e, end)
@@ -424,8 +420,8 @@ func (a *Allocator) unknown(ref Ref) error {
 // discarded as soon as possible). Discarding is free; a stale handle is
 // ignored.
 func (a *Allocator) Discard(ref Ref) {
-	if a.lookup(ref) != nil {
-		a.release(ref.slot)
+	if e := a.lookup(ref); e != nil {
+		a.release(e)
 	}
 }
 
@@ -450,7 +446,7 @@ func (a *Allocator) Checkpoint(ref Ref, t sim.VTime) sim.VTime {
 	if a.audit != nil {
 		a.audit.Decision(obs.Decision{
 			T: t, Node: a.node.ID, Component: "memorymgr", Kind: "checkpoint",
-			Subject: a.label(ref.slot),
+			Subject: a.label(e),
 			Detail:  fmt.Sprintf("bytes=%d pref=%g", e.bytes, a.preference(e)),
 		})
 	}
@@ -479,15 +475,16 @@ type Lost struct {
 // on-disk copy survive and will be re-read on next access, the rest are
 // removed from the allocator and returned for lineage re-derivation.
 func (a *Allocator) Crash() []Lost {
-	for _, slot := range a.resident {
-		a.entries[slot].inMemory = false
+	for _, e := range a.resident {
+		e.inMemory = false
 	}
+	clear(a.resident)
 	a.resident, a.used = a.resident[:0], 0
 	var lost []Lost
-	for slot := range a.entries {
-		if e := &a.entries[slot]; e.live() && !e.onDisk {
+	for slot := range a.slots {
+		if e := a.at(slot); e.live() && !e.onDisk {
 			lost = append(lost, Lost{Key: e.key, Bytes: e.bytes})
-			a.release(uint32(slot))
+			a.release(e)
 		}
 	}
 	sortLost(lost)
@@ -506,7 +503,7 @@ func (a *Allocator) DropDurable(ref Ref) (Lost, bool) {
 		return Lost{}, false
 	}
 	l := Lost{Key: e.key, Bytes: e.bytes}
-	a.release(ref.slot)
+	a.release(e)
 	return l, true
 }
 
@@ -521,8 +518,8 @@ func SortLost(ls []Lost) { sortLost(ls) }
 // lost outright (requiring lineage re-derivation). Every handle the
 // allocator issued is stale afterwards.
 func (a *Allocator) Evacuate() (checkpointed, lost []Lost) {
-	for slot := range a.entries {
-		e := &a.entries[slot]
+	for slot := range a.slots {
+		e := a.at(slot)
 		if !e.live() {
 			continue
 		}
@@ -532,7 +529,7 @@ func (a *Allocator) Evacuate() (checkpointed, lost []Lost) {
 		} else {
 			lost = append(lost, l)
 		}
-		a.release(uint32(slot))
+		a.release(e)
 	}
 	sortLost(checkpointed)
 	sortLost(lost)
@@ -554,8 +551,8 @@ func (a *Allocator) AdoptSpilled(key dataset.PartKey, bytes sim.Bytes) Ref {
 // partition was discarded. The chaos harness audits this.
 func (a *Allocator) PinnedParts() int {
 	n := 0
-	for i := range a.entries {
-		if e := &a.entries[i]; e.live() && e.pinned {
+	for slot := range a.slots {
+		if e := a.at(slot); e.live() && e.pinned {
 			n++
 		}
 	}
@@ -564,15 +561,15 @@ func (a *Allocator) PinnedParts() int {
 
 // TrackedParts counts the partitions the allocator tracks (resident or on
 // disk).
-func (a *Allocator) TrackedParts() int { return len(a.entries) - len(a.free) }
+func (a *Allocator) TrackedParts() int { return int(a.slots) - len(a.free) }
 
 // Keys returns the tracked partition keys in deterministic order, for
 // lineage audits that cross-check allocator contents against the engine's
 // placement map.
 func (a *Allocator) Keys() []dataset.PartKey {
 	keys := make([]dataset.PartKey, 0, a.TrackedParts())
-	for i := range a.entries {
-		if e := &a.entries[i]; e.live() {
+	for slot := range a.slots {
+		if e := a.at(slot); e.live() {
 			keys = append(keys, e.key)
 		}
 	}
@@ -592,8 +589,8 @@ func (a *Allocator) Keys() []dataset.PartKey {
 func (a *Allocator) CheckAccounting() error {
 	var resident sim.Bytes
 	inMemory, live := 0, 0
-	for i := range a.entries {
-		e := &a.entries[i]
+	for slot := range a.slots {
+		e := a.at(slot)
 		if !e.live() {
 			continue
 		}
@@ -603,14 +600,14 @@ func (a *Allocator) CheckAccounting() error {
 			inMemory++
 		}
 	}
-	if live+len(a.free) != len(a.entries) {
-		return fmt.Errorf("memorymgr: node %d lists %d free slots, but %d of its %d slots are live", a.node.ID, len(a.free), live, len(a.entries))
+	if live+len(a.free) != int(a.slots) {
+		return fmt.Errorf("memorymgr: node %d lists %d free slots, but %d of its %d slots are live", a.node.ID, len(a.free), live, a.slots)
 	}
 	if inMemory != len(a.resident) {
 		return fmt.Errorf("memorymgr: node %d lists %d resident entries but tracks %d in memory", a.node.ID, len(a.resident), inMemory)
 	}
-	for i, slot := range a.resident {
-		if e := &a.entries[slot]; !e.live() || !e.inMemory || int(e.res) != i {
+	for i, e := range a.resident {
+		if !e.live() || !e.inMemory || int(e.res) != i || a.at(e.slot) != e {
 			return fmt.Errorf("memorymgr: node %d resident list slot %d holds %s (in memory %v, slot %d)", a.node.ID, i, e.key, e.inMemory, e.res)
 		}
 	}
@@ -632,13 +629,12 @@ func sortLost(ls []Lost) {
 // writes for each spill, and returns the time at which room is available.
 func (a *Allocator) makeRoom(bytes sim.Bytes, t sim.VTime) sim.VTime {
 	for a.used+bytes > a.capacity {
-		slot, ok := a.pickVictim()
-		if !ok {
+		victim := a.pickVictim()
+		if victim == nil {
 			break // nothing evictable; allow transient over-commit
 		}
-		victim := &a.entries[slot]
 		if a.audit != nil {
-			a.audit.Decision(a.evictDecision(slot, t))
+			a.audit.Decision(a.evictDecision(victim, t))
 		}
 		a.vacate(victim)
 		a.metrics.Evictions++
@@ -680,26 +676,19 @@ func compareKeys(x, y dataset.PartKey) int {
 // equal) takes the oldest access, and the key settles what is left. The
 // order is total, so one pass over the resident entries finds its minimum
 // whatever order they are listed in.
-func (a *Allocator) pickVictim() (victim uint32, ok bool) {
+func (a *Allocator) pickVictim() *entry {
 	var best *entry
 	var bestPref float64
-	if a.audit != nil {
-		a.cands = slices.Grow(a.cands[:0], len(a.resident))
-	}
-	for _, slot := range a.resident {
-		e := &a.entries[slot]
+	for _, e := range a.resident {
 		var pref float64
 		if a.policy == AMM {
 			pref = a.preference(e)
 		}
-		if a.audit != nil {
-			a.cands = append(a.cands, evictCand{key: e.key, slot: slot, pinned: e.pinned, pref: pref})
-		}
 		if best == nil || evictedBefore(e, pref, best, bestPref) {
-			best, bestPref, victim = e, pref, slot
+			best, bestPref = e, pref
 		}
 	}
-	return victim, best != nil
+	return best
 }
 
 // evictedBefore reports whether e, of preference pref, precedes best in the
@@ -723,35 +712,35 @@ func (a *Allocator) evictDetail(bytes sim.Bytes) string {
 	return string(strconv.AppendInt(b, int64(bytes), 10))
 }
 
-// evictDecision describes the eviction of the entry in slot for the audit
-// log: the victim and every candidate it was chosen among — the resident
-// partitions as pinned as the victim is — in key order, scored by the active
-// policy (AMM preference, as pickVictim computed it, or LRU last-access age).
-// The list is audit data about the choice pickVictim made, built only for an
-// auditor; it takes no part in the choice. The auditor copies the candidates,
-// so every decision is built in the same scratch.
-func (a *Allocator) evictDecision(slot uint32, t sim.VTime) obs.Decision {
-	victim := &a.entries[slot]
+// evictDecision describes one eviction for the audit log: the victim and
+// every candidate it was chosen among — the resident partitions as pinned as
+// the victim is — in key order, scored by the active policy (AMM preference
+// or LRU last-access age). The list is audit data about the choice
+// pickVictim made, built only for an auditor; it takes no part in the choice.
+// The auditor copies the candidates, so every decision is built in the same
+// scratch.
+func (a *Allocator) evictDecision(victim *entry, t sim.VTime) obs.Decision {
 	d := obs.Decision{
 		T: t, Node: a.node.ID, Component: "memorymgr", Kind: "evict",
-		Subject: a.label(slot),
+		Subject: a.label(victim),
 		Detail:  a.evictDetail(victim.bytes),
 	}
-	cands := a.cands[:0]
-	for _, c := range a.cands {
-		if c.pinned == victim.pinned {
-			cands = append(cands, c)
+	a.cands = a.cands[:0]
+	for _, e := range a.resident {
+		if e.pinned == victim.pinned {
+			a.cands = append(a.cands, e)
 		}
 	}
-	slices.SortFunc(cands, func(x, y evictCand) int { return compareKeys(x.key, y.key) })
+	slices.SortFunc(a.cands, func(x, y *entry) int { return compareKeys(x.key, y.key) })
 	a.candList = a.candList[:0]
-	for _, c := range cands {
-		score := a.entries[c.slot].lastAccess.Seconds()
+	for _, e := range a.cands {
+		score := e.lastAccess.Seconds()
 		if a.policy == AMM {
-			score = c.pref
+			score = a.preference(e)
 		}
-		a.candList = append(a.candList, obs.Candidate{Label: a.label(c.slot), Score: score, Chosen: c.slot == slot})
+		a.candList = append(a.candList, obs.Candidate{Label: a.label(e), Score: score, Chosen: e == victim})
 	}
+	clear(a.cands)
 	d.Candidates = a.candList
 	return d
 }

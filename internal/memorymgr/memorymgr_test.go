@@ -87,7 +87,7 @@ func TestCheckAccountingCatchesCorruption(t *testing.T) {
 	a.used -= 500
 
 	// Over-budget residency: an eviction that never happened.
-	a.entries[a1.slot].bytes = 3000
+	a.at(a1.slot).bytes = 3000
 	a.used = 3000
 	if err := a.CheckAccounting(); err == nil {
 		t.Fatal("over-budget residency not detected")
