@@ -157,6 +157,9 @@ type Allocator struct {
 	chunks []*[entryChunk]entry
 	slots  uint32
 	free   []uint32
+	// chunk0 holds the first chunk pointers, so that a node tracking at
+	// most 128 partitions at once allocates no list of chunks.
+	chunk0 [4]*[entryChunk]entry
 	// resident lists the entries in memory, in no particular order (an
 	// entry leaving takes the last one's place): what a victim is chosen
 	// among, without a walk over the spilled ones.
@@ -189,7 +192,7 @@ type Allocator struct {
 // NewAllocator creates an allocator with the given memory capacity on node.
 // acc may be nil when the policy is LRU.
 func NewAllocator(node *cluster.Node, cfg cluster.Config, capacity sim.Bytes, policy PolicyKind, acc AccessCounter) *Allocator {
-	return &Allocator{
+	a := &Allocator{
 		node:     node,
 		cfg:      cfg,
 		capacity: capacity,
@@ -198,6 +201,8 @@ func NewAllocator(node *cluster.Node, cfg cluster.Config, capacity sim.Bytes, po
 		alpha:    cfg.Alpha(),
 		spilled:  make(map[dataset.ID]sim.Bytes),
 	}
+	a.chunks = a.chunk0[:0]
+	return a
 }
 
 // entryChunk is the number of entries allocated at a time.
@@ -389,7 +394,9 @@ func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) (Ref,
 func (a *Allocator) Access(ref Ref, t sim.VTime) (end sim.VTime, hit bool, err error) {
 	e := a.lookup(ref)
 	if e == nil {
-		return t, false, a.unknown(ref)
+		// A stale handle's slot holds its old key or a later partition's:
+		// the slot is named, not the key.
+		return t, false, fmt.Errorf("memorymgr: access to unknown partition (slot %d, generation %d)", ref.slot, ref.gen)
 	}
 	if e.inMemory {
 		a.metrics.Hits++
@@ -407,13 +414,6 @@ func (a *Allocator) Access(ref Ref, t sim.VTime) (end sim.VTime, hit bool, err e
 	}
 	a.touch(e, end)
 	return end, false, nil
-}
-
-// unknown is the error of an access through a handle that names no live
-// entry. A stale handle's slot still holds the key it was issued for, or
-// the key of a later partition, so the message names the slot instead.
-func (a *Allocator) unknown(ref Ref) error {
-	return fmt.Errorf("memorymgr: access to unknown partition (slot %d, generation %d)", ref.slot, ref.gen)
 }
 
 // Discard drops a partition entirely (R3: datasets no longer needed are
