@@ -3,6 +3,8 @@ package kde_test
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"metadataflow/internal/workload/kde"
@@ -64,7 +66,11 @@ func sameBits(a, b float64) bool {
 // Σ Fn((x-xᵢ)/h) loop over the old closures: for the seven built-in kernels,
 // whose calls Density inlines, and for a kernel built outside the package,
 // which keeps the loop over Fn. The points include the edges of the bounded
-// kernels' support, NaN and the infinities.
+// kernels' support, NaN and the infinities. The second half holds the fits a
+// bounded kernel adds only its support of: sorted, reverse-sorted, constant
+// and clustered samples, 65 to 4 096 of them, at bandwidths from 1e-300 to
+// 1e300, some near ±MaxFloat64 where x - xᵢ overflows, and fits holding a NaN
+// or an infinity, which take the full scan.
 func TestDensityMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	custom := kde.Kernel{Name: "gaussian", Fn: func(u float64) float64 { return 1 / (1 + u*u) / math.Pi }}
@@ -72,20 +78,8 @@ func TestDensityMatchesReference(t *testing.T) {
 	if len(kernels) != 8 {
 		t.Fatalf("%d kernels, want the seven built-in ones and the custom one", len(kernels))
 	}
-	for trial := 0; trial < 60; trial++ {
-		samples := make([]float64, []int{0, 1, 7, 400}[trial%4])
-		for i := range samples {
-			samples[i] = rng.NormFloat64()
-		}
-		if len(samples) > 3 && trial%8 == 3 {
-			samples[1], samples[2] = math.NaN(), math.Inf(1)
-		}
-		h := []float64{0.1, 0.2, 0.3, 1, 1e-300, 1e300}[rng.Intn(6)]
-		xs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
-		for _, s := range samples[:min(len(samples), 20)] {
-			// Points exactly at, just inside and just outside the support.
-			xs = append(xs, s+h, s-h, math.Nextafter(s+h, 0), math.Nextafter(s+h, 10), rng.NormFloat64()*2)
-		}
+	check := func(samples []float64, h float64, xs []float64) {
+		t.Helper()
 		for ki, k := range kernels {
 			if k.Name != refs[ki].Name {
 				t.Fatalf("kernel %d is %q, reference %q", ki, k.Name, refs[ki].Name)
@@ -102,6 +96,73 @@ func TestDensityMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	for trial := 0; trial < 60; trial++ {
+		samples := make([]float64, []int{0, 1, 7, 400}[trial%4])
+		for i := range samples {
+			samples[i] = rng.NormFloat64()
+		}
+		if len(samples) > 3 && trial%8 == 3 {
+			samples[1], samples[2] = math.NaN(), math.Inf(1)
+		}
+		h := []float64{0.1, 0.2, 0.3, 1, 1e-300, 1e300}[rng.Intn(6)]
+		xs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+		for _, s := range samples[:min(len(samples), 20)] {
+			// Points exactly at, just inside and just outside the support.
+			xs = append(xs, s+h, s-h, math.Nextafter(s+h, 0), math.Nextafter(s+h, 10), rng.NormFloat64()*2)
+		}
+		check(samples, h, xs)
+	}
+	for trial := 0; trial < 48; trial++ {
+		n := []int{65, 100, 400, 1000, 4096, 4097}[trial%6]
+		samples := make([]float64, n)
+		scale := []float64{1, 1e-300, 1e300, math.MaxFloat64 / 2}[trial/6%4]
+		for i := range samples {
+			samples[i] = rng.NormFloat64() * scale
+		}
+		switch trial / 24 % 2 {
+		case 0: // clustered duplicates, then sorted or reverse-sorted
+			for i := range samples {
+				if rng.Intn(3) == 0 {
+					samples[i] = samples[rng.Intn(i+1)]
+				}
+			}
+			sort.Float64s(samples)
+			if rng.Intn(2) == 1 {
+				slices.Reverse(samples)
+			}
+		case 1: // all equal, or holding a non-finite sample
+			switch rng.Intn(4) {
+			case 0:
+				for i := range samples {
+					samples[i] = samples[0]
+				}
+			case 1:
+				samples[rng.Intn(n)] = math.NaN()
+			case 2:
+				samples[rng.Intn(n)] = math.Inf(1)
+			case 3:
+				samples[rng.Intn(n)] = math.Inf(-1)
+			}
+		}
+		if scale == math.MaxFloat64/2 {
+			// Near ±MaxFloat64: x - xᵢ overflows to an infinity.
+			samples[0], samples[n-1] = math.MaxFloat64, -math.MaxFloat64
+		}
+		h := []float64{1e-300, 1e-10, 0.05, 0.5, 3, 1e300}[rng.Intn(6)] * math.Max(scale, 1)
+		if math.IsInf(h, 0) {
+			h = math.MaxFloat64
+		}
+		xs := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64}
+		for range 12 {
+			s := samples[rng.Intn(n)]
+			// Exactly at xᵢ ± h and one ulp on either side of each.
+			for _, e := range []float64{s + h, s - h} {
+				xs = append(xs, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+			}
+			xs = append(xs, s, s+rng.NormFloat64()*h)
+		}
+		check(samples, h, xs)
 	}
 }
 
