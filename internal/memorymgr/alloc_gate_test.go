@@ -8,7 +8,7 @@ import (
 
 // TestSteadyStateAllocatesNothing is the gate on the allocator's hot path
 // without a probe: once its entry chunks, its free list, its resident list and
-// its spill map have reached their size, a Put that evicts (the victim then
+// its spill log have reached their size, a Put that evicts (the victim then
 // discarded through its handle, as in BenchmarkAMMEviction) and the
 // store-read-discard cycle of a partition that fits allocate nothing, under
 // either policy.
@@ -28,11 +28,11 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			}
 			a.Discard(oldest)
 			// The attribution of the spill stays with the allocator; keep the
-			// map at one key so that its growth is not what is counted.
-			delete(a.spilled, key(next-256).Dataset)
+			// log empty so that its growth is not what is counted.
+			a.spills = a.spills[:0]
 			next++
 		}
-		evict() // the first eviction sizes the spill map
+		evict() // the first eviction sizes the spill log
 		if n := testing.AllocsPerRun(200, evict); n != 0 {
 			t.Errorf("%s: a Put that evicts allocates %.1f times in the steady state, want 0", policy, n)
 		}

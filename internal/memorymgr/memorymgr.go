@@ -13,7 +13,6 @@ package memorymgr
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -164,9 +163,9 @@ type Allocator struct {
 	// entry leaving takes the last one's place): what a victim is chosen
 	// among, without a walk over the spilled ones.
 	resident []*entry
-	// spilled is the cumulative spill volume per dataset, for the spill
-	// report.
-	spilled map[dataset.ID]sim.Bytes
+	// spills logs every spill, for the spill report: a spill of the dataset
+	// the last record names adds to that record, any other appends one.
+	spills  []spill
 	metrics Metrics
 	seq     sim.VTime // tie-breaking sequence for identical timestamps
 
@@ -199,7 +198,6 @@ func NewAllocator(node *cluster.Node, cfg cluster.Config, capacity sim.Bytes, po
 		policy:   policy,
 		acc:      acc,
 		alpha:    cfg.Alpha(),
-		spilled:  make(map[dataset.ID]sim.Bytes),
 	}
 	a.chunks = a.chunk0[:0]
 	return a
@@ -314,10 +312,29 @@ func (a *Allocator) label(e *entry) string {
 	return a.labels[e.slot]
 }
 
+// spill is one record of the spill log: bytes spilled of one dataset.
+type spill struct {
+	dataset dataset.ID
+	bytes   sim.Bytes
+}
+
+// logSpill records that bytes of dataset d were spilled.
+func (a *Allocator) logSpill(d dataset.ID, bytes sim.Bytes) {
+	if n := len(a.spills); n > 0 && a.spills[n-1].dataset == d {
+		a.spills[n-1].bytes += bytes
+		return
+	}
+	a.spills = append(a.spills, spill{d, bytes})
+}
+
 // SpilledByDataset returns the cumulative bytes spilled per dataset at this
 // node, for spill attribution reports.
 func (a *Allocator) SpilledByDataset() map[dataset.ID]sim.Bytes {
-	return maps.Clone(a.spilled)
+	out := make(map[dataset.ID]sim.Bytes)
+	for _, s := range a.spills {
+		out[s.dataset] += s.bytes
+	}
+	return out
 }
 
 // Capacity returns the allocator's memory budget.
@@ -366,7 +383,7 @@ func (a *Allocator) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) (Ref,
 		e.onDisk = true
 		a.metrics.Evictions++
 		a.metrics.SpilledBytes += bytes
-		a.spilled[key.Dataset] += bytes
+		a.logSpill(key.Dataset, bytes)
 		if a.audit != nil {
 			// No policy choice here — the partition cannot fit at all — but
 			// the audit log must still explain where the spill came from.
@@ -644,7 +661,7 @@ func (a *Allocator) makeRoom(bytes sim.Bytes, t sim.VTime) sim.VTime {
 		}
 		victim.onDisk = true
 		a.metrics.SpilledBytes += victim.bytes
-		a.spilled[victim.key.Dataset] += victim.bytes
+		a.logSpill(victim.key.Dataset, victim.bytes)
 		t = a.node.Disk(t, a.cfg.DiskWriteSec(victim.bytes))
 		a.sampleSpilled(t)
 	}
