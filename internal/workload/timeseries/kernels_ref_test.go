@@ -299,15 +299,115 @@ func TestPanickingWindowPassLeavesNoEntry(t *testing.T) {
 	pts := awkwardSeries(rand.New(rand.NewSource(7)), 40)
 	func() {
 		defer func() { _ = recover() }()
-		memo.values(windowKey{w: 3}, pts, func([]Point, int) []float64 { panic("part-way") })
+		memo.values(windowKey{kind: maskRatios, w: 3}, pts, func([]Point, int) []float64 { panic("part-way") })
 	}()
 	if len(memo.entries) != 0 {
 		t.Fatalf("the memo holds %d entries after a panicking pass, want none", len(memo.entries))
 	}
-	got, want := memo.values(windowKey{w: 3}, pts, windowRatios), windowRatios(pts, 3)
+	got, want := memo.values(windowKey{kind: maskRatios, w: 3}, pts, windowRatios), windowRatios(pts, 3)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("ratio %d = %v after a panicking pass, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSiblingMarksShareOneMemo runs the 16 analysis branches of BuildMDF at
+// Defaults() — mark and detect at every (l, m, d) — on goroutines over one
+// memo, on the output of a mask, as the engine's pool runs them on the
+// masking choose's selection. Each output must equal the reference, each
+// mark output must be a dataset of its own, and the branches of one (l, m)
+// must read one events slice: 4 distinct slices are 4 mark passes.
+func TestSiblingMarksShareOneMemo(t *testing.T) {
+	p := Defaults()
+	series := dataset.FromSlice("in", awkwardSeries(rand.New(rand.NewSource(40)), 2000), 4, 16)
+	series.SetVirtualBytes(1 << 30)
+	memo := new(windowMemo)
+	in := apply(t, maskOp(memo, 2, 1.001), series)
+	type branch struct {
+		l       int
+		m       float64
+		d       int
+		marked  *dataset.Dataset
+		detects *dataset.Dataset
+		err     error
+	}
+	var branches []*branch
+	for _, l := range p.MarkWindows {
+		for _, m := range p.MagDiffs {
+			for _, d := range p.Durations {
+				branches = append(branches, &branch{l: l, m: m, d: d})
+			}
+		}
+	}
+	if len(branches) != 16 {
+		t.Fatalf("%d analysis branches at Defaults(), want 16", len(branches))
+	}
+	var wg sync.WaitGroup
+	for _, b := range branches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b.marked, b.err = markOp(memo, b.l, b.m)([]*dataset.Dataset{in}); b.err == nil {
+				b.detects, b.err = detectOp(b.d)([]*dataset.Dataset{b.marked})
+			}
+		}()
+	}
+	wg.Wait()
+	owners := map[*Event]string{}
+	ids := map[dataset.ID]bool{}
+	for _, b := range branches {
+		what := fmt.Sprintf("mark(l=%d,m=%g,d=%d)", b.l, b.m, b.d)
+		if b.err != nil {
+			t.Fatalf("%s: %v", what, b.err)
+		}
+		sameDataset(t, what, b.marked, refMark(in, b.l, b.m))
+		sameDataset(t, what+": detect", b.detects, refDetect(b.marked, b.d))
+		if ids[b.marked.ID] {
+			t.Fatalf("%s: dataset %d is another branch's", what, b.marked.ID)
+		}
+		ids[b.marked.ID] = true
+		evs := dataset.Flatten[Event](b.marked)
+		if len(evs) == 0 {
+			t.Fatalf("%s: no events; the series must have some", what)
+		}
+		setting := fmt.Sprintf("l=%d,m=%g", b.l, b.m)
+		if other, ok := owners[&evs[0]]; ok && other != setting {
+			t.Fatalf("%s reads the events of %s", what, other)
+		}
+		owners[&evs[0]] = setting
+	}
+	if len(owners) != 4 {
+		t.Errorf("the 16 branches read %d events slices, want one per (l, m): 4 mark passes", len(owners))
+	}
+}
+
+// TestPanickingMarkPassLeavesNoEntry: a mark pass that panics part-way (here
+// over a means entry too short for the input) leaves no events entry and the
+// memo unlocked, so the next branch finds the events itself.
+func TestPanickingMarkPassLeavesNoEntry(t *testing.T) {
+	memo := new(windowMemo)
+	pts := awkwardSeries(rand.New(rand.NewSource(8)), 40)
+	means := windowKey{kind: markMeans, w: 3}
+	memo.store(means, windowed{in: pts, vals: make([]float64, 5)})
+	func() {
+		defer func() { _ = recover() }()
+		memo.marked(3, 0.5, pts)
+		t.Fatal("a mark pass over too few means did not panic")
+	}()
+	if len(memo.entries) != 1 {
+		t.Fatalf("the memo holds %d entries after a panicking mark pass, want the means alone", len(memo.entries))
+	}
+	delete(memo.entries, means)
+	in := dataset.FromSlice("in", pts, 1, 16)
+	want := dataset.Flatten[Event](refMark(in, 3, 0.5))
+	got := memo.marked(3, 0.5, pts)
+	if len(got) != len(want) {
+		t.Fatalf("%d events after a panicking pass, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("event %d = %s after a panicking pass, want %s", i, bits(got[i]), bits(want[i]))
 		}
 	}
 }
@@ -396,6 +496,28 @@ func BenchmarkMaskSiblings(b *testing.B) {
 		for k := 0; k < 16; k++ {
 			if _, err := maskOp(memo, 5, 1+0.0005*float64(k+1))(in); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkMarkSiblings is the 16 analysis branches of BuildMDF at
+// Defaults() over one memo: 2 window means, 4 mark passes, 16 datasets.
+// Compare with 16 × BenchmarkMark.
+func BenchmarkMarkSiblings(b *testing.B) {
+	p := Defaults()
+	in := []*dataset.Dataset{defaultSeries()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		memo := new(windowMemo)
+		for _, l := range p.MarkWindows {
+			for _, m := range p.MagDiffs {
+				for range p.Durations {
+					if _, err := markOp(memo, l, m)(in); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
 		}
 	}

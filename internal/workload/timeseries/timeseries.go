@@ -138,30 +138,57 @@ func outParts(in *dataset.Dataset) int {
 
 // windowMemo is what the mask and mark branches of one graph share: per
 // window length, one value per point that depends on nothing but the input
-// and that length — mask's window ratio, mark's window mean. Sibling branches
-// with a length in common compute it once. An entry answers only for the
-// input it was computed from, told by the first element's address and the
-// length of the flattened slice; the entry holds that slice, so the address
-// cannot be reused. Any other input recomputes and replaces it. Branches run
-// on the engine's pool goroutines, hence the mutex; an entry is stored only
-// once computed, so a computation that panics leaves none.
+// and that length — mask's window ratio, mark's window mean — and per mark
+// setting (l, magDiff), the events mark finds. Sibling branches with a
+// setting in common compute it once. An entry answers only for the input it
+// was computed from, told by the first element's address and the length of
+// the flattened slice; the entry holds that slice, so the address cannot be
+// reused. Any other input recomputes and replaces it. Branches run on the
+// engine's pool goroutines, hence the mutex, held while an entry is computed;
+// an entry is stored only once computed, so a computation that panics leaves
+// none.
 type windowMemo struct {
 	mu      sync.Mutex
 	entries map[windowKey]windowed
 }
 
-// windowKey names one shared computation: mark's means (mean) or mask's
-// ratios, over windows of length w.
+// windowKey names one shared computation: mask's ratios, mark's means or
+// mark's events over windows of length w, the events also by the bits of
+// their magDiff (a NaN is a key like any other).
 type windowKey struct {
-	mean bool
-	w    int
+	kind    windowKind
+	w       int
+	magDiff uint64
 }
 
-// windowed is one memo entry: the values computed from in. Neither is ever
-// written once stored.
+type windowKind uint8
+
+const (
+	maskRatios windowKind = iota
+	markMeans
+	markedEvents
+)
+
+// windowed is one memo entry: the values or the events computed from in.
+// Neither is ever written once stored.
 type windowed struct {
-	in   []Point
-	vals []float64
+	in     []Point
+	vals   []float64
+	events []Event
+}
+
+// lookup returns the entry of k if it was computed from pts; m.mu is held.
+func (m *windowMemo) lookup(k windowKey, pts []Point) (windowed, bool) {
+	e, ok := m.entries[k]
+	return e, ok && len(e.in) == len(pts) && &e.in[0] == &pts[0]
+}
+
+// store records e as the entry of k; m.mu is held.
+func (m *windowMemo) store(k windowKey, e windowed) {
+	if m.entries == nil {
+		m.entries = make(map[windowKey]windowed)
+	}
+	m.entries[k] = e
 }
 
 // values returns compute(pts, k.w), computed at most once per input and key.
@@ -171,15 +198,34 @@ func (m *windowMemo) values(k windowKey, pts []Point, compute func([]Point, int)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if e, ok := m.entries[k]; ok && len(e.in) == len(pts) && &e.in[0] == &pts[0] {
+	return m.valuesLocked(k, pts, compute)
+}
+
+func (m *windowMemo) valuesLocked(k windowKey, pts []Point, compute func([]Point, int) []float64) []float64 {
+	if e, ok := m.lookup(k, pts); ok {
 		return e.vals
 	}
 	vals := compute(pts, k.w)
-	if m.entries == nil {
-		m.entries = make(map[windowKey]windowed)
-	}
-	m.entries[k] = windowed{in: pts, vals: vals}
+	m.store(k, windowed{in: pts, vals: vals})
 	return vals
+}
+
+// marked returns mark's events over pts, computed at most once per input
+// and setting, from the window means of l, which it shares with every
+// magDiff of l.
+func (m *windowMemo) marked(l int, magDiff float64, pts []Point) []Event {
+	if len(pts) == 0 {
+		return markEvents(pts, nil, l, magDiff)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	k := windowKey{kind: markedEvents, w: l, magDiff: math.Float64bits(magDiff)}
+	if e, ok := m.lookup(k, pts); ok {
+		return e.events
+	}
+	evs := markEvents(pts, m.valuesLocked(windowKey{kind: markMeans, w: l}, pts, windowMeans), l, magDiff)
+	m.store(k, windowed{in: pts, events: evs})
+	return evs
 }
 
 // windowRatios returns, for every point, the max/min ratio of the window of
@@ -236,7 +282,7 @@ func maskOp(memo *windowMemo, w int, t float64) graph.TransformFunc {
 			return nil, err
 		}
 		pts := dataset.Flatten[Point](in)
-		ratio := memo.values(windowKey{w: w}, pts, windowRatios)
+		ratio := memo.values(windowKey{kind: maskRatios, w: w}, pts, windowRatios)
 		// Count first, then copy the kept points into a slice of their
 		// exact number.
 		n := 0
@@ -278,31 +324,37 @@ func windowMean(pts []Point, i, l int) float64 {
 	return sum / float64(l)
 }
 
+// markEvents returns the points from l on whose value differs by more than
+// magDiff from mean, the mean of the l values before it.
+func markEvents(pts []Point, mean []float64, l int, magDiff float64) []Event {
+	// Events are few: count first, then build them in a slice of their
+	// exact number.
+	n := 0
+	for i := max(l, 0); i < len(pts); i++ {
+		if math.Abs(pts[i].V-mean[i]) > magDiff {
+			n++
+		}
+	}
+	events := make([]Event, 0, n)
+	for i := max(l, 0); i < len(pts); i++ {
+		if math.Abs(pts[i].V-mean[i]) > magDiff {
+			events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - mean[i]})
+		}
+	}
+	return events
+}
+
 // markOp marks discrete events: points where the value differs by more than
-// magDiff from the mean of the l values before it. The means come from memo,
-// shared by every magDiff of l. It is one closure, as maskOp is.
+// magDiff from the mean of the l values before it. The events come from
+// memo, shared by every duration of (l, magDiff), and read-only: each branch
+// wraps them in a dataset of its own. It is one closure, as maskOp is.
 func markOp(memo *windowMemo, l int, magDiff float64) graph.TransformFunc {
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		in, err := mdf.OneInput("mark", ins)
 		if err != nil {
 			return nil, err
 		}
-		pts := dataset.Flatten[Point](in)
-		mean := memo.values(windowKey{mean: true, w: l}, pts, windowMeans)
-		// Events are few: count first, then build them in a slice of
-		// their exact number.
-		n := 0
-		for i := max(l, 0); i < len(pts); i++ {
-			if math.Abs(pts[i].V-mean[i]) > magDiff {
-				n++
-			}
-		}
-		events := make([]Event, 0, n)
-		for i := max(l, 0); i < len(pts); i++ {
-			if math.Abs(pts[i].V-mean[i]) > magDiff {
-				events = append(events, Event{Start: pts[i].T, End: pts[i].T, Magnitude: pts[i].V - mean[i]})
-			}
-		}
+		events := memo.marked(l, magDiff, dataset.Flatten[Point](in))
 		out := dataset.FromSlice("events", events, outParts(in), 24)
 		out.SetVirtualBytes(in.VirtualBytes() / 20)
 		return out, nil
