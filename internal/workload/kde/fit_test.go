@@ -1,0 +1,95 @@
+package kde
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"metadataflow/internal/cluster"
+	"metadataflow/internal/dataset"
+	"metadataflow/internal/engine"
+	"metadataflow/internal/memorymgr"
+	"metadataflow/internal/scheduler"
+)
+
+// refFit is the split and fit sample each estimate made for itself before
+// the estimates of one input shared them, in slices of its own.
+func refFit(p Params, xs []float64) (holdout, train []float64) {
+	nHold := int(float64(len(xs)) * p.HoldoutFraction)
+	if nHold < 1 {
+		nHold = 1
+	}
+	holdout, train = xs[:nHold], xs[nHold:]
+	var sampled []float64
+	if len(train) > p.FitSample {
+		stride := len(train) / p.FitSample
+		for i := 0; i < len(train); i += stride {
+			sampled = append(sampled, train[i])
+		}
+	} else {
+		sampled = append(sampled, train...)
+	}
+	return slices.Clone(holdout), sampled
+}
+
+func sameFloats(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestJobMakesTwoFits runs a data profiling job at Defaults(): its 42
+// estimates over two pre-processed inputs must make two fits, each the split
+// and sample an estimate made for itself, and every estimate over either
+// input must equal, bit for bit, a fresh NewEstimator fit of that sample and
+// the full scan of an estimator without a sample order.
+func TestJobMakesTwoFits(t *testing.T) {
+	p := Defaults()
+	memo := new(fitMemo)
+	g, err := buildMDF(p, memo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := engine.Execute(g, engine.Options{
+		Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+		Policy:      memorymgr.AMM,
+		Scheduler:   scheduler.BAS(nil),
+		Incremental: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(memo.fits) != 2 {
+		t.Fatalf("a job made %d fits, want one per pre-processing (2)", len(memo.fits))
+	}
+	kernels, err := p.kernels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fi, f := range memo.fits {
+		holdout, train := refFit(p, f.in)
+		if !sameFloats(f.holdout, holdout) || !sameFloats(f.train, train) {
+			t.Fatalf("fit %d: %d hold-out points and %d samples, not the %d and %d an estimate drew for itself",
+				fi, len(f.holdout), len(f.train), len(holdout), len(train))
+		}
+		in := []*dataset.Dataset{dataset.FromSlice("in", f.in, p.Partitions, 8)}
+		for _, k := range kernels {
+			for _, h := range p.Bandwidths {
+				out, err := estimateOp(memo, p, k, h, kdeName(k.Name, h))(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := dataset.Flatten[float64](out)
+				fresh, scan := NewEstimator(k, h, train), &Estimator{Kernel: k, Bandwidth: h, Samples: train}
+				for i, x := range holdout {
+					if want := fresh.Density(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("fit %d, %s: density %d = %v, a fresh fit %v", fi, kdeName(k.Name, h), i, got[i], want)
+					}
+					if want := scan.Density(x); math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("fit %d, %s: density %d = %v, the full scan %v", fi, kdeName(k.Name, h), i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+	if len(memo.fits) != 2 {
+		t.Errorf("estimates over the job's inputs made %d fits, want the job's 2", len(memo.fits))
+	}
+}

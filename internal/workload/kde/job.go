@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -156,30 +157,74 @@ func outlierLabel(o float64, kernel string) string {
 	return string(b)
 }
 
+// fitMemo is what the estimate branches of one graph share: per input, the
+// hold-out points, the fit sample and its order, which depend on nothing but
+// the input and the graph's Params. Every kernel and bandwidth over one
+// input reads one fit. An entry answers only for the input it was computed
+// from, told by the first element's address and the length of the flattened
+// slice; the entry holds that slice, so the address cannot be reused. The
+// memo keeps an entry per input it has met: two in BuildMDF, one per
+// pre-processing. Branches run on the engine's pool goroutines, hence the
+// mutex, held while a fit is computed; an entry is stored only once
+// computed, so a computation that panics leaves none.
+type fitMemo struct {
+	mu   sync.Mutex
+	fits []fit
+}
+
+// fit is one memo entry: the split of in and the fit sample. None of them
+// is ever written once stored.
+type fit struct {
+	in, holdout, train []float64
+	order              []uint16
+}
+
+// fit returns the fit of xs, computed at most once per input.
+func (m *fitMemo) fit(p Params, xs []float64) fit {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, f := range m.fits {
+		// No entry is empty: newFit panics on an empty input.
+		if len(f.in) == len(xs) && &f.in[0] == &xs[0] {
+			return f
+		}
+	}
+	f := newFit(p, xs)
+	m.fits = append(m.fits, f)
+	return f
+}
+
+// newFit splits xs into the hold-out points, its first HoldoutFraction, and
+// the rest, which it thins to at most FitSample by a stride.
+func newFit(p Params, xs []float64) fit {
+	nHold := int(float64(len(xs)) * p.HoldoutFraction)
+	if nHold < 1 {
+		nHold = 1
+	}
+	holdout, train := xs[:nHold], xs[nHold:]
+	if len(train) > p.FitSample {
+		stride := len(train) / p.FitSample
+		sampled := make([]float64, 0, (len(train)+stride-1)/stride)
+		for i := 0; i < len(train); i += stride {
+			sampled = append(sampled, train[i])
+		}
+		train = sampled
+	}
+	return fit{in: xs, holdout: holdout, train: train, order: sampleOrder(train)}
+}
+
 // estimateOp fits the estimator on a subsample and outputs the predicted
 // densities at the hold-out points (one row per hold-out point). The output
-// is small relative to the input, as a density profile is. name is
+// is small relative to the input, as a density profile is. The fit comes
+// from memo, shared by every estimate of the same input. name is
 // kdeName(k.Name, h).
-func estimateOp(p Params, k Kernel, h float64, name string) graph.TransformFunc {
+func estimateOp(memo *fitMemo, p Params, k Kernel, h float64, name string) graph.TransformFunc {
 	return mdf.WholeDataset(name,
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			xs := dataset.Flatten[float64](in)
-			nHold := int(float64(len(xs)) * p.HoldoutFraction)
-			if nHold < 1 {
-				nHold = 1
-			}
-			holdout, train := xs[:nHold], xs[nHold:]
-			if len(train) > p.FitSample {
-				stride := len(train) / p.FitSample
-				sampled := make([]float64, 0, (len(train)+stride-1)/stride)
-				for i := 0; i < len(train); i += stride {
-					sampled = append(sampled, train[i])
-				}
-				train = sampled
-			}
-			est := NewEstimator(k, h, train)
-			rows := make([]float64, len(holdout))
-			for i, x := range holdout {
+			f := memo.fit(p, dataset.Flatten[float64](in))
+			est := Estimator{Kernel: k, Bandwidth: h, Samples: f.train, order: f.order}
+			rows := make([]float64, len(f.holdout))
+			for i, x := range f.holdout {
 				rows[i] = est.Density(x)
 			}
 			parts := in.NumPartitions()
@@ -248,6 +293,10 @@ func kernelBranches(kernels []Kernel, bandwidths []float64) ([]mdf.BranchSpec, [
 // the pre-processing method N = {normalise, standardise}, a nested explore
 // over kernel × bandwidth, and hold-out log-likelihood maximisation.
 func BuildMDF(p Params) (*graph.Graph, error) {
+	return buildMDF(p, new(fitMemo))
+}
+
+func buildMDF(p Params, memo *fitMemo) (*graph.Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -281,7 +330,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 				mdf.NewChooser(LogLikelihoodEvaluator(), mdf.Max()),
 				func(inner *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					cfg := kbs[int(ispec.Hint)]
-					return inner.Then(cfg.name, estimateOp(p, cfg.k, cfg.h, cfg.name), 0.006)
+					return inner.Then(cfg.name, estimateOp(memo, p, cfg.k, cfg.h, cfg.name), 0.006)
 				})
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
@@ -335,6 +384,7 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 	}
 	kbSpecs, kbs := kernelBranches(kernels, p.Bandwidths)
 
+	memo := new(fitMemo)
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Scope 1: outlier filtering, closed early by a size-ratio choose
@@ -361,7 +411,7 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 		mdf.NewChooser(LogLikelihoodEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := kbs[int(spec.Hint)]
-			return start.Then(cfg.name, estimateOp(p.Params, cfg.k, cfg.h, cfg.name), 0.006)
+			return start.Then(cfg.name, estimateOp(memo, p.Params, cfg.k, cfg.h, cfg.name), 0.006)
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
 	return b.Build()
