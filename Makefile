@@ -133,7 +133,9 @@ crash-short: build
 # BenchmarkFilter read them at 1, 8 and 64 partitions, BenchmarkBuild on each
 # path that builds a graph, BenchmarkPutAccessDiscard a partition's life in a
 # narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
-# hint). Part of ci.
+# hint, BenchmarkDensity a bounded kernel's narrow and wide support beside the
+# full loop, BenchmarkMarkSiblings the 16 analysis branches of a time series
+# job over one memo). Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

@@ -153,7 +153,7 @@ func sampleOrder(samples []float64) []uint16 {
 		return nil
 	}
 	for _, v := range samples {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return nil
 		}
 	}
@@ -165,7 +165,8 @@ func sampleOrder(samples []float64) []uint16 {
 	return order
 }
 
-// Density evaluates g(x).
+// Density evaluates g(x). It allocates nothing and builds no sample order:
+// an estimator without one, such as a literal, adds every sample.
 func (e *Estimator) Density(x float64) float64 {
 	if len(e.Samples) == 0 {
 		return 0
