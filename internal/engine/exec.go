@@ -247,14 +247,9 @@ func (r *Run) chargeShuffle(sc *stageScratch, st *graph.Stage, ins []*dataset.Da
 	if w <= 1 {
 		return
 	}
-	first := st.First()
-	for i, pre := range r.plan.Pre(st) {
+	for i := range r.plan.Pre(st) {
 		d := ins[i]
-		if d == nil {
-			continue
-		}
-		dep, ok := r.plan.Graph.Dep(pre.Last(), first)
-		if !ok || dep != graph.Wide {
+		if d == nil || !r.plan.Wide(st, i) {
 			continue
 		}
 		perNode := sc.perNode

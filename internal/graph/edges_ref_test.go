@@ -78,7 +78,8 @@ func opIDs(ops []*Operator) []int {
 // fourth attempt a repeat of an edge already there — and compares Graph with
 // the map model after every Connect: whether the edge was accepted, and Dep of
 // the attempted pair in both directions; at the end Dep of every pair, Pre
-// and Post of every vertex in insertion order, the degrees, and the DOT bytes.
+// and Post of every vertex in insertion order, the degrees, the DOT bytes,
+// and the stage edges of the graph's plan.
 func TestEdgesMatchMapModel(t *testing.T) {
 	kinds := []Kind{KindSource, KindTransform, KindExplore, KindChoose}
 	for seed := int64(1); seed <= 300; seed++ {
@@ -146,6 +147,52 @@ func TestEdgesMatchMapModel(t *testing.T) {
 		}
 		if got, want := g.DOT("g"), m.dot(g, "g"); got != want {
 			t.Fatalf("seed %d: DOT differs from the model's:\n%s\nmodel:\n%s", seed, got, want)
+		}
+		checkPlanEdges(t, seed, g, m)
+	}
+}
+
+// checkPlanEdges derives the stages of g, a DAG of no particular shape, and
+// compares every stage edge with the model: •T lists the stages of the first
+// operator's predecessors (in ascending ID, or in input order for a choose),
+// T• those of the last operator's successors in ascending ID, and Wide is the
+// kind of the operator edge each •T entry stands for.
+func checkPlanEdges(t *testing.T, seed int64, g *Graph, m *edgeModel) {
+	t.Helper()
+	order, err := g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := g.plan(order, nil)
+	for _, st := range p.Stages {
+		var pre, post []int
+		for _, from := range m.ins[st.First().ID] {
+			pre = append(pre, p.stageOf[from].ID)
+		}
+		if !st.IsChoose() {
+			sort.Ints(pre)
+		}
+		for _, to := range m.outs[st.Last().ID] {
+			post = append(post, p.stageOf[to].ID)
+		}
+		sort.Ints(post)
+		ids := func(sts []*Stage) []int {
+			var out []int
+			for _, s := range sts {
+				out = append(out, s.ID)
+			}
+			return out
+		}
+		if got := ids(p.Pre(st)); fmt.Sprint(got) != fmt.Sprint(pre) {
+			t.Fatalf("seed %d: Pre(%s) = %v, model %v", seed, st, got, pre)
+		}
+		if got := ids(p.Post(st)); fmt.Sprint(got) != fmt.Sprint(post) {
+			t.Fatalf("seed %d: Post(%s) = %v, model %v", seed, st, got, post)
+		}
+		for i, a := range p.Pre(st) {
+			if want := m.deps[[2]int{a.Last().ID, st.First().ID}] == Wide; p.Wide(st, i) != want {
+				t.Fatalf("seed %d: Wide(%s, %d) = %v, the edge from %s is wide: %v", seed, st, i, !want, a, want)
+			}
 		}
 	}
 }

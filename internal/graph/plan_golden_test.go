@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"metadataflow/internal/graph"
 	"metadataflow/internal/spec"
@@ -110,6 +112,20 @@ func nestedSpec(levels int) *spec.Spec {
 	}
 }
 
+// planCases are the jobs whose plans the golden pins: the four workload jobs
+// at default scale and two nested spec documents.
+var planCases = []struct {
+	name  string
+	build func() (*graph.Graph, error)
+}{
+	{"synthetic", func() (*graph.Graph, error) { return synthetic.BuildMDF(synthetic.Defaults()) }},
+	{"kde", func() (*graph.Graph, error) { return kde.BuildMDF(kde.Defaults()) }},
+	{"timeseries", func() (*graph.Graph, error) { return timeseries.BuildMDF(timeseries.Defaults()) }},
+	{"dnn", func() (*graph.Graph, error) { return dnn.BuildEarlyChooseMDF(dnn.Defaults()) }},
+	{"spec-nested-2", func() (*graph.Graph, error) { return nestedSpec(2).Compile() }},
+	{"spec-nested-3", func() (*graph.Graph, error) { return nestedSpec(3).Compile() }},
+}
+
 // TestBuildPlanGolden pins the structure BuildPlan derives — stage
 // decomposition and numbering, stage edges, branch references, scopes and
 // their members — for the four workload jobs at default scale and two nested
@@ -117,19 +133,8 @@ func nestedSpec(levels int) *spec.Spec {
 // one replaced; stage IDs feed every committed artifact, so any drift here
 // shows up before it shows up as a BENCH_*.json diff.
 func TestBuildPlanGolden(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() (*graph.Graph, error)
-	}{
-		{"synthetic", func() (*graph.Graph, error) { return synthetic.BuildMDF(synthetic.Defaults()) }},
-		{"kde", func() (*graph.Graph, error) { return kde.BuildMDF(kde.Defaults()) }},
-		{"timeseries", func() (*graph.Graph, error) { return timeseries.BuildMDF(timeseries.Defaults()) }},
-		{"dnn", func() (*graph.Graph, error) { return dnn.BuildEarlyChooseMDF(dnn.Defaults()) }},
-		{"spec-nested-2", func() (*graph.Graph, error) { return nestedSpec(2).Compile() }},
-		{"spec-nested-3", func() (*graph.Graph, error) { return nestedSpec(3).Compile() }},
-	}
 	var b strings.Builder
-	for _, c := range cases {
+	for _, c := range planCases {
 		g, err := c.build()
 		if err != nil {
 			t.Fatalf("%s: build: %v", c.name, err)
@@ -166,5 +171,39 @@ func TestBuildPlanGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("plan dump is a strict prefix of testdata/plans.golden (%d of %d lines)", len(gl), len(wl))
+	}
+}
+
+// TestPlanRetainsNoGraph: a plan stands alone. For every job of the golden,
+// the graph is collected — its finalizer runs — while its plan is still
+// reachable, and the plan still answers for every stage afterwards.
+func TestPlanRetainsNoGraph(t *testing.T) {
+	for _, c := range planCases {
+		g, err := c.build()
+		if err != nil {
+			t.Fatalf("%s: build: %v", c.name, err)
+		}
+		p, err := graph.BuildPlan(g)
+		if err != nil {
+			t.Fatalf("%s: BuildPlan: %v", c.name, err)
+		}
+		want := dumpPlan(p)
+		collected := make(chan struct{})
+		runtime.SetFinalizer(g, func(*graph.Graph) { close(collected) })
+		g = nil
+		func() {
+			for i := 0; i < 50; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			t.Errorf("%s: the graph is still reachable from its plan", c.name)
+		}()
+		if got := dumpPlan(p); got != want {
+			t.Errorf("%s: the plan changed once its graph was collected", c.name)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -289,8 +290,7 @@ func mustHash(t *testing.T, doc string) spec.Hash {
 // TestConcurrentSubmitOfOneDocument races two submitters on one document,
 // round after round: first on one the server has not seen — both may miss and
 // vet it, one entry is kept — then on the same one again, which both find in
-// the memo, so that two jobs are compiled from one normalised spec and run side
-// by side. All four jobs come to the same end. It is in the race gate (make
+// the memo, so that two jobs run side by side on one plan. All four jobs come to the same end. It is in the race gate (make
 // race-short) and so does not skip under -short.
 func TestConcurrentSubmitOfOneDocument(t *testing.T) {
 	s := open(t, Config{})
@@ -299,7 +299,11 @@ func TestConcurrentSubmitOfOneDocument(t *testing.T) {
 	bytesWant := 0
 	for r := 0; r < rounds; r++ {
 		doc := uniqueDoc(okSpec, r)
-		bytesWant += len(doc)
+		ref, err := newServer(Config{}).vet(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytesWant += entrySize(doc, ref)
 		var ends []JobStatus
 		for _, phase := range []string{"new", "held"} {
 			var ids [2]string
@@ -341,20 +345,26 @@ func TestConcurrentSubmitOfOneDocument(t *testing.T) {
 	}
 }
 
-// TestVetMemoEvictsByBytes: the memo is bounded by the bytes of the
-// documents it holds, the least recently used go first, a lookup counts as
-// use, a document over an eighth of the bound is never stored, and the byte
-// count is the sum of what is held — down to zero.
+// TestVetMemoEvictsByBytes: the memo is bounded by what its entries retain,
+// each priced by entrySize, the least recently used go first, a lookup
+// counts as use, an entry over an eighth of the bound is never stored, a
+// planned entry is priced by its plan and not by its document's length, and
+// the byte count is the sum of what is held — down to zero.
 func TestVetMemoEvictsByBytes(t *testing.T) {
 	var m vetMemo
+	// doc returns document i, whose entry without a plan prices at size.
 	doc := func(i, size int) []byte {
-		return []byte(fmt.Sprintf("%-*d", size, i))
+		return []byte(fmt.Sprintf("%-*d", size-entryBase, i))
 	}
 	check := func(when string) {
 		t.Helper()
 		sum := 0
 		for el := m.lru.Front(); el != nil; el = el.Next() {
-			sum += len(el.Value.(*memoEntry).doc)
+			e := el.Value.(*memoEntry)
+			if e.size != entrySize([]byte(e.doc), e.v) {
+				t.Fatalf("%s: an entry booked at %d bytes prices at %d", when, e.size, entrySize([]byte(e.doc), e.v))
+			}
+			sum += e.size
 		}
 		if sum != m.bytes || m.lru.Len() != len(m.entries) || m.bytes > vetMemoBytes {
 			t.Fatalf("%s: %d bytes booked, %d held in %d list and %d map entries (bound %d)",
@@ -362,48 +372,65 @@ func TestVetMemoEvictsByBytes(t *testing.T) {
 		}
 	}
 
-	m.put(doc(-1, vetMemoMaxDoc+1), &vetted{})
-	if m.get(doc(-1, vetMemoMaxDoc+1)) != nil || m.bytes != 0 {
-		t.Fatalf("a document over %d bytes was stored", vetMemoMaxDoc)
+	m.put(doc(-1, vetMemoMaxEntry+1), &vetted{})
+	if m.get(doc(-1, vetMemoMaxEntry+1)) != nil || m.bytes != 0 {
+		t.Fatalf("an entry over %d bytes was stored", vetMemoMaxEntry)
 	}
 
-	// Eight of the largest storable documents fill the memo exactly.
+	// Eight of the largest storable entries fill the memo exactly.
 	vs := make([]*vetted, 10)
 	for i := 0; i < 8; i++ {
 		vs[i] = &vetted{}
-		m.put(doc(i, vetMemoMaxDoc), vs[i])
+		m.put(doc(i, vetMemoMaxEntry), vs[i])
 		check("filling")
 	}
 	if len(m.entries) != 8 || m.bytes != vetMemoBytes {
 		t.Fatalf("%d entries, %d bytes after filling, want 8 and %d", len(m.entries), m.bytes, vetMemoBytes)
 	}
 	// Use 0, the oldest; the next insertion takes 1 instead, the one after 2.
-	if m.get(doc(0, vetMemoMaxDoc)) != vs[0] {
+	if m.get(doc(0, vetMemoMaxEntry)) != vs[0] {
 		t.Fatal("document 0 is gone before the memo was over its bound")
 	}
 	for i := 8; i < 10; i++ {
 		vs[i] = &vetted{}
-		m.put(doc(i, vetMemoMaxDoc), vs[i])
+		m.put(doc(i, vetMemoMaxEntry), vs[i])
 		check("evicting")
 	}
 	for i, want := range []bool{true, false, false, true, true, true, true, true, true, true} {
-		if got := m.get(doc(i, vetMemoMaxDoc)) == vs[i]; got != want {
+		if got := m.get(doc(i, vetMemoMaxEntry)) == vs[i]; got != want {
 			t.Errorf("document %d held: %v, want %v", i, got, want)
 		}
 	}
 	// A second put of a held document changes nothing: the first is kept.
-	m.put(doc(9, vetMemoMaxDoc), &vetted{})
-	if m.get(doc(9, vetMemoMaxDoc)) != vs[9] {
+	m.put(doc(9, vetMemoMaxEntry), &vetted{})
+	if m.get(doc(9, vetMemoMaxEntry)) != vs[9] {
 		t.Error("a second put replaced the entry")
 	}
 	check("second put")
-	// Many small documents push every large one out, and the books follow.
-	for i := 0; i < 3*vetMemoBytes/1024; i++ {
-		m.put(doc(100+i, 1024), &vetted{})
+	// Many small entries push every large one out, and the books follow.
+	const small = 4096
+	for i := 0; i < 3*vetMemoBytes/small; i++ {
+		m.put(doc(100+i, small), &vetted{})
 	}
-	check("small documents")
-	if len(m.entries) != vetMemoBytes/1024 {
-		t.Errorf("%d small documents held, want %d", len(m.entries), vetMemoBytes/1024)
+	check("small entries")
+	if len(m.entries) != vetMemoBytes/small {
+		t.Errorf("%d small entries held, want %d", len(m.entries), vetMemoBytes/small)
+	}
+	// A planned entry is priced by its plan: it pushes out as many small
+	// entries as its price takes, far more than its document's length would.
+	nested := []byte(smallNested)
+	v, err := newServer(Config{}).vet(nested)
+	if err != nil || v.plan == nil {
+		t.Fatalf("the nested document vetted to %+v, %v", v, err)
+	}
+	size := entrySize(nested, v)
+	if size < 10*len(nested) {
+		t.Errorf("the nested document's entry prices at %d bytes, its document is %d long", size, len(nested))
+	}
+	m.put(nested, v)
+	check("planned entry")
+	if want := 1 + (vetMemoBytes-size)/small; len(m.entries) != want {
+		t.Errorf("%d entries held beside a planned one of %d bytes, want %d", len(m.entries), size, want)
 	}
 	m.shrink(0)
 	check("emptied")
@@ -556,9 +583,10 @@ func TestRecoveredJobIsPlannedAtRequeue(t *testing.T) {
 // compile of the normalised spec, B plan of the compiled graph, which
 // compiling validated, so B is stage derivation alone): a new document costs
 // P + V + B and not one step more, on a durable server too, where the hash is
-// the one vetting computed; a document seen before costs C + B — no parse, no
-// normalisation, no hash, no vet, no second validation. The slack is well
-// under the cheapest step, so a second call of any of them shows.
+// the one vetting computed; a document seen before costs nothing — no parse,
+// no normalisation, no hash, no vet, no compile, no plan: its jobs run on the
+// plan the memo keeps. The slack is well under the cheapest step, so a second
+// call of any of them shows.
 //
 // Then, in the source: the step loop's startLocked calls neither Compile nor
 // BuildPlan, and a job holds no spec.
@@ -574,7 +602,10 @@ func TestAdmissionDoesEachThingOnce(t *testing.T) {
 	}
 	def := Config{}.withDefaults()
 	vetCfg := plan.Config{Workers: def.Workers, MemPerWorker: def.MemPerWorker, TenantQuota: def.TenantQuota}
-	runs, slack, missSlack := 20, 8.0, 8.0
+	// A repeated document allocates nothing, so its slack is small; a new
+	// one's is not under the cheapest step alone, B, which is why a second B
+	// still shows in it.
+	runs, slack, missSlack := 20, 4.0, 8.0
 	if raceDetector {
 		// The race detector allocates on its own account: its sync.Pool drops
 		// what is put back at random. That moves the count of a new document,
@@ -599,9 +630,9 @@ func TestAdmissionDoesEachThingOnce(t *testing.T) {
 	}
 
 	admit := func(s *Server, doc []byte) {
-		v, g, err := s.vet(doc)
-		if err == nil {
-			_, err = v.buildPlan(g)
+		v, err := s.vet(doc)
+		if err == nil && v.plan == nil {
+			err = errors.New("an accepted document without a plan")
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -612,8 +643,8 @@ func TestAdmissionDoesEachThingOnce(t *testing.T) {
 		cfg       Config
 		miss, hit float64
 	}{
-		{"memory", Config{}, P + V + B, C + B},
-		{"durable", Config{StateDir: t.TempDir()}, P + V + B, C + B},
+		{"memory", Config{}, P + V + B, 0},
+		{"durable", Config{StateDir: t.TempDir()}, P + V + B, 0},
 	} {
 		s := newServer(tc.cfg) // the pipeline reads the configuration only
 		// The new documents are made beforehand, so that what is counted is
@@ -630,9 +661,9 @@ func TestAdmissionDoesEachThingOnce(t *testing.T) {
 			t.Errorf("%s: a new document costs %.0f allocations, its steps once each %.0f", tc.name, miss, tc.miss)
 		}
 		if hit < tc.hit-slack || hit > tc.hit+slack {
-			t.Errorf("%s: a repeated document costs %.0f allocations, compile and plan alone %.0f", tc.name, hit, tc.hit)
+			t.Errorf("%s: a repeated document costs %.0f allocations, want %.0f: a compile alone is %.0f, a plan %.0f", tc.name, hit, tc.hit, C, B)
 		}
-		if v, _, _ := s.vet(doc); (v.chains != nil) != (tc.cfg.StateDir != "") || (v.specHash != "") != (tc.cfg.StateDir != "") {
+		if v, _ := s.vet(doc); (v.chains != nil) != (tc.cfg.StateDir != "") || (v.specHash != "") != (tc.cfg.StateDir != "") {
 			t.Errorf("%s: holds content hash %q and %d chains", tc.name, v.specHash, len(v.chains))
 		}
 	}
@@ -718,8 +749,9 @@ func TestRepeatAllocatesLess(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsVetMemo: /healthz says what the memo holds and how it is
-// doing; /metrics, a deterministic document, does not mention it.
+// TestHealthzReportsVetMemo: /healthz says what the memo holds — its bytes
+// are the entries' price, not the documents' length — and how it is doing;
+// /metrics, a deterministic document, does not mention it.
 func TestHealthzReportsVetMemo(t *testing.T) {
 	s := open(t, Config{})
 	defer s.Close()
@@ -736,10 +768,76 @@ func TestHealthzReportsVetMemo(t *testing.T) {
 	if err := json.Unmarshal(get(t, h, "/healthz").Body.Bytes(), &doc); err != nil || doc.VetMemo == nil {
 		t.Fatalf("healthz has no vetMemo: %v", err)
 	}
-	if got, want := *doc.VetMemo, (VetMemoHealth{Entries: 1, Bytes: len(okSpec), Hits: 2, Misses: 1}); got != want {
+	ref, err := newServer(Config{}).vet([]byte(okSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := *doc.VetMemo, (VetMemoHealth{Entries: 1, Bytes: entrySize([]byte(okSpec), ref), Hits: 2, Misses: 1}); got != want {
 		t.Errorf("vetMemo = %+v, want %+v", got, want)
 	}
 	if m := get(t, h, "/metrics").Body.String(); strings.Contains(strings.ToLower(m), "memo") {
 		t.Errorf("/metrics mentions the memo")
+	}
+}
+
+// TestEntrySizeBoundsRetained: entrySize is an upper bound of what a memo
+// entry retains. For every document of examples/specs and
+// internal/plan/testdata, accepted or not, and the nested documents of these
+// tests, on a memory-only and on a durable server, the heap that k entries of
+// the document keep alive — measured after a collection, each entry a
+// different document of the same content — is at most k times the entry's
+// price.
+func TestEntrySizeBoundsRetained(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's shadow memory is not what an entry retains")
+	}
+	docs := map[string][]byte{"okSpec": []byte(okSpec), "smallNested": []byte(smallNested), "nestedSpec": []byte(nestedSpec)}
+	for _, pattern := range []string{"../../examples/specs/*.json", "../plan/testdata/*.json"} {
+		paths, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			doc, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs[filepath.Base(path)] = doc
+		}
+	}
+	heap := func() int {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int(ms.HeapAlloc)
+	}
+	const k = 64
+	for _, durable := range []bool{false, true} {
+		cfg := Config{}
+		if durable {
+			cfg.StateDir = t.TempDir()
+		}
+		for name, doc := range docs {
+			s := newServer(cfg)
+			if _, err := s.vet(uniqueDoc(string(doc), 0)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			variants := make([][]byte, k)
+			for i := range variants {
+				variants[i] = uniqueDoc(string(doc), i+1)
+			}
+			before := heap()
+			for _, d := range variants {
+				if _, err := s.vet(d); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			retained := (heap() - before) / k
+			size := entrySize(variants[0], s.memo.get(variants[0]))
+			t.Logf("durable=%v %s: an entry retains %d bytes, priced at %d", durable, name, retained, size)
+			if retained > size {
+				t.Errorf("durable=%v %s: an entry retains %d bytes, priced at %d", durable, name, retained, size)
+			}
+		}
 	}
 }

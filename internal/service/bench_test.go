@@ -12,16 +12,17 @@ import (
 // until the server is idle again. The job is the 3×3 nested explore at the
 // input size of the serve benchmark's mix, 41 stages.
 //
-// cold submits a document the server has never seen on every iteration
+// new submits a document the server has never seen on every iteration
 // (parse, vet, hash, compile, plan); repeat submits the same bytes every
-// time, the way an analyst's stream does, and only compiles and plans.
+// time, the way an analyst's stream does, and its jobs run on the plan the
+// vet memo keeps: admission allocates nothing.
 func BenchmarkServiceJob(b *testing.B) {
 	doc := strings.Replace(nestedSpec, "805306368", "25165824", 1)
 	for _, bc := range []struct {
 		name string
 		doc  func(i int) json.RawMessage
 	}{
-		{"cold", func(i int) json.RawMessage { return uniqueDoc(doc, i) }},
+		{"new", func(i int) json.RawMessage { return uniqueDoc(doc, i) }},
 		{"repeat", func(int) json.RawMessage { return json.RawMessage(doc) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

@@ -8,8 +8,10 @@ import (
 
 	"metadataflow/internal/ckptstore"
 	"metadataflow/internal/faults"
+	"metadataflow/internal/graph"
 	"metadataflow/internal/journal"
 	"metadataflow/internal/obs"
+	"metadataflow/internal/spec"
 )
 
 // This file is the service's crash-recovery path. A durable server
@@ -133,15 +135,20 @@ func (s *Server) replay(recs []journal.Record) error {
 	// fault plan replay deterministically, so re-execution reproduces the
 	// lost outcome. Each gets its plan here, from the pipeline a live
 	// submission goes through (admission.go) — the verdict aside: the job
-	// was admitted, and stays so.
+	// was admitted, and stays so. A document this server's configuration
+	// condemns has no plan in its memo entry, so its job gets one of its
+	// own.
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if j.terminal() {
 			continue
 		}
-		v, g, err := s.vet(docs[id])
+		v, err := s.vet(docs[id])
 		if err == nil {
-			j.plan, err = v.buildPlan(g)
+			j.plan = v.plan
+			if len(v.findings) > 0 {
+				j.plan, err = compilePlan(docs[id])
+			}
 		}
 		if err != nil {
 			return fmt.Errorf("service: recovery: job %s spec: %w", id, err)
@@ -155,6 +162,19 @@ func (s *Server) replay(recs []journal.Record) error {
 	}
 	s.rctr.jobsRecovered = int64(len(s.jobs))
 	return nil
+}
+
+// compilePlan parses, compiles and plans doc, whatever a vet says of it.
+func compilePlan(doc []byte) (*graph.Plan, error) {
+	sp, err := spec.Parse(doc)
+	if err != nil {
+		return nil, err
+	}
+	g, err := sp.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return graph.BuildPlan(g)
 }
 
 // replayAdmitted decodes an admitted record into the job it admitted,

@@ -164,6 +164,31 @@ func TestRecoveryRequeuesIncompleteJobs(t *testing.T) {
 	}
 }
 
+// TestRecoveryRunsJobItsVetNowCondemns: a job admitted under one
+// configuration is recovered by a server whose vet condemns its document.
+// The job was admitted and stays so: the memo entry of the document holds
+// findings and no plan, and the job is planned apart and runs to its end.
+func TestRecoveryRunsJobItsVetNowCondemns(t *testing.T) {
+	cfg := Config{StateDir: t.TempDir(), JournalNoSync: true}.withDefaults()
+	recs := []journal.Record{{Seq: 1, Kind: journal.KindAdmitted, Job: "job-0001", Tenant: "alpha",
+		ReserveBytes: sim.Bytes(cfg.Workers) * cfg.MemPerWorker, Spec: json.RawMessage(hugeSpec)}}
+	if err := journal.WriteAll(cfg.StateDir+"/journal", recs, journal.Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.WaitIdle()
+	if st, err := s.Job("job-0001"); err != nil || st.State != StateDone {
+		t.Errorf("the recovered job ended %+v, %v; want done", st, err)
+	}
+	if _, err := s.Submit(JobRequest{Tenant: "beta", Spec: json.RawMessage(hugeSpec)}); !errors.As(err, new(*VetError)) {
+		t.Errorf("a new submission of the document was answered %v, want its findings", err)
+	}
+}
+
 // TestRecoveryReReservesQuota proves replayed admissions hold real quota:
 // after recovering a journal whose incomplete job reserved the tenant's
 // whole budget, a new submission for that tenant is quota-rejected while

@@ -367,7 +367,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 	// (degenerate, dead, or infeasible under this configuration) is rejected
 	// up front with structured diagnostics, before anything is reserved, and
 	// an admitted job reaches the step loop with its plan built.
-	v, g, err := s.vet(req.Spec)
+	v, err := s.vet(req.Spec)
 	if err != nil {
 		return JobStatus{}, &RequestError{Err: err}
 	}
@@ -383,10 +383,6 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		if err != nil {
 			return JobStatus{}, &RequestError{Err: err}
 		}
-	}
-	p, err := v.buildPlan(g)
-	if err != nil {
-		return JobStatus{}, &RequestError{Err: err}
 	}
 
 	s.mu.Lock()
@@ -433,7 +429,7 @@ func (s *Server) Submit(req JobRequest) (JobStatus, error) {
 		tenant:   req.Tenant,
 		priority: req.Priority,
 		deadline: deadline,
-		plan:     p,
+		plan:     v.plan,
 		fplan:    fplan,
 		reserve:  reserve,
 		state:    StateQueued,

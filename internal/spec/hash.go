@@ -23,7 +23,7 @@ import (
 //     every position along the trunk and along each branch body. Two equal
 //     chain hashes — across branches, restarts, or separate jobs — name the
 //     same intermediate result, which is what a cross-run memo table keys
-//     on (ROADMAP item 3).
+//     on (cross-job result reuse, Parked in ROADMAP).
 //   - branch sub-graphs: each explore branch's body hashed with its
 //     parameters resolved through ParamKey, seeded by the incoming chain
 //     prefix. Equal branch hashes inside one explore prove the branches

@@ -133,9 +133,12 @@ func preprocessOp(p Params) graph.TransformFunc {
 				}
 			}
 		}
+		// The scaled vectors are cap-clipped windows of one array: a training
+		// step reads them, nothing appends to them.
 		scaled := make([]Example, len(raw))
+		xs := make([]float64, len(raw)*p.Dims)
 		for i, ex := range raw {
-			x := make([]float64, p.Dims)
+			x := xs[i*p.Dims : (i+1)*p.Dims : (i+1)*p.Dims]
 			for j, v := range ex.X {
 				span := hi[j] - lo[j]
 				if span == 0 {
