@@ -15,19 +15,27 @@ import (
 
 // mallocs returns the least number of heap allocations one call of f made
 // over a few calls, after one to warm up. It is testing.AllocsPerRun without
-// the GOMAXPROCS(1) that function forces: the gate below must hold on the
+// the GOMAXPROCS(1) that function forces: the gates below must hold on the
 // path a run takes when it may compute ahead, too.
 func mallocs(f func()) uint64 {
+	n, _ := allocated(f)
+	return n
+}
+
+// allocated is mallocs that also returns the least number of bytes one call
+// of f allocated.
+func allocated(f func()) (mallocs, bytes uint64) {
 	f()
-	least := ^uint64(0)
+	mallocs, bytes = ^uint64(0), ^uint64(0)
 	var before, after runtime.MemStats
 	for i := 0; i < 5; i++ {
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
-		least = min(least, after.Mallocs-before.Mallocs)
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	return least
+	return mallocs, bytes
 }
 
 // TestStepAllocationsBounded is the gate on what the step loop allocates per
@@ -112,5 +120,49 @@ func TestStepAllocationsBounded(t *testing.T) {
 				}
 			}()
 		}
+	}
+}
+
+// TestRecordedRunAllocationsBounded is the gate on what a run costs with the
+// obs.Recorder of mdf run -trace, chaos and the experiments: NewRun and every
+// Step of the nested 5×5 synthetic plan, BAS, AMM, incremental, with a fresh
+// recorder per run, in allocations and in bytes allocated. When written the
+// run allocated 711 times and 271 464 bytes (411 times with no probe); the bounds
+// leave a fifth above those readings. A recorder report that formats or
+// allocates per event, or room that Reserve no longer makes, crosses them. At
+// GOMAXPROCS 4 the run takes the compute-ahead path, at 1 the serial one.
+func TestRecordedRunAllocationsBounded(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const mallocBound, byteBound = 853, 325_760
+	plan := nestedPlan(t, 5, 5)
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			n, bytes := allocated(func() {
+				run, err := engine.NewRun(plan, engine.Options{
+					Cluster:     cluster.MustNew(cluster.DefaultConfig()),
+					Policy:      memorymgr.AMM,
+					Scheduler:   scheduler.BAS(nil),
+					Incremental: true,
+					Probe:       obs.NewRecorder(),
+				}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := run.RunToCompletion(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("GOMAXPROCS %d: a recorded run allocates %d times, %d bytes (bounds %d, %d)",
+				procs, n, bytes, mallocBound, byteBound)
+			if n > mallocBound {
+				t.Errorf("GOMAXPROCS %d: a recorded run allocates %d times, bound %d", procs, n, mallocBound)
+			}
+			if bytes > byteBound {
+				t.Errorf("GOMAXPROCS %d: a recorded run allocates %d bytes, bound %d", procs, bytes, byteBound)
+			}
+		}()
 	}
 }

@@ -102,3 +102,62 @@ func TestDrainRacesSubmissionsAndWatchers(t *testing.T) {
 			accepted.Load(), rejected.Load(), submitters*jobsEach)
 	}
 }
+
+// TestSeriesRacesSubmissionsAndSteps reads the service series document
+// directly, in a loop on a goroutine of its own, while submitters admit jobs
+// and the step loop runs and retires them: every one of those writes to the
+// service recorder, under s.mu. Under `go test -race` this is the gate on
+// Series reading the recorder under the same lock. It calls Series directly,
+// not through GET /series: a keep-alive client has all its requests served
+// on one server goroutine, which the detector does not catch racing. The
+// functional assertion is that the final document counts every submission.
+func TestSeriesRacesSubmissionsAndSteps(t *testing.T) {
+	s := open(t, Config{Workers: 2, MemPerWorker: 4 << 20, TenantQuota: 1 << 40,
+		QueueCap: 256, MaxActive: 4})
+	defer s.Close()
+
+	const submitters, jobsEach = 3, 4
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Series()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func(tenant int) {
+			defer wg.Done()
+			for k := 0; k < jobsEach; k++ {
+				req := JobRequest{Tenant: fmt.Sprintf("t%d", tenant), Spec: json.RawMessage(okSpec)}
+				if _, err := s.Submit(req); err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	s.WaitIdle()
+	close(stop)
+	<-read
+
+	submitted := 0.0
+	for _, sr := range s.Series().Series {
+		if strings.HasPrefix(sr.Name, "service.submitted.") {
+			for _, p := range sr.Points {
+				submitted += p.Value
+			}
+		}
+	}
+	if submitted != submitters*jobsEach {
+		t.Errorf("series counts %v submissions, want %d", submitted, submitters*jobsEach)
+	}
+}
