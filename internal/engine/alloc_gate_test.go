@@ -127,10 +127,11 @@ func TestStepAllocationsBounded(t *testing.T) {
 // obs.Recorder of mdf run -trace, chaos and the experiments: NewRun and every
 // Step of the nested 5×5 synthetic plan, BAS, AMM, incremental, with a fresh
 // recorder per run, in allocations and in bytes allocated. When written the
-// run allocated 711 times and 271 464 bytes (411 times with no probe); the bounds
-// leave a fifth above those readings. A recorder report that formats or
-// allocates per event, or room that Reserve no longer makes, crosses them. At
-// GOMAXPROCS 4 the run takes the compute-ahead path, at 1 the serial one.
+// run allocated 711 times and 271 464 bytes (411 times with no probe); the
+// bounds leave a fifth above those readings. A recorder report that formats
+// or allocates per event, or room that Reserve no longer makes, crosses
+// them. At GOMAXPROCS 4 the run takes the compute-ahead path, at 1 the
+// serial one.
 func TestRecordedRunAllocationsBounded(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")

@@ -67,7 +67,7 @@ type Options struct {
 	// probe is threaded into the memory allocators, the scheduling policy
 	// and the cluster's resource timelines; nil disables all of it with no
 	// per-event cost, and no audit report is built for a probe that is not
-	// an Auditor.
+	// an Auditor. Every report reaches it from the goroutine that steps.
 	Probe obs.Probe
 	// Checkpoint enables durable-copy awareness in the memory allocators
 	// and, under AMM, anticipatory checkpointing of consumed intermediates:
@@ -224,12 +224,10 @@ type Run struct {
 	// probe is the telemetry sink (Options.Probe); nil disables telemetry.
 	// audit is the probe's audit half, nil unless the probe is an
 	// obs.Auditor: spans, decisions and dataset registrations are built for
-	// it alone. When Options.Probe is an obs.Recorder, probe is the
-	// recorder's batch, flushed at the end of every Step (and of
-	// CheckpointLive).
+	// it alone. Both take every report as it is made, on the goroutine that
+	// steps.
 	probe obs.Probe
 	audit obs.Auditor
-	batch *obs.Batch
 	// lastRank retains the previous pick's candidate ranking for the
 	// sched.rank_churn series; pickCands is the scratch list observePick
 	// hands to the probe, pickDetail and pickDetailDF the details of a plain
@@ -391,14 +389,6 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 	if rs, ok := o.Probe.(reserver); ok {
 		rs.Reserve(n, len(o.Cluster.Nodes))
 	}
-	if rec, ok := o.Probe.(*obs.Recorder); ok {
-		// A recorder takes the run's reports a step at a time, in the room
-		// Reserve made. Any other probe — a wrapper that embeds a recorder,
-		// as the chaos harness's span-counting probe does — takes them one by
-		// one.
-		r.batch = rec.NewBatch()
-		r.probe = r.batch
-	}
 	r.audit, _ = r.probe.(obs.Auditor)
 	r.stage, r.eval = newStageScratch(len(o.Cluster.Nodes)), newStageScratch(len(o.Cluster.Nodes))
 	r.indexBranches()
@@ -488,9 +478,6 @@ func (r *Run) CheckpointLive() int {
 		}
 	}
 	r.now = end
-	if r.batch != nil {
-		r.batch.Flush()
-	}
 	return n
 }
 
@@ -534,9 +521,6 @@ func (r *Run) result() *Result {
 func (r *Run) Step() bool {
 	if r.done {
 		return false
-	}
-	if r.batch != nil {
-		defer r.batch.Flush()
 	}
 	if ctx := r.opts.Context; ctx != nil {
 		if ctx.Err() != nil {

@@ -33,7 +33,6 @@ package obs
 import (
 	"slices"
 	"strconv"
-	"sync"
 
 	"metadataflow/internal/sim"
 )
@@ -179,17 +178,18 @@ type Decision struct {
 }
 
 // Recorder is the materialising Probe and Auditor: it retains every span,
-// counter sample and decision in call order. A mutex makes concurrent reporters
-// safe (parallel baseline jobs may share one recorder); within one engine
-// run all calls arrive from a single goroutine in deterministic order.
+// counter sample and decision in call order. Like GaugeProbe it takes no
+// lock: within an engine run every report comes from the goroutine that
+// steps. Code that shares a recorder across goroutines orders every access,
+// reads included, itself, as the service does with the server lock that its
+// admissions and step loop write under and Series reads under.
 //
 // The per-event methods are the engine's step loop's cost of being observed,
-// so each is one locked append and nothing else: no formatting, no map
-// write, no allocation once Reserve has sized the slices. Everything
-// derived — aliases' text, the series document, trace tracks — is computed
-// by the reader that asks for it.
+// so each is one append and nothing else: no formatting, no map write, no
+// allocation once Reserve has sized the slices. Everything derived —
+// aliases' text, the series document, trace tracks — is computed by the
+// reader that asks for it.
 type Recorder struct {
-	mu        sync.Mutex
 	spans     []Span
 	counters  []CounterSample
 	decisions []Decision
@@ -206,12 +206,6 @@ type Recorder struct {
 	// which is registration order; the alias text is "name#<position+1>".
 	aliasOf map[int64]int32
 	aliases []datasetAlias
-
-	// spanLease is the batch that collects its spans in the room after
-	// spans, in the same array (NewBatch): spans is capped at its length
-	// meanwhile, and a flush of that batch only extends it. A span appended
-	// here ends the lease.
-	spanLease *Batch
 }
 
 // datasetAlias is one registered dataset. text is the alias, formatted the
@@ -254,9 +248,7 @@ const (
 // room that is already there. The engine calls it from NewRun; it never
 // shrinks and loses nothing already recorded.
 func (r *Recorder) Reserve(stages, nodes int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spans, r.spanLease = slices.Grow(r.spans, spansPerStageNode*stages*nodes), nil
+	r.spans = slices.Grow(r.spans, spansPerStageNode*stages*nodes)
 	r.counters = slices.Grow(r.counters, countersPerStageNode*stages*nodes)
 	r.series = slices.Grow(r.series, seriesPerStage*stages)
 	r.decisions = slices.Grow(r.decisions, decisionsPerStage*stages)
@@ -266,27 +258,21 @@ func (r *Recorder) Reserve(stages, nodes int) {
 
 // SpanBegin implements Auditor.
 func (r *Recorder) SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID {
-	r.mu.Lock()
 	id := SpanID(len(r.spans))
-	r.spans, r.spanLease = append(r.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start}), nil
-	r.mu.Unlock()
+	r.spans = append(r.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start})
 	return id
 }
 
 // SpanEnd implements Auditor.
 func (r *Recorder) SpanEnd(id SpanID, end sim.VTime) {
-	r.mu.Lock()
 	if int(id) >= 0 && int(id) < len(r.spans) && end > r.spans[id].End {
 		r.spans[id].End = end
 	}
-	r.mu.Unlock()
 }
 
 // Counter implements Probe.
 func (r *Recorder) Counter(node int, name string, t sim.VTime, value float64) {
-	r.mu.Lock()
 	r.counters = append(r.counters, CounterSample{Node: node, Name: name, T: t, Value: value})
-	r.mu.Unlock()
 }
 
 // minCandidateChunk is the smallest candidate arena chunk.
@@ -295,14 +281,6 @@ const minCandidateChunk = 64
 // Decision implements Auditor. The candidate list is copied, so the caller may
 // build the next decision's in the same slice.
 func (r *Recorder) Decision(d Decision) {
-	r.mu.Lock()
-	r.decision(d)
-	r.mu.Unlock()
-}
-
-// decision appends d, its candidates copied into the arena. Callers hold
-// r.mu.
-func (r *Recorder) decision(d Decision) {
 	if n := len(d.Candidates); n > 0 {
 		if cap(r.candidates)-len(r.candidates) < n {
 			r.candidates = make([]Candidate, 0, max(n, 2*cap(r.candidates), minCandidateChunk))
@@ -321,18 +299,15 @@ func (r *Recorder) decision(d Decision) {
 // deterministic production order, so aliases are stable across runs even
 // though raw dataset IDs are not.
 func (r *Recorder) RegisterDataset(id int64, name string) {
-	r.mu.Lock()
 	if _, ok := r.aliasOf[id]; !ok {
 		r.aliasOf[id] = int32(len(r.aliases))
 		r.aliases = append(r.aliases, datasetAlias{name: name})
 	}
-	r.mu.Unlock()
 }
 
 // Label implements Auditor: "alias/p<part>", or a fixed placeholder for
 // unregistered datasets (never the raw ID, which is not run-stable).
 func (r *Recorder) Label(id int64, part int) string {
-	r.mu.Lock()
 	alias := "unregistered"
 	if i, ok := r.aliasOf[id]; ok {
 		a := &r.aliases[i]
@@ -341,15 +316,12 @@ func (r *Recorder) Label(id int64, part int) string {
 		}
 		alias = a.text
 	}
-	r.mu.Unlock()
 	return alias + "/p" + strconv.Itoa(part)
 }
 
 // sample appends one explicit series report.
 func (r *Recorder) sample(node int, name string, op seriesOp, t sim.VTime, v float64) {
-	r.mu.Lock()
 	r.series = append(r.series, seriesSample{node: node, name: name, op: op, t: t, v: v})
-	r.mu.Unlock()
 }
 
 // SeriesAdd implements Probe.
@@ -369,189 +341,37 @@ func (r *Recorder) SeriesObserve(node int, name string, t sim.VTime, value float
 
 // IntervalBegin implements Probe.
 func (r *Recorder) IntervalBegin(node int, name string, start sim.VTime) SpanID {
-	r.mu.Lock()
 	id := SpanID(len(r.intervals))
 	r.intervals = append(r.intervals, Interval{Node: node, Name: name, Start: start, End: start})
-	r.mu.Unlock()
 	return id
 }
 
 // IntervalEnd implements Probe.
 func (r *Recorder) IntervalEnd(id SpanID, end sim.VTime) {
-	r.mu.Lock()
 	if int(id) >= 0 && int(id) < len(r.intervals) && end > r.intervals[id].End {
 		r.intervals[id].End = end
 	}
-	r.mu.Unlock()
 }
 
 // ResourceBusy implements the cluster's resource Observer: each occupation
 // of a node's CPU, disk or network timeline becomes a span on that node's
 // matching resource track — a span begun and ended in one append.
 func (r *Recorder) ResourceBusy(node int, resource string, start, end sim.VTime) {
-	sp := Span{Node: node, Kind: Kind(resource), Name: resource, Start: start, End: start}
-	if end > start {
-		sp.End = end
-	}
-	r.mu.Lock()
-	r.spans, r.spanLease = append(r.spans, sp), nil
-	r.mu.Unlock()
-}
-
-// Batch is a recorder's probe for one engine run. It collects the run's
-// spans (the cluster's resource occupations included: it is a cluster
-// observer), counter samples, series samples and decisions without taking the
-// recorder's lock, and Flush appends them to the recorder, kind by kind in
-// call order, under one lock: a recorded run pays the lock once per step
-// instead of once per report. Each kind has a list of its own in the
-// recorder, so what the recorder holds after a flush is exactly what the
-// per-report calls would have left. Intervals, which outlive a step, dataset
-// registrations and labels go to the recorder at once. A run reports from
-// one goroutine; a batch is not safe for concurrent use, and a span ID it
-// hands out is valid until the next Flush.
-type Batch struct {
-	rec *Recorder
-	// spans are collected, while the batch holds the recorder's span lease,
-	// in the room after the recorder's spans: full is the recorder's span
-	// list with its whole capacity, and a flush extends the recorder's list
-	// over what the batch wrote instead of copying it.
-	spans     []Span
-	full      []Span
-	counters  []CounterSample
-	series    []seriesSample
-	decisions []Decision
-	cands     []Candidate // the decisions' candidates, copied
-}
-
-// NewBatch returns an empty batch that flushes into r, with room for what a
-// step usually reports: the lists only grow past it on a step that reports
-// more, so a run's batch allocates little beyond its first room.
-func (r *Recorder) NewBatch() *Batch {
-	b := &Batch{
-		rec:       r,
-		counters:  make([]CounterSample, 0, 32),
-		series:    make([]seriesSample, 0, 16),
-		decisions: make([]Decision, 0, 8),
-		cands:     make([]Candidate, 0, 32),
-	}
-	r.mu.Lock()
-	n := len(r.spans)
-	b.full = r.spans[:n:cap(r.spans)]
-	b.spans, r.spans, r.spanLease = b.full[n:n], b.full[:n:n], b
-	r.mu.Unlock()
-	return b
-}
-
-var (
-	_ Probe   = (*Batch)(nil)
-	_ Auditor = (*Batch)(nil)
-)
-
-// Counter implements Probe.
-func (b *Batch) Counter(node int, name string, t sim.VTime, value float64) {
-	b.counters = append(b.counters, CounterSample{Node: node, Name: name, T: t, Value: value})
-}
-
-// SeriesAdd implements Probe.
-func (b *Batch) SeriesAdd(node int, name string, t sim.VTime, delta float64) {
-	b.series = append(b.series, seriesSample{node: node, name: name, op: opAdd, t: t, v: delta})
-}
-
-// SeriesSet implements Probe.
-func (b *Batch) SeriesSet(node int, name string, t sim.VTime, value float64) {
-	b.series = append(b.series, seriesSample{node: node, name: name, op: opSet, t: t, v: value})
-}
-
-// SeriesObserve implements Probe.
-func (b *Batch) SeriesObserve(node int, name string, t sim.VTime, value float64) {
-	b.series = append(b.series, seriesSample{node: node, name: name, op: opObserve, t: t, v: value})
-}
-
-// IntervalBegin implements Probe, on the recorder.
-func (b *Batch) IntervalBegin(node int, name string, start sim.VTime) SpanID {
-	return b.rec.IntervalBegin(node, name, start)
-}
-
-// IntervalEnd implements Probe, on the recorder.
-func (b *Batch) IntervalEnd(id SpanID, end sim.VTime) { b.rec.IntervalEnd(id, end) }
-
-// SpanBegin implements Auditor.
-func (b *Batch) SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID {
-	b.spans = append(b.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start})
-	return SpanID(len(b.spans) - 1)
-}
-
-// SpanEnd implements Auditor.
-func (b *Batch) SpanEnd(id SpanID, end sim.VTime) {
-	if int(id) >= 0 && int(id) < len(b.spans) && end > b.spans[id].End {
-		b.spans[id].End = end
-	}
-}
-
-// ResourceBusy implements the cluster's resource Observer, as
-// Recorder.ResourceBusy does.
-func (b *Batch) ResourceBusy(node int, resource string, start, end sim.VTime) {
-	b.spans = append(b.spans, Span{Node: node, Kind: Kind(resource), Name: resource, Start: start, End: max(start, end)})
-}
-
-// Decision implements Auditor. The candidate list is copied, so the caller may
-// build the next decision's in the same slice.
-func (b *Batch) Decision(d Decision) {
-	if len(d.Candidates) > 0 {
-		at := len(b.cands)
-		b.cands = append(b.cands, d.Candidates...)
-		d.Candidates = b.cands[at:]
-	}
-	b.decisions = append(b.decisions, d)
-}
-
-// RegisterDataset implements Auditor, on the recorder.
-func (b *Batch) RegisterDataset(id int64, name string) { b.rec.RegisterDataset(id, name) }
-
-// Label implements Auditor, on the recorder.
-func (b *Batch) Label(id int64, part int) string { return b.rec.Label(id, part) }
-
-// Flush appends what the batch collected to the recorder and empties the
-// batch.
-func (b *Batch) Flush() {
-	r := b.rec
-	r.mu.Lock()
-	if n := len(r.spans) + len(b.spans); r.spanLease == b && cap(b.spans) == cap(b.full)-len(r.spans) {
-		// The spans are in place after the recorder's: the batch neither
-		// outgrew the room nor lost the lease.
-		r.spans = b.full[:n:n]
-	} else {
-		r.spans, r.spanLease = append(r.spans, b.spans...), nil
-	}
-	r.counters = append(r.counters, b.counters...)
-	r.series = append(r.series, b.series...)
-	for _, d := range b.decisions {
-		r.decision(d)
-	}
-	r.mu.Unlock()
-	clear(b.decisions) // the recorder holds its own copy of the candidates
-	b.spans, b.counters, b.series = b.spans[len(b.spans):], b.counters[:0], b.series[:0]
-	b.decisions, b.cands = b.decisions[:0], b.cands[:0]
+	r.spans = append(r.spans, Span{Node: node, Kind: Kind(resource), Name: resource, Start: start, End: max(start, end)})
 }
 
 // Spans returns a copy of the recorded spans in call order.
 func (r *Recorder) Spans() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]Span(nil), r.spans...)
 }
 
 // CounterSamples returns a copy of the recorded counter samples in call
 // order.
 func (r *Recorder) CounterSamples() []CounterSample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]CounterSample(nil), r.counters...)
 }
 
 // Decisions returns a copy of the decision audit log in call order.
 func (r *Recorder) Decisions() []Decision {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]Decision(nil), r.decisions...)
 }

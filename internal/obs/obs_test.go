@@ -335,67 +335,94 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 }
 
-// TestBatchRecordsAsProbeCalls checks that reports collected in a batch and
-// flushed land in the recorder exactly as the per-report calls would have put
-// them there: every kind in call order, an end before its start clamped to
-// the start, decision candidates copied out of the caller's scratch, and the
-// reports made on the recorder itself between two flushes kept in place.
-func TestBatchRecordsAsProbeCalls(t *testing.T) {
-	emit := func(p Probe, step int) {
-		a := p.(Auditor)
-		res := p.(interface {
-			ResourceBusy(node int, resource string, start, end sim.VTime)
-		})
-		base := sim.VTime(step * 10)
-		a.RegisterDataset(int64(step), "d")
-		res.ResourceBusy(0, "cpu", base+1, base+2)
-		a.SpanEnd(a.SpanBegin(NodeMaster, KindStage, "T1", base+2), base+3)
-		p.Counter(1, "mem.resident_bytes", base+3, float64(step))
-		res.ResourceBusy(1, "disk", base+3, base+3)
-		a.SpanEnd(a.SpanBegin(1, KindEval, "T2[b0]", base+4), base+3.5)
-		p.SeriesAdd(NodeMaster, "sched.rank_churn", base+4, 1)
-		p.SeriesSet(NodeMaster, "progress", base+4, 0.5)
-		p.SeriesObserve(NodeMaster, "latency", base+4, 2)
-		iv := p.IntervalBegin(NodeMaster, "active", base+4)
-		p.IntervalEnd(iv, base+5)
-		cands := []Candidate{{Label: a.Label(int64(step), 0), Score: 1, Chosen: true}, {Label: "x", Score: 2}}
-		a.Decision(Decision{T: base + 5, Component: "memorymgr", Kind: "evict", Candidates: cands})
-		cands[0].Label = "overwritten"
-		a.Decision(Decision{T: base + 6, Component: "scheduler", Kind: "pick"})
+// TestRecorderContract pins, value by value, what the per-report calls leave
+// in a recorder: every kind in call order; a span or an interval whose end
+// comes before its start clamped to the start; a resource occupation appended
+// as one closed span, clamped the same way; decision candidates copied out of
+// the caller's slice, which the caller reuses, and kept apart from the next
+// decision's; and nothing already recorded lost when Reserve makes room,
+// before the first report, between two, or not at all.
+func TestRecorderContract(t *testing.T) {
+	wantSpans := []Span{
+		{Node: 0, Kind: KindCPU, Name: "cpu", Start: 1, End: 2},
+		{Node: NodeMaster, Kind: KindStage, Name: "T1", Start: 2, End: 3},
+		{Node: 1, Kind: KindDisk, Name: "disk", Start: 3, End: 3},
+		{Node: 1, Kind: KindEval, Name: "T2[b0]", Start: 4, End: 4},
+		{Node: 0, Kind: KindCPU, Name: "cpu", Start: 11, End: 12},
+		{Node: NodeMaster, Kind: KindStage, Name: "T1", Start: 12, End: 13},
+		{Node: 1, Kind: KindDisk, Name: "disk", Start: 13, End: 13},
+		{Node: 1, Kind: KindEval, Name: "T2[b0]", Start: 14, End: 14},
 	}
-	// The batch writes its spans into the room Reserve made after the
-	// recorder's: none, too little for a step, enough for the run; a span
-	// reported on the recorder itself ends that arrangement from step 2 on.
-	for _, stages := range []int{0, 1, 10} {
-		direct, batched := NewRecorder(), NewRecorder()
-		batched.Reserve(stages, 1)
-		b := batched.NewBatch()
-		for step := 0; step < 4; step++ {
-			emit(direct, step)
-			if step >= 2 {
-				direct.ResourceBusy(2, "net", 0, 1)
+	wantCounters := []CounterSample{
+		{Node: 1, Name: "mem.resident_bytes", T: 3, Value: 0},
+		{Node: 1, Name: "mem.resident_bytes", T: 13, Value: 1},
+	}
+	wantSeries := []seriesSample{
+		{node: NodeMaster, name: "sched.rank_churn", op: opAdd, t: 4, v: 1},
+		{node: NodeMaster, name: "progress", op: opSet, t: 4, v: 0.5},
+		{node: NodeMaster, name: "latency", op: opObserve, t: 4, v: 2},
+		{node: NodeMaster, name: "sched.rank_churn", op: opAdd, t: 14, v: 1},
+		{node: NodeMaster, name: "progress", op: opSet, t: 14, v: 0.5},
+		{node: NodeMaster, name: "latency", op: opObserve, t: 14, v: 2},
+	}
+	wantIntervals := []Interval{
+		{Node: NodeMaster, Name: "active", Start: 4, End: 5},
+		{Node: 0, Name: "recovery", Start: 6, End: 6},
+		{Node: NodeMaster, Name: "active", Start: 14, End: 15},
+		{Node: 0, Name: "recovery", Start: 16, End: 16},
+	}
+	wantDecisions := []Decision{
+		{T: 5, Component: "memorymgr", Kind: "evict", Candidates: []Candidate{{Label: "d#1/p0", Score: 1, Chosen: true}, {Label: "x", Score: 0}}},
+		{T: 6, Component: "scheduler", Kind: "pick"},
+		{T: 15, Component: "memorymgr", Kind: "evict", Candidates: []Candidate{{Label: "d#2/p0", Score: 1, Chosen: true}, {Label: "x", Score: 1}}},
+		{T: 16, Component: "scheduler", Kind: "pick"},
+	}
+	for _, reserveAt := range []int{-1, 0, 1} {
+		r := NewRecorder()
+		var cands []Candidate
+		for step := 0; step < 2; step++ {
+			if step == reserveAt {
+				r.Reserve(10, 2)
 			}
-			emit(b, step)
-			if len(batched.CounterSamples()) != step {
-				t.Fatalf("reserve %d, step %d: the batch reached the recorder before its flush", stages, step)
-			}
-			b.Flush()
-			if step >= 2 {
-				batched.ResourceBusy(2, "net", 0, 1)
-			}
+			base := sim.VTime(step * 10)
+			r.RegisterDataset(int64(step), "d")
+			r.ResourceBusy(0, "cpu", base+1, base+2)
+			r.SpanEnd(r.SpanBegin(NodeMaster, KindStage, "T1", base+2), base+3)
+			r.Counter(1, "mem.resident_bytes", base+3, float64(step))
+			r.ResourceBusy(1, "disk", base+3, base+2)
+			r.SpanEnd(r.SpanBegin(1, KindEval, "T2[b0]", base+4), base+3.5)
+			r.SeriesAdd(NodeMaster, "sched.rank_churn", base+4, 1)
+			r.SeriesSet(NodeMaster, "progress", base+4, 0.5)
+			r.SeriesObserve(NodeMaster, "latency", base+4, 2)
+			r.IntervalEnd(r.IntervalBegin(NodeMaster, "active", base+4), base+5)
+			r.IntervalEnd(r.IntervalBegin(0, "recovery", base+6), base+5)
+			cands = append(cands[:0],
+				Candidate{Label: r.Label(int64(step), 0), Score: 1, Chosen: true},
+				Candidate{Label: "x", Score: float64(step)})
+			r.Decision(Decision{T: base + 5, Component: "memorymgr", Kind: "evict", Candidates: cands})
+			cands[0].Label = "overwritten"
+			r.Decision(Decision{T: base + 6, Component: "scheduler", Kind: "pick"})
 		}
-		b.Flush()
-		if got, want := batched.Spans(), direct.Spans(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("reserve %d: spans %v, per-call %v", stages, got, want)
+		if got := r.Spans(); !reflect.DeepEqual(got, wantSpans) {
+			t.Errorf("reserve at %d: spans\n%v\nwant\n%v", reserveAt, got, wantSpans)
 		}
-		if got, want := batched.CounterSamples(), direct.CounterSamples(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("reserve %d: counters %v, per-call %v", stages, got, want)
+		if got := r.CounterSamples(); !reflect.DeepEqual(got, wantCounters) {
+			t.Errorf("reserve at %d: counters %v, want %v", reserveAt, got, wantCounters)
 		}
-		if got, want := batched.Decisions(), direct.Decisions(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("reserve %d: decisions %v, per-call %v", stages, got, want)
+		if !reflect.DeepEqual(r.series, wantSeries) {
+			t.Errorf("reserve at %d: series samples %v, want %v", reserveAt, r.series, wantSeries)
 		}
-		if got, want := batched.Series(1), direct.Series(1); !reflect.DeepEqual(got, want) {
-			t.Fatalf("reserve %d: series %+v, per-call %+v", stages, got, want)
+		if !reflect.DeepEqual(r.intervals, wantIntervals) {
+			t.Errorf("reserve at %d: intervals %v, want %v", reserveAt, r.intervals, wantIntervals)
+		}
+		got := r.Decisions()
+		if !reflect.DeepEqual(got, wantDecisions) {
+			t.Fatalf("reserve at %d: decisions\n%+v\nwant\n%+v", reserveAt, got, wantDecisions)
+		}
+		_ = append(got[0].Candidates, Candidate{Label: "appended"})
+		if !reflect.DeepEqual(r.Decisions()[2], wantDecisions[2]) {
+			t.Errorf("reserve at %d: an append to one decision's candidates reached the next decision's: %+v",
+				reserveAt, r.Decisions()[2])
 		}
 	}
 }

@@ -390,8 +390,6 @@ func spanSeries(k Kind) (name string, resource bool) {
 // from every resource span kind (cpu, disk, net), and for every interval
 // series a per-bucket start counter plus a "<name>.duration" histogram.
 func (r *Recorder) Series(bucketSec sim.VTime) *SeriesDoc {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	b := newSeriesBuilder(float64(bucketSec))
 	for _, s := range r.series {
 		switch s.op {

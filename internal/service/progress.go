@@ -88,8 +88,12 @@ func (s *Server) Progress(id string) (ProgressStatus, error) {
 
 // Series returns the service-level mdf.series/v1 document: per-tenant
 // quota reservation/headroom gauges and admission-event series on the
-// shared logical clock.
+// shared logical clock. It builds the document under s.mu, which every
+// write to the service recorder is made under: the recorder takes no lock
+// of its own.
 func (s *Server) Series() *obs.SeriesDoc {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.rec.Series(watchBucketSec)
 }
 

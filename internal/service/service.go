@@ -305,7 +305,8 @@ type Server struct {
 
 	// Telemetry, written only by the transition functions in
 	// lifecycle.go: rec is the service-level recorder (quota series via
-	// SetProbe, lifecycle-event series on the shared logical clock), ctr
+	// SetProbe, lifecycle-event series on the shared logical clock), which
+	// takes no lock of its own, so it is written and read under mu; ctr
 	// and tctr the service-wide and per-tenant event counters surfaced on
 	// /metrics, watch the append-only event log behind GET /watch.
 	rec      *obs.Recorder
