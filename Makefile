@@ -135,8 +135,9 @@ crash-short: build
 # narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
 # hint, BenchmarkDensity a bounded kernel's narrow and wide support beside the
 # full loop, BenchmarkMarkSiblings the 16 analysis branches of a time series
-# job over one memo, BenchmarkServiceJob/new a document the service has not
-# seen and /repeat one its vet memo holds the plan of). Part of ci.
+# job over one memo, BenchmarkMathOp the synthetic operator over 20 000 rows
+# at 1, 4 and 16 ops per item, BenchmarkServiceJob/new a document the service
+# has not seen and /repeat one its vet memo holds the plan of). Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

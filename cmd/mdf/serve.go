@@ -12,15 +12,29 @@ import (
 	"metadataflow/internal/service"
 )
 
-// readHeaderTimeout bounds how long a connection may take to deliver its
-// request line and headers. Without it a client that never finishes its
-// request holds a goroutine and a connection for as long as it likes.
-// Bodies and responses stay unbounded: ?follow=1 watchers stream for the
-// life of their jobs.
-const readHeaderTimeout = 10 * time.Second
+// The timeouts of the server `mdf serve` listens with. readHeaderTimeout
+// bounds how long a connection may take to deliver its request line and
+// headers, readTimeout the whole request, body included (a submission is at
+// most service.MaxBodyBytes), and idleTimeout how long a keep-alive
+// connection may wait for its next request. Without them a client that
+// never finishes its request, or never sends another, holds a goroutine and
+// a connection for as long as it likes. Responses stay unbounded (no
+// WriteTimeout): ?follow=1 watchers stream for the life of their jobs, and
+// readTimeout does not end them, since net/http lifts the read deadline once
+// a request without a body is read.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // serveMain puts the multi-tenant MDF job service (internal/service) behind

@@ -9,6 +9,7 @@ package synthetic
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -37,7 +38,9 @@ type Params struct {
 	InnerBranches int
 	// OpsPerItem tunes the per-tuple compute cost (§6: "the algebraic
 	// operation is performed a configurable number of times per data
-	// item").
+	// item"). The virtual cost charges every operation; on the host the
+	// operator folds them into one (mathOp), so host time does not grow
+	// with it.
 	OpsPerItem int
 	// InnerSizeScale scales the accounted size of inner-branch outputs
 	// relative to their input (1.0 preserves it); values < 1 model
@@ -82,90 +85,113 @@ func (p Params) Validate() error {
 
 // pairs is the struct-of-arrays column of the job's datasets. The operators
 // only ever change values, so every derived dataset shares the generator's
-// keys and owns one pointer-free []int64: nothing in it for the garbage
-// collector to scan, and no Pair is built until the output is boxed.
+// keys, one string cut at the fixed stride keyLen, and owns one []uint32 of
+// values: nothing in either for the garbage collector to scan, and no Pair
+// is built until the output is boxed.
 type pairs struct {
-	keys []string
-	vals []int64
+	keys string
+	vals []uint32
 }
 
 // Len implements dataset.Column.
 func (c *pairs) Len() int { return len(c.vals) }
 
-// AppendRows implements dataset.Column.
+// AppendRows implements dataset.Column. A row's key is a substring of the
+// column's keys, so boxing allocates only the Pair.
 func (c *pairs) AppendRows(dst []dataset.Row, lo, hi int) []dataset.Row {
 	for i := lo; i < hi; i++ {
-		dst = append(dst, Pair{Key: c.keys[i], Val: c.vals[i]})
+		dst = append(dst, Pair{Key: c.keys[keyLen*i : keyLen*(i+1)], Val: int64(c.vals[i])})
 	}
 	return dst
 }
 
-// window returns the rows of a partition of a pairs dataset, with their
-// capacity clipped.
+// window returns the rows of a partition of a pairs dataset, the capacity
+// of its values clipped.
 func window(p *dataset.Partition) pairs {
 	c := p.Col.(*pairs)
-	return pairs{keys: c.keys[p.Lo:p.Hi:p.Hi], vals: c.vals[p.Lo:p.Hi:p.Hi]}
+	return pairs{keys: c.keys[keyLen*p.Lo : keyLen*p.Hi], vals: c.vals[p.Lo:p.Hi:p.Hi]}
 }
 
 // sharedKeys returns the keys of a dataset whose partitions are consecutive
 // windows of one pairs column, and whether they are: then the keys of every
-// row are one slice of that column's, which an operator's output can share.
-func sharedKeys(d *dataset.Dataset) ([]string, bool) {
-	var keys []string
+// row are one substring of that column's, which an operator's output can
+// share.
+func sharedKeys(d *dataset.Dataset) (string, bool) {
+	var c *pairs
 	lo, hi := 0, 0
 	for i := range d.Parts {
 		p := &d.Parts[i]
-		c := p.Col.(*pairs)
 		if i == 0 {
-			keys, lo, hi = c.keys, p.Lo, p.Lo
+			c, lo, hi = p.Col.(*pairs), p.Lo, p.Lo
 		}
-		if p.Lo != hi || len(c.keys) != len(keys) || (len(keys) > 0 && &c.keys[0] != &keys[0]) {
-			return nil, false
+		if p.Col.(*pairs) != c || p.Lo != hi {
+			return "", false
 		}
 		hi = p.Hi
 	}
-	return keys[lo:hi:hi], true
+	if c == nil {
+		return "", true
+	}
+	return c.keys[keyLen*lo : keyLen*hi], true
 }
 
 // keyLen is the length of a generated key: 'k' and eight hex digits.
 const keyLen = 9
 
+// mod is the prime the algebraic operation works modulo. Every value of a
+// pairs column is below it, and mod < 2^30.
+const mod = 1_000_000_007
+
 // Generate produces the input dataset of random string/integer pairs.
 func Generate(p Params) *dataset.Dataset {
 	rng := stats.NewRNG(p.Seed)
-	// The keys ("k%08x" of a 30-bit draw) are cut from one string, which
-	// costs one allocation where a Sprintf per row costs two per row.
+	// The keys ("k%08x" of a 30-bit draw) are written into one string,
+	// which costs one allocation where a Sprintf per row costs two per row.
 	const hex = "0123456789abcdef"
-	text := make([]byte, keyLen*p.Rows)
-	vals := make([]int64, p.Rows)
+	var keys strings.Builder
+	keys.Grow(keyLen * p.Rows)
+	key := [keyLen]byte{'k'}
+	vals := make([]uint32, p.Rows)
 	for i := range vals {
-		key := text[keyLen*i : keyLen*(i+1)]
-		key[0] = 'k'
 		k := rng.Intn(1 << 30)
 		for j := keyLen - 1; j > 0; j-- {
 			key[j] = hex[k&15]
 			k >>= 4
 		}
-		vals[i] = int64(rng.Intn(1 << 20))
+		keys.Write(key[:])
+		vals[i] = uint32(rng.Intn(1 << 20))
 	}
-	all := string(text)
-	keys := make([]string, p.Rows)
-	for i := range keys {
-		keys[i] = all[keyLen*i : keyLen*(i+1)]
-	}
-	d := dataset.Over("pairs", pairs{keys: keys, vals: vals}, dataset.Windows(p.Rows, p.Partitions, 1))
+	d := dataset.Over("pairs", pairs{keys: keys.String(), vals: vals}, dataset.Windows(p.Rows, p.Partitions, 1))
 	d.SetVirtualBytes(p.VirtualBytes)
 	return d
 }
 
+// affine returns the (a, b) for which v ↦ (v·a + b) mod p is opsPerItem
+// steps v ↦ (v·w + k + 1) mod p, k = 0, 1, ...: an affine map composed with
+// an affine map is affine, so a ← a·w and b ← b·w + k + 1 per step, with w
+// reduced mod p (w > 0). Both are below p.
+func affine(w int64, opsPerItem int) (a, b uint64) {
+	wp := uint64(w) % mod
+	a = 1
+	for k := 0; k < opsPerItem; k++ {
+		a = a * wp % mod
+		b = (b*wp + uint64(k) + 1) % mod
+	}
+	return a, b
+}
+
 // mathOp applies the branch's algebraic operation OpsPerItem times to every
 // value: an affine update modulo a large prime, parameterised by the
-// explorable w. The output is one column cut at the input's partition ends,
-// its keys the input's own where they are one slice (sharedKeys) and
-// gathered otherwise. Accounted sizes scale by sizeScale. It is one closure:
-// a job builds one per branch.
+// explorable w. The OpsPerItem steps are folded into one (affine) when the
+// operator is built, so a value costs one step on the host whatever the
+// count; the virtual cost (costPerMB) still charges every one. v and a are
+// below p < 2^30, so v·a + b is exact in uint64.
+// The output is one column cut at the input's partition ends, its keys the
+// input's own where they are one substring (sharedKeys) and gathered
+// otherwise. Accounted sizes scale by sizeScale. It is one closure: a job
+// builds one per branch.
 func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.TransformFunc {
-	const mod = 1_000_000_007
+	a, b := affine(w, opsPerItem)
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		in, err := mdf.OneInput(name, ins)
 		if err != nil {
@@ -173,25 +199,26 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.Trans
 		}
 		n := in.NumRows()
 		keys, shared := sharedKeys(in)
+		var gathered strings.Builder
 		if !shared {
-			keys = make([]string, 0, n)
+			gathered.Grow(keyLen * n)
 		}
-		vals := make([]int64, 0, n)
+		vals := make([]uint32, 0, n)
 		parts := make([]dataset.Partition, len(in.Parts))
 		for i := range in.Parts {
 			part := &in.Parts[i]
 			win := window(part)
 			lo := len(vals)
 			for _, v := range win.vals {
-				for k := 0; k < opsPerItem; k++ {
-					v = (v*w + int64(k) + 1) % mod
-				}
-				vals = append(vals, v)
+				vals = append(vals, uint32((uint64(v)*a+b)%mod))
 			}
 			if !shared {
-				keys = append(keys, win.keys...)
+				gathered.WriteString(win.keys)
 			}
 			parts[i] = dataset.Partition{Lo: lo, Hi: len(vals), VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
+		}
+		if !shared {
+			keys = gathered.String()
 		}
 		return dataset.Over(name, pairs{keys: keys, vals: vals}, parts), nil
 	}

@@ -95,10 +95,10 @@ func TestGenerateMatchesRowwiseGenerator(t *testing.T) {
 	}
 }
 
-// A job allocates at most two objects per input row — the generator's keys
-// and the one boxing of the output — whatever the number of branches that
-// transform every row: the struct-of-arrays operators allocate per
-// partition. The per-row share is read off two input sizes, so that the
+// A job allocates at most two objects per input row, whatever the number of
+// branches that transform every row: it allocates one, the boxing of the
+// output, since the generator writes its keys into one string and the
+// struct-of-arrays operators allocate per partition. The per-row share is read off two input sizes, so that the
 // engine's own allocations, which do not depend on the rows, cancel.
 func TestJobAllocationsPerRow(t *testing.T) {
 	allocs := func(rows int) float64 {

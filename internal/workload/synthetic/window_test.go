@@ -1,9 +1,12 @@
 package synthetic
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"metadataflow/internal/dataset"
+	"metadataflow/internal/stats"
 )
 
 // refOp is mathOp's operation on one value, written out row by row.
@@ -12,6 +15,60 @@ func refOp(v, w int64, opsPerItem int) int64 {
 		v = (v*w + int64(k) + 1) % 1_000_000_007
 	}
 	return v
+}
+
+// overValues is a one-partition pairs dataset holding vals (each below p),
+// every key "kkkkkkkkk".
+func overValues(vals []int64) *dataset.Dataset {
+	c := pairs{keys: strings.Repeat("k", keyLen*len(vals)), vals: make([]uint32, len(vals))}
+	for i, v := range vals {
+		c.vals[i] = uint32(v)
+	}
+	return dataset.Over("values", c, dataset.Windows(len(vals), 1, 1))
+}
+
+// mathOp applies opsPerItem steps to every value as the loop refOp does,
+// over the paper's w progression and past p, at the edges of the value
+// range and at random values below p.
+func TestMathOpMatchesIteratedReference(t *testing.T) {
+	const p = 1_000_000_007
+	vals := []int64{0, 1, 1<<20 - 1, p - 1}
+	rng := stats.NewRNG(1)
+	for i := 0; i < 64; i++ {
+		vals = append(vals, rng.Int63()%p)
+	}
+	in := []*dataset.Dataset{overValues(vals)}
+	ws := []int64{p, p + 7, p + 70, 9_000_000_000}
+	for w := int64(10); w <= 1_000_000_000; w *= 10 {
+		ws = append(ws, w)
+	}
+	for n := 1; n <= 8; n++ {
+		for _, w := range ws {
+			out, err := mathOp("op", 1, w, n)(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range out.Rows() {
+				if got, want := r.(Pair).Val, refOp(vals[i], w, n); got != want {
+					t.Fatalf("n=%d w=%d v=%d: got %d, want %d", n, w, vals[i], got, want)
+				}
+			}
+		}
+	}
+}
+
+// The reference loop multiplies a value below p by w in int64, so it is
+// exact only while w < (2^63 - 1)/p. branchValues stays below that at 120
+// branches, more than any workload or experiment builds (the topology
+// sweep's |B1 x B2| is 120).
+func TestBranchValuesKeepReferenceExact(t *testing.T) {
+	const limit = (1<<63 - 1) / 1_000_000_007
+	specs, _ := branchValues(120, "op")
+	for _, s := range specs {
+		if w := int64(s.Hint); w >= limit {
+			t.Errorf("branch value %d >= %d: v*w overflows int64", w, limit)
+		}
+	}
 }
 
 // mathOp reads every partition as its window, wherever the windows come
@@ -66,15 +123,15 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 				t.Errorf("%s: partition %d accounts %d bytes, want %d", tc.name, i, out.Parts[i].VirtualBytes, vb)
 			}
 		}
-		inKeys, outKeys := tc.in.Parts[0].Col.(*pairs).keys, out.Parts[0].Col.(*pairs).keys
-		if shared := &inKeys[0] == &outKeys[0]; shared != tc.shared {
+		if _, shared := sharedKeys(tc.in); shared != tc.shared {
 			t.Errorf("%s: output shares its input's keys = %v, want %v", tc.name, shared, tc.shared)
 		}
 	}
 }
 
 // What window returns of a partition has its capacity clipped: appending to
-// its keys or values leaves the next partition intact.
+// its values leaves the next partition intact (its keys are a string, which
+// an append copies).
 func TestWindowLeavesNeighbourIntact(t *testing.T) {
 	p := Defaults()
 	p.Rows, p.Partitions = 50, 4
@@ -86,11 +143,10 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 	for _, d := range []*dataset.Dataset{in, out} {
 		for i := 0; i+1 < len(d.Parts); i++ {
 			next := window(&d.Parts[i+1])
-			key, val := next.keys[0], next.vals[0]
+			val := next.vals[0]
 			cur := window(&d.Parts[i])
-			_ = append(cur.keys, "overwritten")
-			_ = append(cur.vals, -1)
-			if next.keys[0] != key || next.vals[0] != val {
+			_ = append(cur.vals, val+1)
+			if next.vals[0] != val {
 				t.Errorf("%s: appending to partition %d overwrote partition %d's first row", d.Name, i, i+1)
 			}
 		}
@@ -113,9 +169,8 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 			payload float64
 			f       func()
 		}{
-			// The generator (3), the key bytes, the key string, the keys
-			// and the values.
-			{"Generate", 7, func() { Generate(p) }},
+			// The generator (3), the keys and the values.
+			{"Generate", 5, func() { Generate(p) }},
 			// The values; the keys are the input's.
 			{"mathOp over one column", 1, func() { _, _ = op(one) }},
 			// The values and the gathered keys.
@@ -126,5 +181,25 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 				t.Errorf("%s over %d partitions: %.0f allocations, want <= %.0f (payload) + 2", g.name, parts, allocs, g.payload)
 			}
 		}
+	}
+}
+
+// BenchmarkMathOp runs one branch's operator over a 20 000-row input, the
+// size lib-kernel's synthetic jobs use, at 1, 4 and 16 ops per item: the
+// host cost of a value is one affine step at every count.
+func BenchmarkMathOp(b *testing.B) {
+	p := Defaults()
+	p.Rows = 20_000
+	in := []*dataset.Dataset{Generate(p)}
+	for _, ops := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
+			op := mathOp("op", 1, 1000, ops)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := op(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
