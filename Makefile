@@ -60,11 +60,11 @@ race:
 # cancellation, and the goroutines that compute ready branches ahead of
 # their pick), the scheduler, the chaos harness, and every package whose
 # functions the engine calls on those goroutines — the operator and
-# evaluator constructors of mdf and spec and the four workloads (dnn's
-# package-level example-set cache is shared by every job a process builds or
-# runs). The engine's and the chaos harness's serial-equals-pooled tests set
-# GOMAXPROCS(4) themselves and size their inputs above the engine's gate, so
-# the pool is reached on a single-CPU runner too; the engine's run the
+# evaluator constructors of mdf and spec and the four workloads (whose
+# sibling branches share host work through mdf.Memo). The engine's and the
+# chaos harness's serial-equals-pooled tests set GOMAXPROCS(4) themselves
+# and size their inputs above the engine's gate, so the pool is reached on
+# a single-CPU runner too; the engine's run the
 # functions of the other packages there. dataset, graph and memorymgr are in
 # for what those goroutines read of them (a dataset's partition values and
 # the one column header their windows share, Stage.String's lazy label) and for their
@@ -135,8 +135,9 @@ crash-short: build
 # narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
 # hint, BenchmarkDensity a bounded kernel's narrow and wide support beside the
 # full loop, BenchmarkMarkSiblings the 16 analysis branches of a time series
-# job over one memo, BenchmarkMathOp the synthetic operator over 20 000 rows
-# at 1, 4 and 16 ops per item, BenchmarkServiceJob/new a document the service
+# job over one graph's memos, BenchmarkMemoGet the hit every sibling after
+# the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at
+# 1, 4 and 16 ops per item, BenchmarkServiceJob/new a document the service
 # has not seen and /repeat one its vet memo holds the plan of). Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...

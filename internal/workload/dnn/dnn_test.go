@@ -300,10 +300,10 @@ func BenchmarkJob(b *testing.B) {
 }
 
 // TestConcurrentJobs builds and runs dnn jobs with different seeds from
-// several goroutines at once, as callers of the library may: graph builders
-// (AccuracyEvaluator) and operator functions (continued training) of all of
-// them go through the package's shared example-set cache. Under -race this
-// fails on an unguarded cache.
+// several goroutines at once, as callers of the library may. Each graph
+// makes its own example set, which its source, evaluators and continued
+// training read on the engine's goroutines, so the jobs share nothing
+// written; under -race this fails if they come to share such state again.
 func TestConcurrentJobs(t *testing.T) {
 	var wg sync.WaitGroup
 	for seed := int64(101); seed <= 104; seed++ {

@@ -114,7 +114,7 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 		}
 	}
 
-	examples := trainSetOf(p.Params)
+	examples := p.examples()
 	val := examples[p.Train:]
 	eval := mdf.Evaluator{
 		Name: "validate",
@@ -128,7 +128,7 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 	}
 
 	b := mdf.NewBuilder()
-	src := b.Source("src", sourceFunc(p.Params), 0.0005)
+	src := b.Source("src", sourceFunc(p.Params, examples), 0.0005)
 	pre := src.ThenWide("preprocess", preprocessOp(p.Params), 0.04)
 	out := pre.Explore("hyperparams", specs, mdf.NewChooser(eval, mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {

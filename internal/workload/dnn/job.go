@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"fmt"
-	"sync"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -104,10 +103,15 @@ func firstRow[T any](d *dataset.Dataset) T {
 	panic("dnn: dataset has no payload row")
 }
 
-// sourceFunc emits the raw example set: the cached one, which nothing
-// downstream writes (preprocessOp scales into copies).
-func sourceFunc(p Params) graph.TransformFunc {
-	examples := trainSetOf(p)
+// examples generates the example set of one graph: the builder makes it once
+// and hands it to the source, the evaluators and the continued training,
+// which only ever read it (preprocessOp scales into copies).
+func (p Params) examples() []Example {
+	return GenerateExamples(p.Train+p.Val, p.Dims, p.Classes, p.Noise, p.Seed)
+}
+
+// sourceFunc emits the graph's raw example set.
+func sourceFunc(p Params, examples []Example) graph.TransformFunc {
 	return mdf.SourceFunc(func() *dataset.Dataset {
 		return singleRow("cifar-syn", dataRow{examples: examples}, p.Partitions, p.VirtualBytes)
 	})
@@ -182,55 +186,24 @@ func trainOp(p Params, name string, init Init, lr, momentum float64, seed int64)
 
 // continueTrainOp continues training a chosen model with new
 // hyper-parameters (the early-choose MDF of Fig. 5: "choose the best result
-// as the starting point for the exploration of the hyper-parameters").
-// name is trainName("", lr, momentum).
-func continueTrainOp(p Params, name string, lr, momentum float64) graph.TransformFunc {
+// as the starting point for the exploration of the hyper-parameters") on the
+// graph's examples. name is trainName("", lr, momentum).
+func continueTrainOp(p Params, examples []Example, name string, lr, momentum float64) graph.TransformFunc {
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
 		base := firstRow[modelRow](in).model
 		m := base.Clone()
 		// The continued round trains on the raw generator output (the
-		// cached set the source emits), not on preprocessOp's scaled copy
-		// the first round saw. A known deviation, see ARCHITECTURE.md
-		// "Workloads": BENCH_fig5.json and the benchmark goldens pin it.
-		examples := trainSetOf(p)
+		// graph's example set), not on preprocessOp's scaled copy the first
+		// round saw. A known deviation, see ARCHITECTURE.md "Workloads":
+		// BENCH_fig5.json and the benchmark goldens pin it.
 		m.TrainEpoch(examples[:p.Train], lr, momentum)
 		return singleRow("model", modelRow{model: m}, 1, in.VirtualBytes()), nil
 	})
 }
 
-// trainSetKey identifies one generator parameterisation.
-type trainSetKey struct {
-	seed             int64
-	train, val, dims int
-	classes          int
-	noise            float64
-}
-
-// trainSetCache memoises the example set per parameterisation so sources,
-// continued-training branches and evaluators reuse it. Graph builders and
-// operator functions of any number of concurrent jobs go through it, hence
-// the lock; the sets themselves are only ever read.
-var (
-	trainSetMu    sync.Mutex
-	trainSetCache = map[trainSetKey][]Example{}
-)
-
-func trainSetOf(p Params) []Example {
-	key := trainSetKey{p.Seed, p.Train, p.Val, p.Dims, p.Classes, p.Noise}
-	trainSetMu.Lock()
-	defer trainSetMu.Unlock()
-	if ex, ok := trainSetCache[key]; ok {
-		return ex
-	}
-	raw := GenerateExamples(p.Train+p.Val, p.Dims, p.Classes, p.Noise, p.Seed)
-	trainSetCache[key] = raw
-	return raw
-}
-
-// AccuracyEvaluator scores a model branch by validation accuracy
-// (Fig. 21's validate()).
-func AccuracyEvaluator(p Params) mdf.Evaluator {
-	val := trainSetOf(p)[p.Train:]
+// AccuracyEvaluator scores a model branch by its accuracy on the validation
+// examples val (Fig. 21's validate()).
+func AccuracyEvaluator(val []Example) mdf.Evaluator {
 	return mdf.Evaluator{
 		Name: "validate",
 		Fn: func(d *dataset.Dataset) float64 {
@@ -274,11 +247,12 @@ func BuildExhaustiveMDF(p Params) (*graph.Graph, error) {
 			}
 		}
 	}
+	examples := p.examples()
 	b := mdf.NewBuilder()
-	src := b.Source("src", sourceFunc(p), 0.0005)
+	src := b.Source("src", sourceFunc(p, examples), 0.0005)
 	pre := src.ThenWide("preprocess", preprocessOp(p), 0.04)
 	out := pre.Explore("hyperparams", specs,
-		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
+		mdf.NewChooser(AccuracyEvaluator(examples[p.Train:]), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			c := combos[int(spec.Hint)]
 			n := start.Then(c.name, trainOp(p, c.name, c.init, c.lr, c.mom, p.Seed+int64(spec.Hint)), 0)
@@ -322,11 +296,12 @@ func BuildEarlyChooseMDF(p Params) (*graph.Graph, error) {
 	defaultLR := p.LearningRates[len(p.LearningRates)/2]
 	defaultMom := p.Momenta[len(p.Momenta)/2]
 
+	examples := p.examples()
 	b := mdf.NewBuilder()
-	src := b.Source("src", sourceFunc(p), 0.0005)
+	src := b.Source("src", sourceFunc(p, examples), 0.0005)
 	pre := src.ThenWide("preprocess", preprocessOp(p), 0.04)
 	chosenInit := pre.Explore("weights", wSpecs,
-		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
+		mdf.NewChooser(AccuracyEvaluator(examples[p.Train:]), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w := p.Inits[int(spec.Hint)]
 			n := start.Then("train("+spec.Label+")",
@@ -335,10 +310,10 @@ func BuildEarlyChooseMDF(p Params) (*graph.Graph, error) {
 			return n
 		})
 	out := chosenInit.Explore("hyperparams", rmSpecs,
-		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
+		mdf.NewChooser(AccuracyEvaluator(examples[p.Train:]), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			c := rms[int(spec.Hint)]
-			n := start.Then(c.name, continueTrainOp(p, c.name, c.lr, c.mom), 0)
+			n := start.Then(c.name, continueTrainOp(p, examples, c.name, c.lr, c.mom), 0)
 			n.Op().FixedCost = p.trainCost()
 			return n
 		})
@@ -358,11 +333,12 @@ func BuildWeightsOnlyMDF(p Params) (*graph.Graph, error) {
 	}
 	defaultLR := p.LearningRates[len(p.LearningRates)/2]
 	defaultMom := p.Momenta[len(p.Momenta)/2]
+	examples := p.examples()
 	b := mdf.NewBuilder()
-	src := b.Source("src", sourceFunc(p), 0.0005)
+	src := b.Source("src", sourceFunc(p, examples), 0.0005)
 	pre := src.ThenWide("preprocess", preprocessOp(p), 0.04)
 	out := pre.Explore("weights", wSpecs,
-		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
+		mdf.NewChooser(AccuracyEvaluator(examples[p.Train:]), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w := p.Inits[int(spec.Hint)]
 			n := start.Then("train("+spec.Label+")",
@@ -402,11 +378,12 @@ func BuildHyperOnlyMDF(p Params) (*graph.Graph, error) {
 		return nil, fmt.Errorf("dnn: hyper-only MDF needs >= 2 combinations")
 	}
 	init := p.Inits[0]
+	examples := p.examples()
 	b := mdf.NewBuilder()
-	src := b.Source("src", sourceFunc(p), 0.0005)
+	src := b.Source("src", sourceFunc(p, examples), 0.0005)
 	pre := src.ThenWide("preprocess", preprocessOp(p), 0.04)
 	out := pre.Explore("hyperparams", specs,
-		mdf.NewChooser(AccuracyEvaluator(p), mdf.TopK(1)),
+		mdf.NewChooser(AccuracyEvaluator(examples[p.Train:]), mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			c := rms[int(spec.Hint)]
 			n := start.Then(c.name, trainOp(p, trainName(init.Name(), c.lr, c.mom), init, c.lr, c.mom, p.Seed), 0)

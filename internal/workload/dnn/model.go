@@ -272,10 +272,12 @@ func GenerateExamples(n, dims, classes int, noise float64, seed int64) []Example
 			protos[c][i] = rng.Normal(0, 1)
 		}
 	}
+	// Every X is a cap-clipped window of one array: nothing appends to one.
 	out := make([]Example, n)
+	xs := make([]float64, n*dims)
 	for i := range out {
 		c := i % classes
-		x := make([]float64, dims)
+		x := xs[i*dims : (i+1)*dims : (i+1)*dims]
 		for j := range x {
 			x[j] = protos[c][j] + rng.Normal(0, noise)
 		}

@@ -3,11 +3,13 @@ package kde
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/engine"
+	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
 )
@@ -43,7 +45,20 @@ func sameFloats(a, b []float64) bool {
 // the full scan of an estimator without a sample order.
 func TestJobMakesTwoFits(t *testing.T) {
 	p := Defaults()
-	memo := new(fitMemo)
+	type made struct {
+		pre float64
+		in  []float64
+		fit
+	}
+	var mu sync.Mutex
+	var fits []made
+	memo := mdf.NewMemo(func(pre float64, xs []float64) fit {
+		f := newFit(p, xs)
+		mu.Lock()
+		fits = append(fits, made{pre, xs, f})
+		mu.Unlock()
+		return f
+	})
 	g, err := buildMDF(p, memo)
 	if err != nil {
 		t.Fatal(err)
@@ -56,14 +71,14 @@ func TestJobMakesTwoFits(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(memo.fits) != 2 {
-		t.Fatalf("a job made %d fits, want one per pre-processing (2)", len(memo.fits))
+	if len(fits) != 2 {
+		t.Fatalf("a job made %d fits, want one per pre-processing (2)", len(fits))
 	}
 	kernels, err := p.kernels()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fi, f := range memo.fits {
+	for fi, f := range fits {
 		holdout, train := refFit(p, f.in)
 		if !sameFloats(f.holdout, holdout) || !sameFloats(f.train, train) {
 			t.Fatalf("fit %d: %d hold-out points and %d samples, not the %d and %d an estimate drew for itself",
@@ -72,7 +87,7 @@ func TestJobMakesTwoFits(t *testing.T) {
 		in := []*dataset.Dataset{dataset.FromSlice("in", f.in, p.Partitions, 8)}
 		for _, k := range kernels {
 			for _, h := range p.Bandwidths {
-				out, err := estimateOp(memo, p, k, h, kdeName(k.Name, h))(in)
+				out, err := estimateOp(memo, f.pre, k, h, kdeName(k.Name, h))(in)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +104,7 @@ func TestJobMakesTwoFits(t *testing.T) {
 			}
 		}
 	}
-	if len(memo.fits) != 2 {
-		t.Errorf("estimates over the job's inputs made %d fits, want the job's 2", len(memo.fits))
+	if len(fits) != 2 {
+		t.Errorf("estimates over the job's inputs made %d fits, want the job's 2", len(fits))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -157,41 +156,14 @@ func outlierLabel(o float64, kernel string) string {
 	return string(b)
 }
 
-// fitMemo is what the estimate branches of one graph share: per input, the
-// hold-out points, the fit sample and its order, which depend on nothing but
-// the input and the graph's Params. Every kernel and bandwidth over one
-// input reads one fit. An entry answers only for the input it was computed
-// from, told by the first element's address and the length of the flattened
-// slice; the entry holds that slice, so the address cannot be reused. The
-// memo keeps an entry per input it has met: two in BuildMDF, one per
-// pre-processing. Branches run on the engine's pool goroutines, hence the
-// mutex, held while a fit is computed; an entry is stored only once
-// computed, so a computation that panics leaves none.
-type fitMemo struct {
-	mu   sync.Mutex
-	fits []fit
-}
-
-// fit is one memo entry: the split of in and the fit sample. None of them
-// is ever written once stored.
+// fit is the split and fit sample the estimate branches over one input
+// share, through one mdf.Memo per graph keyed by the input's pre-processing
+// branch: they depend on nothing but the input and the graph's Params, so
+// every kernel and bandwidth over one input reads one fit. None of its slices
+// is ever written once made.
 type fit struct {
-	in, holdout, train []float64
-	order              []uint16
-}
-
-// fit returns the fit of xs, computed at most once per input.
-func (m *fitMemo) fit(p Params, xs []float64) fit {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, f := range m.fits {
-		// No entry is empty: newFit panics on an empty input.
-		if len(f.in) == len(xs) && &f.in[0] == &xs[0] {
-			return f
-		}
-	}
-	f := newFit(p, xs)
-	m.fits = append(m.fits, f)
-	return f
+	holdout, train []float64
+	order          []uint16
 }
 
 // newFit splits xs into the hold-out points, its first HoldoutFraction, and
@@ -210,18 +182,24 @@ func newFit(p Params, xs []float64) fit {
 		}
 		train = sampled
 	}
-	return fit{in: xs, holdout: holdout, train: train, order: sampleOrder(train)}
+	return fit{holdout: holdout, train: train, order: sampleOrder(train)}
+}
+
+// fitMemo returns the memo of one graph's fits, keyed by pre-processing
+// branch.
+func fitMemo(p Params) *mdf.Memo[float64, float64, fit] {
+	return mdf.NewMemo(func(_ float64, xs []float64) fit { return newFit(p, xs) })
 }
 
 // estimateOp fits the estimator on a subsample and outputs the predicted
 // densities at the hold-out points (one row per hold-out point). The output
 // is small relative to the input, as a density profile is. The fit comes
-// from memo, shared by every estimate of the same input. name is
-// kdeName(k.Name, h).
-func estimateOp(memo *fitMemo, p Params, k Kernel, h float64, name string) graph.TransformFunc {
+// from fits under the key of the input's pre-processing branch, shared by
+// every estimate of that input. name is kdeName(k.Name, h).
+func estimateOp(fits *mdf.Memo[float64, float64, fit], pre float64, k Kernel, h float64, name string) graph.TransformFunc {
 	return mdf.WholeDataset(name,
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			f := memo.fit(p, dataset.Flatten[float64](in))
+			f := fits.Get(pre, dataset.Flatten[float64](in))
 			est := Estimator{Kernel: k, Bandwidth: h, Samples: f.train, order: f.order}
 			rows := make([]float64, len(f.holdout))
 			for i, x := range f.holdout {
@@ -293,10 +271,10 @@ func kernelBranches(kernels []Kernel, bandwidths []float64) ([]mdf.BranchSpec, [
 // the pre-processing method N = {normalise, standardise}, a nested explore
 // over kernel × bandwidth, and hold-out log-likelihood maximisation.
 func BuildMDF(p Params) (*graph.Graph, error) {
-	return buildMDF(p, new(fitMemo))
+	return buildMDF(p, fitMemo(p))
 }
 
-func buildMDF(p Params, memo *fitMemo) (*graph.Graph, error) {
+func buildMDF(p Params, fits *mdf.Memo[float64, float64, fit]) (*graph.Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -330,7 +308,7 @@ func buildMDF(p Params, memo *fitMemo) (*graph.Graph, error) {
 				mdf.NewChooser(LogLikelihoodEvaluator(), mdf.Max()),
 				func(inner *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					cfg := kbs[int(ispec.Hint)]
-					return inner.Then(cfg.name, estimateOp(memo, p, cfg.k, cfg.h, cfg.name), 0.006)
+					return inner.Then(cfg.name, estimateOp(fits, spec.Hint, cfg.k, cfg.h, cfg.name), 0.006)
 				})
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
@@ -384,7 +362,7 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 	}
 	kbSpecs, kbs := kernelBranches(kernels, p.Bandwidths)
 
-	memo := new(fitMemo)
+	fits := fitMemo(p.Params)
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Scope 1: outlier filtering, closed early by a size-ratio choose
@@ -411,7 +389,9 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 		mdf.NewChooser(LogLikelihoodEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := kbs[int(spec.Hint)]
-			return start.Then(cfg.name, estimateOp(memo, p.Params, cfg.k, cfg.h, cfg.name), 0.006)
+			// One input reaches every estimate: the outlier choose keeps one
+			// dataset.
+			return start.Then(cfg.name, estimateOp(fits, 0, cfg.k, cfg.h, cfg.name), 0.006)
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
 	return b.Build()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"metadataflow/internal/dataset"
@@ -202,7 +203,7 @@ func apply(t *testing.T, op func([]*dataset.Dataset) (*dataset.Dataset, error), 
 // TestKernelsMatchReference compares mask, mark and detect with the loops
 // they replaced on random awkward series, among them series shorter than the
 // window, empty ones, and the windows Validate does not forbid (0, negative).
-// Everything a trial runs shares one memo, as the branches of one graph do:
+// Everything a trial runs shares one graph's memos, as its branches do:
 // every threshold of two window lengths, every magDiff of two mark windows,
 // each layout of the series, and then a second series of the same length,
 // whose values must not be read from the first's entries.
@@ -223,7 +224,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		// input.
 		mth := thresholds[rng.Intn(len(thresholds))]
 		d := durations[rng.Intn(len(durations))]
-		memo := new(windowMemo)
+		ratios, events := mdf.NewMemo(windowRatios), markMemo()
 		for series := 0; series < 2; series++ {
 			pts := awkwardSeries(rng, n)
 			before := fmt.Sprint(pts)
@@ -232,7 +233,7 @@ func TestKernelsMatchReference(t *testing.T) {
 				var masked *dataset.Dataset
 				for _, w := range ws {
 					for _, th := range thresholds {
-						out := apply(t, maskOp(memo, w, th), in)
+						out := apply(t, maskOp(ratios, w, th), in)
 						sameDataset(t, fmt.Sprintf("%s: mask(w=%d,t=%g)", what, w, th), out, refMask(in, w, th))
 						if w == ws[0] && math.Float64bits(th) == math.Float64bits(mth) {
 							masked = out
@@ -242,7 +243,7 @@ func TestKernelsMatchReference(t *testing.T) {
 				for _, from := range []*dataset.Dataset{in, masked} {
 					for _, l := range ls {
 						for _, m := range magDiffs {
-							marked := apply(t, markOp(memo, l, m), from)
+							marked := apply(t, markOp(events, l, m), from)
 							sameDataset(t, fmt.Sprintf("%s: mark(l=%d,m=%g) of %s", what, l, m, from.Name), marked, refMark(from, l, m))
 							detected := apply(t, detectOp(d), marked)
 							sameDataset(t, fmt.Sprintf("%s: detect(d=%d)", what, d), detected, refDetect(marked, d))
@@ -259,14 +260,18 @@ func TestKernelsMatchReference(t *testing.T) {
 
 // TestSiblingMasksShareOneMemo runs the 16 mask branches of two window
 // lengths on goroutines over one memo, as the engine's pool runs sibling
-// branches: each must equal the reference, and the memo must end holding one
-// entry per window length.
+// branches: each must equal the reference, and the memo must make one window
+// pass per window length.
 func TestSiblingMasksShareOneMemo(t *testing.T) {
 	in := dataset.FromSlice("in", awkwardSeries(rand.New(rand.NewSource(30)), 2000), 4, 16)
 	in.SetVirtualBytes(1 << 30)
 	windows := []int{2, 5}
 	thresholds := []float64{1.0001, 1.001, 1.01, 1.1, 1, 0.5, 2, math.Inf(1)}
-	memo := new(windowMemo)
+	var passes atomic.Int32
+	ratios := mdf.NewMemo(func(w int, pts []Point) []float64 {
+		passes.Add(1)
+		return windowRatios(w, pts)
+	})
 	outs := make([]*dataset.Dataset, len(windows)*len(thresholds))
 	errs := make([]error, len(outs))
 	var wg sync.WaitGroup
@@ -274,7 +279,7 @@ func TestSiblingMasksShareOneMemo(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			op := maskOp(memo, windows[i/len(thresholds)], thresholds[i%len(thresholds)])
+			op := maskOp(ratios, windows[i/len(thresholds)], thresholds[i%len(thresholds)])
 			outs[i], errs[i] = op([]*dataset.Dataset{in})
 		}()
 	}
@@ -286,29 +291,8 @@ func TestSiblingMasksShareOneMemo(t *testing.T) {
 		}
 		sameDataset(t, fmt.Sprintf("mask(w=%d,t=%g)", w, th), out, refMask(in, w, th))
 	}
-	if len(memo.entries) != len(windows) {
-		t.Errorf("the memo holds %d entries, want one per window length (%d)", len(memo.entries), len(windows))
-	}
-}
-
-// TestPanickingWindowPassLeavesNoEntry: a window pass that panics part-way
-// (an injected fault, a bug) leaves the memo without an entry and unlocked,
-// so the next branch computes the values itself.
-func TestPanickingWindowPassLeavesNoEntry(t *testing.T) {
-	memo := new(windowMemo)
-	pts := awkwardSeries(rand.New(rand.NewSource(7)), 40)
-	func() {
-		defer func() { _ = recover() }()
-		memo.values(windowKey{kind: maskRatios, w: 3}, pts, func([]Point, int) []float64 { panic("part-way") })
-	}()
-	if len(memo.entries) != 0 {
-		t.Fatalf("the memo holds %d entries after a panicking pass, want none", len(memo.entries))
-	}
-	got, want := memo.values(windowKey{kind: maskRatios, w: 3}, pts, windowRatios), windowRatios(pts, 3)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("ratio %d = %v after a panicking pass, want %v", i, got[i], want[i])
-		}
+	if n := int(passes.Load()); n != len(windows) {
+		t.Errorf("the memo made %d window passes, want one per window length (%d)", n, len(windows))
 	}
 }
 
@@ -322,8 +306,8 @@ func TestSiblingMarksShareOneMemo(t *testing.T) {
 	p := Defaults()
 	series := dataset.FromSlice("in", awkwardSeries(rand.New(rand.NewSource(40)), 2000), 4, 16)
 	series.SetVirtualBytes(1 << 30)
-	memo := new(windowMemo)
-	in := apply(t, maskOp(memo, 2, 1.001), series)
+	events := markMemo()
+	in := apply(t, maskOp(mdf.NewMemo(windowRatios), 2, 1.001), series)
 	type branch struct {
 		l       int
 		m       float64
@@ -348,7 +332,7 @@ func TestSiblingMarksShareOneMemo(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if b.marked, b.err = markOp(memo, b.l, b.m)([]*dataset.Dataset{in}); b.err == nil {
+			if b.marked, b.err = markOp(events, b.l, b.m)([]*dataset.Dataset{in}); b.err == nil {
 				b.detects, b.err = detectOp(b.d)([]*dataset.Dataset{b.marked})
 			}
 		}()
@@ -379,36 +363,6 @@ func TestSiblingMarksShareOneMemo(t *testing.T) {
 	}
 	if len(owners) != 4 {
 		t.Errorf("the 16 branches read %d events slices, want one per (l, m): 4 mark passes", len(owners))
-	}
-}
-
-// TestPanickingMarkPassLeavesNoEntry: a mark pass that panics part-way (here
-// over a means entry too short for the input) leaves no events entry and the
-// memo unlocked, so the next branch finds the events itself.
-func TestPanickingMarkPassLeavesNoEntry(t *testing.T) {
-	memo := new(windowMemo)
-	pts := awkwardSeries(rand.New(rand.NewSource(8)), 40)
-	means := windowKey{kind: markMeans, w: 3}
-	memo.store(means, windowed{in: pts, vals: make([]float64, 5)})
-	func() {
-		defer func() { _ = recover() }()
-		memo.marked(3, 0.5, pts)
-		t.Fatal("a mark pass over too few means did not panic")
-	}()
-	if len(memo.entries) != 1 {
-		t.Fatalf("the memo holds %d entries after a panicking mark pass, want the means alone", len(memo.entries))
-	}
-	delete(memo.entries, means)
-	in := dataset.FromSlice("in", pts, 1, 16)
-	want := dataset.Flatten[Event](refMark(in, 3, 0.5))
-	got := memo.marked(3, 0.5, pts)
-	if len(got) != len(want) {
-		t.Fatalf("%d events after a panicking pass, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !sameBits(got[i], want[i]) {
-			t.Fatalf("event %d = %s after a panicking pass, want %s", i, bits(got[i]), bits(want[i]))
-		}
 	}
 }
 
@@ -467,7 +421,7 @@ func BenchmarkMask(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := maskOp(new(windowMemo), 5, 1.001)(in); err != nil {
+		if _, err := maskOp(mdf.NewMemo(windowRatios), 5, 1.001)(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -478,7 +432,7 @@ func BenchmarkMark(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := markOp(new(windowMemo), 6, 0.5)(in); err != nil {
+		if _, err := markOp(markMemo(), 6, 0.5)(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,9 +446,9 @@ func BenchmarkMaskSiblings(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		memo := new(windowMemo)
+		ratios := mdf.NewMemo(windowRatios)
 		for k := 0; k < 16; k++ {
-			if _, err := maskOp(memo, 5, 1+0.0005*float64(k+1))(in); err != nil {
+			if _, err := maskOp(ratios, 5, 1+0.0005*float64(k+1))(in); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -510,11 +464,11 @@ func BenchmarkMarkSiblings(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		memo := new(windowMemo)
+		events := markMemo()
 		for _, l := range p.MarkWindows {
 			for _, m := range p.MagDiffs {
 				for range p.Durations {
-					if _, err := markOp(memo, l, m)(in); err != nil {
+					if _, err := markOp(events, l, m)(in); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/graph"
@@ -136,101 +135,26 @@ func outParts(in *dataset.Dataset) int {
 	return 1
 }
 
-// windowMemo is what the mask and mark branches of one graph share: per
-// window length, one value per point that depends on nothing but the input
-// and that length — mask's window ratio, mark's window mean — and per mark
-// setting (l, magDiff), the events mark finds. Sibling branches with a
-// setting in common compute it once. An entry answers only for the input it
-// was computed from, told by the first element's address and the length of
-// the flattened slice; the entry holds that slice, so the address cannot be
-// reused. Any other input recomputes and replaces it. Branches run on the
-// engine's pool goroutines, hence the mutex, held while an entry is computed;
-// an entry is stored only once computed, so a computation that panics leaves
-// none.
-type windowMemo struct {
-	mu      sync.Mutex
-	entries map[windowKey]windowed
-}
-
-// windowKey names one shared computation: mask's ratios, mark's means or
-// mark's events over windows of length w, the events also by the bits of
-// their magDiff (a NaN is a key like any other).
-type windowKey struct {
-	kind    windowKind
-	w       int
+// markSetting is the key of mark's shared events: the window length l and
+// the bits of magDiff (a NaN is a key like any other).
+type markSetting struct {
+	l       int
 	magDiff uint64
 }
 
-type windowKind uint8
-
-const (
-	maskRatios windowKind = iota
-	markMeans
-	markedEvents
-)
-
-// windowed is one memo entry: the values or the events computed from in.
-// Neither is ever written once stored.
-type windowed struct {
-	in     []Point
-	vals   []float64
-	events []Event
-}
-
-// lookup returns the entry of k if it was computed from pts; m.mu is held.
-func (m *windowMemo) lookup(k windowKey, pts []Point) (windowed, bool) {
-	e, ok := m.entries[k]
-	return e, ok && len(e.in) == len(pts) && &e.in[0] == &pts[0]
-}
-
-// store records e as the entry of k; m.mu is held.
-func (m *windowMemo) store(k windowKey, e windowed) {
-	if m.entries == nil {
-		m.entries = make(map[windowKey]windowed)
-	}
-	m.entries[k] = e
-}
-
-// values returns compute(pts, k.w), computed at most once per input and key.
-func (m *windowMemo) values(k windowKey, pts []Point, compute func([]Point, int) []float64) []float64 {
-	if len(pts) == 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.valuesLocked(k, pts, compute)
-}
-
-func (m *windowMemo) valuesLocked(k windowKey, pts []Point, compute func([]Point, int) []float64) []float64 {
-	if e, ok := m.lookup(k, pts); ok {
-		return e.vals
-	}
-	vals := compute(pts, k.w)
-	m.store(k, windowed{in: pts, vals: vals})
-	return vals
-}
-
-// marked returns mark's events over pts, computed at most once per input
-// and setting, from the window means of l, which it shares with every
-// magDiff of l.
-func (m *windowMemo) marked(l int, magDiff float64, pts []Point) []Event {
-	if len(pts) == 0 {
-		return markEvents(pts, nil, l, magDiff)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	k := windowKey{kind: markedEvents, w: l, magDiff: math.Float64bits(magDiff)}
-	if e, ok := m.lookup(k, pts); ok {
-		return e.events
-	}
-	evs := markEvents(pts, m.valuesLocked(windowKey{kind: markMeans, w: l}, pts, windowMeans), l, magDiff)
-	m.store(k, windowed{in: pts, events: evs})
-	return evs
+// markMemo returns the memo of mark's events per setting. It computes them
+// from the window means of l, which it reads from a memo of its own, shared
+// by every magDiff of l.
+func markMemo() *mdf.Memo[markSetting, Point, []Event] {
+	means := mdf.NewMemo(windowMeans)
+	return mdf.NewMemo(func(s markSetting, pts []Point) []Event {
+		return markEvents(pts, means.Get(s.l, pts), s.l, math.Float64frombits(s.magDiff))
+	})
 }
 
 // windowRatios returns, for every point, the max/min ratio of the window of
 // length w ending at it, with a minimum that is not positive read as 1e-9.
-func windowRatios(pts []Point, w int) []float64 {
+func windowRatios(w int, pts []Point) []float64 {
 	ratio := make([]float64, len(pts))
 	lastNaN := -1
 	for i := range pts {
@@ -270,9 +194,10 @@ func windowRatios(pts []Point, w int) []float64 {
 // maskOp keeps points whose sliding window of length w has a max/min ratio
 // above the threshold t: points in "interesting" ranges survive (§6:
 // "masking data points in the series based on the value ranges within a
-// sliding window"). The ratios come from memo, shared by every threshold of
-// w. It is one closure: a flat job builds one per branch.
-func maskOp(memo *windowMemo, w int, t float64) graph.TransformFunc {
+// sliding window"). The ratios come from ratios, a memo of windowRatios
+// shared by every threshold of w. It is one closure: a flat job builds one
+// per branch.
+func maskOp(ratios *mdf.Memo[int, Point, []float64], w int, t float64) graph.TransformFunc {
 	// The name is read by the arity error alone, and the engine reports that
 	// under the operator's own name, which spells the setting out: a plain
 	// one saves formatting it for every branch of every job.
@@ -282,7 +207,7 @@ func maskOp(memo *windowMemo, w int, t float64) graph.TransformFunc {
 			return nil, err
 		}
 		pts := dataset.Flatten[Point](in)
-		ratio := memo.values(windowKey{kind: maskRatios, w: w}, pts, windowRatios)
+		ratio := ratios.Get(w, pts)
 		// Count first, then copy the kept points into a slice of their
 		// exact number.
 		n := 0
@@ -307,7 +232,7 @@ func maskOp(memo *windowMemo, w int, t float64) graph.TransformFunc {
 
 // windowMeans returns, for every point i from l on, the mean of the l values
 // before it (windowMean); the points before l are left 0.
-func windowMeans(pts []Point, l int) []float64 {
+func windowMeans(l int, pts []Point) []float64 {
 	mean := make([]float64, len(pts))
 	for i := max(l, 0); i < len(pts); i++ {
 		mean[i] = windowMean(pts, i, l)
@@ -346,15 +271,17 @@ func markEvents(pts []Point, mean []float64, l int, magDiff float64) []Event {
 
 // markOp marks discrete events: points where the value differs by more than
 // magDiff from the mean of the l values before it. The events come from
-// memo, shared by every duration of (l, magDiff), and read-only: each branch
-// wraps them in a dataset of its own. It is one closure, as maskOp is.
-func markOp(memo *windowMemo, l int, magDiff float64) graph.TransformFunc {
+// marks (markMemo), shared by every duration of (l, magDiff), and read-only:
+// each branch wraps them in a dataset of its own. It is one closure, as
+// maskOp is.
+func markOp(marks *mdf.Memo[markSetting, Point, []Event], l int, magDiff float64) graph.TransformFunc {
+	s := markSetting{l: l, magDiff: math.Float64bits(magDiff)}
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		in, err := mdf.OneInput("mark", ins)
 		if err != nil {
 			return nil, err
 		}
-		events := memo.marked(l, magDiff, dataset.Flatten[Point](in))
+		events := marks.Get(s, dataset.Flatten[Point](in))
 		out := dataset.FromSlice("events", events, outParts(in), 24)
 		out.SetVirtualBytes(in.VirtualBytes() / 20)
 		return out, nil
@@ -497,7 +424,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 
 	maskEval := mdf.RatioEvaluator(p.Rows)
 	maskEval.CostPerMB = 0.0002
-	memo := new(windowMemo)
+	ratios, events := mdf.NewMemo(windowRatios), markMemo()
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Scope 1: masking exploration, closed early (Ex. 3.5).
@@ -505,14 +432,14 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 		mdf.NewChooser(maskEval, p.maskSelector()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := wts[int(spec.Hint)]
-			return start.Then(cfg.name, maskOp(memo, cfg.w, cfg.t), 0.004)
+			return start.Then(cfg.name, maskOp(ratios, cfg.w, cfg.t), 0.004)
 		})
 	// Scope 2: marking and detection exploration over the selected data.
 	out := masked.Explore("analysis", outSpecs,
 		mdf.NewChooser(detectionEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			cfg := lmds[int(spec.Hint)]
-			marked := start.Then(cfg.name, markOp(memo, cfg.l, cfg.m), 0.003)
+			marked := start.Then(cfg.name, markOp(events, cfg.l, cfg.m), 0.003)
 			return marked.Then("detect("+spec.Label+")",
 				detectOp(cfg.d), 0.002)
 		})
@@ -567,7 +494,7 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	eval.Monotone = monotoneEval
 	l, m, d := p.MarkWindows[0], p.MagDiffs[0], p.Durations[0]
 
-	memo := new(windowMemo)
+	ratios, events := mdf.NewMemo(windowRatios), markMemo()
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Hint is taken by the sort key, so the body finds its setting by
@@ -577,9 +504,9 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 		func(start *mdf.Node, _ mdf.BranchSpec) *mdf.Node {
 			cfg := wts[j]
 			j++
-			return start.Then(cfg.name, maskOp(memo, cfg.w, cfg.t), 0.004)
+			return start.Then(cfg.name, maskOp(ratios, cfg.w, cfg.t), 0.004)
 		})
-	marked := masked.Then("mark", markOp(memo, l, m), 0.003)
+	marked := masked.Then("mark", markOp(events, l, m), 0.003)
 	detected := marked.Then("detect", detectOp(d), 0.002)
 	detected.Then("sink", mdf.Identity("detected"), 0.0001)
 	return b.Build()
