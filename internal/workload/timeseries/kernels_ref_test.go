@@ -224,7 +224,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		// input.
 		mth := thresholds[rng.Intn(len(thresholds))]
 		d := durations[rng.Intn(len(durations))]
-		ratios, events := mdf.NewMemo(windowRatios), markMemo()
+		ratios, events := mdf.NewMemo(windowRatios), markMemo(mdf.NewMemo(windowMeans))
 		for series := 0; series < 2; series++ {
 			pts := awkwardSeries(rng, n)
 			before := fmt.Sprint(pts)
@@ -296,6 +296,41 @@ func TestSiblingMasksShareOneMemo(t *testing.T) {
 	}
 }
 
+// TestPanickingWindowPassLeavesNoEntry: a window pass that panics part-way
+// (an injected fault, a bug) leaves the memo without an entry and unlocked,
+// so the next branch computes the values itself, and the one after reads
+// what it stored.
+func TestPanickingWindowPassLeavesNoEntry(t *testing.T) {
+	var passes atomic.Int32
+	ratios := mdf.NewMemo(func(w int, pts []Point) []float64 {
+		if passes.Add(1) == 1 {
+			panic("part-way")
+		}
+		return windowRatios(w, pts)
+	})
+	pts := awkwardSeries(rand.New(rand.NewSource(7)), 40)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the first window pass did not panic")
+			}
+		}()
+		ratios.Get(3, pts)
+	}()
+	got, want := ratios.Get(3, pts), windowRatios(3, pts)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("ratio %d = %v after a panicking pass, want %v", i, got[i], want[i])
+		}
+	}
+	if again := ratios.Get(3, pts); &again[0] != &got[0] {
+		t.Error("a third branch did not read the ratios the second one stored")
+	}
+	if n := passes.Load(); n != 2 {
+		t.Errorf("%d window passes, want 2: the panicking one and the next", n)
+	}
+}
+
 // TestSiblingMarksShareOneMemo runs the 16 analysis branches of BuildMDF at
 // Defaults() — mark and detect at every (l, m, d) — on goroutines over one
 // memo, on the output of a mask, as the engine's pool runs them on the
@@ -306,7 +341,7 @@ func TestSiblingMarksShareOneMemo(t *testing.T) {
 	p := Defaults()
 	series := dataset.FromSlice("in", awkwardSeries(rand.New(rand.NewSource(40)), 2000), 4, 16)
 	series.SetVirtualBytes(1 << 30)
-	events := markMemo()
+	events := markMemo(mdf.NewMemo(windowMeans))
 	in := apply(t, maskOp(mdf.NewMemo(windowRatios), 2, 1.001), series)
 	type branch struct {
 		l       int
@@ -363,6 +398,57 @@ func TestSiblingMarksShareOneMemo(t *testing.T) {
 	}
 	if len(owners) != 4 {
 		t.Errorf("the 16 branches read %d events slices, want one per (l, m): 4 mark passes", len(owners))
+	}
+}
+
+// TestPanickingMarkPassLeavesNoEntry: a mark pass that panics part-way (here
+// over window means too short for the input) leaves no events entry and the
+// memo unlocked, and keeps the means entry it read; the next branch over the
+// series finds the events itself.
+func TestPanickingMarkPassLeavesNoEntry(t *testing.T) {
+	pts := awkwardSeries(rand.New(rand.NewSource(8)), 40)
+	var meanPasses atomic.Int32
+	means := mdf.NewMemo(func(l int, pts []Point) []float64 {
+		if meanPasses.Add(1) == 1 {
+			return make([]float64, 5)
+		}
+		return windowMeans(l, pts)
+	})
+	events := markMemo(means)
+	s := markSetting{l: 3, magDiff: math.Float64bits(0.5)}
+	panics := func(pts []Point) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		events.Get(s, pts)
+		return false
+	}
+	if !panics(pts) {
+		t.Fatal("a mark pass over too few means did not panic")
+	}
+	if got := means.Get(3, pts); len(got) != 5 || meanPasses.Load() != 1 {
+		t.Fatalf("the means memo answers %d means after %d passes, want the 5 the panicking mark pass stored, from 1 pass",
+			len(got), meanPasses.Load())
+	}
+	// No events entry: the next branch over the same points runs the pass
+	// again, over the same means, and panics again instead of blocking.
+	if !panics(pts) {
+		t.Fatal("a second mark pass returned events: the panicking pass left an entry")
+	}
+	fresh := append([]Point(nil), pts...)
+	want := dataset.Flatten[Event](refMark(dataset.FromSlice("in", fresh, 1, 16), 3, 0.5))
+	if len(want) == 0 {
+		t.Fatal("no events; the series must have some")
+	}
+	got := events.Get(s, fresh)
+	if len(got) != len(want) {
+		t.Fatalf("%d events after a panicking pass, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("event %d = %s after a panicking pass, want %s", i, bits(got[i]), bits(want[i]))
+		}
+	}
+	if again := events.Get(s, fresh); &again[0] != &got[0] {
+		t.Error("the next branch did not read the events the last one stored")
 	}
 }
 
@@ -432,7 +518,7 @@ func BenchmarkMark(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := markOp(markMemo(), 6, 0.5)(in); err != nil {
+		if _, err := markOp(markMemo(mdf.NewMemo(windowMeans)), 6, 0.5)(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -464,7 +550,7 @@ func BenchmarkMarkSiblings(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		events := markMemo()
+		events := markMemo(mdf.NewMemo(windowMeans))
 		for _, l := range p.MarkWindows {
 			for _, m := range p.MagDiffs {
 				for range p.Durations {

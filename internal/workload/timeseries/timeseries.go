@@ -143,10 +143,9 @@ type markSetting struct {
 }
 
 // markMemo returns the memo of mark's events per setting. It computes them
-// from the window means of l, which it reads from a memo of its own, shared
-// by every magDiff of l.
-func markMemo() *mdf.Memo[markSetting, Point, []Event] {
-	means := mdf.NewMemo(windowMeans)
+// from the window means of l, which it reads from means, a memo of
+// windowMeans shared by every magDiff of l.
+func markMemo(means *mdf.Memo[int, Point, []float64]) *mdf.Memo[markSetting, Point, []Event] {
 	return mdf.NewMemo(func(s markSetting, pts []Point) []Event {
 		return markEvents(pts, means.Get(s.l, pts), s.l, math.Float64frombits(s.magDiff))
 	})
@@ -424,7 +423,7 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 
 	maskEval := mdf.RatioEvaluator(p.Rows)
 	maskEval.CostPerMB = 0.0002
-	ratios, events := mdf.NewMemo(windowRatios), markMemo()
+	ratios, events := mdf.NewMemo(windowRatios), markMemo(mdf.NewMemo(windowMeans))
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Scope 1: masking exploration, closed early (Ex. 3.5).
@@ -494,7 +493,7 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	eval.Monotone = monotoneEval
 	l, m, d := p.MarkWindows[0], p.MagDiffs[0], p.Durations[0]
 
-	ratios, events := mdf.NewMemo(windowRatios), markMemo()
+	ratios, events := mdf.NewMemo(windowRatios), markMemo(mdf.NewMemo(windowMeans))
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Hint is taken by the sort key, so the body finds its setting by
