@@ -20,10 +20,9 @@
 //     is the one sanctioned bytes→seconds conversion.
 //   - leakcheck:   paired resource methods stay balanced per package: a
 //     package that calls Allocator.Put must also call Discard somewhere,
-//     every Pin needs an Unpin, and every telemetry SpanBegin needs a
-//     SpanEnd. Pairs are matched on concrete and interface receivers alike
-//     (the engine drives telemetry through the obs.Probe and obs.Auditor
-//     interfaces).
+//     every Pin needs an Unpin, and every Open of a journal or checkpoint
+//     store needs a Close. Pairs are matched on concrete and interface
+//     receivers alike.
 //   - locksafety:  mutexes stay safe: no sync.Mutex/RWMutex held across a
 //     blocking operation (channel ops, select, WaitGroup.Wait, the engine's
 //     Step/Run entry points) and lock/unlock balanced on every path with

@@ -12,8 +12,6 @@ import (
 var leakPairs = []struct{ acquire, release string }{
 	{"Put", "Discard"},
 	{"Pin", "Unpin"},
-	{"SpanBegin", "SpanEnd"},
-	{"IntervalBegin", "IntervalEnd"},
 	// Durable state handles: whoever opens a journal or checkpoint store
 	// must close it somewhere in the same package.
 	{"Open", "Close"},
@@ -31,9 +29,8 @@ var leakPairs = []struct{ acquire, release string }{
 // Matching is type-accurate via go/types method selections: only calls of
 // methods declared on a named type from another package count, and the
 // receiver type must declare both sides of the pair. Interface receivers
-// participate too — the engine acquires telemetry spans through the
-// obs.Auditor interface it asserts off its probe, and intervals through
-// obs.Probe, never a concrete recorder. The declaring package
+// participate too, so a pair reached through an interface's method set is
+// matched on that interface as on a concrete type. The declaring package
 // itself is exempt (the allocator's own tests and helpers legitimately call
 // Put without Discard).
 func checkLeakCheck(pkg *Package, files []*File) []Finding {

@@ -16,18 +16,18 @@ func LeakAgain(b *pool.Buf) {
 	b.Put(2) // want:leakcheck
 }
 
-// LeakSpan opens a span through the interface and never closes one: the
-// pair is declared on pool.Probe's method set, not a concrete type.
-func LeakSpan(p pool.Probe) {
-	_ = p.SpanBegin("stage") // want:leakcheck
+// LeakProbePin pins through the interface and never unpins: the pair is
+// declared on pool.Probe's method set, not a concrete type.
+func LeakProbePin(p pool.Probe) {
+	p.Pin(1) // want:leakcheck
 }
 
-// LeakAuditSpan opens a span through the audit half it asserts off a probe
-// and never closes one: splitting the span methods into an interface of
-// their own does not take them out of the rule.
-func LeakAuditSpan(p pool.Probe) {
+// LeakAuditPin pins through the audit half it asserts off a probe and never
+// unpins: splitting the pair into an interface of its own does not take it
+// out of the rule.
+func LeakAuditPin(p pool.Probe) {
 	if a, ok := p.(pool.Auditor); ok {
-		_ = a.SpanBegin("stage") // want:leakcheck
+		a.Pin(1) // want:leakcheck
 		a.Decision("pick")
 	}
 }

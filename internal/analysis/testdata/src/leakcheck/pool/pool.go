@@ -13,20 +13,20 @@ func (b *Buf) Discard(k int) { b.n-- }
 func (b *Buf) Pin(k int)   { b.n++ }
 func (b *Buf) Unpin(k int) { b.n-- }
 
-// Probe is an interface-typed resource: callers acquire spans through the
-// interface, never a concrete recorder, so leakcheck must match the pair on
-// the interface's method set.
+// Probe is an interface-typed resource: callers pin through the interface,
+// never a concrete type, so leakcheck must match the pair on the
+// interface's method set.
 type Probe interface {
-	SpanBegin(name string) int
-	SpanEnd(id int)
+	Pin(k int)
+	Unpin(k int)
 }
 
 // Auditor is the half of a probe split off into an interface of its own,
 // reached by a type assertion on the probe: it declares both sides of the
-// span pair, so the pair is matched on it as on Probe.
+// pin pair, so the pair is matched on it as on Probe.
 type Auditor interface {
-	SpanBegin(name string) int
-	SpanEnd(id int)
+	Pin(k int)
+	Unpin(k int)
 	Decision(what string)
 }
 

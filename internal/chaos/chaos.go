@@ -179,9 +179,6 @@ type Outcome struct {
 	// ResidentOver lists probe samples where a node's resident bytes
 	// exceeded the budget (empty without a probe).
 	ResidentOver []string
-	// SpanOpens and SpanCloses count probe span begin/end calls (zero
-	// without a probe); an imbalance is a telemetry leak.
-	SpanOpens, SpanCloses int
 	// NegativeSpans counts probe spans the engine reported as ending
 	// before they start.
 	NegativeSpans int
@@ -190,36 +187,20 @@ type Outcome struct {
 	Quarantined int
 }
 
-// countingProbe wraps a Recorder and checks the span calls as the engine
-// makes them, because the Recorder only retains the repaired result: it
-// counts begin/end calls (the span-balance invariant) and the ends reported
-// before their span's start, which the Recorder clamps to the start and so
-// can never show in Spans().
+// countingProbe wraps a Recorder and counts the task spans the engine
+// reports as ending before they start, which the Recorder clamps to the
+// start and so can never show in Spans().
 type countingProbe struct {
 	*obs.Recorder
-	opens, closes int
-	starts        map[obs.SpanID]sim.VTime
-	reversed      int
+	reversed int
 }
 
-// SpanBegin implements obs.Probe.
-func (p *countingProbe) SpanBegin(node int, kind obs.Kind, name string, start sim.VTime) obs.SpanID {
-	p.opens++
-	id := p.Recorder.SpanBegin(node, kind, name, start)
-	if p.starts == nil {
-		p.starts = make(map[obs.SpanID]sim.VTime)
-	}
-	p.starts[id] = start
-	return id
-}
-
-// SpanEnd implements obs.Probe.
-func (p *countingProbe) SpanEnd(id obs.SpanID, end sim.VTime) {
-	p.closes++
-	if start, ok := p.starts[id]; ok && end < start {
+// Span implements obs.Auditor.
+func (p *countingProbe) Span(node int, kind obs.Kind, name string, start, end sim.VTime) {
+	if end < start {
 		p.reversed++
 	}
-	p.Recorder.SpanEnd(id, end)
+	p.Recorder.Span(node, kind, name, start, end)
 }
 
 // checksumOutput digests each output partition's rows.
@@ -240,7 +221,7 @@ func checksumOutput(d *dataset.Dataset) []uint64 {
 
 // runOnce executes the spec's workload with the given fault plan (nil for
 // the golden run) and observes the outcome. When probed is set, a counting
-// recorder is attached so the outcome carries span-balance and per-sample
+// recorder is attached so the outcome carries reversed-span and per-sample
 // residency evidence.
 func runOnce(spec *TrialSpec, plan *faults.Plan, probed bool) *Outcome {
 	out := &Outcome{}
@@ -308,7 +289,6 @@ func runOnce(spec *TrialSpec, plan *faults.Plan, probed bool) *Outcome {
 	out.Accounting = run.AuditAccounting()
 	out.Quarantined = res.Metrics.BranchesQuarantined
 	if probe != nil {
-		out.SpanOpens, out.SpanCloses = probe.opens, probe.closes
 		capacity := float64(spec.MemPerWorker())
 		for _, c := range probe.CounterSamples() {
 			if c.Name == "mem.resident_bytes" && c.Value > capacity {

@@ -96,7 +96,7 @@ func TestOraclesPassOnHealthyPair(t *testing.T) {
 // TestAccountingOracleCatchesInjectedBug corrupts the faulted outcome the
 // way an allocator-accounting bug would surface — the acceptance-criteria
 // test double: resident bytes over budget in the snapshot, a leftover pin,
-// a per-sample breach, and a span imbalance must each be flagged.
+// a per-sample breach and an audit drift must each be flagged.
 func TestAccountingOracleCatchesInjectedBug(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -113,9 +113,6 @@ func TestAccountingOracleCatchesInjectedBug(t *testing.T) {
 		}},
 		{"per-sample breach", func(o *Outcome) {
 			o.ResidentOver = []string{"node 0 resident 2000 bytes > budget 1000 at t=3.000"}
-		}},
-		{"span imbalance", func(o *Outcome) {
-			o.SpanOpens, o.SpanCloses = 10, 9
 		}},
 		{"audit drift", func(o *Outcome) {
 			o.Accounting = []string{"node 0: used=2000 but resident entries sum to 1000"}
@@ -182,15 +179,15 @@ func TestLineageAndVTimeOracles(t *testing.T) {
 // probe has to count it from the calls themselves.
 func TestReversedSpanReachesVTimeOracle(t *testing.T) {
 	probe := &countingProbe{Recorder: obs.NewRecorder()}
-	probe.SpanEnd(probe.SpanBegin(0, obs.KindStage, "healthy", 1), 2)
-	probe.SpanEnd(probe.SpanBegin(0, obs.KindStage, "reversed", 5), 3)
+	probe.Span(0, obs.KindStage, "healthy", 1, 2)
+	probe.Span(0, obs.KindStage, "reversed", 5, 3)
 	for _, s := range probe.Spans() {
 		if s.End < s.Start {
 			t.Fatalf("recorder retained a reversed span %+v; the probe-side count is redundant", s)
 		}
 	}
-	if probe.opens != 2 || probe.closes != 2 || probe.reversed != 1 {
-		t.Fatalf("opens, closes, reversed = %d, %d, %d; want 2, 2, 1", probe.opens, probe.closes, probe.reversed)
+	if probe.reversed != 1 {
+		t.Fatalf("reversed = %d, want 1", probe.reversed)
 	}
 	faulted := passingOutcome(11)
 	faulted.NegativeSpans = probe.reversed

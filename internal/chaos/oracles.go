@@ -25,8 +25,8 @@ const (
 	OracleLineage = "lineage"
 	// OracleAccounting fires on allocator-accounting violations: resident
 	// bytes exceeding the budget (per sample or at end), used/resident
-	// drift, unbalanced pins, or unbalanced telemetry spans — all checked
-	// through the mdf.metrics/v1 snapshot and the probe stream.
+	// drift or unbalanced pins — all checked through the mdf.metrics/v1
+	// snapshot and the probe stream.
 	OracleAccounting = "accounting"
 	// OracleVTime fires on virtual-time violations: a non-positive
 	// completion or a span ending before it starts.
@@ -175,10 +175,10 @@ func checkEquivalence(golden, faulted *Outcome, report func(string, string, ...a
 	}
 }
 
-// checkAccounting audits allocator bookkeeping and telemetry balance on
-// both runs, partly through the mdf.metrics/v1 snapshot (pinned partitions,
-// peak residency) and partly through the engine's self-audit and the probe
-// stream (per-sample residency, span balance).
+// checkAccounting audits allocator bookkeeping on both runs, partly through
+// the mdf.metrics/v1 snapshot (pinned partitions, peak residency) and partly
+// through the engine's self-audit and the probe stream (per-sample
+// residency).
 func checkAccounting(golden, faulted *Outcome, report func(string, string, ...any)) {
 	for _, v := range golden.Accounting {
 		report(OracleAccounting, "golden: %s", v)
@@ -206,9 +206,6 @@ func checkAccounting(golden, faulted *Outcome, report func(string, string, ...an
 	}
 	for _, v := range faulted.ResidentOver {
 		report(OracleAccounting, "faulted: %s", v)
-	}
-	if faulted.SpanOpens != faulted.SpanCloses {
-		report(OracleAccounting, "faulted: %d spans opened but %d closed", faulted.SpanOpens, faulted.SpanCloses)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 func outcomeBytes(t *testing.T, o *Outcome) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "err=%v completion=%v selections=%v checksums=%v lineage=%v accounting=%v over=%v spans=%d/%d/%d quarantined=%d\n",
+	fmt.Fprintf(&buf, "err=%v completion=%v selections=%v checksums=%v lineage=%v accounting=%v over=%v reversed=%d quarantined=%d\n",
 		o.Err, o.Completion, o.Selections, o.Checksums, o.Lineage, o.Accounting,
-		o.ResidentOver, o.SpanOpens, o.SpanCloses, o.NegativeSpans, o.Quarantined)
+		o.ResidentOver, o.NegativeSpans, o.Quarantined)
 	if o.Snapshot != nil {
 		if err := o.Snapshot.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

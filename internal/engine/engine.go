@@ -277,14 +277,11 @@ type reserver interface {
 	Reserve(stages, nodes int)
 }
 
-// span records one closed telemetry span; the immediate SpanBegin/SpanEnd
-// pairing keeps the probe's acquire/release balance trivially intact.
+// span records one closed telemetry span.
 func (r *Run) span(node int, kind obs.Kind, name string, start, end sim.VTime) {
-	if r.audit == nil {
-		return
+	if r.audit != nil {
+		r.audit.Span(node, kind, name, start, end)
 	}
-	id := r.audit.SpanBegin(node, kind, name, start)
-	r.audit.SpanEnd(id, end)
 }
 
 // stageSpan records a master-side span named after a stage. The label is
@@ -565,9 +562,16 @@ func (r *Run) Step() bool {
 // fail ends the run with err; Step returns its false.
 func (r *Run) fail(err error) bool {
 	r.err = err
+	r.stop()
+	return false
+}
+
+// stop marks the run over, joins the goroutines computing ahead and reports
+// the branches' lifetimes.
+func (r *Run) stop() {
 	r.done = true
 	r.joinAhead()
-	return false
+	r.reportBranchIntervals()
 }
 
 // execGuarded dispatches the stage to its executor under recover(): a panic
@@ -633,11 +637,10 @@ func Execute(g *graph.Graph, opts Options) (*Result, error) {
 	return run.RunToCompletion()
 }
 
-// finish ends a run whose stages have all settled: it joins the goroutines
-// computing ahead and takes the output from the sink stages, unboxed.
+// finish ends a run whose stages have all settled: it stops the run and
+// takes the output from the sink stages, unboxed.
 func (r *Run) finish() {
-	r.done = true
-	r.joinAhead()
+	r.stop()
 	// The output is the dataset of the sink stage(s); with several sinks,
 	// their outputs are concatenated.
 	var outs []*dataset.Dataset

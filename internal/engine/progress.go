@@ -18,9 +18,10 @@ import (
 // time-series layer as the run executes —
 // per-branch stage latency and completion fraction, partial evaluator
 // scores the moment a branch is scored, scheduler rank churn, and a
-// lifetime interval per branch. Everything is emitted at scheduling
-// boundaries in the engine's deterministic order, so the resulting
-// mdf.series/v1 document is byte-identical across same-seed runs.
+// lifetime interval per branch, reported where the run ends. Everything is
+// emitted at scheduling boundaries in the engine's deterministic order, so
+// the resulting mdf.series/v1 document is byte-identical across same-seed
+// runs.
 
 // Branch states reported by Progress.
 const (
@@ -85,11 +86,12 @@ type branchRun struct {
 
 // branchTelemetry is what a probed run keeps per branch: the names of its
 // four series ("<series>.s<scope>.b<branch>"), substrings of the run's two
-// name blocks (nameBranchSeries), and its lifetime interval once ivOpen.
+// name blocks (nameBranchSeries), and its lifetime [start, end] once open,
+// reported when the run ends.
 type branchTelemetry struct {
 	latency, progress, score, active string
-	iv                               obs.SpanID
-	ivOpen                           bool
+	start, end                       sim.VTime
+	open                             bool
 }
 
 // The series a probed run keeps per branch, each name followed by the
@@ -314,21 +316,33 @@ func (r *Run) observeScore(chooseSt *graph.Stage, branch int, t sim.VTime, score
 // beginBranchInterval opens the branch's lifetime interval on its first
 // settled stage; repeated calls are no-ops.
 func (r *Run) beginBranchInterval(br *branchRun, t sim.VTime) {
-	if r.probe == nil || br.tele.ivOpen {
+	if r.probe == nil || br.tele.open {
 		return
 	}
-	br.tele.iv = r.probe.IntervalBegin(obs.NodeMaster, br.tele.active, t)
-	br.tele.ivOpen = true
+	br.tele.start, br.tele.end, br.tele.open = t, t, true
 }
 
 // endBranchInterval closes the branch's lifetime interval. Closing is
 // idempotent — later closers (a score after the last stage, a quarantine
-// after a prune) extend the recorded end instead of re-opening.
+// after a prune) only raise the end.
 func (r *Run) endBranchInterval(br *branchRun, t sim.VTime) {
-	if r.probe == nil || !br.tele.ivOpen {
+	if r.probe == nil || !br.tele.open {
 		return
 	}
-	r.probe.IntervalEnd(br.tele.iv, t)
+	br.tele.end = max(br.tele.end, t)
+}
+
+// reportBranchIntervals hands the probe the lifetime of every branch that
+// began, in branch order. The run calls it once, where it ends.
+func (r *Run) reportBranchIntervals() {
+	if r.probe == nil {
+		return
+	}
+	for i := range r.branches {
+		if tele := r.branches[i].tele; tele.open {
+			r.probe.Interval(obs.NodeMaster, tele.active, tele.start, tele.end)
+		}
+	}
 }
 
 // observeRank streams the scheduler's candidate-rank churn: how many stages

@@ -2,6 +2,9 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"metadataflow/internal/engine"
@@ -135,4 +138,80 @@ func TestSeriesArtifactDeterministic(t *testing.T) {
 		}
 	}
 
+}
+
+// TestCanceledRunReportsBegunLifetimes cancels a recorded run through
+// Options.Context after every number of steps short of its end: the series
+// document then holds one lifetime (a start count of 1 and one duration) for
+// exactly the branches that had begun, reported where the run fails as a
+// finished run reports them where it finishes.
+func TestCanceledRunReportsBegunLifetimes(t *testing.T) {
+	plan, err := graph.BuildPlan(buildFilterMDF(t, mdf.Max(), mdf.SizeEvaluator()))
+	if err != nil {
+		t.Fatalf("BuildPlan: %v", err)
+	}
+	partial := false
+	for steps := 0; ; steps++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		rec := obs.NewRecorder()
+		run, err := engine.NewRun(plan, engine.Options{
+			Cluster:     testCluster(1 << 30),
+			Policy:      memorymgr.AMM,
+			Scheduler:   scheduler.BAS(nil),
+			Incremental: true,
+			Probe:       rec,
+			Context:     ctx,
+		}, 0)
+		if err != nil {
+			t.Fatalf("NewRun: %v", err)
+		}
+		finished := false
+		for i := 0; i < steps && !finished; i++ {
+			finished = !run.Step()
+		}
+		cancel()
+		if finished {
+			if steps < 2 {
+				t.Fatalf("run finished within %d steps", steps)
+			}
+			break
+		}
+		if run.Step() || run.Err() == nil {
+			t.Fatalf("after %d steps: the canceled run did not fail", steps)
+		}
+
+		want := map[string]bool{}
+		branches := progress(run).Branches
+		for _, bp := range branches {
+			if bp.State != engine.BranchPending {
+				want[fmt.Sprintf("engine.branch_active.s%d.b%d", bp.Scope, bp.Branch)] = true
+			}
+		}
+		partial = partial || (len(want) > 0 && len(want) < len(branches))
+		starts, durations := map[string]float64{}, map[string]int64{}
+		for _, s := range rec.Series(obs.DefaultBucketSec).Series {
+			name, _ := strings.CutSuffix(s.Name, ".duration")
+			if !strings.HasPrefix(name, "engine.branch_active.") {
+				continue
+			}
+			if !want[name] {
+				t.Errorf("after %d steps: series %s of a branch that had not begun", steps, s.Name)
+			}
+			for _, p := range s.Points {
+				starts[name] += p.Value
+			}
+			for _, h := range s.Hist {
+				durations[name] += h.Count
+			}
+		}
+		for name := range want {
+			if starts[name] != 1 || durations[name] != 1 {
+				t.Errorf("after %d steps: %s starts %v times with %d durations, want 1 and 1",
+					steps, name, starts[name], durations[name])
+			}
+		}
+	}
+	if !partial {
+		t.Error("no cancellation left some branches begun and others not")
+	}
 }

@@ -3,7 +3,6 @@ package memorymgr
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"metadataflow/internal/obs"
 	"metadataflow/internal/sim"
@@ -35,10 +34,11 @@ func (e *QuotaError) Error() string {
 }
 
 // TenantQuotas tracks memory reservations per tenant against a uniform
-// per-tenant quota. It is safe for concurrent use; all accounting is in
-// sim.Bytes of simulated cluster memory, never host memory.
+// per-tenant quota; all accounting is in sim.Bytes of simulated cluster
+// memory, never host memory. It takes no lock: code that shares it across
+// goroutines orders every call itself, as the service does with the server
+// lock that also guards the recorder the quota's probe writes into.
 type TenantQuotas struct {
-	mu       sync.Mutex
 	quota    sim.Bytes
 	reserved map[string]sim.Bytes
 	peak     map[string]sim.Bytes
@@ -71,13 +71,11 @@ func NewTenantQuotas(perTenant sim.Bytes) *TenantQuotas {
 // second per accounting event), which is deterministic for a fixed
 // submission sequence. nil detaches the probe.
 func (q *TenantQuotas) SetProbe(p obs.Probe) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.probe = p
 }
 
-// emitLocked samples the tenant's quota series. Callers hold q.mu.
-func (q *TenantQuotas) emitLocked(tenant string) {
+// emit samples the tenant's quota series.
+func (q *TenantQuotas) emit(tenant string) {
 	if q.probe == nil {
 		return
 	}
@@ -91,8 +89,6 @@ func (q *TenantQuotas) emitLocked(tenant string) {
 // when the claim would exceed it. A successful Reserve must be paired with
 // exactly one Release when the job completes, fails or is canceled.
 func (q *TenantQuotas) Reserve(tenant string, bytes sim.Bytes) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if bytes < 0 {
 		return fmt.Errorf("memorymgr: negative reservation %d for tenant %q", bytes, tenant)
 	}
@@ -103,7 +99,7 @@ func (q *TenantQuotas) Reserve(tenant string, bytes sim.Bytes) error {
 	if q.reserved[tenant] > q.peak[tenant] {
 		q.peak[tenant] = q.reserved[tenant]
 	}
-	q.emitLocked(tenant)
+	q.emit(tenant)
 	return nil
 }
 
@@ -111,8 +107,6 @@ func (q *TenantQuotas) Reserve(tenant string, bytes sim.Bytes) error {
 // is reserved clamps to zero instead of going negative, so a double release
 // cannot mint quota.
 func (q *TenantQuotas) Release(tenant string, bytes sim.Bytes) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if bytes > q.reserved[tenant] {
 		bytes = q.reserved[tenant]
 	}
@@ -120,28 +114,22 @@ func (q *TenantQuotas) Release(tenant string, bytes sim.Bytes) {
 	if q.reserved[tenant] == 0 {
 		delete(q.reserved, tenant)
 	}
-	q.emitLocked(tenant)
+	q.emit(tenant)
 }
 
 // Reserved returns the tenant's current reservation.
 func (q *TenantQuotas) Reserved(tenant string) sim.Bytes {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return q.reserved[tenant]
 }
 
 // Peak returns the tenant's reservation high-water mark.
 func (q *TenantQuotas) Peak(tenant string) sim.Bytes {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	return q.peak[tenant]
 }
 
 // Tenants returns every tenant that ever held a reservation, sorted, so
 // snapshot emission iterates in a deterministic order.
 func (q *TenantQuotas) Tenants() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	out := make([]string, 0, len(q.peak))
 	for t := range q.peak {
 		out = append(out, t)

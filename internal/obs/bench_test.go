@@ -47,7 +47,7 @@ func emitJob(p Probe, n *jobNames, cands []Candidate) {
 	res, _ := p.(interface {
 		ResourceBusy(node int, resource string, start, end sim.VTime)
 	})
-	var open [12]SpanID
+	var start, end [12]sim.VTime
 	for s := 0; s < jobStages; s++ {
 		t := sim.VTime(s) * 1.75
 		branch := s % 12
@@ -74,8 +74,7 @@ func emitJob(p Probe, n *jobNames, cands []Candidate) {
 			}
 			p.Counter(node, "mem.resident_bytes", t+1.4, float64(s<<20))
 			if a != nil {
-				id := a.SpanBegin(node, KindStage, n.stage[s], t)
-				a.SpanEnd(id, t+1.5)
+				a.Span(node, KindStage, n.stage[s], t, t+1.5)
 			}
 		}
 		if a != nil {
@@ -83,7 +82,7 @@ func emitJob(p Probe, n *jobNames, cands []Candidate) {
 		}
 		p.SeriesObserve(NodeMaster, n.latency[branch], t+1.5, 1.5)
 		if s < 12 {
-			open[branch] = p.IntervalBegin(NodeMaster, n.active[branch], t)
+			start[branch], end[branch] = t, t
 		}
 		p.SeriesSet(NodeMaster, n.progress[branch], t+1.5, float64(s/12+1)/4)
 		if s%4 == 3 {
@@ -93,12 +92,11 @@ func emitJob(p Probe, n *jobNames, cands []Candidate) {
 					res.ResourceBusy(node, "cpu", t+1.5, t+1.6)
 				}
 				if a != nil {
-					id := a.SpanBegin(node, KindEval, n.stage[s], t+1.5)
-					a.SpanEnd(id, t+1.6)
+					a.Span(node, KindEval, n.stage[s], t+1.5, t+1.6)
 				}
 			}
 			p.SeriesSet(NodeMaster, n.score[branch], t+1.6, float64(s))
-			p.IntervalEnd(open[branch], t+1.6)
+			end[branch] = t + 1.6
 		}
 		if s%10 == 9 && a != nil {
 			// Memory pressure: an eviction names its victim.
@@ -107,6 +105,10 @@ func emitJob(p Probe, n *jobNames, cands []Candidate) {
 				Subject: a.Label(int64(1000+s-3), s%jobNodes), Detail: "policy=amm",
 			})
 		}
+	}
+	// Each branch's lifetime is reported once, where the job ends.
+	for branch := range start {
+		p.Interval(NodeMaster, n.active[branch], start[branch], end[branch])
 	}
 }
 

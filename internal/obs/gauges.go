@@ -78,11 +78,8 @@ func (g *GaugeProbe) SeriesAdd(int, string, sim.VTime, float64) {}
 // SeriesObserve implements Probe; a histogram series is no gauge.
 func (g *GaugeProbe) SeriesObserve(int, string, sim.VTime, float64) {}
 
-// IntervalBegin implements Probe; an interval feeds no gauge.
-func (g *GaugeProbe) IntervalBegin(int, string, sim.VTime) SpanID { return 0 }
-
-// IntervalEnd implements Probe.
-func (g *GaugeProbe) IntervalEnd(SpanID, sim.VTime) {}
+// Interval implements Probe; an interval feeds no gauge.
+func (g *GaugeProbe) Interval(int, string, sim.VTime, sim.VTime) {}
 
 // Buckets returns the master node's gauges in ascending bucket order, one
 // value map per populated bucket. The buckets and their maps are the probe's

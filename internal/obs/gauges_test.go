@@ -98,12 +98,11 @@ func TestNodeGaugesMatchSeries(t *testing.T) {
 				}
 			case 6:
 				start := when()
-				id := r.SpanBegin(node, KindStage, name, start)
-				r.SpanEnd(id, start+sim.VTime(rng.Uniform(0, 5)))
+				r.Span(node, KindStage, name, start, start+sim.VTime(rng.Uniform(0, 5)))
 			case 7:
 				start := when()
 				end := start + sim.VTime(rng.Uniform(0, 20))
-				each(func(p Probe) { p.IntervalEnd(p.IntervalBegin(node, name, start), end) })
+				each(func(p Probe) { p.Interval(node, name, start, end) })
 			}
 		}
 		for i, w := range widths {

@@ -64,9 +64,6 @@ const (
 // choose selections, and the scheduler queue-depth counter.
 const NodeMaster = -1
 
-// SpanID identifies a span begun on a Probe, to be closed with SpanEnd.
-type SpanID int
-
 // Probe is the telemetry interface the runtime components report into:
 // counter tracks and the series layer, reports whose arguments the caller
 // already holds. Implementations must tolerate events arriving in
@@ -85,13 +82,9 @@ type Probe interface {
 	// SeriesObserve adds one observation to a per-bucket log-bucketed
 	// (HDR-style) histogram series.
 	SeriesObserve(node int, name string, t sim.VTime, value float64)
-	// IntervalBegin opens a named interval (a branch lifetime, a recovery
-	// window) and returns its ID. Every IntervalBegin must be paired with an
-	// IntervalEnd (the mdf lint leakcheck rule enforces the balance per
-	// package, like SpanBegin/SpanEnd).
-	IntervalBegin(node int, name string, start sim.VTime) SpanID
-	// IntervalEnd closes an interval begun earlier.
-	IntervalEnd(id SpanID, end sim.VTime)
+	// Interval reports one closed named interval (a branch lifetime, a
+	// recovery window); an end before start is taken as start.
+	Interval(node int, name string, start, end sim.VTime)
 }
 
 // Auditor is the audit half of a probe: task spans, the decision audit log
@@ -101,12 +94,9 @@ type Probe interface {
 // its Probe to an Auditor once and builds them only for a probe that has
 // this half. Recorder has it; GaugeProbe does not.
 type Auditor interface {
-	// SpanBegin opens a task span on a node track and returns its ID.
-	SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID
-	// SpanEnd closes a span begun earlier. Every SpanBegin must be paired
-	// with a SpanEnd (the mdf lint leakcheck rule enforces the balance per
-	// package, like Pin/Unpin).
-	SpanEnd(id SpanID, end sim.VTime)
+	// Span reports one closed task span on a node track; an end before
+	// start is taken as start.
+	Span(node int, kind Kind, name string, start, end sim.VTime)
 	// Decision appends one entry to the decision audit log. A probe that
 	// retains the entry copies d.Candidates: the slice stays the caller's.
 	Decision(d Decision)
@@ -256,18 +246,9 @@ func (r *Recorder) Reserve(stages, nodes int) {
 	r.aliases = slices.Grow(r.aliases, stages)
 }
 
-// SpanBegin implements Auditor.
-func (r *Recorder) SpanBegin(node int, kind Kind, name string, start sim.VTime) SpanID {
-	id := SpanID(len(r.spans))
-	r.spans = append(r.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: start})
-	return id
-}
-
-// SpanEnd implements Auditor.
-func (r *Recorder) SpanEnd(id SpanID, end sim.VTime) {
-	if int(id) >= 0 && int(id) < len(r.spans) && end > r.spans[id].End {
-		r.spans[id].End = end
-	}
+// Span implements Auditor.
+func (r *Recorder) Span(node int, kind Kind, name string, start, end sim.VTime) {
+	r.spans = append(r.spans, Span{Node: node, Kind: kind, Name: name, Start: start, End: max(start, end)})
 }
 
 // Counter implements Probe.
@@ -339,25 +320,16 @@ func (r *Recorder) SeriesObserve(node int, name string, t sim.VTime, value float
 	r.sample(node, name, opObserve, t, value)
 }
 
-// IntervalBegin implements Probe.
-func (r *Recorder) IntervalBegin(node int, name string, start sim.VTime) SpanID {
-	id := SpanID(len(r.intervals))
-	r.intervals = append(r.intervals, Interval{Node: node, Name: name, Start: start, End: start})
-	return id
-}
-
-// IntervalEnd implements Probe.
-func (r *Recorder) IntervalEnd(id SpanID, end sim.VTime) {
-	if int(id) >= 0 && int(id) < len(r.intervals) && end > r.intervals[id].End {
-		r.intervals[id].End = end
-	}
+// Interval implements Probe.
+func (r *Recorder) Interval(node int, name string, start, end sim.VTime) {
+	r.intervals = append(r.intervals, Interval{Node: node, Name: name, Start: start, End: max(start, end)})
 }
 
 // ResourceBusy implements the cluster's resource Observer: each occupation
 // of a node's CPU, disk or network timeline becomes a span on that node's
-// matching resource track — a span begun and ended in one append.
+// matching resource track.
 func (r *Recorder) ResourceBusy(node int, resource string, start, end sim.VTime) {
-	r.spans = append(r.spans, Span{Node: node, Kind: Kind(resource), Name: resource, Start: start, End: max(start, end)})
+	r.Span(node, Kind(resource), resource, start, end)
 }
 
 // Spans returns a copy of the recorded spans in call order.

@@ -12,14 +12,13 @@ import (
 
 func TestRecorderSpansAndAliases(t *testing.T) {
 	r := NewRecorder()
-	id := r.SpanBegin(0, KindStage, "load", 1)
-	r.SpanEnd(id, 3)
-	id2 := r.SpanBegin(NodeMaster, KindChoose, "pick", 5)
-	r.SpanEnd(id2, 5) // instant: end == start
+	r.Span(0, KindStage, "load", 1, 3)
+	r.Span(NodeMaster, KindChoose, "pick", 5, 5) // instant: end == start
+	r.Span(0, KindStage, "reversed", 4, 2)       // an end before start is taken as start
 
 	spans := r.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans, want 3", len(spans))
 	}
 	if spans[0].Node != 0 || spans[0].Start != 1 || spans[0].End != 3 {
 		t.Errorf("span 0 = %+v", spans[0])
@@ -27,13 +26,8 @@ func TestRecorderSpansAndAliases(t *testing.T) {
 	if spans[1].End != spans[1].Start {
 		t.Errorf("instant span widened: %+v", spans[1])
 	}
-
-	// SpanEnd never narrows a span and tolerates bogus ids.
-	r.SpanEnd(id, 2)
-	r.SpanEnd(SpanID(99), 10)
-	r.SpanEnd(SpanID(-1), 10)
-	if got := r.Spans()[0].End; got != 3 {
-		t.Errorf("SpanEnd narrowed span to %v", got)
+	if spans[2].Start != 4 || spans[2].End != 4 {
+		t.Errorf("reversed span = %+v, want [4, 4]", spans[2])
 	}
 
 	// Aliases follow registration order, not raw IDs, and re-registration
@@ -70,14 +64,10 @@ func TestResourceBusyBecomesSpan(t *testing.T) {
 
 func TestWriteChromeTraceMultiTrack(t *testing.T) {
 	r := NewRecorder()
-	id := r.SpanBegin(0, KindStage, "map", 0)
-	r.SpanEnd(id, 2)
-	id = r.SpanBegin(1, KindStage, "map", 0)
-	r.SpanEnd(id, 3)
-	id = r.SpanBegin(1, KindEval, "eval[b0]", 3)
-	r.SpanEnd(id, 4)
-	id = r.SpanBegin(NodeMaster, KindChoose, "choose", 4)
-	r.SpanEnd(id, 4)
+	r.Span(0, KindStage, "map", 0, 2)
+	r.Span(1, KindStage, "map", 0, 3)
+	r.Span(1, KindEval, "eval[b0]", 3, 4)
+	r.Span(NodeMaster, KindChoose, "choose", 4, 4)
 	r.Counter(1, "mem.resident_bytes", 2, 4096)
 	r.Counter(NodeMaster, "sched.queue_depth", 0, 3)
 
@@ -246,9 +236,7 @@ func TestWriteDecisions(t *testing.T) {
 // never heard of, a stage split over two nodes, and resource spans.
 func timelineRecorder() *Recorder {
 	r := NewRecorder()
-	add := func(node int, kind Kind, name string, start, end sim.VTime) {
-		r.SpanEnd(r.SpanBegin(node, kind, name, start), end)
-	}
+	add := r.Span
 	add(1, KindStage, "s0 load", 2, 10)
 	add(0, KindStage, "s0 load", 0, 8)
 	add(0, KindEval, "s1 choose[b0]", 10, 14.5)
@@ -387,15 +375,15 @@ func TestRecorderContract(t *testing.T) {
 			base := sim.VTime(step * 10)
 			r.RegisterDataset(int64(step), "d")
 			r.ResourceBusy(0, "cpu", base+1, base+2)
-			r.SpanEnd(r.SpanBegin(NodeMaster, KindStage, "T1", base+2), base+3)
+			r.Span(NodeMaster, KindStage, "T1", base+2, base+3)
 			r.Counter(1, "mem.resident_bytes", base+3, float64(step))
 			r.ResourceBusy(1, "disk", base+3, base+2)
-			r.SpanEnd(r.SpanBegin(1, KindEval, "T2[b0]", base+4), base+3.5)
+			r.Span(1, KindEval, "T2[b0]", base+4, base+3.5)
 			r.SeriesAdd(NodeMaster, "sched.rank_churn", base+4, 1)
 			r.SeriesSet(NodeMaster, "progress", base+4, 0.5)
 			r.SeriesObserve(NodeMaster, "latency", base+4, 2)
-			r.IntervalEnd(r.IntervalBegin(NodeMaster, "active", base+4), base+5)
-			r.IntervalEnd(r.IntervalBegin(0, "recovery", base+6), base+5)
+			r.Interval(NodeMaster, "active", base+4, base+5)
+			r.Interval(0, "recovery", base+6, base+5)
 			cands = append(cands[:0],
 				Candidate{Label: r.Label(int64(step), 0), Score: 1, Chosen: true},
 				Candidate{Label: "x", Score: float64(step)})

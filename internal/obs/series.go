@@ -15,7 +15,7 @@ import (
 // This file defines the deterministic time-series layer: virtual-time-
 // bucketed counters, gauges and log-bucketed (HDR-style) histograms,
 // reported through the Probe series methods (SeriesAdd, SeriesSet,
-// SeriesObserve, IntervalBegin/IntervalEnd) and materialised by
+// SeriesObserve, Interval) and materialised by
 // Recorder.Series into a schema-stable mdf.series/v1 document.
 //
 // Determinism contract: bucket indices are floor(t / bucket_sec) over
@@ -149,8 +149,8 @@ type seriesSample struct {
 	v    float64
 }
 
-// Interval is one closed named interval reported through
-// IntervalBegin/IntervalEnd (a branch lifetime, a drain window).
+// Interval is one closed named interval reported through Probe.Interval (a
+// branch lifetime, a drain window).
 type Interval struct {
 	// Node is the worker index, or NodeMaster.
 	Node int

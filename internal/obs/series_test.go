@@ -36,11 +36,9 @@ func recordFixture(r *Recorder) {
 	r.SeriesSet(NodeMaster, "engine.branch_score.b0", 18, 0.9) // same bucket: last wins
 	r.SeriesObserve(0, "stage_latency", 3, 8)                  // exact power of two
 	r.SeriesObserve(0, "stage_latency", 4, 0.3)
-	id := r.IntervalBegin(NodeMaster, "branch_active", 0)
-	r.IntervalEnd(id, 25)
+	r.Interval(NodeMaster, "branch_active", 0, 25)
 	r.Counter(1, "mem.resident_bytes", 9, 4096)
-	sp := r.SpanBegin(0, KindStage, "T1", 0)
-	r.SpanEnd(sp, 12)
+	r.Span(0, KindStage, "T1", 0, 12)
 	r.ResourceBusy(0, "cpu", 5, 25)
 }
 

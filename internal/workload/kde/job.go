@@ -199,7 +199,11 @@ func fitMemo(p Params) *mdf.Memo[float64, float64, fit] {
 func estimateOp(fits *mdf.Memo[float64, float64, fit], pre float64, k Kernel, h float64, name string) graph.TransformFunc {
 	return mdf.WholeDataset(name,
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
-			f := fits.Get(pre, dataset.Flatten[float64](in))
+			xs := dataset.Flatten[float64](in)
+			if len(xs) == 0 {
+				return nil, fmt.Errorf("kde: empty input")
+			}
+			f := fits.Get(pre, xs)
 			est := Estimator{Kernel: k, Bandwidth: h, Samples: f.train, order: f.order}
 			rows := make([]float64, len(f.holdout))
 			for i, x := range f.holdout {

@@ -3,6 +3,7 @@ package kde_test
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"metadataflow/internal/baseline"
@@ -139,6 +140,35 @@ func TestScopedMDFPrunesAggressiveOutlierBranch(t *testing.T) {
 	}
 	if res.Output == nil || res.Output.NumRows() == 0 {
 		t.Fatal("scoped job produced no output")
+	}
+}
+
+// TestScopedMDFEmptyInputFails closes the outlier scope with a bound no
+// branch meets, so the choose keeps nothing and every estimate reads an
+// empty input: the run fails with the error normalize and standardize give
+// for one, not with a quarantine per estimate branch.
+func TestScopedMDFEmptyInputFails(t *testing.T) {
+	p := kde.DefaultScoped()
+	p.Rows = 2000
+	p.Partitions = 4
+	p.VirtualBytes = 1 << 28
+	p.FitSample = 150
+	p.MaxRemovedFraction = 1e-9
+	g, err := kde.BuildScopedMDF(p)
+	if err != nil {
+		t.Fatalf("BuildScopedMDF: %v", err)
+	}
+	res, err := engine.Execute(g, engine.Options{
+		Cluster:   testCluster(),
+		Policy:    memorymgr.AMM,
+		Scheduler: scheduler.BAS(scheduler.SortedHint(true)),
+	})
+	if err == nil || !strings.Contains(err.Error(), "kde: empty input") {
+		var quarantined int
+		if res != nil {
+			quarantined = res.Metrics.BranchesQuarantined
+		}
+		t.Fatalf("Execute: err = %v (%d branches quarantined), want kde: empty input", err, quarantined)
 	}
 }
 
