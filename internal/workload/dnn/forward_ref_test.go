@@ -72,18 +72,20 @@ func TestForwardMatchesScalar(t *testing.T) {
 
 // TestTrainingChecksum pins what TrainEpoch and Accuracy compute through
 // forward: the loss of two epochs, the accuracy and every weight, bit for
-// bit, as the scalar forward pass produced them (the checksums were taken
-// from it).
+// bit, as the scalar forward pass and the per-neuron update loops produced
+// them (the checksums were taken from them). The 13 × 5 shape gives every
+// W1 row a tail past a multiple of four values.
 func TestTrainingChecksum(t *testing.T) {
 	for _, tc := range []struct {
-		hidden int
-		want   string
+		in, hidden int
+		want       string
 	}{
-		{24, "loss=3fed8f92e96ce35a,3fc332d3db0bffd9 acc=3feeeeeeeeeeeeef weights=ebfc8f7932753952"},
-		{7, "loss=3ff73c3a6657ff9a,3fe30ad2941995df acc=3fed555555555555 weights=4f911b905300e928"},
+		{16, 24, "loss=3fed8f92e96ce35a,3fc332d3db0bffd9 acc=3feeeeeeeeeeeeef weights=ebfc8f7932753952"},
+		{16, 7, "loss=3ff73c3a6657ff9a,3fe30ad2941995df acc=3fed555555555555 weights=4f911b905300e928"},
+		{13, 5, "loss=3ffc2dcc937e1f1b,3fef15f0c83812ed acc=3fe999999999999a weights=465cf889c001dda5"},
 	} {
-		examples := GenerateExamples(260, 16, 10, 0.8, 11)
-		m := NewModel(16, tc.hidden, 10, Init{Kind: InitUniform, A: 0.1}, 5)
+		examples := GenerateExamples(260, tc.in, 10, 0.8, 11)
+		m := NewModel(tc.in, tc.hidden, 10, Init{Kind: InitUniform, A: 0.1}, 5)
 		l1 := m.TrainEpoch(examples[:200], 0.01, 0.9)
 		l2 := m.TrainEpoch(examples[:200], 0.005, 0.5)
 		acc := m.Accuracy(examples[200:])
@@ -96,7 +98,7 @@ func TestTrainingChecksum(t *testing.T) {
 		got := fmt.Sprintf("loss=%016x,%016x acc=%016x weights=%016x",
 			math.Float64bits(l1), math.Float64bits(l2), math.Float64bits(acc), h.Sum64())
 		if got != tc.want {
-			t.Errorf("hidden=%d: %s, want %s", tc.hidden, got, tc.want)
+			t.Errorf("in=%d hidden=%d: %s, want %s", tc.in, tc.hidden, got, tc.want)
 		}
 	}
 }
