@@ -9,7 +9,7 @@ help:
 	@echo "mdf targets:"
 	@echo "  build             compile everything"
 	@echo "  test              go test ./..."
-	@echo "  vet               go vet ./..., and fail on any file gofmt -l lists"
+	@echo "  vet               go vet ./... for this platform and for arm64, and fail on any file gofmt -l lists"
 	@echo "  lint              mdf lint: the eight determinism, unit and concurrency rules (mdf lint -list; exits nonzero on findings)"
 	@echo "  specvet           mdf plan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
@@ -26,9 +26,12 @@ build:
 	$(GO) build ./...
 
 # vet also fails when gofmt would reformat a file (fixtures under testdata
-# included), naming the files.
+# included), naming the files. The second vet compiles the tree for arm64,
+# so that the files built off amd64 (the plain-Go kernels beside an _amd64.s)
+# are checked too.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # lint runs `mdf lint`, the repo's determinism, unit-discipline and
@@ -137,8 +140,10 @@ crash-short: build
 # full loop, BenchmarkMarkSiblings the 16 analysis branches of a time series
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
 # the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at
-# 1, 4 and 16 ops per item, BenchmarkServiceJob/new a document the service
-# has not seen and /repeat one its vet memo holds the plan of). Part of ci.
+# 1, 4 and 16 ops per item, BenchmarkTrainEpoch one dnn training epoch
+# through the row kernels (one allocation), BenchmarkServiceJob/new a
+# document the service has not seen and /repeat one its vet memo holds the
+# plan of). Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -179,5 +180,22 @@ func TestPlanAndRunVetAgreeOnMemory(t *testing.T) {
 	if planCode != 1 || runCode != 1 || !strings.Contains(planOut, "[memfeasible]") || !strings.Contains(runErr, "[memfeasible]") {
 		t.Errorf("2^30+1 bytes: plan exit = %d (%q), run -vet exit = %d (%q), want a memfeasible finding from both",
 			planCode, planOut, runCode, runErr)
+	}
+}
+
+// TestRunIterativeSeries: the iterative dnn job scores a diverged branch
+// −Inf, and `mdf run -series` still writes a series document that parses
+// and exits 0.
+func TestRunIterativeSeries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.json")
+	if code, _, errOut := mdf(t, "run", "-job", "dnn-iterative", "-series", path); code != 0 {
+		t.Fatalf("mdf run -job dnn-iterative -series: exit = %d, stderr:\n%s", code, errOut)
+	}
+	doc, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(doc) {
+		t.Errorf("the series document is not JSON:\n%s", doc)
 	}
 }

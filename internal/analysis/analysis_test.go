@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -164,6 +165,45 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, s := range stale {
 		t.Errorf("%s", s)
+	}
+}
+
+// TestRepoTypeChecksClean requires every package of the repository to
+// type-check without an error: a typed rule silently finds less in a package
+// whose check failed, and nothing else reads TypeErrs.
+func TestRepoTypeChecksClean(t *testing.T) {
+	for _, pkg := range loadRepo(t).Packages {
+		for _, err := range pkg.TypeErrs {
+			t.Errorf("%s: %v", pkg.ImportPath, err)
+		}
+	}
+}
+
+// TestLoadMatchesBuild holds Load to the files the build compiles: of a
+// kernel declared once in an _amd64.go file and once in a !amd64 one, the
+// package holds exactly the file this platform builds, and type-checks.
+func TestLoadMatchesBuild(t *testing.T) {
+	m, err := Load(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := m.byImportPath["fixture/buildtags"]
+	if pkg == nil {
+		t.Fatal("fixture/buildtags not loaded")
+	}
+	want := []string{"buildtags/kernel_other.go", "buildtags/width.go"}
+	if runtime.GOARCH == "amd64" {
+		want[0] = "buildtags/kernel_amd64.go"
+	}
+	var got []string
+	for _, f := range pkg.Files {
+		got = append(got, f.Path)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("files = %v, want %v", got, want)
+	}
+	for _, err := range pkg.TypeErrs {
+		t.Errorf("type error: %v", err)
 	}
 }
 

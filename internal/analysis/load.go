@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -82,8 +83,10 @@ var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+([a-zA-Z0-9_,\-]+)`)
 // skipDirs are directory names never descended into.
 var skipDirs = map[string]bool{"testdata": true, "vendor": true, ".git": true}
 
-// Load parses every .go file under root into a Module. Files that do not
-// parse are reported as errors: the linter must not silently skip code.
+// Load parses every .go file under root that the build compiles on this
+// platform (go/build's file-name and //go:build rules) into a Module. Files
+// that do not parse are reported as errors: the linter must not silently
+// skip code.
 func Load(root string) (*Module, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -107,6 +110,14 @@ func Load(root string) (*Module, error) {
 			return nil
 		}
 		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		// Only what the build compiles: a file whose name suffix or
+		// //go:build line excludes it from this platform would declare its
+		// names a second time beside the file that replaces it.
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil {
+			return fmt.Errorf("analysis: %w", err)
+		} else if !ok {
 			return nil
 		}
 		rel, err := filepath.Rel(abs, path)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -49,7 +50,9 @@ type BranchProgress struct {
 	Completion float64 `json:"completion"`
 	// State is pending, running, scored, pruned or quarantined.
 	State string `json:"state"`
-	// Score is the evaluator score once State is scored.
+	// Score is the evaluator score once State is scored. A non-finite
+	// score (a diverged branch ranks at −Inf) has no JSON form and is
+	// reported as 0, which the document leaves out.
 	Score float64 `json:"score,omitempty"`
 }
 
@@ -259,7 +262,10 @@ func (r *Run) branchState(br *branchRun) (state string, score float64) {
 			return BranchQuarantined, 0
 		}
 		if cs.offered[br.branch] {
-			return BranchScored, cs.scores[br.branch]
+			if score := cs.scores[br.branch]; finite(score) {
+				return BranchScored, score
+			}
+			return BranchScored, 0
 		}
 	}
 	switch {
@@ -298,9 +304,15 @@ func (r *Run) observeStageDone(st *graph.Stage, ready, end sim.VTime, executed b
 	}
 }
 
+// finite reports whether a score has a JSON form: a diverged branch's −Inf
+// and a NaN have none.
+func finite(score float64) bool { return !math.IsInf(score, 0) && !math.IsNaN(score) }
+
 // observeScore streams a branch's evaluator score the moment the branch is
 // scored (§3.1 incremental evaluation): the data feed mid-flight pruning
-// and online cost calibration build on.
+// and online cost calibration build on. A non-finite score streams no
+// point, since the series document could not encode it; the branch's
+// lifetime closes all the same.
 func (r *Run) observeScore(chooseSt *graph.Stage, branch int, t sim.VTime, score float64) {
 	if r.probe == nil {
 		return
@@ -309,7 +321,9 @@ func (r *Run) observeScore(chooseSt *graph.Stage, branch int, t sim.VTime, score
 	if br == nil {
 		return
 	}
-	r.probe.SeriesSet(obs.NodeMaster, br.tele.score, t, score)
+	if finite(score) {
+		r.probe.SeriesSet(obs.NodeMaster, br.tele.score, t, score)
+	}
 	r.endBranchInterval(br, t)
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -47,7 +48,10 @@ func refProgress(r *Run) Progress {
 			case cs != nil && cs.quarantined[b]:
 				bp.State = BranchQuarantined
 			case cs != nil && cs.offered[b]:
-				bp.State, bp.Score = BranchScored, cs.scores[b]
+				bp.State = BranchScored
+				if s := cs.scores[b]; !math.IsInf(s, 0) && !math.IsNaN(s) {
+					bp.Score = s
+				}
 			case bp.Stages > 0 && bp.Pruned == bp.Stages:
 				bp.State = BranchPruned
 			case bp.Done > 0 || bp.Pruned > 0:

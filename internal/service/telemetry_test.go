@@ -65,6 +65,57 @@ func TestServiceProgressEndpoint(t *testing.T) {
 	})
 }
 
+// emptyBranchSpec's "none" branch filters out every row (the allow entry
+// admits the filter the plan vetter proves empty), and the neg-mean-abs
+// evaluator scores an empty branch −Inf.
+const emptyBranchSpec = `{
+  "name": "empty-branch",
+  "allow": ["emptyfilter"],
+  "source": {"rows": 400, "partitions": 4, "virtualBytes": 1048576, "seed": 7},
+  "pipeline": [
+    {"explore": {
+      "name": "e",
+      "branches": [{"label": "none", "params": {"limit": 0}}, {"label": "most", "params": {"limit": 1.5}}],
+      "body": [{"op": {"name": "f", "fn": "filter-absless", "paramKey": "limit"}}],
+      "choose": {"evaluator": "neg-mean-abs", "selector": {"kind": "max"}}
+    }}
+  ]
+}`
+
+// TestServiceProgressNonFiniteScore: a branch scored −Inf has no JSON form,
+// and GET /jobs/{id}/progress still answers, the branch scored with its
+// score left out; GET /series answers too.
+func TestServiceProgressNonFiniteScore(t *testing.T) {
+	s := newServer(Config{})
+	defer s.Close()
+	go s.loop()
+	submitOK(t, s, "a", emptyBranchSpec, "")
+	s.WaitIdle()
+	h := s.Handler()
+	w := get(t, h, "/jobs/job-0001/progress")
+	if w.Code != http.StatusOK {
+		t.Fatalf("progress status = %d, body %s", w.Code, w.Body)
+	}
+	var ps struct {
+		Branches []map[string]any `json:"branches"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &ps); err != nil {
+		t.Fatal(err)
+	}
+	if len(ps.Branches) != 2 {
+		t.Fatalf("branches = %d, want 2: %s", len(ps.Branches), w.Body)
+	}
+	if none := ps.Branches[0]; none["state"] != "scored" || none["score"] != nil {
+		t.Errorf("empty branch = %v, want scored with no score", none)
+	}
+	if most := ps.Branches[1]; most["state"] != "scored" || most["score"] == nil {
+		t.Errorf("branch = %v, want scored with its score", most)
+	}
+	if w := get(t, h, "/series"); w.Code != http.StatusOK || !json.Valid(w.Body.Bytes()) {
+		t.Errorf("series status = %d, body %s", w.Code, w.Body)
+	}
+}
+
 // TestServiceWatchStream validates the /watch NDJSON shape: a schema
 // header, a dense seq, the queued→running→terminal lifecycle per job, and
 // bucket events carrying branch-progress gauges.

@@ -1,13 +1,17 @@
 package dnn_test
 
 import (
+	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 
 	"metadataflow/internal/baseline"
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/engine"
+	"metadataflow/internal/graph"
 	"metadataflow/internal/memorymgr"
+	"metadataflow/internal/obs"
 	"metadataflow/internal/scheduler"
 	"metadataflow/internal/workload/dnn"
 )
@@ -261,6 +265,67 @@ func TestIterativeMDFBeatsNoGuard(t *testing.T) {
 	if gRes.CompletionTime() >= uRes.CompletionTime() {
 		t.Errorf("in-loop termination (%0.0fs) should beat full execution (%0.0fs)",
 			gRes.CompletionTime(), uRes.CompletionTime())
+	}
+}
+
+// TestIterativeTelemetryEncodes: a diverged branch is scored −Inf, which no
+// JSON document can carry. The run's series document and its progress still
+// encode: the series streams no point for that score, and the progress
+// reports the branch scored with its score left out.
+func TestIterativeTelemetryEncodes(t *testing.T) {
+	g, err := dnn.BuildIterativeMDF(smallIterativeParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := graph.BuildPlan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	run, err := engine.NewRun(plan, engine.Options{
+		Cluster:     testCluster(),
+		Policy:      memorymgr.AMM,
+		Scheduler:   scheduler.BAS(nil),
+		Incremental: true,
+		Probe:       rec,
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run.Step() {
+	}
+	diverged := 0
+	for _, d := range rec.Decisions() {
+		for _, c := range d.Candidates {
+			if d.Kind == "choose" && math.IsInf(c.Score, -1) {
+				diverged++
+			}
+		}
+	}
+	if diverged == 0 {
+		t.Fatal("no branch was scored -Inf: the test no longer covers a diverged branch")
+	}
+	if _, err := json.Marshal(rec.Series(obs.DefaultBucketSec)); err != nil {
+		t.Errorf("series: %v", err)
+	}
+	var p engine.Progress
+	run.ProgressInto(&p)
+	doc, err := json.Marshal(&p)
+	if err != nil {
+		t.Fatalf("progress: %v", err)
+	}
+	var back engine.Progress
+	if err := json.Unmarshal(doc, &back); err != nil {
+		t.Fatal(err)
+	}
+	scored := 0
+	for _, bp := range back.Branches {
+		if bp.State == engine.BranchScored {
+			scored++
+		}
+	}
+	if scored != len(back.Branches) {
+		t.Errorf("%d of %d branches reported scored, want all", scored, len(back.Branches))
 	}
 }
 

@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package dnn
+
+func axpyRows(y, w, a []float64) { axpyRowsGo(y, w, a) }
+
+func momentumRows(w, vel, x, lrg []float64, momentum float64) {
+	momentumRowsGo(w, vel, x, lrg, momentum)
+}

@@ -180,10 +180,20 @@ func (m *Model) forward(x []float64, hidden, probs []float64) {
 // TrainEpoch performs one epoch of SGD with momentum over the examples and
 // returns the mean cross-entropy loss (§6: "After an epoch of training, the
 // classification accuracy is measured").
+//
+// Each layer's weights move in one momentumRows call per example, after the
+// layer's gradients and its bias updates (which touch no weight); the
+// hidden gradient sums the output rows in one axpyRows call before they
+// move. Every value goes through the multiplies and subtractions of a
+// per-neuron loop, in its order, so the results are bit for bit its own.
 func (m *Model) TrainEpoch(examples []Example, lr, momentum float64) float64 {
-	hidden := make([]float64, m.Hidden)
-	probs := make([]float64, m.Classes)
-	dHidden := make([]float64, m.Hidden)
+	// One allocation holds the scratch: activations, probabilities (which
+	// become the output gradients), the hidden gradients (which become
+	// lr·g) and the output gradients scaled by lr.
+	buf := make([]float64, 2*m.Hidden+2*m.Classes)
+	hidden, buf := cut(buf, m.Hidden)
+	dHidden, buf := cut(buf, m.Hidden)
+	probs, lrgOut := cut(buf, m.Classes)
 	var loss float64
 	for _, ex := range examples {
 		m.forward(ex.X, hidden, probs)
@@ -192,56 +202,43 @@ func (m *Model) TrainEpoch(examples []Example, lr, momentum float64) float64 {
 			p = 1e-12
 		}
 		loss -= math.Log(p)
-		// Output-layer gradient (softmax cross-entropy): dL/dlogit_c.
-		for h := range dHidden {
-			dHidden[h] = 0
-		}
-		for c := 0; c < m.Classes; c++ {
-			g := probs[c]
-			if c == ex.Y {
-				g -= 1
-			}
-			// Weight and velocity rows are sliced once per neuron (see
-			// forward). lr*g is hoisted: lr*g*hv is (lr*g)*hv, so every
-			// floating-point operation and its order are unchanged.
-			lrg := lr * g
-			row := m.W2[c*m.Hidden : (c+1)*m.Hidden][:len(hidden)]
-			vel := m.vW2[c*m.Hidden : (c+1)*m.Hidden][:len(hidden)]
-			dh := dHidden[:len(hidden)]
-			for h, hv := range hidden {
-				dh[h] += g * row[h]
-				v := momentum*vel[h] - lrg*hv
-				vel[h] = v
-				row[h] += v
-			}
-			m.vB2[c] = momentum*m.vB2[c] - lrg
+		// Output-layer gradient (softmax cross-entropy): dL/dlogit_c, in
+		// place of the probabilities.
+		g := probs
+		g[ex.Y] -= 1
+		for c, gc := range g {
+			lrgOut[c] = lr * gc
+			m.vB2[c] = momentum*m.vB2[c] - lrgOut[c]
 			m.B2[c] += m.vB2[c]
 		}
-		// Hidden-layer gradient through tanh.
-		for h := 0; h < m.Hidden; h++ {
-			g := dHidden[h] * (1 - hidden[h]*hidden[h])
-			lrg := lr * g
-			row := m.W1[h*m.In : (h+1)*m.In][:len(ex.X)]
-			vel := m.vW1[h*m.In : (h+1)*m.In][:len(ex.X)]
-			for i, xi := range ex.X {
-				v := momentum*vel[i] - lrg*xi
-				vel[i] = v
-				row[i] += v
-			}
+		// dHidden sums the W2 rows before their update, as the hidden
+		// layer's gradient must.
+		clear(dHidden)
+		axpyRows(dHidden, m.W2, g)
+		momentumRows(m.W2, m.vW2, hidden, lrgOut, momentum)
+		// Hidden-layer gradient through tanh; dHidden[h] becomes lr·g, the
+		// W1 rows' step.
+		for h, hv := range hidden {
+			lrg := lr * (dHidden[h] * (1 - hv*hv))
+			dHidden[h] = lrg
 			m.vB1[h] = momentum*m.vB1[h] - lrg
 			m.B1[h] += m.vB1[h]
 		}
+		momentumRows(m.W1, m.vW1, ex.X, dHidden, momentum)
 	}
 	return loss / float64(len(examples))
 }
+
+// cut splits the first n values off buf, capped so that an append to them
+// cannot reach the rest.
+func cut(buf []float64, n int) (head, rest []float64) { return buf[:n:n], buf[n:] }
 
 // Accuracy returns the classification accuracy over the examples.
 func (m *Model) Accuracy(examples []Example) float64 {
 	if len(examples) == 0 {
 		return 0
 	}
-	hidden := make([]float64, m.Hidden)
-	probs := make([]float64, m.Classes)
+	hidden, probs := cut(make([]float64, m.Hidden+m.Classes), m.Hidden)
 	correct := 0
 	for _, ex := range examples {
 		m.forward(ex.X, hidden, probs)
