@@ -141,9 +141,11 @@ crash-short: build
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
 # the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at
 # 1, 4 and 16 ops per item, BenchmarkTrainEpoch one dnn training epoch
-# through the row kernels (one allocation), BenchmarkServiceJob/new a
-# document the service has not seen and /repeat one its vet memo holds the
-# plan of). Part of ci.
+# through the row kernels (one allocation), BenchmarkForward one dnn forward
+# pass (two dotRows calls), BenchmarkRowKernels each of dnn's three row
+# kernels at the Defaults() layer shapes on the /avx and the /go path,
+# BenchmarkServiceJob/new a document the service has not seen and /repeat
+# one its vet memo holds the plan of). Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -62,12 +63,18 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers status with v as indented JSON, or 500 with an
+// errorBody when v does not encode: the status line waits until the body is
+// known.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding the response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		// The status line is already written; nothing useful remains to do.
 		return
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -62,6 +63,24 @@ func TestHTTPSubmitAndStatus(t *testing.T) {
 
 	if rec := get(t, h, "/jobs/job-9999"); rec.Code != http.StatusNotFound {
 		t.Fatalf("GET unknown job = %d, want 404", rec.Code)
+	}
+}
+
+// TestWriteJSONReportsEncodeFailure: a value that does not encode (JSON has
+// no infinity) answers 500 with an error body, not the status it was meant
+// for over an empty body.
+func TestWriteJSONReportsEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"score": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d, want 500; body %q", rec.Code, rec.Body.String())
+	}
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Fatalf("500 body %q not a JSON error (%v)", rec.Body.String(), err)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type = %q", ct)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// forwardScalar is forward as it was before it took four hidden neurons per
-// pass over x: one neuron, one sum, at a time.
+// forwardScalar is the forward pass as per-neuron loops: one neuron, one
+// sum, at a time.
 func (m *Model) forwardScalar(x []float64, hidden, probs []float64) {
 	for h := 0; h < m.Hidden; h++ {
 		sum := m.B1[h]
@@ -40,30 +40,39 @@ func (m *Model) forwardScalar(x []float64, hidden, probs []float64) {
 	}
 }
 
-// TestForwardMatchesScalar compares the blocked forward pass with the scalar
-// one, bit for bit, at every hidden width around the block size — the
-// remainder loop takes 1, 2, 3 or no neurons — and at the default's 24.
+// TestForwardMatchesScalar compares forward, two dotRows calls, with the
+// per-neuron loops, bit for bit, at every hidden width around dotRows' 4-
+// and 8-row groups and at the default's 24, over 3, 10 (the default) and 11
+// classes: the output layer's rows are the classes.
 func TestForwardMatchesScalar(t *testing.T) {
-	const in, classes = 13, 5
-	examples := GenerateExamples(40, in, classes, 0.8, 3)
-	for _, hiddenN := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 24} {
-		m := NewModel(in, hiddenN, classes, Init{Kind: InitGaussian, A: 0.5}, int64(hiddenN))
-		for i := range m.B1 {
-			m.B1[i] = 0.01 * float64(i+1) // biases start at zero: make them count
-		}
-		got, want := make([]float64, hiddenN), make([]float64, hiddenN)
-		gotP, wantP := make([]float64, classes), make([]float64, classes)
-		for _, ex := range examples {
-			m.forward(ex.X, got, gotP)
-			m.forwardScalar(ex.X, want, wantP)
-			for h := range want {
-				if math.Float64bits(got[h]) != math.Float64bits(want[h]) {
-					t.Fatalf("hidden=%d: activation %d = %v, scalar %v", hiddenN, h, got[h], want[h])
-				}
+	const in = 13
+	for _, classes := range []int{3, 10, 11} {
+		examples := GenerateExamples(40, in, classes, 0.8, 3)
+		for hiddenN := 1; hiddenN <= 24; hiddenN++ {
+			if hiddenN > 17 && hiddenN < 24 {
+				continue
 			}
-			for c := range wantP {
-				if math.Float64bits(gotP[c]) != math.Float64bits(wantP[c]) {
-					t.Fatalf("hidden=%d: probability %d = %v, scalar %v", hiddenN, c, gotP[c], wantP[c])
+			m := NewModel(in, hiddenN, classes, Init{Kind: InitGaussian, A: 0.5}, int64(hiddenN))
+			for i := range m.B1 {
+				m.B1[i] = 0.01 * float64(i+1) // biases start at zero: make them count
+			}
+			for i := range m.B2 {
+				m.B2[i] = -0.02 * float64(i+1)
+			}
+			got, want := make([]float64, hiddenN), make([]float64, hiddenN)
+			gotP, wantP := make([]float64, classes), make([]float64, classes)
+			for _, ex := range examples {
+				m.forward(ex.X, got, gotP)
+				m.forwardScalar(ex.X, want, wantP)
+				for h := range want {
+					if math.Float64bits(got[h]) != math.Float64bits(want[h]) {
+						t.Fatalf("hidden=%d classes=%d: activation %d = %v, scalar %v", hiddenN, classes, h, got[h], want[h])
+					}
+				}
+				for c := range wantP {
+					if math.Float64bits(gotP[c]) != math.Float64bits(wantP[c]) {
+						t.Fatalf("hidden=%d classes=%d: probability %d = %v, scalar %v", hiddenN, classes, c, gotP[c], wantP[c])
+					}
 				}
 			}
 		}

@@ -57,10 +57,12 @@ func (p IterativeParams) Validate() error {
 	return nil
 }
 
-// trainState carries a model and its loss history through the unrolled
-// rounds.
+// trainState carries a model, its loss history and the preprocessed
+// example set it trains on through the unrolled rounds: every round and the
+// evaluator read preprocessOp's scaled copy, as round 0 does.
 type trainState struct {
 	model     *Model
+	examples  []Example
 	firstLoss float64
 	prevLoss  float64
 	lastLoss  float64
@@ -114,21 +116,20 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 		}
 	}
 
-	examples := p.examples()
-	val := examples[p.Train:]
 	eval := mdf.Evaluator{
 		Name: "validate",
 		Fn: func(d *dataset.Dataset) float64 {
 			if mdf.Terminated(d) {
 				return math.Inf(-1) // diverged branches rank last
 			}
-			return firstRow[trainState](d).model.Accuracy(val)
+			st := firstRow[trainState](d)
+			return st.model.Accuracy(st.examples[p.Train:])
 		},
 		CostPerMB: 0.0005,
 	}
 
 	b := mdf.NewBuilder()
-	src := b.Source("src", sourceFunc(p.Params, examples), 0.0005)
+	src := b.Source("src", sourceFunc(p.Params, p.examples()), 0.0005)
 	pre := src.ThenWide("preprocess", preprocessOp(p.Params), 0.04)
 	out := pre.Explore("hyperparams", specs, mdf.NewChooser(eval, mdf.TopK(1)),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
@@ -140,7 +141,10 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 					examples := firstRow[dataRow](in).examples
 					m := NewModel(p.Dims, p.Hidden, p.Classes, c.init, seed)
 					loss := m.TrainEpoch(examples[:p.Train], c.lr, c.mom)
-					return stateDataset(p, trainState{model: m, firstLoss: loss, prevLoss: loss, lastLoss: loss}), nil
+					return stateDataset(p, trainState{
+						model: m, examples: examples,
+						firstLoss: loss, prevLoss: loss, lastLoss: loss,
+					}), nil
 				}), p.epochCostPerMB())
 			return init.Iterate(mdf.IterationSpec{
 				Name:      "epoch(" + spec.Label + ")",
@@ -148,9 +152,9 @@ func BuildIterativeMDF(p IterativeParams) (*graph.Graph, error) {
 				CostPerMB: p.epochCostPerMB(),
 				Step: func(round int, d *dataset.Dataset) (*dataset.Dataset, error) {
 					st := firstRow[trainState](d)
-					loss := st.model.TrainEpoch(examples[:p.Train], c.lr, c.mom)
+					loss := st.model.TrainEpoch(st.examples[:p.Train], c.lr, c.mom)
 					return stateDataset(p, trainState{
-						model: st.model, firstLoss: st.firstLoss,
+						model: st.model, examples: st.examples, firstLoss: st.firstLoss,
 						prevLoss: st.lastLoss, lastLoss: loss,
 					}), nil
 				},

@@ -14,6 +14,15 @@ func hasAVX() bool {
 	return xcr0()&6 == 6
 }
 
+func dotRows(y, w, x []float64) {
+	if !useAVX {
+		dotRowsGo(y, w, x)
+		return
+	}
+	checkRows("dotRows", len(w), len(y), len(x))
+	dotRowsAVX(y, w, x)
+}
+
 func axpyRows(y, w, a []float64) {
 	if !useAVX {
 		axpyRowsGo(y, w, a)
@@ -33,9 +42,12 @@ func momentumRows(w, vel, x, lrg []float64, momentum float64) {
 	momentumRowsAVX(w, vel, x, lrg, momentum)
 }
 
-// The AVX kernels compute what axpyRowsGo and momentumRowsGo do, four
-// values per instruction with a scalar tail, and no FMA: each product is
-// rounded before it is added, as the Go code's is.
+// The AVX kernels compute what dotRowsGo, axpyRowsGo and momentumRowsGo
+// do, four values per instruction with a scalar tail, and no FMA: each
+// product is rounded before it is added, as the Go code's is.
+
+//go:noescape
+func dotRowsAVX(y, w, x []float64)
 
 //go:noescape
 func axpyRowsAVX(y, w, a []float64)

@@ -1,12 +1,173 @@
 #include "textflag.h"
 
+// Three row kernels: dotRowsAVX (the forward pass), axpyRowsAVX and
+// momentumRowsAVX (the backward pass).
+//
 // When both operands of an x86 arithmetic instruction are NaNs, the result
 // is the first source's. Each instruction below takes as its first source
 // the operand the Go compiler makes first in the same loop of
-// axpyRowsGo/momentumRowsGo (the loaded array value in a product, the
-// product in y's sum, w in w's), so even NaN payloads come out as Go's:
+// dotRowsGo/axpyRowsGo/momentumRowsGo: the loaded array value in a product
+// (w in dotRows'), the running sum in dotRows' sum, the product in
+// axpyRows' sum, w in w + v. So even NaN payloads come out as Go's:
 // TestRowKernelsMatchGo holds them to it. Go asm writes the sources in
 // reverse: VMULPD src2, src1, dst.
+
+// func dotRowsAVX(y, w, x []float64)
+//
+// For every row r: y[r] += w[r*n+i]*x[i] for i ascending, n = len(x).
+//
+// Eight rows take one pass over x, as two 4-lane accumulators (rows r..r+3
+// in Y0, r+4..r+7 in Y1): two independent chains of additions. Each 4×4
+// block of w (four rows, four columns) is transposed in registers into one
+// vector per column, which is multiplied by that column's broadcast x[i]
+// and added to the accumulator, column by column, so every lane adds its
+// row's products in ascending order. Columns past a multiple of 4 are
+// gathered one value per row; rows past a multiple of 8 take a scalar loop.
+//
+// Registers: R11 walks row r and R12 row r+4 along the columns, R10 is the
+// row stride in bytes and R13 three strides, so rows r+1, r+2 and r+3 are
+// (R11)(R10*1), (R11)(R10*2) and (R11)(R13*1).
+TEXT ·dotRowsAVX(SB), NOSPLIT, $0-72
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), BX
+	MOVQ w_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ x_len+56(FP), CX
+	MOVQ CX, R8
+	ANDQ $-4, R8 // columns in whole 4-blocks
+	LEAQ (CX*8), R10
+	LEAQ (R10)(R10*2), R13
+	CMPQ BX, $8
+	JLT dot_rows1
+
+dot_rows8:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ SI, R11
+	LEAQ (SI)(R10*4), R12
+	MOVQ DX, R9
+	XORQ AX, AX
+
+dot_block:
+	CMPQ AX, R8
+	JGE dot_tail
+	VBROADCASTSD (R9), Y12
+	VBROADCASTSD 8(R9), Y13
+	VBROADCASTSD 16(R9), Y14
+	VBROADCASTSD 24(R9), Y11
+
+	// Rows r..r+3: Y2 = (w0[i], w0[i+1], w2[i], w2[i+1]), Y3 the same of
+	// rows 1 and 3; unpacked, columns i and i+1. Then columns i+2, i+3.
+	VMOVUPD (R11), X2
+	VINSERTF128 $1, (R11)(R10*2), Y2, Y2
+	VMOVUPD (R11)(R10*1), X3
+	VINSERTF128 $1, (R11)(R13*1), Y3, Y3
+	VUNPCKLPD Y3, Y2, Y4 // column i
+	VUNPCKHPD Y3, Y2, Y5 // column i+1
+	VMOVUPD 16(R11), X2
+	VINSERTF128 $1, 16(R11)(R10*2), Y2, Y2
+	VMOVUPD 16(R11)(R10*1), X3
+	VINSERTF128 $1, 16(R11)(R13*1), Y3, Y3
+	VUNPCKLPD Y3, Y2, Y6 // column i+2
+	VUNPCKHPD Y3, Y2, Y7 // column i+3
+	VMULPD Y12, Y4, Y4   // w * x[i]
+	VADDPD Y4, Y0, Y0    // sum + w*x[i]
+	VMULPD Y13, Y5, Y5
+	VADDPD Y5, Y0, Y0
+	VMULPD Y14, Y6, Y6
+	VADDPD Y6, Y0, Y0
+	VMULPD Y11, Y7, Y7
+	VADDPD Y7, Y0, Y0
+
+	// Rows r+4..r+7, the same way.
+	VMOVUPD (R12), X8
+	VINSERTF128 $1, (R12)(R10*2), Y8, Y8
+	VMOVUPD (R12)(R10*1), X9
+	VINSERTF128 $1, (R12)(R13*1), Y9, Y9
+	VUNPCKLPD Y9, Y8, Y4
+	VUNPCKHPD Y9, Y8, Y5
+	VMOVUPD 16(R12), X8
+	VINSERTF128 $1, 16(R12)(R10*2), Y8, Y8
+	VMOVUPD 16(R12)(R10*1), X9
+	VINSERTF128 $1, 16(R12)(R13*1), Y9, Y9
+	VUNPCKLPD Y9, Y8, Y6
+	VUNPCKHPD Y9, Y8, Y7
+	VMULPD Y12, Y4, Y4
+	VADDPD Y4, Y1, Y1
+	VMULPD Y13, Y5, Y5
+	VADDPD Y5, Y1, Y1
+	VMULPD Y14, Y6, Y6
+	VADDPD Y6, Y1, Y1
+	VMULPD Y11, Y7, Y7
+	VADDPD Y7, Y1, Y1
+
+	ADDQ $32, R11
+	ADDQ $32, R12
+	ADDQ $32, R9
+	ADDQ $4, AX
+	JMP dot_block
+
+dot_tail:
+	// One column at a time: rows r..r+3 gathered as (w0, w1) and (w2, w3)
+	// halves, rows r+4..r+7 the same.
+	CMPQ AX, CX
+	JGE dot_next8
+	VBROADCASTSD (R9), Y12
+	VMOVSD (R11), X2
+	VMOVHPD (R11)(R10*1), X2, X2
+	VMOVSD (R11)(R10*2), X3
+	VMOVHPD (R11)(R13*1), X3, X3
+	VINSERTF128 $1, X3, Y2, Y2
+	VMULPD Y12, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VMOVSD (R12), X8
+	VMOVHPD (R12)(R10*1), X8, X8
+	VMOVSD (R12)(R10*2), X9
+	VMOVHPD (R12)(R13*1), X9, X9
+	VINSERTF128 $1, X9, Y8, Y8
+	VMULPD Y12, Y8, Y8
+	VADDPD Y8, Y1, Y1
+	ADDQ $8, R11
+	ADDQ $8, R12
+	ADDQ $8, R9
+	INCQ AX
+	JMP dot_tail
+
+dot_next8:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	LEAQ (SI)(R10*8), SI
+	ADDQ $64, DI
+	SUBQ $8, BX
+	CMPQ BX, $8
+	JGE dot_rows8
+
+dot_rows1:
+	// The rows past a multiple of 8, one at a time.
+	TESTQ BX, BX
+	JEQ dot_done
+	VMOVSD (DI), X0
+	XORQ AX, AX
+
+dot_col1:
+	CMPQ AX, CX
+	JGE dot_next1
+	VMOVSD (SI)(AX*8), X2
+	VMULSD (DX)(AX*8), X2, X2 // w * x[i]
+	VADDSD X2, X0, X0         // sum + w*x[i]
+	INCQ AX
+	JMP dot_col1
+
+dot_next1:
+	VMOVSD X0, (DI)
+	ADDQ R10, SI
+	ADDQ $8, DI
+	DECQ BX
+	JMP dot_rows1
+
+dot_done:
+	VZEROUPPER
+	RET
 
 // func axpyRowsAVX(y, w, a []float64)
 //

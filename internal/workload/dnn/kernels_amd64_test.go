@@ -60,13 +60,16 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 
 // TestRowKernelsMatchGo holds the AVX kernels to the Go ones bit for bit, at
 // every row length around the 4-wide block (the scalar tail takes 0 to 3
-// values), at the model's 13-, 24- and 48-value rows, and at 0 to 3 and 24
-// rows.
+// values), at the model's 13-, 24- and 48-value rows, and at 0 to 17 and 24
+// rows (dotRows takes rows in groups of 8 and then one at a time).
 func TestRowKernelsMatchGo(t *testing.T) {
 	needAVX(t)
 	rng := stats.NewRNG(17)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 24, 48} {
-		for _, rows := range []int{0, 1, 2, 3, 24} {
+		for rows := 0; rows <= 24; rows++ {
+			if rows > 17 && rows < 24 {
+				continue
+			}
 			for trial := 0; trial < 8; trial++ {
 				w := fillKernelValues(rng, make([]float64, rows*n))
 				vel := fillKernelValues(rng, make([]float64, rows*n))
@@ -77,17 +80,24 @@ func TestRowKernelsMatchGo(t *testing.T) {
 				if trial%2 == 0 {
 					momentum = 0.9
 				}
+				what := fmt.Sprintf(" (%d rows of %d)", rows, n)
+
+				sums := fillKernelValues(rng, make([]float64, rows))
+				sumsGo := append([]float64(nil), sums...)
+				dotRowsGo(sumsGo, w, x)
+				dotRowsAVX(sums, w, x)
+				sameBits(t, "dotRows y"+what, sums, sumsGo)
 
 				yGo := append([]float64(nil), y...)
 				axpyRowsGo(yGo, w, a)
 				axpyRowsAVX(y, w, a)
-				sameBits(t, "axpyRows y", y, yGo)
+				sameBits(t, "axpyRows y"+what, y, yGo)
 
 				wGo, velGo := append([]float64(nil), w...), append([]float64(nil), vel...)
 				momentumRowsGo(wGo, velGo, x, a, momentum)
 				momentumRowsAVX(w, vel, x, a, momentum)
-				sameBits(t, "momentumRows w", w, wGo)
-				sameBits(t, "momentumRows vel", vel, velGo)
+				sameBits(t, "momentumRows w"+what, w, wGo)
+				sameBits(t, "momentumRows vel"+what, vel, velGo)
 			}
 		}
 	}
@@ -97,6 +107,7 @@ func TestRowKernelsMatchGo(t *testing.T) {
 // rows × row length, which the AVX kernels would read past.
 func TestRowKernelsCheckShape(t *testing.T) {
 	short := map[string]func(){
+		"dotRows":  func() { dotRows(make([]float64, 2), make([]float64, 5), make([]float64, 3)) },
 		"axpyRows": func() { axpyRows(make([]float64, 3), make([]float64, 5), make([]float64, 2)) },
 		"momentumRows w": func() {
 			momentumRows(make([]float64, 5), make([]float64, 6), make([]float64, 3), make([]float64, 2), 0.5)
@@ -114,6 +125,25 @@ func TestRowKernelsCheckShape(t *testing.T) {
 					}
 				}()
 				call()
+			})
+		}
+	}
+}
+
+// TestAccuracyRejectsWrongLengthExample holds both paths to refusing an
+// example whose X is not In values long, one short or one long, rather than
+// reading a prefix of each weight row.
+func TestAccuracyRejectsWrongLengthExample(t *testing.T) {
+	m := NewModel(13, 5, 10, Init{Kind: InitGaussian, A: 0.5}, 3)
+	for _, avx := range []bool{false, hasAVX()} {
+		for _, in := range []int{m.In - 1, m.In + 1} {
+			onPath(avx, func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("avx=%v: Accuracy accepted an example of %d values, In = %d", avx, in, m.In)
+					}
+				}()
+				m.Accuracy([]Example{{X: make([]float64, in)}})
 			})
 		}
 	}
@@ -152,8 +182,58 @@ func TestTrainEpochMatchesGoKernels(t *testing.T) {
 	}
 }
 
+// TestForwardMatchesScalarGoKernels holds the plain-Go forward pass to the
+// per-neuron one too.
+func TestForwardMatchesScalarGoKernels(t *testing.T) {
+	onPath(false, func() { TestForwardMatchesScalar(t) })
+}
+
 // TestTrainingChecksumGoKernels pins the plain-Go path to the same
 // checksums as the AVX one.
 func TestTrainingChecksumGoKernels(t *testing.T) {
 	onPath(false, func() { TestTrainingChecksum(t) })
+}
+
+// BenchmarkRowKernels times each row kernel on both paths at the
+// Defaults() layer shapes: 24 rows of 48 (W1) and 10 rows of 24 (W2). The
+// /avx and /go readings side by side are what the assembly buys per layer.
+func BenchmarkRowKernels(b *testing.B) {
+	p := Defaults()
+	for _, shape := range []struct{ rows, n int }{{p.Hidden, p.Dims}, {p.Classes, p.Hidden}} {
+		rng := stats.NewRNG(1)
+		fill := func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = rng.Normal(0, 0.1)
+			}
+			return xs
+		}
+		w, vel := fill(shape.rows*shape.n), fill(shape.rows*shape.n)
+		x, y := fill(shape.n), fill(shape.n)
+		sums, a := fill(shape.rows), fill(shape.rows)
+		for _, k := range []struct {
+			name string
+			run  func()
+		}{
+			{"dotRows", func() { dotRows(sums, w, x) }},
+			{"axpyRows", func() { axpyRows(y, w, a) }},
+			{"momentumRows", func() { momentumRows(w, vel, x, a, 0.9) }},
+		} {
+			for _, path := range []struct {
+				name string
+				avx  bool
+			}{{"avx", true}, {"go", false}} {
+				b.Run(fmt.Sprintf("%s/%dx%d/%s", k.name, shape.rows, shape.n, path.name), func(b *testing.B) {
+					if path.avx && !hasAVX() {
+						b.Skip("the CPU or the OS does not support AVX")
+					}
+					onPath(path.avx, func() {
+						for i := 0; i < b.N; i++ {
+							k.run()
+						}
+					})
+				})
+			}
+		}
+	}
 }

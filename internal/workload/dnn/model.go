@@ -122,49 +122,21 @@ func (m *Model) Clone() *Model {
 	return cp
 }
 
-// forward computes hidden activations and class probabilities.
+// forward computes hidden activations and class probabilities. Each layer
+// is one dotRows call over the layer's bias: every sum starts from the bias
+// and adds the row's products in ascending order.
 func (m *Model) forward(x []float64, hidden, probs []float64) {
-	// The weight rows are sliced once per neuron to the length of the
-	// vector they multiply, so the inner loops carry no bounds check.
-	//
-	// Four hidden neurons share one pass over x. A neuron's sum is one chain
-	// of dependent additions, each waiting for the one before it; four
-	// chains in flight overlap those waits. Every sum still adds the same
-	// products in the same order.
-	h := 0
-	for ; h+4 <= m.Hidden; h += 4 {
-		s0, s1, s2, s3 := m.B1[h], m.B1[h+1], m.B1[h+2], m.B1[h+3]
-		r0 := m.W1[h*m.In : (h+1)*m.In][:len(x)]
-		r1 := m.W1[(h+1)*m.In : (h+2)*m.In][:len(x)]
-		r2 := m.W1[(h+2)*m.In : (h+3)*m.In][:len(x)]
-		r3 := m.W1[(h+3)*m.In : (h+4)*m.In][:len(x)]
-		for i, xi := range x {
-			s0 += r0[i] * xi
-			s1 += r1[i] * xi
-			s2 += r2[i] * xi
-			s3 += r3[i] * xi
-		}
-		hidden[h], hidden[h+1] = math.Tanh(s0), math.Tanh(s1)
-		hidden[h+2], hidden[h+3] = math.Tanh(s2), math.Tanh(s3)
+	copy(hidden, m.B1)
+	dotRows(hidden, m.W1, x)
+	for h, s := range hidden {
+		hidden[h] = math.Tanh(s)
 	}
-	for ; h < m.Hidden; h++ {
-		sum := m.B1[h]
-		row := m.W1[h*m.In : (h+1)*m.In][:len(x)]
-		for i, xi := range x {
-			sum += row[i] * xi
-		}
-		hidden[h] = math.Tanh(sum)
-	}
+	copy(probs, m.B2)
+	dotRows(probs, m.W2, hidden)
 	maxLogit := math.Inf(-1)
-	for c := 0; c < m.Classes; c++ {
-		sum := m.B2[c]
-		row := m.W2[c*m.Hidden : (c+1)*m.Hidden][:len(hidden)]
-		for h, hv := range hidden {
-			sum += row[h] * hv
-		}
-		probs[c] = sum
-		if sum > maxLogit {
-			maxLogit = sum
+	for _, s := range probs {
+		if s > maxLogit {
+			maxLogit = s
 		}
 	}
 	var z float64
