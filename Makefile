@@ -140,7 +140,9 @@ crash-short: build
 # full loop, BenchmarkMarkSiblings the 16 analysis branches of a time series
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
 # the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at
-# 1, 4 and 16 ops per item, BenchmarkTrainEpoch one dnn training epoch
+# 1, 4 and 16 ops per item and, as chain, second_op over first_op's output
+# (the affine view: no payload), BenchmarkResult Run.Result boxing a
+# 20 000-row, 8-partition output on the compute-ahead pool, BenchmarkTrainEpoch one dnn training epoch
 # through the row kernels (one allocation), BenchmarkForward one dnn forward
 # pass (two dotRows calls), BenchmarkRowKernels each of dnn's three row
 # kernels at the Defaults() layer shapes on the /avx and the /go path,

@@ -262,9 +262,16 @@ func cutFrom[T any](parts []Partition) (Col[T], bool) {
 // job, which no goroutine of the run still computes.
 func (d *Dataset) Box() {
 	for i := range d.Parts {
-		p := &d.Parts[i]
-		p.Rows = p.BoxedRows()
+		d.BoxPart(i)
 	}
+}
+
+// BoxPart is Box of partition i alone. It writes that partition and nothing
+// else, so the dataset's holder may box distinct partitions on several
+// goroutines at once.
+func (d *Dataset) BoxPart(i int) {
+	p := &d.Parts[i]
+	p.Rows = p.BoxedRows()
 }
 
 // Alias returns a dataset with a fresh ID and a copy of d's partitions,

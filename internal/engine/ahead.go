@@ -408,3 +408,35 @@ func (r *Run) joinAhead() {
 	a.wg.Wait()
 	r.ahead = nil
 }
+
+// boxOutput boxes a finished run's output (dataset.Box) on the pool: an
+// output of at least aheadMinRows rows in more than one partition is boxed by
+// the calling goroutine together with one goroutine per compute-ahead token
+// it can take, at most one per further partition, each boxing the next
+// partition nobody has claimed. A partition is one goroutine's, and what
+// boxing writes is the partition's own, so they share nothing but the
+// counter. On one processor there is no token and the caller boxes every
+// partition itself; every token it took is back when boxOutput returns.
+func boxOutput(d *dataset.Dataset) {
+	if len(d.Parts) < 2 || d.NumRows() < aheadMinRows {
+		d.Box()
+		return
+	}
+	var next atomic.Int64
+	box := func() {
+		for i := next.Add(1) - 1; i < int64(len(d.Parts)); i = next.Add(1) - 1 {
+			d.BoxPart(int(i))
+		}
+	}
+	var wg sync.WaitGroup
+	for n := len(d.Parts) - 1; n > 0 && acquireAheadToken(); n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer aheadTokens.Add(-1)
+			box()
+		}()
+	}
+	box()
+	wg.Wait()
+}

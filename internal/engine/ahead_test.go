@@ -378,11 +378,16 @@ func settledGoroutines(t *testing.T, base int) {
 func TestNoGoroutineOutlivesTheRun(t *testing.T) {
 	// Eight slow branches of one stage each; with fail set the fourth returns
 	// an error, which fails the run while others are being computed ahead.
+	// The rows are a Col[float64], so that Result boxes the output, 2048 rows
+	// in four partitions, on the pool too.
 	build := func(fail bool) *graph.Plan {
-		rows := intRowsRef(2048)
+		vals := make([]float64, 2048)
+		for i := range vals {
+			vals[i] = float64(i)
+		}
 		b := mdf.NewBuilder()
 		src := b.Source("src", mdf.SourceFunc(func() *dataset.Dataset {
-			return dataset.FromRows("in", rows, 4, 1<<16)
+			return dataset.FromSlice("in", vals, 4, 1<<16)
 		}), 0.001)
 		var specs []mdf.BranchSpec
 		for i := 0; i < 8; i++ {
@@ -432,13 +437,19 @@ func TestNoGoroutineOutlivesTheRun(t *testing.T) {
 		base := runtime.NumGoroutine()
 
 		r := newRun(build(false), nil)
-		if _, err := r.RunToCompletion(); err != nil {
+		res, err := r.RunToCompletion()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if r.adoptedAhead == 0 {
 			t.Error("finished run computed nothing ahead")
 		}
-		ended("finished", r, base)
+		for i := range res.Output.Parts {
+			if p := &res.Output.Parts[i]; len(p.Rows) != p.NumRows() {
+				t.Fatalf("finished: partition %d has %d boxed rows of %d", i, len(p.Rows), p.NumRows())
+			}
+		}
+		ended("finished", r, base) // after Result, which boxed on the pool
 
 		r = newRun(build(true), nil)
 		if _, err := r.RunToCompletion(); err == nil || !strings.Contains(err.Error(), "broken operator") {

@@ -149,6 +149,41 @@ func BenchmarkBranchParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkResult times Run.Result on a finished run whose output is 20 000
+// synthetic Pairs in 8 partitions, what it boxes at the end of a lib-kernel
+// synthetic job. Run it with -cpu 1,2: on one processor the output is boxed
+// serially, on two on the compute-ahead pool as well.
+func BenchmarkResult(b *testing.B) {
+	p := synthetic.Defaults()
+	p.Rows = 20_000
+	bld := mdf.NewBuilder()
+	bld.Source("src", mdf.SourceFromDataset(synthetic.Generate(p)), 0.001).
+		Then("sink", mdf.Identity("out"), 0.001)
+	g, err := bld.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := graph.BuildPlan(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		run, err := engine.NewRun(plan, engine.Options{Cluster: cluster.MustNew(cluster.DefaultConfig()), Scheduler: scheduler.BAS(nil)}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for run.Step() {
+		}
+		if run.Err() != nil {
+			b.Fatal(run.Err())
+		}
+		b.StartTimer()
+		run.Result()
+	}
+}
+
 // nestedPlan is the plan of the synthetic MDF with the given branch counts
 // over minimal rows: outer×inner innermost branches, every stage in two
 // nested scopes.
@@ -171,9 +206,9 @@ func nestedPlan(tb testing.TB, outer, inner int) *graph.Plan {
 // nested explores choosing the maximum mean value, built from the operators
 // below: its per-row work is fixed here, so a change to the synthetic
 // workload's kernels leaves it as it is. Each branch's operator materialises
-// a fresh column of v ↦ (v·a + b) mod p over its input's values, the loop the
-// synthetic operator ran before it composed its maps; its parameters, costs
-// and accounted sizes are the synthetic job's at Defaults() over 64 rows.
+// a fresh column of v ↦ (v·a + b) mod p over its input's values; the values,
+// parameters, costs and accounted sizes are the synthetic job's at
+// Defaults() over 64 rows.
 func affinePlan(tb testing.TB, outer, inner int) *graph.Plan {
 	tb.Helper()
 	const rows, parts, opsPerItem, cost = 64, 8, 4, 0.002 * 4

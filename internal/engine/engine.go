@@ -485,11 +485,13 @@ func (r *Run) CheckpointLive() int {
 // column types. The output's partitions are the run's own (operators build
 // theirs and sources emit fresh ones, dataset.Alias) and a done run has
 // joined every goroutine computing ahead, so no other run or goroutine sees
-// the write. Boxing is idempotent: a second call changes nothing.
+// the write. A large output is boxed on the compute-ahead pool (boxOutput),
+// and every token that takes is back when Result returns. Boxing is
+// idempotent: a second call changes nothing.
 func (r *Run) Result() *Result {
 	res := r.result()
 	if r.done && r.output != nil {
-		r.output.Box()
+		boxOutput(r.output)
 	}
 	return res
 }

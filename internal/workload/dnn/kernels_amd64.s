@@ -22,7 +22,10 @@
 // vector per column, which is multiplied by that column's broadcast x[i]
 // and added to the accumulator, column by column, so every lane adds its
 // row's products in ascending order. Columns past a multiple of 4 are
-// gathered one value per row; rows past a multiple of 8 take a scalar loop.
+// gathered one value per row. Of the rows past a multiple of 8, four take
+// one pass the same way in Y0 alone, two one pass as the lanes of X0, and
+// the last one a scalar loop: the leftover rows of a layer are independent
+// chains too.
 //
 // Registers: R11 walks row r and R12 row r+4 along the columns, R10 is the
 // row stride in bytes and R13 three strides, so rows r+1, r+2 and r+3 are
@@ -38,7 +41,7 @@ TEXT ·dotRowsAVX(SB), NOSPLIT, $0-72
 	LEAQ (CX*8), R10
 	LEAQ (R10)(R10*2), R13
 	CMPQ BX, $8
-	JLT dot_rows1
+	JLT dot_rows4
 
 dot_rows8:
 	VMOVUPD (DI), Y0
@@ -142,8 +145,98 @@ dot_next8:
 	CMPQ BX, $8
 	JGE dot_rows8
 
+dot_rows4:
+	// Four of the rows past a multiple of 8: rows r..r+3 of dot_block and
+	// dot_tail, Y0 alone.
+	CMPQ BX, $4
+	JLT dot_rows2
+	VMOVUPD (DI), Y0
+	MOVQ SI, R11
+	MOVQ DX, R9
+	XORQ AX, AX
+
+dot_block4:
+	CMPQ AX, R8
+	JGE dot_tail4
+	VBROADCASTSD (R9), Y12
+	VBROADCASTSD 8(R9), Y13
+	VBROADCASTSD 16(R9), Y14
+	VBROADCASTSD 24(R9), Y11
+	VMOVUPD (R11), X2
+	VINSERTF128 $1, (R11)(R10*2), Y2, Y2
+	VMOVUPD (R11)(R10*1), X3
+	VINSERTF128 $1, (R11)(R13*1), Y3, Y3
+	VUNPCKLPD Y3, Y2, Y4
+	VUNPCKHPD Y3, Y2, Y5
+	VMOVUPD 16(R11), X2
+	VINSERTF128 $1, 16(R11)(R10*2), Y2, Y2
+	VMOVUPD 16(R11)(R10*1), X3
+	VINSERTF128 $1, 16(R11)(R13*1), Y3, Y3
+	VUNPCKLPD Y3, Y2, Y6
+	VUNPCKHPD Y3, Y2, Y7
+	VMULPD Y12, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	VMULPD Y13, Y5, Y5
+	VADDPD Y5, Y0, Y0
+	VMULPD Y14, Y6, Y6
+	VADDPD Y6, Y0, Y0
+	VMULPD Y11, Y7, Y7
+	VADDPD Y7, Y0, Y0
+	ADDQ $32, R11
+	ADDQ $32, R9
+	ADDQ $4, AX
+	JMP dot_block4
+
+dot_tail4:
+	CMPQ AX, CX
+	JGE dot_next4
+	VBROADCASTSD (R9), Y12
+	VMOVSD (R11), X2
+	VMOVHPD (R11)(R10*1), X2, X2
+	VMOVSD (R11)(R10*2), X3
+	VMOVHPD (R11)(R13*1), X3, X3
+	VINSERTF128 $1, X3, Y2, Y2
+	VMULPD Y12, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	ADDQ $8, R11
+	ADDQ $8, R9
+	INCQ AX
+	JMP dot_tail4
+
+dot_next4:
+	VMOVUPD Y0, (DI)
+	LEAQ (SI)(R10*4), SI
+	ADDQ $32, DI
+	SUBQ $4, BX
+
+dot_rows2:
+	// Two rows as the lanes of X0, (w_r[i], w_r+1[i]) times x[i] broadcast.
+	CMPQ BX, $2
+	JLT dot_rows1
+	VMOVUPD (DI), X0
+	MOVQ SI, R11
+	XORQ AX, AX
+
+dot_col2:
+	CMPQ AX, CX
+	JGE dot_next2
+	VMOVDDUP (DX)(AX*8), X12
+	VMOVSD (R11), X2
+	VMOVHPD (R11)(R10*1), X2, X2
+	VMULPD X12, X2, X2 // w * x[i]
+	VADDPD X2, X0, X0  // sum + w*x[i]
+	ADDQ $8, R11
+	INCQ AX
+	JMP dot_col2
+
+dot_next2:
+	VMOVUPD X0, (DI)
+	LEAQ (SI)(R10*2), SI
+	ADDQ $16, DI
+	SUBQ $2, BX
+
 dot_rows1:
-	// The rows past a multiple of 8, one at a time.
+	// The last row, if any.
 	TESTQ BX, BX
 	JEQ dot_done
 	VMOVSD (DI), X0

@@ -84,55 +84,87 @@ func (p Params) Validate() error {
 }
 
 // pairs is the struct-of-arrays column of the job's datasets. The operators
-// only ever change values, so every derived dataset shares the generator's
-// keys, one string cut at the fixed stride keyLen, and owns one []uint32 of
-// values: nothing in either for the garbage collector to scan, and no Pair
-// is built until the output is boxed.
+// only ever change values, and every one of them is an affine map modulo
+// mod, so a column is a view: the generator's keys, one string cut at the
+// fixed stride keyLen, its base values, and the map that takes a base value
+// to the row's. An operator composes its map into its input's and shares the
+// rest (mathOp): nothing in either for the garbage collector to scan, no
+// payload per branch, and no Pair is built until the output is boxed.
 type pairs struct {
 	keys string
 	vals []uint32
+	// mapped marks a view: row i's value is m of vals[i], and sum is the
+	// exact sum of the column's values. Without it — a literal {keys, vals}
+	// — the values are vals as stored, their sum unknown.
+	mapped bool
+	m      affineMap
+	sum    uint64
+}
+
+// affineMap is v ↦ (v·a + b) mod p, a and b below p.
+type affineMap struct{ a, b uint64 }
+
+// identity is the map of a column that holds its values as stored.
+var identity = affineMap{a: 1}
+
+// apply returns the map of v, v below 2^32: v·a + b is below 2^62 + 2^30,
+// exact in uint64.
+func (m affineMap) apply(v uint32) uint32 { return uint32((uint64(v)*m.a + m.b) % mod) }
+
+// then returns m followed by n: v ↦ ((v·m.a + m.b)·n.a + n.b) mod p is
+// v ↦ (v·(m.a·n.a) + (m.b·n.a + n.b)) mod p. Every factor is below
+// p < 2^30, so no product leaves uint64.
+func (m affineMap) then(n affineMap) affineMap {
+	return affineMap{a: m.a * n.a % mod, b: (m.b*n.a + n.b) % mod}
+}
+
+// fn returns the map of the column's base values to its rows' values.
+func (c *pairs) fn() affineMap {
+	if c.mapped {
+		return c.m
+	}
+	return identity
 }
 
 // Len implements dataset.Column.
 func (c *pairs) Len() int { return len(c.vals) }
 
 // AppendRows implements dataset.Column. A row's key is a substring of the
-// column's keys, so boxing allocates only the Pair.
+// column's keys and its value is computed through the map, so boxing
+// allocates only the Pair.
 func (c *pairs) AppendRows(dst []dataset.Row, lo, hi int) []dataset.Row {
+	m := c.fn()
 	for i := lo; i < hi; i++ {
-		dst = append(dst, Pair{Key: c.keys[keyLen*i : keyLen*(i+1)], Val: int64(c.vals[i])})
+		dst = append(dst, Pair{Key: c.keys[keyLen*i : keyLen*(i+1)], Val: int64(m.apply(c.vals[i]))})
 	}
 	return dst
 }
 
-// window returns the rows of a partition of a pairs dataset, the capacity
-// of its values clipped.
-func window(p *dataset.Partition) pairs {
+// window returns the rows of a partition of a pairs dataset — their keys and
+// base values, the capacity of the values clipped — and the map of its
+// column.
+func window(p *dataset.Partition) (string, []uint32, affineMap) {
 	c := p.Col.(*pairs)
-	return pairs{keys: c.keys[keyLen*p.Lo : keyLen*p.Hi], vals: c.vals[p.Lo:p.Hi:p.Hi]}
+	return c.keys[keyLen*p.Lo : keyLen*p.Hi], c.vals[p.Lo:p.Hi:p.Hi], c.fn()
 }
 
-// sharedKeys returns the keys of a dataset whose partitions are consecutive
-// windows of one pairs column, and whether they are: then the keys of every
-// row are one substring of that column's, which an operator's output can
-// share.
-func sharedKeys(d *dataset.Dataset) (string, bool) {
-	var c *pairs
-	lo, hi := 0, 0
+// oneColumn returns the pairs column of which d's partitions are, in order,
+// consecutive windows, the rows [lo, hi) they cover, and whether there is
+// one: every partition must hold the first one's column and start where the
+// previous one ended. A dataset without partitions has none.
+func oneColumn(d *dataset.Dataset) (c *pairs, lo, hi int, ok bool) {
 	for i := range d.Parts {
 		p := &d.Parts[i]
+		pc, _ := p.Col.(*pairs)
 		if i == 0 {
-			c, lo, hi = p.Col.(*pairs), p.Lo, p.Lo
+			c, lo, hi = pc, p.Lo, p.Lo
 		}
-		if p.Col.(*pairs) != c || p.Lo != hi {
-			return "", false
+		if pc == nil || pc != c || p.Lo != hi {
+			return nil, 0, 0, false
 		}
 		hi = p.Hi
 	}
-	if c == nil {
-		return "", true
-	}
-	return c.keys[keyLen*lo : keyLen*hi], true
+	return c, lo, hi, c != nil
 }
 
 // keyLen is the length of a generated key: 'k' and eight hex digits.
@@ -166,76 +198,105 @@ func Generate(p Params) *dataset.Dataset {
 	return d
 }
 
-// affine returns the (a, b) for which v ↦ (v·a + b) mod p is opsPerItem
-// steps v ↦ (v·w + k + 1) mod p, k = 0, 1, ...: an affine map composed with
-// an affine map is affine, so a ← a·w and b ← b·w + k + 1 per step, with w
-// reduced mod p (w > 0). Both are below p.
-func affine(w int64, opsPerItem int) (a, b uint64) {
+// affine returns the map v ↦ (v·a + b) mod p that is opsPerItem steps
+// v ↦ (v·w + k + 1) mod p, k = 0, 1, ...: an affine map composed with an
+// affine map is affine, so a ← a·w and b ← b·w + k + 1 per step, with w
+// reduced mod p (w > 0).
+func affine(w int64, opsPerItem int) affineMap {
 	wp := uint64(w) % mod
-	a = 1
+	m := identity
 	for k := 0; k < opsPerItem; k++ {
-		a = a * wp % mod
-		b = (b*wp + uint64(k) + 1) % mod
+		m = m.then(affineMap{a: wp, b: uint64(k) + 1})
 	}
-	return a, b
+	return m
 }
 
 // mathOp applies the branch's algebraic operation OpsPerItem times to every
 // value: an affine update modulo a large prime, parameterised by the
-// explorable w. The OpsPerItem steps are folded into one (affine) when the
-// operator is built, so a value costs one step on the host whatever the
-// count; the virtual cost (costPerMB) still charges every one. v and a are
-// below p < 2^30, so v·a + b is exact in uint64.
-// The output is one column cut at the input's partition ends, its keys the
-// input's own where they are one substring (sharedKeys) and gathered
-// otherwise. Accounted sizes scale by sizeScale. It is one closure: a job
-// builds one per branch.
+// explorable w. The OpsPerItem steps are folded into one map (affine) when
+// the operator is built, so a value costs one step on the host whatever the
+// count; the virtual cost (costPerMB) still charges every one.
+//
+// Over consecutive windows of one column (oneColumn) — every input of the
+// synthetic job — the output is a view: the column's keys and base values cut
+// to the windows' rows, the column's map followed by the operator's, and the
+// sum of the new values, which one pass computes. Anything else, a Concat of
+// branches or windows of several columns, is gathered into a fresh column:
+// each value computed through its own column's map straight into it, keys
+// copied. Either way the output is cut at the input's partition ends, and
+// accounted sizes scale by sizeScale. It is one closure: a job builds one per
+// branch.
 func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.TransformFunc {
-	a, b := affine(w, opsPerItem)
+	op := affine(w, opsPerItem)
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		in, err := mdf.OneInput(name, ins)
 		if err != nil {
 			return nil, err
 		}
-		n := in.NumRows()
-		keys, shared := sharedKeys(in)
-		var gathered strings.Builder
-		if !shared {
-			gathered.Grow(keyLen * n)
-		}
-		vals := make([]uint32, 0, n)
 		parts := make([]dataset.Partition, len(in.Parts))
+		if c, lo, hi, ok := oneColumn(in); ok {
+			m := c.fn().then(op)
+			vals := c.vals[lo:hi:hi]
+			var sum uint64
+			for _, v := range vals {
+				sum += uint64(m.apply(v))
+			}
+			for i := range in.Parts {
+				part := &in.Parts[i]
+				parts[i] = dataset.Partition{Lo: part.Lo - lo, Hi: part.Hi - lo, VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
+			}
+			return dataset.Over(name, pairs{keys: c.keys[keyLen*lo : keyLen*hi], vals: vals, mapped: true, m: m, sum: sum}, parts), nil
+		}
+		n := in.NumRows()
+		var keys strings.Builder
+		keys.Grow(keyLen * n)
+		vals := make([]uint32, 0, n)
+		var sum uint64
 		for i := range in.Parts {
 			part := &in.Parts[i]
-			win := window(part)
 			lo := len(vals)
-			for _, v := range win.vals {
-				vals = append(vals, uint32((uint64(v)*a+b)%mod))
-			}
-			if !shared {
-				gathered.WriteString(win.keys)
+			if part.Hi > part.Lo {
+				k, vs, cm := window(part)
+				m := cm.then(op)
+				for _, v := range vs {
+					y := m.apply(v)
+					sum += uint64(y)
+					vals = append(vals, y)
+				}
+				keys.WriteString(k)
 			}
 			parts[i] = dataset.Partition{Lo: lo, Hi: len(vals), VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
 		}
-		if !shared {
-			keys = gathered.String()
-		}
-		return dataset.Over(name, pairs{keys: keys, vals: vals}, parts), nil
+		return dataset.Over(name, pairs{keys: keys.String(), vals: vals, mapped: true, m: identity, sum: sum}, parts), nil
 	}
 }
 
+// sumExactRows bounds the rows whose mean sumEvaluator reads off a column's
+// sum: below it every partial sum of values below p < 2^30 is an integer
+// below 2^53, so the float64 loop it replaces adds exactly and ends on the
+// sum itself.
+const sumExactRows = 1 << 23
+
 // sumEvaluator implements int_value from Fig. 23: the mean tuple value of a
-// branch result.
+// branch result. Over a whole view column (what mathOp makes) it divides the
+// column's sum, bit for bit what summing the values in float64 gives;
+// otherwise it sums them.
 func sumEvaluator() mdf.Evaluator {
 	return mdf.Evaluator{
 		Name: "int_value",
 		Fn: func(d *dataset.Dataset) float64 {
+			if c, lo, hi, ok := oneColumn(d); ok && c.mapped && lo == 0 && hi == len(c.vals) && hi > 0 && hi < sumExactRows {
+				return float64(c.sum) / float64(hi)
+			}
 			var sum float64
 			n := 0
 			for i := range d.Parts {
-				for _, v := range window(&d.Parts[i]).vals {
-					sum += float64(v)
-					n++
+				if p := &d.Parts[i]; p.Hi > p.Lo {
+					_, vals, m := window(p)
+					for _, v := range vals {
+						sum += float64(m.apply(v))
+					}
+					n += len(vals)
 				}
 			}
 			if n == 0 {

@@ -2,6 +2,8 @@ package synthetic
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -123,8 +125,8 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 				t.Errorf("%s: partition %d accounts %d bytes, want %d", tc.name, i, out.Parts[i].VirtualBytes, vb)
 			}
 		}
-		if _, shared := sharedKeys(tc.in); shared != tc.shared {
-			t.Errorf("%s: output shares its input's keys = %v, want %v", tc.name, shared, tc.shared)
+		if _, _, _, shared := oneColumn(tc.in); shared != tc.shared {
+			t.Errorf("%s: output is a view of its input's column = %v, want %v", tc.name, shared, tc.shared)
 		}
 	}
 }
@@ -142,11 +144,11 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 	}
 	for _, d := range []*dataset.Dataset{in, out} {
 		for i := 0; i+1 < len(d.Parts); i++ {
-			next := window(&d.Parts[i+1])
-			val := next.vals[0]
-			cur := window(&d.Parts[i])
-			_ = append(cur.vals, val+1)
-			if next.vals[0] != val {
+			_, next, _ := window(&d.Parts[i+1])
+			val := next[0]
+			_, cur, _ := window(&d.Parts[i])
+			_ = append(cur, val+1)
+			if next[0] != val {
 				t.Errorf("%s: appending to partition %d overwrote partition %d's first row", d.Name, i, i+1)
 			}
 		}
@@ -155,7 +157,8 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 
 // What Generate and mathOp emit costs its payload and two allocations, the
 // partition block and the dataset together with its column's header, at
-// every partition count.
+// every partition count. Over one column mathOp's output is a view, which
+// has no payload: its allocations do not grow with the rows.
 func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 	for _, parts := range []int{1, 4, 64} {
 		p := Defaults()
@@ -164,6 +167,15 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 		op := mathOp("op", 1, 10, 2)
 		one := []*dataset.Dataset{in}
 		two := []*dataset.Dataset{dataset.Concat("c", in, in.Alias("a"))}
+		first, err := op(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := mathOp("op", 1, 100, 3)(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		affine := []*dataset.Dataset{dataset.Concat("c", first, second)}
 		gates := []struct {
 			name    string
 			payload float64
@@ -171,10 +183,11 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 		}{
 			// The generator (3), the keys and the values.
 			{"Generate", 5, func() { Generate(p) }},
-			// The values; the keys are the input's.
-			{"mathOp over one column", 1, func() { _, _ = op(one) }},
+			// Nothing: the keys and base values are the input's.
+			{"mathOp over one column", 0, func() { _, _ = op(one) }},
 			// The values and the gathered keys.
 			{"mathOp over a Concat", 2, func() { _, _ = op(two) }},
+			{"mathOp over a Concat of affine inputs", 2, func() { _, _ = op(affine) }},
 		}
 		for _, g := range gates {
 			if allocs := testing.AllocsPerRun(10, g.f); allocs > g.payload+2 {
@@ -182,24 +195,152 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 			}
 		}
 	}
+	allocs := func(rows int) float64 {
+		p := Defaults()
+		p.Rows = rows
+		in := []*dataset.Dataset{Generate(p)}
+		op := mathOp("op", 1, 10, 2)
+		return testing.AllocsPerRun(10, func() { _, _ = op(in) })
+	}
+	if small, large := allocs(4_000), allocs(20_000); small != large {
+		t.Errorf("mathOp over a whole column allocates %.0f times at 4 000 rows and %.0f at 20 000", small, large)
+	}
+}
+
+// refRows is what the chain of operators (w[k], ops[k]) makes of d, row by
+// row through refOp: the rows of every partition, materialised.
+func refRows(d *dataset.Dataset, w []int64, ops []int) [][]Pair {
+	out := make([][]Pair, len(d.Parts))
+	for i := range d.Parts {
+		for _, r := range d.Parts[i].BoxedRows() {
+			pr := r.(Pair)
+			for k := range w {
+				pr.Val = refOp(pr.Val, w[k], ops[k])
+			}
+			out[i] = append(out[i], pr)
+		}
+	}
+	return out
+}
+
+// A chain of one to three mathOps gives, whether its inputs are views of one
+// column or gathered, the rows, column sum and int_value score of the
+// reference that materialises every step through refOp: over generated
+// datasets, partial windows of one (consecutive, and not), and a Concat of
+// two branches, at ops per item 1 to 8 and w past p.
+func TestAffineViewMatchesMaterialised(t *testing.T) {
+	const p = 1_000_000_007
+	gen := func(rows, parts int, seed int64) *dataset.Dataset {
+		q := Defaults()
+		q.Rows, q.Partitions, q.Seed = rows, parts, seed
+		return Generate(q)
+	}
+	a := gen(61, 5, 1)
+	b1, err := mathOp("b1", 1, 1000, 3)([]*dataset.Dataset{gen(47, 3, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := mathOp("b2", 1, p+7, 2)([]*dataset.Dataset{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := []struct {
+		name string
+		in   *dataset.Dataset
+	}{
+		{"a generated column", a},
+		{"one partition", gen(9, 1, 3)},
+		{"windows 1-3 of a column", dataset.FromPartitions("mid", slices.Clone(a.Parts[1:4]))},
+		{"windows 0, 2 and 4 of a column", dataset.FromPartitions("gaps", []dataset.Partition{a.Parts[0], a.Parts[2], a.Parts[4]})},
+		{"a Concat of two branches", dataset.Concat("c", b1, b2)},
+	}
+	ws := []int64{10, 1000, p, p + 7, 9_000_000_000}
+	score := sumEvaluator().Fn
+	for _, tc := range inputs {
+		// The inputs themselves are scored by summing their values: none is
+		// a whole view column.
+		var fsum float64
+		for _, r := range tc.in.Rows() {
+			fsum += float64(r.(Pair).Val)
+		}
+		if got, want := score(tc.in), fsum/float64(tc.in.NumRows()); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: int_value %v, want %v", tc.name, got, want)
+		}
+		for chain := 1; chain <= 3; chain++ {
+			for n := 1; n <= 8; n++ {
+				for j := range ws {
+					w, ops := make([]int64, chain), make([]int, chain)
+					out := tc.in
+					for k := 0; k < chain; k++ {
+						w[k], ops[k] = ws[(j+k)%len(ws)], (n+k-1)%8+1
+						out, err = mathOp("op", 1, w[k], ops[k])([]*dataset.Dataset{out})
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					name := fmt.Sprintf("%s, w=%v, ops=%v", tc.name, w, ops)
+					want := refRows(tc.in, w, ops)
+					var sum uint64
+					var fsum float64
+					rows := 0
+					for i := range out.Parts {
+						got := out.Parts[i].BoxedRows()
+						if len(got) != len(want[i]) {
+							t.Fatalf("%s: partition %d has %d rows, want %d", name, i, len(got), len(want[i]))
+						}
+						for r, row := range got {
+							if row.(Pair) != want[i][r] {
+								t.Fatalf("%s: partition %d row %d = %+v, want %+v", name, i, r, row, want[i][r])
+							}
+							sum += uint64(want[i][r].Val)
+							fsum += float64(want[i][r].Val)
+							rows++
+						}
+					}
+					c, lo, hi, ok := oneColumn(out)
+					if !ok || lo != 0 || hi != c.Len() || !c.mapped {
+						t.Fatalf("%s: the output is not one whole view column", name)
+					}
+					if c.sum != sum {
+						t.Fatalf("%s: column sum %d, want %d", name, c.sum, sum)
+					}
+					if got, want := score(out), fsum/float64(rows); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: int_value %v, want %v", name, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkMathOp runs one branch's operator over a 20 000-row input, the
 // size lib-kernel's synthetic jobs use, at 1, 4 and 16 ops per item: the
-// host cost of a value is one affine step at every count.
+// host cost of a value is one affine step at every count. chain is
+// second_op over first_op's output, a view whose map the operator composes
+// into its own; the other cases read the generated column.
 func BenchmarkMathOp(b *testing.B) {
 	p := Defaults()
 	p.Rows = 20_000
 	in := []*dataset.Dataset{Generate(p)}
 	for _, ops := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
-			op := mathOp("op", 1, 1000, ops)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := op(in); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOp(b, mathOp("op", 1, 1000, ops), in)
 		})
+	}
+	first, err := mathOp("first_op", 1, 1000, 4)(in)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("chain", func(b *testing.B) {
+		benchOp(b, mathOp("second_op", 1, 100, 4), []*dataset.Dataset{first})
+	})
+}
+
+func benchOp(b *testing.B, op func([]*dataset.Dataset) (*dataset.Dataset, error), in []*dataset.Dataset) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := op(in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
