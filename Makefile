@@ -137,14 +137,16 @@ crash-short: build
 # path that builds a graph, BenchmarkPutAccessDiscard a partition's life in a
 # narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
 # hint, BenchmarkDensity a bounded kernel's narrow and wide support beside the
-# full loop, BenchmarkMarkSiblings the 16 analysis branches of a time series
+# full loop, BenchmarkDensities one kde fused density pass (every kernel at
+# 200 hold-out points of 400 samples) on the /avx and the /go path and
+# kde's BenchmarkRowKernels its u row and cosine kernel, BenchmarkMarkSiblings the 16 analysis branches of a time series
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
 # the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at
 # 1, 4 and 16 ops per item and, as chain, second_op over first_op's output
 # (the affine view: no payload), BenchmarkResult Run.Result boxing a
 # 20 000-row, 8-partition output on the compute-ahead pool, BenchmarkTrainEpoch one dnn training epoch
 # through the row kernels (one allocation), BenchmarkForward one dnn forward
-# pass (two dotRows calls), BenchmarkRowKernels each of dnn's three row
+# pass (two dotRows calls), dnn's BenchmarkRowKernels each of its three row
 # kernels at the Defaults() layer shapes on the /avx and the /go path,
 # BenchmarkServiceJob/new a document the service has not seen and /repeat
 # one its vet memo holds the plan of). Part of ci.

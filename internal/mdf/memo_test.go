@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // counted returns a memo whose compute sums its input plus the key and counts
@@ -149,6 +150,133 @@ func TestMemoPanicLeavesNoEntry(t *testing.T) {
 	}
 	if got := outer.Get(2, in); got != 110 || outerCalls.Load() != 2 {
 		t.Errorf("a third Get read %d after %d computations, want 110 from the stored entry", got, outerCalls.Load())
+	}
+}
+
+// TestMemoComputesDistinctKeysAtOnce: a key's value is computed outside the
+// memo's lock, so two keys whose computations each wait for the other to
+// have begun both finish. A memo that computed under its lock would hold
+// the second Get until the first compute returned, which it never does.
+func TestMemoComputesDistinctKeysAtOnce(t *testing.T) {
+	began := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	m := NewMemo(func(k int, in []int) int {
+		close(began[k])
+		<-began[1-k]
+		return k + in[0]
+	})
+	in := []int{10}
+	got := make(chan int, 2)
+	for k := range 2 {
+		go func() { got <- m.Get(k, in) }()
+	}
+	timeout := time.After(10 * time.Second)
+	sum := 0
+	for range 2 {
+		select {
+		case v := <-got:
+			sum += v
+		case <-timeout:
+			t.Fatal("two keys whose computations wait on each other did not finish: the memo computes one key at a time")
+		}
+	}
+	if sum != 21 {
+		t.Errorf("the two Gets read %d in all, want 10 + 11", sum)
+	}
+}
+
+// TestMemoWaitersShareOneCompute: 16 Gets of one key, all asked while its
+// value is being computed, wait for that one computation and read its
+// value.
+func TestMemoWaitersShareOneCompute(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int32
+	m := NewMemo(func(k int, in []int) int {
+		calls.Add(1)
+		<-release
+		return k * in[0]
+	})
+	in := []int{3}
+	got := make([]int, 16)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = m.Get(5, in)
+		}()
+	}
+	// Every Get but the computing one waits: let them all arrive first.
+	for calls.Load() == 0 {
+		runtime.Gosched()
+	}
+	for range 100 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	for i, v := range got {
+		if v != 15 {
+			t.Fatalf("Get %d read %d, want 15", i, v)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("16 Gets of one key computed %d times, want once", n)
+	}
+}
+
+// TestMemoPanicWakesWaiters: the Gets waiting on a computation that panics
+// are woken, and the value is computed again for them, once.
+func TestMemoPanicWakesWaiters(t *testing.T) {
+	began, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	m := NewMemo(func(k int, in []int) int {
+		if calls.Add(1) == 1 {
+			close(began)
+			<-release
+			panic("part-way")
+		}
+		return k + in[0]
+	})
+	in := []int{7}
+	panicked := make(chan bool)
+	go func() {
+		defer func() { panicked <- recover() != nil }()
+		m.Get(1, in)
+	}()
+	<-began
+	got := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = m.Get(1, in)
+		}()
+	}
+	for range 100 {
+		runtime.Gosched()
+	}
+	close(release)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the Gets waiting on a panicking computation were not woken")
+	}
+	if !<-panicked {
+		t.Fatal("the first computation did not panic")
+	}
+	for i, v := range got {
+		if v != 8 {
+			t.Fatalf("waiter %d read %d, want 8", i, v)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("%d computations, want 2: the panicking one and one for the waiters", n)
+	}
+	if len(m.entries) != 1 || m.entries[0].pending != 0 {
+		t.Errorf("the memo holds %d entries after the waiters' computation, want the one stored", len(m.entries))
 	}
 }
 

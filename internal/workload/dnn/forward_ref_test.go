@@ -82,8 +82,9 @@ func TestForwardMatchesScalar(t *testing.T) {
 // TestTrainingChecksum pins what TrainEpoch and Accuracy compute through
 // forward: the loss of two epochs, the accuracy and every weight, bit for
 // bit, as the scalar forward pass and the per-neuron update loops produced
-// them (the checksums were taken from them). The 13 × 5 shape gives every
-// W1 row a tail past a multiple of four values.
+// them (the checksums were taken from them); the same two epochs through
+// train, without the loss, must leave the same weights. The 13 × 5 shape
+// gives every W1 row a tail past a multiple of four values.
 func TestTrainingChecksum(t *testing.T) {
 	for _, tc := range []struct {
 		in, hidden int
@@ -98,18 +99,31 @@ func TestTrainingChecksum(t *testing.T) {
 		l1 := m.TrainEpoch(examples[:200], 0.01, 0.9)
 		l2 := m.TrainEpoch(examples[:200], 0.005, 0.5)
 		acc := m.Accuracy(examples[200:])
-		h := fnv.New64a()
-		for _, ws := range [][]float64{m.W1, m.B1, m.W2, m.B2, m.vW1, m.vB1, m.vW2, m.vB2} {
-			for _, w := range ws {
-				fmt.Fprintf(h, "%016x", math.Float64bits(w))
-			}
-		}
 		got := fmt.Sprintf("loss=%016x,%016x acc=%016x weights=%016x",
-			math.Float64bits(l1), math.Float64bits(l2), math.Float64bits(acc), h.Sum64())
+			math.Float64bits(l1), math.Float64bits(l2), math.Float64bits(acc), weightsHash(m))
 		if got != tc.want {
 			t.Errorf("in=%d hidden=%d: %s, want %s", tc.in, tc.hidden, got, tc.want)
 		}
+		// The training operators' epoch, without the loss, moves the
+		// weights to the same bits.
+		quiet := NewModel(tc.in, tc.hidden, 10, Init{Kind: InitUniform, A: 0.1}, 5)
+		quiet.train(examples[:200], 0.01, 0.9)
+		quiet.train(examples[:200], 0.005, 0.5)
+		if got, want := weightsHash(quiet), weightsHash(m); got != want {
+			t.Errorf("in=%d hidden=%d: weights=%016x without the loss, want %016x", tc.in, tc.hidden, got, want)
+		}
 	}
+}
+
+// weightsHash hashes the bits of every weight, bias and velocity of m.
+func weightsHash(m *Model) uint64 {
+	h := fnv.New64a()
+	for _, ws := range [][]float64{m.W1, m.B1, m.W2, m.B2, m.vW1, m.vB1, m.vW2, m.vB2} {
+		for _, w := range ws {
+			fmt.Fprintf(h, "%016x", math.Float64bits(w))
+		}
+	}
+	return h.Sum64()
 }
 
 func benchExamples() ([]Example, *Model) {

@@ -178,7 +178,7 @@ func trainOp(p Params, name string, init Init, lr, momentum float64, seed int64)
 	return mdf.WholeDataset(name, func(in *dataset.Dataset) (*dataset.Dataset, error) {
 		examples := firstRow[dataRow](in).examples
 		m := NewModel(p.Dims, p.Hidden, p.Classes, init, seed)
-		m.TrainEpoch(examples[:p.Train], lr, momentum)
+		m.train(examples[:p.Train], lr, momentum)
 		return singleRow("model", modelRow{model: m}, 1,
 			int64(8*(len(m.W1)+len(m.W2)+len(m.B1)+len(m.B2)))), nil
 	})
@@ -196,7 +196,7 @@ func continueTrainOp(p Params, examples []Example, name string, lr, momentum flo
 		// graph's example set), not on preprocessOp's scaled copy the first
 		// round saw. A known deviation, see ARCHITECTURE.md "Workloads":
 		// BENCH_fig5.json and the benchmark goldens pin it.
-		m.TrainEpoch(examples[:p.Train], lr, momentum)
+		m.train(examples[:p.Train], lr, momentum)
 		return singleRow("model", modelRow{model: m}, 1, in.VirtualBytes()), nil
 	})
 }

@@ -1,18 +1,11 @@
 package dnn
 
-// useAVX is whether the row kernels run as 4-wide AVX, decided once from
-// CPUID and XGETBV: the CPU has AVX and the OS saves its register state.
-// Only tests change it, to run the plain-Go path on the same machine.
-var useAVX = hasAVX()
+import "metadataflow/internal/cpufeat"
 
-func hasAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx := cpuid1ECX(); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	// XCR0 bits 1 and 2: the OS saves the SSE and the upper AVX halves.
-	return xcr0()&6 == 6
-}
+// useAVX is whether the row kernels run as 4-wide AVX, decided once by
+// cpufeat.HasAVX. Only tests change it, to run the plain-Go path on the
+// same machine.
+var useAVX = cpufeat.HasAVX()
 
 func dotRows(y, w, x []float64) {
 	if !useAVX {
@@ -54,10 +47,3 @@ func axpyRowsAVX(y, w, a []float64)
 
 //go:noescape
 func momentumRowsAVX(w, vel, x, lrg []float64, momentum float64)
-
-// cpuid1ECX returns ECX of CPUID leaf 1, the feature bits.
-func cpuid1ECX() uint32
-
-// xcr0 returns the low half of XCR0 (XGETBV with ECX = 0), the register
-// state the OS saves.
-func xcr0() uint32

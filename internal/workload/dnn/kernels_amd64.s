@@ -371,18 +371,3 @@ mom_next:
 mom_done:
 	VZEROUPPER
 	RET
-
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	MOVL $0, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
-
-// func xcr0() uint32
-TEXT ·xcr0(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET

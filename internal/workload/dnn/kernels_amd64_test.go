@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"metadataflow/internal/cpufeat"
 	"metadataflow/internal/stats"
 )
 
@@ -20,7 +21,7 @@ func onPath(avx bool, f func()) {
 
 func needAVX(t *testing.T) {
 	t.Helper()
-	if !hasAVX() {
+	if !cpufeat.HasAVX() {
 		t.Skip("the CPU or the OS does not support AVX")
 	}
 }
@@ -116,7 +117,7 @@ func TestRowKernelsCheckShape(t *testing.T) {
 			momentumRows(make([]float64, 6), make([]float64, 5), make([]float64, 3), make([]float64, 2), 0.5)
 		},
 	}
-	for _, avx := range []bool{false, hasAVX()} {
+	for _, avx := range []bool{false, cpufeat.HasAVX()} {
 		for name, call := range short {
 			onPath(avx, func() {
 				defer func() {
@@ -135,7 +136,7 @@ func TestRowKernelsCheckShape(t *testing.T) {
 // reading a prefix of each weight row.
 func TestAccuracyRejectsWrongLengthExample(t *testing.T) {
 	m := NewModel(13, 5, 10, Init{Kind: InitGaussian, A: 0.5}, 3)
-	for _, avx := range []bool{false, hasAVX()} {
+	for _, avx := range []bool{false, cpufeat.HasAVX()} {
 		for _, in := range []int{m.In - 1, m.In + 1} {
 			onPath(avx, func() {
 				defer func() {
@@ -224,7 +225,7 @@ func BenchmarkRowKernels(b *testing.B) {
 				avx  bool
 			}{{"avx", true}, {"go", false}} {
 				b.Run(fmt.Sprintf("%s/%dx%d/%s", k.name, shape.rows, shape.n, path.name), func(b *testing.B) {
-					if path.avx && !hasAVX() {
+					if path.avx && !cpufeat.HasAVX() {
 						b.Skip("the CPU or the OS does not support AVX")
 					}
 					onPath(path.avx, func() {

@@ -152,13 +152,27 @@ func (m *Model) forward(x []float64, hidden, probs []float64) {
 // TrainEpoch performs one epoch of SGD with momentum over the examples and
 // returns the mean cross-entropy loss (§6: "After an epoch of training, the
 // classification accuracy is measured").
+func (m *Model) TrainEpoch(examples []Example, lr, momentum float64) float64 {
+	return m.epoch(examples, lr, momentum, true)
+}
+
+// train performs the epoch TrainEpoch does, to the same weights bit for
+// bit, without the loss: a log per example that the MDF's training
+// operators would throw away.
+func (m *Model) train(examples []Example, lr, momentum float64) {
+	m.epoch(examples, lr, momentum, false)
+}
+
+// epoch performs one epoch of SGD with momentum over the examples and
+// returns the mean cross-entropy loss when withLoss is set, NaN otherwise.
+// The loss reads the probabilities and changes nothing else.
 //
 // Each layer's weights move in one momentumRows call per example, after the
 // layer's gradients and its bias updates (which touch no weight); the
 // hidden gradient sums the output rows in one axpyRows call before they
 // move. Every value goes through the multiplies and subtractions of a
 // per-neuron loop, in its order, so the results are bit for bit its own.
-func (m *Model) TrainEpoch(examples []Example, lr, momentum float64) float64 {
+func (m *Model) epoch(examples []Example, lr, momentum float64, withLoss bool) float64 {
 	// One allocation holds the scratch: activations, probabilities (which
 	// become the output gradients), the hidden gradients (which become
 	// lr·g) and the output gradients scaled by lr.
@@ -169,11 +183,13 @@ func (m *Model) TrainEpoch(examples []Example, lr, momentum float64) float64 {
 	var loss float64
 	for _, ex := range examples {
 		m.forward(ex.X, hidden, probs)
-		p := probs[ex.Y]
-		if p < 1e-12 {
-			p = 1e-12
+		if withLoss {
+			p := probs[ex.Y]
+			if p < 1e-12 {
+				p = 1e-12
+			}
+			loss -= math.Log(p)
 		}
-		loss -= math.Log(p)
 		// Output-layer gradient (softmax cross-entropy): dL/dlogit_c, in
 		// place of the probabilities.
 		g := probs
@@ -197,6 +213,9 @@ func (m *Model) TrainEpoch(examples []Example, lr, momentum float64) float64 {
 			m.B1[h] += m.vB1[h]
 		}
 		momentumRows(m.W1, m.vW1, ex.X, dHidden, momentum)
+	}
+	if !withLoss {
+		return math.NaN()
 	}
 	return loss / float64(len(examples))
 }

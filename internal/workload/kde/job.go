@@ -3,6 +3,7 @@ package kde
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"metadataflow/internal/dataset"
@@ -163,7 +164,6 @@ func outlierLabel(o float64, kernel string) string {
 // is ever written once made.
 type fit struct {
 	holdout, train []float64
-	order          []uint16
 }
 
 // newFit splits xs into the hold-out points, its first HoldoutFraction, and
@@ -182,7 +182,7 @@ func newFit(p Params, xs []float64) fit {
 		}
 		train = sampled
 	}
-	return fit{holdout: holdout, train: train, order: sampleOrder(train)}
+	return fit{holdout: holdout, train: train}
 }
 
 // fitMemo returns the memo of one graph's fits, keyed by pre-processing
@@ -191,24 +191,136 @@ func fitMemo(p Params) *mdf.Memo[float64, float64, fit] {
 	return mdf.NewMemo(func(_ float64, xs []float64) fit { return newFit(p, xs) })
 }
 
-// estimateOp fits the estimator on a subsample and outputs the predicted
-// densities at the hold-out points (one row per hold-out point). The output
-// is small relative to the input, as a density profile is. The fit comes
-// from fits under the key of the input's pre-processing branch, shared by
-// every estimate of that input. name is kdeName(k.Name, h).
-func estimateOp(fits *mdf.Memo[float64, float64, fit], pre float64, k Kernel, h float64, name string) graph.TransformFunc {
+// densityKey names one density pass: the fit of a pre-processing branch
+// (the fits memo's key) at one bandwidth, by its bits.
+type densityKey struct {
+	pre float64
+	h   uint64
+}
+
+// densities holds every explored kernel's density at a fit's hold-out
+// points, one row per built-in kernel (index builtin-1), nil for a kernel
+// the graph does not explore. The estimates of one pre-processing branch
+// and bandwidth share it through one mdf.Memo per graph, each reading its
+// own kernel's row; nobody writes a row once made.
+type densities [kTriweight][]float64
+
+// densityMemo returns the memo of one graph's density passes over the fits
+// in fits, for the kernels it explores.
+func densityMemo(fits *mdf.Memo[float64, float64, fit], kernels []Kernel) *mdf.Memo[densityKey, float64, densities] {
+	var explored [kTriweight]bool
+	for _, k := range kernels {
+		explored[k.builtin-1] = true
+	}
+	return mdf.NewMemo(func(key densityKey, xs []float64) densities {
+		f := fits.Get(key.pre, xs)
+		return densityPass(f.train, f.holdout, math.Float64frombits(key.h), explored)
+	})
+}
+
+// densityPass returns what Estimator.Density gives, bit for bit, at every
+// hold-out point for each explored kernel, in one pass per point over the
+// samples. It computes u = (x-xᵢ)/h once per sample (uRow) and sums the
+// Gaussian over every sample; the bounded kernels are +0 outside their
+// support, so their sums add only the u inside it, in ascending index, as
+// Density's windows do, six chains side by side (a NaN u is inside, as
+// outside says, and turns each sum NaN as the full loop would). The samples
+// go through in blocks of passBlock, whose u and cosine kernels sit on the
+// stack: the sums run on across blocks, so each adds the same terms in the
+// same order.
+func densityPass(train, holdout []float64, h float64, explored [kTriweight]bool) densities {
+	var out densities
+	rows := 0
+	for _, e := range explored {
+		if e {
+			rows++
+		}
+	}
+	buf := make([]float64, rows*len(holdout))
+	for b, e := range explored {
+		if e {
+			out[b], buf = buf[:len(holdout):len(holdout)], buf[len(holdout):]
+		}
+	}
+	if len(train) == 0 {
+		return out
+	}
+	bounded := slices.Contains(explored[kTopHat-1:], true)
+	var ub, cb [passBlock]float64
+	norm := float64(len(train)) * h
+	for i, x := range holdout {
+		var gauss, top, lin, cos, epa, biw, triw float64
+		for lo := 0; lo < len(train); lo += passBlock {
+			u := ub[:min(passBlock, len(train)-lo)]
+			uRow(u, train[lo:lo+len(u)], x, h)
+			if explored[kGaussian-1] {
+				for _, v := range u {
+					gauss += gaussian(v)
+				}
+			}
+			if !bounded {
+				continue
+			}
+			// The u inside the support, compacted in place without a
+			// branch: |v| > 1 is outside(v), NaN included.
+			n := 0
+			for _, v := range u {
+				u[n] = v
+				if !(math.Abs(v) > 1) {
+					n++
+				}
+			}
+			in, c := u[:n], cb[:n]
+			if explored[kCosine-1] {
+				cosineRow(c, in)
+			}
+			for j, v := range in {
+				t := 1 - v*v
+				top += 0.5
+				lin += 1 - math.Abs(v)
+				cos += c[j]
+				epa += 0.75 * t
+				biw += 15.0 / 16.0 * t * t
+				triw += 35.0 / 32.0 * t * t * t
+			}
+		}
+		out.set(kGaussian, i, gauss/norm)
+		out.set(kTopHat, i, top/norm)
+		out.set(kLinear, i, lin/norm)
+		out.set(kCosine, i, cos/norm)
+		out.set(kEpanechnikov, i, epa/norm)
+		out.set(kBiweight, i, biw/norm)
+		out.set(kTriweight, i, triw/norm)
+	}
+	return out
+}
+
+// passBlock is how many samples densityPass takes at a time.
+const passBlock = 512
+
+// set stores v as the density of built-in kernel k at hold-out point i,
+// unless k is not explored.
+func (d *densities) set(k, i int, v float64) {
+	if r := d[k-1]; r != nil {
+		r[i] = v
+	}
+}
+
+// estimateOp outputs the predicted densities of kernel k at bandwidth h at
+// the hold-out points (one row per hold-out point): its row of the density
+// pass of the input's pre-processing branch pre at h, read from dens and
+// shared with the pass's other estimates, read-only and not copied. The
+// output is small relative to the input, as a density profile is. name is
+// kdeName(k.Name, h).
+func estimateOp(dens *mdf.Memo[densityKey, float64, densities], pre float64, k Kernel, h float64, name string) graph.TransformFunc {
+	key := densityKey{pre: pre, h: math.Float64bits(h)}
 	return mdf.WholeDataset(name,
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			xs := dataset.Flatten[float64](in)
 			if len(xs) == 0 {
 				return nil, fmt.Errorf("kde: empty input")
 			}
-			f := fits.Get(pre, xs)
-			est := Estimator{Kernel: k, Bandwidth: h, Samples: f.train, order: f.order}
-			rows := make([]float64, len(f.holdout))
-			for i, x := range f.holdout {
-				rows[i] = est.Density(x)
-			}
+			rows := dens.Get(key, xs)[k.builtin-1]
 			parts := in.NumPartitions()
 			if parts < 1 {
 				parts = 1
@@ -278,6 +390,8 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	return buildMDF(p, fitMemo(p))
 }
 
+// buildMDF builds the MDF over the graph's memo of fits, and makes its memo
+// of density passes.
 func buildMDF(p Params, fits *mdf.Memo[float64, float64, fit]) (*graph.Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -291,6 +405,7 @@ func buildMDF(p Params, fits *mdf.Memo[float64, float64, fit]) (*graph.Graph, er
 	// The kernel scope's names and labels, built once for both
 	// pre-processing branches.
 	kbSpecs, kbs := kernelBranches(kernels, p.Bandwidths)
+	dens := densityMemo(fits, kernels)
 
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
@@ -312,7 +427,7 @@ func buildMDF(p Params, fits *mdf.Memo[float64, float64, fit]) (*graph.Graph, er
 				mdf.NewChooser(LogLikelihoodEvaluator(), mdf.Max()),
 				func(inner *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					cfg := kbs[int(ispec.Hint)]
-					return inner.Then(cfg.name, estimateOp(fits, spec.Hint, cfg.k, cfg.h, cfg.name), 0.006)
+					return inner.Then(cfg.name, estimateOp(dens, spec.Hint, cfg.k, cfg.h, cfg.name), 0.006)
 				})
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
@@ -366,7 +481,7 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 	}
 	kbSpecs, kbs := kernelBranches(kernels, p.Bandwidths)
 
-	fits := fitMemo(p.Params)
+	dens := densityMemo(fitMemo(p.Params), kernels)
 	b := mdf.NewBuilder()
 	src := b.Source("src", mdf.SourceFromDataset(input), 0.0002)
 	// Scope 1: outlier filtering, closed early by a size-ratio choose
@@ -395,7 +510,7 @@ func BuildScopedMDF(p ScopedParams) (*graph.Graph, error) {
 			cfg := kbs[int(spec.Hint)]
 			// One input reaches every estimate: the outlier choose keeps one
 			// dataset.
-			return start.Then(cfg.name, estimateOp(fits, 0, cfg.k, cfg.h, cfg.name), 0.006)
+			return start.Then(cfg.name, estimateOp(dens, 0, cfg.k, cfg.h, cfg.name), 0.006)
 		})
 	out.Then("sink", mdf.Identity("profile"), 0.0001)
 	return b.Build()

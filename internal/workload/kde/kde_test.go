@@ -266,8 +266,9 @@ func runJob(tb testing.TB) {
 }
 
 // A job at Defaults() allocates at most 1 MiB, graph construction and
-// input generation included (0.70 MB measured, the 42 estimate operators
-// reading 2 fits; 0.86 MB while each drew its own sample; 1.10 MB while every
+// input generation included (0.69 MB measured, the 42 estimate operators
+// reading 6 density passes over 2 fits; 0.70 MB while each computed its own
+// densities from the 2 fits; 0.86 MB while each drew its own sample; 1.10 MB while every
 // estimate operator regrew its sample once, 8.3 MB while normalize,
 // standardize and the 42 estimate operators each copied their input). Bytes,
 // not objects: what a regression here costs is garbage-collector work and

@@ -93,10 +93,12 @@ func (p Params) Validate() error {
 type pairs struct {
 	keys string
 	vals []uint32
-	// mapped marks a view: row i's value is m of vals[i], and sum is the
-	// exact sum of the column's values. Without it — a literal {keys, vals}
-	// — the values are vals as stored, their sum unknown.
+	// mapped marks a view: row i's value is m of vals[i]. Without it — a
+	// literal {keys, vals} — the values are vals as stored.
 	mapped bool
+	// summed says sum is the exact sum of the column's values: mathOp sums
+	// only an output that a choose scores.
+	summed bool
 	m      affineMap
 	sum    uint64
 }
@@ -220,13 +222,15 @@ func affine(w int64, opsPerItem int) affineMap {
 // Over consecutive windows of one column (oneColumn) — every input of the
 // synthetic job — the output is a view: the column's keys and base values cut
 // to the windows' rows, the column's map followed by the operator's, and the
-// sum of the new values, which one pass computes. Anything else, a Concat of
-// branches or windows of several columns, is gathered into a fresh column:
-// each value computed through its own column's map straight into it, keys
-// copied. Either way the output is cut at the input's partition ends, and
-// accounted sizes scale by sizeScale. It is one closure: a job builds one per
-// branch.
-func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.TransformFunc {
+// sum of the new values when scored, which one pass computes: only the
+// operator whose output a choose scores (sumEvaluator) needs it, and the
+// view of one that is not scored takes no pass at all. Anything else, a
+// Concat of branches or windows of several columns, is gathered into a
+// fresh column: each value computed through its own column's map straight
+// into it and summed on the way, keys copied. Either way the output is cut at
+// the input's partition ends, and accounted sizes scale by sizeScale. It is
+// one closure: a job builds one per branch.
+func mathOp(name string, sizeScale float64, w int64, opsPerItem int, scored bool) graph.TransformFunc {
 	op := affine(w, opsPerItem)
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		in, err := mdf.OneInput(name, ins)
@@ -238,14 +242,16 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.Trans
 			m := c.fn().then(op)
 			vals := c.vals[lo:hi:hi]
 			var sum uint64
-			for _, v := range vals {
-				sum += uint64(m.apply(v))
+			if scored {
+				for _, v := range vals {
+					sum += uint64(m.apply(v))
+				}
 			}
 			for i := range in.Parts {
 				part := &in.Parts[i]
 				parts[i] = dataset.Partition{Lo: part.Lo - lo, Hi: part.Hi - lo, VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
 			}
-			return dataset.Over(name, pairs{keys: c.keys[keyLen*lo : keyLen*hi], vals: vals, mapped: true, m: m, sum: sum}, parts), nil
+			return dataset.Over(name, pairs{keys: c.keys[keyLen*lo : keyLen*hi], vals: vals, mapped: true, m: m, summed: scored, sum: sum}, parts), nil
 		}
 		n := in.NumRows()
 		var keys strings.Builder
@@ -267,7 +273,7 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.Trans
 			}
 			parts[i] = dataset.Partition{Lo: lo, Hi: len(vals), VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
 		}
-		return dataset.Over(name, pairs{keys: keys.String(), vals: vals, mapped: true, m: identity, sum: sum}, parts), nil
+		return dataset.Over(name, pairs{keys: keys.String(), vals: vals, mapped: true, m: identity, summed: true, sum: sum}, parts), nil
 	}
 }
 
@@ -278,14 +284,14 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int) graph.Trans
 const sumExactRows = 1 << 23
 
 // sumEvaluator implements int_value from Fig. 23: the mean tuple value of a
-// branch result. Over a whole view column (what mathOp makes) it divides the
-// column's sum, bit for bit what summing the values in float64 gives;
-// otherwise it sums them.
+// branch result. Over a whole summed column (what mathOp makes of a scored
+// branch) it divides the column's sum, bit for bit what summing the values
+// in float64 gives; otherwise it sums them, through the column's map.
 func sumEvaluator() mdf.Evaluator {
 	return mdf.Evaluator{
 		Name: "int_value",
 		Fn: func(d *dataset.Dataset) float64 {
-			if c, lo, hi, ok := oneColumn(d); ok && c.mapped && lo == 0 && hi == len(c.vals) && hi > 0 && hi < sumExactRows {
+			if c, lo, hi, ok := oneColumn(d); ok && c.summed && lo == 0 && hi == len(c.vals) && hi > 0 && hi < sumExactRows {
 				return float64(c.sum) / float64(hi)
 			}
 			var sum float64
@@ -357,14 +363,14 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	outer := src.Explore("B1", outerSpecs, mdf.NewChooser(sumEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
 			w1 := int64(spec.Hint)
-			first := start.Then(outerNames[i], mathOp("first_op", 1.0, w1, p.OpsPerItem), cost)
+			first := start.Then(outerNames[i], mathOp("first_op", 1.0, w1, p.OpsPerItem, false), cost)
 			i++
 			j := 0
 			return first.Explore("B2", innerSpecs,
 				mdf.NewChooser(sumEvaluator(), mdf.Max()),
 				func(start *mdf.Node, ispec mdf.BranchSpec) *mdf.Node {
 					w2 := int64(ispec.Hint)
-					op := start.Then(innerNames[j], mathOp("second_op", p.InnerSizeScale, w2, p.OpsPerItem), cost)
+					op := start.Then(innerNames[j], mathOp("second_op", p.InnerSizeScale, w2, p.OpsPerItem, true), cost)
 					j++
 					return op
 				})

@@ -46,7 +46,7 @@ func TestMathOpMatchesIteratedReference(t *testing.T) {
 	}
 	for n := 1; n <= 8; n++ {
 		for _, w := range ws {
-			out, err := mathOp("op", 1, w, n)(in)
+			out, err := mathOp("op", 1, w, n, true)(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 		{"a Concat of two branches whose windows continue", dataset.Concat("c", a, c), false},
 	}
 	for _, tc := range cases {
-		out, err := mathOp("op", scale, w, ops)([]*dataset.Dataset{tc.in})
+		out, err := mathOp("op", scale, w, ops, true)([]*dataset.Dataset{tc.in})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 	p := Defaults()
 	p.Rows, p.Partitions = 50, 4
 	in := Generate(p)
-	out, err := mathOp("op", 1, 10, 2)([]*dataset.Dataset{in})
+	out, err := mathOp("op", 1, 10, 2, true)([]*dataset.Dataset{in})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,14 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 		p := Defaults()
 		p.Rows, p.Partitions = 1<<10, parts
 		in := Generate(p)
-		op := mathOp("op", 1, 10, 2)
+		op := mathOp("op", 1, 10, 2, true)
 		one := []*dataset.Dataset{in}
 		two := []*dataset.Dataset{dataset.Concat("c", in, in.Alias("a"))}
 		first, err := op(one)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := mathOp("op", 1, 100, 3)(one)
+		second, err := mathOp("op", 1, 100, 3, true)(one)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 		p := Defaults()
 		p.Rows = rows
 		in := []*dataset.Dataset{Generate(p)}
-		op := mathOp("op", 1, 10, 2)
+		op := mathOp("op", 1, 10, 2, true)
 		return testing.AllocsPerRun(10, func() { _, _ = op(in) })
 	}
 	if small, large := allocs(4_000), allocs(20_000); small != large {
@@ -224,8 +224,9 @@ func refRows(d *dataset.Dataset, w []int64, ops []int) [][]Pair {
 }
 
 // A chain of one to three mathOps gives, whether its inputs are views of one
-// column or gathered, the rows, column sum and int_value score of the
-// reference that materialises every step through refOp: over generated
+// column or gathered, the rows, column sum (of a scored output, or a
+// gathered one) and int_value score of the reference that materialises
+// every step through refOp: over generated
 // datasets, partial windows of one (consecutive, and not), and a Concat of
 // two branches, at ops per item 1 to 8 and w past p.
 func TestAffineViewMatchesMaterialised(t *testing.T) {
@@ -236,11 +237,11 @@ func TestAffineViewMatchesMaterialised(t *testing.T) {
 		return Generate(q)
 	}
 	a := gen(61, 5, 1)
-	b1, err := mathOp("b1", 1, 1000, 3)([]*dataset.Dataset{gen(47, 3, 2)})
+	b1, err := mathOp("b1", 1, 1000, 3, true)([]*dataset.Dataset{gen(47, 3, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := mathOp("b2", 1, p+7, 2)([]*dataset.Dataset{a})
+	b2, err := mathOp("b2", 1, p+7, 2, true)([]*dataset.Dataset{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,10 +271,15 @@ func TestAffineViewMatchesMaterialised(t *testing.T) {
 			for n := 1; n <= 8; n++ {
 				for j := range ws {
 					w, ops := make([]int64, chain), make([]int, chain)
+					// Only the last operator may be scored, and it is in
+					// every other chain: an unscored view is not summed,
+					// and the evaluator scans it.
+					lastScored := (j+n)%2 == 0
 					out := tc.in
 					for k := 0; k < chain; k++ {
 						w[k], ops[k] = ws[(j+k)%len(ws)], (n+k-1)%8+1
-						out, err = mathOp("op", 1, w[k], ops[k])([]*dataset.Dataset{out})
+						scored := k == chain-1 && lastScored
+						out, err = mathOp("op", 1, w[k], ops[k], scored)([]*dataset.Dataset{out})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -301,7 +307,13 @@ func TestAffineViewMatchesMaterialised(t *testing.T) {
 					if !ok || lo != 0 || hi != c.Len() || !c.mapped {
 						t.Fatalf("%s: the output is not one whole view column", name)
 					}
-					if c.sum != sum {
+					if lastScored && !c.summed {
+						t.Fatalf("%s: a scored output is not summed", name)
+					}
+					if !lastScored && chain > 1 && c.summed {
+						t.Fatalf("%s: an unscored view was summed", name)
+					}
+					if c.summed && c.sum != sum {
 						t.Fatalf("%s: column sum %d, want %d", name, c.sum, sum)
 					}
 					if got, want := score(out), fsum/float64(rows); math.Float64bits(got) != math.Float64bits(want) {
@@ -324,15 +336,15 @@ func BenchmarkMathOp(b *testing.B) {
 	in := []*dataset.Dataset{Generate(p)}
 	for _, ops := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("ops=%d", ops), func(b *testing.B) {
-			benchOp(b, mathOp("op", 1, 1000, ops), in)
+			benchOp(b, mathOp("op", 1, 1000, ops, true), in)
 		})
 	}
-	first, err := mathOp("first_op", 1, 1000, 4)(in)
+	first, err := mathOp("first_op", 1, 1000, 4, false)(in)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("chain", func(b *testing.B) {
-		benchOp(b, mathOp("second_op", 1, 100, 4), []*dataset.Dataset{first})
+		benchOp(b, mathOp("second_op", 1, 100, 4, true), []*dataset.Dataset{first})
 	})
 }
 
