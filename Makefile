@@ -136,9 +136,9 @@ crash-short: build
 # BenchmarkFilter read them at 1, 8 and 64 partitions, BenchmarkBuild on each
 # path that builds a graph, BenchmarkPutAccessDiscard a partition's life in a
 # narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
-# hint, BenchmarkDensity a bounded kernel's narrow and wide support beside the
-# full loop, BenchmarkDensities one kde fused density pass (every kernel at
-# 200 hold-out points of 400 samples) on the /avx and the /go path and
+# hint, BenchmarkDensities kde's density pass, its one way to estimate a
+# density (every kernel at 200 hold-out points of 400 samples), on the /avx
+# and the /go path and
 # kde's BenchmarkRowKernels its u row and cosine kernel, BenchmarkMarkSiblings the 16 analysis branches of a time series
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
 # the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at

@@ -1,7 +1,8 @@
 // Package journal is an append-only write-ahead log of job lifecycle
-// records. The service appends one record per lifecycle transition
-// (admitted, started, checkpointed, terminal) and replays the
-// log on restart to rebuild admission state.
+// records. The service appends one record per lifecycle transition, of
+// three kinds (admitted, started, terminal; a drained job's terminal record
+// has state checkpointed), and replays the log on restart to rebuild
+// admission state.
 //
 // On-disk format: a journal is a directory of segment files named
 // seg-000001.wal, seg-000002.wal, ... Each segment is a sequence of
@@ -38,10 +39,9 @@ import (
 
 // Record kinds, one per job lifecycle transition the service journals.
 const (
-	KindAdmitted     = "admitted"
-	KindStarted      = "started"
-	KindCheckpointed = "checkpointed"
-	KindTerminal     = "terminal"
+	KindAdmitted = "admitted"
+	KindStarted  = "started"
+	KindTerminal = "terminal"
 )
 
 // Record is one journaled lifecycle transition. Admitted records carry
@@ -66,8 +66,7 @@ type Record struct {
 	Spec         json.RawMessage `json:"spec,omitempty"`
 	Faults       json.RawMessage `json:"faults,omitempty"`
 
-	// Checkpointed / terminal payload.
-	Parts            int              `json:"parts,omitempty"`
+	// Terminal payload.
 	State            string           `json:"state,omitempty"`
 	Error            string           `json:"error,omitempty"`
 	CompletionSec    sim.VTime        `json:"completionSec,omitempty"`

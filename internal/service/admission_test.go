@@ -541,8 +541,8 @@ func TestRecoveredJobIsPlannedAtRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := recs[len(recs)-1]
-	if last.Kind != journal.KindTerminal || last.Job != cut.ID || recs[len(recs)-2].Kind != journal.KindCheckpointed {
-		t.Fatalf("the journal ends %s/%s after %s", last.Kind, last.Job, recs[len(recs)-2].Kind)
+	if last.Kind != journal.KindTerminal || last.Job != cut.ID || last.State != StateCheckpointed {
+		t.Fatalf("the journal ends %s/%s (%s), want the drained job's terminal record", last.Kind, last.Job, last.State)
 	}
 	if err := os.RemoveAll(jdir); err != nil {
 		t.Fatal(err)

@@ -16,9 +16,11 @@ import (
 
 // This file is the service's crash-recovery path. A durable server
 // (Config.StateDir set, built with Open) write-ahead-journals every job
-// lifecycle transition (internal/journal) and mirrors engine checkpoints
-// into a content-addressed store (internal/ckptstore). On boot, Open
-// replays the journal's valid prefix and rebuilds admission state:
+// lifecycle transition (internal/journal) — admitted, started and terminal,
+// a drained job's terminal record holding state checkpointed — and mirrors
+// engine checkpoints into a content-addressed store (internal/ckptstore).
+// On boot, Open replays the journal's valid prefix and rebuilds admission
+// state:
 //
 //   - terminal jobs are restored verbatim — final state, counters,
 //     metrics snapshot, audit surface — and their quota stays released:
@@ -96,6 +98,12 @@ func (s *Server) openState() error {
 	return nil
 }
 
+// legacyCheckpointed is the kind of the record a drain appended before its
+// job's terminal record, in journals written before the terminal record
+// alone stood for the drain. It carried nothing that record does not, so
+// replay skips it.
+const legacyCheckpointed = "checkpointed"
+
 // replay decodes journal records in order and makes the transition each
 // one stands for — the same functions (lifecycle.go) the live server
 // called before it wrote the record — then returns every incomplete job
@@ -120,8 +128,7 @@ func (s *Server) replay(recs []journal.Record) error {
 		switch rec.Kind {
 		case journal.KindStarted:
 			s.startedLocked(j, rec.TSec)
-		case journal.KindCheckpointed:
-			j.checkpointed = rec.Parts
+		case legacyCheckpointed:
 		case journal.KindTerminal:
 			if err := s.replayTerminal(j, rec); err != nil {
 				return err
@@ -229,7 +236,6 @@ func (s *Server) replayTerminal(j *job, rec journal.Record) error {
 		jobErr = errors.New(rec.Error)
 	}
 	j.end = rec.CompletionSec
-	j.checkpointed = rec.Parts
 	j.selections = rec.Selections
 	j.auditLineage = rec.AuditLineage
 	j.auditBooks = rec.AuditBooks
@@ -295,7 +301,6 @@ func (s *Server) journalTerminalLocked(j *job) {
 		TSec:             j.end,
 		State:            j.state,
 		CompletionSec:    j.end,
-		Parts:            j.checkpointed,
 		Strikes:          j.strikes,
 		DeadlineExceeded: j.deadlineHit,
 		Selections:       j.selections,

@@ -2,8 +2,12 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -401,18 +405,115 @@ func TestJournalRecordFieldsAreWritten(t *testing.T) {
 	}
 	// The fields these inputs leave zero, each for a reason no input can
 	// change: the audit fields carry what a run's end-of-run self-audit
-	// found, and no correct run gives it anything to find; Parts counts the
-	// partitions a drain checkpoints, and on a durable server, whose runs
-	// checkpoint every consumed intermediate as it is made (AMM anticipatory
-	// checkpointing), a drain finds none left to write.
-	unwritten := map[string]bool{"AuditLineage": true, "AuditBooks": true, "Parts": true}
+	// found, and no correct run gives it anything to find.
+	unwritten := map[string]bool{"AuditLineage": true, "AuditBooks": true}
 	rt := reflect.TypeOf(journal.Record{})
 	for i := 0; i < rt.NumField(); i++ {
 		if name := rt.Field(i).Name; written[name] == unwritten[name] {
 			t.Errorf("Record.%s: written %v in %d records, expected %v", name, written[name], len(recs), !unwritten[name])
 		}
 	}
-	if last := recs[len(recs)-1]; last.State != StateCheckpointed || recs[len(recs)-2].Kind != journal.KindCheckpointed {
-		t.Errorf("the journal ends %s/%s, want the drained job's checkpointed and terminal records", recs[len(recs)-2].Kind, last.Kind)
+	if last := recs[len(recs)-1]; last.Kind != journal.KindTerminal || last.State != StateCheckpointed || recs[len(recs)-2].Kind != journal.KindStarted {
+		t.Errorf("the journal ends %s/%s (%s), want the drained job's started record and its terminal one, state checkpointed", recs[len(recs)-2].Kind, last.Kind, last.State)
+	}
+}
+
+// rawFrame frames a record payload as a journal segment holds it: its
+// length and its CRC-32 (IEEE), big-endian, then the payload.
+func rawFrame(payload string) []byte {
+	b := make([]byte, 8, 8+len(payload))
+	binary.BigEndian.PutUint32(b[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[4:8], crc32.ChecksumIEEE([]byte(payload)))
+	return append(b, payload...)
+}
+
+// TestReplaySkipsLegacyCheckpointedRecord: journals once held a record of
+// kind "checkpointed", carrying "parts", between a drained job's started and
+// terminal records. A state directory holding one still opens: a drained
+// job whose terminal record follows it is restored as it ended, and one
+// whose journal ends at it is requeued and runs to the end an uninterrupted
+// run reaches.
+func TestReplaySkipsLegacyCheckpointedRecord(t *testing.T) {
+	want := answerOf(t, newServer(Config{}), JobRequest{Tenant: "b", Spec: json.RawMessage(smallNested)})
+
+	s := scriptServer(t, t.TempDir())
+	cut := submitOK(t, s, "b", smallNested, "")
+	for i := 0; i < 17; i++ {
+		turn(s)
+	}
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	for turn(s) {
+	}
+	drained, err := s.Job(cut.ID)
+	if err != nil || drained.State != StateCheckpointed {
+		t.Fatalf("the drained job ended %+v (%v), want checkpointed", drained, err)
+	}
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
+	if err := s.jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.Replay(filepath.Join(s.cfg.StateDir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := recs[len(recs)-1]
+	if term.Kind != journal.KindTerminal || term.Job != cut.ID {
+		t.Fatalf("the journal ends %s/%s, want the drained job's terminal record", term.Kind, term.Job)
+	}
+
+	// legacyState writes the journal as it was written then: the
+	// checkpointed record takes the terminal record's sequence number, and
+	// the terminal record, if kept, the next one.
+	legacyState := func(keepTerminal bool) string {
+		dir := t.TempDir()
+		jdir := filepath.Join(dir, "journal")
+		if err := journal.WriteAll(jdir, recs[:len(recs)-1], journal.Options{NoSync: true}); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := fmt.Sprintf(`{"seq":%d,"kind":"checkpointed","job":%q,"tenant":"b","tSec":%v,"parts":3}`, term.Seq, cut.ID, float64(term.TSec))
+		if err := journal.AppendRaw(jdir, rawFrame(ckpt)); err != nil {
+			t.Fatal(err)
+		}
+		if keepTerminal {
+			rec := term
+			rec.Seq++
+			frame, err := journal.EncodeFrame(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := journal.AppendRaw(jdir, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+
+	r := scriptServer(t, legacyState(true))
+	if got := r.rctr.journalRecords; got != int64(len(recs)+1) {
+		t.Errorf("replayed %d records, want %d", got, len(recs)+1)
+	}
+	st, err := r.Job(cut.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, drained) {
+		t.Errorf("the restored job is\n %+v\nit ended\n %+v", st, drained)
+	}
+
+	r = scriptServer(t, legacyState(false))
+	if got := runOnOnePlan(t, r, cut.ID, planOf(r, cut.ID)); got != 1 {
+		t.Errorf("the recovered job made %d runs, want 1", got)
+	}
+	st, err = r.Job(cut.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := answer{State: st.State, JobErr: st.Error, Selections: st.Selections, Completion: st.CompletionSec}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the recovered job ended\n %+v\nuninterrupted it ends\n %+v", got, want)
 	}
 }

@@ -741,10 +741,6 @@ func (s *Server) finalizeRunLocked(j *job) {
 	case errors.Is(err, errDrainCancel):
 		state = StateCheckpointed
 		j.checkpointed = j.run.CheckpointLive()
-		s.journalLocked(journal.Record{
-			Kind: journal.KindCheckpointed, Job: j.id, Tenant: j.tenant,
-			Parts: j.checkpointed, TSec: j.run.Now(),
-		})
 	case errors.Is(err, errClientCancel):
 		state = StateCanceled
 	case errors.Is(err, errDeadline):

@@ -32,7 +32,7 @@ type ExampleParams struct {
 	// GridPoints is the resolution of the density profile each branch
 	// produces and the MISE evaluator integrates over.
 	GridPoints int
-	// FitSample caps the estimator's sample size.
+	// FitSample caps the estimator's sample size; it must be >= 1.
 	FitSample int
 }
 
@@ -64,6 +64,9 @@ func (p ExampleParams) Validate() error {
 	}
 	if p.GridPoints < 2 {
 		return fmt.Errorf("kde: need >= 2 grid points")
+	}
+	if p.FitSample < 1 {
+		return fmt.Errorf("kde: fit sample must be >= 1")
 	}
 	return nil
 }
@@ -108,10 +111,13 @@ func MixtureDensity() func(float64) float64 {
 	}
 }
 
-// profileOp fits the estimator on the filtered data and emits the density
-// profile over a fixed grid.
+// profileOp emits the density profile of the filtered data over a fixed
+// grid: kernel k's row of one density pass over at most FitSample of the
+// data, taken by a stride.
 func profileOp(p ExampleParams, k Kernel) graph.TransformFunc {
 	const lo, hi = -4.0, 6.0
+	var explored [kTriweight]bool
+	explored[k.builtin-1] = true
 	return mdf.WholeDataset(kdeName(k.Name, p.Bandwidth),
 		func(in *dataset.Dataset) (*dataset.Dataset, error) {
 			xs := dataset.Flatten[float64](in)
@@ -123,12 +129,15 @@ func profileOp(p ExampleParams, k Kernel) graph.TransformFunc {
 				}
 				xs = sampled
 			}
-			est := NewEstimator(k, p.Bandwidth, xs)
-			rows := make([]gridPoint, p.GridPoints)
+			grid := make([]float64, p.GridPoints)
 			step := (hi - lo) / float64(p.GridPoints-1)
-			for i := range rows {
-				x := lo + float64(i)*step
-				rows[i] = gridPoint{X: x, Density: est.Density(x)}
+			for i := range grid {
+				grid[i] = lo + float64(i)*step
+			}
+			density := densityPass(xs, grid, p.Bandwidth, explored)[k.builtin-1]
+			rows := make([]gridPoint, len(grid))
+			for i, x := range grid {
+				rows[i] = gridPoint{X: x, Density: density[i]}
 			}
 			parts := in.NumPartitions()
 			if parts < 1 {

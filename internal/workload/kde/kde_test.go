@@ -57,17 +57,6 @@ func TestKernelByName(t *testing.T) {
 	}
 }
 
-func TestEstimatorDensityPositiveNearData(t *testing.T) {
-	k, _ := kde.KernelByName("gaussian")
-	est := kde.NewEstimator(k, 0.5, []float64{0, 0.1, -0.1, 0.2})
-	if d := est.Density(0); d <= 0 {
-		t.Errorf("density at data centre = %f, want > 0", d)
-	}
-	if d0, d5 := est.Density(0), est.Density(5); d5 >= d0 {
-		t.Errorf("density should fall away from data: %f vs %f", d0, d5)
-	}
-}
-
 func TestBuildMDFRuns(t *testing.T) {
 	g, err := kde.BuildMDF(smallParams())
 	if err != nil {
@@ -245,6 +234,14 @@ func TestExampleParamsValidation(t *testing.T) {
 	p.Bandwidth = 0
 	if _, err := kde.BuildExampleMDF(p); err == nil {
 		t.Error("zero bandwidth should be rejected")
+	}
+	// A fit sample below 1 would make every estimate branch panic.
+	for _, n := range []int{0, -5} {
+		p = kde.DefaultExample()
+		p.FitSample = n
+		if _, err := kde.BuildExampleMDF(p); err == nil {
+			t.Errorf("fit sample %d should be rejected", n)
+		}
 	}
 }
 

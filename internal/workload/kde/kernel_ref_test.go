@@ -1,4 +1,4 @@
-package kde_test
+package kde
 
 import (
 	"math"
@@ -7,12 +7,12 @@ import (
 	"sort"
 	"testing"
 
-	"metadataflow/internal/workload/kde"
+	"metadataflow/internal/dataset"
 )
 
 // refKernels are the seven kernels as the closures they were before they
-// became named functions, in the order of kde.Kernels.
-func refKernels() []kde.Kernel {
+// became named functions, in the order of Kernels.
+func refKernels() []Kernel {
 	boxed := func(f func(float64) float64) func(float64) float64 {
 		return func(u float64) float64 {
 			if u < -1 || u > 1 {
@@ -21,7 +21,7 @@ func refKernels() []kde.Kernel {
 			return f(u)
 		}
 	}
-	return []kde.Kernel{
+	return []Kernel{
 		{Name: "gaussian", Fn: func(u float64) float64 {
 			return math.Exp(-0.5*u*u) / math.Sqrt(2*math.Pi)
 		}},
@@ -42,9 +42,9 @@ func refKernels() []kde.Kernel {
 	}
 }
 
-// refDensity is Density as it was: two calls through function values per
-// sample.
-func refDensity(k kde.Kernel, h float64, samples []float64, x float64) float64 {
+// refDensity is the estimate g(x) = Σ Fn((x-xᵢ)/h) / (n·h) of §2.2 as a
+// loop over the samples, through the kernel's function value.
+func refDensity(k Kernel, h float64, samples []float64, x float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
@@ -62,41 +62,106 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// TestDensityMatchesReference compares Density, bit for bit, with the
-// Σ Fn((x-xᵢ)/h) loop over the old closures: for the seven built-in kernels,
-// whose calls Density inlines, and for a kernel built outside the package,
-// which keeps the loop over Fn. The points include the edges of the bounded
-// kernels' support, NaN and the infinities. The second half holds the fits a
-// bounded kernel adds only its support of: sorted, reverse-sorted, constant
-// and clustered samples, 65 to 4 096 of them, at bandwidths from 1e-300 to
-// 1e300, some near ±MaxFloat64 where x - xᵢ overflows, and fits holding a NaN
-// or an infinity, which take the full scan.
-func TestDensityMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	custom := kde.Kernel{Name: "gaussian", Fn: func(u float64) float64 { return 1 / (1 + u*u) / math.Pi }}
-	kernels, refs := append(kde.Kernels(), custom), append(refKernels(), custom)
-	if len(kernels) != 8 {
-		t.Fatalf("%d kernels, want the seven built-in ones and the custom one", len(kernels))
-	}
-	check := func(samples []float64, h float64, xs []float64) {
-		t.Helper()
-		for ki, k := range kernels {
-			if k.Name != refs[ki].Name {
-				t.Fatalf("kernel %d is %q, reference %q", ki, k.Name, refs[ki].Name)
+// kernelSubsets are the sets of kernels (indices into Kernels) the density
+// pass is checked with: all of them, the Gaussian alone, the bounded ones,
+// the cosine alone and a mix.
+var kernelSubsets = [][]int{{0, 1, 2, 3, 4, 5, 6}, {0}, {1, 2, 3, 4, 5, 6}, {3}, {0, 3, 5}}
+
+// checkDensityPass holds densityPass over samples at points, at bandwidth h,
+// to refDensity over the reference closures, bit for bit: on each
+// row-kernel path this machine runs, for every kernel subset, a kernel not
+// explored getting no row. It also holds each kernel's Fn to its closure.
+func checkDensityPass(t *testing.T, name string, samples, points []float64, h float64) {
+	t.Helper()
+	all, refs := Kernels(), refKernels()
+	want := make([][]float64, len(all))
+	for ki, k := range all {
+		if k.Name != refs[ki].Name {
+			t.Fatalf("kernel %d is %q, reference %q", ki, k.Name, refs[ki].Name)
+		}
+		want[ki] = make([]float64, len(points))
+		for i, x := range points {
+			want[ki][i] = refDensity(refs[ki], h, samples, x)
+			if u := (x - 0.25) / h; !sameBits(k.Fn(u), refs[ki].Fn(u)) {
+				t.Fatalf("%s: Fn(%v) = %v, reference %v", k.Name, u, k.Fn(u), refs[ki].Fn(u))
 			}
-			est := kde.NewEstimator(k, h, samples)
-			for _, x := range xs {
-				got, want := est.Density(x), refDensity(refs[ki], h, samples, x)
-				if !sameBits(got, want) {
-					t.Fatalf("%s (kernel %d), h=%g, %d samples: Density(%v) = %v (%016x), reference %v (%016x)",
-						k.Name, ki, h, len(samples), x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, avx := range testPaths() {
+		for _, subset := range kernelSubsets {
+			var explored [kTriweight]bool
+			for _, ki := range subset {
+				explored[all[ki].builtin-1] = true
+			}
+			var got densities
+			onPath(avx, func() { got = densityPass(samples, points, h, explored) })
+			for b, row := range got {
+				if (row != nil) != explored[b] {
+					t.Fatalf("avx=%v, %s, h=%g: kernel %d has a row: %v, explored: %v", avx, name, h, b+1, row != nil, explored[b])
 				}
-				if u := (x - 0.25) / h; !sameBits(k.Fn(u), refs[ki].Fn(u)) {
-					t.Fatalf("%s: Fn(%v) = %v, reference %v", k.Name, u, k.Fn(u), refs[ki].Fn(u))
+			}
+			for _, ki := range subset {
+				k, row := all[ki], got[all[ki].builtin-1]
+				if len(row) != len(points) {
+					t.Fatalf("avx=%v, %s: %s has %d densities, want one per point (%d)", avx, name, k.Name, len(row), len(points))
+				}
+				for i, x := range points {
+					if !sameBits(row[i], want[ki][i]) {
+						t.Fatalf("avx=%v, %s, %s, h=%g, %d samples: density at %v = %v (%016x), reference %v (%016x)",
+							avx, name, k.Name, h, len(samples), x, row[i], math.Float64bits(row[i]), want[ki][i], math.Float64bits(want[ki][i]))
+					}
 				}
 			}
 		}
 	}
+}
+
+// TestDensityMatchesReference holds the density pass to refDensity
+// (checkDensityPass). The fits: ordinary draws with ±0, subnormals and the
+// support's ends among samples and points; one sample; 4 101 samples, eight
+// of the pass's blocks and a tail; an empty sample; and a NaN, +Inf or -Inf
+// sample, or non-finite points. Then random fits of 0 to 400 samples, at
+// points exactly at, just inside and just outside a sample's support. Then
+// the fits where the bounded kernels' support matters most: sorted,
+// reverse-sorted, constant and clustered samples, 65 to 4 097 of them, at
+// bandwidths from 1e-300 to 1e300, some near ±MaxFloat64 where x - xᵢ
+// overflows, and fits holding a NaN or an infinity.
+func TestDensityMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	draw := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
+		}
+		return xs
+	}
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, 0.2, -0.2, 1, -1}
+	withEdges := func(xs []float64) []float64 { return append(append([]float64{}, edges...), xs...) }
+	spoil := func(v float64) []float64 {
+		xs := withEdges(draw(300))
+		xs[100] = v
+		return xs
+	}
+	cases := []struct {
+		name            string
+		samples, points []float64
+	}{
+		{"finite", withEdges(draw(400)), withEdges(draw(40))},
+		{"one sample", []float64{0.3}, withEdges(draw(8))},
+		{"NaN sample", spoil(math.NaN()), draw(20)},
+		{"+Inf sample", spoil(math.Inf(1)), draw(20)},
+		{"-Inf sample", spoil(math.Inf(-1)), draw(20)},
+		{"non-finite points", draw(300), []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0.5, math.MaxFloat64, -math.MaxFloat64}},
+		{"4 101 samples", draw(4101), draw(12)},
+		{"empty sample", nil, draw(5)},
+	}
+	for _, fc := range cases {
+		for _, h := range []float64{0.1, 0.2, 0.3, 2, 1e-300, 5e-324, 1e300, math.MaxFloat64} {
+			checkDensityPass(t, fc.name, fc.samples, fc.points, h)
+		}
+	}
+
+	rng = rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		samples := make([]float64, []int{0, 1, 7, 400}[trial%4])
 		for i := range samples {
@@ -111,7 +176,7 @@ func TestDensityMatchesReference(t *testing.T) {
 			// Points exactly at, just inside and just outside the support.
 			xs = append(xs, s+h, s-h, math.Nextafter(s+h, 0), math.Nextafter(s+h, 10), rng.NormFloat64()*2)
 		}
-		check(samples, h, xs)
+		checkDensityPass(t, "random", samples, xs, h)
 	}
 	for trial := 0; trial < 48; trial++ {
 		n := []int{65, 100, 400, 1000, 4096, 4097}[trial%6]
@@ -120,6 +185,7 @@ func TestDensityMatchesReference(t *testing.T) {
 		for i := range samples {
 			samples[i] = rng.NormFloat64() * scale
 		}
+		name := "clustered"
 		switch trial / 24 % 2 {
 		case 0: // clustered duplicates, then sorted or reverse-sorted
 			for i := range samples {
@@ -132,6 +198,7 @@ func TestDensityMatchesReference(t *testing.T) {
 				slices.Reverse(samples)
 			}
 		case 1: // all equal, or holding a non-finite sample
+			name = "equal or non-finite"
 			switch rng.Intn(4) {
 			case 0:
 				for i := range samples {
@@ -162,46 +229,57 @@ func TestDensityMatchesReference(t *testing.T) {
 			}
 			xs = append(xs, s, s+rng.NormFloat64()*h)
 		}
-		check(samples, h, xs)
+		checkDensityPass(t, name, samples, xs, h)
 	}
 }
 
-// densitySink keeps the benchmarked call's result alive.
-var densitySink float64
-
-// BenchmarkDensity evaluates the estimator of a Defaults() job (400 fit
-// samples) at one point, per kernel at h 0.2; "custom" is a kernel built
-// outside the package, which Density cannot inline. A bounded kernel adds
-// only the samples in its support: "narrow" (h 0.05) and "wide" (h 0.5) run
-// epanechnikov with a support of about 4 % and 38 % of the samples.
-func BenchmarkDensity(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	samples := make([]float64, kde.Defaults().FitSample)
-	for i := range samples {
-		samples[i] = rng.NormFloat64()
+// TestExampleProfileMatchesReference runs every kernel's profileOp, on each
+// row-kernel path, over inputs of no rows, of fewer rows than FitSample and
+// of more, and holds each row of the profile to its grid point and to
+// refDensity there, bit for bit, over the input or, when it has more than
+// FitSample rows, over every stride-th row.
+func TestExampleProfileMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()*1.5 + 1
 	}
-	custom := kde.Kernel{Name: "custom", Fn: func(u float64) float64 { return 1 / (1 + u*u) / math.Pi }}
-	epanechnikov, err := kde.KernelByName("epanechnikov")
-	if err != nil {
-		b.Fatal(err)
-	}
-	type bench struct {
-		name string
-		est  *kde.Estimator
-	}
-	var benches []bench
-	for _, k := range append(kde.Kernels(), custom) {
-		benches = append(benches, bench{k.Name, kde.NewEstimator(k, 0.2, samples)})
-	}
-	benches = append(benches,
-		bench{"narrow", kde.NewEstimator(epanechnikov, 0.05, samples)},
-		bench{"wide", kde.NewEstimator(epanechnikov, 0.5, samples)})
-	for _, bb := range benches {
-		b.Run(bb.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				densitySink += bb.est.Density(0.1)
+	p := DefaultExample()
+	refs := refKernels()
+	step := (6.0 - -4.0) / float64(p.GridPoints-1)
+	for _, rows := range [][]float64{nil, xs[:150], xs} {
+		in := []*dataset.Dataset{dataset.FromSlice("in", rows, 4, 8)}
+		for _, fitSample := range []int{1, 7, 300, 1000} {
+			p.FitSample = fitSample
+			sample := rows
+			if len(rows) > fitSample {
+				sample = nil
+				for i := 0; i < len(rows); i += len(rows) / fitSample {
+					sample = append(sample, rows[i])
+				}
 			}
-		})
+			for ki, k := range Kernels() {
+				for _, avx := range testPaths() {
+					var out *dataset.Dataset
+					var err error
+					onPath(avx, func() { out, err = profileOp(p, k)(in) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					profile := dataset.Flatten[gridPoint](out)
+					if len(profile) != p.GridPoints {
+						t.Fatalf("%s: %d grid points, want %d", k.Name, len(profile), p.GridPoints)
+					}
+					for i, gp := range profile {
+						x := -4.0 + float64(i)*step
+						want := refDensity(refs[ki], p.Bandwidth, sample, x)
+						if gp.X != x || !sameBits(gp.Density, want) {
+							t.Fatalf("avx=%v, %s, %d rows, FitSample %d: point %d = (%v, %v), want (%v, %v)",
+								avx, k.Name, len(rows), fitSample, i, gp.X, gp.Density, x, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

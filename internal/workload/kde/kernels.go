@@ -2,14 +2,13 @@ package kde
 
 import "math"
 
-// The fused density pass (densityPass) runs two row kernels per hold-out
-// point x and block of samples: uRow, the scaled differences u = (x-xᵢ)/h
-// of the samples, and cosineRow, the cosine kernel over the u inside the
-// support. uRowGo and
+// The density pass (densityPass) runs two row kernels per point x and block
+// of samples: uRow, the scaled differences u = (x-xᵢ)/h of the samples, and
+// cosineRow, the cosine kernel over the u inside the support. uRowGo and
 // cosineRowGo are their plain-Go forms: the only path off amd64 and on amd64
 // without AVX, and the reference the AVX kernels are tested against bit for
-// bit. Each evaluates the expression Density does, with the same operands in
-// the same order.
+// bit. Each evaluates the expression Kernel.Fn's sum does, with the same
+// operands in the same order.
 
 // uRowGo sets u[i] = (x - samples[i]) / h.
 func uRowGo(u, samples []float64, x, h float64) {

@@ -142,12 +142,11 @@ func (c *pairs) AppendRows(dst []dataset.Row, lo, hi int) []dataset.Row {
 	return dst
 }
 
-// window returns the rows of a partition of a pairs dataset — their keys and
-// base values, the capacity of the values clipped — and the map of its
-// column.
-func window(p *dataset.Partition) (string, []uint32, affineMap) {
+// window returns the base values of a partition of a pairs dataset, their
+// capacity clipped, and the map of its column.
+func window(p *dataset.Partition) ([]uint32, affineMap) {
 	c := p.Col.(*pairs)
-	return c.keys[keyLen*p.Lo : keyLen*p.Hi], c.vals[p.Lo:p.Hi:p.Hi], c.fn()
+	return c.vals[p.Lo:p.Hi:p.Hi], c.fn()
 }
 
 // oneColumn returns the pairs column of which d's partitions are, in order,
@@ -219,17 +218,15 @@ func affine(w int64, opsPerItem int) affineMap {
 // the operator is built, so a value costs one step on the host whatever the
 // count; the virtual cost (costPerMB) still charges every one.
 //
-// Over consecutive windows of one column (oneColumn) — every input of the
-// synthetic job — the output is a view: the column's keys and base values cut
-// to the windows' rows, the column's map followed by the operator's, and the
-// sum of the new values when scored, which one pass computes: only the
-// operator whose output a choose scores (sumEvaluator) needs it, and the
-// view of one that is not scored takes no pass at all. Anything else, a
-// Concat of branches or windows of several columns, is gathered into a
-// fresh column: each value computed through its own column's map straight
-// into it and summed on the way, keys copied. Either way the output is cut at
-// the input's partition ends, and accounted sizes scale by sizeScale. It is
-// one closure: a job builds one per branch.
+// Its input is consecutive windows of one column (oneColumn), as every
+// input of the synthetic job is; any other is an error. The output is a
+// view: the column's keys and base values cut to the windows' rows, the
+// column's map followed by the operator's, and the sum of the new values
+// when scored, which one pass computes: only the operator whose output a
+// choose scores (sumEvaluator) needs it, and the view of one that is not
+// scored takes no pass at all. The output is cut at the input's partition
+// ends, and accounted sizes scale by sizeScale. It is one closure: a job
+// builds one per branch.
 func mathOp(name string, sizeScale float64, w int64, opsPerItem int, scored bool) graph.TransformFunc {
 	op := affine(w, opsPerItem)
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
@@ -237,43 +234,24 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int, scored bool
 		if err != nil {
 			return nil, err
 		}
-		parts := make([]dataset.Partition, len(in.Parts))
-		if c, lo, hi, ok := oneColumn(in); ok {
-			m := c.fn().then(op)
-			vals := c.vals[lo:hi:hi]
-			var sum uint64
-			if scored {
-				for _, v := range vals {
-					sum += uint64(m.apply(v))
-				}
-			}
-			for i := range in.Parts {
-				part := &in.Parts[i]
-				parts[i] = dataset.Partition{Lo: part.Lo - lo, Hi: part.Hi - lo, VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
-			}
-			return dataset.Over(name, pairs{keys: c.keys[keyLen*lo : keyLen*hi], vals: vals, mapped: true, m: m, summed: scored, sum: sum}, parts), nil
+		c, lo, hi, ok := oneColumn(in)
+		if !ok {
+			return nil, fmt.Errorf("synthetic: %s: input %q is not consecutive windows of one pairs column", name, in.Name)
 		}
-		n := in.NumRows()
-		var keys strings.Builder
-		keys.Grow(keyLen * n)
-		vals := make([]uint32, 0, n)
+		m := c.fn().then(op)
+		vals := c.vals[lo:hi:hi]
 		var sum uint64
+		if scored {
+			for _, v := range vals {
+				sum += uint64(m.apply(v))
+			}
+		}
+		parts := make([]dataset.Partition, len(in.Parts))
 		for i := range in.Parts {
 			part := &in.Parts[i]
-			lo := len(vals)
-			if part.Hi > part.Lo {
-				k, vs, cm := window(part)
-				m := cm.then(op)
-				for _, v := range vs {
-					y := m.apply(v)
-					sum += uint64(y)
-					vals = append(vals, y)
-				}
-				keys.WriteString(k)
-			}
-			parts[i] = dataset.Partition{Lo: lo, Hi: len(vals), VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
+			parts[i] = dataset.Partition{Lo: part.Lo - lo, Hi: part.Hi - lo, VirtualBytes: int64(float64(part.VirtualBytes) * sizeScale)}
 		}
-		return dataset.Over(name, pairs{keys: keys.String(), vals: vals, mapped: true, m: identity, summed: true, sum: sum}, parts), nil
+		return dataset.Over(name, pairs{keys: c.keys[keyLen*lo : keyLen*hi], vals: vals, mapped: true, m: m, summed: scored, sum: sum}, parts), nil
 	}
 }
 
@@ -298,7 +276,7 @@ func sumEvaluator() mdf.Evaluator {
 			n := 0
 			for i := range d.Parts {
 				if p := &d.Parts[i]; p.Hi > p.Lo {
-					_, vals, m := window(p)
+					vals, m := window(p)
 					for _, v := range vals {
 						sum += float64(m.apply(v))
 					}

@@ -73,11 +73,12 @@ func TestBranchValuesKeepReferenceExact(t *testing.T) {
 	}
 }
 
-// mathOp reads every partition as its window, wherever the windows come
-// from: over one generated column it shares that column's keys, and over a
-// Concat of two branches — whose key slices differ, or whose windows restart
-// on one column — it gathers them; either way its rows are the per-row
-// reference's, partition by partition.
+// mathOp reads every partition as its window on one column: over one
+// generated column, or an alias of it, it shares that column's keys and its
+// rows are the per-row reference's, partition by partition. A Concat of two
+// branches — whose key slices differ, or whose windows restart on one
+// column, or whose windows continue from one column onto another — is not
+// one column's consecutive windows, and mathOp refuses it.
 func TestMathOpMatchesPerRowReference(t *testing.T) {
 	const w, ops, scale = 1000, 3, 0.5
 	small := func(seed int64, rows, parts int) *dataset.Dataset {
@@ -91,9 +92,9 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 	c := dataset.New("c")
 	c.Parts = small(3, 202, 2).Parts[1:]
 	cases := []struct {
-		name   string
-		in     *dataset.Dataset
-		shared bool
+		name      string
+		in        *dataset.Dataset
+		oneColumn bool
 	}{
 		{"one column", a, true},
 		{"an alias of one column", a.Alias("a"), true},
@@ -102,7 +103,16 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 		{"a Concat of two branches whose windows continue", dataset.Concat("c", a, c), false},
 	}
 	for _, tc := range cases {
+		if _, _, _, ok := oneColumn(tc.in); ok != tc.oneColumn {
+			t.Errorf("%s: input is one column's consecutive windows = %v, want %v", tc.name, ok, tc.oneColumn)
+		}
 		out, err := mathOp("op", scale, w, ops, true)([]*dataset.Dataset{tc.in})
+		if !tc.oneColumn {
+			if err == nil || !strings.Contains(err.Error(), "not consecutive windows of one pairs column") {
+				t.Errorf("%s: err = %v, want the input refused", tc.name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,15 +135,11 @@ func TestMathOpMatchesPerRowReference(t *testing.T) {
 				t.Errorf("%s: partition %d accounts %d bytes, want %d", tc.name, i, out.Parts[i].VirtualBytes, vb)
 			}
 		}
-		if _, _, _, shared := oneColumn(tc.in); shared != tc.shared {
-			t.Errorf("%s: output is a view of its input's column = %v, want %v", tc.name, shared, tc.shared)
-		}
 	}
 }
 
 // What window returns of a partition has its capacity clipped: appending to
-// its values leaves the next partition intact (its keys are a string, which
-// an append copies).
+// its values leaves the next partition intact.
 func TestWindowLeavesNeighbourIntact(t *testing.T) {
 	p := Defaults()
 	p.Rows, p.Partitions = 50, 4
@@ -144,9 +150,9 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 	}
 	for _, d := range []*dataset.Dataset{in, out} {
 		for i := 0; i+1 < len(d.Parts); i++ {
-			_, next, _ := window(&d.Parts[i+1])
+			next, _ := window(&d.Parts[i+1])
 			val := next[0]
-			_, cur, _ := window(&d.Parts[i])
+			cur, _ := window(&d.Parts[i])
 			_ = append(cur, val+1)
 			if next[0] != val {
 				t.Errorf("%s: appending to partition %d overwrote partition %d's first row", d.Name, i, i+1)
@@ -158,7 +164,8 @@ func TestWindowLeavesNeighbourIntact(t *testing.T) {
 // What Generate and mathOp emit costs its payload and two allocations, the
 // partition block and the dataset together with its column's header, at
 // every partition count. Over one column mathOp's output is a view, which
-// has no payload: its allocations do not grow with the rows.
+// has no payload: its allocations do not grow with the rows. A Concat, of
+// one column twice or of two views, is refused.
 func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 	for _, parts := range []int{1, 4, 64} {
 		p := Defaults()
@@ -185,13 +192,15 @@ func TestOutputsCostPayloadPlusTwo(t *testing.T) {
 			{"Generate", 5, func() { Generate(p) }},
 			// Nothing: the keys and base values are the input's.
 			{"mathOp over one column", 0, func() { _, _ = op(one) }},
-			// The values and the gathered keys.
-			{"mathOp over a Concat", 2, func() { _, _ = op(two) }},
-			{"mathOp over a Concat of affine inputs", 2, func() { _, _ = op(affine) }},
 		}
 		for _, g := range gates {
 			if allocs := testing.AllocsPerRun(10, g.f); allocs > g.payload+2 {
 				t.Errorf("%s over %d partitions: %.0f allocations, want <= %.0f (payload) + 2", g.name, parts, allocs, g.payload)
+			}
+		}
+		for name, ins := range map[string][]*dataset.Dataset{"a Concat": two, "a Concat of affine inputs": affine} {
+			if _, err := op(ins); err == nil {
+				t.Errorf("mathOp over %s of %d partitions: no error, want the input refused", name, parts)
 			}
 		}
 	}
@@ -223,12 +232,12 @@ func refRows(d *dataset.Dataset, w []int64, ops []int) [][]Pair {
 	return out
 }
 
-// A chain of one to three mathOps gives, whether its inputs are views of one
-// column or gathered, the rows, column sum (of a scored output, or a
-// gathered one) and int_value score of the reference that materialises
-// every step through refOp: over generated
-// datasets, partial windows of one (consecutive, and not), and a Concat of
-// two branches, at ops per item 1 to 8 and w past p.
+// A chain of one to three mathOps gives the rows, column sum (of a scored
+// output) and int_value score of the reference that materialises every step
+// through refOp: over generated datasets and consecutive partial windows of
+// one, at ops per item 1 to 8 and w past p. Windows of one column with gaps
+// and a Concat of two branches are scored by the evaluator's scan, and
+// mathOp refuses them.
 func TestAffineViewMatchesMaterialised(t *testing.T) {
 	const p = 1_000_000_007
 	gen := func(rows, parts int, seed int64) *dataset.Dataset {
@@ -246,14 +255,15 @@ func TestAffineViewMatchesMaterialised(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []struct {
-		name string
-		in   *dataset.Dataset
+		name      string
+		in        *dataset.Dataset
+		oneColumn bool
 	}{
-		{"a generated column", a},
-		{"one partition", gen(9, 1, 3)},
-		{"windows 1-3 of a column", dataset.FromPartitions("mid", slices.Clone(a.Parts[1:4]))},
-		{"windows 0, 2 and 4 of a column", dataset.FromPartitions("gaps", []dataset.Partition{a.Parts[0], a.Parts[2], a.Parts[4]})},
-		{"a Concat of two branches", dataset.Concat("c", b1, b2)},
+		{"a generated column", a, true},
+		{"one partition", gen(9, 1, 3), true},
+		{"windows 1-3 of a column", dataset.FromPartitions("mid", slices.Clone(a.Parts[1:4])), true},
+		{"windows 0, 2 and 4 of a column", dataset.FromPartitions("gaps", []dataset.Partition{a.Parts[0], a.Parts[2], a.Parts[4]}), false},
+		{"a Concat of two branches", dataset.Concat("c", b1, b2), false},
 	}
 	ws := []int64{10, 1000, p, p + 7, 9_000_000_000}
 	score := sumEvaluator().Fn
@@ -266,6 +276,12 @@ func TestAffineViewMatchesMaterialised(t *testing.T) {
 		}
 		if got, want := score(tc.in), fsum/float64(tc.in.NumRows()); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: int_value %v, want %v", tc.name, got, want)
+		}
+		if !tc.oneColumn {
+			if _, err := mathOp("op", 1, 10, 1, true)([]*dataset.Dataset{tc.in}); err == nil {
+				t.Fatalf("%s: no error, want the input refused", tc.name)
+			}
+			continue
 		}
 		for chain := 1; chain <= 3; chain++ {
 			for n := 1; n <= 8; n++ {
