@@ -116,17 +116,13 @@ func checkDensityPass(t *testing.T, name string, samples, points []float64, h fl
 	}
 }
 
-// TestDensityMatchesReference holds the density pass to refDensity
-// (checkDensityPass). The fits: ordinary draws with ±0, subnormals and the
-// support's ends among samples and points; one sample; 4 101 samples, eight
-// of the pass's blocks and a tail; an empty sample; and a NaN, +Inf or -Inf
-// sample, or non-finite points. Then random fits of 0 to 400 samples, at
-// points exactly at, just inside and just outside a sample's support. Then
-// the fits where the bounded kernels' support matters most: sorted,
-// reverse-sorted, constant and clustered samples, 65 to 4 097 of them, at
-// bandwidths from 1e-300 to 1e300, some near ±MaxFloat64 where x - xᵢ
-// overflows, and fits holding a NaN or an infinity.
-func TestDensityMatchesReference(t *testing.T) {
+// TestFusedDensitiesMatchDensity holds the fused density pass to the density
+// g(x) as refDensity sums it (checkDensityPass), on fits that cover the
+// support's edge cases: ordinary draws with ±0, subnormals and the support's
+// ends among samples and points; one sample; 4 101 samples, eight of the
+// pass's blocks and a tail; an empty sample; and a NaN, +Inf or -Inf sample,
+// or non-finite points, each at bandwidths from 5e-324 to MaxFloat64.
+func TestFusedDensitiesMatchDensity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	draw := func(n int) []float64 {
 		xs := make([]float64, n)
@@ -160,8 +156,17 @@ func TestDensityMatchesReference(t *testing.T) {
 			checkDensityPass(t, fc.name, fc.samples, fc.points, h)
 		}
 	}
+}
 
-	rng = rand.New(rand.NewSource(5))
+// TestDensityMatchesReference holds the density pass to refDensity
+// (checkDensityPass) on random fits of 0 to 400 samples, at points exactly
+// at, just inside and just outside a sample's support. Then on the fits
+// where the bounded kernels' support matters most: sorted, reverse-sorted,
+// constant and clustered samples, 65 to 4 097 of them, at bandwidths from
+// 1e-300 to 1e300, some near ±MaxFloat64 where x - xᵢ overflows, and fits
+// holding a NaN or an infinity.
+func TestDensityMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
 		samples := make([]float64, []int{0, 1, 7, 400}[trial%4])
 		for i := range samples {
