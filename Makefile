@@ -139,7 +139,10 @@ crash-short: build
 # hint, BenchmarkDensities kde's density pass, its one way to estimate a
 # density (every kernel at 200 hold-out points of 400 samples), on the /avx
 # and the /go path and
-# kde's BenchmarkRowKernels its u row and cosine kernel, BenchmarkMarkSiblings the 16 analysis branches of a time series
+# kde's BenchmarkRowKernels its u row and cosine kernel, BenchmarkAffineSum
+# synthetic's scored pass over 20 000 values on the /avx and the /go path,
+# BenchmarkWindowRatios a time series mask's window pass at w = 2 and 5 over
+# 20 000 points, BenchmarkMarkSiblings the 16 analysis branches of a time series
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
 # the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at
 # 1, 4 and 16 ops per item and, as chain, second_op over first_op's output

@@ -59,8 +59,8 @@ func (p ExampleParams) Validate() error {
 	if len(p.OutlierThresholds)*len(p.KernelNames) < 2 {
 		return fmt.Errorf("kde: example needs >= 2 branches")
 	}
-	if p.Bandwidth <= 0 {
-		return fmt.Errorf("kde: non-positive bandwidth")
+	if h := p.Bandwidth; !(h > 0) || math.IsInf(h, 1) {
+		return fmt.Errorf("kde: bandwidth %g not positive and finite", h)
 	}
 	if p.GridPoints < 2 {
 		return fmt.Errorf("kde: need >= 2 grid points")

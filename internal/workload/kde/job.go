@@ -58,11 +58,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("kde: no bandwidths to explore")
 	}
 	for _, h := range p.Bandwidths {
-		if h <= 0 {
-			return fmt.Errorf("kde: non-positive bandwidth %g", h)
+		if !(h > 0) || math.IsInf(h, 1) {
+			return fmt.Errorf("kde: bandwidth %g not positive and finite", h)
 		}
 	}
-	if p.HoldoutFraction <= 0 || p.HoldoutFraction >= 0.5 {
+	if !(p.HoldoutFraction > 0 && p.HoldoutFraction < 0.5) {
 		return fmt.Errorf("kde: holdout fraction %g out of (0, 0.5)", p.HoldoutFraction)
 	}
 	if p.FitSample < 10 {

@@ -293,3 +293,40 @@ func BenchmarkJob(b *testing.B) {
 		runJob(b)
 	}
 }
+
+// TestValidateRejectsNonFinite holds both Validate methods to their ranges
+// at NaN and the infinities, which a bound written as x <= 0 lets through.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		set  func(p *kde.Params)
+	}{
+		{"bandwidth NaN", func(p *kde.Params) { p.Bandwidths = []float64{nan, 0.2} }},
+		{"bandwidth +Inf", func(p *kde.Params) { p.Bandwidths = []float64{0.2, inf} }},
+		{"bandwidth -Inf", func(p *kde.Params) { p.Bandwidths = []float64{-inf} }},
+		{"holdout fraction NaN", func(p *kde.Params) { p.HoldoutFraction = nan }},
+		{"holdout fraction +Inf", func(p *kde.Params) { p.HoldoutFraction = inf }},
+		{"holdout fraction -Inf", func(p *kde.Params) { p.HoldoutFraction = -inf }},
+	}
+	for _, tc := range cases {
+		p := kde.Defaults()
+		tc.set(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("Params with %s: Validate = nil, want an error", tc.name)
+		}
+	}
+	for _, h := range []float64{nan, inf, -inf} {
+		p := kde.DefaultExample()
+		p.Bandwidth = h
+		if err := p.Validate(); err == nil {
+			t.Errorf("ExampleParams with bandwidth %g: Validate = nil, want an error", h)
+		}
+	}
+	if err := kde.Defaults().Validate(); err != nil {
+		t.Errorf("Defaults: %v", err)
+	}
+	if err := kde.DefaultExample().Validate(); err != nil {
+		t.Errorf("DefaultExample: %v", err)
+	}
+}

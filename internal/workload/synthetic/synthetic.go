@@ -77,7 +77,7 @@ func (p Params) Validate() error {
 	if p.OpsPerItem < 1 {
 		return fmt.Errorf("synthetic: ops per item must be >= 1")
 	}
-	if p.InnerSizeScale <= 0 || p.InnerSizeScale > 1 {
+	if !(p.InnerSizeScale > 0 && p.InnerSizeScale <= 1) {
 		return fmt.Errorf("synthetic: inner size scale %g out of (0, 1]", p.InnerSizeScale)
 	}
 	return nil
@@ -112,6 +112,17 @@ var identity = affineMap{a: 1}
 // apply returns the map of v, v below 2^32: v·a + b is below 2^62 + 2^30,
 // exact in uint64.
 func (m affineMap) apply(v uint32) uint32 { return uint32((uint64(v)*m.a + m.b) % mod) }
+
+// sumGo returns the sum of the map over vals, one value at a time: the
+// plain-Go form of sum, its only path off amd64 and on amd64 without AVX,
+// and the reference the AVX kernel is held to.
+func (m affineMap) sumGo(vals []uint32) uint64 {
+	var s uint64
+	for _, v := range vals {
+		s += uint64(m.apply(v))
+	}
+	return s
+}
 
 // then returns m followed by n: v ↦ ((v·m.a + m.b)·n.a + n.b) mod p is
 // v ↦ (v·(m.a·n.a) + (m.b·n.a + n.b)) mod p. Every factor is below
@@ -242,9 +253,7 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int, scored bool
 		vals := c.vals[lo:hi:hi]
 		var sum uint64
 		if scored {
-			for _, v := range vals {
-				sum += uint64(m.apply(v))
-			}
+			sum = m.sum(vals)
 		}
 		parts := make([]dataset.Partition, len(in.Parts))
 		for i := range in.Parts {

@@ -2,6 +2,7 @@ package synthetic_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"metadataflow/internal/baseline"
@@ -55,6 +56,21 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	p.OpsPerItem = 0
 	if _, err := synthetic.BuildMDF(p); err == nil {
 		t.Error("zero ops per item should be rejected")
+	}
+}
+
+// TestValidateRejectsNonFinite holds InnerSizeScale to (0, 1] at NaN and the
+// infinities: a bound written as x <= 0 || x > 1 lets NaN through.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := synthetic.Defaults()
+		p.InnerSizeScale = s
+		if err := p.Validate(); err == nil {
+			t.Errorf("inner size scale %g: Validate = nil, want an error", s)
+		}
+	}
+	if err := synthetic.Defaults().Validate(); err != nil {
+		t.Errorf("Defaults: %v", err)
 	}
 }
 

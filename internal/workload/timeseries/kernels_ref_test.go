@@ -175,6 +175,21 @@ func awkwardSeries(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
+// zeroSeries draws n points that are all zeros, in runs of +0,−0 and of
+// −0,+0 and constant runs of either: every window's extremes are ±0, the one
+// place where min and max may differ from the comparisons by a sign.
+func zeroSeries(rng *rand.Rand, n int) []Point {
+	pos, neg := 0.0, math.Copysign(0, -1)
+	runs := [][]float64{{pos, neg}, {neg, pos}, {pos, pos, pos}, {neg, neg, neg}}
+	pts := make([]Point, 0, n+2)
+	for len(pts) < n {
+		for _, v := range runs[rng.Intn(len(runs))] {
+			pts = append(pts, Point{T: int64(3 * len(pts)), V: v})
+		}
+	}
+	return pts[:n]
+}
+
 // inputs lays a series out the ways an operator may meet it: cut from one
 // column (read as a view), concatenated (read as a copy), and with no
 // partition at all, as a choose that selected nothing emits.
@@ -202,7 +217,9 @@ func apply(t *testing.T, op func([]*dataset.Dataset) (*dataset.Dataset, error), 
 
 // TestKernelsMatchReference compares mask, mark and detect with the loops
 // they replaced on random awkward series, among them series shorter than the
-// window, empty ones, and the windows Validate does not forbid (0, negative).
+// window, empty ones, and the windows Validate does not forbid (0, negative),
+// and on series of ±0 alone, whose every window's extremes are zeros of
+// either sign, at every threshold, −0 among them.
 // Everything a trial runs shares one graph's memos, as its branches do:
 // every threshold of two window lengths, every magDiff of two mark windows,
 // each layout of the series, and then a second series of the same length,
@@ -210,7 +227,7 @@ func apply(t *testing.T, op func([]*dataset.Dataset) (*dataset.Dataset, error), 
 func TestKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	windows := []int{1, 2, 3, 5, 16, 300, 0, -2}
-	thresholds := []float64{1.001, 1.1, 1, 0.5, 0, -1, math.Inf(1), math.NaN()}
+	thresholds := []float64{1.001, 1.1, 1, 0.5, 0, math.Copysign(0, -1), -1, math.Inf(1), math.NaN()}
 	magDiffs := []float64{0.5, 2, 0, -1, math.NaN()}
 	durations := []int{0, 1, 50, 1000, -5}
 	two := func() []int {
@@ -227,6 +244,9 @@ func TestKernelsMatchReference(t *testing.T) {
 		ratios, events := mdf.NewMemo(windowRatios), markMemo(mdf.NewMemo(windowMeans))
 		for series := 0; series < 2; series++ {
 			pts := awkwardSeries(rng, n)
+			if trial%6 == 5 {
+				pts = zeroSeries(rng, n)
+			}
 			before := fmt.Sprint(pts)
 			for _, in := range inputs(rng, pts) {
 				what := fmt.Sprintf("trial %d, series %d, %s of %d points", trial, series, in.Name, n)
@@ -499,6 +519,20 @@ func TestLabelsSpellLikeSprintf(t *testing.T) {
 // defaultSeries is the generator's series at Defaults(), which the kernel
 // benchmarks run over.
 func defaultSeries() *dataset.Dataset { return Generate(Defaults()) }
+
+// BenchmarkWindowRatios is mask's window pass alone, at the job's two window
+// lengths over the Defaults() series' 20 000 points.
+func BenchmarkWindowRatios(b *testing.B) {
+	pts := dataset.Flatten[Point](defaultSeries())
+	for _, w := range Defaults().WindowLengths {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				windowRatios(w, pts)
+			}
+		})
+	}
+}
 
 // BenchmarkMask and BenchmarkMark are one branch with a memo of its own: the
 // window pass included.

@@ -88,7 +88,7 @@ func (p Params) Validate() error {
 	if len(p.MarkWindows)*len(p.MagDiffs)*len(p.Durations) < 2 {
 		return fmt.Errorf("timeseries: marking explore needs >= 2 branches")
 	}
-	if p.MaskKeepRatio <= 0 || p.MaskKeepRatio > 1 {
+	if !(p.MaskKeepRatio > 0 && p.MaskKeepRatio <= 1) {
 		return fmt.Errorf("timeseries: keep ratio %g out of (0, 1]", p.MaskKeepRatio)
 	}
 	return nil
@@ -162,19 +162,16 @@ func windowRatios(w int, pts []Point) []float64 {
 			lastNaN = i
 		}
 		first := min(max(i-w+1, 0), i) // w < 1: the window is the point itself
-		// Comparisons find the extremes math.Min and math.Max do, up to the
-		// sign of a zero (lo <= 0 and hi/lo > t read ±0 alike), in a window
-		// without a NaN. What a NaN does to the extremes (it yields to an
-		// infinity) is left to those two.
+		// In a window without a NaN the builtins min and max, which take no
+		// branch, find the extremes math.Min and math.Max do, bit for bit:
+		// both order −0 below +0. Where they part is a NaN, which the
+		// builtins return and which yields to an infinity in math's two, so
+		// a window holding one is left to those.
 		lo, hi := v, v
 		if lastNaN < first {
 			for _, q := range pts[first:i] {
-				if q.V < lo {
-					lo = q.V
-				}
-				if q.V > hi {
-					hi = q.V
-				}
+				lo = min(lo, q.V)
+				hi = max(hi, q.V)
 			}
 		} else {
 			for _, q := range pts[first:i] {

@@ -1,6 +1,7 @@
 package timeseries_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -31,6 +32,21 @@ func testCluster() *cluster.Cluster {
 	cfg.Workers = 4
 	cfg.MemPerWorker = 1 << 30
 	return cluster.MustNew(cfg)
+}
+
+// TestValidateRejectsNonFinite holds MaskKeepRatio to (0, 1] at NaN and the
+// infinities: a bound written as x <= 0 || x > 1 lets NaN through.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		p := timeseries.Defaults()
+		p.MaskKeepRatio = r
+		if err := p.Validate(); err == nil {
+			t.Errorf("keep ratio %g: Validate = nil, want an error", r)
+		}
+	}
+	if err := timeseries.Defaults().Validate(); err != nil {
+		t.Errorf("Defaults: %v", err)
+	}
 }
 
 func TestBranchesCount(t *testing.T) {
