@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint specvet race race-short fuzz-short chaos-short chaos crash-short bench-smoke hostbench-check ci clean
+.PHONY: all help build test vet lint specvet race race-short exp-plain fuzz-short chaos-short chaos crash-short bench-smoke hostbench-check ci clean
 
 all: build
 
@@ -14,13 +14,14 @@ help:
 	@echo "  specvet           mdf plan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
 	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
+	@echo "  exp-plain         the vecmath and dnn tests again under GODEBUG=cpu.fma=off, math.Exp's plain path, on a CPU with FMA too"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
 	@echo "  bench-smoke       compile every Benchmark* under internal/ and run each for one iteration, with its allocations"
 	@echo "  hostbench-check   vet and test the host-time benchmark module (benchmarks/), which ./... does not reach"
-	@echo "  ci                the merge gate: vet lint specvet build race race-short chaos-short crash-short bench-smoke hostbench-check"
+	@echo "  ci                the merge gate: vet lint specvet build race race-short exp-plain chaos-short crash-short bench-smoke hostbench-check"
 
 build:
 	$(GO) build ./...
@@ -79,6 +80,17 @@ race-short:
 	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler ./internal/chaos \
 		./internal/mdf ./internal/spec ./internal/workload/... \
 		./internal/dataset ./internal/graph ./internal/memorymgr
+
+# exp-plain runs the vector-math kernels' tests and dnn's again with
+# math.Exp on its plain path: math.Exp on amd64 fuses its products when the
+# CPU has FMA and rounds each one otherwise, internal/vecmath's kernels
+# repeat whichever of the two a probe finds math.Exp running, and dnn's
+# training checksums are pinned for both. GODEBUG=cpu.fma=off turns math's
+# FMA path off, so a machine with FMA checks both paths: the plain kernels
+# and transliteration, and the plain checksums. -count=1 because the test
+# cache does not key on GODEBUG. Part of ci.
+exp-plain:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/vecmath ./internal/workload/dnn
 
 # fuzz-short runs the JSON-parser fuzz targets briefly on top of their
 # checked-in corpora (testdata/fuzz); longer runs use -fuzztime directly.
@@ -151,6 +163,9 @@ crash-short: build
 # through the row kernels (one allocation), BenchmarkForward one dnn forward
 # pass (two dotRows calls), dnn's BenchmarkRowKernels each of its three row
 # kernels at the Defaults() layer shapes on the /avx and the /go path,
+# BenchmarkTanhRow and BenchmarkExpRow vecmath's two rows at the sizes dnn's
+# forward pass gives them, 24 hidden sums and 10 logits, on the /avx and the
+# /go path,
 # BenchmarkServiceJob/new a document the service has not seen and /repeat
 # one its vet memo holds the plan of). Part of ci.
 bench-smoke:
@@ -167,7 +182,7 @@ hostbench-check:
 	$(GO) test -C benchmarks ./...
 
 # ci is the gate a change must pass before merging.
-ci: vet lint specvet build race race-short chaos-short crash-short bench-smoke hostbench-check
+ci: vet lint specvet build race race-short exp-plain chaos-short crash-short bench-smoke hostbench-check
 
 clean:
 	$(GO) clean ./...

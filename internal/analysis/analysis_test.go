@@ -313,6 +313,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"internal/graph.BFSChooseMaintained": "App. B closed form; collapsed_test.go checks it",
 		"internal/graph.SimulateCollapsed":   "App. B simulation the closed forms are checked against",
 		"internal/graph.PeakMaintained":      "App. B simulation the closed forms are checked against",
+		"internal/vecmath.ExpPath":           "the math.Exp path vecmath's probe found; dnn's checksum test picks its pins by it",
 	}
 	m := loadRepo(t)
 	used := usedObjects(m)

@@ -1,3 +1,3 @@
-// Package cpufeat reports the CPU features the workloads' vector kernels
-// need, decided by the one check dnn, kde and synthetic read.
+// Package cpufeat reports the CPU features the vector kernels need,
+// decided by the one check dnn, kde, synthetic and vecmath read.
 package cpufeat

@@ -342,6 +342,32 @@ func TestIterativeParamsValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite holds DivergenceFactor to (1, +Inf) and
+// MinImprovement to [0, 1) at NaN and the infinities: a bound written as
+// x <= 1 lets NaN and +Inf through, and x < 0 || x >= 1 lets NaN through.
+// A NaN or infinite factor never flags a diverging branch, and a NaN
+// minimum improvement never stops a stalled one.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, f := range []float64{nan, inf, -inf} {
+		p := dnn.DefaultIterative()
+		p.DivergenceFactor = f
+		if err := p.Validate(); err == nil {
+			t.Errorf("divergence factor %g: Validate = nil, want an error", f)
+		}
+	}
+	for _, m := range []float64{nan, inf, -inf} {
+		p := dnn.DefaultIterative()
+		p.MinImprovement = m
+		if err := p.Validate(); err == nil {
+			t.Errorf("minimum improvement %g: Validate = nil, want an error", m)
+		}
+	}
+	if err := dnn.DefaultIterative().Validate(); err != nil {
+		t.Errorf("DefaultIterative: %v", err)
+	}
+}
+
 // BenchmarkJob builds and runs one early-choose deep learning MDF at Defaults() on the
 // paper's cluster with the full MDF machinery (BAS, AMM, incremental
 // choose): the host-time cost of this job kind, graph construction and input

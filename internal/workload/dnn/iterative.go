@@ -48,10 +48,10 @@ func (p IterativeParams) Validate() error {
 	if p.Epochs < 1 {
 		return fmt.Errorf("dnn: iterative training needs >= 1 epoch")
 	}
-	if p.DivergenceFactor <= 1 {
-		return fmt.Errorf("dnn: divergence factor must be > 1")
+	if !(p.DivergenceFactor > 1) || math.IsInf(p.DivergenceFactor, 1) {
+		return fmt.Errorf("dnn: divergence factor %g out of (1, +Inf)", p.DivergenceFactor)
 	}
-	if p.MinImprovement < 0 || p.MinImprovement >= 1 {
+	if !(p.MinImprovement >= 0 && p.MinImprovement < 1) {
 		return fmt.Errorf("dnn: minimum improvement %g out of [0, 1)", p.MinImprovement)
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"metadataflow/internal/stats"
+	"metadataflow/internal/vecmath"
 )
 
 // InitKind selects a weight initialisation strategy.
@@ -124,13 +125,13 @@ func (m *Model) Clone() *Model {
 
 // forward computes hidden activations and class probabilities. Each layer
 // is one dotRows call over the layer's bias: every sum starts from the bias
-// and adds the row's products in ascending order.
+// and adds the row's products in ascending order. The activations are one
+// vecmath row each, math.Tanh and math.Exp bit for bit: tanh over the
+// hidden sums, and exp over the logits less their maximum.
 func (m *Model) forward(x []float64, hidden, probs []float64) {
 	copy(hidden, m.B1)
 	dotRows(hidden, m.W1, x)
-	for h, s := range hidden {
-		hidden[h] = math.Tanh(s)
-	}
+	vecmath.TanhRow(hidden, hidden)
 	copy(probs, m.B2)
 	dotRows(probs, m.W2, hidden)
 	maxLogit := math.Inf(-1)
@@ -139,10 +140,13 @@ func (m *Model) forward(x []float64, hidden, probs []float64) {
 			maxLogit = s
 		}
 	}
-	var z float64
 	for c := range probs {
-		probs[c] = math.Exp(probs[c] - maxLogit)
-		z += probs[c]
+		probs[c] -= maxLogit
+	}
+	vecmath.ExpRow(probs, probs)
+	var z float64
+	for _, p := range probs {
+		z += p
 	}
 	for c := range probs {
 		probs[c] /= z
