@@ -13,8 +13,8 @@ help:
 	@echo "  lint              mdf lint: the eight determinism, unit and concurrency rules (mdf lint -list; exits nonzero on findings)"
 	@echo "  specvet           mdf plan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
-	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
-	@echo "  exp-plain         the vecmath and dnn tests again under GODEBUG=cpu.fma=off, math.Exp's plain path, on a CPU with FMA too"
+	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., vecmath, whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
+	@echo "  exp-plain         every vector kernel's tests (vecmath) and dnn's checksums again under GODEBUG=cpu.fma=off, math.Exp's plain path, on a CPU with FMA too"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
@@ -28,8 +28,8 @@ build:
 
 # vet also fails when gofmt would reformat a file (fixtures under testdata
 # included), naming the files. The second vet compiles the tree for arm64,
-# so that the files built off amd64 (the plain-Go kernels beside an _amd64.s)
-# are checked too.
+# so that the files built off amd64 (vecmath's kernels_other.go) are checked
+# too.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -64,8 +64,9 @@ race:
 # cancellation, and the goroutines that compute ready branches ahead of
 # their pick), the scheduler, the chaos harness, and every package whose
 # functions the engine calls on those goroutines — the operator and
-# evaluator constructors of mdf and spec and the four workloads (whose
-# sibling branches share host work through mdf.Memo). The engine's and the
+# evaluator constructors of mdf and spec, the four workloads (whose
+# sibling branches share host work through mdf.Memo) and vecmath, whose
+# vector kernels the workloads run. The engine's and the
 # chaos harness's serial-equals-pooled tests set GOMAXPROCS(4) themselves
 # and size their inputs above the engine's gate, so the pool is reached on
 # a single-CPU runner too; the engine's run the
@@ -78,16 +79,17 @@ race:
 # invocation. Part of ci.
 race-short:
 	$(GO) test -race -short -count=1 ./internal/service ./internal/engine ./internal/scheduler ./internal/chaos \
-		./internal/mdf ./internal/spec ./internal/workload/... \
+		./internal/mdf ./internal/spec ./internal/workload/... ./internal/vecmath \
 		./internal/dataset ./internal/graph ./internal/memorymgr
 
-# exp-plain runs the vector-math kernels' tests and dnn's again with
-# math.Exp on its plain path: math.Exp on amd64 fuses its products when the
-# CPU has FMA and rounds each one otherwise, internal/vecmath's kernels
-# repeat whichever of the two a probe finds math.Exp running, and dnn's
-# training checksums are pinned for both. GODEBUG=cpu.fma=off turns math's
-# FMA path off, so a machine with FMA checks both paths: the plain kernels
-# and transliteration, and the plain checksums. -count=1 because the test
+# exp-plain runs the tests of internal/vecmath, which holds every vector
+# kernel, and dnn's again with math.Exp on its plain path: math.Exp on
+# amd64 fuses its products when the CPU has FMA and rounds each one
+# otherwise, vecmath's TanhRow and ExpRow repeat whichever of the two a
+# probe finds math.Exp running, and dnn's training checksums are pinned for
+# both. GODEBUG=cpu.fma=off turns math's FMA path off, so a machine with
+# FMA checks both paths: every kernel under the plain probe, the plain
+# transliteration, and the plain checksums. -count=1 because the test
 # cache does not key on GODEBUG. Part of ci.
 exp-plain:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/vecmath ./internal/workload/dnn
@@ -150,9 +152,7 @@ crash-short: build
 # narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
 # hint, BenchmarkDensities kde's density pass, its one way to estimate a
 # density (every kernel at 200 hold-out points of 400 samples), on the /avx
-# and the /go path and
-# kde's BenchmarkRowKernels its u row and cosine kernel, BenchmarkAffineSum
-# synthetic's scored pass over 20 000 values on the /avx and the /go path,
+# and the /go path,
 # BenchmarkWindowRatios a time series mask's window pass at w = 2 and 5 over
 # 20 000 points, BenchmarkMarkSiblings the 16 analysis branches of a time series
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
@@ -161,11 +161,8 @@ crash-short: build
 # (the affine view: no payload), BenchmarkResult Run.Result boxing a
 # 20 000-row, 8-partition output on the compute-ahead pool, BenchmarkTrainEpoch one dnn training epoch
 # through the row kernels (one allocation), BenchmarkForward one dnn forward
-# pass (two dotRows calls), dnn's BenchmarkRowKernels each of its three row
-# kernels at the Defaults() layer shapes on the /avx and the /go path,
-# BenchmarkTanhRow and BenchmarkExpRow vecmath's two rows at the sizes dnn's
-# forward pass gives them, 24 hidden sums and 10 logits, on the /avx and the
-# /go path,
+# pass (two DotRows calls), BenchmarkKernels every vector kernel of
+# vecmath at the sizes its workload gives it on the /avx and the /go path,
 # BenchmarkServiceJob/new a document the service has not seen and /repeat
 # one its vet memo holds the plan of). Part of ci.
 bench-smoke:

@@ -314,6 +314,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		"internal/graph.SimulateCollapsed":   "App. B simulation the closed forms are checked against",
 		"internal/graph.PeakMaintained":      "App. B simulation the closed forms are checked against",
 		"internal/vecmath.ExpPath":           "the math.Exp path vecmath's probe found; dnn's checksum test picks its pins by it",
+		"internal/vecmath.OnEachPath":        "test helper shared across packages",
 	}
 	m := loadRepo(t)
 	used := usedObjects(m)

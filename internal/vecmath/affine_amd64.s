@@ -1,8 +1,8 @@
 #include "textflag.h"
 
-// affineSumAVX, the scored pass of mathOp: the sum of (v·a + b) mod p over a
-// column's base values, in float64 lanes whose every value is an integer
-// below 2^53, so that each operation below is exact and the sum is sumGo's
+// affineSumAVX, synthetic's scored pass: the sum of (v·a + b) mod p over
+// a column's base values, in float64 lanes whose every value is an integer
+// below 2^53, so each operation below is exact and the sum is affineSumGo's
 // to the bit. No operation rounds, so FMA could change nothing either.
 //
 // Per value v, split into 16-bit halves hi and lo (v = hi·2^16 + lo):

@@ -24,7 +24,7 @@ DATA tailmask<>+40(SB)/8, $0
 GLOBL tailmask<>(SB), RODATA|NOPTR, $48
 
 // The constants of cosineRowAVX, each in all four lanes: the bits of the
-// float64 Go rounds each of cosineTerm's and math.cos's constants to.
+// float64 Go rounds each of CosineTerm's and math.cos's constants to.
 
 // π/2
 DATA pio2<>+0(SB)/8, $0x3ff921fb54442d18

@@ -1,66 +1,24 @@
 package vecmath
 
-import (
-	"math"
+import "math"
 
-	"metadataflow/internal/cpufeat"
-)
-
-// expPath is the sequence math.Exp runs in this process, "fma", "plain" or
-// "" for neither, as probeExp found it at start-up. useAVX is whether the
-// row kernels run as 4-wide AVX: the CPU has AVX and math.Exp runs one of
-// the two sequences. Only tests change useAVX, to run the plain-Go path on
-// the same machine.
-var (
-	expPath = probeExp()
-	fused   = expPath == "fma"
-	useAVX  = cpufeat.HasAVX() && expPath != ""
-)
-
-// ExpPath names the sequence of exp_amd64.s that math.Exp runs in this
-// process: "fma" (its avxfma branch), "plain", or "" if it matches neither
-// transliteration. Results that go through math.Exp differ in the last bit
-// between the two, so a test that pins them pins each path's own.
-func ExpPath() string { return expPath }
-
-// TanhRow sets dst[i] = math.Tanh(src[i]) for every i. dst and src must be
-// as long, and may be the same slice.
-func TanhRow(dst, src []float64) {
-	checkLens("TanhRow", len(dst), len(src))
-	if !useAVX {
-		tanhRowGo(dst, src)
-		return
+// hasAVX reports whether the AVX kernels may run, from CPUID and XGETBV:
+// the CPU has AVX and the OS saves its register state.
+func hasAVX() bool {
+	const osxsave, avx = 1 << 27, 1 << 28
+	if ecx := cpuid1ECX(); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
 	}
-	for i := 0; i < len(src); {
-		i += tanhRowAVX(dst[i:], src[i:], fused)
-		// The kernel stopped at a block holding a NaN, or the row left is
-		// shorter than 4: math.Tanh takes up to four values, the kernel the
-		// rest.
-		j := min(i+4, len(src))
-		tanhRowGo(dst[i:j], src[i:j])
-		i = j
-	}
+	// XCR0 bits 1 and 2: the OS saves the SSE and the upper AVX halves.
+	return xcr0()&6 == 6
 }
 
-// ExpRow sets dst[i] = math.Exp(src[i]) for every i. dst and src must be
-// as long, and may be the same slice.
-func ExpRow(dst, src []float64) {
-	checkLens("ExpRow", len(dst), len(src))
-	if !useAVX {
-		expRowGo(dst, src)
-		return
-	}
-	for i := 0; i < len(src); {
-		i += expRowAVX(dst[i:], src[i:], fused)
-		// The kernel stopped at a block holding an x that is not finite,
-		// or whose e^x overflows or is subnormal or zero, or the row left
-		// is shorter than 4: math.Exp takes up to four values, the kernel
-		// the rest.
-		j := min(i+4, len(src))
-		expRowGo(dst[i:j], src[i:j])
-		i = j
-	}
-}
+// cpuid1ECX returns ECX of CPUID leaf 1, the feature bits.
+func cpuid1ECX() uint32
+
+// xcr0 returns the low half of XCR0 (XGETBV with ECX = 0), the register
+// state the OS saves.
+func xcr0() uint32
 
 // tanhRowAVX and expRowAVX compute what tanhRowGo and expRowGo do, four
 // values per instruction, with math.Exp's FMA sequence if fused is set and
@@ -75,6 +33,39 @@ func tanhRowAVX(dst, src []float64, fused bool) (done int)
 
 //go:noescape
 func expRowAVX(dst, src []float64, fused bool) (done int)
+
+// The AVX kernels compute what dotRowsGo, axpyRowsGo and momentumRowsGo
+// do, four values per instruction with a scalar tail (rows_amd64.s).
+
+//go:noescape
+func dotRowsAVX(y, w, x []float64)
+
+//go:noescape
+func axpyRowsAVX(y, w, a []float64)
+
+//go:noescape
+func momentumRowsAVX(w, vel, x, lrg []float64, momentum float64)
+
+// uRowAVX computes what uRowGo does, four values per instruction
+// (cosine_amd64.s).
+//
+//go:noescape
+func uRowAVX(u, samples []float64, x, h float64)
+
+// cosineRowAVX computes what cosineRowGo does, four values per
+// instruction, for every u with |π/2·u| < reduceThreshold, and reports
+// whether there was another u, whose c it leaves to the caller.
+//
+//go:noescape
+func cosineRowAVX(c, u []float64) (special bool)
+
+// affineSumAVX returns the sum of (v·a + b) mod AffineMod over vals, whose
+// length is a multiple of 4 and at most sumChunk, four values per
+// instruction, a16 being a·2^16 mod AffineMod. It equals affineSumGo's sum
+// for every uint32 v (see affine_amd64.s).
+//
+//go:noescape
+func affineSumAVX(vals []uint32, a, a16, b float64) uint64
 
 // The constants of exp_amd64.s, as Go rounds them.
 const (

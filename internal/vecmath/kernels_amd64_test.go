@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-// kernelsOn is whether this process runs the AVX kernels, as decided at
-// start-up, before any test flips useAVX.
-var kernelsOn = useAVX
-
-// onPath runs f with the rows on the AVX path or on the plain-Go one, and
-// then restores the choice.
-func onPath(avx bool, f func()) {
-	saved := useAVX
-	useAVX = avx
-	defer func() { useAVX = saved }()
-	f()
-}
-
-// testPaths lists the paths this machine runs: the plain-Go one, and the
-// AVX one where the kernels are on.
-func testPaths() []bool {
-	if kernelsOn {
-		return []bool{false, true}
-	}
-	return []bool{false}
-}
-
-func canAVX() bool { return kernelsOn }
-
 // TestExpTransliterationMatchesMath holds the transliteration of the
 // sequence the probe found to math.Exp, bit for bit, over the 2^-18 sweep
 // of [−50, 50] and over every 2^-10 of the range in which e^x is normal. On
@@ -58,7 +34,7 @@ func TestExpTransliterationMatchesMath(t *testing.T) {
 
 // TestProbeArgsSeparatePaths requires the two transliterations to differ at
 // some of the probe's arguments, so that the probe can tell them apart:
-// matching both would leave the kernels off.
+// matching both would leave TanhRow and ExpRow off.
 func TestProbeArgsSeparatePaths(t *testing.T) {
 	differ := 0
 	for i := range probeArgs {

@@ -2,20 +2,25 @@
 
 package vecmath
 
-// TanhRow sets dst[i] = math.Tanh(src[i]) for every i. dst and src must be
-// as long, and may be the same slice.
-func TanhRow(dst, src []float64) {
-	checkLens("TanhRow", len(dst), len(src))
-	tanhRowGo(dst, src)
-}
+// Off amd64 there is no AVX: the switch is off, math.Exp runs neither of
+// exp_amd64.s's sequences, and the AVX kernels are never called.
 
-// ExpRow sets dst[i] = math.Exp(src[i]) for every i. dst and src must be
-// as long, and may be the same slice.
-func ExpRow(dst, src []float64) {
-	checkLens("ExpRow", len(dst), len(src))
-	expRowGo(dst, src)
-}
+func hasAVX() bool { return false }
 
-// ExpPath is "" off amd64: math.Exp runs neither of exp_amd64.s's
-// sequences.
-func ExpPath() string { return "" }
+func probeExp() string { return "" }
+
+func tanhRowAVX(dst, src []float64, fused bool) int { panic("vecmath: no AVX") }
+
+func expRowAVX(dst, src []float64, fused bool) int { panic("vecmath: no AVX") }
+
+func dotRowsAVX(y, w, x []float64) { panic("vecmath: no AVX") }
+
+func axpyRowsAVX(y, w, a []float64) { panic("vecmath: no AVX") }
+
+func momentumRowsAVX(w, vel, x, lrg []float64, momentum float64) { panic("vecmath: no AVX") }
+
+func uRowAVX(u, samples []float64, x, h float64) { panic("vecmath: no AVX") }
+
+func cosineRowAVX(c, u []float64) bool { panic("vecmath: no AVX") }
+
+func affineSumAVX(vals []uint32, a, a16, b float64) uint64 { panic("vecmath: no AVX") }

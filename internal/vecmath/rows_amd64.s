@@ -7,8 +7,8 @@
 // is the first source's. Each instruction below takes as its first source
 // the operand the Go compiler makes first in the same loop of
 // dotRowsGo/axpyRowsGo/momentumRowsGo: the loaded array value in a product
-// (w in dotRows'), the running sum in dotRows' sum, the product in
-// axpyRows' sum, w in w + v. So even NaN payloads come out as Go's:
+// (w in DotRows'), the running sum in DotRows' sum, the product in
+// AxpyRows' sum, w in w + v. So even NaN payloads come out as Go's:
 // TestRowKernelsMatchGo holds them to it. Go asm writes the sources in
 // reverse: VMULPD src2, src1, dst.
 

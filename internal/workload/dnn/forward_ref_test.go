@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"metadataflow/internal/vecmath"
@@ -42,11 +43,22 @@ func (m *Model) forwardScalar(x []float64, hidden, probs []float64) {
 	}
 }
 
-// TestForwardMatchesScalar compares forward, two dotRows calls, with the
-// per-neuron loops, bit for bit, at every hidden width around dotRows' 4-
-// and 8-row groups and at the default's 24, over 3, 10 (the default) and 11
-// classes: the output layer's rows are the classes.
+// TestForwardMatchesScalar compares forward, two vecmath.DotRows calls,
+// with the per-neuron loops, bit for bit, on the kernel path this process
+// runs, at every hidden width around DotRows' 4- and 8-row groups and at
+// the default's 24, over 3, 10 (the default) and 11 classes: the output
+// layer's rows are the classes.
 func TestForwardMatchesScalar(t *testing.T) {
+	forwardMatchesScalar(t, "default")
+}
+
+// TestForwardMatchesScalarGoKernels holds the plain-Go forward pass to the
+// per-neuron one too.
+func TestForwardMatchesScalarGoKernels(t *testing.T) {
+	onGoPath(func() { forwardMatchesScalar(t, "plain Go") })
+}
+
+func forwardMatchesScalar(t *testing.T, path string) {
 	const in = 13
 	for _, classes := range []int{3, 10, 11} {
 		examples := GenerateExamples(40, in, classes, 0.8, 3)
@@ -68,12 +80,12 @@ func TestForwardMatchesScalar(t *testing.T) {
 				m.forwardScalar(ex.X, want, wantP)
 				for h := range want {
 					if math.Float64bits(got[h]) != math.Float64bits(want[h]) {
-						t.Fatalf("hidden=%d classes=%d: activation %d = %v, scalar %v", hiddenN, classes, h, got[h], want[h])
+						t.Fatalf("%s path, hidden=%d classes=%d: activation %d = %v, scalar %v", path, hiddenN, classes, h, got[h], want[h])
 					}
 				}
 				for c := range wantP {
 					if math.Float64bits(gotP[c]) != math.Float64bits(wantP[c]) {
-						t.Fatalf("hidden=%d classes=%d: probability %d = %v, scalar %v", hiddenN, classes, c, gotP[c], wantP[c])
+						t.Fatalf("%s path, hidden=%d classes=%d: probability %d = %v, scalar %v", path, hiddenN, classes, c, gotP[c], wantP[c])
 					}
 				}
 			}
@@ -91,8 +103,19 @@ func TestForwardMatchesScalar(t *testing.T) {
 // tanh and the softmax go through math.Exp, whose FMA sequence and plain
 // one round differently, so each has its own checksums: the test takes
 // those of the sequence vecmath's probe found this process's math.Exp to
-// run (GODEBUG=cpu.fma=off runs the plain one on a CPU with FMA).
+// run (GODEBUG=cpu.fma=off runs the plain one on a CPU with FMA). The
+// kernel path this process runs must reach them.
 func TestTrainingChecksum(t *testing.T) {
+	trainingChecksum(t, "default")
+}
+
+// TestTrainingChecksumGoKernels pins the plain-Go kernel path to the same
+// checksums.
+func TestTrainingChecksumGoKernels(t *testing.T) {
+	onGoPath(func() { trainingChecksum(t, "plain Go") })
+}
+
+func trainingChecksum(t *testing.T, kernels string) {
 	path := vecmath.ExpPath()
 	for _, tc := range []struct {
 		in, hidden int
@@ -123,7 +146,7 @@ func TestTrainingChecksum(t *testing.T) {
 		got := fmt.Sprintf("loss=%016x,%016x acc=%016x weights=%016x",
 			math.Float64bits(l1), math.Float64bits(l2), math.Float64bits(acc), weightsHash(m))
 		if got != want {
-			t.Errorf("in=%d hidden=%d, %s path: %s, want %s", tc.in, tc.hidden, path, got, want)
+			t.Errorf("%s kernels, in=%d hidden=%d, %s path: %s, want %s", kernels, tc.in, tc.hidden, path, got, want)
 		}
 		// The training operators' epoch, without the loss, moves the
 		// weights to the same bits.
@@ -131,7 +154,76 @@ func TestTrainingChecksum(t *testing.T) {
 		quiet.train(examples[:200], 0.01, 0.9)
 		quiet.train(examples[:200], 0.005, 0.5)
 		if got, want := weightsHash(quiet), weightsHash(m); got != want {
-			t.Errorf("in=%d hidden=%d: weights=%016x without the loss, want %016x", tc.in, tc.hidden, got, want)
+			t.Errorf("%s kernels, in=%d hidden=%d: weights=%016x without the loss, want %016x", kernels, tc.in, tc.hidden, got, want)
+		}
+	}
+}
+
+// TestAccuracyRejectsWrongLengthExample holds each kernel path to refusing
+// an example whose X is not In values long, one short or one long, rather
+// than reading a prefix of each weight row.
+func TestAccuracyRejectsWrongLengthExample(t *testing.T) {
+	m := NewModel(13, 5, 10, Init{Kind: InitGaussian, A: 0.5}, 3)
+	vecmath.OnEachPath(func(avx bool) {
+		for _, in := range []int{m.In - 1, m.In + 1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("avx=%v: Accuracy accepted an example of %d values, In = %d", avx, in, m.In)
+					}
+				}()
+				m.Accuracy([]Example{{X: make([]float64, in)}})
+			}()
+		}
+	})
+}
+
+// TestTrainEpochMatchesGoKernels trains a copy of a model on each kernel
+// path, over the 13 × 5 shape (a tail in every W1 row) and the Defaults()
+// one, and compares the loss and every parameter bit for bit with the
+// plain-Go path's. The second epoch's examples hold an infinity and a NaN,
+// which reach every weight, so non-finite values go through the kernels
+// too.
+func TestTrainEpochMatchesGoKernels(t *testing.T) {
+	for _, shape := range []struct{ in, hidden int }{{13, 5}, {48, 24}} {
+		examples := GenerateExamples(120, shape.in, 10, 0.8, 11)
+		special := GenerateExamples(120, shape.in, 10, 0.8, 12)
+		special[7].X[3], special[50].X[0] = math.Inf(1), math.NaN()
+		initial := NewModel(shape.in, shape.hidden, 10, Init{Kind: InitGaussian, A: 0.5}, 3)
+		var goLoss []float64
+		var goModel *Model
+		vecmath.OnEachPath(func(avx bool) {
+			m := initial.Clone()
+			var losses []float64
+			for _, set := range [][]Example{examples, special} {
+				losses = append(losses, m.TrainEpoch(set, 0.01, 0.9))
+			}
+			if !slices.ContainsFunc(m.W1, math.IsNaN) {
+				t.Errorf("%d×%d: no weight became NaN", shape.in, shape.hidden)
+			}
+			if goModel == nil {
+				goLoss, goModel = losses, m
+				return
+			}
+			what := fmt.Sprintf("avx=%v %d×%d", avx, shape.in, shape.hidden)
+			sameBits(t, what+" losses", losses, goLoss)
+			for i, ws := range parameters(m) {
+				sameBits(t, what+" parameters", ws, parameters(goModel)[i])
+			}
+		})
+	}
+}
+
+func parameters(m *Model) [][]float64 {
+	return [][]float64{m.W1, m.B1, m.W2, m.B2, m.vW1, m.vB1, m.vW2, m.vB2}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%016x), plain Go %v (%016x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }

@@ -124,16 +124,16 @@ func (m *Model) Clone() *Model {
 }
 
 // forward computes hidden activations and class probabilities. Each layer
-// is one dotRows call over the layer's bias: every sum starts from the bias
-// and adds the row's products in ascending order. The activations are one
+// is one vecmath.DotRows call over the layer's bias: every sum starts from
+// the bias and adds the row's products in ascending order. The activations are one
 // vecmath row each, math.Tanh and math.Exp bit for bit: tanh over the
 // hidden sums, and exp over the logits less their maximum.
 func (m *Model) forward(x []float64, hidden, probs []float64) {
 	copy(hidden, m.B1)
-	dotRows(hidden, m.W1, x)
+	vecmath.DotRows(hidden, m.W1, x)
 	vecmath.TanhRow(hidden, hidden)
 	copy(probs, m.B2)
-	dotRows(probs, m.W2, hidden)
+	vecmath.DotRows(probs, m.W2, hidden)
 	maxLogit := math.Inf(-1)
 	for _, s := range probs {
 		if s > maxLogit {
@@ -171,9 +171,9 @@ func (m *Model) train(examples []Example, lr, momentum float64) {
 // returns the mean cross-entropy loss when withLoss is set, NaN otherwise.
 // The loss reads the probabilities and changes nothing else.
 //
-// Each layer's weights move in one momentumRows call per example, after the
-// layer's gradients and its bias updates (which touch no weight); the
-// hidden gradient sums the output rows in one axpyRows call before they
+// Each layer's weights move in one vecmath.MomentumRows call per example,
+// after the layer's gradients and its bias updates (which touch no weight);
+// the hidden gradient sums the output rows in one AxpyRows call before they
 // move. Every value goes through the multiplies and subtractions of a
 // per-neuron loop, in its order, so the results are bit for bit its own.
 func (m *Model) epoch(examples []Example, lr, momentum float64, withLoss bool) float64 {
@@ -206,8 +206,8 @@ func (m *Model) epoch(examples []Example, lr, momentum float64, withLoss bool) f
 		// dHidden sums the W2 rows before their update, as the hidden
 		// layer's gradient must.
 		clear(dHidden)
-		axpyRows(dHidden, m.W2, g)
-		momentumRows(m.W2, m.vW2, hidden, lrgOut, momentum)
+		vecmath.AxpyRows(dHidden, m.W2, g)
+		vecmath.MomentumRows(m.W2, m.vW2, hidden, lrgOut, momentum)
 		// Hidden-layer gradient through tanh; dHidden[h] becomes lr·g, the
 		// W1 rows' step.
 		for h, hv := range hidden {
@@ -216,7 +216,7 @@ func (m *Model) epoch(examples []Example, lr, momentum float64, withLoss bool) f
 			m.vB1[h] = momentum*m.vB1[h] - lrg
 			m.B1[h] += m.vB1[h]
 		}
-		momentumRows(m.W1, m.vW1, ex.X, dHidden, momentum)
+		vecmath.MomentumRows(m.W1, m.vW1, ex.X, dHidden, momentum)
 	}
 	if !withLoss {
 		return math.NaN()

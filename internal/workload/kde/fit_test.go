@@ -13,6 +13,7 @@ import (
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
+	"metadataflow/internal/vecmath"
 )
 
 // refFit is the split and fit sample each estimate made for itself before
@@ -131,20 +132,14 @@ func BenchmarkDensities(b *testing.B) {
 	}
 	holdout, train := xs[:200], xs[200:]
 	explored := [kTriweight]bool{true, true, true, true, true, true, true}
-	for _, avx := range testPaths() {
-		name := "go"
-		if avx {
-			name = "avx"
-		}
-		b.Run(name, func(b *testing.B) {
+	vecmath.OnEachPath(func(avx bool) {
+		b.Run(map[bool]string{false: "go", true: "avx"}[avx], func(b *testing.B) {
 			b.ReportAllocs()
-			onPath(avx, func() {
-				for i := 0; i < b.N; i++ {
-					densitySink = densityPass(train, holdout, 0.2, explored)
-				}
-			})
+			for i := 0; i < b.N; i++ {
+				densitySink = densityPass(train, holdout, 0.2, explored)
+			}
 		})
-	}
+	})
 }
 
 // densitySink keeps the benchmarked pass's result alive.

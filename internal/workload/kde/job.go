@@ -10,6 +10,7 @@ import (
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/stats"
+	"metadataflow/internal/vecmath"
 )
 
 // Params configures the data profiling MDF (§6, workload 3).
@@ -222,11 +223,12 @@ func densityMemo(fits *mdf.Memo[float64, float64, fit], kernels []Kernel) *mdf.M
 // samples at every point x, g(x) = Σ Fn((x-xᵢ)/h) / (n·h), 0 when there are
 // no samples: bit for bit the loop that adds the terms in sample order, in
 // one pass per point over the samples. It computes u = (x-xᵢ)/h once per
-// sample (uRow) and sums the Gaussian over every sample; the bounded kernels
-// are +0 outside their support, and a sum of terms that are never negative,
-// begun at +0, is never -0, so their sums add only the u inside it, in
-// ascending index, six chains side by side (a NaN u is inside, as outside
-// says, and turns each sum NaN as the full loop would). The samples go
+// sample (vecmath.URow) and sums the Gaussian over every sample; the
+// bounded kernels are +0 outside their support, and a sum of terms that are
+// never negative, begun at +0, is never -0, so their sums add only the u
+// inside it, in ascending index, six chains side by side (a NaN u is
+// inside, as outside says, and turns each sum NaN as the full loop would),
+// the cosine's terms from vecmath.CosineRow. The samples go
 // through in blocks of passBlock, whose u and cosine kernels sit on the
 // stack: the sums run on across blocks, so each adds the same terms in the
 // same order.
@@ -254,7 +256,7 @@ func densityPass(samples, points []float64, h float64, explored [kTriweight]bool
 		var gauss, top, lin, cos, epa, biw, triw float64
 		for lo := 0; lo < len(samples); lo += passBlock {
 			u := ub[:min(passBlock, len(samples)-lo)]
-			uRow(u, samples[lo:lo+len(u)], x, h)
+			vecmath.URow(u, samples[lo:lo+len(u)], x, h)
 			if explored[kGaussian-1] {
 				for _, v := range u {
 					gauss += gaussian(v)
@@ -274,7 +276,7 @@ func densityPass(samples, points []float64, h float64, explored [kTriweight]bool
 			}
 			in, c := u[:n], cb[:n]
 			if explored[kCosine-1] {
-				cosineRow(c, in)
+				vecmath.CosineRow(c, in)
 			}
 			for j, v := range in {
 				t := 1 - v*v

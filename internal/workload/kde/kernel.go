@@ -8,6 +8,8 @@ package kde
 import (
 	"fmt"
 	"math"
+
+	"metadataflow/internal/vecmath"
 )
 
 // Kernel is a symmetric probability kernel K(u) with support on [-1, 1]
@@ -60,7 +62,7 @@ func cosine(u float64) float64 {
 	if outside(u) {
 		return 0
 	}
-	return math.Pi / 4 * math.Cos(math.Pi/2*u)
+	return vecmath.CosineTerm(u)
 }
 
 func epanechnikov(u float64) float64 {

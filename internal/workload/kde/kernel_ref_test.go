@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"metadataflow/internal/dataset"
+	"metadataflow/internal/vecmath"
 )
 
 // refKernels are the seven kernels as the closures they were before they
@@ -87,14 +88,13 @@ func checkDensityPass(t *testing.T, name string, samples, points []float64, h fl
 			}
 		}
 	}
-	for _, avx := range testPaths() {
+	vecmath.OnEachPath(func(avx bool) {
 		for _, subset := range kernelSubsets {
 			var explored [kTriweight]bool
 			for _, ki := range subset {
 				explored[all[ki].builtin-1] = true
 			}
-			var got densities
-			onPath(avx, func() { got = densityPass(samples, points, h, explored) })
+			got := densityPass(samples, points, h, explored)
 			for b, row := range got {
 				if (row != nil) != explored[b] {
 					t.Fatalf("avx=%v, %s, h=%g: kernel %d has a row: %v, explored: %v", avx, name, h, b+1, row != nil, explored[b])
@@ -113,7 +113,7 @@ func checkDensityPass(t *testing.T, name string, samples, points []float64, h fl
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestFusedDensitiesMatchDensity holds the fused density pass to the density
@@ -264,10 +264,8 @@ func TestExampleProfileMatchesReference(t *testing.T) {
 				}
 			}
 			for ki, k := range Kernels() {
-				for _, avx := range testPaths() {
-					var out *dataset.Dataset
-					var err error
-					onPath(avx, func() { out, err = profileOp(p, k)(in) })
+				vecmath.OnEachPath(func(avx bool) {
+					out, err := profileOp(p, k)(in)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -283,7 +281,7 @@ func TestExampleProfileMatchesReference(t *testing.T) {
 								avx, k.Name, len(rows), fitSample, i, gp.X, gp.Density, x, want)
 						}
 					}
-				}
+				})
 			}
 		}
 	}

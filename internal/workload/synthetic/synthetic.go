@@ -15,6 +15,7 @@ import (
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/stats"
+	"metadataflow/internal/vecmath"
 )
 
 // Pair is one string/integer tuple.
@@ -113,17 +114,6 @@ var identity = affineMap{a: 1}
 // exact in uint64.
 func (m affineMap) apply(v uint32) uint32 { return uint32((uint64(v)*m.a + m.b) % mod) }
 
-// sumGo returns the sum of the map over vals, one value at a time: the
-// plain-Go form of sum, its only path off amd64 and on amd64 without AVX,
-// and the reference the AVX kernel is held to.
-func (m affineMap) sumGo(vals []uint32) uint64 {
-	var s uint64
-	for _, v := range vals {
-		s += uint64(m.apply(v))
-	}
-	return s
-}
-
 // then returns m followed by n: v ↦ ((v·m.a + m.b)·n.a + n.b) mod p is
 // v ↦ (v·(m.a·n.a) + (m.b·n.a + n.b)) mod p. Every factor is below
 // p < 2^30, so no product leaves uint64.
@@ -182,9 +172,10 @@ func oneColumn(d *dataset.Dataset) (c *pairs, lo, hi int, ok bool) {
 // keyLen is the length of a generated key: 'k' and eight hex digits.
 const keyLen = 9
 
-// mod is the prime the algebraic operation works modulo. Every value of a
-// pairs column is below it, and mod < 2^30.
-const mod = 1_000_000_007
+// mod is the prime the algebraic operation works modulo, the one
+// vecmath.AffineSum sums a map's values modulo. Every value of a pairs
+// column is below it, and mod < 2^30.
+const mod = vecmath.AffineMod
 
 // Generate produces the input dataset of random string/integer pairs.
 func Generate(p Params) *dataset.Dataset {
@@ -253,7 +244,7 @@ func mathOp(name string, sizeScale float64, w int64, opsPerItem int, scored bool
 		vals := c.vals[lo:hi:hi]
 		var sum uint64
 		if scored {
-			sum = m.sum(vals)
+			sum = vecmath.AffineSum(vals, m.a, m.b)
 		}
 		parts := make([]dataset.Partition, len(in.Parts))
 		for i := range in.Parts {

@@ -9,6 +9,7 @@ import (
 
 	"metadataflow/internal/dataset"
 	"metadataflow/internal/stats"
+	"metadataflow/internal/vecmath"
 )
 
 // refOp is mathOp's operation on one value, written out row by row.
@@ -30,8 +31,9 @@ func overValues(vals []int64) *dataset.Dataset {
 }
 
 // mathOp applies opsPerItem steps to every value as the loop refOp does,
-// over the paper's w progression and past p, at the edges of the value
-// range and at random values below p.
+// and sums the scored output's values, on each kernel path, over the
+// paper's w progression and past p, at the edges of the value range and at
+// random values below p.
 func TestMathOpMatchesIteratedReference(t *testing.T) {
 	const p = 1_000_000_007
 	vals := []int64{0, 1, 1<<20 - 1, p - 1}
@@ -44,19 +46,27 @@ func TestMathOpMatchesIteratedReference(t *testing.T) {
 	for w := int64(10); w <= 1_000_000_000; w *= 10 {
 		ws = append(ws, w)
 	}
-	for n := 1; n <= 8; n++ {
-		for _, w := range ws {
-			out, err := mathOp("op", 1, w, n, true)(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range out.Rows() {
-				if got, want := r.(Pair).Val, refOp(vals[i], w, n); got != want {
-					t.Fatalf("n=%d w=%d v=%d: got %d, want %d", n, w, vals[i], got, want)
+	vecmath.OnEachPath(func(avx bool) {
+		for n := 1; n <= 8; n++ {
+			for _, w := range ws {
+				out, err := mathOp("op", 1, w, n, true)(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sum uint64
+				for i, r := range out.Rows() {
+					want := refOp(vals[i], w, n)
+					if got := r.(Pair).Val; got != want {
+						t.Fatalf("avx=%v n=%d w=%d v=%d: got %d, want %d", avx, n, w, vals[i], got, want)
+					}
+					sum += uint64(want)
+				}
+				if got := out.Parts[0].Col.(*pairs).sum; got != sum {
+					t.Fatalf("avx=%v n=%d w=%d: sum %d, want %d", avx, n, w, got, sum)
 				}
 			}
 		}
-	}
+	})
 }
 
 // The reference loop multiplies a value below p by w in int64, so it is
