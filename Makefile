@@ -150,9 +150,10 @@ crash-short: build
 # BenchmarkFilter read them at 1, 8 and 64 partitions, BenchmarkBuild on each
 # path that builds a graph, BenchmarkPutAccessDiscard a partition's life in a
 # narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
-# hint, BenchmarkDensities kde's density pass, its one way to estimate a
-# density (every kernel at 200 hold-out points of 400 samples), on the /avx
-# and the /go path,
+# hint, BenchmarkStep/nil-probe and /nil-probe-4096 a job's engine cost on a
+# flat explore of 256 and of 4 096 branches, BenchmarkDensities kde's density
+# pass, its one way to estimate a density (every kernel at 200 hold-out
+# points of 400 samples), on the /avx and the /go path,
 # BenchmarkWindowRatios a time series mask's window pass at w = 2 and 5 over
 # 20 000 points, BenchmarkMarkSiblings the 16 analysis branches of a time series
 # job over one graph's memos, BenchmarkMemoGet the hit every sibling after
@@ -164,7 +165,9 @@ crash-short: build
 # pass (two DotRows calls), BenchmarkKernels every vector kernel of
 # vecmath at the sizes its workload gives it on the /avx and the /go path,
 # BenchmarkServiceJob/new a document the service has not seen and /repeat
-# one its vet memo holds the plan of). Part of ci.
+# one its vet memo holds the plan of). BenchmarkExperiment in
+# internal/experiments regenerates every table and figure of the evaluation
+# once at full scale (3 seeds), a few seconds. Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

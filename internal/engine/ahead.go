@@ -247,7 +247,7 @@ func (r *Run) dispatchAhead() {
 	// goroutine computes a long one) and its peak RSS 20.6-25.9 MiB against
 	// 18.8-19.5, the parent's 17.2-24.4. The policy ranks outside the lock: a
 	// hint may sort.
-	order := r.look.Lookahead(r.ready)
+	order := r.look.Lookahead(r.ready.stages())
 	if window := runtime.GOMAXPROCS(0); len(order) > window {
 		order = order[:window]
 	}

@@ -59,14 +59,14 @@ func allocated(f func()) (mallocs, bytes uint64) {
 // 1 182). At GOMAXPROCS 4 the run takes the compute-ahead path (every stage
 // is offered and stays under the gate), at 1 the serial one.
 func TestStepAllocationsBounded(t *testing.T) {
-	if raceDetector {
+	if engine.RaceDetector {
 		t.Skip("the race detector allocates on its own account")
 	}
 	prebuilt := func(name string) graph.TransformFunc {
 		d := dataset.FromRows(name, intRows(64), 4, 1<<20)
 		return func([]*dataset.Dataset) (*dataset.Dataset, error) { return d, nil }
 	}
-	plan := flat256Plan(t, prebuilt("in"), prebuilt)
+	plan := flatPlan(t, 256, prebuilt("in"), prebuilt)
 	newRun := func(gauged bool) *engine.Run {
 		opts := engine.Options{
 			Cluster:     cluster.MustNew(cluster.DefaultConfig()),
@@ -133,7 +133,7 @@ func TestStepAllocationsBounded(t *testing.T) {
 // them. At GOMAXPROCS 4 the run takes the compute-ahead path, at 1 the
 // serial one.
 func TestRecordedRunAllocationsBounded(t *testing.T) {
-	if raceDetector {
+	if engine.RaceDetector {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const mallocBound, byteBound = 853, 325_760

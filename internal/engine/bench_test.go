@@ -26,14 +26,19 @@ import (
 // variants attach a probe: gauge-probe the obs.GaugeProbe a service job runs
 // with, recorder the obs.Recorder of mdf run -trace, chaos and the
 // experiments. Each reports its time as a multiple of the nil variant's when
-// both ran.
+// both ran. nil-probe-4096 is the nil variant on 4 096 branches (8 196
+// stages): set against nil-probe per stage, it shows what a pick costs more
+// on a wider ready list.
 func BenchmarkStep(b *testing.B) {
 	src := dataset.FromRows("in", intRows(64), 4, 1<<20)
-	plan := flat256Plan(b, mdf.SourceFromDataset(src), mdf.Identity)
+	plan := flatPlan(b, 256, mdf.SourceFromDataset(src), mdf.Identity)
 	var nilNsPerOp float64
 	b.Run("nil-probe", func(b *testing.B) {
 		benchSteps(b, plan, nil)
 		nilNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
+	b.Run("nil-probe-4096", func(b *testing.B) {
+		benchSteps(b, flatPlan(b, 4096, mdf.SourceFromDataset(src), mdf.Identity), nil)
 	})
 	for _, v := range probeVariants {
 		b.Run(v.name, func(b *testing.B) {
@@ -58,14 +63,14 @@ var probeVariants = []struct {
 	{"recorder", func() obs.Probe { return obs.NewRecorder() }, probeOverheadRatioBound},
 }
 
-// flat256Plan is the plan of a flat 256-branch explore, two stages a branch
-// (the second behind a wide dependency), closed by an incremental top-4
-// choose; op is called once per operator, with the name of its output, for
-// the operator's function.
-func flat256Plan(tb testing.TB, source graph.TransformFunc, op func(output string) graph.TransformFunc) *graph.Plan {
+// flatPlan is the plan of a flat explore of width branches, two stages a
+// branch (the second behind a wide dependency), closed by an incremental
+// top-4 choose; op is called once per operator, with the name of its output,
+// for the operator's function.
+func flatPlan(tb testing.TB, width int, source graph.TransformFunc, op func(output string) graph.TransformFunc) *graph.Plan {
 	tb.Helper()
 	bld := mdf.NewBuilder()
-	specs := make([]mdf.BranchSpec, 256)
+	specs := make([]mdf.BranchSpec, width)
 	for i := range specs {
 		specs[i] = mdf.BranchSpec{Label: fmt.Sprintf("b%d", i), Hint: float64(i)}
 	}
@@ -92,6 +97,7 @@ func flat256Plan(tb testing.TB, source graph.TransformFunc, op func(output strin
 // none), the way the service attaches one.
 func benchSteps(b *testing.B, plan *graph.Plan, probe func() obs.Probe) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := engine.Options{
 			Cluster:     cluster.MustNew(cluster.DefaultConfig()),
@@ -362,7 +368,7 @@ func TestProbeOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed bound; skipped in short mode")
 	}
-	if raceDetector {
+	if engine.RaceDetector {
 		// The detector instruments every memory access, and each report the
 		// recorder takes is a write the probe-less run does not make: under
 		// it the ratio (1.9 to 2.2 when written) reads the detector's cost

@@ -187,7 +187,7 @@ func (r *Run) skipStage(st *graph.Stage, t sim.VTime) {
 	r.metrics.StagesPruned++
 	r.stageSpan(obs.KindPruned, st, t, t)
 	r.observeStageDone(st, t, t, false)
-	r.unready(st)
+	r.ready.remove(st)
 	r.dropAhead(st)
 	r.settled(st)
 	for _, pre := range r.plan.Pre(st) {

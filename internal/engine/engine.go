@@ -195,11 +195,12 @@ type Run struct {
 	// the number of predecessors of the stage that have not settled, and a
 	// stage whose count reaches zero is released. Released stages wait, in
 	// ascending ID, for the next refresh point (refreshReady), which moves
-	// them onto ready. ready is sorted by stage ID and is the slice handed
-	// to the scheduling policy.
+	// them onto ready: a list sorted by stage ID, cheap to change at either
+	// end (readyList), whose stages() is the slice handed to the scheduling
+	// policy.
 	unsettled []int32
 	released  []int
-	ready     []*graph.Stage
+	ready     readyList
 
 	// The live datasets (D^c_s), one row each (dataRow). rowOf finds a
 	// dataset's row, once per dataset event; freeRows lists the slots of
@@ -413,10 +414,10 @@ func NewRun(plan *graph.Plan, opts Options, start sim.VTime) (*Run, error) {
 	for _, st := range plan.Stages {
 		r.unsettled[st.ID] = int32(len(plan.Pre(st)))
 		if r.unsettled[st.ID] == 0 {
-			r.ready = append(r.ready, st)
+			r.ready.insert(st)
 		}
 	}
-	if look, ok := o.Scheduler.(scheduler.Lookahead); ok && runtime.GOMAXPROCS(0) > 1 && look.Lookahead(r.ready) != nil {
+	if look, ok := o.Scheduler.(scheduler.Lookahead); ok && runtime.GOMAXPROCS(0) > 1 && look.Lookahead(r.ready.stages()) != nil {
 		r.look = look
 	}
 	return r, nil
@@ -530,15 +531,16 @@ func (r *Run) Step() bool {
 	if err := r.applyFaults(); err != nil {
 		return r.fail(err)
 	}
-	if len(r.ready) == 0 {
+	ready := r.ready.stages()
+	if len(ready) == 0 {
 		r.finish()
 		return false
 	}
 	if r.probe != nil {
-		r.probe.Counter(obs.NodeMaster, "sched.queue_depth", r.now, float64(len(r.ready)))
+		r.probe.Counter(obs.NodeMaster, "sched.queue_depth", r.now, float64(len(ready)))
 	}
-	next := r.opts.Scheduler.Pick(r.ready, r.last)
-	r.unready(next)
+	next := r.opts.Scheduler.Pick(ready, r.last)
+	r.ready.remove(next)
 	r.dispatchAhead()
 
 	if err := r.execGuarded(next); err != nil {
@@ -554,7 +556,7 @@ func (r *Run) Step() bool {
 		return r.fail(err)
 	}
 	r.refreshReady()
-	if len(r.ready) == 0 {
+	if r.ready.empty() {
 		r.finish()
 		return false
 	}
@@ -678,13 +680,6 @@ func (r *Run) settled(st *graph.Stage) {
 	}
 }
 
-// unready takes a stage off the ready list, if it is on it.
-func (r *Run) unready(st *graph.Stage) {
-	if i, ok := slices.BinarySearchFunc(r.ready, st, graph.CompareStageID); ok {
-		r.ready = slices.Delete(r.ready, i, i+1)
-	}
-}
-
 // refreshReady moves the stages released since the last refresh onto the
 // ready list (Alg. 1, lines 13–15, maintained incrementally). It runs at the
 // scheduling boundaries only — the end of a Step, and after a choose
@@ -707,13 +702,88 @@ func (r *Run) refreshReady() {
 			r.skipStage(st, r.now)
 			continue
 		}
-		// Usually an append: the successors of the stage just executed tend
-		// to lie above everything that is ready.
-		j, _ := slices.BinarySearchFunc(r.ready, st, graph.CompareStageID)
-		r.ready = slices.Insert(r.ready, j, st)
+		r.ready.insert(st)
 		r.offerAhead(st)
 	}
 	r.released = r.released[:0]
+}
+
+// readyList is the ready set in ascending stage ID: the stages buf[head:] of
+// one buffer the run reuses. A stage leaves either end in O(1), and joins at
+// the end when its ID is above the last one's (the successors of the stage
+// just executed mostly are) or before head when it is below the first one's;
+// anywhere else, either shifts the shorter side. Once the buffer has grown
+// to the widest the list gets, nothing allocates (push).
+type readyList struct {
+	buf  []*graph.Stage
+	head int
+}
+
+// stages returns the list; it stays valid until the next insert or remove.
+func (l *readyList) stages() []*graph.Stage { return l.buf[l.head:] }
+
+func (l *readyList) empty() bool { return l.head == len(l.buf) }
+
+// remove takes st off the list, if it is on it.
+func (l *readyList) remove(st *graph.Stage) {
+	s := l.stages()
+	n := len(s)
+	var i int
+	switch {
+	case n == 0:
+		return
+	case s[0] == st:
+		i = 0
+	case s[n-1] == st:
+		i = n - 1
+	default:
+		var ok bool
+		if i, ok = graph.SearchID(s, st.ID); !ok {
+			return
+		}
+	}
+	if i < n-1-i {
+		copy(s[1:i+1], s[:i])
+		l.head++
+	} else {
+		copy(s[i:], s[i+1:])
+		l.buf = l.buf[:len(l.buf)-1]
+	}
+	if l.head == len(l.buf) {
+		l.buf, l.head = l.buf[:0], 0
+	}
+}
+
+// insert puts st, which is not on the list, in its place.
+func (l *readyList) insert(st *graph.Stage) {
+	s := l.stages()
+	n := len(s)
+	if n == 0 || s[n-1].ID < st.ID {
+		l.push(st)
+		return
+	}
+	i, _ := graph.SearchID(s, st.ID)
+	if l.head > 0 && i <= n-i {
+		l.head--
+		s = l.stages()
+		copy(s[:i], s[1:i+1])
+		s[i] = st
+		return
+	}
+	l.push(nil)
+	s = l.stages()
+	copy(s[i+1:], s[i:])
+	s[i] = st
+}
+
+// push appends st at the end of the buffer, moving the list to the start of
+// the buffer instead of growing it when at least half of it is free there.
+func (l *readyList) push(st *graph.Stage) {
+	if len(l.buf) == cap(l.buf) && 2*l.head >= len(l.buf) && l.head > 0 {
+		n := copy(l.buf, l.buf[l.head:])
+		l.buf, l.head = l.buf[:n], 0
+	}
+	l.buf = append(l.buf, st)
 }
 
 func (r *Run) allPredsSkipped(st *graph.Stage) bool {

@@ -9,3 +9,6 @@ func (r *Run) AdoptedAhead() int { return r.adoptedAhead }
 // ended, has passed the gate so far: the state other goroutines compute into
 // is allocated when the first one does.
 func (r *Run) OfferedAhead() bool { return r.ahead != nil }
+
+// RaceDetector reports whether the test binary was built with -race.
+const RaceDetector = raceDetector

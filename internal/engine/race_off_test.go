@@ -1,6 +1,6 @@
 //go:build !race
 
-package engine_test
+package engine
 
 // raceDetector reports whether the test binary was built with -race.
 const raceDetector = false

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -156,8 +157,9 @@ func refReady(r *Run) (ids []int, err error) {
 
 // readyIDs reads the engine's own ready list.
 func readyIDs(r *Run) []int {
-	ids := make([]int, len(r.ready))
-	for i, st := range r.ready {
+	ready := r.ready.stages()
+	ids := make([]int, len(ready))
+	for i, st := range ready {
 		ids[i] = st.ID
 	}
 	return ids
@@ -203,22 +205,12 @@ type refCase struct {
 
 // refCases lists the sweep: eight random MDFs (refMDF), each under BFS and
 // BAS with no, a sorted and a random hint, with and without incremental
-// evaluation, with and without a fault plan in which one branch operator and
-// one evaluator fail past the retry budget (quarantine), one branch operator
-// recovers within it, and a node restarts mid-run.
+// evaluation, with and without its fault plan (refFaults).
 func refCases(t *testing.T) []refCase {
 	var cases []refCase
 	for seed := int64(1); seed <= 8; seed++ {
 		g, branchOps := refMDF(t, stats.NewRNG(seed*31))
-		frng := stats.NewRNG(seed * 977)
-		plan := &faults.Plan{
-			Panics: []faults.PanicSpec{
-				{Op: branchOps[frng.Intn(len(branchOps))], Target: faults.TargetTransform, Times: 99},
-				{Op: branchOps[frng.Intn(len(branchOps))], Target: faults.TargetTransform, Times: 1},
-				{Target: faults.TargetEval, Times: 3},
-			},
-			Crashes: []faults.Crash{{Node: 1, AfterStages: 2 + frng.Intn(6)}},
-		}
+		plan := refFaults(seed, branchOps)
 		scheds := []struct {
 			name string
 			make func() scheduler.Policy
@@ -445,5 +437,55 @@ func TestAllPrunedChooseSkippedAtRefresh(t *testing.T) {
 	}
 	if want, err := refReady(r); err != nil || fmt.Sprint(want) != fmt.Sprint(readyIDs(r)) {
 		t.Errorf("reference disagrees: %v %v", want, err)
+	}
+}
+
+// TestReadyListMatchesSortedSlice drives readyList through random inserts
+// and removals — at either end, in the middle, of stages not on it — and
+// compares it after each with a sorted slice of IDs. Once its buffer has
+// grown, a cycle of taking the first stage and putting back one above the
+// last, which moves the list along the buffer, allocates nothing.
+func TestReadyListMatchesSortedSlice(t *testing.T) {
+	stages := make([]graph.Stage, 1100)
+	for i := range stages {
+		stages[i].ID = i
+	}
+	ids := func(l *readyList) []int {
+		var out []int
+		for _, st := range l.stages() {
+			out = append(out, st.ID)
+		}
+		return out
+	}
+	rng := stats.NewRNG(7)
+	var l readyList
+	var model []int
+	for op := 0; op < 20000; op++ {
+		st := &stages[rng.Intn(64)]
+		i, on := sort.SearchInts(model, st.ID), slices.Contains(model, st.ID)
+		if on || rng.Intn(4) == 0 {
+			l.remove(st)
+			if on {
+				model = slices.Delete(model, i, i+1)
+			}
+		} else {
+			l.insert(st)
+			model = slices.Insert(model, i, st.ID)
+		}
+		if got := ids(&l); !slices.Equal(got, model) {
+			t.Fatalf("op %d: ready list %v, model %v", op, got, model)
+		}
+	}
+	l = readyList{}
+	for i := range 32 {
+		l.insert(&stages[i])
+	}
+	next := 32
+	if n := testing.AllocsPerRun(1000, func() {
+		l.remove(l.stages()[0])
+		l.insert(&stages[next])
+		next++
+	}); n != 0 {
+		t.Errorf("a take-first, put-last cycle allocates %v times", n)
 	}
 }

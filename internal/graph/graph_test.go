@@ -139,20 +139,29 @@ func scanTopoSort(g *Graph) ([]int, bool) {
 	return order, true
 }
 
-// TestTopoSortMatchesScanReference: on random DAGs whose IDs are not in
-// topological order the heap-based TopoSort returns exactly the order of
-// the quadratic scan, and on the same graphs closed into a cycle both
-// refuse.
+// TestTopoSortMatchesScanReference: on random DAGs TopoSort returns exactly
+// the order of the quadratic scan, and on the same graphs closed into a
+// cycle both refuse. The first 500 DAGs run their edges along a hidden
+// random rank, so that IDs carry no order and TopoSort takes its heap; the
+// next 500 run every edge from a lower ID to a higher one, as built graphs
+// do, and TopoSort takes its one pass over the edges — until the closing
+// edge, which runs backward.
 func TestTopoSortMatchesScanReference(t *testing.T) {
-	for seed := int64(1); seed <= 500; seed++ {
+	heaps := 0
+	for seed := int64(1); seed <= 1000; seed++ {
 		rng := stats.NewRNG(seed)
 		n := 2 + rng.Intn(60)
 		g := New()
 		for i := 0; i < n; i++ {
 			g.Add(&Operator{Name: fmt.Sprintf("v%d", i), Kind: KindTransform})
 		}
-		// Edges run along a hidden random rank, so IDs carry no order.
+		ascending := seed > 500
 		rank := rng.Perm(n)
+		if ascending {
+			for i := range rank {
+				rank[i] = i
+			}
+		}
 		edges := rng.Intn(3 * n)
 		var last [2]*Operator
 		for e := 0; e < edges; e++ {
@@ -166,6 +175,12 @@ func TestTopoSortMatchesScanReference(t *testing.T) {
 			if g.Connect(g.Op(a), g.Op(b), Narrow) == nil { // duplicates are refused
 				last = [2]*Operator{g.Op(a), g.Op(b)}
 			}
+		}
+		if ascending && !g.ascending() {
+			t.Fatalf("seed %d: edges along the IDs, yet not ascending", seed)
+		}
+		if !g.ascending() {
+			heaps++
 		}
 		want, _ := scanTopoSort(g)
 		order, err := g.TopoSort()
@@ -189,6 +204,9 @@ func TestTopoSortMatchesScanReference(t *testing.T) {
 		if _, err := g.TopoSort(); err == nil {
 			t.Fatalf("seed %d: TopoSort missed the cycle", seed)
 		}
+	}
+	if heaps < 400 {
+		t.Errorf("only %d of the 500 hidden-rank DAGs took the heap", heaps)
 	}
 }
 

@@ -48,6 +48,23 @@ func (s *Stage) IsExplore() bool { return len(s.Ops) == 1 && s.Ops[0].Kind == Ki
 // CompareStageID orders stages by ascending ID, for the slices package.
 func CompareStageID(a, b *Stage) int { return a.ID - b.ID }
 
+// SearchID finds the stage with the given ID in stages, which are sorted by
+// ID: its position and true, or the position it would be inserted at and
+// false. It compares the IDs directly, not through a comparator: the
+// engine's ready list and BAS's successor test search on every pick.
+func SearchID(stages []*Stage, id int) (int, bool) {
+	lo, hi := 0, len(stages)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if stages[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(stages) && stages[lo].ID == id
+}
+
 // String implements fmt.Stringer.
 func (s *Stage) String() string {
 	if l := s.label.Load(); l != nil {

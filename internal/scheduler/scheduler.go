@@ -310,7 +310,7 @@ func (b *bas) Pick(ready []*graph.Stage, last *graph.Stage) *graph.Stage {
 		// sorted by ID, and so is the result.
 		succ := b.succ[:0]
 		for _, st := range b.plan.Post(last) {
-			if _, ok := slices.BinarySearchFunc(ready, st, graph.CompareStageID); ok {
+			if _, ok := graph.SearchID(ready, st.ID); ok {
 				succ = append(succ, st)
 			}
 		}

@@ -11,6 +11,12 @@
 // AxpyRows' sum, w in w + v. So even NaN payloads come out as Go's:
 // TestRowKernelsMatchGo holds them to it. Go asm writes the sources in
 // reverse: VMULPD src2, src1, dst.
+//
+// The 4-wide loops of axpyRowsAVX and momentumRowsAVX start on a 64-byte
+// boundary (PCALIGN). Unaligned, their speed followed where the linker put
+// the functions: padding the code before them 32 bytes at a time moved a
+// dnn job between 11.4 and 10.6 ms on a 2-vCPU Intel Xeon; aligned, it
+// reads 10.4-10.7 ms.
 
 // func dotRowsAVX(y, w, x []float64)
 //
@@ -280,6 +286,7 @@ axpy_row:
 	VBROADCASTSD (DX), Y0 // a[r]
 	XORQ AX, AX
 
+	PCALIGN $64
 axpy_block:
 	CMPQ AX, R8
 	JGE axpy_tail
@@ -331,6 +338,7 @@ mom_row:
 	VBROADCASTSD (DX), Y0 // lrg[r]
 	XORQ AX, AX
 
+	PCALIGN $64
 mom_block:
 	CMPQ AX, R8
 	JGE mom_tail
