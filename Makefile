@@ -142,32 +142,11 @@ crash-short: build
 	@tail -n 1 .crash-short-a.log
 	@rm -rf .crash-a .crash-b .crash-short-a.log .crash-short-b.log
 
-# bench-smoke compiles the layer benchmarks that live next to the code and
-# runs each for a single iteration: no other gate builds a Benchmark*, so
-# without it one that no longer compiles, or fails on its first iteration,
-# would go unnoticed until someone needs its number. -benchmem puts every
-# benchmark's allocations per operation in the log (BenchmarkMap and
-# BenchmarkFilter read them at 1, 8 and 64 partitions, BenchmarkBuild on each
-# path that builds a graph, BenchmarkPutAccessDiscard a partition's life in a
-# narrow and a 4 096-partition dataset, BenchmarkPick a BAS pick under each
-# hint, BenchmarkStep/nil-probe and /nil-probe-4096 a job's engine cost on a
-# flat explore of 256 and of 4 096 branches, BenchmarkDensities kde's density
-# pass, its one way to estimate a density (every kernel at 200 hold-out
-# points of 400 samples), on the /avx and the /go path,
-# BenchmarkWindowRatios a time series mask's window pass at w = 2 and 5 over
-# 20 000 points, BenchmarkMarkSiblings the 16 analysis branches of a time series
-# job over one graph's memos, BenchmarkMemoGet the hit every sibling after
-# the first pays, BenchmarkMathOp the synthetic operator over 20 000 rows at
-# 1, 4 and 16 ops per item and, as chain, second_op over first_op's output
-# (the affine view: no payload), BenchmarkResult Run.Result boxing a
-# 20 000-row, 8-partition output on the compute-ahead pool, BenchmarkTrainEpoch one dnn training epoch
-# through the row kernels (one allocation), BenchmarkForward one dnn forward
-# pass (two DotRows calls), BenchmarkKernels every vector kernel of
-# vecmath at the sizes its workload gives it on the /avx and the /go path,
-# BenchmarkServiceJob/new a document the service has not seen and /repeat
-# one its vet memo holds the plan of). BenchmarkExperiment in
-# internal/experiments regenerates every table and figure of the evaluation
-# once at full scale (3 seeds), a few seconds. Part of ci.
+# bench-smoke compiles every Benchmark* under internal/ and runs each once:
+# no other gate builds a benchmark, so one that no longer compiles, or fails
+# on its first iteration, would go unnoticed until someone needs its number.
+# -benchmem logs each one's allocations per operation. What a benchmark
+# measures, and at what sizes, is in its own doc comment. Part of ci.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/...
 

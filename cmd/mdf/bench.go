@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"metadataflow/internal/experiments"
 )
 
 // benchMain regenerates the tables and figures of the paper's evaluation
-// (§6) on the simulated cluster and prints the data series.
+// (§6) on the simulated cluster and prints the data series: as an aligned
+// table, or as CSV (-csv) or markdown (-markdown). -json also writes each
+// experiment's BENCH_<exp>.json into the working directory.
 //
 //	mdf bench -exp fig7           # one experiment
 //	mdf bench -exp all            # everything (slow)
@@ -26,7 +27,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		csv   = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		md    = fs.Bool("markdown", false, "emit a markdown table (for EXPERIMENTS.md)")
 		jsonF = fs.Bool("json", false, "write each experiment's data as BENCH_<exp>.json (schema-stable, with seeds and min/avg/max per cell)")
-		out   = fs.String("out", "", "also write each experiment's CSV into this directory")
 		list  = fs.Bool("list", false, "list available experiments")
 	)
 	if fs.Parse(args) != nil {
@@ -53,11 +53,6 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		}
 		selected = []experiments.Experiment{e}
 	}
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			return fail(stderr, err)
-		}
-	}
 	ctx, stop := signalContext()
 	defer stop()
 	opts := experiments.Options{Seeds: *seeds, Quick: *quick, Ctx: ctx}
@@ -67,19 +62,12 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(stderr, fmt.Errorf("%s: %w", e.ID, err))
 		}
-		if *out != "" {
-			if err := os.WriteFile(filepath.Join(*out, e.ID+".csv"), []byte(tab.CSV()), 0o644); err != nil {
-				return fail(stderr, err)
-			}
-		}
 		if *jsonF {
-			// BENCH_<exp>.json lands next to the CSVs when -out is given,
-			// otherwise in the working directory.
 			data, err := tab.JSON(opts.SeedList())
 			if err != nil {
 				return fail(stderr, fmt.Errorf("%s: %w", e.ID, err))
 			}
-			path := filepath.Join(*out, fmt.Sprintf("BENCH_%s.json", e.ID))
+			path := fmt.Sprintf("BENCH_%s.json", e.ID)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				return fail(stderr, err)
 			}

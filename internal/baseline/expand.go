@@ -1,8 +1,10 @@
 // Package baseline implements the non-MDF execution strategies the paper
 // compares against (§6.1): expanding an MDF into the family of concrete
-// dataflow jobs it represents, then executing those jobs sequentially or
-// k-at-a-time in parallel, plus the Spark-style single-job configurations
-// (explicit caching under LRU, and breadth-first scheduling).
+// dataflow jobs it represents (ExpandJobs), then executing those jobs
+// sequentially or k-at-a-time in parallel (Parallel). The Spark-style
+// single-job configurations of Fig. 9 are not here: they are one engine run
+// of the MDF under LRU, with engine.Options.PinReused for explicit caching,
+// or under scheduler.BFS.
 package baseline
 
 import (

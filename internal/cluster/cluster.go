@@ -2,10 +2,10 @@
 // nodes with finite memory and unbounded disk, connected to a master. The
 // simulation is a deterministic virtual-time model: operators run for real
 // over in-process data, but every compute and I/O action is charged virtual
-// seconds from a calibrated cost model, and each node serialises work on two
-// resource timelines (CPU and disk). Contending jobs naturally overlap I/O
-// and compute, which reproduces the behaviour of parallel job execution in
-// §6.1 without wall-clock measurement noise.
+// seconds from a calibrated cost model, and each node serialises work on
+// three resource timelines (CPU, disk and network). Contending jobs
+// naturally overlap I/O and compute, which reproduces the behaviour of
+// parallel job execution in §6.1 without wall-clock measurement noise.
 package cluster
 
 import (

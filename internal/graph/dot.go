@@ -8,7 +8,8 @@ import (
 
 // DOT renders the graph in Graphviz DOT syntax. Explore operators are drawn
 // as triangles, choose operators as inverted triangles, and wide dependencies
-// as dashed edges. The output is deterministic.
+// as dashed edges. The output is deterministic: edges are listed in (from,
+// to) order, each operator's successor list walked in ascending ID.
 func (g *Graph) DOT(name string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n", name)

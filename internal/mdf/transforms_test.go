@@ -249,10 +249,12 @@ func benchOperator(b *testing.B, op func([]*dataset.Dataset) (*dataset.Dataset, 
 	}
 }
 
+// BenchmarkMap is Map over benchOperator's inputs.
 func BenchmarkMap(b *testing.B) {
 	benchOperator(b, Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 }))
 }
 
+// BenchmarkFilter is Filter over benchOperator's inputs.
 func BenchmarkFilter(b *testing.B) {
 	benchOperator(b, Filter("f", func(v float64) bool { return v < 0.5 }))
 }

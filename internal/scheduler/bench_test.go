@@ -9,7 +9,8 @@ import (
 // BenchmarkPick measures one BAS decision at a branch head of a flat
 // 256-branch explore: every head is ready, the stage executed last was the
 // tail of another branch, so no ready stage succeeds it and the hint ranks
-// the whole ready list. A 256-branch job makes this decision 256 times.
+// the whole ready list. A 256-branch job makes this decision 256 times. One
+// sub-benchmark per hint.
 func BenchmarkPick(b *testing.B) {
 	hints := make([]float64, 256)
 	for i := range hints {

@@ -258,7 +258,7 @@ func BenchmarkForward(b *testing.B) {
 }
 
 // BenchmarkTrainEpoch is one training epoch of a Defaults() job: 600
-// examples.
+// examples through the row kernels, one allocation.
 func BenchmarkTrainEpoch(b *testing.B) {
 	examples, m := benchExamples()
 	train := examples[:Defaults().Train]
