@@ -14,7 +14,7 @@ help:
 	@echo "  specvet           mdf plan: canonical-form + plan-verifier gate on every committed spec"
 	@echo "  race              full test suite under the race detector"
 	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., vecmath, whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
-	@echo "  exp-plain         every vector kernel's tests (vecmath) and dnn's checksums again under GODEBUG=cpu.fma=off, math.Exp's plain path, on a CPU with FMA too"
+	@echo "  exp-plain         every vector kernel's tests (vecmath), dnn's checksums and kde's Gaussian pins again under GODEBUG=cpu.fma=off, math.Exp's plain path, on a CPU with FMA too"
 	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
@@ -83,16 +83,18 @@ race-short:
 		./internal/dataset ./internal/graph ./internal/memorymgr
 
 # exp-plain runs the tests of internal/vecmath, which holds every vector
-# kernel, and dnn's again with math.Exp on its plain path: math.Exp on
-# amd64 fuses its products when the CPU has FMA and rounds each one
-# otherwise, vecmath's TanhRow and ExpRow repeat whichever of the two a
-# probe finds math.Exp running, and dnn's training checksums are pinned for
-# both. GODEBUG=cpu.fma=off turns math's FMA path off, so a machine with
-# FMA checks both paths: every kernel under the plain probe, the plain
-# transliteration, and the plain checksums. -count=1 because the test
-# cache does not key on GODEBUG. Part of ci.
+# kernel, and dnn's and kde's again with math.Exp on its plain path:
+# math.Exp on amd64 fuses its products when the CPU has FMA and rounds each
+# one otherwise, vecmath's TanhRow and ExpRow repeat whichever of the two a
+# probe finds math.Exp running, dnn's training checksums are pinned for
+# both, and kde's Gaussian goes through ExpRow, held to math.Exp by its
+# reference tests. GODEBUG=cpu.fma=off turns math's FMA path off, so a
+# machine with FMA checks both paths: every kernel under the plain probe,
+# the plain transliteration, the plain checksums and kde's densities on the
+# plain path. -count=1 because the test cache does not key on GODEBUG. Part
+# of ci.
 exp-plain:
-	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/vecmath ./internal/workload/dnn
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/vecmath ./internal/workload/dnn ./internal/workload/kde
 
 # fuzz-short runs the JSON-parser fuzz targets briefly on top of their
 # checked-in corpora (testdata/fuzz); longer runs use -fuzztime directly.

@@ -4,7 +4,7 @@
 // the same intermediate result — across restarts, branches, or
 // separate jobs — lands at the same key. The engine mirrors every
 // checkpointed partition here and reads an entry back only when a node
-// crash inside a run leans on a durable copy (engine.verifyCkpt): an entry
+// crash inside a run leans on a durable copy (Run.verifyCkpt): an entry
 // that does not verify demotes the copy to lineage re-derivation. A job
 // requeued after a service restart does not read the store; it re-executes
 // from its journaled spec.

@@ -409,7 +409,7 @@ func (r *Run) joinAhead() {
 	r.ahead = nil
 }
 
-// boxOutput boxes a finished run's output (dataset.Box) on the pool: an
+// boxOutput boxes a finished run's output (Dataset.Box) on the pool: an
 // output of at least aheadMinRows rows in more than one partition is boxed by
 // the calling goroutine together with one goroutine per compute-ahead token
 // it can take, at most one per further partition, each boxing the next

@@ -484,7 +484,7 @@ func (r *Run) CheckpointLive() int {
 // first call on: Result is the one place rows are boxed, because only its
 // callers read the output through Rows, knowing nothing of the operators'
 // column types. The output's partitions are the run's own (operators build
-// theirs and sources emit fresh ones, dataset.Alias) and a done run has
+// theirs and sources emit fresh ones, Dataset.Alias) and a done run has
 // joined every goroutine computing ahead, so no other run or goroutine sees
 // the write. A large output is boxed on the compute-ahead pool (boxOutput),
 // and every token that takes is back when Result returns. Boxing is

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"metadataflow/internal/obs"
+	"metadataflow/internal/spec"
 )
 
 func postJob(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
@@ -260,6 +263,57 @@ func TestHTTPMetricsBytesStableAcrossReads(t *testing.T) {
 	b := get(t, h, "/metrics").Body.Bytes()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("metrics changed between reads at quiescence:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// nestedDoc returns a document of levels explores, each of width branches
+// and each in the body of the one before it, after an affine op.
+func nestedDoc(levels, width int) []byte {
+	step := `{"op": {"name": "leaf", "fn": "abs"}}`
+	for l := levels; l >= 1; l-- {
+		var branches strings.Builder
+		for b := range width {
+			if b > 0 {
+				branches.WriteString(", ")
+			}
+			fmt.Fprintf(&branches, `{"label": "a=%d", "params": {"a": %d}}`, b, b+1)
+		}
+		step = fmt.Sprintf(`{"explore": {"name": "level%d", "branches": [%s],
+  "body": [{"op": {"name": "scale%d", "fn": "affine", "paramKey": "a"}}, %s],
+  "choose": {"evaluator": "size", "selector": {"kind": "max"}}}}`, l, branches.String(), l, step)
+	}
+	return []byte(`{"source": {"rows": 100, "partitions": 2}, "pipeline": [` + step + `]}`)
+}
+
+// A document that would compile to 20 million operators, six nested
+// 16-wide explores in 4 KB, is refused before anything is compiled, by
+// Submit with a LimitError and over HTTP with a 400 naming the step at
+// which the count passes the bound, each for a fixed number of
+// allocations. The server's step loop is not started, so a document that
+// got through is not run.
+func TestOperatorCountRefusedBeforeCompiling(t *testing.T) {
+	s := newServer(Config{})
+	h := s.Handler()
+	doc := nestedDoc(6, 16)
+	const step = "pipeline[0].explore.body[1].explore.body[1]"
+	var err error
+	allocs := testing.AllocsPerRun(5, func() { _, err = s.Submit(JobRequest{Tenant: "a", Spec: doc}) })
+	var lim *spec.LimitError
+	if !errors.As(err, &lim) || lim.Path != step {
+		t.Fatalf("Submit: %v, want a LimitError at %s", err, step)
+	}
+	body := `{"tenant": "a", "spec": ` + string(doc) + `}`
+	var rec *httptest.ResponseRecorder
+	httpAllocs := testing.AllocsPerRun(5, func() { rec = postJob(t, h, body) })
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), step) {
+		t.Fatalf("POST /jobs: %d %s, want a 400 naming %s", rec.Code, rec.Body, step)
+	}
+	t.Logf("refusing it took %v allocations in Submit, %v over HTTP", allocs, httpAllocs)
+	if allocs > 1200 || httpAllocs > 1400 {
+		t.Errorf("refusing it took %v allocations in Submit (want at most 1200), %v over HTTP (want at most 1400)", allocs, httpAllocs)
+	}
+	if len(s.jobs) != 0 {
+		t.Errorf("%d refused submissions were admitted", len(s.jobs))
 	}
 }
 

@@ -131,7 +131,8 @@ func small(s *spec.Spec, g *graph.Graph) bool {
 }
 
 // compileMatchesCanonical checks that the document's spec and its canonical
-// form compile to the same graph and that the two graphs run alike; unless
+// form compile to the same graph, of as many operators as Validate counts,
+// and that the two graphs run alike; unless
 // always is set, only a small graph is run. A document that does not parse
 // is skipped.
 func compileMatchesCanonical(t *testing.T, name string, doc []byte, always bool) {
@@ -156,6 +157,7 @@ func compileMatchesCanonical(t *testing.T, name string, doc []byte, always bool)
 	if err1 != nil {
 		return
 	}
+	checkNumOps(t, name, raw, g1)
 	if a, b := graphShape(g1), graphShape(g2); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: the spec and its canonical form compile to different graphs:\n%s\n---\n%s",
 			name, strings.Join(a, "\n"), strings.Join(b, "\n"))
@@ -171,8 +173,8 @@ func compileMatchesCanonical(t *testing.T, name string, doc []byte, always bool)
 // TestCompileReadsNormalized: every committed spec document, and every input
 // of the spec fuzz corpora, compiles to the same graph as its canonical form —
 // same operators, costs, hints, labels, dependencies and chooser
-// configuration — and that graph runs to the same completion time and the
-// same output rows. The canonical form is the normalised spec rendered, so
+// configuration, as many operators as Validate counts — and that graph runs
+// to the same completion time and the same output rows. The canonical form is the normalised spec rendered, so
 // Compile reading the normalised form cannot change a job.
 func TestCompileReadsNormalized(t *testing.T) {
 	for name, doc := range specDocs(t) {

@@ -1,5 +1,9 @@
 package spec
 
+// NumOps returns the operator count Validate predicts for s, with its
+// error.
+func NumOps(s *Spec) (int, error) { return s.validate() }
+
 // SampleSpec is a representative two-branch exploration document shared by
 // the in-package fuzz seeds and the external engine-integration tests.
 const SampleSpec = `{

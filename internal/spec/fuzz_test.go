@@ -8,7 +8,8 @@ import (
 )
 
 // FuzzParse ensures the parser never panics on arbitrary input and that any
-// document it accepts also compiles to a valid graph.
+// document it accepts also compiles to a valid graph, of as many operators
+// as Validate counts.
 func FuzzParse(f *testing.F) {
 	f.Add([]byte(spec.SampleSpec))
 	f.Add([]byte(`{}`))
@@ -31,6 +32,7 @@ func FuzzParse(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("compiled graph invalid: %v", err)
 		}
+		checkNumOps(t, "input", s, g)
 	})
 }
 
@@ -39,7 +41,8 @@ func FuzzParse(f *testing.F) {
 // is byte-identical), the semantic hash must survive canonicalization
 // unchanged — otherwise canonical files and hash-keyed memo tables would
 // disagree about spec identity — and the canonical form must compile to the
-// same graph, which runs alike (TestCompileReadsNormalized's check).
+// same graph, of as many operators as Validate counts, which runs alike
+// (TestCompileReadsNormalized's check).
 func FuzzCanonical(f *testing.F) {
 	f.Add([]byte(spec.SampleSpec))
 	f.Add([]byte(`{"source":{"rows":5},"pipeline":[{"op":{"name":"x"}}]}`))

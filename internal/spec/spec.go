@@ -224,41 +224,82 @@ const (
 	maxSourcePartitions = 1 << 12
 )
 
-// LimitError refuses a source size above its bound.
+// maxOps bounds the operators a document compiles to. An explore compiles
+// its body once per branch, so nested explores multiply: a four-level,
+// 16-wide document of 3.5 KB compiles to 78 644 operators, and vetting and
+// planning it allocate over 100 MB, a five-level one 2.2 GB. The committed
+// documents are far below the bound: at most 11 operators over the
+// examples, the plan verifier's fixtures, the canonical goldens and the
+// fuzz corpora (TestCompileReadsNormalized), and 131 in the host-time
+// benchmark's service mix. The bound admits a flat explore of 4 096
+// branches with three-operator bodies, the widest the engine's scaling
+// measurements run, and three nested 16-wide levels (9 011). Vetting and
+// planning 16 384 operators of one iterate took 23 ms and 8.8 MB, the
+// three nested levels 19 ms and 8.2 MB (a 2-vCPU container).
+const maxOps = 1 << 14
+
+// LimitError refuses a source size, or a document's operator count, above
+// its bound.
 type LimitError struct {
 	// Field is the JSON path of the size, "source.rows" or
-	// "source.partitions".
-	Field      string
+	// "source.partitions", or "operators" for the count of the operators
+	// the document compiles to.
+	Field string
+	// Path is, for "operators", the JSON path of the step at which the
+	// count passes Max, such as "pipeline[1].explore.body[0]": the count up
+	// to and including it, within one branch of each explore around it.
+	Path       string
 	Value, Max int
 }
 
 // Error implements the error interface.
 func (e *LimitError) Error() string {
+	if e.Path != "" {
+		return fmt.Sprintf("spec: the %s up to %s number %d, above the limit of %d", e.Field, e.Path, e.Value, e.Max)
+	}
 	return fmt.Sprintf("spec: %s = %d is above the limit of %d", e.Field, e.Value, e.Max)
 }
 
-// Validate reports structural errors. It allocates nothing on a valid spec:
+// Validate reports structural errors, and refuses a document that compiles
+// to more than maxOps operators. It allocates nothing on a valid spec:
 // admission runs it on every new document.
 func (s *Spec) Validate() error {
-	if err := checkSchemaVersion(s.SchemaVersion); err != nil {
-		return err
-	}
-	if s.Source.Rows < 1 {
-		return fmt.Errorf("spec: source needs rows >= 1")
-	}
-	if s.Source.Rows > maxSourceRows {
-		return &LimitError{Field: "source.rows", Value: s.Source.Rows, Max: maxSourceRows}
-	}
-	if s.Source.Partitions > maxSourcePartitions {
-		return &LimitError{Field: "source.partitions", Value: s.Source.Partitions, Max: maxSourcePartitions}
-	}
-	if len(s.Pipeline) == 0 {
-		return fmt.Errorf("spec: empty pipeline")
-	}
-	return validateSteps(s.Pipeline)
+	_, err := s.validate()
+	return err
 }
 
-func validateSteps(steps []Step) error {
+// validate is Validate, and returns the number of operators the document
+// compiles to, graph.Graph.NumOps of its Compile, counted over the step
+// tree before anything is compiled: the source, one per op, one per round
+// of an iterate, and per explore its own and its choose's two plus its
+// branches times its body's count.
+func (s *Spec) validate() (ops int, err error) {
+	if err := checkSchemaVersion(s.SchemaVersion); err != nil {
+		return 0, err
+	}
+	if s.Source.Rows < 1 {
+		return 0, fmt.Errorf("spec: source needs rows >= 1")
+	}
+	if s.Source.Rows > maxSourceRows {
+		return 0, &LimitError{Field: "source.rows", Value: s.Source.Rows, Max: maxSourceRows}
+	}
+	if s.Source.Partitions > maxSourcePartitions {
+		return 0, &LimitError{Field: "source.partitions", Value: s.Source.Partitions, Max: maxSourcePartitions}
+	}
+	if len(s.Pipeline) == 0 {
+		return 0, fmt.Errorf("spec: empty pipeline")
+	}
+	ops, err = validateSteps(s.Pipeline, 1)
+	if lim, ok := err.(*LimitError); ok {
+		lim.Path = "pipeline" + lim.Path
+	}
+	return ops, err
+}
+
+// validateSteps checks steps and returns ops plus the number of operators
+// they compile to. Past maxOps it returns a LimitError whose Path is the
+// step's, relative to steps ("[2]", "[0].explore.body[1]").
+func validateSteps(steps []Step, ops int) (int, error) {
 	for i, st := range steps {
 		set := 0
 		for _, present := range []bool{st.Op != nil, st.Explore != nil, st.Iterate != nil} {
@@ -267,40 +308,59 @@ func validateSteps(steps []Step) error {
 			}
 		}
 		if set != 1 {
-			return fmt.Errorf("spec: step %d must set exactly one of op, explore, iterate", i)
+			return 0, fmt.Errorf("spec: step %d must set exactly one of op, explore, iterate", i)
 		}
 		switch {
 		case st.Op != nil:
 			if err := validateOp(*st.Op); err != nil {
-				return err
+				return 0, err
 			}
+			ops++
 		case st.Iterate != nil:
 			if st.Iterate.Rounds < 1 {
-				return fmt.Errorf("spec: iterate %q needs >= 1 round", st.Iterate.Name)
+				return 0, fmt.Errorf("spec: iterate %q needs >= 1 round", st.Iterate.Name)
 			}
 			if err := validateOp(st.Iterate.Op); err != nil {
-				return err
+				return 0, err
 			}
+			ops = addOps(ops, 1, st.Iterate.Rounds)
 		case st.Explore != nil:
 			e := st.Explore
 			if len(e.Branches) < 2 {
-				return fmt.Errorf("spec: explore %q needs >= 2 branches", e.Name)
+				return 0, fmt.Errorf("spec: explore %q needs >= 2 branches", e.Name)
 			}
 			if len(e.Body) == 0 {
-				return fmt.Errorf("spec: explore %q has an empty body", e.Name)
+				return 0, fmt.Errorf("spec: explore %q has an empty body", e.Name)
 			}
 			if _, ok := Selectors[e.Choose.Selector.Kind]; !ok && e.Choose.Selector.Kind != "" {
-				return fmt.Errorf("spec: unknown selector %q", e.Choose.Selector.Kind)
+				return 0, fmt.Errorf("spec: unknown selector %q", e.Choose.Selector.Kind)
 			}
 			if _, ok := Evaluators[e.Choose.Evaluator]; !ok && e.Choose.Evaluator != "" {
-				return fmt.Errorf("spec: unknown evaluator %q", e.Choose.Evaluator)
+				return 0, fmt.Errorf("spec: unknown evaluator %q", e.Choose.Evaluator)
 			}
-			if err := validateSteps(e.Body); err != nil {
-				return err
+			body, err := validateSteps(e.Body, 0)
+			if lim, ok := err.(*LimitError); ok {
+				lim.Path = fmt.Sprintf("[%d].explore.body%s", i, lim.Path)
 			}
+			if err != nil {
+				return 0, err
+			}
+			ops = addOps(ops+2, len(e.Branches), body)
+		}
+		if ops > maxOps {
+			return 0, &LimitError{Field: "operators", Path: fmt.Sprintf("[%d]", i), Value: ops, Max: maxOps}
 		}
 	}
-	return nil
+	return ops, nil
+}
+
+// addOps returns ops + k·n, or math.MaxInt where that overflows: ops is at
+// most maxOps + 2, but rounds and branches may make a count any int.
+func addOps(ops, k, n int) int {
+	if n > 0 && k > (math.MaxInt-ops)/n {
+		return math.MaxInt
+	}
+	return ops + k*n
 }
 
 func validateOp(op OpStep) error {

@@ -34,8 +34,9 @@ func tanhRowAVX(dst, src []float64, fused bool) (done int)
 //go:noescape
 func expRowAVX(dst, src []float64, fused bool) (done int)
 
-// The AVX kernels compute what dotRowsGo, axpyRowsGo and momentumRowsGo
-// do, four values per instruction with a scalar tail (rows_amd64.s).
+// The AVX kernels compute what dotRowsGo, axpyRowsGo, momentumRowsGo,
+// dotColsGo and momentumColsGo do, four values per instruction with a
+// scalar tail (rows_amd64.s).
 
 //go:noescape
 func dotRowsAVX(y, w, x []float64)
@@ -45,6 +46,12 @@ func axpyRowsAVX(y, w, a []float64)
 
 //go:noescape
 func momentumRowsAVX(w, vel, x, lrg []float64, momentum float64)
+
+//go:noescape
+func dotColsAVX(y, w, x []float64)
+
+//go:noescape
+func momentumColsAVX(w, vel, x, lrg []float64, momentum float64)
 
 // uRowAVX computes what uRowGo does, four values per instruction
 // (cosine_amd64.s).

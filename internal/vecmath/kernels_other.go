@@ -19,6 +19,10 @@ func axpyRowsAVX(y, w, a []float64) { panic("vecmath: no AVX") }
 
 func momentumRowsAVX(w, vel, x, lrg []float64, momentum float64) { panic("vecmath: no AVX") }
 
+func dotColsAVX(y, w, x []float64) { panic("vecmath: no AVX") }
+
+func momentumColsAVX(w, vel, x, lrg []float64, momentum float64) { panic("vecmath: no AVX") }
+
 func uRowAVX(u, samples []float64, x, h float64) { panic("vecmath: no AVX") }
 
 func cosineRowAVX(c, u []float64) bool { panic("vecmath: no AVX") }

@@ -3,10 +3,12 @@ package vecmath
 // DotRows, AxpyRows and MomentumRows are row-block kernels over a matrix w
 // held row-major: dnn runs each layer through them, once per layer per
 // example, the forward pass through DotRows and the backward pass through
-// the other two. Each does every floating-point operation of the
-// per-neuron loops it replaced, in the same order and with the same
-// operand order; the AVX path adds no FMA, so each product is rounded
-// before it is added, as the Go code's is.
+// the other two. DotCols and MomentumCols are DotRows and MomentumRows over
+// the transpose of w, held column-major: dnn's first layer, whose rows are
+// long and few, runs through them. Each does every floating-point
+// operation of the per-neuron loops it replaced, in the same order and
+// with the same operand order; the AVX path adds no FMA, so each product
+// is rounded before it is added, as the Go code's is.
 
 // DotRows adds the dot product of row r of w with x to y[r], for every r:
 // y[r] += w[r·n+i]·x[i] for i ascending, n = len(x), each product added to
@@ -17,6 +19,20 @@ func DotRows(y, w, x []float64) {
 		dotRowsAVX(y, w, x)
 	} else {
 		dotRowsGo(y, w, x)
+	}
+}
+
+// DotCols is DotRows over the transpose of w: it adds the dot product of
+// column c of w with x to y[c], for every c: y[c] += w[i·m+c]·x[i] for i
+// ascending, m = len(y), each product added to the running sum as it
+// comes. w holds len(x) rows of len(y) values. Its results are DotRows'
+// over the row-major w, bit for bit.
+func DotCols(y, w, x []float64) {
+	checkShape("DotCols", len(w), len(x), len(y))
+	if useAVX {
+		dotColsAVX(y, w, x)
+	} else {
+		dotColsGo(y, w, x)
 	}
 }
 
@@ -41,6 +57,21 @@ func MomentumRows(w, vel, x, lrg []float64, momentum float64) {
 		momentumRowsAVX(w, vel, x, lrg, momentum)
 	} else {
 		momentumRowsGo(w, vel, x, lrg, momentum)
+	}
+}
+
+// MomentumCols is MomentumRows over the transpose of w and vel: it takes
+// one momentum step on the value of every row i and column c of w:
+// v = momentum·vel − lrg[c]·x[i]; vel = v; w += v. w and vel each hold
+// len(x) rows of len(lrg) values. Its results are MomentumRows' over the
+// row-major w and vel, bit for bit.
+func MomentumCols(w, vel, x, lrg []float64, momentum float64) {
+	checkShape("MomentumCols", len(w), len(x), len(lrg))
+	checkShape("MomentumCols", len(vel), len(x), len(lrg))
+	if useAVX {
+		momentumColsAVX(w, vel, x, lrg, momentum)
+	} else {
+		momentumColsGo(w, vel, x, lrg, momentum)
 	}
 }
 
@@ -106,6 +137,55 @@ func momentumRowsGo(w, vel, x, lrg []float64, momentum float64) {
 			vi := momentum*v[i] - g*xi
 			v[i] = vi
 			row[i] += vi
+		}
+	}
+}
+
+// dotColsGo is DotCols' plain-Go path and reference: dotRowsGo's loop,
+// four sums in flight, reading each sum's value of a row of w. The tail
+// reads x[i] inside its loop, so that the compiler folds that load into
+// the product and w stays its first operand, as in dotRowsGo. go:norace
+// for dotRowsGo's reason.
+//
+//go:norace
+func dotColsGo(y, w, x []float64) {
+	m := len(y)
+	c := 0
+	for ; c+4 <= m; c += 4 {
+		s0, s1, s2, s3 := y[c], y[c+1], y[c+2], y[c+3]
+		for i, xi := range x {
+			col := w[i*m+c : i*m+c+4]
+			s0 += col[0] * xi
+			s1 += col[1] * xi
+			s2 += col[2] * xi
+			s3 += col[3] * xi
+		}
+		y[c], y[c+1], y[c+2], y[c+3] = s0, s1, s2, s3
+	}
+	for ; c < m; c++ {
+		sum := y[c]
+		for i := range x {
+			sum += w[i*m+c] * x[i]
+		}
+		y[c] = sum
+	}
+}
+
+// momentumColsGo is MomentumCols' plain-Go path and reference. x[i] is
+// read in the inner loop and written first in its product so that, as in
+// momentumRowsGo, the compiler makes x the product's first operand, a NaN's
+// payload included; go:norace for dotRowsGo's reason.
+//
+//go:norace
+func momentumColsGo(w, vel, x, lrg []float64, momentum float64) {
+	m := len(lrg)
+	for i := range x {
+		row := w[i*m : (i+1)*m][:len(lrg)]
+		v := vel[i*m : (i+1)*m][:len(lrg)]
+		for c, g := range lrg {
+			vi := momentum*v[c] - x[i]*g
+			v[c] = vi
+			row[c] += vi
 		}
 	}
 }

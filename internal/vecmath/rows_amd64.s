@@ -1,19 +1,19 @@
 #include "textflag.h"
 
-// Three row kernels: dotRowsAVX (the forward pass), axpyRowsAVX and
-// momentumRowsAVX (the backward pass).
+// Five matrix kernels: dotRowsAVX and dotColsAVX (the forward pass),
+// axpyRowsAVX, momentumRowsAVX and momentumColsAVX (the backward pass).
 //
 // When both operands of an x86 arithmetic instruction are NaNs, the result
 // is the first source's. Each instruction below takes as its first source
-// the operand the Go compiler makes first in the same loop of
-// dotRowsGo/axpyRowsGo/momentumRowsGo: the loaded array value in a product
-// (w in DotRows'), the running sum in DotRows' sum, the product in
-// AxpyRows' sum, w in w + v. So even NaN payloads come out as Go's:
-// TestRowKernelsMatchGo holds them to it. Go asm writes the sources in
-// reverse: VMULPD src2, src1, dst.
+// the operand the Go compiler makes first in the same loop of the Go
+// reference: w in a dot's product, the running sum in a dot's sum, the
+// product in AxpyRows' sum, vel in momentum·vel, x in lrg·x, w in w + v.
+// So even NaN payloads come out as Go's: TestRowKernelsMatchGo holds them
+// to it, and TestColsMatchRows the column kernels to the row ones. Go asm
+// writes the sources in reverse: VMULPD src2, src1, dst.
 //
-// The 4-wide loops of axpyRowsAVX and momentumRowsAVX start on a 64-byte
-// boundary (PCALIGN). Unaligned, their speed followed where the linker put
+// The 4-wide loops of axpyRowsAVX, momentumRowsAVX, dotColsAVX and
+// momentumColsAVX start on a 64-byte boundary (PCALIGN). Unaligned, their speed followed where the linker put
 // the functions: padding the code before them 32 bytes at a time moved a
 // dnn job between 11.4 and 10.6 ms on a 2-vCPU Intel Xeon; aligned, it
 // reads 10.4-10.7 ms.
@@ -377,5 +377,292 @@ mom_next:
 	JNZ mom_row
 
 mom_done:
+	VZEROUPPER
+	RET
+
+// func dotColsAVX(y, w, x []float64)
+//
+// For every column c: y[c] += w[i*m+c]*x[i] for i ascending, m = len(y).
+//
+// Twenty-four columns take one pass down the rows, as six 4-lane
+// accumulators (Y0-Y5): six independent chains of additions, which is what
+// keeps dnn's 24 hidden sums in registers. Each row adds its 24 values times
+// its broadcast x[i]. The columns past a multiple of 24 go four at a time
+// in Y0 alone, and the last 1 to 3 one at a time, each a scalar loop down
+// the rows.
+//
+// Registers: R10 is the row stride in bytes, R11 walks the pass's columns
+// down the rows and R9 walks x.
+TEXT ·dotColsAVX(SB), NOSPLIT, $0-72
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), BX
+	MOVQ w_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ x_len+56(FP), CX
+	LEAQ (BX*8), R10
+
+dcol_pass24:
+	CMPQ BX, $24
+	JLT dcol_pass4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	MOVQ SI, R11
+	MOVQ DX, R9
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JEQ dcol_store24
+
+	PCALIGN $64
+dcol_row24:
+	VBROADCASTSD (R9), Y12
+	VMOVUPD (R11), Y6
+	VMOVUPD 32(R11), Y7
+	VMOVUPD 64(R11), Y8
+	VMOVUPD 96(R11), Y9
+	VMOVUPD 128(R11), Y10
+	VMOVUPD 160(R11), Y11
+	VMULPD Y12, Y6, Y6 // w * x[i]
+	VMULPD Y12, Y7, Y7
+	VMULPD Y12, Y8, Y8
+	VMULPD Y12, Y9, Y9
+	VMULPD Y12, Y10, Y10
+	VMULPD Y12, Y11, Y11
+	VADDPD Y6, Y0, Y0 // sum + w*x[i]
+	VADDPD Y7, Y1, Y1
+	VADDPD Y8, Y2, Y2
+	VADDPD Y9, Y3, Y3
+	VADDPD Y10, Y4, Y4
+	VADDPD Y11, Y5, Y5
+	ADDQ R10, R11
+	ADDQ $8, R9
+	DECQ AX
+	JNZ dcol_row24
+
+dcol_store24:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	ADDQ $192, DI
+	ADDQ $192, SI
+	SUBQ $24, BX
+	JMP dcol_pass24
+
+dcol_pass4:
+	CMPQ BX, $4
+	JLT dcol_pass1
+	VMOVUPD (DI), Y0
+	MOVQ SI, R11
+	MOVQ DX, R9
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JEQ dcol_store4
+
+	PCALIGN $64
+dcol_row4:
+	VBROADCASTSD (R9), Y12
+	VMOVUPD (R11), Y6
+	VMULPD Y12, Y6, Y6
+	VADDPD Y6, Y0, Y0
+	ADDQ R10, R11
+	ADDQ $8, R9
+	DECQ AX
+	JNZ dcol_row4
+
+dcol_store4:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, BX
+	JMP dcol_pass4
+
+dcol_pass1:
+	TESTQ BX, BX
+	JEQ dcol_done
+	VMOVSD (DI), X0
+	MOVQ SI, R11
+	MOVQ DX, R9
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JEQ dcol_store1
+
+dcol_row1:
+	VMOVSD (R11), X6
+	VMULSD (R9), X6, X6 // w * x[i]
+	VADDSD X6, X0, X0   // sum + w*x[i]
+	ADDQ R10, R11
+	ADDQ $8, R9
+	DECQ AX
+	JNZ dcol_row1
+
+dcol_store1:
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, SI
+	DECQ BX
+	JMP dcol_pass1
+
+dcol_done:
+	VZEROUPPER
+	RET
+
+// func momentumColsAVX(w, vel, x, lrg []float64, momentum float64)
+//
+// For every row i and column c, at j = i*m+c with m = len(lrg):
+// v = momentum*vel[j] - lrg[c]*x[i]; vel[j] = v; w[j] = w[j] + v.
+//
+// Twenty-four columns take one pass down the rows with their lrg in six
+// registers (Y4-Y9) and x[i] broadcast per row, so a row of dnn's first
+// layer is straight-line code: two loads and two stores per four values.
+// The columns past a multiple of 24 go row by row, four at a time with a
+// scalar tail, lrg read along the row.
+//
+// Registers: R10 is the row stride in bytes; in the 24-column pass R11
+// walks w, R12 vel and R13 x down the rows.
+TEXT ·momentumColsAVX(SB), NOSPLIT, $0-104
+	MOVQ w_base+0(FP), DI
+	MOVQ vel_base+24(FP), SI
+	MOVQ x_base+48(FP), R9
+	MOVQ x_len+56(FP), BX
+	MOVQ lrg_base+72(FP), DX
+	MOVQ lrg_len+80(FP), CX
+	VBROADCASTSD momentum+96(FP), Y3
+	LEAQ (CX*8), R10
+
+mcol_pass24:
+	CMPQ CX, $24
+	JLT mcol_rest
+	VMOVUPD (DX), Y4
+	VMOVUPD 32(DX), Y5
+	VMOVUPD 64(DX), Y6
+	VMOVUPD 96(DX), Y7
+	VMOVUPD 128(DX), Y8
+	VMOVUPD 160(DX), Y9
+	MOVQ DI, R11
+	MOVQ SI, R12
+	MOVQ R9, R13
+	MOVQ BX, AX
+	TESTQ AX, AX
+	JEQ mcol_next24
+
+	PCALIGN $64
+mcol_row24:
+	VBROADCASTSD (R13), Y0 // x[i]
+	VMOVUPD (R12), Y1
+	VMULPD Y3, Y1, Y1      // vel * momentum
+	VMULPD Y4, Y0, Y2      // x[i] * lrg
+	VSUBPD Y2, Y1, Y1      // v = momentum*vel - lrg*x[i]
+	VMOVUPD Y1, (R12)
+	VMOVUPD (R11), Y2
+	VADDPD Y1, Y2, Y2      // w + v
+	VMOVUPD Y2, (R11)
+	VMOVUPD 32(R12), Y1
+	VMULPD Y3, Y1, Y1
+	VMULPD Y5, Y0, Y2
+	VSUBPD Y2, Y1, Y1
+	VMOVUPD Y1, 32(R12)
+	VMOVUPD 32(R11), Y2
+	VADDPD Y1, Y2, Y2
+	VMOVUPD Y2, 32(R11)
+	VMOVUPD 64(R12), Y1
+	VMULPD Y3, Y1, Y1
+	VMULPD Y6, Y0, Y2
+	VSUBPD Y2, Y1, Y1
+	VMOVUPD Y1, 64(R12)
+	VMOVUPD 64(R11), Y2
+	VADDPD Y1, Y2, Y2
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD 96(R12), Y1
+	VMULPD Y3, Y1, Y1
+	VMULPD Y7, Y0, Y2
+	VSUBPD Y2, Y1, Y1
+	VMOVUPD Y1, 96(R12)
+	VMOVUPD 96(R11), Y2
+	VADDPD Y1, Y2, Y2
+	VMOVUPD Y2, 96(R11)
+	VMOVUPD 128(R12), Y1
+	VMULPD Y3, Y1, Y1
+	VMULPD Y8, Y0, Y2
+	VSUBPD Y2, Y1, Y1
+	VMOVUPD Y1, 128(R12)
+	VMOVUPD 128(R11), Y2
+	VADDPD Y1, Y2, Y2
+	VMOVUPD Y2, 128(R11)
+	VMOVUPD 160(R12), Y1
+	VMULPD Y3, Y1, Y1
+	VMULPD Y9, Y0, Y2
+	VSUBPD Y2, Y1, Y1
+	VMOVUPD Y1, 160(R12)
+	VMOVUPD 160(R11), Y2
+	VADDPD Y1, Y2, Y2
+	VMOVUPD Y2, 160(R11)
+	ADDQ R10, R11
+	ADDQ R10, R12
+	ADDQ $8, R13
+	DECQ AX
+	JNZ mcol_row24
+
+mcol_next24:
+	ADDQ $192, DI
+	ADDQ $192, SI
+	ADDQ $192, DX
+	SUBQ $24, CX
+	JMP mcol_pass24
+
+mcol_rest:
+	TESTQ CX, CX
+	JEQ mcol_done
+	TESTQ BX, BX
+	JEQ mcol_done
+	MOVQ CX, R8
+	ANDQ $-4, R8 // values in whole 4-blocks
+
+mcol_row:
+	VBROADCASTSD (R9), Y0 // x[i]
+	XORQ AX, AX
+
+	PCALIGN $64
+mcol_block:
+	CMPQ AX, R8
+	JGE mcol_tail
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD Y3, Y1, Y1         // vel * momentum
+	VMULPD (DX)(AX*8), Y0, Y2 // x[i] * lrg
+	VSUBPD Y2, Y1, Y1         // v = momentum*vel - lrg*x[i]
+	VMOVUPD Y1, (SI)(AX*8)
+	VMOVUPD (DI)(AX*8), Y2
+	VADDPD Y1, Y2, Y2         // w + v
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP mcol_block
+
+mcol_tail:
+	CMPQ AX, CX
+	JGE mcol_next
+	VMOVSD (SI)(AX*8), X1
+	VMULSD X3, X1, X1
+	VMULSD (DX)(AX*8), X0, X2
+	VSUBSD X2, X1, X1
+	VMOVSD X1, (SI)(AX*8)
+	VMOVSD (DI)(AX*8), X2
+	VADDSD X1, X2, X2
+	VMOVSD X2, (DI)(AX*8)
+	INCQ AX
+	JMP mcol_tail
+
+mcol_next:
+	ADDQ R10, DI
+	ADDQ R10, SI
+	ADDQ $8, R9
+	DECQ BX
+	JNZ mcol_row
+
+mcol_done:
 	VZEROUPPER
 	RET

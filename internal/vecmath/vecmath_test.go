@@ -114,6 +114,12 @@ var kernels = []struct {
 	{name: "MomentumRows", shape: func(n, rows int) []int { return []int{rows * n, rows * n, n, rows} }, outs: 2, matrix: true,
 		run: func(o [][]float64, s [2]float64) { MomentumRows(o[0], o[1], o[2], o[3], s[1]) },
 		ref: func(o [][]float64, s [2]float64) { momentumRowsGo(o[0], o[1], o[2], o[3], s[1]) }},
+	{name: "DotCols", shape: func(n, rows int) []int { return []int{n, rows * n, rows} }, outs: 1, matrix: true,
+		run: func(o [][]float64, _ [2]float64) { DotCols(o[0], o[1], o[2]) },
+		ref: func(o [][]float64, _ [2]float64) { dotColsGo(o[0], o[1], o[2]) }},
+	{name: "MomentumCols", shape: func(n, rows int) []int { return []int{rows * n, rows * n, rows, n} }, outs: 2, matrix: true,
+		run: func(o [][]float64, s [2]float64) { MomentumCols(o[0], o[1], o[2], o[3], s[1]) },
+		ref: func(o [][]float64, s [2]float64) { momentumColsGo(o[0], o[1], o[2], o[3], s[1]) }},
 	{name: "URow", shape: oneRow, outs: 1,
 		run: func(o [][]float64, s [2]float64) { URow(o[0], o[1], s[0], s[1]) },
 		ref: func(o [][]float64, s [2]float64) { uRowGo(o[0], o[1], s[0], s[1]) }},
@@ -128,12 +134,13 @@ func oneRow(n, _ int) []int { return []int{n, n} }
 
 // rowLengths are the row lengths n the kernels are held at: every length
 // around the 4-wide block and the 8-wide pass (a tail of 0 to 3 values,
-// scalar, overlapping or masked), dnn's 13-, 24- and 48-value rows, and a
-// kde fit's 400 samples. rowCounts are the row counts of the matrix
-// kernels: every count around DotRows' passes of 8, 4, 2 and 1 rows, and
-// dnn's 24 hidden neurons.
+// scalar, overlapping or masked), dnn's 13-, 24- and 48-value rows, 29
+// values (the column kernels' 24-wide pass and then both of their tails),
+// and a kde fit's 400 samples. rowCounts are the row counts of the matrix kernels:
+// every count around DotRows' passes of 8, 4, 2 and 1 rows, and dnn's 24
+// hidden neurons.
 var (
-	rowLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 48, 400}
+	rowLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 29, 48, 400}
 	rowCounts  = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24}
 )
 
@@ -227,6 +234,65 @@ func TestRowsCheckLengths(t *testing.T) {
 	})
 }
 
+// transpose returns the cols × rows transpose of w, which holds rows rows
+// of cols values.
+func transpose(w []float64, rows, cols int) []float64 {
+	t := make([]float64, len(w))
+	for r := range rows {
+		for c := range cols {
+			t[c*rows+r] = w[r*cols+c]
+		}
+	}
+	return t
+}
+
+// TestColsMatchRows holds DotCols and MomentumCols over the transpose of a
+// matrix to DotRows and MomentumRows over the matrix, bit for bit, on each
+// path: the column kernels replace the row ones in dnn's first layer, whose
+// NaN payloads must not change. A third of every operand is a NaN of one
+// of four payloads, so that sums, products and steps meet two NaNs often.
+func TestColsMatchRows(t *testing.T) {
+	nans := []float64{math.NaN(), math.Float64frombits(0xfff8000000000000),
+		math.Float64frombits(0x7ff800000000beef), math.Float64frombits(0x7ff4000000000000)}
+	rng := stats.NewRNG(29)
+	draw := func(n int) []float64 {
+		xs := fill(rng, make([]float64, n))
+		for i := range xs {
+			if rng.Intn(3) == 0 {
+				xs[i] = nans[rng.Intn(len(nans))]
+			}
+		}
+		return xs
+	}
+	for _, rows := range rowCounts {
+		for _, n := range rowLengths[:len(rowLengths)-1] {
+			for trial := 0; trial < 4; trial++ {
+				w, vel, x, y, lrg := draw(rows*n), draw(rows*n), draw(n), draw(rows), draw(rows)
+				momentum := operands[trial*7%len(operands)]
+				OnEachPath(func(avx bool) {
+					what := fmt.Sprintf("avx=%v, %d rows of %d", avx, rows, n)
+					rowY, colY := slices.Clone(y), slices.Clone(y)
+					DotRows(rowY, w, x)
+					DotCols(colY, transpose(w, rows, n), x)
+					if i := diff(colY, rowY); i >= 0 {
+						t.Fatalf("%s: DotCols [%d] = %016x, DotRows %016x", what, i, math.Float64bits(colY[i]), math.Float64bits(rowY[i]))
+					}
+					rowW, rowV := slices.Clone(w), slices.Clone(vel)
+					colW, colV := transpose(w, rows, n), transpose(vel, rows, n)
+					MomentumRows(rowW, rowV, x, lrg, momentum)
+					MomentumCols(colW, colV, x, lrg, momentum)
+					for name, pair := range map[string][2][]float64{"w": {colW, rowW}, "vel": {colV, rowV}} {
+						got, want := transpose(pair[0], n, rows), pair[1]
+						if i := diff(got, want); i >= 0 {
+							t.Fatalf("%s: MomentumCols %s [%d] = %016x, MomentumRows %016x", what, name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // sweepRows calls f with every multiple of 2^-18 in [−50, 50], ascending,
 // in rows of 4 099 values (the last one shorter), so that no row of 26
 // million values is ever held. f must not keep a row.
@@ -301,7 +367,8 @@ func TestCosineRowMatchesMathCos(t *testing.T) {
 // BenchmarkKernels times every kernel on the /avx and the /go path at the
 // sizes its workload gives it: dnn's 24 hidden sums (spread as a trained
 // model's are) and 10 logits less their maximum, the row kernels at dnn's
-// Defaults() layers, 24 rows of 48 (W1) and 10 rows of 24 (W2); a kde
+// Defaults() layers, 24 rows of 48 (W1) and 10 rows of 24 (W2), the
+// column kernels at its first layer, 48 rows of 24 (W1 transposed); a kde
 // fit's 400 samples at x 0.1 and h 0.2, the cosine over the u inside the
 // support; synthetic's scored pass over a job's 20 000 values.
 func BenchmarkKernels(b *testing.B) {
@@ -362,6 +429,24 @@ func BenchmarkKernels(b *testing.B) {
 				sumSink = AffineSum(vals, 4900, 699_618_211)
 			}
 		}},
+	}
+	// dnn's first layer, column-major: 48 rows (inputs) of 24 (hidden
+	// neurons), the transpose of DotRows/24x48's W1.
+	{
+		rng := stats.NewRNG(1)
+		w, vel := draw(rng, 48*24, weight), draw(rng, 48*24, weight)
+		x, sums, lrg := draw(rng, 48, weight), draw(rng, 24, weight), draw(rng, 24, weight)
+		benches = append(benches,
+			bench{"DotCols/48x24", func(n int) {
+				for range n {
+					DotCols(sums, w, x)
+				}
+			}},
+			bench{"MomentumCols/48x24", func(n int) {
+				for range n {
+					MomentumCols(w, vel, x, lrg, 0.9)
+				}
+			}})
 	}
 	for _, shape := range []struct{ rows, n int }{{24, 48}, {10, 24}} {
 		rng := stats.NewRNG(1)

@@ -43,11 +43,12 @@ func (m *Model) forwardScalar(x []float64, hidden, probs []float64) {
 	}
 }
 
-// TestForwardMatchesScalar compares forward, two vecmath.DotRows calls,
-// with the per-neuron loops, bit for bit, on the kernel path this process
-// runs, at every hidden width around DotRows' 4- and 8-row groups and at
-// the default's 24, over 3, 10 (the default) and 11 classes: the output
-// layer's rows are the classes.
+// TestForwardMatchesScalar compares forward, vecmath.DotCols over the
+// transposed first layer and DotRows over the second, with the per-neuron
+// loops, bit for bit, on the kernel path this process runs, at every
+// hidden width around DotRows' 4- and 8-row groups and DotCols' 4-column
+// ones and at the default's 24 (DotCols' 24-column pass), over 3, 10 (the
+// default) and 11 classes: the output layer's rows are the classes.
 func TestForwardMatchesScalar(t *testing.T) {
 	forwardMatchesScalar(t, "default")
 }
@@ -75,8 +76,10 @@ func forwardMatchesScalar(t *testing.T, path string) {
 			}
 			got, want := make([]float64, hiddenN), make([]float64, hiddenN)
 			gotP, wantP := make([]float64, classes), make([]float64, classes)
+			w1 := make([]float64, len(m.W1))
+			m.toCols(w1, m.W1)
 			for _, ex := range examples {
-				m.forward(ex.X, got, gotP)
+				m.forward(w1, ex.X, got, gotP)
 				m.forwardScalar(ex.X, want, wantP)
 				for h := range want {
 					if math.Float64bits(got[h]) != math.Float64bits(want[h]) {
@@ -214,6 +217,87 @@ func TestTrainEpochMatchesGoKernels(t *testing.T) {
 	}
 }
 
+// epochRows is epoch as it ran with the first layer row-major: forward
+// through DotRows over W1, and W1's step through MomentumRows, one call
+// each per example, with no copy of W1 or vW1.
+func (m *Model) epochRows(examples []Example, lr, momentum float64) {
+	hidden, dHidden := make([]float64, m.Hidden), make([]float64, m.Hidden)
+	probs, lrgOut := make([]float64, m.Classes), make([]float64, m.Classes)
+	for _, ex := range examples {
+		copy(hidden, m.B1)
+		vecmath.DotRows(hidden, m.W1, ex.X)
+		vecmath.TanhRow(hidden, hidden)
+		copy(probs, m.B2)
+		vecmath.DotRows(probs, m.W2, hidden)
+		maxLogit := math.Inf(-1)
+		for _, s := range probs {
+			if s > maxLogit {
+				maxLogit = s
+			}
+		}
+		for c := range probs {
+			probs[c] -= maxLogit
+		}
+		vecmath.ExpRow(probs, probs)
+		var z float64
+		for _, p := range probs {
+			z += p
+		}
+		for c := range probs {
+			probs[c] /= z
+		}
+		g := probs
+		g[ex.Y] -= 1
+		for c, gc := range g {
+			lrgOut[c] = lr * gc
+			m.vB2[c] = momentum*m.vB2[c] - lrgOut[c]
+			m.B2[c] += m.vB2[c]
+		}
+		clear(dHidden)
+		vecmath.AxpyRows(dHidden, m.W2, g)
+		vecmath.MomentumRows(m.W2, m.vW2, hidden, lrgOut, momentum)
+		for h, hv := range hidden {
+			lrg := lr * (dHidden[h] * (1 - hv*hv))
+			dHidden[h] = lrg
+			m.vB1[h] = momentum*m.vB1[h] - lrg
+			m.B1[h] += m.vB1[h]
+		}
+		vecmath.MomentumRows(m.W1, m.vW1, ex.X, dHidden, momentum)
+	}
+}
+
+// TestEpochMatchesRowMajor holds train, whose first layer runs transposed
+// through DotCols and MomentumCols, to epochRows, bit for bit, on each
+// kernel path: every parameter after two epochs, the second over examples
+// holding infinities and NaNs of several payloads, which reach every
+// weight. The shapes give DotCols a 4-column pass and a scalar tail (13 ×
+// 5, 16 × 7) and its 24-column pass (48 × 24, Defaults()).
+func TestEpochMatchesRowMajor(t *testing.T) {
+	for _, shape := range []struct{ in, hidden int }{{13, 5}, {16, 7}, {48, 24}} {
+		examples := GenerateExamples(120, shape.in, 10, 0.8, 11)
+		special := GenerateExamples(120, shape.in, 10, 0.8, 12)
+		special[7].X[3], special[30].X[1] = math.Inf(1), math.Inf(-1)
+		special[50].X[0] = math.NaN()
+		special[51].X[2] = math.Float64frombits(0xfff800000000beef)
+		special[90].X[shape.in-1] = math.Float64frombits(0x7ff4000000000000)
+		initial := NewModel(shape.in, shape.hidden, 10, Init{Kind: InitGaussian, A: 0.5}, 3)
+		vecmath.OnEachPath(func(avx bool) {
+			got, want := initial.Clone(), initial.Clone()
+			for _, set := range [][]Example{examples, special} {
+				got.train(set, 0.01, 0.9)
+				want.epochRows(set, 0.01, 0.9)
+			}
+			what := fmt.Sprintf("avx=%v %d×%d", avx, shape.in, shape.hidden)
+			if !slices.ContainsFunc(got.W1, math.IsNaN) {
+				t.Errorf("%s: no weight became NaN", what)
+			}
+			for i, ws := range parameters(got) {
+				sameBits(t, what+" parameters", ws, parameters(want)[i])
+			}
+		})
+	}
+}
+
 func parameters(m *Model) [][]float64 {
 	return [][]float64{m.W1, m.B1, m.W2, m.B2, m.vW1, m.vB1, m.vW2, m.vB2}
 }
@@ -250,15 +334,18 @@ func benchExamples() ([]Example, *Model) {
 func BenchmarkForward(b *testing.B) {
 	examples, m := benchExamples()
 	hidden, probs := make([]float64, m.Hidden), make([]float64, m.Classes)
+	w1 := make([]float64, len(m.W1))
+	m.toCols(w1, m.W1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.forward(examples[i%len(examples)].X, hidden, probs)
+		m.forward(w1, examples[i%len(examples)].X, hidden, probs)
 	}
 }
 
 // BenchmarkTrainEpoch is one training epoch of a Defaults() job: 600
-// examples through the row kernels, one allocation.
+// examples through the row and column kernels, no allocation once the
+// scratch pool holds a buffer.
 func BenchmarkTrainEpoch(b *testing.B) {
 	examples, m := benchExamples()
 	train := examples[:Defaults().Train]

@@ -9,6 +9,7 @@ package dnn
 import (
 	"math"
 	"strconv"
+	"sync"
 
 	"metadataflow/internal/stats"
 	"metadataflow/internal/vecmath"
@@ -123,14 +124,16 @@ func (m *Model) Clone() *Model {
 	return cp
 }
 
-// forward computes hidden activations and class probabilities. Each layer
-// is one vecmath.DotRows call over the layer's bias: every sum starts from
-// the bias and adds the row's products in ascending order. The activations are one
-// vecmath row each, math.Tanh and math.Exp bit for bit: tanh over the
-// hidden sums, and exp over the logits less their maximum.
-func (m *Model) forward(x []float64, hidden, probs []float64) {
+// forward computes hidden activations and class probabilities. w1 is W1
+// transposed, In rows of Hidden values (toCols). Each layer is one
+// vecmath call over the layer's bias, DotCols over w1 and DotRows over W2:
+// every sum starts from the bias and adds the neuron's products in
+// ascending input order. The activations are one vecmath row each,
+// math.Tanh and math.Exp bit for bit: tanh over the hidden sums, and exp
+// over the logits less their maximum.
+func (m *Model) forward(w1, x []float64, hidden, probs []float64) {
 	copy(hidden, m.B1)
-	vecmath.DotRows(hidden, m.W1, x)
+	vecmath.DotCols(hidden, w1, x)
 	vecmath.TanhRow(hidden, hidden)
 	copy(probs, m.B2)
 	vecmath.DotRows(probs, m.W2, hidden)
@@ -153,6 +156,49 @@ func (m *Model) forward(x []float64, hidden, probs []float64) {
 	}
 }
 
+// scratch holds the float64 buffers of epoch and Accuracy between calls,
+// so that neither allocates one: training runs on the engine's pool
+// goroutines, many models at once.
+var scratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// scratchFor returns a pooled buffer and its first n values, n being what
+// epoch takes for m, more than Accuracy does, so that a buffer either one
+// allocates serves both; the values are stale. Hand the buffer back to
+// scratch when done.
+func (m *Model) scratchFor() (*[]float64, []float64) {
+	n := 2*m.Hidden*m.In + 2*m.Hidden + 2*m.Classes
+	p := scratch.Get().(*[]float64)
+	if len(*p) < n {
+		*p = make([]float64, n)
+	}
+	return p, (*p)[:n]
+}
+
+// toCols copies rows, Hidden rows of In values as W1 and vW1 hold them,
+// into cols transposed, In rows of Hidden values: the layout DotCols and
+// MomentumCols read, in which one input's weights to every hidden neuron
+// are consecutive, so that a pass over the inputs keeps all Hidden sums in
+// registers. W1 and vW1 themselves stay row-major, the layout a model is
+// read in (Clone, checksums over its fields).
+func (m *Model) toCols(cols, rows []float64) {
+	for h := range m.Hidden {
+		for i, w := range rows[h*m.In : (h+1)*m.In] {
+			cols[i*m.Hidden+h] = w
+		}
+	}
+}
+
+// toRows is toCols' inverse: it copies cols, In rows of Hidden values, into
+// rows, Hidden rows of In values.
+func (m *Model) toRows(rows, cols []float64) {
+	for h := range m.Hidden {
+		row := rows[h*m.In : (h+1)*m.In]
+		for i := range row {
+			row[i] = cols[i*m.Hidden+h]
+		}
+	}
+}
+
 // TrainEpoch performs one epoch of SGD with momentum over the examples and
 // returns the mean cross-entropy loss (§6: "After an epoch of training, the
 // classification accuracy is measured").
@@ -171,22 +217,32 @@ func (m *Model) train(examples []Example, lr, momentum float64) {
 // returns the mean cross-entropy loss when withLoss is set, NaN otherwise.
 // The loss reads the probabilities and changes nothing else.
 //
-// Each layer's weights move in one vecmath.MomentumRows call per example,
-// after the layer's gradients and its bias updates (which touch no weight);
-// the hidden gradient sums the output rows in one AxpyRows call before they
-// move. Every value goes through the multiplies and subtractions of a
-// per-neuron loop, in its order, so the results are bit for bit its own.
+// The first layer's weights and velocities train transposed (toCols):
+// they are copied out of W1 and vW1 once, before the first example, and
+// back once, after the last. Each layer's weights move in one momentum
+// call per example, MomentumCols over the first layer and MomentumRows over
+// W2, after the layer's gradients and its bias updates (which touch no
+// weight); the hidden gradient sums the output rows in one AxpyRows call
+// before they move. Every value goes through the multiplies and
+// subtractions of a per-neuron loop, in its order, so the results are bit
+// for bit its own.
 func (m *Model) epoch(examples []Example, lr, momentum float64, withLoss bool) float64 {
-	// One allocation holds the scratch: activations, probabilities (which
-	// become the output gradients), the hidden gradients (which become
-	// lr·g) and the output gradients scaled by lr.
-	buf := make([]float64, 2*m.Hidden+2*m.Classes)
+	// One pooled buffer holds the scratch: the transposed first layer and
+	// its velocities, activations, probabilities (which become the output
+	// gradients), the hidden gradients (which become lr·g) and the output
+	// gradients scaled by lr.
+	n := m.Hidden * m.In
+	pooled, buf := m.scratchFor()
+	w1, buf := cut(buf, n)
+	v1, buf := cut(buf, n)
 	hidden, buf := cut(buf, m.Hidden)
 	dHidden, buf := cut(buf, m.Hidden)
 	probs, lrgOut := cut(buf, m.Classes)
+	m.toCols(w1, m.W1)
+	m.toCols(v1, m.vW1)
 	var loss float64
 	for _, ex := range examples {
-		m.forward(ex.X, hidden, probs)
+		m.forward(w1, ex.X, hidden, probs)
 		if withLoss {
 			p := probs[ex.Y]
 			if p < 1e-12 {
@@ -209,15 +265,18 @@ func (m *Model) epoch(examples []Example, lr, momentum float64, withLoss bool) f
 		vecmath.AxpyRows(dHidden, m.W2, g)
 		vecmath.MomentumRows(m.W2, m.vW2, hidden, lrgOut, momentum)
 		// Hidden-layer gradient through tanh; dHidden[h] becomes lr·g, the
-		// W1 rows' step.
+		// first layer's step.
 		for h, hv := range hidden {
 			lrg := lr * (dHidden[h] * (1 - hv*hv))
 			dHidden[h] = lrg
 			m.vB1[h] = momentum*m.vB1[h] - lrg
 			m.B1[h] += m.vB1[h]
 		}
-		vecmath.MomentumRows(m.W1, m.vW1, ex.X, dHidden, momentum)
+		vecmath.MomentumCols(w1, v1, ex.X, dHidden, momentum)
 	}
+	m.toRows(m.W1, w1)
+	m.toRows(m.vW1, v1)
+	scratch.Put(pooled)
 	if !withLoss {
 		return math.NaN()
 	}
@@ -233,10 +292,15 @@ func (m *Model) Accuracy(examples []Example) float64 {
 	if len(examples) == 0 {
 		return 0
 	}
-	hidden, probs := cut(make([]float64, m.Hidden+m.Classes), m.Hidden)
+	pooled, buf := m.scratchFor()
+	defer scratch.Put(pooled)
+	w1, buf := cut(buf, m.Hidden*m.In)
+	hidden, buf := cut(buf, m.Hidden)
+	probs, _ := cut(buf, m.Classes)
+	m.toCols(w1, m.W1)
 	correct := 0
 	for _, ex := range examples {
-		m.forward(ex.X, hidden, probs)
+		m.forward(w1, ex.X, hidden, probs)
 		best := 0
 		for c := 1; c < m.Classes; c++ {
 			if probs[c] > probs[best] {

@@ -223,15 +223,17 @@ func densityMemo(fits *mdf.Memo[float64, float64, fit], kernels []Kernel) *mdf.M
 // samples at every point x, g(x) = Σ Fn((x-xᵢ)/h) / (n·h), 0 when there are
 // no samples: bit for bit the loop that adds the terms in sample order, in
 // one pass per point over the samples. It computes u = (x-xᵢ)/h once per
-// sample (vecmath.URow) and sums the Gaussian over every sample; the
-// bounded kernels are +0 outside their support, and a sum of terms that are
-// never negative, begun at +0, is never -0, so their sums add only the u
-// inside it, in ascending index, six chains side by side (a NaN u is
-// inside, as outside says, and turns each sum NaN as the full loop would),
-// the cosine's terms from vecmath.CosineRow. The samples go
-// through in blocks of passBlock, whose u and cosine kernels sit on the
-// stack: the sums run on across blocks, so each adds the same terms in the
-// same order.
+// sample (vecmath.URow) and sums the Gaussian over every sample, its
+// exponentials one vecmath.ExpRow per block (gaussianExps); the bounded
+// kernels are +0 outside their support, and a sum of terms that are never
+// negative, begun at +0, is never -0, so their sums add only the u inside
+// it, in ascending index, six chains side by side (a NaN u is inside, as
+// outside says, and turns each sum NaN as the full loop would), the
+// cosine's terms from vecmath.CosineRow. The samples go through in blocks
+// of passBlock, whose u and kernel rows sit on the stack: the Gaussian's
+// exponentials, then the cosine's terms, share one row, which the cosine
+// writes only after the Gaussian is summed. The sums run on across blocks,
+// so each adds the same terms in the same order.
 func densityPass(samples, points []float64, h float64, explored [kTriweight]bool) densities {
 	var out densities
 	rows := 0
@@ -258,8 +260,10 @@ func densityPass(samples, points []float64, h float64, explored [kTriweight]bool
 			u := ub[:min(passBlock, len(samples)-lo)]
 			vecmath.URow(u, samples[lo:lo+len(u)], x, h)
 			if explored[kGaussian-1] {
-				for _, v := range u {
-					gauss += gaussian(v)
+				e := cb[:len(u)]
+				gaussianExps(e, u)
+				for _, v := range e {
+					gauss += v / math.Sqrt(2*math.Pi)
 				}
 			}
 			if !bounded {

@@ -44,6 +44,16 @@ func gaussian(u float64) float64 {
 	return math.Exp(-0.5*u*u) / math.Sqrt(2*math.Pi)
 }
 
+// gaussianExps sets e[j] = math.Exp(-0.5·u[j]²), bit for bit, through one
+// vecmath.ExpRow, so that e[j]/math.Sqrt(2π) is gaussian(u[j]). e and u
+// must be as long.
+func gaussianExps(e, u []float64) {
+	for j, v := range u {
+		e[j] = -0.5 * v * v
+	}
+	vecmath.ExpRow(e, e)
+}
+
 func topHat(u float64) float64 {
 	if outside(u) {
 		return 0
