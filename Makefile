@@ -71,8 +71,9 @@ race:
 # and size their inputs above the engine's gate, so the pool is reached on
 # a single-CPU runner too; the engine's run the
 # functions of the other packages there. dataset, graph and memorymgr are in
-# for what those goroutines read of them (a dataset's partition values and
-# the one column header their windows share, Stage.String's lazy label) and for their
+# for what those goroutines read of them (a dataset's partition values, the
+# one column header their windows share and a deferred column's one fill,
+# Stage.String's lazy label) and for their
 # reference models (the Alg. 2 transcription, the edge map; the sort-based
 # top-k is mdf's), none of which -short skips.
 # -count=1 defeats the test cache so the race detector actually runs on every

@@ -14,14 +14,18 @@
 // its dataset share, so operators read and write it without an interface
 // value per row. Boxed rows are one more column type, Col[Row]. A dataset
 // owns its partitions, values in one block; over one column it costs two
-// allocations besides its payload (Over). A partition's Rows stay nil until
-// (*Dataset).Box fills them, at a job's output and only when its caller asks
-// for the result, for consumers that know nothing of the column types.
+// allocations besides its payload (Over). A deferred column (Defer) holds a
+// row count and computes its values the first time a reader needs them, so a
+// dataset that is only counted, sized or discarded never pays for them. A
+// partition's Rows stay nil until (*Dataset).Box fills them, at a job's
+// output and only when its caller asks for the result, for consumers that
+// know nothing of the column types.
 package dataset
 
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -41,7 +45,8 @@ func NewID() ID { return ID(nextID.Add(1)) }
 // Column is the typed payload of a dataset: one per dataset, of which each
 // partition is a window. Columns are immutable once a partition
 // holds them: datasets derived from one another (Alias, Concat) share them,
-// and Values and Flatten hand them out.
+// and Values and Flatten hand them out. A deferred column's values are fixed
+// by its one fill.
 type Column interface {
 	// Len returns the number of rows.
 	Len() int
@@ -65,6 +70,63 @@ func (c *Col[T]) AppendRows(dst []Row, lo, hi int) []Row {
 	return dst
 }
 
+// deferred is a Column of n values of T that fill computes from arg the
+// first time a reader needs them: Values, Flatten, AppendRows and what calls
+// it (BoxedRows, Rows, Box). Len does not fill, and neither do NumRows,
+// VirtualBytes and SetVirtualBytes, which read the partitions alone. Readers
+// on several goroutines fill it once; after the fill the column drops arg,
+// and with it what the values were computed from.
+type deferred[T, A any] struct {
+	once sync.Once
+	n    int
+	fill func(arg A, dst []T) []T
+	arg  A
+	vals Col[T]
+}
+
+// Len implements Column.
+func (c *deferred[T, A]) Len() int { return c.n }
+
+// AppendRows implements Column.
+func (c *deferred[T, A]) AppendRows(dst []Row, lo, hi int) []Row {
+	return c.col().AppendRows(dst, lo, hi)
+}
+
+// col returns the column's values, filling them on the first call.
+func (c *deferred[T, A]) col() *Col[T] {
+	c.once.Do(func() {
+		c.vals = c.fill(c.arg, make([]T, 0, c.n))
+		if len(c.vals) != c.n {
+			panic(fmt.Sprintf("dataset: a deferred column of %d rows filled %d", c.n, len(c.vals)))
+		}
+		var none A
+		c.arg = none
+	})
+	return &c.vals
+}
+
+// Defer returns a dataset of n rows in parts windows, each accounting
+// bytesPerRow per row (Windows), over a deferred column: the first reader
+// that needs its values gets them from fill(arg, dst), which must append
+// exactly n values to dst. The column's header holds fill and arg, so with
+// fill a plain function rather than a closure, and arg a small struct of
+// what the values are computed from, Defer costs the two allocations
+// FromSlice does, and the values one more when they are filled.
+func Defer[T, A any](name string, n int, fill func(arg A, dst []T) []T, arg A, parts int, bytesPerRow int64) *Dataset {
+	return Over(name, deferred[T, A]{n: n, fill: fill, arg: arg}, Windows(n, parts, bytesPerRow))
+}
+
+// colOf returns the Col[T] c is, or fills to, and whether there is one.
+func colOf[T any](c Column) (*Col[T], bool) {
+	switch c := c.(type) {
+	case *Col[T]:
+		return c, true
+	case interface{ col() *Col[T] }:
+		return c.col(), true
+	}
+	return nil, false
+}
+
 // Partition is a horizontal fragment of a dataset, resident on one node.
 type Partition struct {
 	// Col is the whole column of the dataset, of which the partition holds
@@ -86,7 +148,7 @@ func (p *Partition) NumRows() int { return p.Hi - p.Lo }
 // the result: it is the window itself on a Col[Row], Rows where Box filled
 // them, and otherwise a fresh slice, stored nowhere.
 func (p *Partition) BoxedRows() []Row {
-	if rows, ok := p.Col.(*Col[Row]); ok {
+	if rows, ok := colOf[Row](p.Col); ok {
 		return (*rows)[p.Lo:p.Hi:p.Hi]
 	}
 	if p.Rows != nil || p.Col == nil {
@@ -96,12 +158,12 @@ func (p *Partition) BoxedRows() []Row {
 }
 
 // Values returns the partition's rows as a []T the caller must not modify:
-// the window of the column, its capacity clipped, for a Col[T] partition,
-// otherwise the boxed rows asserted to T one by one (BoxedRows itself when T
-// is Row). It panics, as a failed type assertion on a Row does, when the
-// rows are not of type T.
+// the window of the column, its capacity clipped, for a partition of a
+// Col[T] or of a deferred column of T, otherwise the boxed rows asserted to
+// T one by one (BoxedRows itself when T is Row). It panics, as a failed type
+// assertion on a Row does, when the rows are not of type T.
 func Values[T any](p *Partition) []T {
-	if c, ok := p.Col.(*Col[T]); ok {
+	if c, ok := colOf[T](p.Col); ok {
 		return (*c)[p.Lo:p.Hi:p.Hi]
 	}
 	rows := p.BoxedRows()
@@ -214,10 +276,11 @@ func (d *Dataset) Rows() []Row {
 // Flatten returns the rows of all partitions in order as a []T the caller
 // must not modify; see Values for the row types it accepts. The result is a
 // view, with its capacity clipped, of the partitions' column when that is a
-// Col[T] and the partitions are its consecutive windows from its first row
-// to its last: what FromSlice, Over with consecutive windows, Alias and the
-// mdf Map and Filter make. Otherwise — a Concat of several datasets, a
-// replaced partition, a column of another type — it is a fresh slice.
+// Col[T] or a deferred column of T and the partitions are its consecutive
+// windows from its first row to its last: what FromSlice, Over with
+// consecutive windows, Alias, Defer and the mdf Map and Filter make.
+// Otherwise — a Concat of several datasets, a replaced partition, a column
+// of another type — it is a fresh slice.
 func Flatten[T any](d *Dataset) []T {
 	if c, ok := cutFrom[T](d.Parts); ok {
 		return c[:len(c):len(c)]
@@ -237,7 +300,7 @@ func cutFrom[T any](parts []Partition) (Col[T], bool) {
 	if len(parts) == 0 {
 		return nil, false
 	}
-	first, ok := parts[0].Col.(*Col[T])
+	first, ok := colOf[T](parts[0].Col)
 	if !ok {
 		return nil, false
 	}
@@ -245,7 +308,7 @@ func cutFrom[T any](parts []Partition) (Col[T], bool) {
 	off := 0
 	for i := range parts {
 		p := &parts[i]
-		pc, ok := p.Col.(*Col[T])
+		pc, ok := colOf[T](p.Col)
 		if !ok || len(*pc) != len(c) || (len(c) > 0 && &(*pc)[0] != &c[0]) || p.Lo != off || p.Hi < off {
 			return nil, false
 		}

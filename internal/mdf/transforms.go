@@ -72,14 +72,25 @@ func MapDataset[T, U any](name string, in *dataset.Dataset, sizeScale float64, f
 
 // Filter returns a transform keeping the rows for which pred holds, scaling
 // each partition's accounted size by the fraction of rows kept. Row types
-// are as for Map, and so is the single output column.
+// are as for Map, and so is the single output column, which is allocated at
+// the size of what it keeps: pred runs twice per row, once to count and once
+// to copy, so it must be pure (as every operator function must be, since
+// lineage re-derivation runs operators again).
 func Filter[T any](name string, pred func(T) bool) graph.TransformFunc {
 	return func(ins []*dataset.Dataset) (*dataset.Dataset, error) {
 		in, err := OneInput(name, ins)
 		if err != nil {
 			return nil, err
 		}
-		kept := make(dataset.Col[T], 0, in.NumRows())
+		n := 0
+		for i := range in.Parts {
+			for _, v := range dataset.Values[T](&in.Parts[i]) {
+				if pred(v) {
+					n++
+				}
+			}
+		}
+		kept := make(dataset.Col[T], 0, n)
 		parts := make([]dataset.Partition, len(in.Parts))
 		for i := range in.Parts {
 			p := &in.Parts[i]

@@ -108,8 +108,9 @@ func TestTypedOperatorsMatchBoxed(t *testing.T) {
 // An operator's output, and any dataset built over one column, costs the
 // same allocations at every partition count: its partitions are values in
 // one block. Map and Filter allocate the values, the block and the dataset
-// together with its column's header; FromSlice the last two; Alias and
-// Concat a block and a dataset.
+// together with its column's header; FromSlice and Defer the last two (a
+// deferred column's fill state lives in that header); Alias and Concat a
+// block and a dataset.
 func TestAllocationsFlatInPartitions(t *testing.T) {
 	const rows = 1 << 10
 	for _, parts := range []int{1, 4, 8, 64} {
@@ -123,6 +124,7 @@ func TestAllocationsFlatInPartitions(t *testing.T) {
 			{"Map", 3, func() { _, _ = Map("m", 1.0, func(v float64) float64 { return 1.5*v + 1 })(in) }},
 			{"Filter", 3, func() { _, _ = Filter("f", func(v float64) bool { return v < 0.5 })(in) }},
 			{"FromSlice", 2, func() { dataset.FromSlice("s", vals, parts, 8) }},
+			{"Defer", 2, func() { dataset.Defer("d", len(vals), copyInto, vals, parts, 8) }},
 			{"Alias", 2, func() { in[0].Alias("a") }},
 			{"Concat", 2, func() { dataset.Concat("c", in[0], in[0]) }},
 		}
@@ -133,6 +135,9 @@ func TestAllocationsFlatInPartitions(t *testing.T) {
 		}
 	}
 }
+
+// copyInto is a deferred column's fill that copies vals.
+func copyInto(vals, dst []float64) []float64 { return append(dst, vals...) }
 
 // What Map and Filter emit is windows on one column, whatever the layout of
 // their input, so that a whole-dataset consumer views it (dataset.Flatten

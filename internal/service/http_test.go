@@ -317,6 +317,47 @@ func TestOperatorCountRefusedBeforeCompiling(t *testing.T) {
 	}
 }
 
+// flatDoc returns a document of one explore of branches branches, each a
+// body of ops wide operators, closed by a max choose.
+func flatDoc(branches, ops int) []byte {
+	body := strings.Repeat(`{"op": {"name": "w", "fn": "standardize"}}, `, ops)
+	var list strings.Builder
+	for b := range branches {
+		if b > 0 {
+			list.WriteString(", ")
+		}
+		fmt.Fprintf(&list, `{"label": "b%d"}`, b)
+	}
+	return []byte(fmt.Sprintf(`{"source": {"rows": 8}, "pipeline": [{"explore": {"name": "e", "branches": [%s],
+  "body": [%s], "choose": {"selector": {"kind": "max"}}}}]}`, list.String(), strings.TrimSuffix(body, ", ")))
+}
+
+// A document within the operator bound but past the stage bound (3 100
+// branches of four wide operators) or the leaf branch bound (5 000
+// branches) is refused by Submit with a LimitError on that count, and over
+// HTTP with a 400 naming it; nothing is admitted.
+func TestStageAndLeafCountsRefused(t *testing.T) {
+	s := newServer(Config{})
+	h := s.Handler()
+	for _, tc := range []struct {
+		doc   []byte
+		field string
+	}{{flatDoc(3100, 4), "stages"}, {flatDoc(5000, 1), "leaf branches"}} {
+		_, err := s.Submit(JobRequest{Tenant: "a", Spec: tc.doc})
+		var lim *spec.LimitError
+		if !errors.As(err, &lim) || lim.Field != tc.field || lim.Path != "pipeline[0]" {
+			t.Fatalf("Submit: %v, want a LimitError on %s at pipeline[0]", err, tc.field)
+		}
+		rec := postJob(t, h, `{"tenant": "a", "spec": `+string(tc.doc)+`}`)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), tc.field) {
+			t.Fatalf("POST /jobs: %d %s, want a 400 naming the %s", rec.Code, rec.Body, tc.field)
+		}
+	}
+	if len(s.jobs) != 0 {
+		t.Errorf("%d refused submissions were admitted", len(s.jobs))
+	}
+}
+
 // A spec whose source is too large to generate is a 400 that names the
 // field, refused for the cost of reading it. The server's step loop is not
 // started, so a document that got through is not run.

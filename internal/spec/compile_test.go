@@ -157,7 +157,7 @@ func compileMatchesCanonical(t *testing.T, name string, doc []byte, always bool)
 	if err1 != nil {
 		return
 	}
-	checkNumOps(t, name, raw, g1)
+	checkSizes(t, name, raw, g1)
 	if a, b := graphShape(g1), graphShape(g2); !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: the spec and its canonical form compile to different graphs:\n%s\n---\n%s",
 			name, strings.Join(a, "\n"), strings.Join(b, "\n"))

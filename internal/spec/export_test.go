@@ -1,8 +1,11 @@
 package spec
 
-// NumOps returns the operator count Validate predicts for s, with its
-// error.
-func NumOps(s *Spec) (int, error) { return s.validate() }
+// Sizes returns the operator, stage and leaf branch counts Validate
+// predicts for s, with its error.
+func Sizes(s *Spec) (ops, stages, leaves int, err error) {
+	sz, err := s.validate()
+	return sz.ops, sz.stages, sz.leaves, err
+}
 
 // SampleSpec is a representative two-branch exploration document shared by
 // the in-package fuzz seeds and the external engine-integration tests.

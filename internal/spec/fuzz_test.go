@@ -32,7 +32,7 @@ func FuzzParse(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("compiled graph invalid: %v", err)
 		}
-		checkNumOps(t, "input", s, g)
+		checkSizes(t, "input", s, g)
 	})
 }
 

@@ -67,18 +67,48 @@ func TestSourceSizesAreBounded(t *testing.T) {
 	}
 }
 
-// checkNumOps holds the operator count Validate predicts for s to the
-// count of g, s's compiled graph, and returns it.
-func checkNumOps(t testing.TB, what string, s *spec.Spec, g *graph.Graph) int {
+// planned is what the compiled graph g has of what Validate counts: its
+// operators, its plan's stages, and the branches of its scopes that hold no
+// explore, its leaf branches.
+type planned struct{ ops, stages, leaves int }
+
+func plannedOf(t testing.TB, what string, g *graph.Graph) planned {
 	t.Helper()
-	n, err := spec.NumOps(s)
+	p, err := graph.BuildPlan(g)
 	if err != nil {
-		t.Fatalf("%s: NumOps: %v after a clean Validate", what, err)
+		t.Fatalf("%s: BuildPlan: %v", what, err)
 	}
-	if n != g.NumOps() {
-		t.Fatalf("%s: Validate counts %d operators, the compiled graph has %d", what, n, g.NumOps())
+	n := planned{ops: g.NumOps(), stages: len(p.Stages)}
+	for _, sc := range p.Scopes {
+		for _, members := range sc.Branches {
+			leaf := true
+			for _, id := range members {
+				if g.Op(id).Kind == graph.KindExplore {
+					leaf = false
+					break
+				}
+			}
+			if leaf {
+				n.leaves++
+			}
+		}
 	}
 	return n
+}
+
+// checkSizes holds the operator, stage and leaf branch counts Validate
+// predicts for s to those of g, s's compiled graph, and returns them.
+func checkSizes(t testing.TB, what string, s *spec.Spec, g *graph.Graph) planned {
+	t.Helper()
+	ops, stages, leaves, err := spec.Sizes(s)
+	if err != nil {
+		t.Fatalf("%s: Sizes: %v after a clean Validate", what, err)
+	}
+	got, want := planned{ops, stages, leaves}, plannedOf(t, what, g)
+	if got != want {
+		t.Fatalf("%s: Validate counts %+v, the compiled graph and its plan have %+v", what, got, want)
+	}
+	return got
 }
 
 // mustCompile compiles s.
@@ -121,8 +151,10 @@ func TestOperatorCountIsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := checkNumOps(t, "three levels", small, mustCompile(t, small)); n != 1+9010 {
-		t.Errorf("three levels: %d operators, want %d", n, 1+9010)
+	// 4 915 stages: the source; per level its explore and choose, and per
+	// branch the scale op's stage; the innermost scale op and leaf share one.
+	if n := checkSizes(t, "three levels", small, mustCompile(t, small)); n != (planned{1 + 9010, 4915, 4096}) {
+		t.Errorf("three levels: %+v, want %+v", n, planned{1 + 9010, 4915, 4096})
 	}
 	doc := nestedDoc(6, 16)
 	allocs := testing.AllocsPerRun(5, func() { _, err = spec.Parse(doc) })
@@ -167,10 +199,85 @@ func TestOperatorBoundIsExact(t *testing.T) {
 	if s, err = spec.Parse(doc(lim.Max - 1)); err != nil {
 		t.Fatalf("at the bound: %v", err)
 	}
-	if n := checkNumOps(t, "at the bound", s, mustCompile(t, s)); n != lim.Max {
-		t.Errorf("at the bound: %d operators, want %d", n, lim.Max)
+	if n := checkSizes(t, "at the bound", s, mustCompile(t, s)); n.ops != lim.Max {
+		t.Errorf("at the bound: %d operators, want %d", n.ops, lim.Max)
 	}
 	if _, err := spec.Parse(doc(lim.Max)); !errors.As(err, &lim) || lim.Value != lim.Max+1 {
 		t.Errorf("one above the bound: %v, want a LimitError", err)
+	}
+}
+
+// exploreStep returns an explore step of branches branches, each running
+// body, a JSON list of steps, closed by a max choose on size.
+func exploreStep(name string, branches int, body string) string {
+	var list strings.Builder
+	for b := range branches {
+		if b > 0 {
+			list.WriteString(", ")
+		}
+		fmt.Fprintf(&list, `{"label": "b%d"}`, b)
+	}
+	return fmt.Sprintf(`{"explore": {"name": %q, "branches": [%s], "body": %s,
+  "choose": {"evaluator": "size", "selector": {"kind": "max"}}}}`, name, list.String(), body)
+}
+
+// pipelineDoc returns a document of a small source and the given steps.
+func pipelineDoc(steps ...string) []byte {
+	return []byte(`{"source": {"rows": 8, "partitions": 1}, "pipeline": [` + strings.Join(steps, ", ") + `]}`)
+}
+
+// wideOp is a step of a wide operator, which starts a stage of its own.
+const wideOp = `{"op": {"name": "w", "fn": "standardize"}}`
+
+// A document past the stage bound, or past the leaf branch bound, is
+// refused by a LimitError on that count at the step that passes it, though
+// it is within the operator bound; one at each bound parses and plans to
+// exactly that many.
+func TestStageAndLeafCountsAreBounded(t *testing.T) {
+	// Stages: the source, an explore of 4 094 branches of three wide ops
+	// each, its choose, and wide ops after it, one stage apiece.
+	three := "[" + wideOp + ", " + wideOp + ", " + wideOp + "]"
+	wide := exploreStep("e", 4094, three)
+	for _, tc := range []struct {
+		name  string
+		doc   []byte
+		field string
+		path  string
+		value int
+		want  planned // of a document that parses
+	}{
+		{"stages at the bound", pipelineDoc(wide, wideOp, wideOp, wideOp), "", "", 0, planned{3 << 12, 3 << 12, 4094}},
+		{"stages one past the bound", pipelineDoc(wide, wideOp, wideOp, wideOp, wideOp), "stages", "pipeline[4]", 3<<12 + 1, planned{}},
+		// 64 × 64 leaves of three stages each, below a wide op per outer
+		// branch: 12 483 stages in as many operators, and 4 096 leaf
+		// branches.
+		{"nested stages", pipelineDoc(exploreStep("outer", 64, "["+wideOp+", "+exploreStep("inner", 64, three)+"]")),
+			"stages", "pipeline[0]", 1 + 2 + 64*(1+2+64*3), planned{}},
+		{"leaves at the bound", pipelineDoc(exploreStep("e", 4096, `[{"op": {"name": "x"}}]`)), "", "", 0, planned{4099, 4099, 1 << 12}},
+		{"leaves one past the bound", pipelineDoc(exploreStep("e", 4097, `[{"op": {"name": "x"}}]`)), "leaf branches", "pipeline[0]", 4097, planned{}},
+		// Sequential explores add their leaves; a nested one multiplies.
+		{"leaves of two explores", pipelineDoc(exploreStep("a", 4000, `[{"op": {"name": "x"}}]`), exploreStep("b", 97, `[{"op": {"name": "y"}}]`)),
+			"leaf branches", "pipeline[1]", 4097, planned{}},
+		{"nested leaves", pipelineDoc(exploreStep("outer", 65, "["+exploreStep("inner", 64, `[{"op": {"name": "x"}}]`)+"]")),
+			"leaf branches", "pipeline[0]", 65 * 64, planned{}},
+	} {
+		s, err := spec.Parse(tc.doc)
+		if tc.field == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if n := checkSizes(t, tc.name, s, mustCompile(t, s)); n != tc.want {
+				t.Errorf("%s: %+v, want %+v", tc.name, n, tc.want)
+			}
+			continue
+		}
+		var lim *spec.LimitError
+		if !errors.As(err, &lim) || lim.Field != tc.field || lim.Path != tc.path || lim.Value != tc.value {
+			t.Errorf("%s: %v, want a LimitError on %s at %s with %d", tc.name, err, tc.field, tc.path, tc.value)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.path) {
+			t.Errorf("%s: error %q names neither the count nor the step", tc.name, err)
+		}
 	}
 }

@@ -238,16 +238,35 @@ const (
 // three nested levels 19 ms and 8.2 MB (a 2-vCPU container).
 const maxOps = 1 << 14
 
-// LimitError refuses a source size, or a document's operator count, above
-// its bound.
+// maxStages bounds the stages of the plan a document compiles to, and
+// maxLeaves its leaf branches: the branches of explores whose body holds no
+// explore, each a configuration a choose scores. A stage, not an operator,
+// is what a run pays for per step: its place in the ready list and the
+// scheduler's candidates, its stage edges, its partitions' residency. The
+// operator bound bounds both only loosely, because the narrow operators of
+// a chain share one stage while a wide one adds a stage per branch. The
+// committed documents have at most 11 stages and 5 leaf branches
+// (TestCompileReadsNormalized), the host-time benchmark's service mix 101
+// stages and 30 leaf branches. maxLeaves is the widest explore the
+// engine's scaling measurements run, and maxStages three stages for each of
+// its branches: it admits BenchmarkStep's widest plan, 4 096 branches of two
+// stages each (8 196 stages), and the three nested 16-wide levels (4 096
+// leaf branches in 4 915 stages).
+const (
+	maxStages = 3 << 12
+	maxLeaves = 1 << 12
+)
+
+// LimitError refuses a source size, or a document's operator, stage or leaf
+// branch count, above its bound.
 type LimitError struct {
 	// Field is the JSON path of the size, "source.rows" or
-	// "source.partitions", or "operators" for the count of the operators
-	// the document compiles to.
+	// "source.partitions"; or, for a count of what the document compiles
+	// to, "operators", "stages" or "leaf branches".
 	Field string
-	// Path is, for "operators", the JSON path of the step at which the
-	// count passes Max, such as "pipeline[1].explore.body[0]": the count up
-	// to and including it, within one branch of each explore around it.
+	// Path is, for a count, the JSON path of the step at which the count
+	// passes Max, such as "pipeline[1].explore.body[0]": the count up to
+	// and including it, within one branch of each explore around it.
 	Path       string
 	Value, Max int
 }
@@ -261,45 +280,63 @@ func (e *LimitError) Error() string {
 }
 
 // Validate reports structural errors, and refuses a document that compiles
-// to more than maxOps operators. It allocates nothing on a valid spec:
-// admission runs it on every new document.
+// to more than maxOps operators, maxStages stages or maxLeaves leaf
+// branches. It allocates nothing on a valid spec: admission runs it on
+// every new document.
 func (s *Spec) Validate() error {
 	_, err := s.validate()
 	return err
 }
 
-// validate is Validate, and returns the number of operators the document
-// compiles to, graph.Graph.NumOps of its Compile, counted over the step
-// tree before anything is compiled: the source, one per op, one per round
-// of an iterate, and per explore its own and its choose's two plus its
-// branches times its body's count.
-func (s *Spec) validate() (ops int, err error) {
+// size is what a run of steps compiles to, counted over the step tree
+// before anything is compiled.
+type size struct {
+	// ops is the operator count, graph.Graph.NumOps of the Compile: the
+	// source, one per op, one per round of an iterate, and per explore its
+	// own and its choose's two plus its branches times its body's count.
+	ops int
+	// stages is the plan's stage count, len(graph.Plan.Stages): an explore
+	// and a choose are a stage each, and an op or an iterate starts one
+	// unless it continues the chain before it (open), which a wide op
+	// never does.
+	stages int
+	// leaves counts the leaf branches: per explore, its branches times its
+	// body's leaves, or times one when the body has none.
+	leaves int
+	// open is whether the last operator so far ends a chain that a narrow
+	// operator joins: the source, an op or an iterate's last round, but
+	// neither an explore nor a choose.
+	open bool
+}
+
+// validate is Validate, and returns what the document compiles to.
+func (s *Spec) validate() (size, error) {
 	if err := checkSchemaVersion(s.SchemaVersion); err != nil {
-		return 0, err
+		return size{}, err
 	}
 	if s.Source.Rows < 1 {
-		return 0, fmt.Errorf("spec: source needs rows >= 1")
+		return size{}, fmt.Errorf("spec: source needs rows >= 1")
 	}
 	if s.Source.Rows > maxSourceRows {
-		return 0, &LimitError{Field: "source.rows", Value: s.Source.Rows, Max: maxSourceRows}
+		return size{}, &LimitError{Field: "source.rows", Value: s.Source.Rows, Max: maxSourceRows}
 	}
 	if s.Source.Partitions > maxSourcePartitions {
-		return 0, &LimitError{Field: "source.partitions", Value: s.Source.Partitions, Max: maxSourcePartitions}
+		return size{}, &LimitError{Field: "source.partitions", Value: s.Source.Partitions, Max: maxSourcePartitions}
 	}
 	if len(s.Pipeline) == 0 {
-		return 0, fmt.Errorf("spec: empty pipeline")
+		return size{}, fmt.Errorf("spec: empty pipeline")
 	}
-	ops, err = validateSteps(s.Pipeline, 1)
+	sz, err := validateSteps(s.Pipeline, size{ops: 1, stages: 1, open: true})
 	if lim, ok := err.(*LimitError); ok {
 		lim.Path = "pipeline" + lim.Path
 	}
-	return ops, err
+	return sz, err
 }
 
-// validateSteps checks steps and returns ops plus the number of operators
-// they compile to. Past maxOps it returns a LimitError whose Path is the
-// step's, relative to steps ("[2]", "[0].explore.body[1]").
-func validateSteps(steps []Step, ops int) (int, error) {
+// validateSteps checks steps and returns sz plus what they compile to. Past
+// a bound it returns a LimitError whose Path is the step's, relative to
+// steps ("[2]", "[0].explore.body[1]").
+func validateSteps(steps []Step, sz size) (size, error) {
 	for i, st := range steps {
 		set := 0
 		for _, present := range []bool{st.Op != nil, st.Explore != nil, st.Iterate != nil} {
@@ -308,59 +345,79 @@ func validateSteps(steps []Step, ops int) (int, error) {
 			}
 		}
 		if set != 1 {
-			return 0, fmt.Errorf("spec: step %d must set exactly one of op, explore, iterate", i)
+			return size{}, fmt.Errorf("spec: step %d must set exactly one of op, explore, iterate", i)
 		}
 		switch {
 		case st.Op != nil:
 			if err := validateOp(*st.Op); err != nil {
-				return 0, err
+				return size{}, err
 			}
-			ops++
+			sz.ops++
+			if !sz.open || Ops[st.Op.Fn].Wide {
+				sz.stages++
+			}
+			sz.open = true
 		case st.Iterate != nil:
 			if st.Iterate.Rounds < 1 {
-				return 0, fmt.Errorf("spec: iterate %q needs >= 1 round", st.Iterate.Name)
+				return size{}, fmt.Errorf("spec: iterate %q needs >= 1 round", st.Iterate.Name)
 			}
 			if err := validateOp(st.Iterate.Op); err != nil {
-				return 0, err
+				return size{}, err
 			}
-			ops = addOps(ops, 1, st.Iterate.Rounds)
+			// Every round is a narrow operator, whatever its fn.
+			sz.ops = addCount(sz.ops, 1, st.Iterate.Rounds)
+			if !sz.open {
+				sz.stages++
+			}
+			sz.open = true
 		case st.Explore != nil:
 			e := st.Explore
 			if len(e.Branches) < 2 {
-				return 0, fmt.Errorf("spec: explore %q needs >= 2 branches", e.Name)
+				return size{}, fmt.Errorf("spec: explore %q needs >= 2 branches", e.Name)
 			}
 			if len(e.Body) == 0 {
-				return 0, fmt.Errorf("spec: explore %q has an empty body", e.Name)
+				return size{}, fmt.Errorf("spec: explore %q has an empty body", e.Name)
 			}
 			if _, ok := Selectors[e.Choose.Selector.Kind]; !ok && e.Choose.Selector.Kind != "" {
-				return 0, fmt.Errorf("spec: unknown selector %q", e.Choose.Selector.Kind)
+				return size{}, fmt.Errorf("spec: unknown selector %q", e.Choose.Selector.Kind)
 			}
 			if _, ok := Evaluators[e.Choose.Evaluator]; !ok && e.Choose.Evaluator != "" {
-				return 0, fmt.Errorf("spec: unknown evaluator %q", e.Choose.Evaluator)
+				return size{}, fmt.Errorf("spec: unknown evaluator %q", e.Choose.Evaluator)
 			}
-			body, err := validateSteps(e.Body, 0)
+			// A branch's first operator follows the explore, so it starts a
+			// stage.
+			body, err := validateSteps(e.Body, size{})
 			if lim, ok := err.(*LimitError); ok {
 				lim.Path = fmt.Sprintf("[%d].explore.body%s", i, lim.Path)
 			}
 			if err != nil {
-				return 0, err
+				return size{}, err
 			}
-			ops = addOps(ops+2, len(e.Branches), body)
+			n := len(e.Branches)
+			sz.ops = addCount(sz.ops+2, n, body.ops)
+			sz.stages = addCount(sz.stages+2, n, body.stages)
+			sz.leaves = addCount(sz.leaves, n, max(body.leaves, 1))
+			sz.open = false
 		}
-		if ops > maxOps {
-			return 0, &LimitError{Field: "operators", Path: fmt.Sprintf("[%d]", i), Value: ops, Max: maxOps}
+		for _, c := range []struct {
+			field      string
+			value, max int
+		}{{"operators", sz.ops, maxOps}, {"stages", sz.stages, maxStages}, {"leaf branches", sz.leaves, maxLeaves}} {
+			if c.value > c.max {
+				return size{}, &LimitError{Field: c.field, Path: fmt.Sprintf("[%d]", i), Value: c.value, Max: c.max}
+			}
 		}
 	}
-	return ops, nil
+	return sz, nil
 }
 
-// addOps returns ops + k·n, or math.MaxInt where that overflows: ops is at
-// most maxOps + 2, but rounds and branches may make a count any int.
-func addOps(ops, k, n int) int {
-	if n > 0 && k > (math.MaxInt-ops)/n {
+// addCount returns c + k·n, or math.MaxInt where that overflows: c is at
+// most a bound plus 2, but rounds and branches may make a count any int.
+func addCount(c, k, n int) int {
+	if n > 0 && k > (math.MaxInt-c)/n {
 		return math.MaxInt
 	}
-	return ops + k*n
+	return c + k*n
 }
 
 func validateOp(op OpStep) error {

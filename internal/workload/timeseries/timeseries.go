@@ -193,6 +193,10 @@ func windowRatios(w int, pts []Point) []float64 {
 // sliding window"). The ratios come from ratios, a memo of windowRatios
 // shared by every threshold of w. It is one closure: a flat job builds one
 // per branch.
+//
+// The output is counted here and copied only when an operator reads it
+// (dataset.Defer): the masking choose's evaluator reads the row count alone,
+// so a branch it discards never copies its points.
 func maskOp(ratios *mdf.Memo[int, Point, []float64], w int, t float64) graph.TransformFunc {
 	// The name is read by the arity error alone, and the engine reports that
 	// under the operator's own name, which spells the setting out: a plain
@@ -204,26 +208,44 @@ func maskOp(ratios *mdf.Memo[int, Point, []float64], w int, t float64) graph.Tra
 		}
 		pts := dataset.Flatten[Point](in)
 		ratio := ratios.Get(w, pts)
-		// Count first, then copy the kept points into a slice of their
-		// exact number.
 		n := 0
 		for _, r := range ratio {
 			if r > t {
 				n++
 			}
 		}
-		kept := make([]Point, 0, n)
-		for i, r := range ratio {
-			if r > t {
-				kept = append(kept, pts[i])
-			}
-		}
-		out := dataset.FromSlice("masked", kept, outParts(in), 16)
+		out := dataset.Defer("masked", n, fillMask, maskKept{pts: pts, ratio: ratio, t: t}, outParts(in), 16)
 		if in.NumRows() > 0 {
-			out.SetVirtualBytes(in.VirtualBytes() * int64(len(kept)) / int64(in.NumRows()))
+			out.SetVirtualBytes(in.VirtualBytes() * int64(n) / int64(in.NumRows()))
 		}
 		return out, nil
 	}
+}
+
+// maskKept is what a mask output's deferred column is filled from
+// (fillMask). It holds nothing the mask's memo does not already hold.
+type maskKept struct {
+	pts   []Point
+	ratio []float64
+	t     float64
+}
+
+// maskFilled, when set, is called on every fill of a mask output; tests
+// count the fills through it.
+var maskFilled func()
+
+// fillMask appends to kept the points of m.pts whose window ratio is above
+// m.t, in order.
+func fillMask(m maskKept, kept []Point) []Point {
+	if maskFilled != nil {
+		maskFilled()
+	}
+	for i, r := range m.ratio {
+		if r > m.t {
+			kept = append(kept, m.pts[i])
+		}
+	}
+	return kept
 }
 
 // windowMeans returns, for every point i from l on, the mean of the l values

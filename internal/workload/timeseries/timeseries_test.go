@@ -3,11 +3,13 @@ package timeseries_test
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"metadataflow/internal/baseline"
 	"metadataflow/internal/cluster"
 	"metadataflow/internal/engine"
+	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
 	"metadataflow/internal/memorymgr"
 	"metadataflow/internal/scheduler"
@@ -228,5 +230,70 @@ func BenchmarkJob(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runJob(b)
+	}
+}
+
+// flatTop4 is lib-engine's flat job: a top-4 masking explore of 16 window
+// lengths × 16 thresholds over 100 rows, on 8 workers of 4 GiB each, run
+// incrementally under BAS and AMM.
+func flatTop4(tb testing.TB) *engine.Run {
+	p := timeseries.Defaults()
+	p.Rows, p.WindowLengths, p.Thresholds = 100, nil, nil
+	for i := 0; i < 16; i++ {
+		p.WindowLengths = append(p.WindowLengths, 2+i)
+		p.Thresholds = append(p.Thresholds, 1+0.0005*float64(i+1))
+	}
+	g, err := timeseries.BuildFlatMDF(p, mdf.TopK(4), false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := graph.BuildPlan(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig()
+	cfg.MemPerWorker = 4 << 30
+	run, err := engine.NewRun(plan, engine.Options{
+		Cluster:     cluster.MustNew(cfg),
+		Policy:      memorymgr.AMM,
+		Scheduler:   scheduler.BAS(nil),
+		Incremental: true,
+	}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := run.RunToCompletion(); err != nil {
+		tb.Fatal(err)
+	}
+	return run
+}
+
+// The masking choose scores its branches by their row counts alone, so of
+// the 256 mask outputs of the flat top-4 job only the four it selects are
+// ever copied, when mark reads them: a discarded branch's output is
+// counted and dropped.
+func TestFlatJobFillsOnlySelectedMasks(t *testing.T) {
+	var fills atomic.Int64
+	restore := timeseries.CountMaskFills(&fills)
+	run := flatTop4(t)
+	restore()
+	selected := 0
+	for _, sel := range run.ChooseSelections() {
+		selected += len(sel)
+	}
+	if selected != 4 {
+		t.Fatalf("the job's choose selected %d branches, want 4", selected)
+	}
+	if got := fills.Load(); got != int64(selected) {
+		t.Errorf("%d mask outputs were filled, want the %d selected", got, selected)
+	}
+}
+
+// BenchmarkFlatTop4 is the host-time cost of lib-engine's flat top-4 job
+// (flatTop4), graph construction and input generation included.
+func BenchmarkFlatTop4(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		flatTop4(b)
 	}
 }

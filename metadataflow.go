@@ -121,7 +121,8 @@ func Map[T, U any](name string, sizeScale float64, f func(T) U) TransformFunc {
 	return mdf.Map(name, sizeScale, f)
 }
 
-// Filter returns a transform keeping the rows for which pred holds.
+// Filter returns a transform keeping the rows for which pred holds. pred
+// runs twice per row and must be pure.
 func Filter[T any](name string, pred func(T) bool) TransformFunc {
 	return mdf.Filter(name, pred)
 }
