@@ -15,7 +15,7 @@ help:
 	@echo "  race              full test suite under the race detector"
 	@echo "  race-short        focused -race -short -count=1 gate on the concurrent packages (service, engine, scheduler, chaos; mdf, spec, workload/..., vecmath, whose functions run on the engine's pool goroutines; dataset, graph, memorymgr, whose structures those goroutines read)"
 	@echo "  exp-plain         every vector kernel's tests (vecmath), dnn's checksums and kde's Gaussian pins again under GODEBUG=cpu.fma=off, math.Exp's plain path, on a CPU with FMA too"
-	@echo "  fuzz-short        brief fuzz runs of the JSON parsers"
+	@echo "  fuzz-short        brief fuzz runs of the JSON parsers and of job submission"
 	@echo "  chaos-short       deterministic 50-trial chaos sweep, run twice and compared"
 	@echo "  chaos             long randomized chaos sweep (CHAOS_SEED, CHAOS_TRIALS)"
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
@@ -97,13 +97,16 @@ race-short:
 exp-plain:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 ./internal/vecmath ./internal/workload/dnn ./internal/workload/kde
 
-# fuzz-short runs the JSON-parser fuzz targets briefly on top of their
-# checked-in corpora (testdata/fuzz); longer runs use -fuzztime directly.
+# fuzz-short runs the JSON-parser fuzz targets and job submission over HTTP
+# briefly on top of their seed corpora (testdata/fuzz; FuzzSubmit's seeds are
+# the spec documents of the plan tests, the examples and the spec corpus);
+# longer runs use -fuzztime directly.
 fuzz-short:
 	$(GO) test ./internal/spec -run='^$$' -fuzz=FuzzParse -fuzztime=5s
 	$(GO) test ./internal/spec -run='^$$' -fuzz=FuzzCanonical -fuzztime=5s
 	$(GO) test ./internal/faults -run='^$$' -fuzz=FuzzParse -fuzztime=5s
 	$(GO) test ./internal/journal -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=5s
+	$(GO) test ./internal/service -run='^$$' -fuzz=FuzzSubmit -fuzztime=5s
 
 # chaos-short is the deterministic chaos gate: a fixed-seed 50-trial sweep
 # (random cluster + workload + fault plan per trial, golden-vs-faulted

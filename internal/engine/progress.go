@@ -76,10 +76,9 @@ type Progress struct {
 // counters that Progress and the branch_progress series read.
 type branchRun struct {
 	scope, branch int32
-	// choose is the ID of the stage closing the branch's scope, chooseLabel
-	// its display label.
-	choose      int32
-	chooseLabel string
+	// choose is the ID of the stage closing the branch's scope; Progress
+	// reads its label from the plan, where the stage keeps it once made.
+	choose int32
 	// stages is the size of the branch; done and pruned count its executed
 	// and skipped stages, kept by countSettled as stages settle.
 	stages, done, pruned int32
@@ -133,8 +132,7 @@ func (r *Run) indexBranches() {
 			bi := r.branchBase[si] + b
 			r.branches[bi] = branchRun{
 				scope: int32(si), branch: int32(b),
-				choose: int32(chooseSt.ID), chooseLabel: chooseSt.String(),
-				stages: int32(len(stages)),
+				choose: int32(chooseSt.ID), stages: int32(len(stages)),
 			}
 			if tele != nil {
 				r.branches[bi].tele = &tele[bi]
@@ -245,7 +243,7 @@ func (r *Run) ProgressInto(p *Progress) {
 	// in costs more than all the stores.
 	for i := range r.branches {
 		br, bp := &r.branches[i], &p.Branches[i]
-		bp.Scope, bp.Branch, bp.Choose = int(br.scope), int(br.branch), br.chooseLabel
+		bp.Scope, bp.Branch, bp.Choose = int(br.scope), int(br.branch), r.plan.Stages[br.choose].String()
 		bp.Stages, bp.Done, bp.Pruned = int(br.stages), int(br.done), int(br.pruned)
 		bp.Completion = 0
 		if br.stages > 0 {

@@ -3,8 +3,11 @@ package graph_test
 import (
 	"testing"
 
+	"metadataflow/internal/cluster"
+	"metadataflow/internal/engine"
 	"metadataflow/internal/graph"
 	"metadataflow/internal/mdf"
+	"metadataflow/internal/scheduler"
 	"metadataflow/internal/spec"
 	"metadataflow/internal/workload/synthetic"
 	"metadataflow/internal/workload/timeseries"
@@ -65,6 +68,12 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// startRun starts a run of plan the way a library job does, BAS on the paper's
+// cluster, without stepping it.
+func startRun(cl *cluster.Cluster, plan *graph.Plan) (*engine.Run, error) {
+	return engine.NewRun(plan, engine.Options{Cluster: cl, Scheduler: scheduler.BAS(nil), Incremental: true}, 0)
+}
+
 // BenchmarkBuildPlan measures stage derivation on the two shapes whose
 // planning cost a wide job pays: a flat 256-branch explore and a 10×12 nested
 // one. Their builders validated them, so BuildPlan does not again.
@@ -79,6 +88,32 @@ func BenchmarkBuildPlan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := graph.BuildPlan(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewRun measures the third layer a job pays for before its first
+// step, after BenchmarkBuild and BenchmarkBuildPlan: starting a run of the
+// plan, on each path that builds a graph.
+func BenchmarkNewRun(b *testing.B) {
+	cl := cluster.MustNew(cluster.DefaultConfig())
+	for _, c := range builders() {
+		b.Run(c.name, func(b *testing.B) {
+			g, err := c.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := graph.BuildPlan(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := startRun(cl, plan); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,10 +28,10 @@ func (g *Graph) DOT(name string) string {
 	// Edges in (from, to) order.
 	for from, outs := range g.outs {
 		outs = slices.Clone(outs)
-		slices.SortFunc(outs, func(x, y link) int { return x.op - y.op })
+		slices.SortFunc(outs, func(x, y link) int { return int(x.op - y.op) })
 		for _, l := range outs {
 			style := ""
-			if l.dep == Wide {
+			if l.kind() == Wide {
 				style = " [style=dashed]"
 			}
 			fmt.Fprintf(&b, "  n%d -> n%d%s;\n", from, l.op, style)

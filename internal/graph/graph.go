@@ -165,12 +165,15 @@ type Graph struct {
 	scopes []*Scope
 }
 
-// link is one end of an edge: the operator at the other end and the kind of
-// the dependency.
+// link is one end of an edge: the ID of the operator at the other end and
+// the kind of the dependency, in 8 bytes. An edge has two, so their size is
+// what a wide graph's adjacency costs.
 type link struct {
-	op  int
-	dep DepKind
+	op, dep int32
 }
+
+// kind returns the dependency kind of the edge.
+func (l link) kind() DepKind { return DepKind(l.dep) }
 
 // linkChunk is the number of links allocated at a time for lists cut from
 // the chunk; a reserved list of more than a quarter of that gets storage of
@@ -206,8 +209,8 @@ func (g *Graph) Connect(from, to *Operator, kind DepKind) error {
 		return fmt.Errorf("graph: duplicate edge %q -> %q", from.Name, to.Name)
 	}
 	g.order, g.scopes = nil, nil
-	g.outs[from.ID] = g.appendLink(g.outs[from.ID], link{to.ID, kind})
-	g.ins[to.ID] = g.appendLink(g.ins[to.ID], link{from.ID, kind})
+	g.outs[from.ID] = g.appendLink(g.outs[from.ID], link{int32(to.ID), int32(kind)})
+	g.ins[to.ID] = g.appendLink(g.ins[to.ID], link{int32(from.ID), int32(kind)})
 	return nil
 }
 
@@ -224,6 +227,16 @@ func (g *Graph) appendLink(list []link, l link) []link {
 func (g *Graph) Reserve(op *Operator, ins, outs int) {
 	g.ins[op.ID] = g.reserve(g.ins[op.ID], ins)
 	g.outs[op.ID] = g.reserve(g.outs[op.ID], outs)
+}
+
+// ReserveOps makes room for n more operators in the graph's per-operator
+// tables, so that adding them regrows none: a builder that has built the
+// first branch of an explore knows what each of the others adds. It is a
+// hint; operators past the room grow the tables as Add always does.
+func (g *Graph) ReserveOps(n int) {
+	g.ops = slices.Grow(g.ops, n)
+	g.ins = slices.Grow(g.ins, n)
+	g.outs = slices.Grow(g.outs, n)
 }
 
 // reserve returns list with room for n more links.
@@ -281,13 +294,13 @@ func (g *Graph) OutDegree(op *Operator) int { return len(g.outs[op.ID]) }
 // shorter of from's successors and to's predecessors: one link for an edge
 // out of an explore or into a choose, however many branches there are.
 func (g *Graph) Dep(from, to *Operator) (DepKind, bool) {
-	list, other := g.outs[from.ID], to.ID
+	list, other := g.outs[from.ID], int32(to.ID)
 	if ins := g.ins[to.ID]; len(ins) < len(list) {
-		list, other = ins, from.ID
+		list, other = ins, int32(from.ID)
 	}
 	for _, l := range list {
 		if l.op == other {
-			return l.dep, true
+			return l.kind(), true
 		}
 	}
 	return Narrow, false
@@ -369,7 +382,7 @@ func (g *Graph) TopoSort() ([]*Operator, error) {
 		for _, next := range g.outs[picked] {
 			indeg[next.op]--
 			if indeg[next.op] == 0 {
-				ready.push(next.op)
+				ready.push(int(next.op))
 			}
 		}
 	}
@@ -386,7 +399,7 @@ func (g *Graph) TopoSort() ([]*Operator, error) {
 func (g *Graph) ascending() bool {
 	for id, outs := range g.outs {
 		for _, l := range outs {
-			if l.op <= id {
+			if int(l.op) <= id {
 				return false
 			}
 		}

@@ -105,9 +105,13 @@ type Plan struct {
 	// bit per •T edge, in the order of edges, 32 to a word: set when the
 	// edge's dependency is wide (Wide).
 	bounds []uint32
-	// branchStages holds the stages of every branch, by scope index and
-	// branch index, in ascending stage ID.
-	branchStages [][][]*Stage
+	// branchStages holds the stages of every branch, in (scope, branch)
+	// order, each branch's in ascending stage ID. branchOff cuts it: with
+	// k = branchOff[s] + b, branch b of scope s is
+	// branchStages[branchOff[k]:branchOff[k+1]]. The first len(Scopes)
+	// entries are those starts, the rest one offset per branch and the end.
+	branchStages []*Stage
+	branchOff    []uint32
 }
 
 // BranchRef locates a stage within the scope structure.
@@ -185,7 +189,7 @@ func (g *Graph) plan(order []*Operator, scopes []*Scope) *Plan {
 // alone, and through a narrow dependency.
 func (g *Graph) continuesChain(op *Operator) bool {
 	ins := g.ins[op.ID]
-	if len(ins) != 1 || ins[0].dep != Narrow || op.Kind == KindExplore || op.Kind == KindChoose {
+	if len(ins) != 1 || ins[0].kind() != Narrow || op.Kind == KindExplore || op.Kind == KindChoose {
 		return false
 	}
 	pre := g.ops[ins[0].op]
@@ -223,7 +227,7 @@ func (p *Plan) buildStageEdges(g *Graph) {
 			b := p.stageOf[to.op]
 			bounds[b.ID]--
 			p.edges[bounds[b.ID]] = st
-			p.setWide(bounds[b.ID], to.dep == Wide)
+			p.setWide(bounds[b.ID], to.kind() == Wide)
 		}
 		for _, from := range g.ins[st.First().ID] {
 			a := p.stageOf[from.op]
@@ -241,7 +245,7 @@ func (p *Plan) buildStageEdges(g *Graph) {
 		for i, from := range g.ins[st.Ops[0].ID] {
 			a := p.stageOf[from.op]
 			p.edges[lo+uint32(i)] = a
-			p.setWide(lo+uint32(i), from.dep == Wide)
+			p.setWide(lo+uint32(i), from.kind() == Wide)
 			a.input = int32(i)
 		}
 	}
@@ -260,9 +264,8 @@ func (p *Plan) setWide(e uint32, wide bool) {
 // buildBranchRefs derives the per-stage branch reference, the scope of
 // every choose stage, and the stages of every branch.
 func (p *Plan) buildBranchRefs() {
-	p.branchStages = make([][][]*Stage, len(p.Scopes))
-	// One list of branches for all scopes and one buffer for their stages: a
-	// branch lists the stages whose first operator is a member.
+	// One buffer for the stages of all branches: a branch lists the stages
+	// whose first operator is a member.
 	branches, heads := 0, 0
 	for _, sc := range p.Scopes {
 		branches += len(sc.Branches)
@@ -274,18 +277,19 @@ func (p *Plan) buildBranchRefs() {
 			}
 		}
 	}
-	lists := make([][]*Stage, branches)
 	buf := make([]*Stage, 0, heads)
+	off := make([]uint32, len(p.Scopes), len(p.Scopes)+branches+1)
 	// Innermost scope wins: a stage takes the reference of the deepest scope
 	// that lists it. Scopes come in topological order of their explores,
 	// which is not necessarily by depth.
 	for si, sc := range p.Scopes {
 		p.stageOf[sc.Choose.ID].closes = int32(si)
-		p.branchStages[si], lists = lists[:len(sc.Branches):len(sc.Branches)], lists[len(sc.Branches):]
+		off[si] = uint32(len(off))
 		for bi, members := range sc.Branches {
 			// Members ascend by operator ID; their stages need not, so
 			// collect each stage once and sort.
 			lo := len(buf)
+			off = append(off, uint32(lo))
 			for _, opID := range members {
 				st := p.stageOf[opID]
 				if st.Ops[0].ID != opID {
@@ -296,11 +300,10 @@ func (p *Plan) buildBranchRefs() {
 					st.branch = BranchRef{Scope: si, Branch: bi}
 				}
 			}
-			stages := buf[lo:len(buf):len(buf)]
-			slices.SortFunc(stages, CompareStageID)
-			p.branchStages[si][bi] = stages
+			slices.SortFunc(buf[lo:], CompareStageID)
 		}
 	}
+	p.branchStages, p.branchOff = buf, append(off, uint32(len(buf)))
 }
 
 // StageOf returns the stage containing op.
@@ -349,7 +352,9 @@ func (p *Plan) ScopeOfChoose(st *Stage) *Scope {
 // BranchStages returns the stages of branch b of scope sc in topological
 // order (ascending stage ID).
 func (p *Plan) BranchStages(sc *Scope, b int) []*Stage {
-	return p.branchStages[sc.index][b]
+	k := int(p.branchOff[sc.index]) + b
+	lo, hi := p.branchOff[k], p.branchOff[k+1]
+	return p.branchStages[lo:hi:hi]
 }
 
 // ChooseInput returns the position of st among the inputs of the choose

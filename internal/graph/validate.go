@@ -65,7 +65,7 @@ func (g *Graph) checkConnected() error {
 	}
 	for from, outs := range g.outs {
 		for _, to := range outs {
-			a, b := find(from), find(to.op)
+			a, b := find(from), find(int(to.op))
 			if a != b {
 				parent[a] = b
 			}
@@ -160,7 +160,7 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 	for _, op := range order {
 		top := none
 		for i, in := range g.ins[op.ID] {
-			pid := in.op
+			pid := int(in.op)
 			p := g.ops[pid]
 			eff := open[pid]
 			switch p.Kind {
@@ -245,7 +245,7 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 		for i, head := range heads {
 			walk++
 			lo := len(buf)
-			stack = append(stack[:0], head.op)
+			stack = append(stack[:0], int(head.op))
 			for len(stack) > 0 {
 				id := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -255,7 +255,7 @@ func (g *Graph) matchScopes(order []*Operator) ([]*Scope, error) {
 				stamp[id] = walk
 				buf = append(buf, id)
 				for _, next := range g.outs[id] {
-					stack = append(stack, next.op)
+					stack = append(stack, int(next.op))
 				}
 			}
 			sc.Branches[i] = buf[lo:len(buf):len(buf)]

@@ -19,10 +19,15 @@ type Builder struct {
 	g   *graph.Graph
 	err error
 	// ops and nodes are the chunks the next operator and the next handle are
-	// cut from; a full one is left to what points into it and a new one of
-	// slabChunk entries takes its place.
-	ops   []graph.Operator
-	nodes []Node
+	// cut from; a full one is left to what points into it and a new one takes
+	// its place: of slabChunk entries, or of opsDue or nodesDue when an
+	// explore has reserved more (reserve), with what its size class holds
+	// beyond that.
+	ops              []graph.Operator
+	nodes            []Node
+	opsDue, nodesDue int
+	// handles counts the handles handed out.
+	handles int
 	// ends is the stack of the last operators of the branches of the explores
 	// being built, innermost last.
 	ends []*graph.Operator
@@ -91,7 +96,8 @@ func Branches(labels ...string) []BranchSpec {
 // add inserts op into the graph, cut from the builder's operator chunk.
 func (b *Builder) add(op graph.Operator) *graph.Operator {
 	if len(b.ops) == cap(b.ops) {
-		b.ops = make([]graph.Operator, 0, slabChunk)
+		b.ops = slices.Grow([]graph.Operator(nil), max(slabChunk, b.opsDue))
+		b.opsDue = 0
 	}
 	b.ops = append(b.ops, op)
 	return b.g.Add(&b.ops[len(b.ops)-1])
@@ -101,10 +107,22 @@ func (b *Builder) add(op graph.Operator) *graph.Operator {
 // set on the head of an explore's branch.
 func (b *Builder) node(op *graph.Operator, spec *BranchSpec) *Node {
 	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = make([]Node, 0, slabChunk)
+		b.nodes = slices.Grow([]Node(nil), max(slabChunk, b.nodesDue))
+		b.nodesDue = 0
 	}
+	b.handles++
 	b.nodes = append(b.nodes, Node{b: b, op: op, branchSpec: spec})
 	return &b.nodes[len(b.nodes)-1]
+}
+
+// reserve makes room for ops more operators and handles more handles: the
+// graph's tables grow once, and the chunk after the current one is cut to
+// the size of what the current one has no room for. Reservations nest: one
+// for an outer explore's branches covers the inner explores they hold.
+func (b *Builder) reserve(ops, handles int) {
+	b.g.ReserveOps(ops)
+	b.opsDue = max(b.opsDue, ops-(cap(b.ops)-len(b.ops)))
+	b.nodesDue = max(b.nodesDue, handles-(cap(b.nodes)-len(b.nodes)))
 }
 
 // fail records the first error.
@@ -177,6 +195,7 @@ func (n *Node) Explore(name string, specs []BranchSpec, chooser *Chooser, body f
 	lo := len(b.ends)
 	b.ends = slices.Grow(b.ends, len(specs))
 	defer func() { b.ends = b.ends[:lo] }()
+	ops, handles := b.g.NumOps(), b.handles
 	for i := range specs {
 		// The head node reads its spec while body chains from it, and not after.
 		start := b.node(exp, &specs[i])
@@ -186,6 +205,12 @@ func (n *Node) Explore(name string, specs []BranchSpec, chooser *Chooser, body f
 			return n
 		}
 		b.ends = append(b.ends, end.op)
+		if i == 0 {
+			// What the first branch added, each other branch is taken to add
+			// as well; the choose and its handle come after them.
+			rest := len(specs) - 1
+			b.reserve(rest*(b.g.NumOps()-ops)+1, rest*(b.handles-handles)+1)
+		}
 	}
 	choose := b.add(graph.Operator{
 		Name:      name + "/choose",

@@ -361,27 +361,61 @@ func (p Params) maskSelector() mdf.Selector {
 // explore after its setting, as "mask(w=%d,t=%g)" and "mark(l=%d,m=%g,d=%d)"
 // would (strconv's shortest 'g' form is what %g prints), in one string per
 // explore (mdf.BranchNames). maskNames runs over every window length and,
-// within it, every threshold; markNames over every l, m within it and d
-// within that. A branch's label is the setting between the parentheses
-// (mdf.Setting), a substring of its name: the labels name the branch's
-// stages in plans, picks and telemetry.
+// within it, every threshold (maskBranch); markNames over every l, m within
+// it and d within that (markBranch). Each threshold and magnitude is
+// formatted once (formatFloats), not once per name and pass. A branch's
+// label is the setting between the parentheses (mdf.Setting), a substring of
+// its name: the labels name the branch's stages in plans, picks and
+// telemetry.
 func maskNames(ws []int, ts []float64) []string {
+	var text [256]byte
+	var ends [32]int
+	tt, te := formatFloats(text[:0], ends[:0], ts)
 	return mdf.BranchNames(len(ws)*len(ts), func(b []byte, i int) []byte {
-		w, t := ws[i/len(ts)], ts[i%len(ts)]
+		w, _ := maskBranch(ws, ts, i)
+		ti := i % len(ts)
 		b = strconv.AppendInt(append(b, "mask(w="...), int64(w), 10)
-		b = strconv.AppendFloat(append(b, ",t="...), t, 'g', -1, 64)
+		b = append(append(b, ",t="...), tt[te[ti]:te[ti+1]]...)
 		return append(b, ')')
 	})
 }
 
 func markNames(ls []int, ms []float64, ds []int) []string {
+	var text [256]byte
+	var ends [32]int
+	mt, me := formatFloats(text[:0], ends[:0], ms)
 	return mdf.BranchNames(len(ls)*len(ms)*len(ds), func(b []byte, i int) []byte {
-		l, m, d := ls[i/(len(ms)*len(ds))], ms[i/len(ds)%len(ms)], ds[i%len(ds)]
+		l, _, d := markBranch(ls, ms, ds, i)
+		mi := i / len(ds) % len(ms)
 		b = strconv.AppendInt(append(b, "mark(l="...), int64(l), 10)
-		b = strconv.AppendFloat(append(b, ",m="...), m, 'g', -1, 64)
+		b = append(append(b, ",m="...), mt[me[mi]:me[mi+1]]...)
 		b = strconv.AppendInt(append(b, ",d="...), int64(d), 10)
 		return append(b, ')')
 	})
+}
+
+// formatFloats appends the shortest 'g' form of every value to text, and to
+// ends 0 and then where each form ends: value i reads text[ends[i]:ends[i+1]].
+// Callers pass arrays of their own, which a few dozen values do not outgrow.
+func formatFloats(text []byte, ends []int, vs []float64) ([]byte, []int) {
+	ends = append(ends, 0)
+	for _, v := range vs {
+		text = strconv.AppendFloat(text, v, 'g', -1, 64)
+		ends = append(ends, len(text))
+	}
+	return text, ends
+}
+
+// maskBranch returns the window length and threshold of masking branch i,
+// window-major: the order of maskNames.
+func maskBranch(ws []int, ts []float64, i int) (w int, t float64) {
+	return ws[i/len(ts)], ts[i%len(ts)]
+}
+
+// markBranch returns the mark window, magnitude and duration of analysis
+// branch i, in the order of markNames.
+func markBranch(ls []int, ms []float64, ds []int, i int) (l int, m float64, d int) {
+	return ls[i/(len(ms)*len(ds))], ms[i/len(ds)%len(ms)], ds[i%len(ds)]
 }
 
 // BuildMDF constructs the time series MDF as two sequential exploration
@@ -398,46 +432,15 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	}
 	input := Generate(p)
 
-	var maskSpecs []mdf.BranchSpec
-	type wt struct {
-		w    int
-		t    float64
-		name string
-	}
-	var wts []wt
 	masks := maskNames(p.WindowLengths, p.Thresholds)
-	for wi, w := range p.WindowLengths {
-		for ti, t := range p.Thresholds {
-			name := masks[len(wts)]
-			maskSpecs = append(maskSpecs, mdf.BranchSpec{
-				Label: mdf.Setting(name),
-				Hint:  float64(wi*len(p.Thresholds) + ti),
-			})
-			wts = append(wts, wt{w, t, name})
-		}
+	maskSpecs := make([]mdf.BranchSpec, len(masks))
+	for i, name := range masks {
+		maskSpecs[i] = mdf.BranchSpec{Label: mdf.Setting(name), Hint: float64(i)}
 	}
-	var outSpecs []mdf.BranchSpec
-	type lmd struct {
-		l    int
-		m    float64
-		d    int
-		name string
-	}
-	var lmds []lmd
 	marks := markNames(p.MarkWindows, p.MagDiffs, p.Durations)
-	i := 0
-	for _, l := range p.MarkWindows {
-		for _, m := range p.MagDiffs {
-			for _, d := range p.Durations {
-				name := marks[i]
-				outSpecs = append(outSpecs, mdf.BranchSpec{
-					Label: mdf.Setting(name),
-					Hint:  float64(i),
-				})
-				lmds = append(lmds, lmd{l, m, d, name})
-				i++
-			}
-		}
+	outSpecs := make([]mdf.BranchSpec, len(marks))
+	for i, name := range marks {
+		outSpecs[i] = mdf.BranchSpec{Label: mdf.Setting(name), Hint: float64(i)}
 	}
 
 	maskEval := mdf.RatioEvaluator(p.Rows)
@@ -449,17 +452,19 @@ func BuildMDF(p Params) (*graph.Graph, error) {
 	masked := src.Explore("masking", maskSpecs,
 		mdf.NewChooser(maskEval, p.maskSelector()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
-			cfg := wts[int(spec.Hint)]
-			return start.Then(cfg.name, maskOp(ratios, cfg.w, cfg.t), 0.004)
+			i := int(spec.Hint)
+			w, t := maskBranch(p.WindowLengths, p.Thresholds, i)
+			return start.Then(masks[i], maskOp(ratios, w, t), 0.004)
 		})
 	// Scope 2: marking and detection exploration over the selected data.
 	out := masked.Explore("analysis", outSpecs,
 		mdf.NewChooser(detectionEvaluator(), mdf.Max()),
 		func(start *mdf.Node, spec mdf.BranchSpec) *mdf.Node {
-			cfg := lmds[int(spec.Hint)]
-			marked := start.Then(cfg.name, markOp(events, cfg.l, cfg.m), 0.003)
+			i := int(spec.Hint)
+			l, m, d := markBranch(p.MarkWindows, p.MagDiffs, p.Durations, i)
+			marked := start.Then(marks[i], markOp(events, l, m), 0.003)
 			return marked.Then("detect("+spec.Label+")",
-				detectOp(cfg.d), 0.002)
+				detectOp(d), 0.002)
 		})
 	out.Then("sink", mdf.Identity("detected"), 0.0001)
 	return b.Build()
@@ -482,26 +487,16 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 		return nil, fmt.Errorf("timeseries: flat MDF needs fixed marking parameters")
 	}
 	input := Generate(p)
-	n := len(p.WindowLengths) * len(p.Thresholds)
-	maskSpecs := make([]mdf.BranchSpec, 0, n)
-	type wt struct {
-		w    int
-		t    float64
-		name string
-	}
-	wts := make([]wt, 0, n)
 	names := maskNames(p.WindowLengths, p.Thresholds)
-	for _, w := range p.WindowLengths {
-		for _, t := range p.Thresholds {
-			name := names[len(wts)]
-			maskSpecs = append(maskSpecs, mdf.BranchSpec{
-				Label: mdf.Setting(name),
-				// The masking kept-ratio falls monotonically in the
-				// threshold; hint-sorting by (t, w) enables sorted-order
-				// scheduling (Fig. 8 "first-4, sorted").
-				Hint: t*1000 + float64(w),
-			})
-			wts = append(wts, wt{w, t, name})
+	maskSpecs := make([]mdf.BranchSpec, len(names))
+	for i, name := range names {
+		w, t := maskBranch(p.WindowLengths, p.Thresholds, i)
+		maskSpecs[i] = mdf.BranchSpec{
+			Label: mdf.Setting(name),
+			// The masking kept-ratio falls monotonically in the
+			// threshold; hint-sorting by (t, w) enables sorted-order
+			// scheduling (Fig. 8 "first-4, sorted").
+			Hint: t*1000 + float64(w),
 		}
 	}
 	if len(maskSpecs) < 2 {
@@ -520,9 +515,10 @@ func BuildFlatMDF(p Params, sel mdf.Selector, monotoneEval bool) (*graph.Graph, 
 	j := 0
 	masked := src.Explore("masking", maskSpecs, mdf.NewChooser(eval, sel),
 		func(start *mdf.Node, _ mdf.BranchSpec) *mdf.Node {
-			cfg := wts[j]
+			w, t := maskBranch(p.WindowLengths, p.Thresholds, j)
+			name := names[j]
 			j++
-			return start.Then(cfg.name, maskOp(ratios, cfg.w, cfg.t), 0.004)
+			return start.Then(name, maskOp(ratios, w, t), 0.004)
 		})
 	marked := masked.Then("mark", markOp(events, l, m), 0.003)
 	detected := marked.Then("detect", detectOp(d), 0.002)
