@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help build test vet lint specvet race race-short exp-plain fuzz-short chaos-short chaos crash-short bench-smoke hostbench-check ci clean
+.PHONY: all help build test vet lint specvet race race-short exp-plain fuzz-short chaos-short chaos crash-short bench-smoke hostbench-check mutate-short ci clean
 
 all: build
 
@@ -21,7 +21,8 @@ help:
 	@echo "  crash-short       kill-and-restart sweep at every journal record boundary, run twice and compared"
 	@echo "  bench-smoke       compile every Benchmark* under internal/ and run each for one iteration, with its allocations"
 	@echo "  hostbench-check   vet and test the host-time benchmark module (benchmarks/), which ./... does not reach"
-	@echo "  ci                the merge gate: vet lint specvet build race race-short exp-plain chaos-short crash-short bench-smoke hostbench-check"
+	@echo "  mutate-short      the committed mutant list (internal/mutate): every row must be caught by a test it names"
+	@echo "  ci                the merge gate: vet lint specvet build race race-short exp-plain chaos-short crash-short bench-smoke hostbench-check mutate-short"
 
 build:
 	$(GO) build ./...
@@ -166,8 +167,20 @@ hostbench-check:
 	$(GO) vet -C benchmarks ./...
 	$(GO) test -C benchmarks ./...
 
+# mutate-short runs the committed mutant list, internal/mutate/rows.go: each
+# row is an exact edit of one source file, tested with go test -short
+# -overlay on the row's packages so that the tree is never edited, and it
+# must be caught by a test the row names. A row names tests and not only
+# packages: a package also fails for reasons that are not the mutant (a build
+# error, a timing flake), and the names record which test holds which fact,
+# so a test may be merged or deleted only where every row it catches is
+# still caught by another. Not tier-1 (minutes, not seconds); tier-1's
+# TestRowsApply checks that every row still applies. Part of ci.
+mutate-short:
+	$(GO) run ./internal/mutate
+
 # ci is the gate a change must pass before merging.
-ci: vet lint specvet build race race-short exp-plain chaos-short crash-short bench-smoke hostbench-check
+ci: vet lint specvet build race race-short exp-plain chaos-short crash-short bench-smoke hostbench-check mutate-short
 
 clean:
 	$(GO) clean ./...

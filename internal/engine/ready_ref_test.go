@@ -124,37 +124,6 @@ func refMDFScaled(t *testing.T, rng *stats.RNG, scale int, fixed bool) (*graph.G
 	return g, branchOps
 }
 
-// refReady recomputes the ready set from scratch by the rule the engine
-// maintained with a full scan before it counted: a stage is ready when it is
-// unsettled and every predecessor is executed or skipped. A choose among
-// them whose predecessors were all skipped (and none quarantined) should
-// have been skipped at the refresh, in ID order, so finding one is reported
-// as an error.
-func refReady(r *Run) (ids []int, err error) {
-	for _, st := range r.plan.Stages {
-		if r.executed[st.ID] || r.skipped[st.ID] {
-			continue
-		}
-		settled, allSkipped := true, true
-		for _, pre := range r.plan.Pre(st) {
-			if !r.executed[pre.ID] && !r.skipped[pre.ID] {
-				settled = false
-			}
-			if !r.skipped[pre.ID] {
-				allSkipped = false
-			}
-		}
-		if !settled {
-			continue
-		}
-		if st.IsChoose() && allSkipped && !r.hasQuarantined(st) {
-			err = fmt.Errorf("choose %s has only pruned branches and was left unsettled", st)
-		}
-		ids = append(ids, st.ID)
-	}
-	return ids, err
-}
-
 // readyIDs reads the engine's own ready list.
 func readyIDs(r *Run) []int {
 	ready := r.ready.stages()
@@ -259,7 +228,8 @@ func (c refCase) start(t *testing.T) (*Run, *recordingPolicy, *graph.Plan) {
 // TestReadySetMatchesReferenceAndGolden runs random nested MDFs under every
 // scheduler, hint and incremental setting, with and without a fault plan
 // that quarantines branches, and checks two things. After every Step the
-// counted ready list equals the from-scratch recomputation (refReady). And
+// counted ready list equals Alg. 1's T_cand recomputed from scratch
+// (alg1.cand, which settles a choose whose branches were all pruned). And
 // the whole scheduling trace — the ready list handed to every Pick, the
 // stage picked, each stage's settle time, the run's counters — equals
 // testdata/picks.golden, which was captured from the scan-and-maps engine
@@ -271,15 +241,12 @@ func TestReadySetMatchesReferenceAndGolden(t *testing.T) {
 	for _, c := range refCases(t) {
 		name := c.name
 		r, rec, p := c.start(t)
+		ref := &alg1{plan: p}
 		steps := 0
 		for alive := true; alive; steps++ {
 			alive = r.Step()
-			want, err := refReady(r)
-			if err != nil {
-				t.Fatalf("%s: after step %d: %v", name, steps, err)
-			}
-			if got := readyIDs(r); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: after step %d (picked T%d): ready list %v, from-scratch reference %v",
+			if got, want := r.ready.stages(), ref.cand(r); !slices.Equal(got, want) {
+				t.Fatalf("%s: after step %d (picked T%d): ready list %v, T_cand %v",
 					name, steps, rec.picks[len(rec.picks)-1], got, want)
 			}
 		}
@@ -435,8 +402,8 @@ func TestAllPrunedChooseSkippedAtRefresh(t *testing.T) {
 	if got, want := fmt.Sprint(readyIDs(r)), ids("sink"); got != want {
 		t.Errorf("ready after the refresh = %s, want only the sink %s", got, want)
 	}
-	if want, err := refReady(r); err != nil || fmt.Sprint(want) != fmt.Sprint(readyIDs(r)) {
-		t.Errorf("reference disagrees: %v %v", want, err)
+	if got, want := r.ready.stages(), (&alg1{plan: p}).cand(r); !slices.Equal(got, want) {
+		t.Errorf("ready list %v, T_cand %v", got, want)
 	}
 }
 

@@ -2,10 +2,13 @@ package memorymgr
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"metadataflow/internal/cluster"
@@ -18,9 +21,9 @@ import (
 // Alg. 2, quadratic and obvious: entries in a plain list searched by key, and
 // a victim chosen by collecting the candidates, sorting them by key and
 // taking the argmin of pre(d) = acc(d)·δ(n,d)·α (ties by LRU, then by key)
-// or, under LRU, of the last access (ties by key). TestAlg2Reference drives it
-// and the real Allocator with the same seeded random operations and compares
-// them after every one.
+// or, under LRU, of the last access (ties by key). It logs every spill by
+// partition. TestAlg2Reference drives it and the real Allocator with the same
+// seeded random operations and compares them after every one.
 
 type refEntry struct {
 	key                      dataset.PartKey
@@ -36,11 +39,16 @@ type refAlloc struct {
 	policy        PolicyKind
 	acc           AccessCounter
 	entries       []*refEntry
+	spilled       map[dataset.PartKey]sim.Bytes
 	metrics       Metrics
 	seq           sim.VTime
 	checkpointing bool
 	probe         *obs.Recorder
 }
+
+// unknownPartition begins the error of an access to a partition the
+// allocator does not track.
+const unknownPartition = "memorymgr: access to unknown partition"
 
 func (a *refAlloc) find(key dataset.PartKey) *refEntry {
 	for _, e := range a.entries {
@@ -158,6 +166,7 @@ func (a *refAlloc) makeRoom(bytes sim.Bytes, t sim.VTime) sim.VTime {
 		}
 		v.onDisk = true
 		a.metrics.SpilledBytes += v.bytes
+		a.spilled[v.key] += v.bytes
 		t = a.node.Disk(t, a.cfg.DiskWriteSec(v.bytes))
 		if a.probe != nil {
 			a.probe.Counter(a.node.ID, "mem.spilled_bytes", t, float64(a.metrics.SpilledBytes))
@@ -174,6 +183,7 @@ func (a *refAlloc) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) sim.VT
 		e.onDisk = true
 		a.metrics.Evictions++
 		a.metrics.SpilledBytes += bytes
+		a.spilled[key] += bytes
 		if a.probe != nil {
 			a.probe.Decision(obs.Decision{
 				T: t, Node: a.node.ID, Component: "memorymgr", Kind: "evict",
@@ -201,7 +211,7 @@ func (a *refAlloc) Put(key dataset.PartKey, bytes sim.Bytes, t sim.VTime) sim.VT
 func (a *refAlloc) Access(key dataset.PartKey, t sim.VTime) (sim.VTime, bool, error) {
 	e := a.find(key)
 	if e == nil {
-		return t, false, fmt.Errorf("unknown")
+		return t, false, errors.New(unknownPartition)
 	}
 	if e.inMemory {
 		a.metrics.Hits++
@@ -292,25 +302,122 @@ func (a *refAlloc) keys() []dataset.PartKey {
 	return keys
 }
 
-// alg2Trial is one seeded sequence over a universe of a few dozen partitions;
-// about a third of its Puts store a partition the allocator already tracks.
-type alg2Trial struct {
-	seed    int64
-	policy  PolicyKind
-	probed  bool
-	ops     int
-	baseT   sim.VTime // 0, or large enough that consecutive touches round to one lastAccess
-	victims []dataset.PartKey
+// spilledByDataset sums the spill log by dataset, as SpilledByDataset does.
+func (a *refAlloc) spilledByDataset() map[dataset.ID]sim.Bytes {
+	out := map[dataset.ID]sim.Bytes{}
+	for k, b := range a.spilled {
+		out[k.Dataset] += b
+	}
+	return out
 }
 
-func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
+// check is the reference's own accounting: one entry per key, and no more
+// resident than the budget.
+func (a *refAlloc) check() error {
+	keys := a.keys()
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return fmt.Errorf("%s is tracked twice", keys[i])
+		}
+	}
+	if u := a.used(); u > a.capacity {
+		return fmt.Errorf("%d bytes resident over the %d-byte budget", u, a.capacity)
+	}
+	return nil
+}
+
+// op is one allocator call of a trial, or, for opAcc, a change of a
+// partition's future accesses: a consumer ran, or a branch was pruned.
+type op int
+
+const (
+	opPut op = iota
+	opAccess
+	opPin
+	opUnpin
+	opDiscard
+	opCheckpoint
+	opAcc
+	opDropDurable
+	opAdopt
+	opCrash
+	opEvacuate
+	opRare // a draw from the mix's rare operations
+)
+
+// times returns n copies of o, o's weight in a mix's table.
+func times(n int, o op) []op {
+	out := make([]op, n)
+	for i := range out {
+		out[i] = o
+	}
+	return out
+}
+
+// opMix is the shape of a trial's seeded sequences: seeds of ops
+// operations, the budget, how a partition is drawn, one Put in oversize over
+// the budget by up to span bytes, and the operation drawn next, from opTable
+// and, for opRare, from rare.
+// A seed that is a multiple of tieSeeds starts at a virtual time large
+// enough that consecutive touches round to one last access, so that equal
+// preferences meet equal last accesses and the key decides.
+type opMix struct {
+	seeds, tieSeeds int64
+	ops             int
+	capacity        sim.Bytes
+	key             func(rng *rand.Rand) dataset.PartKey
+	oversize, span  int
+	opTable, rare   []op
+}
+
+// mixes are the trials of TestAlg2Reference. The first draws from 12×3
+// partitions, so about a third of its Puts store a partition the allocator
+// tracks already. The second, 30 seeds of 800 operations over 10×5
+// partitions, crashes or evacuates the node five times as often, and adopts
+// and drops durable copies.
+var mixes = []opMix{
+	{
+		seeds: 24, ops: 600, capacity: 10_000, oversize: 25, span: 5000, tieSeeds: 2,
+		key: func(rng *rand.Rand) dataset.PartKey {
+			u := rng.Intn(12 * 3)
+			return dataset.PartKey{Dataset: dataset.ID(1 + u/3), Index: u % 3}
+		},
+		opTable: slices.Concat(times(7, opPut), times(5, opAccess), []op{opPin, opUnpin}, times(2, opDiscard),
+			[]op{opCheckpoint, opAcc}, times(2, opRare)),
+		rare: slices.Concat([]op{opCrash, opEvacuate}, times(3, opDropDurable), times(7, opAdopt)),
+	},
+	{
+		seeds: 30, ops: 800, capacity: 12_000, oversize: 30, span: 3000, tieSeeds: 3,
+		key: func(rng *rand.Rand) dataset.PartKey {
+			return dataset.PartKey{Dataset: dataset.ID(1 + rng.Intn(10)), Index: rng.Intn(5)}
+		},
+		opTable: slices.Concat(times(7, opPut), times(5, opAccess), times(2, opPin), times(2, opUnpin), times(2, opDiscard),
+			[]op{opCheckpoint, opAcc, opDropDurable, opAdopt}, times(2, opRare)),
+		rare: slices.Concat([]op{opEvacuate}, times(3, opCrash)),
+	},
+}
+
+// alg2Trial is one seeded sequence of a mix. It counts the victims, the
+// partitions adopted and the partitions lost in crashes and evacuations.
+type alg2Trial struct {
+	mix       opMix
+	seed      int64
+	policy    PolicyKind
+	probed    bool
+	victims   []dataset.PartKey
+	adoptions int
+	losses    int
+}
+
+func (tr *alg2Trial) run(t *testing.T) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(tr.seed))
-	const capacity = 10_000
+	capacity := tr.mix.capacity
 	cfg := cluster.DefaultConfig()
 	acc := accMap{}
 	real := NewAllocator(&cluster.Node{}, cfg, capacity, tr.policy, acc)
-	ref := &refAlloc{node: &cluster.Node{}, cfg: cfg, capacity: capacity, policy: tr.policy, acc: acc}
+	ref := &refAlloc{node: &cluster.Node{}, cfg: cfg, capacity: capacity, policy: tr.policy, acc: acc,
+		spilled: map[dataset.PartKey]sim.Bytes{}}
 	checkpointing := rng.Intn(2) == 0
 	real.SetCheckpointing(checkpointing)
 	ref.checkpointing = checkpointing
@@ -319,26 +426,22 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		realRec, refRec = obs.NewRecorder(), obs.NewRecorder()
 		real.SetProbe(realRec)
 		ref.probe = refRec
-	}
-	const datasets, parts = 12, 3
-	universe := make([]dataset.PartKey, 0, datasets*parts)
-	for d := 1; d <= datasets; d++ {
-		if tr.probed {
+		for d := int64(1); d <= 12; d++ {
 			name := fmt.Sprintf("d%d", d)
-			realRec.RegisterDataset(int64(d), name)
-			refRec.RegisterDataset(int64(d), name)
-		}
-		for p := 0; p < parts; p++ {
-			universe = append(universe, dataset.PartKey{Dataset: dataset.ID(d), Index: p})
+			realRec.RegisterDataset(d, name)
+			refRec.RegisterDataset(d, name)
 		}
 	}
 	// The driver keeps the handle of every partition it stored; one it
 	// discarded, lost or evacuated stays in the map, stale, and the calls the
 	// sequence still makes through it must be refused.
 	refs := map[dataset.PartKey]Ref{}
-	now := tr.baseT
-	for op := 0; op < tr.ops; op++ {
-		key := universe[rng.Intn(len(universe))]
+	now := sim.VTime(0)
+	if tr.seed%tr.mix.tieSeeds == 0 {
+		now = 1e9
+	}
+	for i := 0; i < tr.mix.ops; i++ {
+		key := tr.mix.key(rng)
 		if rng.Intn(3) > 0 {
 			now += sim.VTime(rng.Float64())
 		}
@@ -346,12 +449,16 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		for _, k := range real.Keys() {
 			resident[k] = inMemory(real, refs[k])
 		}
+		o := tr.mix.opTable[rng.Intn(len(tr.mix.opTable))]
+		if o == opRare {
+			o = tr.mix.rare[rng.Intn(len(tr.mix.rare))]
+		}
 		what := ""
-		switch k := rng.Intn(20); {
-		case k < 7:
+		switch o {
+		case opPut:
 			bytes := sim.Bytes(300 + rng.Intn(4000))
-			if rng.Intn(25) == 0 {
-				bytes = capacity + sim.Bytes(rng.Intn(5000)) + 1
+			if rng.Intn(tr.mix.oversize) == 0 {
+				bytes = capacity + 1 + sim.Bytes(rng.Intn(tr.mix.span))
 			}
 			acc[key] = rng.Intn(4)
 			what = fmt.Sprintf("Put(%s, %d)", key, bytes)
@@ -359,70 +466,72 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 			var got sim.VTime
 			refs[key], got = real.Put(key, bytes, now)
 			if want := ref.Put(key, bytes, now); got != want {
-				t.Fatalf("seed %d op %d %s: end %v, reference %v", tr.seed, op, what, got, want)
+				t.Fatalf("seed %d op %d %s: end %v, reference %v", tr.seed, i, what, got, want)
 			}
-		case k < 12:
+		case opAccess:
 			what = fmt.Sprintf("Access(%s)", key)
 			gotEnd, gotHit, gotErr := real.Access(refs[key], now)
 			wantEnd, wantHit, wantErr := ref.Access(key, now)
-			if gotEnd != wantEnd || gotHit != wantHit || (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("seed %d op %d %s: (%v, %v, %v), reference (%v, %v, %v)", tr.seed, op, what,
+			if gotEnd != wantEnd || gotHit != wantHit || (gotErr == nil) != (wantErr == nil) ||
+				gotErr != nil && !strings.HasPrefix(gotErr.Error(), unknownPartition) {
+				t.Fatalf("seed %d op %d %s: (%v, %v, %v), reference (%v, %v, %v)", tr.seed, i, what,
 					gotEnd, gotHit, gotErr, wantEnd, wantHit, wantErr)
 			}
-		case k < 13:
+		case opPin:
 			what = fmt.Sprintf("Pin(%s)", key)
 			real.Pin(refs[key])
 			if e := ref.find(key); e != nil {
 				e.pinned = true
 			}
-		case k < 14:
+		case opUnpin:
 			what = fmt.Sprintf("Unpin(%s)", key)
 			real.Unpin(refs[key])
 			if e := ref.find(key); e != nil {
 				e.pinned = false
 			}
-		case k < 16:
+		case opDiscard:
 			what = fmt.Sprintf("Discard(%s)", key)
 			real.Discard(refs[key])
 			ref.remove(key)
-		case k < 17:
+		case opCheckpoint:
 			what = fmt.Sprintf("Checkpoint(%s)", key)
 			if got, want := real.Checkpoint(refs[key], now), ref.Checkpoint(key, now); got != want {
-				t.Fatalf("seed %d op %d %s: end %v, reference %v", tr.seed, op, what, got, want)
+				t.Fatalf("seed %d op %d %s: end %v, reference %v", tr.seed, i, what, got, want)
 			}
-		case k < 18:
-			acc[key] = rng.Intn(4) // a consumer ran, or a branch was pruned
+		case opAcc:
+			acc[key] = rng.Intn(4)
 			what = "acc"
-		default:
-			switch rng.Intn(12) {
-			case 0:
-				what = "Crash"
-				if got, want := real.Crash(), ref.Crash(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d op %d Crash: lost %v, reference %v", tr.seed, op, got, want)
-				}
-			case 1:
-				what = "Evacuate"
-				gotC, gotL := real.Evacuate()
-				wantC, wantL := ref.Evacuate()
-				if !reflect.DeepEqual(gotC, wantC) || !reflect.DeepEqual(gotL, wantL) {
-					t.Fatalf("seed %d op %d Evacuate: (%v, %v), reference (%v, %v)", tr.seed, op, gotC, gotL, wantC, wantL)
-				}
-			case 2, 3, 4:
-				what = fmt.Sprintf("DropDurable(%s)", key)
-				gotL, gotOK := real.DropDurable(refs[key])
-				wantL, wantOK := ref.DropDurable(key)
-				if gotL != wantL || gotOK != wantOK {
-					t.Fatalf("seed %d op %d %s: (%v, %v), reference (%v, %v)", tr.seed, op, what, gotL, gotOK, wantL, wantOK)
-				}
-			default:
-				bytes := sim.Bytes(300 + rng.Intn(4000))
-				what = fmt.Sprintf("AdoptSpilled(%s, %d)", key, bytes)
-				if !real.Known(refs[key]) {
-					refs[key] = real.AdoptSpilled(key, bytes)
-				}
-				if ref.find(key) == nil {
-					ref.entries = append(ref.entries, &refEntry{key: key, bytes: bytes, onDisk: true})
-				}
+		case opCrash:
+			what = "Crash"
+			got, want := real.Crash(), ref.Crash()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d op %d Crash: lost %v, reference %v", tr.seed, i, got, want)
+			}
+			tr.losses += len(want)
+		case opEvacuate:
+			what = "Evacuate"
+			gotC, gotL := real.Evacuate()
+			wantC, wantL := ref.Evacuate()
+			if !reflect.DeepEqual(gotC, wantC) || !reflect.DeepEqual(gotL, wantL) {
+				t.Fatalf("seed %d op %d Evacuate: (%v, %v), reference (%v, %v)", tr.seed, i, gotC, gotL, wantC, wantL)
+			}
+			tr.losses += len(wantL)
+		case opDropDurable:
+			what = fmt.Sprintf("DropDurable(%s)", key)
+			gotL, gotOK := real.DropDurable(refs[key])
+			wantL, wantOK := ref.DropDurable(key)
+			if gotL != wantL || gotOK != wantOK {
+				t.Fatalf("seed %d op %d %s: (%v, %v), reference (%v, %v)", tr.seed, i, what, gotL, gotOK, wantL, wantOK)
+			}
+		case opAdopt:
+			bytes := sim.Bytes(300 + rng.Intn(4000))
+			what = fmt.Sprintf("AdoptSpilled(%s, %d)", key, bytes)
+			if !real.Known(refs[key]) {
+				refs[key] = real.AdoptSpilled(key, bytes)
+			}
+			if ref.find(key) == nil {
+				ref.entries = append(ref.entries, &refEntry{key: key, bytes: bytes, onDisk: true})
+				tr.adoptions++
 			}
 		}
 
@@ -438,13 +547,13 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		}
 		keys := real.Keys()
 		if want := ref.keys(); !reflect.DeepEqual(keys, want) {
-			t.Fatalf("seed %d op %d %s: keys %v, reference %v", tr.seed, op, what, keys, want)
+			t.Fatalf("seed %d op %d %s: keys %v, reference %v", tr.seed, i, what, keys, want)
 		}
 		for _, k := range keys {
 			e := ref.find(k)
-			if r := refs[k]; inMemory(real, r) != e.inMemory || real.Checkpointed(r) != e.onDisk {
-				t.Fatalf("seed %d op %d %s: %s resident=%v durable=%v, reference resident=%v durable=%v",
-					tr.seed, op, what, k, inMemory(real, r), real.Checkpointed(r), e.inMemory, e.onDisk)
+			if r := refs[k]; !real.Known(r) || inMemory(real, r) != e.inMemory || real.Checkpointed(r) != e.onDisk {
+				t.Fatalf("seed %d op %d %s: %s known=%v resident=%v durable=%v, reference resident=%v durable=%v",
+					tr.seed, i, what, k, real.Known(r), inMemory(real, r), real.Checkpointed(r), e.inMemory, e.onDisk)
 			}
 		}
 		pinned := 0
@@ -455,20 +564,26 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 		}
 		if real.PinnedParts() != pinned || real.TrackedParts() != len(ref.entries) {
 			t.Fatalf("seed %d op %d %s: pinned %d tracked %d, reference %d and %d",
-				tr.seed, op, what, real.PinnedParts(), real.TrackedParts(), pinned, len(ref.entries))
+				tr.seed, i, what, real.PinnedParts(), real.TrackedParts(), pinned, len(ref.entries))
 		}
 		if real.Used() != ref.used() {
-			t.Fatalf("seed %d op %d %s: used %d, reference %d", tr.seed, op, what, real.Used(), ref.used())
+			t.Fatalf("seed %d op %d %s: used %d, reference %d", tr.seed, i, what, real.Used(), ref.used())
 		}
 		if *real.Metrics() != ref.metrics {
-			t.Fatalf("seed %d op %d %s: metrics %+v, reference %+v", tr.seed, op, what, *real.Metrics(), ref.metrics)
+			t.Fatalf("seed %d op %d %s: metrics %+v, reference %+v", tr.seed, i, what, *real.Metrics(), ref.metrics)
+		}
+		if got, want := real.SpilledByDataset(), ref.spilledByDataset(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d op %d %s: spills %v, reference %v", tr.seed, i, what, got, want)
 		}
 		if err := real.CheckAccounting(); err != nil {
-			t.Fatalf("seed %d op %d %s: %v", tr.seed, op, what, err)
+			t.Fatalf("seed %d op %d %s: %v", tr.seed, i, what, err)
+		}
+		if err := ref.check(); err != nil {
+			t.Fatalf("seed %d op %d %s: reference: %v", tr.seed, i, what, err)
 		}
 	}
 	if !tr.probed {
-		return nil
+		return
 	}
 	if got, want := realRec.Decisions(), refRec.Decisions(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d: decisions differ from the reference's (%d and %d of them)", tr.seed, len(got), len(want))
@@ -486,36 +601,35 @@ func (tr *alg2Trial) run(t *testing.T) (decisions []byte) {
 	if !bytes.Equal(realLog.Bytes(), refLog.Bytes()) {
 		t.Fatalf("seed %d: decision log differs from the reference's", tr.seed)
 	}
-	return realLog.Bytes()
 }
 
 // TestAlg2Reference compares the allocator with the transcription above,
-// operation for operation: 24 seeds of 600 operations per policy, each run
-// with and without a recording probe, the two runs' victims compared with
-// each other as well. Half the seeds start at a virtual time large enough
-// that the tie-breaking increment of touch is rounded away, so that equal
-// preferences meet equal last accesses and the key decides.
+// operation for operation, over every seed of each mix and both policies,
+// each seed run with and without a recording probe and the two runs'
+// victims compared with each other as well. The totals per mix and policy
+// make sure the sequences still fill the budget, adopt and lose partitions.
 func TestAlg2Reference(t *testing.T) {
-	for _, policy := range []PolicyKind{AMM, LRU} {
-		evictions := 0
-		for seed := int64(1); seed <= 24; seed++ {
-			base := sim.VTime(0)
-			if seed%2 == 0 {
-				base = 1e9
+	for m, mix := range mixes {
+		for _, policy := range []PolicyKind{AMM, LRU} {
+			var victims, adoptions, losses int
+			for seed := int64(1); seed <= mix.seeds; seed++ {
+				var runs [2]alg2Trial
+				for i, probed := range []bool{false, true} {
+					runs[i] = alg2Trial{mix: mix, seed: seed, policy: policy, probed: probed}
+					runs[i].run(t)
+				}
+				if !reflect.DeepEqual(runs[0].victims, runs[1].victims) {
+					t.Fatalf("mix %d %s seed %d: the victims depend on the probe", m, policy, seed)
+				}
+				victims += len(runs[0].victims)
+				adoptions += runs[0].adoptions
+				losses += runs[0].losses
 			}
-			var victims [2][]dataset.PartKey
-			for i, probed := range []bool{false, true} {
-				tr := &alg2Trial{seed: seed, policy: policy, probed: probed, ops: 600, baseT: base}
-				tr.run(t)
-				victims[i] = tr.victims
+			t.Logf("mix %d %s: %d victims, %d adoptions, %d losses", m, policy, victims, adoptions, losses)
+			if victims < 2000 || adoptions < 100 || losses < 100 {
+				t.Errorf("mix %d %s: %d victims, %d adoptions, %d losses over the trials; the sequences no longer reach them",
+					m, policy, victims, adoptions, losses)
 			}
-			if !reflect.DeepEqual(victims[0], victims[1]) {
-				t.Fatalf("%s seed %d: the victims depend on the probe", policy, seed)
-			}
-			evictions += len(victims[0])
-		}
-		if evictions < 2000 {
-			t.Errorf("%s: only %d evictions over the trials; the sequences no longer fill the budget", policy, evictions)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"metadataflow/internal/graph"
+	"metadataflow/internal/plan"
 	"metadataflow/internal/spec"
 )
 
@@ -23,6 +24,8 @@ import (
 //   - a server that has vetted the document before (its vet memo hits)
 //     answers exactly what a cold server answers: status, Retry-After and
 //     body;
+//   - it admits a document exactly when the battery `mdf plan` runs, with
+//     the same units and the server's cluster shape, finds nothing in it;
 //   - every admitted document compiles and plans, and round-trips through
 //     its canonical form: the canonical form reparses, canonicalizes to
 //     itself, keeps the content hash, and compiles and plans to as many
@@ -56,7 +59,8 @@ func FuzzSubmit(f *testing.F) {
 		body := append(append([]byte(`{"tenant":"fuzz","spec":`), doc...), '}')
 		warm, cold := newServer(Config{}), newServer(Config{})
 		var req JobRequest
-		if decodeRequest(bytes.NewReader(body), &req) == nil && len(req.Spec) > 0 {
+		decoded := decodeRequest(bytes.NewReader(body), &req) == nil && len(req.Spec) > 0
+		if decoded {
 			// What the handler will vet, vetted once before: the warm server's
 			// submission is a memo hit whenever the memo kept an entry.
 			_, _ = warm.vet(req.Spec)
@@ -73,10 +77,25 @@ func FuzzSubmit(f *testing.F) {
 		if hits := warm.Healthz().VetMemo.Hits; primed > 0 && hits != 1 {
 			t.Fatalf("the warm server kept %d entries but its memo hit %d times", primed, hits)
 		}
+		if admitted, clean := want.Code == http.StatusCreated, decoded && planClean(cold.cfg, req.Spec); admitted != clean {
+			t.Fatalf("answer %d %s, yet mdf plan's battery passing it is %v", want.Code, want.Body, clean)
+		}
 		if want.Code == http.StatusCreated {
 			checkAdmitted(t, req.Spec)
 		}
 	})
+}
+
+// planClean reports whether doc parses and the plan battery, as `mdf plan
+// -workers -mem-gb -quota-mb` runs it with cfg's cluster shape, finds
+// nothing in it.
+func planClean(cfg Config, doc []byte) bool {
+	sp, err := spec.Parse(doc)
+	if err != nil {
+		return false
+	}
+	res, err := plan.Verify(sp, plan.Config{Workers: cfg.Workers, MemPerWorker: cfg.MemPerWorker, TenantQuota: cfg.TenantQuota})
+	return err == nil && len(res.Findings) == 0
 }
 
 // post submits body to s's handler and returns the answer.

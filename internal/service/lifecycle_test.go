@@ -24,6 +24,14 @@ var summedCounters = []string{
 // quarantine) and a clean completion, then a quarantine refusal. Staging before the loop makes every outcome deterministic.
 func runMixedSequence(t *testing.T, s *Server) {
 	t.Helper()
+	// A check that fails before the loop starts must not leave the caller's
+	// Close waiting for work that no loop will run.
+	looping := false
+	defer func() {
+		if !looping {
+			go s.loop()
+		}
+	}()
 	running := submitOK(t, s, "f", longSpec, "")
 	s.mu.Lock()
 	s.admitLocked() // job-0001 is running before anything else is queued
@@ -49,6 +57,7 @@ func runMixedSequence(t *testing.T, s *Server) {
 		t.Fatalf("submit into a full queue: err = %v, want ErrQueueFull", err)
 	}
 
+	looping = true
 	go s.loop()
 	s.WaitIdle()
 	var quarantine *QuarantineError

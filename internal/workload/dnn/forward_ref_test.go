@@ -10,6 +10,16 @@ import (
 	"metadataflow/internal/vecmath"
 )
 
+// onGoPath runs f with vecmath's kernels on the plain-Go path, and then
+// restores the choice.
+func onGoPath(f func()) {
+	vecmath.OnEachPath(func(avx bool) {
+		if !avx {
+			f()
+		}
+	})
+}
+
 // forwardScalar is the forward pass as per-neuron loops: one neuron, one
 // sum, at a time.
 func (m *Model) forwardScalar(x []float64, hidden, probs []float64) {
